@@ -62,9 +62,11 @@ func runAA(cfg config, only string, seed int64, seconds float64, runs int) error
 				}
 				merge(fmt.Sprintf("seed %d", s), rep)
 				for _, m := range endToEnd {
-					sets[set][m.Name] = append(sets[set][m.Name], rep.EndToEnd[m.Name].Median)
+					sets[set][m.Name] = append(sets[set][m.Name], rep.EndToEnd[m.Name].Value)
 				}
-				fmt.Fprintf(os.Stderr, "aa: %s set %c run %d/%d done\n", w.Name, 'A'+set, i+1, runs)
+				v := rep.EndToEnd["verdict_s"]
+				fmt.Fprintf(os.Stderr, "aa: %s set %c run %d/%d done: verdict_s %.4f measured, x %.4f = %.4f\n",
+					w.Name, 'A'+set, i+1, runs, v.Median, rep.Calib.Factor, v.Value)
 			}
 		}
 		for _, m := range endToEnd {

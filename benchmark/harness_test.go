@@ -71,6 +71,24 @@ func TestSelfTimes(t *testing.T) {
 	}
 }
 
+// The calibration kernel's loads are dependent only if the table is one
+// cycle through all its entries.
+func TestChaseTableIsOneCycle(t *testing.T) {
+	next := chaseTable(10)
+	seen := make([]bool, len(next))
+	i := uint32(0)
+	for range next {
+		if seen[i] {
+			t.Fatalf("entry %d reached twice", i)
+		}
+		seen[i] = true
+		i = next[i]
+	}
+	if i != 0 {
+		t.Fatalf("walk ends at %d, want back at 0", i)
+	}
+}
+
 func TestNameGrammar(t *testing.T) {
 	for _, w := range workloads {
 		if !nameRE.MatchString(w.Name) {

@@ -26,6 +26,7 @@ func main() {
 
 		child  = flag.Bool("child", false, "internal: run one pass in this process and print it as JSON")
 		extras = flag.Bool("extras", false, "internal: run the traced run's extra measurements and print them as JSON")
+		calib  = flag.Bool("calib", false, "internal: time the calibration kernel once and print the seconds")
 		pass   = flag.Int("pass", 0, "internal: pass number of -child")
 	)
 	flag.BoolVar(&cfg.Smoke, "smoke", false, "run each workload's tiny smoke jobs instead of its job table")
@@ -44,6 +45,8 @@ func main() {
 			return writeDimacs(cfg.OutDir)
 		case *aa > 0:
 			return runAA(cfg, *workload, *seed, *seconds, *aa)
+		case *calib:
+			return json.NewEncoder(os.Stdout).Encode(calibKernel())
 		}
 		w, err := findWorkload(*workload)
 		if err != nil {

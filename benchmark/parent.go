@@ -128,7 +128,10 @@ type Report struct {
 	Seconds  float64             `json:"seconds"`
 	Traced   bool                `json:"traced"`
 	EndToEnd map[string]E2EValue `json:"end_to_end,omitempty"`
-	PerLayer map[string]float64  `json:"per_layer,omitempty"`
+	// Calib is the host-speed record the end-to-end times were scaled by
+	// (calib.go); traced runs report unscaled times and have none.
+	Calib    *Calibration       `json:"calibration,omitempty"`
+	PerLayer map[string]float64 `json:"per_layer,omitempty"`
 	// SelfS is the traced passes' self time (duration minus children)
 	// summed by span name, from the last traced pass.
 	SelfS     map[string]float64 `json:"self_s,omitempty"`
@@ -144,24 +147,29 @@ type Report struct {
 	Extras *Extras                       `json:"extras,omitempty"`
 }
 
+// E2EValue is one end-to-end metric: Value is what the result line
+// carries, the median of the samples, for a time scaled to the reference
+// clock; Summary describes the samples as measured.
 type E2EValue struct {
-	Unit string `json:"unit"`
+	Unit  string  `json:"unit"`
+	Value float64 `json:"value"`
 	Summary
 	Bound float64 `json:"bound"`
 }
 
 // runWorkload is one invocation of the benchmark: set up, run passes
 // of one workload in fresh child processes for `seconds`, aggregate.
-// Untraced runs produce the end-to-end metrics. Traced runs alternate
-// untraced and traced passes, so the per-layer numbers and the tracing
-// overhead come from passes made side by side, and finish with the
-// extras child.
+// Untraced runs produce the end-to-end metrics and time the calibration
+// kernel between passes. Traced runs alternate untraced and traced
+// passes, so the per-layer numbers and the tracing overhead come from
+// passes made side by side, and finish with the extras child.
 func runWorkload(cfg config, w Workload, seed int64, seconds float64, traced bool) (*Report, error) {
 	rep := &Report{Env: environment(seed), Workload: w.Name, Seed: seed, Seconds: seconds, Traced: traced}
 	var exe string
 	var oracle Oracle
 	var err error
 	var setups []float64
+	var calib *calibrator
 	if traced {
 		// The launcher built this binary; set-up time is an end-to-end
 		// metric and is measured by untraced runs only.
@@ -173,6 +181,9 @@ func runWorkload(cfg config, w Workload, seed int64, seconds float64, traced boo
 		}
 	} else {
 		if err = os.MkdirAll(cfg.BuildDir, 0o755); err != nil {
+			return nil, err
+		}
+		if calib, err = newCalibrator(); err != nil {
 			return nil, err
 		}
 		for round := 0; round < setupRounds; round++ {
@@ -187,6 +198,11 @@ func runWorkload(cfg config, w Workload, seed int64, seconds float64, traced boo
 
 	start := time.Now()
 	for pass := 0; ; pass++ {
+		if calib != nil {
+			if err := calib.sampleIfDue(); err != nil {
+				return nil, err
+			}
+		}
 		run, err := spawnPass(exe, cfg, w, seed, pass, traced && pass%2 == 1, oracle)
 		if err != nil {
 			return nil, err
@@ -196,6 +212,11 @@ func runWorkload(cfg config, w Workload, seed int64, seconds float64, traced boo
 		// number of untraced/traced pairs in a traced run.
 		if time.Since(start).Seconds() >= seconds && (!traced || pass%2 == 1) {
 			break
+		}
+	}
+	if calib != nil {
+		if err := calib.sample(); err != nil {
+			return nil, err
 		}
 	}
 	if traced {
@@ -236,9 +257,16 @@ func runWorkload(cfg config, w Workload, seed int64, seconds float64, traced boo
 			wall, cpu, rss = append(wall, p.WallS), append(cpu, p.CPUS), append(rss, p.RSSMB)
 		}
 		samples := map[string][]float64{"verdict_s": wall, "cpu_s": cpu, "peak_rss_mb": rss, "setup_s": setups}
+		c := calib.result()
+		rep.Calib = &c
 		rep.EndToEnd = map[string]E2EValue{}
 		for _, m := range endToEnd {
-			rep.EndToEnd[m.Name] = E2EValue{Unit: m.Unit, Summary: summarize(samples[m.Name]), Bound: m.Bound}
+			v := E2EValue{Unit: m.Unit, Summary: summarize(samples[m.Name]), Bound: m.Bound}
+			v.Value = v.Median
+			if m.Unit == "s" {
+				v.Value *= c.Factor
+			}
+			rep.EndToEnd[m.Name] = v
 		}
 	}
 	return rep, writeReport(cfg, rep)
@@ -343,7 +371,7 @@ func resultLine(rep *Report) string {
 		}
 	} else {
 		for _, m := range endToEnd {
-			metrics[m.Name] = value{rep.EndToEnd[m.Name].Median, m.Unit}
+			metrics[m.Name] = value{rep.EndToEnd[m.Name].Value, m.Unit}
 		}
 	}
 	line, err := json.Marshal(map[string]any{
@@ -412,10 +440,12 @@ func printTable(rep *Report) {
 			fmt.Fprintf(tw, "%s\t%.6g\t%s\t%s\n", m.Name, rep.PerLayer[m.Name], m.Unit, exact)
 		}
 	} else {
-		fmt.Fprintln(tw, "metric\tmedian\tmin\tmax\tn\tunit\tbound")
+		fmt.Fprintf(tw, "calibration kernel %.4f s (median of %d), reference clock %.4f s: times scaled by %.4f\n",
+			median(rep.Calib.Samples), len(rep.Calib.Samples), rep.Calib.RefS, rep.Calib.Factor)
+		fmt.Fprintln(tw, "metric\tvalue\tmedian\tmin\tmax\tn\tunit\tbound")
 		for _, m := range endToEnd {
 			v := rep.EndToEnd[m.Name]
-			fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.4f\t%d\t%s\t+%.0f%%\n", m.Name, v.Median, v.Min, v.Max, v.N, m.Unit, 100*m.Bound)
+			fmt.Fprintf(tw, "%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d\t%s\t+%.0f%%\n", m.Name, v.Value, v.Median, v.Min, v.Max, v.N, m.Unit, 100*m.Bound)
 		}
 	}
 	tw.Flush()
