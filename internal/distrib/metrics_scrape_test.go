@@ -76,10 +76,21 @@ func TestDistributedMetricsScrape(t *testing.T) {
 		Health:  health,
 	})
 
-	// Gauges are primed before any worker joins.
+	// Gauges are primed before any worker joins — but not before
+	// Coordinate, running in its own goroutine, has encoded the program
+	// and cut the chunks, so wait for that (each poll is an HTTP round
+	// trip, which yields to it) instead of assuming it already happened.
+	deadline := time.Now().Add(30 * time.Second)
 	body := scrape(t, srv.URL)
-	if v, ok := metricValue(body, "parbmc_coordinator_chunks_total"); !ok || v != 4 {
-		t.Fatalf("chunks_total before workers: got %v (present %v)\n%s", v, ok, body)
+	for {
+		v, ok := metricValue(body, "parbmc_coordinator_chunks_total")
+		if ok && v == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("chunks_total before workers: got %v (present %v) after 30s\n%s", v, ok, body)
+		}
+		body = scrape(t, srv.URL)
 	}
 	if v, ok := metricValue(body, "parbmc_coordinator_workers_active"); !ok || v != 0 {
 		t.Fatalf("workers_active before workers: got %v (present %v)", v, ok)

@@ -1,0 +1,47 @@
+package sat
+
+import (
+	"testing"
+
+	"repro/internal/bench"
+)
+
+// BenchmarkLoadFormula times NewFromFormula alone on the largest
+// formula-per-conflict of the repo benchmark's quick_batch workload
+// (safestack u=8 c=3: almost pure encode + load).
+func BenchmarkLoadFormula(b *testing.B) {
+	f := encodeBench(b, bench.Safestack(), 8, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var s *Solver
+	for i := 0; i < b.N; i++ {
+		s = NewFromFormula(f, Options{})
+	}
+	b.ReportMetric(float64(len(f.Clauses))*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+	if s.NumVars() != f.NumVars {
+		b.Fatalf("loaded %d variables, want %d", s.NumVars(), f.NumVars)
+	}
+}
+
+// BenchmarkSolveEncoded times the search alone on a real encoded
+// refutation (eliminationstack u=2 c=5) and reports the solver's rates.
+func BenchmarkSolveEncoded(b *testing.B) {
+	f := encodeBench(b, bench.Eliminationstack(), 2, 5)
+	var props, conflicts int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := NewFromFormula(f, Options{})
+		b.StartTimer()
+		st, err := s.Solve()
+		if err != nil || st != Unsat {
+			b.Fatalf("got %v, %v; want UNSAT", st, err)
+		}
+		props += s.Stats().Propagations
+		conflicts += s.Stats().Conflicts
+	}
+	secs := b.Elapsed().Seconds()
+	b.ReportMetric(float64(props)/secs, "props/s")
+	b.ReportMetric(float64(conflicts)/secs, "conflicts/s")
+}

@@ -1,0 +1,185 @@
+package sat
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+
+	"repro/internal/cnf"
+)
+
+// Fuzz inputs are a flag byte followed by literals, one per byte in
+// cnf.Lit's own 2v+sign encoding (variables 1..127); a byte below 2
+// ends a clause. The flags pick what the run exercises besides the
+// search itself.
+const (
+	fuzzMemBudget = 1 << 0 // solve under MemBudgetMB = 1
+	fuzzLongRun   = 1 << 1 // 16000 conflicts instead of 3000: room for reduceDB
+	fuzzAssumeTwo = 1 << 2 // the first two literals are assumptions, not a clause
+)
+
+func decodeFuzzInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options) {
+	f = cnf.New()
+	if len(data) == 0 {
+		return f, nil, opts
+	}
+	flags, body := data[0], data[1:]
+	opts.MaxConflicts = 3000
+	if flags&fuzzLongRun != 0 {
+		opts.MaxConflicts = 16000
+	}
+	if flags&fuzzMemBudget != 0 {
+		opts.MemBudgetMB = 1
+	}
+	if flags&fuzzAssumeTwo != 0 {
+		for len(assumptions) < 2 && len(body) > 0 {
+			if body[0] >= 2 {
+				assumptions = append(assumptions, cnf.Lit(body[0]))
+			}
+			body = body[1:]
+		}
+	}
+	var clause []cnf.Lit
+	for _, b := range body {
+		if b >= 2 {
+			clause = append(clause, cnf.Lit(b))
+			continue
+		}
+		f.AddClause(clause...)
+		clause = nil
+	}
+	if clause != nil {
+		f.AddClause(clause...)
+	}
+	return f, assumptions, opts
+}
+
+func encodeFuzzInput(flags byte, assumptions []cnf.Lit, f *cnf.Formula) []byte {
+	data := []byte{flags}
+	for _, a := range assumptions {
+		data = append(data, byte(a))
+	}
+	for _, c := range f.Clauses {
+		for _, l := range c {
+			data = append(data, byte(l))
+		}
+		data = append(data, 0)
+	}
+	return data
+}
+
+// checkStore verifies what the clause store promises after any amount
+// of search: the arena holds exactly the listed clauses, the byte
+// accounting matches a recount, and each clause is watched exactly
+// twice, through its first two literals, with the binary tag set on
+// clauses of two literals and on no others.
+func checkStore(t *testing.T, s *Solver) {
+	t.Helper()
+	if got, want := len(s.arena), arenaWordsByHand(s); got != want {
+		t.Fatalf("arena holds %d words, its listed clauses %d", got, want)
+	}
+	if got, want := s.LiveBytes(), liveBytesByHand(s); got != want {
+		t.Fatalf("LiveBytes %d, recounted %d", got, want)
+	}
+	watched := map[cref]int{}
+	for l, ws := range s.watches {
+		for _, w := range ws {
+			c := w.ref &^ binTag
+			if c == crefUndef || int(c) >= len(s.arena) {
+				t.Fatalf("watcher on literal %d refers outside the arena: %d", l, c)
+			}
+			if (w.ref&binTag != 0) != (s.size(c) == 2) {
+				t.Fatalf("clause %v: binary tag %v", s.lits(c), w.ref&binTag != 0)
+			}
+			if own := lit(l) ^ 1; s.arena[c] != own && s.arena[c+1] != own {
+				t.Fatalf("clause %v is on the watch list of %d but does not watch it", s.lits(c), own)
+			}
+			watched[c]++
+		}
+	}
+	for _, list := range [][]cref{s.clauses, s.learnts} {
+		for _, c := range list {
+			if watched[c] != 2 {
+				t.Fatalf("clause %v at %d has %d watchers", s.lits(c), c, watched[c])
+			}
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[vidx(l)]; r != crefUndef && watched[r] != 2 {
+			t.Fatalf("reason of literal %d is not a live clause: %d", l, r)
+		}
+	}
+}
+
+// solveFuzzInput runs one input and checks everything that can be
+// checked without a second solver: a model against the formula and the
+// assumptions, a refutation by CheckRUP, and the store either way.
+func solveFuzzInput(t *testing.T, data []byte) (Status, Stats) {
+	t.Helper()
+	f, assumptions, opts := decodeFuzzInput(data)
+	s := NewFromFormula(f, opts)
+	s.EnableProof()
+	st, err := s.Solve(assumptions...)
+	if err != nil && !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("solve: %v", err)
+	}
+	switch st {
+	case Sat:
+		assign := make([]bool, max(f.NumVars, s.NumVars())+1)
+		copy(assign[1:], s.Model())
+		if !f.Eval(assign) {
+			t.Fatalf("model does not satisfy the formula %v", f)
+		}
+		for _, a := range assumptions {
+			if !s.ModelValue(a) {
+				t.Fatalf("model violates assumption %v", a)
+			}
+		}
+	case Unsat:
+		if err := CheckRUP(f, assumptions, s.ProofLog()); err != nil {
+			t.Fatalf("refutation rejected: %v", err)
+		}
+	}
+	checkStore(t, s)
+	return st, s.Stats()
+}
+
+// The seeds: small formulas of every verdict, and one for each of the
+// store's two rare paths. PHP(9,8) under two assumptions is refuted
+// after a learnt-DB reduction, which compacts the arena, and PHP(10,9)
+// under a 1 MiB budget has to shrink its learnt DB to keep going.
+func fuzzSeeds() (small [][]byte, compacting, shrinking []byte) {
+	sat := cnf.New()
+	sat.AddClause(mk(1, false), mk(2, false), mk(3, true))
+	sat.AddClause(mk(1, true), mk(2, false))
+	sat.AddClause(mk(2, true), mk(3, true))
+	small = [][]byte{
+		{},
+		{0, 2, 3}, // x ∨ ¬x
+		{0, 2, 0, 3, 0},
+		encodeFuzzInput(0, nil, sat),
+		encodeFuzzInput(fuzzAssumeTwo, []cnf.Lit{mk(3, false), mk(1, false)}, sat),
+		encodeFuzzInput(0, nil, pigeonhole(4)),
+		encodeFuzzInput(fuzzAssumeTwo, []cnf.Lit{mk(1, false), mk(7, true)}, pigeonhole(5)),
+	}
+	return small,
+		encodeFuzzInput(fuzzLongRun|fuzzAssumeTwo, []cnf.Lit{mk(1, true), mk(2, true)}, pigeonhole(8)),
+		encodeFuzzInput(fuzzLongRun|fuzzMemBudget, nil, pigeonhole(9))
+}
+
+func FuzzSolve(f *testing.F) {
+	small, compacting, shrinking := fuzzSeeds()
+	for _, seed := range append(small, compacting, shrinking) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, stats := solveFuzzInput(t, data)
+		// The two long seeds must reach the paths they are here for.
+		if bytes.Equal(data, compacting) && (st != Unsat || stats.LearntDeleted == 0) {
+			t.Errorf("compaction seed: %v with %d learnt clauses deleted", st, stats.LearntDeleted)
+		}
+		if bytes.Equal(data, shrinking) && stats.MemShrinks == 0 {
+			t.Error("memory seed never shrank its learnt DB under the budget")
+		}
+	})
+}

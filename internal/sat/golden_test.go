@@ -1,0 +1,107 @@
+package sat
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/bench"
+	"repro/internal/cnf"
+	"repro/internal/flatten"
+	"repro/internal/unfold"
+	"repro/internal/vc"
+	"repro/prog"
+)
+
+// encodeBench builds the formula the pipeline hands the solver for one
+// benchmark cell (8-bit words, as core.Verify's default).
+func encodeBench(tb testing.TB, p *prog.Program, unwind, contexts int) *cnf.Formula {
+	tb.Helper()
+	up, err := unfold.Unfold(p, unfold.Options{Unwind: unwind})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fp, err := flatten.Flatten(up)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	enc, err := vc.Encode(fp, vc.Options{Width: 8, Contexts: contexts})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return enc.Formula()
+}
+
+func random3SAT(seed int64, nv int, ratio float64) *cnf.Formula {
+	rng := rand.New(rand.NewSource(seed))
+	f := cnf.New()
+	f.NumVars = nv
+	for i := 0; i < int(ratio*float64(nv)); i++ {
+		var c [3]cnf.Lit
+		for j := range c {
+			c[j] = cnf.MkLit(cnf.Var(1+rng.Intn(nv)), rng.Intn(2) == 0)
+		}
+		f.AddClause(c[:]...)
+	}
+	return f
+}
+
+// The clause store is an implementation detail of the search, not a
+// heuristic: watch-list order, literal order inside a clause, the
+// reduceDB comparator and the VSIDS bump order are all part of what the
+// counters below depend on. They were recorded from the commit before
+// the flat arena replaced the pointer-based clause store (bcda93a), and a
+// change to the store, the loader or the analysis scratch buffers that
+// moves any of them has changed the search, whatever it did to speed.
+func TestGoldenCounters(t *testing.T) {
+	type counters struct {
+		conflicts, decisions, propagations, restarts, learntDeleted int64
+	}
+	cases := []struct {
+		name    string
+		formula func() *cnf.Formula
+		status  Status
+		want    counters
+	}{
+		{"pigeonhole-7", func() *cnf.Formula { return pigeonhole(7) }, Unsat,
+			counters{5715, 6954, 84040, 29, 0}},
+		// Long enough to cross the reduceDB threshold several times, so
+		// deletion order and arena compaction are pinned too.
+		{"pigeonhole-8", func() *cnf.Formula { return pigeonhole(8) }, Unsat,
+			counters{22665, 27134, 288878, 79, 15225}},
+		{"random3sat-seed42", func() *cnf.Formula { return random3SAT(42, 200, 4.26) }, Unsat,
+			counters{12208, 14677, 471891, 52, 5213}},
+		{"es.u2.c5", func() *cnf.Formula { return encodeBench(t, bench.Eliminationstack(), 2, 5) }, Unsat,
+			counters{4215, 11532, 9650434, 21, 0}},
+		{"fib2.u2.c6", func() *cnf.Formula { return encodeBench(t, bench.Fibonacci(2), 2, 6) }, Sat,
+			counters{263, 766, 231470, 2, 0}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && tc.name == "pigeonhole-8" {
+				t.Skip("long refutation")
+			}
+			f := tc.formula()
+			s := NewFromFormula(f, Options{})
+			st, err := s.Solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st != tc.status {
+				t.Fatalf("verdict %v, want %v", st, tc.status)
+			}
+			if st == Sat {
+				assign := make([]bool, f.NumVars+1)
+				copy(assign[1:], s.Model())
+				if !f.Eval(assign) {
+					t.Fatal("model does not satisfy the formula")
+				}
+			}
+			g := s.Stats()
+			got := counters{g.Conflicts, g.Decisions, g.Propagations, g.Restarts, g.LearntDeleted}
+			if got != tc.want {
+				t.Errorf("%s (%d vars, %d clauses): counters %+v, want %+v",
+					st, f.NumVars, len(f.Clauses), got, tc.want)
+			}
+		})
+	}
+}

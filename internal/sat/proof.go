@@ -64,7 +64,7 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 type rupEngine struct {
 	numVars int
 	clauses [][]cnf.Lit
-	watches map[cnf.Lit][]int // literal -> clause indices watching it
+	watches [][]int // by Lit.Index(): the clauses watching the literal
 	assigns []int8
 	trail   []cnf.Lit
 	qhead   int
@@ -77,7 +77,7 @@ type rupEngine struct {
 func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
 	e := &rupEngine{
 		numVars: f.NumVars,
-		watches: map[cnf.Lit][]int{},
+		watches: make([][]int, 2*(f.NumVars+1)),
 		assigns: make([]int8, f.NumVars+1),
 	}
 	for _, c := range f.Clauses {
@@ -87,6 +87,7 @@ func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
 		}
 	}
 	for _, a := range assumptions {
+		e.grow(a)
 		if !e.enqueue(a) {
 			e.conflictAtRoot = true
 			return e
@@ -96,6 +97,16 @@ func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
 		e.conflictAtRoot = true
 	}
 	return e
+}
+
+// grow makes room for l's variable: clauses and assumptions may, like
+// the solver's, mention variables beyond the formula's NumVars.
+func (e *rupEngine) grow(l cnf.Lit) {
+	for e.numVars < int(l.Var()) {
+		e.numVars++
+		e.assigns = append(e.assigns, lUndef)
+		e.watches = append(e.watches, nil, nil)
+	}
 }
 
 func (e *rupEngine) value(l cnf.Lit) int8 {
@@ -133,12 +144,7 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 	}
 	c = nc
 	for _, l := range c {
-		if int(l.Var()) > e.numVars {
-			e.numVars = int(l.Var())
-			for len(e.assigns) <= e.numVars {
-				e.assigns = append(e.assigns, lUndef)
-			}
-		}
+		e.grow(l)
 	}
 	switch len(c) {
 	case 0:
@@ -154,8 +160,9 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 	idx := len(e.clauses)
 	lits := append([]cnf.Lit{}, c...)
 	e.clauses = append(e.clauses, lits)
-	e.watches[lits[0]] = append(e.watches[lits[0]], idx)
-	e.watches[lits[1]] = append(e.watches[lits[1]], idx)
+	for _, l := range lits[:2] {
+		e.watches[l.Index()] = append(e.watches[l.Index()], idx)
+	}
 }
 
 // propagate runs unit propagation; returns false on conflict.
@@ -164,7 +171,7 @@ func (e *rupEngine) propagate() bool {
 		p := e.trail[e.qhead]
 		e.qhead++
 		np := p.Not()
-		ws := e.watches[np]
+		ws := e.watches[np.Index()]
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			ci := ws[wi]
@@ -181,7 +188,7 @@ func (e *rupEngine) propagate() bool {
 			for k := 2; k < len(lits); k++ {
 				if e.value(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					e.watches[lits[1]] = append(e.watches[lits[1]], ci)
+					e.watches[lits[1].Index()] = append(e.watches[lits[1].Index()], ci)
 					moved = true
 					break
 				}
@@ -193,12 +200,12 @@ func (e *rupEngine) propagate() bool {
 			if !e.enqueue(lits[0]) {
 				// Conflict: keep remaining watchers and fail.
 				kept = append(kept, ws[wi+1:]...)
-				e.watches[np] = kept
+				e.watches[np.Index()] = kept
 				e.qhead = len(e.trail)
 				return false
 			}
 		}
-		e.watches[np] = kept
+		e.watches[np.Index()] = kept
 	}
 	return true
 }
@@ -226,6 +233,12 @@ func (e *rupEngine) propagateFixpoint() bool {
 // the lemma and propagating must yield a conflict.
 func (e *rupEngine) checkLemma(lemma cnf.Clause) bool {
 	for _, l := range lemma {
+		if l.Var() < 1 || int(l.Var()) > e.numVars {
+			// No clause or assumption mentions the variable, so the
+			// solver cannot have learnt about it: a malformed proof.
+			e.undoToRoot()
+			return false
+		}
 		switch e.value(l) {
 		case lTrue:
 			// The lemma is already satisfied at root level: trivially a

@@ -96,6 +96,32 @@ func TestProofRejectsBogusLemma(t *testing.T) {
 	}
 }
 
+func TestProofOutOfRangeVariables(t *testing.T) {
+	// Solve accepts assumptions over variables the formula never
+	// mentions, so the checker must too.
+	f := cnf.New()
+	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
+	f.AddClause(cnf.NegLit(1))
+	assumptions := []cnf.Lit{cnf.NegLit(2), cnf.PosLit(9)}
+	s := NewFromFormula(f, Options{})
+	s.EnableProof()
+	if st, err := s.Solve(assumptions...); err != nil || st != Unsat {
+		t.Fatalf("got %v, %v; want UNSAT", st, err)
+	}
+	if err := CheckRUP(f, assumptions, s.ProofLog()); err != nil {
+		t.Fatalf("valid proof under an out-of-formula assumption rejected: %v", err)
+	}
+	// A lemma over a variable nothing mentions (or over none at all) is
+	// malformed: rejected, not indexed with.
+	f = cnf.New()
+	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
+	for _, lemma := range []cnf.Clause{{cnf.PosLit(1), cnf.PosLit(40)}, {cnf.LitUndef}, {cnf.Lit(-6)}} {
+		if err := CheckRUP(f, nil, &Proof{Lemmas: []cnf.Clause{lemma}}); err == nil {
+			t.Fatalf("malformed lemma %v accepted", []cnf.Lit(lemma))
+		}
+	}
+}
+
 func TestProofRejectsIncomplete(t *testing.T) {
 	// Valid lemmas that never reach the empty clause must be rejected.
 	f := cnf.New()

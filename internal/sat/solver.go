@@ -10,6 +10,8 @@ package sat
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -155,11 +157,10 @@ type Stats struct {
 	// instance of an aggregate.
 	Progress float64
 
-	// MemBytes is the solver's approximate live footprint (clause
-	// arenas, learnt DB, watches, per-variable state) at the last
-	// snapshot, same cadence as LearntDB. Like LearntDB it is a level
-	// that Add sums: the aggregate is the combined footprint of the
-	// ensemble.
+	// MemBytes is the solver's live footprint (Solver.LiveBytes: clause
+	// arena, watches, per-variable state) at the last snapshot, same
+	// cadence as LearntDB. Like LearntDB it is a level that Add sums:
+	// the aggregate is the combined footprint of the ensemble.
 	MemBytes int64
 
 	// PeakMemBytes is the high-water mark of MemBytes over the solve.
@@ -231,7 +232,7 @@ type Options struct {
 	Seed uint64
 	// MaxConflicts bounds the total number of conflicts (0 = unbounded).
 	MaxConflicts int64
-	// MemBudgetMB bounds the solver's approximate live footprint in
+	// MemBudgetMB bounds the solver's live footprint (LiveBytes) in
 	// mebibytes (0 = unbounded). When the accounting crosses the budget
 	// at a conflict boundary the solver first degrades — emergency
 	// learnt-DB shrinks — and only if still over budget stops with
@@ -259,38 +260,52 @@ func (o *Options) setDefaults() {
 	}
 }
 
-type clause struct {
-	lits   []cnf.Lit
-	act    float64
-	lbd    int
-	learnt bool
-}
+// lit is a literal as the solver stores it: cnf.Lit's 2v+sign encoding
+// in 32 bits, so crossing the package boundary is a cast. l^1 is the
+// complement and l itself indexes the per-literal arrays (vals, watches).
+type lit = uint32
 
-type watcher struct {
-	c       *clause
-	blocker cnf.Lit
-}
+const litUndef lit = 0
 
-// Approximate per-object byte costs for the live-footprint accounting.
-// They deliberately over-count a little (slice headers, the two watcher
-// entries, allocator slack) so the budget errs on the safe side; the
-// goal is a stable, deterministic estimate that tracks the real heap
-// within tens of percent, not malloc-exact numbers.
+// vidx is the index of l's variable in the per-variable arrays.
+func vidx(l lit) int { return int(l>>1) - 1 }
+
+// cref addresses a clause in Solver.arena: it is the index of the
+// clause's first literal. The word before it is the header,
+// size<<1 | learnt, and a learnt clause carries three more words
+// before the header:
+//
+//	learnt:    [act lo] [act hi] [lbd] [size<<1|1] lit0 lit1 ... litN-1
+//	original:                          [size<<1|0] lit0 lit1 ... litN-1
+//	                                               ^cref
+//
+// so a propagation reaches size and literals without knowing which
+// kind it has, and 0 is never a valid reference. The activity is a
+// float64 kept as its two halves: reduceDB orders by it, and a
+// narrower type would order some pairs differently.
+type cref = uint32
+
 const (
-	litBytes = 8 // cnf.Lit is an int
-	// clauseOverheadBytes: the clause struct (slice header + act + lbd +
-	// learnt, padded), its pointer slot in clauses/learnts, and its two
-	// watcher entries.
-	clauseOverheadBytes = 120
-	// varOverheadBytes: per-variable state across watches (two slice
-	// headers), assigns/level/reason/polarity/frozen/activity/seen, the
-	// heap entry, and amortised trail capacity.
-	varOverheadBytes = 128
+	crefUndef   cref = 0
+	learntWords      = 3 // act lo, act hi, lbd
 )
 
-func clauseBytes(nlits int) int64 {
-	return clauseOverheadBytes + int64(nlits)*litBytes
+// watcher is one entry of a literal's watch list. For a clause of two
+// literals ref carries binTag and blocker is the clause's other
+// literal, which is all propagation needs: it never reads the arena
+// for a binary clause except to report a conflict.
+type watcher struct {
+	ref     uint32 // cref, tagged with binTag when the clause is binary
+	blocker lit
 }
+
+const binTag = 1 << 31
+
+// varBytes is the per-variable state counted by LiveBytes: two
+// watch-list headers (48), two value bytes, level and reason (8),
+// polarity, frozen and seen (3), activity (8), heap slot and position
+// (16), trail slot (4) and level stamp (4).
+const varBytes = 48 + 2 + 8 + 3 + 8 + 16 + 4 + 4
 
 const (
 	lUndef int8 = 0
@@ -306,27 +321,36 @@ type Solver struct {
 	numVars int
 	ok      bool // false once the clause set is known inconsistent
 
-	clauses []*clause
-	learnts []*clause
+	arena   []uint32 // every clause, see cref
+	clauses []cref
+	learnts []cref
 
-	watches [][]watcher // indexed by Lit.Index()
+	watches [][]watcher // indexed by literal: the clauses watching its complement
 
-	assigns  []int8 // per variable: lTrue/lFalse/lUndef
-	level    []int
-	reason   []*clause
+	vals     []int8 // per literal: lTrue/lFalse/lUndef
+	level    []int32
+	reason   []cref
 	polarity []bool // saved phase per variable
 	frozen   []bool // assumption-frozen variables (paper Sect. 3.3)
 
-	trail    []cnf.Lit
+	trail    []lit
 	trailLim []int
 	qhead    int
 
-	activity  []float64
-	varInc    float64
-	claInc    float64
-	order     varHeap
-	seen      []byte
-	analyzeTs []cnf.Lit // scratch for minimisation
+	activity []float64
+	varInc   float64
+	claInc   float64
+	order    varHeap
+	seen     []byte
+
+	// Scratch reused across conflicts and clause additions.
+	learntBuf []lit    // the clause analyze is building
+	analyzeTs []lit    // literals marked seen during minimisation
+	minStack  []lit    // litRedundant's work list
+	lbdStamp  []uint32 // per decision level: lbdEpoch of the last computeLBD that met it
+	lbdEpoch  uint32
+	addBuf    []lit     // the clause addClause is normalising
+	lemmaSlab []cnf.Lit // backing store the proof's lemmas are carved from
 
 	model []int8 // last satisfying assignment (per variable)
 
@@ -334,11 +358,8 @@ type Solver struct {
 	graph *DecisionGraph
 	proof *Proof
 
-	// liveBytes / peakBytes approximate the solver's live footprint
-	// (see clauseBytes/varOverheadBytes); maintained incrementally on
-	// clause add/learn/delete and variable growth. Only touched from
-	// the solving goroutine.
-	liveBytes int64
+	// peakBytes is the high-water mark of LiveBytes as of the last
+	// reduceDB, the only place the footprint falls; see PeakBytes.
 	peakBytes int64
 
 	interrupt atomic.Bool
@@ -351,7 +372,7 @@ type Solver struct {
 
 	// ShareLearnt, if non-nil, is invoked for every learnt clause whose LBD
 	// is at most ShareMaxLBD; used by the portfolio baselines for clause
-	// exchange. The callback must not retain the slice.
+	// exchange. The slice is a copy the callback may keep.
 	ShareLearnt func(lits []cnf.Lit, lbd int)
 	ShareMaxLBD int
 	// Import, if non-nil, is polled at every restart for foreign clauses to
@@ -374,38 +395,87 @@ func New(numVars int, opts Options) *Solver {
 		varInc:   1,
 		claInc:   1,
 		rngState: opts.Seed*2654435761 + 88172645463325252,
+		// Literals start at 2 (variable 1), decision levels at 0.
+		watches:  make([][]watcher, 2),
+		vals:     make([]int8, 2),
+		lbdStamp: make([]uint32, 1),
 	}
 	s.growTo(numVars)
 	return s
 }
 
-// NewFromFormula creates a solver and loads every clause of f.
+// NewFromFormula creates a solver and loads every clause of f, as
+// AddClause would in order, after sizing the arena and every watch
+// list for them in one counting pass.
 func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	s := New(f.NumVars, opts)
+	s.reserve(f)
 	for _, c := range f.Clauses {
-		s.AddClause(c...)
+		s.addClause(c)
 	}
 	return s
 }
 
+// reserve gives the arena room for the clauses of f and each watch list
+// room for the clauses that will start out watching its literal (the
+// two smallest of each clause, as addClause sorts them), all lists
+// carved from one allocation. Clauses that level-0 simplification later
+// drops or shortens make this an over-estimate, nothing more.
+func (s *Solver) reserve(f *cnf.Formula) {
+	words, attached := 0, 0
+	degree := make([]int32, len(s.watches))
+	for _, c := range f.Clauses {
+		a, b := ^lit(0), ^lit(0)
+		for _, x := range c {
+			if l := lit(x); l < a {
+				a, b = l, a
+			} else if l < b && l != a {
+				b = l
+			}
+		}
+		if int(b|1) >= len(degree) {
+			continue // unit or empty, or over variables growTo has yet to see
+		}
+		words += 1 + len(c)
+		attached++
+		degree[a^1]++
+		degree[b^1]++
+	}
+	s.arena = slices.Grow(s.arena, words)
+	s.clauses = slices.Grow(s.clauses, attached)
+	backing := make([]watcher, 2*attached)
+	for l, d := range degree {
+		s.watches[l] = backing[:0:d]
+		backing = backing[d:]
+	}
+}
+
 func (s *Solver) growTo(n int) {
-	for s.numVars < n {
-		s.numVars++
-		s.watches = append(s.watches, nil, nil)
-		s.assigns = append(s.assigns, lUndef)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
-		s.polarity = append(s.polarity, s.opts.InitialPolarity)
-		s.frozen = append(s.frozen, false)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, 0)
-		s.order.push(cnf.Var(s.numVars), &s.activity)
-		s.addMem(varOverheadBytes)
+	if n <= s.numVars {
+		return
 	}
-	// watches is indexed by Lit.Index() which starts at 2 for variable 1.
-	for len(s.watches) < 2*(s.numVars+1) {
-		s.watches = append(s.watches, nil)
+	if uint64(n) >= 1<<31 {
+		panic("sat: variable does not fit a 32-bit literal")
 	}
+	add := n - s.numVars
+	s.watches = append(s.watches, make([][]watcher, 2*add)...)
+	s.vals = append(s.vals, make([]int8, 2*add)...)
+	s.level = append(s.level, make([]int32, add)...)
+	s.reason = append(s.reason, make([]cref, add)...)
+	s.polarity = append(s.polarity, make([]bool, add)...)
+	if s.opts.InitialPolarity {
+		for i := s.numVars; i < n; i++ {
+			s.polarity[i] = true
+		}
+	}
+	s.frozen = append(s.frozen, make([]bool, add)...)
+	s.activity = append(s.activity, make([]float64, add)...)
+	s.seen = append(s.seen, make([]byte, add)...)
+	s.lbdStamp = append(s.lbdStamp, make([]uint32, add)...)
+	for v := s.numVars + 1; v <= n; v++ {
+		s.order.push(cnf.Var(v), &s.activity)
+	}
+	s.numVars = n
 }
 
 // NumVars returns the number of variables known to the solver.
@@ -413,6 +483,15 @@ func (s *Solver) NumVars() int { return s.numVars }
 
 // Stats returns a snapshot of the search statistics.
 func (s *Solver) Stats() Stats { return s.stats }
+
+// snapshotLevels refreshes the fields of stats that are levels rather
+// than counters.
+func (s *Solver) snapshotLevels() {
+	s.stats.Progress = s.ProgressEstimate()
+	s.stats.LearntDB = int64(len(s.learnts))
+	s.stats.MemBytes = s.LiveBytes()
+	s.stats.PeakMemBytes = s.PeakBytes()
+}
 
 // ProgressEstimate is a cheap "how far along is the search" signal in
 // [0,1]: MiniSat's progress estimate, a weighted sum over the decision
@@ -473,134 +552,206 @@ func (s *Solver) ClearInterrupt() {
 	s.memInterrupt.Store(false)
 }
 
-// LiveBytes returns the solver's current approximate live footprint.
-func (s *Solver) LiveBytes() int64 { return s.liveBytes }
+// LiveBytes returns the solver's current footprint: the clause arena,
+// the two watchers every attached clause has, and the per-variable
+// state (varBytes). reduceDB compacts the arena, so no deleted clause
+// is counted. Only valid on the solving goroutine.
+func (s *Solver) LiveBytes() int64 {
+	watchers := 2 * (len(s.clauses) + len(s.learnts))
+	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers)
+}
 
 // PeakBytes returns the high-water mark of LiveBytes over the solver's
 // lifetime.
-func (s *Solver) PeakBytes() int64 { return s.peakBytes }
-
-func (s *Solver) addMem(n int64) {
-	s.liveBytes += n
-	if s.liveBytes > s.peakBytes {
-		s.peakBytes = s.liveBytes
-	}
+func (s *Solver) PeakBytes() int64 {
+	return max(s.peakBytes, s.LiveBytes())
 }
 
-func (s *Solver) valueVar(v cnf.Var) int8 { return s.assigns[v-1] }
-
-func (s *Solver) valueLit(l cnf.Lit) int8 {
-	val := s.assigns[l.Var()-1]
-	if l.Neg() {
-		return -val
-	}
-	return val
-}
+func (s *Solver) valueVar(v cnf.Var) int8 { return s.vals[2*v] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
+
+// Clause accessors; see cref for the layout.
+
+func (s *Solver) size(c cref) int { return int(s.arena[c-1] >> 1) }
+
+func (s *Solver) lits(c cref) []lit { return s.arena[c : c+s.arena[c-1]>>1] }
+
+func (s *Solver) isLearnt(c cref) bool { return s.arena[c-1]&1 != 0 }
+
+func (s *Solver) lbd(c cref) uint32 { return s.arena[c-2] }
+
+func (s *Solver) act(c cref) float64 {
+	return math.Float64frombits(uint64(s.arena[c-4]) | uint64(s.arena[c-3])<<32)
+}
+
+func (s *Solver) setAct(c cref, a float64) {
+	bits := math.Float64bits(a)
+	s.arena[c-4], s.arena[c-3] = uint32(bits), uint32(bits>>32)
+}
+
+// alloc appends a clause of at least two literals to the arena.
+func (s *Solver) alloc(lits []lit, learnt bool, lbd int) cref {
+	header := uint32(len(lits)) << 1
+	if learnt {
+		s.arena = append(s.arena, 0, 0, uint32(lbd))
+		header |= 1
+	}
+	s.arena = append(s.arena, header)
+	c := cref(len(s.arena))
+	s.arena = append(s.arena, lits...)
+	if uint64(len(s.arena)) >= binTag {
+		panic("sat: clause arena exceeds 2^31 words")
+	}
+	return c
+}
+
+// sortLits sorts a clause's literals ascending. The encoder's clauses
+// have two or three literals, where insertion beats a general sort.
+func sortLits(ls []lit) {
+	if len(ls) > 8 {
+		slices.Sort(ls)
+		return
+	}
+	for i := 1; i < len(ls); i++ {
+		for j := i; j > 0 && ls[j] < ls[j-1]; j-- {
+			ls[j], ls[j-1] = ls[j-1], ls[j]
+		}
+	}
+}
 
 // AddClause introduces a clause over 1-based variables, growing the
 // variable set as needed. It may only be called before Solve or between
 // Solve calls (at decision level 0). It returns false if the clause set
 // became trivially inconsistent.
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
+	return s.addClause(lits)
+}
+
+func (s *Solver) addClause(lits []cnf.Lit) bool {
 	if !s.ok {
 		return false
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
 	}
+	sorted := s.addBuf[:0]
 	for _, l := range lits {
 		if int(l.Var()) > s.numVars {
 			s.growTo(int(l.Var()))
 		}
+		sorted = append(sorted, lit(l))
 	}
-	c := append(cnf.Clause{}, lits...)
-	c, taut := c.Normalize()
-	if taut {
-		return true
-	}
-	// Remove literals already false at level 0; detect satisfied clauses.
-	out := c[:0]
-	for _, l := range c {
-		switch s.valueLit(l) {
-		case lTrue:
+	s.addBuf = sorted
+	sortLits(sorted)
+	// Drop duplicates and literals already false at level 0; a clause
+	// with l and ¬l (adjacent once sorted) or a true literal is
+	// satisfied.
+	c := sorted[:0]
+	prev := litUndef
+	for _, l := range sorted {
+		if l == prev {
+			continue
+		}
+		if l == prev^1 || s.vals[l] == lTrue {
 			return true
-		case lUndef:
-			out = append(out, l)
+		}
+		prev = l
+		if s.vals[l] == lUndef {
+			c = append(c, l)
 		}
 	}
-	c = out
 	switch len(c) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(c[0], nil)
-		if s.propagate() != nil {
+		s.uncheckedEnqueue(c[0], crefUndef)
+		if s.propagate() != crefUndef {
 			s.ok = false
 			return false
 		}
 		return true
 	}
-	cl := &clause{lits: c}
+	cl := s.alloc(c, false, 0)
 	s.clauses = append(s.clauses, cl)
 	s.attach(cl)
-	s.addMem(clauseBytes(len(c)))
 	return true
 }
 
-func (s *Solver) attach(c *clause) {
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Not().Index()] = append(s.watches[l0.Not().Index()], watcher{c, l1})
-	s.watches[l1.Not().Index()] = append(s.watches[l1.Not().Index()], watcher{c, l0})
+func (s *Solver) attach(c cref) {
+	l0, l1 := s.arena[c], s.arena[c+1]
+	ref := c
+	if s.size(c) == 2 {
+		ref |= binTag
+	}
+	s.watches[l0^1] = append(s.watches[l0^1], watcher{ref, l1})
+	s.watches[l1^1] = append(s.watches[l1^1], watcher{ref, l0})
 }
 
-func (s *Solver) uncheckedEnqueue(l cnf.Lit, from *clause) {
-	v := l.Var()
-	if l.Neg() {
-		s.assigns[v-1] = lFalse
-	} else {
-		s.assigns[v-1] = lTrue
-	}
-	s.level[v-1] = s.decisionLevel()
-	s.reason[v-1] = from
+func (s *Solver) uncheckedEnqueue(l lit, from cref) {
+	s.vals[l] = lTrue
+	s.vals[l^1] = lFalse
+	v := vidx(l)
+	s.level[v] = int32(s.decisionLevel())
+	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
-// or nil.
-func (s *Solver) propagate() *clause {
+// or crefUndef.
+func (s *Solver) propagate() cref {
+	arena, vals := s.arena, s.vals // neither grows during propagation
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
-		ws := s.watches[p.Index()]
+		np := p ^ 1
+		ws := s.watches[p]
 		n := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.valueLit(w.blocker) == lTrue {
+			blockerVal := vals[w.blocker]
+			if blockerVal == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := w.c
-			// Ensure the false literal is at position 1.
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if w.ref&binTag != 0 {
+				// Binary: the blocker is the rest of the clause.
+				ws[n] = w
+				n++
+				c := w.ref &^ binTag
+				if blockerVal == lFalse {
+					// analyze bumps a conflict's variables in stored
+					// order: the literal this visit falsified goes last.
+					if arena[c] == np {
+						arena[c], arena[c+1] = w.blocker, np
+					}
+					s.stopAt(p, ws, n, i)
+					return c
+				}
+				s.uncheckedEnqueue(w.blocker, c)
+				continue
 			}
-			first := c.lits[0]
-			if first != w.blocker && s.valueLit(first) == lTrue {
+			c := w.ref
+			lits := arena[c : c+arena[c-1]>>1]
+			// Ensure the false literal is at position 1.
+			if lits[0] == np {
+				lits[0], lits[1] = lits[1], np
+			}
+			first := lits[0]
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{c, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.valueLit(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					idx := c.lits[1].Not().Index()
+			for k := 2; k < len(lits); k++ {
+				if vals[lits[k]] != lFalse {
+					lits[1], lits[k] = lits[k], np
+					idx := lits[1] ^ 1
 					s.watches[idx] = append(s.watches[idx], watcher{c, first})
 					continue nextWatcher
 				}
@@ -608,21 +759,23 @@ func (s *Solver) propagate() *clause {
 			// Clause is unit or conflicting.
 			ws[n] = watcher{c, first}
 			n++
-			if s.valueLit(first) == lFalse {
-				// Conflict: copy back remaining watchers and bail out.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
-				s.watches[p.Index()] = ws[:n]
-				s.qhead = len(s.trail)
+			if vals[first] == lFalse {
+				s.stopAt(p, ws, n, i)
 				return c
 			}
 			s.uncheckedEnqueue(first, c)
 		}
-		s.watches[p.Index()] = ws[:n]
+		s.watches[p] = ws[:n]
 	}
-	return nil
+	return crefUndef
+}
+
+// stopAt ends propagation on a conflict found at watcher i of p's list:
+// the n watchers kept so far are followed by the unvisited ones.
+func (s *Solver) stopAt(p lit, ws []watcher, n, i int) {
+	n += copy(ws[n:], ws[i+1:])
+	s.watches[p] = ws[:n]
+	s.qhead = len(s.trail)
 }
 
 func (s *Solver) newDecisionLevel() {
@@ -636,13 +789,13 @@ func (s *Solver) cancelUntil(lvl int) {
 	bound := s.trailLim[lvl]
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		l := s.trail[i]
-		v := l.Var()
+		v := vidx(l)
 		if !s.opts.NoPhaseSaving {
-			s.polarity[v-1] = !l.Neg()
+			s.polarity[v] = l&1 == 0
 		}
-		s.assigns[v-1] = lUndef
-		s.reason[v-1] = nil
-		s.order.insert(v, &s.activity)
+		s.vals[l], s.vals[l^1] = lUndef, lUndef
+		s.reason[v] = crefUndef
+		s.order.insert(cnf.Var(l>>1), &s.activity)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
@@ -662,11 +815,17 @@ func (s *Solver) bumpVar(v cnf.Var) {
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
 
-func (s *Solver) bumpClause(c *clause) {
-	c.act += s.claInc
-	if c.act > 1e20 {
+// bumpClause raises a learnt clause's activity; original clauses are
+// never deleted and carry none.
+func (s *Solver) bumpClause(c cref) {
+	if !s.isLearnt(c) {
+		return
+	}
+	a := s.act(c) + s.claInc
+	s.setAct(c, a)
+	if a > 1e20 {
 		for _, cl := range s.learnts {
-			cl.act *= 1e-20
+			s.setAct(cl, s.act(cl)*1e-20)
 		}
 		s.claInc *= 1e-20
 	}
@@ -688,91 +847,84 @@ func (s *Solver) randFloat() float64 {
 	return float64(s.rand()>>11) / float64(1<<53)
 }
 
-func (s *Solver) pickBranchLit() cnf.Lit {
+func (s *Solver) pickBranchLit() lit {
 	if s.opts.RandomizeFreq > 0 && s.randFloat() < s.opts.RandomizeFreq {
 		// Random decision among unassigned variables (diversification).
 		for tries := 0; tries < 10; tries++ {
 			v := cnf.Var(1 + s.rand()%uint64(s.numVars))
 			if s.valueVar(v) == lUndef {
-				return cnf.MkLit(v, s.rand()&1 == 0)
+				return lit(cnf.MkLit(v, s.rand()&1 == 0))
 			}
 		}
 	}
 	for {
 		v, ok := s.order.popMax(&s.activity)
 		if !ok {
-			return cnf.LitUndef
+			return litUndef
 		}
 		if s.valueVar(v) == lUndef {
-			return cnf.MkLit(v, !s.polarity[v-1])
+			return lit(cnf.MkLit(v, !s.polarity[v-1]))
 		}
 	}
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt
-// clause (asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
-	learnt := []cnf.Lit{cnf.LitUndef}
+// clause (asserting literal first), the backtrack level and the LBD.
+// The clause lives in solver-owned scratch until the next analyze.
+func (s *Solver) analyze(confl cref) ([]lit, int, int) {
+	learnt := append(s.learntBuf[:0], litUndef)
 	counter := 0
-	p := cnf.LitUndef
+	p := litUndef
 	idx := len(s.trail) - 1
+	current := int32(s.decisionLevel())
 
 	for {
 		s.bumpClause(confl)
-		for _, q := range confl.lits {
+		for _, q := range s.lits(confl) {
 			if q == p {
 				continue
 			}
-			v := q.Var()
-			if s.seen[v-1] == 0 && s.level[v-1] > 0 {
-				s.seen[v-1] = 1
-				s.bumpVar(v)
-				if s.level[v-1] >= s.decisionLevel() {
+			v := vidx(q)
+			if s.seen[v] == 0 && s.level[v] > 0 {
+				s.seen[v] = 1
+				s.bumpVar(cnf.Var(q >> 1))
+				if s.level[v] >= current {
 					counter++
 				} else {
 					learnt = append(learnt, q)
 				}
 			}
 		}
-		for s.seen[s.trail[idx].Var()-1] == 0 {
+		for s.seen[vidx(s.trail[idx])] == 0 {
 			idx--
 		}
 		p = s.trail[idx]
-		confl = s.reason[p.Var()-1]
-		s.seen[p.Var()-1] = 0
+		confl = s.reason[vidx(p)]
+		s.seen[vidx(p)] = 0
 		idx--
 		counter--
 		if counter == 0 {
 			break
 		}
 	}
-	learnt[0] = p.Not()
+	learnt[0] = p ^ 1
+	s.learntBuf = learnt
 
 	// Recursive conflict-clause minimisation.
-	s.analyzeTs = s.analyzeTs[:0]
-	for _, l := range learnt[1:] {
-		s.analyzeTs = append(s.analyzeTs, l)
-	}
+	s.analyzeTs = append(s.analyzeTs[:0], learnt[1:]...)
 	out := learnt[:1]
-	removed := 0
 	for _, l := range learnt[1:] {
-		if s.reason[l.Var()-1] == nil || !s.litRedundant(l) {
+		if s.reason[vidx(l)] == crefUndef || !s.litRedundant(l) {
 			out = append(out, l)
-		} else {
-			removed++
 		}
 	}
-	s.stats.Minimised += int64(removed)
+	s.stats.Minimised += int64(len(learnt) - len(out))
 	learnt = out
 
-	// Clear seen flags for the surviving and scratch literals.
+	// Clear the seen flags: of the clause's literals after the first
+	// (copied into analyzeTs above) and of those minimisation marked.
 	for _, l := range s.analyzeTs {
-		s.seen[l.Var()-1] = 0
-	}
-	for _, l := range learnt {
-		if l != cnf.LitUndef {
-			s.seen[l.Var()-1] = 0
-		}
+		s.seen[vidx(l)] = 0
 	}
 
 	// Find backtrack level: the maximal level among learnt[1:].
@@ -780,115 +932,178 @@ func (s *Solver) analyze(confl *clause) ([]cnf.Lit, int, int) {
 	if len(learnt) > 1 {
 		maxI := 1
 		for i := 2; i < len(learnt); i++ {
-			if s.level[learnt[i].Var()-1] > s.level[learnt[maxI].Var()-1] {
+			if s.level[vidx(learnt[i])] > s.level[vidx(learnt[maxI])] {
 				maxI = i
 			}
 		}
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.level[learnt[1].Var()-1]
+		btLevel = int(s.level[vidx(learnt[1])])
 	}
 
-	// Compute LBD (number of distinct decision levels).
-	lbd := s.computeLBD(learnt)
-	return learnt, btLevel, lbd
+	return learnt, btLevel, s.computeLBD(learnt)
 }
 
-func (s *Solver) computeLBD(lits []cnf.Lit) int {
-	levels := map[int]struct{}{}
-	for _, l := range lits {
-		levels[s.level[l.Var()-1]] = struct{}{}
+// computeLBD counts the distinct decision levels among lits, stamping
+// each level it meets with this call's epoch.
+func (s *Solver) computeLBD(lits []lit) int {
+	s.lbdEpoch++
+	if s.lbdEpoch == 0 { // wrapped: old stamps could collide
+		clear(s.lbdStamp)
+		s.lbdEpoch = 1
 	}
-	return len(levels)
+	lbd := 0
+	for _, l := range lits {
+		lvl := s.level[vidx(l)]
+		if s.lbdStamp[lvl] != s.lbdEpoch {
+			s.lbdStamp[lvl] = s.lbdEpoch
+			lbd++
+		}
+	}
+	return lbd
 }
 
 // litRedundant checks whether l is implied by the other literals marked in
 // seen, walking the implication graph (MiniSat's ccmin).
-func (s *Solver) litRedundant(l cnf.Lit) bool {
-	stack := []cnf.Lit{l}
+func (s *Solver) litRedundant(l lit) bool {
+	stack := append(s.minStack[:0], l)
 	top := len(s.analyzeTs)
 	for len(stack) > 0 {
 		p := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		c := s.reason[p.Var()-1]
-		for _, q := range c.lits {
-			if q == p.Not() || q.Var() == p.Var() {
+		for _, q := range s.lits(s.reason[vidx(p)]) {
+			v := vidx(q)
+			if q>>1 == p>>1 || s.seen[v] != 0 || s.level[v] == 0 {
 				continue
 			}
-			v := q.Var()
-			if s.seen[v-1] != 0 || s.level[v-1] == 0 {
-				continue
-			}
-			if s.reason[v-1] == nil {
+			if s.reason[v] == crefUndef {
 				// Not redundant: undo the tentative marks.
-				for len(s.analyzeTs) > top {
-					s.seen[s.analyzeTs[len(s.analyzeTs)-1].Var()-1] = 0
-					s.analyzeTs = s.analyzeTs[:len(s.analyzeTs)-1]
+				for _, m := range s.analyzeTs[top:] {
+					s.seen[vidx(m)] = 0
 				}
+				s.analyzeTs = s.analyzeTs[:top]
+				s.minStack = stack
 				return false
 			}
-			s.seen[v-1] = 1
+			s.seen[v] = 1
 			s.analyzeTs = append(s.analyzeTs, q)
 			stack = append(stack, q)
 		}
 	}
+	s.minStack = stack
 	return true
 }
 
-func (s *Solver) recordLearnt(lits []cnf.Lit, lbd int) *clause {
+// recordLearnt stores the clause analyze derived (in the proof, with
+// the sharing callback and, unless it is a unit, in the arena) and
+// returns its reference, crefUndef for a unit.
+func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	s.stats.Learnt++
 	s.stats.LearntLits += int64(len(lits))
 	s.stats.LBDHist.Observe(lbd)
 	if s.proof != nil {
-		s.proof.Lemmas = append(s.proof.Lemmas, append(cnf.Clause{}, lits...))
+		s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
 	}
 	if s.ShareLearnt != nil && lbd <= s.ShareMaxLBD && len(lits) > 1 {
 		cp := make([]cnf.Lit, len(lits))
-		copy(cp, lits)
+		for i, l := range lits {
+			cp[i] = cnf.Lit(l)
+		}
 		s.ShareLearnt(cp, lbd)
 	}
 	if len(lits) == 1 {
-		return nil
+		return crefUndef
 	}
-	c := &clause{lits: append([]cnf.Lit{}, lits...), learnt: true, lbd: lbd}
+	c := s.alloc(lits, true, lbd)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	s.bumpClause(c)
-	s.addMem(clauseBytes(len(lits)))
 	return c
+}
+
+// lemma converts a learnt clause for the proof log. Lemmas are carved
+// from a slab that is replaced, not grown, when full, so recording
+// allocates once per few thousand literals and never moves a lemma
+// already handed out.
+func (s *Solver) lemma(lits []lit) cnf.Clause {
+	if cap(s.lemmaSlab)-len(s.lemmaSlab) < len(lits) {
+		s.lemmaSlab = make([]cnf.Lit, 0, max(len(lits), 4096))
+	}
+	start := len(s.lemmaSlab)
+	for _, l := range lits {
+		s.lemmaSlab = append(s.lemmaSlab, cnf.Lit(l))
+	}
+	return s.lemmaSlab[start:len(s.lemmaSlab):len(s.lemmaSlab)]
 }
 
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
+	s.peakBytes = s.PeakBytes() // the footprint falls below
 	sort.Slice(s.learnts, func(i, j int) bool {
 		// Keep high-activity, low-LBD clauses.
 		a, b := s.learnts[i], s.learnts[j]
-		if (a.lbd <= 2) != (b.lbd <= 2) {
-			return b.lbd <= 2
+		if (s.lbd(a) <= 2) != (s.lbd(b) <= 2) {
+			return s.lbd(b) <= 2
 		}
-		return a.act < b.act
+		return s.act(a) < s.act(b)
 	})
 	limit := len(s.learnts) / 2
 	kept := s.learnts[:0]
-	removed := 0
+	freed := 0
 	for i, c := range s.learnts {
-		if i < limit && len(c.lits) > 2 && !s.isReason(c) {
+		if i < limit && s.size(c) > 2 && !s.isReason(c) {
 			s.detach(c)
-			s.addMem(-clauseBytes(len(c.lits)))
-			removed++
+			freed += learntWords + 1 + s.size(c)
 		} else {
 			kept = append(kept, c)
 		}
 	}
+	s.stats.LearntDeleted += int64(len(s.learnts) - len(kept))
 	s.learnts = kept
-	s.stats.LearntDeleted += int64(removed)
+	if freed > 0 {
+		s.compact(len(s.arena) - freed)
+	}
+}
+
+// compact copies the clauses still listed in clauses and learnts, in
+// that order, into a fresh arena of the given size and redirects every
+// reference to them: the lists themselves, both watchers of each
+// clause, and the reasons of the assigned variables (a reason is never
+// deleted, see isReason). The old arena holds each clause's new
+// address in its first literal's slot while that happens.
+func (s *Solver) compact(words int) {
+	old := s.arena
+	s.arena = make([]uint32, 0, words)
+	move := func(c cref) cref {
+		start := c - 1 - learntWords*(old[c-1]&1)
+		moved := cref(len(s.arena)) + c - start
+		s.arena = append(s.arena, old[start:c+old[c-1]>>1]...)
+		old[c] = moved
+		return moved
+	}
+	for i, c := range s.clauses {
+		s.clauses[i] = move(c)
+	}
+	for i, c := range s.learnts {
+		s.learnts[i] = move(c)
+	}
+	for _, ws := range s.watches {
+		for i, w := range ws {
+			ws[i].ref = old[w.ref&^binTag] | w.ref&binTag
+		}
+	}
+	for _, l := range s.trail {
+		if r := s.reason[vidx(l)]; r != crefUndef {
+			s.reason[vidx(l)] = old[r]
+		}
+	}
 }
 
 // overMemBudget reports whether the live footprint exceeds the
 // configured memory budget.
 func (s *Solver) overMemBudget() bool {
-	return s.opts.MemBudgetMB > 0 && s.liveBytes > s.opts.MemBudgetMB<<20
+	return s.opts.MemBudgetMB > 0 && s.LiveBytes() > s.opts.MemBudgetMB<<20
 }
 
 // shrinkForMem is the degrade-before-dying step: repeated emergency
@@ -908,19 +1123,22 @@ func (s *Solver) shrinkForMem() bool {
 	return true
 }
 
-func (s *Solver) isReason(c *clause) bool {
-	v := c.lits[0].Var()
-	return s.valueLit(c.lits[0]) == lTrue && s.reason[v-1] == c
+// isReason reports whether c, of more than two literals, is the reason
+// of an assignment: propagation keeps the implied literal first.
+func (s *Solver) isReason(c cref) bool {
+	l := s.arena[c]
+	return s.vals[l] == lTrue && s.reason[vidx(l)] == c
 }
 
-func (s *Solver) detach(c *clause) {
-	for _, l := range []cnf.Lit{c.lits[0], c.lits[1]} {
-		idx := l.Not().Index()
-		ws := s.watches[idx]
+// detach removes the two watchers of a clause of more than two
+// literals, moving each list's last watcher into the gap.
+func (s *Solver) detach(c cref) {
+	for _, l := range [2]lit{s.arena[c], s.arena[c+1]} {
+		ws := s.watches[l^1]
 		for i, w := range ws {
-			if w.c == c {
+			if w.ref == c {
 				ws[i] = ws[len(ws)-1]
-				s.watches[idx] = ws[:len(ws)-1]
+				s.watches[l^1] = ws[:len(ws)-1]
 				break
 			}
 		}
@@ -951,15 +1169,12 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			return Unknown, ErrInterrupted
 		}
 		confl := s.propagate()
-		if confl != nil {
+		if confl != crefUndef {
 			conflicts++
 			s.stats.Conflicts++
 			if s.Progress != nil && s.opts.ProgressEvery > 0 &&
 				s.stats.Conflicts%s.opts.ProgressEvery == 0 {
-				s.stats.Progress = s.ProgressEstimate()
-				s.stats.LearntDB = int64(len(s.learnts))
-				s.stats.MemBytes = s.liveBytes
-				s.stats.PeakMemBytes = s.peakBytes
+				s.snapshotLevels()
 				s.Progress(s.stats)
 			}
 			if s.decisionLevel() == 0 {
@@ -997,9 +1212,12 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			s.reduceDB()
 		}
 		next := s.pickBranchLit()
-		if next == cnf.LitUndef {
+		if next == litUndef {
 			// All variables assigned: model found.
-			s.model = append([]int8(nil), s.assigns...)
+			s.model = s.model[:0]
+			for v := 1; v <= s.numVars; v++ {
+				s.model = append(s.model, s.vals[2*v])
+			}
 			return Sat, nil
 		}
 		s.stats.Decisions++
@@ -1008,9 +1226,9 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			s.stats.MaxDepth = dl
 		}
 		if s.graph != nil {
-			s.graph.recordDecision(s.decisionLevel(), next)
+			s.graph.recordDecision(s.decisionLevel(), cnf.Lit(next))
 		}
-		s.uncheckedEnqueue(next, nil)
+		s.uncheckedEnqueue(next, crefUndef)
 	}
 }
 
@@ -1034,29 +1252,24 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	// Stamp the final progress estimate and learnt-DB size so Stats()
 	// reflects where the search ended even when it finished between
 	// Progress callbacks.
-	defer func() {
-		s.stats.Progress = s.ProgressEstimate()
-		s.stats.LearntDB = int64(len(s.learnts))
-		s.stats.MemBytes = s.liveBytes
-		s.stats.PeakMemBytes = s.peakBytes
-	}()
+	defer s.snapshotLevels()
 	s.cancelUntil(0)
 	for _, a := range assumptions {
 		if int(a.Var()) > s.numVars {
 			s.growTo(int(a.Var()))
 		}
-		switch s.valueLit(a) {
+		switch s.vals[a] {
 		case lTrue:
 			continue
 		case lFalse:
 			return Unsat, nil
 		}
 		s.frozen[a.Var()-1] = true
-		s.uncheckedEnqueue(a, nil)
+		s.uncheckedEnqueue(lit(a), crefUndef)
 	}
 	// Forced propagation of the assumption units (paper Sect. 3.3): the
 	// search then starts on an equisatisfiable but pruned formula.
-	if s.propagate() != nil {
+	if s.propagate() != crefUndef {
 		return Unsat, nil
 	}
 
@@ -1076,17 +1289,12 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 		s.cancelUntil(0)
 		if s.Import != nil {
 			for _, lits := range s.Import() {
-				if !s.addImported(lits) {
+				if !s.addClause(lits) {
 					return Unsat, nil
 				}
 			}
 		}
 	}
-}
-
-// addImported adds a foreign (shared) clause at level 0.
-func (s *Solver) addImported(lits []cnf.Lit) bool {
-	return s.AddClause(lits...)
 }
 
 // Model returns the satisfying assignment found by the last successful
