@@ -31,7 +31,7 @@ func main() {
 		dot   = flag.String("dot", "", "directory for Graphviz decision graphs (fig6)")
 		bench = flag.String("bench-out", "", "write Table 2 measurements as a BENCH_<date>.json perf-trajectory file")
 
-		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting in the Table 2 runs: max extra split bits (0 disables; real mode only)")
+		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting in the Table 2 runs: max extra split bits (0 disables; rejected here, where every run is a makespan simulation — see experiments.Config.Real)")
 		splitGrace = flag.Duration("split-grace", 0, "minimum solving age before a partition may be split (default 15s)")
 		splitHard  = flag.Float64("split-hardness", 0, "minimum live hardness before a partition qualifies for splitting")
 
@@ -47,6 +47,13 @@ func main() {
 		os.Exit(compareMain(*benchDir, *candidate, *gate, *minBase))
 	}
 
+	if *splitDepth > 0 {
+		// This command measures by makespan simulation (experiments.Config.Real
+		// is reachable only through the API), and core.Verify refuses to
+		// simulate a run that is asked to split.
+		fmt.Fprintln(os.Stderr, "experiments: -split-depth needs real concurrent runs: the makespan simulation solves partitions one after another, so no worker is ever idle to split a straggler and the Splits/CubeDepth columns could only read 0")
+		os.Exit(2)
+	}
 	cfg := experiments.DefaultConfig()
 	cfg.Full = *full
 	cfg.SplitDepth = *splitDepth

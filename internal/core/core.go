@@ -93,7 +93,9 @@ type Options struct {
 	// makespan simulation over sequentially measured per-partition solve
 	// times instead of actually running Cores goroutines. Exact for this
 	// technique (solvers do not cooperate); intended for hosts with fewer
-	// physical cores than Cores. See parallel.Simulate.
+	// physical cores than Cores. See parallel.Simulate. Incompatible with
+	// SplitDepth: a sequential simulation has no idle worker to split a
+	// straggler.
 	SimulateParallel bool
 	// CertifyUnsat checks a clausal refutation proof for every UNSAT
 	// partition, so Safe verdicts are certified independently of the
@@ -344,6 +346,9 @@ type Result struct {
 // Verify runs the full pipeline on a checked program.
 func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, err error) {
 	opts.setDefaults()
+	if opts.SimulateParallel && opts.SplitDepth > 0 {
+		return nil, fmt.Errorf("core: SplitDepth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
+	}
 
 	verifyAttrs := []obs.Attr{
 		obs.KV("unwind", opts.Unwind), obs.KV("contexts", opts.Contexts),

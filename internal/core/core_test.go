@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/prog"
@@ -262,5 +263,18 @@ func TestVerifyCertifiedSafe(t *testing.T) {
 	}
 	if res.Verdict != Unsafe || res.Violation == nil {
 		t.Fatalf("verdict %v violation %v", res.Verdict, res.Violation)
+	}
+}
+
+// A sequential simulation has no idle worker and can never split: the
+// combination is refused instead of reporting Splits/MaxCubeDepth that
+// could only read 0.
+func TestVerifyRejectsSplitDepthUnderSimulation(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	_, err := Verify(context.Background(), p, Options{
+		Unwind: 1, Contexts: 4, Cores: 2, SimulateParallel: true, SplitDepth: 2,
+	})
+	if err == nil || !strings.Contains(err.Error(), "SplitDepth") {
+		t.Fatalf("err %v, want a SplitDepth/SimulateParallel refusal", err)
 	}
 }

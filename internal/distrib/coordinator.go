@@ -370,55 +370,17 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		}
 	}
 
-	// Replay the journal into the cube tree before anything is queued.
-	// Records apply in commit order against the evolving leaf set: a
-	// SPLIT record replaces its cube with its two children (the journal
-	// commits SPLIT strictly before either child can produce a record,
-	// so children always find their slots), a verdict attaches to a live
-	// leaf, and anything else — a verdict for a cube that was split or
-	// already decided — is stale by construction and ignored.
-	type cubeLeaf struct {
-		cube partition.Cube
-		rec  *journal.ChunkRecord
-		dead bool // superseded by its children
+	// Replay the journal into the cube tree before anything is queued
+	// (partition.Replay: SPLIT records grow the tree, verdicts attach to
+	// live leaves, anything else is stale).
+	roots := make([]partition.Cube, len(chunks))
+	for i, ch := range chunks {
+		roots[i] = partition.CubeOf(ch)
 	}
-	var leaves []*cubeLeaf
-	leafIndex := map[partition.Cube]*cubeLeaf{}
-	addLeaf := func(c partition.Cube) *cubeLeaf {
-		l := &cubeLeaf{cube: c}
-		leaves = append(leaves, l)
-		leafIndex[c] = l
-		return l
-	}
-	for _, ch := range chunks {
-		addLeaf(partition.CubeOf(ch))
-	}
-	resumedSplits, resumedDepth := 0, 0
-	for i := range history {
-		rec := history[i]
-		cube := partition.Cube{From: rec.From, To: rec.To, Path: rec.Path}
-		l := leafIndex[cube]
-		if l == nil || l.dead || l.rec != nil {
-			continue
-		}
-		if rec.Split() {
-			l.dead = true
-			left, right := cube.Split()
-			addLeaf(left)
-			addLeaf(right)
-			resumedSplits++
-			if d := left.Depth(); d > resumedDepth {
-				resumedDepth = d
-			}
-			continue
-		}
-		l.rec = &history[i]
-	}
-	live := leaves[:0:0]
-	for _, l := range leaves {
-		if !l.dead {
-			live = append(live, l)
-		}
+	live := partition.Replay(roots, history)
+	resumedSplits, resumedDepth := len(live)-len(roots), 0
+	for _, l := range live {
+		resumedDepth = max(resumedDepth, l.Cube.Depth())
 	}
 
 	health := opts.Health
@@ -470,9 +432,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	// queued for workers. In-flight cubes were never committed, so a
 	// crash can lose work but never claim work it lost.
 	for _, l := range live {
-		rec := l.rec
+		rec := l.Rec
 		if rec == nil {
-			co.sched.push(l.cube)
+			co.sched.push(l.Cube)
 			continue
 		}
 		// A budget-exhausted verdict is terminal only relative to the
@@ -480,7 +442,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		// the exhausted budget re-queues the cube for workers instead of
 		// replaying a give-up the new flags were meant to overcome.
 		if rec.RetryUnder(opts.ChunkTimeout.Milliseconds(), opts.ChunkConflicts, opts.MemBudgetMB) {
-			co.sched.push(l.cube)
+			co.sched.push(l.Cube)
 			continue
 		}
 		// A certified run replays only certified definite verdicts. An
@@ -489,7 +451,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		// against this coordinator's encoding, so it is re-solved rather
 		// than trusted into a certified history.
 		if verifier != nil && rec.Verdict != core.Unknown.String() && !rec.Certified {
-			co.sched.push(l.cube)
+			co.sched.push(l.Cube)
 			continue
 		}
 		co.res.Resumed++
@@ -506,7 +468,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		default:
 			// A journaled Unknown is always budget-exhausted (in-flight
 			// cubes are never committed): terminal under these budgets.
-			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.cube, Cause: rec.Cause})
+			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.Cube, Cause: rec.Cause})
 			co.remaining--
 		}
 	}
@@ -912,7 +874,6 @@ func (co *coordinator) serve(c net.Conn) {
 			dur, verr := co.verifier.verify(cube, reply, cert, level)
 			certSpan.End(obs.KV("ok", verr == nil))
 			co.metrics.certifySeconds.Observe(dur.Seconds())
-			co.metrics.certifySecondsAlias.Observe(dur.Seconds())
 			co.mu.Lock()
 			co.res.CertifyMillis += dur.Milliseconds()
 			co.mu.Unlock()

@@ -44,13 +44,6 @@ type coordMetrics struct {
 	remoteLearnt        *obs.Counter
 	remoteLearntDeleted *obs.Counter
 	solveSeconds        *obs.Histogram
-	// certifySecondsAlias / solveSecondsAlias keep the pre-observatory
-	// metric names (parbmc_certify_seconds, parbmc_job_solve_seconds)
-	// alive for one release; the canonical names carry the
-	// parbmc_coordinator_ component prefix like every other coordinator
-	// metric. See README "Metrics naming".
-	certifySecondsAlias *obs.Histogram
-	solveSecondsAlias   *obs.Histogram
 	partSolveSeconds    *obs.Histogram
 }
 
@@ -99,8 +92,6 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 			"Results discarded because their cube was split or a hedge twin won while they were in flight."),
 		cubeDepth: reg.Gauge("parbmc_cube_tree_depth",
 			"Deepest assumption-cube path dispatched so far (0 until the first single-partition split)."),
-		certifySecondsAlias: reg.Histogram("parbmc_certify_seconds",
-			"DEPRECATED alias of parbmc_coordinator_certify_seconds; removed after one release.", nil),
 		remoteDecisions: reg.Counter("parbmc_remote_decisions_total",
 			"Solver decisions aggregated from remote job results."),
 		remoteConflicts: reg.Counter("parbmc_remote_conflicts_total",
@@ -115,8 +106,6 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 			"Learnt clauses discarded by reduceDB, aggregated from remote job results."),
 		solveSeconds: reg.Histogram("parbmc_coordinator_job_solve_seconds",
 			"Per-job remote solver wall time in seconds (fixed duration buckets).", nil),
-		solveSecondsAlias: reg.Histogram("parbmc_job_solve_seconds",
-			"DEPRECATED alias of parbmc_coordinator_job_solve_seconds; removed after one release.", nil),
 		partSolveSeconds: reg.Histogram("parbmc_partition_solve_seconds",
 			"Per-partition solve wall time in seconds (fixed duration buckets), from final results.", nil),
 	}
@@ -138,9 +127,7 @@ func (m *coordMetrics) jobResult(worker string, st *sat.Stats, solveMillis int64
 		m.remoteLearntDeleted.Add(st.LearntDeleted)
 		m.lbdHist(st.LBDHist)
 	}
-	secs := float64(solveMillis) / 1000
-	m.solveSeconds.Observe(secs)
-	m.solveSecondsAlias.Observe(secs)
+	m.solveSeconds.Observe(float64(solveMillis) / 1000)
 }
 
 // lbdHist folds a job's learnt-clause LBD distribution into the

@@ -163,11 +163,6 @@ poll:
 	if v, ok := metricValue(body, "parbmc_coordinator_job_solve_seconds_count"); !ok || v != float64(res.Jobs) {
 		t.Fatalf("solve histogram count: got %v (present %v), want %d", v, ok, res.Jobs)
 	}
-	// The pre-observatory name survives as a deprecated alias for one
-	// release, observed in lockstep with the canonical histogram.
-	if v, ok := metricValue(body, "parbmc_job_solve_seconds_count"); !ok || v != float64(res.Jobs) {
-		t.Fatalf("deprecated solve histogram alias: got %v (present %v), want %d", v, ok, res.Jobs)
-	}
 	if v, ok := metricValue(body, "parbmc_partition_solve_seconds_count"); !ok || v <= 0 {
 		t.Fatalf("per-partition solve histogram: got %v (present %v)", v, ok)
 	}

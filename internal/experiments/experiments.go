@@ -43,11 +43,11 @@ type Config struct {
 	// on single-core hosts, using the same protocol the paper used to
 	// simulate its 128-core cluster.
 	Real bool
-	// SplitDepth enables adaptive cube splitting in the Table 2 runs
-	// (Real mode only — the makespan simulation solves sequentially, so
-	// no instance ever straggles behind an idle worker). SplitGrace and
-	// SplitHardness tune the trigger; splits per cell land in the
-	// BENCH_*.json trajectory.
+	// SplitDepth enables adaptive cube splitting in the Table 2 runs.
+	// It requires Real — the makespan simulation solves sequentially, so
+	// no instance ever straggles behind an idle worker, and core.Verify
+	// refuses the combination. SplitGrace and SplitHardness tune the
+	// trigger; splits per cell land in the BENCH_*.json trajectory.
 	SplitDepth    int
 	SplitGrace    time.Duration
 	SplitHardness float64

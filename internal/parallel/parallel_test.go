@@ -167,22 +167,6 @@ func TestNoPartitionsError(t *testing.T) {
 	}
 }
 
-func TestDiversifySeeds(t *testing.T) {
-	f := pigeonhole(5)
-	parts := partitionsOn([]cnf.Var{1}, 2)
-	res, err := Solve(context.Background(), f, parts, Options{
-		Workers:        2,
-		Solver:         sat.Options{RandomizeFreq: 0.1},
-		DiversifySeeds: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != sat.Unsat {
-		t.Fatalf("want UNSAT, got %v", res.Status)
-	}
-}
-
 func TestInstanceStatsCollected(t *testing.T) {
 	f := pigeonhole(6)
 	parts := partitionsOn([]cnf.Var{1}, 2)

@@ -1,0 +1,660 @@
+package parallel
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/cnf"
+	"repro/internal/journal"
+	"repro/internal/partition"
+	"repro/internal/sat"
+)
+
+// cubeJob is one unit of work: a partition plus a path of extra
+// split-bit polarities over Options.SplitLits (empty: the partition
+// whole).
+type cubeJob struct {
+	pt   partition.Partition
+	path string
+}
+
+// assumptions returns the cube's assumption literals: the partition's
+// own plus one unit literal per path character.
+func (job cubeJob) assumptions(splitLits []cnf.Lit) ([]cnf.Lit, error) {
+	if job.path == "" {
+		return job.pt.Assumptions, nil
+	}
+	extra, err := partition.PathAssumptions(job.path, splitLits)
+	if err != nil {
+		return nil, fmt.Errorf("parallel: %w", err)
+	}
+	out := make([]cnf.Lit, 0, len(job.pt.Assumptions)+len(extra))
+	out = append(out, job.pt.Assumptions...)
+	return append(out, extra...), nil
+}
+
+// runningCube is one in-flight cube, registered from the moment a
+// worker takes it off the queue: the solver to interrupt (nil while it
+// is still being loaded), the hardness fed by the live progress hook,
+// and the split mark that tells the owning worker to re-queue children
+// instead of reporting a cancelled leaf.
+type runningCube struct {
+	job      cubeJob
+	solver   *sat.Solver
+	started  time.Time // when the solver was registered
+	hardness float64
+	split    bool
+}
+
+// runner is the one in-process scheduler: Options.Workers goroutines
+// drain a queue of cubes, seeded with the leaves of the journal's cube
+// tree (one whole-partition cube each on a fresh run). A worker that
+// finds the queue empty interrupts the hardest cube that has been
+// solving for at least SplitGrace and re-queues its two sub-cubes — the
+// partition.Cube split applied in-process. With splitting off no cube
+// ever qualifies as a victim, and the queue is the paper's static
+// partition list.
+//
+// Soundness of a split: the two children fix the same split literal in
+// both polarities on top of the parent's assumptions, so they partition
+// the parent's assumption space exactly — both UNSAT refutes the
+// parent, any SAT model satisfies it. The SPLIT journal record is
+// committed before either child runs, so a crash between split and
+// child completion resumes with the children pending and the parent
+// record permanently superseded.
+type runner struct {
+	f    *cnf.Formula
+	opts Options
+	// race makes the first SAT verdict cancel the rest of the run.
+	// Simulate switches it off: its event simulation needs every
+	// partition's verdict and solve time.
+	race      bool
+	splitting bool // SplitDepth > 0 and there are split literals to spend
+	// ctx ends the run: the caller gave up, a SAT leaf won the race, or
+	// fail recorded an error.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	mu sync.Mutex
+	// wake is signalled whenever an idle worker's choices may have
+	// changed: a cube finished or was split, a hardness moved, the run
+	// was cancelled.
+	wake       *sync.Cond
+	queue      []cubeJob
+	running    map[*runningCube]bool
+	leaves     map[int][]InstanceResult // decided leaf cubes by partition index
+	memAborted bool
+	err        error // first failure: solver panic, journal write, bad proof
+	res        *Result
+}
+
+// run solves every partition of f with opts.Workers workers and folds
+// the leaf verdicts into one InstanceResult per partition, in parts
+// order.
+func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options, race bool) (*Result, error) {
+	if len(parts) == 0 {
+		return nil, fmt.Errorf("parallel: no partitions")
+	}
+	start := time.Now()
+	r := &runner{
+		f: f, opts: opts, race: race,
+		splitting: opts.SplitDepth > 0 && len(opts.SplitLits) > 0,
+		running:   map[*runningCube]bool{},
+		leaves:    make(map[int][]InstanceResult, len(parts)),
+		res:       &Result{Status: sat.Unsat, Winner: -1},
+	}
+	if r.opts.SplitGrace <= 0 {
+		r.opts.SplitGrace = 15 * time.Second
+	}
+	if r.splitting && r.opts.ProgressEvery <= 0 {
+		// The hardness signal that steers splitting rides on the progress
+		// cadence; arm a default when the caller didn't.
+		r.opts.ProgressEvery = 512
+	}
+	r.wake = sync.NewCond(&r.mu)
+	r.ctx, r.cancel = context.WithCancel(ctx)
+	defer r.cancel()
+
+	if err := r.replay(parts); err != nil {
+		return nil, err
+	}
+	stop := context.AfterFunc(r.ctx, func() { r.interruptAll(false) })
+	defer stop()
+	if opts.MemAbort != nil {
+		// External memory kill-switch: once fired, every live solver is
+		// aborted with cause=memory, and solvers registered later are
+		// aborted on registration (closing the fire/register race).
+		go func() {
+			select {
+			case <-opts.MemAbort:
+				r.interruptAll(true)
+			case <-r.ctx.Done():
+			}
+		}()
+	}
+
+	workers := opts.Workers
+	if workers <= 0 || workers > len(parts) {
+		workers = len(parts)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work()
+		}()
+	}
+	wg.Wait()
+	if r.err != nil {
+		return nil, r.err
+	}
+	if err := r.fold(parts); err != nil {
+		return nil, err
+	}
+	if r.res.Status != sat.Sat && ctx.Err() != nil {
+		r.res.Status = sat.Unknown
+	}
+	r.res.Certified = opts.CertifyUnsat
+	r.res.Wall = time.Since(start)
+	return r.res, nil
+}
+
+// replay seeds the run from the journal's cube tree before any worker
+// starts: replayable verdicts become resumed leaves, every other live
+// leaf is queued. Records whose exhausted budget this run raises are
+// dropped back into the queue instead of replayed.
+func (r *runner) replay(parts []partition.Partition) error {
+	var recs []journal.ChunkRecord
+	if r.opts.Journal != nil {
+		recs = r.opts.Journal.Committed()
+		if len(r.opts.SplitLits) == 0 {
+			// Without the split literals a cube path has no meaning, and a
+			// sub-cube verdict covers only part of its partition: drop
+			// SPLIT and sub-cube records so that such a partition is
+			// re-solved whole rather than replayed from a fragment.
+			whole := recs[:0]
+			for _, rec := range recs {
+				if rec.Path == "" && !rec.Split() {
+					whole = append(whole, rec)
+				}
+			}
+			recs = whole
+		}
+	}
+	roots := make([]partition.Cube, len(parts))
+	byIndex := make(map[int]partition.Partition, len(parts))
+	for i, pt := range parts {
+		roots[i] = partition.Cube{From: pt.Index, To: pt.Index}
+		byIndex[pt.Index] = pt
+	}
+	for _, leaf := range partition.Replay(roots, recs) {
+		job := cubeJob{pt: byIndex[leaf.Cube.From], path: leaf.Cube.Path}
+		r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, leaf.Cube.Depth())
+		rec := leaf.Rec
+		if rec == nil || !r.opts.replayable(*rec, job.pt.Index) {
+			r.queue = append(r.queue, job)
+			continue
+		}
+		inst := InstanceResult{
+			Partition: job.pt.Index,
+			Status:    statusFromString(rec.Verdict),
+			Cause:     sat.ParseStopCause(rec.Cause),
+			Resumed:   true,
+			Time:      time.Duration(rec.Millis) * time.Millisecond,
+		}
+		var model []bool
+		if inst.Status == sat.Sat && r.res.Status != sat.Sat {
+			var err error
+			if model, err = rederive(r.f, &r.opts, job); err != nil {
+				return err
+			}
+		}
+		// In race mode a replayed SAT verdict cancels the run here, and
+		// the workers drain the queue as cancelled — exactly as if a live
+		// sibling had won.
+		r.record(inst, model)
+	}
+	return nil
+}
+
+// rederive recovers the model of a SAT verdict that came without one —
+// the journal stores no model — by re-solving its cube without this
+// run's budgets. A SAT verdict that does not re-derive means the
+// journal and the formula disagree; refusing the run beats silently
+// reporting UNSAT over a durably recorded counterexample.
+func rederive(f *cnf.Formula, opts *Options, job cubeJob) ([]bool, error) {
+	assume, err := job.assumptions(opts.SplitLits)
+	if err != nil {
+		return nil, err
+	}
+	solver := sat.NewFromFormula(f, opts.rederiveOptions(job.pt.Index))
+	st, serr := solver.Solve(assume...)
+	if serr != nil || st != sat.Sat {
+		return nil, fmt.Errorf("parallel: SAT verdict for partition %d cube %q failed to re-derive its model (status %v, err %v); refusing to continue against a disagreeing journal", job.pt.Index, job.path, st, serr)
+	}
+	return solver.Model(), nil
+}
+
+// work is one worker's loop: take the next queued cube, or — idle with
+// cubes still in flight — split the hardest straggler and wait for its
+// children. The worker leaves as soon as no further cube can reach the
+// queue, so a run without splitting never waits on an idle worker.
+func (r *runner) work() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for {
+		if r.ctx.Err() != nil {
+			// Whatever is still queued was never started and reports
+			// cancelled.
+			for _, job := range r.queue {
+				r.leaves[job.pt.Index] = append(r.leaves[job.pt.Index], InstanceResult{
+					Partition: job.pt.Index, Status: sat.Unknown, Cause: sat.CauseCancelled,
+				})
+			}
+			r.queue = nil
+			return
+		}
+		if len(r.queue) > 0 {
+			rc := &runningCube{job: r.queue[0]}
+			r.queue = r.queue[1:]
+			r.running[rc] = true
+			r.mu.Unlock()
+			r.runCube(rc)
+			r.mu.Lock()
+			continue
+		}
+		victim, feeding, graceIn := r.pickVictim(time.Now())
+		if !feeding {
+			return
+		}
+		if victim != nil {
+			// The victim's owner re-queues the two children, which this
+			// loop then picks up — work stealing by construction.
+			victim.split = true
+			victim.solver.Interrupt()
+		}
+		var timer *time.Timer
+		if graceIn > 0 {
+			// The timer takes r.mu to signal, so it cannot fire into the
+			// gap before Wait parks this worker.
+			timer = time.AfterFunc(graceIn, func() {
+				r.mu.Lock()
+				r.wake.Broadcast()
+				r.mu.Unlock()
+			})
+		}
+		r.wake.Wait()
+		if timer != nil {
+			timer.Stop()
+		}
+	}
+}
+
+// pickVictim surveys the running cubes for an idle worker (r.mu held).
+// victim is the hardest cube that qualifies for a split now: past the
+// grace, at or above the hardness floor, with an unfixed split bit left
+// under both the depth cap and the encoding's supply. feeding reports
+// whether any running cube can still put work on the queue — it is
+// being split, or may be later; graceIn is the time until the next such
+// cube outgrows its grace (0: none is waiting on the clock).
+func (r *runner) pickVictim(now time.Time) (victim *runningCube, feeding bool, graceIn time.Duration) {
+	for rc := range r.running {
+		if rc.split {
+			feeding = true
+			continue
+		}
+		depth := len(rc.job.path)
+		if !r.splitting || depth >= r.opts.SplitDepth || depth >= len(r.opts.SplitLits) {
+			continue
+		}
+		feeding = true
+		left := r.opts.SplitGrace
+		if rc.solver != nil {
+			left -= now.Sub(rc.started)
+		}
+		if left > 0 {
+			if graceIn == 0 || left < graceIn {
+				graceIn = left
+			}
+			continue
+		}
+		if rc.hardness < r.opts.SplitHardness {
+			continue
+		}
+		if victim == nil || rc.hardness > victim.hardness ||
+			(rc.hardness == victim.hardness && rc.started.Before(victim.started)) {
+			victim = rc
+		}
+	}
+	return victim, feeding, graceIn
+}
+
+// runCube solves one cube and files its outcome: the only place a
+// partition's solver is built and its result classified.
+func (r *runner) runCube(rc *runningCube) {
+	job := rc.job
+	// A panicking solver instance must not take the process down with
+	// it: the panic becomes the run's error and cancels the siblings, so
+	// callers (and distributed workers in particular) see a structured
+	// failure for one poison cube instead of a crash.
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("parallel: partition %d cube %q solver panicked: %v", job.pt.Index, job.path, p))
+		}
+	}()
+	assume, err := job.assumptions(r.opts.SplitLits)
+	if err != nil {
+		r.fail(err)
+		return
+	}
+	solver := sat.NewFromFormula(r.f, r.opts.solverOptions(job.pt.Index))
+	sampler := r.instrument(rc, solver)
+	if r.opts.CertifyUnsat || r.opts.KeepProofs {
+		solver.EnableProof()
+	}
+	// An abort that fired while the solver was loading found nothing to
+	// interrupt: deliver it on registration.
+	r.mu.Lock()
+	rc.solver, rc.started = solver, time.Now()
+	switch {
+	case r.memAborted:
+		solver.InterruptMemory()
+	case r.ctx.Err() != nil:
+		solver.Interrupt()
+	}
+	r.mu.Unlock()
+
+	// Wall-clock budget: a timer interrupt distinguishable from
+	// cancellation by the timedOut flag.
+	var timedOut atomic.Bool
+	if r.opts.ChunkTimeout > 0 {
+		timer := time.AfterFunc(r.opts.ChunkTimeout, func() {
+			timedOut.Store(true)
+			solver.Interrupt()
+		})
+		defer timer.Stop()
+	}
+	status, serr := solver.Solve(assume...)
+	elapsed := time.Since(rc.started)
+
+	r.mu.Lock()
+	wasSplit := rc.split && serr == sat.ErrInterrupted
+	if !wasSplit {
+		// Release the finished solver now, not when the run returns. A
+		// split cube stays registered until its children are queued, so
+		// that idle workers wait for them.
+		delete(r.running, rc)
+	}
+	r.mu.Unlock()
+	if wasSplit {
+		r.splitCube(rc)
+		return
+	}
+
+	inst := InstanceResult{
+		Partition: job.pt.Index,
+		Time:      elapsed,
+		Stats:     solver.Stats(),
+		Samples:   sampler.Points(),
+	}
+	inst.Status, inst.Cause = r.classify(status, serr, timedOut.Load())
+	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
+	if inst.Status == sat.Unsat && r.opts.CertifyUnsat {
+		if cerr := sat.CheckRUP(r.f, assume, solver.ProofLog()); cerr != nil {
+			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", job.pt.Index, job.path, cerr))
+			return
+		}
+	}
+	if inst.Status == sat.Unsat && r.opts.KeepProofs {
+		inst.Proof = solver.ProofLog()
+	}
+	// Commit before acknowledging the verdict in the shared result, so a
+	// crash after this point can only lose work the journal already
+	// holds — never claim work it lost.
+	if rec, ok := r.opts.journalRecord(inst, job.path); ok && !r.commit(rec) {
+		return
+	}
+	var model []bool
+	if inst.Status == sat.Sat {
+		model = solver.Model()
+	}
+	r.record(inst, model)
+}
+
+// instrument arms one cube's solver with the progress hook and returns
+// the sampler piggybacked on the same cadence (nil when the hook is
+// disarmed — the sampler costs nothing beyond the callbacks the caller
+// already asked for). The live hardness that steers splitting is fed
+// only when splitting is on.
+func (r *runner) instrument(rc *runningCube, solver *sat.Solver) *sat.Sampler {
+	o := &r.opts
+	if !r.splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
+		return nil
+	}
+	sampler := sat.NewSampler(0)
+	solver.Progress = func(st sat.Stats) {
+		sampler.Observe(st)
+		if r.splitting {
+			h := sat.Hardness(st.Conflicts, st.Progress, time.Since(rc.started))
+			r.mu.Lock()
+			rc.hardness = h
+			r.wake.Broadcast()
+			r.mu.Unlock()
+		}
+		if o.Progress != nil {
+			o.Progress(rc.job.pt.Index, st)
+		}
+	}
+	return sampler
+}
+
+// classify maps a solver outcome to the leaf's verdict and, for an
+// Unknown, the budget (or cancellation) that caused it.
+func (r *runner) classify(status sat.Status, err error, timedOut bool) (sat.Status, sat.StopCause) {
+	switch {
+	case err == sat.ErrMemBudget:
+		// Memory exhaustion — the solver's own budget or the external
+		// watchdog — is terminal budget exhaustion, journaled like a
+		// conflict-budget give-up.
+		return sat.Unknown, sat.CauseMemory
+	case err == sat.ErrInterrupted:
+		// The timer may fire while the solver is being interrupted for
+		// cancellation (sibling SAT win or signal); trusting timedOut
+		// alone would journal the cancelled instance as a terminal
+		// timeout and exclude a still-decidable cube from every future
+		// resume. When the races overlap, cancelled — the uncommitted
+		// verdict — wins.
+		if timedOut && r.ctx.Err() == nil {
+			return sat.Unknown, sat.CauseTimeout
+		}
+		return sat.Unknown, sat.CauseCancelled
+	case status == sat.Unknown:
+		// The solver exhausts MaxConflicts without error: the conflict
+		// budget is the only path here.
+		return sat.Unknown, sat.CauseConflictBudget
+	}
+	return status, sat.CauseNone
+}
+
+// splitCube replaces an interrupted victim by its two children. The
+// SPLIT record is the supersession point: committed before either child
+// is queued, so a crash here resumes with the children pending, never
+// with a stale parent verdict.
+func (r *runner) splitCube(rc *runningCube) {
+	job := rc.job
+	ok := r.opts.Journal == nil || r.commit(journal.ChunkRecord{
+		From: job.pt.Index, To: job.pt.Index, Path: job.path,
+		Verdict: journal.VerdictSplit,
+	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	delete(r.running, rc)
+	if !ok {
+		return
+	}
+	r.queue = append(r.queue, cubeJob{pt: job.pt, path: job.path + "0"},
+		cubeJob{pt: job.pt, path: job.path + "1"})
+	r.res.Splits++
+	r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, len(job.path)+1)
+	r.wake.Broadcast()
+}
+
+// commit journals one record and reports whether the run goes on. Full
+// disk is not a wrong verdict: a sealed journal degrades the run loudly
+// to journal-less operation — it rolled the failed record back, so a
+// later resume re-solves exactly the unjournalled cubes (and re-solves
+// a parent whose SPLIT was lost). Any other failure fails the run.
+func (r *runner) commit(rec journal.ChunkRecord) bool {
+	err := r.opts.Journal.Commit(rec)
+	if err == nil {
+		return true
+	}
+	if !errors.Is(err, journal.ErrSealed) {
+		r.fail(fmt.Errorf("parallel: journal commit failed: %w", err))
+		return false
+	}
+	r.mu.Lock()
+	if !r.res.JournalSealed {
+		r.res.JournalSealed = true
+		r.res.JournalSealCause = err.Error()
+	}
+	r.mu.Unlock()
+	return true
+}
+
+// record files one decided leaf under its partition. The first SAT leaf
+// decides the run and, in race mode, terminates the other instances.
+func (r *runner) record(inst InstanceResult, model []bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.leaves[inst.Partition] = append(r.leaves[inst.Partition], inst)
+	if inst.Resumed {
+		r.res.Resumed++
+	}
+	if inst.Status == sat.Sat && r.res.Status != sat.Sat {
+		r.res.Status, r.res.Model, r.res.Winner = sat.Sat, model, inst.Partition
+		if r.race {
+			r.cancel()
+		}
+	}
+	r.wake.Broadcast()
+}
+
+// fail records the run's first error and cancels every instance.
+func (r *runner) fail(err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.mu.Unlock()
+	r.cancel()
+}
+
+// interruptAll stops every live solver — as cancelled, or with
+// cause=memory when the MemAbort watchdog fired — and wakes the idle
+// workers.
+func (r *runner) interruptAll(memory bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if memory {
+		r.memAborted = true
+	}
+	for rc := range r.running {
+		switch {
+		case rc.solver == nil: // still loading: runCube delivers the abort
+		case memory:
+			rc.solver.InterruptMemory()
+		default:
+			rc.solver.Interrupt()
+		}
+	}
+	r.wake.Broadcast()
+}
+
+// fold merges each partition's leaves into the one per-partition
+// InstanceResult the callers expect and settles the aggregate status.
+func (r *runner) fold(parts []partition.Partition) error {
+	for _, pt := range parts {
+		leaves := r.leaves[pt.Index]
+		inst := foldLeaves(pt.Index, leaves)
+		if r.opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
+			return fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without SplitDepth)", pt.Index, len(leaves))
+		}
+		r.res.Instances = append(r.res.Instances, inst)
+		if inst.Status == sat.Unknown && r.res.Status == sat.Unsat {
+			r.res.Status = sat.Unknown
+		}
+	}
+	return nil
+}
+
+// foldLeaves merges the leaf-cube results of one partition. Statuses
+// compose by the cube-tree argument (children partition the parent's
+// assumption space); budgets compose pessimistically — the partition is
+// only as decided as its least decided leaf, and an Unknown picks the
+// most severe leaf cause (memory > timeout > conflict-budget >
+// cancelled). Stats and times sum; hardness is the hardest leaf;
+// Resumed holds only when every leaf replayed from the journal; a
+// partition solved whole keeps its leaf's proof.
+func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
+	out := InstanceResult{Partition: idx, Status: sat.Unsat, Cubes: len(leaves), Resumed: true}
+	if len(leaves) == 1 {
+		out.Proof = leaves[0].Proof
+	}
+	for _, l := range leaves {
+		out.Time += l.Time
+		out.Stats.Add(l.Stats)
+		if l.Hardness > out.Hardness {
+			out.Hardness = l.Hardness
+		}
+		if out.Samples == nil {
+			out.Samples = l.Samples
+		}
+		if !l.Resumed {
+			out.Resumed = false
+		}
+		switch l.Status {
+		case sat.Sat:
+			out.Status = sat.Sat
+			out.Cause = sat.CauseNone
+		case sat.Unknown:
+			if out.Status != sat.Sat {
+				out.Status = sat.Unknown
+				out.Cause = mergeCause(out.Cause, l.Cause)
+			}
+		}
+	}
+	if out.Status != sat.Unknown {
+		out.Cause = sat.CauseNone
+	}
+	return out
+}
+
+// mergeCause keeps the more severe of two Unknown causes, in the same
+// priority order the distributed worker reports: memory dominates (the
+// coordinator's memory retry policy must see it), then timeout, then
+// conflict budget, then cancellation.
+func mergeCause(a, b sat.StopCause) sat.StopCause {
+	rank := func(c sat.StopCause) int {
+		switch c {
+		case sat.CauseMemory:
+			return 4
+		case sat.CauseTimeout:
+			return 3
+		case sat.CauseConflictBudget:
+			return 2
+		case sat.CauseCancelled:
+			return 1
+		}
+		return 0
+	}
+	if rank(b) > rank(a) {
+		return b
+	}
+	return a
+}
