@@ -31,10 +31,6 @@ func main() {
 		dot   = flag.String("dot", "", "directory for Graphviz decision graphs (fig6)")
 		bench = flag.String("bench-out", "", "write Table 2 measurements as a BENCH_<date>.json perf-trajectory file")
 
-		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting in the Table 2 runs: max extra split bits (0 disables; rejected here, where every run is a makespan simulation — see experiments.Config.Real)")
-		splitGrace = flag.Duration("split-grace", 0, "minimum solving age before a partition may be split (default 15s)")
-		splitHard  = flag.Float64("split-hardness", 0, "minimum live hardness before a partition qualifies for splitting")
-
 		compare   = flag.Bool("compare", false, "compare committed BENCH_*.json trajectory files instead of running experiments")
 		benchDir  = flag.String("bench-dir", ".", "directory holding BENCH_*.json files (-compare)")
 		candidate = flag.String("candidate", "", "compare this bench file against the latest committed one instead of the last two (-compare)")
@@ -47,18 +43,8 @@ func main() {
 		os.Exit(compareMain(*benchDir, *candidate, *gate, *minBase))
 	}
 
-	if *splitDepth > 0 {
-		// This command measures by makespan simulation (experiments.Config.Real
-		// is reachable only through the API), and core.Verify refuses to
-		// simulate a run that is asked to split.
-		fmt.Fprintln(os.Stderr, "experiments: -split-depth needs real concurrent runs: the makespan simulation solves partitions one after another, so no worker is ever idle to split a straggler and the Splits/CubeDepth columns could only read 0")
-		os.Exit(2)
-	}
 	cfg := experiments.DefaultConfig()
 	cfg.Full = *full
-	cfg.SplitDepth = *splitDepth
-	cfg.SplitGrace = *splitGrace
-	cfg.SplitHardness = *splitHard
 	cfg.Cores = nil
 	for _, tok := range strings.Split(*cores, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(tok))

@@ -75,7 +75,7 @@ func main() {
 		chunkConfl = flag.Int64("chunk-conflicts", 0, "per-partition solver conflict budget (0: unbounded)")
 		memBudget  = flag.Int64("mem-budget", 0, "per-partition solver memory budget in MiB; over it the solver sheds learnt clauses, then records a memory-caused UNKNOWN (0: unbounded)")
 		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting: max extra split bits per partition (0 disables)")
-		splitGrace = flag.Duration("split-grace", 0, "minimum solving age before a partition may be split (default 15s)")
+		splitGrace = flag.Duration("split-grace", 0, "minimum time since a partition was started before it may be split (default 15s)")
 		splitHard  = flag.Float64("split-hardness", 0, "minimum live hardness before a partition qualifies for splitting (0: any straggler past -split-grace)")
 		reportOut  = flag.String("report", "", "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`")
 		profileDir = flag.String("profile-dir", "", "capture per-phase pprof CPU+heap profiles (encode, solve) into this directory")

@@ -137,13 +137,13 @@ type Options struct {
 	// biggest allocations before the kernel OOM-killer picks it.
 	MemAbort <-chan struct{}
 	// SplitDepth enables in-process adaptive cube splitting: an idle
-	// solver slot interrupts the hardest partition that has been solving
-	// for at least SplitGrace and splits its cube on the next canonical
-	// split literal, re-queueing both halves — up to SplitDepth extra
-	// path bits per partition (0 disables). See parallel.Options.
+	// solver slot splits the cube of the hardest partition that was
+	// started at least SplitGrace ago on the next canonical split
+	// literal, taking one half and queueing the other — up to SplitDepth
+	// extra path bits per partition (0 disables). See parallel.Options.
 	SplitDepth int
-	// SplitGrace is the minimum solving age before a partition may be
-	// split (default 15s when SplitDepth > 0).
+	// SplitGrace is the minimum time since a partition was started
+	// before it may be split (default 15s).
 	SplitGrace time.Duration
 	// SplitHardness is the minimum live hardness score before a
 	// partition qualifies for splitting (0: any straggler past the

@@ -3,8 +3,6 @@ package distrib
 import (
 	"context"
 	"errors"
-	"io"
-	"net"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -18,108 +16,6 @@ import (
 	"repro/internal/partition"
 	"repro/prog"
 )
-
-// drainedConn builds a conn whose peer discards everything, so cancel
-// sends in scheduler unit tests never block.
-func drainedConn(t *testing.T) *conn {
-	t.Helper()
-	a, b := net.Pipe()
-	go func() { _, _ = io.Copy(io.Discard, b) }()
-	t.Cleanup(func() { a.Close(); b.Close() })
-	return newConn(a, time.Second)
-}
-
-// The supersession fence, unit level: once a cube is reserved for
-// splitting — before the SPLIT record even lands — its parent result can
-// no longer win the race, and after completeSplit only the two children
-// are claimable.
-func TestSchedulerSupersededParentRejected(t *testing.T) {
-	s := newScheduler(CoordinatorOptions{SplitDepth: 2, SplitGrace: time.Millisecond}, 4)
-	wcA, wcB := drainedConn(t), drainedConn(t)
-
-	parent := partition.Cube{From: 0, To: 3}
-	s.push(parent)
-	a, victim := s.tryAcquire("w1", wcA)
-	if a == nil || victim != nil || a.cube != parent {
-		t.Fatalf("tryAcquire on a filled queue: a=%+v victim=%+v", a, victim)
-	}
-	time.Sleep(5 * time.Millisecond) // past the grace period
-
-	// An idle worker with an empty queue reserves the straggler.
-	b, victim := s.tryAcquire("w2", wcB)
-	if b != nil || victim != a {
-		t.Fatalf("expected w2 to reserve w1's cube as split victim, got a=%+v victim=%+v", b, victim)
-	}
-
-	// The pre-commit window: the parent's own result already loses.
-	if s.claim(a) {
-		t.Fatal("parent result claimed while its cube was reserved for splitting")
-	}
-
-	left, stolen := s.completeSplit(victim, "w2", wcB)
-	if !stolen {
-		t.Fatal("w2 split w1's cube but the steal was not counted")
-	}
-	if left.cube != (partition.Cube{From: 0, To: 1}) {
-		t.Fatalf("stolen child %+v, want {0 1}", left.cube)
-	}
-	if !s.claim(left) {
-		t.Fatal("left child result rejected")
-	}
-	right, victim := s.tryAcquire("w1", wcA)
-	if right == nil || victim != nil || right.cube != (partition.Cube{From: 2, To: 3}) {
-		t.Fatalf("right child not queued: a=%+v victim=%+v", right, victim)
-	}
-	if !s.claim(right) {
-		t.Fatal("right child result rejected")
-	}
-
-	splits, _, steals, superseded, _ := s.stats()
-	if splits != 1 || steals != 1 || superseded != 1 {
-		t.Fatalf("stats splits=%d steals=%d superseded=%d, want 1/1/1", splits, steals, superseded)
-	}
-}
-
-// The hedge race, unit level: the twin that reports first wins; the
-// loser's release reports the cube as covered (no requeue, no charge)
-// and a late claim from the loser is rejected.
-func TestSchedulerHedgeLoserDiscarded(t *testing.T) {
-	s := newScheduler(CoordinatorOptions{Hedge: true, SplitGrace: time.Millisecond}, 4)
-	wcA, wcB := drainedConn(t), drainedConn(t)
-
-	cube := partition.Cube{From: 0, To: 1}
-	s.push(cube)
-	orig, _ := s.tryAcquire("w1", wcA)
-	if orig == nil {
-		t.Fatal("no assignment for the queued cube")
-	}
-	time.Sleep(5 * time.Millisecond)
-
-	twin, victim := s.tryAcquire("w2", wcB)
-	if twin == nil || victim != nil || !twin.hedge || twin.cube != cube {
-		t.Fatalf("expected a hedge duplicate of %v, got a=%+v victim=%+v", cube, twin, victim)
-	}
-	// The same worker must never hedge its own cube, and a cube already
-	// hedged must not be duplicated again.
-	if extra, _ := s.tryAcquire("w3", drainedConn(t)); extra != nil {
-		t.Fatalf("cube hedged twice: %+v", extra)
-	}
-
-	if !s.claim(twin) {
-		t.Fatal("hedge winner rejected")
-	}
-	if s.release(orig) {
-		t.Fatal("hedge loser was released for requeue; it must be discarded")
-	}
-	if s.claim(orig) {
-		t.Fatal("hedge loser's late result claimed after the twin won")
-	}
-
-	_, hedges, _, superseded, _ := s.stats()
-	if hedges != 1 || superseded < 1 {
-		t.Fatalf("stats hedges=%d superseded=%d, want 1 and >=1", hedges, superseded)
-	}
-}
 
 // startWorkerPair launches a slow worker (fault plan attached), waits
 // for it to own a job, then adds a fast worker; returns a wait func.

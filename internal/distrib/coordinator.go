@@ -80,9 +80,8 @@ type CoordinatorOptions struct {
 	// SplitDepth caps how many extra path bits a single partition may
 	// accumulate; 0 disables splitting entirely.
 	SplitDepth int
-	// SplitGrace is how long a cube must have been in flight before it
-	// qualifies as a split victim or a hedge candidate (default 15s when
-	// SplitDepth > 0 or Hedge is set).
+	// SplitGrace is how long ago a cube must have been dispatched before
+	// it qualifies as a split victim or a hedge candidate (default 15s).
 	SplitGrace time.Duration
 	// SplitHardness is the minimum live hardness score (from heartbeats)
 	// an in-flight cube needs to qualify for splitting. The default 0
@@ -229,20 +228,21 @@ type coordinator struct {
 	opts   CoordinatorOptions
 	source string
 
-	mu        sync.Mutex
-	remaining int // cubes neither refuted nor quarantined
-	active    int // connected workers past hello
-	finished  bool
-	killed    bool // fault plan halted the primary mid-run
-	drain     *time.Timer
-	res       *CoordinatorResult
-	jerr      error // first journal commit failure: fails the whole run
-	conns     map[*conn]struct{}
+	mu       sync.Mutex
+	active   int // connected workers past hello
+	finished bool
+	killed   bool // fault plan halted the primary mid-run
+	drain    *time.Timer
+	res      *CoordinatorResult
+	jerr     error // first journal commit failure: fails the whole run
+	conns    map[*conn]struct{}
 
 	sealed   bool                      // journal sealed: degrade, stop committing
 	pressure map[string]workerPressure // per-worker heartbeat memory readings
 
-	sched    *scheduler
+	// sched owns the cube queue, the live-leaf count and the
+	// split/hedge/fence policy; this file is its TCP executor.
+	sched    *partition.Scheduler
 	done     chan struct{}
 	tracker  *chunkTracker
 	health   *HealthRegistry
@@ -288,9 +288,6 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	if opts.MemPauseRatio == 0 {
 		opts.MemPauseRatio = 0.95
 	}
-	if (opts.SplitDepth > 0 || opts.Hedge) && opts.SplitGrace == 0 {
-		opts.SplitGrace = 15 * time.Second
-	}
 	opts.Certify = opts.Certify.normalize()
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
@@ -307,29 +304,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		}
 	}
 
-	// Splitting single partitions needs to know how many scheduler bits
-	// the encoding can supply for cube paths. The verifier's encoding
-	// answers for free; an uncertified run pays one extra encode, and
-	// only when splitting is enabled at all.
-	splitBits := 0
-	if opts.SplitDepth > 0 {
-		if verifier != nil {
-			splitBits = len(verifier.splitLits)
-		} else {
-			copts := core.Options{
-				Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width,
-				Partitions: opts.Partitions,
-			}
-			enc, _, _, eerr := core.EncodeProgram(p, copts)
-			if eerr != nil {
-				return nil, fmt.Errorf("distrib: split-bit encoding failed: %w", eerr)
-			}
-			_, total, perr := core.MakePartitions(enc, copts)
-			if perr != nil {
-				return nil, fmt.Errorf("distrib: split-bit partitioning failed: %w", perr)
-			}
-			splitBits = len(partition.SplitLits(enc, total))
-		}
+	splitBits, err := splitBitSupply(p, opts, verifier)
+	if err != nil {
+		return nil, err
 	}
 
 	// The journal pins everything that gives a chunk's [From,To] range
@@ -402,16 +379,14 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		obs.KV("epoch", opts.Epoch))
 	start := time.Now()
 	co := &coordinator{
-		opts:      opts,
-		source:    source,
-		remaining: len(live),
+		opts:   opts,
+		source: source,
 		res: &CoordinatorResult{
 			Verdict: core.Safe, Winner: -1, ChunksTotal: len(live),
 			Splits: resumedSplits, MaxCubeDepth: resumedDepth,
 		},
 		pressure: make(map[string]workerPressure),
 		conns:    make(map[*conn]struct{}),
-		sched:    newScheduler(opts, splitBits),
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		health:   health,
@@ -422,6 +397,14 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		recorder: opts.Report,
 		root:     root,
 	}
+	co.sched = partition.NewScheduler(partition.SchedOptions{
+		SplitDepth: opts.SplitDepth, SplitBits: splitBits,
+		Grace: opts.SplitGrace, Hardness: opts.SplitHardness, Hedge: opts.Hedge,
+		CommitSplit: co.commitSplit,
+		// Backpressure: while the fleet is over the memory-pressure
+		// threshold nothing is dispatched, split, or hedged.
+		Gate: co.dispatchGate,
+	})
 	// Journal commit spans hang off the coordinate root so the merged
 	// trace tree stays single-rooted.
 	jnl.SetParent(root)
@@ -434,7 +417,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	for _, l := range live {
 		rec := l.Rec
 		if rec == nil {
-			co.sched.push(l.Cube)
+			co.sched.Add(l.Cube)
 			continue
 		}
 		// A budget-exhausted verdict is terminal only relative to the
@@ -442,7 +425,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		// the exhausted budget re-queues the cube for workers instead of
 		// replaying a give-up the new flags were meant to overcome.
 		if rec.RetryUnder(opts.ChunkTimeout.Milliseconds(), opts.ChunkConflicts, opts.MemBudgetMB) {
-			co.sched.push(l.Cube)
+			co.sched.Add(l.Cube)
 			continue
 		}
 		// A certified run replays only certified definite verdicts. An
@@ -451,7 +434,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		// against this coordinator's encoding, so it is re-solved rather
 		// than trusted into a certified history.
 		if verifier != nil && rec.Verdict != core.Unknown.String() && !rec.Certified {
-			co.sched.push(l.Cube)
+			co.sched.Add(l.Cube)
 			continue
 		}
 		co.res.Resumed++
@@ -461,19 +444,16 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			co.res.Verdict = core.Unsafe
 			co.res.Winner = rec.Winner
 			co.res.ChunksDecided++
-			co.remaining--
 		case core.Safe.String():
 			co.res.ChunksDecided++
-			co.remaining--
 		default:
 			// A journaled Unknown is always budget-exhausted (in-flight
 			// cubes are never committed): terminal under these budgets.
 			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.Cube, Cause: rec.Cause})
-			co.remaining--
 		}
 	}
-	co.metrics.chunksRemaining.Set(int64(co.remaining))
-	if co.res.Verdict == core.Unsafe || co.remaining == 0 {
+	co.metrics.chunksRemaining.Set(int64(co.sched.Live()))
+	if co.res.Verdict == core.Unsafe || co.sched.Live() == 0 {
 		// The journal already decides the run: nothing to hand out.
 		co.mu.Lock()
 		co.finishLocked()
@@ -516,15 +496,11 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
 	res.Workers = co.health.Snapshot()
-	splits, hedges, steals, superseded, maxDepth := co.sched.stats()
-	res.Splits += splits
-	res.Hedges = hedges
-	res.Steals = steals
-	res.Superseded = superseded
-	if maxDepth > res.MaxCubeDepth {
-		res.MaxCubeDepth = maxDepth
-	}
-	if res.Verdict == core.Safe && (co.remaining > 0 || len(res.Quarantined) > 0 || len(res.Exhausted) > 0) {
+	st := co.sched.Stats()
+	res.Splits += st.Splits
+	res.Hedges, res.Steals, res.Superseded = st.Hedges, st.Steals, st.Superseded
+	res.MaxCubeDepth = max(res.MaxCubeDepth, st.MaxDepth)
+	if res.Verdict == core.Safe && (co.sched.Live() > 0 || len(res.Quarantined) > 0 || len(res.Exhausted) > 0) {
 		res.Verdict = core.Unknown
 	}
 	co.mu.Unlock()
@@ -543,6 +519,32 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		return nil, ErrPrimaryKilled
 	}
 	return res, nil
+}
+
+// splitBitSupply is how many scheduler bits the encoding can supply for
+// cube paths, which splitting single partitions needs to know. The
+// verifier's encoding answers for free; an uncertified run pays one
+// extra encode, and only when splitting is enabled at all.
+func splitBitSupply(p *prog.Program, opts CoordinatorOptions, verifier *certVerifier) (int, error) {
+	if opts.SplitDepth <= 0 {
+		return 0, nil
+	}
+	if verifier != nil {
+		return len(verifier.splitLits), nil
+	}
+	copts := core.Options{
+		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width,
+		Partitions: opts.Partitions,
+	}
+	enc, _, _, err := core.EncodeProgram(p, copts)
+	if err != nil {
+		return 0, fmt.Errorf("distrib: split-bit encoding failed: %w", err)
+	}
+	_, total, err := core.MakePartitions(enc, copts)
+	if err != nil {
+		return 0, fmt.Errorf("distrib: split-bit partitioning failed: %w", err)
+	}
+	return len(partition.SplitLits(enc, total)), nil
 }
 
 // commitChunk durably records one chunk verdict before it is
@@ -722,11 +724,13 @@ func (co *coordinator) removeConn(c *conn) {
 	co.mu.Unlock()
 }
 
-// finishLocked ends the run; callers hold co.mu.
+// finishLocked ends the run and releases every serve loop waiting for
+// work; callers hold co.mu.
 func (co *coordinator) finishLocked() {
 	if !co.finished {
 		co.finished = true
 		close(co.done)
+		co.sched.Close()
 	}
 }
 
@@ -749,7 +753,7 @@ func (co *coordinator) workerLeft() {
 	defer co.mu.Unlock()
 	co.active--
 	co.metrics.workersActive.Set(int64(co.active))
-	if co.active == 0 && co.remaining > 0 && !co.finished {
+	if co.active == 0 && co.sched.Live() > 0 && !co.finished {
 		if co.drain != nil {
 			co.drain.Stop()
 		}
@@ -760,7 +764,7 @@ func (co *coordinator) workerLeft() {
 func (co *coordinator) drainExpired() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.active == 0 && co.remaining > 0 && !co.finished {
+	if co.active == 0 && co.sched.Live() > 0 && !co.finished {
 		co.res.Drained = true
 		co.finishLocked()
 	}
@@ -808,14 +812,22 @@ func (co *coordinator) serve(c net.Conn) {
 	if co.opts.HeartbeatInterval < 0 {
 		hbMillis = 0
 	}
+	cancel := func(a *partition.Assignment) {
+		_ = wc.send(&Message{Type: "cancel", JobID: a.JobID})
+	}
 	for {
-		a := co.nextAssignment(key, wc)
+		// A queued cube, the stolen child of a straggler this worker just
+		// split, or a hedged duplicate; nil when the run is over.
+		a := co.sched.Acquire(key, cancel)
 		if a == nil {
 			_ = wc.send(&Message{Type: "stop"})
 			return
 		}
-		cube := a.cube
-		id := a.jobID
+		if a.Hedge {
+			co.metrics.chunksHedged.Inc()
+		}
+		co.metrics.cubeDepth.Set(int64(co.sched.Stats().MaxDepth))
+		cube, id := a.Cube, a.JobID
 		co.tracker.assigned(cube)
 		level := co.opts.Certify.jobLevel(id)
 		// The job span is the cross-process graft point: its context
@@ -823,7 +835,7 @@ func (co *coordinator) serve(c net.Conn) {
 		// it, and the merged trace shows one tree per run.
 		jobSpan := co.root.Child("job",
 			obs.KV("job", id), obs.KV("cube", cube.Key()),
-			obs.KV("worker", key), obs.KV("hedge", a.hedge))
+			obs.KV("worker", key), obs.KV("hedge", a.Hedge))
 		sc := jobSpan.Context()
 		job := &Message{
 			Type: "job", JobID: id, Epoch: co.opts.Epoch, Source: co.source,
@@ -838,295 +850,240 @@ func (co *coordinator) serve(c net.Conn) {
 			TraceID:            sc.TraceID,
 			ParentSpan:         sc.SpanID,
 		}
-		if err := wc.send(job); err != nil {
-			jobSpan.End(obs.KV("error", err.Error()))
-			co.failAssignment(a, key, fmt.Sprintf("send job %d to %s: %v", id, key, err))
-			return
-		}
-		reply, err := co.awaitResult(wc, a, key, hbMillis > 0)
-		if err != nil {
-			jobSpan.End(obs.KV("error", err.Error()))
-			co.failAssignment(a, key, err.Error())
-			return
-		}
-		// The certificate frames follow the result and must be drained
-		// even when certification is off, to keep the stream in sync.
-		cert, err := co.readCertificate(wc, id, key, reply, hbMillis > 0)
+		reply, certified, err := co.runJob(wc, a, key, job, jobSpan)
 		if err != nil {
 			jobSpan.End(obs.KV("error", err.Error()))
 			if errors.Is(err, errCertificate) {
+				// A rejected certificate condemns the worker, not the cube:
+				// the cube is re-queued elsewhere at no attempt cost.
 				co.rejectCertificate(a, key, err.Error())
 				_ = wc.send(&Message{Type: "stop"})
-				return
+			} else {
+				co.failAssignment(a, key, err.Error())
 			}
-			co.failAssignment(a, key, err.Error())
 			return
-		}
-		// Trust-but-verify: a definite verdict updates the run state only
-		// after its evidence checks out against the coordinator's own
-		// encoding — under the cube's full assumption set, path bits
-		// included. A rejected certificate condemns the worker, not the
-		// cube: the cube is re-queued elsewhere at no attempt cost.
-		certified := false
-		if co.verifier != nil &&
-			(reply.Verdict == core.Unsafe.String() || reply.Verdict == core.Safe.String()) {
-			certSpan := jobSpan.Child("certify_verify", obs.KV("level", level))
-			dur, verr := co.verifier.verify(cube, reply, cert, level)
-			certSpan.End(obs.KV("ok", verr == nil))
-			co.metrics.certifySeconds.Observe(dur.Seconds())
-			co.mu.Lock()
-			co.res.CertifyMillis += dur.Milliseconds()
-			co.mu.Unlock()
-			if verr != nil {
-				jobSpan.End(obs.KV("error", verr.Error()))
-				co.rejectCertificate(a, key, fmt.Sprintf("job %d on %s: %v", id, key, verr))
-				_ = wc.send(&Message{Type: "stop"})
-				return
-			}
-			if reply.Verdict == core.Unsafe.String() || level == CertifyFull {
-				certified = true
-				co.metrics.certVerified.Inc()
-				co.mu.Lock()
-				co.res.Certified++
-				co.mu.Unlock()
-			}
 		}
 		co.health.jobDone(key)
 		co.metrics.jobResult(key, reply.Stats, reply.SolveMillis)
 		co.recordRemoteStats(reply)
 		jobSpan.End(obs.KV("verdict", reply.Verdict), obs.KV("certified", certified))
 		co.recorder.AddSpans(reply.Spans)
-		switch reply.Verdict {
-		case core.Unsafe.String():
-			// The claim decides the race before the journal is touched: a
-			// result for a cube that was split, or whose hedge twin already
-			// won, is discarded here — never journaled, never charged.
-			if !co.sched.claim(a) {
-				co.noteSuperseded()
-				continue
-			}
-			co.acceptParts(a, reply, key, certified)
-			// Commit before acknowledging: a crash after this point
-			// replays straight to the counterexample.
-			if !co.commitChunk(journal.ChunkRecord{
-				From: cube.From, To: cube.To, Path: cube.Path,
-				Verdict: core.Unsafe.String(), Winner: reply.Winner, Millis: reply.Millis,
-				Certified: certified,
-			}) {
+
+		cause := sat.ParseStopCause(reply.Cause)
+		definite := reply.Verdict == core.Unsafe.String() || reply.Verdict == core.Safe.String()
+		if !definite && cause == sat.CauseMemory {
+			co.noteMemoryAbort()
+		}
+		switch {
+		case definite, cause.Budgeted() && (cause != sat.CauseMemory || co.opts.MemBudgetMB > 0):
+			// A budgeted Unknown is as terminal as a verdict: the same cube
+			// under the same budgets gives up again, so it is journaled and
+			// not charged to the retry budget.
+			if !co.settle(wc, a, reply, key, certified) {
 				return
 			}
-			co.mu.Lock()
-			co.res.Jobs++
-			co.res.ChunksDecided++
-			co.res.Verdict = core.Unsafe
-			co.res.Winner = reply.Winner
-			co.finishLocked()
-			co.mu.Unlock()
-			_ = wc.send(&Message{Type: "stop"})
-			return
-		case core.Safe.String():
-			if !co.sched.claim(a) {
-				co.noteSuperseded()
-				continue
-			}
-			co.acceptParts(a, reply, key, certified)
-			if !co.commitChunk(journal.ChunkRecord{
-				From: cube.From, To: cube.To, Path: cube.Path,
-				Verdict: core.Safe.String(), Winner: -1, Millis: reply.Millis,
-				Certified: certified,
-			}) {
-				return
-			}
-			co.mu.Lock()
-			co.res.Jobs++
-			co.res.ChunksDecided++
-			co.remaining--
-			co.metrics.chunksRemaining.Set(int64(co.remaining))
-			fin := co.remaining == 0
-			if fin {
-				co.finishLocked()
-			}
-			co.mu.Unlock()
-			if fin {
-				_ = wc.send(&Message{Type: "stop"})
-				return
-			}
+		case cause == sat.CauseCancelled:
+			// The expected fate of a superseded assignment: the worker
+			// acknowledged the cancel. A cancelled result for a cube that
+			// was *not* superseded (a worker-local interrupt) is a normal
+			// retryable failure.
+			co.retry(a, fmt.Sprintf("job %d on %s: cancelled", id, key), true)
+		case cause == sat.CauseMemory:
+			// With no configured memory budget, a "memory" result is the
+			// worker's own OOM watchdog tripping: that machine ran out, not
+			// the cube being deterministically too big. Re-queue it —
+			// another worker (or the same one, once its heap drains) may
+			// have the headroom. The attempt budget still bounds how often
+			// this can loop.
+			co.retry(a, fmt.Sprintf("job %d on %s: memory watchdog abort", id, key), true)
 		default:
-			cause := sat.ParseStopCause(reply.Cause)
-			if cause == sat.CauseCancelled {
-				// The expected fate of a superseded assignment: the worker
-				// acknowledged the cancel. Nothing is journaled and no
-				// attempt is charged. A cancelled result for a cube that
-				// was *not* superseded (a worker-local interrupt) is a
-				// normal retryable failure.
-				if co.sched.release(a) {
-					co.requeueOrQuarantine(cube, key,
-						fmt.Sprintf("job %d on %s: cancelled", id, key))
-				} else {
-					co.noteSuperseded()
-				}
-				continue
-			}
-			if cause == sat.CauseMemory {
-				co.metrics.memoryAborted.Inc()
-				co.mu.Lock()
-				co.res.MemoryAborted++
-				co.mu.Unlock()
-				if co.opts.MemBudgetMB == 0 {
-					// With no configured memory budget, a "memory" result is
-					// the worker's own OOM watchdog tripping: that machine
-					// ran out, not the cube being deterministically too
-					// big. Re-queue it — another worker (or the same one,
-					// once its heap drains) may have the headroom. The
-					// attempt budget still bounds how often this can loop.
-					if co.sched.release(a) {
-						co.requeueOrQuarantine(cube, key,
-							fmt.Sprintf("job %d on %s: memory watchdog abort", id, key))
-					} else {
-						co.noteSuperseded()
-					}
-					continue
-				}
-			}
-			if cause.Budgeted() {
-				// A budgeted Unknown is deterministic: the same cube under
-				// the same budgets gives up again. Terminal, journaled with
-				// the budgets it gave up under (so a resume with raised
-				// budgets re-queues it), and not charged to the retry
-				// budget. Terminal means it must win the race like any
-				// other verdict.
-				if !co.sched.claim(a) {
-					co.noteSuperseded()
-					continue
-				}
-				co.acceptParts(a, reply, key, certified)
-				if !co.commitChunk(journal.ChunkRecord{
-					From: cube.From, To: cube.To, Path: cube.Path,
-					Verdict: core.Unknown.String(), Winner: -1,
-					Cause: reply.Cause, Millis: reply.Millis,
-					TimeoutMillis: co.opts.ChunkTimeout.Milliseconds(),
-					Conflicts:     co.opts.ChunkConflicts,
-					MemBudgetMB:   co.opts.MemBudgetMB,
-				}) {
-					return
-				}
-				co.metrics.budgetExhausted.Inc()
-				co.mu.Lock()
-				co.res.Jobs++
-				co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: cube, Cause: reply.Cause})
-				co.remaining--
-				co.metrics.chunksRemaining.Set(int64(co.remaining))
-				fin := co.remaining == 0
-				if fin {
-					co.finishLocked()
-				}
-				co.mu.Unlock()
-				if fin {
-					_ = wc.send(&Message{Type: "stop"})
-					return
-				}
-				continue
-			}
-			// Retryable Unknown: a failed attempt, but the connection
-			// stays usable.
-			if co.sched.release(a) {
-				co.requeueOrQuarantine(cube, key,
-					fmt.Sprintf("job %d on %s: verdict %s", id, key, reply.Verdict))
-			} else {
-				co.noteSuperseded()
-			}
+			// Retryable Unknown: a failed attempt, but the connection stays
+			// usable.
+			co.retry(a, fmt.Sprintf("job %d on %s: verdict %s", id, key, reply.Verdict), true)
 		}
 	}
 }
 
-// nextAssignment blocks until the scheduler hands this worker something
-// to run — a queued cube, the stolen child of a straggler it just
-// split, or a hedged duplicate — or the run ends (nil). The periodic
-// tick is what notices grace periods expiring when no queue activity
-// wakes anyone.
-func (co *coordinator) nextAssignment(key string, wc *conn) *assignment {
-	tick := co.opts.SplitGrace / 4
-	if tick <= 0 || tick > 500*time.Millisecond {
-		tick = 500 * time.Millisecond
+// runJob sends one job and reads its outcome off the wire: the result,
+// the certificate frames that follow it, and — trust-but-verify — the
+// check of a definite verdict's evidence against the coordinator's own
+// encoding, under the cube's full assumption set, path bits included.
+// An error wrapping errCertificate is the worker's fault and condemns
+// it; any other error is a failed attempt.
+func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job *Message, jobSpan *obs.Span) (reply *Message, certified bool, err error) {
+	id, heartbeats := a.JobID, job.HeartbeatMillis > 0
+	if err := wc.send(job); err != nil {
+		return nil, false, fmt.Errorf("send job %d to %s: %v", id, key, err)
 	}
-	for {
-		select {
-		case <-co.done:
-			return nil
-		default:
-		}
-		// Backpressure: while the fleet is over the memory-pressure
-		// threshold nothing is dispatched, split, or hedged.
-		if !co.dispatchGate() {
-			return nil
-		}
-		a, victim := co.sched.tryAcquire(key, wc)
-		if a != nil {
-			if a.hedge {
-				co.metrics.chunksHedged.Inc()
-			}
-			_, _, _, _, depth := co.sched.stats()
-			co.metrics.cubeDepth.Set(int64(depth))
-			return a
-		}
-		if victim != nil {
-			if a := co.performSplit(victim, key, wc); a != nil {
-				return a
-			}
-			continue
-		}
-		t := time.NewTimer(tick)
-		select {
-		case <-co.done:
-			t.Stop()
-			return nil
-		case <-co.sched.notify:
-			t.Stop()
-		case <-t.C:
-		}
+	if reply, err = co.awaitResult(wc, a, key, heartbeats); err != nil {
+		return nil, false, err
 	}
+	// The certificate frames follow the result and must be drained even
+	// when certification is off, to keep the stream in sync.
+	cert, err := co.readCertificate(wc, id, key, reply, heartbeats)
+	if err != nil {
+		return nil, false, err
+	}
+	if co.verifier == nil ||
+		(reply.Verdict != core.Unsafe.String() && reply.Verdict != core.Safe.String()) {
+		return reply, false, nil
+	}
+	certSpan := jobSpan.Child("certify_verify", obs.KV("level", job.Certify))
+	dur, verr := co.verifier.verify(a.Cube, reply, cert, job.Certify)
+	certSpan.End(obs.KV("ok", verr == nil))
+	co.metrics.certifySeconds.Observe(dur.Seconds())
+	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || job.Certify == CertifyFull)
+	co.mu.Lock()
+	co.res.CertifyMillis += dur.Milliseconds()
+	if certified {
+		co.res.Certified++
+	}
+	co.mu.Unlock()
+	if verr != nil {
+		return nil, false, fmt.Errorf("%w: job %d on %s: %v", errCertificate, id, key, verr)
+	}
+	if certified {
+		co.metrics.certVerified.Inc()
+	}
+	return reply, certified, nil
 }
 
-// performSplit turns a split reservation into a committed tree edit:
-// the SPLIT record is journaled first — the claim window closed when
-// the victim was reserved, so no parent verdict can land after this —
-// then the scheduler swaps the cube for its two children. The idle
-// caller walks away with one child (stolen from the straggler's worker)
-// and the other hits the queue.
-func (co *coordinator) performSplit(victim *assignment, key string, wc *conn) *assignment {
-	cube := victim.cube
-	hardness := co.sched.hardnessOf(cube)
+// settle files a terminal result — UNSAFE, SAFE or a budgeted UNKNOWN.
+// The claim decides the race before the journal is touched: a result
+// for a cube that was split, or whose hedge twin already won, is
+// discarded here — never journaled, never charged. A winner is
+// committed before it is acknowledged in the run state, so a crash
+// after this point replays straight to it; a budgeted give-up pins the
+// budgets it gave up under, so a resume with raised budgets re-queues
+// it. settle reports whether the serve loop goes on: false once the run
+// is finished (the worker is told to stop) or the commit failed.
+func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message, key string, certified bool) bool {
+	if !co.sched.Claim(a) {
+		co.metrics.supersededResults.Inc()
+		return true
+	}
+	co.acceptParts(a, reply, key, certified)
+	cube := a.Cube
+	rec := journal.ChunkRecord{
+		From: cube.From, To: cube.To, Path: cube.Path,
+		Verdict: reply.Verdict, Winner: -1, Millis: reply.Millis, Certified: certified,
+	}
+	switch reply.Verdict {
+	case core.Unsafe.String():
+		rec.Winner = reply.Winner
+	case core.Safe.String():
+	default:
+		rec.Verdict, rec.Cause = core.Unknown.String(), reply.Cause
+		rec.TimeoutMillis = co.opts.ChunkTimeout.Milliseconds()
+		rec.Conflicts, rec.MemBudgetMB = co.opts.ChunkConflicts, co.opts.MemBudgetMB
+	}
+	if !co.commitChunk(rec) {
+		return false
+	}
+	co.mu.Lock()
+	co.res.Jobs++
+	switch reply.Verdict {
+	case core.Unsafe.String():
+		co.res.ChunksDecided++
+		co.res.Verdict, co.res.Winner = core.Unsafe, reply.Winner
+		co.finishLocked()
+	case core.Safe.String():
+		co.res.ChunksDecided++
+	default:
+		co.metrics.budgetExhausted.Inc()
+		co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: cube, Cause: reply.Cause})
+	}
+	fin := co.leafGoneLocked()
+	co.mu.Unlock()
+	if fin {
+		_ = wc.send(&Message{Type: "stop"})
+	}
+	return !fin
+}
+
+// leafGoneLocked publishes the live-leaf count after a cube was decided
+// or quarantined, ends the run with the last one, and reports whether
+// the run is finished; callers hold co.mu.
+func (co *coordinator) leafGoneLocked() bool {
+	live := co.sched.Live()
+	co.metrics.chunksRemaining.Set(int64(live))
+	if live == 0 {
+		co.finishLocked()
+	}
+	return co.finished
+}
+
+// retry retires an assignment that produced no acceptable verdict. If
+// the cube was superseded in flight — its children or a hedge twin
+// carry it now — the result is only counted as discarded. Otherwise the
+// cube goes back on the queue, or, when the failure is charged to its
+// attempt budget and that is now exhausted, is quarantined so it is
+// never reassigned again; quarantining the last unresolved cube ends
+// the run.
+func (co *coordinator) retry(a *partition.Assignment, reason string, charge bool) {
+	if !co.sched.Release(a) {
+		co.metrics.supersededResults.Inc()
+		return
+	}
+	if charge && co.tracker.failed(a.Cube, reason) {
+		co.metrics.quarantined.Inc()
+		co.sched.Abandon()
+		co.mu.Lock()
+		co.leafGoneLocked()
+		co.mu.Unlock()
+		return
+	}
+	co.metrics.reassigned.Inc()
+	co.mu.Lock()
+	co.res.Reassigned++
+	co.mu.Unlock()
+	co.sched.Requeue(a.Cube)
+}
+
+// noteMemoryAbort counts one result that came back with cause "memory".
+func (co *coordinator) noteMemoryAbort() {
+	co.metrics.memoryAborted.Inc()
+	co.mu.Lock()
+	co.res.MemoryAborted++
+	co.mu.Unlock()
+}
+
+// commitSplit is the scheduler's CommitSplit: the SPLIT record is
+// journaled first — the claim window closed when the victim was fenced,
+// so no parent verdict can land after this — and only then does the
+// scheduler swap the cube for its two children.
+func (co *coordinator) commitSplit(victim *partition.Assignment, thief string) bool {
+	cube := victim.Cube
 	if !co.commitChunk(journal.ChunkRecord{
 		From: cube.From, To: cube.To, Path: cube.Path,
 		Verdict: journal.VerdictSplit,
 	}) {
-		co.sched.abortSplit(victim)
-		return nil
+		return false
 	}
-	a, stolen := co.sched.completeSplit(victim, key, wc)
+	stolen := victim.Worker != thief
 	co.metrics.cubesSplit.Inc()
 	if stolen {
 		co.metrics.cubeSteals.Inc()
 	}
 	co.mu.Lock()
-	co.remaining++ // one live cube became two
+	// One live cube becomes two as soon as this returns.
 	co.res.ChunksTotal++
 	co.metrics.chunksTotal.Set(int64(co.res.ChunksTotal))
-	co.metrics.chunksRemaining.Set(int64(co.remaining))
+	co.metrics.chunksRemaining.Set(int64(co.sched.Live() + 1))
 	co.mu.Unlock()
 	co.recorder.CubeFinish(report.CubeRow{
 		Key: cube.Key(), From: cube.From, To: cube.To, Path: cube.Path,
-		Worker: victim.worker, Verdict: journal.VerdictSplit,
-		Hardness: hardness, Stolen: stolen,
+		Worker: victim.Worker, Verdict: journal.VerdictSplit,
+		Hardness: co.sched.Hardness(cube), Stolen: stolen,
 	})
-	return a
+	return true
 }
 
 // acceptParts folds an *accepted* result's per-partition breakdown into
 // the metrics and the run report, and records the cube row. Discarded
 // (superseded) results never reach here, so a hedge loser's cancelled
 // rows cannot overwrite the winner's.
-func (co *coordinator) acceptParts(a *assignment, reply *Message, key string, certified bool) {
+func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key string, certified bool) {
 	for _, pp := range reply.Parts {
 		co.metrics.partResult(pp)
 		cause := ""
@@ -1148,17 +1105,10 @@ func (co *coordinator) acceptParts(a *assignment, reply *Message, key string, ce
 		})
 	}
 	co.recorder.CubeFinish(report.CubeRow{
-		Key: a.cube.Key(), From: a.cube.From, To: a.cube.To, Path: a.cube.Path,
+		Key: a.Cube.Key(), From: a.Cube.From, To: a.Cube.To, Path: a.Cube.Path,
 		Worker: key, Verdict: reply.Verdict, Cause: reply.Cause,
-		SolveMillis: reply.Millis, Hedged: a.hedge, Certified: certified,
+		SolveMillis: reply.Millis, Hedged: a.Hedge, Certified: certified,
 	})
-}
-
-// noteSuperseded counts one discarded result — its cube was split or a
-// twin won the race while it was in flight. The scheduler's own
-// counters feed CoordinatorResult.Superseded at the end of the run.
-func (co *coordinator) noteSuperseded() {
-	co.metrics.supersededResults.Inc()
 }
 
 // awaitResult reads messages until the result for the assignment's job
@@ -1167,8 +1117,8 @@ func (co *coordinator) noteSuperseded() {
 // the overall job deadline still applies. A result carrying the wrong
 // JobID is a protocol violation (stale result misattribution) and fails
 // the worker.
-func (co *coordinator) awaitResult(wc *conn, a *assignment, key string, heartbeats bool) (*Message, error) {
-	id := a.jobID
+func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string, heartbeats bool) (*Message, error) {
+	id := a.JobID
 	deadline := time.Now().Add(co.opts.JobTimeout)
 	grace := co.opts.JobTimeout
 	if heartbeats && co.opts.HeartbeatGrace < grace {
@@ -1198,7 +1148,7 @@ func (co *coordinator) awaitResult(wc *conn, a *assignment, key string, heartbea
 				co.notePressure(key, reply.MemBytes, reply.MemLimit)
 				// The live hardness reading is the straggler signal the
 				// split-victim selection steers by.
-				co.sched.note(a, reply.Hardness)
+				co.sched.Note(a, reply.Hardness)
 				for _, pp := range reply.Parts {
 					co.metrics.partProgress(pp)
 					co.recorder.Progress(pp.Partition, key, pp.Conflicts, pp.Propagations, pp.Progress)
@@ -1264,7 +1214,7 @@ func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Mess
 // and puts its cube back on the queue. The cube is not charged a
 // failed attempt — it did nothing wrong, and a fleet with one persistent
 // liar must not be able to quarantine cubes by burning their budgets.
-func (co *coordinator) rejectCertificate(a *assignment, key, reason string) {
+func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason string) {
 	co.health.certRejected(key)
 	co.health.failed(key)
 	co.metrics.certRejected.Inc()
@@ -1272,15 +1222,7 @@ func (co *coordinator) rejectCertificate(a *assignment, key, reason string) {
 	co.mu.Lock()
 	co.res.CertRejected++
 	co.mu.Unlock()
-	if !co.sched.release(a) {
-		co.noteSuperseded()
-		return
-	}
-	co.metrics.reassigned.Inc()
-	co.mu.Lock()
-	co.res.Reassigned++
-	co.mu.Unlock()
-	co.sched.push(a.cube)
+	co.retry(a, reason, false)
 }
 
 // recordRemoteStats folds one job result's search statistics into the
@@ -1296,36 +1238,9 @@ func (co *coordinator) recordRemoteStats(reply *Message) {
 }
 
 // failAssignment charges a failed attempt to the worker, and — unless
-// the cube was superseded in flight (its children or a hedge twin carry
-// it now) — to the cube as well.
-func (co *coordinator) failAssignment(a *assignment, key, reason string) {
+// the cube was superseded in flight — to the cube as well.
+func (co *coordinator) failAssignment(a *partition.Assignment, key, reason string) {
 	co.health.failed(key)
 	co.metrics.workerFailed(key)
-	if !co.sched.release(a) {
-		co.noteSuperseded()
-		return
-	}
-	co.requeueOrQuarantine(a.cube, key, reason)
-}
-
-// requeueOrQuarantine puts a failed cube back on the queue, or — once
-// its budget is exhausted — quarantines it so it is never reassigned
-// again. Quarantining the last unresolved cube ends the run.
-func (co *coordinator) requeueOrQuarantine(cube partition.Cube, key, reason string) {
-	if co.tracker.failed(cube, reason) {
-		co.metrics.quarantined.Inc()
-		co.mu.Lock()
-		co.remaining--
-		co.metrics.chunksRemaining.Set(int64(co.remaining))
-		if co.remaining == 0 {
-			co.finishLocked()
-		}
-		co.mu.Unlock()
-		return
-	}
-	co.metrics.reassigned.Inc()
-	co.mu.Lock()
-	co.res.Reassigned++
-	co.mu.Unlock()
-	co.sched.push(cube)
+	co.retry(a, reason, true)
 }

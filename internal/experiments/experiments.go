@@ -43,14 +43,6 @@ type Config struct {
 	// on single-core hosts, using the same protocol the paper used to
 	// simulate its 128-core cluster.
 	Real bool
-	// SplitDepth enables adaptive cube splitting in the Table 2 runs.
-	// It requires Real — the makespan simulation solves sequentially, so
-	// no instance ever straggles behind an idle worker, and core.Verify
-	// refuses the combination. SplitGrace and SplitHardness tune the
-	// trigger; splits per cell land in the BENCH_*.json trajectory.
-	SplitDepth    int
-	SplitGrace    time.Duration
-	SplitHardness float64
 }
 
 // DefaultConfig returns the laptop-scale configuration.
@@ -117,8 +109,9 @@ type Table2Row struct {
 	// times so memory regressions show up in the bench trajectory too.
 	PeakMemBytes map[int]int64
 	// Splits and CubeDepth record the adaptive-scheduling activity per
-	// core count (Config.SplitDepth): cube splits performed and the
-	// deepest cube path reached. Zero when splitting is disabled.
+	// core count: cube splits performed and the deepest cube path
+	// reached. Zero here, where no run asks for splitting (the makespan
+	// simulation cannot: it never has an idle worker).
 	Splits    map[int]int
 	CubeDepth map[int]int
 }
@@ -162,9 +155,6 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) ([]Table2Row, error) {
 			res, err := core.Verify(ctx, cell.Bench.Program, core.Options{
 				Unwind: cell.U, Contexts: cell.C, Cores: cores,
 				SimulateParallel: !cfg.Real,
-				SplitDepth:       cfg.SplitDepth,
-				SplitGrace:       cfg.SplitGrace,
-				SplitHardness:    cfg.SplitHardness,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s u=%d c=%d cores=%d: %w",
@@ -411,7 +401,11 @@ func Fig7(ctx context.Context, w io.Writer, cfg Config) ([]Fig7Point, error) {
 	for _, cores := range coreCounts {
 		fmt.Fprintf(w, "%9d", cores)
 		for _, c := range contexts {
-			res, err := distribSimulate(ctx, p, c, cores, machineCores)
+			// The partition count is capped by the encoding's 2^(contexts-1)
+			// symbolic scheduler variables; extra cores beyond that stay idle
+			// (visible in Fig. 7 as flat curves for small context bounds).
+			res, err := distrib.SimulateCluster(ctx, p,
+				core.Options{Unwind: 2, Contexts: c, SimulateParallel: true}, cores, machineCores)
 			if err != nil {
 				return nil, err
 			}
@@ -435,44 +429,6 @@ func Table1(w io.Writer) []bench.Benchmark {
 		fmt.Fprintf(w, "%-18s %6d %8d %10d %12d\n", b.Name, b.Lines, b.Threads, b.BugUnwind, b.BugContexts)
 	}
 	return all
-}
-
-func distribSimulate(ctx context.Context, p *prog.Program, contexts, totalCores, machineCores int) (*simResult, error) {
-	// Thin wrapper re-implemented here to avoid an import cycle with the
-	// distrib package's tests; semantics identical to
-	// distrib.SimulateCluster. The partition count is capped by the
-	// encoding's 2^(contexts-1) symbolic scheduler variables; extra cores
-	// beyond that stay idle (visible in Fig. 7 as flat curves for small
-	// context bounds).
-	nparts := totalCores
-	if contexts-1 < 30 && nparts > 1<<uint(contexts-1) {
-		nparts = 1 << uint(contexts-1)
-	}
-	chunks := partition.Chunks(nparts, machineCores)
-	out := &simResult{Verdict: core.Safe}
-	for _, ch := range chunks {
-		res, err := core.Verify(ctx, p, core.Options{
-			Unwind: 2, Contexts: contexts, Cores: machineCores,
-			Partitions: nparts, From: ch.From, To: ch.To + 1,
-			SimulateParallel: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if res.SolveTime > out.MaxChunkTime {
-			out.MaxChunkTime = res.SolveTime
-		}
-		if res.Verdict != core.Safe {
-			out.Verdict = res.Verdict
-			return out, nil
-		}
-	}
-	return out, nil
-}
-
-type simResult struct {
-	Verdict      core.Verdict
-	MaxChunkTime time.Duration
 }
 
 // AblationScheduler compares the paper's context-bounded scheduler with

@@ -338,10 +338,10 @@ func TestJournalSatRederiveMismatchFails(t *testing.T) {
 // smaller -chunk-conflicts on the resume command line.
 func TestRederiveOptionsUnbudgeted(t *testing.T) {
 	opts := Options{ChunkConflicts: 5, Solver: sat.Options{MaxConflicts: 9}}
-	if got := opts.solverOptions(0).MaxConflicts; got != 5 {
+	if got := opts.solverOptions().MaxConflicts; got != 5 {
 		t.Fatalf("solverOptions folds to %d, want 5", got)
 	}
-	if got := opts.rederiveOptions(0).MaxConflicts; got != 0 {
+	if got := opts.rederiveOptions().MaxConflicts; got != 0 {
 		t.Fatalf("rederiveOptions keeps conflict budget %d, want unbounded", got)
 	}
 }

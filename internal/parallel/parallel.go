@@ -4,13 +4,15 @@
 // terminates the others; if every instance reports unsatisfiable, the
 // program is safe within the bounds.
 //
-// There is one runner (runner.go): Options.Workers goroutines drain a
-// queue of cubes — a partition, optionally refined by a path of extra
-// split-bit polarities. The paper's static scheme is the queue seeded
-// with one whole-partition cube each and never split (SplitDepth = 0);
-// adaptive splitting lets an idle worker halve a straggler; Simulate is
-// the same runner with one worker and no first-SAT cancellation, plus
-// an event simulation of the k-core schedule.
+// There is one runner (runner.go), the goroutine executor of the cube
+// scheduler it shares with the TCP coordinator (partition.Scheduler):
+// Options.Workers goroutines acquire cubes — a partition, optionally
+// refined by a path of extra split-bit polarities — solve them and claim
+// the verdicts. The paper's static scheme is the queue seeded with one
+// whole-partition cube each and never split (SplitDepth = 0); adaptive
+// splitting lets an idle worker halve a straggler; Simulate is the same
+// runner with one worker and no first-SAT cancellation, plus an event
+// simulation of the k-core schedule.
 //
 // Two robustness layers ride on top of the paper's scheme:
 //
@@ -167,13 +169,14 @@ type Options struct {
 	// ProgressEvery is the conflict cadence of Progress callbacks.
 	ProgressEvery int64
 	// SplitDepth enables in-process adaptive cube splitting: an idle
-	// worker that finds the queue empty interrupts the hardest straggling
-	// instance past SplitGrace and splits its cube on the next unfixed
-	// literal of SplitLits, re-queueing both halves — up to SplitDepth
-	// extra path bits per partition (0 disables; requires SplitLits).
+	// worker that finds the queue empty splits the cube of the hardest
+	// straggling instance past SplitGrace on the next unfixed literal of
+	// SplitLits, interrupting it, taking one half and queueing the other
+	// — up to SplitDepth extra path bits per partition (0 disables;
+	// requires SplitLits). The policy is partition.Scheduler's.
 	SplitDepth int
-	// SplitGrace is the minimum solving age before an instance may be
-	// split (default 15s when SplitDepth > 0).
+	// SplitGrace is the minimum time since an instance was taken off the
+	// queue before it may be split (default 15s).
 	SplitGrace time.Duration
 	// SplitHardness is the minimum live hardness score before an instance
 	// qualifies for splitting (0: any straggler past the grace).
@@ -185,7 +188,7 @@ type Options struct {
 
 // solverOptions derives one instance's solver configuration, folding
 // the per-chunk conflict budget into MaxConflicts.
-func (o *Options) solverOptions(part int) sat.Options {
+func (o *Options) solverOptions() sat.Options {
 	sOpts := o.Solver
 	if o.ChunkConflicts > 0 && (sOpts.MaxConflicts == 0 || sOpts.MaxConflicts > o.ChunkConflicts) {
 		sOpts.MaxConflicts = o.ChunkConflicts
@@ -202,8 +205,8 @@ func (o *Options) solverOptions(part int) sat.Options {
 // that recovers its model must not be cut short by this run's (possibly
 // smaller) budgets — a budget-starved re-solve would otherwise demote
 // a committed counterexample to Unknown.
-func (o *Options) rederiveOptions(part int) sat.Options {
-	sOpts := o.solverOptions(part)
+func (o *Options) rederiveOptions() sat.Options {
+	sOpts := o.solverOptions()
 	sOpts.MaxConflicts = 0
 	sOpts.MemBudgetMB = 0
 	return sOpts
@@ -214,11 +217,11 @@ func (o *Options) rederiveOptions(part int) sat.Options {
 // terminal only under budgets no larger than the ones it gave up
 // under, so a run that raised the exhausted budget re-solves the
 // partition instead.
-func (o *Options) replayable(rec journal.ChunkRecord, part int) bool {
+func (o *Options) replayable(rec journal.ChunkRecord) bool {
 	if statusFromString(rec.Verdict) != sat.Unknown {
 		return true
 	}
-	sOpts := o.solverOptions(part)
+	sOpts := o.solverOptions()
 	return !rec.RetryUnder(o.ChunkTimeout.Milliseconds(), sOpts.MaxConflicts, sOpts.MemBudgetMB)
 }
 
@@ -244,7 +247,7 @@ func (o *Options) journalRecord(inst InstanceResult, path string) (journal.Chunk
 		rec.Winner = inst.Partition
 	}
 	if inst.Cause.Budgeted() {
-		sOpts := o.solverOptions(inst.Partition)
+		sOpts := o.solverOptions()
 		rec.TimeoutMillis = o.ChunkTimeout.Milliseconds()
 		rec.Conflicts = sOpts.MaxConflicts
 		rec.MemBudgetMB = sOpts.MemBudgetMB

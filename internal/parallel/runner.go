@@ -14,50 +14,38 @@ import (
 	"repro/internal/sat"
 )
 
-// cubeJob is one unit of work: a partition plus a path of extra
-// split-bit polarities over Options.SplitLits (empty: the partition
-// whole).
-type cubeJob struct {
-	pt   partition.Partition
-	path string
-}
-
-// assumptions returns the cube's assumption literals: the partition's
-// own plus one unit literal per path character.
-func (job cubeJob) assumptions(splitLits []cnf.Lit) ([]cnf.Lit, error) {
-	if job.path == "" {
-		return job.pt.Assumptions, nil
+// cubeAssumptions returns the assumption literals of partition pt
+// refined by a cube path: the partition's own plus one unit literal per
+// path character (an empty path is the partition whole).
+func cubeAssumptions(pt partition.Partition, path string, splitLits []cnf.Lit) ([]cnf.Lit, error) {
+	if path == "" {
+		return pt.Assumptions, nil
 	}
-	extra, err := partition.PathAssumptions(job.path, splitLits)
+	extra, err := partition.PathAssumptions(path, splitLits)
 	if err != nil {
 		return nil, fmt.Errorf("parallel: %w", err)
 	}
-	out := make([]cnf.Lit, 0, len(job.pt.Assumptions)+len(extra))
-	out = append(out, job.pt.Assumptions...)
+	out := make([]cnf.Lit, 0, len(pt.Assumptions)+len(extra))
+	out = append(out, pt.Assumptions...)
 	return append(out, extra...), nil
 }
 
-// runningCube is one in-flight cube, registered from the moment a
-// worker takes it off the queue: the solver to interrupt (nil while it
-// is still being loaded), the hardness fed by the live progress hook,
-// and the split mark that tells the owning worker to re-queue children
-// instead of reporting a cancelled leaf.
-type runningCube struct {
-	job      cubeJob
-	solver   *sat.Solver
-	started  time.Time // when the solver was registered
-	hardness float64
-	split    bool
+// cubeRun is the interrupt state of one acquired cube (guarded by
+// runner.mu): its solver once that is loaded, and a cancel that arrived
+// before — which registration then delivers.
+type cubeRun struct {
+	solver    *sat.Solver
+	cancelled bool
 }
 
-// runner is the one in-process scheduler: Options.Workers goroutines
-// drain a queue of cubes, seeded with the leaves of the journal's cube
-// tree (one whole-partition cube each on a fresh run). A worker that
-// finds the queue empty interrupts the hardest cube that has been
-// solving for at least SplitGrace and re-queues its two sub-cubes — the
-// partition.Cube split applied in-process. With splitting off no cube
-// ever qualifies as a victim, and the queue is the paper's static
-// partition list.
+// runner is the goroutine executor of the cube scheduler
+// (partition.Scheduler): Options.Workers goroutines acquire cubes —
+// seeded with the leaves of the journal's cube tree, one whole-partition
+// cube each on a fresh run — solve each on a fresh solver, and claim the
+// verdict. Cancelling a cube is solver.Interrupt. Which cube an idle
+// worker gets, which straggler it splits and whose result still counts
+// is the scheduler's business; with splitting off no cube ever qualifies
+// as a victim, and the queue is the paper's static partition list.
 //
 // Soundness of a split: the two children fix the same split literal in
 // both polarities on top of the parent's assumptions, so they partition
@@ -67,25 +55,22 @@ type runningCube struct {
 // child completion resumes with the children pending and the parent
 // record permanently superseded.
 type runner struct {
-	f    *cnf.Formula
-	opts Options
+	f     *cnf.Formula
+	opts  Options
+	parts map[int]partition.Partition // by index
 	// race makes the first SAT verdict cancel the rest of the run.
 	// Simulate switches it off: its event simulation needs every
 	// partition's verdict and solve time.
 	race      bool
 	splitting bool // SplitDepth > 0 and there are split literals to spend
+	sched     *partition.Scheduler
 	// ctx ends the run: the caller gave up, a SAT leaf won the race, or
 	// fail recorded an error.
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	mu sync.Mutex
-	// wake is signalled whenever an idle worker's choices may have
-	// changed: a cube finished or was split, a hardness moved, the run
-	// was cancelled.
-	wake       *sync.Cond
-	queue      []cubeJob
-	running    map[*runningCube]bool
+	mu         sync.Mutex
+	running    map[*cubeRun]bool
 	leaves     map[int][]InstanceResult // decided leaf cubes by partition index
 	memAborted bool
 	err        error // first failure: solver panic, journal write, bad proof
@@ -102,20 +87,31 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 	start := time.Now()
 	r := &runner{
 		f: f, opts: opts, race: race,
+		parts:     make(map[int]partition.Partition, len(parts)),
 		splitting: opts.SplitDepth > 0 && len(opts.SplitLits) > 0,
-		running:   map[*runningCube]bool{},
+		running:   map[*cubeRun]bool{},
 		leaves:    make(map[int][]InstanceResult, len(parts)),
 		res:       &Result{Status: sat.Unsat, Winner: -1},
 	}
-	if r.opts.SplitGrace <= 0 {
-		r.opts.SplitGrace = 15 * time.Second
+	sopts := partition.SchedOptions{Grace: opts.SplitGrace, Hardness: opts.SplitHardness}
+	if r.splitting {
+		sopts.SplitDepth, sopts.SplitBits = opts.SplitDepth, len(opts.SplitLits)
+		if opts.Journal != nil {
+			// The SPLIT record is the supersession point: committed before
+			// either child exists, so a crash here resumes with the children
+			// pending, never with a stale parent verdict.
+			sopts.CommitSplit = func(victim *partition.Assignment, _ string) bool {
+				c := victim.Cube
+				return r.commit(journal.ChunkRecord{From: c.From, To: c.To, Path: c.Path, Verdict: journal.VerdictSplit})
+			}
+		}
+		if r.opts.ProgressEvery <= 0 {
+			// The hardness signal that steers splitting rides on the progress
+			// cadence; arm a default when the caller didn't.
+			r.opts.ProgressEvery = 512
+		}
 	}
-	if r.splitting && r.opts.ProgressEvery <= 0 {
-		// The hardness signal that steers splitting rides on the progress
-		// cadence; arm a default when the caller didn't.
-		r.opts.ProgressEvery = 512
-	}
-	r.wake = sync.NewCond(&r.mu)
+	r.sched = partition.NewScheduler(sopts)
 	r.ctx, r.cancel = context.WithCancel(ctx)
 	defer r.cancel()
 
@@ -153,6 +149,14 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 	if r.err != nil {
 		return nil, r.err
 	}
+	// Whatever is still queued was never started and reports cancelled.
+	for _, c := range r.sched.Close() {
+		r.leaves[c.From] = append(r.leaves[c.From], InstanceResult{
+			Partition: c.From, Status: sat.Unknown, Cause: sat.CauseCancelled,
+		})
+	}
+	st := r.sched.Stats()
+	r.res.Splits, r.res.MaxCubeDepth = st.Splits, max(r.res.MaxCubeDepth, st.MaxDepth)
 	if err := r.fold(parts); err != nil {
 		return nil, err
 	}
@@ -187,21 +191,20 @@ func (r *runner) replay(parts []partition.Partition) error {
 		}
 	}
 	roots := make([]partition.Cube, len(parts))
-	byIndex := make(map[int]partition.Partition, len(parts))
 	for i, pt := range parts {
 		roots[i] = partition.Cube{From: pt.Index, To: pt.Index}
-		byIndex[pt.Index] = pt
+		r.parts[pt.Index] = pt
 	}
 	for _, leaf := range partition.Replay(roots, recs) {
-		job := cubeJob{pt: byIndex[leaf.Cube.From], path: leaf.Cube.Path}
+		pt := r.parts[leaf.Cube.From]
 		r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, leaf.Cube.Depth())
 		rec := leaf.Rec
-		if rec == nil || !r.opts.replayable(*rec, job.pt.Index) {
-			r.queue = append(r.queue, job)
+		if rec == nil || !r.opts.replayable(*rec) {
+			r.sched.Add(leaf.Cube)
 			continue
 		}
 		inst := InstanceResult{
-			Partition: job.pt.Index,
+			Partition: pt.Index,
 			Status:    statusFromString(rec.Verdict),
 			Cause:     sat.ParseStopCause(rec.Cause),
 			Resumed:   true,
@@ -210,13 +213,13 @@ func (r *runner) replay(parts []partition.Partition) error {
 		var model []bool
 		if inst.Status == sat.Sat && r.res.Status != sat.Sat {
 			var err error
-			if model, err = rederive(r.f, &r.opts, job); err != nil {
+			if model, err = rederive(r.f, &r.opts, pt, leaf.Cube.Path); err != nil {
 				return err
 			}
 		}
 		// In race mode a replayed SAT verdict cancels the run here, and
-		// the workers drain the queue as cancelled — exactly as if a live
-		// sibling had won.
+		// the queued cubes report cancelled — exactly as if a live sibling
+		// had won.
 		r.record(inst, model)
 	}
 	return nil
@@ -227,144 +230,66 @@ func (r *runner) replay(parts []partition.Partition) error {
 // run's budgets. A SAT verdict that does not re-derive means the
 // journal and the formula disagree; refusing the run beats silently
 // reporting UNSAT over a durably recorded counterexample.
-func rederive(f *cnf.Formula, opts *Options, job cubeJob) ([]bool, error) {
-	assume, err := job.assumptions(opts.SplitLits)
+func rederive(f *cnf.Formula, opts *Options, pt partition.Partition, path string) ([]bool, error) {
+	assume, err := cubeAssumptions(pt, path, opts.SplitLits)
 	if err != nil {
 		return nil, err
 	}
-	solver := sat.NewFromFormula(f, opts.rederiveOptions(job.pt.Index))
+	solver := sat.NewFromFormula(f, opts.rederiveOptions())
 	st, serr := solver.Solve(assume...)
 	if serr != nil || st != sat.Sat {
-		return nil, fmt.Errorf("parallel: SAT verdict for partition %d cube %q failed to re-derive its model (status %v, err %v); refusing to continue against a disagreeing journal", job.pt.Index, job.path, st, serr)
+		return nil, fmt.Errorf("parallel: SAT verdict for partition %d cube %q failed to re-derive its model (status %v, err %v); refusing to continue against a disagreeing journal", pt.Index, path, st, serr)
 	}
 	return solver.Model(), nil
 }
 
-// work is one worker's loop: take the next queued cube, or — idle with
-// cubes still in flight — split the hardest straggler and wait for its
-// children. The worker leaves as soon as no further cube can reach the
-// queue, so a run without splitting never waits on an idle worker.
+// work is one worker's loop: acquire a cube — queued, or the stolen
+// child of a straggler this worker just split — and run it, until the
+// run is cancelled or no live leaf is left.
 func (r *runner) work() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for {
-		if r.ctx.Err() != nil {
-			// Whatever is still queued was never started and reports
-			// cancelled.
-			for _, job := range r.queue {
-				r.leaves[job.pt.Index] = append(r.leaves[job.pt.Index], InstanceResult{
-					Partition: job.pt.Index, Status: sat.Unknown, Cause: sat.CauseCancelled,
-				})
-			}
-			r.queue = nil
+	for r.ctx.Err() == nil {
+		rc := &cubeRun{}
+		a := r.sched.Acquire("", func(*partition.Assignment) { r.cancelCube(rc) })
+		if a == nil {
 			return
 		}
-		if len(r.queue) > 0 {
-			rc := &runningCube{job: r.queue[0]}
-			r.queue = r.queue[1:]
-			r.running[rc] = true
-			r.mu.Unlock()
-			r.runCube(rc)
-			r.mu.Lock()
-			continue
-		}
-		victim, feeding, graceIn := r.pickVictim(time.Now())
-		if !feeding {
-			return
-		}
-		if victim != nil {
-			// The victim's owner re-queues the two children, which this
-			// loop then picks up — work stealing by construction.
-			victim.split = true
-			victim.solver.Interrupt()
-		}
-		var timer *time.Timer
-		if graceIn > 0 {
-			// The timer takes r.mu to signal, so it cannot fire into the
-			// gap before Wait parks this worker.
-			timer = time.AfterFunc(graceIn, func() {
-				r.mu.Lock()
-				r.wake.Broadcast()
-				r.mu.Unlock()
-			})
-		}
-		r.wake.Wait()
-		if timer != nil {
-			timer.Stop()
-		}
+		r.runCube(a, rc)
 	}
 }
 
-// pickVictim surveys the running cubes for an idle worker (r.mu held).
-// victim is the hardest cube that qualifies for a split now: past the
-// grace, at or above the hardness floor, with an unfixed split bit left
-// under both the depth cap and the encoding's supply. feeding reports
-// whether any running cube can still put work on the queue — it is
-// being split, or may be later; graceIn is the time until the next such
-// cube outgrows its grace (0: none is waiting on the clock).
-func (r *runner) pickVictim(now time.Time) (victim *runningCube, feeding bool, graceIn time.Duration) {
-	for rc := range r.running {
-		if rc.split {
-			feeding = true
-			continue
-		}
-		depth := len(rc.job.path)
-		if !r.splitting || depth >= r.opts.SplitDepth || depth >= len(r.opts.SplitLits) {
-			continue
-		}
-		feeding = true
-		left := r.opts.SplitGrace
-		if rc.solver != nil {
-			left -= now.Sub(rc.started)
-		}
-		if left > 0 {
-			if graceIn == 0 || left < graceIn {
-				graceIn = left
-			}
-			continue
-		}
-		if rc.hardness < r.opts.SplitHardness {
-			continue
-		}
-		if victim == nil || rc.hardness > victim.hardness ||
-			(rc.hardness == victim.hardness && rc.started.Before(victim.started)) {
-			victim = rc
-		}
-	}
-	return victim, feeding, graceIn
-}
-
-// runCube solves one cube and files its outcome: the only place a
-// partition's solver is built and its result classified.
-func (r *runner) runCube(rc *runningCube) {
-	job := rc.job
+// runCube solves one acquired cube and files its outcome: the only
+// place a partition's solver is built and its result classified.
+func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
+	pt, path := r.parts[a.Cube.From], a.Cube.Path
 	// A panicking solver instance must not take the process down with
 	// it: the panic becomes the run's error and cancels the siblings, so
 	// callers (and distributed workers in particular) see a structured
 	// failure for one poison cube instead of a crash.
 	defer func() {
 		if p := recover(); p != nil {
-			r.fail(fmt.Errorf("parallel: partition %d cube %q solver panicked: %v", job.pt.Index, job.path, p))
+			r.fail(fmt.Errorf("parallel: partition %d cube %q solver panicked: %v", pt.Index, path, p))
 		}
 	}()
-	assume, err := job.assumptions(r.opts.SplitLits)
+	assume, err := cubeAssumptions(pt, path, r.opts.SplitLits)
 	if err != nil {
 		r.fail(err)
 		return
 	}
-	solver := sat.NewFromFormula(r.f, r.opts.solverOptions(job.pt.Index))
-	sampler := r.instrument(rc, solver)
+	solver := sat.NewFromFormula(r.f, r.opts.solverOptions())
+	started := time.Now()
+	sampler := r.instrument(a, solver, started)
 	if r.opts.CertifyUnsat || r.opts.KeepProofs {
 		solver.EnableProof()
 	}
-	// An abort that fired while the solver was loading found nothing to
-	// interrupt: deliver it on registration.
+	// A cancel or an abort that arrived while the solver was loading
+	// found nothing to interrupt: deliver it on registration.
 	r.mu.Lock()
-	rc.solver, rc.started = solver, time.Now()
+	rc.solver = solver
+	r.running[rc] = true
 	switch {
 	case r.memAborted:
 		solver.InterruptMemory()
-	case r.ctx.Err() != nil:
+	case rc.cancelled || r.ctx.Err() != nil:
 		solver.Interrupt()
 	}
 	r.mu.Unlock()
@@ -380,33 +305,36 @@ func (r *runner) runCube(rc *runningCube) {
 		defer timer.Stop()
 	}
 	status, serr := solver.Solve(assume...)
-	elapsed := time.Since(rc.started)
-
+	elapsed := time.Since(started)
+	// Release the finished solver now, not when the run returns.
 	r.mu.Lock()
-	wasSplit := rc.split && serr == sat.ErrInterrupted
-	if !wasSplit {
-		// Release the finished solver now, not when the run returns. A
-		// split cube stays registered until its children are queued, so
-		// that idle workers wait for them.
-		delete(r.running, rc)
-	}
+	delete(r.running, rc)
 	r.mu.Unlock()
-	if wasSplit {
-		r.splitCube(rc)
-		return
-	}
 
 	inst := InstanceResult{
-		Partition: job.pt.Index,
+		Partition: pt.Index,
 		Time:      elapsed,
 		Stats:     solver.Stats(),
 		Samples:   sampler.Points(),
 	}
 	inst.Status, inst.Cause = r.classify(status, serr, timedOut.Load())
 	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
+	if inst.Status == sat.Unknown && !inst.Cause.Budgeted() {
+		// Cancelled: the leaf of a run that is ending — unless the cube was
+		// split under this worker, and its children carry it now.
+		if r.sched.Release(a) {
+			r.record(inst, nil)
+		}
+		return
+	}
+	// A terminal result counts only if it wins the claim: a cube that was
+	// split while it finished is discarded, never journaled.
+	if !r.sched.Claim(a) {
+		return
+	}
 	if inst.Status == sat.Unsat && r.opts.CertifyUnsat {
 		if cerr := sat.CheckRUP(r.f, assume, solver.ProofLog()); cerr != nil {
-			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", job.pt.Index, job.path, cerr))
+			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", pt.Index, path, cerr))
 			return
 		}
 	}
@@ -416,7 +344,7 @@ func (r *runner) runCube(rc *runningCube) {
 	// Commit before acknowledging the verdict in the shared result, so a
 	// crash after this point can only lose work the journal already
 	// holds — never claim work it lost.
-	if rec, ok := r.opts.journalRecord(inst, job.path); ok && !r.commit(rec) {
+	if rec, ok := r.opts.journalRecord(inst, path); ok && !r.commit(rec) {
 		return
 	}
 	var model []bool
@@ -431,7 +359,7 @@ func (r *runner) runCube(rc *runningCube) {
 // disarmed — the sampler costs nothing beyond the callbacks the caller
 // already asked for). The live hardness that steers splitting is fed
 // only when splitting is on.
-func (r *runner) instrument(rc *runningCube, solver *sat.Solver) *sat.Sampler {
+func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started time.Time) *sat.Sampler {
 	o := &r.opts
 	if !r.splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
 		return nil
@@ -440,14 +368,10 @@ func (r *runner) instrument(rc *runningCube, solver *sat.Solver) *sat.Sampler {
 	solver.Progress = func(st sat.Stats) {
 		sampler.Observe(st)
 		if r.splitting {
-			h := sat.Hardness(st.Conflicts, st.Progress, time.Since(rc.started))
-			r.mu.Lock()
-			rc.hardness = h
-			r.wake.Broadcast()
-			r.mu.Unlock()
+			r.sched.Note(a, sat.Hardness(st.Conflicts, st.Progress, time.Since(started)))
 		}
 		if o.Progress != nil {
-			o.Progress(rc.job.pt.Index, st)
+			o.Progress(a.Cube.From, st)
 		}
 	}
 	return sampler
@@ -479,29 +403,6 @@ func (r *runner) classify(status sat.Status, err error, timedOut bool) (sat.Stat
 		return sat.Unknown, sat.CauseConflictBudget
 	}
 	return status, sat.CauseNone
-}
-
-// splitCube replaces an interrupted victim by its two children. The
-// SPLIT record is the supersession point: committed before either child
-// is queued, so a crash here resumes with the children pending, never
-// with a stale parent verdict.
-func (r *runner) splitCube(rc *runningCube) {
-	job := rc.job
-	ok := r.opts.Journal == nil || r.commit(journal.ChunkRecord{
-		From: job.pt.Index, To: job.pt.Index, Path: job.path,
-		Verdict: journal.VerdictSplit,
-	})
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.running, rc)
-	if !ok {
-		return
-	}
-	r.queue = append(r.queue, cubeJob{pt: job.pt, path: job.path + "0"},
-		cubeJob{pt: job.pt, path: job.path + "1"})
-	r.res.Splits++
-	r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, len(job.path)+1)
-	r.wake.Broadcast()
 }
 
 // commit journals one record and reports whether the run goes on. Full
@@ -542,7 +443,6 @@ func (r *runner) record(inst InstanceResult, model []bool) {
 			r.cancel()
 		}
 	}
-	r.wake.Broadcast()
 }
 
 // fail records the run's first error and cancels every instance.
@@ -555,25 +455,34 @@ func (r *runner) fail(err error) {
 	r.cancel()
 }
 
-// interruptAll stops every live solver — as cancelled, or with
-// cause=memory when the MemAbort watchdog fired — and wakes the idle
-// workers.
+// cancelCube stops one cube the scheduler superseded.
+func (r *runner) cancelCube(rc *cubeRun) {
+	r.mu.Lock()
+	rc.cancelled = true
+	if rc.solver != nil {
+		rc.solver.Interrupt()
+	}
+	r.mu.Unlock()
+}
+
+// interruptAll stops every live solver: as cancelled, releasing the idle
+// workers too, when the run ends; with cause=memory when the MemAbort
+// watchdog fired — the queue is then still drained, each cube aborting
+// on registration into a journalled memory give-up.
 func (r *runner) interruptAll(memory bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if memory {
-		r.memAborted = true
-	}
+	r.memAborted = r.memAborted || memory
 	for rc := range r.running {
-		switch {
-		case rc.solver == nil: // still loading: runCube delivers the abort
-		case memory:
+		if memory {
 			rc.solver.InterruptMemory()
-		default:
+		} else {
 			rc.solver.Interrupt()
 		}
 	}
-	r.wake.Broadcast()
+	r.mu.Unlock()
+	if !memory {
+		r.sched.Close()
+	}
 }
 
 // fold merges each partition's leaves into the one per-partition

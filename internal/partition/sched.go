@@ -1,0 +1,412 @@
+package partition
+
+import (
+	"sync"
+	"time"
+)
+
+// Scheduler is the one cube-tree scheduler, shared by the in-process
+// goroutine runner (internal/parallel) and the TCP coordinator
+// (internal/distrib). It owns the queue of cubes, the in-flight
+// assignments, the live-leaf count and the whole split/hedge/fence
+// policy; an executor is just "Acquire, run the cube, then Claim or
+// Release", and executors differ only in how a cube is run and how a
+// running one is cancelled.
+//
+// An idle executor is served in a fixed priority. (1) A queued cube.
+// (2) With SplitDepth > 0, a split victim: the *hardest* in-flight cube
+// (the longer-running one on a tie) that was dispatched at least Grace
+// ago — every age here is measured from dispatch, the moment Acquire
+// handed the cube out, on both transports; Grace defaults to 15s — whose
+// latest Note is at or above Hardness, and that can still be refined: a
+// multi-partition range always halves, a single partition needs an
+// unfixed split bit under both SplitDepth and SplitBits. The idle
+// executor makes the split durable through CommitSplit, steals the
+// first child and leaves the second on the queue. (3) With Hedge, a
+// duplicate of the longest-running cube past Grace that has one running
+// copy, on another worker. Otherwise the executor sleeps on a condition
+// variable that every state change signals, with a timer only for the
+// next grace expiry; Acquire returns nil once no live leaf is left or
+// the scheduler is closed. With SplitDepth 0 and no Hedge no cube ever
+// qualifies and the queue is the paper's static partition list.
+//
+// Supersession is the soundness fence. A cube is fenced the moment it
+// is reserved as a split victim — before CommitSplit runs, so a parent
+// result arriving while the SPLIT record is being written already loses
+// — or the moment a result for it is claimed. Every other assignment of
+// a fenced cube is cancelled, and whatever it still delivers loses its
+// Claim and needs no retry after Release: never journaled, never
+// charged, never racing the children. At most one terminal result per
+// live leaf is ever accepted.
+type Scheduler struct {
+	opts SchedOptions
+
+	mu     sync.Mutex
+	wake   *sync.Cond
+	closed bool
+	// live counts the leaves of the cube tree that are neither decided
+	// nor abandoned: queued, in flight, or between Release and Requeue.
+	live     int
+	queue    []Cube
+	inflight map[int]*Assignment
+	fenced   map[Cube]bool    // decided, split, or reserved for a split
+	hardness map[Cube]float64 // latest Note per in-flight cube
+	lastJob  int
+	stats    SchedStats
+}
+
+// SchedOptions is the scheduling policy of one run.
+type SchedOptions struct {
+	// SplitDepth caps the extra path bits a single partition may
+	// accumulate; 0 disables splitting. SplitBits is how many the
+	// encoding can supply (len of SplitLits).
+	SplitDepth, SplitBits int
+	// Grace is the minimum time since dispatch before a cube may be split
+	// or hedged (<= 0: 15s).
+	Grace time.Duration
+	// Hardness is the minimum noted hardness of a split victim. The
+	// default 0 makes grace alone the trigger, so a straggler that
+	// reports no progress at all is still split around.
+	Hardness float64
+	// Hedge enables speculative duplicates. Only the TCP coordinator sets
+	// it: a duplicate pays when machines fail or slow down independently,
+	// which goroutines of one process do not.
+	Hedge bool
+	// CommitSplit makes the split of victim's cube durable for the idle
+	// executor thief. It runs without the scheduler's lock, after the
+	// cube is fenced and before either child exists, so the SPLIT record
+	// precedes every record a child can produce. Returning false aborts
+	// the split: the parent stays fenced, no children appear, and the
+	// caller is expected to be ending the run. Nil: nothing to commit.
+	CommitSplit func(victim *Assignment, thief string) bool
+	// Gate, when non-nil, is consulted before every scheduling decision —
+	// dispatch, split or hedge. It may block; false ends the Acquire.
+	Gate func() bool
+	// Now replaces time.Now in tests.
+	Now func() time.Time
+}
+
+// SchedStats are a scheduler's counters. Superseded counts results and
+// assignments discarded at the fence; MaxDepth is the deepest cube path
+// dispatched.
+type SchedStats struct {
+	Splits, Hedges, Steals, Superseded, MaxDepth int
+}
+
+// Assignment is one cube handed to one executor.
+type Assignment struct {
+	JobID  int
+	Cube   Cube
+	Worker string
+	// Hedge marks a speculative duplicate of an already-running cube.
+	Hedge bool
+
+	cancel  func(*Assignment)
+	started time.Time // dispatch time
+	// running is cleared when the assignment is claimed, released or
+	// superseded (guarded by the scheduler's lock).
+	running bool
+}
+
+// NewScheduler returns an empty scheduler; Add seeds it with the
+// undecided live leaves of partition.Replay.
+func NewScheduler(opts SchedOptions) *Scheduler {
+	if opts.Grace <= 0 {
+		opts.Grace = 15 * time.Second
+	}
+	if opts.Now == nil {
+		opts.Now = time.Now
+	}
+	s := &Scheduler{
+		opts:     opts,
+		inflight: make(map[int]*Assignment),
+		fenced:   make(map[Cube]bool),
+		hardness: make(map[Cube]float64),
+	}
+	s.wake = sync.NewCond(&s.mu)
+	return s
+}
+
+// Add queues a new live leaf.
+func (s *Scheduler) Add(c Cube) {
+	s.mu.Lock()
+	s.live++
+	s.queue = append(s.queue, c)
+	s.mu.Unlock()
+}
+
+// Acquire blocks until there is a cube for the idle executor worker and
+// returns its assignment, or nil when the run is over for this executor:
+// no live leaf is left, the scheduler was closed, or Gate said stop.
+// cancel is how the scheduler stops the assignment once it is
+// superseded; it is called without the scheduler's lock and may arrive
+// at any time after Acquire picked the cube, even before Acquire returns.
+func (s *Scheduler) Acquire(worker string, cancel func(*Assignment)) *Assignment {
+	for {
+		if s.opts.Gate != nil && !s.opts.Gate() {
+			return nil
+		}
+		s.mu.Lock()
+		if s.closed || s.live == 0 {
+			s.mu.Unlock()
+			return nil
+		}
+		a, victim, graceIn := s.next(worker, cancel)
+		if a == nil && victim == nil {
+			var timer *time.Timer
+			if graceIn > 0 {
+				// The timer takes the lock to signal, so it cannot fire into
+				// the gap before Wait parks this executor.
+				timer = time.AfterFunc(graceIn, func() {
+					s.mu.Lock()
+					s.wake.Broadcast()
+					s.mu.Unlock()
+				})
+			}
+			s.wake.Wait()
+			if timer != nil {
+				timer.Stop()
+			}
+		}
+		s.mu.Unlock()
+		if victim != nil {
+			a = s.split(victim, worker, cancel)
+		}
+		if a != nil {
+			return a
+		}
+	}
+}
+
+// next makes one scheduling decision for an idle executor (lock held):
+// the assignment of a queued cube or a hedge duplicate, or the victim it
+// is to split — already fenced — or neither, with the time until the
+// next in-flight cube outgrows its grace (0: none is waiting on the
+// clock).
+func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *Assignment, graceIn time.Duration) {
+	if len(s.queue) > 0 {
+		c := s.queue[0]
+		s.queue = s.queue[1:]
+		return s.register(c, worker, cancel, false), nil, 0
+	}
+	now := s.opts.Now()
+	var copies map[Cube]int // running assignments per cube
+	if s.opts.Hedge {
+		copies = make(map[Cube]int)
+		for _, t := range s.inflight {
+			if t.running {
+				copies[t.Cube]++
+			}
+		}
+	}
+	var hedge *Assignment
+	var hardest float64
+	for _, t := range s.inflight {
+		if !t.running || s.fenced[t.Cube] {
+			continue
+		}
+		splittable := s.canSplit(t.Cube)
+		hedgeable := s.opts.Hedge && copies[t.Cube] == 1 && t.Worker != worker
+		if !splittable && !hedgeable {
+			continue
+		}
+		if left := s.opts.Grace - now.Sub(t.started); left > 0 {
+			if graceIn == 0 || left < graceIn {
+				graceIn = left
+			}
+			continue
+		}
+		if h := s.hardness[t.Cube]; splittable && h >= s.opts.Hardness {
+			if victim == nil || h > hardest || (h == hardest && t.started.Before(victim.started)) {
+				victim, hardest = t, h
+			}
+		}
+		if hedgeable && (hedge == nil || t.started.Before(hedge.started)) {
+			hedge = t
+		}
+	}
+	switch {
+	case victim != nil:
+		s.fenced[victim.Cube] = true
+		return nil, victim, 0
+	case hedge != nil:
+		s.stats.Hedges++
+		return s.register(hedge.Cube, worker, cancel, true), nil, 0
+	}
+	return nil, nil, graceIn
+}
+
+// canSplit: a multi-partition range always halves; a single partition
+// needs an unfixed split bit under both the depth cap and the
+// encoding's supply.
+func (s *Scheduler) canSplit(c Cube) bool {
+	if s.opts.SplitDepth <= 0 {
+		return false
+	}
+	return c.Size() > 1 || (c.Depth() < s.opts.SplitDepth && c.Depth() < s.opts.SplitBits)
+}
+
+// register creates and indexes a running assignment (lock held).
+func (s *Scheduler) register(c Cube, worker string, cancel func(*Assignment), hedge bool) *Assignment {
+	s.lastJob++
+	a := &Assignment{
+		JobID: s.lastJob, Cube: c, Worker: worker, Hedge: hedge,
+		cancel: cancel, started: s.opts.Now(), running: true,
+	}
+	s.inflight[a.JobID] = a
+	s.stats.MaxDepth = max(s.stats.MaxDepth, c.Depth())
+	return a
+}
+
+// split turns a fenced victim into its two children once CommitSplit
+// made the split durable: every assignment still running on the parent
+// is cancelled, the idle executor walks away with the first child and
+// the second joins the queue. Nil when the commit failed.
+func (s *Scheduler) split(victim *Assignment, thief string, cancel func(*Assignment)) *Assignment {
+	if s.opts.CommitSplit != nil && !s.opts.CommitSplit(victim, thief) {
+		return nil
+	}
+	left, right := victim.Cube.Split()
+	s.mu.Lock()
+	s.stats.Splits++
+	if victim.Worker != thief {
+		s.stats.Steals++
+	}
+	delete(s.hardness, victim.Cube)
+	stale := s.supersede(victim.Cube)
+	s.live++ // one live leaf became two
+	s.queue = append(s.queue, right)
+	a := s.register(left, thief, cancel, false)
+	s.wake.Broadcast()
+	s.mu.Unlock()
+	for _, t := range stale {
+		t.cancel(t)
+	}
+	return a
+}
+
+// supersede retires every assignment still running on c and returns
+// them for cancelling once the lock is dropped (lock held).
+func (s *Scheduler) supersede(c Cube) (stale []*Assignment) {
+	for _, t := range s.inflight {
+		if t.Cube == c && t.running {
+			t.running = false
+			stale = append(stale, t)
+		}
+	}
+	return stale
+}
+
+// Claim decides the race for a terminal result — a definite verdict or
+// a budgeted give-up: it wins iff the assignment was not superseded and
+// its cube is not fenced. On a win the cube is decided and every twin
+// still racing is cancelled; on a loss the result must be discarded.
+func (s *Scheduler) Claim(a *Assignment) bool {
+	s.mu.Lock()
+	delete(s.inflight, a.JobID)
+	won := a.running && !s.fenced[a.Cube]
+	a.running = false
+	if !won {
+		s.stats.Superseded++
+		s.mu.Unlock()
+		return false
+	}
+	s.fenced[a.Cube] = true
+	delete(s.hardness, a.Cube)
+	stale := s.supersede(a.Cube)
+	s.live--
+	s.wake.Broadcast()
+	s.mu.Unlock()
+	for _, t := range stale {
+		t.cancel(t)
+	}
+	return true
+}
+
+// Release retires an assignment that produced no terminal result
+// (cancelled, failed transport, retryable Unknown, rejected
+// certificate). It reports whether the cube now needs the caller —
+// who then Requeues or Abandons it; false when the cube was superseded
+// (its children or a twin's verdict carry it) or a twin still races on
+// it.
+func (s *Scheduler) Release(a *Assignment) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.inflight, a.JobID)
+	wasRunning := a.running
+	a.running = false
+	if !wasRunning || s.fenced[a.Cube] {
+		s.stats.Superseded++
+		return false
+	}
+	for _, t := range s.inflight {
+		if t.Cube == a.Cube && t.running {
+			return false
+		}
+	}
+	delete(s.hardness, a.Cube)
+	return true
+}
+
+// Requeue puts a released cube back on the queue.
+func (s *Scheduler) Requeue(c Cube) {
+	s.mu.Lock()
+	s.queue = append(s.queue, c)
+	s.wake.Broadcast()
+	s.mu.Unlock()
+}
+
+// Abandon gives a released cube up for good: it stays undecided but no
+// longer keeps the run alive.
+func (s *Scheduler) Abandon() {
+	s.mu.Lock()
+	s.live--
+	s.wake.Broadcast()
+	s.mu.Unlock()
+}
+
+// Note records the latest live hardness of an assignment's cube, the
+// signal victim selection steers by.
+func (s *Scheduler) Note(a *Assignment, hardness float64) {
+	s.mu.Lock()
+	if a.running {
+		s.hardness[a.Cube] = hardness
+		if s.opts.Hardness > 0 {
+			// Only against a floor can a new reading make a victim of a
+			// cube that was none a moment ago.
+			s.wake.Broadcast()
+		}
+	}
+	s.mu.Unlock()
+}
+
+// Hardness returns the latest noted hardness of an in-flight cube.
+func (s *Scheduler) Hardness(c Cube) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.hardness[c]
+}
+
+// Live returns the number of leaves neither decided nor abandoned.
+func (s *Scheduler) Live() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.live
+}
+
+// Close ends the run: every waiting Acquire, and every later one,
+// returns nil. It returns the cubes that were still queued.
+func (s *Scheduler) Close() []Cube {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.wake.Broadcast()
+	return s.queue
+}
+
+// Stats snapshots the counters.
+func (s *Scheduler) Stats() SchedStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
