@@ -1,7 +1,7 @@
 # Development targets. `make check` is what CI runs: the distrib layer
 # is concurrency-heavy, so everything gates on the race detector.
 
-.PHONY: build vet test test-race check bench bench-compare
+.PHONY: build vet test test-race cli-contract check bench bench-compare
 
 build:
 	go build ./...
@@ -15,7 +15,16 @@ test:
 test-race:
 	go test -race -timeout 600s ./...
 
-check: build vet test-race
+# cli-contract diffs each binary's -h output — flag names, defaults and
+# usage strings — against the recorded cmd/testdata/help/*.txt. A flag
+# change is a deliberate act: re-record the file in the same commit.
+cli-contract:
+	@bin=$$(mktemp -d) && go build -o $$bin/ ./cmd/parbmc ./cmd/coordinator ./cmd/worker ./cmd/satsolve && \
+	for b in parbmc coordinator worker satsolve; do \
+		(cd $$bin && ./$$b -h 2>&1) | diff -u cmd/testdata/help/$$b.txt - || exit 1; \
+	done; rm -rf $$bin
+
+check: build vet test-race cli-contract
 
 # bench writes the perf-trajectory point for this commit: Table 2 wall
 # times plus the flight-recorder signals (conflicts, partitions,

@@ -36,100 +36,99 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/runflags"
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/prog"
 )
 
 func main() {
 	var (
+		opts distrib.CoordinatorOptions
+		rec  runflags.Recorder
+
 		listen     = flag.String("listen", ":9731", "listen address")
 		input      = flag.String("i", "", "input program file")
-		unwind     = flag.Int("unwind", 1, "loop/recursion unwinding bound")
-		contexts   = flag.Int("contexts", 1, "number of execution contexts")
-		width      = flag.Int("width", 8, "integer bit width")
-		partitions = flag.Int("partitions", 8, "total trace-space partitions (power of two)")
-		chunk      = flag.Int("chunk", 0, "partitions per work unit (default partitions/8)")
-		jobTO      = flag.Duration("job-timeout", 0, "per-job timeout (default 10m)")
-		attempts   = flag.Int("max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
-		heartbeat  = flag.Duration("heartbeat", 0, "worker heartbeat interval (default 5s, negative disables)")
-		drainTO    = flag.Duration("drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
 		metricAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty disables)")
 		pprofOn    = flag.Bool("pprof", false, "also mount /debug/pprof on the metrics address")
-		journal    = flag.String("journal", "", "crash-safe run journal path (commit every chunk verdict)")
-		resume     = flag.Bool("resume", false, "resume from an existing -journal, skipping committed chunks")
-		chunkTO    = flag.Duration("chunk-timeout", 0, "per-chunk wall-clock budget on workers (0: unbounded)")
-		chunkConfl = flag.Int64("chunk-conflicts", 0, "per-chunk solver conflict budget on workers (0: unbounded)")
-		memBudget  = flag.Int64("mem-budget", 0, "per-partition solver memory budget on workers, in MiB (0: unbounded)")
-		memPause   = flag.Float64("mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95, negative disables)")
 		certify    = flag.String("certify", "full", "remote verdict certification: full | sample=N | off")
-		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting: max extra split bits per chunk (0 disables)")
-		splitGrace = flag.Duration("split-grace", 0, "minimum in-flight age before a chunk may be split or hedged (default 15s)")
-		splitHard  = flag.Float64("split-hardness", 0, "minimum live hardness before a chunk qualifies for splitting (0: any straggler past -split-grace)")
-		hedge      = flag.Bool("hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
 		lease      = flag.String("lease", "", "shared leadership lease file: run as an HA primary/standby pair (requires -journal)")
 		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "leadership lease duration; bounds the failover blackout")
 		holder     = flag.String("holder", "", "this coordinator's name in the lease (default: the listen address)")
 		advertise  = flag.String("advertise", "", "address advertised in the lease for workers and the standby (default: the bound listen address)")
-		traceOut   = flag.String("trace-out", "", "write coordinator spans as JSONL to this file (workers join the trace over the wire)")
-		reportOut  = flag.String("report", "", "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`")
 		snapshotIv = flag.Duration("report-snapshots", 5*time.Second, "metrics snapshot cadence captured into -report (0 disables)")
-		profileDir = flag.String("profile-dir", "", "capture pprof CPU+heap profiles of the coordination phase into this directory")
 	)
+	flag.IntVar(&opts.Unwind, "unwind", 1, "loop/recursion unwinding bound")
+	flag.IntVar(&opts.Contexts, "contexts", 1, "number of execution contexts")
+	flag.IntVar(&opts.Width, "width", 8, "integer bit width")
+	flag.IntVar(&opts.Partitions, "partitions", 8, "total trace-space partitions (power of two)")
+	flag.IntVar(&opts.ChunkSize, "chunk", 0, "partitions per work unit (default partitions/8)")
+	flag.DurationVar(&opts.JobTimeout, "job-timeout", 0, "per-job timeout (default 10m)")
+	flag.IntVar(&opts.MaxAttempts, "max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
+	flag.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s, negative disables)")
+	flag.DurationVar(&opts.DrainTimeout, "drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
+	flag.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95, negative disables)")
+	flag.BoolVar(&opts.Hedge, "hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
+	runflags.Journal(flag.CommandLine, &opts.JournalPath, &opts.Resume,
+		"crash-safe run journal path (commit every chunk verdict)",
+		"resume from an existing -journal, skipping committed chunks")
+	runflags.Budget(flag.CommandLine, &opts.Budget,
+		"per-chunk wall-clock budget on workers (0: unbounded)",
+		"per-chunk solver conflict budget on workers (0: unbounded)",
+		"per-partition solver memory budget on workers, in MiB (0: unbounded)")
+	runflags.Split(flag.CommandLine, &opts.Split,
+		"adaptive cube splitting: max extra split bits per chunk (0 disables)",
+		"minimum in-flight age before a chunk may be split or hedged (default 15s)",
+		"minimum live hardness before a chunk qualifies for splitting (0: any straggler past -split-grace)")
+	// The flight recorder: -trace-out streams coordinator spans as
+	// JSONL, -report additionally collects them (plus worker spans
+	// shipped back on results, per-partition progress, and periodic
+	// metrics snapshots) into one self-contained artifact.
+	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+		TraceOut:   "write coordinator spans as JSONL to this file (workers join the trace over the wire)",
+		Report:     "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`",
+		ProfileDir: "capture pprof CPU+heap profiles of the coordination phase into this directory",
+	})
 	flag.Parse()
-	var profiler *obs.Profiler
-	if *profileDir != "" {
-		var perr error
-		profiler, perr = obs.NewProfiler(*profileDir, "coordinator")
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "coordinator:", perr)
-			os.Exit(2)
-		}
-	}
-	certPolicy, err := distrib.ParseCertifyPolicy(*certify)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(2)
+	var err error
+	if opts.Certify, err = distrib.ParseCertifyPolicy(*certify); err != nil {
+		fatal(err)
 	}
 	if *input == "" {
-		fmt.Fprintln(os.Stderr, "coordinator: -i is required")
-		os.Exit(2)
+		fatal("-i is required")
 	}
 	data, err := os.ReadFile(*input)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 	p, err := prog.Parse(string(data))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(2)
+		fatal(err)
 	}
-	fmt.Printf("coordinator: listening on %s (%d partitions)\n", ln.Addr(), *partitions)
+	fmt.Printf("coordinator: listening on %s (%d partitions)\n", ln.Addr(), opts.Partitions)
+	if err := rec.Open("coordinator", os.Stderr); err != nil {
+		fatal(err)
+	}
+	defer rec.Close()
+	opts.Tracer, opts.Report, opts.ProgramName = rec.Tracer, rec.Report, *input
 
 	var haState *distrib.HAState
 	if *lease != "" {
 		haState = &distrib.HAState{}
 	}
-	var (
-		metrics *obs.Registry
-		health  *distrib.HealthRegistry
-	)
 	if *metricAddr != "" {
-		metrics = obs.NewRegistry()
-		health = distrib.NewHealthRegistry()
+		opts.Metrics = obs.NewRegistry()
+		opts.Health = distrib.NewHealthRegistry()
 		mux := obs.NewMux(obs.MuxOptions{
-			Registry: metrics,
+			Registry: opts.Metrics,
 			Health: func() any {
 				if haState == nil {
-					return health.Snapshot()
+					return opts.Health.Snapshot()
 				}
 				// HA runs report their role alongside worker health and
 				// replication state, so one /healthz scrape answers both
@@ -139,8 +138,8 @@ func main() {
 					"role":               role,
 					"epoch":              epoch,
 					"replicated_records": replicated,
-					"replication":        replicationHealth(metrics),
-					"workers":            health.Snapshot(),
+					"replication":        replicationHealth(opts.Metrics),
+					"workers":            opts.Health.Snapshot(),
 				}
 			},
 			Pprof: *pprofOn,
@@ -155,30 +154,6 @@ func main() {
 		fmt.Printf("coordinator: metrics on http://%s/metrics\n", *metricAddr)
 	}
 
-	// The flight recorder: -trace-out streams coordinator spans as
-	// JSONL, -report additionally collects them (plus worker spans
-	// shipped back on results, per-partition progress, and periodic
-	// metrics snapshots) into one self-contained artifact.
-	var fileSink obs.Sink
-	if *traceOut != "" {
-		tf, terr := os.Create(*traceOut)
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, "coordinator:", terr)
-			os.Exit(2)
-		}
-		defer tf.Close()
-		fileSink = obs.NewJSONLSink(tf)
-	}
-	var recorder *report.Recorder
-	var spanColl *obs.CollectorSink
-	var collSink obs.Sink // stays untyped-nil unless -report is set
-	if *reportOut != "" {
-		recorder = report.NewRecorder()
-		spanColl = obs.NewCollectorSink()
-		collSink = spanColl
-	}
-	tracer := obs.NewTracer(obs.MultiSink(fileSink, collSink)).WithProc("coordinator")
-
 	// SIGTERM behaves like SIGINT: cancel the run and let committed
 	// journal records carry the progress into the next -resume run. Even
 	// an outright SIGKILL loses only uncommitted chunks — every verdict
@@ -186,7 +161,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if recorder != nil && metrics != nil && *snapshotIv > 0 {
+	if rec.Report != nil && opts.Metrics != nil && *snapshotIv > 0 {
 		snapCtx, snapStop := context.WithCancel(ctx)
 		defer snapStop()
 		go func() {
@@ -197,43 +172,16 @@ func main() {
 				case <-snapCtx.Done():
 					return
 				case <-t.C:
-					recorder.Snapshot(metrics)
+					rec.Report.Snapshot(opts.Metrics)
 				}
 			}
 		}()
 	}
 
-	opts := distrib.CoordinatorOptions{
-		Unwind:            *unwind,
-		Contexts:          *contexts,
-		Width:             *width,
-		Partitions:        *partitions,
-		ChunkSize:         *chunk,
-		JobTimeout:        *jobTO,
-		MaxAttempts:       *attempts,
-		HeartbeatInterval: *heartbeat,
-		DrainTimeout:      *drainTO,
-		ChunkTimeout:      *chunkTO,
-		ChunkConflicts:    *chunkConfl,
-		MemBudgetMB:       *memBudget,
-		MemPauseRatio:     *memPause,
-		SplitDepth:        *splitDepth,
-		SplitGrace:        *splitGrace,
-		SplitHardness:     *splitHard,
-		Hedge:             *hedge,
-		JournalPath:       *journal,
-		Resume:            *resume,
-		Metrics:           metrics,
-		Health:            health,
-		Certify:           certPolicy,
-		Tracer:            tracer,
-		Report:            recorder,
-		ProgramName:       *input,
-	}
 	// The coordinator has no local encode/solve phases: the distributed
 	// run is one "coordinate" phase (scheduling, certification, result
 	// folding), profiled as a whole.
-	profiler.StartPhase("coordinate")
+	rec.Profiler.StartPhase("coordinate")
 	var res *distrib.CoordinatorResult
 	if *lease != "" {
 		name := *holder
@@ -255,30 +203,34 @@ func main() {
 	} else {
 		res, err = distrib.Coordinate(ctx, ln, p, opts)
 	}
-	profiler.EndPhase("coordinate")
-	if perr := profiler.Err(); perr != nil {
-		fmt.Fprintln(os.Stderr, "coordinator: profile capture:", perr)
-	}
+	rec.Profiler.EndPhase("coordinate")
+	rec.ProfileErr()
 	// The report is written even when the run failed: a crashed or
 	// drained run is exactly when the flight recorder matters most.
-	if recorder != nil {
-		for _, e := range profiler.Entries() {
-			recorder.AddProfiles([]report.ProfileRecord{{Phase: e.Phase, Kind: e.Kind, Path: e.Path, Bytes: e.Bytes}})
-		}
-		recorder.AddSpans(spanColl.Events())
-		if metrics != nil {
-			recorder.Snapshot(metrics)
-		}
-		if werr := recorder.WriteFile(*reportOut); werr != nil {
-			fmt.Fprintln(os.Stderr, "coordinator: write report:", werr)
-		} else {
-			fmt.Printf("coordinator: run report written to %s\n", *reportOut)
-		}
+	rec.Report.Snapshot(opts.Metrics)
+	if rec.WriteReport() {
+		fmt.Printf("coordinator: run report written to %s\n", rec.ReportOut)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "coordinator:", err)
-		os.Exit(2)
+		fatal(err)
 	}
+	printResult(res, opts.Certify)
+	if res.Verdict == core.Unsafe {
+		os.Exit(1)
+	}
+}
+
+// fatal reports a usage or run failure and exits with status 2.
+func fatal(msg any) {
+	fmt.Fprintln(os.Stderr, "coordinator:", msg)
+	os.Exit(2)
+}
+
+// printResult prints the run summary: verdict and coverage, then one
+// line per thing that went other than plainly — splits, exhausted
+// budgets, sealed journal, memory aborts, drain, quarantine — and the
+// per-worker health table.
+func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolicy) {
 	fmt.Printf("verdict: %v (winner partition %d, %d jobs, %d reassigned, %v)\n",
 		res.Verdict, res.Winner, res.Jobs, res.Reassigned, res.Wall)
 	fmt.Printf("coverage: %d/%d chunks decided, %d resumed from journal\n",
@@ -323,9 +275,6 @@ func main() {
 		}
 		fmt.Printf("worker %s: %d jobs, %d failures, %d connections, last seen %s%s\n",
 			w.Name, w.Jobs, w.Failures, w.Connections, w.LastSeen.Format(time.TimeOnly), trust)
-	}
-	if res.Verdict == core.Unsafe {
-		os.Exit(1)
 	}
 }
 

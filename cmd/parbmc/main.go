@@ -27,12 +27,12 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/runflags"
 	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/flatten"
-	"repro/internal/obs"
-	"repro/internal/parallel"
+	"repro/internal/journal"
 	"repro/internal/report"
 	"repro/internal/weakmem"
 	"repro/prog"
@@ -48,88 +48,62 @@ func main() {
 		os.Exit(reportMain(os.Args[2:]))
 	}
 	var (
-		input      = flag.String("i", "", "input program file")
-		benchmark  = flag.String("benchmark", "", "built-in benchmark name instead of -i")
-		unwind     = flag.Int("unwind", 1, "loop/recursion unwinding bound")
-		contexts   = flag.Int("contexts", 0, "number of execution contexts")
-		rounds     = flag.Int("rounds", 0, "round-robin rounds (ablation mode, replaces --contexts)")
-		width      = flag.Int("width", 8, "integer bit width")
-		cores      = flag.Int("cores", 1, "parallel solver instances")
-		partitions = flag.Int("partitions", 0, "trace-space partitions (power of two; default: cores)")
-		from       = flag.Int("from", 0, "first partition index (distributed mode)")
-		to         = flag.Int("to", 0, "one past the last partition index (distributed mode)")
-		preprocess = flag.Bool("preprocess", false, "run the MiniSat-style simplifier before partitioning")
-		certify    = flag.Bool("certify", false, "check refutation proofs for UNSAT partitions (certified SAFE verdicts)")
-		pso        = flag.Bool("pso", false, "analyse under PSO weak memory (per-variable store buffers)")
-		tso        = flag.Bool("tso", false, "analyse under TSO weak memory (FIFO store buffers)")
-		dimacs     = flag.String("dimacs", "", "export the propositional formula in DIMACS format and exit")
-		dump       = flag.String("dump", "", "dump an intermediate artefact and exit: source | flat")
-		showTrace  = flag.Bool("trace", true, "print the counterexample schedule")
-		quiet      = flag.Bool("q", false, "print only the verdict")
-		stats      = flag.Bool("stats", false, "print per-phase timings and per-partition solver statistics")
-		traceOut   = flag.String("trace-out", "", "write pipeline phase spans as JSONL to this file")
-		pprofAddr  = flag.String("pprof-addr", "", "serve /debug/pprof and /healthz on this address")
-		journal    = flag.String("journal", "", "crash-safe run journal path (commit every partition verdict)")
-		resume     = flag.Bool("resume", false, "resume from an existing -journal, skipping committed partitions")
-		chunkTO    = flag.Duration("chunk-timeout", 0, "per-partition wall-clock budget (0: unbounded)")
-		chunkConfl = flag.Int64("chunk-conflicts", 0, "per-partition solver conflict budget (0: unbounded)")
-		memBudget  = flag.Int64("mem-budget", 0, "per-partition solver memory budget in MiB; over it the solver sheds learnt clauses, then records a memory-caused UNKNOWN (0: unbounded)")
-		splitDepth = flag.Int("split-depth", 0, "adaptive cube splitting: max extra split bits per partition (0 disables)")
-		splitGrace = flag.Duration("split-grace", 0, "minimum time since a partition was started before it may be split (default 15s)")
-		splitHard  = flag.Float64("split-hardness", 0, "minimum live hardness before a partition qualifies for splitting (0: any straggler past -split-grace)")
-		reportOut  = flag.String("report", "", "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`")
-		profileDir = flag.String("profile-dir", "", "capture per-phase pprof CPU+heap profiles (encode, solve) into this directory")
+		opts core.Options
+		rec  runflags.Recorder
+
+		input     = flag.String("i", "", "input program file")
+		benchmark = flag.String("benchmark", "", "built-in benchmark name instead of -i")
+		pso       = flag.Bool("pso", false, "analyse under PSO weak memory (per-variable store buffers)")
+		tso       = flag.Bool("tso", false, "analyse under TSO weak memory (FIFO store buffers)")
+		dimacs    = flag.String("dimacs", "", "export the propositional formula in DIMACS format and exit")
+		dump      = flag.String("dump", "", "dump an intermediate artefact and exit: source | flat")
+		showTrace = flag.Bool("trace", true, "print the counterexample schedule")
+		quiet     = flag.Bool("q", false, "print only the verdict")
+		stats     = flag.Bool("stats", false, "print per-phase timings and per-partition solver statistics")
 	)
+	flag.IntVar(&opts.Unwind, "unwind", 1, "loop/recursion unwinding bound")
+	flag.IntVar(&opts.Contexts, "contexts", 0, "number of execution contexts")
+	flag.IntVar(&opts.Rounds, "rounds", 0, "round-robin rounds (ablation mode, replaces --contexts)")
+	flag.IntVar(&opts.Width, "width", 8, "integer bit width")
+	flag.IntVar(&opts.Cores, "cores", 1, "parallel solver instances")
+	flag.IntVar(&opts.Partitions, "partitions", 0, "trace-space partitions (power of two; default: cores)")
+	flag.IntVar(&opts.From, "from", 0, "first partition index (distributed mode)")
+	flag.IntVar(&opts.To, "to", 0, "one past the last partition index (distributed mode)")
+	flag.BoolVar(&opts.Preprocess, "preprocess", false, "run the MiniSat-style simplifier before partitioning")
+	flag.BoolVar(&opts.CertifyUnsat, "certify", false, "check refutation proofs for UNSAT partitions (certified SAFE verdicts)")
+	runflags.Journal(flag.CommandLine, &opts.JournalPath, &opts.Resume,
+		"crash-safe run journal path (commit every partition verdict)",
+		"resume from an existing -journal, skipping committed partitions")
+	runflags.Budget(flag.CommandLine, &opts.Budget,
+		"per-partition wall-clock budget (0: unbounded)",
+		"per-partition solver conflict budget (0: unbounded)",
+		"per-partition solver memory budget in MiB; over it the solver sheds learnt clauses, then records a memory-caused UNKNOWN (0: unbounded)")
+	runflags.Split(flag.CommandLine, &opts.Split,
+		"adaptive cube splitting: max extra split bits per partition (0 disables)",
+		"minimum time since a partition was started before it may be split (default 15s)",
+		"minimum live hardness before a partition qualifies for splitting (0: any straggler past -split-grace)")
+	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+		TraceOut:   "write pipeline phase spans as JSONL to this file",
+		Report:     "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`",
+		ProfileDir: "capture per-phase pprof CPU+heap profiles (encode, solve) into this directory",
+		PprofAddr:  "serve /debug/pprof and /healthz on this address",
+	})
 	flag.Parse()
 
-	var profiler *obs.Profiler
-	if *profileDir != "" {
-		var perr error
-		profiler, perr = obs.NewProfiler(*profileDir, "parbmc")
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "parbmc:", perr)
-			os.Exit(2)
-		}
+	if err := rec.Open("parbmc", os.Stderr); err != nil {
+		fatal(err)
 	}
+	defer rec.Close()
+	opts.Tracer, opts.Profiler = rec.Tracer, rec.Profiler
 
-	if *pprofAddr != "" {
-		srv, _ := obs.Serve(*pprofAddr, obs.NewMux(obs.MuxOptions{Pprof: true}))
-		defer srv.Close()
-	}
-
-	// -trace-out writes spans as JSONL; -report additionally collects
-	// them in memory so the run report embeds its own span tree. Both
-	// feed one tracer via a teed sink.
-	var fileSink obs.Sink
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "parbmc:", err)
-			os.Exit(2)
-		}
-		defer tf.Close()
-		fileSink = obs.NewJSONLSink(tf)
-	}
-	var recorder *report.Recorder
-	var spanColl *obs.CollectorSink
-	var collSink obs.Sink // stays untyped-nil unless -report is set
-	if *reportOut != "" {
-		recorder = report.NewRecorder()
-		spanColl = obs.NewCollectorSink()
-		collSink = spanColl
-	}
-	tracer := obs.NewTracer(obs.MultiSink(fileSink, collSink)).WithProc("parbmc")
-
-	parseSpan := tracer.Start("parse")
+	parseSpan := rec.Tracer.Start("parse")
 	p, err := loadProgram(*input, *benchmark)
 	parseSpan.End()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "parbmc:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 	if *pso && *tso {
-		fmt.Fprintln(os.Stderr, "parbmc: --pso and --tso are mutually exclusive")
-		os.Exit(2)
+		fatal("--pso and --tso are mutually exclusive")
 	}
 	if *pso {
 		p, err = weakmem.Transform(p)
@@ -137,14 +111,12 @@ func main() {
 		p, err = weakmem.TransformTSO(p, 2)
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "parbmc:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 
 	if *dump != "" || *dimacs != "" {
-		if err := dumpArtefacts(p, *dump, *dimacs, *unwind, *contexts, *rounds, *width); err != nil {
-			fmt.Fprintln(os.Stderr, "parbmc:", err)
-			os.Exit(2)
+		if err := dumpArtefacts(p, *dump, *dimacs, opts.Unwind, opts.Contexts, opts.Rounds, opts.Width); err != nil {
+			fatal(err)
 		}
 		return
 	}
@@ -156,52 +128,28 @@ func main() {
 	defer stop()
 
 	start := time.Now()
-	res, err := core.Verify(ctx, p, core.Options{
-		Unwind:         *unwind,
-		Contexts:       *contexts,
-		Rounds:         *rounds,
-		Width:          *width,
-		Cores:          *cores,
-		Partitions:     *partitions,
-		From:           *from,
-		To:             *to,
-		Preprocess:     *preprocess,
-		CertifyUnsat:   *certify,
-		Tracer:         tracer,
-		JournalPath:    *journal,
-		Resume:         *resume,
-		ChunkTimeout:   *chunkTO,
-		ChunkConflicts: *chunkConfl,
-		MemBudgetMB:    *memBudget,
-		SplitDepth:     *splitDepth,
-		SplitGrace:     *splitGrace,
-		SplitHardness:  *splitHard,
-		Profiler:       profiler,
-	})
-	if perr := profiler.Err(); perr != nil {
-		fmt.Fprintln(os.Stderr, "parbmc: profile capture:", perr)
-	}
+	res, err := core.Verify(ctx, p, opts)
+	rec.ProfileErr()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "parbmc:", err)
-		os.Exit(2)
+		fatal(err)
 	}
 
-	if recorder != nil {
+	if rec.Report != nil {
 		name := *benchmark
 		if name == "" {
 			name = *input
 		}
-		recorder.SetManifest(report.Manifest{
-			Program: name, Unwind: *unwind, Contexts: *contexts,
-			Rounds: *rounds, Width: *width, Partitions: res.Partitions,
-			Mode: "local", TraceID: tracer.TraceID(),
+		rec.Report.SetManifest(report.Manifest{
+			Program: name, Unwind: opts.Unwind, Contexts: opts.Contexts,
+			Rounds: opts.Rounds, Width: opts.Width, Partitions: res.Partitions,
+			Mode: "local", TraceID: rec.Tracer.TraceID(),
 		})
-		recorder.SetVerdict(res.Verdict.String(), time.Since(start))
+		rec.Report.SetVerdict(res.Verdict.String(), time.Since(start))
 		if res.JournalSealed {
-			recorder.Warn(fmt.Sprintf("journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s", res.SealCause))
+			rec.Report.Warn(fmt.Sprintf("journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s", res.SealCause))
 		}
 		for _, inst := range res.Instances {
-			recorder.Finish(report.PartitionRow{
+			rec.Report.Finish(report.PartitionRow{
 				Partition:    inst.Partition,
 				Verdict:      inst.Status.String(),
 				Cause:        inst.Cause.String(),
@@ -211,21 +159,17 @@ func main() {
 				SolveMillis:  inst.Time.Milliseconds(),
 				Certified:    res.Certified,
 				Hardness:     inst.Hardness,
-				ConflictRate: instConflictRate(inst),
+				ConflictRate: inst.ConflictRate(),
 			})
 		}
-		recorder.AddProfiles(profileRecords(profiler))
-		recorder.AddSpans(spanColl.Events())
-		if werr := recorder.WriteFile(*reportOut); werr != nil {
-			fmt.Fprintln(os.Stderr, "parbmc: write report:", werr)
-		}
+		rec.WriteReport()
 	}
 
 	if *quiet {
 		fmt.Println(res.Verdict)
 	} else {
 		fmt.Printf("verdict:    %v\n", res.Verdict)
-		if *certify && res.Verdict == core.Safe {
+		if opts.CertifyUnsat && res.Verdict == core.Safe {
 			fmt.Printf("certified:  %v (refutation proofs checked)\n", res.Certified)
 		}
 		fmt.Printf("threads:    %d\n", res.Threads)
@@ -234,12 +178,12 @@ func main() {
 		fmt.Printf("encode:     %v\n", res.EncodeTime)
 		fmt.Printf("solve:      %v\n", res.SolveTime)
 		if res.Resumed > 0 {
-			fmt.Printf("resumed:    %d partitions replayed from %s\n", res.Resumed, *journal)
+			fmt.Printf("resumed:    %d partitions replayed from %s\n", res.Resumed, opts.JournalPath)
 		}
 		if res.Splits > 0 || res.MaxCubeDepth > 0 {
 			fmt.Printf("splits:     %d adaptive cube splits (max depth %d)\n", res.Splits, res.MaxCubeDepth)
 		}
-		if !res.Coverage.Complete() || res.Resumed > 0 || *chunkTO > 0 || *chunkConfl > 0 || *memBudget > 0 {
+		if !res.Coverage.Complete() || res.Resumed > 0 || opts.Budget != (journal.Budget{}) {
 			fmt.Printf("coverage:   %v\n", res.Coverage)
 		}
 		if res.JournalSealed {
@@ -277,24 +221,10 @@ func main() {
 	}
 }
 
-// instConflictRate derives a whole-run conflicts/second figure for one
-// partition's solve, the denominator of its hardness score.
-func instConflictRate(inst parallel.InstanceResult) float64 {
-	if secs := inst.Time.Seconds(); secs > 0 {
-		return float64(inst.Stats.Conflicts) / secs
-	}
-	return 0
-}
-
-// profileRecords converts the profiler's capture index into report rows.
-// Nil-safe: a run without -profile-dir contributes no rows.
-func profileRecords(p *obs.Profiler) []report.ProfileRecord {
-	entries := p.Entries()
-	recs := make([]report.ProfileRecord, 0, len(entries))
-	for _, e := range entries {
-		recs = append(recs, report.ProfileRecord{Phase: e.Phase, Kind: e.Kind, Path: e.Path, Bytes: e.Bytes})
-	}
-	return recs
+// fatal reports a usage or run failure and exits with status 2.
+func fatal(msg any) {
+	fmt.Fprintln(os.Stderr, "parbmc:", msg)
+	os.Exit(2)
 }
 
 func loadProgram(input, benchmark string) (*prog.Program, error) {

@@ -16,8 +16,8 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/cmd/internal/runflags"
 	"repro/internal/cnf"
-	"repro/internal/obs"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
@@ -61,33 +61,31 @@ func emitAndCheckProof(formula *cnf.Formula, assumptions []cnf.Lit, proof *sat.P
 
 func main() {
 	var (
-		cores      = flag.Int("cores", 1, "parallel solver instances")
-		style      = flag.String("portfolio", "sharing", "portfolio style: sharing | diverse")
-		assume     = flag.String("assume", "", "space-separated DIMACS literals to assume")
-		stats      = flag.Bool("stats", false, "print search statistics")
-		noModel    = flag.Bool("no-model", false, "suppress the v line")
-		maxConfl   = flag.Int64("max-conflicts", 0, "conflict budget (0 = unbounded)")
-		memBudget  = flag.Int64("mem-budget", 0, "per-instance solver memory budget in MiB; over it the solver sheds learnt clauses, then gives up UNKNOWN (0 = unbounded)")
-		progress   = flag.Int64("progress", 0, "print live search progress every N conflicts (0 disables)")
-		pprofAddr  = flag.String("pprof-addr", "", "serve /debug/pprof and /healthz on this address")
-		proofPath  = flag.String("proof", "", "on UNSAT, write a DRAT-style refutation proof to this file (single-instance mode)")
-		check      = flag.Bool("check", false, "on UNSAT, re-parse the emitted proof and re-verify it by RUP checking (single-instance mode)")
-		profileDir = flag.String("profile-dir", "", "capture pprof CPU+heap profiles of the solve phase into this directory")
+		rec       runflags.Recorder
+		memBudget int64
+
+		cores     = flag.Int("cores", 1, "parallel solver instances")
+		style     = flag.String("portfolio", "sharing", "portfolio style: sharing | diverse")
+		assume    = flag.String("assume", "", "space-separated DIMACS literals to assume")
+		stats     = flag.Bool("stats", false, "print search statistics")
+		noModel   = flag.Bool("no-model", false, "suppress the v line")
+		maxConfl  = flag.Int64("max-conflicts", 0, "conflict budget (0 = unbounded)")
+		progress  = flag.Int64("progress", 0, "print live search progress every N conflicts (0 disables)")
+		proofPath = flag.String("proof", "", "on UNSAT, write a DRAT-style refutation proof to this file (single-instance mode)")
+		check     = flag.Bool("check", false, "on UNSAT, re-parse the emitted proof and re-verify it by RUP checking (single-instance mode)")
 	)
+	runflags.MemBudget(flag.CommandLine, &memBudget, "per-instance solver memory budget in MiB; over it the solver sheds learnt clauses, then gives up UNKNOWN (0 = unbounded)")
+	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+		ProfileDir: "capture pprof CPU+heap profiles of the solve phase into this directory",
+		PprofAddr:  "serve /debug/pprof and /healthz on this address",
+	})
 	flag.Parse()
-	var profiler *obs.Profiler
-	if *profileDir != "" {
-		var perr error
-		profiler, perr = obs.NewProfiler(*profileDir, "satsolve")
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "satsolve:", perr)
-			os.Exit(2)
-		}
+	if err := rec.Open("satsolve", os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "satsolve:", err)
+		os.Exit(2)
 	}
-	if *pprofAddr != "" {
-		srv, _ := obs.Serve(*pprofAddr, obs.NewMux(obs.MuxOptions{Pprof: true}))
-		defer srv.Close()
-	}
+	defer rec.Close()
+	profiler := rec.Profiler
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: satsolve [flags] formula.cnf")
 		os.Exit(2)
@@ -141,7 +139,7 @@ func main() {
 		popts := portfolio.Options{
 			Cores:         *cores,
 			Style:         st,
-			InstanceMemMB: *memBudget,
+			InstanceMemMB: memBudget,
 		}
 		if *progress > 0 {
 			popts.Progress = liveProgress
@@ -155,7 +153,7 @@ func main() {
 		status, model, searchStats = res.Status, res.Model, res.Stats
 	} else {
 		s := sat.NewFromFormula(formula, sat.Options{
-			MaxConflicts: *maxConfl, MemBudgetMB: *memBudget, ProgressEvery: *progress,
+			MaxConflicts: *maxConfl, MemBudgetMB: memBudget, ProgressEvery: *progress,
 		})
 		if *progress > 0 {
 			s.Progress = func(st sat.Stats) { liveProgress(0, st) }
@@ -167,7 +165,7 @@ func main() {
 		if err == sat.ErrMemBudget {
 			// A structured give-up, not a failure: report UNKNOWN with the
 			// cause named, like a conflict-budget exhaustion.
-			fmt.Printf("c memory budget exhausted (%d MiB, peak %d bytes)\n", *memBudget, s.PeakBytes())
+			fmt.Printf("c memory budget exhausted (%d MiB, peak %d bytes)\n", memBudget, s.PeakBytes())
 			status, err = sat.Unknown, nil
 		}
 		if err != nil {
@@ -186,9 +184,7 @@ func main() {
 		}
 	}
 	profiler.EndPhase("solve")
-	if perr := profiler.Err(); perr != nil {
-		fmt.Fprintln(os.Stderr, "satsolve: profile capture:", perr)
-	}
+	rec.ProfileErr()
 	for _, e := range profiler.Entries() {
 		fmt.Printf("c profile %s %s written to %s (%d bytes)\n", e.Phase, e.Kind, e.Path, e.Bytes)
 	}

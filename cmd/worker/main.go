@@ -37,17 +37,17 @@ import (
 	"syscall"
 	"time"
 
+	"repro/cmd/internal/runflags"
 	"repro/internal/distrib"
-	"repro/internal/obs"
 )
 
 func main() {
 	var (
+		rec runflags.Recorder
+
 		connect   = flag.String("connect", "127.0.0.1:9731", "coordinator address, or a comma-separated primary,standby list")
-		pprofAddr = flag.String("pprof-addr", "", "serve /debug/pprof and /healthz on this address")
 		cores     = flag.Int("cores", 1, "local solver instances per job")
 		name      = flag.String("name", "", "worker name reported to the coordinator")
-		traceOut  = flag.String("trace-out", "", "write this worker's spans as JSONL to this file (merge with `parbmc report`)")
 		reconnect = flag.Int("reconnect", 0, "max consecutive reconnect attempts after connection loss (0: exit on loss)")
 		backoff   = flag.Duration("backoff", 0, "base reconnect backoff (default 250ms)")
 		reconnTO  = flag.Duration("reconnect-timeout", 0, "total wall-clock retry budget per outage (0: unbounded)")
@@ -67,30 +67,24 @@ func main() {
 		slowMS    = flag.Int64("fault-slow-ms", 0, "artificial pre-solve delay in milliseconds per affected job; the straggler keeps heartbeating (0 disables)")
 		slowJobs  = flag.String("fault-slow-jobs", "", "comma-separated job indices to slow down (empty with -fault-slow-ms: every job)")
 	)
-	flag.Parse()
-
-	if *pprofAddr != "" {
-		srv, _ := obs.Serve(*pprofAddr, obs.NewMux(obs.MuxOptions{Pprof: true}))
-		defer srv.Close()
-	}
-
 	// -trace-out writes this worker's span events as JSONL. Job spans
 	// adopt the coordinator's trace ID from the wire, so this file and
 	// the coordinator's merge into one tree under `parbmc report`.
-	var tracer *obs.Tracer
-	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-			os.Exit(2)
-		}
-		defer tf.Close()
-		proc := *name
-		if proc == "" {
-			proc = "worker"
-		}
-		tracer = obs.NewTracer(obs.NewJSONLSink(tf)).WithProc(proc)
+	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+		TraceOut:  "write this worker's spans as JSONL to this file (merge with `parbmc report`)",
+		PprofAddr: "serve /debug/pprof and /healthz on this address",
+	})
+	flag.Parse()
+
+	proc := *name
+	if proc == "" {
+		proc = "worker"
 	}
+	if err := rec.Open(proc, os.Stderr); err != nil {
+		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
+		os.Exit(2)
+	}
+	defer rec.Close()
 
 	var plan *distrib.FaultPlan
 	faultFlags := []struct {
@@ -149,7 +143,7 @@ func main() {
 		ReconnectBackoff: *backoff,
 		ReconnectTimeout: *reconnTO,
 		Faults:           plan,
-		Tracer:           tracer,
+		Tracer:           rec.Tracer,
 		MemLimitBytes:    *memLimit << 20,
 		MemTripFraction:  *memFrac,
 	})

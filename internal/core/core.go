@@ -12,7 +12,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/bv"
@@ -81,20 +80,12 @@ type Options struct {
 	// '0'/'1' polarity per character (adaptive cube splitting). Only
 	// meaningful for single-partition ranges; empty means no refinement.
 	CubePath string
-	// MaxThreads bounds static thread instances during unfolding.
-	MaxThreads int
-	// ZeroLocals zero-initialises locals (differential-testing mode).
-	ZeroLocals bool
-	// Solver configures the CDCL instances.
-	Solver sat.Options
-	// SkipValidation disables counterexample replay validation.
-	SkipValidation bool
 	// SimulateParallel computes the parallel wall time by deterministic
 	// makespan simulation over sequentially measured per-partition solve
 	// times instead of actually running Cores goroutines. Exact for this
 	// technique (solvers do not cooperate); intended for hosts with fewer
 	// physical cores than Cores. See parallel.Simulate. Incompatible with
-	// SplitDepth: a sequential simulation has no idle worker to split a
+	// Split: a sequential simulation has no idle worker to split a
 	// straggler.
 	SimulateParallel bool
 	// CertifyUnsat checks a clausal refutation proof for every UNSAT
@@ -116,39 +107,22 @@ type Options struct {
 	// through the elimination trail. This matches the paper's solver
 	// configuration ("MiniSat 2.2.1 with simplifier", Sect. 3.4).
 	Preprocess bool
-	// ChunkTimeout bounds each partition's wall-clock solving time. An
-	// expired partition degrades to Unknown with CauseTimeout in the
-	// coverage report instead of stalling the whole run (0 = unbounded).
-	ChunkTimeout time.Duration
-	// ChunkConflicts bounds each partition's conflict count, recorded as
-	// CauseConflictBudget on exhaustion (0 = unbounded). If
-	// Solver.MaxConflicts is also set, the smaller bound applies.
-	ChunkConflicts int64
-	// MemBudgetMB bounds each partition solver's approximate live
-	// footprint in MiB. A solver over budget first sheds learnt clauses
-	// (degrade before dying); if that cannot get it back under, the
-	// partition ends Unknown with CauseMemory in the coverage report
-	// (0 = unbounded). If Solver.MemBudgetMB is also set, the smaller
-	// bound applies.
-	MemBudgetMB int64
+	// Budget bounds each partition's wall clock, solver conflicts and
+	// solver memory. A partition that exhausts part of it degrades to
+	// Unknown, listed under that budget in the coverage report, instead
+	// of stalling the whole run.
+	Budget journal.Budget
 	// MemAbort, when non-nil, is an external kill switch (typically an
 	// RSS watchdog): once it is closed, every live and future solver
 	// instance is interrupted with CauseMemory, so the process sheds its
 	// biggest allocations before the kernel OOM-killer picks it.
 	MemAbort <-chan struct{}
-	// SplitDepth enables in-process adaptive cube splitting: an idle
-	// solver slot splits the cube of the hardest partition that was
-	// started at least SplitGrace ago on the next canonical split
-	// literal, taking one half and queueing the other — up to SplitDepth
-	// extra path bits per partition (0 disables). See parallel.Options.
-	SplitDepth int
-	// SplitGrace is the minimum time since a partition was started
-	// before it may be split (default 15s).
-	SplitGrace time.Duration
-	// SplitHardness is the minimum live hardness score before a
-	// partition qualifies for splitting (0: any straggler past the
-	// grace).
-	SplitHardness float64
+	// Split enables in-process adaptive cube splitting (Split.Depth > 0):
+	// an idle solver slot splits the cube of the hardest partition that
+	// was started at least Split.Grace ago on the next canonical split
+	// literal, taking one half and queueing the other. See
+	// parallel.Options.
+	Split partition.SplitPolicy
 	// JournalPath, when non-empty, records the run manifest and every
 	// partition verdict in a crash-safe append-only journal at that path,
 	// so an interrupted run can be resumed without re-solving committed
@@ -296,8 +270,7 @@ type Result struct {
 	// party holding the same encoding can re-evaluate the formula and
 	// replay the decoded trace without trusting this run's solver.
 	Model []bool
-	// Violation is the replayed assertion failure (Verdict == Unsafe,
-	// validation enabled).
+	// Violation is the replayed assertion failure (Verdict == Unsafe).
 	Violation *interp.Violation
 
 	// Vars and Clauses are the propositional formula size.
@@ -331,7 +304,7 @@ type Result struct {
 	// journal instead of re-solved (JournalPath with Resume).
 	Resumed int
 	// Splits counts adaptive cube splits performed by this run;
-	// MaxCubeDepth is the deepest cube path reached (Options.SplitDepth).
+	// MaxCubeDepth is the deepest cube path reached (Options.Split).
 	Splits       int
 	MaxCubeDepth int
 	// JournalSealed reports that the resume journal hit a write or sync
@@ -346,8 +319,14 @@ type Result struct {
 // Verify runs the full pipeline on a checked program.
 func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, err error) {
 	opts.setDefaults()
-	if opts.SimulateParallel && opts.SplitDepth > 0 {
-		return nil, fmt.Errorf("core: SplitDepth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
+	// Every option-combination check comes before the first side effect:
+	// a refused call must leave nothing behind (no journal file) that
+	// would make the corrected call fail differently.
+	if opts.SimulateParallel && opts.Split.Depth > 0 {
+		return nil, fmt.Errorf("core: Split.Depth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
+	}
+	if opts.KeepProofs && opts.Preprocess {
+		return nil, fmt.Errorf("core: KeepProofs is incompatible with Preprocess (proofs would cover the simplified formula)")
 	}
 
 	verifyAttrs := []obs.Attr{
@@ -427,16 +406,11 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	// budgets can re-solve exactly the chunks they starved.
 	var jnl *journal.Journal
 	if opts.JournalPath != "" {
-		if !opts.Resume {
-			if _, serr := os.Stat(opts.JournalPath); serr == nil {
-				return nil, fmt.Errorf("core: journal %s already exists (pass Resume to continue it)", opts.JournalPath)
-			}
-		}
 		jFrom, jTo := opts.From, opts.To
 		if jFrom == 0 && jTo == 0 {
 			jTo = totalParts // normalise: default means the full range
 		}
-		jnl, err = journal.Open(opts.JournalPath, journal.Manifest{
+		jnl, err = journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
 			ProgramSHA256: journal.HashProgram(prog.Format(p)),
 			Unwind:        opts.Unwind,
 			Contexts:      opts.Contexts,
@@ -454,21 +428,15 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 		defer jnl.Close()
 	}
 
-	if opts.KeepProofs && opts.Preprocess {
-		return nil, fmt.Errorf("core: KeepProofs is incompatible with Preprocess (proofs would cover the simplified formula)")
-	}
 	popts := parallel.Options{
-		Workers: opts.Cores, Solver: opts.Solver, CertifyUnsat: opts.CertifyUnsat,
+		Workers: opts.Cores, CertifyUnsat: opts.CertifyUnsat,
 		KeepProofs: opts.KeepProofs,
 		Progress:   opts.Progress, ProgressEvery: opts.ProgressEvery,
-		ChunkTimeout: opts.ChunkTimeout, ChunkConflicts: opts.ChunkConflicts,
-		MemBudgetMB: opts.MemBudgetMB, MemAbort: opts.MemAbort,
+		Budget: opts.Budget, MemAbort: opts.MemAbort,
+		Split:   opts.Split,
 		Journal: jnl,
 	}
-	if opts.SplitDepth > 0 {
-		popts.SplitDepth = opts.SplitDepth
-		popts.SplitGrace = opts.SplitGrace
-		popts.SplitHardness = opts.SplitHardness
+	if opts.Split.Depth > 0 {
 		popts.SplitLits = partition.SplitLits(enc, totalParts)
 	}
 	solveSpan := opts.phase("solve",
@@ -544,18 +512,16 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 		res.Verdict = Unsafe
 		res.Model = pres.Model
 		res.Trace = trace.Decode(enc, pres.Model)
-		if !opts.SkipValidation {
-			valSpan := opts.phase("validate")
-			valStart := time.Now()
-			viol, verr := trace.Validate(enc, res.Trace)
-			if verr != nil {
-				valSpan.End(obs.KV("error", verr.Error()))
-				return nil, fmt.Errorf("core: counterexample validation failed: %w", verr)
-			}
-			timePhase("validate", valStart)
-			valSpan.End()
-			res.Violation = viol
+		valSpan := opts.phase("validate")
+		valStart := time.Now()
+		viol, verr := trace.Validate(enc, res.Trace)
+		if verr != nil {
+			valSpan.End(obs.KV("error", verr.Error()))
+			return nil, fmt.Errorf("core: counterexample validation failed: %w", verr)
 		}
+		timePhase("validate", valStart)
+		valSpan.End()
+		res.Violation = viol
 	case sat.Unsat:
 		res.Verdict = Safe
 	default:
@@ -589,7 +555,7 @@ func EncodeProgram(p *prog.Program, opts Options) (*vc.Encoded, *flatten.Program
 
 	unfoldSpan := opts.phase("unfold", obs.KV("unwind", opts.Unwind))
 	start := time.Now()
-	up, err := unfold.Unfold(p, unfold.Options{Unwind: opts.Unwind, MaxThreads: opts.MaxThreads})
+	up, err := unfold.Unfold(p, unfold.Options{Unwind: opts.Unwind})
 	timing.Unfold = time.Since(start)
 	unfoldSpan.End()
 	if err != nil {
@@ -605,10 +571,7 @@ func EncodeProgram(p *prog.Program, opts Options) (*vc.Encoded, *flatten.Program
 		return nil, nil, timing, err
 	}
 
-	vopts := vc.Options{
-		Width:      opts.Width,
-		ZeroLocals: opts.ZeroLocals,
-	}
+	vopts := vc.Options{Width: opts.Width}
 	if opts.Rounds > 0 {
 		vopts.Mode = vc.RoundRobin
 		vopts.Rounds = opts.Rounds

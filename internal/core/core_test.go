@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/partition"
 	"repro/prog"
 )
 
@@ -272,9 +273,9 @@ func TestVerifyCertifiedSafe(t *testing.T) {
 func TestVerifyRejectsSplitDepthUnderSimulation(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	_, err := Verify(context.Background(), p, Options{
-		Unwind: 1, Contexts: 4, Cores: 2, SimulateParallel: true, SplitDepth: 2,
+		Unwind: 1, Contexts: 4, Cores: 2, SimulateParallel: true, Split: partition.SplitPolicy{Depth: 2},
 	})
-	if err == nil || !strings.Contains(err.Error(), "SplitDepth") {
-		t.Fatalf("err %v, want a SplitDepth/SimulateParallel refusal", err)
+	if err == nil || !strings.Contains(err.Error(), "Split.Depth") {
+		t.Fatalf("err %v, want a Split.Depth/SimulateParallel refusal", err)
 	}
 }

@@ -3,10 +3,12 @@ package core
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/partition"
 	"repro/prog"
 )
 
@@ -113,6 +115,28 @@ func TestVerifyJournalRefusesExistingWithoutResume(t *testing.T) {
 	}
 }
 
+// A call refused for its option combination must leave nothing behind:
+// were the journal file created first, the corrected call would be
+// refused in turn, for a journal that "already exists".
+func TestVerifyValidatesBeforeItWrites(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	path := filepath.Join(t.TempDir(), "run.wal")
+	for name, bad := range map[string]Options{
+		"KeepProofs+Preprocess":        {Unwind: 1, Contexts: 3, JournalPath: path, KeepProofs: true, Preprocess: true},
+		"SimulateParallel+Split.Depth": {Unwind: 1, Contexts: 3, JournalPath: path, SimulateParallel: true, Split: partition.SplitPolicy{Depth: 1}},
+	} {
+		if _, err := Verify(context.Background(), p, bad); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: the refused call left a file at JournalPath (stat: %v)", name, err)
+		}
+	}
+	if _, err := Verify(context.Background(), p, Options{Unwind: 1, Contexts: 3, JournalPath: path, KeepProofs: true}); err != nil {
+		t.Fatalf("corrected call: %v", err)
+	}
+}
+
 // Resume with different bounds must be rejected: partition indices from
 // a different manifest mean different trace-space slices.
 func TestVerifyJournalManifestMismatch(t *testing.T) {
@@ -148,7 +172,7 @@ func TestVerifyChunkConflictBudgetCoverage(t *testing.T) {
 	// and two need a handful of conflicts, so a 1-conflict budget yields a
 	// mixed report: partial coverage with the hard partitions named.
 	res, err := Verify(context.Background(), p, Options{
-		Unwind: 2, Contexts: 3, Cores: 2, Partitions: 4, ChunkConflicts: 1,
+		Unwind: 2, Contexts: 3, Cores: 2, Partitions: 4, Budget: journal.Budget{Conflicts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -45,7 +45,7 @@ func startWorkerPair(t *testing.T, addr string, slowPlan *FaultPlan) func() {
 // The tentpole acceptance scenario: one straggler worker (deterministic
 // 3s pre-solve sleep on its first job, heartbeats flowing) and one
 // healthy worker. A static run is hostage to the straggler; the
-// adaptive run splits the stalled cube after SplitGrace, the healthy
+// adaptive run splits the stalled cube after Split.Grace, the healthy
 // worker steals a child, and the cancelled parent result is discarded
 // without being journaled or charged. The adaptive run must beat the
 // static one by at least 1.5x.
@@ -73,7 +73,7 @@ func TestAdaptiveSplitRoutesAroundStraggler(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal")
 	opts := fastFailureOpts(CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2,
-		SplitDepth: 2, SplitGrace: 250 * time.Millisecond,
+		Split: partition.SplitPolicy{Depth: 2, Grace: 250 * time.Millisecond},
 		// One charged failure would quarantine: proves cancelled parent
 		// results are never charged to the attempt budget.
 		MaxAttempts: 1,
@@ -162,7 +162,7 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 	jpath := filepath.Join(t.TempDir(), "journal")
 	opts := fastFailureOpts(CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2,
-		Hedge: true, SplitGrace: 250 * time.Millisecond,
+		Hedge: true, Split: partition.SplitPolicy{Grace: 250 * time.Millisecond},
 		MaxAttempts: 1,
 		JournalPath: jpath,
 	})
@@ -178,7 +178,7 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 		t.Fatalf("hedges=%d superseded=%d, want both >= 1", res.Hedges, res.Superseded)
 	}
 	if res.Splits != 0 {
-		t.Fatalf("splits=%d with SplitDepth 0", res.Splits)
+		t.Fatalf("splits=%d with Split.Depth 0", res.Splits)
 	}
 	if len(res.Quarantined) != 0 {
 		t.Fatalf("hedge loser charged the attempt budget: %+v", res.Quarantined)
@@ -232,8 +232,7 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 	addrA, addrB := lnA.Addr().String(), lnB.Addr().String()
 
 	adaptive := func(o CoordinatorOptions) CoordinatorOptions {
-		o.SplitDepth = 2
-		o.SplitGrace = 300 * time.Millisecond
+		o.Split = partition.SplitPolicy{Depth: 2, Grace: 300 * time.Millisecond}
 		o.Hedge = true
 		return o
 	}

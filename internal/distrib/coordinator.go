@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -48,23 +47,16 @@ type CoordinatorOptions struct {
 	// giving up with Unknown; reconnecting workers must come back within
 	// this window (default 30s).
 	DrainTimeout time.Duration
-	// ChunkTimeout bounds each partition's wall-clock solving time on the
-	// worker; an expired chunk comes back as a terminal budgeted Unknown
-	// instead of burning JobTimeout and an attempt (0 = unbounded).
-	ChunkTimeout time.Duration
-	// ChunkConflicts bounds each partition's solver conflicts on the
-	// worker (0 = unbounded).
-	ChunkConflicts int64
-	// MemBudgetMB bounds each partition solver's approximate live
-	// footprint on the worker, in MiB; an instance that cannot shed
-	// learnt clauses back under it gives up with cause "memory", a
-	// terminal budgeted Unknown journaled with the budget it gave up
-	// under (0 = unbounded). Independent of this, a worker whose own
-	// OOM watchdog trips reports cause "memory" too; with no budget
-	// configured such an abort is treated as worker-local (that machine
-	// ran out, not the chunk being inherently too big) and the chunk is
-	// re-queued to the fleet instead of journaled terminal.
-	MemBudgetMB int64
+	// Budget bounds each cube's wall clock, solver conflicts and solver
+	// memory on the worker; a cube that exhausts part of it comes back as
+	// a terminal budgeted Unknown — journaled with the budget it gave up
+	// under — instead of burning JobTimeout and an attempt. Independent
+	// of Budget.MemMB, a worker whose own OOM watchdog trips reports
+	// cause "memory" too; with no memory budget configured such an abort
+	// is treated as worker-local (that machine ran out, not the chunk
+	// being inherently too big) and the chunk is re-queued to the fleet
+	// instead of journaled terminal.
+	Budget journal.Budget
 	// MemPauseRatio is the fleet memory-pressure backpressure threshold:
 	// while any worker's heartbeat-reported live-heap/limit ratio is at
 	// or above it, new job dispatch pauses until the pressure subsides
@@ -72,22 +64,14 @@ type CoordinatorOptions struct {
 	// drains instead of being handed more work. 0 defaults to 0.95;
 	// negative disables the gate.
 	MemPauseRatio float64
-	// SplitDepth enables adaptive cube splitting: an idle worker that
-	// finds the queue empty may split the hardest in-flight cube —
-	// halving a multi-partition range, or extending a single partition's
-	// assumption cube by one scheduler bit — re-dispatching the two
-	// sub-cubes (taking one itself: work stealing by construction).
-	// SplitDepth caps how many extra path bits a single partition may
-	// accumulate; 0 disables splitting entirely.
-	SplitDepth int
-	// SplitGrace is how long ago a cube must have been dispatched before
-	// it qualifies as a split victim or a hedge candidate (default 15s).
-	SplitGrace time.Duration
-	// SplitHardness is the minimum live hardness score (from heartbeats)
-	// an in-flight cube needs to qualify for splitting. The default 0
-	// makes grace alone the trigger, so a straggler that reports zero
-	// progress (and therefore zero hardness) is still split around.
-	SplitHardness float64
+	// Split enables adaptive cube splitting (Split.Depth > 0): an idle
+	// worker that finds the queue empty may split the hardest in-flight
+	// cube dispatched at least Split.Grace ago — halving a
+	// multi-partition range, or extending a single partition's assumption
+	// cube by one scheduler bit — re-dispatching the two sub-cubes
+	// (taking one itself: work stealing by construction). Split.Grace
+	// also ages hedge candidates.
+	Split partition.SplitPolicy
 	// Hedge enables speculative re-dispatch: an idle worker with nothing
 	// to run and nothing to split duplicates the longest-running cube;
 	// the first result to arrive wins and the loser is cancelled without
@@ -316,13 +300,8 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	var repl *replicator
 	var history []journal.ChunkRecord
 	if opts.JournalPath != "" {
-		if !opts.Resume {
-			if _, serr := os.Stat(opts.JournalPath); serr == nil {
-				return nil, fmt.Errorf("distrib: journal %s already exists (pass Resume to continue it)", opts.JournalPath)
-			}
-		}
 		var jerr error
-		jnl, jerr = journal.Open(opts.JournalPath, journal.Manifest{
+		jnl, jerr = journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
 			ProgramSHA256: journal.HashProgram(source),
 			Unwind:        opts.Unwind,
 			Contexts:      opts.Contexts,
@@ -398,8 +377,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		root:     root,
 	}
 	co.sched = partition.NewScheduler(partition.SchedOptions{
-		SplitDepth: opts.SplitDepth, SplitBits: splitBits,
-		Grace: opts.SplitGrace, Hardness: opts.SplitHardness, Hedge: opts.Hedge,
+		SplitPolicy: opts.Split, SplitBits: splitBits, Hedge: opts.Hedge,
 		CommitSplit: co.commitSplit,
 		// Backpressure: while the fleet is over the memory-pressure
 		// threshold nothing is dispatched, split, or hedged.
@@ -424,7 +402,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		// budgets pinned on its record: a resume that lifted or raised
 		// the exhausted budget re-queues the cube for workers instead of
 		// replaying a give-up the new flags were meant to overcome.
-		if rec.RetryUnder(opts.ChunkTimeout.Milliseconds(), opts.ChunkConflicts, opts.MemBudgetMB) {
+		if rec.RetryUnder(opts.Budget) {
 			co.sched.Add(l.Cube)
 			continue
 		}
@@ -526,7 +504,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 // verifier's encoding answers for free; an uncertified run pays one
 // extra encode, and only when splitting is enabled at all.
 func splitBitSupply(p *prog.Program, opts CoordinatorOptions, verifier *certVerifier) (int, error) {
-	if opts.SplitDepth <= 0 {
+	if opts.Split.Depth <= 0 {
 		return 0, nil
 	}
 	if verifier != nil {
@@ -841,15 +819,13 @@ func (co *coordinator) serve(c net.Conn) {
 			Type: "job", JobID: id, Epoch: co.opts.Epoch, Source: co.source,
 			Unwind: co.opts.Unwind, Contexts: co.opts.Contexts, Width: co.opts.Width,
 			Partitions: co.opts.Partitions, From: cube.From, To: cube.To,
-			CubePath:           cube.Path,
-			HeartbeatMillis:    hbMillis,
-			ChunkTimeoutMillis: co.opts.ChunkTimeout.Milliseconds(),
-			ChunkConflicts:     co.opts.ChunkConflicts,
-			MemBudgetMB:        co.opts.MemBudgetMB,
-			Certify:            level,
-			TraceID:            sc.TraceID,
-			ParentSpan:         sc.SpanID,
+			CubePath:        cube.Path,
+			HeartbeatMillis: hbMillis,
+			Certify:         level,
+			TraceID:         sc.TraceID,
+			ParentSpan:      sc.SpanID,
 		}
+		job.setBudget(co.opts.Budget)
 		reply, certified, err := co.runJob(wc, a, key, job, jobSpan)
 		if err != nil {
 			jobSpan.End(obs.KV("error", err.Error()))
@@ -875,7 +851,7 @@ func (co *coordinator) serve(c net.Conn) {
 			co.noteMemoryAbort()
 		}
 		switch {
-		case definite, cause.Budgeted() && (cause != sat.CauseMemory || co.opts.MemBudgetMB > 0):
+		case definite, cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0):
 			// A budgeted Unknown is as terminal as a verdict: the same cube
 			// under the same budgets gives up again, so it is journaled and
 			// not charged to the retry budget.
@@ -974,8 +950,7 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 	case core.Safe.String():
 	default:
 		rec.Verdict, rec.Cause = core.Unknown.String(), reply.Cause
-		rec.TimeoutMillis = co.opts.ChunkTimeout.Milliseconds()
-		rec.Conflicts, rec.MemBudgetMB = co.opts.ChunkConflicts, co.opts.MemBudgetMB
+		co.opts.Budget.Pin(&rec)
 	}
 	if !co.commitChunk(rec) {
 		return false

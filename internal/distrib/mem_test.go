@@ -98,7 +98,7 @@ func TestMemoryBudgetTerminalAndResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	opts := CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 2, ChunkSize: 1,
-		MemBudgetMB: 512, JournalPath: path,
+		Budget: journal.Budget{MemMB: 512}, JournalPath: path,
 	}
 	addr, resCh := startCoordinator(t, p, opts)
 	if budget := memoryWorker(t, addr, "oomish", 2); budget != 512 {
@@ -152,7 +152,7 @@ func TestMemoryBudgetTerminalAndResume(t *testing.T) {
 	// Raised budget: the journaled give-ups are superseded; a real
 	// worker decides both chunks and the run completes.
 	raised := opts
-	raised.MemBudgetMB = 1024
+	raised.Budget.MemMB = 1024
 	addr, resCh = startCoordinator(t, p, raised)
 	go func() {
 		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "roomy"})

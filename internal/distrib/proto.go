@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/sat"
 )
@@ -69,15 +70,13 @@ type Message struct {
 	// worker should interrupt its solvers and answer with a cancelled
 	// result.
 	CubePath string `json:"cube_path,omitempty"`
-	// ChunkTimeoutMillis / ChunkConflicts propagate the coordinator's
-	// per-chunk budgets to the worker's solver instances, so a poison
-	// chunk degrades to a budgeted Unknown instead of eating JobTimeout.
+	// ChunkTimeoutMillis / ChunkConflicts / MemBudgetMB carry the
+	// coordinator's journal.Budget to the worker's solver instances (see
+	// setBudget, budget), so a poison chunk degrades to a budgeted
+	// Unknown instead of eating JobTimeout.
 	ChunkTimeoutMillis int64 `json:"chunk_timeout_millis,omitempty"`
 	ChunkConflicts     int64 `json:"chunk_conflicts,omitempty"`
-	// MemBudgetMB propagates the coordinator's per-partition solver
-	// memory budget: a remote solver over it sheds learnt clauses first
-	// and gives up with cause "memory" if shedding is not enough.
-	MemBudgetMB int64 `json:"mem_budget_mb,omitempty"`
+	MemBudgetMB        int64 `json:"mem_budget_mb,omitempty"`
 	// Certify is the evidence level the coordinator demands with this
 	// job's result: "full" (UNSAFE model + per-partition UNSAT proofs),
 	// "model" (UNSAFE model only), or "off"/"" (none).
@@ -158,6 +157,20 @@ type Message struct {
 	// (collected via an obs.CollectorSink), so the coordinator's run
 	// report embeds the full cross-process trace without shipping files.
 	Spans []obs.Event `json:"spans,omitempty"`
+}
+
+// setBudget and budget map the run's budget to and from a job frame's
+// three wire keys.
+func (m *Message) setBudget(b journal.Budget) {
+	m.ChunkTimeoutMillis, m.ChunkConflicts, m.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
+}
+
+func (m *Message) budget() journal.Budget {
+	return journal.Budget{
+		Timeout:   time.Duration(m.ChunkTimeoutMillis) * time.Millisecond,
+		Conflicts: m.ChunkConflicts,
+		MemMB:     m.MemBudgetMB,
+	}
 }
 
 // PartProgress is one partition's live search state, compactly keyed for

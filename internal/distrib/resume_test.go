@@ -179,7 +179,7 @@ func TestDistributedBudgetExhaustedChunks(t *testing.T) {
 	// budget exhausts exactly two of the four single-partition chunks.
 	opts := CoordinatorOptions{
 		Unwind: 2, Contexts: 3, Partitions: 4, ChunkSize: 1,
-		ChunkConflicts: 1, JournalPath: path,
+		Budget: journal.Budget{Conflicts: 1}, JournalPath: path,
 	}
 	addr, resCh := startCoordinator(t, p, opts)
 	go func() {
@@ -232,7 +232,7 @@ func TestDistributedBudgetExhaustedChunks(t *testing.T) {
 	// are superseded — the two poison chunks are re-queued to a worker
 	// and decide, completing the run the old budget starved.
 	raised := opts
-	raised.ChunkConflicts = 0
+	raised.Budget.Conflicts = 0
 	addr, resCh = startCoordinator(t, p, raised)
 	go func() {
 		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "w2"})

@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/memwatch"
 	"repro/internal/obs"
-	"repro/internal/parallel"
 	"repro/internal/sat"
 	"repro/prog"
 )
@@ -685,18 +684,16 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 		return reply, nil
 	}
 	opts := core.Options{
-		Unwind:         m.Unwind,
-		Contexts:       m.Contexts,
-		Width:          m.Width,
-		Cores:          cores,
-		Partitions:     m.Partitions,
-		From:           m.From,
-		To:             m.To + 1,
-		CubePath:       m.CubePath,
-		ChunkTimeout:   time.Duration(m.ChunkTimeoutMillis) * time.Millisecond,
-		ChunkConflicts: m.ChunkConflicts,
-		MemBudgetMB:    m.MemBudgetMB,
-		MemAbort:       memAbort,
+		Unwind:     m.Unwind,
+		Contexts:   m.Contexts,
+		Width:      m.Width,
+		Cores:      cores,
+		Partitions: m.Partitions,
+		From:       m.From,
+		To:         m.To + 1,
+		CubePath:   m.CubePath,
+		Budget:     m.budget(),
+		MemAbort:   memAbort,
 		// Record refutation proofs when the coordinator demands full
 		// certificates; the UNSAFE model is kept in any case.
 		KeepProofs: m.Certify == CertifyFull,
@@ -717,26 +714,16 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 	reply.Verdict = res.Verdict.String()
 	reply.SolveMillis = res.SolveTime.Milliseconds()
 	if res.Verdict == core.Unknown {
-		// Name the dominant exhausted budget so the coordinator can tell
-		// a terminal budgeted Unknown (re-running gives up again) from a
-		// retryable one (cancellation mid-flight). Memory dominates: a
-		// watchdog-aborted job must surface as "memory" so the
-		// coordinator can apply its memory retry policy, whatever else
-		// was exhausted alongside. Then timeout: a run that hit the wall
-		// clock anywhere is wall-clock bound.
-		switch {
-		case len(res.Coverage.Memory) > 0:
-			reply.Cause = sat.CauseMemory.String()
-		case len(res.Coverage.Timeout) > 0:
-			reply.Cause = sat.CauseTimeout.String()
-		case len(res.Coverage.ConflictBudget) > 0:
-			reply.Cause = sat.CauseConflictBudget.String()
-		case len(res.Coverage.Cancelled) > 0:
-			// A mid-solve cancel (hedge loser, split supersession): the
-			// coordinator discards this result without charging the
-			// attempt budget.
-			reply.Cause = sat.CauseCancelled.String()
+		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
+		// coordinator can tell a terminal budgeted Unknown (re-running
+		// gives up again) from a retryable one: a mid-solve cancel (hedge
+		// loser, split supersession), which it discards without charging
+		// the attempt budget.
+		var cause sat.StopCause
+		for _, inst := range res.Instances {
+			cause = cause.Worse(inst.Cause)
 		}
+		reply.Cause = cause.String()
 	}
 	// Aggregate the per-partition search statistics so the coordinator
 	// sees the remote search effort (load skew, conflict rates) instead
@@ -754,7 +741,7 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 			Verdict:      inst.Status.String(),
 			Millis:       inst.Time.Milliseconds(),
 			Hardness:     inst.Hardness,
-			ConflictRate: instConflictRate(inst),
+			ConflictRate: inst.ConflictRate(),
 		})
 	}
 	reply.Stats = &agg
@@ -768,12 +755,4 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 	cert = buildCertificate(res, m.Certify)
 	certSpan.End()
 	return reply, cert
-}
-
-// instConflictRate is an instance's whole-run conflicts/second.
-func instConflictRate(inst parallel.InstanceResult) float64 {
-	if secs := inst.Time.Seconds(); secs > 0 {
-		return float64(inst.Stats.Conflicts) / secs
-	}
-	return 0
 }

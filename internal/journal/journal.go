@@ -31,6 +31,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -136,7 +137,7 @@ type ChunkRecord struct {
 	// a budget-exhausted verdict was computed under (0 = unbounded /
 	// unrecorded). A budgeted UNKNOWN is terminal only relative to its
 	// budgets: a resume with strictly larger ones re-solves the chunk
-	// (see RetryUnder) instead of replaying a stale give-up.
+	// (see Budget.Pin, RetryUnder) instead of replaying a stale give-up.
 	TimeoutMillis int64 `json:"timeout_millis,omitempty"`
 	Conflicts     int64 `json:"conflicts,omitempty"`
 	MemBudgetMB   int64 `json:"mem_budget_mb,omitempty"`
@@ -162,21 +163,45 @@ const VerdictSplit = "SPLIT"
 // Split reports whether the record is a cube-split marker.
 func (r ChunkRecord) Split() bool { return r.Verdict == VerdictSplit }
 
+// Budget is the resource budget every cube of a run is solved under
+// (0 = unbounded, field by field). It is declared here because the
+// journal is what makes a budget matter past the solve it bounded: a
+// give-up record pins it (Pin), and a resumed run compares its own
+// against the pin (RetryUnder).
+type Budget struct {
+	// Timeout bounds a cube's wall-clock solving time; an expired cube
+	// ends Unknown with cause "timeout" instead of stalling the run.
+	Timeout time.Duration
+	// Conflicts bounds a cube's solver conflicts (cause
+	// "conflict-budget").
+	Conflicts int64
+	// MemMB bounds a cube solver's approximate live footprint in MiB. A
+	// solver over it first sheds learnt clauses (degrade before dying);
+	// if that cannot get it back under, the cube ends Unknown with cause
+	// "memory".
+	MemMB int64
+}
+
+// Pin stamps b onto a budget-exhausted record: the give-up is terminal
+// only relative to the budget it was computed under.
+func (b Budget) Pin(rec *ChunkRecord) {
+	rec.TimeoutMillis, rec.Conflicts, rec.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
+}
+
 // RetryUnder reports whether a budget-exhausted record should be
-// re-solved rather than replayed under the given per-chunk budgets
-// (wall clock in milliseconds, conflict count, memory in MiB; 0 =
-// unbounded): true when the budget the chunk exhausted has been lifted
-// or strictly raised. Definite verdicts and records without a recorded
-// budget are never retried — the latter cannot prove the new budget is
-// larger.
-func (r ChunkRecord) RetryUnder(timeoutMillis, conflicts, memMB int64) bool {
+// re-solved rather than replayed by a run with budget b: true when the
+// budget the chunk exhausted has been lifted or strictly raised.
+// Definite verdicts and records without a recorded budget are never
+// retried — the latter cannot prove the new budget is larger.
+func (r ChunkRecord) RetryUnder(b Budget) bool {
 	switch r.Cause {
 	case "timeout": // sat.CauseTimeout.String()
-		return timeoutMillis == 0 || (r.TimeoutMillis > 0 && timeoutMillis > r.TimeoutMillis)
+		ms := b.Timeout.Milliseconds()
+		return ms == 0 || (r.TimeoutMillis > 0 && ms > r.TimeoutMillis)
 	case "conflict-budget": // sat.CauseConflictBudget.String()
-		return conflicts == 0 || (r.Conflicts > 0 && conflicts > r.Conflicts)
+		return b.Conflicts == 0 || (r.Conflicts > 0 && b.Conflicts > r.Conflicts)
 	case "memory": // sat.CauseMemory.String()
-		return memMB == 0 || (r.MemBudgetMB > 0 && memMB > r.MemBudgetMB)
+		return b.MemMB == 0 || (r.MemBudgetMB > 0 && b.MemMB > r.MemBudgetMB)
 	}
 	return false
 }
@@ -222,6 +247,19 @@ func (j *Journal) SetParent(p *obs.Span) {
 	j.mu.Lock()
 	j.parent = p
 	j.mu.Unlock()
+}
+
+// OpenRun opens the journal of a run that may or may not be a
+// continuation: without resume an existing file at path is refused, so
+// a fresh run can never silently inherit (or append to) the verdicts of
+// an earlier one; with resume, Open's manifest check applies.
+func OpenRun(path string, resume bool, m Manifest) (*Journal, error) {
+	if !resume {
+		if _, err := os.Stat(path); err == nil {
+			return nil, fmt.Errorf("journal: %s already exists (pass Resume to continue it)", path)
+		}
+	}
+	return Open(path, m)
 }
 
 // Open opens or creates the journal at path for the given manifest.

@@ -1,11 +1,13 @@
 package journal
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func testManifest() Manifest {
@@ -229,35 +231,103 @@ func TestHashProgramStable(t *testing.T) {
 // larger than the ones it pinned, and retryable when the exhausted
 // budget is lifted or strictly raised.
 func TestRetryUnder(t *testing.T) {
+	ms := func(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
 	cases := []struct {
-		name          string
-		rec           ChunkRecord
-		timeoutMillis int64
-		conflicts     int64
-		memMB         int64
-		want          bool
+		name string
+		rec  ChunkRecord
+		b    Budget
+		want bool
 	}{
-		{"definite verdicts never retry", ChunkRecord{Verdict: "UNSAT"}, 0, 0, 0, false},
-		{"same timeout terminal", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, 500, 0, 0, false},
-		{"smaller timeout terminal", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, 100, 0, 0, false},
-		{"raised timeout retries", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, 501, 0, 0, true},
-		{"lifted timeout retries", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, 0, 0, 0, true},
-		{"unrecorded timeout budget terminal", ChunkRecord{Cause: "timeout"}, 900, 0, 0, false},
-		{"unrecorded budget, lifted now, retries", ChunkRecord{Cause: "timeout"}, 0, 0, 0, true},
-		{"same conflicts terminal", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, 0, 64, 0, false},
-		{"raised conflicts retries", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, 0, 65, 0, true},
-		{"lifted conflicts retries", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, 0, 0, 0, true},
-		{"causes do not cross: timeout ignores conflicts", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, 500, 1 << 30, 0, false},
-		{"same mem budget terminal", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, 0, 0, 64, false},
-		{"smaller mem budget terminal", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, 0, 0, 32, false},
-		{"raised mem budget retries", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, 0, 0, 128, true},
-		{"lifted mem budget retries", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, 0, 0, 0, true},
-		{"unrecorded mem budget terminal", ChunkRecord{Cause: "memory"}, 0, 0, 512, false},
-		{"causes do not cross: memory ignores conflicts", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, 0, 1 << 30, 64, false},
+		{"definite verdicts never retry", ChunkRecord{Verdict: "UNSAT"}, Budget{}, false},
+		{"same timeout terminal", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, Budget{Timeout: ms(500)}, false},
+		{"smaller timeout terminal", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, Budget{Timeout: ms(100)}, false},
+		{"raised timeout retries", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, Budget{Timeout: ms(501)}, true},
+		{"lifted timeout retries", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, Budget{}, true},
+		{"unrecorded timeout budget terminal", ChunkRecord{Cause: "timeout"}, Budget{Timeout: ms(900)}, false},
+		{"unrecorded budget, lifted now, retries", ChunkRecord{Cause: "timeout"}, Budget{}, true},
+		{"same conflicts terminal", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, Budget{Conflicts: 64}, false},
+		{"raised conflicts retries", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, Budget{Conflicts: 65}, true},
+		{"lifted conflicts retries", ChunkRecord{Cause: "conflict-budget", Conflicts: 64}, Budget{}, true},
+		{"causes do not cross: timeout ignores conflicts", ChunkRecord{Cause: "timeout", TimeoutMillis: 500}, Budget{Timeout: ms(500), Conflicts: 1 << 30}, false},
+		{"same mem budget terminal", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, Budget{MemMB: 64}, false},
+		{"smaller mem budget terminal", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, Budget{MemMB: 32}, false},
+		{"raised mem budget retries", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, Budget{MemMB: 128}, true},
+		{"lifted mem budget retries", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, Budget{}, true},
+		{"unrecorded mem budget terminal", ChunkRecord{Cause: "memory"}, Budget{MemMB: 512}, false},
+		{"causes do not cross: memory ignores conflicts", ChunkRecord{Cause: "memory", MemBudgetMB: 64}, Budget{Conflicts: 1 << 30, MemMB: 64}, false},
 	}
 	for _, c := range cases {
-		if got := c.rec.RetryUnder(c.timeoutMillis, c.conflicts, c.memMB); got != c.want {
-			t.Errorf("%s: RetryUnder(%d, %d, %d) = %v, want %v", c.name, c.timeoutMillis, c.conflicts, c.memMB, got, c.want)
+		if got := c.rec.RetryUnder(c.b); got != c.want {
+			t.Errorf("%s: RetryUnder(%+v) = %v, want %v", c.name, c.b, got, c.want)
+		}
+	}
+}
+
+// The on-disk keys of a budget-pinned record are a compatibility
+// contract: journals written before Budget existed must keep resuming.
+// The golden bytes are what the commit before Budget marshalled for a
+// conflict-budget give-up under -chunk-timeout 10m -chunk-conflicts 5
+// -mem-budget 4096.
+func TestBudgetPinGoldenJSON(t *testing.T) {
+	const golden = `{"from":1,"to":1,"verdict":"UNKNOWN","winner":-1,"cause":"conflict-budget","timeout_millis":600000,"conflicts":5,"mem_budget_mb":4096}`
+	b := Budget{Timeout: 10 * time.Minute, Conflicts: 5, MemMB: 4096}
+	rec := ChunkRecord{From: 1, To: 1, Verdict: "UNKNOWN", Winner: -1, Cause: "conflict-budget"}
+	b.Pin(&rec)
+	got, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != golden {
+		t.Fatalf("pinned record marshals to\n%s\nwant\n%s", got, golden)
+	}
+	var back ChunkRecord
+	if err := json.Unmarshal([]byte(golden), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != rec || back.RetryUnder(b) {
+		t.Fatalf("golden unmarshals to %+v (retry under its own budget: %v), want %+v terminal", back, back.RetryUnder(b), rec)
+	}
+}
+
+// OpenRun is the one "refuse an existing journal unless resuming"
+// protocol of core.Verify and distrib.Coordinate.
+func TestOpenRun(t *testing.T) {
+	dir := t.TempDir()
+	existing := filepath.Join(dir, "existing.wal")
+	mustOpen(t, existing, testManifest()).Close()
+	other := testManifest()
+	other.Contexts++
+
+	cases := []struct {
+		name    string
+		path    string
+		resume  bool
+		m       Manifest
+		wantMsg string // "" with a nil wantIs: success
+		wantIs  error
+	}{
+		{"fresh", filepath.Join(dir, "fresh.wal"), false, testManifest(), "", nil},
+		{"fresh with resume", filepath.Join(dir, "fresh2.wal"), true, testManifest(), "", nil},
+		{"exists without resume", existing, false, testManifest(), "already exists (pass Resume", nil},
+		{"exists with resume", existing, true, testManifest(), "", nil},
+		{"manifest mismatch", existing, true, other, "", ErrManifestMismatch},
+	}
+	for _, c := range cases {
+		j, err := OpenRun(c.path, c.resume, c.m)
+		if j != nil {
+			j.Close()
+		}
+		switch {
+		case c.wantIs != nil:
+			if !errors.Is(err, c.wantIs) {
+				t.Errorf("%s: err %v, want %v", c.name, err, c.wantIs)
+			}
+		case c.wantMsg != "":
+			if err == nil || !strings.Contains(err.Error(), c.wantMsg) {
+				t.Errorf("%s: err %v, want one containing %q", c.name, err, c.wantMsg)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", c.name, err)
 		}
 	}
 }

@@ -31,10 +31,9 @@ func stragglerParts(holes int) ([]partition.Partition, []cnf.Lit) {
 
 func adaptiveOpts(lits []cnf.Lit) Options {
 	return Options{
-		Workers:    2,
-		SplitDepth: 2,
-		SplitGrace: 20 * time.Millisecond,
-		SplitLits:  lits,
+		Workers:   2,
+		Split:     partition.SplitPolicy{Depth: 2, Grace: 20 * time.Millisecond},
+		SplitLits: lits,
 	}
 }
 
@@ -57,7 +56,7 @@ func TestAdaptiveSplitRefinesStraggler(t *testing.T) {
 		t.Fatalf("splits %d, want >= 1 (the hard partition runs ~100ms against a 20ms grace)", res.Splits)
 	}
 	if res.MaxCubeDepth < 1 || res.MaxCubeDepth > 2 {
-		t.Fatalf("max cube depth %d, want within [1, SplitDepth]", res.MaxCubeDepth)
+		t.Fatalf("max cube depth %d, want within [1, Split.Depth]", res.MaxCubeDepth)
 	}
 	if len(res.Instances) != 2 {
 		t.Fatalf("instances %d, want one folded result per partition", len(res.Instances))

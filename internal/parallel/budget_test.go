@@ -2,12 +2,14 @@ package parallel
 
 import (
 	"context"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/journal"
+	"repro/internal/partition"
 	"repro/internal/sat"
 )
 
@@ -31,7 +33,7 @@ func TestChunkConflictBudgetExhausts(t *testing.T) {
 	f := pigeonhole(7)
 	parts := partitionsOn([]cnf.Var{1, 2}, 4)
 	res, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, ChunkConflicts: 5,
+		Workers: 2, Budget: journal.Budget{Conflicts: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestChunkTimeoutExhausts(t *testing.T) {
 	parts := partitionsOn([]cnf.Var{1}, 2)
 	start := time.Now()
 	res, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, ChunkTimeout: 30 * time.Millisecond,
+		Workers: 2, Budget: journal.Budget{Timeout: 30 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -195,7 +197,7 @@ func TestJournalCommitPolicy(t *testing.T) {
 
 	j := openTestJournal(t, path, 4)
 	if _, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, ChunkConflicts: 5, Journal: j,
+		Workers: 2, Budget: journal.Budget{Conflicts: 5}, Journal: j,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +232,7 @@ func TestSimulateConflictBudget(t *testing.T) {
 	f := pigeonhole(7)
 	parts := partitionsOn([]cnf.Var{1, 2}, 4)
 	res, err := Simulate(context.Background(), f, parts, Options{
-		Workers: 2, ChunkConflicts: 5,
+		Workers: 2, Budget: journal.Budget{Conflicts: 5},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -335,14 +337,76 @@ func TestJournalSatRederiveMismatchFails(t *testing.T) {
 
 // The model re-derivation for a journaled SAT verdict must not be cut
 // short by this run's budgets: a committed counterexample outranks a
-// smaller -chunk-conflicts on the resume command line.
-func TestRederiveOptionsUnbudgeted(t *testing.T) {
-	opts := Options{ChunkConflicts: 5, Solver: sat.Options{MaxConflicts: 9}}
-	if got := opts.solverOptions().MaxConflicts; got != 5 {
-		t.Fatalf("solverOptions folds to %d, want 5", got)
+// smaller -chunk-conflicts on the resume command line. The formula is
+// pigeonhole(7) with every clause weakened by one guard literal:
+// satisfiable (guard true), but only after the search has refuted the
+// pigeonhole core, which takes far more than the one conflict allowed.
+func TestRederiveUnbudgeted(t *testing.T) {
+	php := pigeonhole(7)
+	guard := cnf.PosLit(cnf.Var(php.NumVars + 1))
+	f := cnf.New()
+	for _, c := range php.Clauses {
+		f.AddClause(append(append([]cnf.Lit{}, c...), guard)...)
 	}
-	if got := opts.rederiveOptions().MaxConflicts; got != 0 {
-		t.Fatalf("rederiveOptions keeps conflict budget %d, want unbounded", got)
+	parts := []partition.Partition{{Index: 0}}
+	tight := Options{Workers: 1, Budget: journal.Budget{Conflicts: 1}}
+	if res, err := Solve(context.Background(), f, parts, tight); err != nil || res.Status != sat.Unknown {
+		t.Fatalf("under a 1-conflict budget: status %v, err %v; want Unknown (the test needs a model that costs conflicts)", res.Status, err)
+	}
+
+	j := openTestJournal(t, filepath.Join(t.TempDir(), "run.wal"), 1)
+	if err := j.Commit(journal.ChunkRecord{From: 0, To: 0, Verdict: "SAT", Winner: 0}); err != nil {
+		t.Fatal(err)
+	}
+	tight.Journal = j
+	res, err := Solve(context.Background(), f, parts, tight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != sat.Sat || res.Resumed != 1 || res.Model == nil || !res.Model[guard.Var()-1] {
+		t.Fatalf("resumed SAT record: status %v resumed %d model %v, want Sat with the guard true", res.Status, res.Resumed, res.Model)
+	}
+}
+
+// A journal written by the commit before journal.Budget existed (one
+// UNSAT record, three conflict-budget give-ups pinned under
+// -chunk-timeout 10m -chunk-conflicts 5 -mem-budget 4096) resumes: the
+// pins still bind a run with the same budget and still yield to one that
+// lifts the exhausted part.
+func TestParentWrittenJournalResumes(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_run.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := pigeonhole(7)
+	parts := partitionsOn([]cnf.Var{1, 2}, 4)
+	same := journal.Budget{Timeout: 10 * time.Minute, Conflicts: 5, MemMB: 4096}
+	lifted := same
+	lifted.Conflicts = 0
+	for _, c := range []struct {
+		name    string
+		b       journal.Budget
+		status  sat.Status
+		resumed int
+	}{
+		{"same budget replays every record", same, sat.Unknown, 4},
+		{"lifted conflict budget re-solves the give-ups", lifted, sat.Unsat, 1},
+	} {
+		path := filepath.Join(t.TempDir(), "run.wal")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j := openTestJournal(t, path, 4)
+		if j.Commits() != 4 || j.TruncatedBytes() != 0 {
+			t.Fatalf("%s: fixture loads %d records with %d torn bytes, want 4 and 0", c.name, j.Commits(), j.TruncatedBytes())
+		}
+		res, err := Solve(context.Background(), f, parts, Options{Workers: 2, Budget: c.b, Journal: j})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Status != c.status || res.Resumed != c.resumed {
+			t.Errorf("%s: status %v resumed %d, want %v/%d", c.name, res.Status, res.Resumed, c.status, c.resumed)
+		}
 	}
 }
 
@@ -356,7 +420,7 @@ func TestJournalBudgetRaiseResolves(t *testing.T) {
 
 	j := openTestJournal(t, path, 4)
 	if _, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, ChunkConflicts: 5, Journal: j,
+		Workers: 2, Budget: journal.Budget{Conflicts: 5}, Journal: j,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +437,7 @@ func TestJournalBudgetRaiseResolves(t *testing.T) {
 	// Same budget: the exhaustions replay, nothing is re-solved.
 	j2 := openTestJournal(t, path, 4)
 	res, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, ChunkConflicts: 5, Journal: j2,
+		Workers: 2, Budget: journal.Budget{Conflicts: 5}, Journal: j2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +477,7 @@ func TestCancelWithTimerArmedStaysUncommitted(t *testing.T) {
 		cancel()
 	}()
 	res, err := Solve(ctx, f, parts, Options{
-		Workers: 2, ChunkTimeout: 10 * time.Minute, Journal: j,
+		Workers: 2, Budget: journal.Budget{Timeout: 10 * time.Minute}, Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -92,7 +92,7 @@ func TestSplitJournalsAgreeAcrossExecutors(t *testing.T) {
 	}
 	res, err := parallel.Solve(context.Background(), enc.Formula(), parts, parallel.Options{
 		Workers: 2, Journal: jnl,
-		SplitDepth: 2, SplitGrace: time.Millisecond, SplitLits: splitLits,
+		Split: partition.SplitPolicy{Depth: 2, Grace: time.Millisecond}, SplitLits: splitLits,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestSplitJournalsAgreeAcrossExecutors(t *testing.T) {
 	}
 	cres, err := distrib.Coordinate(context.Background(), ln, p, distrib.CoordinatorOptions{
 		Unwind: copts.Unwind, Contexts: copts.Contexts, Partitions: nparts, ChunkSize: 1,
-		SplitDepth: 2, SplitGrace: 100 * time.Millisecond,
+		Split:             partition.SplitPolicy{Depth: 2, Grace: 100 * time.Millisecond},
 		HeartbeatInterval: 50 * time.Millisecond,
 		JournalPath:       remote,
 	})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/sat"
 )
 
@@ -27,7 +28,7 @@ func TestJournalMemBudgetRaiseResolves(t *testing.T) {
 
 	j := openTestJournal(t, path, 4)
 	res, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, MemBudgetMB: 1, Journal: j,
+		Workers: 2, Budget: journal.Budget{MemMB: 1}, Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +54,7 @@ func TestJournalMemBudgetRaiseResolves(t *testing.T) {
 	// Same budget: the exhaustions replay, nothing is re-solved.
 	j2 := openTestJournal(t, path, 4)
 	res2, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, MemBudgetMB: 1, Journal: j2,
+		Workers: 2, Budget: journal.Budget{MemMB: 1}, Journal: j2,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,15 +9,15 @@
 // Options.Workers goroutines acquire cubes — a partition, optionally
 // refined by a path of extra split-bit polarities — solve them and claim
 // the verdicts. The paper's static scheme is the queue seeded with one
-// whole-partition cube each and never split (SplitDepth = 0); adaptive
+// whole-partition cube each and never split (Split.Depth = 0); adaptive
 // splitting lets an idle worker halve a straggler; Simulate is the same
 // runner with one worker and no first-SAT cancellation, plus an event
 // simulation of the k-core schedule.
 //
 // Two robustness layers ride on top of the paper's scheme:
 //
-//   - Per-chunk resource budgets (Options.ChunkTimeout, ChunkConflicts)
-//     bound every instance's wall clock and conflict count, so a poison
+//   - A per-cube resource budget (Options.Budget) bounds every
+//     instance's wall clock, conflict count and memory, so a poison
 //     partition degrades to Unknown — with the exhausted budget recorded
 //     in InstanceResult.Cause — instead of hanging the run.
 //   - A crash-safe journal (Options.Journal) commits every definite and
@@ -43,10 +43,9 @@ type InstanceResult struct {
 	// Status is the instance verdict (Unknown if cancelled).
 	Status sat.Status
 	// Cause classifies an Unknown status: cancelled (context done or a
-	// sibling won), timeout (ChunkTimeout expired), conflict-budget
-	// (ChunkConflicts exhausted), or memory (MemBudgetMB exhausted or
-	// the external MemAbort watchdog fired). CauseNone for definite
-	// verdicts.
+	// sibling won), timeout, conflict-budget or memory (that part of
+	// Options.Budget exhausted; memory also when the external MemAbort
+	// watchdog fired). CauseNone for definite verdicts.
 	Cause sat.StopCause
 	// Resumed marks a verdict replayed from the journal rather than
 	// solved in this run.
@@ -75,6 +74,15 @@ type InstanceResult struct {
 	// Cubes is the number of leaf cubes folded into this per-partition
 	// result (1: the partition was solved whole, never split).
 	Cubes int
+}
+
+// ConflictRate is the instance's whole-run conflicts/second, the
+// denominator of its hardness score.
+func (r InstanceResult) ConflictRate() float64 {
+	if secs := r.Time.Seconds(); secs > 0 {
+		return float64(r.Stats.Conflicts) / secs
+	}
+	return 0
 }
 
 // Result is the aggregate outcome.
@@ -115,8 +123,6 @@ type Options struct {
 	// Workers bounds the number of concurrently running solver
 	// instances; 0 means one worker per partition.
 	Workers int
-	// Solver configures each underlying CDCL instance.
-	Solver sat.Options
 	// CertifyUnsat records a clausal (RUP) proof in every instance and
 	// checks it whenever the instance reports UNSAT, so that Safe
 	// verdicts are certified independently of the CDCL search — the
@@ -129,19 +135,10 @@ type Options struct {
 	// partition that adaptive splitting divided has no single proof:
 	// Solve fails rather than return its UNSAT verdict without one.
 	KeepProofs bool
-	// ChunkTimeout bounds each instance's wall-clock solving time; an
-	// expired instance is interrupted and reports Unknown with
-	// CauseTimeout (0 = unbounded).
-	ChunkTimeout time.Duration
-	// ChunkConflicts bounds each instance's conflict count; an exhausted
-	// instance reports Unknown with CauseConflictBudget (0 = unbounded).
-	// If Solver.MaxConflicts is also set, the smaller bound applies.
-	ChunkConflicts int64
-	// MemBudgetMB bounds each instance's approximate solver footprint in
-	// MiB; an instance that cannot shrink back under it reports Unknown
-	// with CauseMemory (0 = unbounded). If Solver.MemBudgetMB is also
-	// set, the smaller bound applies.
-	MemBudgetMB int64
+	// Budget bounds each instance's wall clock, conflicts and memory; an
+	// instance that exhausts part of it reports Unknown with the matching
+	// Cause.
+	Budget journal.Budget
 	// MemAbort, when non-nil, is an external memory kill-switch (an RSS
 	// watchdog): once it becomes receivable (typically by closing it),
 	// every live and future solver of this run is aborted with
@@ -168,61 +165,15 @@ type Options struct {
 	Progress func(partition int, st sat.Stats)
 	// ProgressEvery is the conflict cadence of Progress callbacks.
 	ProgressEvery int64
-	// SplitDepth enables in-process adaptive cube splitting: an idle
-	// worker that finds the queue empty splits the cube of the hardest
-	// straggling instance past SplitGrace on the next unfixed literal of
-	// SplitLits, interrupting it, taking one half and queueing the other
-	// — up to SplitDepth extra path bits per partition (0 disables;
-	// requires SplitLits). The policy is partition.Scheduler's.
-	SplitDepth int
-	// SplitGrace is the minimum time since an instance was taken off the
-	// queue before it may be split (default 15s).
-	SplitGrace time.Duration
-	// SplitHardness is the minimum live hardness score before an instance
-	// qualifies for splitting (0: any straggler past the grace).
-	SplitHardness float64
+	// Split enables in-process adaptive cube splitting (Split.Depth > 0;
+	// requires SplitLits): an idle worker that finds the queue empty
+	// splits the cube of the hardest straggling instance past Split.Grace
+	// on the next unfixed literal of SplitLits, interrupting it, taking
+	// one half and queueing the other. The policy is partition.Scheduler's.
+	Split partition.SplitPolicy
 	// SplitLits is the canonical split-literal sequence (from
 	// partition.SplitLits) whose polarities cube paths fix.
 	SplitLits []cnf.Lit
-}
-
-// solverOptions derives one instance's solver configuration, folding
-// the per-chunk conflict budget into MaxConflicts.
-func (o *Options) solverOptions() sat.Options {
-	sOpts := o.Solver
-	if o.ChunkConflicts > 0 && (sOpts.MaxConflicts == 0 || sOpts.MaxConflicts > o.ChunkConflicts) {
-		sOpts.MaxConflicts = o.ChunkConflicts
-	}
-	if o.MemBudgetMB > 0 && (sOpts.MemBudgetMB == 0 || sOpts.MemBudgetMB > o.MemBudgetMB) {
-		sOpts.MemBudgetMB = o.MemBudgetMB
-	}
-	sOpts.ProgressEvery = o.ProgressEvery
-	return sOpts
-}
-
-// rederiveOptions is solverOptions without any conflict or memory
-// budget: the journal's SAT verdict is already durable, so the re-solve
-// that recovers its model must not be cut short by this run's (possibly
-// smaller) budgets — a budget-starved re-solve would otherwise demote
-// a committed counterexample to Unknown.
-func (o *Options) rederiveOptions() sat.Options {
-	sOpts := o.solverOptions()
-	sOpts.MaxConflicts = 0
-	sOpts.MemBudgetMB = 0
-	return sOpts
-}
-
-// replayable reports whether a committed record still binds this run.
-// Definite verdicts always replay; a budget-exhausted Unknown is
-// terminal only under budgets no larger than the ones it gave up
-// under, so a run that raised the exhausted budget re-solves the
-// partition instead.
-func (o *Options) replayable(rec journal.ChunkRecord) bool {
-	if statusFromString(rec.Verdict) != sat.Unknown {
-		return true
-	}
-	sOpts := o.solverOptions()
-	return !rec.RetryUnder(o.ChunkTimeout.Milliseconds(), sOpts.MaxConflicts, sOpts.MemBudgetMB)
 }
 
 // journalRecord builds the journal record for one leaf verdict (path is
@@ -247,18 +198,15 @@ func (o *Options) journalRecord(inst InstanceResult, path string) (journal.Chunk
 		rec.Winner = inst.Partition
 	}
 	if inst.Cause.Budgeted() {
-		sOpts := o.solverOptions()
-		rec.TimeoutMillis = o.ChunkTimeout.Milliseconds()
-		rec.Conflicts = sOpts.MaxConflicts
-		rec.MemBudgetMB = sOpts.MemBudgetMB
+		o.Budget.Pin(&rec)
 	}
 	return rec, true
 }
 
 // Solve checks the formula under each partition's assumptions in
-// parallel. It honours ctx cancellation (returning Unknown), per-chunk
-// budgets, journal resume and — with SplitDepth — adaptive splitting of
-// stragglers. Result.Instances holds one entry per partition, in parts
+// parallel. It honours ctx cancellation (returning Unknown), the
+// per-cube budget, journal resume and — with Split.Depth — adaptive
+// splitting of stragglers. Result.Instances holds one entry per partition, in parts
 // order.
 func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
 	return run(ctx, f, parts, opts, true)

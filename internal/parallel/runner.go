@@ -62,7 +62,7 @@ type runner struct {
 	// Simulate switches it off: its event simulation needs every
 	// partition's verdict and solve time.
 	race      bool
-	splitting bool // SplitDepth > 0 and there are split literals to spend
+	splitting bool // Split.Depth > 0 and there are split literals to spend
 	sched     *partition.Scheduler
 	// ctx ends the run: the caller gave up, a SAT leaf won the race, or
 	// fail recorded an error.
@@ -88,14 +88,14 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 	r := &runner{
 		f: f, opts: opts, race: race,
 		parts:     make(map[int]partition.Partition, len(parts)),
-		splitting: opts.SplitDepth > 0 && len(opts.SplitLits) > 0,
+		splitting: opts.Split.Depth > 0 && len(opts.SplitLits) > 0,
 		running:   map[*cubeRun]bool{},
 		leaves:    make(map[int][]InstanceResult, len(parts)),
 		res:       &Result{Status: sat.Unsat, Winner: -1},
 	}
-	sopts := partition.SchedOptions{Grace: opts.SplitGrace, Hardness: opts.SplitHardness}
+	var sopts partition.SchedOptions
 	if r.splitting {
-		sopts.SplitDepth, sopts.SplitBits = opts.SplitDepth, len(opts.SplitLits)
+		sopts.SplitPolicy, sopts.SplitBits = opts.Split, len(opts.SplitLits)
 		if opts.Journal != nil {
 			// The SPLIT record is the supersession point: committed before
 			// either child exists, so a crash here resumes with the children
@@ -169,9 +169,11 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 }
 
 // replay seeds the run from the journal's cube tree before any worker
-// starts: replayable verdicts become resumed leaves, every other live
-// leaf is queued. Records whose exhausted budget this run raises are
-// dropped back into the queue instead of replayed.
+// starts: committed verdicts become resumed leaves, every other live
+// leaf is queued. A budget-exhausted Unknown is terminal only under
+// budgets no larger than the ones it gave up under: a record whose
+// exhausted budget this run raises is dropped back into the queue
+// instead of replayed.
 func (r *runner) replay(parts []partition.Partition) error {
 	var recs []journal.ChunkRecord
 	if r.opts.Journal != nil {
@@ -199,7 +201,7 @@ func (r *runner) replay(parts []partition.Partition) error {
 		pt := r.parts[leaf.Cube.From]
 		r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, leaf.Cube.Depth())
 		rec := leaf.Rec
-		if rec == nil || !r.opts.replayable(*rec) {
+		if rec == nil || rec.RetryUnder(r.opts.Budget) {
 			r.sched.Add(leaf.Cube)
 			continue
 		}
@@ -213,7 +215,7 @@ func (r *runner) replay(parts []partition.Partition) error {
 		var model []bool
 		if inst.Status == sat.Sat && r.res.Status != sat.Sat {
 			var err error
-			if model, err = rederive(r.f, &r.opts, pt, leaf.Cube.Path); err != nil {
+			if model, err = rederive(r.f, pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
 				return err
 			}
 		}
@@ -226,16 +228,18 @@ func (r *runner) replay(parts []partition.Partition) error {
 }
 
 // rederive recovers the model of a SAT verdict that came without one —
-// the journal stores no model — by re-solving its cube without this
-// run's budgets. A SAT verdict that does not re-derive means the
-// journal and the formula disagree; refusing the run beats silently
+// the journal stores no model — by re-solving its cube without any
+// budget: the verdict is already durable, and a re-solve cut short by
+// this run's (possibly smaller) budget would demote a committed
+// counterexample to Unknown. A SAT verdict that does not re-derive means
+// the journal and the formula disagree; refusing the run beats silently
 // reporting UNSAT over a durably recorded counterexample.
-func rederive(f *cnf.Formula, opts *Options, pt partition.Partition, path string) ([]bool, error) {
-	assume, err := cubeAssumptions(pt, path, opts.SplitLits)
+func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []cnf.Lit) ([]bool, error) {
+	assume, err := cubeAssumptions(pt, path, splitLits)
 	if err != nil {
 		return nil, err
 	}
-	solver := sat.NewFromFormula(f, opts.rederiveOptions())
+	solver := sat.NewFromFormula(f, sat.Options{})
 	st, serr := solver.Solve(assume...)
 	if serr != nil || st != sat.Sat {
 		return nil, fmt.Errorf("parallel: SAT verdict for partition %d cube %q failed to re-derive its model (status %v, err %v); refusing to continue against a disagreeing journal", pt.Index, path, st, serr)
@@ -275,7 +279,13 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 		r.fail(err)
 		return
 	}
-	solver := sat.NewFromFormula(r.f, r.opts.solverOptions())
+	// The budget's conflict and memory bounds are the solver's own; its
+	// wall-clock bound is the timer below.
+	solver := sat.NewFromFormula(r.f, sat.Options{
+		MaxConflicts:  r.opts.Budget.Conflicts,
+		MemBudgetMB:   r.opts.Budget.MemMB,
+		ProgressEvery: r.opts.ProgressEvery,
+	})
 	started := time.Now()
 	sampler := r.instrument(a, solver, started)
 	if r.opts.CertifyUnsat || r.opts.KeepProofs {
@@ -297,8 +307,8 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	// Wall-clock budget: a timer interrupt distinguishable from
 	// cancellation by the timedOut flag.
 	var timedOut atomic.Bool
-	if r.opts.ChunkTimeout > 0 {
-		timer := time.AfterFunc(r.opts.ChunkTimeout, func() {
+	if r.opts.Budget.Timeout > 0 {
+		timer := time.AfterFunc(r.opts.Budget.Timeout, func() {
 			timedOut.Store(true)
 			solver.Interrupt()
 		})
@@ -492,7 +502,7 @@ func (r *runner) fold(parts []partition.Partition) error {
 		leaves := r.leaves[pt.Index]
 		inst := foldLeaves(pt.Index, leaves)
 		if r.opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
-			return fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without SplitDepth)", pt.Index, len(leaves))
+			return fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 		if inst.Status == sat.Unknown && r.res.Status == sat.Unsat {
@@ -506,8 +516,7 @@ func (r *runner) fold(parts []partition.Partition) error {
 // compose by the cube-tree argument (children partition the parent's
 // assumption space); budgets compose pessimistically — the partition is
 // only as decided as its least decided leaf, and an Unknown picks the
-// most severe leaf cause (memory > timeout > conflict-budget >
-// cancelled). Stats and times sum; hardness is the hardest leaf;
+// most severe leaf cause (sat.StopCause.Worse). Stats and times sum; hardness is the hardest leaf;
 // Resumed holds only when every leaf replayed from the journal; a
 // partition solved whole keeps its leaf's proof.
 func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
@@ -534,7 +543,7 @@ func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 		case sat.Unknown:
 			if out.Status != sat.Sat {
 				out.Status = sat.Unknown
-				out.Cause = mergeCause(out.Cause, l.Cause)
+				out.Cause = out.Cause.Worse(l.Cause)
 			}
 		}
 	}
@@ -542,28 +551,4 @@ func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 		out.Cause = sat.CauseNone
 	}
 	return out
-}
-
-// mergeCause keeps the more severe of two Unknown causes, in the same
-// priority order the distributed worker reports: memory dominates (the
-// coordinator's memory retry policy must see it), then timeout, then
-// conflict budget, then cancellation.
-func mergeCause(a, b sat.StopCause) sat.StopCause {
-	rank := func(c sat.StopCause) int {
-		switch c {
-		case sat.CauseMemory:
-			return 4
-		case sat.CauseTimeout:
-			return 3
-		case sat.CauseConflictBudget:
-			return 2
-		case sat.CauseCancelled:
-			return 1
-		}
-		return 0
-	}
-	if rank(b) > rank(a) {
-		return b
-	}
-	return a
 }

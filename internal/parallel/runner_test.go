@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/partition"
 	"repro/internal/sat"
 )
@@ -37,7 +38,7 @@ func TestRunnerMetamorphic(t *testing.T) {
 	formulas := []struct {
 		name      string
 		f         *cnf.Formula
-		conflicts int64 // ChunkConflicts
+		conflicts int64 // Budget.Conflicts
 		want      sat.Status
 	}{
 		{"pigeonhole-unsat", pigeonhole(6), 0, sat.Unsat},
@@ -64,10 +65,9 @@ func TestRunnerMetamorphic(t *testing.T) {
 				for _, mode := range []string{"solve", "simulate"} {
 					name := fmt.Sprintf("%s/workers=%d/split=%d/%s", fc.name, workers, depth, mode)
 					t.Run(name, func(t *testing.T) {
-						opts := Options{Workers: workers, ChunkConflicts: fc.conflicts}
+						opts := Options{Workers: workers, Budget: journal.Budget{Conflicts: fc.conflicts}}
 						if depth > 0 {
-							opts.SplitDepth = depth
-							opts.SplitGrace = time.Millisecond
+							opts.Split = partition.SplitPolicy{Depth: depth, Grace: time.Millisecond}
 							opts.SplitLits = splitLits
 						}
 						runFn := Solve
@@ -191,22 +191,22 @@ func TestSolveDoesNotWaitOnIdleWorker(t *testing.T) {
 	alone := timeSolve(parts[:1], Options{Workers: 1})
 	for _, opts := range []Options{
 		{Workers: 2},
-		{Workers: 2, SplitDepth: 2, SplitLits: []cnf.Lit{cnf.PosLit(holes + 1), cnf.PosLit(holes + 2)}},
+		{Workers: 2, Split: partition.SplitPolicy{Depth: 2}, SplitLits: []cnf.Lit{cnf.PosLit(holes + 1), cnf.PosLit(holes + 2)}},
 	} {
 		if got := timeSolve(parts, opts); got > 2*alone+200*time.Millisecond {
-			t.Fatalf("SplitDepth %d: Solve took %v with the hard partition alone taking %v: an idle worker held the run", opts.SplitDepth, got, alone)
+			t.Fatalf("Split.Depth %d: Solve took %v with the hard partition alone taking %v: an idle worker held the run", opts.Split.Depth, got, alone)
 		}
 	}
 }
 
-// KeepProofs survives SplitDepth: a partition that was not split keeps
+// KeepProofs survives Split.Depth: a partition that was not split keeps
 // its refutation proof, exactly as without splitting.
 func TestKeepProofsOnUnsplitPartitions(t *testing.T) {
 	f := pigeonhole(5)
 	parts := partitionsOn([]cnf.Var{1, 2}, 4)
 	res, err := Solve(context.Background(), f, parts, Options{
 		Workers: 2, KeepProofs: true,
-		SplitDepth: 2, SplitGrace: time.Hour, SplitLits: []cnf.Lit{cnf.PosLit(6), cnf.PosLit(7)},
+		Split: partition.SplitPolicy{Depth: 2, Grace: time.Hour}, SplitLits: []cnf.Lit{cnf.PosLit(6), cnf.PosLit(7)},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestKeepProofsOnUnsplitPartitions(t *testing.T) {
 	}
 	for i, inst := range res.Instances {
 		if inst.Proof == nil {
-			t.Fatalf("partition %d lost its proof under SplitDepth", inst.Partition)
+			t.Fatalf("partition %d lost its proof under Split.Depth", inst.Partition)
 		}
 		if err := sat.CheckRUP(f, parts[i].Assumptions, inst.Proof); err != nil {
 			t.Fatalf("partition %d: kept proof does not check: %v", inst.Partition, err)

@@ -68,7 +68,7 @@ func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, 
 	if winner := parts[best]; winner.Index != res.Winner {
 		// The runner kept the model of the first SAT partition it met
 		// sequentially; the simulated winner is another one.
-		if res.Model, err = rederive(f, &opts, winner, ""); err != nil {
+		if res.Model, err = rederive(f, winner, "", nil); err != nil {
 			return nil, err
 		}
 		res.Winner = winner.Index

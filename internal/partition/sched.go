@@ -14,20 +14,20 @@ import (
 // running one is cancelled.
 //
 // An idle executor is served in a fixed priority. (1) A queued cube.
-// (2) With SplitDepth > 0, a split victim: the *hardest* in-flight cube
+// (2) With Depth > 0, a split victim: the *hardest* in-flight cube
 // (the longer-running one on a tie) that was dispatched at least Grace
 // ago — every age here is measured from dispatch, the moment Acquire
 // handed the cube out, on both transports; Grace defaults to 15s — whose
 // latest Note is at or above Hardness, and that can still be refined: a
 // multi-partition range always halves, a single partition needs an
-// unfixed split bit under both SplitDepth and SplitBits. The idle
+// unfixed split bit under both Depth and SplitBits. The idle
 // executor makes the split durable through CommitSplit, steals the
 // first child and leaves the second on the queue. (3) With Hedge, a
 // duplicate of the longest-running cube past Grace that has one running
 // copy, on another worker. Otherwise the executor sleeps on a condition
 // variable that every state change signals, with a timer only for the
 // next grace expiry; Acquire returns nil once no live leaf is left or
-// the scheduler is closed. With SplitDepth 0 and no Hedge no cube ever
+// the scheduler is closed. With Depth 0 and no Hedge no cube ever
 // qualifies and the queue is the paper's static partition list.
 //
 // Supersession is the soundness fence. A cube is fenced the moment it
@@ -55,12 +55,13 @@ type Scheduler struct {
 	stats    SchedStats
 }
 
-// SchedOptions is the scheduling policy of one run.
-type SchedOptions struct {
-	// SplitDepth caps the extra path bits a single partition may
-	// accumulate; 0 disables splitting. SplitBits is how many the
-	// encoding can supply (len of SplitLits).
-	SplitDepth, SplitBits int
+// SplitPolicy is the "split a cube whose solver outlives its grace"
+// policy of a run, stated once and carried unchanged from the command
+// line to the scheduler by both executors.
+type SplitPolicy struct {
+	// Depth caps the extra path bits a single partition may accumulate;
+	// 0 disables splitting.
+	Depth int
 	// Grace is the minimum time since dispatch before a cube may be split
 	// or hedged (<= 0: 15s).
 	Grace time.Duration
@@ -68,6 +69,14 @@ type SchedOptions struct {
 	// default 0 makes grace alone the trigger, so a straggler that
 	// reports no progress at all is still split around.
 	Hardness float64
+}
+
+// SchedOptions is the scheduling policy of one run.
+type SchedOptions struct {
+	SplitPolicy
+	// SplitBits is how many path bits the encoding can supply (len of
+	// SplitLits).
+	SplitBits int
 	// Hedge enables speculative duplicates. Only the TCP coordinator sets
 	// it: a duplicate pays when machines fail or slow down independently,
 	// which goroutines of one process do not.
@@ -240,10 +249,10 @@ func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *As
 // needs an unfixed split bit under both the depth cap and the
 // encoding's supply.
 func (s *Scheduler) canSplit(c Cube) bool {
-	if s.opts.SplitDepth <= 0 {
+	if s.opts.Depth <= 0 {
 		return false
 	}
-	return c.Size() > 1 || (c.Depth() < s.opts.SplitDepth && c.Depth() < s.opts.SplitBits)
+	return c.Size() > 1 || (c.Depth() < s.opts.Depth && c.Depth() < s.opts.SplitBits)
 }
 
 // register creates and indexes a running assignment (lock held).

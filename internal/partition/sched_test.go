@@ -109,15 +109,15 @@ func TestSchedulerSplitGate(t *testing.T) {
 		wantVictim bool
 		wantGrace  time.Duration
 	}{
-		{"inside grace", SchedOptions{SplitDepth: 2, SplitBits: 4}, single, testGrace - 5*time.Second, 9, false, 5 * time.Second},
-		{"at grace", SchedOptions{SplitDepth: 2, SplitBits: 4}, single, testGrace, 0, true, 0},
-		{"below hardness floor", SchedOptions{SplitDepth: 2, SplitBits: 4, Hardness: 2}, single, 2 * testGrace, 1.5, false, 0},
-		{"at hardness floor", SchedOptions{SplitDepth: 2, SplitBits: 4, Hardness: 2}, single, 2 * testGrace, 2, true, 0},
-		{"under depth cap", SchedOptions{SplitDepth: 2, SplitBits: 4}, Cube{From: 3, To: 3, Path: "0"}, 2 * testGrace, 0, true, 0},
-		{"at depth cap", SchedOptions{SplitDepth: 2, SplitBits: 4}, Cube{From: 3, To: 3, Path: "01"}, 2 * testGrace, 0, false, 0},
-		{"split bits run out", SchedOptions{SplitDepth: 3, SplitBits: 1}, Cube{From: 3, To: 3, Path: "1"}, 2 * testGrace, 0, false, 0},
-		{"no split bits at all", SchedOptions{SplitDepth: 3}, single, 2 * testGrace, 0, false, 0},
-		{"range halves without bits", SchedOptions{SplitDepth: 1}, Cube{From: 0, To: 3}, 2 * testGrace, 0, true, 0},
+		{"inside grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace - 5*time.Second, 9, false, 5 * time.Second},
+		{"at grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace, 0, true, 0},
+		{"below hardness floor", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2, Hardness: 2}, SplitBits: 4}, single, 2 * testGrace, 1.5, false, 0},
+		{"at hardness floor", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2, Hardness: 2}, SplitBits: 4}, single, 2 * testGrace, 2, true, 0},
+		{"under depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "0"}, 2 * testGrace, 0, true, 0},
+		{"at depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "01"}, 2 * testGrace, 0, false, 0},
+		{"split bits run out", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}, SplitBits: 1}, Cube{From: 3, To: 3, Path: "1"}, 2 * testGrace, 0, false, 0},
+		{"no split bits at all", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}}, single, 2 * testGrace, 0, false, 0},
+		{"range halves without bits", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, Cube{From: 0, To: 3}, 2 * testGrace, 0, true, 0},
 		{"splitting off", SchedOptions{SplitBits: 4}, Cube{From: 0, To: 3}, 2 * testGrace, 9, false, 0},
 	}
 	for _, tc := range cases {
@@ -149,7 +149,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 		opts   SchedOptions
 		script func(t *testing.T, h *schedHarness)
 	}{
-		{"queue before split before hedge", SchedOptions{SplitDepth: 1, Hedge: true}, func(t *testing.T, h *schedHarness) {
+		{"queue before split before hedge", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}, Hedge: true}, func(t *testing.T, h *schedHarness) {
 			a := h.dispatch(rng(0, 3), "w1")
 			h.s.Add(rng(4, 7))
 			h.clock.advance(2 * testGrace)
@@ -168,7 +168,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 				t.Fatalf("want nothing for %v, got a=%+v victim=%+v graceIn=%v", testGrace, got, victim, graceIn)
 			}
 		}},
-		{"hardest victim, then longest-running", SchedOptions{SplitDepth: 1}, func(t *testing.T, h *schedHarness) {
+		{"hardest victim, then longest-running", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, func(t *testing.T, h *schedHarness) {
 			old := h.dispatch(rng(0, 1), "w1")
 			mid := h.dispatch(rng(2, 3), "w2")
 			hard := h.dispatch(rng(4, 5), "w3")
@@ -182,7 +182,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 				}
 			}
 		}},
-		{"claim after reserve loses", SchedOptions{SplitDepth: 2, SplitBits: 4}, func(t *testing.T, h *schedHarness) {
+		{"claim after reserve loses", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, func(t *testing.T, h *schedHarness) {
 			parent := h.dispatch(rng(0, 3), "w1")
 			h.clock.advance(2 * testGrace)
 			// The pre-commit window: while the SPLIT record is being
@@ -220,7 +220,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 				t.Fatalf("Acquire returned %+v with every leaf decided", a)
 			}
 		}},
-		{"abort split leaves the parent superseded", SchedOptions{SplitDepth: 1}, func(t *testing.T, h *schedHarness) {
+		{"abort split leaves the parent superseded", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, func(t *testing.T, h *schedHarness) {
 			parent := h.dispatch(rng(0, 3), "w1")
 			h.clock.advance(2 * testGrace)
 			refused := make(chan struct{})
@@ -312,7 +312,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 				t.Fatalf("Acquire returned %+v after the last leaf was abandoned", got)
 			}
 		}},
-		{"grace expiry wakes a sleeping executor", SchedOptions{SplitDepth: 1}, func(t *testing.T, h *schedHarness) {
+		{"grace expiry wakes a sleeping executor", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, func(t *testing.T, h *schedHarness) {
 			h.s.opts.Grace = 5 * time.Millisecond // the wake-up timer runs on the real clock
 			parent := h.dispatch(rng(0, 1), "w1")
 			idle := h.acquireAsync("w2")

@@ -50,9 +50,6 @@ type Options struct {
 	// MaxSharedLBD bounds the literal-block distance of exchanged
 	// clauses in StyleSharing (default 4).
 	MaxSharedLBD int
-	// Solver is the base solver configuration; each instance derives a
-	// diversified variant from it.
-	Solver sat.Options
 	// InstanceTimeout bounds each instance's wall-clock solving time; an
 	// expired instance is interrupted and records CauseTimeout in
 	// Result.Causes (0 = unbounded). Because all instances race on the
@@ -60,13 +57,11 @@ type Options struct {
 	// instance exhausts its budget or is cancelled.
 	InstanceTimeout time.Duration
 	// InstanceConflicts bounds each instance's conflict count, recorded
-	// as CauseConflictBudget (0 = unbounded). If Solver.MaxConflicts is
-	// also set, the smaller bound applies.
+	// as CauseConflictBudget (0 = unbounded).
 	InstanceConflicts int64
 	// InstanceMemMB bounds each instance's approximate solver footprint
 	// in MiB, recorded as CauseMemory when the instance cannot shrink
-	// back under it (0 = unbounded). If Solver.MemBudgetMB is also set,
-	// the smaller bound applies.
+	// back under it (0 = unbounded).
 	InstanceMemMB int64
 	// Progress, when non-nil and ProgressEvery > 0, receives live
 	// search statistics for an instance every ProgressEvery conflicts,
@@ -198,16 +193,11 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sOpts := diversify(opts.Solver, i, opts.Style)
-			sOpts.ProgressEvery = opts.ProgressEvery
-			if opts.InstanceConflicts > 0 &&
-				(sOpts.MaxConflicts == 0 || sOpts.MaxConflicts > opts.InstanceConflicts) {
-				sOpts.MaxConflicts = opts.InstanceConflicts
-			}
-			if opts.InstanceMemMB > 0 &&
-				(sOpts.MemBudgetMB == 0 || sOpts.MemBudgetMB > opts.InstanceMemMB) {
-				sOpts.MemBudgetMB = opts.InstanceMemMB
-			}
+			sOpts := diversify(sat.Options{
+				MaxConflicts:  opts.InstanceConflicts,
+				MemBudgetMB:   opts.InstanceMemMB,
+				ProgressEvery: opts.ProgressEvery,
+			}, i, opts.Style)
 			s := sat.NewFromFormula(f, sOpts)
 			if opts.Progress != nil && opts.ProgressEvery > 0 {
 				s.Progress = func(st sat.Stats) { opts.Progress(i, st) }

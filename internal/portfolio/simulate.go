@@ -33,8 +33,7 @@ func Simulate(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error
 		if err := ctx.Err(); err != nil {
 			return res, nil
 		}
-		sOpts := diversify(opts.Solver, i, opts.Style)
-		sOpts.ProgressEvery = opts.ProgressEvery
+		sOpts := diversify(sat.Options{ProgressEvery: opts.ProgressEvery}, i, opts.Style)
 		s := sat.NewFromFormula(f, sOpts)
 		if opts.Progress != nil && opts.ProgressEvery > 0 {
 			i := i

@@ -29,11 +29,16 @@ type Options struct {
 	Contexts int
 	// Width is the integer bit width (default 8).
 	Width int
-	// MaxExecutions is the total execution budget (default 10000).
+	// MaxExecutions is the total execution budget (default 10000),
+	// divided evenly among the workers (the remainder goes to the lowest
+	// indices).
 	MaxExecutions int64
 	// Workers is the number of concurrent samplers (default 1).
 	Workers int
-	// Seed seeds the schedule generator.
+	// Seed seeds the schedule generators, one stream per worker. Whether
+	// a violation is found is a function of (Seed, Workers,
+	// MaxExecutions): each worker walks a fixed prefix of its own stream,
+	// however the goroutines are scheduled.
 	Seed int64
 	// NondetDomain bounds random values for non-deterministic
 	// assignments (default 8; Booleans use 2).
@@ -80,11 +85,18 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 
 	for wk := 0; wk < opts.Workers; wk++ {
 		wk := wk
+		// A fixed share each, not a race for one shared counter: a bug only
+		// worker k's stream reaches must not hinge on how much of the
+		// budget the scheduler lets worker k take.
+		share := opts.MaxExecutions / int64(opts.Workers)
+		if int64(wk) < opts.MaxExecutions%int64(opts.Workers) {
+			share++
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(opts.Seed + int64(wk)*7919 + 1))
-			for {
+			for ; share > 0; share-- {
 				select {
 				case <-done:
 					return
@@ -92,9 +104,7 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 					return
 				default:
 				}
-				if executions.Add(1) > opts.MaxExecutions {
-					return
-				}
+				executions.Add(1)
 				viol, schedule, pruned := runRandomSchedule(fp, opts, rng)
 				if pruned {
 					infeasible.Add(1)
@@ -115,9 +125,6 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 	}
 	wg.Wait()
 	res.Executions = executions.Load()
-	if res.Executions > opts.MaxExecutions {
-		res.Executions = opts.MaxExecutions
-	}
 	res.Infeasible = infeasible.Load()
 	res.Wall = time.Since(start)
 	return res, nil

@@ -2,6 +2,7 @@ package sampler
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -53,6 +54,45 @@ func TestSamplerFindsRaceBug(t *testing.T) {
 	}
 	if res.Violation == nil {
 		t.Fatalf("sampler missed the work-stealing race in %d executions", res.Executions)
+	}
+}
+
+// Whether a run finds the bug is a function of (Seed, Workers,
+// MaxExecutions), not of how the goroutine scheduler interleaves the
+// workers. With seed 2 the Fibonacci bug is first hit by worker 0's
+// stream at its 649th execution and by worker 1's at its 48th, so two
+// workers find it exactly when worker 1's share reaches 48 — whatever
+// GOMAXPROCS is, and on every repetition. (Under a shared budget counter
+// the 96-execution run depended on worker 1 winning half the races.)
+func TestSamplerOutcomeIsDeterministic(t *testing.T) {
+	fp := flat(t, bench.Fibonacci(1), 1)
+	orig := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(orig) })
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range []struct {
+			budget int64
+			found  bool
+		}{
+			{94, false}, // shares 47 + 47
+			{95, false}, // shares 48 + 47: the remainder goes to worker 0
+			{96, true},  // shares 48 + 48
+		} {
+			for rep := 0; rep < 10; rep++ {
+				res, err := Sample(context.Background(), fp, Options{
+					Contexts: 4, MaxExecutions: c.budget, Workers: 2, Seed: 2,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if found := res.Violation != nil; found != c.found {
+					t.Fatalf("GOMAXPROCS %d, budget %d, repetition %d: found %v, want %v", procs, c.budget, rep, found, c.found)
+				}
+				if !c.found && res.Executions != c.budget {
+					t.Fatalf("GOMAXPROCS %d, budget %d: %d executions, want the whole budget", procs, c.budget, res.Executions)
+				}
+			}
+		}
 	}
 }
 

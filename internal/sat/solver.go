@@ -60,6 +60,8 @@ var ErrMemBudget = errors.New("sat: memory budget exhausted")
 // (Unknown with nil error under MaxConflicts).
 type StopCause int
 
+// The causes are declared in order of severity, which is how the causes
+// of several solves fold into one (see Worse).
 const (
 	// CauseNone: the solve reached a definite verdict.
 	CauseNone StopCause = iota
@@ -67,10 +69,10 @@ const (
 	// sibling instance won, or an explicit Interrupt) — rerunning could
 	// still decide the chunk.
 	CauseCancelled
-	// CauseTimeout: the chunk's wall-clock budget expired.
-	CauseTimeout
 	// CauseConflictBudget: the chunk's conflict budget was exhausted.
 	CauseConflictBudget
+	// CauseTimeout: the chunk's wall-clock budget expired.
+	CauseTimeout
 	// CauseMemory: the chunk's memory budget was exhausted — either the
 	// solver's own live-byte accounting crossed Options.MemBudgetMB after
 	// emergency learnt-DB shrinking, or an external RSS watchdog aborted
@@ -108,6 +110,12 @@ func ParseStopCause(s string) StopCause {
 		return CauseNone
 	}
 }
+
+// Worse returns the more severe of two causes — the cause of a result
+// folded from several solves: memory dominates (the coordinator's memory
+// retry policy must see it), then timeout (a run that hit the wall clock
+// anywhere is wall-clock bound), then conflict budget, then cancellation.
+func (c StopCause) Worse(d StopCause) StopCause { return max(c, d) }
 
 // Budgeted reports whether the cause is a deterministic budget
 // exhaustion (timeout, conflict budget, or memory budget) rather than

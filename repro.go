@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -113,7 +112,6 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (*Result, error)
 		To:           opts.To,
 		Preprocess:   opts.Preprocess,
 		CertifyUnsat: opts.CertifyUnsat,
-		Solver:       sat.Options{},
 	})
 	if err != nil {
 		return nil, err
