@@ -247,8 +247,9 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
 		res.RemoteStats.Restarts, time.Duration(res.SolveMillis)*time.Millisecond)
 	if certPolicy.Enabled() {
-		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v\n",
-			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond)
+		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations\n",
+			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,
+			res.CertifyWork.Lemmas, res.CertifyWork.Propagations)
 	}
 	if res.JournalSealed {
 		fmt.Printf("WARNING: journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s\n", res.JournalSealCause)

@@ -3,13 +3,16 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/prog"
 )
@@ -464,5 +467,89 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 	if cert != nil {
 		t.Fatal("panicked job produced a certificate")
+	}
+}
+
+// TestByzantineFabricatedProofThenHonest puts what no wire fault
+// reaches — a well-formed certificate whose proofs do not check — to
+// the verifier, from two goroutines at once as two workers' serve loops
+// would: a certificate fabricated at its second partition (so the
+// checker has already been through an honest proof and a reset) is
+// rejected there, and the honest certificate checks right after it,
+// every time, with the checker's work reported.
+func TestByzantineFabricatedProofThenHonest(t *testing.T) {
+	v, err := newCertVerifier(prog.MustParse(fibSrc), CoordinatorOptions{Unwind: 2, Contexts: 3, Partitions: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Partitions 0 and 1 are refuted with lemmas, not by propagation
+	// alone; the honest proofs come from solving the verifier's formula.
+	cube := partition.Cube{From: 0, To: 1}
+	honest := &Certificate{NumVars: v.formula.NumVars}
+	var lemmas int64
+	for _, pt := range v.parts[cube.From : cube.To+1] {
+		s := sat.NewFromFormula(v.formula, sat.Options{})
+		s.EnableProof()
+		if st, err := s.Solve(pt.Assumptions...); err != nil || st != sat.Unsat || s.ProofLog().NumLemmas() < 2 {
+			t.Fatalf("partition %d: %v, %v, %d lemmas; want UNSAT with a proof to fabricate from", pt.Index, st, err, s.ProofLog().NumLemmas())
+		}
+		honest.Proofs = append(honest.Proofs, PartitionProof{Partition: pt.Index, Proof: s.ProofLog()})
+		lemmas += int64(s.ProofLog().NumLemmas())
+	}
+	// The second proof loses its first half: the lemmas left no longer
+	// follow by unit propagation.
+	second := honest.Proofs[1].Proof.Lemmas
+	fabricated := &Certificate{NumVars: honest.NumVars, Proofs: []PartitionProof{
+		honest.Proofs[0],
+		{Partition: cube.To, Proof: &sat.Proof{Lemmas: second[(len(second)+1)/2:]}},
+	}}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				work, err := v.verifySafe(cube, fabricated)
+				if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("partition %d", cube.To)) {
+					t.Errorf("fabricated certificate: %v, want a rejection at partition %d", err, cube.To)
+				}
+				if work.Lemmas == 0 {
+					t.Errorf("rejected certificate: checker's work not reported: %+v", work)
+				}
+				work, err = v.verifySafe(cube, honest)
+				if err != nil {
+					t.Errorf("honest certificate after a rejected one: %v", err)
+				}
+				if work.Lemmas != lemmas || work.Propagations == 0 {
+					t.Errorf("honest certificate: work %+v, want %d lemmas", work, lemmas)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestCertifyWorkReported: the proof checkers' lemmas and propagations
+// reach the result and the propagation counter, so the checker's rate
+// can be read beside the solvers'.
+func TestCertifyWorkReported(t *testing.T) {
+	reg := obs.NewRegistry()
+	addr, resCh := startCoordinator(t, prog.MustParse(fibSrc), CoordinatorOptions{
+		Unwind: 2, Contexts: 3, Partitions: 4, ChunkSize: 2, Metrics: reg,
+	})
+	if _, err := runWorker(t, addr, "honest", nil, 0); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	res := waitResult(t, resCh)
+	if res.Verdict != core.Safe || res.Certified != 2 {
+		t.Fatalf("verdict %v, %d certified", res.Verdict, res.Certified)
+	}
+	if res.CertifyWork.Lemmas == 0 || res.CertifyWork.Propagations == 0 {
+		t.Fatalf("certify work %+v", res.CertifyWork)
+	}
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	if v, ok := metricValue(buf.String(), "parbmc_coordinator_certify_propagations_total"); !ok || int64(v) != res.CertifyWork.Propagations {
+		t.Fatalf("parbmc_coordinator_certify_propagations_total = %v, %v; result says %d", v, ok, res.CertifyWork.Propagations)
 	}
 }

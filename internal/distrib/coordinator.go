@@ -174,6 +174,10 @@ type CoordinatorResult struct {
 	// CertifyMillis sums the coordinator-side certificate verification
 	// time, the overhead certification adds on top of SolveMillis.
 	CertifyMillis int64
+	// CertifyWork sums what the proof checkers did in that time: lemmas
+	// put to the RUP test and literals propagated, over accepted and
+	// rejected proofs alike — the counterpart of RemoteStats.
+	CertifyWork sat.ProofCheckerStats
 	// Certified counts definite verdicts accepted with a verified
 	// certificate; CertRejected counts results whose certificate was
 	// rejected (each rejection also marks its worker untrusted).
@@ -905,12 +909,15 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job
 		return reply, false, nil
 	}
 	certSpan := jobSpan.Child("certify_verify", obs.KV("level", job.Certify))
-	dur, verr := co.verifier.verify(a.Cube, reply, cert, job.Certify)
+	dur, work, verr := co.verifier.verify(a.Cube, reply, cert, job.Certify)
 	certSpan.End(obs.KV("ok", verr == nil))
 	co.metrics.certifySeconds.Observe(dur.Seconds())
+	co.metrics.certifyPropagations.Add(work.Propagations)
 	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || job.Certify == CertifyFull)
 	co.mu.Lock()
 	co.res.CertifyMillis += dur.Milliseconds()
+	co.res.CertifyWork.Lemmas += work.Lemmas
+	co.res.CertifyWork.Propagations += work.Propagations
 	if certified {
 		co.res.Certified++
 	}

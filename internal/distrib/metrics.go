@@ -30,6 +30,9 @@ type coordMetrics struct {
 	certVerified    *obs.Counter
 	certRejected    *obs.Counter
 	certifySeconds  *obs.Histogram
+	// certifyPropagations over certifySeconds' sum is the checker's
+	// rate, to set beside remotePropagations over solveSeconds' sum.
+	certifyPropagations *obs.Counter
 
 	cubesSplit        *obs.Counter
 	chunksHedged      *obs.Counter
@@ -82,6 +85,8 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 			"Remote verdict certificates rejected (missing, malformed, oversized, or failed verification)."),
 		certifySeconds: reg.Histogram("parbmc_coordinator_certify_seconds",
 			"Per-result certificate verification wall time in seconds (fixed duration buckets).", nil),
+		certifyPropagations: reg.Counter("parbmc_coordinator_certify_propagations_total",
+			"Literals propagated by the coordinator's proof checkers while verifying SAFE certificates."),
 		cubesSplit: reg.Counter("parbmc_cubes_split_total",
 			"In-flight cubes split into two sub-cubes after stalling past the grace period (adaptive partitioning)."),
 		chunksHedged: reg.Counter("parbmc_chunks_hedged_total",

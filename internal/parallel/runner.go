@@ -251,19 +251,25 @@ func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []c
 // child of a straggler this worker just split — and run it, until the
 // run is cancelled or no live leaf is left.
 func (r *runner) work() {
+	// Under CertifyUnsat the worker checks every refutation it finds on
+	// a proof checker of its own, loaded with the formula once.
+	var checker *sat.ProofChecker
+	if r.opts.CertifyUnsat {
+		checker = sat.NewProofChecker(r.f)
+	}
 	for r.ctx.Err() == nil {
 		rc := &cubeRun{}
 		a := r.sched.Acquire("", func(*partition.Assignment) { r.cancelCube(rc) })
 		if a == nil {
 			return
 		}
-		r.runCube(a, rc)
+		r.runCube(a, rc, checker)
 	}
 }
 
 // runCube solves one acquired cube and files its outcome: the only
 // place a partition's solver is built and its result classified.
-func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
+func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.ProofChecker) {
 	pt, path := r.parts[a.Cube.From], a.Cube.Path
 	// A panicking solver instance must not take the process down with
 	// it: the panic becomes the run's error and cancels the siblings, so
@@ -343,7 +349,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 		return
 	}
 	if inst.Status == sat.Unsat && r.opts.CertifyUnsat {
-		if cerr := sat.CheckRUP(r.f, assume, solver.ProofLog()); cerr != nil {
+		if cerr := checker.Check(assume, solver.ProofLog()); cerr != nil {
 			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", pt.Index, path, cerr))
 			return
 		}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -431,6 +432,7 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 		last := rep.Snapshots[len(rep.Snapshots)-1]
 		fmt.Fprintf(w, "\nMetrics snapshots: %d (last at %d ms, %d series lines)\n",
 			len(rep.Snapshots), last.AtMillis, strings.Count(last.Metrics, "\n"))
+		renderPropagationRates(w, last.Metrics)
 	}
 
 	if len(rep.Profiles) > 0 {
@@ -439,6 +441,34 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 			fmt.Fprintf(w, "  %-10s %-5s %8d B  %s\n", p.Phase, p.Kind, p.Bytes, p.Path)
 		}
 	}
+}
+
+// renderPropagationRates sets the coordinator's proof checkers beside
+// the workers' solvers, in propagations per second of their own busy
+// time, from the counters of a distributed run's last snapshot: whether
+// certifying a verdict runs at the speed of finding it.
+func renderPropagationRates(w io.Writer, metrics string) {
+	rate := func(what, props, seconds string) {
+		n, _ := sampleValue(metrics, props)
+		secs, _ := sampleValue(metrics, seconds)
+		if n > 0 && secs > 0 {
+			fmt.Fprintf(w, "  %s: %.1f M propagations/s (%.0f in %.2f s)\n", what, n/secs/1e6, n, secs)
+		}
+	}
+	rate("workers' solvers", "parbmc_remote_propagations_total", "parbmc_coordinator_job_solve_seconds_sum")
+	rate("coordinator's proof checkers", "parbmc_coordinator_certify_propagations_total", "parbmc_coordinator_certify_seconds_sum")
+}
+
+// sampleValue finds the unlabelled series name in a Prometheus text
+// rendering.
+func sampleValue(metrics, name string) (float64, bool) {
+	for _, line := range strings.Split(metrics, "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			return v, err == nil
+		}
+	}
+	return 0, false
 }
 
 func renderPartitionTable(w io.Writer, rows []PartitionRow) {

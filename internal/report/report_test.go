@@ -82,6 +82,13 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reg.Gauge("parbmc_test_gauge", "help").Set(7)
+	// What a certifying coordinator exports: the workers' search and its
+	// own proof checking, each as a propagation count and a busy time.
+	reg.Counter("parbmc_remote_propagations_total", "help").Add(30e6)
+	reg.Histogram("parbmc_coordinator_job_solve_seconds", "help", nil).Observe(1.5)
+	reg.Counter("parbmc_coordinator_certify_propagations_total", "help").Add(24e6)
+	reg.Histogram("parbmc_coordinator_certify_seconds", "help", nil).Observe(0.75)
+	reg.Histogram("parbmc_coordinator_certify_seconds", "help", nil).Observe(0.25)
 	r.Snapshot(reg)
 
 	path := filepath.Join(t.TempDir(), "run.report.json")
@@ -121,6 +128,8 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		"Span tree: 3 spans, 1 roots, 0 orphans",
 		"Slowest spans:",
 		"Metrics snapshots: 1",
+		"workers' solvers: 20.0 M propagations/s (30000000 in 1.50 s)",
+		"coordinator's proof checkers: 24.0 M propagations/s (24000000 in 1.00 s)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)

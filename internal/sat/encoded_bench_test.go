@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/partition"
 )
 
 // BenchmarkLoadFormula times NewFromFormula alone on the largest
@@ -44,4 +45,48 @@ func BenchmarkSolveEncoded(b *testing.B) {
 	secs := b.Elapsed().Seconds()
 	b.ReportMetric(float64(props)/secs, "props/s")
 	b.ReportMetric(float64(conflicts)/secs, "conflicts/s")
+}
+
+// BenchmarkCheckRUP times the check of one real refutation, partition 0
+// of 16 of eliminationstack u=2 c=5 — a sixteenth of what the repo
+// benchmark's distrib_loopback coordinator certifies — on a checker
+// built for the proof (what CheckRUP does) and on one kept warm.
+func BenchmarkCheckRUP(b *testing.B) {
+	enc := encodeBenchCell(b, bench.Eliminationstack(), 2, 5)
+	f := enc.Formula()
+	parts, err := partition.Make(enc, 16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	assumptions := parts[0].Assumptions
+	s := NewFromFormula(f, Options{})
+	s.EnableProof()
+	if st, err := s.Solve(assumptions...); err != nil || st != Unsat {
+		b.Fatalf("got %v, %v; want UNSAT", st, err)
+	}
+	proof := s.ProofLog()
+	run := func(b *testing.B, checker func() *ProofChecker) {
+		var work ProofCheckerStats
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			c := checker()
+			before := c.Stats()
+			if err := c.Check(assumptions, proof); err != nil {
+				b.Fatal(err)
+			}
+			work.Lemmas += c.Stats().Lemmas - before.Lemmas
+			work.Propagations += c.Stats().Propagations - before.Propagations
+		}
+		secs := b.Elapsed().Seconds()
+		b.ReportMetric(float64(work.Lemmas)/secs, "lemmas/s")
+		b.ReportMetric(float64(work.Propagations)/secs, "props/s")
+	}
+	b.Run("fresh", func(b *testing.B) {
+		run(b, func() *ProofChecker { return NewProofChecker(f) })
+	})
+	b.Run("reused", func(b *testing.B) {
+		warm := NewProofChecker(f)
+		run(b, func() *ProofChecker { return warm })
+	})
 }

@@ -3,6 +3,7 @@ package sat
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/cnf"
@@ -180,6 +181,104 @@ func FuzzSolve(f *testing.F) {
 		}
 		if bytes.Equal(data, shrinking) && stats.MemShrinks == 0 {
 			t.Error("memory seed never shrank its learnt DB under the budget")
+		}
+	})
+}
+
+// A FuzzCheckRUP input is a FuzzSolve input, then a byte 1, then the
+// lemmas of a claimed proof in the same clause encoding. Without the
+// separator the proof is empty.
+func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options, claimed *Proof) {
+	claimed = &Proof{}
+	if len(data) > 1 {
+		if cut := bytes.IndexByte(data[1:], 1); cut >= 0 {
+			lemmas, _, _ := decodeFuzzInput(append([]byte{0}, data[cut+2:]...))
+			claimed.Lemmas = lemmas.Clauses
+			data = data[:cut+1]
+		}
+	}
+	f, assumptions, opts = decodeFuzzInput(data)
+	return f, assumptions, opts, claimed
+}
+
+func withFuzzProof(input []byte, lemmas ...cnf.Clause) []byte {
+	return append(append(input[:len(input):len(input)], 1),
+		encodeFuzzInput(0, nil, &cnf.Formula{Clauses: lemmas})[1:]...)
+}
+
+// checkFuzzProof puts one proof to a checker that has checked others, a
+// fresh checker and the reference engine. The first two must agree to
+// the letter; what the reference accepts the checker must accept, and
+// nothing may be accepted against a formula the solver satisfied.
+func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status) error {
+	t.Helper()
+	fresh := CheckRUP(f, assumptions, p)
+	if got := reused.Check(assumptions, p); errText(got) != errText(fresh) {
+		t.Fatalf("reused checker: %s\nfresh checker: %s", errText(got), errText(fresh))
+	}
+	if fresh != nil && referenceCheckRUP(f, assumptions, p) == nil {
+		t.Fatalf("the reference engine accepts what the checker rejects: %v", fresh)
+	}
+	if fresh == nil && solved == Sat {
+		t.Fatalf("accepted a refutation of a satisfiable formula: %v under %v, lemmas %v", f, assumptions, p.Lemmas)
+	}
+	return fresh
+}
+
+func FuzzCheckRUP(f *testing.F) {
+	small, _, _ := fuzzSeeds()
+	for _, seed := range small {
+		f.Add(seed)
+		// Each refutable seed again with its proof, and with the proof
+		// cut short, reversed and weakened by an unknown variable.
+		formula, assumptions, opts := decodeFuzzInput(seed)
+		s := NewFromFormula(formula, opts)
+		s.EnableProof()
+		if st, _ := s.Solve(assumptions...); st != Unsat || s.ProofLog().NumLemmas() == 0 {
+			continue
+		}
+		lemmas := s.ProofLog().Lemmas
+		f.Add(withFuzzProof(seed, lemmas...))
+		f.Add(withFuzzProof(seed, lemmas[:len(lemmas)/2]...))
+		reversed := slices.Clone(lemmas)
+		slices.Reverse(reversed)
+		f.Add(withFuzzProof(seed, reversed...))
+		f.Add(withFuzzProof(seed, append(cnf.Clause{mk(120, false)}, lemmas[0]...)))
+	}
+	// TestCheckRUPLemmaUnitUnderRoot's formula and proof, the lemmas
+	// with a duplicate literal and a tautology among them.
+	unitUnderRoot := cnf.New()
+	for _, c := range [][]int{{-1}, {2, 3, 4}, {2, 3, -4}, {-3, 5}, {-3, -5}, {-2, 6}, {-2, -6}} {
+		var clause cnf.Clause
+		for _, d := range c {
+			clause = append(clause, cnf.FromDimacs(d))
+		}
+		unitUnderRoot.AddClause(clause...)
+	}
+	f.Add(withFuzzProof(encodeFuzzInput(0, nil, unitUnderRoot),
+		cnf.Clause{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
+		cnf.Clause{mk(5, false), mk(5, true)},
+		cnf.Clause{mk(2, false)}))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula, assumptions, opts, claimed := decodeFuzzProofInput(data)
+		s := NewFromFormula(formula, opts)
+		s.EnableProof()
+		solved, err := s.Solve(assumptions...)
+		if err != nil && !errors.Is(err, ErrMemBudget) {
+			t.Fatalf("solve: %v", err)
+		}
+		reused := NewProofChecker(formula)
+		first := checkFuzzProof(t, reused, formula, assumptions, claimed, solved)
+		if solved == Unsat {
+			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved); err != nil {
+				t.Fatalf("the solver's refutation rejected: %v", err)
+			}
+		}
+		// The same answer again, now that the checker has been through
+		// a whole proof or a rejection.
+		if again := checkFuzzProof(t, reused, formula, assumptions, claimed, solved); errText(again) != errText(first) {
+			t.Fatalf("claimed proof: first %s, then %s", errText(first), errText(again))
 		}
 	})
 }

@@ -16,6 +16,12 @@ import (
 // benchmark cell (8-bit words, as core.Verify's default).
 func encodeBench(tb testing.TB, p *prog.Program, unwind, contexts int) *cnf.Formula {
 	tb.Helper()
+	return encodeBenchCell(tb, p, unwind, contexts).Formula()
+}
+
+// encodeBenchCell is encodeBench for callers that partition the cell.
+func encodeBenchCell(tb testing.TB, p *prog.Program, unwind, contexts int) *vc.Encoded {
+	tb.Helper()
 	up, err := unfold.Unfold(p, unfold.Options{Unwind: unwind})
 	if err != nil {
 		tb.Fatal(err)
@@ -28,7 +34,7 @@ func encodeBench(tb testing.TB, p *prog.Program, unwind, contexts int) *cnf.Form
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return enc.Formula()
+	return enc
 }
 
 func random3SAT(seed int64, nv int, ratio float64) *cnf.Formula {

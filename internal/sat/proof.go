@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -33,240 +34,335 @@ func (s *Solver) ProofLog() *Proof { return s.proof }
 // assumption literals under which UNSAT was reported. It checks that
 // every lemma is a RUP consequence of what precedes it and that the
 // accumulated clause set propagates to a conflict, i.e. derives the
-// empty clause.
+// empty clause. It loads the formula for this one proof; a caller with
+// several proofs of one formula keeps a ProofChecker instead.
 func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
-	e := newRUPEngine(f, assumptions)
-	if e.conflictAtRoot {
-		return nil // the formula plus assumptions is already conflicting
+	return NewProofChecker(f).Check(assumptions, p)
+}
+
+// ProofChecker is a forward RUP checker for the proofs of one formula:
+// a decision-free unit-propagation engine that loads the formula once
+// and returns to that state after every Check. It audits the solver, so
+// it shares the solver's clause layout (see cref and watcher) but none
+// of its code: add, propagate and reset below are the checker's own. A
+// clause is [size] lit0 lit1 ... in the arena, addressed by the index
+// of lit0, and is watched through lit0 and lit1.
+//
+// A checker is not safe for concurrent use.
+type ProofChecker struct {
+	numVars int
+	arena   []uint32
+	watches [][]watcher // indexed by literal: the clauses watching its complement
+	vals    []int8      // per literal
+	trail   []lit
+	qhead   int
+	// root is the length of the trail prefix a lemma check leaves in
+	// place: what the formula, the assumptions and the lemmas so far
+	// propagate to.
+	root int
+
+	// The formula's own propagation fixpoint, where reset returns to.
+	baseVars, baseArena, baseTrail int
+	// refuted: the formula propagates to a conflict with no help, so
+	// every proof of it checks.
+	refuted bool
+
+	addBuf []lit // the clause add is normalising
+	stats  ProofCheckerStats
+}
+
+// ProofCheckerStats counts a checker's work since it was built.
+type ProofCheckerStats struct {
+	Lemmas       int64 // lemmas put to the RUP test
+	Propagations int64 // literals propagated, loading the formula included
+}
+
+// NewProofChecker loads f and propagates its units to a fixpoint. A
+// literal cnf's constructors could not have built is the caller's bug
+// and panics.
+func NewProofChecker(f *cnf.Formula) *ProofChecker {
+	// Literals start at 2 (variable 1).
+	c := &ProofChecker{vals: make([]int8, 2), watches: make([][]watcher, 2)}
+	numVars, words := f.NumVars, 0
+	for _, cl := range f.Clauses {
+		words += 1 + len(cl)
+		for _, l := range cl {
+			if l < 2 || uint64(l) >= 1<<32 {
+				panic(fmt.Sprintf("sat: invalid literal %d in the formula", int(l)))
+			}
+			numVars = max(numVars, int(l.Var()))
+		}
 	}
-	for i, lemma := range p.Lemmas {
-		if !e.checkLemma(lemma) {
-			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
-				i+1, len(p.Lemmas), lemma)
-		}
-		e.addClause(lemma)
-		if e.conflictAtRoot {
-			return nil // empty clause derived
-		}
-		if !e.propagateFixpointPersistent() {
-			return nil // empty clause derived
+	c.growTo(numVars)
+	c.arena = make([]uint32, 1, 1+words) // word 0 is never a clause: no ref is 0
+	c.trail = make([]lit, 0, numVars)
+	for _, cl := range f.Clauses {
+		if _, ok := c.add(cl); !ok {
+			c.refuted = true
+			return c
 		}
 	}
-	// All lemmas verified; the final state must already be conflicting.
-	if e.propagateFixpoint() {
+	// Every list gets room for the clauses that start out watching its
+	// literal, carved from one allocation.
+	degree := make([]int32, len(c.watches))
+	attached := 0
+	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]) + 1 {
+		degree[c.arena[ref]^1]++
+		degree[c.arena[ref+1]^1]++
+		attached++
+	}
+	backing := make([]watcher, 2*attached)
+	for l, d := range degree {
+		c.watches[l] = backing[:0:d]
+		backing = backing[d:]
+	}
+	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]) + 1 {
+		c.attach(uint32(ref))
+	}
+	c.refuted = !c.extendRoot()
+	c.baseVars, c.baseArena, c.baseTrail = c.numVars, len(c.arena), c.root
+	return c
+}
+
+// Stats returns the checker's counters.
+func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
+
+// Check verifies p (nil: no lemmas) as a refutation of the formula
+// under the assumptions and leaves the checker as NewProofChecker built
+// it, whatever the answer.
+func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
+	if c.refuted {
 		return nil
 	}
-	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", len(p.Lemmas))
-}
-
-// rupEngine is a decision-free propagation engine with trail undo,
-// used only for proof checking.
-type rupEngine struct {
-	numVars int
-	clauses [][]cnf.Lit
-	watches [][]int // by Lit.Index(): the clauses watching the literal
-	assigns []int8
-	trail   []cnf.Lit
-	qhead   int
-	// rootTrail marks the persistent prefix (formula units, assumptions,
-	// lemma units): the engine never undoes below it.
-	rootSize       int
-	conflictAtRoot bool
-}
-
-func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
-	e := &rupEngine{
-		numVars: f.NumVars,
-		watches: make([][]int, 2*(f.NumVars+1)),
-		assigns: make([]int8, f.NumVars+1),
-	}
-	for _, c := range f.Clauses {
-		e.addClause(c)
-		if e.conflictAtRoot {
-			return e
-		}
-	}
+	defer c.reset()
 	for _, a := range assumptions {
-		e.grow(a)
-		if !e.enqueue(a) {
-			e.conflictAtRoot = true
-			return e
+		if a < 2 || uint64(a) >= 1<<32 {
+			return fmt.Errorf("sat: invalid assumption literal %d", int(a))
+		}
+		// Assumptions may, like the solver's, be over variables the
+		// formula never mentions.
+		c.growTo(int(a.Var()))
+		if c.vals[a] == lFalse {
+			return nil // the formula plus assumptions is already conflicting
+		}
+		if c.vals[a] == lUndef {
+			c.assign(lit(a))
 		}
 	}
-	if !e.propagateFixpointPersistent() {
-		e.conflictAtRoot = true
+	if !c.extendRoot() {
+		return nil
 	}
-	return e
-}
-
-// grow makes room for l's variable: clauses and assumptions may, like
-// the solver's, mention variables beyond the formula's NumVars.
-func (e *rupEngine) grow(l cnf.Lit) {
-	for e.numVars < int(l.Var()) {
-		e.numVars++
-		e.assigns = append(e.assigns, lUndef)
-		e.watches = append(e.watches, nil, nil)
+	var lemmas []cnf.Clause
+	if p != nil {
+		lemmas = p.Lemmas
 	}
-}
-
-func (e *rupEngine) value(l cnf.Lit) int8 {
-	v := e.assigns[l.Var()]
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
-
-func (e *rupEngine) enqueue(l cnf.Lit) bool {
-	switch e.value(l) {
-	case lTrue:
-		return true
-	case lFalse:
-		return false
-	}
-	if l.Neg() {
-		e.assigns[l.Var()] = lFalse
-	} else {
-		e.assigns[l.Var()] = lTrue
-	}
-	e.trail = append(e.trail, l)
-	return true
-}
-
-// addClause registers a clause, normalising it first (duplicate
-// literals collapse — essential so the checker's propagation is at
-// least as strong as the solver's, which normalises on AddClause);
-// tautologies are skipped and unit clauses are enqueued persistently.
-func (e *rupEngine) addClause(c cnf.Clause) {
-	nc, taut := append(cnf.Clause{}, c...).Normalize()
-	if taut {
-		return
-	}
-	c = nc
-	for _, l := range c {
-		e.grow(l)
-	}
-	switch len(c) {
-	case 0:
-		e.conflictAtRoot = true
-		return
-	case 1:
-		if !e.enqueue(c[0]) {
-			e.conflictAtRoot = true
+	for i, lemma := range lemmas {
+		if !c.implied(lemma) {
+			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
+				i+1, len(lemmas), lemma)
 		}
-		e.rootSize = len(e.trail)
-		return
-	}
-	idx := len(e.clauses)
-	lits := append([]cnf.Lit{}, c...)
-	e.clauses = append(e.clauses, lits)
-	for _, l := range lits[:2] {
-		e.watches[l.Index()] = append(e.watches[l.Index()], idx)
-	}
-}
-
-// propagate runs unit propagation; returns false on conflict.
-func (e *rupEngine) propagate() bool {
-	for e.qhead < len(e.trail) {
-		p := e.trail[e.qhead]
-		e.qhead++
-		np := p.Not()
-		ws := e.watches[np.Index()]
-		kept := ws[:0]
-		for wi := 0; wi < len(ws); wi++ {
-			ci := ws[wi]
-			lits := e.clauses[ci]
-			// Ensure np is at position 1.
-			if lits[0] == np {
-				lits[0], lits[1] = lits[1], lits[0]
-			}
-			if e.value(lits[0]) == lTrue {
-				kept = append(kept, ci)
-				continue
-			}
-			moved := false
-			for k := 2; k < len(lits); k++ {
-				if e.value(lits[k]) != lFalse {
-					lits[1], lits[k] = lits[k], lits[1]
-					e.watches[lits[1].Index()] = append(e.watches[lits[1].Index()], ci)
-					moved = true
-					break
-				}
-			}
-			if moved {
-				continue
-			}
-			kept = append(kept, ci)
-			if !e.enqueue(lits[0]) {
-				// Conflict: keep remaining watchers and fail.
-				kept = append(kept, ws[wi+1:]...)
-				e.watches[np.Index()] = kept
-				e.qhead = len(e.trail)
-				return false
-			}
+		ref, ok := c.add(lemma)
+		if !ok {
+			return nil // empty clause derived
 		}
-		e.watches[np.Index()] = kept
+		if ref != crefUndef {
+			c.attach(ref)
+		}
+		if !c.extendRoot() {
+			return nil // empty clause derived
+		}
 	}
-	return true
+	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", len(lemmas))
 }
 
-// propagateFixpointPersistent propagates and persists the result (used
-// during construction and after adding lemma units).
-func (e *rupEngine) propagateFixpointPersistent() bool {
-	ok := e.propagate()
-	e.rootSize = len(e.trail)
+// growTo makes room for variables up to n.
+func (c *ProofChecker) growTo(n int) {
+	if add := n - c.numVars; add > 0 {
+		c.numVars = n
+		c.vals = append(c.vals, make([]int8, 2*add)...)
+		c.watches = append(c.watches, make([][]watcher, 2*add)...)
+	}
+}
+
+func (c *ProofChecker) assign(l lit) {
+	c.vals[l], c.vals[l^1] = lTrue, lFalse
+	c.trail = append(c.trail, l)
+}
+
+// undo retracts every assignment past the first n of the trail.
+func (c *ProofChecker) undo(n int) {
+	for _, l := range c.trail[n:] {
+		c.vals[l], c.vals[l^1] = lUndef, lUndef
+	}
+	c.trail = c.trail[:n]
+	c.qhead = n
+}
+
+// extendRoot propagates what the root gained and keeps the result; it
+// returns false on a conflict, which at the root is the empty clause.
+func (c *ProofChecker) extendRoot() bool {
+	ok := c.propagate()
+	c.root = len(c.trail)
 	return ok
 }
 
-// propagateFixpoint propagates without persisting new assignments.
-func (e *rupEngine) propagateFixpoint() bool {
-	ok := e.propagate()
-	if ok {
-		e.undoToRoot()
-		return false // no conflict
+// add files a clause over known variables under the root assignment,
+// which holds for as long as the clause is kept: duplicate literals
+// collapse, a tautology or a clause with a true literal is dropped, and
+// false literals are left out — so a clause is never attached through a
+// literal that is already false and could not wake it. What remains is
+// the empty clause (add returns false), a unit, which joins the root
+// trail unpropagated, or a clause stored in the arena, whose ref add
+// returns for the caller to attach.
+func (c *ProofChecker) add(cl cnf.Clause) (cref, bool) {
+	buf := c.addBuf[:0]
+	for _, l := range cl {
+		buf = append(buf, lit(l))
 	}
-	e.undoToRoot()
-	return true // conflict derived
+	c.addBuf = buf
+	slices.Sort(buf)
+	n := 0
+	prev := litUndef
+	for _, l := range buf {
+		if l == prev {
+			continue
+		}
+		if l == prev^1 || c.vals[l] == lTrue {
+			return crefUndef, true
+		}
+		prev = l
+		if c.vals[l] == lUndef {
+			buf[n] = l
+			n++
+		}
+	}
+	switch n {
+	case 0:
+		return crefUndef, false
+	case 1:
+		c.assign(buf[0])
+		return crefUndef, true
+	}
+	c.arena = append(c.arena, uint32(n))
+	ref := cref(len(c.arena))
+	c.arena = append(c.arena, buf[:n]...)
+	if uint64(len(c.arena)) >= binTag {
+		panic("sat: proof checker's clause arena exceeds 2^31 words")
+	}
+	return ref, true
 }
 
-// checkLemma verifies RUP: asserting the negation of every literal of
-// the lemma and propagating must yield a conflict.
-func (e *rupEngine) checkLemma(lemma cnf.Clause) bool {
+func (c *ProofChecker) attach(ref cref) {
+	l0, l1 := c.arena[ref], c.arena[ref+1]
+	if c.arena[ref-1] == 2 {
+		ref |= binTag
+	}
+	c.watches[l0^1] = append(c.watches[l0^1], watcher{ref, l1})
+	c.watches[l1^1] = append(c.watches[l1^1], watcher{ref, l0})
+}
+
+// implied is the RUP test: with every literal of the lemma false,
+// propagation must reach a conflict. The root is left as it was.
+func (c *ProofChecker) implied(lemma cnf.Clause) bool {
+	c.stats.Lemmas++
+	defer c.undo(c.root)
 	for _, l := range lemma {
-		if l.Var() < 1 || int(l.Var()) > e.numVars {
+		if l < 2 || int(l.Var()) > c.numVars {
 			// No clause or assumption mentions the variable, so the
 			// solver cannot have learnt about it: a malformed proof.
-			e.undoToRoot()
 			return false
 		}
-		switch e.value(l) {
+		switch c.vals[l] {
 		case lTrue:
-			// The lemma is already satisfied at root level: trivially a
-			// consequence (subsumed by the trail).
-			e.undoToRoot()
+			// Satisfied at the root, or by the negation of an earlier
+			// literal of a tautology: trivially a consequence.
 			return true
-		case lFalse:
-			continue
-		default:
-			if !e.enqueue(l.Not()) {
-				e.undoToRoot()
-				return true
-			}
+		case lUndef:
+			c.assign(lit(l) ^ 1)
 		}
 	}
-	conflict := !e.propagate()
-	e.undoToRoot()
-	return conflict
+	return !c.propagate()
 }
 
-func (e *rupEngine) undoToRoot() {
-	for len(e.trail) > e.rootSize {
-		l := e.trail[len(e.trail)-1]
-		e.trail = e.trail[:len(e.trail)-1]
-		e.assigns[l.Var()] = lUndef
+// propagate runs unit propagation from qhead; it returns false on a
+// conflict, leaving the rest of the queue unvisited.
+func (c *ProofChecker) propagate() bool {
+	arena, vals := c.arena, c.vals // neither grows during propagation
+	for c.qhead < len(c.trail) {
+		p := c.trail[c.qhead]
+		c.qhead++
+		c.stats.Propagations++
+		np := p ^ 1
+		ws := c.watches[p]
+		n := 0
+	nextWatcher:
+		for i := 0; i < len(ws); i++ {
+			w := ws[i]
+			unit := w.blocker
+			if vals[unit] != lTrue {
+				if w.ref&binTag == 0 {
+					lits := arena[w.ref : w.ref+arena[w.ref-1]]
+					// The false literal goes to position 1.
+					if lits[0] == np {
+						lits[0], lits[1] = lits[1], np
+					}
+					unit = lits[0]
+					w.blocker = unit
+					if vals[unit] != lTrue {
+						for k := 2; k < len(lits); k++ {
+							if vals[lits[k]] != lFalse {
+								lits[1], lits[k] = lits[k], np
+								c.watches[lits[1]^1] = append(c.watches[lits[1]^1], w)
+								continue nextWatcher
+							}
+						}
+					}
+				}
+				// Every other literal is false: unit must hold.
+				switch vals[unit] {
+				case lFalse:
+					n += copy(ws[n:], ws[i:])
+					c.watches[p] = ws[:n]
+					c.qhead = len(c.trail)
+					return false
+				case lUndef:
+					c.assign(unit)
+				}
+			}
+			ws[n] = w
+			n++
+		}
+		c.watches[p] = ws[:n]
 	}
-	e.qhead = e.rootSize
-	if e.qhead > len(e.trail) {
-		e.qhead = len(e.trail)
+	return true
+}
+
+// reset takes the checker back to the formula's fixpoint: the trail is
+// cut there, the lemmas leave the arena and their watchers the lists.
+// The formula's clauses need no repair. A watch only ever moved to a
+// literal that was not false at the time, under an assignment extending
+// the fixpoint, so it is not false at the fixpoint either; and a watch
+// that never moved is as the fixpoint's own propagation left it.
+func (c *ProofChecker) reset() {
+	c.undo(c.baseTrail)
+	c.root = c.baseTrail
+	if c.numVars > c.baseVars {
+		c.numVars = c.baseVars
+		c.vals = c.vals[:2*(c.baseVars+1)]
+		c.watches = c.watches[:2*(c.baseVars+1)]
+	}
+	if len(c.arena) == c.baseArena {
+		return
+	}
+	c.arena = c.arena[:c.baseArena]
+	for l, ws := range c.watches {
+		n := 0
+		for _, w := range ws {
+			if int(w.ref&^binTag) < c.baseArena {
+				ws[n] = w
+				n++
+			}
+		}
+		c.watches[l] = ws[:n]
 	}
 }
