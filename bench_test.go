@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/experiments"
@@ -277,26 +278,35 @@ func BenchmarkExperimentsFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPreprocess measures the simplifier's effect on the
-// end-to-end analysis (the prototype's "MiniSat with simplifier").
+// BenchmarkAblationPreprocess measures where the simplifier (the
+// prototype's "MiniSat with simplifier") runs: up front, as a
+// sat.Simplifier pass before the formula is loaded, against the
+// default, inside Solve once the search has paid for it. "Off" is the
+// commit before the pass moved into the solver.
 func BenchmarkAblationPreprocess(b *testing.B) {
-	p := bench.Eliminationstack()
-	for _, pp := range []bool{false, true} {
-		name := "off"
-		if pp {
-			name = "on"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Verify(context.Background(), p, core.Options{
-					Unwind: 2, Contexts: 5, Cores: 1, Preprocess: pp,
-				})
-				if err != nil || res.Verdict != core.Safe {
-					b.Fatalf("%v %v", res, err)
-				}
-			}
-		})
+	enc, _, _, err := core.EncodeProgram(bench.Eliminationstack(), core.Options{Unwind: 2, Contexts: 5})
+	if err != nil {
+		b.Fatal(err)
 	}
+	f := enc.Formula()
+	solve := func(b *testing.B, f *cnf.Formula) {
+		if st, err := sat.NewFromFormula(f, sat.Options{}).Solve(); err != nil || st != sat.Unsat {
+			b.Fatalf("%v %v", st, err)
+		}
+	}
+	b.Run("upfront", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			simplified, st := sat.NewSimplifier().Simplify(f)
+			if st == sat.Unknown {
+				solve(b, simplified)
+			}
+		}
+	})
+	b.Run("insolver", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			solve(b, f)
+		}
+	})
 }
 
 // BenchmarkCertification measures the cost of certifying Safe verdicts
@@ -346,7 +356,7 @@ void main() {
 	b.Run("sc", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := core.Verify(context.Background(), sc, core.Options{
-				Unwind: 2, Contexts: 6, Cores: 1, Preprocess: true,
+				Unwind: 2, Contexts: 6, Cores: 1,
 			})
 			if err != nil || res.Verdict != core.Safe {
 				b.Fatalf("%v %v", res, err)
@@ -356,7 +366,7 @@ void main() {
 	b.Run("pso", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			res, err := core.Verify(context.Background(), pso, core.Options{
-				Unwind: 2, Contexts: 6, Cores: 1, Preprocess: true,
+				Unwind: 2, Contexts: 6, Cores: 1,
 			})
 			if err != nil || res.Verdict != core.Unsafe {
 				b.Fatalf("%v %v", res, err)

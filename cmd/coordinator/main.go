@@ -243,9 +243,10 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 		fmt.Printf("budget exhausted: partitions [%d,%d] gave up on %s\n",
 			ex.Chunk.From, ex.Chunk.To, ex.Cause)
 	}
-	fmt.Printf("remote search: %d decisions, %d conflicts, %d propagations, %d restarts, solve time %v\n",
+	fmt.Printf("remote search: %d decisions, %d conflicts, %d propagations, %d restarts, %d variables eliminated and %d clauses removed by simplification, solve time %v\n",
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
-		res.RemoteStats.Restarts, time.Duration(res.SolveMillis)*time.Millisecond)
+		res.RemoteStats.Restarts, res.RemoteStats.ElimVars, res.RemoteStats.Simplified,
+		time.Duration(res.SolveMillis)*time.Millisecond)
 	if certPolicy.Enabled() {
 		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations\n",
 			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,

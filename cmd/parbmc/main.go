@@ -69,7 +69,6 @@ func main() {
 	flag.IntVar(&opts.Partitions, "partitions", 0, "trace-space partitions (power of two; default: cores)")
 	flag.IntVar(&opts.From, "from", 0, "first partition index (distributed mode)")
 	flag.IntVar(&opts.To, "to", 0, "one past the last partition index (distributed mode)")
-	flag.BoolVar(&opts.Preprocess, "preprocess", false, "run the MiniSat-style simplifier before partitioning")
 	flag.BoolVar(&opts.CertifyUnsat, "certify", false, "check refutation proofs for UNSAT partitions (certified SAFE verdicts)")
 	runflags.Journal(flag.CommandLine, &opts.JournalPath, &opts.Resume,
 		"crash-safe run journal path (commit every partition verdict)",
@@ -155,6 +154,8 @@ func main() {
 				Cause:        inst.Cause.String(),
 				Conflicts:    inst.Stats.Conflicts,
 				Propagations: inst.Stats.Propagations,
+				ElimVars:     inst.Stats.ElimVars,
+				Simplified:   inst.Stats.Simplified,
 				Progress:     inst.Stats.Progress,
 				SolveMillis:  inst.Time.Milliseconds(),
 				Certified:    res.Certified,
@@ -199,9 +200,9 @@ func main() {
 				if st.PeakMemBytes > peakMem {
 					peakMem = st.PeakMemBytes
 				}
-				fmt.Printf("partition %d: %s in %v — decisions=%d conflicts=%d propagations=%d maxdepth=%d backjumps=%d restarts=%d progress=%.3f hardness=%.1f peakmembytes=%d\n",
+				fmt.Printf("partition %d: %s in %v — decisions=%d conflicts=%d elimvars=%d simplified=%d propagations=%d maxdepth=%d backjumps=%d restarts=%d progress=%.3f hardness=%.1f peakmembytes=%d\n",
 					inst.Partition, inst.Status, inst.Time,
-					st.Decisions, st.Conflicts, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress, inst.Hardness, st.PeakMemBytes)
+					st.Decisions, st.Conflicts, st.ElimVars, st.Simplified, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress, inst.Hardness, st.PeakMemBytes)
 			}
 			if peakMem > 0 {
 				fmt.Printf("peak solver memory: %d bytes (max over partitions)\n", peakMem)

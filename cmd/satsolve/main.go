@@ -191,8 +191,8 @@ func main() {
 
 	if *stats {
 		for i, st := range searchStats {
-			fmt.Printf("c instance %d: decisions=%d conflicts=%d propagations=%d maxdepth=%d backjumps=%d restarts=%d progress=%.6f membytes=%d peakmembytes=%d memshrinks=%d\n",
-				i, st.Decisions, st.Conflicts, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress,
+			fmt.Printf("c instance %d: decisions=%d conflicts=%d elimvars=%d simplified=%d propagations=%d maxdepth=%d backjumps=%d restarts=%d progress=%.6f membytes=%d peakmembytes=%d memshrinks=%d\n",
+				i, st.Decisions, st.Conflicts, st.ElimVars, st.Simplified, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress,
 				st.MemBytes, st.PeakMemBytes, st.MemShrinks)
 		}
 	}

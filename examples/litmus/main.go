@@ -112,10 +112,9 @@ func main() {
 
 func verify(p *prog.Program, contexts int) *core.Result {
 	res, err := core.Verify(context.Background(), p, core.Options{
-		Unwind:     2,
-		Contexts:   contexts,
-		Cores:      4,
-		Preprocess: true,
+		Unwind:   2,
+		Contexts: contexts,
+		Cores:    4,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -25,7 +25,7 @@ func TestBoundedbufferFixedDeeper(t *testing.T) {
 	}
 	p := BoundedbufferFixed()
 	res, err := core.Verify(context.Background(), p, core.Options{
-		Unwind: 2, Contexts: 7, Cores: 4, Preprocess: true,
+		Unwind: 2, Contexts: 7, Cores: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/bv"
 	"repro/internal/cnf"
 	"repro/internal/flatten"
 	"repro/internal/interp"
@@ -89,24 +88,17 @@ type Options struct {
 	// straggler.
 	SimulateParallel bool
 	// CertifyUnsat checks a clausal refutation proof for every UNSAT
-	// partition, so Safe verdicts are certified independently of the
-	// search (with Preprocess, the certificate covers the simplified
-	// formula). The counterpart of counterexample replay validation.
+	// partition against the encoding as emitted (the solver's own
+	// simplification logs what it derives), so Safe verdicts are
+	// certified independently of the search. The counterpart of
+	// counterexample replay validation.
 	CertifyUnsat bool
 	// KeepProofs records the refutation proof of every UNSAT partition
 	// and retains it on the corresponding Result.Instances entry instead
 	// of checking it locally. Distributed workers use this to attach
 	// certificates that the coordinator re-checks against its own
-	// encoding; incompatible with Preprocess, whose proofs would cover
-	// the simplified formula a remote checker does not have.
+	// encoding.
 	KeepProofs bool
-	// Preprocess runs the MiniSat-style simplifier (subsumption,
-	// self-subsuming resolution, bounded variable elimination) on the
-	// formula before partitioning, freezing every variable needed for
-	// partitioning and counterexample decoding; models are reconstructed
-	// through the elimination trail. This matches the paper's solver
-	// configuration ("MiniSat 2.2.1 with simplifier", Sect. 3.4).
-	Preprocess bool
 	// Budget bounds each partition's wall clock, solver conflicts and
 	// solver memory. A partition that exhausts part of it degrades to
 	// Unknown, listed under that budget in the coverage report, instead
@@ -133,8 +125,8 @@ type Options struct {
 	// count) or Verify fails with journal.ErrManifestMismatch.
 	Resume bool
 	// Tracer, when non-nil, emits one timed span per pipeline phase
-	// (unfold, flatten, encode, partition, preprocess, solve, validate)
-	// under a root "verify" span. Nil is the zero-overhead fast path.
+	// (unfold, flatten, encode, partition, solve, validate) under a root
+	// "verify" span. Nil is the zero-overhead fast path.
 	Tracer *obs.Tracer
 	// Parent, when non-nil, nests the "verify" root span under it
 	// instead of starting a fresh root — distributed workers pass their
@@ -231,16 +223,9 @@ func (c Coverage) String() string {
 	return s
 }
 
-// buildCoverage classifies per-partition outcomes. A run decided by
-// preprocessing alone has no instances: the whole space is covered.
+// buildCoverage classifies per-partition outcomes.
 func buildCoverage(total int, pres *parallel.Result) Coverage {
 	c := Coverage{Total: total}
-	if len(pres.Instances) == 0 {
-		if pres.Status != sat.Unknown {
-			c.Decided = total
-		}
-		return c
-	}
 	for _, inst := range pres.Instances {
 		switch {
 		case inst.Status != sat.Unknown:
@@ -288,8 +273,8 @@ type Result struct {
 	EncodeTime time.Duration
 	SolveTime  time.Duration
 	// Phases breaks the run into per-phase wall-clock timings
-	// (unfold, flatten, encode, partition, preprocess, solve, validate)
-	// in execution order; phases that did not run are absent.
+	// (unfold, flatten, encode, partition, solve, validate) in execution
+	// order; phases that did not run are absent.
 	Phases []PhaseTiming
 
 	// Instances are the per-partition solver results.
@@ -324,9 +309,6 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	// would make the corrected call fail differently.
 	if opts.SimulateParallel && opts.Split.Depth > 0 {
 		return nil, fmt.Errorf("core: Split.Depth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
-	}
-	if opts.KeepProofs && opts.Preprocess {
-		return nil, fmt.Errorf("core: KeepProofs is incompatible with Preprocess (proofs would cover the simplified formula)")
 	}
 
 	verifyAttrs := []obs.Attr{
@@ -380,19 +362,6 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	partSpan.End(obs.KV("partitions", len(parts)))
 
 	formula := enc.Formula()
-	var simplifier *sat.Simplifier
-	var preDecided sat.Status
-	if opts.Preprocess {
-		preSpan := opts.phase("preprocess", obs.KV("vars", formula.NumVars), obs.KV("clauses", formula.NumClauses()))
-		preStart := time.Now()
-		simplifier = sat.NewSimplifier()
-		simplifier.FreezeLits(protectedLits(enc)...)
-		simplified, st := simplifier.Simplify(formula)
-		preDecided = st
-		formula = simplified
-		timePhase("preprocess", preStart)
-		preSpan.End(obs.KV("clauses_after", formula.NumClauses()))
-	}
 
 	// The journal opens only after partitioning, when the manifest's
 	// partition count is final. The manifest pins everything that changes
@@ -445,45 +414,18 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	solveStart := time.Now()
 	opts.Profiler.StartPhase("solve")
 	var pres *parallel.Result
-	switch preDecided {
-	case sat.Unsat:
-		// The whole formula is refuted by preprocessing alone: every
-		// partition is unsatisfiable.
-		pres = &parallel.Result{Status: sat.Unsat, Winner: -1}
-	case sat.Sat:
-		// Only unit clauses remain: satisfiable regardless of the
-		// partition; build the model from the units.
-		model := make([]bool, enc.Formula().NumVars)
-		for _, c := range formula.Clauses {
-			if len(c) == 1 {
-				model[c[0].Var()-1] = !c[0].Neg()
-			}
-		}
-		pres = &parallel.Result{Status: sat.Sat, Winner: 0, Model: model}
-	default:
-		if opts.SimulateParallel {
-			pres, err = parallel.Simulate(ctx, formula, parts, popts)
-		} else {
-			pres, err = parallel.Solve(ctx, formula, parts, popts)
-		}
-		if err != nil {
-			opts.Profiler.EndPhase("solve")
-			solveSpan.End(obs.KV("error", err.Error()))
-			return nil, err
-		}
+	if opts.SimulateParallel {
+		pres, err = parallel.Simulate(ctx, formula, parts, popts)
+	} else {
+		pres, err = parallel.Solve(ctx, formula, parts, popts)
 	}
 	opts.Profiler.EndPhase("solve")
+	if err != nil {
+		solveSpan.End(obs.KV("error", err.Error()))
+		return nil, err
+	}
 	timePhase("solve", solveStart)
 	solveSpan.End(obs.KV("status", pres.Status.String()), obs.KV("winner", pres.Winner))
-	if simplifier != nil && pres.Status == sat.Sat {
-		model := pres.Model
-		if len(model) < enc.Formula().NumVars {
-			grown := make([]bool, enc.Formula().NumVars)
-			copy(grown, model)
-			model = grown
-		}
-		pres.Model = simplifier.ReconstructModel(model)
-	}
 
 	procs := make([]string, len(enc.Program.Threads))
 	for i, th := range enc.Program.Threads {
@@ -633,35 +575,4 @@ func MakePartitions(enc *vc.Encoded, opts Options) (parts []partition.Partition,
 		parts = refined
 	}
 	return parts, total, nil
-}
-
-// protectedLits collects every literal whose variable must survive
-// preprocessing: the partitioning variables plus everything the trace
-// decoder reads (scheduler words, non-deterministic inputs, initial
-// locals).
-func protectedLits(enc *vc.Encoded) []cnf.Lit {
-	var out []cnf.Lit
-	addVec := func(v bv.Vec) {
-		for _, l := range v {
-			out = append(out, l)
-		}
-	}
-	for _, v := range enc.TidVecs {
-		addVec(v)
-	}
-	for _, v := range enc.CsVecs {
-		addVec(v)
-	}
-	for _, v := range enc.Nondet {
-		addVec(v)
-	}
-	for _, v := range enc.InitScalars {
-		addVec(v)
-	}
-	for _, vs := range enc.InitArrays {
-		for _, v := range vs {
-			addVec(v)
-		}
-	}
-	return out
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/partition"
 	"repro/prog"
 )
@@ -184,47 +185,46 @@ func TestPartitionsCappedByEncoding(t *testing.T) {
 	}
 }
 
-func TestVerifyWithPreprocessing(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	// Verdicts and validated traces must be identical with and without
-	// the simplifier, across SAT and UNSAT bounds.
-	for _, contexts := range []int{3, 4} {
-		plain, err := Verify(context.Background(), p, Options{Unwind: 1, Contexts: contexts, Cores: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pp, err := Verify(context.Background(), p, Options{
-			Unwind: 1, Contexts: contexts, Cores: 2, Preprocess: true,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plain.Verdict != pp.Verdict {
-			t.Fatalf("contexts=%d: plain %v, preprocessed %v", contexts, plain.Verdict, pp.Verdict)
-		}
-		if pp.Verdict == Unsafe && pp.Violation == nil {
-			t.Fatal("preprocessed counterexample failed validation")
-		}
-		if pp.Clauses >= plain.Clauses {
-			t.Fatalf("contexts=%d: preprocessing did not shrink the formula (%d >= %d)",
-				contexts, pp.Clauses, plain.Clauses)
-		}
+// A search long enough to run the solver's simplification pass is
+// still certified against the encoding as emitted: the pass logs what
+// it derives, so one run is simplified and checked — the combination
+// that KeepProofs and the old up-front simplifier option refused.
+func TestVerifySimplifiedSearchCertifies(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves and checks eliminationstack u=2 c=5")
+	}
+	res, err := Verify(context.Background(), bench.Eliminationstack(), Options{
+		Unwind: 2, Contexts: 5, Cores: 1, Partitions: 1, CertifyUnsat: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Safe || !res.Certified {
+		t.Fatalf("verdict %v, certified %v", res.Verdict, res.Certified)
+	}
+	st := res.Instances[0].Stats
+	if st.ElimVars == 0 || st.Simplified == 0 {
+		t.Fatalf("the search never simplified (%d propagations over %d clauses): %d variables eliminated, %d clauses removed",
+			st.Propagations, res.Clauses, st.ElimVars, st.Simplified)
+	}
+	if int(st.ElimVars) >= res.Vars || int(st.Simplified) > res.Clauses {
+		t.Fatalf("%d of %d variables eliminated, %d of %d clauses removed", st.ElimVars, res.Vars, st.Simplified, res.Clauses)
 	}
 }
 
-func TestVerifyPreprocessingTrivialCases(t *testing.T) {
-	// Trivially unsafe: the simplifier may decide SAT alone.
+func TestVerifyTrivialCases(t *testing.T) {
+	// Trivially unsafe: decided while the formula loads.
 	unsafe := prog.MustParse(`void main() { assert(false); }`)
-	res, err := Verify(context.Background(), unsafe, Options{Contexts: 1, Preprocess: true})
+	res, err := Verify(context.Background(), unsafe, Options{Contexts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Verdict != Unsafe || res.Violation == nil {
 		t.Fatalf("verdict %v violation %v", res.Verdict, res.Violation)
 	}
-	// Trivially safe: refuted during preprocessing.
+	// Trivially safe: refuted by propagation alone.
 	safe := prog.MustParse(`void main() { assert(true); }`)
-	res, err = Verify(context.Background(), safe, Options{Contexts: 1, Preprocess: true})
+	res, err = Verify(context.Background(), safe, Options{Contexts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

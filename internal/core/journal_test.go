@@ -122,7 +122,6 @@ func TestVerifyValidatesBeforeItWrites(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	path := filepath.Join(t.TempDir(), "run.wal")
 	for name, bad := range map[string]Options{
-		"KeepProofs+Preprocess":        {Unwind: 1, Contexts: 3, JournalPath: path, KeepProofs: true, Preprocess: true},
 		"SimulateParallel+Split.Depth": {Unwind: 1, Contexts: 3, JournalPath: path, SimulateParallel: true, Split: partition.SplitPolicy{Depth: 1}},
 	} {
 		if _, err := Verify(context.Background(), p, bad); err == nil {

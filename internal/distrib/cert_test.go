@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -195,10 +196,17 @@ func TestCertifiedDistributedUnsafe(t *testing.T) {
 // rejection metric moved.
 func byzantineScenario(t *testing.T, opts CoordinatorOptions, plan *FaultPlan, want core.Verdict) *CoordinatorResult {
 	t.Helper()
+	return byzantineScenarioOn(t, prog.MustParse(fibSrc), fastFailureOpts(opts), plan, want)
+}
+
+// byzantineScenarioOn is byzantineScenario on any program, with the
+// coordinator's timeouts as given: jobs that take seconds under the
+// race detector must not be evicted for a late heartbeat.
+func byzantineScenarioOn(t *testing.T, p *prog.Program, opts CoordinatorOptions, plan *FaultPlan, want core.Verdict) *CoordinatorResult {
+	t.Helper()
 	reg := obs.NewRegistry()
 	opts.Metrics = reg
-	p := prog.MustParse(fibSrc)
-	addr, resCh := startCoordinator(t, p, fastFailureOpts(opts))
+	addr, resCh := startCoordinator(t, p, opts)
 
 	// The liar runs alone first, so it is guaranteed to be handed a
 	// chunk and be caught lying about it.
@@ -285,6 +293,79 @@ func TestByzantineOversizedProofRejected(t *testing.T) {
 		CoordinatorOptions{Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2},
 		&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultOversizedProof}}},
 		core.Safe)
+}
+
+// simplificationLemmas solves one partition the way a worker's solver
+// does and reports where the lemmas of its simplification pass sit in
+// the proof: the pass runs between two conflicts, so the first Progress
+// snapshot that shows eliminated variables has counted exactly the
+// lemmas learnt before it.
+func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int) {
+	t.Helper()
+	s := sat.NewFromFormula(v.formula, sat.Options{ProgressEvery: 1})
+	s.EnableProof()
+	from = -1
+	s.Progress = func(st sat.Stats) {
+		if from < 0 && st.ElimVars > 0 {
+			from = int(st.Learnt)
+		}
+	}
+	if st, err := s.Solve(v.parts[part].Assumptions...); err != nil || st != sat.Unsat {
+		t.Fatalf("partition %d: %v, %v", part, st, err)
+	}
+	if from < 0 {
+		t.Fatalf("partition %d was refuted in %d propagations without a simplification pass", part, s.Stats().Propagations)
+	}
+	return from, s.ProofLog().NumLemmas() - int(s.Stats().Learnt-int64(from))
+}
+
+// TestCertifiedAcrossSimplification: chunks whose search is long enough
+// for the solver to simplify (eliminationstack u=2 c=5 in two halves:
+// 55–58 propagations per clause each) certify against the
+// coordinator's own, un-simplified encoding, because the pass logs
+// every clause it derives as a lemma; and a certificate with one
+// literal of one such lemma negated is rejected like any other lie.
+func TestCertifiedAcrossSimplification(t *testing.T) {
+	if testing.Short() {
+		t.Skip("solves and checks eliminationstack u=2 c=5 several times")
+	}
+	p := bench.Eliminationstack()
+	opts := CoordinatorOptions{
+		Unwind: 2, Contexts: 5, Partitions: 2, ChunkSize: 1,
+		Certify: CertifyPolicy{Mode: CertifyFull},
+	}
+	v, err := newCertVerifier(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A lemma index that falls among the simplification lemmas of
+	// either chunk, whichever the liar is handed.
+	from0, to0 := simplificationLemmas(t, v, 0)
+	from1, to1 := simplificationLemmas(t, v, 1)
+	lemma := max(from0, from1)
+	if lemma >= min(to0, to1) {
+		t.Fatalf("simplification lemmas [%d,%d) and [%d,%d) do not overlap", from0, to0, from1, to1)
+	}
+
+	t.Run("honest", func(t *testing.T) {
+		addr, resCh := startCoordinator(t, p, opts)
+		if _, err := runWorker(t, addr, "honest", nil, 0); err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		res := waitResult(t, resCh)
+		if res.Verdict != core.Safe || res.Certified != 2 || res.CertRejected != 0 {
+			t.Fatalf("verdict %v, %d certified, %d rejected", res.Verdict, res.Certified, res.CertRejected)
+		}
+		if res.RemoteStats.ElimVars == 0 || res.CertifyWork.Lemmas < int64(to0-from0+to1-from1) {
+			t.Fatalf("%d variables eliminated remotely, %d lemmas checked; the two passes alone logged %d",
+				res.RemoteStats.ElimVars, res.CertifyWork.Lemmas, to0-from0+to1-from1)
+		}
+	})
+	t.Run("flipped", func(t *testing.T) {
+		byzantineScenarioOn(t, p, opts,
+			&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: lemma}}},
+			core.Safe)
+	})
 }
 
 // An untrusted worker's reconnection attempts are refused for the rest

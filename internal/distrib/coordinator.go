@@ -1078,6 +1078,8 @@ func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key 
 			Worker:       key,
 			Conflicts:    pp.Conflicts,
 			Propagations: pp.Propagations,
+			ElimVars:     pp.ElimVars,
+			Simplified:   pp.Simplified,
 			Progress:     pp.Progress,
 			SolveMillis:  pp.Millis,
 			Certified:    certified,

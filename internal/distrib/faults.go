@@ -55,6 +55,11 @@ const (
 	// FaultOversizedProof declares a certificate above the coordinator's
 	// size cap and sends nothing.
 	FaultOversizedProof
+	// FaultFlipLemma negates the first literal of lemma number
+	// FaultEvent.Lemma in the certificate's first proof and leaves
+	// everything else alone: a well-formed certificate of the right size
+	// that only an actual proof check can tell from the honest one.
+	FaultFlipLemma
 )
 
 func (k FaultKind) String() string {
@@ -79,6 +84,8 @@ func (k FaultKind) String() string {
 		return "truncated-proof"
 	case FaultOversizedProof:
 		return "oversized-proof"
+	case FaultFlipLemma:
+		return "flip-lemma"
 	}
 	return "unknown"
 }
@@ -101,6 +108,7 @@ type FaultEvent struct {
 	Kind  FaultKind
 	Stall time.Duration // FaultStall only
 	Slow  time.Duration // FaultSlow only
+	Lemma int           // FaultFlipLemma only: index into the first proof
 }
 
 // FaultPlan is a deterministic fault-injection schedule for a worker.

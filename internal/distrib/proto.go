@@ -195,6 +195,11 @@ type PartProgress struct {
 	// ConflictRate is the partition's conflicts/second over the same
 	// interval.
 	ConflictRate float64 `json:"cr,omitempty"`
+	// ElimVars and Simplified are the variables eliminated and original
+	// clauses removed by the solver's simplification pass (result only;
+	// zero when the search ended before the pass was due).
+	ElimVars   int64 `json:"ev,omitempty"`
+	Simplified int64 `json:"sm,omitempty"`
 }
 
 // conn wraps a TCP connection with line-delimited JSON framing. Sends

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -596,6 +597,17 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			bogus[i] = i%2 == 0
 		}
 		*cert = &Certificate{NumVars: numVars, Model: packBits(bogus)}
+	case FaultFlipLemma:
+		if *cert == nil || len((*cert).Proofs) == 0 || f.Lemma >= (*cert).Proofs[0].Proof.NumLemmas() {
+			return
+		}
+		forged := **cert
+		forged.Proofs = slices.Clone(forged.Proofs)
+		lemmas := slices.Clone(forged.Proofs[0].Proof.Lemmas)
+		lemmas[f.Lemma] = slices.Clone(lemmas[f.Lemma])
+		lemmas[f.Lemma][0] ^= 1
+		forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas}
+		*cert = &forged
 	}
 }
 
@@ -742,6 +754,8 @@ func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f
 			Millis:       inst.Time.Milliseconds(),
 			Hardness:     inst.Hardness,
 			ConflictRate: inst.ConflictRate(),
+			ElimVars:     inst.Stats.ElimVars,
+			Simplified:   inst.Stats.Simplified,
 		})
 	}
 	reply.Stats = &agg

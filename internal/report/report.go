@@ -48,6 +48,11 @@ type PartitionRow struct {
 	Worker       string `json:"worker,omitempty"`
 	Conflicts    int64  `json:"conflicts,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
+	// ElimVars and Simplified are the variables eliminated and the
+	// original clauses removed by the solver's simplification pass:
+	// zero for a search that ended before the pass was due.
+	ElimVars   int64 `json:"elim_vars,omitempty"`
+	Simplified int64 `json:"simplified,omitempty"`
 	// Progress is the partition's last search-progress estimate in
 	// [0,1] (sat.Solver.ProgressEstimate).
 	Progress    float64 `json:"progress,omitempty"`
@@ -257,6 +262,8 @@ func (r *Recorder) Finish(row PartitionRow) {
 	if row.Propagations > cur.Propagations {
 		cur.Propagations = row.Propagations
 	}
+	cur.ElimVars = max(cur.ElimVars, row.ElimVars)
+	cur.Simplified = max(cur.Simplified, row.Simplified)
 	if row.Progress > cur.Progress {
 		cur.Progress = row.Progress
 	}
@@ -472,8 +479,8 @@ func sampleValue(metrics, name string) (float64, bool) {
 }
 
 func renderPartitionTable(w io.Writer, rows []PartitionRow) {
-	fmt.Fprintf(w, "  %9s  %-8s %-16s %10s %13s %9s %9s %9s %s\n",
-		"partition", "verdict", "worker", "conflicts", "propagations", "progress", "solve-ms", "hardness", "flags")
+	fmt.Fprintf(w, "  %9s  %-8s %-16s %10s %13s %9s %10s %9s %9s %9s %s\n",
+		"partition", "verdict", "worker", "conflicts", "propagations", "elim-vars", "simplified", "progress", "solve-ms", "hardness", "flags")
 	var minMs, maxMs int64 = -1, 0
 	minProg, maxProg := 1.0, 0.0
 	minHard, maxHard := -1.0, 0.0
@@ -489,9 +496,9 @@ func renderPartitionTable(w io.Writer, rows []PartitionRow) {
 			}
 			flags += r.Cause
 		}
-		fmt.Fprintf(w, "  %9d  %-8s %-16s %10d %13d %9.3f %9d %9.1f %s\n",
+		fmt.Fprintf(w, "  %9d  %-8s %-16s %10d %13d %9d %10d %9.3f %9d %9.1f %s\n",
 			r.Partition, orUnknown(r.Verdict), orDash(r.Worker),
-			r.Conflicts, r.Propagations, r.Progress, r.SolveMillis, r.Hardness, flags)
+			r.Conflicts, r.Propagations, r.ElimVars, r.Simplified, r.Progress, r.SolveMillis, r.Hardness, flags)
 		if minMs < 0 || r.SolveMillis < minMs {
 			minMs = r.SolveMillis
 		}

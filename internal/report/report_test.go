@@ -70,7 +70,8 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
 	r.Finish(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 1, SolveMillis: 5, Hardness: 12.5, ConflictRate: 80})
-	r.Finish(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
+	// Partition 1 searched long enough for the solver to simplify.
+	r.Finish(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
 	r.AddProfiles([]ProfileRecord{
 		{Phase: "encode", Kind: "cpu", Path: "profiles/p_encode.cpu.pprof", Bytes: 100},
 		{Phase: "solve", Kind: "heap", Path: "profiles/p_solve.heap.pprof", Bytes: 2000},
@@ -102,6 +103,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	if rep.Verdict != "SAFE" || rep.WallMillis != 250 || len(rep.Partitions) != 2 {
 		t.Fatalf("round trip lost data: %+v", rep)
 	}
+	if p := rep.Partitions[1]; p.ElimVars != 18363 || p.Simplified != 67514 {
+		t.Fatalf("round trip lost the simplification counts: %+v", p)
+	}
 	if len(rep.Snapshots) != 1 || !strings.Contains(rep.Snapshots[0].Metrics, "parbmc_test_gauge 7") {
 		t.Fatalf("snapshot lost: %+v", rep.Snapshots)
 	}
@@ -121,6 +125,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		"Run report: fibonacci (distributed)",
 		"Verdict: SAFE in 250 ms",
 		"Partition imbalance (2 partitions):",
+		"conflicts  propagations elim-vars simplified",
+		"       10             0         0          0",
+		"       40           900     18363      67514",
 		"imbalance: solve-ms max/min = 4.0, progress spread = 0.000",
 		"hardness: max = 50.0 (partition 1), min = 12.5, spread = 37.5",
 		"Captured profiles (2):",

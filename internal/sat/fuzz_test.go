@@ -15,7 +15,7 @@ import (
 // search itself.
 const (
 	fuzzMemBudget = 1 << 0 // solve under MemBudgetMB = 1
-	fuzzLongRun   = 1 << 1 // 16000 conflicts instead of 3000: room for reduceDB
+	fuzzLongRun   = 1 << 1 // 30000 conflicts instead of 3000: room for reduceDB
 	fuzzAssumeTwo = 1 << 2 // the first two literals are assumptions, not a clause
 )
 
@@ -27,7 +27,7 @@ func decodeFuzzInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts O
 	flags, body := data[0], data[1:]
 	opts.MaxConflicts = 3000
 	if flags&fuzzLongRun != 0 {
-		opts.MaxConflicts = 16000
+		opts.MaxConflicts = 30000
 	}
 	if flags&fuzzMemBudget != 0 {
 		opts.MemBudgetMB = 1
@@ -182,6 +182,102 @@ func FuzzSolve(f *testing.F) {
 		if bytes.Equal(data, shrinking) && stats.MemShrinks == 0 {
 			t.Error("memory seed never shrank its learnt DB under the budget")
 		}
+	})
+}
+
+// solveSimplified solves f with the simplification pass run before the
+// first search (the simplifyAt seam at 0) and holds the answer to the
+// formula as it was loaded, not as the pass left it: a model must
+// satisfy every clause of f, eliminated variables included, and the
+// assumptions; a refutation must pass a ProofChecker built from f.
+func solveSimplified(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts Options) (*Solver, Status) {
+	t.Helper()
+	s := NewFromFormula(f, opts)
+	s.simplifyAt = 0
+	s.EnableProof()
+	st, err := s.Solve(assumptions...)
+	if err != nil && !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("solve: %v", err)
+	}
+	switch st {
+	case Sat:
+		assign := make([]bool, max(f.NumVars, s.NumVars())+1)
+		copy(assign[1:], s.Model())
+		if !f.Eval(assign) {
+			t.Fatalf("extended model does not satisfy the original formula (%d variables eliminated)", s.Stats().ElimVars)
+		}
+		for _, a := range assumptions {
+			if !s.ModelValue(a) {
+				t.Fatalf("model violates assumption %v", a)
+			}
+		}
+	case Unsat:
+		if err := NewProofChecker(f).Check(assumptions, s.ProofLog()); err != nil {
+			t.Fatalf("refutation rejected against the original formula (%d variables eliminated): %v", s.Stats().ElimVars, err)
+		}
+	}
+	checkStore(t, s)
+	return s, st
+}
+
+// checkSimplifiedAgainstPlain is the differential test of the pass: the
+// same input solved with the pass forced and with the pass off must
+// agree whenever both reach a verdict, and the forced run must repeat
+// counter for counter.
+func checkSimplifiedAgainstPlain(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts Options) (*Solver, Status) {
+	t.Helper()
+	s, st := solveSimplified(t, f, assumptions, opts)
+	plain := NewFromFormula(f, opts)
+	plain.simplified = true // the pass has had its one chance
+	want, err := plain.Solve(assumptions...)
+	if err != nil && !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("plain solve: %v", err)
+	}
+	if st != Unknown && want != Unknown && st != want {
+		t.Fatalf("simplified search says %v, plain search %v (%d variables eliminated)", st, want, s.Stats().ElimVars)
+	}
+	if again, _ := solveSimplified(t, f, assumptions, opts); again.Stats() != s.Stats() {
+		t.Fatalf("two runs, two sets of counters:\n%+v\n%+v", s.Stats(), again.Stats())
+	}
+	return s, st
+}
+
+// FuzzSimplifySolve puts FuzzSolve's inputs through the differential
+// test, seeded with what the pass works on: formulas with variables to
+// eliminate, clauses to subsume, units to find — and none of them.
+func FuzzSimplifySolve(f *testing.F) {
+	small, _, _ := fuzzSeeds()
+	for _, seed := range small {
+		f.Add(seed)
+	}
+	// Tseitin-style definitions chained to a contradiction, satisfiable
+	// without the last clause: nearly every variable is eliminable.
+	gates := cnf.New()
+	for v := 1; v+2 <= 40; v += 2 {
+		// v+2 = v ∧ v+1
+		gates.AddClause(mk(v+2, true), mk(v, false))
+		gates.AddClause(mk(v+2, true), mk(v+1, false))
+		gates.AddClause(mk(v+2, false), mk(v, true), mk(v+1, true))
+	}
+	gates.AddClause(mk(39, false), mk(41, false))
+	f.Add(encodeFuzzInput(0, nil, gates))
+	f.Add(encodeFuzzInput(fuzzAssumeTwo, []cnf.Lit{mk(41, true), mk(2, false)}, gates))
+	gates.AddClause(mk(1, true))
+	gates.AddClause(mk(41, true))
+	f.Add(encodeFuzzInput(0, nil, gates))
+	// Random 3-SAT near the threshold, either side of it.
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(encodeFuzzInput(0, nil, random3SAT(seed, 60, 4.26)))
+		f.Add(encodeFuzzInput(fuzzAssumeTwo, []cnf.Lit{mk(7, false), mk(30, true)}, random3SAT(seed, 100, 4.0)))
+	}
+	f.Add(encodeFuzzInput(fuzzLongRun, nil, random3SAT(5, 120, 4.3)))
+	// A few thousand conflicts after the pass: restarts, imports of
+	// nothing, learnt clauses over the variables that are left.
+	f.Add(encodeFuzzInput(fuzzLongRun|fuzzAssumeTwo, []cnf.Lit{mk(1, true), mk(2, true)}, pigeonhole(7)))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		formula, assumptions, opts := decodeFuzzInput(data)
+		checkSimplifiedAgainstPlain(t, formula, assumptions, opts)
 	})
 }
 

@@ -38,6 +38,23 @@ func (h *varHeap) update(v cnf.Var, act *[]float64) {
 	}
 }
 
+// filter removes the variables keep rejects and restores heap order.
+func (h *varHeap) filter(keep func(cnf.Var) bool, act *[]float64) {
+	kept := h.heap[:0]
+	for _, v := range h.heap {
+		if keep(v) {
+			h.pos[v-1] = len(kept)
+			kept = append(kept, v)
+		} else {
+			h.pos[v-1] = -1
+		}
+	}
+	h.heap = kept
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		h.siftDown(i, act)
+	}
+}
+
 // popMax removes and returns the variable with maximal activity.
 func (h *varHeap) popMax(act *[]float64) (cnf.Var, bool) {
 	if len(h.heap) == 0 {

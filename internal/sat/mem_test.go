@@ -7,13 +7,22 @@ import (
 
 // liveBytesByHand recomputes the footprint from the solver's
 // structures: every arena word, every watcher actually on a watch
-// list, and the per-variable constant.
+// list, the per-variable constant and, once the simplification pass
+// has run, each word of its elimination stack and a flag per variable.
 func liveBytesByHand(s *Solver) int64 {
 	watchers := 0
 	for _, ws := range s.watches {
 		watchers += len(ws)
 	}
-	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers)
+	eliminated, stack := 0, 0
+	if s.eliminated != nil {
+		eliminated = s.numVars
+	}
+	for _, chunk := range s.elimStack.chunks {
+		stack += len(chunk)
+	}
+	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers) +
+		4*int64(stack) + int64(eliminated)
 }
 
 // arenaWordsByHand is what the arena must hold if it has no garbage:

@@ -5,7 +5,11 @@
 // learning with recursive minimisation, Luby restarts, learnt-clause
 // database reduction, solving under assumptions implemented as frozen unit
 // clauses (Sect. 3.3 of the paper), and the search statistics (decisions,
-// maximal decision depth, backjumps) used to reproduce Figure 6.
+// maximal decision depth, backjumps) used to reproduce Figure 6. Like the
+// prototype's "MiniSat with simplifier" it eliminates variables and
+// subsumed clauses, but from inside Solve, once the search has run long
+// enough to pay for the pass (simplify.go): callers see models and
+// refutation proofs of the formula they loaded either way.
 package sat
 
 import (
@@ -51,6 +55,11 @@ var ErrInterrupted = errors.New("sat: solver interrupted")
 // terminal under the same budget: rerunning with the same limit gives
 // up again.
 var ErrMemBudget = errors.New("sat: memory budget exhausted")
+
+// ErrEliminated is returned by Solve for an assumption over a variable
+// the simplification pass of an earlier Solve eliminated: the solver no
+// longer holds the clauses that constrain it. Assume on a fresh solver.
+var ErrEliminated = errors.New("sat: assumption over an eliminated variable")
 
 // StopCause classifies why a solve ended Unknown, so callers can tell a
 // run that was cancelled (sibling found SAT, context done) from one
@@ -139,8 +148,8 @@ type Stats struct {
 	Learnt       int64 // learnt clauses added
 	LearntLits   int64 // total literals in learnt clauses
 	Minimised    int64 // literals removed by conflict-clause minimisation
-	Simplified   int64 // clauses removed by the preprocessor
-	ElimVars     int64 // variables eliminated by the preprocessor
+	Simplified   int64 // original clauses removed by the simplification pass
+	ElimVars     int64 // variables eliminated by the simplification pass
 
 	// LearntDeleted counts learnt clauses discarded by reduceDB. Together
 	// with Learnt it bounds the live learnt-DB churn: a high
@@ -246,10 +255,6 @@ type Options struct {
 	// learnt-DB shrinks — and only if still over budget stops with
 	// (Unknown, ErrMemBudget), the memory analogue of MaxConflicts.
 	MemBudgetMB int64
-	// NoPreprocess disables the inprocessing-free preprocessor pipeline when
-	// solving through SolveFormula helpers (the Solver itself never
-	// preprocesses implicitly).
-	NoPreprocess bool
 	// ProgressEvery invokes the solver's Progress callback every this
 	// many conflicts (0 disables; see Solver.Progress). The disabled
 	// path costs a single nil check per conflict.
@@ -341,6 +346,16 @@ type Solver struct {
 	polarity []bool // saved phase per variable
 	frozen   []bool // assumption-frozen variables (paper Sect. 3.3)
 
+	// The simplification pass (simplify.go) runs once, when Propagations
+	// reaches simplifyAt per original clause; tests set simplifyAt to 0
+	// to have it run before the first search. eliminated (nil until the
+	// pass) marks the variables it eliminated and elimStack holds the
+	// clauses it takes to give them values.
+	simplifyAt int64
+	simplified bool
+	eliminated []bool
+	elimStack  elimStack
+
 	trail    []lit
 	trailLim []int
 	qhead    int
@@ -403,6 +418,8 @@ func New(numVars int, opts Options) *Solver {
 		varInc:   1,
 		claInc:   1,
 		rngState: opts.Seed*2654435761 + 88172645463325252,
+
+		simplifyAt: simplifyPropsPerClause,
 		// Literals start at 2 (variable 1), decision levels at 0.
 		watches:  make([][]watcher, 2),
 		vals:     make([]int8, 2),
@@ -477,6 +494,9 @@ func (s *Solver) growTo(n int) {
 		}
 	}
 	s.frozen = append(s.frozen, make([]bool, add)...)
+	if s.eliminated != nil {
+		s.eliminated = append(s.eliminated, make([]bool, add)...)
+	}
 	s.activity = append(s.activity, make([]float64, add)...)
 	s.seen = append(s.seen, make([]byte, add)...)
 	s.lbdStamp = append(s.lbdStamp, make([]uint32, add)...)
@@ -507,7 +527,8 @@ func (s *Solver) snapshotLevels() {
 // (V = variable count). Level-0 assignments — permanently decided —
 // dominate, so the estimate grows as the solver proves out top-level
 // facts; deeper, more speculative assignments contribute geometrically
-// less. It is not monotone (restarts and backjumps can lower it), but
+// less. Variables the simplification pass eliminated count as decided
+// at level 0: model extension fixes them, the search never will. It is not monotone (restarts and backjumps can lower it), but
 // averaged over heartbeat intervals it orders partitions by how close
 // they are to a verdict, which is the signal partition splitting keys
 // on. Must be called from the solving goroutine (it reads the trail).
@@ -515,7 +536,7 @@ func (s *Solver) ProgressEstimate() float64 {
 	if s.numVars == 0 {
 		return 1
 	}
-	progress := 0.0
+	progress := float64(s.stats.ElimVars)
 	f := 1.0 / float64(s.numVars)
 	weight := 1.0
 	for i := 0; i <= s.decisionLevel(); i++ {
@@ -561,12 +582,14 @@ func (s *Solver) ClearInterrupt() {
 }
 
 // LiveBytes returns the solver's current footprint: the clause arena,
-// the two watchers every attached clause has, and the per-variable
-// state (varBytes). reduceDB compacts the arena, so no deleted clause
-// is counted. Only valid on the solving goroutine.
+// the two watchers every attached clause has, the per-variable state
+// (varBytes) and, after the simplification pass, its elimination stack
+// and flags. reduceDB compacts the arena, so no deleted clause is
+// counted. Only valid on the solving goroutine.
 func (s *Solver) LiveBytes() int64 {
 	watchers := 2 * (len(s.clauses) + len(s.learnts))
-	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers)
+	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers) +
+		4*int64(s.elimStack.words) + int64(len(s.eliminated))
 }
 
 // PeakBytes returns the high-water mark of LiveBytes over the solver's
@@ -631,7 +654,8 @@ func sortLits(ls []lit) {
 // AddClause introduces a clause over 1-based variables, growing the
 // variable set as needed. It may only be called before Solve or between
 // Solve calls (at decision level 0). It returns false if the clause set
-// became trivially inconsistent.
+// became trivially inconsistent. A clause over a variable an earlier
+// Solve eliminated (see Solve) panics.
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 	return s.addClause(lits)
 }
@@ -639,6 +663,9 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 func (s *Solver) addClause(lits []cnf.Lit) bool {
 	if !s.ok {
 		return false
+	}
+	if s.mentionsEliminated(lits) {
+		panic("sat: AddClause over an eliminated variable")
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
@@ -685,6 +712,17 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 	s.clauses = append(s.clauses, cl)
 	s.attach(cl)
 	return true
+}
+
+// isEliminated reports whether the simplification pass eliminated v.
+func (s *Solver) isEliminated(v cnf.Var) bool {
+	return int(v) <= len(s.eliminated) && s.eliminated[v-1]
+}
+
+// mentionsEliminated reports whether one of the literals is over an
+// eliminated variable.
+func (s *Solver) mentionsEliminated(lits []cnf.Lit) bool {
+	return slices.ContainsFunc(lits, func(l cnf.Lit) bool { return s.isEliminated(l.Var()) })
 }
 
 func (s *Solver) attach(c cref) {
@@ -860,7 +898,7 @@ func (s *Solver) pickBranchLit() lit {
 		// Random decision among unassigned variables (diversification).
 		for tries := 0; tries < 10; tries++ {
 			v := cnf.Var(1 + s.rand()%uint64(s.numVars))
-			if s.valueVar(v) == lUndef {
+			if s.valueVar(v) == lUndef && !s.isEliminated(v) {
 				return lit(cnf.MkLit(v, s.rand()&1 == 0))
 			}
 		}
@@ -1221,11 +1259,13 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 		}
 		next := s.pickBranchLit()
 		if next == litUndef {
-			// All variables assigned: model found.
+			// All variables assigned but the eliminated ones, which
+			// get the values that satisfy the clauses removed with them.
 			s.model = s.model[:0]
 			for v := 1; v <= s.numVars; v++ {
 				s.model = append(s.model, s.vals[2*v])
 			}
+			s.elimStack.extend(s.model)
 			return Sat, nil
 		}
 		s.stats.Decisions++
@@ -1253,9 +1293,26 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 // assumption contradicts a frozen one returns Unsat. To explore
 // different partitions, use a fresh Solver per assumption set, as
 // package parallel does.
+//
+// Once per solver, at the first restart boundary where the search has
+// made simplifyPropsPerClause propagations per original clause, Solve
+// runs the simplification pass (simplify.go) on the clause set as it
+// stands under the level-0 assignment, assumptions included. Nothing
+// changes for the caller: Model and ModelValue give the eliminated
+// variables values that satisfy the formula as it was loaded, and
+// the proof log carries every clause the pass derived, so it checks
+// against that formula too. The one restriction is on what comes
+// later. An eliminated variable's clauses are gone, and they are not
+// restored: a later Solve that assumes over one refuses with
+// ErrEliminated, AddClause over one panics, and a clause arriving
+// through Import over one is dropped (it is a consequence of clauses
+// the solver no longer needs).
 func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	if !s.ok {
 		return Unsat, nil
+	}
+	if s.mentionsEliminated(assumptions) {
+		return Unknown, ErrEliminated
 	}
 	// Stamp the final progress estimate and learnt-DB size so Stats()
 	// reflects where the search ended even when it finished between
@@ -1282,6 +1339,17 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	}
 
 	for restart := int64(1); ; restart++ {
+		if !s.simplified && len(s.clauses) > 0 &&
+			s.stats.Propagations >= s.simplifyAt*int64(len(s.clauses)) {
+			// Once, whether or not there is room for it: a pass that
+			// does not fit the memory budget now will not fit later.
+			s.simplified = true
+			fits := s.opts.MemBudgetMB == 0 ||
+				s.LiveBytes()+s.eliminatorBytes() <= s.opts.MemBudgetMB<<20
+			if fits && !s.simplify() {
+				return Unsat, nil
+			}
+		}
 		budget := int64(s.opts.RestartBase) * luby(restart)
 		st, err := s.search(budget)
 		if err != nil {
@@ -1297,6 +1365,9 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 		s.cancelUntil(0)
 		if s.Import != nil {
 			for _, lits := range s.Import() {
+				if s.mentionsEliminated(lits) {
+					continue
+				}
 				if !s.addClause(lits) {
 					return Unsat, nil
 				}
@@ -1306,8 +1377,9 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 }
 
 // Model returns the satisfying assignment found by the last successful
-// Solve. Index v-1 holds the value of variable v. Variables never assigned
-// (possible after preprocessing) are reported as false.
+// Solve. Index v-1 holds the value of variable v. It is a model of the
+// clauses as they were added: variables the simplification pass
+// eliminated carry values that satisfy the clauses removed with them.
 func (s *Solver) Model() []bool {
 	out := make([]bool, s.numVars)
 	for i, v := range s.model {

@@ -71,10 +71,11 @@ void main() {
 
 func verdict(t *testing.T, p *prog.Program, contexts, cores int) core.Verdict {
 	t.Helper()
-	// The transformed programs have large thread bodies; preprocessing
-	// keeps the exhaustive (UNSAT) configurations tractable in tests.
+	// The transformed programs have large thread bodies; the solver's
+	// simplification pass keeps the exhaustive (UNSAT) configurations
+	// tractable in tests.
 	res, err := core.Verify(context.Background(), p, core.Options{
-		Unwind: 2, Contexts: contexts, Cores: cores, Preprocess: true,
+		Unwind: 2, Contexts: contexts, Cores: cores,
 	})
 	if err != nil {
 		t.Fatal(err)

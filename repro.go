@@ -51,9 +51,6 @@ type Options struct {
 	// From/To restrict the run to the half-open partition range
 	// [From, To) for distribution across machines; zero values mean all.
 	From, To int
-	// Preprocess runs the MiniSat-style simplifier before partitioning
-	// (the paper's solver configuration).
-	Preprocess bool
 	// CertifyUnsat checks a clausal refutation proof for every UNSAT
 	// partition, certifying Safe verdicts independently of the search.
 	CertifyUnsat bool
@@ -110,7 +107,6 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (*Result, error)
 		Partitions:   opts.Partitions,
 		From:         opts.From,
 		To:           opts.To,
-		Preprocess:   opts.Preprocess,
 		CertifyUnsat: opts.CertifyUnsat,
 	})
 	if err != nil {
