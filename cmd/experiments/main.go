@@ -29,19 +29,8 @@ func main() {
 		full  = flag.Bool("full", false, "include the most expensive configurations")
 		cores = flag.String("cores", "1,2,4,8", "comma-separated core counts")
 		dot   = flag.String("dot", "", "directory for Graphviz decision graphs (fig6)")
-		bench = flag.String("bench-out", "", "write Table 2 measurements as a BENCH_<date>.json perf-trajectory file")
-
-		compare   = flag.Bool("compare", false, "compare committed BENCH_*.json trajectory files instead of running experiments")
-		benchDir  = flag.String("bench-dir", ".", "directory holding BENCH_*.json files (-compare)")
-		candidate = flag.String("candidate", "", "compare this bench file against the latest committed one instead of the last two (-compare)")
-		gate      = flag.Float64("gate", 1.25, "regression gate: fail when head wall time exceeds base by this factor (-compare; 0 disables)")
-		minBase   = flag.Int64("min-base-ms", 250, "noise floor: cells with base wall time under this are not wall-gated (-compare)")
 	)
 	flag.Parse()
-
-	if *compare {
-		os.Exit(compareMain(*benchDir, *candidate, *gate, *minBase))
-	}
 
 	cfg := experiments.DefaultConfig()
 	cfg.Full = *full
@@ -71,10 +60,6 @@ func main() {
 		check(err)
 		check(experiments.VerdictsConsistent(table2))
 		fmt.Fprintln(w)
-		if *bench != "" {
-			check(experiments.WriteBench(*bench, table2))
-			fmt.Fprintf(w, "bench file written to %s\n\n", *bench)
-		}
 	}
 	if run("table3") {
 		_, err = experiments.Table34(ctx, w, cfg, portfolio.StyleSharing, table2)
@@ -108,37 +93,6 @@ func main() {
 		check(experiments.AblationWidth(ctx, w))
 		check(experiments.ExtensionSampling(ctx, w))
 	}
-}
-
-// compareMain runs the bench-trajectory comparator: load every
-// committed BENCH_*.json (plus an optional uncommitted -candidate as
-// head), diff the last two, and fail the gate on regressions. Exit
-// codes: 0 clean, 1 gate violation, 2 usage/IO error.
-func compareMain(dir, candidate string, gate float64, minBaseMillis int64) int {
-	files, err := experiments.LoadBenchDir(dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 2
-	}
-	if candidate != "" {
-		nb, err := experiments.LoadBenchFile(candidate)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			return 2
-		}
-		files = append(files, nb)
-	}
-	if len(files) < 2 {
-		fmt.Fprintf(os.Stderr, "experiments: -compare needs at least two bench files (found %d in %s); run `make bench` to record one\n", len(files), dir)
-		return 2
-	}
-	base, head := files[len(files)-2], files[len(files)-1]
-	deltas := experiments.CompareBench(base, head, gate, minBaseMillis)
-	experiments.WriteCompare(os.Stdout, files, deltas, gate, minBaseMillis)
-	if experiments.Regressions(deltas) > 0 {
-		return 1
-	}
-	return 0
 }
 
 func check(err error) {

@@ -18,6 +18,7 @@ import (
 
 	"repro/cmd/internal/runflags"
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/portfolio"
 	"repro/internal/sat"
 )
@@ -123,6 +124,7 @@ func main() {
 			instance, st.Decisions, st.Conflicts, st.Propagations, st.Restarts, st.Progress)
 	}
 
+	budget := journal.Budget{Conflicts: *maxConfl, MemMB: memBudget}
 	wantProof := *proofPath != "" || *check
 	profiler.StartPhase("solve")
 	if *cores > 1 && len(assumptions) == 0 {
@@ -136,11 +138,7 @@ func main() {
 		if *style == "diverse" {
 			st = portfolio.StyleDiverse
 		}
-		popts := portfolio.Options{
-			Cores:         *cores,
-			Style:         st,
-			InstanceMemMB: memBudget,
-		}
+		popts := portfolio.Options{Cores: *cores, Style: st, Budget: budget}
 		if *progress > 0 {
 			popts.Progress = liveProgress
 			popts.ProgressEvery = *progress
@@ -153,7 +151,7 @@ func main() {
 		status, model, searchStats = res.Status, res.Model, res.Stats
 	} else {
 		s := sat.NewFromFormula(formula, sat.Options{
-			MaxConflicts: *maxConfl, MemBudgetMB: memBudget, ProgressEvery: *progress,
+			MaxConflicts: budget.Conflicts, MemBudgetMB: budget.MemMB, ProgressEvery: *progress,
 		})
 		if *progress > 0 {
 			s.Progress = func(st sat.Stats) { liveProgress(0, st) }

@@ -185,16 +185,6 @@ func (f *Formula) Eval(assignment []bool) bool {
 	return true
 }
 
-// EvalClause evaluates a single clause under a complete assignment.
-func EvalClause(c Clause, assignment []bool) bool {
-	for _, l := range c {
-		if assignment[l.Var()] != l.Neg() {
-			return true
-		}
-	}
-	return false
-}
-
 func (f *Formula) String() string {
 	var b strings.Builder
 	for i, c := range f.Clauses {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/flatten"
 	"repro/internal/interp"
 	"repro/internal/journal"
@@ -561,16 +560,14 @@ func MakePartitions(enc *vc.Encoded, opts Options) (parts []partition.Partition,
 		parts = parts[opts.From:opts.To]
 	}
 	if opts.CubePath != "" {
-		extra, perr := partition.PathAssumptions(opts.CubePath, partition.SplitLits(enc, total))
-		if perr != nil {
-			return nil, 0, fmt.Errorf("core: %w", perr)
-		}
+		splitLits := partition.SplitLits(enc, total)
 		refined := make([]partition.Partition, len(parts))
 		for i, pt := range parts {
-			refined[i] = partition.Partition{
-				Index:       pt.Index,
-				Assumptions: append(append([]cnf.Lit{}, pt.Assumptions...), extra...),
+			assume, perr := pt.CubeAssumptions(opts.CubePath, splitLits)
+			if perr != nil {
+				return nil, 0, fmt.Errorf("core: %w", perr)
 			}
+			refined[i] = partition.Partition{Index: pt.Index, Assumptions: assume}
 		}
 		parts = refined
 	}

@@ -245,10 +245,10 @@ func buildCertificate(res *core.Result, level string) *Certificate {
 }
 
 // certVerifier holds the coordinator's own encoding of the program — the
-// root of trust every remote certificate is checked against. Workers
-// receive only the program source; whatever formula they actually
-// solved, their evidence must check out against this encoding or the
-// verdict is discarded.
+// root of trust every remote certificate is checked against, and what
+// counts the scheduler bits a run can split on. Workers receive only the
+// program source; whatever formula they actually solved, their evidence
+// must check out against this encoding or the verdict is discarded.
 type certVerifier struct {
 	enc     *vc.Encoded
 	formula *cnf.Formula
@@ -271,11 +271,11 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 	}
 	enc, _, _, err := core.EncodeProgram(p, copts)
 	if err != nil {
-		return nil, fmt.Errorf("distrib: certification encoding failed: %w", err)
+		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
 	parts, total, err := core.MakePartitions(enc, copts)
 	if err != nil {
-		return nil, fmt.Errorf("distrib: certification partitioning failed: %w", err)
+		return nil, fmt.Errorf("distrib: coordinator partitioning failed: %w", err)
 	}
 	return &certVerifier{
 		enc:       enc,
@@ -283,21 +283,6 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 		parts:     parts,
 		splitLits: partition.SplitLits(enc, total),
 	}, nil
-}
-
-// cubeAssumptions returns the partition's assumptions extended with the
-// cube path's scheduler-bit literals — the exact assumption set a worker
-// solving that sub-cube was instructed to use.
-func (v *certVerifier) cubeAssumptions(idx int, path string) ([]cnf.Lit, error) {
-	base := v.parts[idx].Assumptions
-	if path == "" {
-		return base, nil
-	}
-	extra, err := partition.PathAssumptions(path, v.splitLits)
-	if err != nil {
-		return nil, err
-	}
-	return append(append([]cnf.Lit{}, base...), extra...), nil
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -340,7 +325,7 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 			return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", i)
 		}
 	}
-	assumps, err := v.cubeAssumptions(winner, cube.Path)
+	assumps, err := v.parts[winner].CubeAssumptions(cube.Path, v.splitLits)
 	if err != nil {
 		return fmt.Errorf("cube %s: %v", cube.Key(), err)
 	}
@@ -394,7 +379,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		if proof == nil {
 			return work, fmt.Errorf("no refutation proof for partition %d", idx)
 		}
-		assumps, err := v.cubeAssumptions(idx, cube.Path)
+		assumps, err := v.parts[idx].CubeAssumptions(cube.Path, v.splitLits)
 		if err != nil {
 			return work, fmt.Errorf("cube %s: %v", cube.Key(), err)
 		}

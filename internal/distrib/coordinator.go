@@ -280,21 +280,21 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
 
-	// With certification on, the coordinator builds its own encoding of
-	// the program up front — the root of trust every remote certificate
-	// is checked against. The cost is one encode, paid once per run.
+	// The coordinator encodes the program itself, once per run, when it
+	// needs what only the encoding can tell: with certification on, the
+	// root of trust every remote certificate is checked against; with
+	// splitting on, how many scheduler bits there are to split on.
 	var verifier *certVerifier
-	if opts.Certify.Enabled() {
-		var verr error
-		verifier, verr = newCertVerifier(p, opts)
-		if verr != nil {
-			return nil, verr
+	splitBits := 0
+	if opts.Certify.Enabled() || opts.Split.Depth > 0 {
+		own, err := newCertVerifier(p, opts)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	splitBits, err := splitBitSupply(p, opts, verifier)
-	if err != nil {
-		return nil, err
+		splitBits = len(own.splitLits)
+		if opts.Certify.Enabled() {
+			verifier = own
+		}
 	}
 
 	// The journal pins everything that gives a chunk's [From,To] range
@@ -501,32 +501,6 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		return nil, ErrPrimaryKilled
 	}
 	return res, nil
-}
-
-// splitBitSupply is how many scheduler bits the encoding can supply for
-// cube paths, which splitting single partitions needs to know. The
-// verifier's encoding answers for free; an uncertified run pays one
-// extra encode, and only when splitting is enabled at all.
-func splitBitSupply(p *prog.Program, opts CoordinatorOptions, verifier *certVerifier) (int, error) {
-	if opts.Split.Depth <= 0 {
-		return 0, nil
-	}
-	if verifier != nil {
-		return len(verifier.splitLits), nil
-	}
-	copts := core.Options{
-		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width,
-		Partitions: opts.Partitions,
-	}
-	enc, _, _, err := core.EncodeProgram(p, copts)
-	if err != nil {
-		return 0, fmt.Errorf("distrib: split-bit encoding failed: %w", err)
-	}
-	_, total, err := core.MakePartitions(enc, copts)
-	if err != nil {
-		return 0, fmt.Errorf("distrib: split-bit partitioning failed: %w", err)
-	}
-	return len(partition.SplitLits(enc, total)), nil
 }
 
 // commitChunk durably records one chunk verdict before it is

@@ -380,104 +380,62 @@ func (w *worker) inject(ctx context.Context, wc *conn, f *FaultEvent) (done bool
 	return false, nil
 }
 
-// jobProgress accumulates live per-partition search statistics from the
-// solver progress hook; heartbeats read the cross-partition totals. The
-// hook fires from solver goroutines, so updates are mutex-guarded. A
-// per-partition sat.Sampler piggybacks on the same snapshots, deriving
-// the live rates and hardness scores that ride on heartbeats.
+// jobProgress holds one sat.Sampler per partition, fed from the solver
+// progress hook: snapshots are cumulative per instance, so a sampler's
+// last sample is its partition's live state — counters, rates and
+// hardness — and heartbeats read those. The hook fires from solver
+// goroutines, so the map is mutex-guarded.
 type jobProgress struct {
-	mu           sync.Mutex
-	conflicts    map[int]int64
-	decisions    map[int]int64
-	propagations map[int]int64
-	progress     map[int]float64
-	hardness     map[int]float64
-	confRate     map[int]float64
-	samplers     map[int]*sat.Sampler
+	mu       sync.Mutex
+	samplers map[int]*sat.Sampler
 }
 
-func newJobProgress() *jobProgress {
-	return &jobProgress{
-		conflicts:    make(map[int]int64),
-		decisions:    make(map[int]int64),
-		propagations: make(map[int]int64),
-		progress:     make(map[int]float64),
-		hardness:     make(map[int]float64),
-		confRate:     make(map[int]float64),
-		samplers:     make(map[int]*sat.Sampler),
-	}
-}
-
-// update stores the latest snapshot for one partition (snapshots are
-// cumulative per instance, so last-write-wins is the right semantics)
-// and folds it into the partition's introspection sampler.
+// update folds the latest snapshot of one partition into its sampler.
 func (p *jobProgress) update(part int, st sat.Stats) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	sp := p.samplers[part]
 	if sp == nil {
 		sp = sat.NewSampler(0)
 		p.samplers[part] = sp
 	}
-	s := sp.Observe(st)
-	p.conflicts[part] = st.Conflicts
-	p.decisions[part] = st.Decisions
-	p.propagations[part] = st.Propagations
-	p.progress[part] = st.Progress
-	p.hardness[part] = s.Hardness
-	p.confRate[part] = s.ConflictRate
-	p.mu.Unlock()
+	sp.Observe(st)
 }
 
-// totals sums the latest snapshots across partitions.
-func (p *jobProgress) totals() (conflicts, decisions, propagations int64) {
+// snapshot returns the live per-partition state, sorted by partition
+// index, and the job's totals. The job's Progress is the minimum
+// estimate across the partitions seen so far — the job is only as far
+// along as its furthest-behind partition.
+func (p *jobProgress) snapshot() ([]PartProgress, sat.Stats) {
+	var total sat.Stats
 	if p == nil {
-		return 0, 0, 0
+		return nil, total
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, c := range p.conflicts {
-		conflicts += c
-	}
-	for _, d := range p.decisions {
-		decisions += d
-	}
-	for _, pr := range p.propagations {
-		propagations += pr
-	}
-	return conflicts, decisions, propagations
-}
-
-// parts snapshots the live per-partition state, sorted by partition
-// index, plus the job-level progress: the minimum estimate across the
-// partitions seen so far — the job is only as far along as its
-// furthest-behind partition.
-func (p *jobProgress) parts() ([]PartProgress, float64) {
-	if p == nil {
-		return nil, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]PartProgress, 0, len(p.conflicts))
-	minProg := 0.0
-	for part, c := range p.conflicts {
-		pp := PartProgress{
+	out := make([]PartProgress, 0, len(p.samplers))
+	for part, sp := range p.samplers {
+		s, _ := sp.Last()
+		if len(out) == 0 || s.Progress < total.Progress {
+			total.Progress = s.Progress
+		}
+		total.Conflicts += s.Conflicts
+		total.Decisions += s.Decisions
+		total.Propagations += s.Propagations
+		out = append(out, PartProgress{
 			Partition:    part,
-			Conflicts:    c,
-			Propagations: p.propagations[part],
-			Progress:     p.progress[part],
-			Hardness:     p.hardness[part],
-			ConflictRate: p.confRate[part],
-		}
-		if len(out) == 0 || pp.Progress < minProg {
-			minProg = pp.Progress
-		}
-		out = append(out, pp)
+			Conflicts:    s.Conflicts,
+			Propagations: s.Propagations,
+			Progress:     s.Progress,
+			Hardness:     s.Hardness,
+			ConflictRate: s.ConflictRate,
+		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Partition < out[j].Partition })
-	return out, minProg
+	return out, total
 }
 
 // runJobWithHeartbeats runs the job while a side goroutine heartbeats at
@@ -503,7 +461,7 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 	var hbStop, hbDone chan struct{}
 	var progress *jobProgress
 	if m.HeartbeatMillis > 0 {
-		progress = newJobProgress()
+		progress = &jobProgress{samplers: make(map[int]*sat.Sampler)}
 		hbStop, hbDone = make(chan struct{}), make(chan struct{})
 		interval := time.Duration(m.HeartbeatMillis) * time.Millisecond
 		go func() {
@@ -519,12 +477,8 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 				case <-hbStop:
 					return
 				case <-t.C:
-					conflicts, decisions, propagations := progress.totals()
-					parts, jobProg := progress.parts()
-					s := jobSampler.Observe(sat.Stats{
-						Conflicts: conflicts, Decisions: decisions,
-						Propagations: propagations, Progress: jobProg,
-					})
+					parts, total := progress.snapshot()
+					s := jobSampler.Observe(total)
 					maxHardness := 0.0
 					for _, pp := range parts {
 						if pp.Hardness > maxHardness {
@@ -532,8 +486,8 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 						}
 					}
 					hb := &Message{Type: "heartbeat", JobID: m.JobID,
-						Conflicts: conflicts, Propagations: propagations,
-						Progress: jobProg, Parts: parts,
+						Conflicts: total.Conflicts, Propagations: total.Propagations,
+						Progress: total.Progress, Parts: parts,
 						ConflictRate:    s.ConflictRate,
 						DecisionRate:    s.DecisionRate,
 						PropagationRate: s.PropagationRate,

@@ -36,13 +36,6 @@ type Config struct {
 	Cores []int
 	// Full enables the most expensive configurations.
 	Full bool
-	// Real measures actual concurrent wall-clock times instead of the
-	// deterministic makespan simulation. Requires at least as many
-	// physical cores as the largest entry of Cores to be meaningful; the
-	// default (simulation) reproduces the paper's speedup structure even
-	// on single-core hosts, using the same protocol the paper used to
-	// simulate its 128-core cluster.
-	Real bool
 }
 
 // DefaultConfig returns the laptop-scale configuration.
@@ -96,24 +89,6 @@ type Table2Row struct {
 	Vars, Clauses int
 	Times         map[int]time.Duration // cores -> wall time
 	Verdicts      map[int]core.Verdict
-	// Conflicts, Progress, and Partitions record the flight-recorder
-	// signals per core count: total solver conflicts, the
-	// progress-at-solve estimate (minimum across partitions — how far
-	// the furthest-behind partition got), and the partition count.
-	Conflicts  map[int]int64
-	Progress   map[int]float64
-	Partitions map[int]int
-	// PeakMemBytes is the largest single-instance solver footprint per
-	// core count (max over partitions of the solver's own live-byte
-	// accounting) — the resource-governance signal tracked alongside
-	// times so memory regressions show up in the bench trajectory too.
-	PeakMemBytes map[int]int64
-	// Splits and CubeDepth record the adaptive-scheduling activity per
-	// core count: cube splits performed and the deepest cube path
-	// reached. Zero here, where no run asks for splitting (the makespan
-	// simulation cannot: it never has an idle worker).
-	Splits    map[int]int
-	CubeDepth map[int]int
 }
 
 // Speedup returns times[1] / times[cores].
@@ -127,7 +102,9 @@ func (r *Table2Row) Speedup(cores int) float64 {
 }
 
 // Table2 measures the scalability of the partitioned analysis
-// (Sect. 4.1) over the configured core counts.
+// (Sect. 4.1) over the configured core counts. Parallel times are the
+// deterministic makespan simulation, the protocol the paper used for its
+// 128-core cluster: it keeps the speedup structure on a single-core host.
 func Table2(ctx context.Context, w io.Writer, cfg Config) ([]Table2Row, error) {
 	var rows []Table2Row
 	fmt.Fprintf(w, "Table 2: scalability of symbolic interleaving partitioning\n")
@@ -141,20 +118,14 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) ([]Table2Row, error) {
 	fmt.Fprintln(w)
 	for _, cell := range Grid(cfg.Full) {
 		row := Table2Row{
-			Cell:         cell,
-			Times:        map[int]time.Duration{},
-			Verdicts:     map[int]core.Verdict{},
-			Conflicts:    map[int]int64{},
-			Progress:     map[int]float64{},
-			Partitions:   map[int]int{},
-			PeakMemBytes: map[int]int64{},
-			Splits:       map[int]int{},
-			CubeDepth:    map[int]int{},
+			Cell:     cell,
+			Times:    map[int]time.Duration{},
+			Verdicts: map[int]core.Verdict{},
 		}
 		for _, cores := range cfg.Cores {
 			res, err := core.Verify(ctx, cell.Bench.Program, core.Options{
 				Unwind: cell.U, Contexts: cell.C, Cores: cores,
-				SimulateParallel: !cfg.Real,
+				SimulateParallel: true,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s u=%d c=%d cores=%d: %w",
@@ -163,26 +134,6 @@ func Table2(ctx context.Context, w io.Writer, cfg Config) ([]Table2Row, error) {
 			row.Vars, row.Clauses = res.Vars, res.Clauses
 			row.Times[cores] = res.SolveTime
 			row.Verdicts[cores] = res.Verdict
-			row.Partitions[cores] = res.Partitions
-			var conflicts, peakMem int64
-			minProgress := -1.0
-			for _, inst := range res.Instances {
-				conflicts += inst.Stats.Conflicts
-				if minProgress < 0 || inst.Stats.Progress < minProgress {
-					minProgress = inst.Stats.Progress
-				}
-				if inst.Stats.PeakMemBytes > peakMem {
-					peakMem = inst.Stats.PeakMemBytes
-				}
-			}
-			if minProgress < 0 {
-				minProgress = 0
-			}
-			row.Conflicts[cores] = conflicts
-			row.Progress[cores] = minProgress
-			row.PeakMemBytes[cores] = peakMem
-			row.Splits[cores] = res.Splits
-			row.CubeDepth[cores] = res.MaxCubeDepth
 		}
 		rows = append(rows, row)
 		printTable2Row(w, cfg, &row)
@@ -242,22 +193,11 @@ func Table34(ctx context.Context, w io.Writer, cfg Config, style portfolio.Style
 		}
 		row := Table34Row{Cell: cell, Times: map[int]time.Duration{}, Ratio: map[int]float64{}}
 		for _, cores := range cfg.Cores {
-			popts := portfolio.Options{Cores: cores, Style: style}
-			var wall time.Duration
-			if cfg.Real {
-				start := time.Now()
-				if _, err := portfolio.Solve(ctx, enc.Formula(), popts); err != nil {
-					return nil, err
-				}
-				wall = time.Since(start)
-			} else {
-				res, err := portfolio.Simulate(ctx, enc.Formula(), popts)
-				if err != nil {
-					return nil, err
-				}
-				wall = res.Wall
+			res, err := portfolio.Simulate(ctx, enc.Formula(), portfolio.Options{Cores: cores, Style: style})
+			if err != nil {
+				return nil, err
 			}
-			row.Times[cores] = wall
+			row.Times[cores] = res.Wall
 			if i < len(partitioned) {
 				if pt := partitioned[i].Times[cores]; pt > 0 {
 					row.Ratio[cores] = float64(row.Times[cores]) / float64(pt)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -12,12 +11,12 @@ import (
 //
 // A record's on-disk framing ([4B length][4B CRC32C][payload]) doubles
 // as its wire framing: MarshalManifest / MarshalChunk produce one
-// complete frame, UnmarshalRecord parses one back, and StreamWriter /
-// StreamReader move a sequence of frames over any byte stream. A
-// standby coordinator applies each received frame verbatim to a local
-// Replica file, so its copy of the journal is byte-identical to the
-// primary's and — after a failover — resumes through the exact same
-// Open path (manifest check, torn-tail truncation) as a cold restart.
+// complete frame, which the primary ships as one replicate message, and
+// UnmarshalRecord parses one back. A standby coordinator applies each
+// received frame verbatim to a local Replica file, so its copy of the
+// journal is byte-identical to the primary's and — after a failover —
+// resumes through the exact same Open path (manifest check, torn-tail
+// truncation) as a cold restart.
 
 // MarshalManifest encodes one manifest record in the journal's framed
 // format (length + CRC32C + versioned payload).
@@ -63,72 +62,6 @@ func UnmarshalRecord(frame []byte) (*Manifest, *ChunkRecord, error) {
 		var rec ChunkRecord
 		if err := json.Unmarshal(body, &rec); err != nil {
 			return nil, nil, fmt.Errorf("journal: chunk record: %w", err)
-		}
-		return nil, &rec, nil
-	}
-	return nil, nil, fmt.Errorf("journal: unknown record type %d", typ)
-}
-
-// StreamWriter emits framed journal records to an io.Writer — the
-// sending half of live replication. It writes no file magic: the
-// receiving Replica owns its local file layout.
-type StreamWriter struct {
-	w io.Writer
-}
-
-// NewStreamWriter wraps w.
-func NewStreamWriter(w io.Writer) *StreamWriter { return &StreamWriter{w: w} }
-
-// WriteManifest emits one manifest record.
-func (s *StreamWriter) WriteManifest(m Manifest) error {
-	frame, err := MarshalManifest(m)
-	if err != nil {
-		return err
-	}
-	_, err = s.w.Write(frame)
-	return err
-}
-
-// WriteChunk emits one chunk record.
-func (s *StreamWriter) WriteChunk(rec ChunkRecord) error {
-	frame, err := MarshalChunk(rec)
-	if err != nil {
-		return err
-	}
-	_, err = s.w.Write(frame)
-	return err
-}
-
-// StreamReader parses framed journal records from an io.Reader — the
-// receiving half of live replication. Next returns records in order; a
-// torn or corrupt frame ends the stream with an error, after which the
-// reader must be discarded (replication falls back to the durable
-// local copy, never resynchronises past corruption).
-type StreamReader struct {
-	r io.Reader
-}
-
-// NewStreamReader wraps r.
-func NewStreamReader(r io.Reader) *StreamReader { return &StreamReader{r: r} }
-
-// Next reads one record; exactly one of the returned pointers is
-// non-nil. io.EOF marks a clean end of stream.
-func (s *StreamReader) Next() (*Manifest, *ChunkRecord, error) {
-	typ, body, _, err := readRecord(s.r)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch typ {
-	case recManifest:
-		var m Manifest
-		if jerr := json.Unmarshal(body, &m); jerr != nil {
-			return nil, nil, fmt.Errorf("journal: manifest: %w", jerr)
-		}
-		return &m, nil, nil
-	case recChunk:
-		var rec ChunkRecord
-		if jerr := json.Unmarshal(body, &rec); jerr != nil {
-			return nil, nil, fmt.Errorf("journal: chunk record: %w", jerr)
 		}
 		return nil, &rec, nil
 	}

@@ -1,9 +1,7 @@
 package journal
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -61,56 +59,6 @@ func TestUnmarshalRejectsCorruptFrames(t *testing.T) {
 	}
 	if _, _, err := UnmarshalRecord(frame[:len(frame)-3]); err == nil {
 		t.Fatal("truncated frame accepted")
-	}
-}
-
-// StreamWriter → StreamReader carries an ordered record sequence.
-func TestStreamWriterReader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	if err := w.WriteManifest(streamManifest); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.WriteChunk(chunkRec(i, "UNSAT")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r := NewStreamReader(&buf)
-	m, _, err := r.Next()
-	if err != nil || m == nil || *m != streamManifest {
-		t.Fatalf("first record: m=%v err=%v", m, err)
-	}
-	for i := 0; i < 3; i++ {
-		_, rec, err := r.Next()
-		if err != nil || rec == nil || rec.From != i {
-			t.Fatalf("record %d: rec=%v err=%v", i, rec, err)
-		}
-	}
-	if _, _, err := r.Next(); err != io.EOF {
-		t.Fatalf("end of stream: %v, want io.EOF", err)
-	}
-}
-
-// A truncated stream surfaces an error (not a silent EOF) so the
-// standby knows its live feed died mid-record.
-func TestStreamReaderTornRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewStreamWriter(&buf)
-	if err := w.WriteManifest(streamManifest); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteChunk(chunkRec(0, "UNSAT")); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Bytes()[:buf.Len()-5]
-	r := NewStreamReader(bytes.NewReader(cut))
-	if _, _, err := r.Next(); err != nil {
-		t.Fatalf("manifest: %v", err)
-	}
-	_, _, err := r.Next()
-	if err == nil || err == io.EOF {
-		t.Fatalf("torn record: err=%v, want a framing error", err)
 	}
 }
 

@@ -14,22 +14,6 @@ import (
 	"repro/internal/sat"
 )
 
-// cubeAssumptions returns the assumption literals of partition pt
-// refined by a cube path: the partition's own plus one unit literal per
-// path character (an empty path is the partition whole).
-func cubeAssumptions(pt partition.Partition, path string, splitLits []cnf.Lit) ([]cnf.Lit, error) {
-	if path == "" {
-		return pt.Assumptions, nil
-	}
-	extra, err := partition.PathAssumptions(path, splitLits)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	out := make([]cnf.Lit, 0, len(pt.Assumptions)+len(extra))
-	out = append(out, pt.Assumptions...)
-	return append(out, extra...), nil
-}
-
 // cubeRun is the interrupt state of one acquired cube (guarded by
 // runner.mu): its solver once that is loaded, and a cancel that arrived
 // before — which registration then delivers.
@@ -235,7 +219,7 @@ func (r *runner) replay(parts []partition.Partition) error {
 // the journal and the formula disagree; refusing the run beats silently
 // reporting UNSAT over a durably recorded counterexample.
 func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []cnf.Lit) ([]bool, error) {
-	assume, err := cubeAssumptions(pt, path, splitLits)
+	assume, err := pt.CubeAssumptions(path, splitLits)
 	if err != nil {
 		return nil, err
 	}
@@ -280,7 +264,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.Proo
 			r.fail(fmt.Errorf("parallel: partition %d cube %q solver panicked: %v", pt.Index, path, p))
 		}
 	}()
-	assume, err := cubeAssumptions(pt, path, r.opts.SplitLits)
+	assume, err := pt.CubeAssumptions(path, r.opts.SplitLits)
 	if err != nil {
 		r.fail(err)
 		return
@@ -333,7 +317,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.Proo
 		Stats:     solver.Stats(),
 		Samples:   sampler.Points(),
 	}
-	inst.Status, inst.Cause = r.classify(status, serr, timedOut.Load())
+	inst.Status, inst.Cause = sat.Classify(status, serr, timedOut.Load(), r.ctx.Err() != nil)
 	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
 	if inst.Status == sat.Unknown && !inst.Cause.Budgeted() {
 		// Cancelled: the leaf of a run that is ending — unless the cube was
@@ -391,34 +375,6 @@ func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started
 		}
 	}
 	return sampler
-}
-
-// classify maps a solver outcome to the leaf's verdict and, for an
-// Unknown, the budget (or cancellation) that caused it.
-func (r *runner) classify(status sat.Status, err error, timedOut bool) (sat.Status, sat.StopCause) {
-	switch {
-	case err == sat.ErrMemBudget:
-		// Memory exhaustion — the solver's own budget or the external
-		// watchdog — is terminal budget exhaustion, journaled like a
-		// conflict-budget give-up.
-		return sat.Unknown, sat.CauseMemory
-	case err == sat.ErrInterrupted:
-		// The timer may fire while the solver is being interrupted for
-		// cancellation (sibling SAT win or signal); trusting timedOut
-		// alone would journal the cancelled instance as a terminal
-		// timeout and exclude a still-decidable cube from every future
-		// resume. When the races overlap, cancelled — the uncommitted
-		// verdict — wins.
-		if timedOut && r.ctx.Err() == nil {
-			return sat.Unknown, sat.CauseTimeout
-		}
-		return sat.Unknown, sat.CauseCancelled
-	case status == sat.Unknown:
-		// The solver exhausts MaxConflicts without error: the conflict
-		// budget is the only path here.
-		return sat.Unknown, sat.CauseConflictBudget
-	}
-	return status, sat.CauseNone
 }
 
 // commit journals one record and reports whether the run goes on. Full

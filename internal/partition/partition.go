@@ -221,9 +221,14 @@ func SplitLits(enc *vc.Encoded, parts int) []cnf.Lit {
 	return out
 }
 
-// PathAssumptions maps a cube path to its unit assumption literals over
-// the canonical SplitLits sequence ('1' keeps the literal, '0' negates).
-func PathAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, error) {
+// CubeAssumptions returns the assumptions of the cube that path carves
+// out of pt: the partition's own plus one unit literal per path
+// character over the canonical SplitLits sequence ('1' keeps the
+// literal, '0' negates). An empty path is the partition whole.
+func (pt Partition) CubeAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, error) {
+	if path == "" {
+		return pt.Assumptions, nil
+	}
 	if err := ParsePath(path); err != nil {
 		return nil, err
 	}
@@ -231,13 +236,14 @@ func PathAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, error) {
 		return nil, fmt.Errorf("partition: cube path depth %d exceeds %d available split bits",
 			len(path), len(lits))
 	}
-	out := make([]cnf.Lit, len(path))
+	out := make([]cnf.Lit, 0, len(pt.Assumptions)+len(path))
+	out = append(out, pt.Assumptions...)
 	for i := 0; i < len(path); i++ {
 		l := lits[i]
 		if path[i] == '0' {
 			l = l.Not()
 		}
-		out[i] = l
+		out = append(out, l)
 	}
 	return out, nil
 }

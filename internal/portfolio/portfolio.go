@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/sat"
 )
 
@@ -50,19 +51,11 @@ type Options struct {
 	// MaxSharedLBD bounds the literal-block distance of exchanged
 	// clauses in StyleSharing (default 4).
 	MaxSharedLBD int
-	// InstanceTimeout bounds each instance's wall-clock solving time; an
-	// expired instance is interrupted and records CauseTimeout in
-	// Result.Causes (0 = unbounded). Because all instances race on the
-	// same formula, the portfolio verdict is Unknown only if every
+	// Budget bounds each instance: an instance over it ends Unknown with
+	// the exhausted budget in Result.Causes. Because all instances race
+	// on the same formula, the portfolio verdict is Unknown only if every
 	// instance exhausts its budget or is cancelled.
-	InstanceTimeout time.Duration
-	// InstanceConflicts bounds each instance's conflict count, recorded
-	// as CauseConflictBudget (0 = unbounded).
-	InstanceConflicts int64
-	// InstanceMemMB bounds each instance's approximate solver footprint
-	// in MiB, recorded as CauseMemory when the instance cannot shrink
-	// back under it (0 = unbounded).
-	InstanceMemMB int64
+	Budget journal.Budget
 	// Progress, when non-nil and ProgressEvery > 0, receives live
 	// search statistics for an instance every ProgressEvery conflicts,
 	// invoked from that instance's solver goroutine. The snapshot's
@@ -194,8 +187,8 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			sOpts := diversify(sat.Options{
-				MaxConflicts:  opts.InstanceConflicts,
-				MemBudgetMB:   opts.InstanceMemMB,
+				MaxConflicts:  opts.Budget.Conflicts,
+				MemBudgetMB:   opts.Budget.MemMB,
 				ProgressEvery: opts.ProgressEvery,
 			}, i, opts.Style)
 			s := sat.NewFromFormula(f, sOpts)
@@ -219,8 +212,8 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 			// Wall-clock budget: a timer interrupt distinguishable from
 			// cancellation (sibling won, context done) by the flag.
 			var timedOut atomic.Bool
-			if opts.InstanceTimeout > 0 {
-				timer := time.AfterFunc(opts.InstanceTimeout, func() {
+			if opts.Budget.Timeout > 0 {
+				timer := time.AfterFunc(opts.Budget.Timeout, func() {
 					timedOut.Store(true)
 					s.Interrupt()
 				})
@@ -228,23 +221,7 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 			}
 
 			status, err := s.Solve()
-			cause := sat.CauseNone
-			if err == sat.ErrMemBudget {
-				status = sat.Unknown
-				cause = sat.CauseMemory
-			} else if err == sat.ErrInterrupted {
-				status = sat.Unknown
-				// As in parallel.Solve: when the timer races the
-				// cancellation interrupt, report cancelled — the verdict
-				// that does not claim a budget was genuinely exhausted.
-				if timedOut.Load() && solveCtx.Err() == nil {
-					cause = sat.CauseTimeout
-				} else {
-					cause = sat.CauseCancelled
-				}
-			} else if status == sat.Unknown {
-				cause = sat.CauseConflictBudget
-			}
+			status, cause := sat.Classify(status, err, timedOut.Load(), solveCtx.Err() != nil)
 			mu.Lock()
 			res.Stats[i] = s.Stats()
 			res.Causes[i] = cause

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/journal"
 	"repro/internal/sat"
 )
 
@@ -148,20 +149,29 @@ func TestStyleString(t *testing.T) {
 
 // A hard formula under a tiny per-instance conflict budget: every
 // instance degrades to Unknown with the conflict budget named, and the
-// portfolio terminates instead of searching PHP to completion.
+// portfolio terminates instead of searching PHP to completion. The
+// second case is `satsolve -cores 2 -max-conflicts 1`.
 func TestPortfolioInstanceConflictBudget(t *testing.T) {
-	res, err := Solve(context.Background(), pigeonhole(8), Options{
-		Cores: 3, InstanceConflicts: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != sat.Unknown {
-		t.Fatalf("status %v, want Unknown", res.Status)
-	}
-	for i, c := range res.Causes {
-		if c != sat.CauseConflictBudget {
-			t.Fatalf("instance %d: cause %v, want conflict-budget", i, c)
+	for _, c := range []struct {
+		cores     int
+		conflicts int64
+	}{{3, 10}, {2, 1}} {
+		res, err := Solve(context.Background(), pigeonhole(8), Options{
+			Cores: c.cores, Budget: journal.Budget{Conflicts: c.conflicts},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != sat.Unknown {
+			t.Fatalf("%+v: status %v, want Unknown", c, res.Status)
+		}
+		for i, cause := range res.Causes {
+			if cause != sat.CauseConflictBudget {
+				t.Fatalf("%+v instance %d: cause %v, want conflict-budget", c, i, cause)
+			}
+			if got := res.Stats[i].Conflicts; got > c.conflicts {
+				t.Fatalf("%+v instance %d: %d conflicts under a budget of %d", c, i, got, c.conflicts)
+			}
 		}
 	}
 }
@@ -172,7 +182,7 @@ func TestPortfolioInstanceConflictBudget(t *testing.T) {
 func TestPortfolioInstanceTimeout(t *testing.T) {
 	start := time.Now()
 	res, err := Solve(context.Background(), pigeonhole(9), Options{
-		Cores: 2, InstanceTimeout: 30 * time.Millisecond,
+		Cores: 2, Budget: journal.Budget{Timeout: 30 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -134,6 +134,35 @@ func (c StopCause) Budgeted() bool {
 	return c == CauseTimeout || c == CauseConflictBudget || c == CauseMemory
 }
 
+// Classify maps what Solve returned to a verdict and, for an Unknown,
+// the budget (or cancellation) that caused it. timedOut says the caller's
+// wall-clock timer fired, cancelled that the caller's run is ending.
+func Classify(status Status, err error, timedOut, cancelled bool) (Status, StopCause) {
+	switch {
+	case err == ErrMemBudget:
+		// Memory exhaustion — the solver's own budget or an external
+		// watchdog — is terminal budget exhaustion, like a conflict-budget
+		// give-up.
+		return Unknown, CauseMemory
+	case err == ErrInterrupted:
+		// The timer may fire while the solver is being interrupted for
+		// cancellation (sibling SAT win or signal); trusting timedOut
+		// alone would record the cancelled solve as a terminal timeout
+		// and exclude a still-decidable cube from every future resume.
+		// When the races overlap, cancelled — the verdict that does not
+		// claim a budget was exhausted — wins.
+		if timedOut && !cancelled {
+			return Unknown, CauseTimeout
+		}
+		return Unknown, CauseCancelled
+	case status == Unknown:
+		// The solver exhausts MaxConflicts without error: the conflict
+		// budget is the only path here.
+		return Unknown, CauseConflictBudget
+	}
+	return status, CauseNone
+}
+
 // Stats collects search statistics. The decision/depth/backjump counters
 // correspond to the quantities visualised in Figure 6 of the paper; the
 // learnt-DB and LBD fields feed the performance observatory (sampler,

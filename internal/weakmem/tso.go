@@ -26,68 +26,32 @@ func TransformTSO(p *prog.Program, depth int) (*prog.Program, error) {
 	if depth <= 0 {
 		depth = 2
 	}
-	t := &tsoTransformer{src: p, depth: depth}
-	for _, g := range p.Globals {
-		if g.Type.Kind == prog.KindMutex || g.Type.IsArray() {
-			continue
-		}
+	globals := scalarGlobals(p)
+	for _, g := range globals {
 		if g.Type.Kind != prog.KindInt {
 			return nil, fmt.Errorf("weakmem: TSO transformation requires int globals, %q is %s", g.Name, g.Type)
 		}
-		t.buffered = append(t.buffered, g)
 	}
-	out := &prog.Program{
-		Name:    p.Name + "-tso",
-		Globals: append([]prog.Decl{}, p.Globals...),
-	}
-	for _, pr := range p.Procs {
-		np, err := t.proc(pr)
-		if err != nil {
-			return nil, err
-		}
-		out.Procs = append(out.Procs, np)
-	}
-	if err := prog.Check(out); err != nil {
-		return nil, fmt.Errorf("weakmem: TSO-transformed program invalid: %w", err)
-	}
-	return out, nil
+	return transform(p, globals, tso{globals, depth}, "-tso", "TSO-transformed")
 }
 
-type tsoTransformer struct {
-	src      *prog.Program
-	buffered []prog.Decl
-	depth    int
-	fresh    int
-}
-
-func (t *tsoTransformer) varIndex(name string) (int, bool) {
-	for i, g := range t.buffered {
-		if g.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
+// tso is the TSO model: one FIFO queue of depth entries per thread, slot
+// k holding the index of the stored global (wmqvar), the value (wmqval)
+// and whether the slot is occupied (wmqok); slot 1 is the head.
+type tso struct {
+	globals []prog.Decl
+	depth   int
 }
 
 func qVar(k int) string   { return fmt.Sprintf("wmqvar%d", k) }
 func qVal(k int) string   { return fmt.Sprintf("wmqval%d", k) }
 func qValid(k int) string { return fmt.Sprintf("wmqok%d", k) }
 
-func (t *tsoTransformer) freshName(hint string) string {
-	t.fresh++
-	return fmt.Sprintf("wmt%s%d", hint, t.fresh)
-}
+func (tso) prefix() string { return "wmt" }
 
-func (t *tsoTransformer) proc(pr *prog.Proc) (*prog.Proc, error) {
-	np := &prog.Proc{
-		Name:   pr.Name,
-		Params: append([]prog.Decl{}, pr.Params...),
-		Ret:    pr.Ret,
-		Locals: append([]prog.Decl{}, pr.Locals...),
-	}
-	var init []prog.Stmt
-	for k := 1; k <= t.depth; k++ {
-		np.Locals = append(np.Locals,
+func (m tso) buffers() (locals []prog.Decl, init []prog.Stmt) {
+	for k := 1; k <= m.depth; k++ {
+		locals = append(locals,
 			prog.Decl{Name: qVar(k), Type: prog.Int},
 			prog.Decl{Name: qVal(k), Type: prog.Int},
 			prog.Decl{Name: qValid(k), Type: prog.Bool},
@@ -97,31 +61,14 @@ func (t *tsoTransformer) proc(pr *prog.Proc) (*prog.Proc, error) {
 			RHS: &prog.BoolLit{Value: false},
 		})
 	}
-	body, err := t.stmts(np, pr.Body)
-	if err != nil {
-		return nil, err
-	}
-	np.Body = append(init, append(body, t.drainAll()...)...)
-	return np, nil
-}
-
-func (t *tsoTransformer) stmts(np *prog.Proc, in []prog.Stmt) ([]prog.Stmt, error) {
-	var out []prog.Stmt
-	for _, s := range in {
-		ns, err := t.stmt(np, s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ns...)
-	}
-	return out, nil
+	return locals, init
 }
 
 // drainHead writes the head entry to memory (static dispatch over the
 // buffered globals) and shifts the queue forward.
-func (t *tsoTransformer) drainHead() []prog.Stmt {
+func (m tso) drainHead() []prog.Stmt {
 	var out []prog.Stmt
-	for i, g := range t.buffered {
+	for i, g := range m.globals {
 		out = append(out, &prog.IfStmt{
 			Cond: &prog.BinaryExpr{Op: prog.OpEq,
 				X: &prog.VarRef{Name: qVar(1)}, Y: &prog.IntLit{Value: int64(i)}},
@@ -132,145 +79,80 @@ func (t *tsoTransformer) drainHead() []prog.Stmt {
 		})
 	}
 	// Shift the queue towards the head.
-	for k := 1; k < t.depth; k++ {
+	for k := 1; k < m.depth; k++ {
 		out = append(out,
 			&prog.AssignStmt{LHS: &prog.VarRef{Name: qVar(k)}, RHS: &prog.VarRef{Name: qVar(k + 1)}},
 			&prog.AssignStmt{LHS: &prog.VarRef{Name: qVal(k)}, RHS: &prog.VarRef{Name: qVal(k + 1)}},
 			&prog.AssignStmt{LHS: &prog.VarRef{Name: qValid(k)}, RHS: &prog.VarRef{Name: qValid(k + 1)}},
 		)
 	}
-	out = append(out, &prog.AssignStmt{
-		LHS: &prog.VarRef{Name: qValid(t.depth)},
+	return append(out, &prog.AssignStmt{
+		LHS: &prog.VarRef{Name: qValid(m.depth)},
 		RHS: &prog.BoolLit{Value: false},
 	})
-	return out
-}
-
-// guardedDrainHead drains the head if the queue is non-empty.
-func (t *tsoTransformer) guardedDrainHead() prog.Stmt {
-	return &prog.IfStmt{
-		Cond: &prog.VarRef{Name: qValid(1)},
-		Then: t.drainHead(),
-	}
 }
 
 // maybeFlush lets any prefix of the queue drain (FIFO: only head-first,
 // which is exactly TSO's ordering guarantee).
-func (t *tsoTransformer) maybeFlush(np *prog.Proc) []prog.Stmt {
+func (m tso) maybeFlush(t *transformer, np *prog.Proc) []prog.Stmt {
 	var out []prog.Stmt
-	for k := 0; k < t.depth; k++ {
-		choice := t.freshName("fl")
-		np.Locals = append(np.Locals, prog.Decl{Name: choice, Type: prog.Bool})
-		out = append(out,
-			&prog.AssignStmt{LHS: &prog.VarRef{Name: choice}, RHS: &prog.Nondet{}},
-			&prog.IfStmt{
-				Cond: &prog.BinaryExpr{Op: prog.OpLAnd,
-					X: &prog.VarRef{Name: choice},
-					Y: &prog.VarRef{Name: qValid(1)}},
-				Then: t.drainHead(),
-			},
-		)
+	for k := 0; k < m.depth; k++ {
+		out = append(out, t.flushChoice(np, qValid(1), m.drainHead())...)
 	}
 	return out
 }
 
-// drainAll empties the queue (full fence).
-func (t *tsoTransformer) drainAll() []prog.Stmt {
+// fence empties the queue, head first.
+func (m tso) fence(*transformer, *prog.Proc) []prog.Stmt {
 	var out []prog.Stmt
-	for k := 0; k < t.depth; k++ {
-		out = append(out, t.guardedDrainHead())
+	for k := 0; k < m.depth; k++ {
+		out = append(out, &prog.IfStmt{
+			Cond: &prog.VarRef{Name: qValid(1)},
+			Then: m.drainHead(),
+		})
 	}
 	return out
 }
 
-// rewriteReads loads buffered globals into temps with store forwarding:
-// memory first, then queue entries head to tail so the youngest pending
-// store wins.
-func (t *tsoTransformer) rewriteReads(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr, error) {
-	var prelude []prog.Stmt
-	loaded := map[string]string{}
-	var walk func(x prog.Expr) (prog.Expr, error)
-	walk = func(x prog.Expr) (prog.Expr, error) {
-		switch ex := x.(type) {
-		case nil:
-			return nil, nil
-		case *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-			return ex, nil
-		case *prog.VarRef:
-			idx, ok := t.varIndex(ex.Name)
-			if !ok {
-				return ex, nil
-			}
-			tmp, seen := loaded[ex.Name]
-			if !seen {
-				tmp = t.freshName("ld")
-				loaded[ex.Name] = tmp
-				np.Locals = append(np.Locals, prog.Decl{Name: tmp, Type: prog.Int})
-				prelude = append(prelude, &prog.AssignStmt{
-					LHS: &prog.VarRef{Name: tmp},
-					RHS: &prog.VarRef{Name: ex.Name},
-				})
-				for k := 1; k <= t.depth; k++ {
-					prelude = append(prelude, &prog.IfStmt{
-						Cond: &prog.BinaryExpr{Op: prog.OpLAnd,
-							X: &prog.VarRef{Name: qValid(k)},
-							Y: &prog.BinaryExpr{Op: prog.OpEq,
-								X: &prog.VarRef{Name: qVar(k)},
-								Y: &prog.IntLit{Value: int64(idx)}}},
-						Then: []prog.Stmt{&prog.AssignStmt{
-							LHS: &prog.VarRef{Name: tmp},
-							RHS: &prog.VarRef{Name: qVal(k)},
-						}},
-					})
-				}
-			}
-			return &prog.VarRef{Name: tmp}, nil
-		case *prog.IndexRef:
-			idx, err := walk(ex.Index)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.IndexRef{Name: ex.Name, Index: idx}, nil
-		case *prog.UnaryExpr:
-			inner, err := walk(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.UnaryExpr{Op: ex.Op, X: inner}, nil
-		case *prog.BinaryExpr:
-			xx, err := walk(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			yy, err := walk(ex.Y)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.BinaryExpr{Op: ex.Op, X: xx, Y: yy}, nil
-		}
-		return nil, fmt.Errorf("weakmem: unknown expression %T", e)
+// load reads memory first, then the queue entries head to tail, so the
+// youngest pending store wins.
+func (m tso) load(i int, tmp string) []prog.Stmt {
+	out := []prog.Stmt{&prog.AssignStmt{
+		LHS: &prog.VarRef{Name: tmp},
+		RHS: &prog.VarRef{Name: m.globals[i].Name},
+	}}
+	for k := 1; k <= m.depth; k++ {
+		out = append(out, &prog.IfStmt{
+			Cond: &prog.BinaryExpr{Op: prog.OpLAnd,
+				X: &prog.VarRef{Name: qValid(k)},
+				Y: &prog.BinaryExpr{Op: prog.OpEq,
+					X: &prog.VarRef{Name: qVar(k)},
+					Y: &prog.IntLit{Value: int64(i)}}},
+			Then: []prog.Stmt{&prog.AssignStmt{
+				LHS: &prog.VarRef{Name: tmp},
+				RHS: &prog.VarRef{Name: qVal(k)},
+			}},
+		})
 	}
-	ne, err := walk(e)
-	return prelude, ne, err
+	return out
 }
 
-// appendStore enqueues a store of value expr (already read-rewritten)
-// into the queue, forcing a head drain when full.
-func (t *tsoTransformer) appendStore(idx int, rhs prog.Expr) []prog.Stmt {
+// store enqueues the store, forcing a head drain when the queue is full.
+func (m tso) store(i int, rhs prog.Expr) []prog.Stmt {
 	out := []prog.Stmt{
 		// Full queue: the head must drain to make room.
 		&prog.IfStmt{
-			Cond: &prog.VarRef{Name: qValid(t.depth)},
-			Then: t.drainHead(),
+			Cond: &prog.VarRef{Name: qValid(m.depth)},
+			Then: m.drainHead(),
 		},
 	}
 	// Append at the first free slot: the queue is compacted head-first,
 	// so the slot after the last valid one is free. Built inside-out so
 	// the outermost test finds the highest occupied predecessor.
 	var stmt []prog.Stmt
-	for k := 1; k <= t.depth; k++ {
+	for k := 1; k <= m.depth; k++ {
 		slot := []prog.Stmt{
-			&prog.AssignStmt{LHS: &prog.VarRef{Name: qVar(k)}, RHS: &prog.IntLit{Value: int64(idx)}},
+			&prog.AssignStmt{LHS: &prog.VarRef{Name: qVar(k)}, RHS: &prog.IntLit{Value: int64(i)}},
 			&prog.AssignStmt{LHS: &prog.VarRef{Name: qVal(k)}, RHS: rhs},
 			&prog.AssignStmt{LHS: &prog.VarRef{Name: qValid(k)}, RHS: &prog.BoolLit{Value: true}},
 		}
@@ -285,185 +167,4 @@ func (t *tsoTransformer) appendStore(idx int, rhs prog.Expr) []prog.Stmt {
 		}
 	}
 	return append(out, stmt...)
-}
-
-func (t *tsoTransformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
-	switch st := s.(type) {
-	case *prog.AssignStmt:
-		var out []prog.Stmt
-		if t.touches(st.RHS) || t.lvalueBuffered(st.LHS) {
-			out = append(out, t.maybeFlush(np)...)
-		}
-		prelude, rhs, err := t.rewriteReads(np, st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, prelude...)
-		if v, ok := st.LHS.(*prog.VarRef); ok {
-			if idx, buffered := t.varIndex(v.Name); buffered {
-				return append(out, t.appendStore(idx, rhs)...), nil
-			}
-		}
-		lhs := st.LHS
-		if ir, ok := st.LHS.(*prog.IndexRef); ok {
-			ip, idx, err := t.rewriteReads(np, ir.Index)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, ip...)
-			lhs = &prog.IndexRef{Name: ir.Name, Index: idx}
-		}
-		return append(out, &prog.AssignStmt{LHS: lhs, RHS: rhs}), nil
-	case *prog.AssumeStmt:
-		return t.cond(np, st.Cond, func(c prog.Expr) prog.Stmt { return &prog.AssumeStmt{Cond: c} })
-	case *prog.AssertStmt:
-		return t.cond(np, st.Cond, func(c prog.Expr) prog.Stmt { return &prog.AssertStmt{Cond: c} })
-	case *prog.IfStmt:
-		var out []prog.Stmt
-		if t.touches(st.Cond) {
-			out = append(out, t.maybeFlush(np)...)
-		}
-		prelude, c, err := t.rewriteReads(np, st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, prelude...)
-		then, err := t.stmts(np, st.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := t.stmts(np, st.Else)
-		if err != nil {
-			return nil, err
-		}
-		return append(out, &prog.IfStmt{Cond: c, Then: then, Else: els}), nil
-	case *prog.WhileStmt:
-		condVar := t.freshName("wc")
-		np.Locals = append(np.Locals, prog.Decl{Name: condVar, Type: prog.Bool})
-		eval := func() ([]prog.Stmt, error) {
-			var out []prog.Stmt
-			if t.touches(st.Cond) {
-				out = append(out, t.maybeFlush(np)...)
-			}
-			prelude, c, err := t.rewriteReads(np, st.Cond)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			return append(out, &prog.AssignStmt{LHS: &prog.VarRef{Name: condVar}, RHS: c}), nil
-		}
-		head, err := eval()
-		if err != nil {
-			return nil, err
-		}
-		body, err := t.stmts(np, st.Body)
-		if err != nil {
-			return nil, err
-		}
-		tail, err := eval()
-		if err != nil {
-			return nil, err
-		}
-		return append(head, &prog.WhileStmt{
-			Cond: &prog.VarRef{Name: condVar},
-			Body: append(body, tail...),
-		}), nil
-	case *prog.CallStmt:
-		var out []prog.Stmt
-		args := make([]prog.Expr, len(st.Args))
-		for i, a := range st.Args {
-			prelude, na, err := t.rewriteReads(np, a)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			args[i] = na
-		}
-		return append(out, &prog.CallStmt{Proc: st.Proc, Args: args, Result: st.Result}), nil
-	case *prog.CreateStmt:
-		var out []prog.Stmt
-		out = append(out, t.drainAll()...)
-		args := make([]prog.Expr, len(st.Args))
-		for i, a := range st.Args {
-			prelude, na, err := t.rewriteReads(np, a)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			args[i] = na
-		}
-		return append(out, &prog.CreateStmt{Tid: st.Tid, Proc: st.Proc, Args: args}), nil
-	case *prog.JoinStmt:
-		prelude, tid, err := t.rewriteReads(np, st.Tid)
-		if err != nil {
-			return nil, err
-		}
-		out := append(t.drainAll(), prelude...)
-		return append(out, &prog.JoinStmt{Tid: tid}), nil
-	case *prog.LockStmt:
-		return append(t.drainAll(), st), nil
-	case *prog.UnlockStmt:
-		return append(t.drainAll(), st), nil
-	case *prog.InitStmt, *prog.DestroyStmt:
-		return []prog.Stmt{st}, nil
-	case *prog.AtomicStmt:
-		return []prog.Stmt{&prog.AtomicStmt{Body: append(t.drainAll(), st.Body...)}}, nil
-	case *prog.ReturnStmt:
-		var out []prog.Stmt
-		out = append(out, t.drainAll()...)
-		if st.Value != nil {
-			prelude, v, err := t.rewriteReads(np, st.Value)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			return append(out, &prog.ReturnStmt{Value: v}), nil
-		}
-		return append(out, st), nil
-	case *prog.BlockStmt:
-		body, err := t.stmts(np, st.Body)
-		if err != nil {
-			return nil, err
-		}
-		return []prog.Stmt{&prog.BlockStmt{Body: body}}, nil
-	}
-	return nil, fmt.Errorf("weakmem: unknown statement %T", s)
-}
-
-func (t *tsoTransformer) cond(np *prog.Proc, cond prog.Expr, mk func(prog.Expr) prog.Stmt) ([]prog.Stmt, error) {
-	var out []prog.Stmt
-	if t.touches(cond) {
-		out = append(out, t.maybeFlush(np)...)
-	}
-	prelude, c, err := t.rewriteReads(np, cond)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, prelude...)
-	return append(out, mk(c)), nil
-}
-
-func (t *tsoTransformer) touches(e prog.Expr) bool {
-	switch x := e.(type) {
-	case nil, *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-		return false
-	case *prog.VarRef:
-		_, ok := t.varIndex(x.Name)
-		return ok
-	case *prog.IndexRef:
-		return t.touches(x.Index)
-	case *prog.UnaryExpr:
-		return t.touches(x.X)
-	case *prog.BinaryExpr:
-		return t.touches(x.X) || t.touches(x.Y)
-	}
-	return false
-}
-
-func (t *tsoTransformer) lvalueBuffered(e prog.Expr) bool {
-	if v, ok := e.(*prog.VarRef); ok {
-		_, buffered := t.varIndex(v.Name)
-		return buffered
-	}
-	return false
 }

@@ -41,15 +41,47 @@ import (
 // thread (the transformation gives every procedure one private buffer
 // set); the checker's rules otherwise apply unchanged.
 func Transform(p *prog.Program) (*prog.Program, error) {
-	t := &transformer{src: p}
+	globals := scalarGlobals(p)
+	return transform(p, globals, pso{globals}, "-pso", "transformed")
+}
+
+// scalarGlobals are the globals a store buffer holds.
+func scalarGlobals(p *prog.Program) []prog.Decl {
+	var out []prog.Decl
 	for _, g := range p.Globals {
-		if g.Type.Kind == prog.KindMutex || g.Type.IsArray() {
-			continue
+		if g.Type.Kind != prog.KindMutex && !g.Type.IsArray() {
+			out = append(out, g)
 		}
-		t.buffered = append(t.buffered, g)
 	}
+	return out
+}
+
+// model is one store-buffer model: everything Transform and TransformTSO
+// do differently. The walk over procedures, statements and expressions
+// (transformer) is the same for both. Buffered globals are named by
+// their index in the list the model was built with.
+type model interface {
+	// prefix starts the name of every fresh local.
+	prefix() string
+	// buffers declares one procedure's buffer locals and returns the
+	// statements that empty them (locals start non-deterministic).
+	buffers() ([]prog.Decl, []prog.Stmt)
+	// load leaves in tmp what the thread reads from global i: its own
+	// youngest pending store to it, otherwise memory.
+	load(i int, tmp string) []prog.Stmt
+	// store buffers a store of rhs (already read-rewritten) to global i.
+	store(i int, rhs prog.Expr) []prog.Stmt
+	// maybeFlush is the flush point before a shared access: the pending
+	// stores the model lets drain there, each under t.flushChoice.
+	maybeFlush(t *transformer, np *prog.Proc) []prog.Stmt
+	// fence drains every pending store.
+	fence(t *transformer, np *prog.Proc) []prog.Stmt
+}
+
+func transform(p *prog.Program, buffered []prog.Decl, m model, suffix, what string) (*prog.Program, error) {
+	t := &transformer{m: m, buffered: buffered}
 	out := &prog.Program{
-		Name:    p.Name + "-pso",
+		Name:    p.Name + suffix,
 		Globals: append([]prog.Decl{}, p.Globals...),
 	}
 	for _, pr := range p.Procs {
@@ -60,32 +92,47 @@ func Transform(p *prog.Program) (*prog.Program, error) {
 		out.Procs = append(out.Procs, np)
 	}
 	if err := prog.Check(out); err != nil {
-		return nil, fmt.Errorf("weakmem: transformed program invalid: %w", err)
+		return nil, fmt.Errorf("weakmem: %s program invalid: %w", what, err)
 	}
 	return out, nil
 }
 
 type transformer struct {
-	src      *prog.Program
+	m        model
 	buffered []prog.Decl
 	fresh    int
 }
 
-func (t *transformer) isBuffered(name string) (prog.Decl, bool) {
-	for _, g := range t.buffered {
+func (t *transformer) index(name string) (int, bool) {
+	for i, g := range t.buffered {
 		if g.Name == name {
-			return g, true
+			return i, true
 		}
 	}
-	return prog.Decl{}, false
+	return 0, false
 }
 
-func bufName(g string) string   { return "wmbuf_" + g }
-func dirtyName(g string) string { return "wmdirty_" + g }
-
-func (t *transformer) freshName(hint string) string {
+// freshLocal declares a new local of np.
+func (t *transformer) freshLocal(np *prog.Proc, hint string, typ prog.Type) string {
 	t.fresh++
-	return fmt.Sprintf("wm%s%d", hint, t.fresh)
+	name := fmt.Sprintf("%s%s%d", t.m.prefix(), hint, t.fresh)
+	np.Locals = append(np.Locals, prog.Decl{Name: name, Type: typ})
+	return name
+}
+
+// flushChoice lets one pending store drain or stay: drain runs when a
+// fresh non-deterministic choice is set and pending holds.
+func (t *transformer) flushChoice(np *prog.Proc, pending string, drain []prog.Stmt) []prog.Stmt {
+	choice := t.freshLocal(np, "fl", prog.Bool)
+	return []prog.Stmt{
+		&prog.AssignStmt{LHS: &prog.VarRef{Name: choice}, RHS: &prog.Nondet{}},
+		&prog.IfStmt{
+			Cond: &prog.BinaryExpr{Op: prog.OpLAnd,
+				X: &prog.VarRef{Name: choice},
+				Y: &prog.VarRef{Name: pending}},
+			Then: drain,
+		},
+	}
 }
 
 // proc transforms one procedure body.
@@ -96,29 +143,15 @@ func (t *transformer) proc(pr *prog.Proc) (*prog.Proc, error) {
 		Ret:    pr.Ret,
 		Locals: append([]prog.Decl{}, pr.Locals...),
 	}
-	// Private store buffer per shared scalar.
-	for _, g := range t.buffered {
-		np.Locals = append(np.Locals,
-			prog.Decl{Name: bufName(g.Name), Type: prog.Type{Kind: g.Type.Kind}},
-			prog.Decl{Name: dirtyName(g.Name), Type: prog.Bool},
-		)
-	}
-	// Buffers start empty (locals are non-deterministic by default, so
-	// the dirty flags must be cleared explicitly).
-	var init []prog.Stmt
-	for _, g := range t.buffered {
-		init = append(init, &prog.AssignStmt{
-			LHS: &prog.VarRef{Name: dirtyName(g.Name)},
-			RHS: &prog.BoolLit{Value: false},
-		})
-	}
+	locals, init := t.m.buffers()
+	np.Locals = append(np.Locals, locals...)
 	body, err := t.stmts(np, pr.Body)
 	if err != nil {
 		return nil, err
 	}
 	// Terminating threads drain their buffers (their stores must become
 	// visible before join-ordered code runs).
-	np.Body = append(init, append(body, t.flushAll(np)...)...)
+	np.Body = append(init, append(body, t.m.fence(t, np)...)...)
 	return np, nil
 }
 
@@ -132,50 +165,6 @@ func (t *transformer) stmts(np *prog.Proc, in []prog.Stmt) ([]prog.Stmt, error) 
 		out = append(out, ns...)
 	}
 	return out, nil
-}
-
-// maybeFlush emits the non-deterministic flush point: each pending store
-// may independently drain to memory (PSO freedom).
-func (t *transformer) maybeFlush(np *prog.Proc) []prog.Stmt {
-	var out []prog.Stmt
-	for _, g := range t.buffered {
-		choice := t.freshName("fl")
-		np.Locals = append(np.Locals, prog.Decl{Name: choice, Type: prog.Bool})
-		out = append(out,
-			&prog.AssignStmt{LHS: &prog.VarRef{Name: choice}, RHS: &prog.Nondet{}},
-			&prog.IfStmt{
-				Cond: &prog.BinaryExpr{Op: prog.OpLAnd,
-					X: &prog.VarRef{Name: choice},
-					Y: &prog.VarRef{Name: dirtyName(g.Name)}},
-				Then: t.drain(g),
-			},
-		)
-	}
-	return out
-}
-
-// flushAll drains every pending store (a full fence). A
-// non-deterministic flush round precedes the deterministic drain so the
-// stores can become visible in any order (PSO does not order stores to
-// different locations), with context switches possible between the
-// individual drains.
-func (t *transformer) flushAll(np *prog.Proc) []prog.Stmt {
-	out := t.maybeFlush(np)
-	for _, g := range t.buffered {
-		out = append(out, &prog.IfStmt{
-			Cond: &prog.VarRef{Name: dirtyName(g.Name)},
-			Then: t.drain(g),
-		})
-	}
-	return out
-}
-
-// drain writes the buffered value to memory and clears the dirty bit.
-func (t *transformer) drain(g prog.Decl) []prog.Stmt {
-	return []prog.Stmt{
-		&prog.AssignStmt{LHS: &prog.VarRef{Name: g.Name}, RHS: &prog.VarRef{Name: bufName(g.Name)}},
-		&prog.AssignStmt{LHS: &prog.VarRef{Name: dirtyName(g.Name)}, RHS: &prog.BoolLit{Value: false}},
-	}
 }
 
 // rewriteReads replaces every read of a buffered global in e with a
@@ -192,27 +181,15 @@ func (t *transformer) rewriteReads(np *prog.Proc, e prog.Expr) ([]prog.Stmt, pro
 		case *prog.IntLit, *prog.BoolLit, *prog.Nondet:
 			return ex, nil
 		case *prog.VarRef:
-			g, ok := t.isBuffered(ex.Name)
+			i, ok := t.index(ex.Name)
 			if !ok {
 				return ex, nil
 			}
 			tmp, seen := loaded[ex.Name]
 			if !seen {
-				tmp = t.freshName("ld")
+				tmp = t.freshLocal(np, "ld", prog.Type{Kind: t.buffered[i].Type.Kind})
 				loaded[ex.Name] = tmp
-				np.Locals = append(np.Locals, prog.Decl{Name: tmp, Type: prog.Type{Kind: g.Type.Kind}})
-				// tmp = dirty ? buf : memory (store forwarding).
-				prelude = append(prelude, &prog.IfStmt{
-					Cond: &prog.VarRef{Name: dirtyName(ex.Name)},
-					Then: []prog.Stmt{&prog.AssignStmt{
-						LHS: &prog.VarRef{Name: tmp},
-						RHS: &prog.VarRef{Name: bufName(ex.Name)},
-					}},
-					Else: []prog.Stmt{&prog.AssignStmt{
-						LHS: &prog.VarRef{Name: tmp},
-						RHS: &prog.VarRef{Name: ex.Name},
-					}},
-				})
+				prelude = append(prelude, t.m.load(i, tmp)...)
 			}
 			return &prog.VarRef{Name: tmp}, nil
 		case *prog.IndexRef:
@@ -244,13 +221,27 @@ func (t *transformer) rewriteReads(np *prog.Proc, e prog.Expr) ([]prog.Stmt, pro
 	return prelude, ne, err
 }
 
+// args rewrites the reads of a call's or create's arguments.
+func (t *transformer) args(np *prog.Proc, in []prog.Expr) ([]prog.Stmt, []prog.Expr, error) {
+	var out []prog.Stmt
+	args := make([]prog.Expr, len(in))
+	for i, a := range in {
+		prelude, na, err := t.rewriteReads(np, a)
+		if err != nil {
+			return nil, nil, err
+		}
+		out = append(out, prelude...)
+		args[i] = na
+	}
+	return out, args, nil
+}
+
 func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
 	switch st := s.(type) {
 	case *prog.AssignStmt:
 		var out []prog.Stmt
-		touches := t.touchesBuffered(st.RHS) || t.lvalueBuffered(st.LHS)
-		if touches {
-			out = append(out, t.maybeFlush(np)...)
+		if t.touches(st.RHS) || t.lvalueBuffered(st.LHS) {
+			out = append(out, t.m.maybeFlush(t, np)...)
 		}
 		prelude, rhs, err := t.rewriteReads(np, st.RHS)
 		if err != nil {
@@ -258,17 +249,8 @@ func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
 		}
 		out = append(out, prelude...)
 		if v, ok := st.LHS.(*prog.VarRef); ok {
-			if g, buffered := t.isBuffered(v.Name); buffered {
-				// Store: forced per-location flush, then buffer the value.
-				out = append(out, &prog.IfStmt{
-					Cond: &prog.VarRef{Name: dirtyName(v.Name)},
-					Then: t.drain(g),
-				})
-				out = append(out,
-					&prog.AssignStmt{LHS: &prog.VarRef{Name: bufName(v.Name)}, RHS: rhs},
-					&prog.AssignStmt{LHS: &prog.VarRef{Name: dirtyName(v.Name)}, RHS: &prog.BoolLit{Value: true}},
-				)
-				return out, nil
+			if i, buffered := t.index(v.Name); buffered {
+				return append(out, t.m.store(i, rhs)...), nil
 			}
 		}
 		lhs := st.LHS
@@ -280,22 +262,18 @@ func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
 			out = append(out, ip...)
 			lhs = &prog.IndexRef{Name: ir.Name, Index: idx}
 		}
-		out = append(out, &prog.AssignStmt{LHS: lhs, RHS: rhs})
-		return out, nil
+		return append(out, &prog.AssignStmt{LHS: lhs, RHS: rhs}), nil
 	case *prog.AssumeStmt:
-		return t.condStmt(np, st.Cond, func(c prog.Expr) prog.Stmt { return &prog.AssumeStmt{Cond: c} })
+		out, c, err := t.cond(np, st.Cond)
+		return append(out, &prog.AssumeStmt{Cond: c}), err
 	case *prog.AssertStmt:
-		return t.condStmt(np, st.Cond, func(c prog.Expr) prog.Stmt { return &prog.AssertStmt{Cond: c} })
+		out, c, err := t.cond(np, st.Cond)
+		return append(out, &prog.AssertStmt{Cond: c}), err
 	case *prog.IfStmt:
-		var out []prog.Stmt
-		if t.touchesBuffered(st.Cond) {
-			out = append(out, t.maybeFlush(np)...)
-		}
-		prelude, cond, err := t.rewriteReads(np, st.Cond)
+		out, c, err := t.cond(np, st.Cond)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, prelude...)
 		then, err := t.stmts(np, st.Then)
 		if err != nil {
 			return nil, err
@@ -304,27 +282,16 @@ func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, &prog.IfStmt{Cond: cond, Then: then, Else: els})
-		return out, nil
+		return append(out, &prog.IfStmt{Cond: c, Then: then, Else: els}), nil
 	case *prog.WhileStmt:
 		// Hoist the condition into a temp re-evaluated at the end of each
 		// iteration, so buffered reads happen at well-defined points.
-		condVar := t.freshName("wc")
-		np.Locals = append(np.Locals, prog.Decl{Name: condVar, Type: prog.Bool})
-		evalCond := func() ([]prog.Stmt, error) {
-			var out []prog.Stmt
-			if t.touchesBuffered(st.Cond) {
-				out = append(out, t.maybeFlush(np)...)
-			}
-			prelude, cond, err := t.rewriteReads(np, st.Cond)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			out = append(out, &prog.AssignStmt{LHS: &prog.VarRef{Name: condVar}, RHS: cond})
-			return out, nil
+		condVar := t.freshLocal(np, "wc", prog.Bool)
+		eval := func() ([]prog.Stmt, error) {
+			out, c, err := t.cond(np, st.Cond)
+			return append(out, &prog.AssignStmt{LHS: &prog.VarRef{Name: condVar}, RHS: c}), err
 		}
-		head, err := evalCond()
+		head, err := eval()
 		if err != nil {
 			return nil, err
 		}
@@ -332,121 +299,157 @@ func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		tail, err := evalCond()
+		tail, err := eval()
 		if err != nil {
 			return nil, err
 		}
-		loop := &prog.WhileStmt{
+		return append(head, &prog.WhileStmt{
 			Cond: &prog.VarRef{Name: condVar},
 			Body: append(body, tail...),
-		}
-		return append(head, loop), nil
+		}), nil
 	case *prog.CallStmt:
 		// Calls are inlined later; arguments may read buffered globals.
-		var out []prog.Stmt
-		args := make([]prog.Expr, len(st.Args))
-		for i, a := range st.Args {
-			prelude, na, err := t.rewriteReads(np, a)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			args[i] = na
-		}
-		out = append(out, &prog.CallStmt{Proc: st.Proc, Args: args, Result: st.Result})
-		return out, nil
+		out, args, err := t.args(np, st.Args)
+		return append(out, &prog.CallStmt{Proc: st.Proc, Args: args, Result: st.Result}), err
 	case *prog.CreateStmt:
 		// Thread creation is a release fence.
-		var out []prog.Stmt
-		out = append(out, t.flushAll(np)...)
-		args := make([]prog.Expr, len(st.Args))
-		for i, a := range st.Args {
-			prelude, na, err := t.rewriteReads(np, a)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			args[i] = na
-		}
-		out = append(out, &prog.CreateStmt{Tid: st.Tid, Proc: st.Proc, Args: args})
-		return out, nil
+		out := t.m.fence(t, np)
+		prelude, args, err := t.args(np, st.Args)
+		out = append(out, prelude...)
+		return append(out, &prog.CreateStmt{Tid: st.Tid, Proc: st.Proc, Args: args}), err
 	case *prog.JoinStmt:
 		// Join is an acquire fence (and the joined thread drained its
 		// buffers before terminating).
 		prelude, tid, err := t.rewriteReads(np, st.Tid)
-		if err != nil {
-			return nil, err
-		}
-		out := append(t.flushAll(np), prelude...)
-		return append(out, &prog.JoinStmt{Tid: tid}), nil
-	case *prog.LockStmt:
-		return append(t.flushAll(np), st), nil
-	case *prog.UnlockStmt:
-		return append(t.flushAll(np), st), nil
+		out := append(t.m.fence(t, np), prelude...)
+		return append(out, &prog.JoinStmt{Tid: tid}), err
+	case *prog.LockStmt, *prog.UnlockStmt:
+		return append(t.m.fence(t, np), st), nil
 	case *prog.InitStmt, *prog.DestroyStmt:
 		return []prog.Stmt{st}, nil
 	case *prog.AtomicStmt:
 		// Atomic blocks are fenced and execute with SC semantics inside.
-		body := append(t.flushAll(np), st.Body...)
-		return []prog.Stmt{&prog.AtomicStmt{Body: body}}, nil
+		return []prog.Stmt{&prog.AtomicStmt{Body: append(t.m.fence(t, np), st.Body...)}}, nil
 	case *prog.ReturnStmt:
 		// Drain before leaving the procedure.
-		var out []prog.Stmt
-		out = append(out, t.flushAll(np)...)
-		if st.Value != nil {
-			prelude, v, err := t.rewriteReads(np, st.Value)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, prelude...)
-			out = append(out, &prog.ReturnStmt{Value: v})
-			return out, nil
+		out := t.m.fence(t, np)
+		if st.Value == nil {
+			return append(out, st), nil
 		}
-		return append(out, st), nil
+		prelude, v, err := t.rewriteReads(np, st.Value)
+		out = append(out, prelude...)
+		return append(out, &prog.ReturnStmt{Value: v}), err
 	case *prog.BlockStmt:
 		body, err := t.stmts(np, st.Body)
-		if err != nil {
-			return nil, err
-		}
-		return []prog.Stmt{&prog.BlockStmt{Body: body}}, nil
+		return []prog.Stmt{&prog.BlockStmt{Body: body}}, err
 	}
 	return nil, fmt.Errorf("weakmem: unknown statement %T", s)
 }
 
-func (t *transformer) condStmt(np *prog.Proc, cond prog.Expr, mk func(prog.Expr) prog.Stmt) ([]prog.Stmt, error) {
+// cond is the read side of a statement that tests e: a flush point if e
+// touches a buffered global, then the loads. It returns the rewritten e.
+func (t *transformer) cond(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr, error) {
 	var out []prog.Stmt
-	if t.touchesBuffered(cond) {
-		out = append(out, t.maybeFlush(np)...)
+	if t.touches(e) {
+		out = t.m.maybeFlush(t, np)
 	}
-	prelude, c, err := t.rewriteReads(np, cond)
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, prelude...)
-	return append(out, mk(c)), nil
+	prelude, c, err := t.rewriteReads(np, e)
+	return append(out, prelude...), c, err
 }
 
-func (t *transformer) touchesBuffered(e prog.Expr) bool {
+func (t *transformer) touches(e prog.Expr) bool {
 	switch x := e.(type) {
-	case nil, *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-		return false
 	case *prog.VarRef:
-		_, ok := t.isBuffered(x.Name)
+		_, ok := t.index(x.Name)
 		return ok
 	case *prog.IndexRef:
-		return t.touchesBuffered(x.Index)
+		return t.touches(x.Index)
 	case *prog.UnaryExpr:
-		return t.touchesBuffered(x.X)
+		return t.touches(x.X)
 	case *prog.BinaryExpr:
-		return t.touchesBuffered(x.X) || t.touchesBuffered(x.Y)
+		return t.touches(x.X) || t.touches(x.Y)
 	}
 	return false
 }
 
 func (t *transformer) lvalueBuffered(e prog.Expr) bool {
-	if v, ok := e.(*prog.VarRef); ok {
-		_, buffered := t.isBuffered(v.Name)
-		return buffered
+	v, ok := e.(*prog.VarRef)
+	return ok && t.touches(v)
+}
+
+// pso is the PSO model: one buffer of depth one per thread and global,
+// wmbuf_g holding the pending value and wmdirty_g whether there is one.
+type pso struct{ globals []prog.Decl }
+
+func bufName(g string) string   { return "wmbuf_" + g }
+func dirtyName(g string) string { return "wmdirty_" + g }
+
+func (pso) prefix() string { return "wm" }
+
+func (m pso) buffers() (locals []prog.Decl, init []prog.Stmt) {
+	for _, g := range m.globals {
+		locals = append(locals,
+			prog.Decl{Name: bufName(g.Name), Type: prog.Type{Kind: g.Type.Kind}},
+			prog.Decl{Name: dirtyName(g.Name), Type: prog.Bool},
+		)
+		init = append(init, &prog.AssignStmt{
+			LHS: &prog.VarRef{Name: dirtyName(g.Name)},
+			RHS: &prog.BoolLit{Value: false},
+		})
 	}
-	return false
+	return locals, init
+}
+
+// load: tmp = dirty ? buf : memory (store forwarding).
+func (m pso) load(i int, tmp string) []prog.Stmt {
+	g := m.globals[i].Name
+	return []prog.Stmt{&prog.IfStmt{
+		Cond: &prog.VarRef{Name: dirtyName(g)},
+		Then: []prog.Stmt{&prog.AssignStmt{LHS: &prog.VarRef{Name: tmp}, RHS: &prog.VarRef{Name: bufName(g)}}},
+		Else: []prog.Stmt{&prog.AssignStmt{LHS: &prog.VarRef{Name: tmp}, RHS: &prog.VarRef{Name: g}}},
+	}}
+}
+
+// store: forced per-location flush, then buffer the value.
+func (m pso) store(i int, rhs prog.Expr) []prog.Stmt {
+	g := m.globals[i].Name
+	return []prog.Stmt{
+		m.drainIfDirty(g),
+		&prog.AssignStmt{LHS: &prog.VarRef{Name: bufName(g)}, RHS: rhs},
+		&prog.AssignStmt{LHS: &prog.VarRef{Name: dirtyName(g)}, RHS: &prog.BoolLit{Value: true}},
+	}
+}
+
+// maybeFlush: each pending store may independently drain to memory (PSO
+// freedom).
+func (m pso) maybeFlush(t *transformer, np *prog.Proc) []prog.Stmt {
+	var out []prog.Stmt
+	for _, g := range m.globals {
+		out = append(out, t.flushChoice(np, dirtyName(g.Name), m.drain(g.Name))...)
+	}
+	return out
+}
+
+// fence: a non-deterministic flush round precedes the deterministic
+// drain so the stores can become visible in any order (PSO does not
+// order stores to different locations), with context switches possible
+// between the individual drains.
+func (m pso) fence(t *transformer, np *prog.Proc) []prog.Stmt {
+	out := m.maybeFlush(t, np)
+	for _, g := range m.globals {
+		out = append(out, m.drainIfDirty(g.Name))
+	}
+	return out
+}
+
+func (m pso) drainIfDirty(g string) prog.Stmt {
+	return &prog.IfStmt{Cond: &prog.VarRef{Name: dirtyName(g)}, Then: m.drain(g)}
+}
+
+// drain writes the buffered value to memory and clears the dirty bit.
+func (pso) drain(g string) []prog.Stmt {
+	return []prog.Stmt{
+		&prog.AssignStmt{LHS: &prog.VarRef{Name: g}, RHS: &prog.VarRef{Name: bufName(g)}},
+		&prog.AssignStmt{LHS: &prog.VarRef{Name: dirtyName(g)}, RHS: &prog.BoolLit{Value: false}},
+	}
 }

@@ -69,6 +69,37 @@ void main() {
 }
 `
 
+// sbLockedLitmus is store buffering with every access under one mutex:
+// lock and unlock are full fences.
+const sbLockedLitmus = `
+mutex m;
+int x, y;
+int r1, r2;
+
+void t1() {
+  lock(m);
+  x = 1;
+  r1 = y;
+  unlock(m);
+}
+
+void t2() {
+  lock(m);
+  y = 1;
+  r2 = x;
+  unlock(m);
+}
+
+void main() {
+  int a, b;
+  a = create(t1);
+  b = create(t2);
+  join(a);
+  join(b);
+  assert(!(r1 == 0 && r2 == 0));
+}
+`
+
 func verdict(t *testing.T, p *prog.Program, contexts, cores int) core.Verdict {
 	t.Helper()
 	// The transformed programs have large thread bodies; the solver's
@@ -120,35 +151,7 @@ func TestMessagePassingLitmus(t *testing.T) {
 func TestFencesRestoreSafety(t *testing.T) {
 	// Wrapping the accesses in a mutex fences the buffers: the PSO
 	// transformation of the locked store-buffering program stays safe.
-	locked := `
-mutex m;
-int x, y;
-int r1, r2;
-
-void t1() {
-  lock(m);
-  x = 1;
-  r1 = y;
-  unlock(m);
-}
-
-void t2() {
-  lock(m);
-  y = 1;
-  r2 = x;
-  unlock(m);
-}
-
-void main() {
-  int a, b;
-  a = create(t1);
-  b = create(t2);
-  join(a);
-  join(b);
-  assert(!(r1 == 0 && r2 == 0));
-}
-`
-	pso, err := Transform(prog.MustParse(locked))
+	pso, err := Transform(prog.MustParse(sbLockedLitmus))
 	if err != nil {
 		t.Fatal(err)
 	}
