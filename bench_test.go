@@ -310,24 +310,35 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 }
 
 // BenchmarkCertification measures the cost of certifying Safe verdicts
-// with RUP-checked refutation proofs.
+// with RUP-checked refutation proofs: on one solver, and partitioned,
+// where each of the two workers' checkers takes the lemmas of the
+// template's simplification pass once (sat.ProofChecker.Extend) and
+// then checks only what each of its cubes' solvers learnt.
 func BenchmarkCertification(b *testing.B) {
-	p := bench.Safestack()
-	for _, cert := range []bool{false, true} {
-		name := "plain"
-		if cert {
-			name = "certified"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := core.Verify(context.Background(), p, core.Options{
-					Unwind: 2, Contexts: 5, Cores: 1, CertifyUnsat: cert,
-				})
-				if err != nil || res.Verdict != core.Safe {
-					b.Fatalf("%v %v", res, err)
-				}
+	for _, tc := range []struct {
+		name string
+		p    *prog.Program
+		opts core.Options
+	}{
+		{"", bench.Safestack(), core.Options{Unwind: 2, Contexts: 5, Cores: 1}},
+		{"partitioned-", bench.Eliminationstack(), core.Options{Unwind: 2, Contexts: 5, Partitions: 8, Cores: 2}},
+	} {
+		for _, cert := range []bool{false, true} {
+			name := tc.name + "plain"
+			if cert {
+				name = tc.name + "certified"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				opts := tc.opts
+				opts.CertifyUnsat = cert
+				for i := 0; i < b.N; i++ {
+					res, err := core.Verify(context.Background(), tc.p, opts)
+					if err != nil || res.Verdict != core.Safe {
+						b.Fatalf("%v %v", res, err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -147,6 +147,15 @@ func main() {
 		if res.JournalSealed {
 			rec.Report.Warn(fmt.Sprintf("journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s", res.SealCause))
 		}
+		if tpl := res.Template; tpl.Time > 0 {
+			rec.Report.SetTemplate(report.TemplateRow{
+				Millis:    tpl.Time.Milliseconds(),
+				ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
+				ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
+				Propagations: tpl.Stats.Propagations,
+				Cubes:        tpl.Cubes,
+			})
+		}
 		for _, inst := range res.Instances {
 			rec.Report.Finish(report.PartitionRow{
 				Partition:    inst.Partition,
@@ -193,6 +202,14 @@ func main() {
 		if *stats {
 			for _, ph := range res.Phases {
 				fmt.Printf("phase %-10s %v\n", ph.Name+":", ph.Duration)
+			}
+			if tpl := res.Template; tpl.Time > 0 {
+				// The solver the partitions' solvers were cloned from: its
+				// time is in no partition's, and what its pass eliminated is
+				// eliminated for all of them.
+				st := tpl.Stats
+				fmt.Printf("template: %d cubes in %v — clauses=%d->%d elimvars=%d simplified=%d propagations=%d peakmembytes=%d\n",
+					tpl.Cubes, tpl.Time, tpl.ClausesIn, tpl.ClausesOut, st.ElimVars, st.Simplified, st.Propagations, st.PeakMemBytes)
 			}
 			var peakMem int64
 			for _, inst := range res.Instances {

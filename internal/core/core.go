@@ -124,8 +124,9 @@ type Options struct {
 	// count) or Verify fails with journal.ErrManifestMismatch.
 	Resume bool
 	// Tracer, when non-nil, emits one timed span per pipeline phase
-	// (unfold, flatten, encode, partition, solve, validate) under a root
-	// "verify" span. Nil is the zero-overhead fast path.
+	// (unfold, flatten, encode, partition, solve — with the solver
+	// template as its child — and validate) under a root "verify" span.
+	// Nil is the zero-overhead fast path.
 	Tracer *obs.Tracer
 	// Parent, when non-nil, nests the "verify" root span under it
 	// instead of starting a fresh root — distributed workers pass their
@@ -268,13 +269,20 @@ type Result struct {
 	// Winner is the partition that found the bug (-1 if none).
 	Winner int
 
-	// EncodeTime and SolveTime split the wall-clock cost.
+	// EncodeTime and SolveTime split the wall-clock cost. SolveTime is
+	// the whole solve phase: the template (below) and the partitions.
 	EncodeTime time.Duration
 	SolveTime  time.Duration
 	// Phases breaks the run into per-phase wall-clock timings
-	// (unfold, flatten, encode, partition, solve, validate) in execution
-	// order; phases that did not run are absent.
+	// (unfold, flatten, encode, partition, template, solve, validate) in
+	// execution order; phases that did not run are absent. "template" is
+	// the serial first step of "solve" and counted in it too.
 	Phases []PhaseTiming
+	// Template accounts for the solver the formula was loaded into — and
+	// simplified in, when there were several partitions to solve — before
+	// the per-partition solvers were cloned from it: work that belongs to
+	// the run, not to any of Instances.
+	Template parallel.TemplateResult
 
 	// Instances are the per-partition solver results.
 	Instances []parallel.InstanceResult
@@ -423,6 +431,12 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 		solveSpan.End(obs.KV("error", err.Error()))
 		return nil, err
 	}
+	if tpl := pres.Template; tpl.Time > 0 {
+		phases = append(phases, PhaseTiming{Name: "template", Duration: tpl.Time})
+		solveSpan.Record("template", tpl.Time,
+			obs.KV("clauses_in", tpl.ClausesIn), obs.KV("clauses_out", tpl.ClausesOut),
+			obs.KV("elim_vars", tpl.Stats.ElimVars), obs.KV("cubes", tpl.Cubes))
+	}
 	timePhase("solve", solveStart)
 	solveSpan.End(obs.KV("status", pres.Status.String()), obs.KV("winner", pres.Winner))
 
@@ -440,6 +454,7 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 		Winner:       pres.Winner,
 		EncodeTime:   encodeTime,
 		SolveTime:    pres.Wall,
+		Template:     pres.Template,
 		Instances:    pres.Instances,
 		Coverage:     buildCoverage(len(parts), pres),
 		Resumed:      pres.Resumed,

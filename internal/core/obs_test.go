@@ -71,6 +71,19 @@ func TestVerifyEmitsPhaseSpans(t *testing.T) {
 	if spans["solve"].Attrs["status"] != "SAT" {
 		t.Fatalf("solve span attrs: %v", spans["solve"].Attrs)
 	}
+	// The template the two partitions' solvers were cloned from is a row
+	// of its own under solve, not a gap in it.
+	tpl, ok := spans["template"]
+	if !ok || tpl.Parent != spans["solve"].ID {
+		t.Fatalf("template span %+v is not a child of solve (%d); got %v", tpl, spans["solve"].ID, spans)
+	}
+	if tpl.Attrs["clauses_in"] != res.Template.ClausesIn || tpl.Attrs["clauses_out"] != res.Template.ClausesOut ||
+		tpl.Attrs["elim_vars"] != res.Template.Stats.ElimVars || tpl.Attrs["cubes"] != res.Template.Cubes {
+		t.Fatalf("template span attrs %v, result %+v", tpl.Attrs, res.Template)
+	}
+	if res.Template.Cubes == 0 || res.Template.Stats.ElimVars == 0 || res.Template.ClausesOut >= res.Template.ClausesIn {
+		t.Fatalf("template %+v: want a simplified template that served the partitions", res.Template)
+	}
 
 	// Result.Phases mirrors the spans (validate included on UNSAFE runs).
 	var names []string
@@ -80,7 +93,7 @@ func TestVerifyEmitsPhaseSpans(t *testing.T) {
 			t.Fatalf("phase %s has negative duration", ph.Name)
 		}
 	}
-	want := []string{"unfold", "flatten", "encode", "partition", "solve", "validate"}
+	want := []string{"unfold", "flatten", "encode", "partition", "template", "solve", "validate"}
 	if len(names) != len(want) {
 		t.Fatalf("phases: got %v, want %v", names, want)
 	}

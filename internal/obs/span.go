@@ -381,6 +381,31 @@ func (s *Span) End(attrs ...Attr) {
 	})
 }
 
+// Record emits a finished child span of s that began when s did and
+// lasted dur: for a serial first step of s that the code running it
+// timed itself, out of the tracer's reach, and reported afterwards.
+func (s *Span) Record(name string, dur time.Duration, attrs ...Attr) {
+	if s == nil {
+		return
+	}
+	e := Event{
+		Time:      s.start,
+		Name:      name,
+		ID:        s.tr.seq.Add(1),
+		Parent:    s.id,
+		DurMicros: dur.Microseconds(),
+		Trace:     s.trace,
+		Proc:      s.tr.proc,
+	}
+	if len(attrs) > 0 {
+		e.Attrs = make(map[string]any, len(attrs))
+		for _, a := range attrs {
+			e.Attrs[a.Key] = a.Value
+		}
+	}
+	s.tr.sink.Emit(e)
+}
+
 // Timed runs fn inside a span named name under parent (parent may be
 // nil, in which case the span is nil too and only fn's cost remains).
 func Timed(parent *Span, name string, fn func()) {

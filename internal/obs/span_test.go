@@ -89,6 +89,38 @@ func TestSpanHierarchyAndDurations(t *testing.T) {
 	}
 }
 
+// A recorded child is emitted at once, begins with its parent, lasts
+// what the caller measured and reads no clock.
+func TestSpanRecord(t *testing.T) {
+	sink := &memSink{}
+	start := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	tr := NewTracer(sink).WithClock(fakeClock(start, time.Millisecond))
+
+	root := tr.Start("solve")
+	root.Record("template", 250*time.Microsecond, KV("cubes", 8))
+	root.End()
+
+	events := sink.all()
+	if len(events) != 2 {
+		t.Fatalf("events: got %d, want 2", len(events))
+	}
+	tpl, solve := events[0], events[1]
+	if tpl.Name != "template" || tpl.Parent != solve.ID || tpl.ID == solve.ID {
+		t.Fatalf("recorded span %+v is not a child of %+v", tpl, solve)
+	}
+	if !tpl.Time.Equal(start) || tpl.DurMicros != 250 {
+		t.Fatalf("recorded span starts %v and lasts %dus, want %v and 250us", tpl.Time, tpl.DurMicros, start)
+	}
+	if tpl.Attrs["cubes"] != 8 {
+		t.Fatalf("recorded span attrs: %v", tpl.Attrs)
+	}
+	if solve.DurMicros != 1000 {
+		t.Fatalf("Record read the clock: parent lasted %dus, want 1000us", solve.DurMicros)
+	}
+	var nilSpan *Span
+	nilSpan.Record("template", time.Second)
+}
+
 func TestSpanEndIdempotent(t *testing.T) {
 	sink := &memSink{}
 	tr := NewTracer(sink)

@@ -14,6 +14,14 @@
 // runner with one worker and no first-SAT cancellation, plus an event
 // simulation of the k-core schedule.
 //
+// The instances are independent but not built independently: the
+// formula is loaded once into a template solver (template.go), with
+// every variable a cube can assume frozen, simplified once when there
+// are several cubes to serve, and each cube's solver is a clone of it.
+// Nothing is shared after that, so a cube's search — and every counter
+// of it — depends on the formula and the cube alone, not on the
+// schedule.
+//
 // Two robustness layers ride on top of the paper's scheme:
 //
 //   - A per-cube resource budget (Options.Budget) bounds every
@@ -55,9 +63,13 @@ type InstanceResult struct {
 	// resumed from the journal). Distributed workers ship it to the
 	// coordinator as the UNSAT half of a verdict certificate.
 	Proof *sat.Proof
-	// Time is the instance's wall-clock solving time.
+	// Time is the instance's wall-clock solving time: cloning its solver
+	// from the run's template and searching. The template's own time is
+	// Result.Template.Time.
 	Time time.Duration
-	// Stats are the solver search statistics, including the final
+	// Stats are the instance's own search statistics — they start at
+	// zero at the clone, so they depend on the formula and the cube alone,
+	// not on the schedule — including the final
 	// Stats.Progress search-progress estimate — the per-partition
 	// imbalance signal the run report and partition gauges surface.
 	Stats sat.Stats
@@ -99,8 +111,12 @@ type Result struct {
 	Instances []InstanceResult
 	// Resumed counts instances replayed from the journal.
 	Resumed int
-	// Wall is the overall wall-clock time.
+	// Wall is the overall wall-clock time, the template's included.
 	Wall time.Duration
+	// Template accounts for the solver the formula was loaded into once
+	// and every cube's solver was cloned from; zero when the journal left
+	// nothing to solve.
+	Template TemplateResult
 	// Certified reports that every UNSAT instance's refutation proof
 	// checked (only meaningful with Options.CertifyUnsat).
 	Certified bool
@@ -121,7 +137,9 @@ type Result struct {
 // Options configures the parallel run.
 type Options struct {
 	// Workers bounds the number of concurrently running solver
-	// instances; 0 means one worker per partition.
+	// instances; 0 means one worker per partition. More than there can
+	// be cubes — partitions, times 1<<Split.Depth with splitting on — are
+	// not started.
 	Workers int
 	// CertifyUnsat records a clausal (RUP) proof in every instance and
 	// checks it whenever the instance reports UNSAT, so that Safe

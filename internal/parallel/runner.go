@@ -25,11 +25,12 @@ type cubeRun struct {
 // runner is the goroutine executor of the cube scheduler
 // (partition.Scheduler): Options.Workers goroutines acquire cubes —
 // seeded with the leaves of the journal's cube tree, one whole-partition
-// cube each on a fresh run — solve each on a fresh solver, and claim the
-// verdict. Cancelling a cube is solver.Interrupt. Which cube an idle
-// worker gets, which straggler it splits and whose result still counts
-// is the scheduler's business; with splitting off no cube ever qualifies
-// as a victim, and the queue is the paper's static partition list.
+// cube each on a fresh run — solve each on a clone of the run's template
+// solver (template.go), and claim the verdict. Cancelling a cube is
+// solver.Interrupt. Which cube an idle worker gets, which straggler it
+// splits and whose result still counts is the scheduler's business; with
+// splitting off no cube ever qualifies as a victim, and the queue is the
+// paper's static partition list.
 //
 // Soundness of a split: the two children fix the same split literal in
 // both polarities on top of the parent's assumptions, so they partition
@@ -52,6 +53,12 @@ type runner struct {
 	// fail recorded an error.
 	ctx    context.Context
 	cancel context.CancelFunc
+
+	// template is the formula loaded once (template.go), from which each
+	// cube's solver is cloned; nil when replay left nothing to solve. own:
+	// the run's only cube is solved on the template itself.
+	template *sat.Solver
+	own      bool
 
 	mu         sync.Mutex
 	running    map[*cubeRun]bool
@@ -117,10 +124,21 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 		}()
 	}
 
+	r.buildTemplate(parts)
+
+	// More workers than there can be cubes would only sleep. With
+	// splitting on a partition is up to 1<<Depth leaf cubes, and it takes
+	// an idle worker to split a straggler — one worker per partition
+	// would never be idle before the end.
+	limit := len(parts)
+	if r.splitting {
+		limit <<= min(opts.Split.Depth, 16)
+	}
 	workers := opts.Workers
-	if workers <= 0 || workers > len(parts) {
+	if workers <= 0 {
 		workers = len(parts)
 	}
+	workers = min(workers, limit)
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {
 		wg.Add(1)
@@ -217,7 +235,10 @@ func (r *runner) replay(parts []partition.Partition) error {
 // this run's (possibly smaller) budget would demote a committed
 // counterexample to Unknown. A SAT verdict that does not re-derive means
 // the journal and the formula disagree; refusing the run beats silently
-// reporting UNSAT over a durably recorded counterexample.
+// reporting UNSAT over a durably recorded counterexample. It loads a
+// solver of its own rather than clone the template, which carries the
+// run's budget and, on the replay path, is yet to be built — and will
+// not be, since a replayed SAT verdict ends the run.
 func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []cnf.Lit) ([]bool, error) {
 	assume, err := pt.CubeAssumptions(path, splitLits)
 	if err != nil {
@@ -236,10 +257,24 @@ func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []c
 // run is cancelled or no live leaf is left.
 func (r *runner) work() {
 	// Under CertifyUnsat the worker checks every refutation it finds on
-	// a proof checker of its own, loaded with the formula once.
+	// a proof checker of its own, built for the first: loaded with the
+	// formula and extended once by what the template logged before it was
+	// cloned — the lemmas of its simplification pass, the prefix every
+	// clone's proof continues — so that a cube's proof, the tail its clone
+	// logged, is all each check pays. (A cube solved on the template
+	// itself logs its whole proof there: no prefix.)
 	var checker *sat.ProofChecker
-	if r.opts.CertifyUnsat {
-		checker = sat.NewProofChecker(r.f)
+	check := func(assume []cnf.Lit, p *sat.Proof) error {
+		if checker == nil {
+			c := sat.NewProofChecker(r.f)
+			if !r.own {
+				if err := c.Extend(r.template.ProofLog()); err != nil {
+					return fmt.Errorf("in the template's simplification pass: %w", err)
+				}
+			}
+			checker = c
+		}
+		return checker.Check(assume, p)
 	}
 	for r.ctx.Err() == nil {
 		rc := &cubeRun{}
@@ -247,13 +282,14 @@ func (r *runner) work() {
 		if a == nil {
 			return
 		}
-		r.runCube(a, rc, checker)
+		r.runCube(a, rc, check)
 	}
 }
 
 // runCube solves one acquired cube and files its outcome: the only
-// place a partition's solver is built and its result classified.
-func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.ProofChecker) {
+// place a cube gets its solver and its result is classified. check is
+// the worker's proof check (CertifyUnsat).
+func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.Lit, *sat.Proof) error) {
 	pt, path := r.parts[a.Cube.From], a.Cube.Path
 	// A panicking solver instance must not take the process down with
 	// it: the panic becomes the run's error and cancels the siblings, so
@@ -269,30 +305,15 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.Proo
 		r.fail(err)
 		return
 	}
-	// The budget's conflict and memory bounds are the solver's own; its
-	// wall-clock bound is the timer below.
-	solver := sat.NewFromFormula(r.f, sat.Options{
-		MaxConflicts:  r.opts.Budget.Conflicts,
-		MemBudgetMB:   r.opts.Budget.MemMB,
-		ProgressEvery: r.opts.ProgressEvery,
-	})
+	// The cube's time and counters are its own: the clone and the search,
+	// whatever the template cost and whichever cubes ran before.
 	started := time.Now()
+	solver := r.template
+	if !r.own {
+		solver = solver.Clone()
+	}
 	sampler := r.instrument(a, solver, started)
-	if r.opts.CertifyUnsat || r.opts.KeepProofs {
-		solver.EnableProof()
-	}
-	// A cancel or an abort that arrived while the solver was loading
-	// found nothing to interrupt: deliver it on registration.
-	r.mu.Lock()
-	rc.solver = solver
-	r.running[rc] = true
-	switch {
-	case r.memAborted:
-		solver.InterruptMemory()
-	case rc.cancelled || r.ctx.Err() != nil:
-		solver.Interrupt()
-	}
-	r.mu.Unlock()
+	r.register(rc, solver)
 
 	// Wall-clock budget: a timer interrupt distinguishable from
 	// cancellation by the timedOut flag.
@@ -309,6 +330,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.Proo
 	// Release the finished solver now, not when the run returns.
 	r.mu.Lock()
 	delete(r.running, rc)
+	r.res.Template.Cubes++
 	r.mu.Unlock()
 
 	inst := InstanceResult{
@@ -333,7 +355,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, checker *sat.Proo
 		return
 	}
 	if inst.Status == sat.Unsat && r.opts.CertifyUnsat {
-		if cerr := checker.Check(assume, solver.ProofLog()); cerr != nil {
+		if cerr := check(assume, solver.ProofLog()); cerr != nil {
 			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", pt.Index, path, cerr))
 			return
 		}
@@ -425,6 +447,23 @@ func (r *runner) fail(err error) {
 	}
 	r.mu.Unlock()
 	r.cancel()
+}
+
+// register makes a solver that is about to run interruptible: as the
+// cube's (cancelCube) and as one of the run's (interruptAll). A cancel
+// or an abort that arrived while the solver was being built found
+// nothing to interrupt: it is delivered here.
+func (r *runner) register(rc *cubeRun, solver *sat.Solver) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	rc.solver = solver
+	r.running[rc] = true
+	switch {
+	case r.memAborted:
+		solver.InterruptMemory()
+	case rc.cancelled || r.ctx.Err() != nil:
+		solver.Interrupt()
+	}
 }
 
 // cancelCube stops one cube the scheduler superseded.

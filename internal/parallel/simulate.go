@@ -21,11 +21,14 @@ import (
 // The simulation is exact for this technique because the solver
 // instances do not cooperate (the paper stresses this property: no
 // clause exchange, communication only upon termination), so per-instance
-// solving times are independent of co-scheduling. It is the tool used to
-// reproduce the paper's speedup tables on hosts with fewer physical
-// cores than the simulated machine — mirroring the paper's own protocol,
-// which simulated a 128-core cluster by running 8-core chunks one after
-// another and taking the maximum time.
+// solving times are independent of co-scheduling. What the instances do
+// share, the run's template solver, is built before the first of them
+// starts and is not touched after: its time (Result.Template.Time) is a
+// serial prefix, and every simulated processor is free from there. It is
+// the tool used to reproduce the paper's speedup tables on hosts with
+// fewer physical cores than the simulated machine — mirroring the
+// paper's own protocol, which simulated a 128-core cluster by running
+// 8-core chunks one after another and taking the maximum time.
 //
 // The per-partition verdicts and times come from the same runner as
 // Solve (one worker, no first-SAT cancellation); only the schedule is
@@ -46,7 +49,10 @@ func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, 
 	// earliest-free processor. The first satisfiable finish wins;
 	// otherwise the run ends at the makespan.
 	procFree := make([]time.Duration, workers)
-	res.Wall = 0
+	for p := range procFree {
+		procFree[p] = res.Template.Time
+	}
+	res.Wall = res.Template.Time
 	best, bestFinish := -1, time.Duration(0)
 	for i, inst := range res.Instances {
 		p := 0

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cnf"
+	"repro/internal/partition"
 	"repro/internal/sat"
 )
 
@@ -53,7 +54,8 @@ func TestSimulateUnsatMakespan(t *testing.T) {
 	if len(res.Instances) != 4 {
 		t.Fatalf("instances %d", len(res.Instances))
 	}
-	// The 2-worker makespan lies between max instance time and the total.
+	// The 2-worker makespan lies between max instance time and the total,
+	// after the template: the serial prefix every worker waits for.
 	var total, max time.Duration
 	for _, in := range res.Instances {
 		total += in.Time
@@ -61,10 +63,13 @@ func TestSimulateUnsatMakespan(t *testing.T) {
 			max = in.Time
 		}
 	}
-	if res.Wall < max || res.Wall > total {
-		t.Fatalf("wall %v outside [max %v, total %v]", res.Wall, max, total)
+	if res.Template.Time <= 0 || res.Template.Cubes != 4 {
+		t.Fatalf("template %+v, want a timed template that served 4 cubes", res.Template)
 	}
-	// With one worker the makespan is exactly the total.
+	if span := res.Wall - res.Template.Time; span < max || span > total {
+		t.Fatalf("wall %v less template %v outside [max %v, total %v]", res.Wall, res.Template.Time, max, total)
+	}
+	// With one worker the makespan is exactly the template plus the total.
 	res1, err := Simulate(context.Background(), f, parts, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -73,8 +78,8 @@ func TestSimulateUnsatMakespan(t *testing.T) {
 	for _, in := range res1.Instances {
 		total1 += in.Time
 	}
-	if res1.Wall != total1 {
-		t.Fatalf("1-worker wall %v != total %v", res1.Wall, total1)
+	if res1.Wall != res1.Template.Time+total1 {
+		t.Fatalf("1-worker wall %v != template %v + total %v", res1.Wall, res1.Template.Time, total1)
 	}
 }
 
@@ -116,27 +121,46 @@ func TestSimulateCancelled(t *testing.T) {
 	}
 }
 
-func TestSimulateCertify(t *testing.T) {
-	f := pigeonhole(5)
-	parts := partitionsOn([]cnf.Var{1, 2}, 4)
-	res, err := Simulate(context.Background(), f, parts, Options{Workers: 2, CertifyUnsat: true})
-	if err != nil {
-		t.Fatal(err)
+// certifyCases are what the two certification tests run: a formula too
+// small for the template's pass to matter, and an encoded cell whose
+// every cube's proof stands on some 40 000 lemmas of the pass — which
+// each worker's checker must take from the template (ProofChecker.Extend)
+// or reject the cubes' own lemmas as unfounded.
+type certifyCase struct {
+	name  string
+	f     *cnf.Formula
+	parts []partition.Partition
+}
+
+func certifyCases(t *testing.T) []certifyCase {
+	esF, esParts := esCell(t)
+	return []certifyCase{
+		{"pigeonhole", pigeonhole(5), partitionsOn([]cnf.Var{1, 2}, 4)},
+		{"es.u2.c4.p8", esF, esParts},
 	}
-	if res.Status != sat.Unsat || !res.Certified {
-		t.Fatalf("status %v certified %v", res.Status, res.Certified)
+}
+
+func TestSimulateCertify(t *testing.T) {
+	for _, tc := range certifyCases(t) {
+		res, err := Simulate(context.Background(), tc.f, tc.parts, Options{Workers: 2, CertifyUnsat: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Status != sat.Unsat || !res.Certified || res.Template.Stats.ElimVars == 0 {
+			t.Fatalf("%s: status %v certified %v template %+v", tc.name, res.Status, res.Certified, res.Template)
+		}
 	}
 }
 
 func TestSolveCertify(t *testing.T) {
-	f := pigeonhole(5)
-	parts := partitionsOn([]cnf.Var{1}, 2)
-	res, err := Solve(context.Background(), f, parts, Options{Workers: 2, CertifyUnsat: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != sat.Unsat || !res.Certified {
-		t.Fatalf("status %v certified %v", res.Status, res.Certified)
+	for _, tc := range certifyCases(t) {
+		res, err := Solve(context.Background(), tc.f, tc.parts, Options{Workers: 2, CertifyUnsat: true})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Status != sat.Unsat || !res.Certified || res.Template.Stats.ElimVars == 0 {
+			t.Fatalf("%s: status %v certified %v template %+v", tc.name, res.Status, res.Certified, res.Template)
+		}
 	}
 }
 

@@ -68,6 +68,21 @@ type PartitionRow struct {
 	ConflictRate float64 `json:"conflict_rate,omitempty"`
 }
 
+// TemplateRow is the run's template solver: the formula loaded once —
+// and, with several partitions to solve, simplified once — from which
+// every partition's solver was cloned. Its time and its eliminations
+// belong to the run and appear in no partition's row.
+type TemplateRow struct {
+	Millis       int64 `json:"millis"`
+	ClausesIn    int   `json:"clauses_in"`
+	ClausesOut   int   `json:"clauses_out"`
+	ElimVars     int64 `json:"elim_vars,omitempty"`
+	Simplified   int64 `json:"simplified,omitempty"`
+	Propagations int64 `json:"propagations,omitempty"`
+	// Cubes is the number of cubes solved on the template or a clone.
+	Cubes int `json:"cubes"`
+}
+
 // CubeRow is one cube-tree node's final entry: a work unit the
 // scheduler dispatched (a chunk, or a sub-cube born from a split) and
 // what became of it. A Verdict of "SPLIT" marks an interior node whose
@@ -118,9 +133,12 @@ type Snapshot struct {
 
 // Report is the complete flight-recorder artifact.
 type Report struct {
-	Manifest   Manifest       `json:"manifest"`
-	Verdict    string         `json:"verdict,omitempty"`
-	WallMillis int64          `json:"wall_millis,omitempty"`
+	Manifest   Manifest `json:"manifest"`
+	Verdict    string   `json:"verdict,omitempty"`
+	WallMillis int64    `json:"wall_millis,omitempty"`
+	// Template is the solver template of an in-process run (nil for a
+	// distributed one, whose workers each build their own).
+	Template   *TemplateRow   `json:"template,omitempty"`
 	Partitions []PartitionRow `json:"partitions,omitempty"`
 	// Cubes is the run's cube tree in scheduling order: the static
 	// chunks plus every sub-cube adaptive splitting created, each with
@@ -176,6 +194,16 @@ func (r *Recorder) SetVerdict(verdict string, wall time.Duration) {
 	r.mu.Lock()
 	r.rep.Verdict = verdict
 	r.rep.WallMillis = wall.Milliseconds()
+	r.mu.Unlock()
+}
+
+// SetTemplate records the run's solver template.
+func (r *Recorder) SetTemplate(row TemplateRow) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.rep.Template = &row
 	r.mu.Unlock()
 }
 
@@ -408,6 +436,11 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 		for _, msg := range rep.Warnings {
 			fmt.Fprintf(w, "  ! %s\n", msg)
 		}
+	}
+
+	if t := rep.Template; t != nil {
+		fmt.Fprintf(w, "\nTemplate: %d ms, clauses %d -> %d, elim-vars %d, simplified %d, propagations %d, cloned for %d cubes\n",
+			t.Millis, t.ClausesIn, t.ClausesOut, t.ElimVars, t.Simplified, t.Propagations, t.Cubes)
 	}
 
 	fmt.Fprintf(w, "\nPartition imbalance (%d partitions):\n", len(rep.Partitions))

@@ -53,6 +53,7 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.SetManifest(Manifest{Program: "x"})
 	r.SetVerdict("SAFE", time.Second)
+	r.SetTemplate(TemplateRow{Cubes: 1})
 	r.Progress(0, "w", 1, 1, 0.5)
 	r.Finish(PartitionRow{Partition: 0})
 	r.AddSpans([]obs.Event{{Name: "solve"}})
@@ -69,6 +70,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		Partitions: 2, Mode: "distributed", TraceID: "cafe",
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
+	r.SetTemplate(TemplateRow{Millis: 98, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
 	r.Finish(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 1, SolveMillis: 5, Hardness: 12.5, ConflictRate: 80})
 	// Partition 1 searched long enough for the solver to simplify.
 	r.Finish(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
@@ -103,6 +105,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	if rep.Verdict != "SAFE" || rep.WallMillis != 250 || len(rep.Partitions) != 2 {
 		t.Fatalf("round trip lost data: %+v", rep)
 	}
+	if tpl := rep.Template; tpl == nil || tpl.ClausesOut != 31850 || tpl.Cubes != 8 {
+		t.Fatalf("round trip lost the template row: %+v", tpl)
+	}
 	if p := rep.Partitions[1]; p.ElimVars != 18363 || p.Simplified != 67514 {
 		t.Fatalf("round trip lost the simplification counts: %+v", p)
 	}
@@ -124,6 +129,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	for _, want := range []string{
 		"Run report: fibonacci (distributed)",
 		"Verdict: SAFE in 250 ms",
+		"Template: 98 ms, clauses 75370 -> 31850, elim-vars 18290, simplified 67101, propagations 4, cloned for 8 cubes",
 		"Partition imbalance (2 partitions):",
 		"conflicts  propagations elim-vars simplified",
 		"       10             0         0          0",

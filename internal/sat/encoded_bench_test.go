@@ -24,6 +24,41 @@ func BenchmarkLoadFormula(b *testing.B) {
 	}
 }
 
+// BenchmarkCloneVsLoad sets the two ways to one more solver of a
+// formula side by side, on BenchmarkLoadFormula's formula: loading it
+// again, and cloning a solver that has it — as loaded, and as the
+// partition runner's template has it, simplified.
+func BenchmarkCloneVsLoad(b *testing.B) {
+	f := encodeBench(b, bench.Safestack(), 8, 3)
+	var s *Solver
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s = NewFromFormula(f, Options{})
+		}
+	})
+	loaded := NewFromFormula(f, Options{})
+	simplified := NewFromFormula(f, Options{})
+	if !simplified.Simplify() || simplified.Stats().ElimVars == 0 {
+		b.Fatalf("the pass eliminated %d variables", simplified.Stats().ElimVars)
+	}
+	for _, tc := range []struct {
+		name string
+		from *Solver
+	}{{"clone-loaded", loaded}, {"clone-simplified", simplified}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s = tc.from.Clone()
+			}
+			b.ReportMetric(float64(s.LiveBytes()), "live-bytes")
+		})
+	}
+	if s.NumVars() != f.NumVars {
+		b.Fatalf("%d variables, want %d", s.NumVars(), f.NumVars)
+	}
+}
+
 // BenchmarkSolveEncoded times the search alone on a real encoded
 // refutation (eliminationstack u=2 c=5) and reports the solver's rates.
 func BenchmarkSolveEncoded(b *testing.B) {

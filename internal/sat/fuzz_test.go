@@ -321,6 +321,38 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 	return fresh
 }
 
+// checkExtendLaw cuts a proof into a prefix and a tail at both ends and
+// in the middle, and holds Extend to its contract on a fresh checker and
+// on one that has been through the whole proof before. Where the prefix
+// stands under no assumption, Extend(prefix) then Check(tail) — twice,
+// the second from the base Extend moved — accepts exactly when Check of
+// the whole does; where a lemma of it does not, Extend says so and the
+// checker answers for the whole proof as if nothing had been tried.
+func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
+	t.Helper()
+	whole := CheckRUP(f, assumptions, p)
+	for _, cut := range []int{0, len(p.Lemmas) / 2, len(p.Lemmas)} {
+		prefix, tail := &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
+		reused := NewProofChecker(f)
+		_ = reused.Check(assumptions, p)
+		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
+			if err := c.Extend(prefix); err != nil {
+				if got := c.Check(assumptions, p); errText(got) != errText(whole) {
+					t.Fatalf("after a rejected Extend (%v) the checker says %s of the whole proof, a fresh one %s",
+						err, errText(got), errText(whole))
+				}
+				continue
+			}
+			for range 2 {
+				if got := c.Check(assumptions, tail); (got == nil) != (whole == nil) {
+					t.Fatalf("cut at %d of %d: Extend then Check says %s, Check of the whole %s",
+						cut, len(p.Lemmas), errText(got), errText(whole))
+				}
+			}
+		}
+	}
+}
+
 func FuzzCheckRUP(f *testing.F) {
 	small, _, _ := fuzzSeeds()
 	for _, seed := range small {
@@ -375,6 +407,10 @@ func FuzzCheckRUP(f *testing.F) {
 		// a whole proof or a rejection.
 		if again := checkFuzzProof(t, reused, formula, assumptions, claimed, solved); errText(again) != errText(first) {
 			t.Fatalf("claimed proof: first %s, then %s", errText(first), errText(again))
+		}
+		checkExtendLaw(t, formula, assumptions, claimed)
+		if solved == Unsat {
+			checkExtendLaw(t, formula, assumptions, s.ProofLog())
 		}
 	})
 }

@@ -105,26 +105,34 @@ func TestGoldenCounters(t *testing.T) {
 				t.Skip("long refutation")
 			}
 			f := tc.formula()
-			s := NewFromFormula(f, Options{})
-			st, err := s.Solve()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != tc.status {
-				t.Fatalf("verdict %v, want %v", st, tc.status)
-			}
-			if st == Sat {
-				assign := make([]bool, f.NumVars+1)
-				copy(assign[1:], s.Model())
-				if !f.Eval(assign) {
-					t.Fatal("model does not satisfy the formula")
+			// Solved as loaded and solved as a clone of the loaded solver,
+			// whose counters leave out only what loading itself propagated.
+			loaded := NewFromFormula(f, Options{})
+			atLoad := loaded.Stats().Propagations
+			for _, s := range []*Solver{loaded.Clone(), loaded} {
+				st, err := s.Solve()
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			g := s.Stats()
-			got := counters{g.Conflicts, g.Decisions, g.Propagations, g.Restarts, g.LearntDeleted}
-			if got != tc.want {
-				t.Errorf("%s (%d vars, %d clauses): counters %+v, want %+v",
-					st, f.NumVars, len(f.Clauses), got, tc.want)
+				if st != tc.status {
+					t.Fatalf("verdict %v, want %v", st, tc.status)
+				}
+				if st == Sat {
+					assign := make([]bool, f.NumVars+1)
+					copy(assign[1:], s.Model())
+					if !f.Eval(assign) {
+						t.Fatal("model does not satisfy the formula")
+					}
+				}
+				g := s.Stats()
+				got := counters{g.Conflicts, g.Decisions, g.Propagations, g.Restarts, g.LearntDeleted}
+				if s != loaded {
+					got.propagations += atLoad
+				}
+				if got != tc.want {
+					t.Errorf("%s (%d vars, %d clauses, clone: %v): counters %+v, want %+v",
+						st, f.NumVars, len(f.Clauses), s != loaded, got, tc.want)
+				}
 			}
 		})
 	}

@@ -61,10 +61,11 @@ type ProofChecker struct {
 	// propagate to.
 	root int
 
-	// The formula's own propagation fixpoint, where reset returns to.
+	// The propagation fixpoint of the formula, and of the lemmas Extend
+	// has added to it, where reset returns to.
 	baseVars, baseArena, baseTrail int
-	// refuted: the formula propagates to a conflict with no help, so
-	// every proof of it checks.
+	// refuted: the formula, with Extend's lemmas, propagates to a
+	// conflict under no assumption, so every proof of it checks.
 	refuted bool
 
 	addBuf []lit // the clause add is normalising
@@ -129,7 +130,7 @@ func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 
 // Check verifies p (nil: no lemmas) as a refutation of the formula
 // under the assumptions and leaves the checker as NewProofChecker built
-// it, whatever the answer.
+// it, or the last Extend left it, whatever the answer.
 func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
 	if c.refuted {
 		return nil
@@ -156,23 +157,59 @@ func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
 	if p != nil {
 		lemmas = p.Lemmas
 	}
+	if refuted, err := c.derive(lemmas); err != nil || refuted {
+		return err
+	}
+	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", len(lemmas))
+}
+
+// Extend checks p (nil: no lemmas) under no assumptions and, if every
+// lemma holds, makes the formula together with p the state that Check
+// starts from and returns to: for proofs that share p as a prefix —
+// those of the clones of a solver that had logged p when it was cloned
+// (Solver.Clone) — Extend(p) once, then Check(assumptions, rest) for
+// each, accepts exactly what Check(assumptions, p ++ rest) would, and
+// checks p once instead of once per proof. That is sound because the
+// base only ever grows by clauses proved from it under no assumption,
+// so they hold under any; and it accepts no less because a lemma that
+// is RUP without the assumptions is RUP with them. A rejected lemma
+// leaves the checker where it was and still usable.
+func (c *ProofChecker) Extend(p *Proof) error {
+	if c.refuted || p == nil {
+		return nil
+	}
+	refuted, err := c.derive(p.Lemmas)
+	if err != nil {
+		c.reset()
+		return err
+	}
+	c.refuted = refuted
+	c.baseVars, c.baseArena, c.baseTrail = c.numVars, len(c.arena), c.root
+	return nil
+}
+
+// derive puts the lemmas to the RUP test in order and adds each to the
+// clause set, the root extended by what it propagates. refuted reports
+// that they derive the empty clause; the checker's state is then good
+// for nothing but reset.
+func (c *ProofChecker) derive(lemmas []cnf.Clause) (refuted bool, err error) {
 	for i, lemma := range lemmas {
 		if !c.implied(lemma) {
-			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
+			return false, fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
 				i+1, len(lemmas), lemma)
 		}
 		ref, ok := c.add(lemma)
 		if !ok {
-			return nil // empty clause derived
+			return true, nil
 		}
 		if ref != crefUndef {
 			c.attach(ref)
 		}
 		if !c.extendRoot() {
-			return nil // empty clause derived
+			return true, nil
 		}
 	}
-	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", len(lemmas))
+	return false, nil
 }
 
 // growTo makes room for variables up to n.
@@ -337,9 +374,10 @@ func (c *ProofChecker) propagate() bool {
 	return true
 }
 
-// reset takes the checker back to the formula's fixpoint: the trail is
-// cut there, the lemmas leave the arena and their watchers the lists.
-// The formula's clauses need no repair. A watch only ever moved to a
+// reset takes the checker back to its base, the formula's fixpoint (and
+// that of Extend's lemmas, which are part of the formula from then on):
+// the trail is cut there, the later lemmas leave the arena and their
+// watchers the lists. The base's clauses need no repair. A watch only ever moved to a
 // literal that was not false at the time, under an assignment extending
 // the fixpoint, so it is not false at the fixpoint either; and a watch
 // that never moved is as the fixpoint's own propagation left it.

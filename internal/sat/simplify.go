@@ -699,6 +699,7 @@ func (e *eliminator) eliminate(v int) bool {
 	}
 	s.elimStack.push(first^1, []lit{first ^ 1})
 	s.eliminated[v] = true
+	s.numElim++
 	s.stats.ElimVars++
 
 	// The resolvents are derived (and logged) while their parents are
@@ -805,6 +806,47 @@ func (s *Solver) simplify() bool {
 	return e.install(e.load() && e.run())
 }
 
+// simplifyOnce is the solver's one pass, for whoever asks first: Solve
+// at its trigger, or Simplify. It runs once whether or not there is room
+// for it — a pass that does not fit the memory budget now will not fit
+// later — and returns false if it refuted the clause set.
+func (s *Solver) simplifyOnce() bool {
+	if s.simplified || len(s.clauses) == 0 {
+		return true
+	}
+	s.simplified = true
+	fits := s.opts.MemBudgetMB == 0 ||
+		s.LiveBytes()+s.eliminatorBytes() <= s.opts.MemBudgetMB<<20
+	return !fits || s.simplify()
+}
+
+// Simplify runs the solver's simplification pass now, at decision level
+// 0, instead of leaving it to the first Solve that has searched long
+// enough to pay for it: for a solver that is about to be cloned, so that
+// one pass serves every clone. Variables later Solve calls (on the
+// solver or its clones) will assume over must be frozen first (Freeze).
+// Everything Solve says of its own pass holds: once per solver, skipped
+// under a memory budget it does not fit, cut short by Interrupt, logged
+// to the proof. It returns false if the clause set is inconsistent.
+func (s *Solver) Simplify() bool {
+	if !s.ok {
+		return false
+	}
+	s.cancelUntil(0)
+	defer s.snapshotLevels()
+	return s.simplifyOnce()
+}
+
+// Freeze keeps the variables of the given literals out of the
+// simplification pass's reach, as assuming over them does, so that a
+// Solve after the pass may still assume over them.
+func (s *Solver) Freeze(lits ...cnf.Lit) {
+	for _, l := range lits {
+		s.growTo(int(l.Var()))
+		s.frozen[l.Var()-1] = true
+	}
+}
+
 // install ends the pass (ok: no conflict so far) and puts its result
 // into the solver. The eliminator's arena becomes the solver's: the
 // live clauses slide down in place into the solver's layout and the
@@ -891,7 +933,7 @@ func (s *Solver) rebuildWatches() {
 // can be read off a model of the output directly; for the others use
 // ReconstructModel.
 type Simplifier struct {
-	frozen []cnf.Var
+	frozen []cnf.Lit
 	stats  Stats
 	stack  elimStack // the pass's, for ReconstructModel
 }
@@ -901,9 +943,7 @@ func NewSimplifier() *Simplifier { return &Simplifier{} }
 
 // FreezeLits protects the variables of the given literals.
 func (sp *Simplifier) FreezeLits(lits ...cnf.Lit) {
-	for _, l := range lits {
-		sp.frozen = append(sp.frozen, l.Var())
-	}
+	sp.frozen = append(sp.frozen, lits...)
 }
 
 // Stats reports the pass's Simplified and ElimVars counts.
@@ -917,10 +957,7 @@ func (sp *Simplifier) Stats() Stats { return sp.stats }
 // through ReconstructModel.
 func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 	s := NewFromFormula(f, Options{})
-	for _, v := range sp.frozen {
-		s.growTo(int(v))
-		s.frozen[v-1] = true
-	}
+	s.Freeze(sp.frozen...)
 	out := cnf.New()
 	out.NumVars = s.numVars
 	if !s.ok || !s.simplify() {

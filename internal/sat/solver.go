@@ -8,8 +8,10 @@
 // maximal decision depth, backjumps) used to reproduce Figure 6. Like the
 // prototype's "MiniSat with simplifier" it eliminates variables and
 // subsumed clauses, but from inside Solve, once the search has run long
-// enough to pay for the pass (simplify.go): callers see models and
-// refutation proofs of the formula they loaded either way.
+// enough to pay for the pass (simplify.go) — or at once, on request, in a
+// solver whose Clones are then to serve many assumption sets (clone.go):
+// callers see models and refutation proofs of the formula they loaded
+// either way.
 package sat
 
 import (
@@ -376,13 +378,16 @@ type Solver struct {
 	frozen   []bool // assumption-frozen variables (paper Sect. 3.3)
 
 	// The simplification pass (simplify.go) runs once, when Propagations
-	// reaches simplifyAt per original clause; tests set simplifyAt to 0
-	// to have it run before the first search. eliminated (nil until the
-	// pass) marks the variables it eliminated and elimStack holds the
-	// clauses it takes to give them values.
+	// reaches simplifyAt per original clause or a caller asks for it
+	// (Simplify); tests set simplifyAt to 0 to have it run before the
+	// first search. eliminated (nil until the pass) marks the variables
+	// it eliminated, numElim counts them and elimStack holds the clauses
+	// it takes to give them values. Nothing writes to the three once the
+	// pass is over, which is why Clone shares them.
 	simplifyAt int64
 	simplified bool
 	eliminated []bool
+	numElim    int
 	elimStack  elimStack
 
 	trail    []lit
@@ -538,6 +543,11 @@ func (s *Solver) growTo(n int) {
 // NumVars returns the number of variables known to the solver.
 func (s *Solver) NumVars() int { return s.numVars }
 
+// NumClauses returns the number of original (not learnt) clauses the
+// solver holds: those of two or more literals that loading left, less
+// what the simplification pass removed, plus what it derived.
+func (s *Solver) NumClauses() int { return len(s.clauses) }
+
 // Stats returns a snapshot of the search statistics.
 func (s *Solver) Stats() Stats { return s.stats }
 
@@ -565,7 +575,7 @@ func (s *Solver) ProgressEstimate() float64 {
 	if s.numVars == 0 {
 		return 1
 	}
-	progress := float64(s.stats.ElimVars)
+	progress := float64(s.numElim)
 	f := 1.0 / float64(s.numVars)
 	weight := 1.0
 	for i := 0; i <= s.decisionLevel(); i++ {
@@ -1320,8 +1330,8 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 // sub-formula gets its own solver process): assumptions accumulate over
 // repeated Solve calls on the same instance, and a later call whose
 // assumption contradicts a frozen one returns Unsat. To explore
-// different partitions, use a fresh Solver per assumption set, as
-// package parallel does.
+// different partitions, use a Solver per assumption set — fresh, or a
+// Clone of one that holds the formula, as package parallel does.
 //
 // Once per solver, at the first restart boundary where the search has
 // made simplifyPropsPerClause propagations per original clause, Solve
@@ -1368,16 +1378,8 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	}
 
 	for restart := int64(1); ; restart++ {
-		if !s.simplified && len(s.clauses) > 0 &&
-			s.stats.Propagations >= s.simplifyAt*int64(len(s.clauses)) {
-			// Once, whether or not there is room for it: a pass that
-			// does not fit the memory budget now will not fit later.
-			s.simplified = true
-			fits := s.opts.MemBudgetMB == 0 ||
-				s.LiveBytes()+s.eliminatorBytes() <= s.opts.MemBudgetMB<<20
-			if fits && !s.simplify() {
-				return Unsat, nil
-			}
+		if s.stats.Propagations >= s.simplifyAt*int64(len(s.clauses)) && !s.simplifyOnce() {
+			return Unsat, nil
 		}
 		budget := int64(s.opts.RestartBase) * luby(restart)
 		st, err := s.search(budget)
