@@ -40,6 +40,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/obs"
+	"repro/internal/partition"
 	"repro/prog"
 )
 
@@ -241,7 +242,7 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 	}
 	for _, ex := range res.Exhausted {
 		fmt.Printf("budget exhausted: partitions [%d,%d] gave up on %s\n",
-			ex.Chunk.From, ex.Chunk.To, ex.Cause)
+			ex.Cube.From, ex.Cube.To, ex.Rec.Cause)
 	}
 	fmt.Printf("remote search: %d decisions, %d conflicts, %d propagations, %d restarts, %d variables eliminated and %d clauses removed by simplification, solve time %v\n",
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
@@ -253,7 +254,7 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 			res.CertifyWork.Lemmas, res.CertifyWork.Propagations)
 	}
 	if res.JournalSealed {
-		fmt.Printf("WARNING: journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s\n", res.JournalSealCause)
+		fmt.Println("WARNING:", partition.SealWarning(res.JournalSealCause))
 	}
 	if res.MemoryAborted > 0 {
 		fmt.Printf("memory aborts: %d chunk result(s) gave up on memory (%d dispatch pauses under fleet pressure)\n",

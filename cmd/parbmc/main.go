@@ -33,6 +33,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/flatten"
 	"repro/internal/journal"
+	"repro/internal/partition"
 	"repro/internal/report"
 	"repro/internal/weakmem"
 	"repro/prog"
@@ -145,7 +146,7 @@ func main() {
 		})
 		rec.Report.SetVerdict(res.Verdict.String(), time.Since(start))
 		if res.JournalSealed {
-			rec.Report.Warn(fmt.Sprintf("journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %s", res.SealCause))
+			rec.Report.Warn(partition.SealWarning(res.SealCause))
 		}
 		if tpl := res.Template; tpl.Time > 0 {
 			rec.Report.SetTemplate(report.TemplateRow{
@@ -197,7 +198,7 @@ func main() {
 			fmt.Printf("coverage:   %v\n", res.Coverage)
 		}
 		if res.JournalSealed {
-			fmt.Printf("WARNING:    journal sealed after storage failure; run finished journal-less (resume covers only earlier commits): %s\n", res.SealCause)
+			fmt.Println("WARNING:   ", partition.SealWarning(res.SealCause))
 		}
 		if *stats {
 			for _, ph := range res.Phases {

@@ -345,12 +345,11 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	// The profile brackets mirror the phase spans: one capture around
 	// the front half (unfold → encode), one around the solve phase.
 	opts.Profiler.StartPhase("encode")
-	enc, fp, encTiming, err := EncodeProgram(p, opts)
+	enc, _, encTiming, err := EncodeProgram(p, opts)
 	opts.Profiler.EndPhase("encode")
 	if err != nil {
 		return nil, err
 	}
-	_ = fp
 	phases = append(phases,
 		PhaseTiming{Name: "unfold", Duration: encTiming.Unfold},
 		PhaseTiming{Name: "flatten", Duration: encTiming.Flatten},
@@ -369,38 +368,11 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	partSpan.End(obs.KV("partitions", len(parts)))
 
 	formula := enc.Formula()
-
-	// The journal opens only after partitioning, when the manifest's
-	// partition count is final. The manifest pins everything that changes
-	// the meaning of a partition index — the *total* partitioning plus
-	// the [From, To) subrange actually analysed, not just how many
-	// partitions this run sees: 16 partitions sliced [0,8) and a plain
-	// 8-partition run both solve 8 chunks, but index i constrains
-	// different polarity bits in each, so they must never share a
-	// journal. Budgets are deliberately not pinned: they live on the
-	// individual budget-exhausted records, so a resume with raised
-	// budgets can re-solve exactly the chunks they starved.
-	var jnl *journal.Journal
-	if opts.JournalPath != "" {
-		jFrom, jTo := opts.From, opts.To
-		if jFrom == 0 && jTo == 0 {
-			jTo = totalParts // normalise: default means the full range
-		}
-		jnl, err = journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
-			ProgramSHA256: journal.HashProgram(prog.Format(p)),
-			Unwind:        opts.Unwind,
-			Contexts:      opts.Contexts,
-			Rounds:        opts.Rounds,
-			Width:         opts.Width,
-			Partitions:    totalParts,
-			From:          jFrom,
-			To:            jTo,
-		})
-		if err != nil {
-			return nil, err
-		}
-		jnl.SetTracer(opts.Tracer)
-		jnl.SetParent(root)
+	jnl, err := openJournal(p, opts, totalParts, root)
+	if err != nil {
+		return nil, err
+	}
+	if jnl != nil {
 		defer jnl.Close()
 	}
 
@@ -485,6 +457,42 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	}
 	res.Phases = phases
 	return res, nil
+}
+
+// openJournal opens the run journal (nil without a JournalPath), after
+// partitioning, when the manifest's partition count is final. The
+// manifest pins everything that changes the meaning of a partition index
+// — the *total* partitioning plus the [From, To) subrange actually
+// analysed, not just how many partitions this run sees: 16 partitions
+// sliced [0,8) and a plain 8-partition run both solve 8 chunks, but index
+// i constrains different polarity bits in each, so they must never share
+// a journal. Budgets are deliberately not pinned: they live on the
+// individual budget-exhausted records, so a resume with raised budgets
+// can re-solve exactly the chunks they starved.
+func openJournal(p *prog.Program, opts Options, totalParts int, root *obs.Span) (*journal.Journal, error) {
+	if opts.JournalPath == "" {
+		return nil, nil
+	}
+	jFrom, jTo := opts.From, opts.To
+	if jFrom == 0 && jTo == 0 {
+		jTo = totalParts // normalise: default means the full range
+	}
+	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
+		ProgramSHA256: journal.HashProgram(prog.Format(p)),
+		Unwind:        opts.Unwind,
+		Contexts:      opts.Contexts,
+		Rounds:        opts.Rounds,
+		Width:         opts.Width,
+		Partitions:    totalParts,
+		From:          jFrom,
+		To:            jTo,
+	})
+	if err != nil {
+		return nil, err
+	}
+	jnl.SetTracer(opts.Tracer)
+	jnl.SetParent(root)
+	return jnl, nil
 }
 
 // EncodeTiming splits the front half of the pipeline (unfold, flatten,

@@ -160,11 +160,13 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	const slowFor = 3 * time.Second
 	jpath := filepath.Join(t.TempDir(), "journal")
+	reg := obs.NewRegistry()
 	opts := fastFailureOpts(CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2,
 		Hedge: true, Split: partition.SplitPolicy{Grace: 250 * time.Millisecond},
 		MaxAttempts: 1,
 		JournalPath: jpath,
+		Metrics:     reg,
 	})
 	addr, resCh := startCoordinator(t, p, opts)
 	wait := startWorkerPair(t, addr, SlowAt(slowFor, 0))
@@ -182,6 +184,13 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 	}
 	if len(res.Quarantined) != 0 {
 		t.Fatalf("hedge loser charged the attempt budget: %+v", res.Quarantined)
+	}
+	// Two job counters: the metric counts every result that arrived, the
+	// loser's acknowledged cancel included; Jobs only the ones that won
+	// their claim and were committed, one per cube. (Without hedging,
+	// splitting or failures they are equal: TestDistributedMetricsScrape.)
+	if arrived := reg.Counter("parbmc_coordinator_jobs_total", "").Value(); res.Jobs != 2 || arrived < int64(res.Jobs) {
+		t.Fatalf("%d results arrived, %d counted: want 2 counted and no fewer arrived", arrived, res.Jobs)
 	}
 	if res.Wall >= slowFor {
 		t.Fatalf("run took %v: the hedge never cancelled the %v straggler", res.Wall, slowFor)
@@ -309,8 +318,12 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 	if b.res.Verdict != core.Safe {
 		t.Fatalf("standby verdict %v, want Safe (quarantined %+v)", b.res.Verdict, b.res.Quarantined)
 	}
-	if b.res.Splits < 1 {
-		t.Fatalf("standby counted %d splits, want >= 1 (the replicated SPLIT record at minimum)", b.res.Splits)
+	// The replicated SPLIT record is in the standby's tree — a fifth leaf
+	// over the four roots, one path bit deep — without being counted as a
+	// split of the standby's own run, which may or may not make another.
+	if b.res.ChunksTotal != 5+b.res.Splits || b.res.MaxCubeDepth < 1 {
+		t.Fatalf("standby ended with %d leaves at depth %d after %d splits of its own, want the replicated SPLIT's two children among them",
+			b.res.ChunksTotal, b.res.MaxCubeDepth, b.res.Splits)
 	}
 	if role, epoch, _ := stateB.Role(); role != RolePrimary || epoch != 2 {
 		t.Fatalf("standby state role=%s epoch=%d, want primary at epoch 2", role, epoch)

@@ -136,7 +136,9 @@ type CoordinatorResult struct {
 	Verdict core.Verdict
 	// Winner is the partition index containing the bug (-1).
 	Winner int
-	// Jobs counts work units completed (including reassignments).
+	// Jobs counts the results that won the claim for their cube and were
+	// committed — not a hedge loser's or a cancelled job's, which the
+	// parbmc_coordinator_jobs_total metric, every result that arrived, does.
 	Jobs int
 	// Reassigned counts chunks handed to another worker after a failure.
 	Reassigned int
@@ -160,9 +162,10 @@ type CoordinatorResult struct {
 	// (timeout or conflict budget). They are terminal — re-running under
 	// the same budgets gives up again — so they cap the verdict at
 	// Unknown without burning the retry budget.
-	Exhausted []ChunkExhausted
-	// ChunksTotal / ChunksDecided are the coverage counts: decided means
-	// a definite SAFE/UNSAFE verdict, journal replays included.
+	Exhausted []partition.Leaf
+	// ChunksTotal / ChunksDecided are the coverage counts: the leaves of
+	// the cube tree (the journal's at the start plus this run's splits)
+	// and those with a definite SAFE/UNSAFE verdict, replays included.
 	ChunksTotal, ChunksDecided int
 	// RemoteStats aggregates the search statistics of every remote job
 	// result (including retried attempts), so distributed runs report
@@ -188,13 +191,14 @@ type CoordinatorResult struct {
 	// DispatchPaused counts backpressure episodes: times job dispatch
 	// paused because fleet memory pressure crossed MemPauseRatio.
 	DispatchPaused int
-	// Splits counts cube splits (each one SPLIT journal record and two
-	// new sub-cubes); Steals counts splits where the idle worker that
+	// Splits counts this run's cube splits (each one SPLIT journal record
+	// and two new sub-cubes; those a resume replays are not re-counted);
+	// Steals counts splits where the idle worker that
 	// forced the split took a child away from the straggler's cube;
 	// Hedges counts speculative duplicate dispatches; Superseded counts
 	// results and assignments discarded because their cube was split or
 	// a twin won the race — never journaled, never charged. MaxCubeDepth
-	// is the deepest assumption-cube path the run dispatched.
+	// is the deepest assumption-cube path the run replayed or dispatched.
 	Splits, Hedges, Steals, Superseded, MaxCubeDepth int
 	// JournalSealed reports that the run journal hit a write or sync
 	// failure (disk full, I/O error) and sealed itself read-only; the
@@ -203,12 +207,6 @@ type CoordinatorResult struct {
 	// JournalSealCause is the underlying failure.
 	JournalSealed    bool
 	JournalSealCause string
-}
-
-// ChunkExhausted names the budget a cube gave up under.
-type ChunkExhausted struct {
-	Chunk partition.Cube
-	Cause string // "timeout" | "conflict-budget" | "memory"
 }
 
 // coordinator is the shared state of one Coordinate call.
@@ -222,25 +220,47 @@ type coordinator struct {
 	killed   bool // fault plan halted the primary mid-run
 	drain    *time.Timer
 	res      *CoordinatorResult
-	jerr     error // first journal commit failure: fails the whole run
 	conns    map[*conn]struct{}
-
-	sealed   bool                      // journal sealed: degrade, stop committing
 	pressure map[string]workerPressure // per-worker heartbeat memory readings
 
-	// sched owns the cube queue, the live-leaf count and the
-	// split/hedge/fence policy; this file is its TCP executor.
+	// sched owns the cube queue, the live-leaf count, the
+	// split/hedge/fence policy and the run's ledger (journal, intake,
+	// verdict fold); this file is its TCP executor.
 	sched    *partition.Scheduler
 	done     chan struct{}
 	tracker  *chunkTracker
 	health   *HealthRegistry
 	metrics  *coordMetrics
-	commitMu sync.Mutex // orders journal commits and their replication
-	jnl      *journal.Journal
 	repl     *replicator   // live journal replication fan-out; nil without a journal
 	verifier *certVerifier // nil iff certification is off
 	recorder *report.Recorder
 	root     *obs.Span // the run's "coordinate" span (nil when untraced)
+}
+
+// setDefaults fills in every knob the caller left at its zero value.
+func (o *CoordinatorOptions) setDefaults() {
+	if o.ChunkSize == 0 {
+		o.ChunkSize = max(1, o.Partitions/8)
+	}
+	if o.JobTimeout == 0 {
+		o.JobTimeout = 10 * time.Minute
+	}
+	if o.MaxAttempts == 0 {
+		o.MaxAttempts = 3
+	}
+	if o.HeartbeatInterval == 0 {
+		o.HeartbeatInterval = 5 * time.Second
+	}
+	if o.HeartbeatGrace == 0 {
+		o.HeartbeatGrace = 4 * o.HeartbeatInterval
+	}
+	if o.DrainTimeout == 0 {
+		o.DrainTimeout = 30 * time.Second
+	}
+	if o.MemPauseRatio == 0 {
+		o.MemPauseRatio = 0.95
+	}
+	o.Certify = o.Certify.normalize()
 }
 
 // Coordinate serves the analysis of program p over the workers that
@@ -252,31 +272,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	if opts.Partitions < 1 {
 		return nil, fmt.Errorf("distrib: partition count must be >= 1")
 	}
-	if opts.ChunkSize == 0 {
-		opts.ChunkSize = opts.Partitions / 8
-		if opts.ChunkSize < 1 {
-			opts.ChunkSize = 1
-		}
-	}
-	if opts.JobTimeout == 0 {
-		opts.JobTimeout = 10 * time.Minute
-	}
-	if opts.MaxAttempts == 0 {
-		opts.MaxAttempts = 3
-	}
-	if opts.HeartbeatInterval == 0 {
-		opts.HeartbeatInterval = 5 * time.Second
-	}
-	if opts.HeartbeatGrace == 0 {
-		opts.HeartbeatGrace = 4 * opts.HeartbeatInterval
-	}
-	if opts.DrainTimeout == 0 {
-		opts.DrainTimeout = 30 * time.Second
-	}
-	if opts.MemPauseRatio == 0 {
-		opts.MemPauseRatio = 0.95
-	}
-	opts.Certify = opts.Certify.normalize()
+	opts.setDefaults()
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
 
@@ -296,13 +292,11 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			verifier = own
 		}
 	}
-
 	// The journal pins everything that gives a chunk's [From,To] range
 	// its meaning; a committed record replays only into the exact same
 	// run configuration.
 	var jnl *journal.Journal
 	var repl *replicator
-	var history []journal.ChunkRecord
 	if opts.JournalPath != "" {
 		var jerr error
 		jnl, jerr = journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
@@ -320,27 +314,13 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		}
 		jnl.SetTracer(opts.Tracer)
 		defer jnl.Close()
-		history = jnl.Committed()
 		// Connected standbys tail every committed record live, so their
 		// local journal copies stay promotion-ready. Seeded with the
 		// history a resumed run already holds.
-		repl, jerr = newReplicator(jnl.Manifest(), history)
+		repl, jerr = newReplicator(jnl.Manifest(), jnl.Committed())
 		if jerr != nil {
 			return nil, jerr
 		}
-	}
-
-	// Replay the journal into the cube tree before anything is queued
-	// (partition.Replay: SPLIT records grow the tree, verdicts attach to
-	// live leaves, anything else is stale).
-	roots := make([]partition.Cube, len(chunks))
-	for i, ch := range chunks {
-		roots[i] = partition.CubeOf(ch)
-	}
-	live := partition.Replay(roots, history)
-	resumedSplits, resumedDepth := len(live)-len(roots), 0
-	for _, l := range live {
-		resumedDepth = max(resumedDepth, l.Cube.Depth())
 	}
 
 	health := opts.Health
@@ -362,19 +342,15 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		obs.KV("epoch", opts.Epoch))
 	start := time.Now()
 	co := &coordinator{
-		opts:   opts,
-		source: source,
-		res: &CoordinatorResult{
-			Verdict: core.Safe, Winner: -1, ChunksTotal: len(live),
-			Splits: resumedSplits, MaxCubeDepth: resumedDepth,
-		},
+		opts:     opts,
+		source:   source,
+		res:      &CoordinatorResult{},
 		pressure: make(map[string]workerPressure),
 		conns:    make(map[*conn]struct{}),
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		health:   health,
 		metrics:  newCoordMetrics(opts.Metrics),
-		jnl:      jnl,
 		repl:     repl,
 		verifier: verifier,
 		recorder: opts.Report,
@@ -382,7 +358,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	}
 	co.sched = partition.NewScheduler(partition.SchedOptions{
 		SplitPolicy: opts.Split, SplitBits: splitBits, Hedge: opts.Hedge,
-		CommitSplit: co.commitSplit,
+		Journal: jnl, Budget: opts.Budget,
+		Paths:         true, // a worker derives the split literals from its job
+		CertifiedOnly: verifier != nil,
 		// Backpressure: while the fleet is over the memory-pressure
 		// threshold nothing is dispatched, split, or hedged.
 		Gate: co.dispatchGate,
@@ -390,56 +368,17 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	// Journal commit spans hang off the coordinate root so the merged
 	// trace tree stays single-rooted.
 	jnl.SetParent(root)
-	co.metrics.chunksTotal.Set(int64(len(live)))
-	co.metrics.cubeDepth.Set(int64(resumedDepth))
+	jnl.Observe(co.committed)
 
-	// Fold replayed verdicts into the run; only undecided leaves are
-	// queued for workers. In-flight cubes were never committed, so a
-	// crash can lose work but never claim work it lost.
-	for _, l := range live {
-		rec := l.Rec
-		if rec == nil {
-			co.sched.Add(l.Cube)
-			continue
-		}
-		// A budget-exhausted verdict is terminal only relative to the
-		// budgets pinned on its record: a resume that lifted or raised
-		// the exhausted budget re-queues the cube for workers instead of
-		// replaying a give-up the new flags were meant to overcome.
-		if rec.RetryUnder(opts.Budget) {
-			co.sched.Add(l.Cube)
-			continue
-		}
-		// A certified run replays only certified definite verdicts. An
-		// uncertified record (journaled by a run with -certify=off, or a
-		// SAFE cube whose proof was sampled out) was never checked
-		// against this coordinator's encoding, so it is re-solved rather
-		// than trusted into a certified history.
-		if verifier != nil && rec.Verdict != core.Unknown.String() && !rec.Certified {
-			co.sched.Add(l.Cube)
-			continue
-		}
-		co.res.Resumed++
-		co.metrics.chunksResumed.Inc()
-		switch rec.Verdict {
-		case core.Unsafe.String():
-			co.res.Verdict = core.Unsafe
-			co.res.Winner = rec.Winner
-			co.res.ChunksDecided++
-		case core.Safe.String():
-			co.res.ChunksDecided++
-		default:
-			// A journaled Unknown is always budget-exhausted (in-flight
-			// cubes are never committed): terminal under these budgets.
-			co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: l.Cube, Cause: rec.Cause})
-		}
-	}
-	co.metrics.chunksRemaining.Set(int64(co.sched.Live()))
-	if co.res.Verdict == core.Unsafe || co.sched.Live() == 0 {
-		// The journal already decides the run: nothing to hand out.
-		co.mu.Lock()
-		co.finishLocked()
-		co.mu.Unlock()
+	// Intake: what the journal already decided is folded, the rest queued.
+	co.sched.Resume(chunks)
+	sum := co.sched.Summary()
+	co.metrics.chunksTotal.Set(int64(sum.Total))
+	co.metrics.cubeDepth.Set(int64(sum.MaxDepth))
+	co.metrics.chunksResumed.Add(int64(sum.Resumed))
+	co.metrics.chunksRemaining.Set(int64(sum.Live))
+	if sum.Sat || sum.Live == 0 {
+		co.finish() // the journal already decides the run: nothing to hand out
 	}
 
 	// Stop accepting when finished or cancelled.
@@ -447,9 +386,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		select {
 		case <-co.done:
 		case <-ctx.Done():
-			co.mu.Lock()
-			co.finishLocked()
-			co.mu.Unlock()
+			co.finish()
 		}
 		ln.Close()
 	}()
@@ -467,35 +404,39 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		}()
 	}
 	wg.Wait()
+	return co.result(start)
+}
 
+// result assembles the run's outcome once every connection is served:
+// verdict and coverage are the scheduler's fold, the rest the transport's.
+func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
+	sum := co.sched.Summary()
+	co.surfaceSeal(sum)
 	co.mu.Lock()
 	if co.drain != nil {
 		co.drain.Stop()
 	}
-	res := co.res
-	jerr := co.jerr
-	killed := co.killed
+	res, killed := co.res, co.killed
+	co.mu.Unlock()
+	res.Verdict, res.Winner = partition.Verdict(sum, core.Unsafe, core.Safe, core.Unknown), sum.Winner
+	res.ChunksTotal, res.ChunksDecided, res.Resumed = sum.Total, sum.Decided, sum.Resumed
+	res.Exhausted = sum.Exhausted
+	res.Splits, res.Hedges, res.Steals = sum.Splits, sum.Hedges, sum.Steals
+	res.Superseded, res.MaxCubeDepth = sum.Superseded, sum.MaxDepth
+	res.JournalSealed, res.JournalSealCause = sum.SealCause != "", sum.SealCause
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
 	res.Workers = co.health.Snapshot()
-	st := co.sched.Stats()
-	res.Splits += st.Splits
-	res.Hedges, res.Steals, res.Superseded = st.Hedges, st.Steals, st.Superseded
-	res.MaxCubeDepth = max(res.MaxCubeDepth, st.MaxDepth)
-	if res.Verdict == core.Safe && (co.sched.Live() > 0 || len(res.Quarantined) > 0 || len(res.Exhausted) > 0) {
-		res.Verdict = core.Unknown
-	}
-	co.mu.Unlock()
 	res.Wall = time.Since(start)
-	root.End(obs.KV("verdict", res.Verdict.String()))
+	co.root.End(obs.KV("verdict", res.Verdict.String()))
 	co.recorder.SetVerdict(res.Verdict.String(), res.Wall)
 	if res.MemoryAborted > 0 {
 		co.recorder.Warn(fmt.Sprintf("%d chunk result(s) aborted on memory (solver budget or worker OOM watchdog)", res.MemoryAborted))
 	}
-	if jerr != nil {
+	if sum.Err != nil {
 		// A verdict the journal could not make durable must not be
 		// acknowledged: a resume would re-derive a different history.
-		return nil, fmt.Errorf("distrib: journal commit failed: %w", jerr)
+		return nil, sum.Err
 	}
 	if killed {
 		return nil, ErrPrimaryKilled
@@ -503,76 +444,27 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	return res, nil
 }
 
-// commitChunk durably records one chunk verdict before it is
-// acknowledged to the run state. A storage failure (disk full, I/O
-// error) seals the journal read-only and the run degrades loudly to
-// journal-less operation: verdicts keep flowing — the run stays
-// correct, it just loses crash resumability past the seal — and the
-// degradation is surfaced on the result, the metrics, and the run
-// report. Any other commit failure (marshalling, closed journal) still
-// ends the run: better to stop than to hand out verdicts a resume
-// cannot reproduce. The commit/replicate pair is ordered under
-// commitMu so every standby's copy carries records in the primary's
-// exact journal order — replication happens strictly *after* the local
-// fsync, never instead of it, so a verdict a standby inherits is
-// always one the primary made durable first.
-func (co *coordinator) commitChunk(rec journal.ChunkRecord) bool {
-	if co.jnl == nil {
-		return true
-	}
-	co.mu.Lock()
-	sealed := co.sealed
-	co.mu.Unlock()
-	if sealed {
-		return true // degraded mode: nothing left to commit to
-	}
-	co.commitMu.Lock()
-	if err := co.jnl.Commit(rec); err != nil {
-		co.commitMu.Unlock()
-		if errors.Is(err, journal.ErrSealed) {
-			co.sealDegrade(err)
-			return true
-		}
-		co.mu.Lock()
-		if co.jerr == nil {
-			co.jerr = err
-		}
-		co.finishLocked()
-		co.mu.Unlock()
-		return false
-	}
+// committed is the journal's observer: what rides on a commit, run under
+// the lock that orders commits. So every standby's copy carries the
+// records in the primary's exact journal order, strictly after the local
+// fsync: a verdict a standby inherits is one the primary made durable.
+func (co *coordinator) committed(rec journal.ChunkRecord, commits int) {
 	replSpan := co.root.Child("replicate_fanout",
 		obs.KV("from", rec.From), obs.KV("to", rec.To))
 	co.repl.append(rec)
 	replSpan.End()
-	commits := co.jnl.Commits()
-	co.commitMu.Unlock()
 	co.metrics.journalCommits.Inc()
 	if co.opts.Faults.killAt(commits) {
 		co.kill()
-		return false
 	}
-	return true
 }
 
-// sealDegrade records the journal's seal once and flips the run into
-// journal-less operation: replication stops (standbys keep the history
-// up to the seal, which is exactly what the local journal holds), the
-// parbmc_journal_sealed gauge latches, and the final report carries a
-// warning. Deliberately loud and deliberately non-fatal: losing the
-// disk under the journal must not throw away a fleet's solving work.
-func (co *coordinator) sealDegrade(err error) {
-	co.metrics.journalSealed.Set(1)
-	co.mu.Lock()
-	first := !co.sealed
-	co.sealed = true
-	if first {
-		co.res.JournalSealed = true
-		co.res.JournalSealCause = err.Error()
-	}
-	co.mu.Unlock()
-	if first {
-		co.recorder.Warn(fmt.Sprintf("journal sealed after storage failure; run continued journal-less (resume covers only earlier commits): %v", err))
+// surfaceSeal makes a sealed journal loud while the run goes on: losing
+// the disk must not throw away a fleet's work. Both calls are idempotent.
+func (co *coordinator) surfaceSeal(sum partition.Summary) {
+	if sum.SealCause != "" {
+		co.metrics.journalSealed.Set(1)
+		co.recorder.Warn(partition.SealWarning(sum.SealCause))
 	}
 }
 
@@ -680,6 +572,12 @@ func (co *coordinator) removeConn(c *conn) {
 	co.mu.Unlock()
 }
 
+func (co *coordinator) finish() {
+	co.mu.Lock()
+	co.finishLocked()
+	co.mu.Unlock()
+}
+
 // finishLocked ends the run and releases every serve loop waiting for
 // work; callers hold co.mu.
 func (co *coordinator) finishLocked() {
@@ -776,13 +674,16 @@ func (co *coordinator) serve(c net.Conn) {
 		// split, or a hedged duplicate; nil when the run is over.
 		a := co.sched.Acquire(key, cancel)
 		if a == nil {
+			co.finish() // if not already: the journal may have failed under a split
 			_ = wc.send(&Message{Type: "stop"})
 			return
 		}
 		if a.Hedge {
 			co.metrics.chunksHedged.Inc()
 		}
-		co.metrics.cubeDepth.Set(int64(co.sched.Stats().MaxDepth))
+		if a.SplitOf != nil {
+			co.noteSplit(a)
+		}
 		cube, id := a.Cube, a.JobID
 		co.tracker.assigned(cube)
 		level := co.opts.Certify.jobLevel(id)
@@ -824,12 +725,11 @@ func (co *coordinator) serve(c net.Conn) {
 		co.recorder.AddSpans(reply.Spans)
 
 		cause := sat.ParseStopCause(reply.Cause)
-		definite := reply.Verdict == core.Unsafe.String() || reply.Verdict == core.Safe.String()
-		if !definite && cause == sat.CauseMemory {
+		if !definite(reply.Verdict) && cause == sat.CauseMemory {
 			co.noteMemoryAbort()
 		}
 		switch {
-		case definite, cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0):
+		case definite(reply.Verdict), cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0):
 			// A budgeted Unknown is as terminal as a verdict: the same cube
 			// under the same budgets gives up again, so it is journaled and
 			// not charged to the retry budget.
@@ -878,8 +778,7 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job
 	if err != nil {
 		return nil, false, err
 	}
-	if co.verifier == nil ||
-		(reply.Verdict != core.Unsafe.String() && reply.Verdict != core.Safe.String()) {
+	if co.verifier == nil || !definite(reply.Verdict) {
 		return reply, false, nil
 	}
 	certSpan := jobSpan.Child("certify_verify", obs.KV("level", job.Certify))
@@ -905,49 +804,38 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job
 	return reply, certified, nil
 }
 
-// settle files a terminal result — UNSAFE, SAFE or a budgeted UNKNOWN.
-// The claim decides the race before the journal is touched: a result
-// for a cube that was split, or whose hedge twin already won, is
-// discarded here — never journaled, never charged. A winner is
-// committed before it is acknowledged in the run state, so a crash
-// after this point replays straight to it; a budgeted give-up pins the
-// budgets it gave up under, so a resume with raised budgets re-queues
-// it. settle reports whether the serve loop goes on: false once the run
-// is finished (the worker is told to stop) or the commit failed.
+// settle files a terminal result — UNSAFE, SAFE or a budgeted UNKNOWN —
+// with the scheduler: a result for a cube that was split, or whose hedge
+// twin already won, loses the claim and is discarded here, never
+// journaled, never charged; a winner is committed before the run
+// acknowledges it. settle reports whether the serve loop goes on: false
+// once the run is finished (the worker is told to stop).
 func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message, key string, certified bool) bool {
 	if !co.sched.Claim(a) {
 		co.metrics.supersededResults.Inc()
 		return true
 	}
 	co.acceptParts(a, reply, key, certified)
-	cube := a.Cube
-	rec := journal.ChunkRecord{
-		From: cube.From, To: cube.To, Path: cube.Path,
-		Verdict: reply.Verdict, Winner: -1, Millis: reply.Millis, Certified: certified,
+	verdict := reply.Verdict
+	if !definite(verdict) {
+		// Whatever else the wire said, it is a give-up on reply.Cause.
+		verdict = core.Unknown.String()
+		co.metrics.budgetExhausted.Inc()
 	}
-	switch reply.Verdict {
-	case core.Unsafe.String():
-		rec.Winner = reply.Winner
-	case core.Safe.String():
-	default:
-		rec.Verdict, rec.Cause = core.Unknown.String(), reply.Cause
-		co.opts.Budget.Pin(&rec)
-	}
-	if !co.commitChunk(rec) {
+	err := co.sched.Commit(a, partition.Outcome{
+		Verdict: verdict, Winner: reply.Winner, Cause: reply.Cause,
+		Millis: reply.Millis, Certified: certified,
+	})
+	sum := co.sched.Summary()
+	co.surfaceSeal(sum)
+	if err != nil {
+		co.finish()
 		return false
 	}
 	co.mu.Lock()
 	co.res.Jobs++
-	switch reply.Verdict {
-	case core.Unsafe.String():
-		co.res.ChunksDecided++
-		co.res.Verdict, co.res.Winner = core.Unsafe, reply.Winner
+	if sum.Sat {
 		co.finishLocked()
-	case core.Safe.String():
-		co.res.ChunksDecided++
-	default:
-		co.metrics.budgetExhausted.Inc()
-		co.res.Exhausted = append(co.res.Exhausted, ChunkExhausted{Chunk: cube, Cause: reply.Cause})
 	}
 	fin := co.leafGoneLocked()
 	co.mu.Unlock()
@@ -955,6 +843,11 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 		_ = wc.send(&Message{Type: "stop"})
 	}
 	return !fin
+}
+
+// definite reports a remote verdict that decides its cube.
+func definite(verdict string) bool {
+	return verdict == core.Unsafe.String() || verdict == core.Safe.String()
 }
 
 // leafGoneLocked publishes the live-leaf count after a cube was decided
@@ -1004,35 +897,25 @@ func (co *coordinator) noteMemoryAbort() {
 	co.mu.Unlock()
 }
 
-// commitSplit is the scheduler's CommitSplit: the SPLIT record is
-// journaled first — the claim window closed when the victim was fenced,
-// so no parent verdict can land after this — and only then does the
-// scheduler swap the cube for its two children.
-func (co *coordinator) commitSplit(victim *partition.Assignment, thief string) bool {
-	cube := victim.Cube
-	if !co.commitChunk(journal.ChunkRecord{
-		From: cube.From, To: cube.To, Path: cube.Path,
-		Verdict: journal.VerdictSplit,
-	}) {
-		return false
-	}
-	stolen := victim.Worker != thief
+// noteSplit accounts for the split that made a's cube, which a's worker
+// forced and the scheduler has already journaled.
+func (co *coordinator) noteSplit(a *partition.Assignment) {
+	victim := a.SplitOf
+	stolen := victim.Worker != a.Worker
 	co.metrics.cubesSplit.Inc()
 	if stolen {
 		co.metrics.cubeSteals.Inc()
 	}
-	co.mu.Lock()
-	// One live cube becomes two as soon as this returns.
-	co.res.ChunksTotal++
-	co.metrics.chunksTotal.Set(int64(co.res.ChunksTotal))
-	co.metrics.chunksRemaining.Set(int64(co.sched.Live() + 1))
-	co.mu.Unlock()
+	sum := co.sched.Summary()
+	co.metrics.chunksTotal.Set(int64(sum.Total)) // one live cube became two
+	co.metrics.chunksRemaining.Set(int64(sum.Live))
+	co.metrics.cubeDepth.Set(int64(sum.MaxDepth)) // only a split deepens the tree
+	cube := victim.Cube
 	co.recorder.CubeFinish(report.CubeRow{
 		Key: cube.Key(), From: cube.From, To: cube.To, Path: cube.Path,
 		Worker: victim.Worker, Verdict: journal.VerdictSplit,
-		Hardness: co.sched.Hardness(cube), Stolen: stolen,
+		Hardness: victim.Hardness, Stolen: stolen,
 	})
-	return true
 }
 
 // acceptParts folds an *accepted* result's per-partition breakdown into

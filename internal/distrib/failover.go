@@ -82,9 +82,10 @@ func newReplicator(m journal.Manifest, history []journal.ChunkRecord) (*replicat
 }
 
 // append publishes one committed record to the history and every live
-// subscriber. Callers hold the coordinator's commitMu, so frames reach
-// every standby in exact journal order. The send never blocks: a
-// subscriber whose buffer is full is closed and dropped instead.
+// subscriber. It is called from the journal's commit observer, under
+// the lock that orders commits, so frames reach every standby in exact
+// journal order. The send never blocks: a subscriber whose buffer is
+// full is closed and dropped instead.
 func (r *replicator) append(rec journal.ChunkRecord) {
 	frame, err := journal.MarshalChunk(rec)
 	if err != nil {

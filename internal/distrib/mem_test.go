@@ -115,8 +115,8 @@ func TestMemoryBudgetTerminalAndResume(t *testing.T) {
 		t.Fatalf("exhausted %+v, want 2 chunks", res.Exhausted)
 	}
 	for _, ex := range res.Exhausted {
-		if ex.Cause != "memory" {
-			t.Fatalf("chunk %v exhausted %q, want memory", ex.Chunk, ex.Cause)
+		if ex.Rec.Cause != "memory" {
+			t.Fatalf("chunk %v exhausted %q, want memory", ex.Cube, ex.Rec.Cause)
 		}
 	}
 	if len(res.Quarantined) != 0 {

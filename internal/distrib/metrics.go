@@ -60,7 +60,7 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		workersActive: reg.Gauge("parbmc_coordinator_workers_active",
 			"Workers currently connected past hello."),
 		jobsTotal: reg.Counter("parbmc_coordinator_jobs_total",
-			"Work units completed (including reassignments)."),
+			"Job results received from workers, whether or not they counted: hedge losers, acknowledged cancels and retried attempts included (the run summary's job count is the committed ones only)."),
 		reassigned: reg.Counter("parbmc_coordinator_reassigned_total",
 			"Chunks handed to another worker after a failure."),
 		quarantined: reg.Counter("parbmc_coordinator_quarantined_total",
@@ -116,9 +116,10 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 	}
 }
 
-// jobResult charges one completed job's remote statistics, including
-// the solver-introspection aggregates (LBD distribution, learnt-DB
-// churn) the performance observatory exports.
+// jobResult charges one job result that arrived — whether or not it then
+// won its claim; the ones that did are CoordinatorResult.Jobs — with its
+// remote statistics, including the solver-introspection aggregates (LBD
+// distribution, learnt-DB churn) the performance observatory exports.
 func (m *coordMetrics) jobResult(worker string, st *sat.Stats, solveMillis int64) {
 	m.jobsTotal.Inc()
 	m.reg.Counter("parbmc_worker_jobs_total",

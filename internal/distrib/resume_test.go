@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/partition"
 	"repro/prog"
 )
 
@@ -193,8 +194,8 @@ func TestDistributedBudgetExhaustedChunks(t *testing.T) {
 		t.Fatalf("exhausted %+v, want 2 chunks", res.Exhausted)
 	}
 	for _, ex := range res.Exhausted {
-		if ex.Cause != "conflict-budget" {
-			t.Fatalf("chunk %v exhausted %q, want conflict-budget", ex.Chunk, ex.Cause)
+		if ex.Rec.Cause != "conflict-budget" {
+			t.Fatalf("chunk %v exhausted %q, want conflict-budget", ex.Cube, ex.Rec.Cause)
 		}
 	}
 	if res.ChunksDecided != 2 || res.ChunksTotal != 4 {
@@ -249,5 +250,53 @@ func TestDistributedBudgetExhaustedChunks(t *testing.T) {
 	}
 	if res3.ChunksDecided != 4 || res3.ChunksTotal != 4 {
 		t.Fatalf("lifted-budget coverage %d/%d, want 4/4", res3.ChunksDecided, res3.ChunksTotal)
+	}
+}
+
+// A resume counts the leaves and the depth of the tree it replays, not
+// the splits that made it: those were the first run's. Here the journal —
+// one single-partition SPLIT, every leaf certified Safe — decides the run
+// by itself, no worker needed.
+func TestJournalResumeCountsOnlyItsOwnSplits(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	path := filepath.Join(t.TempDir(), "run.wal")
+	opts := CoordinatorOptions{
+		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 1,
+		Split:       partition.SplitPolicy{Depth: 2},
+		JournalPath: path, Resume: true,
+	}
+	j, err := journal.Open(path, journal.Manifest{
+		ProgramSHA256: journal.HashProgram(prog.Format(p)),
+		Unwind:        1, Contexts: 3, Partitions: 4, To: 4, ChunkSize: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	safe := func(part int, path string) journal.ChunkRecord {
+		return journal.ChunkRecord{From: part, To: part, Path: path, Verdict: core.Safe.String(), Winner: -1, Certified: true}
+	}
+	for _, rec := range []journal.ChunkRecord{
+		safe(0, ""),
+		{From: 1, To: 1, Verdict: journal.VerdictSplit},
+		safe(1, "1"), safe(2, ""), safe(1, "0"), safe(3, ""),
+	} {
+		if err := j.Commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	res, err := Coordinate(context.Background(), listen(t), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != core.Safe || res.Jobs != 0 {
+		t.Fatalf("verdict %v after %d jobs, want Safe from the journal alone", res.Verdict, res.Jobs)
+	}
+	if res.Splits != 0 || res.MaxCubeDepth != 1 {
+		t.Fatalf("%d splits, depth %d: want no split of this run's and the replayed depth 1", res.Splits, res.MaxCubeDepth)
+	}
+	if res.Resumed != 5 || res.ChunksTotal != 5 || res.ChunksDecided != 5 {
+		t.Fatalf("resumed %d, coverage %d/%d: want the five leaves", res.Resumed, res.ChunksDecided, res.ChunksTotal)
 	}
 }

@@ -70,7 +70,7 @@ import (
 
 // ChunkResult records one simulated machine's run.
 type ChunkResult struct {
-	Chunk   partition.Chunk
+	Chunk   partition.Cube
 	Verdict core.Verdict
 	Time    time.Duration
 }

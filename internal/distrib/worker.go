@@ -199,10 +199,6 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 	// session, so the main loop can keep consuming messages while a job
 	// runs — that is what lets a mid-job "cancel" interrupt the solvers
 	// instead of waiting in the TCP buffer behind a long solve.
-	type recvRes struct {
-		m   *Message
-		err error
-	}
 	msgs := make(chan recvRes)
 	go func() {
 		for {
@@ -240,100 +236,7 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 			// A cancel for a job whose result already went out (the
 			// supersession race resolved on the wire): nothing to do.
 		case "job":
-			if err := w.checkEpoch(m.Epoch); err != nil {
-				return jobs, false, err
-			}
-			idx := w.jobs
-			w.jobs++
-			f := w.opts.Faults.eventAt(idx)
-			if f != nil && f.Kind == FaultHalfOpen {
-				// From here the TCP connection stays up but everything
-				// this worker sends — heartbeats and results alike —
-				// silently vanishes. Only the coordinator's heartbeat
-				// grace can notice; it evicts the conn, and the worker's
-				// next read fails, ending the session normally.
-				wc.mute(true)
-				f = nil
-			}
-			if f != nil && f.Kind.transport() {
-				done, ferr := w.inject(ctx, wc, f)
-				if done {
-					return jobs, false, ferr
-				}
-				f = nil // a stall falls through: the job still runs, late and honestly
-			}
-			// The job runs under its own cancellable context while the
-			// main loop keeps consuming messages: a "cancel" for this job
-			// interrupts the solvers, which surface a cancelled Unknown —
-			// the acknowledgment the coordinator's supersession protocol
-			// expects. The result is always sent before the next job is
-			// read, preserving the sequential-job invariant.
-			jobCtx, cancelJob := context.WithCancel(ctx)
-			type outcome struct {
-				reply *Message
-				cert  *Certificate
-			}
-			resCh := make(chan outcome, 1)
-			jm := m
-			go func() {
-				reply, cert := w.runJobWithHeartbeats(jobCtx, wc, jm, f)
-				resCh <- outcome{reply, cert}
-			}()
-			var out outcome
-			var rerr error
-		waitJob:
-			for {
-				select {
-				case out = <-resCh:
-					break waitJob
-				case r := <-msgs:
-					if r.err != nil {
-						rerr = r.err
-					} else if r.m.Type == "cancel" && r.m.JobID == jm.JobID {
-						cancelJob()
-						continue
-					} else if r.m.Type == "cancel" {
-						continue // stale cancel for an earlier job
-					} else {
-						rerr = fmt.Errorf("distrib: unexpected message %q mid-job", r.m.Type)
-					}
-					cancelJob()
-					<-resCh
-					cancelJob = nil
-					break waitJob
-				}
-			}
-			if cancelJob != nil {
-				cancelJob()
-			}
-			if rerr != nil {
-				return jobs, false, rerr
-			}
-			reply, cert := out.reply, out.cert
-			mutateResult(f, jm, reply, &cert)
-			certData, cerr := encodeCertificate(cert)
-			if cerr != nil {
-				reply.Error = fmt.Sprintf("certificate encoding: %v", cerr)
-				certData = nil
-			}
-			declared := int64(len(certData))
-			if f != nil {
-				switch f.Kind {
-				case FaultTruncatedProof:
-					// Declare the truncated size: the cut arrives "complete"
-					// and fails decoding, instead of hanging the transfer.
-					certData = certData[:len(certData)/2]
-					declared = int64(len(certData))
-				case FaultOversizedProof:
-					declared = maxCertBytes + 1
-					certData = nil
-				}
-			}
-			reply.CertSize = declared
-			if err := wc.send(reply); err != nil {
-				return jobs, false, err
-			}
-			if err := sendCert(wc, jm.JobID, certData); err != nil {
+			if err := w.serveJob(ctx, wc, msgs, m); err != nil {
 				return jobs, false, err
 			}
 			jobs++
@@ -341,6 +244,97 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 			return jobs, false, fmt.Errorf("distrib: unexpected message %q", m.Type)
 		}
 	}
+}
+
+// recvRes is one read off the session's connection.
+type recvRes struct {
+	m   *Message
+	err error
+}
+
+// serveJob runs one job of a session and sends its result and
+// certificate; an error ends the session.
+func (w *worker) serveJob(ctx context.Context, wc *conn, msgs <-chan recvRes, jm *Message) error {
+	if err := w.checkEpoch(jm.Epoch); err != nil {
+		return err
+	}
+	idx := w.jobs
+	w.jobs++
+	f := w.opts.Faults.eventAt(idx)
+	if f != nil && f.Kind == FaultHalfOpen {
+		// From here the TCP connection stays up but everything
+		// this worker sends — heartbeats and results alike —
+		// silently vanishes. Only the coordinator's heartbeat
+		// grace can notice; it evicts the conn, and the worker's
+		// next read fails, ending the session normally.
+		wc.mute(true)
+		f = nil
+	}
+	if f != nil && f.Kind.transport() {
+		done, ferr := w.inject(ctx, wc, f)
+		if done {
+			return ferr
+		}
+		f = nil // a stall falls through: the job still runs, late and honestly
+	}
+	// The job runs under its own cancellable context while this loop
+	// keeps consuming messages: a "cancel" for this job interrupts the
+	// solvers, which surface a cancelled Unknown — the acknowledgment the
+	// coordinator's supersession protocol expects. The result is always
+	// sent before the next job is read, preserving the sequential-job
+	// invariant.
+	jobCtx, cancelJob := context.WithCancel(ctx)
+	defer cancelJob()
+	var reply *Message
+	var cert *Certificate
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		reply, cert = w.runJobWithHeartbeats(jobCtx, wc, jm, f)
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		case r := <-msgs:
+			if r.err == nil && r.m.Type == "cancel" {
+				if r.m.JobID == jm.JobID {
+					cancelJob()
+				}
+				continue // else: a stale cancel for an earlier job
+			}
+			cancelJob()
+			<-done
+			if r.err != nil {
+				return r.err
+			}
+			return fmt.Errorf("distrib: unexpected message %q mid-job", r.m.Type)
+		}
+	}
+	mutateResult(f, jm, reply, &cert)
+	certData, cerr := encodeCertificate(cert)
+	if cerr != nil {
+		reply.Error = fmt.Sprintf("certificate encoding: %v", cerr)
+		certData = nil
+	}
+	declared := int64(len(certData))
+	if f != nil {
+		switch f.Kind {
+		case FaultTruncatedProof:
+			// Declare the truncated size: the cut arrives "complete"
+			// and fails decoding, instead of hanging the transfer.
+			certData = certData[:len(certData)/2]
+			declared = int64(len(certData))
+		case FaultOversizedProof:
+			declared = maxCertBytes + 1
+			certData = nil
+		}
+	}
+	reply.CertSize = declared
+	if err := wc.send(reply); err != nil {
+		return err
+	}
+	return sendCert(wc, jm.JobID, certData)
 }
 
 // checkEpoch enforces the split-brain fence: a coordinator presenting

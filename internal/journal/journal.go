@@ -123,9 +123,9 @@ type ChunkRecord struct {
 	// splitting, partition.Cube.Path); empty for static range chunks.
 	// Together with From/To it identifies a node of the cube tree.
 	Path    string `json:"path,omitempty"`
-	Verdict string `json:"verdict"` // sat.Status string, or "SPLIT" (VerdictSplit)
+	Verdict string `json:"verdict"` // in its writer's spelling: read it through Sat, Unsat, Split
 	// Winner is the partition holding the satisfying assignment
-	// (Verdict == "SAT"; -1 otherwise).
+	// (Sat records; -1 otherwise).
 	Winner int `json:"winner,omitempty"`
 	// Cause names the exhausted budget for an UNKNOWN verdict
 	// ("timeout" | "conflict-budget" | "memory"); in-flight chunks are
@@ -163,6 +163,15 @@ const VerdictSplit = "SPLIT"
 // Split reports whether the record is a cube-split marker.
 func (r ChunkRecord) Split() bool { return r.Verdict == VerdictSplit }
 
+// Sat reports a record whose cube holds a counterexample, Unsat one whose
+// cube was refuted. Verdict has two spellings on disk, one per writer:
+// the in-process runner journals the solver's status ("SAT" / "UNSAT"),
+// the coordinator the verdict its workers report ("UNSAFE" / "SAFE");
+// both write "UNKNOWN" for a budgeted give-up (see Cause). Only these
+// predicates compare the string.
+func (r ChunkRecord) Sat() bool   { return r.Verdict == "SAT" || r.Verdict == "UNSAFE" }
+func (r ChunkRecord) Unsat() bool { return r.Verdict == "UNSAT" || r.Verdict == "SAFE" }
+
 // Budget is the resource budget every cube of a run is solved under
 // (0 = unbounded, field by field). It is declared here because the
 // journal is what makes a budget matter past the solve it bounded: a
@@ -183,9 +192,17 @@ type Budget struct {
 }
 
 // Pin stamps b onto a budget-exhausted record: the give-up is terminal
-// only relative to the budget it was computed under.
-func (b Budget) Pin(rec *ChunkRecord) {
-	rec.TimeoutMillis, rec.Conflicts, rec.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
+// only relative to the budget it was computed under. It reports whether
+// the record names an exhausted budget at all — the only undecided
+// outcome that is ever journaled: a cube that was cancelled or is still
+// in flight exhausted nothing, and is left for a resume to solve.
+func (b Budget) Pin(rec *ChunkRecord) bool {
+	switch rec.Cause {
+	case "timeout", "conflict-budget", "memory": // sat.StopCause.Budgeted
+		rec.TimeoutMillis, rec.Conflicts, rec.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
+		return true
+	}
+	return false
 }
 
 // RetryUnder reports whether a budget-exhausted record should be
@@ -223,6 +240,20 @@ type Journal struct {
 	closed  bool
 	tracer  *obs.Tracer
 	parent  *obs.Span
+	watch   func(rec ChunkRecord, commits int) // see Observe
+}
+
+// Observe registers fn to see every record Commit makes durable, with
+// the number committed so far: after the fsync and under the lock that
+// orders commits, so in journal order (the coordinator's replication
+// stream needs no lock of its own). fn must not call into the journal.
+func (j *Journal) Observe(fn func(rec ChunkRecord, commits int)) {
+	if j == nil {
+		return
+	}
+	j.mu.Lock()
+	j.watch = fn
+	j.mu.Unlock()
 }
 
 // SetTracer attaches a tracer so each Commit emits a "journal_commit"
@@ -571,6 +602,9 @@ func (j *Journal) Commit(rec ChunkRecord) error {
 	sp.End()
 	j.goodEnd += int64(n)
 	j.committed = append(j.committed, rec)
+	if j.watch != nil {
+		j.watch(rec, len(j.committed))
+	}
 	return nil
 }
 

@@ -13,12 +13,16 @@ import (
 	"repro/internal/sat"
 )
 
-func openTestJournal(t *testing.T, path string, nparts int) *journal.Journal {
-	t.Helper()
-	j, err := journal.Open(path, journal.Manifest{
+func testManifest(nparts int) journal.Manifest {
+	return journal.Manifest{
 		ProgramSHA256: journal.HashProgram("parallel-test"),
 		Unwind:        1, Contexts: 2, Width: 8, Partitions: nparts,
-	})
+	}
+}
+
+func openTestJournal(t *testing.T, path string, nparts int) *journal.Journal {
+	t.Helper()
+	j, err := journal.Open(path, testManifest(nparts))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package parallel_test
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"path/filepath"
 	"sync"
@@ -29,34 +30,31 @@ void main() {
 }
 `
 
-// foldJournal replays a run journal over the four whole-partition roots
-// and folds the leaves: every live leaf must carry a definite verdict,
-// and the fold is "safe" iff all of them refute their cube.
+// foldJournal resumes a scheduler from a finished run's journal over the
+// whole-partition roots — the intake and the fold either executor runs —
+// and requires a fully decided cube tree.
 func foldJournal(t *testing.T, path string, nparts int) (verdict string, leaves, splits int) {
 	t.Helper()
-	_, recs, err := journal.Read(path)
+	m, _, err := journal.Read(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	j, err := journal.Open(path, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	roots := make([]partition.Cube, nparts)
 	for i := range roots {
 		roots[i] = partition.Cube{From: i, To: i}
 	}
-	live := partition.Replay(roots, recs)
-	verdict = "safe"
-	for _, l := range live {
-		if l.Rec == nil {
-			t.Fatalf("%s: leaf %v of the replayed cube tree is undecided", path, l.Cube)
-		}
-		switch l.Rec.Verdict {
-		case "UNSAT", "SAFE": // the runner journals solver statuses, the coordinator verdicts
-		case "SAT", "UNSAFE":
-			verdict = "unsafe"
-		default:
-			t.Fatalf("%s: leaf %v journaled %q", path, l.Cube, l.Rec.Verdict)
-		}
+	sched := partition.NewScheduler(partition.SchedOptions{Journal: j, Paths: true})
+	sched.Resume(roots)
+	sum := sched.Summary()
+	if sum.Live != 0 || len(sum.Exhausted) != 0 || sum.Resumed != sum.Total {
+		t.Fatalf("%s: the replayed cube tree is not fully decided: %+v", path, sum)
 	}
-	return verdict, len(live), len(live) - nparts
+	return partition.Verdict(sum, "unsafe", "safe", "unknown"), sum.Total, sum.Total - nparts
 }
 
 // The two executors of the one cube scheduler must tell the same story:
@@ -145,5 +143,74 @@ func TestSplitJournalsAgreeAcrossExecutors(t *testing.T) {
 	}
 	if cres.Splits < 1 {
 		t.Fatalf("the TCP executor never split the 2s straggler's cube")
+	}
+}
+
+// Kill the coordinator after any number of commits: for every k, a
+// loopback coordinator resumed from the first k records of a finished
+// run's journal — four one-partition chunks, certified — reaches the same
+// verdict, replays exactly those k, hands out only the others and leaves
+// a journal that replays to a fully decided tree. (The goroutine
+// executor's cut, splits included, is TestJournalResumeAtEveryRecordBoundary
+// beside the runner.)
+func TestJournalResumeAtEveryRecordBoundaryDistributed(t *testing.T) {
+	p := prog.MustParse(twoThreadSrc)
+	const nparts = 4
+	run := func(path string, resume bool) *distrib.CoordinatorResult {
+		t.Helper()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			// A journal that decides the run closes the listener before the
+			// worker's dial: its error is not the test's business.
+			_, _ = distrib.Work(context.Background(), ln.Addr().String(), distrib.WorkerOptions{Name: "w", Cores: 1})
+		}()
+		res, err := distrib.Coordinate(context.Background(), ln, p, distrib.CoordinatorOptions{
+			Unwind: 2, Contexts: 5, Partitions: nparts, ChunkSize: 1,
+			JournalPath: path, Resume: resume,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		return res
+	}
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.wal")
+	first := run(full, false)
+	m, recs, err := journal.Read(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Verdict != core.Safe || first.Jobs != nparts || len(recs) != nparts {
+		t.Fatalf("first run: %v after %d jobs, %d records", first.Verdict, first.Jobs, len(recs))
+	}
+	for k := 0; k <= len(recs); k++ {
+		path := filepath.Join(dir, fmt.Sprintf("cut%d.wal", k))
+		j, err := journal.Open(path, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs[:k] {
+			if err := j.Commit(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+		res := run(path, true)
+		if res.Verdict != first.Verdict || res.Resumed != k || res.Jobs != nparts-k {
+			t.Fatalf("k=%d: %v with %d replayed and %d jobs, want %v with %d and %d",
+				k, res.Verdict, res.Resumed, res.Jobs, first.Verdict, k, nparts-k)
+		}
+		if v, leaves, _ := foldJournal(t, path, nparts); v != "safe" || leaves != nparts {
+			t.Fatalf("k=%d: final journal folds to %s over %d leaves", k, v, leaves)
+		}
+		if _, final, _ := journal.Read(path); len(final) != nparts {
+			t.Fatalf("k=%d: final journal holds %d records, want one per chunk: %+v", k, len(final), final)
+		}
 	}
 }

@@ -30,8 +30,9 @@
 //     in InstanceResult.Cause — instead of hanging the run.
 //   - A crash-safe journal (Options.Journal) commits every definite and
 //     budget-exhausted verdict and every cube split; a restarted run
-//     with the same manifest replays the committed cube tree
-//     (partition.Replay) and re-solves only the rest.
+//     with the same manifest replays the committed cube tree and
+//     re-solves only the rest (the scheduler's ledger, partition.Resume
+//     and Commit, decides what either means).
 package parallel
 
 import (
@@ -163,18 +164,13 @@ type Options struct {
 	// cause=memory — the budgeted, journalable analogue of
 	// cancellation, fired before the OOM-killer can.
 	MemAbort <-chan struct{}
-	// Journal, when non-nil, makes the run crash-safe: committed UNSAT
-	// and budget-Unknown verdicts are skipped on resume (their recorded
-	// outcome is replayed into Instances), every newly decided or
-	// budget-exhausted partition is durably committed before the run
-	// acknowledges it, and cancelled instances are left uncommitted so a
-	// restart re-solves them. A budget-Unknown record is replayed only
-	// under budgets no larger than the ones it pinned at commit time; a
-	// resume that raised the exhausted budget re-solves the partition.
-	// SAT records are replayed by re-solving the winning partition
-	// without budgets (the model is not journaled); a journaled SAT
-	// verdict that fails to re-derive fails the run rather than being
-	// silently demoted.
+	// Journal, when non-nil, makes the run crash-safe: every definite or
+	// budget-exhausted verdict is committed before the run acknowledges
+	// it, cancelled instances are left for a restart to re-solve, and a
+	// resume replays what it can still stand by (partition.Scheduler's
+	// ledger holds the rules). The journal stores no model: a replayed SAT
+	// verdict is re-derived without budgets, and one that fails to
+	// re-derive fails the run rather than being silently demoted.
 	Journal *journal.Journal
 	// Progress, when non-nil and ProgressEvery > 0, receives live
 	// search statistics for a partition every ProgressEvery conflicts,
@@ -194,33 +190,6 @@ type Options struct {
 	SplitLits []cnf.Lit
 }
 
-// journalRecord builds the journal record for one leaf verdict (path is
-// the leaf's cube path, empty for a whole partition) and reports
-// whether it is to be committed at all. Definite verdicts and budget
-// exhaustions are durable; cancellations are deliberately not committed
-// (the cube is in-flight and must be requeued by a resume). A budget
-// exhaustion pins the budgets it was computed under, so a resume can
-// tell whether its own budgets supersede the give-up.
-func (o *Options) journalRecord(inst InstanceResult, path string) (journal.ChunkRecord, bool) {
-	if o.Journal == nil || (inst.Status == sat.Unknown && !inst.Cause.Budgeted()) {
-		return journal.ChunkRecord{}, false
-	}
-	rec := journal.ChunkRecord{
-		From: inst.Partition, To: inst.Partition, Path: path,
-		Verdict: inst.Status.String(),
-		Winner:  -1,
-		Cause:   inst.Cause.String(),
-		Millis:  inst.Time.Milliseconds(),
-	}
-	if inst.Status == sat.Sat {
-		rec.Winner = inst.Partition
-	}
-	if inst.Cause.Budgeted() {
-		o.Budget.Pin(&rec)
-	}
-	return rec, true
-}
-
 // Solve checks the formula under each partition's assumptions in
 // parallel. It honours ctx cancellation (returning Unknown), the
 // per-cube budget, journal resume and — with Split.Depth — adaptive
@@ -228,15 +197,4 @@ func (o *Options) journalRecord(inst InstanceResult, path string) (journal.Chunk
 // order.
 func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
 	return run(ctx, f, parts, opts, true)
-}
-
-func statusFromString(s string) sat.Status {
-	switch s {
-	case sat.Sat.String():
-		return sat.Sat
-	case sat.Unsat.String():
-		return sat.Unsat
-	default:
-		return sat.Unknown
-	}
 }

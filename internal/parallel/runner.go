@@ -2,14 +2,12 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
-	"repro/internal/journal"
 	"repro/internal/partition"
 	"repro/internal/sat"
 )
@@ -35,10 +33,11 @@ type cubeRun struct {
 // Soundness of a split: the two children fix the same split literal in
 // both polarities on top of the parent's assumptions, so they partition
 // the parent's assumption space exactly — both UNSAT refutes the
-// parent, any SAT model satisfies it. The SPLIT journal record is
-// committed before either child runs, so a crash between split and
-// child completion resumes with the children pending and the parent
-// record permanently superseded.
+// parent, any SAT model satisfies it.
+//
+// What a decided cube means for the run — resume, the journal, the
+// verdict — is the scheduler's ledger (partition/ledger.go); the runner
+// keeps the solvers, the models and the per-partition InstanceResults.
 type runner struct {
 	f     *cnf.Formula
 	opts  Options
@@ -64,7 +63,7 @@ type runner struct {
 	running    map[*cubeRun]bool
 	leaves     map[int][]InstanceResult // decided leaf cubes by partition index
 	memAborted bool
-	err        error // first failure: solver panic, journal write, bad proof
+	err        error // first failure: solver panic, journal failure, bad proof
 	res        *Result
 }
 
@@ -82,20 +81,15 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 		splitting: opts.Split.Depth > 0 && len(opts.SplitLits) > 0,
 		running:   map[*cubeRun]bool{},
 		leaves:    make(map[int][]InstanceResult, len(parts)),
-		res:       &Result{Status: sat.Unsat, Winner: -1},
+		res:       &Result{Winner: -1},
 	}
-	var sopts partition.SchedOptions
+	sopts := partition.SchedOptions{
+		Journal: opts.Journal, Budget: opts.Budget,
+		// Without the split literals a cube path has no meaning here.
+		Paths: len(opts.SplitLits) > 0,
+	}
 	if r.splitting {
 		sopts.SplitPolicy, sopts.SplitBits = opts.Split, len(opts.SplitLits)
-		if opts.Journal != nil {
-			// The SPLIT record is the supersession point: committed before
-			// either child exists, so a crash here resumes with the children
-			// pending, never with a stale parent verdict.
-			sopts.CommitSplit = func(victim *partition.Assignment, _ string) bool {
-				c := victim.Cube
-				return r.commit(journal.ChunkRecord{From: c.From, To: c.To, Path: c.Path, Verdict: journal.VerdictSplit})
-			}
-		}
 		if r.opts.ProgressEvery <= 0 {
 			// The hardness signal that steers splitting rides on the progress
 			// cadence; arm a default when the caller didn't.
@@ -157,68 +151,56 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 			Partition: c.From, Status: sat.Unknown, Cause: sat.CauseCancelled,
 		})
 	}
-	st := r.sched.Stats()
-	r.res.Splits, r.res.MaxCubeDepth = st.Splits, max(r.res.MaxCubeDepth, st.MaxDepth)
-	if err := r.fold(parts); err != nil {
-		return nil, err
+	// One InstanceResult per partition, folded from its leaves.
+	for _, pt := range parts {
+		leaves := r.leaves[pt.Index]
+		inst := foldLeaves(pt.Index, leaves)
+		if opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
+			return nil, fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
+		}
+		r.res.Instances = append(r.res.Instances, inst)
 	}
+	sum := r.sched.Summary()
+	r.res.Status = partition.Verdict(sum, sat.Sat, sat.Unsat, sat.Unknown)
 	if r.res.Status != sat.Sat && ctx.Err() != nil {
 		r.res.Status = sat.Unknown
 	}
+	r.res.Resumed, r.res.Splits, r.res.MaxCubeDepth = sum.Resumed, sum.Splits, sum.MaxDepth
+	r.res.JournalSealed, r.res.JournalSealCause = sum.SealCause != "", sum.SealCause
 	r.res.Certified = opts.CertifyUnsat
 	r.res.Wall = time.Since(start)
 	return r.res, nil
 }
 
-// replay seeds the run from the journal's cube tree before any worker
-// starts: committed verdicts become resumed leaves, every other live
-// leaf is queued. A budget-exhausted Unknown is terminal only under
-// budgets no larger than the ones it gave up under: a record whose
-// exhausted budget this run raises is dropped back into the queue
-// instead of replayed.
+// replay seeds the run through the scheduler's intake before any worker
+// starts: the leaves it queued are the run's work, the committed verdicts
+// it folded become resumed leaves of their partitions.
 func (r *runner) replay(parts []partition.Partition) error {
-	var recs []journal.ChunkRecord
-	if r.opts.Journal != nil {
-		recs = r.opts.Journal.Committed()
-		if len(r.opts.SplitLits) == 0 {
-			// Without the split literals a cube path has no meaning, and a
-			// sub-cube verdict covers only part of its partition: drop
-			// SPLIT and sub-cube records so that such a partition is
-			// re-solved whole rather than replayed from a fragment.
-			whole := recs[:0]
-			for _, rec := range recs {
-				if rec.Path == "" && !rec.Split() {
-					whole = append(whole, rec)
-				}
-			}
-			recs = whole
-		}
-	}
 	roots := make([]partition.Cube, len(parts))
 	for i, pt := range parts {
 		roots[i] = partition.Cube{From: pt.Index, To: pt.Index}
 		r.parts[pt.Index] = pt
 	}
-	for _, leaf := range partition.Replay(roots, recs) {
-		pt := r.parts[leaf.Cube.From]
-		r.res.MaxCubeDepth = max(r.res.MaxCubeDepth, leaf.Cube.Depth())
-		rec := leaf.Rec
-		if rec == nil || rec.RetryUnder(r.opts.Budget) {
-			r.sched.Add(leaf.Cube)
-			continue
-		}
+	for _, leaf := range r.sched.Resume(roots) {
+		pt, rec := r.parts[leaf.Cube.From], leaf.Rec
 		inst := InstanceResult{
 			Partition: pt.Index,
-			Status:    statusFromString(rec.Verdict),
+			Status:    sat.Unknown,
 			Cause:     sat.ParseStopCause(rec.Cause),
 			Resumed:   true,
 			Time:      time.Duration(rec.Millis) * time.Millisecond,
 		}
 		var model []bool
-		if inst.Status == sat.Sat && r.res.Status != sat.Sat {
-			var err error
-			if model, err = rederive(r.f, pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
-				return err
+		switch {
+		case rec.Unsat():
+			inst.Status = sat.Unsat
+		case rec.Sat():
+			inst.Status = sat.Sat
+			if r.res.Winner < 0 {
+				var err error
+				if model, err = rederive(r.f, pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
+					return err
+				}
 			}
 		}
 		// In race mode a replayed SAT verdict cancels the run here, and
@@ -280,6 +262,9 @@ func (r *runner) work() {
 		rc := &cubeRun{}
 		a := r.sched.Acquire("", func(*partition.Assignment) { r.cancelCube(rc) })
 		if a == nil {
+			if err := r.sched.Summary().Err; err != nil {
+				r.fail(err) // a SPLIT record the journal would not take
+			}
 			return
 		}
 		r.runCube(a, rc, check)
@@ -363,10 +348,11 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 	if inst.Status == sat.Unsat && r.opts.KeepProofs {
 		inst.Proof = solver.ProofLog()
 	}
-	// Commit before acknowledging the verdict in the shared result, so a
-	// crash after this point can only lose work the journal already
-	// holds — never claim work it lost.
-	if rec, ok := r.opts.journalRecord(inst, path); ok && !r.commit(rec) {
+	// Durable before it is acknowledged in the shared result.
+	if err := r.sched.Commit(a, partition.Outcome{
+		Verdict: inst.Status.String(), Winner: pt.Index, Cause: inst.Cause.String(), Millis: elapsed.Milliseconds(),
+	}); err != nil {
+		r.fail(err)
 		return
 	}
 	var model []bool
@@ -399,40 +385,15 @@ func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started
 	return sampler
 }
 
-// commit journals one record and reports whether the run goes on. Full
-// disk is not a wrong verdict: a sealed journal degrades the run loudly
-// to journal-less operation — it rolled the failed record back, so a
-// later resume re-solves exactly the unjournalled cubes (and re-solves
-// a parent whose SPLIT was lost). Any other failure fails the run.
-func (r *runner) commit(rec journal.ChunkRecord) bool {
-	err := r.opts.Journal.Commit(rec)
-	if err == nil {
-		return true
-	}
-	if !errors.Is(err, journal.ErrSealed) {
-		r.fail(fmt.Errorf("parallel: journal commit failed: %w", err))
-		return false
-	}
-	r.mu.Lock()
-	if !r.res.JournalSealed {
-		r.res.JournalSealed = true
-		r.res.JournalSealCause = err.Error()
-	}
-	r.mu.Unlock()
-	return true
-}
-
 // record files one decided leaf under its partition. The first SAT leaf
-// decides the run and, in race mode, terminates the other instances.
+// brings the run's model and, in race mode, terminates the other
+// instances.
 func (r *runner) record(inst InstanceResult, model []bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.leaves[inst.Partition] = append(r.leaves[inst.Partition], inst)
-	if inst.Resumed {
-		r.res.Resumed++
-	}
-	if inst.Status == sat.Sat && r.res.Status != sat.Sat {
-		r.res.Status, r.res.Model, r.res.Winner = sat.Sat, model, inst.Partition
+	if inst.Status == sat.Sat && r.res.Winner < 0 {
+		r.res.Model, r.res.Winner = model, inst.Partition
 		if r.race {
 			r.cancel()
 		}
@@ -494,23 +455,6 @@ func (r *runner) interruptAll(memory bool) {
 	if !memory {
 		r.sched.Close()
 	}
-}
-
-// fold merges each partition's leaves into the one per-partition
-// InstanceResult the callers expect and settles the aggregate status.
-func (r *runner) fold(parts []partition.Partition) error {
-	for _, pt := range parts {
-		leaves := r.leaves[pt.Index]
-		inst := foldLeaves(pt.Index, leaves)
-		if r.opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
-			return fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
-		}
-		r.res.Instances = append(r.res.Instances, inst)
-		if inst.Status == sat.Unknown && r.res.Status == sat.Unsat {
-			r.res.Status = sat.Unknown
-		}
-	}
-	return nil
 }
 
 // foldLeaves merges the leaf-cube results of one partition. Statuses

@@ -180,16 +180,19 @@ func TestResumeWithOneCubeLeft(t *testing.T) {
 	const left = 2
 	path := filepath.Join(t.TempDir(), "run.wal")
 	j := openTestJournal(t, path, len(parts))
+	// The first run's verdicts, journaled the way a run journals them.
+	sched := partition.NewScheduler(partition.SchedOptions{Journal: j})
 	for _, inst := range first.Instances {
 		if inst.Partition == left {
 			continue
 		}
-		rec, ok := (&Options{Journal: j}).journalRecord(inst, "")
-		if !ok {
-			t.Fatalf("partition %d of the first run has nothing to journal: %+v", inst.Partition, inst)
+		sched.Resume([]partition.Cube{{From: inst.Partition, To: inst.Partition}})
+		a := sched.Acquire("", func(*partition.Assignment) {})
+		if a == nil || !sched.Claim(a) {
+			t.Fatalf("partition %d: no assignment to settle", inst.Partition)
 		}
-		if err := j.Commit(rec); err != nil {
-			t.Fatal(err)
+		if err := sched.Commit(a, partition.Outcome{Verdict: inst.Status.String(), Winner: inst.Partition, Cause: inst.Cause.String()}); err != nil {
+			t.Fatalf("partition %d of the first run has nothing to journal: %+v: %v", inst.Partition, inst, err)
 		}
 	}
 	j.Close()

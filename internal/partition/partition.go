@@ -77,16 +77,10 @@ func MaxPartitions(enc *vc.Encoded) int {
 	return 1 << uint(s)
 }
 
-// Chunk is a contiguous range of partition indices assigned to one
-// machine for distributed analysis (the paper's --from/--to interface).
-type Chunk struct {
-	From int // inclusive
-	To   int // inclusive
-}
-
 // Cube is one node of the dynamic cube tree used by straggler-resilient
 // scheduling. A cube either covers a contiguous range of partition
-// indices (Path empty, the static chunk shape) or refines a single
+// indices (Path empty: the chunk one machine is assigned for distributed
+// analysis, the paper's --from/--to interface) or refines a single
 // partition by fixing additional scheduler bits: Path is a string of '0'
 // and '1' polarities over the canonical SplitLits sequence, so the
 // assumption cube is the partition's tid-LSB assumptions plus one unit
@@ -96,12 +90,6 @@ type Cube struct {
 	To   int    // inclusive partition index
 	Path string // extra split-bit polarities, '0'/'1' per SplitLits entry
 }
-
-// CubeOf lifts a static chunk to a cube-tree root.
-func CubeOf(c Chunk) Cube { return Cube{From: c.From, To: c.To} }
-
-// Chunk returns the partition-index range the cube covers.
-func (c Cube) Chunk() Chunk { return Chunk{From: c.From, To: c.To} }
 
 // Size returns the number of partition indices under the cube.
 func (c Cube) Size() int { return c.To - c.From + 1 }
@@ -248,22 +236,19 @@ func (pt Partition) CubeAssumptions(path string, lits []cnf.Lit) ([]cnf.Lit, err
 	return out, nil
 }
 
-// Size returns the number of partitions in the chunk.
-func (c Chunk) Size() int { return c.To - c.From + 1 }
-
-// Chunks splits nparts partitions into chunks of the given size (the
-// last chunk may be smaller).
-func Chunks(nparts, size int) []Chunk {
+// Chunks splits nparts partitions into range cubes of the given size
+// (the last may be smaller): the roots of a distributed run's cube tree.
+func Chunks(nparts, size int) []Cube {
 	if size < 1 {
 		size = 1
 	}
-	var out []Chunk
+	var out []Cube
 	for from := 0; from < nparts; from += size {
 		to := from + size - 1
 		if to >= nparts {
 			to = nparts - 1
 		}
-		out = append(out, Chunk{From: from, To: to})
+		out = append(out, Cube{From: from, To: to})
 	}
 	return out
 }

@@ -2,16 +2,10 @@ package partition
 
 import "repro/internal/journal"
 
-// Leaf is one live leaf of a replayed cube tree: the cube, and the
-// committed verdict record attached to it (nil while undecided).
-type Leaf struct {
-	Cube Cube
-	Rec  *journal.ChunkRecord
-}
-
-// Replay rebuilds the cube tree a journal describes, for the in-process
-// runner and the distributed coordinator alike. Records apply in commit
-// order against the evolving leaf set: a SPLIT record replaces its leaf
+// replay rebuilds the cube tree a journal describes (without paths: the
+// roots alone — SPLIT records are skipped, so sub-cube records find no
+// leaf). Records apply in commit order against the evolving leaf set: a
+// SPLIT record replaces its leaf
 // by the two children of Cube.Split (the journal commits SPLIT strictly
 // before either child can produce a record, so children always find
 // their slots), and a verdict attaches to a live leaf. A record for a
@@ -24,7 +18,7 @@ type Leaf struct {
 // The live leaves are returned roots first, then children in the commit
 // order of their SPLIT records; Rec points into recs. The number of
 // replayed splits is len(leaves) - len(roots).
-func Replay(roots []Cube, recs []journal.ChunkRecord) []Leaf {
+func replay(roots []Cube, recs []journal.ChunkRecord, paths bool) []Leaf {
 	type node struct {
 		leaf Leaf
 		dead bool // superseded by its children
@@ -42,7 +36,7 @@ func Replay(roots []Cube, recs []journal.ChunkRecord) []Leaf {
 	for i := range recs {
 		rec := &recs[i]
 		n := index[Cube{From: rec.From, To: rec.To, Path: rec.Path}]
-		if n == nil || n.dead {
+		if n == nil || n.dead || (!paths && rec.Split()) {
 			continue
 		}
 		if !rec.Split() {

@@ -96,7 +96,7 @@ func TestReplay(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := Replay(tc.roots, tc.recs)
+			got := replay(tc.roots, tc.recs, true)
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %d leaves %+v, want %d", len(got), got, len(tc.want))
 			}

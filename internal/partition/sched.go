@@ -3,15 +3,19 @@ package partition
 import (
 	"sync"
 	"time"
+
+	"repro/internal/journal"
 )
 
 // Scheduler is the one cube-tree scheduler, shared by the in-process
 // goroutine runner (internal/parallel) and the TCP coordinator
 // (internal/distrib). It owns the queue of cubes, the in-flight
 // assignments, the live-leaf count and the whole split/hedge/fence
-// policy; an executor is just "Acquire, run the cube, then Claim or
-// Release", and executors differ only in how a cube is run and how a
-// running one is cancelled.
+// policy — and, because deciding whose result counts and making that
+// decision durable are one act, the run's journal and what a decided
+// cube means for the run (ledger.go). An executor is just "Resume, then
+// Acquire, run the cube, and Claim + Commit or Release", and executors
+// differ only in how a cube is run and how a running one is cancelled.
 //
 // An idle executor is served in a fixed priority. (1) A queued cube.
 // (2) With Depth > 0, a split victim: the *hardest* in-flight cube
@@ -20,20 +24,20 @@ import (
 // handed the cube out, on both transports; Grace defaults to 15s — whose
 // latest Note is at or above Hardness, and that can still be refined: a
 // multi-partition range always halves, a single partition needs an
-// unfixed split bit under both Depth and SplitBits. The idle
-// executor makes the split durable through CommitSplit, steals the
-// first child and leaves the second on the queue. (3) With Hedge, a
-// duplicate of the longest-running cube past Grace that has one running
-// copy, on another worker. Otherwise the executor sleeps on a condition
+// unfixed split bit under both Depth and SplitBits. The SPLIT record
+// is journaled, the idle executor steals the first child and the
+// second is left on the queue. (3) With Hedge, a duplicate of the
+// longest-running cube past Grace that has one running copy, on
+// another worker. Otherwise the executor sleeps on a condition
 // variable that every state change signals, with a timer only for the
 // next grace expiry; Acquire returns nil once no live leaf is left or
 // the scheduler is closed. With Depth 0 and no Hedge no cube ever
 // qualifies and the queue is the paper's static partition list.
 //
 // Supersession is the soundness fence. A cube is fenced the moment it
-// is reserved as a split victim — before CommitSplit runs, so a parent
-// result arriving while the SPLIT record is being written already loses
-// — or the moment a result for it is claimed. Every other assignment of
+// is reserved as a split victim — before its SPLIT record is written,
+// so a parent result arriving during the fsync already loses — or the
+// moment a result for it is claimed. Every other assignment of
 // a fenced cube is cancelled, and whatever it still delivers loses its
 // Claim and needs no retry after Release: never journaled, never
 // charged, never racing the children. At most one terminal result per
@@ -49,10 +53,10 @@ type Scheduler struct {
 	live     int
 	queue    []Cube
 	inflight map[int]*Assignment
-	fenced   map[Cube]bool    // decided, split, or reserved for a split
-	hardness map[Cube]float64 // latest Note per in-flight cube
+	fenced   map[Cube]bool // decided, split, or reserved for a split
 	lastJob  int
-	stats    SchedStats
+	sum      Summary // the fold; Live and the seal are filled in by Summary()
+	err      error   // first journal failure other than a seal: fails the run
 }
 
 // SplitPolicy is the "split a cube whose solver outlives its grace"
@@ -81,25 +85,28 @@ type SchedOptions struct {
 	// it: a duplicate pays when machines fail or slow down independently,
 	// which goroutines of one process do not.
 	Hedge bool
-	// CommitSplit makes the split of victim's cube durable for the idle
-	// executor thief. It runs without the scheduler's lock, after the
-	// cube is fenced and before either child exists, so the SPLIT record
-	// precedes every record a child can produce. Returning false aborts
-	// the split: the parent stays fenced, no children appear, and the
-	// caller is expected to be ending the run. Nil: nothing to commit.
-	CommitSplit func(victim *Assignment, thief string) bool
+	// Journal, when non-nil, is the run's journal (Resume replays it,
+	// Commit and every split append to it) and Budget the budget every cube
+	// is solved under: pinned on a give-up record, and what a replayed
+	// give-up is measured against.
+	Journal *journal.Journal
+	Budget  journal.Budget
+	// Paths says the run can solve a path-refined cube: its executor holds
+	// the split literals (a distributed worker derives them from the job).
+	// A run that cannot drops SPLIT and sub-cube records at intake — a
+	// sub-cube verdict covers only part of its partition — and re-solves
+	// such a partition whole.
+	Paths bool
+	// CertifiedOnly says the run believes a definite verdict only with a
+	// verified certificate: a record without one — journaled with
+	// certification off, or a refutation whose proof was sampled out — is
+	// re-solved at intake rather than trusted into a certified history.
+	CertifiedOnly bool
 	// Gate, when non-nil, is consulted before every scheduling decision —
 	// dispatch, split or hedge. It may block; false ends the Acquire.
 	Gate func() bool
 	// Now replaces time.Now in tests.
 	Now func() time.Time
-}
-
-// SchedStats are a scheduler's counters. Superseded counts results and
-// assignments discarded at the fence; MaxDepth is the deepest cube path
-// dispatched.
-type SchedStats struct {
-	Splits, Hedges, Steals, Superseded, MaxDepth int
 }
 
 // Assignment is one cube handed to one executor.
@@ -109,16 +116,21 @@ type Assignment struct {
 	Worker string
 	// Hedge marks a speculative duplicate of an already-running cube.
 	Hedge bool
+	// Hardness is the latest Note; it is final once the assignment ended.
+	Hardness float64
+	// SplitOf is the assignment whose cube was split to make this one's,
+	// set on the child the executor that forced the split walks away with.
+	SplitOf *Assignment
 
 	cancel  func(*Assignment)
 	started time.Time // dispatch time
 	// running is cleared when the assignment is claimed, released or
-	// superseded (guarded by the scheduler's lock).
-	running bool
+	// superseded; claimed is set by a won Claim and spent by Commit (both
+	// guarded by the scheduler's lock).
+	running, claimed bool
 }
 
-// NewScheduler returns an empty scheduler; Add seeds it with the
-// undecided live leaves of partition.Replay.
+// NewScheduler returns an empty scheduler; Resume seeds it.
 func NewScheduler(opts SchedOptions) *Scheduler {
 	if opts.Grace <= 0 {
 		opts.Grace = 15 * time.Second
@@ -130,26 +142,19 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 		opts:     opts,
 		inflight: make(map[int]*Assignment),
 		fenced:   make(map[Cube]bool),
-		hardness: make(map[Cube]float64),
 	}
+	s.sum.Winner = -1
 	s.wake = sync.NewCond(&s.mu)
 	return s
 }
 
-// Add queues a new live leaf.
-func (s *Scheduler) Add(c Cube) {
-	s.mu.Lock()
-	s.live++
-	s.queue = append(s.queue, c)
-	s.mu.Unlock()
-}
-
 // Acquire blocks until there is a cube for the idle executor worker and
-// returns its assignment, or nil when the run is over for this executor:
-// no live leaf is left, the scheduler was closed, or Gate said stop.
-// cancel is how the scheduler stops the assignment once it is
-// superseded; it is called without the scheduler's lock and may arrive
-// at any time after Acquire picked the cube, even before Acquire returns.
+// returns its assignment, or nil when the run is over: no live leaf is
+// left, the scheduler was closed — by the executor, or by a journal
+// failure (Summary.Err) — or Gate said stop. cancel is how the scheduler
+// stops the assignment once it is superseded; it is called without the
+// scheduler's lock and may arrive at any time after Acquire picked the
+// cube, even before Acquire returns.
 func (s *Scheduler) Acquire(worker string, cancel func(*Assignment)) *Assignment {
 	for {
 		if s.opts.Gate != nil && !s.opts.Gate() {
@@ -225,7 +230,7 @@ func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *As
 			}
 			continue
 		}
-		if h := s.hardness[t.Cube]; splittable && h >= s.opts.Hardness {
+		if h := t.Hardness; splittable && h >= s.opts.Hardness {
 			if victim == nil || h > hardest || (h == hardest && t.started.Before(victim.started)) {
 				victim, hardest = t, h
 			}
@@ -239,7 +244,7 @@ func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *As
 		s.fenced[victim.Cube] = true
 		return nil, victim, 0
 	case hedge != nil:
-		s.stats.Hedges++
+		s.sum.Hedges++
 		return s.register(hedge.Cube, worker, cancel, true), nil, 0
 	}
 	return nil, nil, graceIn
@@ -263,29 +268,36 @@ func (s *Scheduler) register(c Cube, worker string, cancel func(*Assignment), he
 		cancel: cancel, started: s.opts.Now(), running: true,
 	}
 	s.inflight[a.JobID] = a
-	s.stats.MaxDepth = max(s.stats.MaxDepth, c.Depth())
+	s.sum.MaxDepth = max(s.sum.MaxDepth, c.Depth())
 	return a
 }
 
-// split turns a fenced victim into its two children once CommitSplit
-// made the split durable: every assignment still running on the parent
-// is cancelled, the idle executor walks away with the first child and
-// the second joins the queue. Nil when the commit failed.
+// split turns a fenced victim into its two children. The SPLIT record is
+// the supersession point: journaled here — without the lock, so the
+// fsync stalls nobody — after the victim was fenced and before either
+// child exists, it precedes every record a child can produce, and a
+// crash resumes with the children pending, never with a stale parent
+// verdict. Then every assignment still running on the parent is
+// cancelled, the idle executor walks away with the first child and the
+// second joins the queue. Nil when the journal failed: the parent stays
+// fenced, no children appear, the run is over.
 func (s *Scheduler) split(victim *Assignment, thief string, cancel func(*Assignment)) *Assignment {
-	if s.opts.CommitSplit != nil && !s.opts.CommitSplit(victim, thief) {
+	c := victim.Cube
+	if s.persist(journal.ChunkRecord{From: c.From, To: c.To, Path: c.Path, Verdict: journal.VerdictSplit}) != nil {
 		return nil
 	}
-	left, right := victim.Cube.Split()
+	left, right := c.Split()
 	s.mu.Lock()
-	s.stats.Splits++
+	s.sum.Splits++
 	if victim.Worker != thief {
-		s.stats.Steals++
+		s.sum.Steals++
 	}
-	delete(s.hardness, victim.Cube)
-	stale := s.supersede(victim.Cube)
+	stale := s.supersede(c)
 	s.live++ // one live leaf became two
+	s.sum.Total++
 	s.queue = append(s.queue, right)
 	a := s.register(left, thief, cancel, false)
+	a.SplitOf = victim
 	s.wake.Broadcast()
 	s.mu.Unlock()
 	for _, t := range stale {
@@ -308,20 +320,21 @@ func (s *Scheduler) supersede(c Cube) (stale []*Assignment) {
 
 // Claim decides the race for a terminal result — a definite verdict or
 // a budgeted give-up: it wins iff the assignment was not superseded and
-// its cube is not fenced. On a win the cube is decided and every twin
-// still racing is cancelled; on a loss the result must be discarded.
+// its cube is not fenced. On a win the cube is decided, every twin still
+// racing is cancelled and the result is the caller's to Commit; on a
+// loss the result must be discarded.
 func (s *Scheduler) Claim(a *Assignment) bool {
 	s.mu.Lock()
 	delete(s.inflight, a.JobID)
 	won := a.running && !s.fenced[a.Cube]
 	a.running = false
 	if !won {
-		s.stats.Superseded++
+		s.sum.Superseded++
 		s.mu.Unlock()
 		return false
 	}
+	a.claimed = true
 	s.fenced[a.Cube] = true
-	delete(s.hardness, a.Cube)
 	stale := s.supersede(a.Cube)
 	s.live--
 	s.wake.Broadcast()
@@ -345,7 +358,7 @@ func (s *Scheduler) Release(a *Assignment) bool {
 	wasRunning := a.running
 	a.running = false
 	if !wasRunning || s.fenced[a.Cube] {
-		s.stats.Superseded++
+		s.sum.Superseded++
 		return false
 	}
 	for _, t := range s.inflight {
@@ -353,7 +366,6 @@ func (s *Scheduler) Release(a *Assignment) bool {
 			return false
 		}
 	}
-	delete(s.hardness, a.Cube)
 	return true
 }
 
@@ -370,6 +382,7 @@ func (s *Scheduler) Requeue(c Cube) {
 func (s *Scheduler) Abandon() {
 	s.mu.Lock()
 	s.live--
+	s.sum.Abandoned++
 	s.wake.Broadcast()
 	s.mu.Unlock()
 }
@@ -379,7 +392,7 @@ func (s *Scheduler) Abandon() {
 func (s *Scheduler) Note(a *Assignment, hardness float64) {
 	s.mu.Lock()
 	if a.running {
-		s.hardness[a.Cube] = hardness
+		a.Hardness = hardness
 		if s.opts.Hardness > 0 {
 			// Only against a floor can a new reading make a victim of a
 			// cube that was none a moment ago.
@@ -387,13 +400,6 @@ func (s *Scheduler) Note(a *Assignment, hardness float64) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// Hardness returns the latest noted hardness of an in-flight cube.
-func (s *Scheduler) Hardness(c Cube) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hardness[c]
 }
 
 // Live returns the number of leaves neither decided nor abandoned.
@@ -411,11 +417,4 @@ func (s *Scheduler) Close() []Cube {
 	s.closed = true
 	s.wake.Broadcast()
 	return s.queue
-}
-
-// Stats snapshots the counters.
-func (s *Scheduler) Stats() SchedStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
 }

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func (h *schedHarness) idle(worker string) (a, victim *Assignment, graceIn time.
 func (h *schedHarness) dispatch(c Cube, worker string) *Assignment {
 	h.t.Helper()
 	h.clock.advance(time.Second)
-	h.s.Add(c)
+	h.s.Resume([]Cube{c})
 	a, _, _ := h.idle(worker)
 	if a == nil || a.Cube != c {
 		h.t.Fatalf("queued cube %v not dispatched: got %+v", c, a)
@@ -151,7 +152,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 	}{
 		{"queue before split before hedge", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}, Hedge: true}, func(t *testing.T, h *schedHarness) {
 			a := h.dispatch(rng(0, 3), "w1")
-			h.s.Add(rng(4, 7))
+			h.s.Resume([]Cube{rng(4, 7)})
 			h.clock.advance(2 * testGrace)
 			// A straggler qualifies, but queued work goes first, in FIFO order.
 			b, victim, _ := h.idle("w2")
@@ -187,19 +188,21 @@ func TestSchedulerStateMachine(t *testing.T) {
 			h.clock.advance(2 * testGrace)
 			// The pre-commit window: while the SPLIT record is being
 			// written the parent's own result already loses.
-			h.s.opts.CommitSplit = func(victim *Assignment, thief string) bool {
-				if victim != parent || thief != "w2" {
-					t.Errorf("CommitSplit(%+v, %q)", victim, thief)
-				}
+			ff := &ledgerFile{}
+			h.s.opts.Journal = openLedgerJournal(t, filepath.Join(t.TempDir(), "run.wal"), ff)
+			ff.onWrite = func() {
 				if h.s.Claim(parent) {
 					t.Error("parent result claimed while its cube was reserved for splitting")
 				}
-				return true
 			}
 			left := h.s.Acquire("w2", h.cancel)
-			if left == nil || left.Cube != rng(0, 1) {
-				t.Fatalf("stolen child %+v, want {0 1}", left)
+			if left == nil || left.Cube != rng(0, 1) || left.SplitOf != parent {
+				t.Fatalf("stolen child %+v, want {0 1} split off w1's assignment", left)
 			}
+			if ff.writes != 1 {
+				t.Fatalf("%d journal writes for one split, want the SPLIT record", ff.writes)
+			}
+			ff.onWrite = nil
 			if h.s.Live() != 2 {
 				t.Fatalf("live leaves %d after one split of one cube, want 2", h.s.Live())
 			}
@@ -207,13 +210,13 @@ func TestSchedulerStateMachine(t *testing.T) {
 				t.Fatal("left child result rejected")
 			}
 			right := h.s.Acquire("w1", h.cancel)
-			if right == nil || right.Cube != rng(2, 3) {
+			if right == nil || right.Cube != rng(2, 3) || right.SplitOf != nil {
 				t.Fatalf("right child not queued: %+v", right)
 			}
 			if !h.s.Claim(right) {
 				t.Fatal("right child result rejected")
 			}
-			if st := h.s.Stats(); st.Splits != 1 || st.Steals != 1 || st.Superseded != 1 {
+			if st := h.s.Summary(); st.Splits != 1 || st.Steals != 1 || st.Superseded != 1 {
 				t.Fatalf("stats %+v, want 1 split, 1 steal, 1 superseded", st)
 			}
 			if a := h.s.Acquire("w1", h.cancel); a != nil {
@@ -223,20 +226,19 @@ func TestSchedulerStateMachine(t *testing.T) {
 		{"abort split leaves the parent superseded", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, func(t *testing.T, h *schedHarness) {
 			parent := h.dispatch(rng(0, 3), "w1")
 			h.clock.advance(2 * testGrace)
-			refused := make(chan struct{})
-			h.s.opts.CommitSplit = func(*Assignment, string) bool {
-				close(refused)
-				return false
-			}
-			thief := h.acquireAsync("w2")
-			// A caller whose commit failed is ending the run.
-			<-refused
-			queued := h.s.Close()
-			if a := h.await(thief); a != nil {
+			// A journal that cannot take the SPLIT record — and has not
+			// merely sealed itself — ends the run.
+			j := openLedgerJournal(t, filepath.Join(t.TempDir(), "run.wal"), &ledgerFile{})
+			j.Close()
+			h.s.opts.Journal = j
+			if a := h.s.Acquire("w2", h.cancel); a != nil {
 				t.Fatalf("aborted split still handed out %+v", a)
 			}
-			if len(queued) != 0 || h.s.Stats().Splits != 0 || h.s.Live() != 1 {
-				t.Fatalf("aborted split left children behind: queue %v stats %+v live %d", queued, h.s.Stats(), h.s.Live())
+			if h.s.Summary().Err == nil {
+				t.Fatal("the failed SPLIT commit is not the run's error")
+			}
+			if queued := h.s.Close(); len(queued) != 0 || h.s.Summary().Splits != 0 || h.s.Live() != 1 {
+				t.Fatalf("aborted split left children behind: queue %v stats %+v live %d", queued, h.s.Summary(), h.s.Live())
 			}
 			if h.s.Claim(parent) {
 				t.Fatal("parent result claimed after its split was reserved")
@@ -270,7 +272,7 @@ func TestSchedulerStateMachine(t *testing.T) {
 			if h.s.Claim(orig) {
 				t.Fatal("hedge loser's late result claimed after the twin won")
 			}
-			if st := h.s.Stats(); st.Hedges != 1 || st.Superseded != 2 || h.s.Live() != 0 {
+			if st := h.s.Summary(); st.Hedges != 1 || st.Superseded != 2 || h.s.Live() != 0 {
 				t.Fatalf("stats %+v live %d, want 1 hedge, 2 superseded, 0 live", st, h.s.Live())
 			}
 		}},
