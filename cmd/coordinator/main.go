@@ -248,6 +248,10 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
 		res.RemoteStats.Restarts, res.RemoteStats.ElimVars, res.RemoteStats.Simplified,
 		time.Duration(res.SolveMillis)*time.Millisecond)
+	for _, tpl := range res.Templates {
+		fmt.Printf("template: worker %s built its solver template in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search)\n",
+			tpl.Worker, time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars)
+	}
 	if certPolicy.Enabled() {
 		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations\n",
 			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,

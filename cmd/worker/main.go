@@ -39,6 +39,7 @@ import (
 
 	"repro/cmd/internal/runflags"
 	"repro/internal/distrib"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -85,6 +86,9 @@ func main() {
 		os.Exit(2)
 	}
 	defer rec.Close()
+	// The run's solver template is built once, inside the first job: its
+	// span is the worker's one line about it.
+	tracer := obs.NewTracer(obs.MultiSink(rec.Tracer.Sink(), templateLine{})).WithProc(proc)
 
 	var plan *distrib.FaultPlan
 	faultFlags := []struct {
@@ -143,7 +147,7 @@ func main() {
 		ReconnectBackoff: *backoff,
 		ReconnectTimeout: *reconnTO,
 		Faults:           plan,
-		Tracer:           rec.Tracer,
+		Tracer:           tracer,
 		MemLimitBytes:    *memLimit << 20,
 		MemTripFraction:  *memFrac,
 	})
@@ -152,6 +156,16 @@ func main() {
 		os.Exit(2)
 	}
 	fmt.Printf("worker: done, %d jobs completed\n", jobs)
+}
+
+// templateLine prints a line for every "template" span that passes.
+type templateLine struct{}
+
+func (templateLine) Emit(e obs.Event) {
+	if e.Name == "template" {
+		fmt.Printf("worker: template built in %v: clauses %v -> %v, %v variables eliminated, serves every job of the run\n",
+			time.Duration(e.DurMicros)*time.Microsecond, e.Attrs["clauses_in"], e.Attrs["clauses_out"], e.Attrs["elim_vars"])
+	}
 }
 
 // parseJobList parses a comma-separated list of job indices.

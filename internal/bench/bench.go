@@ -32,9 +32,9 @@ type Benchmark struct {
 	// Lines is the source line count of the re-modelled program.
 	Lines int
 	// BugUnwind and BugContexts are the smallest bounds at which the
-	// re-modelled bug is reachable (0 if the program is safe at the
-	// benchmarked bounds, like Eliminationstack and Safestack in
-	// Table 2).
+	// re-modelled bug is reachable: UNSAFE there, SAFE one context below
+	// (TestBugBounds). BugContexts 0 means the bound is not established:
+	// no context bound tried at BugUnwind reaches the bug.
 	BugUnwind, BugContexts int
 }
 

@@ -124,3 +124,43 @@ func TestSafestackDeeper(t *testing.T) {
 		t.Fatalf("u=2 c=5: %v", got)
 	}
 }
+
+// The bounds Table 1 prints are what the verifier says: at (BugUnwind,
+// BugContexts) the bug is reachable, one context below it is not. For
+// every benchmark whose bound is established and whose two cells solve
+// in about a second; of safestack, whose SAFE cell one below takes half
+// a million conflicts, the UNSAFE one.
+func TestBugBounds(t *testing.T) {
+	for _, tc := range []struct {
+		b     Benchmark
+		below bool // check the SAFE cell one context below too
+		long  bool
+	}{
+		{BoundedbufferBench(), true, false},
+		{WorkstealingqueueBench(), true, false},
+		{FibonacciBench(2), true, false},
+		{SafestackBench(), false, true},
+		{EliminationstackBench(), false, false},
+	} {
+		b := tc.b
+		t.Run(b.Name, func(t *testing.T) {
+			if b.BugContexts == 0 {
+				if b.Name != "eliminationstack" {
+					t.Fatal("no bound established")
+				}
+				return // printed as "-": nothing is claimed
+			}
+			if tc.long && testing.Short() {
+				t.Skip("seconds of search")
+			}
+			if got := verdict(t, b, b.BugUnwind, b.BugContexts, 2); got != core.Unsafe {
+				t.Errorf("u=%d c=%d: %v, want the bug reached", b.BugUnwind, b.BugContexts, got)
+			}
+			if tc.below {
+				if got := verdict(t, b, b.BugUnwind, b.BugContexts-1, 2); got != core.Safe {
+					t.Errorf("u=%d c=%d: %v, want the bug out of reach one context below", b.BugUnwind, b.BugContexts-1, got)
+				}
+			}
+		})
+	}
+}

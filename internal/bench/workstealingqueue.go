@@ -90,6 +90,6 @@ func WorkstealingqueueBench() Benchmark {
 		Threads:     4,
 		Lines:       countLines(workstealingqueueSrc),
 		BugUnwind:   2,
-		BugContexts: 6,
+		BugContexts: 7,
 	}
 }

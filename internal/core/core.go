@@ -12,8 +12,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/flatten"
 	"repro/internal/interp"
 	"repro/internal/journal"
@@ -308,8 +310,42 @@ type Result struct {
 	SealCause     string
 }
 
-// Verify runs the full pipeline on a checked program.
-func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, err error) {
+// Verify runs the full pipeline on a checked program: Prepare, then Run
+// on what it prepared, under one "verify" span.
+func Verify(ctx context.Context, p *prog.Program, opts Options) (*Result, error) {
+	return underVerifySpan(opts, func(opts Options) (*Result, error) {
+		pr, err := prepare(p, opts)
+		if err != nil {
+			return nil, err
+		}
+		res, err := pr.run(ctx, opts)
+		if err != nil {
+			return nil, err
+		}
+		res.EncodeTime = pr.timing.Total()
+		res.Phases = append(slices.Clip(pr.phases), res.Phases...)
+		// Every kept proof leaves whole: the template's log, then the
+		// partition's own.
+		var prefix *sat.Proof
+		for i := range res.Instances {
+			tail := res.Instances[i].Proof
+			if tail == nil {
+				continue
+			}
+			if prefix == nil {
+				if prefix, err = pr.template.Prefix(ctx); err != nil {
+					return nil, err
+				}
+			}
+			res.Instances[i].Proof = sat.JoinProofs(prefix, tail)
+		}
+		return res, nil
+	})
+}
+
+// underVerifySpan runs one analysis under its root span: the option
+// checks first, then fn with the span as the parent of every phase.
+func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Result, err error) {
 	opts.setDefaults()
 	// Every option-combination check comes before the first side effect:
 	// a refused call must leave nothing behind (no journal file) that
@@ -317,7 +353,6 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	if opts.SimulateParallel && opts.Split.Depth > 0 {
 		return nil, fmt.Errorf("core: Split.Depth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
 	}
-
 	verifyAttrs := []obs.Attr{
 		obs.KV("unwind", opts.Unwind), obs.KV("contexts", opts.Contexts),
 		obs.KV("rounds", opts.Rounds), obs.KV("width", opts.Width),
@@ -337,38 +372,120 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 			root.End(obs.KV("verdict", res.Verdict.String()))
 		}
 	}()
-	var phases []PhaseTiming
-	timePhase := func(name string, start time.Time) {
-		phases = append(phases, PhaseTiming{Name: name, Duration: time.Since(start)})
-	}
+	return fn(opts)
+}
 
+// Prepared is the half of an analysis that is the same for every cube of
+// a run: the program encoded, all of its partitions and the canonical
+// split literals made, and the solver template every cube's solver is
+// cloned from (parallel.Template), which the first Run builds. It is a
+// function of the program and of the options that say what the run is —
+// the bounds, Partitions, Budget, the proof switches, Split — and of
+// nothing else, so every process told the same run prepares the same
+// one: a distributed worker holds it from job to job, the coordinator
+// derives from its own what every worker's template logged.
+type Prepared struct {
+	p         *prog.Program
+	enc       *vc.Encoded
+	parts     []partition.Partition // the run's, all of them
+	splitLits []cnf.Lit             // partition.SplitLits, whether or not the run can be handed a path
+	// popts are the options that shape the template; a Run adds its own
+	// (workers, hooks, journal) to them.
+	popts         parallel.Options
+	template      *parallel.Template
+	vars, clauses int // of the formula
+	timing        EncodeTiming
+	phases        []PhaseTiming // unfold, flatten, encode, partition
+}
+
+// Prepare runs the front half of the pipeline for the run opts describe.
+// From, To and CubePath there say only that the run is one whose cubes
+// arrive from outside, a range or a path at a time (distributed mode):
+// the template then leaves every split literal to them, as it does under
+// Split.
+func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
+	opts.setDefaults()
+	opts.span = opts.Parent // the phases' spans hang off the caller's, if it has one
+	return prepare(p, opts)
+}
+
+// Encoded, Partitions and SplitLits are what a cube's index and path
+// mean in this run; the coordinator checks certificates against them.
+func (pr *Prepared) Encoded() *vc.Encoded { return pr.enc }
+
+func (pr *Prepared) Partitions() []partition.Partition { return pr.parts }
+
+func (pr *Prepared) SplitLits() []cnf.Lit { return pr.splitLits }
+
+// Template is the solver template of the run.
+func (pr *Prepared) Template() *parallel.Template { return pr.template }
+
+// LoadOnce, called before the first Run, lets the formula go once the
+// template's solver has loaded it (parallel.Template.LoadOnce, whose
+// conditions it inherits): Encoded().Formula() is nil from here on.
+func (pr *Prepared) LoadOnce() {
+	pr.template.LoadOnce()
+	pr.enc.Ctx.B.F = nil
+}
+
+func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	// The profile brackets mirror the phase spans: one capture around
 	// the front half (unfold → encode), one around the solve phase.
 	opts.Profiler.StartPhase("encode")
-	enc, _, encTiming, err := EncodeProgram(p, opts)
+	enc, _, timing, err := EncodeProgram(p, opts)
 	opts.Profiler.EndPhase("encode")
 	if err != nil {
 		return nil, err
 	}
-	phases = append(phases,
-		PhaseTiming{Name: "unfold", Duration: encTiming.Unfold},
-		PhaseTiming{Name: "flatten", Duration: encTiming.Flatten},
-		PhaseTiming{Name: "encode", Duration: encTiming.Encode},
-	)
-	encodeTime := encTiming.Total()
+	pr := &Prepared{p: p, enc: enc, timing: timing, phases: []PhaseTiming{
+		{Name: "unfold", Duration: timing.Unfold},
+		{Name: "flatten", Duration: timing.Flatten},
+		{Name: "encode", Duration: timing.Encode},
+	}}
 
 	partSpan := opts.phase("partition")
 	partStart := time.Now()
-	parts, totalParts, err := MakePartitions(enc, opts)
-	if err != nil {
+	whole := opts
+	whole.From, whole.To, whole.CubePath = 0, 0, ""
+	if pr.parts, _, err = MakePartitions(enc, whole); err != nil {
 		partSpan.End(obs.KV("error", err.Error()))
 		return nil, err
 	}
-	timePhase("partition", partStart)
-	partSpan.End(obs.KV("partitions", len(parts)))
+	pr.splitLits = partition.SplitLits(enc, len(pr.parts))
+	pr.phases = append(pr.phases, PhaseTiming{Name: "partition", Duration: time.Since(partStart)})
+	partSpan.End(obs.KV("partitions", len(pr.parts)))
 
-	formula := enc.Formula()
-	jnl, err := openJournal(p, opts, totalParts, root)
+	pr.popts = parallel.Options{
+		CertifyUnsat: opts.CertifyUnsat, KeepProofs: opts.KeepProofs,
+		ProgressEvery: opts.ProgressEvery, Budget: opts.Budget, Split: opts.Split,
+	}
+	if opts.Split.Depth > 0 || opts.From != 0 || opts.To != 0 {
+		pr.popts.SplitLits = pr.splitLits
+	}
+	pr.vars, pr.clauses = enc.Formula().NumVars, enc.Formula().NumClauses()
+	pr.template = parallel.Prepare(enc.Formula(), pr.parts, pr.popts)
+	return pr, nil
+}
+
+// Run solves the cubes opts selects — the partitions [From, To), refined
+// by CubePath — on clones of the prepared template, and decodes and
+// replays a counterexample. Of opts it reads what a call may vary: the
+// selection, Cores, the hooks (MemAbort, Progress, Tracer, Parent,
+// Profiler), the journal and SimulateParallel, and the proof switches,
+// which keep or check what the template logs only if it was prepared to
+// log. A kept proof (KeepProofs) is the partition's own log, which
+// continues the template's (Template().Prefix); Verify returns it whole.
+func (pr *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
+	return underVerifySpan(opts, func(opts Options) (*Result, error) { return pr.run(ctx, opts) })
+}
+
+func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
+	enc := pr.enc
+	parts, err := selectPartitions(pr.parts, pr.splitLits, opts)
+	if err != nil {
+		return nil, err
+	}
+	jnl, err := openJournal(pr.p, opts, len(pr.parts), opts.span)
 	if err != nil {
 		return nil, err
 	}
@@ -376,55 +493,48 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 		defer jnl.Close()
 	}
 
-	popts := parallel.Options{
-		Workers: opts.Cores, CertifyUnsat: opts.CertifyUnsat,
-		KeepProofs: opts.KeepProofs,
-		Progress:   opts.Progress, ProgressEvery: opts.ProgressEvery,
-		Budget: opts.Budget, MemAbort: opts.MemAbort,
-		Split:   opts.Split,
-		Journal: jnl,
-	}
-	if opts.Split.Depth > 0 {
-		popts.SplitLits = partition.SplitLits(enc, totalParts)
-	}
+	popts := pr.popts
+	popts.Workers, popts.Journal = opts.Cores, jnl
+	popts.CertifyUnsat, popts.KeepProofs = opts.CertifyUnsat, opts.KeepProofs
+	popts.Progress, popts.MemAbort = opts.Progress, opts.MemAbort
 	solveSpan := opts.phase("solve",
 		obs.KV("partitions", len(parts)), obs.KV("workers", opts.Cores),
-		obs.KV("vars", formula.NumVars), obs.KV("clauses", formula.NumClauses()))
+		obs.KV("vars", pr.vars), obs.KV("clauses", pr.clauses))
 	solveStart := time.Now()
 	opts.Profiler.StartPhase("solve")
 	var pres *parallel.Result
 	if opts.SimulateParallel {
-		pres, err = parallel.Simulate(ctx, formula, parts, popts)
+		pres, err = pr.template.Simulate(ctx, parts, popts)
 	} else {
-		pres, err = parallel.Solve(ctx, formula, parts, popts)
+		pres, err = pr.template.Solve(ctx, parts, popts)
 	}
 	opts.Profiler.EndPhase("solve")
 	if err != nil {
 		solveSpan.End(obs.KV("error", err.Error()))
 		return nil, err
 	}
+	var phases []PhaseTiming
 	if tpl := pres.Template; tpl.Time > 0 {
 		phases = append(phases, PhaseTiming{Name: "template", Duration: tpl.Time})
 		solveSpan.Record("template", tpl.Time,
 			obs.KV("clauses_in", tpl.ClausesIn), obs.KV("clauses_out", tpl.ClausesOut),
 			obs.KV("elim_vars", tpl.Stats.ElimVars), obs.KV("cubes", tpl.Cubes))
 	}
-	timePhase("solve", solveStart)
+	phases = append(phases, PhaseTiming{Name: "solve", Duration: time.Since(solveStart)})
 	solveSpan.End(obs.KV("status", pres.Status.String()), obs.KV("winner", pres.Winner))
 
 	procs := make([]string, len(enc.Program.Threads))
 	for i, th := range enc.Program.Threads {
 		procs[i] = th.Proc
 	}
-	res = &Result{
+	res := &Result{
 		Certified:    pres.Certified,
-		Vars:         formula.NumVars,
-		Clauses:      formula.NumClauses(),
+		Vars:         pr.vars,
+		Clauses:      pr.clauses,
 		Threads:      len(enc.Program.Threads),
 		ThreadProcs:  procs,
 		Partitions:   len(parts),
 		Winner:       pres.Winner,
-		EncodeTime:   encodeTime,
 		SolveTime:    pres.Wall,
 		Template:     pres.Template,
 		Instances:    pres.Instances,
@@ -447,7 +557,7 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 			valSpan.End(obs.KV("error", verr.Error()))
 			return nil, fmt.Errorf("core: counterexample validation failed: %w", verr)
 		}
-		timePhase("validate", valStart)
+		phases = append(phases, PhaseTiming{Name: "validate", Duration: time.Since(valStart)})
 		valSpan.End()
 		res.Violation = viol
 	case sat.Unsat:
@@ -571,28 +681,38 @@ func MakePartitions(enc *vc.Encoded, opts Options) (parts []partition.Partition,
 	if max := partition.MaxPartitions(enc); nparts > max {
 		nparts = max
 	}
-	parts, err = partition.Make(enc, nparts)
+	all, err := partition.Make(enc, nparts)
 	if err != nil {
 		return nil, 0, err
 	}
-	total = len(parts)
+	var splitLits []cnf.Lit
+	if opts.CubePath != "" {
+		splitLits = partition.SplitLits(enc, len(all))
+	}
+	parts, err = selectPartitions(all, splitLits, opts)
+	return parts, len(all), err
+}
+
+// selectPartitions cuts the subrange [From, To) out of a run's
+// partitions (From = To = 0: all of them) and refines each by CubePath.
+func selectPartitions(all []partition.Partition, splitLits []cnf.Lit, opts Options) ([]partition.Partition, error) {
+	parts := all
 	if opts.From != 0 || opts.To != 0 {
-		if opts.From < 0 || opts.From >= opts.To || opts.To > len(parts) {
-			return nil, 0, fmt.Errorf("core: invalid partition range [%d,%d) of %d", opts.From, opts.To, len(parts))
+		if opts.From < 0 || opts.From >= opts.To || opts.To > len(all) {
+			return nil, fmt.Errorf("core: invalid partition range [%d,%d) of %d", opts.From, opts.To, len(all))
 		}
-		parts = parts[opts.From:opts.To]
+		parts = all[opts.From:opts.To]
 	}
 	if opts.CubePath != "" {
-		splitLits := partition.SplitLits(enc, total)
 		refined := make([]partition.Partition, len(parts))
 		for i, pt := range parts {
 			assume, perr := pt.CubeAssumptions(opts.CubePath, splitLits)
 			if perr != nil {
-				return nil, 0, fmt.Errorf("core: %w", perr)
+				return nil, fmt.Errorf("core: %w", perr)
 			}
 			refined[i] = partition.Partition{Index: pt.Index, Assumptions: assume}
 		}
 		parts = refined
 	}
-	return parts, total, nil
+	return parts, nil
 }

@@ -3,14 +3,17 @@ package distrib
 import (
 	"bytes"
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/internal/trace"
@@ -28,6 +31,15 @@ import (
 // about a verdict, ships a bogus model, or fabricates a proof is caught
 // at the aggregation point (the only place a single faulty process could
 // otherwise invert the global answer) and quarantined as untrusted.
+//
+// A SAFE proof is a tail: what the partition's solver logged after it
+// was cloned from the run's template (core.Prepared). What the template
+// logged before — the prefix, the derivations and deletions of its
+// simplification pass — is never on the wire. The coordinator prepares
+// the same run from its own encoding, takes the prefix from its own
+// template, and checks every tail on one proof checker extended by it;
+// of a worker's prefix it reads a digest, to tell an operator that a
+// refused worker had built another template, not forged a proof.
 
 const (
 	// maxCertBytes caps one certificate's compressed wire size. A
@@ -147,8 +159,14 @@ type Certificate struct {
 	// LSB-first (UNSAFE verdicts).
 	Model []byte `json:"model,omitempty"`
 	// Proofs carries one refutation per partition of the chunk (SAFE
-	// verdicts under full certification).
+	// verdicts under full certification): the tail its solver logged.
 	Proofs []PartitionProof `json:"proofs,omitempty"`
+	// Prefix identifies the log the tails continue, that of the worker's
+	// template; it is compared, never checked. Before tails there was no
+	// such field: a certificate without it is from the other side of that
+	// change and is refused like any other whose template is not the
+	// coordinator's.
+	Prefix *sat.ProofDigest `json:"prefix,omitempty"`
 }
 
 // packBits packs a bool slice LSB-first.
@@ -220,9 +238,9 @@ func decodeCertificate(data []byte) (*Certificate, error) {
 
 // buildCertificate assembles the evidence for one honestly computed job
 // result: the raw model for UNSAFE (any certify level above off), the
-// per-partition proofs for SAFE (full level only — proof recording was
-// enabled on the solve iff the job asked for it).
-func buildCertificate(res *core.Result, level string) *Certificate {
+// per-partition proof tails and the digest of the prefix they continue
+// for SAFE (full level only — the run kept them iff the job asked).
+func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *Certificate {
 	if level == CertifyOff || level == "" {
 		return nil
 	}
@@ -233,7 +251,7 @@ func buildCertificate(res *core.Result, level string) *Certificate {
 		if level != CertifyFull {
 			return nil
 		}
-		c := &Certificate{NumVars: res.Vars}
+		c := &Certificate{NumVars: res.Vars, Prefix: prefix}
 		for _, inst := range res.Instances {
 			if inst.Proof != nil {
 				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Proof})
@@ -250,6 +268,7 @@ func buildCertificate(res *core.Result, level string) *Certificate {
 // program source; whatever formula they actually solved, their evidence
 // must check out against this encoding or the verdict is discarded.
 type certVerifier struct {
+	prep    *core.Prepared
 	enc     *vc.Encoded
 	formula *cnf.Formula
 	parts   []partition.Partition // indexed by absolute partition index
@@ -258,31 +277,66 @@ type certVerifier struct {
 	// a sub-cube's extra assumptions are reconstructed here rather than
 	// trusted from the wire.
 	splitLits []cnf.Lit
+
+	// The run's one proof checker: the formula, extended by the prefix
+	// the coordinator's own template logged (derive). A checker is not
+	// safe for concurrent use and costs as much memory as the formula, so
+	// there is one, behind mu, not one per connection.
+	prefix  sat.ProofDigest
+	setup   time.Duration         // what derive took
+	derived sat.ProofCheckerStats // and what the checker did in it
+	mu      sync.Mutex
+	checker *sat.ProofChecker
 }
 
-// newCertVerifier encodes the program exactly as workers are instructed
-// to (same bounds, same total partition count, no preprocessing).
+// newCertVerifier prepares the run exactly as workers are instructed to:
+// same bounds, same total partition count, same budget, proofs logged,
+// and its cubes handed out from outside.
 func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
-	copts := core.Options{
-		Unwind:     opts.Unwind,
-		Contexts:   opts.Contexts,
-		Width:      opts.Width,
-		Partitions: opts.Partitions,
-	}
-	enc, _, _, err := core.EncodeProgram(p, copts)
+	prep, err := core.Prepare(p, workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true))
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
-	parts, total, err := core.MakePartitions(enc, copts)
-	if err != nil {
-		return nil, fmt.Errorf("distrib: coordinator partitioning failed: %w", err)
-	}
 	return &certVerifier{
-		enc:       enc,
-		formula:   enc.Formula(),
-		parts:     parts,
-		splitLits: partition.SplitLits(enc, total),
+		prep:      prep,
+		enc:       prep.Encoded(),
+		formula:   prep.Encoded().Formula(),
+		parts:     prep.Partitions(),
+		splitLits: prep.SplitLits(),
 	}, nil
+}
+
+// workerRun is the run a job describes, as core.Prepare wants it said:
+// what a worker prepares for the jobs of one run, and the coordinator to
+// derive what they all logged. The range marks the run as one whose
+// cubes arrive from outside; which range does not matter.
+func workerRun(unwind, contexts, width, partitions int, budget journal.Budget, proofs bool) core.Options {
+	return core.Options{
+		Unwind: unwind, Contexts: contexts, Width: width, Partitions: partitions,
+		To: max(partitions, 1), Budget: budget, KeepProofs: proofs,
+	}
+}
+
+// derive builds the run's proof checker, before the first job goes out:
+// a checker loaded with the formula is extended, step by step as the
+// coordinator's own template — built as every honest worker builds its —
+// logs them, by the prefix, once; then the template is dropped. ctx
+// interrupts it.
+func (v *certVerifier) derive(ctx context.Context) error {
+	start := time.Now()
+	checker, tpl := sat.NewProofChecker(v.formula), v.prep.Template()
+	tpl.DigestPrefix(checker.ExtendStep)
+	prefix, err := tpl.PrefixDigest(ctx)
+	if err != nil {
+		return err
+	}
+	if err := checker.ExtendDone(); err != nil {
+		return fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", err)
+	}
+	v.prefix, v.checker, v.derived = prefix, checker, checker.Stats()
+	tpl.Drop()
+	v.setup = time.Since(start)
+	return nil
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -346,13 +400,13 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 }
 
 // verifySafe checks a SAFE claim: the certificate must refute every
-// partition of the cube with a RUP proof that checks against the
-// coordinator's formula under that partition's assumptions extended
-// with the cube path. Per-sub-cube proofs compose to cover the parent:
-// the two children of a split partition the parent's assumption space
-// exactly (same literal, both polarities), so refuting both children
-// refutes the parent. It reports the proof checker's work, rejected
-// proofs included.
+// partition of the cube with a RUP proof tail that checks against the
+// coordinator's formula extended by the coordinator's prefix, under that
+// partition's assumptions extended with the cube path. Per-sub-cube
+// proofs compose to cover the parent: the two children of a split
+// partition the parent's assumption space exactly (same literal, both
+// polarities), so refuting both children refutes the parent. It reports
+// the proof checker's work, rejected proofs included.
 func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work sat.ProofCheckerStats, err error) {
 	if cert == nil {
 		return work, fmt.Errorf("SAFE claim without a proof certificate")
@@ -367,13 +421,20 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		}
 		proofs[pp.Partition] = pp.Proof
 	}
-	// One checker for the certificate: it loads the formula once and
-	// resets itself between the cube's proofs. It is not kept for the
-	// next certificate: an idle checker is as large as the formula, and
-	// one held per serve goroutine cost distrib_loopback 17 % of its peak
-	// RSS to save 2-3 % of its time (EXPERIMENTS.md, "Certification").
-	checker := sat.NewProofChecker(v.formula)
-	defer func() { work = checker.Stats() }()
+	// The tails of another template prove nothing here, and saying so
+	// beats "lemma 1 is not a RUP consequence": the worker runs another
+	// build or was told another budget, and is refused, not suspected.
+	if cert.Prefix == nil || *cert.Prefix != v.prefix {
+		return work, fmt.Errorf("template mismatch: the worker's proofs continue %s, the coordinator's template logged %s (another build, or another budget)",
+			describeDigest(cert.Prefix), describeDigest(&v.prefix))
+	}
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	before := v.checker.Stats()
+	defer func() {
+		after := v.checker.Stats()
+		work = sat.ProofCheckerStats{Lemmas: after.Lemmas - before.Lemmas, Propagations: after.Propagations - before.Propagations}
+	}()
 	for idx := cube.From; idx <= cube.To; idx++ {
 		proof := proofs[idx]
 		if proof == nil {
@@ -383,11 +444,18 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		if err != nil {
 			return work, fmt.Errorf("cube %s: %v", cube.Key(), err)
 		}
-		if err := checker.Check(assumps, proof); err != nil {
+		if err := v.checker.Check(assumps, proof); err != nil {
 			return work, fmt.Errorf("partition %d (cube %s): %v", idx, cube.Key(), err)
 		}
 	}
 	return work, nil
+}
+
+func describeDigest(d *sat.ProofDigest) string {
+	if d == nil {
+		return "no prefix at all"
+	}
+	return fmt.Sprintf("a prefix of %d lemmas (sha256 %.12s)", d.Lemmas, d.SHA256)
 }
 
 // verify dispatches on the claimed verdict and reports the verification

@@ -319,52 +319,82 @@ func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int
 	return from, s.ProofLog().NumLemmas() - int(s.Stats().Learnt-int64(from))
 }
 
-// TestCertifiedAcrossSimplification: chunks whose search is long enough
-// for the solver to simplify (eliminationstack u=2 c=5 in two halves:
-// 55–58 propagations per clause each) certify against the
-// coordinator's own, un-simplified encoding, because the pass logs
-// every clause it derives as a lemma; and a certificate with one
-// literal of one such lemma negated is rejected like any other lie.
+// TestCertifiedAcrossSimplification: a SAFE verdict certifies against
+// the coordinator's own, un-simplified encoding wherever the
+// simplification pass ran, because the pass logs every clause it derives
+// as a lemma and every clause it drops as a deletion. In one chunk
+// (eliminationstack u=2 c=5 whole: the run's only cube is solved on an
+// un-simplified template and simplifies in its own search, after 40
+// propagations per clause) the pass is in the proof the worker ships,
+// and a certificate with one literal of one of its lemmas negated is
+// rejected like any other lie. In two halves the pass is the template's:
+// the coordinator derives its lemmas itself, no worker ships or can
+// forge them, every partition's statistics are its search's alone, and
+// a lemma flipped in the tail is what is rejected.
 func TestCertifiedAcrossSimplification(t *testing.T) {
 	if testing.Short() {
 		t.Skip("solves and checks eliminationstack u=2 c=5 several times")
 	}
 	p := bench.Eliminationstack()
-	opts := CoordinatorOptions{
-		Unwind: 2, Contexts: 5, Partitions: 2, ChunkSize: 1,
+	whole := CoordinatorOptions{
+		Unwind: 2, Contexts: 5, Partitions: 1, ChunkSize: 1,
 		Certify: CertifyPolicy{Mode: CertifyFull},
 	}
-	v, err := newCertVerifier(p, opts)
+	halves := whole
+	halves.Partitions = 2
+	v, err := newCertVerifier(p, whole)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A lemma index that falls among the simplification lemmas of
-	// either chunk, whichever the liar is handed.
-	from0, to0 := simplificationLemmas(t, v, 0)
-	from1, to1 := simplificationLemmas(t, v, 1)
-	lemma := max(from0, from1)
-	if lemma >= min(to0, to1) {
-		t.Fatalf("simplification lemmas [%d,%d) and [%d,%d) do not overlap", from0, to0, from1, to1)
-	}
+	from, to := simplificationLemmas(t, v, 0)
 
-	t.Run("honest", func(t *testing.T) {
+	honest := func(t *testing.T, opts CoordinatorOptions) *CoordinatorResult {
 		addr, resCh := startCoordinator(t, p, opts)
 		if _, err := runWorker(t, addr, "honest", nil, 0); err != nil {
 			t.Fatalf("worker: %v", err)
 		}
 		res := waitResult(t, resCh)
-		if res.Verdict != core.Safe || res.Certified != 2 || res.CertRejected != 0 {
+		if res.Verdict != core.Safe || res.Certified != opts.Partitions || res.CertRejected != 0 {
 			t.Fatalf("verdict %v, %d certified, %d rejected", res.Verdict, res.Certified, res.CertRejected)
 		}
-		if res.RemoteStats.ElimVars == 0 || res.CertifyWork.Lemmas < int64(to0-from0+to1-from1) {
-			t.Fatalf("%d variables eliminated remotely, %d lemmas checked; the two passes alone logged %d",
-				res.RemoteStats.ElimVars, res.CertifyWork.Lemmas, to0-from0+to1-from1)
-		}
+		return res
+	}
+	t.Run("honest", func(t *testing.T) {
+		t.Run("in the search", func(t *testing.T) {
+			res := honest(t, whole)
+			if res.RemoteStats.ElimVars == 0 || res.CertifyWork.Lemmas < int64(to-from) {
+				t.Fatalf("%d variables eliminated remotely, %d lemmas checked; the pass alone logged %d",
+					res.RemoteStats.ElimVars, res.CertifyWork.Lemmas, to-from)
+			}
+		})
+		t.Run("in the template", func(t *testing.T) {
+			res := honest(t, halves)
+			if len(res.Templates) != 1 || res.Templates[0].ElimVars == 0 || res.Templates[0].Worker != "honest" {
+				t.Fatalf("templates %+v, want the one worker's, simplified", res.Templates)
+			}
+			if res.RemoteStats.ElimVars != 0 || res.RemoteStats.Simplified != 0 {
+				t.Fatalf("the partitions claim the template's eliminations: %+v", res.RemoteStats)
+			}
+			// The checker took on the template's lemmas — some tens of
+			// thousands, as many as it removed clauses or more — once, and
+			// then the partitions' own.
+			if got, pass := res.CertifyWork.Lemmas, res.Templates[0].Simplified; got < pass+int64(res.RemoteStats.Learnt) {
+				t.Fatalf("%d lemmas checked; the template's pass removed %d clauses and the partitions learnt %d", got, pass, res.RemoteStats.Learnt)
+			}
+		})
 	})
 	t.Run("flipped", func(t *testing.T) {
-		byzantineScenarioOn(t, p, opts,
-			&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: lemma}}},
-			core.Safe)
+		t.Run("in the search", func(t *testing.T) {
+			// A lemma index that falls among the simplification lemmas.
+			byzantineScenarioOn(t, p, whole,
+				&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: (from + to) / 2}}},
+				core.Safe)
+		})
+		t.Run("in the template", func(t *testing.T) {
+			byzantineScenarioOn(t, p, halves,
+				&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: 1 << 20}}},
+				core.Safe)
+		})
 	})
 }
 
@@ -539,7 +569,8 @@ func TestWorkerPanicRecovery(t *testing.T) {
 func TestRunJobRecoversPanic(t *testing.T) {
 	m := &Message{Type: "job", JobID: 7, Source: fibSrc, Unwind: 1, Contexts: 3,
 		Partitions: 4, From: 0, To: 1, Certify: CertifyFull}
-	reply, cert := runJob(context.Background(), m, 1, nil, &FaultEvent{Job: 0, Kind: FaultPanic}, nil, "w", nil)
+	w := &worker{opts: WorkerOptions{Name: "w", Cores: 1}}
+	reply, cert := w.runJob(context.Background(), m, nil, &FaultEvent{Job: 0, Kind: FaultPanic}, nil)
 	if reply == nil || reply.JobID != 7 {
 		t.Fatalf("reply %+v", reply)
 	}
@@ -551,6 +582,22 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 }
 
+// workerCertificate solves a cube the way a worker does — on clones of
+// a template prepared from the job's own description of the run — and
+// returns the certificate it would ship: tails, and the digest of the
+// prefix they continue.
+func workerCertificate(t *testing.T, p *prog.Program, opts CoordinatorOptions, cube partition.Cube) *Certificate {
+	t.Helper()
+	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), Unwind: opts.Unwind, Contexts: opts.Contexts,
+		Width: opts.Width, Partitions: opts.Partitions, From: cube.From, To: cube.To, CubePath: cube.Path, Certify: CertifyFull}
+	m.setBudget(opts.Budget)
+	reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), m, nil, nil, nil)
+	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || cert.Prefix == nil {
+		t.Fatalf("cube %s: verdict %q, error %q, certificate %+v", cube.Key(), reply.Verdict, reply.Error, cert)
+	}
+	return cert
+}
+
 // TestByzantineFabricatedProofThenHonest puts what no wire fault
 // reaches — a well-formed certificate whose proofs do not check — to
 // the verifier, from two goroutines at once as two workers' serve loops
@@ -559,28 +606,31 @@ func TestRunJobRecoversPanic(t *testing.T) {
 // rejected there, and the honest certificate checks right after it,
 // every time, with the checker's work reported.
 func TestByzantineFabricatedProofThenHonest(t *testing.T) {
-	v, err := newCertVerifier(prog.MustParse(fibSrc), CoordinatorOptions{Unwind: 2, Contexts: 3, Partitions: 4})
+	// eliminationstack u=2 c=4 in 8: every partition takes a couple of
+	// hundred lemmas of its own to refute after the template's pass (the
+	// fib cells are refuted by the pass, or nearly).
+	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8}
+	v, err := newCertVerifier(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Partitions 0 and 1 are refuted with lemmas, not by propagation
-	// alone; the honest proofs come from solving the verifier's formula.
+	if err := v.derive(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// The honest proofs are a worker's.
 	cube := partition.Cube{From: 0, To: 1}
-	honest := &Certificate{NumVars: v.formula.NumVars}
+	honest := workerCertificate(t, p, opts, cube)
 	var lemmas int64
-	for _, pt := range v.parts[cube.From : cube.To+1] {
-		s := sat.NewFromFormula(v.formula, sat.Options{})
-		s.EnableProof()
-		if st, err := s.Solve(pt.Assumptions...); err != nil || st != sat.Unsat || s.ProofLog().NumLemmas() < 2 {
-			t.Fatalf("partition %d: %v, %v, %d lemmas; want UNSAT with a proof to fabricate from", pt.Index, st, err, s.ProofLog().NumLemmas())
+	for _, pp := range honest.Proofs {
+		if pp.Proof.NumLemmas() < 2 {
+			t.Fatalf("partition %d: %d lemmas; want a proof to fabricate from", pp.Partition, pp.Proof.NumLemmas())
 		}
-		honest.Proofs = append(honest.Proofs, PartitionProof{Partition: pt.Index, Proof: s.ProofLog()})
-		lemmas += int64(s.ProofLog().NumLemmas())
+		lemmas += int64(pp.Proof.NumLemmas())
 	}
 	// The second proof loses its first half: the lemmas left no longer
 	// follow by unit propagation.
 	second := honest.Proofs[1].Proof.Lemmas
-	fabricated := &Certificate{NumVars: honest.NumVars, Proofs: []PartitionProof{
+	fabricated := &Certificate{NumVars: honest.NumVars, Prefix: honest.Prefix, Proofs: []PartitionProof{
 		honest.Proofs[0],
 		{Partition: cube.To, Proof: &sat.Proof{Lemmas: second[(len(second)+1)/2:]}},
 	}}
@@ -608,6 +658,17 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// The proofs of another template — here the same worker's, had it
+	// been told another budget — are refused for what they are.
+	other := *honest
+	other.Prefix = &sat.ProofDigest{Lemmas: honest.Prefix.Lemmas + 1, SHA256: honest.Prefix.SHA256}
+	if _, err := v.verifySafe(cube, &other); err == nil || !strings.Contains(err.Error(), "template mismatch") {
+		t.Errorf("certificate over another prefix: %v, want a template mismatch", err)
+	}
+	other.Prefix = nil
+	if _, err := v.verifySafe(cube, &other); err == nil || !strings.Contains(err.Error(), "template mismatch") {
+		t.Errorf("certificate that names no prefix: %v, want a template mismatch", err)
+	}
 }
 
 // TestCertifyWorkReported: the proof checkers' lemmas and propagations

@@ -169,17 +169,30 @@ type CoordinatorResult struct {
 	ChunksTotal, ChunksDecided int
 	// RemoteStats aggregates the search statistics of every remote job
 	// result (including retried attempts), so distributed runs report
-	// the same solver telemetry as local ones.
+	// the same solver telemetry as local ones. A partition's statistics
+	// are its own — they start where its solver was cloned from the
+	// worker's template — so the sum is the in-process runner's for the
+	// same partitions, whichever worker ran which; what the templates
+	// themselves did is in Templates.
 	RemoteStats sat.Stats
+	// Templates accounts for every solver template a worker built for
+	// this run, in the order their jobs' results arrived: one per worker,
+	// unless a memory abort or another run cost it its first.
+	Templates []WorkerTemplate
 	// SolveMillis sums the remote per-job solver wall time — the total
-	// search effort spent across the cluster, as opposed to Wall.
+	// search effort spent across the cluster, as opposed to Wall. A
+	// worker's template is part of the job that built it.
 	SolveMillis int64
 	// CertifyMillis sums the coordinator-side certificate verification
-	// time, the overhead certification adds on top of SolveMillis.
+	// time, the overhead certification adds on top of SolveMillis: each
+	// certificate's check, and once per run the derivation of the proof
+	// checker they are all put to (the coordinator's own template, and
+	// the checker loaded and extended by what it logged).
 	CertifyMillis int64
-	// CertifyWork sums what the proof checkers did in that time: lemmas
-	// put to the RUP test and literals propagated, over accepted and
-	// rejected proofs alike — the counterpart of RemoteStats.
+	// CertifyWork sums what the proof checker did in that time: lemmas
+	// put to the RUP test and literals propagated, over the prefix and
+	// over accepted and rejected proofs alike — the counterpart of
+	// RemoteStats.
 	CertifyWork sat.ProofCheckerStats
 	// Certified counts definite verdicts accepted with a verified
 	// certificate; CertRejected counts results whose certificate was
@@ -207,6 +220,13 @@ type CoordinatorResult struct {
 	// JournalSealCause is the underlying failure.
 	JournalSealed    bool
 	JournalSealCause string
+}
+
+// WorkerTemplate is one worker's account of the solver template it built
+// for the run: the same row an in-process run's report has.
+type WorkerTemplate struct {
+	Worker string
+	report.TemplateRow
 }
 
 // coordinator is the shared state of one Coordinate call.
@@ -377,8 +397,15 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	co.metrics.cubeDepth.Set(int64(sum.MaxDepth))
 	co.metrics.chunksResumed.Add(int64(sum.Resumed))
 	co.metrics.chunksRemaining.Set(int64(sum.Live))
+	var deriveErr error
 	if sum.Sat || sum.Live == 0 {
 		co.finish() // the journal already decides the run: nothing to hand out
+	} else if verifier != nil {
+		// The proof checker every SAFE certificate of the run is put to is
+		// derived here, once, before the first job goes out.
+		if deriveErr = verifier.derive(ctx); deriveErr != nil {
+			co.finish()
+		}
 	}
 
 	// Stop accepting when finished or cancelled.
@@ -404,6 +431,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		}()
 	}
 	wg.Wait()
+	if deriveErr != nil && ctx.Err() == nil {
+		return nil, deriveErr // not a cancelled run: the coordinator's own prefix does not check
+	}
 	return co.result(start)
 }
 
@@ -427,6 +457,14 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
 	res.Workers = co.health.Snapshot()
+	if v := co.verifier; v != nil && v.checker != nil {
+		// Once per run, beside the certificates' own: the checker derived.
+		res.CertifyMillis += v.setup.Milliseconds()
+		res.CertifyWork.Lemmas += v.derived.Lemmas
+		res.CertifyWork.Propagations += v.derived.Propagations
+		co.metrics.certifySeconds.Observe(v.setup.Seconds())
+		co.metrics.certifyPropagations.Add(v.derived.Propagations)
+	}
 	res.Wall = time.Since(start)
 	co.root.End(obs.KV("verdict", res.Verdict.String()))
 	co.recorder.SetVerdict(res.Verdict.String(), res.Wall)
@@ -720,7 +758,7 @@ func (co *coordinator) serve(c net.Conn) {
 		}
 		co.health.jobDone(key)
 		co.metrics.jobResult(key, reply.Stats, reply.SolveMillis)
-		co.recordRemoteStats(reply)
+		co.recordRemoteStats(reply, key)
 		jobSpan.End(obs.KV("verdict", reply.Verdict), obs.KV("certified", certified))
 		co.recorder.AddSpans(reply.Spans)
 
@@ -935,6 +973,8 @@ func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key 
 			Worker:       key,
 			Conflicts:    pp.Conflicts,
 			Propagations: pp.Propagations,
+			Decisions:    pp.Decisions,
+			Restarts:     pp.Restarts,
 			ElimVars:     pp.ElimVars,
 			Simplified:   pp.Simplified,
 			Progress:     pp.Progress,
@@ -1069,11 +1109,14 @@ func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason st
 // recordRemoteStats folds one job result's search statistics into the
 // run aggregate (all results count, retried attempts included: the
 // aggregate measures search effort spent, not effort kept).
-func (co *coordinator) recordRemoteStats(reply *Message) {
+func (co *coordinator) recordRemoteStats(reply *Message, key string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if reply.Stats != nil {
 		co.res.RemoteStats.Add(*reply.Stats)
+	}
+	if reply.Template != nil {
+		co.res.Templates = append(co.res.Templates, WorkerTemplate{Worker: key, TemplateRow: *reply.Template})
 	}
 	co.res.SolveMillis += reply.SolveMillis
 }

@@ -224,13 +224,15 @@ func TestDistributedStalledWorkerCaughtByHeartbeat(t *testing.T) {
 	}))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	claimed := make(chan struct{})
 	go func() {
 		_, _ = Work(ctx, addr, WorkerOptions{
-			Name:   "staller",
-			Faults: &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultStall, Stall: 20 * time.Second}}},
+			Name: "staller",
+			Faults: &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultStall, Stall: 20 * time.Second}},
+				OnFire: func(FaultEvent) { close(claimed) }},
 		})
 	}()
-	time.Sleep(50 * time.Millisecond) // let the staller claim a chunk first
+	<-claimed // the staller holds a chunk before the healthy worker joins
 	go func() {
 		_, _ = Work(ctx, addr, WorkerOptions{Name: "healthy"})
 	}()
@@ -260,13 +262,15 @@ func TestDistributedCorruptFrameReassigned(t *testing.T) {
 	addr, resCh := startCoordinator(t, p, fastFailureOpts(CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 1,
 	}))
+	claimed := make(chan struct{})
 	go func() {
 		_, _ = Work(context.Background(), addr, WorkerOptions{
-			Name:   "corruptor",
-			Faults: &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultCorrupt}}},
+			Name: "corruptor",
+			Faults: &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultCorrupt}},
+				OnFire: func(FaultEvent) { close(claimed) }},
 		})
 	}()
-	time.Sleep(50 * time.Millisecond)
+	<-claimed // the corruptor holds a chunk before the healthy worker joins
 	go func() {
 		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "healthy"})
 	}()

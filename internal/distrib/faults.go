@@ -1,6 +1,12 @@
 package distrib
 
-import "time"
+import (
+	"slices"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/sat"
+)
 
 // FaultKind selects the failure a FaultEvent injects.
 type FaultKind int
@@ -56,10 +62,19 @@ const (
 	// size cap and sends nothing.
 	FaultOversizedProof
 	// FaultFlipLemma negates the first literal of lemma number
-	// FaultEvent.Lemma in the certificate's first proof and leaves
-	// everything else alone: a well-formed certificate of the right size
-	// that only an actual proof check can tell from the honest one.
+	// FaultEvent.Lemma — counted round the proof as often as it takes —
+	// in the certificate's first proof and leaves everything else alone:
+	// a well-formed certificate of the right size that only an actual
+	// proof check can tell from the honest one. A first proof without
+	// lemmas has none to flip: the digest of the prefix it continues is
+	// falsified instead, so the fault never passes for an honest run.
 	FaultFlipLemma
+	// FaultOtherTemplate has the worker prepare the run under a memory
+	// budget of its own (FaultEvent.MemMB) instead of the job's — what a
+	// worker from another build or with another configuration amounts to:
+	// honest proofs of honest verdicts, over a template that is not the
+	// coordinator's.
+	FaultOtherTemplate
 )
 
 func (k FaultKind) String() string {
@@ -86,6 +101,8 @@ func (k FaultKind) String() string {
 		return "oversized-proof"
 	case FaultFlipLemma:
 		return "flip-lemma"
+	case FaultOtherTemplate:
+		return "other-template"
 	}
 	return "unknown"
 }
@@ -108,7 +125,8 @@ type FaultEvent struct {
 	Kind  FaultKind
 	Stall time.Duration // FaultStall only
 	Slow  time.Duration // FaultSlow only
-	Lemma int           // FaultFlipLemma only: index into the first proof
+	Lemma int           // FaultFlipLemma only: index into the first proof, modulo its length
+	MemMB int64         // FaultOtherTemplate only: the memory budget the worker prepares the run under
 }
 
 // FaultPlan is a deterministic fault-injection schedule for a worker.
@@ -125,6 +143,11 @@ type FaultPlan struct {
 	// Every, when non-nil, fires on every job that has no indexed
 	// event — e.g. a worker that is uniformly slow.
 	Every *FaultEvent
+	// OnFire, when non-nil, is called with each event as it fires: the
+	// worker holds the job the coordinator assigned it and has yet to act
+	// on it, the fault included. Tests wait on it where they would
+	// otherwise sleep and hope, or hold the worker there.
+	OnFire func(FaultEvent)
 }
 
 // SlowAt returns a plan that delays each of the given job indices by d
@@ -151,17 +174,23 @@ func DropAt(jobs ...int) *FaultPlan {
 	return p
 }
 
-// eventAt returns the event scheduled for the given job index, nil-safe.
+// eventAt returns the event scheduled for the given job index, nil-safe,
+// after telling OnFire.
 func (p *FaultPlan) eventAt(job int) *FaultEvent {
 	if p == nil {
 		return nil
 	}
+	f := p.Every
 	for i := range p.Events {
 		if p.Events[i].Job == job {
-			return &p.Events[i]
+			f = &p.Events[i]
+			break
 		}
 	}
-	return p.Every
+	if f != nil && p.OnFire != nil {
+		p.OnFire(*f)
+	}
+	return f
 }
 
 // seed returns the jitter seed, nil-safe and never zero.
@@ -187,4 +216,61 @@ type CoordinatorFaultPlan struct {
 // verdicts are committed, nil-safe.
 func (p *CoordinatorFaultPlan) killAt(n int) bool {
 	return p != nil && p.KillAfterJobs > 0 && n >= p.KillAfterJobs
+}
+
+// mutateResult applies a Byzantine fault to an honestly computed result:
+// the worker lies about the verdict or its evidence. Exercises the
+// coordinator's certificate checking.
+func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate) {
+	if f == nil || reply.Error != "" {
+		return
+	}
+	// Fabricated models reuse the honest certificate's variable count
+	// when one exists, so the lie passes the cheap size check and is
+	// caught by actual clause evaluation.
+	numVars := 1
+	if *cert != nil && (*cert).NumVars > 0 {
+		numVars = (*cert).NumVars
+	}
+	switch f.Kind {
+	case FaultFlipVerdict:
+		switch reply.Verdict {
+		case core.Safe.String():
+			reply.Verdict = core.Unsafe.String()
+			reply.Winner = m.From
+			*cert = &Certificate{NumVars: numVars, Model: packBits(make([]bool, numVars))}
+		case core.Unsafe.String():
+			reply.Verdict = core.Safe.String()
+			reply.Winner = -1
+			*cert = &Certificate{NumVars: numVars} // no proofs: nothing to show
+		}
+	case FaultBogusModel:
+		reply.Verdict = core.Unsafe.String()
+		reply.Winner = m.From
+		bogus := make([]bool, numVars)
+		for i := range bogus {
+			bogus[i] = i%2 == 0
+		}
+		*cert = &Certificate{NumVars: numVars, Model: packBits(bogus)}
+	case FaultFlipLemma:
+		if *cert == nil || len((*cert).Proofs) == 0 {
+			return // not a SAFE certificate: no proof to forge
+		}
+		forged := **cert
+		honest := forged.Proofs[0].Proof
+		if n := honest.NumLemmas(); n > 0 && len(honest.Lemmas[f.Lemma%n]) > 0 {
+			at := f.Lemma % n
+			lemmas := slices.Clone(honest.Lemmas)
+			lemmas[at] = slices.Clone(lemmas[at])
+			lemmas[at][0] ^= 1
+			forged.Proofs = slices.Clone(forged.Proofs)
+			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes}
+		} else {
+			forged.Prefix = &sat.ProofDigest{SHA256: "forged"}
+			if p := (*cert).Prefix; p != nil {
+				forged.Prefix.Lemmas = p.Lemmas
+			}
+		}
+		*cert = &forged
+	}
 }

@@ -69,9 +69,12 @@ func TestDistributedMetricsScrape(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	// Unwind 2: at unwind 1 the template's simplification pass refutes
+	// the formula by itself and the four partitions have nothing to
+	// count.
 	p := prog.MustParse(fibSrc)
 	addr, resCh := startCoordinator(t, p, CoordinatorOptions{
-		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 1,
+		Unwind: 2, Contexts: 3, Partitions: 4, ChunkSize: 1,
 		Metrics: reg,
 		Health:  health,
 	})
@@ -96,36 +99,35 @@ func TestDistributedMetricsScrape(t *testing.T) {
 		t.Fatalf("workers_active before workers: got %v (present %v)", v, ok)
 	}
 
+	// The worker holds its second job until a scrape has seen it: the
+	// run is a few milliseconds of solving, and a scrape under load is
+	// not, so nothing is left to which of the two is faster.
+	seen := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, err := Work(context.Background(), addr, WorkerOptions{Name: "scraped", Cores: 1})
+		_, err := Work(context.Background(), addr, WorkerOptions{Name: "scraped", Cores: 1,
+			Faults: &FaultPlan{Events: []FaultEvent{{Job: 1, Kind: FaultSlow}}, OnFire: func(FaultEvent) { <-seen }}})
 		if err != nil {
 			t.Errorf("worker: %v", err)
 		}
 	}()
 
-	// Scrape concurrently with the run: the worker stays connected for
-	// all four jobs, so polling must observe the active-worker gauge.
-	var sawActiveWorker bool
-	var res *CoordinatorResult
-poll:
+	// Scrape concurrently with the run: the worker is connected and
+	// mid-run, so the active-worker gauge must read it.
 	for {
-		select {
-		case res = <-resCh:
-			break poll
-		default:
-			if v, ok := metricValue(scrape(t, srv.URL), "parbmc_coordinator_workers_active"); ok && v > 0 {
-				sawActiveWorker = true
-			}
-			time.Sleep(time.Millisecond)
+		if v, ok := metricValue(scrape(t, srv.URL), "parbmc_coordinator_workers_active"); ok && v > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			close(seen)
+			t.Fatal("never observed parbmc_coordinator_workers_active > 0 during the run")
 		}
 	}
+	close(seen)
+	res := waitResult(t, resCh)
 	wg.Wait()
-	if !sawActiveWorker {
-		t.Error("never observed parbmc_coordinator_workers_active > 0 during the run")
-	}
 
 	if res.Verdict != core.Safe {
 		t.Fatalf("verdict %v", res.Verdict)

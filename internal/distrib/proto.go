@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sat"
 )
 
@@ -99,6 +100,11 @@ type Message struct {
 	SolveMillis int64      `json:"solve_millis,omitempty"`
 	Stats       *sat.Stats `json:"stats,omitempty"`
 	Error       string     `json:"error,omitempty"`
+	// Template, on the result of the job in which a worker built the
+	// run's solver template, accounts for it: its time is part of that
+	// job's Millis and SolveMillis, its counters are the template's and
+	// no partition's, so they ride here and not in Stats.
+	Template *report.TemplateRow `json:"template,omitempty"`
 	// Cause names the exhausted budget behind an UNKNOWN verdict
 	// ("timeout", "conflict-budget", or "memory"); empty for a retryable
 	// Unknown such as worker-side cancellation. A budgeted Unknown is
@@ -179,6 +185,10 @@ type PartProgress struct {
 	Partition    int   `json:"p"`
 	Conflicts    int64 `json:"c,omitempty"`
 	Propagations int64 `json:"pr,omitempty"`
+	// Decisions and Restarts complete the counters a partition's search
+	// is identified by (result only).
+	Decisions int64 `json:"d,omitempty"`
+	Restarts  int64 `json:"rs,omitempty"`
 	// Progress is the partition's search-progress estimate in [0,1].
 	Progress float64 `json:"e,omitempty"`
 	// Verdict is the partition's final sat status ("SAT", "UNSAT",

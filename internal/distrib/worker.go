@@ -6,17 +6,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/memwatch"
 	"repro/internal/obs"
 	"repro/internal/sat"
-	"repro/prog"
 )
 
 // liveProgressEvery is the conflict cadence at which a worker's solver
@@ -75,6 +72,11 @@ type worker struct {
 	// coordinator presenting a lower one is a deposed primary and is
 	// refused (the split-brain fence).
 	maxEpoch int64
+	// run is the one run this worker is prepared for, the last it had a
+	// job of: across jobs, reconnects and a failover to a standby that
+	// continues the same run. Only the job goroutine touches it, and jobs
+	// do not overlap.
+	run *preparedRun
 }
 
 // Work connects to the coordinator(s) at addr — a single address, or a
@@ -495,7 +497,7 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 			}
 		}()
 	}
-	reply, cert := runJob(ctx, m, w.opts.Cores, progress, f, w.opts.Tracer, w.procName(), memAbort)
+	reply, cert := w.runJob(ctx, m, progress, f, memAbort)
 	if hbStop != nil {
 		close(hbStop)
 		<-hbDone
@@ -509,54 +511,6 @@ func (w *worker) procName() string {
 		return w.opts.Name
 	}
 	return "worker"
-}
-
-// mutateResult applies a Byzantine fault to an honestly computed result:
-// the worker lies about the verdict or its evidence. Exercises the
-// coordinator's certificate checking.
-func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate) {
-	if f == nil || reply.Error != "" {
-		return
-	}
-	// Fabricated models reuse the honest certificate's variable count
-	// when one exists, so the lie passes the cheap size check and is
-	// caught by actual clause evaluation.
-	numVars := 1
-	if *cert != nil && (*cert).NumVars > 0 {
-		numVars = (*cert).NumVars
-	}
-	switch f.Kind {
-	case FaultFlipVerdict:
-		switch reply.Verdict {
-		case core.Safe.String():
-			reply.Verdict = core.Unsafe.String()
-			reply.Winner = m.From
-			*cert = &Certificate{NumVars: numVars, Model: packBits(make([]bool, numVars))}
-		case core.Unsafe.String():
-			reply.Verdict = core.Safe.String()
-			reply.Winner = -1
-			*cert = &Certificate{NumVars: numVars} // no proofs: nothing to show
-		}
-	case FaultBogusModel:
-		reply.Verdict = core.Unsafe.String()
-		reply.Winner = m.From
-		bogus := make([]bool, numVars)
-		for i := range bogus {
-			bogus[i] = i%2 == 0
-		}
-		*cert = &Certificate{NumVars: numVars, Model: packBits(bogus)}
-	case FaultFlipLemma:
-		if *cert == nil || len((*cert).Proofs) == 0 || f.Lemma >= (*cert).Proofs[0].Proof.NumLemmas() {
-			return
-		}
-		forged := **cert
-		forged.Proofs = slices.Clone(forged.Proofs)
-		lemmas := slices.Clone(forged.Proofs[0].Proof.Lemmas)
-		lemmas[f.Lemma] = slices.Clone(lemmas[f.Lemma])
-		lemmas[f.Lemma][0] ^= 1
-		forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas}
-		*cert = &forged
-	}
 }
 
 // sendCert streams one encoded certificate after its result, split into
@@ -574,147 +528,4 @@ func sendCert(wc *conn, jobID int, data []byte) error {
 		data = data[n:]
 	}
 	return nil
-}
-
-// runJob executes one job. The deferred recover is the worker's panic
-// boundary: a solver bug (or an injected FaultPanic) becomes a
-// structured Error result instead of killing the process, so one poison
-// chunk cannot take a whole worker down.
-//
-// When the job carries a TraceID, the worker joins the coordinator's
-// trace: a per-job tracer tees the worker's own sink (if any) with an
-// in-memory collector, the job span is parented under the
-// coordinator's wire-carried job span, the verify pipeline hangs off
-// it, and the collected events ship back on the result.
-func runJob(ctx context.Context, m *Message, cores int, progress *jobProgress, f *FaultEvent, base *obs.Tracer, proc string, memAbort <-chan struct{}) (reply *Message, cert *Certificate) {
-	reply = &Message{Type: "result", JobID: m.JobID, Winner: -1}
-	defer func() {
-		if r := recover(); r != nil {
-			reply = &Message{Type: "result", JobID: m.JobID, Winner: -1,
-				Error: fmt.Sprintf("panic: %v", r)}
-			cert = nil
-		}
-	}()
-	if f != nil && f.Kind == FaultPanic {
-		panic(fmt.Sprintf("injected panic at job %d", f.Job))
-	}
-	if f != nil && f.Kind == FaultSlow && f.Slow > 0 {
-		// A straggler, not a corpse: heartbeats keep flowing (with zero
-		// progress) while the job sits on its hands, so only the adaptive
-		// scheduler — not the liveness monitor — can notice. The sleep
-		// aborts promptly on cancel so a split/hedge supersession still
-		// frees the worker.
-		t := time.NewTimer(f.Slow)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			reply.Verdict = core.Unknown.String()
-			reply.Cause = sat.CauseCancelled.String()
-			return reply, nil
-		case <-t.C:
-		}
-	}
-	jt := base
-	var coll *obs.CollectorSink
-	if m.TraceID != "" {
-		coll = obs.NewCollectorSink()
-		// The per-job proc name keeps span refs ("proc/id") unique even
-		// though each job's tracer restarts its sequence: job IDs are
-		// coordinator-unique for the run.
-		jt = obs.NewTracer(obs.MultiSink(base.Sink(), coll)).
-			WithProc(fmt.Sprintf("%s.j%d", proc, m.JobID)).
-			WithTraceID(m.TraceID)
-	} else if base != nil {
-		jt = obs.NewTracer(base.Sink()).WithProc(proc).WithTraceID(base.TraceID())
-	}
-	jobSpan := jt.StartRemote("worker_job",
-		obs.SpanContext{TraceID: m.TraceID, SpanID: m.ParentSpan},
-		obs.KV("job", m.JobID), obs.KV("from", m.From), obs.KV("to", m.To))
-	defer func() {
-		if reply.Error != "" {
-			jobSpan.End(obs.KV("error", reply.Error))
-		} else {
-			jobSpan.End(obs.KV("verdict", reply.Verdict))
-		}
-		reply.Spans = coll.Events()
-	}()
-	p, err := prog.Parse(m.Source)
-	if err != nil {
-		reply.Error = err.Error()
-		return reply, nil
-	}
-	opts := core.Options{
-		Unwind:     m.Unwind,
-		Contexts:   m.Contexts,
-		Width:      m.Width,
-		Cores:      cores,
-		Partitions: m.Partitions,
-		From:       m.From,
-		To:         m.To + 1,
-		CubePath:   m.CubePath,
-		Budget:     m.budget(),
-		MemAbort:   memAbort,
-		// Record refutation proofs when the coordinator demands full
-		// certificates; the UNSAFE model is kept in any case.
-		KeepProofs: m.Certify == CertifyFull,
-		Tracer:     jt,
-		Parent:     jobSpan,
-	}
-	if progress != nil {
-		opts.Progress = progress.update
-		opts.ProgressEvery = liveProgressEvery
-	}
-	start := time.Now()
-	res, err := core.Verify(ctx, p, opts)
-	reply.Millis = time.Since(start).Milliseconds()
-	if err != nil {
-		reply.Error = err.Error()
-		return reply, nil
-	}
-	reply.Verdict = res.Verdict.String()
-	reply.SolveMillis = res.SolveTime.Milliseconds()
-	if res.Verdict == core.Unknown {
-		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
-		// coordinator can tell a terminal budgeted Unknown (re-running
-		// gives up again) from a retryable one: a mid-solve cancel (hedge
-		// loser, split supersession), which it discards without charging
-		// the attempt budget.
-		var cause sat.StopCause
-		for _, inst := range res.Instances {
-			cause = cause.Worse(inst.Cause)
-		}
-		reply.Cause = cause.String()
-	}
-	// Aggregate the per-partition search statistics so the coordinator
-	// sees the remote search effort (load skew, conflict rates) instead
-	// of the stats dying with the worker process. The per-partition
-	// breakdown rides alongside as Parts — the final progress/imbalance
-	// rows of the coordinator's run report.
-	var agg sat.Stats
-	for _, inst := range res.Instances {
-		agg.Add(inst.Stats)
-		reply.Parts = append(reply.Parts, PartProgress{
-			Partition:    inst.Partition,
-			Conflicts:    inst.Stats.Conflicts,
-			Propagations: inst.Stats.Propagations,
-			Progress:     inst.Stats.Progress,
-			Verdict:      inst.Status.String(),
-			Millis:       inst.Time.Milliseconds(),
-			Hardness:     inst.Hardness,
-			ConflictRate: inst.ConflictRate(),
-			ElimVars:     inst.Stats.ElimVars,
-			Simplified:   inst.Stats.Simplified,
-		})
-	}
-	reply.Stats = &agg
-	reply.Progress = agg.Progress
-	if res.Verdict == core.Unsafe {
-		// res.Winner is the absolute partition index (the partition list
-		// keeps its original indices across the subrange).
-		reply.Winner = res.Winner
-	}
-	certSpan := jobSpan.Child("certify_build", obs.KV("level", m.Certify))
-	cert = buildCertificate(res, m.Certify)
-	certSpan.End()
-	return reply, cert
 }

@@ -366,7 +366,11 @@ func Table1(w io.Writer) []bench.Benchmark {
 	fmt.Fprintln(w, "Table 1: benchmark programs (re-modelled)")
 	fmt.Fprintf(w, "%-18s %6s %8s %10s %12s\n", "program", "lines", "threads", "bug-unwind", "bug-contexts")
 	for _, b := range all {
-		fmt.Fprintf(w, "%-18s %6d %8d %10d %12d\n", b.Name, b.Lines, b.Threads, b.BugUnwind, b.BugContexts)
+		contexts := "-" // not established
+		if b.BugContexts > 0 {
+			contexts = fmt.Sprint(b.BugContexts)
+		}
+		fmt.Fprintf(w, "%-18s %6d %8d %10d %12s\n", b.Name, b.Lines, b.Threads, b.BugUnwind, contexts)
 	}
 	return all
 }

@@ -61,8 +61,10 @@ type InstanceResult struct {
 	Resumed bool
 	// Proof is the instance's recorded refutation (Status == Unsat with
 	// Options.KeepProofs; nil otherwise, and nil when the verdict was
-	// resumed from the journal). Distributed workers ship it to the
-	// coordinator as the UNSAT half of a verdict certificate.
+	// resumed from the journal): whole from Solve, and from a Template the
+	// caller holds the cube's own log, which continues Template.Prefix —
+	// what a distributed worker ships to the coordinator as the UNSAT half
+	// of a verdict certificate.
 	Proof *sat.Proof
 	// Time is the instance's wall-clock solving time: cloning its solver
 	// from the run's template and searching. The template's own time is
@@ -150,9 +152,10 @@ type Options struct {
 	// KeepProofs records a clausal (RUP) proof in every instance and
 	// retains it on InstanceResult.Proof for UNSAT instances, without
 	// checking it locally — for distributed workers, whose proofs are
-	// checked by the coordinator against its own encoding instead. A
-	// partition that adaptive splitting divided has no single proof:
-	// Solve fails rather than return its UNSAT verdict without one.
+	// checked by the coordinator against its own encoding and its own
+	// copy of the template instead. A partition that adaptive splitting
+	// divided has no single proof: Solve fails rather than return its
+	// UNSAT verdict without one.
 	KeepProofs bool
 	// Budget bounds each instance's wall clock, conflicts and memory; an
 	// instance that exhausts part of it reports Unknown with the matching
@@ -196,5 +199,12 @@ type Options struct {
 // splitting of stragglers. Result.Instances holds one entry per partition, in parts
 // order.
 func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
-	return run(ctx, f, parts, opts, true)
+	return newTemplate(f, parts, opts, false).Solve(ctx, parts, opts)
+}
+
+// Solve is Solve on a template the caller holds: parts are those of its
+// partitions this call is to solve. A kept proof (Options.KeepProofs) is
+// the cube's own log, which continues the template's (Prefix).
+func (t *Template) Solve(ctx context.Context, parts []partition.Partition, opts Options) (*Result, error) {
+	return t.run(ctx, parts, opts, true)
 }

@@ -39,7 +39,7 @@ type cubeRun struct {
 // verdict — is the scheduler's ledger (partition/ledger.go); the runner
 // keeps the solvers, the models and the per-partition InstanceResults.
 type runner struct {
-	f     *cnf.Formula
+	tpl   *Template
 	opts  Options
 	parts map[int]partition.Partition // by index
 	// race makes the first SAT verdict cancel the rest of the run.
@@ -53,9 +53,9 @@ type runner struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// template is the formula loaded once (template.go), from which each
-	// cube's solver is cloned; nil when replay left nothing to solve. own:
-	// the run's only cube is solved on the template itself.
+	// template is tpl's solver, the formula loaded once (template.go),
+	// from which each cube's solver is cloned; nil when replay left nothing
+	// to solve. own: the run's only cube is solved on the template itself.
 	template *sat.Solver
 	own      bool
 
@@ -67,18 +67,33 @@ type runner struct {
 	res        *Result
 }
 
-// run solves every partition of f with opts.Workers workers and folds
-// the leaf verdicts into one InstanceResult per partition, in parts
-// order.
-func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options, race bool) (*Result, error) {
+// splitting reports that the run may split a straggler's cube in process.
+func (o *Options) splitting() bool { return o.Split.Depth > 0 && len(o.SplitLits) > 0 }
+
+// withDefaults arms what a run under opts cannot do without.
+func (o Options) withDefaults() Options {
+	if o.splitting() && o.ProgressEvery <= 0 {
+		// The hardness signal that steers splitting rides on the progress
+		// cadence, which is the solver's own: a default when the caller set
+		// none.
+		o.ProgressEvery = 512
+	}
+	return o
+}
+
+// run solves the given partitions, all or some of the template's, with
+// opts.Workers workers and folds the leaf verdicts into one
+// InstanceResult per partition, in parts order.
+func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Options, race bool) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("parallel: no partitions")
 	}
 	start := time.Now()
+	opts = opts.withDefaults()
 	r := &runner{
-		f: f, opts: opts, race: race,
+		tpl: t, opts: opts, race: race,
 		parts:     make(map[int]partition.Partition, len(parts)),
-		splitting: opts.Split.Depth > 0 && len(opts.SplitLits) > 0,
+		splitting: opts.splitting(),
 		running:   map[*cubeRun]bool{},
 		leaves:    make(map[int][]InstanceResult, len(parts)),
 		res:       &Result{Winner: -1},
@@ -90,11 +105,6 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 	}
 	if r.splitting {
 		sopts.SplitPolicy, sopts.SplitBits = opts.Split, len(opts.SplitLits)
-		if r.opts.ProgressEvery <= 0 {
-			// The hardness signal that steers splitting rides on the progress
-			// cadence; arm a default when the caller didn't.
-			r.opts.ProgressEvery = 512
-		}
 	}
 	r.sched = partition.NewScheduler(sopts)
 	r.ctx, r.cancel = context.WithCancel(ctx)
@@ -118,7 +128,7 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 		}()
 	}
 
-	r.buildTemplate(parts)
+	r.buildTemplate()
 
 	// More workers than there can be cubes would only sleep. With
 	// splitting on a partition is up to 1<<Depth leaf cubes, and it takes
@@ -157,6 +167,11 @@ func run(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts 
 		inst := foldLeaves(pt.Index, leaves)
 		if opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
 			return nil, fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
+		}
+		if inst.Proof != nil && !t.held && !r.own {
+			// The template ends with the call: a kept proof leaves whole, the
+			// template's log and then the cube's.
+			inst.Proof = sat.JoinProofs(r.template.ProofLog(), inst.Proof)
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 	}
@@ -198,7 +213,7 @@ func (r *runner) replay(parts []partition.Partition) error {
 			inst.Status = sat.Sat
 			if r.res.Winner < 0 {
 				var err error
-				if model, err = rederive(r.f, pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
+				if model, err = rederive(r.tpl.formula(), pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
 					return err
 				}
 			}
@@ -248,7 +263,7 @@ func (r *runner) work() {
 	var checker *sat.ProofChecker
 	check := func(assume []cnf.Lit, p *sat.Proof) error {
 		if checker == nil {
-			c := sat.NewProofChecker(r.f)
+			c := sat.NewProofChecker(r.tpl.formula())
 			if !r.own {
 				if err := c.Extend(r.template.ProofLog()); err != nil {
 					return fmt.Errorf("in the template's simplification pass: %w", err)

@@ -34,9 +34,15 @@ import (
 // Solve (one worker, no first-SAT cancellation); only the schedule is
 // simulated here.
 func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
+	return newTemplate(f, parts, opts, false).Simulate(ctx, parts, opts)
+}
+
+// Simulate is Simulate on a template the caller holds.
+func (t *Template) Simulate(ctx context.Context, parts []partition.Partition, opts Options) (*Result, error) {
+	f := t.formula()
 	seq := opts
 	seq.Workers = 1
-	res, err := run(ctx, f, parts, seq, false)
+	res, err := t.run(ctx, parts, seq, false)
 	if err != nil || ctx.Err() != nil {
 		return res, err
 	}

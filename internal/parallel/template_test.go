@@ -362,3 +362,101 @@ func TestTemplateProofsAndModels(t *testing.T) {
 		})
 	}
 }
+
+// A template its caller holds (Prepare) is the run's, sized for all of
+// its partitions whichever of them a call is handed: the first call
+// builds it, the others find it built; a partition's counters are those
+// of the whole run's (TestCubeCountersIndependentOfSchedule) handed
+// over alone, in pairs or all at once; a kept proof is the cube's own
+// log and checks on what the template logged before it; and a holder
+// that wants the digest of that log, not the log, nor the formula once
+// it is loaded, gets the same digest and the same searches.
+func TestHeldTemplateServesCallsAlike(t *testing.T) {
+	f, parts := esCell(t)
+	whole, err := Solve(context.Background(), f, parts, Options{Workers: 2})
+	if err != nil || whole.Status != sat.Unsat {
+		t.Fatalf("%v, %v", whole, err)
+	}
+	opts := Options{Workers: 1, KeepProofs: true}
+	held := Prepare(f, parts, opts)
+	digested := Prepare(f, parts, opts)
+	digested.DigestPrefix(nil)
+	digested.LoadOnce()
+	if !held.Ready() || !digested.Ready() {
+		t.Fatal("a template that has yet to be built is not ready to be")
+	}
+	var checker *sat.ProofChecker
+	builds := 0
+	for _, call := range [][]partition.Partition{parts[3:4], parts[0:2], parts[6:8], parts} {
+		res, err := held.Solve(context.Background(), call, opts)
+		if err != nil || res.Status != sat.Unsat {
+			t.Fatalf("partitions %d..%d: %v, %v", call[0].Index, call[len(call)-1].Index, res, err)
+		}
+		alike, err := digested.Solve(context.Background(), call, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Template.Time > 0 {
+			builds++
+		}
+		if res.Template.Stats.ElimVars != whole.Template.Stats.ElimVars || res.Template.Cubes != len(call) {
+			t.Fatalf("template %+v, of the whole run %+v", res.Template, whole.Template)
+		}
+		if checker == nil {
+			prefix, err := held.Prefix(context.Background())
+			if err != nil || len(prefix.Lemmas) == 0 {
+				t.Fatalf("prefix %v, %v", prefix, err)
+			}
+			if got, err := digested.PrefixDigest(context.Background()); err != nil || got != prefix.Digest() {
+				t.Fatalf("digest %+v, %v; of the kept prefix %+v", got, err, prefix.Digest())
+			}
+			if _, err := digested.Prefix(context.Background()); err == nil {
+				t.Fatal("a digested prefix was kept all the same")
+			}
+			checker = sat.NewProofChecker(f)
+			if err := checker.Extend(prefix); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, inst := range res.Instances {
+			if got, want := scheduleFreeOf(inst.Stats), scheduleFreeOf(whole.Instances[inst.Partition].Stats); got != want {
+				t.Errorf("partition %d: %+v, in the whole run %+v", inst.Partition, got, want)
+			}
+			if scheduleFreeOf(alike.Instances[i].Stats) != scheduleFreeOf(inst.Stats) {
+				t.Errorf("partition %d: %+v on the template that keeps neither log nor formula", inst.Partition, alike.Instances[i].Stats)
+			}
+			if inst.Proof == nil || checker.Check(call[i].Assumptions, inst.Proof) != nil {
+				t.Errorf("partition %d: its own log does not check on the template's: %v", inst.Partition, inst.Proof.NumLemmas())
+			}
+			if sat.CheckRUP(f, call[i].Assumptions, inst.Proof) == nil && inst.Proof.NumLemmas() > 0 && inst.Stats.Conflicts > 50 {
+				t.Errorf("partition %d: a tail of %d lemmas checks without the prefix: is it one?", inst.Partition, inst.Proof.NumLemmas())
+			}
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("the template was built %d times", builds)
+	}
+
+	// One partition, nothing to split: the run's only cube is solved on a
+	// solver loaded for it, every time, and the prefix is empty.
+	single := Prepare(f, parts[2:3], opts)
+	cold := sat.NewFromFormula(f, sat.Options{})
+	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		res, err := single.Solve(context.Background(), parts[2:3], opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Instances[0].Stats; got != cold.Stats() {
+			t.Fatalf("a run of one partition:\n%+v\nsat.NewFromFormula + Solve:\n%+v", got, cold.Stats())
+		}
+		if err := sat.CheckRUP(f, parts[2].Assumptions, res.Instances[0].Proof); err != nil {
+			t.Fatalf("its proof is not whole: %v", err)
+		}
+	}
+	if prefix, err := single.Prefix(context.Background()); err != nil || len(prefix.Lemmas) != 0 {
+		t.Fatalf("prefix of a run of one partition: %v, %v", prefix, err)
+	}
+}

@@ -48,6 +48,8 @@ type PartitionRow struct {
 	Worker       string `json:"worker,omitempty"`
 	Conflicts    int64  `json:"conflicts,omitempty"`
 	Propagations int64  `json:"propagations,omitempty"`
+	Decisions    int64  `json:"decisions,omitempty"`
+	Restarts     int64  `json:"restarts,omitempty"`
 	// ElimVars and Simplified are the variables eliminated and the
 	// original clauses removed by the solver's simplification pass:
 	// zero for a search that ended before the pass was due.
@@ -290,6 +292,8 @@ func (r *Recorder) Finish(row PartitionRow) {
 	if row.Propagations > cur.Propagations {
 		cur.Propagations = row.Propagations
 	}
+	cur.Decisions = max(cur.Decisions, row.Decisions)
+	cur.Restarts = max(cur.Restarts, row.Restarts)
 	cur.ElimVars = max(cur.ElimVars, row.ElimVars)
 	cur.Simplified = max(cur.Simplified, row.Simplified)
 	if row.Progress > cur.Progress {

@@ -282,14 +282,29 @@ func FuzzSimplifySolve(f *testing.F) {
 }
 
 // A FuzzCheckRUP input is a FuzzSolve input, then a byte 1, then the
-// lemmas of a claimed proof in the same clause encoding. Without the
-// separator the proof is empty.
+// steps of a claimed proof in the same clause encoding: a clause ended
+// by a byte 0 is a lemma, one ended by a byte 1 a deletion logged where
+// it stands. Without the separator the proof is empty.
 func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options, claimed *Proof) {
 	claimed = &Proof{}
 	if len(data) > 1 {
 		if cut := bytes.IndexByte(data[1:], 1); cut >= 0 {
-			lemmas, _, _ := decodeFuzzInput(append([]byte{0}, data[cut+2:]...))
-			claimed.Lemmas = lemmas.Clauses
+			var clause cnf.Clause
+			for _, b := range data[cut+2:] {
+				switch b {
+				case 0:
+					claimed.Lemmas = append(claimed.Lemmas, clause)
+					clause = nil
+				case 1:
+					claimed.Deletes = append(claimed.Deletes, Deletion{At: len(claimed.Lemmas), Clause: clause})
+					clause = nil
+				default:
+					clause = append(clause, cnf.Lit(b))
+				}
+			}
+			if clause != nil {
+				claimed.Lemmas = append(claimed.Lemmas, clause)
+			}
 			data = data[:cut+1]
 		}
 	}
@@ -297,15 +312,29 @@ func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, o
 	return f, assumptions, opts, claimed
 }
 
-func withFuzzProof(input []byte, lemmas ...cnf.Clause) []byte {
-	return append(append(input[:len(input):len(input)], 1),
-		encodeFuzzInput(0, nil, &cnf.Formula{Clauses: lemmas})[1:]...)
+// withFuzzProof appends p to a FuzzSolve input whose clauses end in 0.
+// A deletion whose At is out of order is encoded where its turn comes.
+func withFuzzProof(input []byte, p *Proof) []byte {
+	out := append(input[:len(input):len(input)], 1)
+	_ = p.steps(func(deleted bool, c cnf.Clause) error {
+		for _, l := range c {
+			out = append(out, byte(l))
+		}
+		if deleted {
+			out = append(out, 1)
+		} else {
+			out = append(out, 0)
+		}
+		return nil
+	})
+	return out
 }
 
 // checkFuzzProof puts one proof to a checker that has checked others, a
 // fresh checker and the reference engine. The first two must agree to
 // the letter; what the reference accepts the checker must accept, and
-// nothing may be accepted against a formula the solver satisfied.
+// nothing may be accepted against a formula the solver satisfied —
+// whatever the proof deletes.
 func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status) error {
 	t.Helper()
 	fresh := CheckRUP(f, assumptions, p)
@@ -316,9 +345,31 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 		t.Fatalf("the reference engine accepts what the checker rejects: %v", fresh)
 	}
 	if fresh == nil && solved == Sat {
-		t.Fatalf("accepted a refutation of a satisfiable formula: %v under %v, lemmas %v", f, assumptions, p.Lemmas)
+		t.Fatalf("accepted a refutation of a satisfiable formula: %v under %v, lemmas %v, deletions %v", f, assumptions, p.Lemmas, p.Deletes)
+	}
+	// A deletion can only take clauses away: what checks with them
+	// checks without.
+	if fresh == nil && len(p.Deletes) > 0 {
+		if err := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas}); err != nil {
+			t.Fatalf("accepted with its %d deletions, rejected without: %v", len(p.Deletes), err)
+		}
 	}
 	return fresh
+}
+
+// cutProof splits p before lemma number cut: the deletions that take
+// effect before it go with the prefix, the rest count from the tail's
+// first lemma.
+func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
+	prefix, tail = &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
+	dels := p.Deletes
+	for ; len(dels) > 0 && dels[0].At <= cut; dels = dels[1:] {
+		prefix.Deletes = append(prefix.Deletes, dels[0])
+	}
+	for _, d := range dels {
+		tail.Deletes = append(tail.Deletes, Deletion{At: d.At - cut, Clause: d.Clause})
+	}
+	return prefix, tail
 }
 
 // checkExtendLaw cuts a proof into a prefix and a tail at both ends and
@@ -326,13 +377,18 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 // on one that has been through the whole proof before. Where the prefix
 // stands under no assumption, Extend(prefix) then Check(tail) — twice,
 // the second from the base Extend moved — accepts exactly when Check of
-// the whole does; where a lemma of it does not, Extend says so and the
-// checker answers for the whole proof as if nothing had been tried.
+// the whole does, deletions included: those of the prefix leave the base
+// for good, those of the tail come back with every reset. Where a lemma
+// of the prefix does not stand, Extend says so and the checker answers
+// for the whole proof as if nothing had been tried.
 func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
 	t.Helper()
 	whole := CheckRUP(f, assumptions, p)
 	for _, cut := range []int{0, len(p.Lemmas) / 2, len(p.Lemmas)} {
-		prefix, tail := &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
+		prefix, tail := cutProof(p, cut)
+		if got := CheckRUP(f, assumptions, JoinProofs(prefix, tail)); errText(got) != errText(whole) {
+			t.Fatalf("cut at %d of %d and joined again: %s, the proof itself %s", cut, len(p.Lemmas), errText(got), errText(whole))
+		}
 		reused := NewProofChecker(f)
 		_ = reused.Check(assumptions, p)
 		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
@@ -358,7 +414,14 @@ func FuzzCheckRUP(f *testing.F) {
 	for _, seed := range small {
 		f.Add(seed)
 		// Each refutable seed again with its proof, and with the proof
-		// cut short, reversed and weakened by an unknown variable.
+		// cut short, reversed and weakened by an unknown variable; then
+		// with the proof of a search simplified before it began, which
+		// deletes what the pass removed, and that one corrupted: every
+		// deletion twice, clauses of the formula deleted before the first
+		// lemma, the deletions without the lemmas. (The deletions of
+		// reduceDB take ten thousand conflicts to come by: the fuzzer finds
+		// them behind fuzzLongRun, TestProofDeletesWhatTheSolverDropped
+		// checks them once.)
 		formula, assumptions, opts := decodeFuzzInput(seed)
 		s := NewFromFormula(formula, opts)
 		s.EnableProof()
@@ -366,15 +429,36 @@ func FuzzCheckRUP(f *testing.F) {
 			continue
 		}
 		lemmas := s.ProofLog().Lemmas
-		f.Add(withFuzzProof(seed, lemmas...))
-		f.Add(withFuzzProof(seed, lemmas[:len(lemmas)/2]...))
+		f.Add(withFuzzProof(seed, s.ProofLog()))
+		f.Add(withFuzzProof(seed, &Proof{Lemmas: lemmas[:len(lemmas)/2]}))
 		reversed := slices.Clone(lemmas)
 		slices.Reverse(reversed)
-		f.Add(withFuzzProof(seed, reversed...))
-		f.Add(withFuzzProof(seed, append(cnf.Clause{mk(120, false)}, lemmas[0]...)))
+		f.Add(withFuzzProof(seed, &Proof{Lemmas: reversed}))
+		f.Add(withFuzzProof(seed, &Proof{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}}))
+
+		simplified := NewFromFormula(formula, opts)
+		simplified.simplifyAt = 0
+		simplified.EnableProof()
+		if st, _ := simplified.Solve(assumptions...); st != Unsat || len(simplified.ProofLog().Deletes) == 0 {
+			continue
+		}
+		p := simplified.ProofLog()
+		f.Add(withFuzzProof(seed, p))
+		twice := &Proof{Lemmas: p.Lemmas}
+		for _, d := range p.Deletes {
+			twice.Deletes = append(twice.Deletes, d, d)
+		}
+		f.Add(withFuzzProof(seed, twice))
+		robbed := &Proof{Lemmas: p.Lemmas, Deletes: slices.Clone(p.Deletes)}
+		for _, c := range formula.Clauses[:min(4, len(formula.Clauses))] {
+			robbed.Deletes = slices.Insert(robbed.Deletes, 0, Deletion{Clause: c})
+		}
+		f.Add(withFuzzProof(seed, robbed))
+		f.Add(withFuzzProof(seed, &Proof{Deletes: p.Deletes}))
 	}
 	// TestCheckRUPLemmaUnitUnderRoot's formula and proof, the lemmas
-	// with a duplicate literal and a tautology among them.
+	// with a duplicate literal and a tautology among them, and the
+	// deletion of a tautology, a unit and a clause nobody has.
 	unitUnderRoot := cnf.New()
 	for _, c := range [][]int{{-1}, {2, 3, 4}, {2, 3, -4}, {-3, 5}, {-3, -5}, {-2, 6}, {-2, -6}} {
 		var clause cnf.Clause
@@ -383,10 +467,17 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		unitUnderRoot.AddClause(clause...)
 	}
-	f.Add(withFuzzProof(encodeFuzzInput(0, nil, unitUnderRoot),
-		cnf.Clause{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
-		cnf.Clause{mk(5, false), mk(5, true)},
-		cnf.Clause{mk(2, false)}))
+	f.Add(withFuzzProof(encodeFuzzInput(0, nil, unitUnderRoot), &Proof{
+		Lemmas: []cnf.Clause{
+			{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
+			{mk(5, false), mk(5, true)},
+			{mk(2, false)}},
+		Deletes: []Deletion{
+			{At: 0, Clause: cnf.Clause{mk(5, false), mk(5, true)}},
+			{At: 1, Clause: cnf.Clause{mk(1, true)}},
+			{At: 1, Clause: cnf.Clause{mk(90, false), mk(2, false)}},
+			{At: 2, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}}},
+	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		formula, assumptions, opts, claimed := decodeFuzzProofInput(data)
@@ -398,9 +489,18 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		reused := NewProofChecker(formula)
 		first := checkFuzzProof(t, reused, formula, assumptions, claimed, solved)
+		// The solver's own refutations: of the search as it went, and of
+		// one simplified before it began, whose log deletes what the pass
+		// removed.
+		simplified, simplifiedSt := solveSimplified(t, formula, assumptions, opts)
 		if solved == Unsat {
 			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved); err != nil {
 				t.Fatalf("the solver's refutation rejected: %v", err)
+			}
+		}
+		if simplifiedSt == Unsat {
+			if err := checkFuzzProof(t, reused, formula, assumptions, simplified.ProofLog(), simplifiedSt); err != nil {
+				t.Fatalf("the simplified solver's refutation rejected: %v", err)
 			}
 		}
 		// The same answer again, now that the checker has been through
@@ -411,6 +511,9 @@ func FuzzCheckRUP(f *testing.F) {
 		checkExtendLaw(t, formula, assumptions, claimed)
 		if solved == Unsat {
 			checkExtendLaw(t, formula, assumptions, s.ProofLog())
+		}
+		if simplifiedSt == Unsat {
+			checkExtendLaw(t, formula, assumptions, simplified.ProofLog())
 		}
 	})
 }

@@ -13,6 +13,9 @@ import (
 // values, so a lemma attached through a root-false literal can become
 // unit unnoticed (TestCheckRUPLemmaUnitUnderRoot) — which is why the
 // comparison is one-sided: what the reference accepts, the checker must.
+// Deletions (Proof.Deletes) it has learnt since, with the checker's
+// semantics spelt out the slow way: the first live clause with exactly
+// the entry's literals goes, the root keeps what it propagated.
 
 // referenceCheckRUP is CheckRUP as it was on the reference engine.
 func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
@@ -20,7 +23,11 @@ func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 	if e.conflictAtRoot {
 		return nil // the formula plus assumptions is already conflicting
 	}
+	dels := p.Deletes
 	for i, lemma := range p.Lemmas {
+		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
+			e.deleteClause(dels[0].Clause)
+		}
 		if !e.checkLemma(lemma) {
 			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
 				i+1, len(p.Lemmas), lemma)
@@ -45,6 +52,11 @@ func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 type rupEngine struct {
 	numVars int
 	clauses [][]cnf.Lit
+	// byLits lists the live clauses by their literals as addClause
+	// normalised them; dead[i] marks a deleted clause, which its watchers
+	// drop when they next see it.
+	byLits  map[string][]int
+	dead    []bool
 	watches [][]int // by Lit.Index(): the clauses watching the literal
 	assigns []int8
 	trail   []cnf.Lit
@@ -59,6 +71,7 @@ func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
 	e := &rupEngine{
 		numVars: f.NumVars,
 		watches: make([][]int, 2*(f.NumVars+1)),
+		byLits:  map[string][]int{},
 		assigns: make([]int8, f.NumVars+1),
 	}
 	for _, c := range f.Clauses {
@@ -141,8 +154,24 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 	idx := len(e.clauses)
 	lits := append([]cnf.Lit{}, c...)
 	e.clauses = append(e.clauses, lits)
+	e.byLits[fmt.Sprint(c)] = append(e.byLits[fmt.Sprint(c)], idx)
+	e.dead = append(e.dead, false)
 	for _, l := range lits[:2] {
 		e.watches[l.Index()] = append(e.watches[l.Index()], idx)
+	}
+}
+
+// deleteClause marks dead the first live clause with exactly c's
+// literals, if there is one. Units were never stored: what they
+// propagated stays.
+func (e *rupEngine) deleteClause(c cnf.Clause) {
+	nc, taut := append(cnf.Clause{}, c...).Normalize()
+	if taut {
+		return
+	}
+	if live := e.byLits[fmt.Sprint(nc)]; len(live) > 0 {
+		e.dead[live[0]] = true
+		e.byLits[fmt.Sprint(nc)] = live[1:]
 	}
 }
 
@@ -156,6 +185,9 @@ func (e *rupEngine) propagate() bool {
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			ci := ws[wi]
+			if e.dead[ci] {
+				continue
+			}
 			lits := e.clauses[ci]
 			// Ensure np is at position 1.
 			if lits[0] == np {

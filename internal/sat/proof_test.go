@@ -3,6 +3,8 @@ package sat
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -319,4 +321,278 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		t.Fatalf("stats after %d checks: %+v", len(inputs), got)
 	}
 	t.Logf("%d inputs: %d accepted, %d rejected; %+v", len(inputs), accepted, rejected, reused.Stats())
+}
+
+// deletingProofs returns refutations that log both kinds of deletion: a
+// search the simplification pass ran before (what it removed and
+// replaced), and one under a memory budget its 20 000 idle variables
+// nearly fill, so that reduceDB throws learnt clauses away within a few
+// hundred conflicts.
+func deletingProofs(t *testing.T) []struct {
+	name string
+	f    *cnf.Formula
+	p    *Proof
+} {
+	t.Helper()
+	simplified := pigeonhole(6)
+	pass := NewFromFormula(simplified, Options{})
+	pass.simplifyAt = 0
+	pass.EnableProof()
+	if st, err := pass.Solve(); err != nil || st != Unsat || pass.Stats().Simplified == 0 {
+		t.Fatalf("simplified search: %v, %v, %d clauses removed", st, err, pass.Stats().Simplified)
+	}
+	padded := pigeonhole(7)
+	padded.AddClause(cnf.PosLit(20000))
+	reducing := NewFromFormula(padded, Options{MemBudgetMB: 2})
+	reducing.simplified = true // the budget has no room for the pass
+	reducing.EnableProof()
+	if st, err := reducing.Solve(); err != nil || st != Unsat || reducing.Stats().LearntDeleted == 0 {
+		t.Fatalf("search under a memory budget: %v, %v, %d learnt clauses deleted", st, err, reducing.Stats().LearntDeleted)
+	}
+	return []struct {
+		name string
+		f    *cnf.Formula
+		p    *Proof
+	}{{"pass", simplified, pass.ProofLog()}, {"reduceDB", padded, reducing.ProofLog()}}
+}
+
+// baseOf lists what a checker at rest holds: its live clauses, each as
+// its sorted literals, in sorted order, and how often each literal is
+// watched through.
+func baseOf(t *testing.T, c *ProofChecker) (clauses []string, watchers int) {
+	t.Helper()
+	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
+		if c.arena[ref-1]&delTag != 0 {
+			continue
+		}
+		lits := slices.Clone(c.arena[ref : ref+int(c.arena[ref-1])])
+		for _, l := range lits[:2] {
+			if !slices.ContainsFunc(c.watches[l^1], func(w watcher) bool { return w.ref&^binTag == uint32(ref) }) {
+				t.Fatalf("clause %v is not watched through %d", lits, l)
+			}
+		}
+		slices.Sort(lits)
+		clauses = append(clauses, fmt.Sprint(lits))
+	}
+	slices.Sort(clauses)
+	for _, ws := range c.watches {
+		watchers += len(ws)
+	}
+	if watchers != 2*len(clauses) {
+		t.Fatalf("%d watchers for %d clauses", watchers, len(clauses))
+	}
+	return clauses, watchers
+}
+
+// What the solver logs as dropped the checker drops — nearly all of it:
+// a deletion names its clause by the literals the solver held, and the
+// few clauses the solver had already shortened by a level-0 literal the
+// checker keeps under their own — and the proof checks, on the checker
+// and the reference engine; it checks again on the same checker, whose
+// base comes back from every check clause for clause and watched as it
+// must be, whatever the proof deleted from it; and cut in two it obeys
+// Extend's law.
+func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
+	for _, tc := range deletingProofs(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			f, p := tc.f, tc.p
+			if len(p.Deletes) == 0 {
+				t.Fatal("the proof deletes nothing")
+			}
+			for i, d := range p.Deletes {
+				if d.At < 0 || d.At > len(p.Lemmas) || i > 0 && d.At < p.Deletes[i-1].At {
+					t.Fatalf("deletion %d at %d after one at %d, of %d lemmas", i, d.At, p.Deletes[max(i-1, 0)].At, len(p.Lemmas))
+				}
+			}
+			c := NewProofChecker(f)
+			base, _ := baseOf(t, c)
+			if err := c.Check(nil, p); err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if err := referenceCheckRUP(f, nil, p); err != nil {
+				t.Fatalf("rejected by the reference engine: %v", err)
+			}
+			if err := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas}); err != nil {
+				t.Fatalf("rejected without its deletions: %v", err)
+			}
+
+			// The clauses gone when the last lemma is in, before reset
+			// brings the base back.
+			if refuted, err := c.derive(p); err != nil || !refuted {
+				t.Fatalf("derive: refuted %v, %v", refuted, err)
+			}
+			dropped := 0
+			for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
+				if c.arena[ref-1]&delTag != 0 {
+					dropped++
+				}
+			}
+			c.reset()
+			if dropped == 0 || 10*dropped < 9*len(p.Deletes) {
+				t.Errorf("the checker dropped %d clauses for %d deletions", dropped, len(p.Deletes))
+			}
+			// A proof that deletes the formula away before it starts, then
+			// the honest one again: every answer from the same base.
+			robbed := &Proof{Lemmas: p.Lemmas}
+			for _, cl := range f.Clauses {
+				robbed.Deletes = append(robbed.Deletes, Deletion{Clause: cl})
+			}
+			if err := c.Check(nil, robbed); err == nil {
+				t.Fatal("accepted with the formula deleted ahead of the first lemma")
+			}
+			if after, _ := baseOf(t, c); !slices.Equal(after, base) {
+				t.Fatalf("the base holds %d clauses after the checks, %d before, or not the same ones", len(after), len(base))
+			}
+			if err := c.Check(nil, p); err != nil {
+				t.Fatalf("rejected by the checker that had accepted it: %v", err)
+			}
+			checkExtendLaw(t, f, nil, p)
+			t.Logf("%d lemmas, %d deletions, %d clauses dropped", len(p.Lemmas), len(p.Deletes), dropped)
+		})
+	}
+}
+
+// A deletion that names nothing the checker holds is ignored, wherever
+// it says it stands, and changes no answer.
+func TestProofDeletionsThatNameNothing(t *testing.T) {
+	f := pigeonhole(5)
+	s := NewFromFormula(f, Options{})
+	s.EnableProof()
+	if st, err := s.Solve(); err != nil || st != Unsat {
+		t.Fatalf("%v, %v", st, err)
+	}
+	lemmas := s.ProofLog().Lemmas
+	binary := f.Clauses[len(f.Clauses)-1]
+	noise := []Deletion{
+		{At: -7, Clause: nil},
+		{At: 0, Clause: cnf.Clause{0}},
+		{At: 0, Clause: cnf.Clause{cnf.Lit(1 << 40), binary[0]}},
+		{At: 1, Clause: cnf.Clause{cnf.PosLit(cnf.Var(f.NumVars + 1)), binary[0]}},
+		{At: 1, Clause: cnf.Clause{binary[0]}},
+		{At: 1 << 40, Clause: cnf.Clause{binary[0], binary[0].Not()}},
+		{At: 2, Clause: cnf.Clause{binary[0], binary[1], binary[1].Not()}},
+	}
+	for _, p := range []*Proof{
+		{Lemmas: lemmas, Deletes: noise},
+		{Lemmas: lemmas[:len(lemmas)/2], Deletes: noise},
+		{Deletes: noise},
+	} {
+		want := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas})
+		if got := CheckRUP(f, nil, p); errText(got) != errText(want) {
+			t.Fatalf("%d lemmas: %s with the deletions, %s without", len(p.Lemmas), errText(got), errText(want))
+		}
+		if (referenceCheckRUP(f, nil, p) == nil) != (want == nil) {
+			t.Fatalf("%d lemmas: the reference engine disagrees", len(p.Lemmas))
+		}
+	}
+	// One that names a clause twice over takes it once: the second entry
+	// finds nothing, and the first is enough to break the proof.
+	twice := &Proof{Lemmas: lemmas}
+	for _, c := range f.Clauses {
+		twice.Deletes = append(twice.Deletes, Deletion{Clause: c}, Deletion{Clause: c})
+	}
+	if err := CheckRUP(f, nil, twice); err == nil {
+		t.Fatal("accepted with the whole formula deleted")
+	}
+}
+
+// A proof handed out step by step is the proof kept: a template-style
+// solver — loaded, simplified, not searched — that streams its log
+// (StreamProof) gives a digester the digest of the log its twin kept,
+// and a checker (ExtendStep, ExtendDone) the base Extend builds from
+// that log, clause for clause; it keeps nothing itself, and its clones
+// log their own searches as any clone does. A step that does not stand
+// is reported when the stream is done, and the checker is then where it
+// was.
+func TestStreamedProofIsTheKeptOne(t *testing.T) {
+	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
+	f := enc.Formula()
+	parts, err := partition.Make(enc, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	template := func(arm func(*Solver)) *Solver {
+		s := NewFromFormula(f, Options{})
+		arm(s)
+		for _, pt := range parts {
+			s.Freeze(pt.Assumptions...)
+		}
+		if !s.Simplify() || s.Stats().ElimVars == 0 {
+			t.Fatalf("the pass eliminated %d variables", s.Stats().ElimVars)
+		}
+		return s
+	}
+	kept := template((*Solver).EnableProof)
+	log := kept.ProofLog()
+	if len(log.Lemmas) == 0 || len(log.Deletes) == 0 {
+		t.Fatalf("%d lemmas, %d deletions kept", len(log.Lemmas), len(log.Deletes))
+	}
+
+	digester, streamedTo := NewProofDigester(), NewProofChecker(f)
+	steps := 0
+	streaming := template(func(s *Solver) {
+		s.StreamProof(func(deleted bool, clause []uint32) {
+			steps++
+			digester.Step(deleted, clause)
+			streamedTo.ExtendStep(deleted, clause)
+		})
+	})
+	if err := streamedTo.ExtendDone(); err != nil {
+		t.Fatalf("the streamed prefix rejected: %v", err)
+	}
+	if steps != len(log.Lemmas)+len(log.Deletes) || digester.Sum() != log.Digest() {
+		t.Fatalf("%d steps streamed with digest %+v, %d lemmas and %d deletions kept with %+v",
+			steps, digester.Sum(), len(log.Lemmas), len(log.Deletes), log.Digest())
+	}
+	if p := streaming.ProofLog(); p == nil || len(p.Lemmas) != 0 || len(p.Deletes) != 0 {
+		t.Fatalf("the streaming solver kept %+v", p)
+	}
+	extended := NewProofChecker(f)
+	if err := extended.Extend(log); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := baseOf(t, extended)
+	if got, _ := baseOf(t, streamedTo); !slices.Equal(got, want) {
+		t.Fatalf("the checker fed by steps holds %d clauses, the one extended by the log %d, or not the same ones", len(got), len(want))
+	}
+	// The clones' tails check on either, and are kept.
+	for _, pt := range []partition.Partition{parts[0], parts[5]} {
+		c := streaming.Clone()
+		if st, err := c.Solve(pt.Assumptions...); err != nil || st != Unsat || c.ProofLog().NumLemmas() == 0 {
+			t.Fatalf("partition %d on a clone: %v, %v, %d lemmas kept", pt.Index, st, err, c.ProofLog().NumLemmas())
+		}
+		for name, checker := range map[string]*ProofChecker{"streamed": streamedTo, "extended": extended} {
+			if err := checker.Check(pt.Assumptions, c.ProofLog()); err != nil {
+				t.Fatalf("partition %d: tail rejected by the %s checker: %v", pt.Index, name, err)
+			}
+		}
+	}
+
+	// One literal of one lemma flipped on its way.
+	fresh := NewProofChecker(f)
+	base, _ := baseOf(t, fresh)
+	at, lemmas := len(log.Lemmas)/2, 0
+	_ = log.steps(func(deleted bool, c cnf.Clause) error {
+		clause := make([]uint32, len(c))
+		for i, l := range c {
+			clause[i] = uint32(l)
+		}
+		if !deleted {
+			if lemmas == at {
+				clause[0] ^= 1
+			}
+			lemmas++
+		}
+		fresh.ExtendStep(deleted, clause)
+		return nil
+	})
+	if err := fresh.ExtendDone(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lemma %d ", at+1)) {
+		t.Fatalf("stream with lemma %d forged: %v", at+1, err)
+	}
+	if after, _ := baseOf(t, fresh); !slices.Equal(after, base) {
+		t.Fatal("a rejected stream left the checker's base changed")
+	}
+	if err := fresh.Extend(log); err != nil {
+		t.Fatalf("after rejecting a forged stream the checker rejects the real prefix: %v", err)
+	}
 }

@@ -87,7 +87,7 @@ type eliminator struct {
 
 	stamp    []uint32 // per variable: see mark
 	epoch    uint32
-	buf      []lit
+	buf, was []lit  // a resolvent; a clause as it was before strengthen cut it
 	pos, neg []cref // eliminate's split of an occurrence list
 
 	stopped bool // interrupted: only pending units are applied from here on
@@ -373,13 +373,15 @@ func (e *eliminator) assertUnit(u lit) bool {
 }
 
 // logLemma appends a clause the pass derived to the proof. Each one is
-// a RUP consequence of clauses the checker already holds (the parents
-// of a resolvent, the subsumer and the clause it strengthens), and the
-// checker never deletes, so the lemmas learnt afterwards from the
-// simplified clause set stay RUP against the original formula.
+// a RUP consequence of clauses the checker still holds (the parents of
+// a resolvent, the subsumer and the clause it strengthens): the pass
+// logs what it removes (remove, strengthen) only after what it derived
+// from it, so the checker ends up with the simplified clause set, where
+// the lemmas learnt afterwards are RUP because the solver learnt them
+// there.
 func (e *eliminator) logLemma(lits []lit) {
-	if s := e.s; s.proof != nil {
-		s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
+	if e.s.proof != nil {
+		e.s.logLemma(lits)
 	}
 }
 
@@ -417,8 +419,12 @@ func (e *eliminator) reprice(v int, insert bool) {
 	}
 }
 
-// remove deletes a clause: its occurrences go lazily.
+// remove deletes a clause: its occurrences go lazily. A clause cut down
+// to a unit went to the trail, and strengthen logged what it was.
 func (e *eliminator) remove(c cref) {
+	if e.s.proof != nil && e.size(c) > 1 {
+		e.s.logDelete(e.lits(c))
+	}
 	for _, l := range e.lits(c) {
 		e.nocc[l]--
 		e.dirty[vidx(l)] = true
@@ -453,6 +459,9 @@ func (e *eliminator) clean(v int) []cref {
 // the unit contradicts the level-0 assignment.
 func (e *eliminator) strengthen(c cref, p lit) bool {
 	lits := e.lits(c)
+	if e.s.proof != nil {
+		e.was = append(e.was[:0], lits...) // the clause as the checker holds it
+	}
 	for k, l := range lits {
 		if l == p {
 			copy(lits[k:], lits[k+1:])
@@ -474,6 +483,9 @@ func (e *eliminator) strengthen(c cref, p lit) bool {
 	}
 	e.reprice(vidx(p), true)
 	e.logLemma(lits)
+	if e.s.proof != nil {
+		e.s.logDelete(e.was)
+	}
 	if len(lits) == 1 {
 		u := lits[0]
 		e.remove(c)
@@ -883,6 +895,9 @@ next:
 	for _, c := range s.learnts {
 		for _, l := range s.lits(c) {
 			if s.vals[l] == lTrue || s.eliminated[vidx(l)] {
+				if s.proof != nil {
+					s.logDelete(s.lits(c))
+				}
 				continue next
 			}
 		}

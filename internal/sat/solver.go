@@ -413,7 +413,10 @@ type Solver struct {
 
 	stats Stats
 	graph *DecisionGraph
-	proof *Proof
+	// proof is not nil with proof logging on: the log, unless proofStep
+	// takes the steps instead (StreamProof) and it stays empty.
+	proof     *Proof
+	proofStep func(deleted bool, clause []uint32)
 
 	// peakBytes is the high-water mark of LiveBytes as of the last
 	// reduceDB, the only place the footprint falls; see PeakBytes.
@@ -1086,7 +1089,7 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	s.stats.LearntLits += int64(len(lits))
 	s.stats.LBDHist.Observe(lbd)
 	if s.proof != nil {
-		s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
+		s.logLemma(lits)
 	}
 	if s.ShareLearnt != nil && lbd <= s.ShareMaxLBD && len(lits) > 1 {
 		cp := make([]cnf.Lit, len(lits))
@@ -1138,6 +1141,9 @@ func (s *Solver) reduceDB() {
 	freed := 0
 	for i, c := range s.learnts {
 		if i < limit && s.size(c) > 2 && !s.isReason(c) {
+			if s.proof != nil {
+				s.logDelete(s.lits(c))
+			}
 			s.detach(c)
 			freed += learntWords + 1 + s.size(c)
 		} else {
