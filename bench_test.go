@@ -22,6 +22,7 @@ import (
 	"repro/internal/sampler"
 	"repro/internal/sat"
 	"repro/internal/unfold"
+	"repro/internal/vc"
 	"repro/internal/weakmem"
 	"repro/prog"
 )
@@ -57,6 +58,57 @@ func BenchmarkTable1Features(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkEncodeLoad measures the two steps between the flattened
+// program and the solver's first decision, each on its own: vc.Encode
+// (bit-blast + Tseitin into a cnf.Formula) and sat.NewFromFormula
+// (that formula into the clause arena and watch lists). The cells are
+// quick_batch's largest SAFE and UNSAFE formulas, its TSO job, and the
+// formula of the proof workloads.
+func BenchmarkEncodeLoad(b *testing.B) {
+	es := bench.Eliminationstack()
+	tso, err := weakmem.TransformTSO(es, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, cell := range []struct {
+		name string
+		p    *prog.Program
+		u, c int
+	}{
+		{"ss.u8.c3", bench.Safestack(), 8, 3},
+		{"ws.u8.c4", bench.Workstealingqueue(), 8, 4},
+		{"es.tso1.u3.c3", tso, 3, 3},
+		{"es.u2.c6", es, 2, 6},
+	} {
+		enc, fp, _, err := core.EncodeProgram(cell.p, core.Options{Unwind: cell.u, Contexts: cell.c})
+		if err != nil {
+			b.Fatal(err)
+		}
+		f := enc.Formula()
+		perSec := func(b *testing.B) {
+			b.ReportMetric(float64(f.NumClauses())*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+		}
+		b.Run(cell.name+"/encode", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := vc.Encode(fp, vc.Options{Contexts: cell.c}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perSec(b)
+		})
+		b.Run(cell.name+"/load", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s := sat.NewFromFormula(f, sat.Options{}); s.NumVars() != f.NumVars {
+					b.Fatalf("loaded %d variables of %d", s.NumVars(), f.NumVars)
+				}
+			}
+			perSec(b)
 		})
 	}
 }

@@ -11,7 +11,7 @@ import (
 // returns the model. The formula must be satisfiable.
 func solveWith(t *testing.T, c *Ctx) []bool {
 	t.Helper()
-	s := sat.NewFromFormula(c.B.F, sat.Options{})
+	s := sat.NewFromFormula(c.B.Finish(), sat.Options{})
 	st, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)

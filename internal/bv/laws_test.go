@@ -11,7 +11,7 @@ import (
 func proveEquivalent(t *testing.T, name string, c *Ctx, x, y Vec) {
 	t.Helper()
 	c.B.Assert(c.Ne(x, y))
-	s := sat.NewFromFormula(c.B.F, sat.Options{})
+	s := sat.NewFromFormula(c.B.Finish(), sat.Options{})
 	st, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestComparatorDuality(t *testing.T) {
 	lt := c.Slt(a, b)
 	ge := c.Sle(b, a)
 	c.B.Assert(c.B.Xnor(lt, ge.Not()).Not()) // assert they differ
-	s := sat.NewFromFormula(c.B.F, sat.Options{})
+	s := sat.NewFromFormula(c.B.Finish(), sat.Options{})
 	st, err := s.Solve()
 	if err != nil {
 		t.Fatal(err)

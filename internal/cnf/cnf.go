@@ -123,13 +123,29 @@ func (c Clause) Normalize() (Clause, bool) {
 	return out, false
 }
 
-// Formula is a propositional formula in CNF.
+// Formula is a propositional formula in CNF. Its literals live in a
+// chunked, pointer-free store — every clause as its length followed by
+// its literals, in chunks that are never copied — and Clauses is a view
+// into that store.
 type Formula struct {
 	// NumVars is the highest variable index in use.
 	NumVars int
-	// Clauses is the conjunction of clauses.
+	// Clauses is the conjunction of clauses, read-only outside this
+	// package: AddClause is the one way a clause gets in. A Clause taken
+	// from it stays valid and unchanged for as long as it is referenced.
 	Clauses []Clause
+
+	chunks        [][]Lit
+	clauses, lits int // stored; Clauses may trail them inside this package
 }
+
+// The store's chunks double from minChunk to maxChunk words, so that a
+// ten-clause formula costs 2 KB and a million-clause one some sixty
+// allocations.
+const (
+	minChunk = 1 << 8
+	maxChunk = 1 << 16
+)
 
 // New returns an empty formula.
 func New() *Formula { return &Formula{} }
@@ -140,29 +156,65 @@ func (f *Formula) NewVar() Var {
 	return Var(f.NumVars)
 }
 
-// AddClause appends a clause, growing NumVars if the clause mentions a
-// larger variable. The slice is retained; callers must not mutate it.
+// AddClause appends a copy of the clause, growing NumVars if it mentions
+// a larger variable.
 func (f *Formula) AddClause(lits ...Lit) {
+	f.push(lits...)
+	c := f.chunks[len(f.chunks)-1]
+	f.Clauses = append(f.Clauses, Clause(c[len(c)-len(lits):len(c):len(c)]))
+}
+
+// push stores a clause without extending Clauses: whoever pushes owes a
+// view before the formula leaves the package.
+func (f *Formula) push(lits ...Lit) {
+	n := len(f.chunks) - 1
+	if n < 0 || cap(f.chunks[n])-len(f.chunks[n]) <= len(lits) {
+		size := minChunk
+		if n >= 0 {
+			size = min(2*cap(f.chunks[n]), maxChunk)
+		}
+		f.chunks = append(f.chunks, make([]Lit, 0, max(size, 1+len(lits))))
+		n++
+	}
+	f.chunks[n] = append(append(f.chunks[n], Lit(len(lits))), lits...)
 	for _, l := range lits {
-		if int(l.Var()) > f.NumVars {
-			f.NumVars = int(l.Var())
+		f.NumVars = max(f.NumVars, int(l.Var()))
+	}
+	f.clauses++
+	f.lits += len(lits)
+}
+
+// view builds Clauses over the whole store, in one allocation of the
+// exact size.
+func (f *Formula) view() {
+	f.Clauses = make([]Clause, 0, f.clauses)
+	for _, c := range f.chunks {
+		for i := 0; i < len(c); {
+			end := i + 1 + int(c[i])
+			f.Clauses = append(f.Clauses, Clause(c[i+1:end:end]))
+			i = end
 		}
 	}
-	f.Clauses = append(f.Clauses, Clause(lits))
 }
 
 // AddUnit appends a unit clause.
 func (f *Formula) AddUnit(l Lit) { f.AddClause(l) }
 
 // NumClauses returns the number of clauses.
-func (f *Formula) NumClauses() int { return len(f.Clauses) }
+func (f *Formula) NumClauses() int { return f.clauses }
+
+// NumLits returns the number of literals over all clauses.
+func (f *Formula) NumLits() int { return f.lits }
 
 // Clone returns a deep copy of the formula.
 func (f *Formula) Clone() *Formula {
-	out := &Formula{NumVars: f.NumVars, Clauses: make([]Clause, len(f.Clauses))}
-	for i, c := range f.Clauses {
-		out.Clauses[i] = c.Clone()
+	out := &Formula{NumVars: f.NumVars, clauses: f.clauses, lits: f.lits}
+	all := make([]Lit, 0, f.clauses+f.lits)
+	for _, c := range f.chunks {
+		all = append(all, c...)
 	}
+	out.chunks = [][]Lit{all}
+	out.view()
 	return out
 }
 

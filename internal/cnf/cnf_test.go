@@ -204,7 +204,7 @@ func TestBuilderGatesExhaustive(t *testing.T) {
 				b.Assert(litWithValue(y, yv == 1))
 				want := g.eval(xv == 1, yv == 1)
 				b.Assert(litWithValue(out, want))
-				if !bruteForceSat(b.F) {
+				if !bruteForceSat(b.Finish()) {
 					t.Fatalf("%s(%d,%d): expected %v to be consistent", g.name, xv, yv, want)
 				}
 				// And the opposite output value must be unsatisfiable.
@@ -214,7 +214,7 @@ func TestBuilderGatesExhaustive(t *testing.T) {
 				b2.Assert(litWithValue(x2, xv == 1))
 				b2.Assert(litWithValue(y2, yv == 1))
 				b2.Assert(litWithValue(out2, !want))
-				if bruteForceSat(b2.F) {
+				if bruteForceSat(b2.Finish()) {
 					t.Fatalf("%s(%d,%d): wrong output value satisfiable", g.name, xv, yv)
 				}
 			}
@@ -237,7 +237,7 @@ func TestBuilderIteExhaustive(t *testing.T) {
 					want = tv == 1
 				}
 				b.Assert(litWithValue(out, want))
-				if !bruteForceSat(b.F) {
+				if !bruteForceSat(b.Finish()) {
 					t.Fatalf("ite(%d,%d,%d) inconsistent", c, tv, ev)
 				}
 			}
@@ -295,10 +295,10 @@ func TestBuilderStructuralHashing(t *testing.T) {
 	if b.Xor(x.Not(), y) != b.Xor(x, y).Not() {
 		t.Fatal("Xor phase canonicalisation broken")
 	}
-	before := b.F.NumVars
+	before := b.Fresh()
 	b.And(x, y)
 	b.Xor(x, y)
-	if b.F.NumVars != before {
+	if b.Fresh().Var() != before.Var()+1 {
 		t.Fatal("cache miss on repeated gate")
 	}
 }
@@ -323,7 +323,7 @@ func TestAndAllOrAllProperty(t *testing.T) {
 		}
 		b.Assert(litWithValue(and, wantAnd))
 		b.Assert(litWithValue(or, wantOr))
-		return bruteForceSat(b.F)
+		return bruteForceSat(b.Finish())
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11)),
 		Values: func(vs []reflect.Value, r *rand.Rand) {
@@ -363,4 +363,283 @@ func bruteForceSat(f *Formula) bool {
 		}
 	}
 	return false
+}
+
+// sameClauses requires f to hold exactly the clauses of want, in order,
+// with counts to match.
+func sameClauses(t *testing.T, f *Formula, want [][]Lit) {
+	t.Helper()
+	lits := 0
+	for _, c := range want {
+		lits += len(c)
+	}
+	if len(f.Clauses) != len(want) || f.NumClauses() != len(want) || f.NumLits() != lits {
+		t.Fatalf("%d clauses in view, NumClauses %d, NumLits %d; want %d clauses of %d literals",
+			len(f.Clauses), f.NumClauses(), f.NumLits(), len(want), lits)
+	}
+	for i, c := range want {
+		if !reflect.DeepEqual([]Lit(f.Clauses[i]), append([]Lit{}, c...)) {
+			t.Fatalf("clause %d is %v, want %v", i, f.Clauses[i], c)
+		}
+	}
+}
+
+// The literals are copied: the caller's slice is its own again once
+// AddClause returns.
+func TestAddClauseCopiesItsArgument(t *testing.T) {
+	f := New()
+	lits := []Lit{PosLit(1), NegLit(2)}
+	f.AddClause(lits...)
+	var before bytes.Buffer
+	if err := WriteDimacs(&before, f); err != nil {
+		t.Fatal(err)
+	}
+	lits[0], lits[1] = NegLit(7), NegLit(1)
+	sameClauses(t, f, [][]Lit{{PosLit(1), NegLit(2)}})
+	if f.NumVars != 2 || !f.Eval([]bool{false, true, true}) || f.Eval([]bool{false, false, true}) {
+		t.Fatalf("formula changed with the caller's slice: %v", f)
+	}
+	var after bytes.Buffer
+	if err := WriteDimacs(&after, f); err != nil {
+		t.Fatal(err)
+	}
+	if before.String() != after.String() || after.String() != "p cnf 2 1\n1 -2 0\n" {
+		t.Fatalf("DIMACS changed with the caller's slice:\n%s", after.String())
+	}
+}
+
+// The store against a plain list of slices, across many chunks: empty
+// clauses, a clause longer than a chunk, clauses taken before later ones
+// arrive, and a clone that shares nothing with its original.
+func TestStoreMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	f := New()
+	var want [][]Lit
+	var early []Clause
+	for i := 0; i < 40000; i++ {
+		n := rng.Intn(6)
+		if i == 1000 {
+			n = 3 * minChunk
+		}
+		c := make([]Lit, n)
+		for j := range c {
+			c[j] = MkLit(Var(1+rng.Intn(50)), rng.Intn(2) == 0)
+		}
+		f.AddClause(c...)
+		want = append(want, c)
+		if i%997 == 0 {
+			early = append(early, f.Clauses[i])
+		}
+	}
+	sameClauses(t, f, want)
+	for k, c := range early {
+		if !reflect.DeepEqual([]Lit(c), append([]Lit{}, want[k*997]...)) {
+			t.Fatalf("clause %d taken early changed to %v", k*997, c)
+		}
+	}
+	var buf bytes.Buffer
+	if err := WriteDimacs(&buf, f); err != nil {
+		t.Fatal(err)
+	}
+	g, err := ReadDimacs(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameClauses(t, g, want)
+
+	clone := f.Clone()
+	sameClauses(t, clone, want)
+	clone.AddClause(PosLit(60))
+	clone.Clauses[0] = append(clone.Clauses[0], PosLit(61)) // must not reach a neighbour
+	if len(want[1]) > 0 {
+		clone.Clauses[1][0] = NegLit(62)
+	}
+	sameClauses(t, f, want)
+	if f.NumVars != 50 || clone.NumVars != 60 {
+		t.Fatalf("NumVars %d and %d, want 50 and 60", f.NumVars, clone.NumVars)
+	}
+}
+
+// mapBuilder is the builder this package had before the gate table: a Go
+// map per gate kind and a slice per clause. It stays as the oracle that
+// Builder must agree with literal for literal and clause for clause.
+type mapBuilder struct {
+	numVars  int
+	clauses  [][]Lit
+	and, xor map[[2]Lit]Lit
+}
+
+func newMapBuilder() *mapBuilder {
+	b := &mapBuilder{and: map[[2]Lit]Lit{}, xor: map[[2]Lit]Lit{}}
+	b.add(b.Fresh())
+	return b
+}
+
+func (b *mapBuilder) add(lits ...Lit) { b.clauses = append(b.clauses, lits) }
+func (b *mapBuilder) True() Lit       { return PosLit(1) }
+func (b *mapBuilder) False() Lit      { return NegLit(1) }
+func (b *mapBuilder) Fresh() Lit      { b.numVars++; return PosLit(Var(b.numVars)) }
+
+func (b *mapBuilder) And(x, y Lit) Lit {
+	if x == b.False() || y == b.False() || x == y.Not() {
+		return b.False()
+	}
+	if x == b.True() {
+		return y
+	}
+	if y == b.True() || x == y {
+		return x
+	}
+	key := [2]Lit{min(x, y), max(x, y)}
+	if g, ok := b.and[key]; ok {
+		return g
+	}
+	g := b.Fresh()
+	b.add(g.Not(), x)
+	b.add(g.Not(), y)
+	b.add(g, x.Not(), y.Not())
+	b.and[key] = g
+	return g
+}
+
+func (b *mapBuilder) Or(x, y Lit) Lit { return b.And(x.Not(), y.Not()).Not() }
+
+func (b *mapBuilder) Xor(x, y Lit) Lit {
+	switch {
+	case x == b.False():
+		return y
+	case y == b.False():
+		return x
+	case x == b.True():
+		return y.Not()
+	case y == b.True():
+		return x.Not()
+	case x == y:
+		return b.False()
+	case x == y.Not():
+		return b.True()
+	}
+	flip := x.Neg() != y.Neg()
+	x, y = PosLit(x.Var()), PosLit(y.Var())
+	key := [2]Lit{min(x, y), max(x, y)}
+	g, ok := b.xor[key]
+	if !ok {
+		g = b.Fresh()
+		b.add(g.Not(), x, y)
+		b.add(g.Not(), x.Not(), y.Not())
+		b.add(g, x, y.Not())
+		b.add(g, x.Not(), y)
+		b.xor[key] = g
+	}
+	if flip {
+		return g.Not()
+	}
+	return g
+}
+
+func (b *mapBuilder) Ite(cond, t, e Lit) Lit {
+	switch {
+	case cond == b.True():
+		return t
+	case cond == b.False():
+		return e
+	case t == e:
+		return t
+	case t == e.Not():
+		return b.Xor(cond, t).Not()
+	case t == b.True():
+		return b.Or(cond, e)
+	case t == b.False():
+		return b.And(cond.Not(), e)
+	case e == b.True():
+		return b.Or(cond.Not(), t)
+	case e == b.False():
+		return b.And(cond, t)
+	}
+	return b.Or(b.And(cond, t), b.And(cond.Not(), e))
+}
+
+func (b *mapBuilder) Assert(l Lit) {
+	if l != b.True() {
+		b.add(l)
+	}
+}
+
+// Property: over any sequence of gate calls — constants, repeats and
+// complements among the operands, enough new gates for the table to
+// double several times and the clauses to fill several chunks — Builder
+// returns what the map-based builder returns at every step, ends with
+// the same clauses, and its gate rows are the maps' entries.
+func TestBuilderAgreesWithMapBuilder(t *testing.T) {
+	for seed := int64(0); seed < 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b, o := NewBuilder(), newMapBuilder()
+		pool := []Lit{b.True(), b.False()}
+		for len(pool) < 4+int(seed)*8 {
+			x, y := b.Fresh(), o.Fresh()
+			if x != y {
+				t.Fatalf("Fresh: %v, oracle %v", x, y)
+			}
+			pool = append(pool, x)
+		}
+		pick := func() Lit {
+			l := pool[rng.Intn(len(pool))]
+			if rng.Intn(2) == 0 {
+				l = l.Not()
+			}
+			return l
+		}
+		steps := 500 << uint(seed)
+		for i := 0; i < steps; i++ {
+			x, y, z := pick(), pick(), pick()
+			var got, want Lit
+			switch op := rng.Intn(9); op {
+			case 0, 1:
+				got, want = b.And(x, y), o.And(x, y)
+			case 2, 3:
+				got, want = b.Or(x, y), o.Or(x, y)
+			case 4, 5:
+				got, want = b.Xor(x, y), o.Xor(x, y)
+			case 6, 7:
+				got, want = b.Ite(x, y, z), o.Ite(x, y, z)
+			default:
+				b.Assert(x)
+				o.Assert(x)
+				continue
+			}
+			if got != want {
+				t.Fatalf("seed %d step %d: %v, oracle %v", seed, i, got, want)
+			}
+			// A small pool keeps repeats likely; a growing one keeps new
+			// gates coming.
+			if rng.Intn(3) == 0 {
+				pool = append(pool, got)
+			} else {
+				pool[2+rng.Intn(len(pool)-2)] = got
+			}
+		}
+		for v := Var(1); int(v) <= o.numVars; v++ {
+			kind, x, y := b.Gate(v)
+			key := [2]Lit{x, y}
+			switch {
+			case kind == GateAnd && o.and[key] == PosLit(v):
+				delete(o.and, key)
+			case kind == GateXor && o.xor[key] == PosLit(v):
+				delete(o.xor, key)
+			case kind != GateNone:
+				t.Fatalf("seed %d: Gate(%d) = %d %v %v, not in the oracle", seed, v, kind, x, y)
+			}
+		}
+		if len(o.and)+len(o.xor) != 0 {
+			t.Fatalf("seed %d: %d gates of the oracle have no row", seed, len(o.and)+len(o.xor))
+		}
+		f := b.Finish()
+		if f.NumVars != o.numVars {
+			t.Fatalf("seed %d: %d variables, oracle %d", seed, f.NumVars, o.numVars)
+		}
+		sameClauses(t, f, o.clauses)
+		if seed == 5 && (f.NumVars < 2000 || len(f.chunks) < 4) {
+			t.Fatalf("largest run made %d variables in %d chunks: too small to grow the table", f.NumVars, len(f.chunks))
+		}
+	}
 }

@@ -14,16 +14,14 @@ func WriteDimacs(w io.Writer, f *Formula) error {
 	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
 		return err
 	}
+	var line []byte
 	for _, c := range f.Clauses {
+		line = line[:0]
 		for _, l := range c {
-			if _, err := bw.WriteString(strconv.Itoa(l.Dimacs())); err != nil {
-				return err
-			}
-			if err := bw.WriteByte(' '); err != nil {
-				return err
-			}
+			line = append(strconv.AppendInt(line, int64(l.Dimacs()), 10), ' ')
 		}
-		if _, err := bw.WriteString("0\n"); err != nil {
+		line = append(line, '0', '\n')
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -65,8 +63,8 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 				return nil, fmt.Errorf("cnf: bad literal %q: %v", tok, err)
 			}
 			if n == 0 {
-				f.AddClause(cur...)
-				cur = nil
+				f.push(cur...)
+				cur = cur[:0]
 				continue
 			}
 			cur = append(cur, FromDimacs(n))
@@ -77,8 +75,9 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 	}
 	if len(cur) > 0 {
 		// Final clause without the trailing 0 terminator.
-		f.AddClause(cur...)
+		f.push(cur...)
 	}
+	f.view()
 	if declaredClauses >= 0 && len(f.Clauses) != declaredClauses {
 		return nil, fmt.Errorf("cnf: header declares %d clauses, found %d", declaredClauses, len(f.Clauses))
 	}

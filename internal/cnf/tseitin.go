@@ -5,25 +5,94 @@ package cnf
 // gates, and small-gate simplifications, so that identical sub-circuits
 // share propositional variables.
 type Builder struct {
-	F *Formula
+	f *Formula
 
 	trueLit Lit // literal constrained to be true
 
-	andCache map[[2]Lit]Lit
-	xorCache map[[2]Lit]Lit
+	// gates[v] defines variable v: kind GateNone for an input. index is
+	// the structural hash over it, open-addressed and at most half full:
+	// a slot holds the variable of a gate (0: empty) and is compared
+	// through gates.
+	gates []gate
+	index []uint32
+}
+
+// GateKind says what a variable of a Builder stands for.
+type GateKind uint8
+
+const (
+	GateNone GateKind = iota // an input: Fresh, or the constant
+	GateAnd                  // v ↔ x ∧ y
+	GateXor                  // v ↔ x ⊕ y, x and y positive
+)
+
+type gate struct {
+	x, y uint32 // x < y
+	kind GateKind
 }
 
 // NewBuilder returns a Builder over a fresh formula with a dedicated
 // constant-true variable.
 func NewBuilder() *Builder {
-	b := &Builder{
-		F:        New(),
-		andCache: make(map[[2]Lit]Lit),
-		xorCache: make(map[[2]Lit]Lit),
-	}
-	b.trueLit = PosLit(b.F.NewVar())
-	b.F.AddUnit(b.trueLit)
+	b := &Builder{f: New(), gates: make([]gate, 1, 64), index: make([]uint32, 64)}
+	b.trueLit = b.Fresh()
+	b.f.push(b.trueLit)
 	return b
+}
+
+// Finish returns the formula, its Clauses built, and ends the building:
+// the formula is the caller's alone from here on, and the structural
+// hash is let go with it. What remains are the constants and Gate.
+func (b *Builder) Finish() *Formula {
+	f := b.f
+	f.view()
+	b.f, b.index = nil, nil
+	return f
+}
+
+// Gate returns the definition of v: its kind and, unless that is
+// GateNone, its two inputs.
+func (b *Builder) Gate(v Var) (kind GateKind, x, y Lit) {
+	g := b.gates[v]
+	return g.kind, Lit(g.x), Lit(g.y)
+}
+
+// gate returns the literal of the gate (kind, x, y), x < y, and whether
+// this call introduced it — its clauses are then the caller's to add.
+func (b *Builder) gate(kind GateKind, x, y Lit) (Lit, bool) {
+	want := gate{uint32(x), uint32(y), kind}
+	slot := b.find(want)
+	if v := b.index[slot]; v != 0 {
+		return Lit(v << 1), false
+	}
+	g := b.Fresh()
+	b.gates[g.Var()] = want
+	b.index[slot] = uint32(g.Var())
+	if 2*len(b.gates) > len(b.index) {
+		b.index = make([]uint32, 2*len(b.index))
+		for v, g := range b.gates {
+			if g.kind != GateNone {
+				b.index[b.find(g)] = uint32(v)
+			}
+		}
+	}
+	return g, true
+}
+
+// find returns the slot of the index that holds want, or the empty one
+// where it belongs.
+func (b *Builder) find(want gate) uint32 {
+	mask := uint32(len(b.index) - 1)
+	slot := want.hash() & mask
+	for b.index[slot] != 0 && b.gates[b.index[slot]] != want {
+		slot = (slot + 1) & mask
+	}
+	return slot
+}
+
+func (g gate) hash() uint32 {
+	h := (uint64(g.x)<<32 | uint64(g.y)) * 0x9E3779B97F4A7C15
+	return uint32(h>>32) + uint32(g.kind)
 }
 
 // True returns the constant-true literal.
@@ -33,7 +102,13 @@ func (b *Builder) True() Lit { return b.trueLit }
 func (b *Builder) False() Lit { return b.trueLit.Not() }
 
 // Fresh allocates a fresh unconstrained literal.
-func (b *Builder) Fresh() Lit { return PosLit(b.F.NewVar()) }
+func (b *Builder) Fresh() Lit {
+	if b.f.NumVars >= 1<<31-1 {
+		panic("cnf: the gate table holds literals in 32 bits")
+	}
+	b.gates = append(b.gates, gate{})
+	return PosLit(b.f.NewVar())
+}
 
 // IsConst reports whether l is one of the builder's constant literals,
 // and its value if so.
@@ -62,16 +137,13 @@ func (b *Builder) And(x, y Lit) Lit {
 	if y == b.True() || x == y {
 		return x
 	}
-	key := orderPair(x, y)
-	if g, ok := b.andCache[key]; ok {
-		return g
+	g, fresh := b.gate(GateAnd, min(x, y), max(x, y))
+	if fresh {
+		// g ↔ x ∧ y
+		b.f.push(g.Not(), x)
+		b.f.push(g.Not(), y)
+		b.f.push(g, x.Not(), y.Not())
 	}
-	g := b.Fresh()
-	// g ↔ x ∧ y
-	b.F.AddClause(g.Not(), x)
-	b.F.AddClause(g.Not(), y)
-	b.F.AddClause(g, x.Not(), y.Not())
-	b.andCache[key] = g
 	return g
 }
 
@@ -110,16 +182,13 @@ func (b *Builder) Xor(x, y Lit) Lit {
 		y = y.Not()
 		flip = !flip
 	}
-	key := orderPair(x, y)
-	g, ok := b.xorCache[key]
-	if !ok {
-		g = b.Fresh()
+	g, fresh := b.gate(GateXor, min(x, y), max(x, y))
+	if fresh {
 		// g ↔ x ⊕ y
-		b.F.AddClause(g.Not(), x, y)
-		b.F.AddClause(g.Not(), x.Not(), y.Not())
-		b.F.AddClause(g, x, y.Not())
-		b.F.AddClause(g, x.Not(), y)
-		b.xorCache[key] = g
+		b.f.push(g.Not(), x, y)
+		b.f.push(g.Not(), x.Not(), y.Not())
+		b.f.push(g, x, y.Not())
+		b.f.push(g, x.Not(), y)
 	}
 	if flip {
 		return g.Not()
@@ -185,12 +254,5 @@ func (b *Builder) Assert(l Lit) {
 	if l == b.True() {
 		return
 	}
-	b.F.AddUnit(l)
-}
-
-func orderPair(x, y Lit) [2]Lit {
-	if x > y {
-		x, y = y, x
-	}
-	return [2]Lit{x, y}
+	b.f.push(l)
 }

@@ -425,7 +425,7 @@ func (pr *Prepared) Template() *parallel.Template { return pr.template }
 // conditions it inherits): Encoded().Formula() is nil from here on.
 func (pr *Prepared) LoadOnce() {
 	pr.template.LoadOnce()
-	pr.enc.Ctx.B.F = nil
+	pr.enc.DropFormula()
 }
 
 func prepare(p *prog.Program, opts Options) (*Prepared, error) {

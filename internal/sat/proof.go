@@ -191,20 +191,15 @@ type ProofCheckerStats struct {
 func NewProofChecker(f *cnf.Formula) *ProofChecker {
 	// Literals start at 2 (variable 1).
 	c := &ProofChecker{vals: make([]int8, 2), watches: make([][]watcher, 2), mark: make([]uint32, 2)}
-	numVars, words := f.NumVars, 0
+	c.growTo(f.NumVars)
+	c.arena = make([]uint32, 1, 1+f.NumClauses()+f.NumLits()) // word 0 is never a clause: no ref is 0
+	c.trail = make([]lit, 0, f.NumVars)
 	for _, cl := range f.Clauses {
-		words += 1 + len(cl)
 		for _, l := range cl {
-			if l < 2 || uint64(l) >= 1<<32 {
+			if l < 2 || int(l.Var()) > f.NumVars {
 				panic(fmt.Sprintf("sat: invalid literal %d in the formula", int(l)))
 			}
-			numVars = max(numVars, int(l.Var()))
 		}
-	}
-	c.growTo(numVars)
-	c.arena = make([]uint32, 1, 1+words) // word 0 is never a clause: no ref is 0
-	c.trail = make([]lit, 0, numVars)
-	for _, cl := range f.Clauses {
 		if _, ok := c.add(cl); !ok {
 			c.refuted = true
 			return c

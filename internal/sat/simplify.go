@@ -980,14 +980,13 @@ func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 		return out, Unsat
 	}
 	sp.stats, sp.stack = s.stats, s.elimStack
-	slab := make([]cnf.Lit, 0, len(s.trail)+len(s.arena)-len(s.clauses))
-	out.Clauses = make([]cnf.Clause, 0, len(s.trail)+len(s.clauses))
+	var buf []cnf.Lit
 	emit := func(lits []lit) {
-		start := len(slab)
+		buf = buf[:0]
 		for _, l := range lits {
-			slab = append(slab, cnf.Lit(l))
+			buf = append(buf, cnf.Lit(l))
 		}
-		out.Clauses = append(out.Clauses, slab[start:len(slab):len(slab)])
+		out.AddClause(buf...)
 	}
 	for i := range s.trail {
 		emit(s.trail[i : i+1])

@@ -468,7 +468,7 @@ func New(numVars int, opts Options) *Solver {
 
 // NewFromFormula creates a solver and loads every clause of f, as
 // AddClause would in order, after sizing the arena and every watch
-// list for them in one counting pass.
+// list for them.
 func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	s := New(f.NumVars, opts)
 	s.reserve(f)
@@ -478,13 +478,13 @@ func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	return s
 }
 
-// reserve gives the arena room for the clauses of f and each watch list
-// room for the clauses that will start out watching its literal (the
-// two smallest of each clause, as addClause sorts them), all lists
-// carved from one allocation. Clauses that level-0 simplification later
-// drops or shortens make this an over-estimate, nothing more.
+// reserve gives the arena room for the clauses of f, by the formula's
+// own counts, and each watch list room for the clauses that will start
+// out watching its literal (the two smallest of each clause, as
+// addClause sorts them), all lists carved from one allocation. Unit
+// clauses, and clauses that level-0 simplification later drops or
+// shortens, make this an over-estimate, nothing more.
 func (s *Solver) reserve(f *cnf.Formula) {
-	words, attached := 0, 0
 	degree := make([]int32, len(s.watches))
 	for _, c := range f.Clauses {
 		a, b := ^lit(0), ^lit(0)
@@ -498,14 +498,12 @@ func (s *Solver) reserve(f *cnf.Formula) {
 		if int(b|1) >= len(degree) {
 			continue // unit or empty, or over variables growTo has yet to see
 		}
-		words += 1 + len(c)
-		attached++
 		degree[a^1]++
 		degree[b^1]++
 	}
-	s.arena = slices.Grow(s.arena, words)
-	s.clauses = slices.Grow(s.clauses, attached)
-	backing := make([]watcher, 2*attached)
+	s.arena = slices.Grow(s.arena, f.NumClauses()+f.NumLits())
+	s.clauses = slices.Grow(s.clauses, f.NumClauses())
+	backing := make([]watcher, 2*f.NumClauses())
 	for l, d := range degree {
 		s.watches[l] = backing[:0:d]
 		backing = backing[d:]

@@ -90,7 +90,9 @@ type Encoded struct {
 	Program *flatten.Program
 	// Opts echoes the encoding options.
 	Opts Options
-	// Ctx is the bit-vector circuit context; Ctx.B.F is the CNF formula.
+	// Ctx is the bit-vector circuit context the formula was built in:
+	// what is left of it evaluates words under a model (Ctx.B is
+	// finished).
 	Ctx *bv.Ctx
 	// Contexts is the number of encoded execution contexts.
 	Contexts int
@@ -112,10 +114,16 @@ type Encoded struct {
 	InitScalars map[string]bv.Vec
 	// InitArrays likewise for array locals, one word per element.
 	InitArrays map[string][]bv.Vec
+
+	formula *cnf.Formula
 }
 
-// Formula returns the underlying CNF formula.
-func (e *Encoded) Formula() *cnf.Formula { return e.Ctx.B.F }
+// Formula returns the CNF formula, nil after DropFormula.
+func (e *Encoded) Formula() *cnf.Formula { return e.formula }
+
+// DropFormula lets the formula go, for a caller whose solver has loaded
+// it and who keeps e only to decode models.
+func (e *Encoded) DropFormula() { e.formula = nil }
 
 // env is the symbolic state during encoding.
 type env struct {
@@ -170,6 +178,7 @@ func Encode(p *flatten.Program, opts Options) (*Encoded, error) {
 	// The formula is satisfiable iff some assertion violation is
 	// reachable along a feasible prefix.
 	c.B.Assert(enc.violated)
+	enc.out.formula = c.B.Finish()
 	return enc.out, nil
 }
 
