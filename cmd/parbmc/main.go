@@ -148,31 +148,7 @@ func main() {
 		if res.JournalSealed {
 			rec.Report.Warn(partition.SealWarning(res.SealCause))
 		}
-		if tpl := res.Template; tpl.Time > 0 {
-			rec.Report.SetTemplate(report.TemplateRow{
-				Millis:    tpl.Time.Milliseconds(),
-				ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
-				ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
-				Propagations: tpl.Stats.Propagations,
-				Cubes:        tpl.Cubes,
-			})
-		}
-		for _, inst := range res.Instances {
-			rec.Report.Finish(report.PartitionRow{
-				Partition:    inst.Partition,
-				Verdict:      inst.Status.String(),
-				Cause:        inst.Cause.String(),
-				Conflicts:    inst.Stats.Conflicts,
-				Propagations: inst.Stats.Propagations,
-				ElimVars:     inst.Stats.ElimVars,
-				Simplified:   inst.Stats.Simplified,
-				Progress:     inst.Stats.Progress,
-				SolveMillis:  inst.Time.Milliseconds(),
-				Certified:    res.Certified,
-				Hardness:     inst.Hardness,
-				ConflictRate: inst.ConflictRate(),
-			})
-		}
+		recordRows(rec.Report, res)
 		rec.WriteReport()
 	}
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/report"
 )
@@ -40,4 +41,17 @@ func reportMain(args []string) int {
 	}
 	report.Render(stdout, rep, extra...)
 	return 0
+}
+
+// recordRows files a local run's template and its partitions' rows. A
+// local run certifies all of its UNSAT partitions or none.
+func recordRows(rec *report.Recorder, res *core.Result) {
+	if res.Template.Time > 0 {
+		rec.SetTemplate(core.TemplateRow(res.Template))
+	}
+	for _, inst := range res.Instances {
+		row := core.PartitionRow(inst)
+		row.Certified = res.Certified
+		rec.Merge(row)
+	}
 }

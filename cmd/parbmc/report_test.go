@@ -32,29 +32,43 @@ func TestReportSubcommand(t *testing.T) {
 	}
 	start := time.Now()
 	res, err := core.Verify(context.Background(), p, core.Options{
-		Unwind: 1, Contexts: 3, Cores: 2, Tracer: tracer,
+		Unwind: 2, Contexts: 4, Cores: 2, Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	recorder.SetManifest(report.Manifest{
-		Program: "fibonacci", Unwind: 1, Contexts: 3,
+		Program: "fibonacci", Unwind: 2, Contexts: 4,
 		Partitions: res.Partitions, Mode: "local", TraceID: tracer.TraceID(),
 	})
 	recorder.SetVerdict(res.Verdict.String(), time.Since(start))
-	for _, inst := range res.Instances {
-		recorder.Finish(report.PartitionRow{
-			Partition:    inst.Partition,
-			Verdict:      inst.Status.String(),
-			Conflicts:    inst.Stats.Conflicts,
-			Propagations: inst.Stats.Propagations,
-			Progress:     inst.Stats.Progress,
-			SolveMillis:  inst.Time.Milliseconds(),
-		})
-	}
+	recordRows(recorder, res)
 	recorder.AddSpans(spanColl.Events())
 	if err := recorder.WriteFile(reportPath); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every row of the file is its instance's search, counter for counter:
+	// the row is built in one place, so a counter cannot go missing here.
+	rep, err := report.Load(reportPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Partitions) != len(res.Instances) {
+		t.Fatalf("%d rows for %d instances", len(rep.Partitions), len(res.Instances))
+	}
+	var decisions int64
+	for i, inst := range res.Instances {
+		row, st := rep.Partitions[i], inst.Stats
+		decisions += row.Decisions
+		if row.Partition != inst.Partition || row.Conflicts != st.Conflicts || row.Propagations != st.Propagations ||
+			row.Decisions != st.Decisions || row.Restarts != st.Restarts ||
+			row.ElimVars != st.ElimVars || row.Simplified != st.Simplified {
+			t.Errorf("row %+v is not instance %d's search %+v", row, inst.Partition, st)
+		}
+	}
+	if decisions == 0 {
+		t.Fatal("no partition decided anything: the rows have nothing to lose")
 	}
 
 	var out bytes.Buffer
@@ -68,7 +82,7 @@ func TestReportSubcommand(t *testing.T) {
 	for _, want := range []string{
 		"Run report: fibonacci (local)",
 		"Verdict: SAFE",
-		"Partition imbalance (" ,
+		"Partition imbalance (",
 		"Span tree:",
 		"0 orphans",
 		"Slowest spans:",

@@ -22,6 +22,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/report"
 	"repro/internal/sat"
 	"repro/internal/trace"
 	"repro/internal/unfold"
@@ -308,6 +309,39 @@ type Result struct {
 	// the underlying failure.
 	JournalSealed bool
 	SealCause     string
+}
+
+// PartitionRow is the report's row of one finished instance — the only
+// place an instance's fields become a row's: a local run files it as it
+// is, a distributed worker sends it and the coordinator stamps Worker,
+// Certified and the job's cause onto it.
+func PartitionRow(inst parallel.InstanceResult) report.PartitionRow {
+	return report.PartitionRow{
+		Partition:    inst.Partition,
+		Verdict:      inst.Status.String(),
+		Cause:        inst.Cause.String(),
+		Conflicts:    inst.Stats.Conflicts,
+		Propagations: inst.Stats.Propagations,
+		Decisions:    inst.Stats.Decisions,
+		Restarts:     inst.Stats.Restarts,
+		ElimVars:     inst.Stats.ElimVars,
+		Simplified:   inst.Stats.Simplified,
+		Progress:     inst.Stats.Progress,
+		SolveMillis:  inst.Time.Milliseconds(),
+		Hardness:     inst.Hardness,
+		ConflictRate: inst.ConflictRate(),
+	}
+}
+
+// TemplateRow is the report's row of the solver template a run built.
+func TemplateRow(tpl parallel.TemplateResult) report.TemplateRow {
+	return report.TemplateRow{
+		Millis:    tpl.Time.Milliseconds(),
+		ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
+		ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
+		Propagations: tpl.Stats.Propagations,
+		Cubes:        tpl.Cubes,
+	}
 }
 
 // Verify runs the full pipeline on a checked program: Prepare, then Run

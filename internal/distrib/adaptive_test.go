@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"errors"
+	"math"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -17,10 +18,29 @@ import (
 	"repro/prog"
 )
 
+// awaitFire arms plan.OnFire and returns a wait for the plan's first
+// event to fire: the worker it is given to then holds a job.
+func awaitFire(t *testing.T, plan *FaultPlan) func() {
+	fired := make(chan struct{})
+	var once sync.Once
+	plan.OnFire = func(FaultEvent) { once.Do(func() { close(fired) }) }
+	return func() {
+		t.Helper()
+		select {
+		case <-fired:
+		case <-time.After(30 * time.Second):
+			t.Fatal("the faulty worker was never handed a job")
+		}
+	}
+}
+
 // startWorkerPair launches a slow worker (fault plan attached), waits
 // for it to own a job, then adds a fast worker; returns a wait func.
 func startWorkerPair(t *testing.T, addr string, slowPlan *FaultPlan) func() {
 	t.Helper()
+	// Head start: the slow worker must hold a cube before the fast one
+	// drains the queue, or the scenario is vacuous.
+	holds := awaitFire(t, slowPlan)
 	var wg sync.WaitGroup
 	for _, w := range []struct {
 		name string
@@ -34,9 +54,7 @@ func startWorkerPair(t *testing.T, addr string, slowPlan *FaultPlan) func() {
 			}
 		}(w.name, w.plan)
 		if w.plan != nil {
-			// Head start: the slow worker must hold a cube before the
-			// fast one drains the queue, or the scenario is vacuous.
-			time.Sleep(150 * time.Millisecond)
+			holds()
 		}
 	}
 	return wg.Wait
@@ -274,22 +292,23 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 	}()
 
 	endpoints := addrA + "," + addrB
+	// Uniformly slow: every job sleeps until cancelled, so only the
+	// split/hedge machinery (before and after the failover) can route
+	// work around it.
+	slow := SlowAt(10 * time.Second)
+	holds := awaitFire(t, slow)
 	var wg sync.WaitGroup
 	for _, w := range []struct {
 		name string
 		plan *FaultPlan
-	}{
-		// Uniformly slow: every job sleeps until cancelled, so only the
-		// split/hedge machinery (before and after the failover) can
-		// route work around it.
-		{"ws", SlowAt(10 * time.Second)},
-		{"wf", nil},
-	} {
+	}{{"ws", slow}, {"wf", nil}} {
 		wg.Add(1)
 		go func(name string, plan *FaultPlan) {
 			defer wg.Done()
 			if _, err := Work(ctx, endpoints, WorkerOptions{
-				Name: name, MaxReconnects: 10,
+				// The standby promotes a lease TTL after the kill, later
+				// under load: the outage is bounded in time, not in dials.
+				Name: name, MaxReconnects: math.MaxInt,
 				ReconnectBackoff: 25 * time.Millisecond,
 				ReconnectTimeout: 60 * time.Second,
 				Faults:           plan,
@@ -298,7 +317,7 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 			}
 		}(w.name, w.plan)
 		if w.plan != nil {
-			time.Sleep(150 * time.Millisecond)
+			holds() // the straggler must hold a cube first
 		}
 	}
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/internal/trace"
@@ -474,4 +475,86 @@ func (v *certVerifier) verify(cube partition.Cube, reply *Message, cert *Certifi
 		}
 	}
 	return time.Since(t0), work, err
+}
+
+// readCertificate reads the certificate frames a result declared via
+// CertSize and decodes them. Errors wrapped in errCertificate are the
+// worker's fault (oversized declaration, protocol violation, corrupt
+// payload) and condemn the worker; bare errors are transport failures
+// and only charge a retryable attempt.
+func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Message, heartbeats bool) (*Certificate, error) {
+	if reply.CertSize == 0 {
+		return nil, nil
+	}
+	if reply.CertSize < 0 || reply.CertSize > maxCertBytes {
+		return nil, fmt.Errorf("%w: job %d on %s declares a %d-byte certificate (cap %d)",
+			errCertificate, id, key, reply.CertSize, int64(maxCertBytes))
+	}
+	grace := co.opts.JobTimeout
+	if heartbeats && co.opts.HeartbeatGrace < grace {
+		grace = co.opts.HeartbeatGrace
+	}
+	data := make([]byte, 0, reply.CertSize)
+	for seq := 0; int64(len(data)) < reply.CertSize; seq++ {
+		m, err := wc.recv(grace)
+		if err != nil {
+			return nil, fmt.Errorf("job %d on %s: certificate frame %d: %v", id, key, seq, err)
+		}
+		if m.Type != "cert" || m.JobID != id || m.Seq != seq {
+			return nil, fmt.Errorf("%w: job %d on %s: expected cert frame %d, got %q job=%d seq=%d",
+				errCertificate, id, key, seq, m.Type, m.JobID, m.Seq)
+		}
+		if len(m.Data) == 0 || int64(len(data)+len(m.Data)) > reply.CertSize {
+			return nil, fmt.Errorf("%w: job %d on %s: certificate frames overflow the declared %d bytes",
+				errCertificate, id, key, reply.CertSize)
+		}
+		data = append(data, m.Data...)
+	}
+	cert, err := decodeCertificate(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: job %d on %s: %v", errCertificate, id, key, err)
+	}
+	return cert, nil
+}
+
+// rejectCertificate quarantines the worker behind a rejected certificate
+// and puts its cube back on the queue. The cube is not charged a
+// failed attempt — it did nothing wrong, and a fleet with one persistent
+// liar must not be able to quarantine cubes by burning their budgets.
+func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason string) {
+	co.health.certRejected(key)
+	co.health.failed(key)
+	co.metrics.certRejected.Inc()
+	co.metrics.workerCertRejected(key)
+	co.mu.Lock()
+	co.res.CertRejected++
+	co.mu.Unlock()
+	co.retry(a, reason, false)
+}
+
+// certify puts a definite verdict's evidence to the coordinator's own
+// encoding, under the cube's full assumption set, path bits included,
+// and accounts for the check. The error wraps errCertificate.
+func (co *coordinator) certify(a *partition.Assignment, key, level string, reply *Message, cert *Certificate, jobSpan *obs.Span) (certified bool, err error) {
+	certSpan := jobSpan.Child("certify_verify", obs.KV("level", level))
+	dur, work, verr := co.verifier.verify(a.Cube, reply, cert, level)
+	certSpan.End(obs.KV("ok", verr == nil))
+	co.metrics.certifySeconds.Observe(dur.Seconds())
+	co.metrics.certifyPropagations.Add(work.Propagations)
+	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || level == CertifyFull)
+	co.mu.Lock()
+	co.res.CertifyMillis += dur.Milliseconds()
+	co.res.CertifyWork.Lemmas += work.Lemmas
+	co.res.CertifyWork.Propagations += work.Propagations
+	if certified {
+		co.res.Certified++
+	}
+	co.mu.Unlock()
+	if verr != nil {
+		return false, fmt.Errorf("%w: job %d on %s: %v", errCertificate, a.JobID, key, verr)
+	}
+	if certified {
+		co.metrics.certVerified.Inc()
+	}
+	return certified, nil
 }

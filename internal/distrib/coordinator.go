@@ -506,79 +506,6 @@ func (co *coordinator) surfaceSeal(sum partition.Summary) {
 	}
 }
 
-// workerPressure is one worker's latest heartbeat memory reading.
-type workerPressure struct {
-	ratio float64
-	at    time.Time
-}
-
-// notePressure folds one heartbeat's memory reading into the fleet
-// pressure map. Workers without a limit report ratio 0: they cannot be
-// "full".
-func (co *coordinator) notePressure(key string, memBytes, memLimit int64) {
-	if co.opts.MemPauseRatio < 0 {
-		return
-	}
-	ratio := 0.0
-	if memLimit > 0 {
-		ratio = float64(memBytes) / float64(memLimit)
-	}
-	co.mu.Lock()
-	co.pressure[key] = workerPressure{ratio: ratio, at: time.Now()}
-	co.mu.Unlock()
-}
-
-// overPressure reports whether any worker's fresh memory reading is at
-// or above MemPauseRatio. Readings older than HeartbeatGrace are
-// ignored: heartbeats only flow while a job runs, so a worker that
-// went idle (or away) must not hold the dispatch gate shut forever.
-func (co *coordinator) overPressure() bool {
-	if co.opts.MemPauseRatio < 0 {
-		return false
-	}
-	now := time.Now()
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for key, p := range co.pressure {
-		if now.Sub(p.at) > co.opts.HeartbeatGrace {
-			delete(co.pressure, key)
-			continue
-		}
-		if p.ratio >= co.opts.MemPauseRatio {
-			return true
-		}
-	}
-	return false
-}
-
-// dispatchGate blocks new job dispatch while the fleet is over the
-// memory-pressure threshold — backpressure: an overloaded fleet drains
-// its in-flight jobs instead of being handed more. Returns false if
-// the run finished while waiting. The wait self-limits: pressure
-// readings expire at HeartbeatGrace, so the gate reopens within one
-// grace period even if every worker goes silent.
-func (co *coordinator) dispatchGate() bool {
-	if !co.overPressure() {
-		return true
-	}
-	co.metrics.dispatchPaused.Inc()
-	co.mu.Lock()
-	co.res.DispatchPaused++
-	co.mu.Unlock()
-	t := time.NewTicker(100 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.done:
-			return false
-		case <-t.C:
-			if !co.overPressure() {
-				return true
-			}
-		}
-	}
-}
-
 // kill is the simulated SIGKILL of CoordinatorFaultPlan.KillAfterJobs:
 // tear everything down with no farewell. The done channel closes the
 // listener; closing every live connection makes each serve goroutine
@@ -798,10 +725,9 @@ func (co *coordinator) serve(c net.Conn) {
 
 // runJob sends one job and reads its outcome off the wire: the result,
 // the certificate frames that follow it, and — trust-but-verify — the
-// check of a definite verdict's evidence against the coordinator's own
-// encoding, under the cube's full assumption set, path bits included.
-// An error wrapping errCertificate is the worker's fault and condemns
-// it; any other error is a failed attempt.
+// check of a definite verdict's evidence (certify). An error wrapping
+// errCertificate is the worker's fault and condemns it; any other error
+// is a failed attempt.
 func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job *Message, jobSpan *obs.Span) (reply *Message, certified bool, err error) {
 	id, heartbeats := a.JobID, job.HeartbeatMillis > 0
 	if err := wc.send(job); err != nil {
@@ -819,27 +745,8 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job
 	if co.verifier == nil || !definite(reply.Verdict) {
 		return reply, false, nil
 	}
-	certSpan := jobSpan.Child("certify_verify", obs.KV("level", job.Certify))
-	dur, work, verr := co.verifier.verify(a.Cube, reply, cert, job.Certify)
-	certSpan.End(obs.KV("ok", verr == nil))
-	co.metrics.certifySeconds.Observe(dur.Seconds())
-	co.metrics.certifyPropagations.Add(work.Propagations)
-	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || job.Certify == CertifyFull)
-	co.mu.Lock()
-	co.res.CertifyMillis += dur.Milliseconds()
-	co.res.CertifyWork.Lemmas += work.Lemmas
-	co.res.CertifyWork.Propagations += work.Propagations
-	if certified {
-		co.res.Certified++
-	}
-	co.mu.Unlock()
-	if verr != nil {
-		return nil, false, fmt.Errorf("%w: job %d on %s: %v", errCertificate, id, key, verr)
-	}
-	if certified {
-		co.metrics.certVerified.Inc()
-	}
-	return reply, certified, nil
+	certified, err = co.certify(a, key, job.Certify, reply, cert, jobSpan)
+	return reply, certified, err
 }
 
 // settle files a terminal result — UNSAFE, SAFE or a budgeted UNKNOWN —
@@ -961,29 +868,15 @@ func (co *coordinator) noteSplit(a *partition.Assignment) {
 // (superseded) results never reach here, so a hedge loser's cancelled
 // rows cannot overwrite the winner's.
 func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key string, certified bool) {
-	for _, pp := range reply.Parts {
-		co.metrics.partResult(pp)
-		cause := ""
-		if pp.Verdict == sat.Unknown.String() {
-			cause = reply.Cause
+	for _, row := range reply.Parts {
+		// What the worker cannot say of its own row: who it is, whether its
+		// evidence checked, and the one cause the job gave up on.
+		row.Worker, row.Certified, row.Cause = key, certified, ""
+		if row.Verdict == sat.Unknown.String() {
+			row.Cause = reply.Cause
 		}
-		co.recorder.Finish(report.PartitionRow{
-			Partition:    pp.Partition,
-			Verdict:      pp.Verdict,
-			Worker:       key,
-			Conflicts:    pp.Conflicts,
-			Propagations: pp.Propagations,
-			Decisions:    pp.Decisions,
-			Restarts:     pp.Restarts,
-			ElimVars:     pp.ElimVars,
-			Simplified:   pp.Simplified,
-			Progress:     pp.Progress,
-			SolveMillis:  pp.Millis,
-			Certified:    certified,
-			Cause:        cause,
-			Hardness:     pp.Hardness,
-			ConflictRate: pp.ConflictRate,
-		})
+		co.metrics.partRow(row)
+		co.recorder.Merge(row)
 	}
 	co.recorder.CubeFinish(report.CubeRow{
 		Key: a.Cube.Key(), From: a.Cube.From, To: a.Cube.To, Path: a.Cube.Path,
@@ -1030,10 +923,11 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 				// The live hardness reading is the straggler signal the
 				// split-victim selection steers by.
 				co.sched.Note(a, reply.Hardness)
-				for _, pp := range reply.Parts {
-					co.metrics.partProgress(pp)
-					co.recorder.Progress(pp.Partition, key, pp.Conflicts, pp.Propagations, pp.Progress)
-					co.recorder.Hardness(pp.Partition, pp.Hardness, pp.ConflictRate)
+				for _, row := range reply.Parts {
+					// A live row is the worker's word for its counters only.
+					row.Worker, row.Verdict, row.Cause, row.Certified = key, "", "", false
+					co.metrics.partRow(row)
+					co.recorder.Merge(row)
 				}
 			}
 			// A stale heartbeat from the previous job is harmless: skip.
@@ -1049,61 +943,6 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 			return nil, fmt.Errorf("job %d on %s: unexpected message %q", id, key, reply.Type)
 		}
 	}
-}
-
-// readCertificate reads the certificate frames a result declared via
-// CertSize and decodes them. Errors wrapped in errCertificate are the
-// worker's fault (oversized declaration, protocol violation, corrupt
-// payload) and condemn the worker; bare errors are transport failures
-// and only charge a retryable attempt.
-func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Message, heartbeats bool) (*Certificate, error) {
-	if reply.CertSize == 0 {
-		return nil, nil
-	}
-	if reply.CertSize < 0 || reply.CertSize > maxCertBytes {
-		return nil, fmt.Errorf("%w: job %d on %s declares a %d-byte certificate (cap %d)",
-			errCertificate, id, key, reply.CertSize, int64(maxCertBytes))
-	}
-	grace := co.opts.JobTimeout
-	if heartbeats && co.opts.HeartbeatGrace < grace {
-		grace = co.opts.HeartbeatGrace
-	}
-	data := make([]byte, 0, reply.CertSize)
-	for seq := 0; int64(len(data)) < reply.CertSize; seq++ {
-		m, err := wc.recv(grace)
-		if err != nil {
-			return nil, fmt.Errorf("job %d on %s: certificate frame %d: %v", id, key, seq, err)
-		}
-		if m.Type != "cert" || m.JobID != id || m.Seq != seq {
-			return nil, fmt.Errorf("%w: job %d on %s: expected cert frame %d, got %q job=%d seq=%d",
-				errCertificate, id, key, seq, m.Type, m.JobID, m.Seq)
-		}
-		if len(m.Data) == 0 || int64(len(data)+len(m.Data)) > reply.CertSize {
-			return nil, fmt.Errorf("%w: job %d on %s: certificate frames overflow the declared %d bytes",
-				errCertificate, id, key, reply.CertSize)
-		}
-		data = append(data, m.Data...)
-	}
-	cert, err := decodeCertificate(data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: job %d on %s: %v", errCertificate, id, key, err)
-	}
-	return cert, nil
-}
-
-// rejectCertificate quarantines the worker behind a rejected certificate
-// and puts its cube back on the queue. The cube is not charged a
-// failed attempt — it did nothing wrong, and a fleet with one persistent
-// liar must not be able to quarantine cubes by burning their budgets.
-func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason string) {
-	co.health.certRejected(key)
-	co.health.failed(key)
-	co.metrics.certRejected.Inc()
-	co.metrics.workerCertRejected(key)
-	co.mu.Lock()
-	co.res.CertRejected++
-	co.mu.Unlock()
-	co.retry(a, reason, false)
 }
 
 // recordRemoteStats folds one job result's search statistics into the

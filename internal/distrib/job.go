@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/report"
 	"repro/internal/sat"
 	"repro/prog"
 )
@@ -183,53 +182,32 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		return reply, nil
 	}
 	if tpl := res.Template; tpl.Time > 0 && w.run == run {
-		reply.Template = &report.TemplateRow{
-			Millis: tpl.Time.Milliseconds(), ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
-			ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
-			Propagations: tpl.Stats.Propagations, Cubes: tpl.Cubes,
-		}
+		row := core.TemplateRow(tpl)
+		reply.Template = &row
 	}
 	reply.Verdict = res.Verdict.String()
 	reply.SolveMillis = res.SolveTime.Milliseconds()
+	// Aggregate the per-partition search statistics so the coordinator
+	// sees the remote search effort (load skew, conflict rates) instead
+	// of the stats dying with the worker process: each partition's are
+	// its own, from the clone on, whichever worker ran it and whatever
+	// ran there before. Each partition's final row rides alongside.
+	var agg sat.Stats
+	var cause sat.StopCause
+	for _, inst := range res.Instances {
+		agg.Add(inst.Stats)
+		cause = cause.Worse(inst.Cause)
+		reply.Parts = append(reply.Parts, core.PartitionRow(inst))
+	}
 	if res.Verdict == core.Unknown {
 		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
 		// coordinator can tell a terminal budgeted Unknown (re-running
 		// gives up again) from a retryable one: a mid-solve cancel (hedge
 		// loser, split supersession), which it discards without charging
 		// the attempt budget.
-		var cause sat.StopCause
-		for _, inst := range res.Instances {
-			cause = cause.Worse(inst.Cause)
-		}
 		reply.Cause = cause.String()
 	}
-	// Aggregate the per-partition search statistics so the coordinator
-	// sees the remote search effort (load skew, conflict rates) instead
-	// of the stats dying with the worker process: each partition's are
-	// its own, from the clone on, whichever worker ran it and whatever
-	// ran there before. The per-partition breakdown rides alongside as
-	// Parts — the final progress/imbalance rows of the coordinator's run
-	// report.
-	var agg sat.Stats
-	for _, inst := range res.Instances {
-		agg.Add(inst.Stats)
-		reply.Parts = append(reply.Parts, PartProgress{
-			Partition:    inst.Partition,
-			Conflicts:    inst.Stats.Conflicts,
-			Propagations: inst.Stats.Propagations,
-			Decisions:    inst.Stats.Decisions,
-			Restarts:     inst.Stats.Restarts,
-			Progress:     inst.Stats.Progress,
-			Verdict:      inst.Status.String(),
-			Millis:       inst.Time.Milliseconds(),
-			Hardness:     inst.Hardness,
-			ConflictRate: inst.ConflictRate(),
-			ElimVars:     inst.Stats.ElimVars,
-			Simplified:   inst.Stats.Simplified,
-		})
-	}
 	reply.Stats = &agg
-	reply.Progress = agg.Progress
 	if res.Verdict == core.Unsafe {
 		// res.Winner is the absolute partition index (the partition list
 		// keeps its original indices across the subrange).

@@ -4,6 +4,7 @@ import (
 	"strconv"
 
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sat"
 )
 
@@ -187,30 +188,25 @@ func (m *coordMetrics) heartbeat(worker string, hb *Message) {
 	}
 }
 
-// partProgress pins one partition's live search state as gauges — the
-// per-partition imbalance signal adaptive splitting will key on. Set
-// from heartbeats while the partition runs and again from the final
-// result, so even a partition solved between heartbeats gets a gauge.
-func (m *coordMetrics) partProgress(pp PartProgress) {
-	part := strconv.Itoa(pp.Partition)
+// partRow pins one partition's search state as gauges — the imbalance
+// signal adaptive splitting keys on — from its heartbeats while it runs
+// and again from its final row, so even a partition solved between
+// heartbeats gets a gauge; the final row, the one with a verdict, also
+// lands in the fixed-bucket solve-time histogram.
+func (m *coordMetrics) partRow(row report.PartitionRow) {
+	part := strconv.Itoa(row.Partition)
 	m.reg.FloatGauge("parbmc_partition_progress",
 		"Latest search-progress estimate [0,1] per partition.",
-		"partition", part).Set(pp.Progress)
+		"partition", part).Set(row.Progress)
 	m.reg.Gauge("parbmc_partition_conflicts",
-		"Latest conflict count per partition.", "partition", part).Set(pp.Conflicts)
+		"Latest conflict count per partition.", "partition", part).Set(row.Conflicts)
 	m.reg.FloatGauge("parbmc_partition_hardness",
 		"Latest hardness score per partition (conflict rate × (1 − progress slope)); the work-stealing signal.",
-		"partition", part).Set(pp.Hardness)
+		"partition", part).Set(row.Hardness)
 	m.reg.FloatGauge("parbmc_partition_conflict_rate",
-		"Latest conflicts/second per partition.", "partition", part).Set(pp.ConflictRate)
-}
-
-// partResult records a partition's final outcome in the fixed-bucket
-// per-partition solve-time histogram.
-func (m *coordMetrics) partResult(pp PartProgress) {
-	m.partProgress(pp)
-	if pp.Millis > 0 || pp.Verdict != "" {
-		m.partSolveSeconds.Observe(float64(pp.Millis) / 1000)
+		"Latest conflicts/second per partition.", "partition", part).Set(row.ConflictRate)
+	if row.Verdict != "" {
+		m.partSolveSeconds.Observe(float64(row.SolveMillis) / 1000)
 	}
 }
 

@@ -135,13 +135,13 @@ type Message struct {
 	// Progress is the job-level search-progress estimate in [0,1] — the
 	// minimum over the job's partitions, i.e. how far along its
 	// furthest-behind partition is. Parts breaks the same signal out per
-	// partition; both ride on heartbeats (live) and on the result
-	// (final), feeding the parbmc_partition_progress gauges and the run
+	// partition, as the rows of the run report, live on heartbeats and
+	// final on the result, feeding the parbmc_partition_* gauges and the
 	// report's imbalance table.
-	Conflicts    int64          `json:"conflicts,omitempty"`
-	Propagations int64          `json:"propagations,omitempty"`
-	Progress     float64        `json:"progress,omitempty"`
-	Parts        []PartProgress `json:"parts,omitempty"`
+	Conflicts    int64                 `json:"conflicts,omitempty"`
+	Propagations int64                 `json:"propagations,omitempty"`
+	Progress     float64               `json:"progress,omitempty"`
+	Parts        []report.PartitionRow `json:"parts,omitempty"`
 
 	// Introspection heartbeat fields: job-level solver rates (per
 	// second, over the last heartbeat interval) and the hottest
@@ -177,39 +177,6 @@ func (m *Message) budget() journal.Budget {
 		Conflicts: m.ChunkConflicts,
 		MemMB:     m.MemBudgetMB,
 	}
-}
-
-// PartProgress is one partition's live search state, compactly keyed for
-// heartbeat traffic.
-type PartProgress struct {
-	Partition    int   `json:"p"`
-	Conflicts    int64 `json:"c,omitempty"`
-	Propagations int64 `json:"pr,omitempty"`
-	// Decisions and Restarts complete the counters a partition's search
-	// is identified by (result only).
-	Decisions int64 `json:"d,omitempty"`
-	Restarts  int64 `json:"rs,omitempty"`
-	// Progress is the partition's search-progress estimate in [0,1].
-	Progress float64 `json:"e,omitempty"`
-	// Verdict is the partition's final sat status ("SAT", "UNSAT",
-	// "UNKNOWN"); empty on heartbeats while the partition still runs.
-	Verdict string `json:"v,omitempty"`
-	// Millis is the partition's solve time (result only).
-	Millis int64 `json:"ms,omitempty"`
-	// Hardness is the partition's hardness score (sat.Hardness): on
-	// heartbeats the live score over the last sampling interval, on
-	// results the whole-run score. Feeds parbmc_partition_hardness and
-	// the run report's hardness section — the signal surface the
-	// adaptive-partitioning coordinator will consume.
-	Hardness float64 `json:"h,omitempty"`
-	// ConflictRate is the partition's conflicts/second over the same
-	// interval.
-	ConflictRate float64 `json:"cr,omitempty"`
-	// ElimVars and Simplified are the variables eliminated and original
-	// clauses removed by the solver's simplification pass (result only;
-	// zero when the search ended before the pass was due).
-	ElimVars   int64 `json:"ev,omitempty"`
-	Simplified int64 `json:"sm,omitempty"`
 }
 
 // conn wraps a TCP connection with line-delimited JSON framing. Sends

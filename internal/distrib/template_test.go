@@ -157,6 +157,65 @@ func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 	}
 }
 
+// One row, two executors: what a worker's prepared run makes of its
+// instances in process (core.PartitionRow) is, counter for counter, the
+// row the coordinator files after the same instance crossed the wire as
+// a job's result — a field dropped at the worker, on the wire or at the
+// coordinator's stamp shows here — and the stamp adds what only the
+// coordinator knows: the worker, and under full certification that the
+// partition's proof checked.
+func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	const n = 4
+	base := CoordinatorOptions{Unwind: 3, Contexts: 3, Partitions: n, ChunkSize: 1}
+	opts := workerRun(base.Unwind, base.Contexts, base.Width, n, journal.Budget{}, false)
+	prep, err := core.Prepare(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.From, opts.To = 0, n
+	local, err := prep.Run(context.Background(), opts)
+	if err != nil || local.Verdict != core.Safe || len(local.Instances) != n {
+		t.Fatalf("in process: %+v, %v", local, err)
+	}
+	var decisions int64
+	for _, inst := range local.Instances {
+		decisions += inst.Stats.Decisions
+	}
+	if decisions == 0 {
+		t.Fatal("no partition decided anything: there is no search to compare")
+	}
+
+	for _, mode := range []string{CertifyOff, CertifyFull} {
+		t.Run(mode, func(t *testing.T) {
+			o, rec := base, report.NewRecorder()
+			o.Certify, o.Report = CertifyPolicy{Mode: mode}, rec
+			addr, resCh := startCoordinator(t, p, o)
+			runWorkers(t, addr, 1)
+			if res := waitResult(t, resCh); res.Verdict != core.Safe || res.Jobs != n {
+				t.Fatalf("verdict %v after %d jobs", res.Verdict, res.Jobs)
+			}
+			rows := rec.Build().Partitions
+			if len(rows) != n {
+				t.Fatalf("%d rows, want %d", len(rows), n)
+			}
+			for i, got := range rows {
+				want := core.PartitionRow(local.Instances[i])
+				if got.Worker != "w0" || got.Certified != (mode == CertifyFull) {
+					t.Errorf("partition %d: stamped worker %q certified %v under %s", got.Partition, got.Worker, got.Certified, mode)
+				}
+				// What the coordinator stamps and what a clock measures apart,
+				// the two rows are one.
+				got.Worker, got.Certified = "", false
+				got.SolveMillis, got.Hardness, got.ConflictRate = want.SolveMillis, want.Hardness, want.ConflictRate
+				if got != want {
+					t.Errorf("partition %d: the coordinator filed %+v, in process %+v", got.Partition, got, want)
+				}
+			}
+		})
+	}
+}
+
 // The prefix is never on the wire because both ends can derive it: what
 // a worker's template logs and what the coordinator's does are the same
 // proof, lemma for lemma and deletion for deletion — whichever job the

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/memwatch"
 	"repro/internal/obs"
+	"repro/internal/report"
 	"repro/internal/sat"
 )
 
@@ -388,9 +389,6 @@ type jobProgress struct {
 
 // update folds the latest snapshot of one partition into its sampler.
 func (p *jobProgress) update(part int, st sat.Stats) {
-	if p == nil {
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	sp := p.samplers[part]
@@ -401,27 +399,23 @@ func (p *jobProgress) update(part int, st sat.Stats) {
 	sp.Observe(st)
 }
 
-// snapshot returns the live per-partition state, sorted by partition
-// index, and the job's totals. The job's Progress is the minimum
-// estimate across the partitions seen so far — the job is only as far
-// along as its furthest-behind partition.
-func (p *jobProgress) snapshot() ([]PartProgress, sat.Stats) {
-	var total sat.Stats
-	if p == nil {
-		return nil, total
-	}
+// snapshot returns the live per-partition rows, sorted by partition
+// index, the job's totals — its Progress the minimum across the
+// partitions seen so far: a job is only as far along as its
+// furthest-behind partition — and its hottest partition's hardness.
+func (p *jobProgress) snapshot() (rows []report.PartitionRow, total sat.Stats, hardest float64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]PartProgress, 0, len(p.samplers))
 	for part, sp := range p.samplers {
 		s, _ := sp.Last()
-		if len(out) == 0 || s.Progress < total.Progress {
+		if len(rows) == 0 || s.Progress < total.Progress {
 			total.Progress = s.Progress
 		}
 		total.Conflicts += s.Conflicts
 		total.Decisions += s.Decisions
 		total.Propagations += s.Propagations
-		out = append(out, PartProgress{
+		hardest = max(hardest, s.Hardness)
+		rows = append(rows, report.PartitionRow{
 			Partition:    part,
 			Conflicts:    s.Conflicts,
 			Propagations: s.Propagations,
@@ -430,8 +424,8 @@ func (p *jobProgress) snapshot() ([]PartProgress, sat.Stats) {
 			ConflictRate: s.ConflictRate,
 		})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Partition < out[j].Partition })
-	return out, total
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Partition < rows[j].Partition })
+	return rows, total, hardest
 }
 
 // runJobWithHeartbeats runs the job while a side goroutine heartbeats at
@@ -473,21 +467,15 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 				case <-hbStop:
 					return
 				case <-t.C:
-					parts, total := progress.snapshot()
+					parts, total, hardest := progress.snapshot()
 					s := jobSampler.Observe(total)
-					maxHardness := 0.0
-					for _, pp := range parts {
-						if pp.Hardness > maxHardness {
-							maxHardness = pp.Hardness
-						}
-					}
 					hb := &Message{Type: "heartbeat", JobID: m.JobID,
 						Conflicts: total.Conflicts, Propagations: total.Propagations,
 						Progress: total.Progress, Parts: parts,
 						ConflictRate:    s.ConflictRate,
 						DecisionRate:    s.DecisionRate,
 						PropagationRate: s.PropagationRate,
-						Hardness:        maxHardness,
+						Hardness:        hardest,
 						MemBytes:        watch.Used(),
 						MemLimit:        watch.Limit()}
 					if err := wc.send(hb); err != nil {

@@ -81,11 +81,6 @@ type InstanceResult struct {
 	// unrealised progress slope). Zero for resumed, cancelled-before-
 	// start, or conflict-free instances.
 	Hardness float64
-	// Samples is the introspection time-series collected at the
-	// Progress-callback cadence (nil unless Options.Progress and
-	// ProgressEvery armed the solver; bounded to the most recent
-	// sat.DefaultSamplerPoints points).
-	Samples []sat.Sample
 	// Cubes is the number of leaf cubes folded into this per-partition
 	// result (1: the partition was solved whole, never split).
 	Cubes int

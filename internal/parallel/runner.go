@@ -312,7 +312,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 	if !r.own {
 		solver = solver.Clone()
 	}
-	sampler := r.instrument(a, solver, started)
+	r.instrument(a, solver, started)
 	r.register(rc, solver)
 
 	// Wall-clock budget: a timer interrupt distinguishable from
@@ -337,7 +337,6 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 		Partition: pt.Index,
 		Time:      elapsed,
 		Stats:     solver.Stats(),
-		Samples:   sampler.Points(),
 	}
 	inst.Status, inst.Cause = sat.Classify(status, serr, timedOut.Load(), r.ctx.Err() != nil)
 	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
@@ -377,19 +376,15 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 	r.record(inst, model)
 }
 
-// instrument arms one cube's solver with the progress hook and returns
-// the sampler piggybacked on the same cadence (nil when the hook is
-// disarmed — the sampler costs nothing beyond the callbacks the caller
-// already asked for). The live hardness that steers splitting is fed
-// only when splitting is on.
-func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started time.Time) *sat.Sampler {
+// instrument arms one cube's solver with the progress hook, when there
+// is someone to hear it: the caller's Progress, and the live hardness
+// that steers splitting, fed only when splitting is on.
+func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started time.Time) {
 	o := &r.opts
 	if !r.splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
-		return nil
+		return
 	}
-	sampler := sat.NewSampler(0)
 	solver.Progress = func(st sat.Stats) {
-		sampler.Observe(st)
 		if r.splitting {
 			r.sched.Note(a, sat.Hardness(st.Conflicts, st.Progress, time.Since(started)))
 		}
@@ -397,7 +392,6 @@ func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started
 			o.Progress(a.Cube.From, st)
 		}
 	}
-	return sampler
 }
 
 // record files one decided leaf under its partition. The first SAT leaf
@@ -489,9 +483,6 @@ func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 		out.Stats.Add(l.Stats)
 		if l.Hardness > out.Hardness {
 			out.Hardness = l.Hardness
-		}
-		if out.Samples == nil {
-			out.Samples = l.Samples
 		}
 		if !l.Resumed {
 			out.Resumed = false

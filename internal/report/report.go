@@ -40,7 +40,12 @@ type Manifest struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// PartitionRow is one partition's final timeline entry.
+// PartitionRow is the one description of a partition's outcome: what a
+// worker sends for it, live on heartbeats and final on results, what the
+// coordinator's metrics read, and the row of the report file, whose JSON
+// keys these are. core.PartitionRow builds it from a finished instance
+// and the distributed worker's heartbeat from a live sample; Worker,
+// Certified and a job-wide Cause are the coordinator's to stamp.
 type PartitionRow struct {
 	Partition    int    `json:"partition"`
 	Verdict      string `json:"verdict,omitempty"`
@@ -209,54 +214,6 @@ func (r *Recorder) SetTemplate(row TemplateRow) {
 	r.mu.Unlock()
 }
 
-func (r *Recorder) row(partition int) *PartitionRow {
-	row := r.rows[partition]
-	if row == nil {
-		row = &PartitionRow{Partition: partition}
-		r.rows[partition] = row
-	}
-	return row
-}
-
-// Progress folds a live per-partition update (heartbeat or callback)
-// into the partition's row. Counters and the progress estimate only
-// move forward, so late heartbeats cannot regress a row.
-func (r *Recorder) Progress(partition int, worker string, conflicts, propagations int64, progress float64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	row := r.row(partition)
-	if worker != "" {
-		row.Worker = worker
-	}
-	if conflicts > row.Conflicts {
-		row.Conflicts = conflicts
-	}
-	if propagations > row.Propagations {
-		row.Propagations = propagations
-	}
-	if progress > row.Progress {
-		row.Progress = progress
-	}
-}
-
-// Hardness records a partition's live hardness score and conflict rate.
-// Unlike the forward-only counters these are latest-wins: hardness is a
-// rate-derived level that legitimately falls as a partition closes in
-// on its verdict (a zero sample is ignored — rates need two snapshots).
-func (r *Recorder) Hardness(partition int, hardness, conflictRate float64) {
-	if r == nil || (hardness == 0 && conflictRate == 0) {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	row := r.row(partition)
-	row.Hardness = hardness
-	row.ConflictRate = conflictRate
-}
-
 // AddProfiles appends captured-profile index entries.
 func (r *Recorder) AddProfiles(recs []ProfileRecord) {
 	if r == nil || len(recs) == 0 {
@@ -267,16 +224,26 @@ func (r *Recorder) AddProfiles(recs []ProfileRecord) {
 	r.mu.Unlock()
 }
 
-// Finish records a partition's final state. Zero counter values leave
-// earlier live updates in place (a solver that never hit the progress
-// cadence reports zeros, not regressions).
-func (r *Recorder) Finish(row PartitionRow) {
+// Merge folds one update of a partition — a worker's heartbeat or its
+// final result — into the partition's row. Counters, the progress
+// estimate and the solve time only move forward, so a late heartbeat or
+// a solver that never hit the progress cadence (zeros) cannot regress a
+// row; verdict, cause and worker are the latest named. Hardness and
+// conflict rate are a level over one interval, not a counter: the latest
+// pair wins — it legitimately falls as a partition closes in on its
+// verdict — and an all-zero pair, a heartbeat before the second sample,
+// is no reading at all.
+func (r *Recorder) Merge(row PartitionRow) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.row(row.Partition)
+	cur := r.rows[row.Partition]
+	if cur == nil {
+		cur = &PartitionRow{Partition: row.Partition}
+		r.rows[row.Partition] = cur
+	}
 	if row.Verdict != "" {
 		cur.Verdict = row.Verdict
 	}
@@ -286,30 +253,19 @@ func (r *Recorder) Finish(row PartitionRow) {
 	if row.Worker != "" {
 		cur.Worker = row.Worker
 	}
-	if row.Conflicts > cur.Conflicts {
-		cur.Conflicts = row.Conflicts
-	}
-	if row.Propagations > cur.Propagations {
-		cur.Propagations = row.Propagations
-	}
+	cur.Conflicts = max(cur.Conflicts, row.Conflicts)
+	cur.Propagations = max(cur.Propagations, row.Propagations)
 	cur.Decisions = max(cur.Decisions, row.Decisions)
 	cur.Restarts = max(cur.Restarts, row.Restarts)
 	cur.ElimVars = max(cur.ElimVars, row.ElimVars)
 	cur.Simplified = max(cur.Simplified, row.Simplified)
-	if row.Progress > cur.Progress {
-		cur.Progress = row.Progress
-	}
-	if row.SolveMillis > cur.SolveMillis {
-		cur.SolveMillis = row.SolveMillis
-	}
+	cur.Progress = max(cur.Progress, row.Progress)
+	cur.SolveMillis = max(cur.SolveMillis, row.SolveMillis)
 	if row.Certified {
 		cur.Certified = true
 	}
-	if row.Hardness != 0 {
-		cur.Hardness = row.Hardness
-	}
-	if row.ConflictRate != 0 {
-		cur.ConflictRate = row.ConflictRate
+	if row.Hardness != 0 || row.ConflictRate != 0 {
+		cur.Hardness, cur.ConflictRate = row.Hardness, row.ConflictRate
 	}
 }
 

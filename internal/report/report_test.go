@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,11 +13,11 @@ import (
 
 func TestRecorderMonotonicRows(t *testing.T) {
 	r := NewRecorder()
-	r.Progress(3, "w0", 100, 1000, 0.25)
+	r.Merge(PartitionRow{Partition: 3, Worker: "w0", Conflicts: 100, Propagations: 1000, Progress: 0.25})
 	// A late, stale heartbeat must not regress the row.
-	r.Progress(3, "", 50, 400, 0.1)
-	r.Finish(PartitionRow{Partition: 3, Verdict: "UNSAT", Worker: "w1", SolveMillis: 12})
-	// Zero counters on Finish leave the live maxima in place.
+	r.Merge(PartitionRow{Partition: 3, Conflicts: 50, Propagations: 400, Progress: 0.1})
+	r.Merge(PartitionRow{Partition: 3, Verdict: "UNSAT", Worker: "w1", SolveMillis: 12})
+	// Zero counters on the result leave the live maxima in place.
 	rep := r.Build()
 	if len(rep.Partitions) != 1 {
 		t.Fatalf("rows: %d", len(rep.Partitions))
@@ -36,9 +37,9 @@ func TestRecorderMonotonicRows(t *testing.T) {
 // update — a heartbeat before the first sample — is ignored.
 func TestRecorderHardnessLatestWins(t *testing.T) {
 	r := NewRecorder()
-	r.Hardness(2, 10, 100)
-	r.Hardness(2, 4, 40)
-	r.Hardness(2, 0, 0)
+	r.Merge(PartitionRow{Partition: 2, Hardness: 10, ConflictRate: 100})
+	r.Merge(PartitionRow{Partition: 2, Hardness: 4, ConflictRate: 40})
+	r.Merge(PartitionRow{Partition: 2})
 	rep := r.Build()
 	if len(rep.Partitions) != 1 {
 		t.Fatalf("rows: %d", len(rep.Partitions))
@@ -49,13 +50,40 @@ func TestRecorderHardnessLatestWins(t *testing.T) {
 	}
 }
 
+// Heartbeats and the result of one partition reach the recorder from
+// different connections' goroutines, in no fixed order, through the one
+// mutator: whatever the order, the row is the result's verdict over the
+// furthest counters anyone reported.
+func TestRecorderMergeIsOrderFree(t *testing.T) {
+	r := NewRecorder()
+	updates := []PartitionRow{
+		{Partition: 1, Worker: "w0", Conflicts: 10, Propagations: 100, Progress: 0.1},
+		{Partition: 1, Worker: "w0", Conflicts: 30, Propagations: 300, Progress: 0.3, Hardness: 7, ConflictRate: 70},
+		{Partition: 1, Worker: "w0", Conflicts: 20, Propagations: 200, Progress: 0.2},
+		{Partition: 1, Worker: "w0", Verdict: "UNSAT", Conflicts: 40, Propagations: 400, Decisions: 9, Restarts: 1, Progress: 0.5, SolveMillis: 3, Certified: true},
+	}
+	var wg sync.WaitGroup
+	for _, u := range updates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Merge(u)
+		}()
+	}
+	wg.Wait()
+	want := PartitionRow{Partition: 1, Worker: "w0", Verdict: "UNSAT", Conflicts: 40, Propagations: 400, Decisions: 9, Restarts: 1,
+		Progress: 0.5, SolveMillis: 3, Certified: true, Hardness: 7, ConflictRate: 70}
+	if rows := r.Build().Partitions; len(rows) != 1 || rows[0] != want {
+		t.Fatalf("merged %+v, want %+v", rows, want)
+	}
+}
+
 func TestNilRecorderIsNoOp(t *testing.T) {
 	var r *Recorder
 	r.SetManifest(Manifest{Program: "x"})
 	r.SetVerdict("SAFE", time.Second)
 	r.SetTemplate(TemplateRow{Cubes: 1})
-	r.Progress(0, "w", 1, 1, 0.5)
-	r.Finish(PartitionRow{Partition: 0})
+	r.Merge(PartitionRow{Partition: 0})
 	r.AddSpans([]obs.Event{{Name: "solve"}})
 	r.Snapshot(nil)
 	if r.Build() != nil {
@@ -71,9 +99,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
 	r.SetTemplate(TemplateRow{Millis: 98, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
-	r.Finish(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 1, SolveMillis: 5, Hardness: 12.5, ConflictRate: 80})
+	r.Merge(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 1, SolveMillis: 5, Hardness: 12.5, ConflictRate: 80})
 	// Partition 1 searched long enough for the solver to simplify.
-	r.Finish(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
+	r.Merge(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
 	r.AddProfiles([]ProfileRecord{
 		{Phase: "encode", Kind: "cpu", Path: "profiles/p_encode.cpu.pprof", Bytes: 100},
 		{Phase: "solve", Kind: "heap", Path: "profiles/p_solve.heap.pprof", Bytes: 2000},
