@@ -253,9 +253,9 @@ func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolic
 			tpl.Worker, time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars)
 	}
 	if certPolicy.Enabled() {
-		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations\n",
+		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations (%d within their hints, %d hint fallbacks), %d certificate bytes accepted\n",
 			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,
-			res.CertifyWork.Lemmas, res.CertifyWork.Propagations)
+			res.CertifyWork.Lemmas, res.CertifyWork.Propagations, res.CertifyWork.Hinted, res.CertifyWork.Fallbacks, res.CertBytes)
 	}
 	if res.JournalSealed {
 		fmt.Println("WARNING:", partition.SealWarning(res.JournalSealCause))

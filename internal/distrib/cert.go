@@ -1,13 +1,10 @@
 package distrib
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -43,15 +40,14 @@ import (
 // refused worker had built another template, not forged a proof.
 
 const (
-	// maxCertBytes caps one certificate's compressed wire size. A
-	// declared size above the cap is rejected before a single frame is
-	// read, so a Byzantine worker cannot make the coordinator buffer an
-	// arbitrary payload.
+	// maxCertBytes caps one certificate's wire size. A declared size
+	// above the cap is rejected before a single frame is read, so a
+	// Byzantine worker cannot make the coordinator buffer an arbitrary
+	// payload; and since nothing on the way in expands — the envelope is
+	// not compressed, and a proof's flat form (sat.ParseFlat) may ask for
+	// sixteen bytes of memory per byte sent and no more — the cap bounds
+	// what decoding allocates too.
 	maxCertBytes = 64 << 20 // 64 MiB
-	// maxCertDecodedBytes caps the decompressed certificate, defeating
-	// gzip bombs: decompression stops at the cap and the certificate is
-	// rejected.
-	maxCertDecodedBytes = 256 << 20 // 256 MiB
 	// certFrameData is the raw payload per "cert" wire frame. JSON
 	// base64-expands []byte by 4/3, so 8 MiB of data stays well under
 	// the 16 MiB frame cap.
@@ -144,12 +140,12 @@ func (p CertifyPolicy) String() string {
 
 // PartitionProof pairs one partition index with its RUP refutation.
 type PartitionProof struct {
-	Partition int        `json:"partition"`
-	Proof     *sat.Proof `json:"proof"`
+	Partition int
+	Proof     *sat.Proof
 }
 
 // Certificate is the independently checkable evidence behind a definite
-// remote verdict. It travels gzip-compressed as JSON, split across
+// remote verdict. It travels as JSON (wireCertificate), split across
 // "cert" wire frames after the result frame.
 type Certificate struct {
 	// NumVars is the variable count of the worker's formula; it must
@@ -161,7 +157,7 @@ type Certificate struct {
 	Model []byte `json:"model,omitempty"`
 	// Proofs carries one refutation per partition of the chunk (SAFE
 	// verdicts under full certification): the tail its solver logged.
-	Proofs []PartitionProof `json:"proofs,omitempty"`
+	Proofs []PartitionProof `json:"-"`
 	// Prefix identifies the log the tails continue, that of the worker's
 	// template; it is compared, never checked. Before tails there was no
 	// such field: a certificate without it is from the other side of that
@@ -193,48 +189,55 @@ func unpackBits(data []byte, n int) ([]bool, error) {
 	return out, nil
 }
 
-// encodeCertificate serialises a certificate for the wire: JSON, then
-// gzip. A nil certificate encodes to nil (no cert frames follow the
-// result).
+// wireCertificate is the JSON envelope: the certificate's own fields,
+// and in place of Proofs each proof as one byte string, its flat form
+// (sat.AppendFlat). encoding/json takes longer over a hinted proof spelt
+// out as arrays of numbers than the checker takes to check it.
+type wireCertificate struct {
+	*Certificate
+	Proofs []wireProof `json:"proofs,omitempty"`
+}
+
+type wireProof struct {
+	Partition int    `json:"partition"`
+	Proof     []byte `json:"proof"`
+}
+
+// encodeCertificate serialises a certificate for the wire. A nil
+// certificate encodes to nil (no cert frames follow the result).
 func encodeCertificate(c *Certificate) ([]byte, error) {
 	if c == nil {
 		return nil, nil
 	}
-	body, err := json.Marshal(c)
-	if err != nil {
-		return nil, err
+	w := wireCertificate{Certificate: c}
+	for _, pp := range c.Proofs {
+		wp := wireProof{Partition: pp.Partition}
+		if pp.Proof != nil {
+			wp.Proof = sat.AppendFlat(nil, pp.Proof)
+		}
+		w.Proofs = append(w.Proofs, wp)
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(body); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return json.Marshal(w)
 }
 
-// decodeCertificate reverses encodeCertificate, bounding decompression
-// at maxCertDecodedBytes so a gzip bomb is rejected, not inflated.
+// decodeCertificate reverses encodeCertificate.
 func decodeCertificate(data []byte) (*Certificate, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, fmt.Errorf("certificate gzip: %w", err)
-	}
-	defer zr.Close()
-	body, err := io.ReadAll(io.LimitReader(zr, maxCertDecodedBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("certificate gzip: %w", err)
-	}
-	if len(body) > maxCertDecodedBytes {
-		return nil, fmt.Errorf("certificate decompresses past %d bytes", maxCertDecodedBytes)
-	}
-	var c Certificate
-	if err := json.Unmarshal(body, &c); err != nil {
+	w := wireCertificate{Certificate: &Certificate{}}
+	if err := json.Unmarshal(data, &w); err != nil {
 		return nil, fmt.Errorf("certificate json: %w", err)
 	}
-	return &c, nil
+	for _, wp := range w.Proofs {
+		pp := PartitionProof{Partition: wp.Partition}
+		if wp.Proof != nil {
+			proof, err := sat.ParseFlat(wp.Proof)
+			if err != nil {
+				return nil, fmt.Errorf("certificate: partition %d: %w", wp.Partition, err)
+			}
+			pp.Proof = proof
+		}
+		w.Certificate.Proofs = append(w.Certificate.Proofs, pp)
+	}
+	return w.Certificate, nil
 }
 
 // buildCertificate assembles the evidence for one honestly computed job
@@ -432,10 +435,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	before := v.checker.Stats()
-	defer func() {
-		after := v.checker.Stats()
-		work = sat.ProofCheckerStats{Lemmas: after.Lemmas - before.Lemmas, Propagations: after.Propagations - before.Propagations}
-	}()
+	defer func() { work = v.checker.Stats().Since(before) }()
 	for idx := cube.From; idx <= cube.To; idx++ {
 		proof := proofs[idx]
 		if proof == nil {
@@ -541,13 +541,14 @@ func (co *coordinator) certify(a *partition.Assignment, key, level string, reply
 	certSpan.End(obs.KV("ok", verr == nil))
 	co.metrics.certifySeconds.Observe(dur.Seconds())
 	co.metrics.certifyPropagations.Add(work.Propagations)
+	co.metrics.certifyHintFallbacks.Add(work.Fallbacks)
 	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || level == CertifyFull)
 	co.mu.Lock()
 	co.res.CertifyMillis += dur.Milliseconds()
-	co.res.CertifyWork.Lemmas += work.Lemmas
-	co.res.CertifyWork.Propagations += work.Propagations
+	co.res.CertifyWork.Add(work)
 	if certified {
 		co.res.Certified++
+		co.res.CertBytes += reply.CertSize
 	}
 	co.mu.Unlock()
 	if verr != nil {

@@ -192,12 +192,16 @@ type CoordinatorResult struct {
 	// CertifyWork sums what the proof checker did in that time: lemmas
 	// put to the RUP test and literals propagated, over the prefix and
 	// over accepted and rejected proofs alike — the counterpart of
-	// RemoteStats.
+	// RemoteStats — and how many of the lemmas their hints refuted
+	// (Hinted) or failed to (Fallbacks: a fleet that mixes builds shows
+	// up here, not as a slow coordinator nobody can explain).
 	CertifyWork sat.ProofCheckerStats
 	// Certified counts definite verdicts accepted with a verified
 	// certificate; CertRejected counts results whose certificate was
 	// rejected (each rejection also marks its worker untrusted).
 	Certified, CertRejected int
+	// CertBytes sums the wire size of the accepted certificates.
+	CertBytes int64
 	// MemoryAborted counts chunk results that came back with cause
 	// "memory" (solver over its budget, or worker OOM-watchdog trip).
 	MemoryAborted int
@@ -460,8 +464,7 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	if v := co.verifier; v != nil && v.checker != nil {
 		// Once per run, beside the certificates' own: the checker derived.
 		res.CertifyMillis += v.setup.Milliseconds()
-		res.CertifyWork.Lemmas += v.derived.Lemmas
-		res.CertifyWork.Propagations += v.derived.Propagations
+		res.CertifyWork.Add(v.derived)
 		co.metrics.certifySeconds.Observe(v.setup.Seconds())
 		co.metrics.certifyPropagations.Add(v.derived.Propagations)
 	}

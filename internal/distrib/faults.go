@@ -1,6 +1,8 @@
 package distrib
 
 import (
+	"bytes"
+	"encoding/binary"
 	"slices"
 	"time"
 
@@ -75,6 +77,14 @@ const (
 	// honest proofs of honest verdicts, over a template that is not the
 	// coordinator's.
 	FaultOtherTemplate
+	// FaultHostileHints leaves the verdict and every proof as they are and
+	// replaces the hints (sat.Proof.Hints) of each lemma, in rotation, by
+	// none, every variable, variable 0, a variable past the last, and the
+	// next lemma's: what a worker of another build, or one out to waste
+	// the coordinator's time, could send. It is the one Byzantine kind the
+	// coordinator must not refuse — a hint is advice, the proof is honest —
+	// and it shows as CertifyWork.Fallbacks.
+	FaultHostileHints
 )
 
 func (k FaultKind) String() string {
@@ -103,6 +113,8 @@ func (k FaultKind) String() string {
 		return "flip-lemma"
 	case FaultOtherTemplate:
 		return "other-template"
+	case FaultHostileHints:
+		return "hostile-hints"
 	}
 	return "unknown"
 }
@@ -264,7 +276,9 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			lemmas[at] = slices.Clone(lemmas[at])
 			lemmas[at][0] ^= 1
 			forged.Proofs = slices.Clone(forged.Proofs)
-			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes}
+			// The hints stay: the forged lemma goes the way a liar's would,
+			// through its hint, then the full test, then out.
+			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Hints: honest.Hints}
 		} else {
 			forged.Prefix = &sat.ProofDigest{SHA256: "forged"}
 			if p := (*cert).Prefix; p != nil {
@@ -272,5 +286,38 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			}
 		}
 		*cert = &forged
+	case FaultHostileHints:
+		if *cert == nil {
+			return
+		}
+		hostile := **cert
+		hostile.Proofs = slices.Clone(hostile.Proofs)
+		for i, pp := range hostile.Proofs {
+			if pp.Proof != nil {
+				hostile.Proofs[i].Proof = hostileHints(pp.Proof, numVars)
+			}
+		}
+		*cert = &hostile
 	}
+}
+
+// hostileHints returns p with FaultHostileHints' hints in place of its
+// own.
+func hostileHints(p *sat.Proof, numVars int) *sat.Proof {
+	hints := make([]sat.Hint, len(p.Lemmas))
+	for i := range hints {
+		switch i % 5 {
+		case 1:
+			hints[i] = bytes.Repeat([]byte{1}, numVars)
+		case 2:
+			hints[i] = sat.Hint{0}
+		case 3:
+			hints[i] = binary.AppendUvarint(nil, uint64(numVars)+1)
+		case 4:
+			if next := (i + 1) % len(hints); next < len(p.Hints) {
+				hints[i] = p.Hints[next]
+			}
+		}
+	}
+	return &sat.Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: hints}
 }

@@ -34,6 +34,9 @@ type coordMetrics struct {
 	// certifyPropagations over certifySeconds' sum is the checker's
 	// rate, to set beside remotePropagations over solveSeconds' sum.
 	certifyPropagations *obs.Counter
+	// certifyHintFallbacks over the lemmas checked is the share of the
+	// workers' hints that did not spare the checker the full test.
+	certifyHintFallbacks *obs.Counter
 
 	cubesSplit        *obs.Counter
 	chunksHedged      *obs.Counter
@@ -88,6 +91,8 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 			"Per-result certificate verification wall time in seconds (fixed duration buckets).", nil),
 		certifyPropagations: reg.Counter("parbmc_coordinator_certify_propagations_total",
 			"Literals propagated by the coordinator's proof checkers while verifying SAFE certificates."),
+		certifyHintFallbacks: reg.Counter("parbmc_certify_hint_fallbacks_total",
+			"Hinted lemmas the coordinator's proof checker could not refute within the worker's hint and put to the full RUP test."),
 		cubesSplit: reg.Counter("parbmc_cubes_split_total",
 			"In-flight cubes split into two sub-cubes after stalling past the grace period (adaptive partitioning)."),
 		chunksHedged: reg.Counter("parbmc_chunks_hedged_total",

@@ -113,14 +113,14 @@ type Message struct {
 	Cause string `json:"cause,omitempty"`
 
 	// CertSize, on a definite result solved under certification,
-	// declares the compressed certificate's total byte size; the
-	// certificate follows the result as CertSize bytes of gzip'd JSON
-	// split across "cert" frames. 0 means no certificate follows.
+	// declares the certificate's total byte size; the certificate
+	// follows the result as CertSize bytes of JSON split across "cert"
+	// frames. 0 means no certificate follows.
 	CertSize int64 `json:"cert_size,omitempty"`
 
 	// Cert-frame fields: Seq numbers the frames of one certificate from
-	// 0 upward and Data carries this frame's slice of the compressed
-	// payload (base64 under encoding/json). Replication reuses both: a
+	// 0 upward and Data carries this frame's slice of the payload
+	// (base64 under encoding/json). Replication reuses both: a
 	// "replicate" message carries one framed journal record in Data with
 	// Seq counting records from 0 (manifest first), and a
 	// "replicate-ack" reports the standby's durably applied record count

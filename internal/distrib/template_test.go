@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -362,8 +363,13 @@ func TestCertificateRejectionNamesTheTemplate(t *testing.T) {
 // on every SAFE certificate, which byzantineScenarioOn insists on.
 func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 	t.Run("beyond the tail", func(t *testing.T) {
-		byzantineScenarioOn(t, bench.Eliminationstack(), esOpts(),
+		res := byzantineScenarioOn(t, bench.Eliminationstack(), esOpts(),
 			&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: 1<<30 + 1}}}, core.Safe)
+		// The forged lemma kept the honest one's hint, so it went the way a
+		// liar's goes: not refuted within the hint, not refuted at all.
+		if res.CertifyWork.Fallbacks == 0 {
+			t.Fatalf("certify work %+v: the forged lemma never reached the full test", res.CertifyWork)
+		}
 	})
 	t.Run("empty tail", func(t *testing.T) {
 		// fib u=1 c=3 is refuted by the template's pass: no tail has a lemma.
@@ -373,6 +379,61 @@ func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 			t.Fatalf("%d lemmas learnt remotely: the cell no longer has empty tails", res.RemoteStats.Learnt)
 		}
 	})
+}
+
+// hintRun runs esOpts' cell to the end on one worker under plan and
+// returns the result with what /metrics says of the hints that failed.
+func hintRun(t *testing.T, plan *FaultPlan) (*CoordinatorResult, float64) {
+	t.Helper()
+	opts, reg := esOpts(), obs.NewRegistry()
+	opts.Metrics = reg
+	addr, resCh := startCoordinator(t, bench.Eliminationstack(), opts)
+	if _, err := runWorker(t, addr, "w0", plan, 0); err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	res := waitResult(t, resCh)
+	var buf bytes.Buffer
+	reg.WritePrometheus(&buf)
+	fallbacks, ok := metricValue(buf.String(), "parbmc_certify_hint_fallbacks_total")
+	if !ok {
+		t.Fatal("no parbmc_certify_hint_fallbacks_total on /metrics")
+	}
+	return res, fallbacks
+}
+
+// Hostile hints are the one lie a worker is not refused for: the proofs
+// are honest, so every chunk is certified, the worker stays trusted, and
+// the verdict and every solver counter are those of the honest run. What
+// the lie costs shows where it should — fallbacks, and the propagations
+// they take — and an honest fleet shows none: every learnt lemma is
+// refuted within its hint.
+func TestByzantineHostileHintsAccepted(t *testing.T) {
+	honest, honestMetric := hintRun(t, nil)
+	hostile, hostileMetric := hintRun(t, &FaultPlan{Every: &FaultEvent{Kind: FaultHostileHints}})
+	if honestMetric != 0 || int64(hostileMetric) != hostile.CertifyWork.Fallbacks {
+		t.Fatalf("parbmc_certify_hint_fallbacks_total: %v honest, %v hostile; the result says %d", honestMetric, hostileMetric, hostile.CertifyWork.Fallbacks)
+	}
+	for name, res := range map[string]*CoordinatorResult{"honest": honest, "hostile": hostile} {
+		if res.Verdict != core.Safe || res.Certified != res.ChunksTotal || res.CertRejected != 0 || res.CertBytes == 0 {
+			t.Fatalf("%s hints: verdict %v, %d of %d chunks certified, %d certificates rejected, %d bytes accepted",
+				name, res.Verdict, res.Certified, res.ChunksTotal, res.CertRejected, res.CertBytes)
+		}
+		if w := findWorker(res, "w0"); w == nil || w.Untrusted || w.CertRejections != 0 {
+			t.Fatalf("%s hints: worker health %+v", name, w)
+		}
+	}
+	if got, want := hostile.RemoteStats, honest.RemoteStats; got.Conflicts != want.Conflicts || got.Propagations != want.Propagations ||
+		got.Decisions != want.Decisions || got.Restarts != want.Restarts || got.Learnt != want.Learnt {
+		t.Fatalf("the search moved with the hints:\n%+v\n%+v", got, want)
+	}
+	if w := honest.CertifyWork; w.Fallbacks != 0 || w.Hinted != honest.RemoteStats.Learnt {
+		t.Fatalf("honest hints: %+v for %d learnt lemmas; want every one refuted within its hint", w, honest.RemoteStats.Learnt)
+	}
+	if h, w := hostile.CertifyWork, honest.CertifyWork; h.Lemmas != w.Lemmas || h.Fallbacks == 0 || h.Propagations <= w.Propagations {
+		t.Fatalf("hostile hints: %+v, honest %+v; want the same lemmas, fallbacks, and more propagations", h, w)
+	}
+	t.Logf("%d lemmas learnt; honest hints %+v, %d bytes; hostile %+v, %d bytes",
+		honest.RemoteStats.Learnt, honest.CertifyWork, honest.CertBytes, hostile.CertifyWork, hostile.CertBytes)
 }
 
 // templateSpans counts the template builds in a worker's trace.

@@ -393,7 +393,7 @@ func (p *jobProgress) update(part int, st sat.Stats) {
 	defer p.mu.Unlock()
 	sp := p.samplers[part]
 	if sp == nil {
-		sp = sat.NewSampler(0)
+		sp = sat.NewSampler()
 		p.samplers[part] = sp
 	}
 	sp.Observe(st)
@@ -461,7 +461,7 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 			// The job-level sampler observes the cross-partition totals at
 			// the heartbeat cadence, deriving the per-second rates each
 			// heartbeat carries to the coordinator's rate gauges.
-			jobSampler := sat.NewSampler(0)
+			jobSampler := sat.NewSampler()
 			for {
 				select {
 				case <-hbStop:

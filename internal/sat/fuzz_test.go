@@ -330,16 +330,38 @@ func withFuzzProof(input []byte, p *Proof) []byte {
 	return out
 }
 
+// scrambledHints gives every lemma of p a hint cut from noise, which
+// comes round as often as it takes: bytes that may or may not be
+// uvarints, over variables the formula may or may not have.
+func scrambledHints(p *Proof, noise []byte) *Proof {
+	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: make([]Hint, len(p.Lemmas))}
+	for i := range q.Hints {
+		if len(noise) == 0 {
+			break
+		}
+		from := 7 * i % len(noise)
+		q.Hints[i] = noise[from:min(from+1+i%9, len(noise))]
+	}
+	return q
+}
+
 // checkFuzzProof puts one proof to a checker that has checked others, a
-// fresh checker and the reference engine. The first two must agree to
-// the letter; what the reference accepts the checker must accept, and
-// nothing may be accepted against a formula the solver satisfied —
+// fresh checker and the reference engine — with the hints it came with,
+// with none, and with hints cut from noise. The two checkers must agree
+// to the letter on all three, down to the lemma they reject: hints are
+// advice. What the hint-blind reference accepts the checker must accept,
+// and nothing may be accepted against a formula the solver satisfied —
 // whatever the proof deletes.
-func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status) error {
+func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status, noise []byte) error {
 	t.Helper()
-	fresh := CheckRUP(f, assumptions, p)
-	if got := reused.Check(assumptions, p); errText(got) != errText(fresh) {
-		t.Fatalf("reused checker: %s\nfresh checker: %s", errText(got), errText(fresh))
+	fresh := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes})
+	for name, hinted := range map[string]*Proof{"as it came": p, "under scrambled hints": scrambledHints(p, noise)} {
+		if got := CheckRUP(f, assumptions, hinted); errText(got) != errText(fresh) {
+			t.Fatalf("fresh checker, the proof %s: %s\nwithout hints: %s", name, errText(got), errText(fresh))
+		}
+		if got := reused.Check(assumptions, hinted); errText(got) != errText(fresh) {
+			t.Fatalf("reused checker, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
+		}
 	}
 	if fresh != nil && referenceCheckRUP(f, assumptions, p) == nil {
 		t.Fatalf("the reference engine accepts what the checker rejects: %v", fresh)
@@ -359,9 +381,12 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 
 // cutProof splits p before lemma number cut: the deletions that take
 // effect before it go with the prefix, the rest count from the tail's
-// first lemma.
+// first lemma; each lemma's hint goes where the lemma goes.
 func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
 	prefix, tail = &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
+	if hints := min(cut, len(p.Hints)); len(p.Hints) > 0 {
+		prefix.Hints, tail.Hints = p.Hints[:hints], p.Hints[hints:]
+	}
 	dels := p.Deletes
 	for ; len(dels) > 0 && dels[0].At <= cut; dels = dels[1:] {
 		prefix.Deletes = append(prefix.Deletes, dels[0])
@@ -418,10 +443,16 @@ func FuzzCheckRUP(f *testing.F) {
 		// with the proof of a search simplified before it began, which
 		// deletes what the pass removed, and that one corrupted: every
 		// deletion twice, clauses of the formula deleted before the first
-		// lemma, the deletions without the lemmas. (The deletions of
-		// reduceDB take ten thousand conflicts to come by: the fuzzer finds
-		// them behind fuzzLongRun, TestProofDeletesWhatTheSolverDropped
-		// checks them once.)
+		// lemma, the deletions without the lemmas. The solver's own proofs
+		// of every input — of the search as it went, and of one that began
+		// with the pass — come with its hints; a claimed proof has the
+		// scrambled ones. (Hints and deletions logged after a reduceDB
+		// take ten thousand conflicts to come by, and this body solves its
+		// input three times and checks each proof six ways: fuzzSeeds'
+		// compacting input as a seed here was measured at 49 s. The fuzzer
+		// finds them behind fuzzLongRun; TestHintsChangeNoAnswer and
+		// TestProofDeletesWhatTheSolverDropped hold one such proof, and a
+		// forgery of it, to the reference engine under every hint variant.)
 		formula, assumptions, opts := decodeFuzzInput(seed)
 		s := NewFromFormula(formula, opts)
 		s.EnableProof()
@@ -488,24 +519,24 @@ func FuzzCheckRUP(f *testing.F) {
 			t.Fatalf("solve: %v", err)
 		}
 		reused := NewProofChecker(formula)
-		first := checkFuzzProof(t, reused, formula, assumptions, claimed, solved)
+		first := checkFuzzProof(t, reused, formula, assumptions, claimed, solved, data)
 		// The solver's own refutations: of the search as it went, and of
 		// one simplified before it began, whose log deletes what the pass
 		// removed.
 		simplified, simplifiedSt := solveSimplified(t, formula, assumptions, opts)
 		if solved == Unsat {
-			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved); err != nil {
+			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved, data); err != nil {
 				t.Fatalf("the solver's refutation rejected: %v", err)
 			}
 		}
 		if simplifiedSt == Unsat {
-			if err := checkFuzzProof(t, reused, formula, assumptions, simplified.ProofLog(), simplifiedSt); err != nil {
+			if err := checkFuzzProof(t, reused, formula, assumptions, simplified.ProofLog(), simplifiedSt, data); err != nil {
 				t.Fatalf("the simplified solver's refutation rejected: %v", err)
 			}
 		}
 		// The same answer again, now that the checker has been through
 		// a whole proof or a rejection.
-		if again := checkFuzzProof(t, reused, formula, assumptions, claimed, solved); errText(again) != errText(first) {
+		if again := checkFuzzProof(t, reused, formula, assumptions, claimed, solved, data); errText(again) != errText(first) {
 			t.Fatalf("claimed proof: first %s, then %s", errText(first), errText(again))
 		}
 		checkExtendLaw(t, formula, assumptions, claimed)

@@ -78,19 +78,30 @@ func TestReSolveAfterInterrupt(t *testing.T) {
 	}
 }
 
+// firstConflict arms s, built with ProgressEvery 1, to close the channel
+// it returns at its first conflict: from then on an interrupt lands in a
+// search that is under way, which no sleep before it can promise.
+func firstConflict(s *Solver) <-chan struct{} {
+	searching := make(chan struct{})
+	var once sync.Once
+	s.Progress = func(Stats) { once.Do(func() { close(searching) }) }
+	return searching
+}
+
 // The interrupt → clear → re-solve cycle under goroutine churn: each
 // round interrupts a live search from another goroutine, then clears
 // and re-solves to the definite verdict. Exercises the interrupt
 // flag's atomic lifecycle under -race.
 func TestInterruptClearCycle(t *testing.T) {
 	for round := 0; round < 3; round++ {
-		s := NewFromFormula(pigeonhole(7), Options{})
+		s := NewFromFormula(pigeonhole(7), Options{ProgressEvery: 1})
+		searching := firstConflict(s)
 		done := make(chan struct{})
 		go func() {
 			_, _ = s.Solve()
 			close(done)
 		}()
-		time.Sleep(2 * time.Millisecond)
+		<-searching
 		s.Interrupt()
 		select {
 		case <-done:

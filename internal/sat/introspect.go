@@ -102,9 +102,9 @@ func Hardness(conflictDelta int64, progressDelta float64, dt time.Duration) floa
 	return rate * (1 - slope)
 }
 
-// Sample is one point of the introspection time-series: the cumulative
-// counters at the sampling instant plus the rates and hardness derived
-// from the interval since the previous sample.
+// Sample is one reading of a search: the cumulative counters at the
+// sampling instant plus the rates and hardness derived from the interval
+// since the previous sample.
 type Sample struct {
 	AtMillis int64 `json:"at_ms"` // since the sampler was created
 
@@ -123,40 +123,29 @@ type Sample struct {
 	Hardness        float64 `json:"hardness"`         // see Hardness
 }
 
-// DefaultSamplerPoints bounds a Sampler's retained time-series.
-const DefaultSamplerPoints = 256
-
-// Sampler builds the introspection time-series. It is piggybacked on
-// the solver's Progress callback: wire Observe as (or from) the
-// Progress func and every ProgressEvery-conflict snapshot becomes one
-// Sample. The sampler is safe for one writer (the solving goroutine)
-// and any number of readers.
+// Sampler turns the solver's Progress snapshots into Samples and keeps
+// the latest. It is piggybacked on the Progress callback: wire Observe
+// as (or from) the Progress func and every ProgressEvery-conflict
+// snapshot becomes one Sample. The sampler is safe for one writer (the
+// solving goroutine) and any number of readers.
 type Sampler struct {
 	mu     sync.Mutex
 	origin time.Time
-	max    int
 
 	hasPrev bool
 	prevAt  time.Time
 	prev    Stats
 
-	points []Sample
-	last   Sample
+	last Sample
 }
 
-// NewSampler creates a sampler retaining at most maxPoints samples
-// (DefaultSamplerPoints if maxPoints <= 0); beyond that the oldest
-// points are dropped, keeping the most recent window.
-func NewSampler(maxPoints int) *Sampler {
-	if maxPoints <= 0 {
-		maxPoints = DefaultSamplerPoints
-	}
-	return &Sampler{origin: time.Now(), max: maxPoints}
+// NewSampler creates a sampler whose clock starts now.
+func NewSampler() *Sampler {
+	return &Sampler{origin: time.Now()}
 }
 
-// Observe folds one statistics snapshot into the time-series and
-// returns the derived sample. Nil-safe: a nil sampler ignores the
-// snapshot.
+// Observe derives the sample of one statistics snapshot and returns it.
+// Nil-safe: a nil sampler ignores the snapshot.
 func (sp *Sampler) Observe(st Stats) Sample {
 	if sp == nil {
 		return Sample{}
@@ -191,25 +180,7 @@ func (sp *Sampler) observeAt(now time.Time, st Stats) Sample {
 	sp.prevAt = now
 	sp.prev = st
 	sp.last = s
-	if len(sp.points) >= sp.max {
-		copy(sp.points, sp.points[1:])
-		sp.points = sp.points[:sp.max-1]
-	}
-	sp.points = append(sp.points, s)
 	return s
-}
-
-// Points returns a copy of the retained time-series, oldest first.
-// Nil-safe.
-func (sp *Sampler) Points() []Sample {
-	if sp == nil {
-		return nil
-	}
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	out := make([]Sample, len(sp.points))
-	copy(out, sp.points)
-	return out
 }
 
 // Last returns the most recent sample, if any. Nil-safe.
@@ -219,7 +190,7 @@ func (sp *Sampler) Last() (Sample, bool) {
 	}
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
-	return sp.last, len(sp.points) > 0
+	return sp.last, sp.hasPrev
 }
 
 // HardnessScore returns the hardness of the most recent sample, or 0

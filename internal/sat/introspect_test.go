@@ -151,20 +151,14 @@ func TestHardnessMonotoneInConflictRate(t *testing.T) {
 }
 
 // TestSamplerTimeSeries feeds a deterministic snapshot sequence through
-// the sampler and checks rates, hardness and the retained window.
+// the sampler and checks rates and hardness.
 func TestSamplerTimeSeries(t *testing.T) {
-	sp := NewSampler(3)
+	sp := NewSampler()
 	t0 := sp.origin
 
 	sp.observeAt(t0, Stats{Conflicts: 0, Decisions: 0, Propagations: 0, Progress: 0})
-	sp.observeAt(t0.Add(time.Second), Stats{Conflicts: 100, Decisions: 200, Propagations: 4000, Restarts: 1, Progress: 0.1})
-	sp.observeAt(t0.Add(2*time.Second), Stats{Conflicts: 400, Decisions: 500, Propagations: 9000, Restarts: 2, Progress: 0.1})
-
-	pts := sp.Points()
-	if len(pts) != 3 {
-		t.Fatalf("got %d points, want 3", len(pts))
-	}
-	s1, s2 := pts[1], pts[2]
+	s1 := sp.observeAt(t0.Add(time.Second), Stats{Conflicts: 100, Decisions: 200, Propagations: 4000, Restarts: 1, Progress: 0.1})
+	s2 := sp.observeAt(t0.Add(2*time.Second), Stats{Conflicts: 400, Decisions: 500, Propagations: 9000, Restarts: 2, Progress: 0.1})
 	if s1.ConflictRate != 100 || s1.DecisionRate != 200 || s1.PropagationRate != 4000 {
 		t.Fatalf("sample 1 rates: %+v", s1)
 	}
@@ -183,17 +177,14 @@ func TestSamplerTimeSeries(t *testing.T) {
 		t.Fatalf("HardnessScore: got %v, want 300", sp.HardnessScore())
 	}
 
-	// A fourth sample must evict the oldest point (window of 3).
-	sp.observeAt(t0.Add(3*time.Second), Stats{Conflicts: 500, Progress: 0.2})
-	pts = sp.Points()
-	if len(pts) != 3 || pts[0].AtMillis != 1000 {
-		t.Fatalf("window eviction failed: %+v", pts)
+	if last, ok := sp.Last(); !ok || last != s2 {
+		t.Fatalf("Last: %+v, %v; want %+v", last, ok, s2)
 	}
 
 	// Nil sampler is a no-op everywhere.
 	var nilSP *Sampler
 	nilSP.Observe(Stats{Conflicts: 1})
-	if nilSP.Points() != nil || nilSP.HardnessScore() != 0 {
+	if nilSP.HardnessScore() != 0 {
 		t.Fatal("nil sampler must no-op")
 	}
 	if _, ok := nilSP.Last(); ok {

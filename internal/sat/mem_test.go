@@ -172,7 +172,8 @@ func TestMemBudgetShrinkRecovers(t *testing.T) {
 // disarm the memory flag so a later plain Interrupt reports plain
 // cancellation again.
 func TestInterruptMemoryMidSearch(t *testing.T) {
-	s := NewFromFormula(pigeonhole(9), Options{})
+	s := NewFromFormula(pigeonhole(9), Options{ProgressEvery: 1})
+	searching := firstConflict(s)
 	done := make(chan struct{})
 	var st Status
 	var serr error
@@ -180,7 +181,7 @@ func TestInterruptMemoryMidSearch(t *testing.T) {
 		st, serr = s.Solve()
 		close(done)
 	}()
-	time.Sleep(2 * time.Millisecond)
+	<-searching
 	s.InterruptMemory()
 	select {
 	case <-done:

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -29,6 +30,26 @@ type Proof struct {
 	// a checker holds follows from the formula, so letting one go cannot
 	// make a non-consequence derivable, whoever wrote the entry.
 	Deletes []Deletion `json:",omitempty"`
+	// Hints[i], where there is one, is where the solver says lemma i came
+	// from: the variables its conflict analysis resolved on or minimised
+	// away, which with the lemma's own are the ones a RUP test of it has to
+	// assign. A checker tries those first (ProofChecker) and is faster for
+	// it, never more lenient: a hint is advice on where to propagate, not
+	// part of the proof — not of its Digest, not of its DRAT text — and a
+	// missing, short or lying one costs time and nothing else.
+	Hints []Hint `json:",omitempty"`
+}
+
+// Hint is a set of variables in ascending order, each as the uvarint of
+// its distance from the one before it, the first from 0.
+type Hint []byte
+
+// hint returns lemma i's hint, nil if the proof has none for it.
+func (p *Proof) hint(i int) Hint {
+	if i < len(p.Hints) {
+		return p.Hints[i]
+	}
+	return nil
 }
 
 // Deletion names, by its literals as drat-trim's "d" lines do, one
@@ -59,15 +80,39 @@ func (s *Solver) StreamProof(step func(deleted bool, clause []uint32)) {
 	s.proof, s.proofStep = &Proof{}, step
 }
 
-// logLemma and logDelete record a clause the solver derived, and one it
-// no longer holds and the checker does; only called with proof logging
-// on.
-func (s *Solver) logLemma(lits []lit) {
+// keepsProof reports whether the solver logs to a proof it keeps, the
+// kind whose lemmas carry hints.
+func (s *Solver) keepsProof() bool { return s.proof != nil && s.proofStep == nil }
+
+// logLemma and logDelete record a clause the solver derived — through
+// the variables via, which logLemma sorts, if conflict analysis derived
+// it — and one it no longer holds and the checker does; only called with
+// proof logging on.
+func (s *Solver) logLemma(lits []lit, via []uint32) {
 	if s.proofStep != nil {
 		s.proofStep(false, lits)
 		return
 	}
 	s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
+	s.proof.Hints = append(s.proof.Hints, s.hint(via))
+}
+
+// hint encodes a set of variables as a Hint, carved like a lemma from a
+// slab that is replaced when full.
+func (s *Solver) hint(vars []uint32) Hint {
+	if len(vars) == 0 {
+		return nil
+	}
+	slices.Sort(vars)
+	if room := binary.MaxVarintLen32 * len(vars); cap(s.hintSlab)-len(s.hintSlab) < room {
+		s.hintSlab = make([]byte, 0, max(room, 1<<14))
+	}
+	start, prev := len(s.hintSlab), uint32(0)
+	for _, v := range vars {
+		s.hintSlab = binary.AppendUvarint(s.hintSlab, uint64(v-prev))
+		prev = v
+	}
+	return s.hintSlab[start:len(s.hintSlab):len(s.hintSlab)]
 }
 
 func (s *Solver) logDelete(lits []lit) {
@@ -92,6 +137,11 @@ func JoinProofs(prefix, tail *Proof) *Proof {
 	p := &Proof{
 		Lemmas:  append(slices.Clip(prefix.Lemmas), tail.Lemmas...),
 		Deletes: make([]Deletion, 0, len(prefix.Deletes)+len(tail.Deletes)),
+	}
+	if len(prefix.Hints)+len(tail.Hints) > 0 {
+		p.Hints = make([]Hint, len(prefix.Lemmas), len(p.Lemmas))
+		copy(p.Hints, prefix.Hints)
+		p.Hints = append(p.Hints, tail.Hints[:min(len(tail.Hints), len(tail.Lemmas))]...)
 	}
 	// No entry of the prefix waits past its last lemma, nor here.
 	for _, d := range prefix.Deletes {
@@ -129,6 +179,16 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 // of lit0, and is watched through lit0 and lit1; a deleted one keeps its
 // place, unwatched, with delTag in its size word.
 //
+// A lemma that comes with a hint (Proof.Hints) is first put to a RUP test
+// confined to the variables of the hint and its own: propagation assigns
+// no other variable, so it visits the watch lists of those alone. Every
+// assignment made that way is one the unconfined test makes too, so a
+// conflict is a conflict whoever wrote the hint; without one — or with a
+// hint that does not parse or names a variable the checker does not
+// have — the test goes on from the root over every variable, which is
+// the test of a lemma without a hint. Accepted and rejected are the same
+// proofs either way.
+//
 // A checker is not safe for concurrent use.
 type ProofChecker struct {
 	numVars int
@@ -155,8 +215,9 @@ type ProofChecker struct {
 	// index finds a clause by its literals for a Deletion: an open-
 	// addressed table of refs (0 free, crefDead a deleted entry's),
 	// built over the live clauses by the first Deletion a proof brings
-	// and kept up to date until reset. mark stamps, per literal, the
-	// clause being looked up.
+	// and kept up to date until reset. mark stamps with markEpoch, per
+	// literal, the clause being looked up, and at a variable's positive
+	// literal the variables the propagation under way is confined to.
 	index     []cref
 	indexUsed int // slots not free
 	indexed   bool
@@ -183,6 +244,22 @@ const (
 type ProofCheckerStats struct {
 	Lemmas       int64 // lemmas put to the RUP test
 	Propagations int64 // literals propagated, loading the formula included
+	Hinted       int64 // lemmas refuted by propagation confined to their hint
+	Fallbacks    int64 // hinted lemmas that took the unconfined test all the same
+}
+
+// Add accumulates o into s.
+func (s *ProofCheckerStats) Add(o ProofCheckerStats) {
+	s.Lemmas += o.Lemmas
+	s.Propagations += o.Propagations
+	s.Hinted += o.Hinted
+	s.Fallbacks += o.Fallbacks
+}
+
+// Since returns what a checker whose counters are s has done since they
+// were o.
+func (s ProofCheckerStats) Since(o ProofCheckerStats) ProofCheckerStats {
+	return ProofCheckerStats{s.Lemmas - o.Lemmas, s.Propagations - o.Propagations, s.Hinted - o.Hinted, s.Fallbacks - o.Fallbacks}
 }
 
 // NewProofChecker loads f and propagates its units to a fixpoint. A
@@ -323,7 +400,7 @@ func (c *ProofChecker) ExtendStep(deleted bool, clause []uint32) {
 		return
 	}
 	c.stepLemmas++
-	refuted, ok := c.deriveLemma(buf)
+	refuted, ok := c.deriveLemma(buf, nil)
 	if !ok {
 		c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, slices.Clone(buf))
 	}
@@ -353,7 +430,7 @@ func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
 		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
 			c.remove(dels[0].Clause)
 		}
-		refuted, ok := c.deriveLemma(lemma)
+		refuted, ok := c.deriveLemma(lemma, p.hint(i))
 		if !ok {
 			return false, fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
 				i+1, len(p.Lemmas), lemma)
@@ -370,8 +447,8 @@ func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
 
 // deriveLemma is derive's step for one lemma: the RUP test (ok), then
 // the lemma joins the clause set and the root what it propagates.
-func (c *ProofChecker) deriveLemma(lemma cnf.Clause) (refuted, ok bool) {
-	if !c.implied(lemma) {
+func (c *ProofChecker) deriveLemma(lemma cnf.Clause, hint Hint) (refuted, ok bool) {
+	if !c.implied(lemma, hint) {
 		return false, false
 	}
 	ref, nonEmpty := c.add(lemma)
@@ -414,7 +491,7 @@ func (c *ProofChecker) undo(n int) {
 // extendRoot propagates what the root gained and keeps the result; it
 // returns false on a conflict, which at the root is the empty clause.
 func (c *ProofChecker) extendRoot() bool {
-	ok := c.propagate()
+	ok := c.propagate(false)
 	c.root = len(c.trail)
 	return ok
 }
@@ -474,8 +551,9 @@ func (c *ProofChecker) attach(ref cref) {
 }
 
 // implied is the RUP test: with every literal of the lemma false,
-// propagation must reach a conflict. The root is left as it was.
-func (c *ProofChecker) implied(lemma cnf.Clause) bool {
+// propagation must reach a conflict — within the hint, if there is one,
+// or else from the root again without it. The root is left as it was.
+func (c *ProofChecker) implied(lemma cnf.Clause, hint Hint) bool {
 	c.stats.Lemmas++
 	defer c.undo(c.root)
 	for _, l := range lemma {
@@ -493,13 +571,56 @@ func (c *ProofChecker) implied(lemma cnf.Clause) bool {
 			c.assign(lit(l) ^ 1)
 		}
 	}
-	return !c.propagate()
+	if len(hint) > 0 {
+		if c.confine(lemma, hint) && !c.propagate(true) {
+			c.stats.Hinted++
+			return true
+		}
+		c.stats.Fallbacks++
+		c.qhead = c.root // what the confined run assigned holds; what it skipped is met again
+	}
+	return !c.propagate(false)
 }
 
-// propagate runs unit propagation from qhead; it returns false on a
-// conflict, leaving the rest of the queue unvisited.
-func (c *ProofChecker) propagate() bool {
+// confine marks the variables of a lemma, all known, and of its hint for
+// a confined propagation; false if the hint is not one over the
+// checker's variables.
+func (c *ProofChecker) confine(lemma cnf.Clause, hint Hint) bool {
+	epoch := c.nextMark()
+	for _, l := range lemma {
+		c.mark[l&^1] = epoch
+	}
+	v := uint64(0)
+	for len(hint) > 0 {
+		d, n := binary.Uvarint(hint)
+		if n <= 0 || d > uint64(c.numVars) {
+			return false
+		}
+		if v += d; v == 0 || v > uint64(c.numVars) {
+			return false
+		}
+		c.mark[2*v] = epoch
+		hint = hint[n:]
+	}
+	return true
+}
+
+// nextMark starts a new stamp for mark.
+func (c *ProofChecker) nextMark() uint32 {
+	c.markEpoch++
+	if c.markEpoch == 0 { // wrapped: old stamps could collide
+		clear(c.mark)
+		c.markEpoch = 1
+	}
+	return c.markEpoch
+}
+
+// propagate runs unit propagation from qhead, confined — assigning only
+// variables confine has marked — or not; it returns false on a conflict,
+// leaving the rest of the queue unvisited.
+func (c *ProofChecker) propagate(confined bool) bool {
 	arena, vals := c.arena, c.vals // neither grows during propagation
+	mark, epoch := c.mark, c.markEpoch
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
@@ -538,7 +659,9 @@ func (c *ProofChecker) propagate() bool {
 					c.qhead = len(c.trail)
 					return false
 				case lUndef:
-					c.assign(unit)
+					if !confined || mark[unit&^1] == epoch {
+						c.assign(unit)
+					}
 				}
 			}
 			ws[n] = w
@@ -703,13 +826,9 @@ func (c *ProofChecker) indexPut(ref cref) {
 // are distinct, takes it out of the table and returns it; crefUndef if
 // there is none.
 func (c *ProofChecker) indexTake(lits []lit) cref {
-	c.markEpoch++
-	if c.markEpoch == 0 { // wrapped: old stamps could collide
-		clear(c.mark)
-		c.markEpoch = 1
-	}
+	epoch := c.nextMark()
 	for _, l := range lits {
-		c.mark[l] = c.markEpoch
+		c.mark[l] = epoch
 	}
 	mask := uint64(len(c.index) - 1)
 next:
@@ -720,7 +839,7 @@ next:
 		}
 		// As many literals, all distinct: the same set if each is marked.
 		for _, l := range c.arena[ref : ref+c.arena[ref-1]] {
-			if c.mark[l] != c.markEpoch {
+			if c.mark[l] != epoch {
 				continue next
 			}
 		}

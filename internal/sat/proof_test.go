@@ -1,6 +1,8 @@
 package sat
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -595,4 +597,125 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	if err := fresh.Extend(log); err != nil {
 		t.Fatalf("after rejecting a forged stream the checker rejects the real prefix: %v", err)
 	}
+}
+
+// hintVariants returns p as it is, without its hints, and under four
+// kinds of hint no solver writes: each lemma's replaced, in rotation, by
+// none, every variable, variable 0, one past the last variable and the
+// next lemma's; every lemma given the one before's; and bytes that are
+// no uvarint.
+func hintVariants(p *Proof, numVars int) map[string]*Proof {
+	with := func(hint func(i int) Hint) *Proof {
+		q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: make([]Hint, len(p.Lemmas))}
+		for i := range q.Hints {
+			q.Hints[i] = hint(i)
+		}
+		return q
+	}
+	return map[string]*Proof{
+		"honest": p,
+		"none":   {Lemmas: p.Lemmas, Deletes: p.Deletes},
+		"hostile": with(func(i int) Hint {
+			switch i % 5 {
+			case 1:
+				return bytes.Repeat([]byte{1}, numVars)
+			case 2:
+				return Hint{0}
+			case 3:
+				return binary.AppendUvarint(nil, uint64(numVars)+1)
+			case 4:
+				return p.hint((i + 1) % len(p.Lemmas))
+			}
+			return nil
+		}),
+		"shifted": with(func(i int) Hint { return p.hint((i + len(p.Lemmas) - 1) % len(p.Lemmas)) }),
+		"garbage": with(func(int) Hint { return Hint{0x80, 0x80, 0x80} }),
+	}
+}
+
+// A hint changes no answer. Every proof of this file's corpus — the
+// per-partition refutations of an encoded cell and the tampered copies
+// TestProofCheckerReuseMatchesFresh makes of them, now with the hints
+// kept beside the lemmas they were logged for, and the two deleting
+// proofs with a lemma of each flipped — gets, under every hint variant,
+// the answer of the hint-blind reference engine: accepted, or rejected
+// at the same lemma in the same words. What hints do change is counted:
+// an honest proof honestly hinted never falls back, one without hints is
+// never hinted, and the hostile ones fall back.
+func TestHintsChangeNoAnswer(t *testing.T) {
+	type input struct {
+		name        string
+		f           *cnf.Formula
+		assumptions []cnf.Lit
+		proof       *Proof
+		honest      bool
+	}
+	var corpus []input
+	tampered := func(in input, kind string, edit func(q *Proof)) input {
+		q := &Proof{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Hints: slices.Clone(in.proof.Hints)}
+		for i, l := range in.proof.Lemmas {
+			q.Lemmas[i] = l.Clone()
+		}
+		edit(q)
+		return input{in.name + "/" + kind, in.f, in.assumptions, q, false}
+	}
+	flip := func(q *Proof) { q.Lemmas[len(q.Lemmas)/2][0] = q.Lemmas[len(q.Lemmas)/2][0].Not() }
+	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
+	parts, err := partition.Make(enc, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pt := range parts {
+		s := NewFromFormula(enc.Formula(), Options{})
+		s.EnableProof()
+		if st, err := s.Solve(pt.Assumptions...); err != nil || st != Unsat {
+			t.Fatalf("partition %d: %v, %v; want UNSAT", pt.Index, st, err)
+		}
+		if s.ProofLog().NumLemmas() < 2 {
+			continue
+		}
+		h := input{fmt.Sprintf("p%d", pt.Index), enc.Formula(), pt.Assumptions, s.ProofLog(), true}
+		corpus = append(corpus, h, tampered(h, "flipped-literal", flip),
+			tampered(h, "dropped-lemma", func(q *Proof) {
+				mid := len(q.Lemmas) / 2
+				q.Lemmas, q.Hints = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Hints, mid, mid+1)
+			}))
+	}
+	for _, tc := range deletingProofs(t) {
+		h := input{tc.name, tc.f, nil, tc.p, true}
+		corpus = append(corpus, h, tampered(h, "flipped-literal", flip))
+	}
+	rejected := 0
+	for _, in := range corpus {
+		want := referenceCheckRUP(in.f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas, Deletes: in.proof.Deletes})
+		// A tampered copy may still check: a flipped literal can leave a
+		// lemma RUP, a dropped lemma may not have been needed.
+		if in.honest && want != nil {
+			t.Fatalf("%s: the reference engine says %s", in.name, errText(want))
+		}
+		if want != nil {
+			rejected++
+		}
+		reused := NewProofChecker(in.f)
+		for name, variant := range hintVariants(in.proof, in.f.NumVars) {
+			before := reused.Stats()
+			got := reused.Check(in.assumptions, variant)
+			if errText(got) != errText(want) {
+				t.Fatalf("%s under %s hints: %s\nthe reference engine: %s", in.name, name, errText(got), errText(want))
+			}
+			work := reused.Stats().Since(before)
+			switch {
+			case name == "none" && (work.Hinted != 0 || work.Fallbacks != 0):
+				t.Fatalf("%s without hints: %+v", in.name, work)
+			case name == "honest" && in.honest && (work.Fallbacks != 0 || work.Hinted == 0):
+				t.Fatalf("%s as the solver hinted it: %+v", in.name, work)
+			case (name == "hostile" || name == "garbage") && work.Fallbacks == 0:
+				t.Fatalf("%s under %s hints: %+v; want fallbacks", in.name, name, work)
+			}
+		}
+	}
+	if rejected == 0 || rejected == len(corpus) {
+		t.Fatalf("%d of %d proofs rejected: the corpus lost a side", rejected, len(corpus))
+	}
+	t.Logf("%d proofs under 5 hint variants each, %d of them rejected", len(corpus), rejected)
 }

@@ -381,7 +381,7 @@ func (e *eliminator) assertUnit(u lit) bool {
 // there.
 func (e *eliminator) logLemma(lits []lit) {
 	if e.s.proof != nil {
-		e.s.logLemma(lits)
+		e.s.logLemma(lits, nil)
 	}
 }
 

@@ -408,6 +408,8 @@ type Solver struct {
 	lbdEpoch  uint32
 	addBuf    []lit     // the clause addClause is normalising
 	lemmaSlab []cnf.Lit // backing store the proof's lemmas are carved from
+	hintVars  []uint32  // with a kept proof: the variables analyze's derivation went through
+	hintSlab  []byte    // backing store the proof's hints are carved from
 
 	model []int8 // last satisfying assignment (per variable)
 
@@ -956,8 +958,13 @@ func (s *Solver) pickBranchLit() lit {
 
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause (asserting literal first), the backtrack level and the LBD.
-// The clause lives in solver-owned scratch until the next analyze.
+// The clause lives in solver-owned scratch until the next analyze, and
+// so does, for a solver that keeps its proof, the clause's hint
+// (hintVars): the variables resolved on at the conflict level, and those
+// minimisation removed or walked through to remove them.
 func (s *Solver) analyze(confl cref) ([]lit, int, int) {
+	hinting := s.keepsProof()
+	s.hintVars = s.hintVars[:0]
 	learnt := append(s.learntBuf[:0], litUndef)
 	counter := 0
 	p := litUndef
@@ -992,6 +999,9 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 		if counter == 0 {
 			break
 		}
+		if hinting {
+			s.hintVars = append(s.hintVars, p>>1)
+		}
 	}
 	learnt[0] = p ^ 1
 	s.learntBuf = learnt
@@ -1008,7 +1018,19 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 	learnt = out
 
 	// Clear the seen flags: of the clause's literals after the first
-	// (copied into analyzeTs above) and of those minimisation marked.
+	// (copied into analyzeTs above) and of those minimisation marked —
+	// the latter, and the former where minimisation did not keep them,
+	// being the rest of the hint.
+	if hinting {
+		for _, l := range learnt[1:] {
+			s.seen[vidx(l)] = 0
+		}
+		for _, l := range s.analyzeTs {
+			if s.seen[vidx(l)] != 0 {
+				s.hintVars = append(s.hintVars, l>>1)
+			}
+		}
+	}
 	for _, l := range s.analyzeTs {
 		s.seen[vidx(l)] = 0
 	}
@@ -1087,7 +1109,7 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	s.stats.LearntLits += int64(len(lits))
 	s.stats.LBDHist.Observe(lbd)
 	if s.proof != nil {
-		s.logLemma(lits)
+		s.logLemma(lits, s.hintVars)
 	}
 	if s.ShareLearnt != nil && lbd <= s.ShareMaxLBD && len(lits) > 1 {
 		cp := make([]cnf.Lit, len(lits))

@@ -256,7 +256,8 @@ func TestStatsPopulated(t *testing.T) {
 }
 
 func TestInterrupt(t *testing.T) {
-	s := NewFromFormula(pigeonhole(9), Options{})
+	s := NewFromFormula(pigeonhole(9), Options{ProgressEvery: 1})
+	searching := firstConflict(s)
 	done := make(chan struct{})
 	var st Status
 	var err error
@@ -264,7 +265,7 @@ func TestInterrupt(t *testing.T) {
 		st, err = s.Solve()
 		close(done)
 	}()
-	time.Sleep(5 * time.Millisecond)
+	<-searching
 	s.Interrupt()
 	select {
 	case <-done:
