@@ -363,9 +363,9 @@ func BenchmarkAblationPreprocess(b *testing.B) {
 
 // BenchmarkCertification measures the cost of certifying Safe verdicts
 // with RUP-checked refutation proofs: on one solver, and partitioned,
-// where each of the two workers' checkers takes the lemmas of the
-// template's simplification pass once (sat.ProofChecker.Extend) and
-// then checks only what each of its cubes' solvers learnt.
+// where the run's one checker takes the lemmas of the template's
+// simplification pass once (parallel.Template.Check) and then checks
+// only what each cube's solver learnt.
 func BenchmarkCertification(b *testing.B) {
 	for _, tc := range []struct {
 		name string

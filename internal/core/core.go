@@ -92,8 +92,8 @@ type Options struct {
 	// CertifyUnsat checks a clausal refutation proof for every UNSAT
 	// partition against the encoding as emitted (the solver's own
 	// simplification logs what it derives), so Safe verdicts are
-	// certified independently of the search. The counterpart of
-	// counterexample replay validation.
+	// certified independently of the search; a resume re-solves what no
+	// check stands behind. The counterpart of counterexample replay.
 	CertifyUnsat bool
 	// KeepProofs records the refutation proof of every UNSAT partition
 	// and retains it on the corresponding Result.Instances entry instead
@@ -290,8 +290,10 @@ type Result struct {
 	// Instances are the per-partition solver results.
 	Instances []parallel.InstanceResult
 	// Certified reports that every UNSAT partition carried a checked
-	// refutation proof (CertifyUnsat only).
-	Certified bool
+	// refutation proof (CertifyUnsat only); CertifyWork is what the run's
+	// proof checker did.
+	Certified   bool
+	CertifyWork sat.ProofCheckerStats
 	// Coverage classifies every partition outcome; on an Unknown verdict
 	// it names which partitions exhausted which budget.
 	Coverage Coverage
@@ -563,6 +565,7 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res := &Result{
 		Certified:    pres.Certified,
+		CertifyWork:  pres.CertifyWork,
 		Vars:         pr.vars,
 		Clauses:      pr.clauses,
 		Threads:      len(enc.Program.Threads),

@@ -55,6 +55,44 @@ func TestVerifyJournalResume(t *testing.T) {
 	}
 }
 
+// A certifying resume believes only what a check stood behind. A run
+// under CertifyUnsat journals its refutations as certified, and a
+// certifying resume replays them all without a check; a journal written
+// without it holds refutations nobody checked, and a certifying resume
+// solves and checks all four again rather than report them certified.
+func TestVerifyCertifiedResumeRechecksUnchecked(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	for _, checked := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "run.wal")
+		opts := Options{Unwind: 1, Contexts: 3, Cores: 2, Partitions: 4, JournalPath: path, CertifyUnsat: checked}
+		if res, err := Verify(context.Background(), p, opts); err != nil || res.Verdict != Safe {
+			t.Fatalf("first run, CertifyUnsat %v: %+v, %v", checked, res, err)
+		}
+		_, recs, err := journal.Read(path)
+		if err != nil || len(recs) != 4 {
+			t.Fatalf("journal: %d records, %v", len(recs), err)
+		}
+		for _, rec := range recs {
+			if rec.Certified != checked {
+				t.Fatalf("a run with CertifyUnsat %v journaled %+v", checked, rec)
+			}
+		}
+
+		opts.Resume, opts.CertifyUnsat = true, true
+		res, err := Verify(context.Background(), p, opts)
+		if err != nil || res.Verdict != Safe || !res.Certified {
+			t.Fatalf("certifying resume of a journal written with CertifyUnsat %v: %+v, %v", checked, res, err)
+		}
+		if checked {
+			if res.Resumed != 4 || res.CertifyWork.Lemmas != 0 {
+				t.Fatalf("certified journal: %d of 4 replayed, checker work %+v; want all replayed, none checked again", res.Resumed, res.CertifyWork)
+			}
+		} else if res.Resumed != 0 || res.CertifyWork.Lemmas == 0 {
+			t.Fatalf("unchecked journal: %d of 4 replayed, checker work %+v; want every refutation solved and checked again", res.Resumed, res.CertifyWork)
+		}
+	}
+}
+
 // Resuming an unsafe run re-derives the model for the journaled SAT
 // partition, so trace decoding and replay validation still work.
 func TestVerifyJournalResumeUnsafe(t *testing.T) {

@@ -1,11 +1,9 @@
 package distrib
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cnf"
@@ -15,7 +13,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/internal/trace"
-	"repro/internal/vc"
 	"repro/prog"
 )
 
@@ -266,48 +263,31 @@ func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *
 	return nil
 }
 
-// certVerifier holds the coordinator's own encoding of the program — the
-// root of trust every remote certificate is checked against, and what
-// counts the scheduler bits a run can split on. Workers receive only the
-// program source; whatever formula they actually solved, their evidence
-// must check out against this encoding or the verdict is discarded.
+// certVerifier holds the coordinator's own prepared run — the root of
+// trust every remote certificate is checked against, and what counts the
+// scheduler bits a run can split on. Workers receive only the program
+// source; whatever formula they actually solved, their evidence must
+// check out against this encoding, and a sub-cube's assumptions are
+// rebuilt from its split literals, not trusted from the wire. prefix is
+// the digest of what its template logged, once Coordinate derived it.
 type certVerifier struct {
-	prep    *core.Prepared
-	enc     *vc.Encoded
-	formula *cnf.Formula
-	parts   []partition.Partition // indexed by absolute partition index
-	// splitLits is the canonical scheduler-bit sequence cube paths index
-	// into; both sides derive it deterministically from the encoding, so
-	// a sub-cube's extra assumptions are reconstructed here rather than
-	// trusted from the wire.
-	splitLits []cnf.Lit
-
-	// The run's one proof checker: the formula, extended by the prefix
-	// the coordinator's own template logged (derive). A checker is not
-	// safe for concurrent use and costs as much memory as the formula, so
-	// there is one, behind mu, not one per connection.
-	prefix  sat.ProofDigest
-	setup   time.Duration         // what derive took
-	derived sat.ProofCheckerStats // and what the checker did in it
-	mu      sync.Mutex
-	checker *sat.ProofChecker
+	prep   *core.Prepared
+	prefix sat.ProofDigest
 }
 
 // newCertVerifier prepares the run exactly as workers are instructed to:
 // same bounds, same total partition count, same budget, proofs logged,
-// and its cubes handed out from outside.
+// and its cubes handed out from outside. Its template certifies and
+// digests: what it logs goes into its checker, not into memory.
 func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
-	prep, err := core.Prepare(p, workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true))
+	run := workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true)
+	run.CertifyUnsat = true
+	prep, err := core.Prepare(p, run)
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
-	return &certVerifier{
-		prep:      prep,
-		enc:       prep.Encoded(),
-		formula:   prep.Encoded().Formula(),
-		parts:     prep.Partitions(),
-		splitLits: prep.SplitLits(),
-	}, nil
+	prep.Template().DigestPrefix()
+	return &certVerifier{prep: prep}, nil
 }
 
 // workerRun is the run a job describes, as core.Prepare wants it said:
@@ -319,28 +299,6 @@ func workerRun(unwind, contexts, width, partitions int, budget journal.Budget, p
 		Unwind: unwind, Contexts: contexts, Width: width, Partitions: partitions,
 		To: max(partitions, 1), Budget: budget, KeepProofs: proofs,
 	}
-}
-
-// derive builds the run's proof checker, before the first job goes out:
-// a checker loaded with the formula is extended, step by step as the
-// coordinator's own template — built as every honest worker builds its —
-// logs them, by the prefix, once; then the template is dropped. ctx
-// interrupts it.
-func (v *certVerifier) derive(ctx context.Context) error {
-	start := time.Now()
-	checker, tpl := sat.NewProofChecker(v.formula), v.prep.Template()
-	tpl.DigestPrefix(checker.ExtendStep)
-	prefix, err := tpl.PrefixDigest(ctx)
-	if err != nil {
-		return err
-	}
-	if err := checker.ExtendDone(); err != nil {
-		return fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", err)
-	}
-	v.prefix, v.checker, v.derived = prefix, checker, checker.Stats()
-	tpl.Drop()
-	v.setup = time.Since(start)
-	return nil
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -361,17 +319,18 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 	if cert == nil || len(cert.Model) == 0 {
 		return fmt.Errorf("UNSAFE claim without a model certificate")
 	}
-	if winner < cube.From || winner > cube.To || winner >= len(v.parts) {
+	enc, parts := v.prep.Encoded(), v.prep.Partitions()
+	if winner < cube.From || winner > cube.To || winner >= len(parts) {
 		return fmt.Errorf("claimed winner %d outside cube %s", winner, cube.Key())
 	}
-	if cert.NumVars != v.formula.NumVars {
-		return fmt.Errorf("model covers %d vars, coordinator encoding has %d", cert.NumVars, v.formula.NumVars)
+	if f := enc.Formula(); cert.NumVars != f.NumVars {
+		return fmt.Errorf("model covers %d vars, coordinator encoding has %d", cert.NumVars, f.NumVars)
 	}
 	model, err := unpackBits(cert.Model, cert.NumVars)
 	if err != nil {
 		return err
 	}
-	for i, c := range v.formula.Clauses {
+	for i, c := range enc.Formula().Clauses {
 		satisfied := false
 		for _, l := range c {
 			if litHolds(l, model) {
@@ -383,7 +342,7 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 			return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", i)
 		}
 	}
-	assumps, err := v.parts[winner].CubeAssumptions(cube.Path, v.splitLits)
+	assumps, err := parts[winner].CubeAssumptions(cube.Path, v.prep.SplitLits())
 	if err != nil {
 		return fmt.Errorf("cube %s: %v", cube.Key(), err)
 	}
@@ -392,8 +351,8 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 			return fmt.Errorf("claimed model violates cube %s assumption %v", cube.Key(), l)
 		}
 	}
-	tr := trace.Decode(v.enc, model)
-	viol, err := trace.Validate(v.enc, tr)
+	tr := trace.Decode(enc, model)
+	viol, err := trace.Validate(enc, tr)
 	if err != nil {
 		return fmt.Errorf("counterexample replay failed: %v", err)
 	}
@@ -415,8 +374,9 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	if cert == nil {
 		return work, fmt.Errorf("SAFE claim without a proof certificate")
 	}
-	if cube.From < 0 || cube.To >= len(v.parts) {
-		return work, fmt.Errorf("cube %s outside the coordinator's %d partitions", cube.Key(), len(v.parts))
+	parts := v.prep.Partitions()
+	if cube.From < 0 || cube.To >= len(parts) {
+		return work, fmt.Errorf("cube %s outside the coordinator's %d partitions", cube.Key(), len(parts))
 	}
 	proofs := make(map[int]*sat.Proof, len(cert.Proofs))
 	for _, pp := range cert.Proofs {
@@ -432,20 +392,18 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		return work, fmt.Errorf("template mismatch: the worker's proofs continue %s, the coordinator's template logged %s (another build, or another budget)",
 			describeDigest(cert.Prefix), describeDigest(&v.prefix))
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	before := v.checker.Stats()
-	defer func() { work = v.checker.Stats().Since(before) }()
 	for idx := cube.From; idx <= cube.To; idx++ {
 		proof := proofs[idx]
 		if proof == nil {
 			return work, fmt.Errorf("no refutation proof for partition %d", idx)
 		}
-		assumps, err := v.parts[idx].CubeAssumptions(cube.Path, v.splitLits)
+		assumps, err := parts[idx].CubeAssumptions(cube.Path, v.prep.SplitLits())
 		if err != nil {
 			return work, fmt.Errorf("cube %s: %v", cube.Key(), err)
 		}
-		if err := v.checker.Check(assumps, proof); err != nil {
+		done, err := v.prep.Template().Check(assumps, proof)
+		work.Add(done)
+		if err != nil {
 			return work, fmt.Errorf("partition %d (cube %s): %v", idx, cube.Key(), err)
 		}
 	}
@@ -457,24 +415,6 @@ func describeDigest(d *sat.ProofDigest) string {
 		return "no prefix at all"
 	}
 	return fmt.Sprintf("a prefix of %d lemmas (sha256 %.12s)", d.Lemmas, d.SHA256)
-}
-
-// verify dispatches on the claimed verdict and reports the verification
-// wall time and the proof checker's share of it in lemmas and
-// propagations; level is the certify level the job was issued under.
-func (v *certVerifier) verify(cube partition.Cube, reply *Message, cert *Certificate, level string) (time.Duration, sat.ProofCheckerStats, error) {
-	t0 := time.Now()
-	var work sat.ProofCheckerStats
-	var err error
-	switch reply.Verdict {
-	case core.Unsafe.String():
-		err = v.verifyUnsafe(cube, reply.Winner, cert)
-	case core.Safe.String():
-		if level == CertifyFull {
-			work, err = v.verifySafe(cube, cert)
-		}
-	}
-	return time.Since(t0), work, err
 }
 
 // readCertificate reads the certificate frames a result declared via
@@ -533,11 +473,22 @@ func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason st
 }
 
 // certify puts a definite verdict's evidence to the coordinator's own
-// encoding, under the cube's full assumption set, path bits included,
-// and accounts for the check. The error wraps errCertificate.
+// encoding, under the cube's full assumption set, path bits included —
+// a SAFE one only at the level that ships proofs — and accounts for the
+// check: its time and the proof checker's work. The error wraps
+// errCertificate.
 func (co *coordinator) certify(a *partition.Assignment, key, level string, reply *Message, cert *Certificate, jobSpan *obs.Span) (certified bool, err error) {
 	certSpan := jobSpan.Child("certify_verify", obs.KV("level", level))
-	dur, work, verr := co.verifier.verify(a.Cube, reply, cert, level)
+	start := time.Now()
+	var work sat.ProofCheckerStats
+	var verr error
+	switch {
+	case reply.Verdict == core.Unsafe.String():
+		verr = co.verifier.verifyUnsafe(a.Cube, reply.Winner, cert)
+	case reply.Verdict == core.Safe.String() && level == CertifyFull:
+		work, verr = co.verifier.verifySafe(a.Cube, cert)
+	}
+	dur := time.Since(start)
 	certSpan.End(obs.KV("ok", verr == nil))
 	co.metrics.certifySeconds.Observe(dur.Seconds())
 	co.metrics.certifyPropagations.Add(work.Propagations)

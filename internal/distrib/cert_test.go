@@ -302,7 +302,7 @@ func TestByzantineOversizedProofRejected(t *testing.T) {
 // lemmas learnt before it.
 func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int) {
 	t.Helper()
-	s := sat.NewFromFormula(v.formula, sat.Options{ProgressEvery: 1})
+	s := sat.NewFromFormula(v.prep.Encoded().Formula(), sat.Options{ProgressEvery: 1})
 	s.EnableProof()
 	from = -1
 	s.Progress = func(st sat.Stats) {
@@ -310,7 +310,7 @@ func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int
 			from = int(st.Learnt)
 		}
 	}
-	if st, err := s.Solve(v.parts[part].Assumptions...); err != nil || st != sat.Unsat {
+	if st, err := s.Solve(v.prep.Partitions()[part].Assumptions...); err != nil || st != sat.Unsat {
 		t.Fatalf("partition %d: %v, %v", part, st, err)
 	}
 	if from < 0 {
@@ -582,6 +582,23 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 }
 
+// derivedVerifier is the coordinator's verifier as Coordinate leaves it
+// before its accept loop: the template built, the run's checker derived
+// from what it logged, the digest of that kept and the solver gone.
+func derivedVerifier(t *testing.T, p *prog.Program, opts CoordinatorOptions) *certVerifier {
+	t.Helper()
+	v, err := newCertVerifier(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl := v.prep.Template()
+	if v.prefix, err = tpl.PrefixDigest(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tpl.Drop()
+	return v
+}
+
 // workerCertificate solves a cube the way a worker does — on clones of
 // a template prepared from the job's own description of the run — and
 // returns the certificate it would ship: tails, and the digest of the
@@ -610,13 +627,7 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	// hundred lemmas of its own to refute after the template's pass (the
 	// fib cells are refuted by the pass, or nearly).
 	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8}
-	v, err := newCertVerifier(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.derive(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	v := derivedVerifier(t, p, opts)
 	// The honest proofs are a worker's.
 	cube := partition.Cube{From: 0, To: 1}
 	honest := workerCertificate(t, p, opts, cube)

@@ -190,9 +190,9 @@ type CoordinatorResult struct {
 	// the checker loaded and extended by what it logged).
 	CertifyMillis int64
 	// CertifyWork sums what the proof checker did in that time: lemmas
-	// put to the RUP test and literals propagated, over the prefix and
-	// over accepted and rejected proofs alike — the counterpart of
-	// RemoteStats — and how many of the lemmas their hints refuted
+	// put to the RUP test and literals propagated, over the prefix (with
+	// the first tail) and accepted and rejected proofs alike — the
+	// counterpart of RemoteStats — and how many of the lemmas hints refuted
 	// (Hinted) or failed to (Fallbacks: a fleet that mixes builds shows
 	// up here, not as a slow coordinator nobody can explain).
 	CertifyWork sat.ProofCheckerStats
@@ -311,7 +311,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		if err != nil {
 			return nil, err
 		}
-		splitBits = len(own.splitLits)
+		splitBits = len(own.prep.SplitLits())
 		if opts.Certify.Enabled() {
 			verifier = own
 		}
@@ -406,8 +406,15 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		co.finish() // the journal already decides the run: nothing to hand out
 	} else if verifier != nil {
 		// The proof checker every SAFE certificate of the run is put to is
-		// derived here, once, before the first job goes out.
-		if deriveErr = verifier.derive(ctx); deriveErr != nil {
+		// derived here, once, before the first job goes out: the template,
+		// built as every honest worker builds its, streams its log into it.
+		start, tpl := time.Now(), verifier.prep.Template()
+		verifier.prefix, deriveErr = tpl.PrefixDigest(ctx)
+		tpl.Drop()
+		setup := time.Since(start)
+		co.res.CertifyMillis += setup.Milliseconds()
+		co.metrics.certifySeconds.Observe(setup.Seconds())
+		if deriveErr != nil {
 			co.finish()
 		}
 	}
@@ -436,7 +443,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	}
 	wg.Wait()
 	if deriveErr != nil && ctx.Err() == nil {
-		return nil, deriveErr // not a cancelled run: the coordinator's own prefix does not check
+		return nil, fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", deriveErr)
 	}
 	return co.result(start)
 }
@@ -461,13 +468,6 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
 	res.Workers = co.health.Snapshot()
-	if v := co.verifier; v != nil && v.checker != nil {
-		// Once per run, beside the certificates' own: the checker derived.
-		res.CertifyMillis += v.setup.Milliseconds()
-		res.CertifyWork.Add(v.derived)
-		co.metrics.certifySeconds.Observe(v.setup.Seconds())
-		co.metrics.certifyPropagations.Add(v.derived.Propagations)
-	}
 	res.Wall = time.Since(start)
 	co.root.End(obs.KV("verdict", res.Verdict.String()))
 	co.recorder.SetVerdict(res.Verdict.String(), res.Wall)

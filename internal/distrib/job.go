@@ -55,7 +55,7 @@ func (w *worker) prepared(m *Message, key string, opts core.Options) (*preparedR
 	// Neither what the template logs nor the formula, once its solver has
 	// it, is kept: a worker ships tails and a digest.
 	if opts.KeepProofs {
-		prep.Template().DigestPrefix(nil)
+		prep.Template().DigestPrefix()
 	}
 	prep.LoadOnce()
 	w.run = &preparedRun{key: key, prep: prep}

@@ -64,7 +64,8 @@ func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 	}
 	// The in-process run of the same formula with the same freeze set: a
 	// distributed run leaves every split literal to its cubes.
-	pres, err := parallel.Solve(context.Background(), v.formula, v.parts, parallel.Options{Workers: 2, SplitLits: v.splitLits})
+	pres, err := parallel.Solve(context.Background(), v.prep.Encoded().Formula(), v.prep.Partitions(),
+		parallel.Options{Workers: 2, SplitLits: v.prep.SplitLits()})
 	if err != nil || pres.Status != sat.Unsat {
 		t.Fatalf("in process: %v, %v", pres, err)
 	}
@@ -238,11 +239,14 @@ func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/mem=%d", cell.name, memMB), func(t *testing.T) {
 				opts := cell.opts
 				opts.Budget = journal.Budget{MemMB: memMB}
-				v, err := newCertVerifier(cell.p, opts)
+				// The run the coordinator prepares, with its log kept.
+				run := workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true)
+				run.CertifyUnsat = true
+				prep, err := core.Prepare(cell.p, run)
 				if err != nil {
 					t.Fatal(err)
 				}
-				own, err := v.prep.Template().Prefix(context.Background())
+				own, err := prep.Template().Prefix(context.Background())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -273,13 +277,7 @@ func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
 						len(theirs.Lemmas), len(theirs.Deletes), len(own.Lemmas), len(own.Deletes))
 				}
 				// The coordinator proper never holds the log: it streams.
-				streaming, err := newCertVerifier(cell.p, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := streaming.derive(context.Background()); err != nil {
-					t.Fatal(err)
-				}
+				streaming := derivedVerifier(t, cell.p, opts)
 				if streaming.prefix != own.Digest() || streaming.prefix != theirs.Digest() {
 					t.Fatalf("derived digest %+v, of the kept log %+v", streaming.prefix, own.Digest())
 				}
@@ -332,17 +330,11 @@ func TestUntrustedTemplateMismatch(t *testing.T) {
 // The reason an operator reads says which of the two it was.
 func TestCertificateRejectionNamesTheTemplate(t *testing.T) {
 	p, opts := bench.Eliminationstack(), esOpts()
-	v, err := newCertVerifier(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.derive(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	v := derivedVerifier(t, p, opts)
 	cube := partition.Cube{From: 2, To: 2}
 	other := opts
 	other.Budget.MemMB = 4
-	_, err = v.verifySafe(cube, workerCertificate(t, p, other, cube))
+	_, err := v.verifySafe(cube, workerCertificate(t, p, other, cube))
 	if err == nil || !strings.Contains(err.Error(), "template mismatch") {
 		t.Fatalf("certificate over another budget's template: %v", err)
 	}

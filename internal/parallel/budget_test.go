@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,17 +82,22 @@ func TestChunkTimeoutExhausts(t *testing.T) {
 	}
 }
 
+// onFirstProgress is a Progress hook that calls fire once, at the first
+// report of any instance: once a search is under way, not after a guess
+// at how long that takes.
+func onFirstProgress(fire func()) func(int, sat.Stats) {
+	var once sync.Once
+	return func(int, sat.Stats) { once.Do(fire) }
+}
+
 // Context cancellation must be distinguishable from budget exhaustion:
 // cancelled instances carry CauseCancelled, not a budget cause.
 func TestCancelledCauseDistinct(t *testing.T) {
 	f := pigeonhole(9)
 	parts := partitionsOn([]cnf.Var{1}, 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Solve(ctx, f, parts, Options{Workers: 2})
+	defer cancel()
+	res, err := Solve(ctx, f, parts, Options{Workers: 2, Progress: onFirstProgress(cancel), ProgressEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,12 +482,10 @@ func TestCancelWithTimerArmedStaysUncommitted(t *testing.T) {
 	j := openTestJournal(t, path, 2)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
+	defer cancel()
 	res, err := Solve(ctx, f, parts, Options{
 		Workers: 2, Budget: journal.Budget{Timeout: 10 * time.Minute}, Journal: j,
+		Progress: onFirstProgress(cancel), ProgressEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/journal"
@@ -84,15 +83,12 @@ func TestJournalMemBudgetRaiseResolves(t *testing.T) {
 // cancellation and the other budget causes — and win the race against
 // instances that register after the switch fires.
 func TestMemAbortKillSwitch(t *testing.T) {
-	f := pigeonhole(9) // far beyond a 50ms head start
+	f := pigeonhole(9) // far beyond the first conflict
 	parts := partitionsOn([]cnf.Var{1}, 2)
 	memAbort := make(chan struct{})
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		close(memAbort)
-	}()
 	res, err := Solve(context.Background(), f, parts, Options{
 		Workers: 2, MemAbort: memAbort,
+		Progress: onFirstProgress(func() { close(memAbort) }), ProgressEvery: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -116,8 +116,10 @@ type Result struct {
 	// nothing to solve.
 	Template TemplateResult
 	// Certified reports that every UNSAT instance's refutation proof
-	// checked (only meaningful with Options.CertifyUnsat).
-	Certified bool
+	// checked, here or in the run that journaled it (Options.CertifyUnsat
+	// only); CertifyWork is what the run's proof checker did.
+	Certified   bool
+	CertifyWork sat.ProofCheckerStats
 	// JournalSealed reports that the journal sealed itself after a write
 	// failure (ENOSPC, I/O error) mid-run: the remaining verdicts were
 	// computed journal-less — still correct, no longer crash-durable.
@@ -140,17 +142,18 @@ type Options struct {
 	// not started.
 	Workers int
 	// CertifyUnsat records a clausal (RUP) proof in every instance and
-	// checks it whenever the instance reports UNSAT, so that Safe
-	// verdicts are certified independently of the CDCL search — the
-	// counterpart of replay-validating counterexamples.
+	// checks it on the run's one checker (Template.Check) whenever the
+	// instance reports UNSAT, before journaling it as certified, so that
+	// Safe verdicts are certified independently of the CDCL search. A
+	// resume under it replays only certified records and solves every
+	// other definite one again, counterexamples included.
 	CertifyUnsat bool
 	// KeepProofs records a clausal (RUP) proof in every instance and
 	// retains it on InstanceResult.Proof for UNSAT instances, without
-	// checking it locally — for distributed workers, whose proofs are
-	// checked by the coordinator against its own encoding and its own
-	// copy of the template instead. A partition that adaptive splitting
-	// divided has no single proof: Solve fails rather than return its
-	// UNSAT verdict without one.
+	// checking it — for distributed workers, whose tails the coordinator
+	// checks on the checker of its own copy of the template. A partition
+	// that adaptive splitting divided has no single proof: Solve fails
+	// rather than return its UNSAT verdict without one.
 	KeepProofs bool
 	// Budget bounds each instance's wall clock, conflicts and memory; an
 	// instance that exhausts part of it reports Unknown with the matching

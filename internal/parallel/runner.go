@@ -101,7 +101,8 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 	sopts := partition.SchedOptions{
 		Journal: opts.Journal, Budget: opts.Budget,
 		// Without the split literals a cube path has no meaning here.
-		Paths: len(opts.SplitLits) > 0,
+		Paths:         len(opts.SplitLits) > 0,
+		CertifiedOnly: opts.CertifyUnsat,
 	}
 	if r.splitting {
 		sopts.SplitPolicy, sopts.SplitBits = opts.Split, len(opts.SplitLits)
@@ -253,26 +254,6 @@ func rederive(f *cnf.Formula, pt partition.Partition, path string, splitLits []c
 // child of a straggler this worker just split — and run it, until the
 // run is cancelled or no live leaf is left.
 func (r *runner) work() {
-	// Under CertifyUnsat the worker checks every refutation it finds on
-	// a proof checker of its own, built for the first: loaded with the
-	// formula and extended once by what the template logged before it was
-	// cloned — the lemmas of its simplification pass, the prefix every
-	// clone's proof continues — so that a cube's proof, the tail its clone
-	// logged, is all each check pays. (A cube solved on the template
-	// itself logs its whole proof there: no prefix.)
-	var checker *sat.ProofChecker
-	check := func(assume []cnf.Lit, p *sat.Proof) error {
-		if checker == nil {
-			c := sat.NewProofChecker(r.tpl.formula())
-			if !r.own {
-				if err := c.Extend(r.template.ProofLog()); err != nil {
-					return fmt.Errorf("in the template's simplification pass: %w", err)
-				}
-			}
-			checker = c
-		}
-		return checker.Check(assume, p)
-	}
 	for r.ctx.Err() == nil {
 		rc := &cubeRun{}
 		a := r.sched.Acquire("", func(*partition.Assignment) { r.cancelCube(rc) })
@@ -282,14 +263,13 @@ func (r *runner) work() {
 			}
 			return
 		}
-		r.runCube(a, rc, check)
+		r.runCube(a, rc)
 	}
 }
 
 // runCube solves one acquired cube and files its outcome: the only
-// place a cube gets its solver and its result is classified. check is
-// the worker's proof check (CertifyUnsat).
-func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.Lit, *sat.Proof) error) {
+// place a cube gets its solver and its result is classified.
+func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	pt, path := r.parts[a.Cube.From], a.Cube.Path
 	// A panicking solver instance must not take the process down with
 	// it: the panic becomes the run's error and cancels the siblings, so
@@ -353,8 +333,15 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 	if !r.sched.Claim(a) {
 		return
 	}
-	if inst.Status == sat.Unsat && r.opts.CertifyUnsat {
-		if cerr := check(assume, solver.ProofLog()); cerr != nil {
+	// Under CertifyUnsat a refutation is journaled as certified once the
+	// run's checker has passed it.
+	certified := inst.Status == sat.Unsat && r.opts.CertifyUnsat
+	if certified {
+		work, cerr := r.tpl.Check(assume, solver.ProofLog())
+		r.mu.Lock()
+		r.res.CertifyWork.Add(work)
+		r.mu.Unlock()
+		if cerr != nil {
 			r.fail(fmt.Errorf("parallel: partition %d cube %q: UNSAT refutation proof failed to check: %w", pt.Index, path, cerr))
 			return
 		}
@@ -365,6 +352,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun, check func([]cnf.
 	// Durable before it is acknowledged in the shared result.
 	if err := r.sched.Commit(a, partition.Outcome{
 		Verdict: inst.Status.String(), Winner: pt.Index, Cause: inst.Cause.String(), Millis: elapsed.Milliseconds(),
+		Certified: certified,
 	}); err != nil {
 		r.fail(err)
 		return

@@ -124,8 +124,8 @@ func TestSimulateCancelled(t *testing.T) {
 // certifyCases are what the two certification tests run: a formula too
 // small for the template's pass to matter, and an encoded cell whose
 // every cube's proof stands on some 40 000 lemmas of the pass — which
-// each worker's checker must take from the template (ProofChecker.Extend)
-// or reject the cubes' own lemmas as unfounded.
+// the run's checker must take from the template (Template.Check) or
+// reject the cubes' own lemmas as unfounded.
 type certifyCase struct {
 	name  string
 	f     *cnf.Formula

@@ -74,16 +74,22 @@ type Template struct {
 	// cube per partition; otherwise for the cubes the call found queued.
 	held bool
 
-	// digestOnly: what the solver logs is hashed (and handed to also), not
-	// kept; see DigestPrefix. loadOnce: see LoadOnce.
+	// digestOnly: what the solver logs is hashed, not kept; see
+	// DigestPrefix. loadOnce: see LoadOnce.
 	digestOnly bool
-	also       func(deleted bool, clause []uint32)
 	loadOnce   bool
 
 	mu     sync.Mutex
 	solver *sat.Solver // nil until built, and again after Drop
 	built  TemplateResult
 	digest sat.ProofDigest // of what solver logged, when digestOnly
+	// The run's one proof checker (Check); prefix, what the solver logged
+	// before the first clone, unless digested; derr, that log does not
+	// check; reported, the checker's counters as Check last handed out.
+	prefix   *sat.Proof
+	checker  *sat.ProofChecker
+	derr     error
+	reported sat.ProofCheckerStats
 }
 
 // Prepare returns the template of the run that solves f under parts —
@@ -158,18 +164,22 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	own = t.single(cubes)
 	whole := true
 	var digester *sat.ProofDigester
+	var checker *sat.ProofChecker
 	if !own {
-		if t.loadOnce {
-			t.f = nil
-		}
 		if t.digestOnly && s.ProofLog() != nil {
 			digester = sat.NewProofDigester()
+			if t.opts.CertifyUnsat && t.checker == nil {
+				checker, _ = t.derive(nil) // the log streams in below
+			}
 			s.StreamProof(func(deleted bool, clause []uint32) {
 				digester.Step(deleted, clause)
-				if t.also != nil {
-					t.also(deleted, clause)
+				if checker != nil {
+					checker.ExtendStep(deleted, clause)
 				}
 			})
+		}
+		if t.loadOnce {
+			t.f = nil
 		}
 		freezeCubeVars(s, t.parts, t.opts.SplitLits)
 		// The one place the up-front pass is decided. It is an a-priori
@@ -192,12 +202,21 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
 	t.built.Time = time.Since(start)
+	if whole && !t.digestOnly {
+		t.prefix = &sat.Proof{} // a cube solved on the template logs all of its proof
+		if !own {
+			t.prefix = s.ProofLog()
+		}
+	}
 	// A pass cut short leaves a solver good for the call that is ending,
 	// and for no other: the next call builds the template again.
 	if t.held && !own && whole {
 		t.solver = s
 		if digester != nil {
 			t.digest = digester.Sum()
+		}
+		if checker != nil {
+			t.checker, t.derr = checker, checker.ExtendDone()
 		}
 	}
 	return s, own, true
@@ -226,15 +245,13 @@ func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
 // DigestPrefix, called before the template is built, has it hash what
 // Prefix would return instead of keeping it — tens of thousands of
 // clauses that the holder of a distributed run's template never reads
-// twice — and hand each step to also, if not nil, as the solver logs it
-// (sat.Solver.StreamProof). PrefixDigest is then all there is to ask
-// for.
-func (t *Template) DigestPrefix(also func(deleted bool, clause []uint32)) {
-	t.digestOnly, t.also = true, also
-}
+// twice — and, if it certifies, extend its checker (Check) by each step
+// as the solver logs it (sat.Solver.StreamProof). PrefixDigest is then
+// all there is to ask for.
+func (t *Template) DigestPrefix() { t.digestOnly = true }
 
 // PrefixDigest is the digest of Prefix, building the template first if
-// it has to.
+// it has to; an error too if it certifies and its log does not check.
 func (t *Template) PrefixDigest(ctx context.Context) (sat.ProofDigest, error) {
 	if !t.digestOnly {
 		p, err := t.Prefix(ctx)
@@ -248,7 +265,40 @@ func (t *Template) PrefixDigest(ctx context.Context) (sat.ProofDigest, error) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.digest, nil
+	return t.digest, t.derr
+}
+
+// Check checks tail, the log of a clone of the template (of the template
+// itself, for a run's only cube), as a refutation of the formula under
+// assume on the run's one proof checker: the formula extended once by
+// what the template logged before the clone, at the first Check or, under
+// DigestPrefix, as it was logged. Checks take turns behind the template's
+// lock; each reports the checker's work since the last, derivation included.
+func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheckerStats, err error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.checker == nil {
+		prefix := t.prefix
+		if t.single(len(t.parts)) {
+			prefix = &sat.Proof{} // a template made for one cube has none, built or not
+		}
+		if t.f == nil || prefix == nil {
+			return work, errors.New("parallel: template: no prefix to check against: not built, digested without CertifyUnsat, or its formula let go (LoadOnce)")
+		}
+		t.checker, t.derr = t.derive(prefix)
+	}
+	if t.derr != nil {
+		return work, fmt.Errorf("parallel: template: its own prefix does not check: %w", t.derr)
+	}
+	err = t.checker.Check(assume, tail)
+	work, t.reported = t.checker.Stats().Since(t.reported), t.checker.Stats()
+	return work, err
+}
+
+// derive loads the formula into a proof checker extended by prefix.
+func (t *Template) derive(prefix *sat.Proof) (*sat.ProofChecker, error) {
+	c := sat.NewProofChecker(t.f)
+	return c, c.Extend(prefix)
 }
 
 // build is get outside a run.
@@ -293,11 +343,11 @@ func (t *Template) Ready() bool {
 	return t.solver != nil || t.f != nil
 }
 
-// Drop lets go of the solver; the next call builds it again.
+// Drop lets go of the solver and its log; the next call builds it again.
 func (t *Template) Drop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.solver = nil
+	t.solver, t.prefix = nil, nil
 }
 
 // buildTemplate gets the run's solver once replay has queued what is

@@ -2,8 +2,12 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
+	"regexp"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -283,10 +287,11 @@ func TestTemplatePassSkippedOverMemBudget(t *testing.T) {
 // Certification by construction. The template's lemmas were derived
 // under no assumption, so they are a prefix every cube's proof may
 // stand on: prefix ++ tail must check against the formula as encoded —
-// not as simplified — through the plain CheckRUP, and through Extend +
-// Check, which is what a CertifyUnsat worker does, with the same
-// answer; and a clone's model is a model of the formula as encoded,
-// eliminated variables included, under its cube's assumptions.
+// not as simplified — through the plain CheckRUP, and through
+// Template.Check (Extend + Check), which is what a CertifyUnsat run
+// does, with the same answer; and a clone's model is a model of the
+// formula as encoded, eliminated variables included, under its cube's
+// assumptions.
 func TestTemplateProofsAndModels(t *testing.T) {
 	cells := []struct {
 		name        string
@@ -299,14 +304,14 @@ func TestTemplateProofsAndModels(t *testing.T) {
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
 			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
-			tpl := simplifiedTemplate(f, parts, Options{CertifyUnsat: true})
+			held := Prepare(f, parts, Options{CertifyUnsat: true})
+			tpl, err := held.build(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
 			prefix := tpl.ProofLog()
 			if tpl.Stats().ElimVars == 0 || len(prefix.Lemmas) == 0 {
 				t.Fatalf("the template eliminated %d variables and logged %d lemmas", tpl.Stats().ElimVars, len(prefix.Lemmas))
-			}
-			checker := sat.NewProofChecker(f)
-			if err := checker.Extend(prefix); err != nil {
-				t.Fatalf("the template's lemmas rejected: %v", err)
 			}
 			verdicts := map[sat.Status]int{}
 			for _, pt := range parts {
@@ -327,8 +332,8 @@ func TestTemplateProofsAndModels(t *testing.T) {
 							t.Fatalf("partition %d: prefix ++ tail rejected against the encoding: %v", pt.Index, err)
 						}
 					}
-					if err := checker.Check(pt.Assumptions, tail); err != nil {
-						t.Fatalf("partition %d: tail rejected after Extend(prefix): %v", pt.Index, err)
+					if _, err := held.Check(pt.Assumptions, tail); err != nil {
+						t.Fatalf("partition %d: tail rejected on the template's checker: %v", pt.Index, err)
 					}
 				case sat.Sat:
 					model := c.Model()
@@ -363,6 +368,98 @@ func TestTemplateProofsAndModels(t *testing.T) {
 	}
 }
 
+// lemmaIndex is the lemma a checker's rejection names ("lemma N of M"),
+// 0 if it names none.
+func lemmaIndex(err error) int {
+	m := regexp.MustCompile(`lemma (\d+) of`).FindStringSubmatch(fmt.Sprint(err))
+	if m == nil {
+		return 0
+	}
+	n, _ := strconv.Atoi(m[1])
+	return n
+}
+
+// The run's one checker serves every worker that checks. Goroutines put
+// es.u2.c4.p8's tails to Template.Check at once: each honest tail gets
+// the answer CheckRUP gives prefix ++ tail, a tail with one lemma flipped
+// is rejected at the lemma CheckRUP rejects, the honest tails still check
+// after it, and the work the checks report adds up to all the checker
+// did, its derivation included.
+func TestTemplateCheckConcurrent(t *testing.T) {
+	f, parts := esCell(t)
+	held := Prepare(f, parts, Options{CertifyUnsat: true})
+	tpl, err := held.build(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := tpl.ProofLog()
+	type cube struct {
+		assume []cnf.Lit
+		tail   *sat.Proof
+		want   error
+		at     int // the tail's lemma CheckRUP rejects, counted from 1
+	}
+	var honest, forged []cube
+	for i, pt := range parts {
+		c := tpl.Clone()
+		if st, err := c.Solve(pt.Assumptions...); err != nil || st != sat.Unsat {
+			t.Fatalf("partition %d: %v, %v", pt.Index, st, err)
+		}
+		tail := c.ProofLog()
+		honest = append(honest, cube{pt.Assumptions, tail, sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, tail)), 0})
+		if i%4 != 0 {
+			continue // the one-shot check re-reads the prefix: two forgeries stand for the rest
+		}
+		lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Hints: tail.Hints}
+		at := len(lie.Lemmas) / 2
+		lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
+		lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
+		want := sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, lie))
+		if lemmaIndex(want) <= len(prefix.Lemmas) {
+			t.Fatalf("partition %d, lemma %d of the tail flipped: CheckRUP says %v", pt.Index, at+1, want)
+		}
+		forged = append(forged, cube{pt.Assumptions, lie, want, lemmaIndex(want) - len(prefix.Lemmas)})
+	}
+
+	var mu sync.Mutex
+	var reported sat.ProofCheckerStats
+	check := func(c cube) error {
+		work, err := held.Check(c.assume, c.tail)
+		mu.Lock()
+		reported.Add(work)
+		mu.Unlock()
+		return err
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range honest {
+				c := honest[(i+g)%len(honest)]
+				if err := check(c); (err == nil) != (c.want == nil) {
+					t.Errorf("honest tail: %v, CheckRUP on prefix ++ tail: %v", err, c.want)
+				}
+				if g%2 == 1 && i < len(forged) {
+					c := forged[i]
+					if err := check(c); lemmaIndex(err) != c.at {
+						t.Errorf("a tail with a flipped lemma: %v; CheckRUP rejects lemma %d of it: %v", err, c.at, c.want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, c := range honest {
+		if err := check(c); err != nil {
+			t.Fatalf("an honest tail after the forgeries: %v", err)
+		}
+	}
+	if all := held.checker.Stats(); reported != all || all.Lemmas <= int64(len(prefix.Lemmas)) {
+		t.Fatalf("the checks reported %+v, the checker did %+v over a prefix of %d lemmas", reported, all, len(prefix.Lemmas))
+	}
+}
+
 // A template its caller holds (Prepare) is the run's, sized for all of
 // its partitions whichever of them a call is handed: the first call
 // builds it, the others find it built; a partition's counters are those
@@ -380,7 +477,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	opts := Options{Workers: 1, KeepProofs: true}
 	held := Prepare(f, parts, opts)
 	digested := Prepare(f, parts, opts)
-	digested.DigestPrefix(nil)
+	digested.DigestPrefix()
 	digested.LoadOnce()
 	if !held.Ready() || !digested.Ready() {
 		t.Fatal("a template that has yet to be built is not ready to be")
