@@ -27,13 +27,12 @@ package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/cmd/internal/runflags"
@@ -41,44 +40,59 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/report"
 	"repro/prog"
 )
 
-func main() {
+func main() { os.Exit(runflags.Main("coordinator", run)) }
+
+// flags are the coordinator's own flags, beside its options and the
+// shared groups.
+type flags struct {
+	listen, input, metricAddr, certify, lease, holder, advertise string
+	pprof                                                        bool
+	leaseTTL, snapshots                                          time.Duration
+}
+
+// run is the coordinator's whole process, from its arguments to its
+// exit code: 0 SAFE or UNKNOWN, 1 UNSAFE, 2 when the run fails.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, error) {
 	var (
 		opts distrib.CoordinatorOptions
-		rec  runflags.Recorder
-
-		listen     = flag.String("listen", ":9731", "listen address")
-		input      = flag.String("i", "", "input program file")
-		metricAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty disables)")
-		pprofOn    = flag.Bool("pprof", false, "also mount /debug/pprof on the metrics address")
-		certify    = flag.String("certify", "full", "remote verdict certification: full | sample=N | off")
-		lease      = flag.String("lease", "", "shared leadership lease file: run as an HA primary/standby pair (requires -journal)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "leadership lease duration; bounds the failover blackout")
-		holder     = flag.String("holder", "", "this coordinator's name in the lease (default: the listen address)")
-		advertise  = flag.String("advertise", "", "address advertised in the lease for workers and the standby (default: the bound listen address)")
-		snapshotIv = flag.Duration("report-snapshots", 5*time.Second, "metrics snapshot cadence captured into -report (0 disables)")
+		f    flags
 	)
-	flag.IntVar(&opts.Unwind, "unwind", 1, "loop/recursion unwinding bound")
-	flag.IntVar(&opts.Contexts, "contexts", 1, "number of execution contexts")
-	flag.IntVar(&opts.Width, "width", 8, "integer bit width")
-	flag.IntVar(&opts.Partitions, "partitions", 8, "total trace-space partitions (power of two)")
-	flag.IntVar(&opts.ChunkSize, "chunk", 0, "partitions per work unit (default partitions/8)")
-	flag.DurationVar(&opts.JobTimeout, "job-timeout", 0, "per-job timeout (default 10m)")
-	flag.IntVar(&opts.MaxAttempts, "max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
-	flag.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s, negative disables)")
-	flag.DurationVar(&opts.DrainTimeout, "drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
-	flag.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95, negative disables)")
-	flag.BoolVar(&opts.Hedge, "hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
-	runflags.Journal(flag.CommandLine, &opts.JournalPath, &opts.Resume,
+	proc := runflags.New("coordinator", args, stdout, stderr)
+	proc.ReportLine = true
+	fs := proc.Flags
+	fs.StringVar(&f.listen, "listen", ":9731", "listen address")
+	fs.StringVar(&f.input, "i", "", "input program file")
+	fs.StringVar(&f.metricAddr, "metrics-addr", "", "serve /metrics and /healthz on this address (empty disables)")
+	fs.BoolVar(&f.pprof, "pprof", false, "also mount /debug/pprof on the metrics address")
+	fs.StringVar(&f.certify, "certify", "full", "remote verdict certification: full | sample=N | off")
+	fs.StringVar(&f.lease, "lease", "", "shared leadership lease file: run as an HA primary/standby pair (requires -journal)")
+	fs.DurationVar(&f.leaseTTL, "lease-ttl", 15*time.Second, "leadership lease duration; bounds the failover blackout")
+	fs.StringVar(&f.holder, "holder", "", "this coordinator's name in the lease (default: the listen address)")
+	fs.StringVar(&f.advertise, "advertise", "", "address advertised in the lease for workers and the standby (default: the bound listen address)")
+	fs.DurationVar(&f.snapshots, "report-snapshots", 5*time.Second, "metrics snapshot cadence captured into -report (0 disables)")
+	fs.IntVar(&opts.Unwind, "unwind", 1, "loop/recursion unwinding bound")
+	fs.IntVar(&opts.Contexts, "contexts", 1, "number of execution contexts")
+	fs.IntVar(&opts.Width, "width", 8, "integer bit width")
+	fs.IntVar(&opts.Partitions, "partitions", 8, "total trace-space partitions (power of two)")
+	fs.IntVar(&opts.ChunkSize, "chunk", 0, "partitions per work unit (default partitions/8)")
+	fs.DurationVar(&opts.JobTimeout, "job-timeout", 0, "per-job timeout (default 10m)")
+	fs.IntVar(&opts.MaxAttempts, "max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
+	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s, negative disables)")
+	fs.DurationVar(&opts.DrainTimeout, "drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
+	fs.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95, negative disables)")
+	fs.BoolVar(&opts.Hedge, "hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
+	runflags.Journal(fs, &opts.JournalPath, &opts.Resume,
 		"crash-safe run journal path (commit every chunk verdict)",
 		"resume from an existing -journal, skipping committed chunks")
-	runflags.Budget(flag.CommandLine, &opts.Budget,
+	runflags.Budget(fs, &opts.Budget,
 		"per-chunk wall-clock budget on workers (0: unbounded)",
 		"per-chunk solver conflict budget on workers (0: unbounded)",
 		"per-partition solver memory budget on workers, in MiB (0: unbounded)")
-	runflags.Split(flag.CommandLine, &opts.Split,
+	runflags.Split(fs, &opts.Split,
 		"adaptive cube splitting: max extra split bits per chunk (0 disables)",
 		"minimum in-flight age before a chunk may be split or hedged (default 15s)",
 		"minimum live hardness before a chunk qualifies for splitting (0: any straggler past -split-grace)")
@@ -86,97 +100,58 @@ func main() {
 	// JSONL, -report additionally collects them (plus worker spans
 	// shipped back on results, per-partition progress, and periodic
 	// metrics snapshots) into one self-contained artifact.
-	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+	proc.Rec.Flags(fs, runflags.RecorderUsage{
 		TraceOut:   "write coordinator spans as JSONL to this file (workers join the trace over the wire)",
 		Report:     "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`",
 		ProfileDir: "capture pprof CPU+heap profiles of the coordination phase into this directory",
 	})
-	flag.Parse()
+	return proc.Run(ctx, func(ctx context.Context) (int, error) { return coordinate(ctx, proc, f, opts) })
+}
+
+// coordinate listens, serves the run to the workers that connect — as
+// the HA pair's primary or standby with -lease — and prints its result.
+func coordinate(ctx context.Context, proc *runflags.Process, f flags, opts distrib.CoordinatorOptions) (int, error) {
 	var err error
-	if opts.Certify, err = distrib.ParseCertifyPolicy(*certify); err != nil {
-		fatal(err)
+	if opts.Certify, err = distrib.ParseCertifyPolicy(f.certify); err != nil {
+		return 2, err
 	}
-	if *input == "" {
-		fatal("-i is required")
+	if f.input == "" {
+		return 2, errors.New("-i is required")
 	}
-	data, err := os.ReadFile(*input)
+	data, err := os.ReadFile(f.input)
 	if err != nil {
-		fatal(err)
+		return 2, err
 	}
 	p, err := prog.Parse(string(data))
 	if err != nil {
-		fatal(err)
+		return 2, err
 	}
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", f.listen)
 	if err != nil {
-		fatal(err)
+		return 2, err
 	}
-	fmt.Printf("coordinator: listening on %s (%d partitions)\n", ln.Addr(), opts.Partitions)
-	if err := rec.Open("coordinator", os.Stderr); err != nil {
-		fatal(err)
-	}
-	defer rec.Close()
-	opts.Tracer, opts.Report, opts.ProgramName = rec.Tracer, rec.Report, *input
+	stdout, rec := proc.Stdout, &proc.Rec
+	fmt.Fprintf(stdout, "coordinator: listening on %s (%d partitions)\n", ln.Addr(), opts.Partitions)
+	opts.Tracer, opts.Report, opts.ProgramName = rec.Tracer, rec.Report, f.input
 
 	var haState *distrib.HAState
-	if *lease != "" {
+	if f.lease != "" {
 		haState = &distrib.HAState{}
 	}
-	if *metricAddr != "" {
+	if f.metricAddr != "" {
 		opts.Metrics = obs.NewRegistry()
 		opts.Health = distrib.NewHealthRegistry()
-		mux := obs.NewMux(obs.MuxOptions{
+		defer runflags.Serve(f.metricAddr, obs.NewMux(obs.MuxOptions{
 			Registry: opts.Metrics,
-			Health: func() any {
-				if haState == nil {
-					return opts.Health.Snapshot()
-				}
-				// HA runs report their role alongside worker health and
-				// replication state, so one /healthz scrape answers both
-				// "who is primary" and "is failover healthy".
-				role, epoch, replicated := haState.Role()
-				return map[string]any{
-					"role":               role,
-					"epoch":              epoch,
-					"replicated_records": replicated,
-					"replication":        replicationHealth(opts.Metrics),
-					"workers":            opts.Health.Snapshot(),
-				}
-			},
-			Pprof: *pprofOn,
-		})
-		srv, errc := obs.Serve(*metricAddr, mux)
-		defer srv.Close()
-		go func() {
-			if err := <-errc; err != nil {
-				fmt.Fprintln(os.Stderr, "coordinator: metrics server:", err)
-			}
-		}()
-		fmt.Printf("coordinator: metrics on http://%s/metrics\n", *metricAddr)
+			Health:   func() any { return health(opts, haState) },
+			Pprof:    f.pprof,
+		}), proc.Name, "metrics", proc.Stderr)()
+		fmt.Fprintf(stdout, "coordinator: metrics on http://%s/metrics\n", f.metricAddr)
 	}
-
-	// SIGTERM behaves like SIGINT: cancel the run and let committed
-	// journal records carry the progress into the next -resume run. Even
-	// an outright SIGKILL loses only uncommitted chunks — every verdict
-	// is fsynced to -journal before it is acknowledged.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if rec.Report != nil && opts.Metrics != nil && *snapshotIv > 0 {
-		snapCtx, snapStop := context.WithCancel(ctx)
-		defer snapStop()
-		go func() {
-			t := time.NewTicker(*snapshotIv)
-			defer t.Stop()
-			for {
-				select {
-				case <-snapCtx.Done():
-					return
-				case <-t.C:
-					rec.Report.Snapshot(opts.Metrics)
-				}
-			}
-		}()
+	if f.snapshots > 0 {
+		snapCtx, stop := context.WithCancel(ctx)
+		defer stop()
+		go snapshots(snapCtx, rec.Report, opts.Metrics, f.snapshots)
 	}
 
 	// The coordinator has no local encode/solve phases: the distributed
@@ -184,104 +159,122 @@ func main() {
 	// folding), profiled as a whole.
 	rec.Profiler.StartPhase("coordinate")
 	var res *distrib.CoordinatorResult
-	if *lease != "" {
-		name := *holder
-		if name == "" {
-			name = ln.Addr().String()
+	if f.lease != "" {
+		ha := distrib.HAOptions{LeasePath: f.lease, Holder: f.holder, Addr: f.advertise, LeaseTTL: f.leaseTTL, State: haState}
+		if ha.Holder == "" {
+			ha.Holder = ln.Addr().String()
 		}
-		addr := *advertise
-		if addr == "" {
-			addr = ln.Addr().String()
+		if ha.Addr == "" {
+			ha.Addr = ln.Addr().String()
 		}
-		fmt.Printf("coordinator: HA mode, lease %s, holder %s, advertising %s\n", *lease, name, addr)
-		res, err = distrib.RunHA(ctx, ln, p, opts, distrib.HAOptions{
-			LeasePath: *lease,
-			Holder:    name,
-			Addr:      addr,
-			LeaseTTL:  *leaseTTL,
-			State:     haState,
-		})
+		fmt.Fprintf(stdout, "coordinator: HA mode, lease %s, holder %s, advertising %s\n", f.lease, ha.Holder, ha.Addr)
+		res, err = distrib.RunHA(ctx, ln, p, opts, ha)
 	} else {
 		res, err = distrib.Coordinate(ctx, ln, p, opts)
 	}
 	rec.Profiler.EndPhase("coordinate")
-	rec.ProfileErr()
-	// The report is written even when the run failed: a crashed or
-	// drained run is exactly when the flight recorder matters most.
 	rec.Report.Snapshot(opts.Metrics)
-	if rec.WriteReport() {
-		fmt.Printf("coordinator: run report written to %s\n", rec.ReportOut)
-	}
 	if err != nil {
-		fatal(err)
+		return 2, err
 	}
-	printResult(res, opts.Certify)
+	proc.WriteReport()
+	printResult(stdout, res, opts.Certify)
 	if res.Verdict == core.Unsafe {
-		os.Exit(1)
+		return 1, nil
+	}
+	return 0, nil
+}
+
+// health is the /healthz detail: the worker-health registry, and on an
+// HA run the role beside it and replication state, so one scrape answers
+// both "who is primary" and "is failover healthy".
+func health(opts distrib.CoordinatorOptions, ha *distrib.HAState) any {
+	if ha == nil {
+		return opts.Health.Snapshot()
+	}
+	role, epoch, replicated := ha.Role()
+	return map[string]any{
+		"role":               role,
+		"epoch":              epoch,
+		"replicated_records": replicated,
+		"replication":        replicationHealth(opts.Metrics),
+		"workers":            opts.Health.Snapshot(),
 	}
 }
 
-// fatal reports a usage or run failure and exits with status 2.
-func fatal(msg any) {
-	fmt.Fprintln(os.Stderr, "coordinator:", msg)
-	os.Exit(2)
+// snapshots captures the metrics into the report every interval until
+// ctx ends; without -report or -metrics-addr there is nothing to do.
+func snapshots(ctx context.Context, rep *report.Recorder, reg *obs.Registry, every time.Duration) {
+	if rep == nil || reg == nil {
+		return
+	}
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+			rep.Snapshot(reg)
+		}
+	}
 }
 
 // printResult prints the run summary: verdict and coverage, then one
 // line per thing that went other than plainly — splits, exhausted
 // budgets, sealed journal, memory aborts, drain, quarantine — and the
 // per-worker health table.
-func printResult(res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolicy) {
-	fmt.Printf("verdict: %v (winner partition %d, %d jobs, %d reassigned, %v)\n",
+func printResult(w io.Writer, res *distrib.CoordinatorResult, certPolicy distrib.CertifyPolicy) {
+	fmt.Fprintf(w, "verdict: %v (winner partition %d, %d jobs, %d reassigned, %v)\n",
 		res.Verdict, res.Winner, res.Jobs, res.Reassigned, res.Wall)
-	fmt.Printf("coverage: %d/%d chunks decided, %d resumed from journal\n",
+	fmt.Fprintf(w, "coverage: %d/%d chunks decided, %d resumed from journal\n",
 		res.ChunksDecided, res.ChunksTotal, res.Resumed)
 	if res.Splits > 0 || res.Hedges > 0 || res.Superseded > 0 {
-		fmt.Printf("adaptive scheduling: %d cubes split (depth %d), %d steals, %d hedged dispatches, %d superseded results discarded\n",
+		fmt.Fprintf(w, "adaptive scheduling: %d cubes split (depth %d), %d steals, %d hedged dispatches, %d superseded results discarded\n",
 			res.Splits, res.MaxCubeDepth, res.Steals, res.Hedges, res.Superseded)
 	}
 	for _, ex := range res.Exhausted {
-		fmt.Printf("budget exhausted: partitions [%d,%d] gave up on %s\n",
+		fmt.Fprintf(w, "budget exhausted: partitions [%d,%d] gave up on %s\n",
 			ex.Cube.From, ex.Cube.To, ex.Rec.Cause)
 	}
-	fmt.Printf("remote search: %d decisions, %d conflicts, %d propagations, %d restarts, %d variables eliminated and %d clauses removed by simplification, solve time %v\n",
+	fmt.Fprintf(w, "remote search: %d decisions, %d conflicts, %d propagations, %d restarts, %d variables eliminated and %d clauses removed by simplification, solve time %v\n",
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
 		res.RemoteStats.Restarts, res.RemoteStats.ElimVars, res.RemoteStats.Simplified,
 		time.Duration(res.SolveMillis)*time.Millisecond)
 	for _, tpl := range res.Templates {
-		fmt.Printf("template: worker %s built its solver template in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search)\n",
+		fmt.Fprintf(w, "template: worker %s built its solver template in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search)\n",
 			tpl.Worker, time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars)
 	}
 	if certPolicy.Enabled() {
-		fmt.Printf("certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations (%d within their hints, %d hint fallbacks), %d certificate bytes accepted\n",
+		fmt.Fprintf(w, "certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations (%d within their hints, %d hint fallbacks), %d certificate bytes accepted\n",
 			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,
 			res.CertifyWork.Lemmas, res.CertifyWork.Propagations, res.CertifyWork.Hinted, res.CertifyWork.Fallbacks, res.CertBytes)
 	}
 	if res.JournalSealed {
-		fmt.Println("WARNING:", partition.SealWarning(res.JournalSealCause))
+		fmt.Fprintln(w, "WARNING:", partition.SealWarning(res.JournalSealCause))
 	}
 	if res.MemoryAborted > 0 {
-		fmt.Printf("memory aborts: %d chunk result(s) gave up on memory (%d dispatch pauses under fleet pressure)\n",
+		fmt.Fprintf(w, "memory aborts: %d chunk result(s) gave up on memory (%d dispatch pauses under fleet pressure)\n",
 			res.MemoryAborted, res.DispatchPaused)
 	}
 	if res.Drained {
-		fmt.Println("run drained: chunks were pending but no workers remained connected")
+		fmt.Fprintln(w, "run drained: chunks were pending but no workers remained connected")
 	}
 	for _, q := range res.Quarantined {
 		last := ""
 		if len(q.Errors) > 0 {
 			last = q.Errors[len(q.Errors)-1]
 		}
-		fmt.Printf("quarantined: partitions [%d,%d] after %d failed attempts (last: %s)\n",
+		fmt.Fprintf(w, "quarantined: partitions [%d,%d] after %d failed attempts (last: %s)\n",
 			q.Chunk.From, q.Chunk.To, q.Attempts, last)
 	}
-	for _, w := range res.Workers {
+	for _, wh := range res.Workers {
 		trust := ""
-		if w.Untrusted {
-			trust = fmt.Sprintf(", UNTRUSTED (%d certificates rejected)", w.CertRejections)
+		if wh.Untrusted {
+			trust = fmt.Sprintf(", UNTRUSTED (%d certificates rejected)", wh.CertRejections)
 		}
-		fmt.Printf("worker %s: %d jobs, %d failures, %d connections, last seen %s%s\n",
-			w.Name, w.Jobs, w.Failures, w.Connections, w.LastSeen.Format(time.TimeOnly), trust)
+		fmt.Fprintf(w, "worker %s: %d jobs, %d failures, %d connections, last seen %s%s\n",
+			wh.Name, wh.Jobs, wh.Failures, wh.Connections, wh.LastSeen.Format(time.TimeOnly), trust)
 	}
 }
 

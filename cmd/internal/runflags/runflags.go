@@ -1,25 +1,127 @@
-// Package runflags declares, once, the command-line flag groups that
-// parbmc, coordinator, worker and satsolve share — the per-cube budget,
-// the split policy, -journal/-resume and the flight recorder — and opens
-// and closes the tracer, report recorder, profiler and pprof server
-// behind the last group. A flag's name, type, default and destination are fixed
-// here; its help text stays with the binary, whose unit of work (a
-// partition, a chunk on a worker) it names.
+// Package runflags runs the process around the four binaries — parbmc,
+// coordinator, worker and satsolve: it parses their flags, turns SIGINT
+// and SIGTERM into the run's context, opens and closes the flight
+// recorder and writes the run report whatever the outcome. It also
+// declares, once, the flag groups they share — the per-cube budget, the
+// split policy, -journal/-resume and the flight recorder. A flag's name,
+// type, default and destination are fixed here; its help text stays with
+// the binary, whose unit of work (a partition, a chunk on a worker) it
+// names.
 package runflags
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"sync"
+	"os/signal"
+	"syscall"
 
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/report"
 )
+
+// Main runs a binary under a context that SIGINT and SIGTERM cancel —
+// SIGTERM, the polite kill, stops a run the way Ctrl-C does — and
+// returns the exit code run returns, or 2 after printing run's error as
+// "<name>: <err>" on stderr.
+func Main(name string, run func(ctx context.Context, args []string, stdout, stderr io.Writer) (int, error)) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	code, err := run(ctx, os.Args, os.Stdout, os.Stderr)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		return 2
+	}
+	return code
+}
+
+// Process is one run of a binary: its flags, its flight recorder and
+// where it prints.
+type Process struct {
+	Name           string
+	Flags          *flag.FlagSet
+	Rec            Recorder
+	Stdout, Stderr io.Writer
+	// ReportLine prints "<Name>: run report written to <path>" on Stdout
+	// once the -report file is written.
+	ReportLine bool
+
+	args     []string
+	reported bool
+}
+
+// New starts a process for args. Its flag set is named args[0], so that
+// -h prints "Usage of <args[0]>:".
+func New(name string, args []string, stdout, stderr io.Writer) *Process {
+	fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return &Process{Name: name, Flags: fs, Stdout: stdout, Stderr: stderr, args: args[1:]}
+}
+
+// Run parses the arguments, opens the recorder, runs body, writes the
+// report — with body's error as a warning — and closes the recorder. It
+// returns body's exit code, or 2 with body's error. -h returns 0 and a
+// bad flag 2, after the flag package has printed the usage.
+func (p *Process) Run(ctx context.Context, body func(context.Context) (int, error)) (int, error) {
+	if err := p.Flags.Parse(p.args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, nil
+		}
+		return 2, nil
+	}
+	if err := p.Rec.Open(p.Name, p.Stderr); err != nil {
+		return 2, err
+	}
+	defer p.Rec.Close()
+	code, err := body(ctx)
+	// Profiling is best-effort and never fails the run.
+	if perr := p.Rec.Profiler.Err(); perr != nil {
+		fmt.Fprintf(p.Stderr, "%s: profile capture: %v\n", p.Name, perr)
+	}
+	if err != nil {
+		code = 2
+		p.Rec.Report.Warn(err.Error())
+	}
+	p.WriteReport()
+	return code, err
+}
+
+// WriteReport writes the -report file, once: Run does whatever the
+// outcome, and a body that prints after it may do it first.
+func (p *Process) WriteReport() {
+	if !p.reported && p.Rec.WriteReport() && p.ReportLine {
+		fmt.Fprintf(p.Stdout, "%s: run report written to %s\n", p.Name, p.Rec.ReportOut)
+	}
+	p.reported = true
+}
+
+// Serve serves h on addr until stop is called. A failed bind does not
+// abort the run — the observability surface must not abort a
+// verification — but is reported on stderr, once, as
+// "<proc>: <what> server: <err>".
+func Serve(addr string, h http.Handler, proc, what string, stderr io.Writer) (stop func()) {
+	srv, errc := obs.Serve(addr, h)
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		select {
+		case err := <-errc:
+			fmt.Fprintf(stderr, "%s: %s server: %v\n", proc, what, err)
+		case <-quit:
+		}
+	}()
+	return func() {
+		srv.Close()
+		close(quit)
+		<-done
+	}
+}
 
 // Budget registers -chunk-timeout, -chunk-conflicts and -mem-budget.
 func Budget(fs *flag.FlagSet, b *journal.Budget, timeout, conflicts, mem string) {
@@ -64,9 +166,7 @@ type Recorder struct {
 	stderr    io.Writer
 	traceFile *os.File
 	spans     *obs.CollectorSink
-	pprof     *http.Server
-	stop      chan struct{}
-	wg        sync.WaitGroup
+	stopPprof func()
 }
 
 // RecorderUsage holds the help text of the flight-recorder flags; a flag
@@ -93,10 +193,8 @@ func (r *Recorder) Flags(fs *flag.FlagSet, u RecorderUsage) {
 }
 
 // Open switches on what the flags ask for, for the process named proc.
-// A trace file or profile directory that cannot be created is an error.
-// A -pprof-addr that cannot be bound is not: the observability surface
-// must not abort a verification run, so the failure is reported on
-// stderr, once, when the listener gives up.
+// A trace file or profile directory that cannot be created is an error;
+// a -pprof-addr that cannot be bound is reported on stderr (see Serve).
 func (r *Recorder) Open(proc string, stderr io.Writer) error {
 	r.proc, r.stderr = proc, stderr
 	if r.ProfileDir != "" {
@@ -106,18 +204,7 @@ func (r *Recorder) Open(proc string, stderr io.Writer) error {
 		}
 	}
 	if r.PprofAddr != "" {
-		var errc <-chan error
-		r.pprof, errc = obs.Serve(r.PprofAddr, obs.NewMux(obs.MuxOptions{Pprof: true}))
-		r.stop = make(chan struct{})
-		r.wg.Add(1)
-		go func() {
-			defer r.wg.Done()
-			select {
-			case err := <-errc:
-				fmt.Fprintf(stderr, "%s: pprof server: %v\n", proc, err)
-			case <-r.stop:
-			}
-		}()
+		r.stopPprof = Serve(r.PprofAddr, obs.NewMux(obs.MuxOptions{Pprof: true}), proc, "pprof", stderr)
 	}
 	var fileSink, collSink obs.Sink // stay untyped-nil unless their flag is set
 	if r.TraceOut != "" {
@@ -135,14 +222,6 @@ func (r *Recorder) Open(proc string, stderr io.Writer) error {
 	}
 	r.Tracer = obs.NewTracer(obs.MultiSink(fileSink, collSink)).WithProc(proc)
 	return nil
-}
-
-// ProfileErr surfaces a failed profile capture on stderr; profiling is
-// best-effort and never fails the run.
-func (r *Recorder) ProfileErr() {
-	if err := r.Profiler.Err(); err != nil {
-		fmt.Fprintf(r.stderr, "%s: profile capture: %v\n", r.proc, err)
-	}
 }
 
 // WriteReport completes the -report file with the captured profiles and
@@ -167,11 +246,9 @@ func (r *Recorder) WriteReport() bool {
 
 // Close stops the pprof server and closes the trace file.
 func (r *Recorder) Close() {
-	if r.pprof != nil {
-		r.pprof.Close()
-		close(r.stop)
-		r.wg.Wait()
-		r.pprof = nil
+	if r.stopPprof != nil {
+		r.stopPprof()
+		r.stopPprof = nil
 	}
 	if r.traceFile != nil {
 		r.traceFile.Close()

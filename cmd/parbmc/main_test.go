@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/core"
 )
+
+var dumpOpts = core.Options{Unwind: 1, Contexts: 3, Width: 8}
 
 func TestLoadProgramBenchmarks(t *testing.T) {
 	for _, name := range []string{
@@ -57,15 +61,11 @@ func TestLoadProgramFromFile(t *testing.T) {
 
 func TestDumpSource(t *testing.T) {
 	var buf bytes.Buffer
-	old := stdout
-	stdout = &buf
-	defer func() { stdout = old }()
-
 	p, err := loadProgram("", "fibonacci")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dumpArtefacts(p, "source", "", 1, 3, 0, 8); err != nil {
+	if err := dumpArtefacts(&buf, p, "source", "", dumpOpts); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "void main()") {
@@ -75,15 +75,11 @@ func TestDumpSource(t *testing.T) {
 
 func TestDumpFlat(t *testing.T) {
 	var buf bytes.Buffer
-	old := stdout
-	stdout = &buf
-	defer func() { stdout = old }()
-
 	p, err := loadProgram("", "fibonacci")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dumpArtefacts(p, "flat", "", 1, 3, 0, 8); err != nil {
+	if err := dumpArtefacts(&buf, p, "flat", "", dumpOpts); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -100,7 +96,7 @@ func TestDumpDimacs(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "out.cnf")
-	if err := dumpArtefacts(p, "", path, 1, 3, 0, 8); err != nil {
+	if err := dumpArtefacts(io.Discard, p, "", path, dumpOpts); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -126,7 +122,7 @@ func TestDumpUnknownArtefact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dumpArtefacts(p, "nonsense", "", 1, 3, 0, 8); err == nil {
+	if err := dumpArtefacts(io.Discard, p, "nonsense", "", dumpOpts); err == nil {
 		t.Fatal("unknown artefact accepted")
 	}
 }

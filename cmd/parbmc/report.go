@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
@@ -14,27 +15,27 @@ import (
 // span files (worker -trace-out output), and print the human-readable
 // summary — partition imbalance table, merged span tree shape, slowest
 // spans.
-func reportMain(args []string) int {
+func reportMain(args []string, stdout, stderr io.Writer) int {
 	if len(args) < 1 {
-		fmt.Fprintln(os.Stderr, "usage: parbmc report <run.report.json> [spans.jsonl ...]")
+		fmt.Fprintln(stderr, "usage: parbmc report <run.report.json> [spans.jsonl ...]")
 		return 2
 	}
 	rep, err := report.Load(args[0])
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "parbmc report:", err)
+		fmt.Fprintln(stderr, "parbmc report:", err)
 		return 2
 	}
 	var extra [][]obs.Event
 	for _, path := range args[1:] {
 		f, err := os.Open(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "parbmc report:", err)
+			fmt.Fprintln(stderr, "parbmc report:", err)
 			return 2
 		}
 		events, perr := obs.ParseJSONL(f)
 		f.Close()
 		if perr != nil {
-			fmt.Fprintf(os.Stderr, "parbmc report: %s: %v\n", path, perr)
+			fmt.Fprintf(stderr, "parbmc report: %s: %v\n", path, perr)
 			return 2
 		}
 		extra = append(extra, events)

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,10 +73,7 @@ func TestReportSubcommand(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	old := stdout
-	stdout = &out
-	defer func() { stdout = old }()
-	if code := reportMain([]string{reportPath}); code != 0 {
+	if code := reportMain([]string{reportPath}, &out, io.Discard); code != 0 {
 		t.Fatalf("reportMain exit %d", code)
 	}
 	text := out.String()
@@ -115,10 +113,7 @@ func TestReportSubcommandExtraSpans(t *testing.T) {
 	}
 
 	var out bytes.Buffer
-	old := stdout
-	stdout = &out
-	defer func() { stdout = old }()
-	if code := reportMain([]string{reportPath, spanPath}); code != 0 {
+	if code := reportMain([]string{reportPath, spanPath}, &out, io.Discard); code != 0 {
 		t.Fatalf("reportMain exit %d", code)
 	}
 	if !strings.Contains(out.String(), "Span tree: 3 spans, 1 roots, 0 orphans") {
@@ -127,10 +122,10 @@ func TestReportSubcommandExtraSpans(t *testing.T) {
 }
 
 func TestReportSubcommandUsage(t *testing.T) {
-	if code := reportMain(nil); code != 2 {
+	if code := reportMain(nil, io.Discard, io.Discard); code != 2 {
 		t.Fatalf("no-arg exit %d, want 2", code)
 	}
-	if code := reportMain([]string{filepath.Join(t.TempDir(), "absent.json")}); code != 2 {
+	if code := reportMain([]string{filepath.Join(t.TempDir(), "absent.json")}, io.Discard, io.Discard); code != 2 {
 		t.Fatalf("missing-file exit %d, want 2", code)
 	}
 }

@@ -4,43 +4,24 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
-// TestTraceOutJSONL drives the -trace-out path end to end: parse a
-// benchmark under a parse span, verify with the tracer attached, and
-// check the emitted file is valid JSONL with one span per pipeline
-// phase, correctly parented under the verify root.
+// TestTraceOutJSONL drives the -trace-out path end to end through
+// parbmc's run: the emitted file must be valid JSONL with one span per
+// pipeline phase, correctly parented under the verify root, beside the
+// parse span.
 func TestTraceOutJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.jsonl")
-	tf, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tracer := obs.NewTracer(obs.NewJSONLSink(tf))
-
-	parseSpan := tracer.Start("parse")
-	p, err := loadProgram("", "fibonacci")
-	parseSpan.End()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Verify(context.Background(), p, core.Options{
-		Unwind: 1, Contexts: 3, Cores: 2, Tracer: tracer,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != core.Safe {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if err := tf.Close(); err != nil {
-		t.Fatal(err)
+	code, err := run(context.Background(), []string{"parbmc", "-benchmark", "fibonacci",
+		"-unwind", "1", "-contexts", "3", "-cores", "2", "-trace-out", path}, io.Discard, io.Discard)
+	if err != nil || code != 0 {
+		t.Fatalf("run: exit %d, %v", code, err)
 	}
 
 	f, err := os.Open(path)

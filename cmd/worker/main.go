@@ -30,11 +30,10 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/cmd/internal/runflags"
@@ -42,128 +41,133 @@ import (
 	"repro/internal/obs"
 )
 
-func main() {
-	var (
-		rec runflags.Recorder
+func main() { os.Exit(runflags.Main("worker", run)) }
 
-		connect   = flag.String("connect", "127.0.0.1:9731", "coordinator address, or a comma-separated primary,standby list")
-		cores     = flag.Int("cores", 1, "local solver instances per job")
-		name      = flag.String("name", "", "worker name reported to the coordinator")
-		reconnect = flag.Int("reconnect", 0, "max consecutive reconnect attempts after connection loss (0: exit on loss)")
-		backoff   = flag.Duration("backoff", 0, "base reconnect backoff (default 250ms)")
-		reconnTO  = flag.Duration("reconnect-timeout", 0, "total wall-clock retry budget per outage (0: unbounded)")
-		memLimit  = flag.Int64("mem-limit", 0, "arm the OOM watchdog at this many MiB of live heap (0: inherit GOMEMLIMIT)")
-		memFrac   = flag.Float64("mem-trip-fraction", 0, "fraction of the memory limit at which the watchdog aborts the running chunk (default 0.9)")
-		seed      = flag.Int64("fault-seed", 0, "seed for backoff jitter and the fault plan")
-		dropAt    = flag.Int("fault-drop", -1, "drop the connection upon receiving this job index")
-		halfAt    = flag.Int("fault-half-open", -1, "go half-open at this job index: TCP stays up, all sends silently vanish")
-		corruptAt = flag.Int("fault-corrupt", -1, "send a corrupt frame in place of this job's result")
-		stallAt   = flag.Int("fault-stall", -1, "go silent (no heartbeats) before running this job")
-		stallFor  = flag.Duration("stall-for", 30*time.Second, "stall duration for -fault-stall")
-		panicAt   = flag.Int("fault-panic", -1, "panic inside the solver path at this job index")
-		flipAt    = flag.Int("fault-flip", -1, "flip this job's definite verdict (Byzantine)")
-		bogusAt   = flag.Int("fault-bogus-model", -1, "claim UNSAFE with a garbage model at this job index (Byzantine)")
-		truncAt   = flag.Int("fault-truncate-proof", -1, "send a truncated certificate for this job (Byzantine)")
-		oversizAt = flag.Int("fault-oversize-proof", -1, "declare an oversized certificate for this job (Byzantine)")
-		slowMS    = flag.Int64("fault-slow-ms", 0, "artificial pre-solve delay in milliseconds per affected job; the straggler keeps heartbeating (0 disables)")
-		slowJobs  = flag.String("fault-slow-jobs", "", "comma-separated job indices to slow down (empty with -fault-slow-ms: every job)")
+// run is the worker's whole process, from its arguments to its exit
+// code: 0 once the coordinator sends stop, 2 when the worker gives up.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, error) {
+	var faults faultFlags
+	proc := runflags.New("worker", args, stdout, stderr)
+	fs := proc.Flags
+	var (
+		connect   = fs.String("connect", "127.0.0.1:9731", "coordinator address, or a comma-separated primary,standby list")
+		cores     = fs.Int("cores", 1, "local solver instances per job")
+		name      = fs.String("name", "", "worker name reported to the coordinator")
+		reconnect = fs.Int("reconnect", 0, "max consecutive reconnect attempts after connection loss (0: exit on loss)")
+		backoff   = fs.Duration("backoff", 0, "base reconnect backoff (default 250ms)")
+		reconnTO  = fs.Duration("reconnect-timeout", 0, "total wall-clock retry budget per outage (0: unbounded)")
+		memLimit  = fs.Int64("mem-limit", 0, "arm the OOM watchdog at this many MiB of live heap (0: inherit GOMEMLIMIT)")
+		memFrac   = fs.Float64("mem-trip-fraction", 0, "fraction of the memory limit at which the watchdog aborts the running chunk (default 0.9)")
 	)
+	faults.register(fs)
 	// -trace-out writes this worker's span events as JSONL. Job spans
 	// adopt the coordinator's trace ID from the wire, so this file and
 	// the coordinator's merge into one tree under `parbmc report`.
-	rec.Flags(flag.CommandLine, runflags.RecorderUsage{
+	proc.Rec.Flags(fs, runflags.RecorderUsage{
 		TraceOut:  "write this worker's spans as JSONL to this file (merge with `parbmc report`)",
 		PprofAddr: "serve /debug/pprof and /healthz on this address",
 	})
-	flag.Parse()
-
-	proc := *name
-	if proc == "" {
-		proc = "worker"
-	}
-	if err := rec.Open(proc, os.Stderr); err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v\n", err)
-		os.Exit(2)
-	}
-	defer rec.Close()
-	// The run's solver template is built once, inside the first job: its
-	// span is the worker's one line about it.
-	tracer := obs.NewTracer(obs.MultiSink(rec.Tracer.Sink(), templateLine{})).WithProc(proc)
-
-	var plan *distrib.FaultPlan
-	faultFlags := []struct {
-		at   int
-		kind distrib.FaultKind
-	}{
-		{*dropAt, distrib.FaultDrop},
-		{*halfAt, distrib.FaultHalfOpen},
-		{*corruptAt, distrib.FaultCorrupt},
-		{*panicAt, distrib.FaultPanic},
-		{*flipAt, distrib.FaultFlipVerdict},
-		{*bogusAt, distrib.FaultBogusModel},
-		{*truncAt, distrib.FaultTruncatedProof},
-		{*oversizAt, distrib.FaultOversizedProof},
-	}
-	anyFault := *stallAt >= 0 || *seed != 0 || *slowMS > 0
-	for _, ff := range faultFlags {
-		anyFault = anyFault || ff.at >= 0
-	}
-	if anyFault {
-		plan = &distrib.FaultPlan{Seed: *seed}
-		for _, ff := range faultFlags {
-			if ff.at >= 0 {
-				plan.Events = append(plan.Events, distrib.FaultEvent{Job: ff.at, Kind: ff.kind})
-			}
+	return proc.Run(ctx, func(ctx context.Context) (int, error) {
+		plan, err := faults.plan()
+		if err != nil {
+			return 2, err
 		}
-		if *stallAt >= 0 {
-			plan.Events = append(plan.Events, distrib.FaultEvent{Job: *stallAt, Kind: distrib.FaultStall, Stall: *stallFor})
+		tracerName := *name
+		if tracerName == "" {
+			tracerName = "worker"
 		}
-		if *slowMS > 0 {
-			d := time.Duration(*slowMS) * time.Millisecond
-			idxs, err := parseJobList(*slowJobs)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worker: -fault-slow-jobs: %v\n", err)
-				os.Exit(2)
-			}
-			if len(idxs) == 0 {
-				// A uniformly slow worker: every job it is handed drags.
-				plan.Every = &distrib.FaultEvent{Kind: distrib.FaultSlow, Slow: d}
-			} else {
-				for _, j := range idxs {
-					plan.Events = append(plan.Events, distrib.FaultEvent{Job: j, Kind: distrib.FaultSlow, Slow: d})
-				}
-			}
+		// The run's solver template is built once, inside the first job:
+		// its span is the worker's one line about it.
+		tracer := obs.NewTracer(obs.MultiSink(proc.Rec.Tracer.Sink(), templateLine{stdout})).WithProc(tracerName)
+		jobs, err := distrib.Work(ctx, *connect, distrib.WorkerOptions{
+			Name:             *name,
+			Cores:            *cores,
+			MaxReconnects:    *reconnect,
+			ReconnectBackoff: *backoff,
+			ReconnectTimeout: *reconnTO,
+			Faults:           plan,
+			Tracer:           tracer,
+			MemLimitBytes:    *memLimit << 20,
+			MemTripFraction:  *memFrac,
+		})
+		if err != nil {
+			return 2, fmt.Errorf("%w (after %d jobs)", err, jobs)
 		}
-	}
-
-	// SIGTERM drains like SIGINT; the coordinator's heartbeat monitor
-	// requeues whatever job this worker abandons.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	jobs, err := distrib.Work(ctx, *connect, distrib.WorkerOptions{
-		Name:             *name,
-		Cores:            *cores,
-		MaxReconnects:    *reconnect,
-		ReconnectBackoff: *backoff,
-		ReconnectTimeout: *reconnTO,
-		Faults:           plan,
-		Tracer:           tracer,
-		MemLimitBytes:    *memLimit << 20,
-		MemTripFraction:  *memFrac,
+		fmt.Fprintf(stdout, "worker: done, %d jobs completed\n", jobs)
+		return 0, nil
 	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "worker: %v (after %d jobs)\n", err, jobs)
-		os.Exit(2)
+}
+
+// faultFlags are the -fault-* flags of the deterministic fault-injection
+// harness.
+type faultFlags struct {
+	seed, slowMS                                                   int64
+	drop, halfOpen, corrupt, stall, panic, flip, bogus, trunc, big int
+	stallFor                                                       time.Duration
+	slowJobs                                                       string
+}
+
+func (f *faultFlags) register(fs *flag.FlagSet) {
+	fs.Int64Var(&f.seed, "fault-seed", 0, "seed for backoff jitter and the fault plan")
+	fs.IntVar(&f.drop, "fault-drop", -1, "drop the connection upon receiving this job index")
+	fs.IntVar(&f.halfOpen, "fault-half-open", -1, "go half-open at this job index: TCP stays up, all sends silently vanish")
+	fs.IntVar(&f.corrupt, "fault-corrupt", -1, "send a corrupt frame in place of this job's result")
+	fs.IntVar(&f.stall, "fault-stall", -1, "go silent (no heartbeats) before running this job")
+	fs.DurationVar(&f.stallFor, "stall-for", 30*time.Second, "stall duration for -fault-stall")
+	fs.IntVar(&f.panic, "fault-panic", -1, "panic inside the solver path at this job index")
+	fs.IntVar(&f.flip, "fault-flip", -1, "flip this job's definite verdict (Byzantine)")
+	fs.IntVar(&f.bogus, "fault-bogus-model", -1, "claim UNSAFE with a garbage model at this job index (Byzantine)")
+	fs.IntVar(&f.trunc, "fault-truncate-proof", -1, "send a truncated certificate for this job (Byzantine)")
+	fs.IntVar(&f.big, "fault-oversize-proof", -1, "declare an oversized certificate for this job (Byzantine)")
+	fs.Int64Var(&f.slowMS, "fault-slow-ms", 0, "artificial pre-solve delay in milliseconds per affected job; the straggler keeps heartbeating (0 disables)")
+	fs.StringVar(&f.slowJobs, "fault-slow-jobs", "", "comma-separated job indices to slow down (empty with -fault-slow-ms: every job)")
+}
+
+// plan is the fault plan the flags describe, nil when they describe none.
+func (f *faultFlags) plan() (*distrib.FaultPlan, error) {
+	plan := &distrib.FaultPlan{Seed: f.seed}
+	for _, ev := range []distrib.FaultEvent{
+		{Job: f.drop, Kind: distrib.FaultDrop},
+		{Job: f.halfOpen, Kind: distrib.FaultHalfOpen},
+		{Job: f.corrupt, Kind: distrib.FaultCorrupt},
+		{Job: f.panic, Kind: distrib.FaultPanic},
+		{Job: f.flip, Kind: distrib.FaultFlipVerdict},
+		{Job: f.bogus, Kind: distrib.FaultBogusModel},
+		{Job: f.trunc, Kind: distrib.FaultTruncatedProof},
+		{Job: f.big, Kind: distrib.FaultOversizedProof},
+		{Job: f.stall, Kind: distrib.FaultStall, Stall: f.stallFor},
+	} {
+		if ev.Job >= 0 {
+			plan.Events = append(plan.Events, ev)
+		}
 	}
-	fmt.Printf("worker: done, %d jobs completed\n", jobs)
+	if f.slowMS > 0 {
+		slow := distrib.FaultEvent{Kind: distrib.FaultSlow, Slow: time.Duration(f.slowMS) * time.Millisecond}
+		idxs, err := parseJobList(f.slowJobs)
+		if err != nil {
+			return nil, fmt.Errorf("-fault-slow-jobs: %w", err)
+		}
+		if len(idxs) == 0 {
+			// A uniformly slow worker: every job it is handed drags.
+			plan.Every = &slow
+		}
+		for _, j := range idxs {
+			slow.Job = j
+			plan.Events = append(plan.Events, slow)
+		}
+	}
+	if len(plan.Events) == 0 && plan.Every == nil && f.seed == 0 {
+		return nil, nil
+	}
+	return plan, nil
 }
 
 // templateLine prints a line for every "template" span that passes.
-type templateLine struct{}
+type templateLine struct{ w io.Writer }
 
-func (templateLine) Emit(e obs.Event) {
+func (t templateLine) Emit(e obs.Event) {
 	if e.Name == "template" {
-		fmt.Printf("worker: template built in %v: clauses %v -> %v, %v variables eliminated, serves every job of the run\n",
+		fmt.Fprintf(t.w, "worker: template built in %v: clauses %v -> %v, %v variables eliminated, serves every job of the run\n",
 			time.Duration(e.DurMicros)*time.Microsecond, e.Attrs["clauses_in"], e.Attrs["clauses_out"], e.Attrs["elim_vars"])
 	}
 }

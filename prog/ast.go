@@ -214,6 +214,12 @@ func (*DestroyStmt) stmt() {}
 func (*AtomicStmt) stmt()  {}
 func (*BlockStmt) stmt()   {}
 
+// mutexName is the mutex a lock, unlock, init or destroy names.
+func (s *LockStmt) mutexName() string    { return s.Mutex }
+func (s *UnlockStmt) mutexName() string  { return s.Mutex }
+func (s *InitStmt) mutexName() string    { return s.Mutex }
+func (s *DestroyStmt) mutexName() string { return s.Mutex }
+
 // --- L-values ---
 
 // LValue is an assignable location: a variable or an array element.

@@ -96,84 +96,19 @@ func (c *checker) checkStmts(stmts []Stmt) error {
 }
 
 func (c *checker) checkStmt(s Stmt) error {
-	where := c.proc.Name
 	switch st := s.(type) {
 	case *AssumeStmt:
-		return c.wantBool(st.Cond, "assume condition")
+		return c.want(st.Cond, Bool, "assume condition")
 	case *AssertStmt:
-		return c.wantBool(st.Cond, "assert condition")
+		return c.want(st.Cond, Bool, "assert condition")
 	case *AssignStmt:
-		lt, err := c.typeLValue(st.LHS)
-		if err != nil {
-			return err
-		}
-		if _, ok := st.RHS.(*Nondet); ok {
-			return nil // x = * is allowed for any scalar type
-		}
-		rt, err := c.typeExpr(st.RHS)
-		if err != nil {
-			return err
-		}
-		if lt != rt {
-			return fmt.Errorf("prog: %s: cannot assign %s to %s in %q", where, rt, lt, st)
-		}
-		return nil
+		return c.checkAssign(st)
 	case *CallStmt:
-		callee, ok := c.procs[st.Proc]
-		if !ok {
-			return fmt.Errorf("prog: %s: call to undefined procedure %q", where, st.Proc)
-		}
-		if callee.Name == "main" {
-			return fmt.Errorf("prog: %s: main cannot be called", where)
-		}
-		if len(st.Args) != len(callee.Params) {
-			return fmt.Errorf("prog: %s: call to %q with %d args, want %d",
-				where, st.Proc, len(st.Args), len(callee.Params))
-		}
-		for i, a := range st.Args {
-			at, err := c.typeExpr(a)
-			if err != nil {
-				return err
-			}
-			if at != callee.Params[i].Type {
-				return fmt.Errorf("prog: %s: call to %q: arg %d is %s, want %s",
-					where, st.Proc, i, at, callee.Params[i].Type)
-			}
-		}
-		if st.Result != nil {
-			if callee.Ret.Kind == KindVoid {
-				return fmt.Errorf("prog: %s: %q returns void, cannot assign its result", where, st.Proc)
-			}
-			lt, err := c.typeLValue(st.Result)
-			if err != nil {
-				return err
-			}
-			if lt != callee.Ret {
-				return fmt.Errorf("prog: %s: result of %q is %s, cannot assign to %s",
-					where, st.Proc, callee.Ret, lt)
-			}
-		}
-		return nil
+		return c.checkCall(st)
 	case *ReturnStmt:
-		if c.proc.Ret.Kind == KindVoid {
-			if st.Value != nil {
-				return fmt.Errorf("prog: %s: return with a value in a void procedure", where)
-			}
-			return nil
-		}
-		if st.Value == nil {
-			return fmt.Errorf("prog: %s: return without a value", where)
-		}
-		vt, err := c.typeExpr(st.Value)
-		if err != nil {
-			return err
-		}
-		if vt != c.proc.Ret {
-			return fmt.Errorf("prog: %s: return type %s, want %s", where, vt, c.proc.Ret)
-		}
-		return nil
+		return c.checkReturn(st)
 	case *IfStmt:
-		if err := c.wantBool(st.Cond, "if condition"); err != nil {
+		if err := c.want(st.Cond, Bool, "if condition"); err != nil {
 			return err
 		}
 		if err := c.checkStmts(st.Then); err != nil {
@@ -181,87 +116,140 @@ func (c *checker) checkStmt(s Stmt) error {
 		}
 		return c.checkStmts(st.Else)
 	case *WhileStmt:
-		if err := c.wantBool(st.Cond, "while condition"); err != nil {
+		if err := c.want(st.Cond, Bool, "while condition"); err != nil {
 			return err
 		}
 		return c.checkStmts(st.Body)
 	case *CreateStmt:
-		callee, ok := c.procs[st.Proc]
-		if !ok {
-			return fmt.Errorf("prog: %s: create of undefined procedure %q", where, st.Proc)
-		}
-		if callee.Name == "main" {
-			return fmt.Errorf("prog: %s: main cannot be spawned", where)
-		}
-		if callee.Ret.Kind != KindVoid {
-			return fmt.Errorf("prog: %s: thread procedure %q must return void", where, st.Proc)
-		}
-		if len(st.Args) != len(callee.Params) {
-			return fmt.Errorf("prog: %s: create of %q with %d args, want %d",
-				where, st.Proc, len(st.Args), len(callee.Params))
-		}
-		for i, a := range st.Args {
-			at, err := c.typeExpr(a)
-			if err != nil {
-				return err
-			}
-			if at != callee.Params[i].Type {
-				return fmt.Errorf("prog: %s: create of %q: arg %d is %s, want %s",
-					where, st.Proc, i, at, callee.Params[i].Type)
-			}
-		}
-		lt, err := c.typeLValue(st.Tid)
-		if err != nil {
-			return err
-		}
-		if lt != Int {
-			return fmt.Errorf("prog: %s: thread identifier must be int, got %s", where, lt)
+		return c.checkCreate(st)
+	case *JoinStmt:
+		return c.want(st.Tid, Int, "join argument")
+	case interface{ mutexName() string }:
+		if t, ok := c.globals[st.mutexName()]; !ok || t.Kind != KindMutex {
+			return fmt.Errorf("prog: %s: %q is not a global mutex", c.proc.Name, st.mutexName())
 		}
 		return nil
-	case *JoinStmt:
-		return c.wantInt(st.Tid, "join argument")
-	case *LockStmt:
-		return c.wantMutex(st.Mutex)
-	case *UnlockStmt:
-		return c.wantMutex(st.Mutex)
-	case *InitStmt:
-		return c.wantMutex(st.Mutex)
-	case *DestroyStmt:
-		return c.wantMutex(st.Mutex)
 	case *AtomicStmt:
 		return c.checkStmts(st.Body)
 	case *BlockStmt:
 		return c.checkStmts(st.Body)
 	}
-	return fmt.Errorf("prog: %s: unknown statement %T", where, s)
+	return fmt.Errorf("prog: %s: unknown statement %T", c.proc.Name, s)
 }
 
-func (c *checker) wantBool(e Expr, what string) error {
-	t, err := c.typeExpr(e)
+func (c *checker) checkAssign(st *AssignStmt) error {
+	lt, err := c.typeLValue(st.LHS)
 	if err != nil {
 		return err
 	}
-	if t != Bool {
-		return fmt.Errorf("prog: %s: %s must be bool, got %s", c.proc.Name, what, t)
+	if _, ok := st.RHS.(*Nondet); ok {
+		return nil // x = * is allowed for any scalar type
+	}
+	rt, err := c.typeExpr(st.RHS)
+	if err != nil {
+		return err
+	}
+	if lt != rt {
+		return fmt.Errorf("prog: %s: cannot assign %s to %s in %q", c.proc.Name, rt, lt, st)
 	}
 	return nil
 }
 
-func (c *checker) wantInt(e Expr, what string) error {
-	t, err := c.typeExpr(e)
+func (c *checker) checkReturn(st *ReturnStmt) error {
+	where := c.proc.Name
+	if c.proc.Ret.Kind == KindVoid {
+		if st.Value != nil {
+			return fmt.Errorf("prog: %s: return with a value in a void procedure", where)
+		}
+		return nil
+	}
+	if st.Value == nil {
+		return fmt.Errorf("prog: %s: return without a value", where)
+	}
+	vt, err := c.typeExpr(st.Value)
 	if err != nil {
 		return err
 	}
-	if t != Int {
-		return fmt.Errorf("prog: %s: %s must be int, got %s", c.proc.Name, what, t)
+	if vt != c.proc.Ret {
+		return fmt.Errorf("prog: %s: return type %s, want %s", where, vt, c.proc.Ret)
 	}
 	return nil
 }
 
-func (c *checker) wantMutex(name string) error {
-	t, ok := c.globals[name]
-	if !ok || t.Kind != KindMutex {
-		return fmt.Errorf("prog: %s: %q is not a global mutex", c.proc.Name, name)
+func (c *checker) checkCall(st *CallStmt) error {
+	callee, err := c.checkCallee(st.Proc, st.Args, false)
+	if err != nil || st.Result == nil {
+		return err
+	}
+	where := c.proc.Name
+	if callee.Ret.Kind == KindVoid {
+		return fmt.Errorf("prog: %s: %q returns void, cannot assign its result", where, st.Proc)
+	}
+	lt, err := c.typeLValue(st.Result)
+	if err != nil {
+		return err
+	}
+	if lt != callee.Ret {
+		return fmt.Errorf("prog: %s: result of %q is %s, cannot assign to %s", where, st.Proc, callee.Ret, lt)
+	}
+	return nil
+}
+
+func (c *checker) checkCreate(st *CreateStmt) error {
+	if _, err := c.checkCallee(st.Proc, st.Args, true); err != nil {
+		return err
+	}
+	lt, err := c.typeLValue(st.Tid)
+	if err != nil {
+		return err
+	}
+	if lt != Int {
+		return fmt.Errorf("prog: %s: thread identifier must be int, got %s", c.proc.Name, lt)
+	}
+	return nil
+}
+
+// checkCallee checks what a call (or, with spawn, a create) names and
+// passes: a procedure other than main, void if it runs as a thread,
+// taking args.
+func (c *checker) checkCallee(name string, args []Expr, spawn bool) (*Proc, error) {
+	where, verb, done := c.proc.Name, "call to", "called"
+	if spawn {
+		verb, done = "create of", "spawned"
+	}
+	callee, ok := c.procs[name]
+	if !ok {
+		return nil, fmt.Errorf("prog: %s: %s undefined procedure %q", where, verb, name)
+	}
+	if callee.Name == "main" {
+		return nil, fmt.Errorf("prog: %s: main cannot be %s", where, done)
+	}
+	if spawn && callee.Ret.Kind != KindVoid {
+		return nil, fmt.Errorf("prog: %s: thread procedure %q must return void", where, name)
+	}
+	if len(args) != len(callee.Params) {
+		return nil, fmt.Errorf("prog: %s: %s %q with %d args, want %d", where, verb, name, len(args), len(callee.Params))
+	}
+	for i, a := range args {
+		at, err := c.typeExpr(a)
+		if err != nil {
+			return nil, err
+		}
+		if at != callee.Params[i].Type {
+			return nil, fmt.Errorf("prog: %s: %s %q: arg %d is %s, want %s", where, verb, name, i, at, callee.Params[i].Type)
+		}
+	}
+	return callee, nil
+}
+
+// want checks that e has type t (bool or int).
+func (c *checker) want(e Expr, t Type, what string) error {
+	et, err := c.typeExpr(e)
+	if err != nil {
+		return err
+	}
+	if et != t {
+		return fmt.Errorf("prog: %s: %s must be %s, got %s", c.proc.Name, what, t, et)
 	}
 	return nil
 }
@@ -288,7 +276,7 @@ func (c *checker) typeLValue(lv LValue) (Type, error) {
 		if !t.IsArray() {
 			return Void, fmt.Errorf("prog: %s: %q is not an array", c.proc.Name, v.Name)
 		}
-		if err := c.wantInt(v.Index, "array index"); err != nil {
+		if err := c.want(v.Index, Int, "array index"); err != nil {
 			return Void, err
 		}
 		return Type{Kind: t.Kind}, nil

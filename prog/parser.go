@@ -63,12 +63,15 @@ func (p *parser) errf(format string, args ...interface{}) error {
 	return fmt.Errorf("prog: %d:%d: %s", t.line, t.col, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) expectPunct(s string) error {
-	if p.cur().kind == tokPunct && p.cur().text == s {
+// expectPunct consumes the given punctuation tokens, in order.
+func (p *parser) expectPunct(ss ...string) error {
+	for _, s := range ss {
+		if !p.isPunct(s) {
+			return p.errf("expected %q, found %s", s, p.cur())
+		}
 		p.next()
-		return nil
 	}
-	return p.errf("expected %q, found %s", s, p.cur())
+	return nil
 }
 
 func (p *parser) isPunct(s string) bool {
@@ -79,23 +82,21 @@ func (p *parser) isKeyword(s string) bool {
 	return p.cur().kind == tokKeyword && p.cur().text == s
 }
 
+var typeOf = map[string]Type{"void": Void, "bool": Bool, "int": Int, "mutex": Mutex}
+
 func (p *parser) atType() bool {
-	return p.isKeyword("void") || p.isKeyword("bool") || p.isKeyword("int") || p.isKeyword("mutex")
+	_, ok := typeOf[p.cur().text]
+	return ok && p.cur().kind == tokKeyword
 }
 
-func (p *parser) parseType() (Type, error) {
-	t := p.next()
-	switch t.text {
-	case "void":
-		return Void, nil
-	case "bool":
-		return Bool, nil
-	case "int":
-		return Int, nil
-	case "mutex":
-		return Mutex, nil
+// parseTypedName parses "type name" at a type keyword; what names the
+// name in the error when it is missing.
+func (p *parser) parseTypedName(what string) (Type, string, error) {
+	typ := typeOf[p.next().text]
+	if p.cur().kind != tokIdent {
+		return Void, "", p.errf("expected %s, found %s", what, p.cur())
 	}
-	return Void, p.errf("expected a type, found %s", t)
+	return typ, p.next().text, nil
 }
 
 func (p *parser) parseProgram() (*Program, error) {
@@ -104,14 +105,10 @@ func (p *parser) parseProgram() (*Program, error) {
 		if !p.atType() {
 			return nil, p.errf("expected a declaration or procedure, found %s", p.cur())
 		}
-		typ, err := p.parseType()
+		typ, name, err := p.parseTypedName("an identifier")
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().kind != tokIdent {
-			return nil, p.errf("expected an identifier, found %s", p.cur())
-		}
-		name := p.next().text
 		if p.isPunct("(") {
 			proc, err := p.parseProcRest(typ, name)
 			if err != nil {
@@ -120,7 +117,7 @@ func (p *parser) parseProgram() (*Program, error) {
 			prog.Procs = append(prog.Procs, proc)
 			continue
 		}
-		decls, err := p.parseDeclRest(typ, name)
+		decls, _, err := p.parseDeclRest(typ, name, false)
 		if err != nil {
 			return nil, err
 		}
@@ -130,48 +127,51 @@ func (p *parser) parseProgram() (*Program, error) {
 }
 
 // parseDeclRest parses the remainder of "type name ..." declarations:
-// optional [N], optional comma-separated further names, terminating ';'.
-// Initialisers are not allowed at global scope (globals are zero).
-func (p *parser) parseDeclRest(typ Type, firstName string) ([]Decl, error) {
-	var out []Decl
-	name := firstName
+// optional [N], with inits an optional "= expr" initialiser, optional
+// comma-separated further names, terminating ';'. An initialiser
+// becomes an assignment in place; globals have none (they are zero).
+func (p *parser) parseDeclRest(typ Type, name string, inits bool) ([]Decl, []Stmt, error) {
+	var decls []Decl
+	var assigns []Stmt
 	for {
 		t := typ
 		if p.isPunct("[") {
 			p.next()
 			if p.cur().kind != tokNumber {
-				return nil, p.errf("expected array length, found %s", p.cur())
+				return nil, nil, p.errf("expected array length, found %s", p.cur())
 			}
 			n, err := strconv.Atoi(p.next().text)
 			if err != nil || n <= 0 {
-				return nil, p.errf("invalid array length")
+				return nil, nil, p.errf("invalid array length")
 			}
 			if err := p.expectPunct("]"); err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			t.ArrayLen = n
 		}
-		out = append(out, Decl{Name: name, Type: t})
-		if p.isPunct(",") {
+		decls = append(decls, Decl{Name: name, Type: t})
+		if inits && p.isPunct("=") {
 			p.next()
-			if p.cur().kind != tokIdent {
-				return nil, p.errf("expected an identifier, found %s", p.cur())
+			rhs, err := p.parseExpr()
+			if err != nil {
+				return nil, nil, err
 			}
-			name = p.next().text
-			continue
+			assigns = append(assigns, &AssignStmt{LHS: &VarRef{Name: name}, RHS: rhs})
 		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
+		if !p.isPunct(",") {
+			return decls, assigns, p.expectPunct(";")
 		}
-		return out, nil
+		p.next()
+		if p.cur().kind != tokIdent {
+			return nil, nil, p.errf("expected an identifier, found %s", p.cur())
+		}
+		name = p.next().text
 	}
 }
 
 func (p *parser) parseProcRest(ret Type, name string) (*Proc, error) {
 	proc := &Proc{Name: name, Ret: ret}
-	if err := p.expectPunct("("); err != nil {
-		return nil, err
-	}
+	p.next() // '('
 	for !p.isPunct(")") {
 		if len(proc.Params) > 0 {
 			if err := p.expectPunct(","); err != nil {
@@ -181,20 +181,14 @@ func (p *parser) parseProcRest(ret Type, name string) (*Proc, error) {
 		if !p.atType() {
 			return nil, p.errf("expected a parameter type, found %s", p.cur())
 		}
-		typ, err := p.parseType()
+		typ, param, err := p.parseTypedName("a parameter name")
 		if err != nil {
 			return nil, err
 		}
-		if p.cur().kind != tokIdent {
-			return nil, p.errf("expected a parameter name, found %s", p.cur())
-		}
-		proc.Params = append(proc.Params, Decl{Name: p.next().text, Type: typ})
+		proc.Params = append(proc.Params, Decl{Name: param, Type: typ})
 	}
 	p.next() // ')'
-	if err := p.expectPunct("{"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBody(proc)
+	body, err := p.parseBlock(proc)
 	if err != nil {
 		return nil, err
 	}
@@ -202,83 +196,44 @@ func (p *parser) parseProcRest(ret Type, name string) (*Proc, error) {
 	return proc, nil
 }
 
-// parseBody parses statements until '}'. Declarations may appear anywhere
+// parseBlock parses "{ statements }". Declarations may appear anywhere
 // and are hoisted to the procedure's locals; initialisers become ordinary
 // assignments in place.
-func (p *parser) parseBody(proc *Proc) ([]Stmt, error) {
+func (p *parser) parseBlock(proc *Proc) ([]Stmt, error) {
+	if err := p.expectPunct("{"); err != nil {
+		return nil, err
+	}
 	var out []Stmt
 	for !p.isPunct("}") {
 		if p.cur().kind == tokEOF {
 			return nil, p.errf("unexpected end of input, missing '}'")
 		}
-		if p.atType() {
-			stmts, err := p.parseLocalDecl(proc)
+		if !p.atType() {
+			s, err := p.parseStmt(proc)
 			if err != nil {
 				return nil, err
 			}
-			out = append(out, stmts...)
+			out = append(out, s)
 			continue
 		}
-		s, err := p.parseStmt(proc)
+		typ, name, err := p.parseTypedName("an identifier")
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, s)
+		decls, inits, err := p.parseDeclRest(typ, name, true)
+		if err != nil {
+			return nil, err
+		}
+		proc.Locals = append(proc.Locals, decls...)
+		out = append(out, inits...)
 	}
 	p.next() // '}'
 	return out, nil
 }
 
-func (p *parser) parseLocalDecl(proc *Proc) ([]Stmt, error) {
-	typ, err := p.parseType()
-	if err != nil {
-		return nil, err
-	}
-	var inits []Stmt
-	for {
-		if p.cur().kind != tokIdent {
-			return nil, p.errf("expected an identifier, found %s", p.cur())
-		}
-		name := p.next().text
-		t := typ
-		if p.isPunct("[") {
-			p.next()
-			if p.cur().kind != tokNumber {
-				return nil, p.errf("expected array length, found %s", p.cur())
-			}
-			n, err := strconv.Atoi(p.next().text)
-			if err != nil || n <= 0 {
-				return nil, p.errf("invalid array length")
-			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			t.ArrayLen = n
-		}
-		proc.Locals = append(proc.Locals, Decl{Name: name, Type: t})
-		if p.isPunct("=") {
-			p.next()
-			rhs, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			inits = append(inits, &AssignStmt{LHS: &VarRef{Name: name}, RHS: rhs})
-		}
-		if p.isPunct(",") {
-			p.next()
-			continue
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return inits, nil
-	}
-}
-
 func (p *parser) parseBlockOrStmt(proc *Proc) ([]Stmt, error) {
 	if p.isPunct("{") {
-		p.next()
-		return p.parseBody(proc)
+		return p.parseBlock(proc)
 	}
 	s, err := p.parseStmt(proc)
 	if err != nil {
@@ -287,228 +242,187 @@ func (p *parser) parseBlockOrStmt(proc *Proc) ([]Stmt, error) {
 	return []Stmt{s}, nil
 }
 
+// parseStmt dispatches on the statement's first token. Keywords and
+// punctuation never share their text with an identifier.
 func (p *parser) parseStmt(proc *Proc) (Stmt, error) {
 	t := p.cur()
-	switch {
-	case p.isPunct("{"):
-		p.next()
-		body, err := p.parseBody(proc)
+	switch t.text {
+	case "{":
+		body, err := p.parseBlock(proc)
 		if err != nil {
 			return nil, err
 		}
 		return &BlockStmt{Body: body}, nil
-	case p.isKeyword("if"):
+	case "atomic":
 		p.next()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		then, err := p.parseBlockOrStmt(proc)
-		if err != nil {
-			return nil, err
-		}
-		var els []Stmt
-		if p.isKeyword("else") {
-			p.next()
-			els, err = p.parseBlockOrStmt(proc)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return &IfStmt{Cond: cond, Then: then, Else: els}, nil
-	case p.isKeyword("while"):
-		p.next()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseBlockOrStmt(proc)
-		if err != nil {
-			return nil, err
-		}
-		return &WhileStmt{Cond: cond, Body: body}, nil
-	case p.isKeyword("atomic"):
-		p.next()
-		if err := p.expectPunct("{"); err != nil {
-			return nil, err
-		}
-		body, err := p.parseBody(proc)
+		body, err := p.parseBlock(proc)
 		if err != nil {
 			return nil, err
 		}
 		return &AtomicStmt{Body: body}, nil
-	case p.isKeyword("return"):
+	case "if":
+		return p.parseIf(proc)
+	case "while":
+		cond, body, err := p.parseGuarded(proc)
+		if err != nil {
+			return nil, err
+		}
+		return &WhileStmt{Cond: cond, Body: body}, nil
+	case "return":
 		p.next()
 		if p.isPunct(";") {
 			p.next()
 			return &ReturnStmt{}, nil
 		}
-		e, err := p.parseExpr()
+		e, err := p.parseExprThen(";")
 		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
 			return nil, err
 		}
 		return &ReturnStmt{Value: e}, nil
-	case p.isKeyword("assume"), p.isKeyword("assert"):
-		kw := p.next().text
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		if kw == "assume" {
-			return &AssumeStmt{Cond: cond}, nil
-		}
-		return &AssertStmt{Cond: cond}, nil
-	case p.isKeyword("join"):
-		p.next()
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		tid, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &JoinStmt{Tid: tid}, nil
-	case p.isKeyword("lock"), p.isKeyword("unlock"), p.isKeyword("init"), p.isKeyword("destroy"):
-		kw := p.next().text
-		if err := p.expectPunct("("); err != nil {
-			return nil, err
-		}
-		if p.cur().kind != tokIdent {
-			return nil, p.errf("expected a mutex name, found %s", p.cur())
-		}
-		m := p.next().text
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		switch kw {
-		case "lock":
-			return &LockStmt{Mutex: m}, nil
-		case "unlock":
-			return &UnlockStmt{Mutex: m}, nil
-		case "init":
-			return &InitStmt{Mutex: m}, nil
-		default:
-			return &DestroyStmt{Mutex: m}, nil
-		}
-	case t.kind == tokIdent:
-		// Either a call statement or an assignment.
-		name := p.next().text
-		if p.isPunct("(") {
-			call, err := p.parseCallRest(name, nil)
-			if err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
-		var lhs LValue = &VarRef{Name: name}
-		if p.isPunct("[") {
-			p.next()
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			lhs = &IndexRef{Name: name, Index: idx}
-		}
-		if err := p.expectPunct("="); err != nil {
-			return nil, err
-		}
-		// RHS may be create(...), a call with result, or an expression
-		// (including the non-deterministic '*').
-		if p.isKeyword("create") {
-			p.next()
-			if err := p.expectPunct("("); err != nil {
-				return nil, err
-			}
-			if p.cur().kind != tokIdent {
-				return nil, p.errf("expected a procedure name, found %s", p.cur())
-			}
-			procName := p.next().text
-			var args []Expr
-			for p.isPunct(",") {
-				p.next()
-				a, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-			}
-			if err := p.expectPunct(")"); err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct(";"); err != nil {
-				return nil, err
-			}
-			return &CreateStmt{Tid: lhs, Proc: procName, Args: args}, nil
-		}
-		if p.cur().kind == tokIdent && p.peek().kind == tokPunct && p.peek().text == "(" {
-			procName := p.next().text
-			p.next() // '('
-			call, err := p.parseCallRest2(procName, lhs)
-			if err != nil {
-				return nil, err
-			}
-			return call, nil
-		}
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(";"); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{LHS: lhs, RHS: rhs}, nil
+	case "assume", "assert", "join":
+		return p.parseExprStmt()
+	case "lock", "unlock", "init", "destroy":
+		return p.parseMutexStmt()
+	}
+	if t.kind == tokIdent {
+		return p.parseNamedStmt()
 	}
 	return nil, p.errf("expected a statement, found %s", t)
 }
 
-// parseCallRest parses "( args ) ;" after a procedure name; the opening
-// parenthesis has not been consumed yet.
-func (p *parser) parseCallRest(name string, result LValue) (Stmt, error) {
-	p.next() // '('
-	return p.parseCallRest2(name, result)
+// parseGuarded parses "( cond ) body" after if or while.
+func (p *parser) parseGuarded(proc *Proc) (Expr, []Stmt, error) {
+	p.next() // the keyword
+	cond, err := p.parseParenExpr()
+	if err != nil {
+		return nil, nil, err
+	}
+	body, err := p.parseBlockOrStmt(proc)
+	return cond, body, err
 }
 
-// parseCallRest2 parses "args ) ;" after the opening parenthesis.
-func (p *parser) parseCallRest2(name string, result LValue) (Stmt, error) {
-	var args []Expr
+func (p *parser) parseIf(proc *Proc) (Stmt, error) {
+	cond, then, err := p.parseGuarded(proc)
+	if err != nil {
+		return nil, err
+	}
+	s := &IfStmt{Cond: cond, Then: then}
+	if p.isKeyword("else") {
+		p.next()
+		if s.Else, err = p.parseBlockOrStmt(proc); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
+}
+
+// parseExprStmt parses "assume ( e ) ;", "assert ( e ) ;" and
+// "join ( e ) ;".
+func (p *parser) parseExprStmt() (Stmt, error) {
+	kw := p.next().text
+	e, err := p.parseParenExpr()
+	if err == nil {
+		err = p.expectPunct(";")
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch kw {
+	case "assume":
+		return &AssumeStmt{Cond: e}, nil
+	case "assert":
+		return &AssertStmt{Cond: e}, nil
+	}
+	return &JoinStmt{Tid: e}, nil
+}
+
+// mutexStmts builds the statement each mutex keyword names.
+var mutexStmts = map[string]func(mutex string) Stmt{
+	"lock":    func(m string) Stmt { return &LockStmt{Mutex: m} },
+	"unlock":  func(m string) Stmt { return &UnlockStmt{Mutex: m} },
+	"init":    func(m string) Stmt { return &InitStmt{Mutex: m} },
+	"destroy": func(m string) Stmt { return &DestroyStmt{Mutex: m} },
+}
+
+// parseMutexStmt parses "lock ( m ) ;" and its unlock, init and destroy
+// siblings.
+func (p *parser) parseMutexStmt() (Stmt, error) {
+	kw := p.next().text
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	if p.cur().kind != tokIdent {
+		return nil, p.errf("expected a mutex name, found %s", p.cur())
+	}
+	m := p.next().text
+	if err := p.expectPunct(")", ";"); err != nil {
+		return nil, err
+	}
+	return mutexStmts[kw](m), nil
+}
+
+// parseNamedStmt parses the statements that start with a name: a call,
+// or an assignment from an expression (including the non-deterministic
+// '*'), from a call's result or from create(...).
+func (p *parser) parseNamedStmt() (Stmt, error) {
+	name := p.next().text
+	if p.isPunct("(") {
+		return p.parseCall(name, nil)
+	}
+	var lhs LValue = &VarRef{Name: name}
+	if p.isPunct("[") {
+		ref, err := p.parseIndex(name)
+		if err != nil {
+			return nil, err
+		}
+		lhs = ref
+	}
+	if err := p.expectPunct("="); err != nil {
+		return nil, err
+	}
+	switch {
+	case p.isKeyword("create"):
+		return p.parseCreate(lhs)
+	case p.cur().kind == tokIdent && p.peek().kind == tokPunct && p.peek().text == "(":
+		return p.parseCall(p.next().text, lhs)
+	}
+	rhs, err := p.parseExprThen(";")
+	if err != nil {
+		return nil, err
+	}
+	return &AssignStmt{LHS: lhs, RHS: rhs}, nil
+}
+
+// parseCreate parses "create ( proc , args ) ;".
+func (p *parser) parseCreate(tid LValue) (Stmt, error) {
+	p.next() // create
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	if p.cur().kind != tokIdent {
+		return nil, p.errf("expected a procedure name, found %s", p.cur())
+	}
+	s := &CreateStmt{Tid: tid, Proc: p.next().text}
+	for p.isPunct(",") {
+		p.next()
+		a, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		s.Args = append(s.Args, a)
+	}
+	if err := p.expectPunct(")", ";"); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// parseCall parses "( args ) ;" after a procedure name.
+func (p *parser) parseCall(name string, result LValue) (Stmt, error) {
+	s := &CallStmt{Proc: name, Result: result}
+	p.next() // '('
 	for !p.isPunct(")") {
-		if len(args) > 0 {
+		if len(s.Args) > 0 {
 			if err := p.expectPunct(","); err != nil {
 				return nil, err
 			}
@@ -517,13 +431,13 @@ func (p *parser) parseCallRest2(name string, result LValue) (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, a)
+		s.Args = append(s.Args, a)
 	}
 	p.next() // ')'
 	if err := p.expectPunct(";"); err != nil {
 		return nil, err
 	}
-	return &CallStmt{Proc: name, Args: args, Result: result}, nil
+	return s, nil
 }
 
 // --- expressions (precedence climbing) ---
@@ -548,7 +462,39 @@ var binOpOf = map[string]BinOp{
 	"&&": OpLAnd, "||": OpLOr,
 }
 
+var unOpOf = map[string]UnOp{"-": OpNeg, "!": OpNot, "~": OpBitNot}
+
 func (p *parser) parseExpr() (Expr, error) { return p.parseBin(1) }
+
+// parseExprThen parses an expression and the punctuation that ends it.
+func (p *parser) parseExprThen(end string) (Expr, error) {
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectPunct(end); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// parseParenExpr parses "( expr )".
+func (p *parser) parseParenExpr() (Expr, error) {
+	if err := p.expectPunct("("); err != nil {
+		return nil, err
+	}
+	return p.parseExprThen(")")
+}
+
+// parseIndex parses "[ expr ]" after an array name.
+func (p *parser) parseIndex(name string) (*IndexRef, error) {
+	p.next() // '['
+	idx, err := p.parseExprThen("]")
+	if err != nil {
+		return nil, err
+	}
+	return &IndexRef{Name: name, Index: idx}, nil
+}
 
 func (p *parser) parseBin(minPrec int) (Expr, error) {
 	lhs, err := p.parseUnary()
@@ -574,37 +520,20 @@ func (p *parser) parseBin(minPrec int) (Expr, error) {
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	t := p.cur()
-	if t.kind == tokPunct {
-		switch t.text {
-		case "-":
-			p.next()
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			// Fold negated literals so -8 round-trips as a literal.
-			if lit, ok := x.(*IntLit); ok {
-				return &IntLit{Value: -lit.Value}, nil
-			}
-			return &UnaryExpr{Op: OpNeg, X: x}, nil
-		case "!":
-			p.next()
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{Op: OpNot, X: x}, nil
-		case "~":
-			p.next()
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
-			return &UnaryExpr{Op: OpBitNot, X: x}, nil
-		}
+	op, ok := unOpOf[p.cur().text]
+	if !ok || p.cur().kind != tokPunct {
+		return p.parsePrimary()
 	}
-	return p.parsePrimary()
+	p.next()
+	x, err := p.parseUnary()
+	if err != nil {
+		return nil, err
+	}
+	// Fold negated literals so -8 round-trips as a literal.
+	if lit, ok := x.(*IntLit); ok && op == OpNeg {
+		return &IntLit{Value: -lit.Value}, nil
+	}
+	return &UnaryExpr{Op: op, X: x}, nil
 }
 
 func (p *parser) parsePrimary() (Expr, error) {
@@ -628,27 +557,11 @@ func (p *parser) parsePrimary() (Expr, error) {
 		p.next()
 		return &Nondet{}, nil
 	case p.isPunct("("):
-		p.next()
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expectPunct(")"); err != nil {
-			return nil, err
-		}
-		return e, nil
+		return p.parseParenExpr()
 	case t.kind == tokIdent:
 		p.next()
 		if p.isPunct("[") {
-			p.next()
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expectPunct("]"); err != nil {
-				return nil, err
-			}
-			return &IndexRef{Name: t.text, Index: idx}, nil
+			return p.parseIndex(t.text)
 		}
 		return &VarRef{Name: t.text}, nil
 	}

@@ -2,6 +2,12 @@ package repro
 
 import (
 	"context"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -127,4 +133,91 @@ func TestFacadeDistributedRange(t *testing.T) {
 	if !found {
 		t.Fatal("bug not found in any partition range")
 	}
+}
+
+// longFunctions are the functions allowed over maxFunctionLines, each
+// held to its length: the list may only shrink.
+var longFunctions = map[string]int{
+	"internal/distrib.Coordinate":           155,
+	"internal/distrib.(*coordinator).serve": 132,
+	"internal/distrib.(*worker).runJob":     126,
+	"internal/vc.(*encoder).eval":           119,
+	"internal/weakmem.(*transformer).stmt":  109,
+	"internal/parallel.(*Template).run":     103,
+}
+
+const maxFunctionLines = 100
+
+// TestFunctionLengths measures every function of the non-test Go outside
+// benchmark/ (from the func keyword to the closing brace) and fails on
+// one over maxFunctionLines that longFunctions does not list, on a
+// listed one that grew, and on a listed one that no longer needs its
+// entry.
+func TestFunctionLengths(t *testing.T) {
+	fset := token.NewFileSet()
+	seen := map[string]int{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata" || path == "benchmark") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			n := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
+			if n > maxFunctionLines {
+				seen[funcName(filepath.Dir(path), fn)] = n
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range seen {
+		if limit, ok := longFunctions[name]; !ok {
+			t.Errorf("%s is %d lines, over %d", name, n, maxFunctionLines)
+		} else if n > limit {
+			t.Errorf("%s is %d lines, over its listed %d", name, n, limit)
+		}
+	}
+	for name, limit := range longFunctions {
+		if _, ok := seen[name]; !ok {
+			t.Errorf("%s (listed at %d lines) is now %d lines or fewer: delete its entry", name, limit, maxFunctionLines)
+		}
+	}
+}
+
+// funcName names a function by its directory and receiver, as in
+// "internal/distrib.(*coordinator).serve".
+func funcName(dir string, fn *ast.FuncDecl) string {
+	if fn.Recv == nil {
+		return dir + "." + fn.Name.Name
+	}
+	typ := fn.Recv.List[0].Type
+	star := ""
+	if s, ok := typ.(*ast.StarExpr); ok {
+		star, typ = "*", s.X
+	}
+	switch g := typ.(type) {
+	case *ast.IndexExpr:
+		typ = g.X
+	case *ast.IndexListExpr:
+		typ = g.X
+	}
+	return fmt.Sprintf("%s.(%s%s).%s", dir, star, typ.(*ast.Ident).Name, fn.Name.Name)
 }
