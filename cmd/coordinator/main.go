@@ -81,9 +81,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	fs.IntVar(&opts.ChunkSize, "chunk", 0, "partitions per work unit (default partitions/8)")
 	fs.DurationVar(&opts.JobTimeout, "job-timeout", 0, "per-job timeout (default 10m)")
 	fs.IntVar(&opts.MaxAttempts, "max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
-	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s, negative disables)")
+	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s; a negative interval is refused)")
 	fs.DurationVar(&opts.DrainTimeout, "drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
-	fs.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95, negative disables)")
+	fs.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95; a negative ratio is refused)")
 	fs.BoolVar(&opts.Hedge, "hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
 	runflags.Journal(fs, &opts.JournalPath, &opts.Resume,
 		"crash-safe run journal path (commit every chunk verdict)",

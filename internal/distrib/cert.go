@@ -1,6 +1,7 @@
 package distrib
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -290,6 +291,18 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 	return &certVerifier{prep: prep}, nil
 }
 
+// derive builds the proof checker every SAFE certificate of the run is
+// put to, once, before the first job goes out: the template, built as
+// every honest worker builds its, streams its log into it, and is then
+// dropped. It reports how long that took.
+func (v *certVerifier) derive(ctx context.Context) (time.Duration, error) {
+	start, tpl := time.Now(), v.prep.Template()
+	var err error
+	v.prefix, err = tpl.PrefixDigest(ctx)
+	tpl.Drop()
+	return time.Since(start), err
+}
+
 // workerRun is the run a job describes, as core.Prepare wants it said:
 // what a worker prepares for the jobs of one run, and the coordinator to
 // derive what they all logged. The range marks the run as one whose
@@ -422,7 +435,7 @@ func describeDigest(d *sat.ProofDigest) string {
 // worker's fault (oversized declaration, protocol violation, corrupt
 // payload) and condemn the worker; bare errors are transport failures
 // and only charge a retryable attempt.
-func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Message, heartbeats bool) (*Certificate, error) {
+func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Message) (*Certificate, error) {
 	if reply.CertSize == 0 {
 		return nil, nil
 	}
@@ -430,13 +443,9 @@ func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Mess
 		return nil, fmt.Errorf("%w: job %d on %s declares a %d-byte certificate (cap %d)",
 			errCertificate, id, key, reply.CertSize, int64(maxCertBytes))
 	}
-	grace := co.opts.JobTimeout
-	if heartbeats && co.opts.HeartbeatGrace < grace {
-		grace = co.opts.HeartbeatGrace
-	}
 	data := make([]byte, 0, reply.CertSize)
 	for seq := 0; int64(len(data)) < reply.CertSize; seq++ {
-		m, err := wc.recv(grace)
+		m, err := wc.recv(co.opts.HeartbeatGrace)
 		if err != nil {
 			return nil, fmt.Errorf("job %d on %s: certificate frame %d: %v", id, key, seq, err)
 		}
@@ -462,8 +471,7 @@ func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Mess
 // failed attempt — it did nothing wrong, and a fleet with one persistent
 // liar must not be able to quarantine cubes by burning their budgets.
 func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason string) {
-	co.health.certRejected(key)
-	co.health.failed(key)
+	co.opts.Health.certRejected(key)
 	co.metrics.certRejected.Inc()
 	co.metrics.workerCertRejected(key)
 	co.mu.Lock()

@@ -36,11 +36,12 @@ type CoordinatorOptions struct {
 	MaxAttempts int
 	// HeartbeatInterval is the cadence workers are told to report at
 	// while running a job, so a stalled worker is detected well before
-	// JobTimeout (default 5s; negative disables heartbeats).
+	// JobTimeout (default 5s; a negative interval is refused).
 	HeartbeatInterval time.Duration
 	// HeartbeatGrace is how long the coordinator waits without hearing a
-	// heartbeat or result before declaring the worker stalled (default
-	// 4 × HeartbeatInterval).
+	// heartbeat or result before declaring the worker stalled: the
+	// deadline of every read while a job runs (default 4 ×
+	// HeartbeatInterval, and never more than JobTimeout).
 	HeartbeatGrace time.Duration
 	// DrainTimeout is how long the coordinator waits for a worker to
 	// (re)connect once chunks are pending but no workers remain, before
@@ -61,8 +62,9 @@ type CoordinatorOptions struct {
 	// while any worker's heartbeat-reported live-heap/limit ratio is at
 	// or above it, new job dispatch pauses until the pressure subsides
 	// or the reading goes stale (HeartbeatGrace), so an overloaded fleet
-	// drains instead of being handed more work. 0 defaults to 0.95;
-	// negative disables the gate.
+	// drains instead of being handed more work. 0 defaults to 0.95; a
+	// negative ratio is refused. A worker without a memory limit reports
+	// ratio 0 and never shuts the gate.
 	MemPauseRatio float64
 	// Split enables adaptive cube splitting (Split.Depth > 0): an idle
 	// worker that finds the queue empty may split the hardest in-flight
@@ -235,8 +237,11 @@ type WorkerTemplate struct {
 
 // coordinator is the shared state of one Coordinate call.
 type coordinator struct {
-	opts   CoordinatorOptions
-	source string
+	opts CoordinatorOptions
+	// frame is what every job of the run carries (jobFrame); a job adds
+	// its ID, cube, certify level and trace context.
+	frame Message
+	ln    net.Listener // closed when the run finishes
 
 	mu       sync.Mutex
 	active   int // connected workers past hello
@@ -253,16 +258,23 @@ type coordinator struct {
 	sched    *partition.Scheduler
 	done     chan struct{}
 	tracker  *chunkTracker
-	health   *HealthRegistry
 	metrics  *coordMetrics
 	repl     *replicator   // live journal replication fan-out; nil without a journal
 	verifier *certVerifier // nil iff certification is off
-	recorder *report.Recorder
-	root     *obs.Span // the run's "coordinate" span (nil when untraced)
+	root     *obs.Span     // the run's "coordinate" span (nil when untraced)
 }
 
-// setDefaults fills in every knob the caller left at its zero value.
-func (o *CoordinatorOptions) setDefaults() {
+// setDefaults refuses what no run can mean and fills in every knob the
+// caller left at its zero value.
+func (o *CoordinatorOptions) setDefaults() error {
+	switch {
+	case o.Partitions < 1:
+		return fmt.Errorf("distrib: partition count must be >= 1")
+	case o.HeartbeatInterval < 0:
+		return fmt.Errorf("distrib: heartbeat interval %v is negative", o.HeartbeatInterval)
+	case o.MemPauseRatio < 0:
+		return fmt.Errorf("distrib: memory pause ratio %v is negative", o.MemPauseRatio)
+	}
 	if o.ChunkSize == 0 {
 		o.ChunkSize = max(1, o.Partitions/8)
 	}
@@ -278,13 +290,64 @@ func (o *CoordinatorOptions) setDefaults() {
 	if o.HeartbeatGrace == 0 {
 		o.HeartbeatGrace = 4 * o.HeartbeatInterval
 	}
+	o.HeartbeatGrace = min(o.HeartbeatGrace, o.JobTimeout)
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 30 * time.Second
 	}
 	if o.MemPauseRatio == 0 {
 		o.MemPauseRatio = 0.95
 	}
+	if o.Health == nil {
+		o.Health = NewHealthRegistry()
+	}
 	o.Certify = o.Certify.normalize()
+	return nil
+}
+
+// jobFrame is what every job of a run carries: the program, the bounds,
+// the partitioning, the budget, the heartbeat cadence and the lease
+// epoch.
+func jobFrame(opts *CoordinatorOptions, source string) Message {
+	m := Message{
+		Type: "job", Epoch: opts.Epoch, Source: source,
+		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
+		HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
+	}
+	m.setBudget(opts.Budget)
+	return m
+}
+
+// openJournal opens the run's journal and the replicator its standbys
+// tail, or neither without a JournalPath. The journal pins everything
+// that gives a chunk's [From,To] range its meaning: a committed record
+// replays only into the exact same run configuration.
+func openJournal(opts *CoordinatorOptions, source string) (*journal.Journal, *replicator, error) {
+	if opts.JournalPath == "" {
+		return nil, nil, nil
+	}
+	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
+		ProgramSHA256: journal.HashProgram(source),
+		Unwind:        opts.Unwind,
+		Contexts:      opts.Contexts,
+		Width:         opts.Width,
+		Partitions:    opts.Partitions,
+		From:          0,
+		To:            opts.Partitions,
+		ChunkSize:     opts.ChunkSize,
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	jnl.SetTracer(opts.Tracer)
+	// Connected standbys tail every committed record live, so their local
+	// journal copies stay promotion-ready. Seeded with the history a
+	// resumed run already holds.
+	repl, err := newReplicator(jnl.Manifest(), jnl.Committed())
+	if err != nil {
+		jnl.Close()
+		return nil, nil, err
+	}
+	return jnl, repl, nil
 }
 
 // Coordinate serves the analysis of program p over the workers that
@@ -293,10 +356,9 @@ func (o *CoordinatorOptions) setDefaults() {
 // every unresolved chunk is quarantined or no workers remain (Unknown,
 // with the failure log populated), or the context is cancelled.
 func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts CoordinatorOptions) (*CoordinatorResult, error) {
-	if opts.Partitions < 1 {
-		return nil, fmt.Errorf("distrib: partition count must be >= 1")
+	if err := opts.setDefaults(); err != nil {
+		return nil, err
 	}
-	opts.setDefaults()
 	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
 	source := prog.Format(p)
 
@@ -316,50 +378,17 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			verifier = own
 		}
 	}
-	// The journal pins everything that gives a chunk's [From,To] range
-	// its meaning; a committed record replays only into the exact same
-	// run configuration.
-	var jnl *journal.Journal
-	var repl *replicator
-	if opts.JournalPath != "" {
-		var jerr error
-		jnl, jerr = journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
-			ProgramSHA256: journal.HashProgram(source),
-			Unwind:        opts.Unwind,
-			Contexts:      opts.Contexts,
-			Width:         opts.Width,
-			Partitions:    opts.Partitions,
-			From:          0,
-			To:            opts.Partitions,
-			ChunkSize:     opts.ChunkSize,
-		})
-		if jerr != nil {
-			return nil, jerr
-		}
-		jnl.SetTracer(opts.Tracer)
-		defer jnl.Close()
-		// Connected standbys tail every committed record live, so their
-		// local journal copies stay promotion-ready. Seeded with the
-		// history a resumed run already holds.
-		repl, jerr = newReplicator(jnl.Manifest(), jnl.Committed())
-		if jerr != nil {
-			return nil, jerr
-		}
+	jnl, repl, err := openJournal(&opts, source)
+	if err != nil {
+		return nil, err
 	}
-
-	health := opts.Health
-	if health == nil {
-		health = NewHealthRegistry()
+	if jnl != nil {
+		defer jnl.Close()
 	}
 	opts.Report.SetManifest(report.Manifest{
-		Program:    opts.ProgramName,
-		ProgramSHA: journal.HashProgram(source),
-		Unwind:     opts.Unwind,
-		Contexts:   opts.Contexts,
-		Width:      opts.Width,
-		Partitions: opts.Partitions,
-		Mode:       "distributed",
-		TraceID:    opts.Tracer.TraceID(),
+		Program: opts.ProgramName, ProgramSHA: journal.HashProgram(source), Mode: "distributed",
+		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
+		TraceID: opts.Tracer.TraceID(),
 	})
 	root := opts.Tracer.Start("coordinate",
 		obs.KV("partitions", opts.Partitions), obs.KV("chunks", len(chunks)),
@@ -367,17 +396,16 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	start := time.Now()
 	co := &coordinator{
 		opts:     opts,
-		source:   source,
+		frame:    jobFrame(&opts, source),
+		ln:       ln,
 		res:      &CoordinatorResult{},
 		pressure: make(map[string]workerPressure),
 		conns:    make(map[*conn]struct{}),
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
-		health:   health,
 		metrics:  newCoordMetrics(opts.Metrics),
 		repl:     repl,
 		verifier: verifier,
-		recorder: opts.Report,
 		root:     root,
 	}
 	co.sched = partition.NewScheduler(partition.SchedOptions{
@@ -397,54 +425,28 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	// Intake: what the journal already decided is folded, the rest queued.
 	co.sched.Resume(chunks)
 	sum := co.sched.Summary()
-	co.metrics.chunksTotal.Set(int64(sum.Total))
-	co.metrics.cubeDepth.Set(int64(sum.MaxDepth))
+	co.publish(sum)
 	co.metrics.chunksResumed.Add(int64(sum.Resumed))
-	co.metrics.chunksRemaining.Set(int64(sum.Live))
-	var deriveErr error
 	if sum.Sat || sum.Live == 0 {
 		co.finish() // the journal already decides the run: nothing to hand out
 	} else if verifier != nil {
-		// The proof checker every SAFE certificate of the run is put to is
-		// derived here, once, before the first job goes out: the template,
-		// built as every honest worker builds its, streams its log into it.
-		start, tpl := time.Now(), verifier.prep.Template()
-		verifier.prefix, deriveErr = tpl.PrefixDigest(ctx)
-		tpl.Drop()
-		setup := time.Since(start)
+		setup, err := verifier.derive(ctx)
 		co.res.CertifyMillis += setup.Milliseconds()
 		co.metrics.certifySeconds.Observe(setup.Seconds())
-		if deriveErr != nil {
+		if err != nil && ctx.Err() == nil {
 			co.finish()
+			return nil, fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", err)
 		}
 	}
-
-	// Stop accepting when finished or cancelled.
-	go func() {
-		select {
-		case <-co.done:
-		case <-ctx.Done():
-			co.finish()
-		}
-		ln.Close()
-	}()
-
+	// Cancelling ends the run, and ending it closes the listener, which
+	// ends the accept loop.
+	defer context.AfterFunc(ctx, co.finish)()
 	var wg sync.WaitGroup
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			break // listener closed: finished or cancelled
-		}
+	for c, err := ln.Accept(); err == nil; c, err = ln.Accept() {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			co.serve(c)
-		}()
+		go func() { defer wg.Done(); co.serve(c) }()
 	}
 	wg.Wait()
-	if deriveErr != nil && ctx.Err() == nil {
-		return nil, fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", deriveErr)
-	}
 	return co.result(start)
 }
 
@@ -467,12 +469,12 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	res.JournalSealed, res.JournalSealCause = sum.SealCause != "", sum.SealCause
 	res.Quarantined = co.tracker.failureLog()
 	res.Attempts = co.tracker.attempts()
-	res.Workers = co.health.Snapshot()
+	res.Workers = co.opts.Health.Snapshot()
 	res.Wall = time.Since(start)
 	co.root.End(obs.KV("verdict", res.Verdict.String()))
-	co.recorder.SetVerdict(res.Verdict.String(), res.Wall)
+	co.opts.Report.SetVerdict(res.Verdict.String(), res.Wall)
 	if res.MemoryAborted > 0 {
-		co.recorder.Warn(fmt.Sprintf("%d chunk result(s) aborted on memory (solver budget or worker OOM watchdog)", res.MemoryAborted))
+		co.opts.Report.Warn(fmt.Sprintf("%d chunk result(s) aborted on memory (solver budget or worker OOM watchdog)", res.MemoryAborted))
 	}
 	if sum.Err != nil {
 		// A verdict the journal could not make durable must not be
@@ -505,13 +507,21 @@ func (co *coordinator) committed(rec journal.ChunkRecord, commits int) {
 func (co *coordinator) surfaceSeal(sum partition.Summary) {
 	if sum.SealCause != "" {
 		co.metrics.journalSealed.Set(1)
-		co.recorder.Warn(partition.SealWarning(sum.SealCause))
+		co.opts.Report.Warn(partition.SealWarning(sum.SealCause))
 	}
 }
 
+// publish sets the cube-tree gauges from the scheduler's fold: the
+// leaves, those still live and the deepest path.
+func (co *coordinator) publish(sum partition.Summary) {
+	co.metrics.chunksTotal.Set(int64(sum.Total))
+	co.metrics.chunksRemaining.Set(int64(sum.Live))
+	co.metrics.cubeDepth.Set(int64(sum.MaxDepth))
+}
+
 // kill is the simulated SIGKILL of CoordinatorFaultPlan.KillAfterJobs:
-// tear everything down with no farewell. The done channel closes the
-// listener; closing every live connection makes each serve goroutine
+// tear everything down with no farewell. Finishing closes the listener;
+// closing every live connection makes each serve goroutine
 // fail mid-protocol exactly as a dead process would.
 func (co *coordinator) kill() {
 	co.mu.Lock()
@@ -546,12 +556,13 @@ func (co *coordinator) finish() {
 	co.mu.Unlock()
 }
 
-// finishLocked ends the run and releases every serve loop waiting for
-// work; callers hold co.mu.
+// finishLocked ends the run, stops accepting and releases every serve
+// loop waiting for work; callers hold co.mu.
 func (co *coordinator) finishLocked() {
 	if !co.finished {
 		co.finished = true
 		close(co.done)
+		co.ln.Close()
 		co.sched.Close()
 	}
 }
@@ -609,8 +620,8 @@ func (co *coordinator) serve(c net.Conn) {
 		co.serveReplica(wc, hello.WorkerName)
 		return
 	}
-	key := co.health.connected(hello.WorkerName, c.RemoteAddr().String())
-	if co.health.isUntrusted(key) {
+	key := co.opts.Health.connected(hello.WorkerName, c.RemoteAddr().String())
+	if co.opts.Health.isUntrusted(key) {
 		// A worker caught lying once is refused for the rest of the run:
 		// its verdicts cannot be believed, certified or not.
 		_ = wc.send(&Message{Type: "stop"})
@@ -630,10 +641,6 @@ func (co *coordinator) serve(c net.Conn) {
 	// readings forever.
 	defer co.metrics.dropWorker(key)
 
-	hbMillis := co.opts.HeartbeatInterval.Milliseconds()
-	if co.opts.HeartbeatInterval < 0 {
-		hbMillis = 0
-	}
 	cancel := func(a *partition.Assignment) {
 		_ = wc.send(&Message{Type: "cancel", JobID: a.JobID})
 	}
@@ -652,30 +659,9 @@ func (co *coordinator) serve(c net.Conn) {
 		if a.SplitOf != nil {
 			co.noteSplit(a)
 		}
-		cube, id := a.Cube, a.JobID
-		co.tracker.assigned(cube)
-		level := co.opts.Certify.jobLevel(id)
-		// The job span is the cross-process graft point: its context
-		// rides on the wire, the worker parents its own job span under
-		// it, and the merged trace shows one tree per run.
-		jobSpan := co.root.Child("job",
-			obs.KV("job", id), obs.KV("cube", cube.Key()),
-			obs.KV("worker", key), obs.KV("hedge", a.Hedge))
-		sc := jobSpan.Context()
-		job := &Message{
-			Type: "job", JobID: id, Epoch: co.opts.Epoch, Source: co.source,
-			Unwind: co.opts.Unwind, Contexts: co.opts.Contexts, Width: co.opts.Width,
-			Partitions: co.opts.Partitions, From: cube.From, To: cube.To,
-			CubePath:        cube.Path,
-			HeartbeatMillis: hbMillis,
-			Certify:         level,
-			TraceID:         sc.TraceID,
-			ParentSpan:      sc.SpanID,
-		}
-		job.setBudget(co.opts.Budget)
-		reply, certified, err := co.runJob(wc, a, key, job, jobSpan)
+		co.tracker.assigned(a.Cube)
+		reply, certified, err := co.runJob(wc, a, key)
 		if err != nil {
-			jobSpan.End(obs.KV("error", err.Error()))
 			if errors.Is(err, errCertificate) {
 				// A rejected certificate condemns the worker, not the cube:
 				// the cube is re-queued elsewhere at no attempt cost.
@@ -686,43 +672,29 @@ func (co *coordinator) serve(c net.Conn) {
 			}
 			return
 		}
-		co.health.jobDone(key)
-		co.metrics.jobResult(key, reply.Stats, reply.SolveMillis)
-		co.recordRemoteStats(reply, key)
-		jobSpan.End(obs.KV("verdict", reply.Verdict), obs.KV("certified", certified))
-		co.recorder.AddSpans(reply.Spans)
+		co.recordResult(reply, key)
 
 		cause := sat.ParseStopCause(reply.Cause)
 		if !definite(reply.Verdict) && cause == sat.CauseMemory {
 			co.noteMemoryAbort()
 		}
-		switch {
-		case definite(reply.Verdict), cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0):
+		if definite(reply.Verdict) || cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0) {
 			// A budgeted Unknown is as terminal as a verdict: the same cube
 			// under the same budgets gives up again, so it is journaled and
 			// not charged to the retry budget.
 			if !co.settle(wc, a, reply, key, certified) {
 				return
 			}
-		case cause == sat.CauseCancelled:
-			// The expected fate of a superseded assignment: the worker
-			// acknowledged the cancel. A cancelled result for a cube that
-			// was *not* superseded (a worker-local interrupt) is a normal
-			// retryable failure.
-			co.retry(a, fmt.Sprintf("job %d on %s: cancelled", id, key), true)
-		case cause == sat.CauseMemory:
-			// With no configured memory budget, a "memory" result is the
-			// worker's own OOM watchdog tripping: that machine ran out, not
-			// the cube being deterministically too big. Re-queue it —
-			// another worker (or the same one, once its heap drains) may
-			// have the headroom. The attempt budget still bounds how often
-			// this can loop.
-			co.retry(a, fmt.Sprintf("job %d on %s: memory watchdog abort", id, key), true)
-		default:
-			// Retryable Unknown: a failed attempt, but the connection stays
-			// usable.
-			co.retry(a, fmt.Sprintf("job %d on %s: verdict %s", id, key, reply.Verdict), true)
+			continue
 		}
+		// Any other Unknown is a failed attempt on a connection that stays
+		// usable. A cancelled one is the expected fate of a superseded
+		// assignment (retry then only counts it as discarded), or else a
+		// worker-local interrupt. A "memory" one with no memory budget
+		// configured is the worker's own OOM watchdog: that machine ran
+		// out, not the cube being too big, and another worker (or the same
+		// one, once its heap drains) may have the headroom.
+		co.retry(a, fmt.Sprintf("job %d on %s: verdict %s, cause %q", a.JobID, key, reply.Verdict, reply.Cause), true)
 	}
 }
 
@@ -731,17 +703,32 @@ func (co *coordinator) serve(c net.Conn) {
 // check of a definite verdict's evidence (certify). An error wrapping
 // errCertificate is the worker's fault and condemns it; any other error
 // is a failed attempt.
-func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, job *Message, jobSpan *obs.Span) (reply *Message, certified bool, err error) {
-	id, heartbeats := a.JobID, job.HeartbeatMillis > 0
-	if err := wc.send(job); err != nil {
-		return nil, false, fmt.Errorf("send job %d to %s: %v", id, key, err)
+func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string) (reply *Message, certified bool, err error) {
+	// The job span is the cross-process graft point: its context rides on
+	// the wire, the worker parents its own job span under it, and the
+	// merged trace shows one tree per run.
+	jobSpan := co.root.Child("job",
+		obs.KV("job", a.JobID), obs.KV("cube", a.Cube.Key()),
+		obs.KV("worker", key), obs.KV("hedge", a.Hedge))
+	defer func() {
+		if err != nil {
+			jobSpan.End(obs.KV("error", err.Error()))
+		} else {
+			jobSpan.End(obs.KV("verdict", reply.Verdict), obs.KV("certified", certified))
+		}
+	}()
+	job, sc := co.frame, jobSpan.Context()
+	job.JobID, job.From, job.To, job.CubePath = a.JobID, a.Cube.From, a.Cube.To, a.Cube.Path
+	job.Certify, job.TraceID, job.ParentSpan = co.opts.Certify.jobLevel(a.JobID), sc.TraceID, sc.SpanID
+	if err := wc.send(&job); err != nil {
+		return nil, false, fmt.Errorf("send job %d to %s: %v", a.JobID, key, err)
 	}
-	if reply, err = co.awaitResult(wc, a, key, heartbeats); err != nil {
+	if reply, err = co.awaitResult(wc, a, key); err != nil {
 		return nil, false, err
 	}
 	// The certificate frames follow the result and must be drained even
 	// when certification is off, to keep the stream in sync.
-	cert, err := co.readCertificate(wc, id, key, reply, heartbeats)
+	cert, err := co.readCertificate(wc, a.JobID, key, reply)
 	if err != nil {
 		return nil, false, err
 	}
@@ -854,12 +841,9 @@ func (co *coordinator) noteSplit(a *partition.Assignment) {
 	if stolen {
 		co.metrics.cubeSteals.Inc()
 	}
-	sum := co.sched.Summary()
-	co.metrics.chunksTotal.Set(int64(sum.Total)) // one live cube became two
-	co.metrics.chunksRemaining.Set(int64(sum.Live))
-	co.metrics.cubeDepth.Set(int64(sum.MaxDepth)) // only a split deepens the tree
+	co.publish(co.sched.Summary()) // one live cube became two, perhaps a deeper one
 	cube := victim.Cube
-	co.recorder.CubeFinish(report.CubeRow{
+	co.opts.Report.CubeFinish(report.CubeRow{
 		Key: cube.Key(), From: cube.From, To: cube.To, Path: cube.Path,
 		Worker: victim.Worker, Verdict: journal.VerdictSplit,
 		Hardness: victim.Hardness, Stolen: stolen,
@@ -879,9 +863,9 @@ func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key 
 			row.Cause = reply.Cause
 		}
 		co.metrics.partRow(row)
-		co.recorder.Merge(row)
+		co.opts.Report.Merge(row)
 	}
-	co.recorder.CubeFinish(report.CubeRow{
+	co.opts.Report.CubeFinish(report.CubeRow{
 		Key: a.Cube.Key(), From: a.Cube.From, To: a.Cube.To, Path: a.Cube.Path,
 		Worker: key, Verdict: reply.Verdict, Cause: reply.Cause,
 		SolveMillis: reply.Millis, Hedged: a.Hedge, Certified: certified,
@@ -889,30 +873,21 @@ func (co *coordinator) acceptParts(a *partition.Assignment, reply *Message, key 
 }
 
 // awaitResult reads messages until the result for the assignment's job
-// arrives. With heartbeats enabled each read is bounded by
-// HeartbeatGrace, so a stalled worker is caught long before JobTimeout;
-// the overall job deadline still applies. A result carrying the wrong
-// JobID is a protocol violation (stale result misattribution) and fails
-// the worker.
-func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string, heartbeats bool) (*Message, error) {
-	id := a.JobID
+// arrives. Each read is bounded by HeartbeatGrace, so a stalled worker is
+// caught long before JobTimeout; the overall job deadline still applies.
+// A result carrying the wrong JobID is a protocol violation (stale
+// result misattribution) and fails the worker.
+func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string) (*Message, error) {
+	id, grace := a.JobID, co.opts.HeartbeatGrace
 	deadline := time.Now().Add(co.opts.JobTimeout)
-	grace := co.opts.JobTimeout
-	if heartbeats && co.opts.HeartbeatGrace < grace {
-		grace = co.opts.HeartbeatGrace
-	}
 	for {
 		remain := time.Until(deadline)
 		if remain <= 0 {
 			return nil, fmt.Errorf("job %d on %s: timeout after %v", id, key, co.opts.JobTimeout)
 		}
-		to := grace
-		if to > remain {
-			to = remain
-		}
-		reply, err := wc.recv(to)
+		reply, err := wc.recv(min(grace, remain))
 		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() && heartbeats {
+			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				return nil, fmt.Errorf("job %d on %s: no heartbeat within %v", id, key, grace)
 			}
 			return nil, fmt.Errorf("job %d on %s: %v", id, key, err)
@@ -920,7 +895,7 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 		switch reply.Type {
 		case "heartbeat":
 			if reply.JobID == id {
-				co.health.touch(key)
+				co.opts.Health.touch(key)
 				co.metrics.heartbeat(key, reply)
 				co.notePressure(key, reply.MemBytes, reply.MemLimit)
 				// The live hardness reading is the straggler signal the
@@ -930,7 +905,7 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 					// A live row is the worker's word for its counters only.
 					row.Worker, row.Verdict, row.Cause, row.Certified = key, "", "", false
 					co.metrics.partRow(row)
-					co.recorder.Merge(row)
+					co.opts.Report.Merge(row)
 				}
 			}
 			// A stale heartbeat from the previous job is harmless: skip.
@@ -948,10 +923,14 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 	}
 }
 
-// recordRemoteStats folds one job result's search statistics into the
-// run aggregate (all results count, retried attempts included: the
+// recordResult charges one job result that arrived to its worker, and
+// folds its search statistics into the run aggregate and its spans into
+// the report (all results count, retried attempts included: the
 // aggregate measures search effort spent, not effort kept).
-func (co *coordinator) recordRemoteStats(reply *Message, key string) {
+func (co *coordinator) recordResult(reply *Message, key string) {
+	co.opts.Health.jobDone(key)
+	co.metrics.jobResult(key, reply.Stats, reply.SolveMillis)
+	co.opts.Report.AddSpans(reply.Spans)
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if reply.Stats != nil {
@@ -966,7 +945,7 @@ func (co *coordinator) recordRemoteStats(reply *Message, key string) {
 // failAssignment charges a failed attempt to the worker, and — unless
 // the cube was superseded in flight — to the cube as well.
 func (co *coordinator) failAssignment(a *partition.Assignment, key, reason string) {
-	co.health.failed(key)
+	co.opts.Health.failed(key)
 	co.metrics.workerFailed(key)
 	co.retry(a, reason, true)
 }

@@ -2,7 +2,10 @@ package distrib
 
 import (
 	"context"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -506,5 +509,66 @@ func TestWorkerDialError(t *testing.T) {
 	_, err := Work(context.Background(), "127.0.0.1:1", WorkerOptions{})
 	if err == nil {
 		t.Fatal("expected dial error")
+	}
+}
+
+// A negative heartbeat interval or memory pause ratio is refused input,
+// not a way to switch heartbeats or the memory gate off: the run is
+// refused before the coordinator accepts a connection, creates its
+// journal or, in an HA pair, takes the lease. The dial is queued on the
+// listener first, so the test's own Accept finds it only if the
+// coordinator never took it.
+func TestCoordinatorRefusesNegativeKnobs(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	for _, tc := range []struct {
+		name string
+		opts CoordinatorOptions
+		want string
+	}{
+		{"heartbeat", CoordinatorOptions{HeartbeatInterval: -time.Second}, "heartbeat interval"},
+		{"mem-pause-ratio", CoordinatorOptions{MemPauseRatio: -0.5}, "memory pause ratio"},
+	} {
+		for _, ha := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/ha=%v", tc.name, ha), func(t *testing.T) {
+				dir := t.TempDir()
+				opts := tc.opts
+				opts.Unwind, opts.Contexts, opts.Partitions = 1, 3, 4
+				opts.JournalPath = filepath.Join(dir, "run.wal")
+				ln, err := net.Listen("tcp", "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ln.Close()
+				dialed, err := net.Dial("tcp", ln.Addr().String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				dialed.Close() // queued all the same; a coordinator serving it reads EOF
+				// Were the knob taken, the run would wait for workers: the
+				// deadline turns that into a failure, not a hang.
+				ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+				defer cancel()
+				lease := filepath.Join(dir, "lease.json")
+				if ha {
+					_, err = RunHA(ctx, ln, p, opts, HAOptions{LeasePath: lease})
+				} else {
+					_, err = Coordinate(ctx, ln, p, opts)
+				}
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("err %v, want the %s refused", err, tc.want)
+				}
+				for _, f := range []string{opts.JournalPath, lease} {
+					if _, err := os.Stat(f); !os.IsNotExist(err) {
+						t.Fatalf("%s exists after a refused run (stat: %v)", f, err)
+					}
+				}
+				_ = ln.(*net.TCPListener).SetDeadline(time.Now().Add(2 * time.Second))
+				c, err := ln.Accept()
+				if err != nil {
+					t.Fatalf("the queued dial is gone: the refused run accepted it (%v)", err)
+				}
+				c.Close()
+			})
+		}
 	}
 }

@@ -311,6 +311,9 @@ func RunHA(ctx context.Context, ln net.Listener, p *prog.Program, opts Coordinat
 	if opts.JournalPath == "" {
 		return nil, fmt.Errorf("distrib: HA requires a journal path (the replication target)")
 	}
+	if err := opts.setDefaults(); err != nil {
+		return nil, err // before a standby creates its replica
+	}
 	ha = ha.withDefaults()
 	hm := newHAMetrics(opts.Metrics)
 	wasStandby := false
@@ -512,15 +515,7 @@ func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm
 	}
 	wc := newConn(c, 30*time.Second)
 	defer wc.close()
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			wc.close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, wc.close)()
 
 	if err := wc.send(&Message{Type: "hello", WorkerName: ha.Holder, Role: RoleStandby}); err != nil {
 		return

@@ -87,34 +87,18 @@ const (
 	FaultHostileHints
 )
 
+// faultNames are the kinds' String forms.
+var faultNames = [...]string{
+	FaultDrop: "drop", FaultStall: "stall", FaultCorrupt: "corrupt", FaultPanic: "panic",
+	FaultHalfOpen: "half-open", FaultSlow: "slow", FaultFlipVerdict: "flip-verdict",
+	FaultBogusModel: "bogus-model", FaultTruncatedProof: "truncated-proof",
+	FaultOversizedProof: "oversized-proof", FaultFlipLemma: "flip-lemma",
+	FaultOtherTemplate: "other-template", FaultHostileHints: "hostile-hints",
+}
+
 func (k FaultKind) String() string {
-	switch k {
-	case FaultDrop:
-		return "drop"
-	case FaultStall:
-		return "stall"
-	case FaultCorrupt:
-		return "corrupt"
-	case FaultPanic:
-		return "panic"
-	case FaultHalfOpen:
-		return "half-open"
-	case FaultSlow:
-		return "slow"
-	case FaultFlipVerdict:
-		return "flip-verdict"
-	case FaultBogusModel:
-		return "bogus-model"
-	case FaultTruncatedProof:
-		return "truncated-proof"
-	case FaultOversizedProof:
-		return "oversized-proof"
-	case FaultFlipLemma:
-		return "flip-lemma"
-	case FaultOtherTemplate:
-		return "other-template"
-	case FaultHostileHints:
-		return "hostile-hints"
+	if uint(k) < uint(len(faultNames)) {
+		return faultNames[k]
 	}
 	return "unknown"
 }

@@ -61,35 +61,25 @@ func (r *HealthRegistry) connected(name, addr string) string {
 	return key
 }
 
-func (r *HealthRegistry) jobDone(key string) {
+// seen applies one event to a known worker and stamps it seen now.
+func (r *HealthRegistry) seen(key string, apply func(w *WorkerHealth)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if w := r.workers[key]; w != nil {
-		w.Jobs++
+		apply(w)
 		w.LastSeen = time.Now()
 	}
 }
 
-func (r *HealthRegistry) failed(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w := r.workers[key]; w != nil {
-		w.Failures++
-		w.LastSeen = time.Now()
-	}
-}
+func (r *HealthRegistry) touch(key string)   { r.seen(key, func(*WorkerHealth) {}) } // a heartbeat
+func (r *HealthRegistry) jobDone(key string) { r.seen(key, func(w *WorkerHealth) { w.Jobs++ }) }
+func (r *HealthRegistry) failed(key string)  { r.seen(key, func(w *WorkerHealth) { w.Failures++ }) }
 
-// certRejected records a rejected certificate and marks the worker
-// untrusted: one proven lie is enough to stop believing a peer whose
-// whole job is to report verdicts.
+// certRejected records a rejected certificate, a failed attempt too, and
+// marks the worker untrusted: one proven lie is enough to stop believing
+// a peer whose whole job is to report verdicts.
 func (r *HealthRegistry) certRejected(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w := r.workers[key]; w != nil {
-		w.CertRejections++
-		w.Untrusted = true
-		w.LastSeen = time.Now()
-	}
+	r.seen(key, func(w *WorkerHealth) { w.CertRejections++; w.Failures++; w.Untrusted = true })
 }
 
 // isUntrusted reports whether a worker has been quarantined for a
@@ -99,15 +89,6 @@ func (r *HealthRegistry) isUntrusted(key string) bool {
 	defer r.mu.Unlock()
 	w := r.workers[key]
 	return w != nil && w.Untrusted
-}
-
-// touch refreshes LastSeen (heartbeats).
-func (r *HealthRegistry) touch(key string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w := r.workers[key]; w != nil {
-		w.LastSeen = time.Now()
-	}
 }
 
 // Snapshot returns value copies sorted by name. It may be called

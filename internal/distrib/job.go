@@ -105,21 +105,14 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	if f != nil && f.Kind == FaultPanic {
 		panic(fmt.Sprintf("injected panic at job %d", f.Job))
 	}
-	if f != nil && f.Kind == FaultSlow && f.Slow > 0 {
-		// A straggler, not a corpse: heartbeats keep flowing (with zero
-		// progress) while the job sits on its hands, so only the adaptive
-		// scheduler — not the liveness monitor — can notice. The sleep
-		// aborts promptly on cancel so a split/hedge supersession still
-		// frees the worker.
-		t := time.NewTimer(f.Slow)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			reply.Verdict = core.Unknown.String()
-			reply.Cause = sat.CauseCancelled.String()
-			return reply, nil
-		case <-t.C:
-		}
+	// A straggler, not a corpse: heartbeats keep flowing (with zero
+	// progress) while the job sits on its hands, so only the adaptive
+	// scheduler — not the liveness monitor — can notice. The sleep aborts
+	// promptly on cancel so a split/hedge supersession still frees the
+	// worker.
+	if f != nil && f.Kind == FaultSlow && f.Slow > 0 && !sleepCtx(ctx, f.Slow) {
+		reply.Verdict, reply.Cause = core.Unknown.String(), sat.CauseCancelled.String()
+		return reply, nil
 	}
 	jt, coll := w.jobTracer(m)
 	jobSpan := jt.StartRemote("worker_job",
@@ -185,19 +178,28 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		row := core.TemplateRow(tpl)
 		reply.Template = &row
 	}
-	reply.Verdict = res.Verdict.String()
-	reply.SolveMillis = res.SolveTime.Milliseconds()
-	// Aggregate the per-partition search statistics so the coordinator
-	// sees the remote search effort (load skew, conflict rates) instead
-	// of the stats dying with the worker process: each partition's are
-	// its own, from the clone on, whichever worker ran it and whatever
-	// ran there before. Each partition's final row rides alongside.
+	reply.fold(res)
+	certSpan := jobSpan.Child("certify_build", obs.KV("level", m.Certify))
+	cert = buildCertificate(res, m.Certify, run.prefix)
+	certSpan.End()
+	return reply, cert
+}
+
+// fold writes a finished run into its result frame: the verdict and its
+// winner, the solver's time, and the per-partition search statistics, so
+// the coordinator sees the remote search effort (load skew, conflict
+// rates) instead of the stats dying with the worker process. Each
+// partition's are its own, from the clone on, whichever worker ran it
+// and whatever ran there before; its final row rides alongside.
+func (m *Message) fold(res *core.Result) {
+	m.Verdict = res.Verdict.String()
+	m.SolveMillis = res.SolveTime.Milliseconds()
 	var agg sat.Stats
 	var cause sat.StopCause
 	for _, inst := range res.Instances {
 		agg.Add(inst.Stats)
 		cause = cause.Worse(inst.Cause)
-		reply.Parts = append(reply.Parts, core.PartitionRow(inst))
+		m.Parts = append(m.Parts, core.PartitionRow(inst))
 	}
 	if res.Verdict == core.Unknown {
 		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
@@ -205,16 +207,12 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		// gives up again) from a retryable one: a mid-solve cancel (hedge
 		// loser, split supersession), which it discards without charging
 		// the attempt budget.
-		reply.Cause = cause.String()
+		m.Cause = cause.String()
 	}
-	reply.Stats = &agg
+	m.Stats = &agg
 	if res.Verdict == core.Unsafe {
 		// res.Winner is the absolute partition index (the partition list
 		// keeps its original indices across the subrange).
-		reply.Winner = res.Winner
+		m.Winner = res.Winner
 	}
-	certSpan := jobSpan.Child("certify_build", obs.KV("level", m.Certify))
-	cert = buildCertificate(res, m.Certify, run.prefix)
-	certSpan.End()
-	return reply, cert
 }

@@ -10,11 +10,8 @@ type workerPressure struct {
 
 // notePressure folds one heartbeat's memory reading into the fleet
 // pressure map. Workers without a limit report ratio 0: they cannot be
-// "full".
+// "full", so for a fleet of them the gate is armed and never shuts.
 func (co *coordinator) notePressure(key string, memBytes, memLimit int64) {
-	if co.opts.MemPauseRatio < 0 {
-		return
-	}
 	ratio := 0.0
 	if memLimit > 0 {
 		ratio = float64(memBytes) / float64(memLimit)
@@ -29,9 +26,6 @@ func (co *coordinator) notePressure(key string, memBytes, memLimit int64) {
 // ignored: heartbeats only flow while a job runs, so a worker that
 // went idle (or away) must not hold the dispatch gate shut forever.
 func (co *coordinator) overPressure() bool {
-	if co.opts.MemPauseRatio < 0 {
-		return false
-	}
 	now := time.Now()
 	co.mu.Lock()
 	defer co.mu.Unlock()

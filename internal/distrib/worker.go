@@ -150,12 +150,8 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) (int, error) {
 			}
 			delay = backoffDelay(opts.ReconnectBackoff, failures, rng)
 		}
-		t := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if !sleepCtx(ctx, delay) {
 			return total, ctx.Err()
-		case <-t.C:
 		}
 	}
 }
@@ -183,17 +179,8 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 	}
 	wc := newConn(c, 30*time.Second)
 	defer wc.close()
-
 	// Cancellation: closing the connection unblocks recv.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			wc.close()
-		case <-stop:
-		}
-	}()
+	defer context.AfterFunc(ctx, wc.close)()
 
 	if err := wc.send(&Message{Type: "hello", WorkerName: w.opts.Name, Cores: w.opts.Cores}); err != nil {
 		return 0, false, err
@@ -202,7 +189,8 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 	// session, so the main loop can keep consuming messages while a job
 	// runs — that is what lets a mid-job "cancel" interrupt the solvers
 	// instead of waiting in the TCP buffer behind a long solve.
-	msgs := make(chan recvRes)
+	msgs, stop := make(chan recvRes), make(chan struct{})
+	defer close(stop)
 	go func() {
 		for {
 			m, err := wc.recv(0)
@@ -366,12 +354,8 @@ func (w *worker) inject(ctx context.Context, wc *conn, f *FaultEvent) (done bool
 		return true, fmt.Errorf("distrib: injected corrupt frame at job %d", f.Job)
 	case FaultStall:
 		// Silence: no heartbeats, no result, for the stall duration.
-		t := time.NewTimer(f.Stall)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
+		if !sleepCtx(ctx, f.Stall) {
 			return true, ctx.Err()
-		case <-t.C:
 		}
 	}
 	return false, nil

@@ -614,8 +614,7 @@ func CertifyOverhead(ctx context.Context, w io.Writer) error {
 		res, err := distrib.Coordinate(ctx, ln, b.Program, distrib.CoordinatorOptions{
 			Unwind: 2, Contexts: 5, Width: 8,
 			Partitions: 8, ChunkSize: 2,
-			HeartbeatInterval: -1,
-			Certify:           policy,
+			Certify: policy,
 		})
 		wg.Wait()
 		if err != nil {

@@ -45,9 +45,8 @@ type runner struct {
 	// race makes the first SAT verdict cancel the rest of the run.
 	// Simulate switches it off: its event simulation needs every
 	// partition's verdict and solve time.
-	race      bool
-	splitting bool // Split.Depth > 0 and there are split literals to spend
-	sched     *partition.Scheduler
+	race  bool
+	sched *partition.Scheduler
 	// ctx ends the run: the caller gave up, a SAT leaf won the race, or
 	// fail recorded an error.
 	ctx    context.Context
@@ -70,14 +69,26 @@ type runner struct {
 // splitting reports that the run may split a straggler's cube in process.
 func (o *Options) splitting() bool { return o.Split.Depth > 0 && len(o.SplitLits) > 0 }
 
-// withDefaults arms what a run under opts cannot do without.
-func (o Options) withDefaults() Options {
+// withDefaults arms what a run of parts partitions under opts cannot do
+// without.
+func (o Options) withDefaults(parts int) Options {
 	if o.splitting() && o.ProgressEvery <= 0 {
 		// The hardness signal that steers splitting rides on the progress
 		// cadence, which is the solver's own: a default when the caller set
 		// none.
 		o.ProgressEvery = 512
 	}
+	// More workers than there can be cubes would only sleep. With
+	// splitting on a partition is up to 1<<Depth leaf cubes, and it takes
+	// an idle worker to split a straggler — one worker per partition
+	// would never be idle before the end.
+	if o.Workers <= 0 {
+		o.Workers = parts
+	}
+	if o.splitting() {
+		parts <<= min(o.Split.Depth, 16)
+	}
+	o.Workers = min(o.Workers, parts)
 	return o
 }
 
@@ -89,14 +100,13 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		return nil, fmt.Errorf("parallel: no partitions")
 	}
 	start := time.Now()
-	opts = opts.withDefaults()
+	opts = opts.withDefaults(len(parts))
 	r := &runner{
 		tpl: t, opts: opts, race: race,
-		parts:     make(map[int]partition.Partition, len(parts)),
-		splitting: opts.splitting(),
-		running:   map[*cubeRun]bool{},
-		leaves:    make(map[int][]InstanceResult, len(parts)),
-		res:       &Result{Winner: -1},
+		parts:   make(map[int]partition.Partition, len(parts)),
+		running: map[*cubeRun]bool{},
+		leaves:  make(map[int][]InstanceResult, len(parts)),
+		res:     &Result{Winner: -1},
 	}
 	sopts := partition.SchedOptions{
 		Journal: opts.Journal, Budget: opts.Budget,
@@ -104,7 +114,7 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		Paths:         len(opts.SplitLits) > 0,
 		CertifiedOnly: opts.CertifyUnsat,
 	}
-	if r.splitting {
+	if opts.splitting() {
 		sopts.SplitPolicy, sopts.SplitBits = opts.Split, len(opts.SplitLits)
 	}
 	r.sched = partition.NewScheduler(sopts)
@@ -130,22 +140,8 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 	}
 
 	r.buildTemplate()
-
-	// More workers than there can be cubes would only sleep. With
-	// splitting on a partition is up to 1<<Depth leaf cubes, and it takes
-	// an idle worker to split a straggler — one worker per partition
-	// would never be idle before the end.
-	limit := len(parts)
-	if r.splitting {
-		limit <<= min(opts.Split.Depth, 16)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = len(parts)
-	}
-	workers = min(workers, limit)
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for i := 0; i < opts.Workers; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -368,12 +364,12 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 // is someone to hear it: the caller's Progress, and the live hardness
 // that steers splitting, fed only when splitting is on.
 func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started time.Time) {
-	o := &r.opts
-	if !r.splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
+	o, splitting := &r.opts, r.opts.splitting()
+	if !splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
 		return
 	}
 	solver.Progress = func(st sat.Stats) {
-		if r.splitting {
+		if splitting {
 			r.sched.Note(a, sat.Hardness(st.Conflicts, st.Progress, time.Since(started)))
 		}
 		if o.Progress != nil {

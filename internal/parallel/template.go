@@ -100,7 +100,7 @@ func Prepare(f *cnf.Formula, parts []partition.Partition, opts Options) *Templat
 }
 
 func newTemplate(f *cnf.Formula, parts []partition.Partition, opts Options, held bool) *Template {
-	return &Template{f: f, parts: parts, opts: opts.withDefaults(), held: held}
+	return &Template{f: f, parts: parts, opts: opts.withDefaults(len(parts)), held: held}
 }
 
 // loadTemplate loads f into the solver a run under opts takes its cubes'

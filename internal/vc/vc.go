@@ -21,6 +21,7 @@ package vc
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bv"
 	"repro/internal/cnf"
@@ -488,16 +489,14 @@ func (e *encoder) evalBool(x prog.Expr) (cnf.Lit, error) {
 
 // eval evaluates an expression to a bit vector (Booleans are 1-bit).
 func (e *encoder) eval(x prog.Expr) (bv.Vec, error) {
-	w := e.width()
-	b := e.c.B
 	switch ex := x.(type) {
 	case *prog.IntLit:
-		return e.c.Const(ex.Value, w), nil
+		return e.c.Const(ex.Value, e.width()), nil
 	case *prog.BoolLit:
 		if ex.Value {
-			return e.c.Bool(b.True()), nil
+			return e.c.Bool(e.c.B.True()), nil
 		}
-		return e.c.Bool(b.False()), nil
+		return e.c.Bool(e.c.B.False()), nil
 	case *prog.VarRef:
 		v, ok := e.env.scalars[ex.Name]
 		if !ok {
@@ -534,102 +533,101 @@ func (e *encoder) eval(x prog.Expr) (bv.Vec, error) {
 		}
 		return nil, fmt.Errorf("vc: unknown unary op %v", ex.Op)
 	case *prog.BinaryExpr:
-		switch ex.Op {
-		case prog.OpLAnd, prog.OpLOr:
-			xl, err := e.evalBool(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			yl, err := e.evalBool(ex.Y)
-			if err != nil {
-				return nil, err
-			}
-			if ex.Op == prog.OpLAnd {
-				return e.c.Bool(b.And(xl, yl)), nil
-			}
-			return e.c.Bool(b.Or(xl, yl)), nil
-		}
-		xv, err := e.eval(ex.X)
-		if err != nil {
-			return nil, err
-		}
-		yv, err := e.eval(ex.Y)
-		if err != nil {
-			return nil, err
-		}
-		switch ex.Op {
-		case prog.OpAdd:
-			return e.c.Add(xv, yv), nil
-		case prog.OpSub:
-			return e.c.Sub(xv, yv), nil
-		case prog.OpMul:
-			return e.c.Mul(xv, yv), nil
-		case prog.OpDiv, prog.OpMod:
-			lit, ok := ex.Y.(*prog.IntLit)
-			if !ok || lit.Value <= 0 || lit.Value&(lit.Value-1) != 0 {
-				return nil, fmt.Errorf("vc: division only by constant powers of two")
-			}
-			k := 0
-			for v := lit.Value; v > 1; v >>= 1 {
-				k++
-			}
-			if ex.Op == prog.OpDiv {
-				return e.c.LshrConst(xv, k), nil
-			}
-			return e.c.And(xv, e.c.Const(lit.Value-1, xv.Width())), nil
-		case prog.OpAnd:
-			return e.c.And(xv, yv), nil
-		case prog.OpOr:
-			return e.c.Or(xv, yv), nil
-		case prog.OpXor:
-			return e.c.Xor(xv, yv), nil
-		case prog.OpShl, prog.OpShr:
-			return e.shift(xv, yv, ex.Op == prog.OpShl), nil
-		case prog.OpLt:
-			return e.c.Bool(e.c.Slt(xv, yv)), nil
-		case prog.OpLe:
-			return e.c.Bool(e.c.Sle(xv, yv)), nil
-		case prog.OpGt:
-			return e.c.Bool(e.c.Slt(yv, xv)), nil
-		case prog.OpGe:
-			return e.c.Bool(e.c.Sle(yv, xv)), nil
-		case prog.OpEq:
-			xv, yv = e.matchWidths(xv, yv)
-			return e.c.Bool(e.c.Eq(xv, yv)), nil
-		case prog.OpNe:
-			xv, yv = e.matchWidths(xv, yv)
-			return e.c.Bool(e.c.Ne(xv, yv)), nil
-		}
-		return nil, fmt.Errorf("vc: unknown binary op %v", ex.Op)
+		return e.binary(ex)
 	case *prog.Nondet:
 		return nil, fmt.Errorf("vc: free-standing non-deterministic value")
 	}
 	return nil, fmt.Errorf("vc: unknown expression %T", x)
 }
 
-func (e *encoder) matchWidths(x, y bv.Vec) (bv.Vec, bv.Vec) {
-	if x.Width() == y.Width() {
-		return x, y
+// binOps encodes the binary operators that take both operands as they
+// are: to a vector of their width (vec: arithmetic, bitwise) or to a
+// literal (cmp: comparisons). The logical connectives, division, modulo
+// and the shifts have their own code in binary.
+var binOps = [...]struct {
+	vec func(c *bv.Ctx, x, y bv.Vec) bv.Vec
+	cmp func(c *bv.Ctx, x, y bv.Vec) cnf.Lit
+}{
+	prog.OpAdd: {vec: (*bv.Ctx).Add},
+	prog.OpSub: {vec: (*bv.Ctx).Sub},
+	prog.OpMul: {vec: (*bv.Ctx).Mul},
+	prog.OpAnd: {vec: (*bv.Ctx).And},
+	prog.OpOr:  {vec: (*bv.Ctx).Or},
+	prog.OpXor: {vec: (*bv.Ctx).Xor},
+	prog.OpLt:  {cmp: (*bv.Ctx).Slt},
+	prog.OpLe:  {cmp: (*bv.Ctx).Sle},
+	prog.OpGt:  {cmp: func(c *bv.Ctx, x, y bv.Vec) cnf.Lit { return c.Slt(y, x) }},
+	prog.OpGe:  {cmp: func(c *bv.Ctx, x, y bv.Vec) cnf.Lit { return c.Sle(y, x) }},
+	prog.OpEq:  {cmp: func(c *bv.Ctx, x, y bv.Vec) cnf.Lit { return c.Eq(matchWidths(c, x, y)) }},
+	prog.OpNe:  {cmp: func(c *bv.Ctx, x, y bv.Vec) cnf.Lit { return c.Ne(matchWidths(c, x, y)) }},
+}
+
+// binary evaluates a binary expression: a logical connective over its
+// operands' truth values, any other operator over both operands,
+// evaluated left to right.
+func (e *encoder) binary(ex *prog.BinaryExpr) (bv.Vec, error) {
+	if ex.Op == prog.OpLAnd || ex.Op == prog.OpLOr {
+		xl, err := e.evalBool(ex.X)
+		if err != nil {
+			return nil, err
+		}
+		yl, err := e.evalBool(ex.Y)
+		if err != nil {
+			return nil, err
+		}
+		if ex.Op == prog.OpLAnd {
+			return e.c.Bool(e.c.B.And(xl, yl)), nil
+		}
+		return e.c.Bool(e.c.B.Or(xl, yl)), nil
 	}
-	w := x.Width()
-	if y.Width() > w {
-		w = y.Width()
+	xv, err := e.eval(ex.X)
+	if err != nil {
+		return nil, err
 	}
-	return e.c.Extend(x, w, false), e.c.Extend(y, w, false)
+	yv, err := e.eval(ex.Y)
+	if err != nil {
+		return nil, err
+	}
+	if uint(ex.Op) >= uint(len(binOps)) {
+		return nil, fmt.Errorf("vc: unknown binary op %v", ex.Op)
+	}
+	switch op := binOps[ex.Op]; {
+	case op.vec != nil:
+		return op.vec(e.c, xv, yv), nil
+	case op.cmp != nil:
+		return e.c.Bool(op.cmp(e.c, xv, yv)), nil
+	case ex.Op == prog.OpShl || ex.Op == prog.OpShr:
+		return e.shift(xv, yv, ex.Op == prog.OpShl), nil
+	}
+	// Division and modulo, by a constant power of two: a shift, a mask.
+	lit, ok := ex.Y.(*prog.IntLit)
+	if !ok || lit.Value <= 0 || lit.Value&(lit.Value-1) != 0 {
+		return nil, fmt.Errorf("vc: division only by constant powers of two")
+	}
+	if ex.Op == prog.OpDiv {
+		return e.c.LshrConst(xv, bits.TrailingZeros64(uint64(lit.Value))), nil
+	}
+	return e.c.And(xv, e.c.Const(lit.Value-1, xv.Width())), nil
+}
+
+// matchWidths zero-extends the narrower of two vectors to the other's
+// width.
+func matchWidths(c *bv.Ctx, x, y bv.Vec) (bv.Vec, bv.Vec) {
+	w := max(x.Width(), y.Width())
+	return c.Extend(x, w, false), c.Extend(y, w, false)
 }
 
 // shift encodes a variable shift as a multiplexer chain over the W
 // possible amounts; amounts >= W yield zero, matching the interpreter's
 // wrap semantics.
 func (e *encoder) shift(x, y bv.Vec, left bool) bv.Vec {
+	by := e.c.LshrConst
+	if left {
+		by = e.c.ShlConst
+	}
 	res := e.c.Const(0, x.Width())
 	for k := 0; k < x.Width(); k++ {
-		var shifted bv.Vec
-		if left {
-			shifted = e.c.ShlConst(x, k)
-		} else {
-			shifted = e.c.LshrConst(x, k)
-		}
+		shifted := by(x, k)
 		hit := e.c.Eq(y, e.c.Const(int64(k), y.Width()))
 		res = e.c.Ite(hit, shifted, res)
 	}
