@@ -246,33 +246,10 @@ func (f *flattener) freshGuard() prog.Decl {
 	return d
 }
 
-// touchesGlobal reports whether the expression reads shared state.
+// touchesGlobal reports whether the expression or l-value refers to
+// shared state.
 func (f *flattener) touchesGlobal(e prog.Expr) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-		return false
-	case *prog.VarRef:
-		return f.globals[x.Name]
-	case *prog.IndexRef:
-		return f.globals[x.Name] || f.touchesGlobal(x.Index)
-	case *prog.UnaryExpr:
-		return f.touchesGlobal(x.X)
-	case *prog.BinaryExpr:
-		return f.touchesGlobal(x.X) || f.touchesGlobal(x.Y)
-	}
-	panic(fmt.Sprintf("flatten: unknown expression %T", e))
-}
-
-func (f *flattener) lvalueTouchesGlobal(lv prog.LValue) bool {
-	switch x := lv.(type) {
-	case *prog.VarRef:
-		return f.globals[x.Name]
-	case *prog.IndexRef:
-		return f.globals[x.Name] || f.touchesGlobal(x.Index)
-	}
-	panic(fmt.Sprintf("flatten: unknown l-value %T", lv))
+	return prog.Mentions(e, func(name string) bool { return f.globals[name] })
 }
 
 func (f *flattener) stmts(in []prog.Stmt, guards []Guard, atomic bool) error {
@@ -291,7 +268,7 @@ func (f *flattener) stmt(s prog.Stmt, guards []Guard, atomic bool) error {
 	}
 	switch st := s.(type) {
 	case *prog.AssignStmt:
-		vis := f.lvalueTouchesGlobal(st.LHS) || f.touchesGlobal(st.RHS)
+		vis := f.touchesGlobal(st.LHS) || f.touchesGlobal(st.RHS)
 		f.emit(guards, &AssignOp{LHS: st.LHS, RHS: st.RHS}, vis, ad)
 		return nil
 	case *prog.AssumeStmt:

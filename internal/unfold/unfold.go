@@ -130,7 +130,6 @@ type threadCtx struct {
 	threadID int
 	locals   []prog.Decl
 	scopes   []scope
-	depth    int // call inlining depth
 	// inlineCount counts, per procedure, the activations currently open
 	// along the unfolding path; recursion is cut at the unwind bound.
 	inlineCount map[string]int
@@ -426,7 +425,6 @@ func (u *unfolder) inlineCall(tc *threadCtx, st *prog.CallStmt) ([]prog.Stmt, er
 	}
 
 	tc.pushScope()
-	tc.depth++
 	top := &tc.scopes[len(tc.scopes)-1]
 	for name, e := range subst {
 		top.substs[name] = e
@@ -452,7 +450,6 @@ func (u *unfolder) inlineCall(tc *threadCtx, st *prog.CallStmt) ([]prog.Stmt, er
 	}
 	out = append(out, body...)
 
-	tc.depth--
 	tc.popScope()
 
 	if st.Result != nil && rc != nil && rc.retVar != "" {
@@ -464,50 +461,29 @@ func (u *unfolder) inlineCall(tc *threadCtx, st *prog.CallStmt) ([]prog.Stmt, er
 	return out, nil
 }
 
-// expr rewrites an expression into the flat namespace.
+// expr rewrites an expression into the flat namespace: locals to their
+// flat names, inlined parameters to the caller's expressions.
 func (u *unfolder) expr(tc *threadCtx, e prog.Expr) prog.Expr {
-	switch x := e.(type) {
-	case *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-		return x
-	case *prog.VarRef:
-		flat, sub := tc.lookup(x.Name)
+	return prog.MapRefs(e, func(lv prog.LValue) prog.Expr {
+		flat, sub := tc.lookup(lv.BaseName())
+		if ir, ok := lv.(*prog.IndexRef); ok {
+			if sub != nil {
+				// Array parameters are rejected by the checker.
+				panic("unfold: indexed substituted parameter")
+			}
+			return &prog.IndexRef{Name: flat, Index: ir.Index}
+		}
 		if sub != nil {
 			return sub
 		}
 		return &prog.VarRef{Name: flat}
-	case *prog.IndexRef:
-		flat, sub := tc.lookup(x.Name)
-		if sub != nil {
-			// Array parameters are rejected by the checker.
-			panic("unfold: indexed substituted parameter")
-		}
-		return &prog.IndexRef{Name: flat, Index: u.expr(tc, x.Index)}
-	case *prog.UnaryExpr:
-		return &prog.UnaryExpr{Op: x.Op, X: u.expr(tc, x.X)}
-	case *prog.BinaryExpr:
-		return &prog.BinaryExpr{Op: x.Op, X: u.expr(tc, x.X), Y: u.expr(tc, x.Y)}
-	}
-	panic(fmt.Sprintf("unfold: unknown expression %T", e))
+	})
 }
 
 func (u *unfolder) lvalue(tc *threadCtx, lv prog.LValue) prog.LValue {
-	switch x := lv.(type) {
-	case *prog.VarRef:
-		flat, sub := tc.lookup(x.Name)
-		if sub != nil {
-			slv, ok := sub.(prog.LValue)
-			if !ok {
-				panic("unfold: assignment through a non-lvalue parameter")
-			}
-			return slv
-		}
-		return &prog.VarRef{Name: flat}
-	case *prog.IndexRef:
-		flat, sub := tc.lookup(x.Name)
-		if sub != nil {
-			panic("unfold: indexed substituted parameter")
-		}
-		return &prog.IndexRef{Name: flat, Index: u.expr(tc, x.Index)}
+	nlv, ok := u.expr(tc, lv).(prog.LValue)
+	if !ok {
+		panic("unfold: assignment through a non-lvalue parameter")
 	}
-	panic(fmt.Sprintf("unfold: unknown l-value %T", lv))
+	return nlv
 }

@@ -57,9 +57,9 @@ func scalarGlobals(p *prog.Program) []prog.Decl {
 }
 
 // model is one store-buffer model: everything Transform and TransformTSO
-// do differently. The walk over procedures, statements and expressions
-// (transformer) is the same for both. Buffered globals are named by
-// their index in the list the model was built with.
+// do differently. The walk over procedures and statements (transformer)
+// is the same for both; prog.MapRefs walks the expressions. Buffered
+// globals are named by their index in the list the model was built with.
 type model interface {
 	// prefix starts the name of every fresh local.
 	prefix() string
@@ -85,11 +85,7 @@ func transform(p *prog.Program, buffered []prog.Decl, m model, suffix, what stri
 		Globals: append([]prog.Decl{}, p.Globals...),
 	}
 	for _, pr := range p.Procs {
-		np, err := t.proc(pr)
-		if err != nil {
-			return nil, err
-		}
-		out.Procs = append(out.Procs, np)
+		out.Procs = append(out.Procs, t.proc(pr))
 	}
 	if err := prog.Check(out); err != nil {
 		return nil, fmt.Errorf("weakmem: %s program invalid: %w", what, err)
@@ -136,7 +132,7 @@ func (t *transformer) flushChoice(np *prog.Proc, pending string, drain []prog.St
 }
 
 // proc transforms one procedure body.
-func (t *transformer) proc(pr *prog.Proc) (*prog.Proc, error) {
+func (t *transformer) proc(pr *prog.Proc) *prog.Proc {
 	np := &prog.Proc{
 		Name:   pr.Name,
 		Params: append([]prog.Decl{}, pr.Params...),
@@ -145,236 +141,155 @@ func (t *transformer) proc(pr *prog.Proc) (*prog.Proc, error) {
 	}
 	locals, init := t.m.buffers()
 	np.Locals = append(np.Locals, locals...)
-	body, err := t.stmts(np, pr.Body)
-	if err != nil {
-		return nil, err
-	}
+	body := t.stmts(np, pr.Body)
 	// Terminating threads drain their buffers (their stores must become
 	// visible before join-ordered code runs).
 	np.Body = append(init, append(body, t.m.fence(t, np)...)...)
-	return np, nil
+	return np
 }
 
-func (t *transformer) stmts(np *prog.Proc, in []prog.Stmt) ([]prog.Stmt, error) {
+func (t *transformer) stmts(np *prog.Proc, in []prog.Stmt) []prog.Stmt {
 	var out []prog.Stmt
 	for _, s := range in {
-		ns, err := t.stmt(np, s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ns...)
+		out = append(out, t.stmt(np, s)...)
 	}
-	return out, nil
+	return out
 }
 
 // rewriteReads replaces every read of a buffered global in e with a
 // fresh local that is loaded beforehand with store-forwarding semantics.
 // The returned prelude performs the loads.
-func (t *transformer) rewriteReads(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr, error) {
+func (t *transformer) rewriteReads(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr) {
 	var prelude []prog.Stmt
-	loaded := map[string]string{} // global -> temp holding its value
-	var walk func(x prog.Expr) (prog.Expr, error)
-	walk = func(x prog.Expr) (prog.Expr, error) {
-		switch ex := x.(type) {
-		case nil:
-			return nil, nil
-		case *prog.IntLit, *prog.BoolLit, *prog.Nondet:
-			return ex, nil
-		case *prog.VarRef:
-			i, ok := t.index(ex.Name)
-			if !ok {
-				return ex, nil
-			}
-			tmp, seen := loaded[ex.Name]
-			if !seen {
-				tmp = t.freshLocal(np, "ld", prog.Type{Kind: t.buffered[i].Type.Kind})
-				loaded[ex.Name] = tmp
-				prelude = append(prelude, t.m.load(i, tmp)...)
-			}
-			return &prog.VarRef{Name: tmp}, nil
-		case *prog.IndexRef:
-			idx, err := walk(ex.Index)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.IndexRef{Name: ex.Name, Index: idx}, nil
-		case *prog.UnaryExpr:
-			inner, err := walk(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.UnaryExpr{Op: ex.Op, X: inner}, nil
-		case *prog.BinaryExpr:
-			xx, err := walk(ex.X)
-			if err != nil {
-				return nil, err
-			}
-			yy, err := walk(ex.Y)
-			if err != nil {
-				return nil, err
-			}
-			return &prog.BinaryExpr{Op: ex.Op, X: xx, Y: yy}, nil
+	loaded := map[int]string{} // buffered global -> temp holding its value
+	ne := prog.MapRefs(e, func(lv prog.LValue) prog.Expr {
+		i, ok := t.index(lv.BaseName())
+		if !ok {
+			return lv
 		}
-		return nil, fmt.Errorf("weakmem: unknown expression %T", e)
-	}
-	ne, err := walk(e)
-	return prelude, ne, err
+		tmp, seen := loaded[i]
+		if !seen {
+			tmp = t.freshLocal(np, "ld", prog.Type{Kind: t.buffered[i].Type.Kind})
+			loaded[i] = tmp
+			prelude = append(prelude, t.m.load(i, tmp)...)
+		}
+		return &prog.VarRef{Name: tmp}
+	})
+	return prelude, ne
 }
 
 // args rewrites the reads of a call's or create's arguments.
-func (t *transformer) args(np *prog.Proc, in []prog.Expr) ([]prog.Stmt, []prog.Expr, error) {
+func (t *transformer) args(np *prog.Proc, in []prog.Expr) ([]prog.Stmt, []prog.Expr) {
 	var out []prog.Stmt
 	args := make([]prog.Expr, len(in))
 	for i, a := range in {
-		prelude, na, err := t.rewriteReads(np, a)
-		if err != nil {
-			return nil, nil, err
-		}
+		var prelude []prog.Stmt
+		prelude, args[i] = t.rewriteReads(np, a)
 		out = append(out, prelude...)
-		args[i] = na
 	}
-	return out, args, nil
+	return out, args
 }
 
-func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) ([]prog.Stmt, error) {
+func (t *transformer) stmt(np *prog.Proc, s prog.Stmt) []prog.Stmt {
 	switch st := s.(type) {
 	case *prog.AssignStmt:
 		var out []prog.Stmt
-		if t.touches(st.RHS) || t.lvalueBuffered(st.LHS) {
+		// Arrays are never buffered: only a scalar LHS is a store.
+		i, buffered := t.index(st.LHS.BaseName())
+		if buffered || t.touches(st.RHS) {
 			out = append(out, t.m.maybeFlush(t, np)...)
 		}
-		prelude, rhs, err := t.rewriteReads(np, st.RHS)
-		if err != nil {
-			return nil, err
-		}
+		prelude, rhs := t.rewriteReads(np, st.RHS)
 		out = append(out, prelude...)
-		if v, ok := st.LHS.(*prog.VarRef); ok {
-			if i, buffered := t.index(v.Name); buffered {
-				return append(out, t.m.store(i, rhs)...), nil
-			}
+		if buffered {
+			return append(out, t.m.store(i, rhs)...)
 		}
 		lhs := st.LHS
 		if ir, ok := st.LHS.(*prog.IndexRef); ok {
-			ip, idx, err := t.rewriteReads(np, ir.Index)
-			if err != nil {
-				return nil, err
-			}
+			ip, idx := t.rewriteReads(np, ir.Index)
 			out = append(out, ip...)
 			lhs = &prog.IndexRef{Name: ir.Name, Index: idx}
 		}
-		return append(out, &prog.AssignStmt{LHS: lhs, RHS: rhs}), nil
+		return append(out, &prog.AssignStmt{LHS: lhs, RHS: rhs})
 	case *prog.AssumeStmt:
-		out, c, err := t.cond(np, st.Cond)
-		return append(out, &prog.AssumeStmt{Cond: c}), err
+		out, c := t.cond(np, st.Cond)
+		return append(out, &prog.AssumeStmt{Cond: c})
 	case *prog.AssertStmt:
-		out, c, err := t.cond(np, st.Cond)
-		return append(out, &prog.AssertStmt{Cond: c}), err
+		out, c := t.cond(np, st.Cond)
+		return append(out, &prog.AssertStmt{Cond: c})
 	case *prog.IfStmt:
-		out, c, err := t.cond(np, st.Cond)
-		if err != nil {
-			return nil, err
-		}
-		then, err := t.stmts(np, st.Then)
-		if err != nil {
-			return nil, err
-		}
-		els, err := t.stmts(np, st.Else)
-		if err != nil {
-			return nil, err
-		}
-		return append(out, &prog.IfStmt{Cond: c, Then: then, Else: els}), nil
+		out, c := t.cond(np, st.Cond)
+		then := t.stmts(np, st.Then)
+		return append(out, &prog.IfStmt{Cond: c, Then: then, Else: t.stmts(np, st.Else)})
 	case *prog.WhileStmt:
 		// Hoist the condition into a temp re-evaluated at the end of each
 		// iteration, so buffered reads happen at well-defined points.
 		condVar := t.freshLocal(np, "wc", prog.Bool)
-		eval := func() ([]prog.Stmt, error) {
-			out, c, err := t.cond(np, st.Cond)
-			return append(out, &prog.AssignStmt{LHS: &prog.VarRef{Name: condVar}, RHS: c}), err
+		eval := func() []prog.Stmt {
+			out, c := t.cond(np, st.Cond)
+			return append(out, &prog.AssignStmt{LHS: &prog.VarRef{Name: condVar}, RHS: c})
 		}
-		head, err := eval()
-		if err != nil {
-			return nil, err
-		}
-		body, err := t.stmts(np, st.Body)
-		if err != nil {
-			return nil, err
-		}
-		tail, err := eval()
-		if err != nil {
-			return nil, err
-		}
+		head := eval()
+		body := t.stmts(np, st.Body)
 		return append(head, &prog.WhileStmt{
 			Cond: &prog.VarRef{Name: condVar},
-			Body: append(body, tail...),
-		}), nil
+			Body: append(body, eval()...),
+		})
 	case *prog.CallStmt:
 		// Calls are inlined later; arguments may read buffered globals.
-		out, args, err := t.args(np, st.Args)
-		return append(out, &prog.CallStmt{Proc: st.Proc, Args: args, Result: st.Result}), err
+		out, args := t.args(np, st.Args)
+		return append(out, &prog.CallStmt{Proc: st.Proc, Args: args, Result: st.Result})
 	case *prog.CreateStmt:
 		// Thread creation is a release fence.
 		out := t.m.fence(t, np)
-		prelude, args, err := t.args(np, st.Args)
+		prelude, args := t.args(np, st.Args)
 		out = append(out, prelude...)
-		return append(out, &prog.CreateStmt{Tid: st.Tid, Proc: st.Proc, Args: args}), err
+		return append(out, &prog.CreateStmt{Tid: st.Tid, Proc: st.Proc, Args: args})
 	case *prog.JoinStmt:
 		// Join is an acquire fence (and the joined thread drained its
 		// buffers before terminating).
-		prelude, tid, err := t.rewriteReads(np, st.Tid)
+		prelude, tid := t.rewriteReads(np, st.Tid)
 		out := append(t.m.fence(t, np), prelude...)
-		return append(out, &prog.JoinStmt{Tid: tid}), err
+		return append(out, &prog.JoinStmt{Tid: tid})
 	case *prog.LockStmt, *prog.UnlockStmt:
-		return append(t.m.fence(t, np), st), nil
-	case *prog.InitStmt, *prog.DestroyStmt:
-		return []prog.Stmt{st}, nil
+		return append(t.m.fence(t, np), st)
 	case *prog.AtomicStmt:
 		// Atomic blocks are fenced and execute with SC semantics inside.
-		return []prog.Stmt{&prog.AtomicStmt{Body: append(t.m.fence(t, np), st.Body...)}}, nil
+		return []prog.Stmt{&prog.AtomicStmt{Body: append(t.m.fence(t, np), st.Body...)}}
 	case *prog.ReturnStmt:
 		// Drain before leaving the procedure.
 		out := t.m.fence(t, np)
 		if st.Value == nil {
-			return append(out, st), nil
+			return append(out, st)
 		}
-		prelude, v, err := t.rewriteReads(np, st.Value)
+		prelude, v := t.rewriteReads(np, st.Value)
 		out = append(out, prelude...)
-		return append(out, &prog.ReturnStmt{Value: v}), err
+		return append(out, &prog.ReturnStmt{Value: v})
 	case *prog.BlockStmt:
-		body, err := t.stmts(np, st.Body)
-		return []prog.Stmt{&prog.BlockStmt{Body: body}}, err
+		return []prog.Stmt{&prog.BlockStmt{Body: t.stmts(np, st.Body)}}
 	}
-	return nil, fmt.Errorf("weakmem: unknown statement %T", s)
+	// Init and destroy pass through, and so does a nil statement, for the
+	// output's prog.Check to refuse.
+	return []prog.Stmt{s}
 }
 
 // cond is the read side of a statement that tests e: a flush point if e
 // touches a buffered global, then the loads. It returns the rewritten e.
-func (t *transformer) cond(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr, error) {
+func (t *transformer) cond(np *prog.Proc, e prog.Expr) ([]prog.Stmt, prog.Expr) {
 	var out []prog.Stmt
 	if t.touches(e) {
 		out = t.m.maybeFlush(t, np)
 	}
-	prelude, c, err := t.rewriteReads(np, e)
-	return append(out, prelude...), c, err
+	prelude, c := t.rewriteReads(np, e)
+	return append(out, prelude...), c
 }
 
+// touches reports whether e reads a buffered global.
 func (t *transformer) touches(e prog.Expr) bool {
-	switch x := e.(type) {
-	case *prog.VarRef:
-		_, ok := t.index(x.Name)
+	return prog.Mentions(e, func(name string) bool {
+		_, ok := t.index(name)
 		return ok
-	case *prog.IndexRef:
-		return t.touches(x.Index)
-	case *prog.UnaryExpr:
-		return t.touches(x.X)
-	case *prog.BinaryExpr:
-		return t.touches(x.X) || t.touches(x.Y)
-	}
-	return false
-}
-
-func (t *transformer) lvalueBuffered(e prog.Expr) bool {
-	v, ok := e.(*prog.VarRef)
-	return ok && t.touches(v)
+	})
 }
 
 // pso is the PSO model: one buffer of depth one per thread and global,

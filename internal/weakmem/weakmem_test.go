@@ -255,6 +255,19 @@ func TestTSORejectsBoolGlobals(t *testing.T) {
 	}
 }
 
+// A nil statement passes through the transformer and is refused by the
+// output's check, under both models.
+func TestNilStatementRefused(t *testing.T) {
+	p := prog.MustParse("int g; void main() { g = 1; }")
+	p.Main().Body = append(p.Main().Body, nil)
+	if _, err := Transform(p); err == nil {
+		t.Error("PSO accepted a nil statement")
+	}
+	if _, err := TransformTSO(p, 2); err == nil {
+		t.Error("TSO accepted a nil statement")
+	}
+}
+
 func TestTSOSequentialPreserved(t *testing.T) {
 	p := prog.MustParse(`
 int g;

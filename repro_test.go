@@ -135,22 +135,13 @@ func TestFacadeDistributedRange(t *testing.T) {
 	}
 }
 
-// longFunctions are the functions allowed over maxFunctionLines, each
-// held to its length: the list may only shrink.
-var longFunctions = map[string]int{
-	"internal/weakmem.(*transformer).stmt": 109,
-}
-
 const maxFunctionLines = 100
 
 // TestFunctionLengths measures every function of the non-test Go outside
 // benchmark/ (from the func keyword to the closing brace) and fails on
-// one over maxFunctionLines that longFunctions does not list, on a
-// listed one that grew, and on a listed one that no longer needs its
-// entry.
+// one over maxFunctionLines.
 func TestFunctionLengths(t *testing.T) {
 	fset := token.NewFileSet()
-	seen := map[string]int{}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -175,25 +166,13 @@ func TestFunctionLengths(t *testing.T) {
 			}
 			n := fset.Position(fn.End()).Line - fset.Position(fn.Pos()).Line + 1
 			if n > maxFunctionLines {
-				seen[funcName(filepath.Dir(path), fn)] = n
+				t.Errorf("%s is %d lines, over %d", funcName(filepath.Dir(path), fn), n, maxFunctionLines)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for name, n := range seen {
-		if limit, ok := longFunctions[name]; !ok {
-			t.Errorf("%s is %d lines, over %d", name, n, maxFunctionLines)
-		} else if n > limit {
-			t.Errorf("%s is %d lines, over its listed %d", name, n, limit)
-		}
-	}
-	for name, limit := range longFunctions {
-		if _, ok := seen[name]; !ok {
-			t.Errorf("%s (listed at %d lines) is now %d lines or fewer: delete its entry", name, limit, maxFunctionLines)
-		}
 	}
 }
 
