@@ -94,8 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		"per-partition solver memory budget on workers, in MiB (0: unbounded)")
 	runflags.Split(fs, &opts.Split,
 		"adaptive cube splitting: max extra split bits per chunk (0 disables)",
-		"minimum in-flight age before a chunk may be split or hedged (default 15s)",
-		"minimum live hardness before a chunk qualifies for splitting (0: any straggler past -split-grace)")
+		"minimum in-flight age before a chunk may be split or hedged (default 15s)")
 	// The flight recorder: -trace-out streams coordinator spans as
 	// JSONL, -report additionally collects them (plus worker spans
 	// shipped back on results, per-partition progress, and periodic

@@ -136,11 +136,10 @@ func MemBudget(fs *flag.FlagSet, mb *int64, usage string) {
 	fs.Int64Var(mb, "mem-budget", 0, usage)
 }
 
-// Split registers -split-depth, -split-grace and -split-hardness.
-func Split(fs *flag.FlagSet, s *partition.SplitPolicy, depth, grace, hardness string) {
+// Split registers -split-depth and -split-grace.
+func Split(fs *flag.FlagSet, s *partition.SplitPolicy, depth, grace string) {
 	fs.IntVar(&s.Depth, "split-depth", 0, depth)
 	fs.DurationVar(&s.Grace, "split-grace", 0, grace)
-	fs.Float64Var(&s.Hardness, "split-hardness", 0, hardness)
 }
 
 // Journal registers -journal and -resume.

@@ -87,8 +87,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		"per-partition solver memory budget in MiB; over it the solver sheds learnt clauses, then records a memory-caused UNKNOWN (0: unbounded)")
 	runflags.Split(fs, &opts.Split,
 		"adaptive cube splitting: max extra split bits per partition (0 disables)",
-		"minimum time since a partition was started before it may be split (default 15s)",
-		"minimum live hardness before a partition qualifies for splitting (0: any straggler past -split-grace)")
+		"minimum time since a partition was started before it may be split (default 15s)")
 	proc.Rec.Flags(fs, runflags.RecorderUsage{
 		TraceOut:   "write pipeline phase spans as JSONL to this file",
 		Report:     "write the run's flight-recorder report (JSON) to this file; render with `parbmc report`",
@@ -202,7 +201,7 @@ func printResult(w io.Writer, res *core.Result, opts core.Options, stats, showTr
 			peakMem = max(peakMem, st.PeakMemBytes)
 			fmt.Fprintf(w, "partition %d: %s in %v — decisions=%d conflicts=%d elimvars=%d simplified=%d propagations=%d maxdepth=%d backjumps=%d restarts=%d progress=%.3f hardness=%.1f peakmembytes=%d\n",
 				inst.Partition, inst.Status, inst.Time,
-				st.Decisions, st.Conflicts, st.ElimVars, st.Simplified, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress, inst.Hardness, st.PeakMemBytes)
+				st.Decisions, st.Conflicts, st.ElimVars, st.Simplified, st.Propagations, st.MaxDepth, st.Backjumps, st.Restarts, st.Progress, partition.Hardness(st.Conflicts, st.Progress, inst.Time), st.PeakMemBytes)
 		}
 		if peakMem > 0 {
 			fmt.Fprintf(w, "peak solver memory: %d bytes (max over partitions)\n", peakMem)

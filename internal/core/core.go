@@ -330,8 +330,6 @@ func PartitionRow(inst parallel.InstanceResult) report.PartitionRow {
 		Simplified:   inst.Stats.Simplified,
 		Progress:     inst.Stats.Progress,
 		SolveMillis:  inst.Time.Milliseconds(),
-		Hardness:     inst.Hardness,
-		ConflictRate: inst.ConflictRate(),
 	}
 }
 

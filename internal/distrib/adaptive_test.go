@@ -409,7 +409,7 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 func TestWorkerGaugesDroppedOnDeparture(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := newCoordMetrics(reg)
-	m.heartbeat("w0", &Message{Type: "heartbeat", Conflicts: 7, Hardness: 1.5, MemBytes: 1 << 20, MemLimit: 1 << 22})
+	m.heartbeat("w0", &Message{Type: "heartbeat", Conflicts: 7, MemBytes: 1 << 20, MemLimit: 1 << 22}, 1.5)
 	m.jobResult("w0", nil, 5)
 	srv := httptest.NewServer(obs.NewMux(obs.MuxOptions{Registry: reg}))
 	defer srv.Close()

@@ -896,11 +896,10 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 		case "heartbeat":
 			if reply.JobID == id {
 				co.opts.Health.touch(key)
-				co.metrics.heartbeat(key, reply)
+				// The live counters are the straggler signal the split-victim
+				// selection steers by, once the scheduler made a hardness of them.
+				co.metrics.heartbeat(key, reply, co.sched.Note(a, reply.Conflicts, reply.Progress))
 				co.notePressure(key, reply.MemBytes, reply.MemLimit)
-				// The live hardness reading is the straggler signal the
-				// split-victim selection steers by.
-				co.sched.Note(a, reply.Hardness)
 				for _, row := range reply.Parts {
 					// A live row is the worker's word for its counters only.
 					row.Worker, row.Verdict, row.Cause, row.Certified = key, "", "", false

@@ -203,9 +203,7 @@ func TestDispatchPausesUnderMemoryPressure(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Give the coordinator a beat to fold the reading in before the
-	// result frees the serve loop to dispatch the next chunk.
-	time.Sleep(50 * time.Millisecond)
+	// No wait: this connection's one serve loop notes the heartbeat before it reads the result.
 	if err := wc.send(&Message{
 		Type: "result", JobID: job.JobID,
 		Verdict: core.Safe.String(), Winner: -1, Millis: 1,

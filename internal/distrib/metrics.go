@@ -160,9 +160,9 @@ func (m *coordMetrics) lbdHist(h sat.LBDHistogram) {
 	}
 }
 
-// heartbeat records one live-progress heartbeat from a worker,
-// including the sampled job-level solver rates.
-func (m *coordMetrics) heartbeat(worker string, hb *Message) {
+// heartbeat records one live-progress heartbeat from a worker and the
+// hardness the scheduler noted for its job.
+func (m *coordMetrics) heartbeat(worker string, hb *Message, hardness float64) {
 	m.heartbeats.Inc()
 	m.reg.Gauge("parbmc_worker_live_conflicts",
 		"Live conflict count of the worker's current job.", "worker", worker).Set(hb.Conflicts)
@@ -171,18 +171,9 @@ func (m *coordMetrics) heartbeat(worker string, hb *Message) {
 	m.reg.FloatGauge("parbmc_worker_live_progress",
 		"Live search-progress estimate [0,1] of the worker's current job (minimum across its partitions).",
 		"worker", worker).Set(hb.Progress)
-	m.reg.FloatGauge("parbmc_worker_conflict_rate",
-		"Live conflicts/second of the worker's current job over the last heartbeat interval.",
-		"worker", worker).Set(hb.ConflictRate)
-	m.reg.FloatGauge("parbmc_worker_decision_rate",
-		"Live decisions/second of the worker's current job over the last heartbeat interval.",
-		"worker", worker).Set(hb.DecisionRate)
-	m.reg.FloatGauge("parbmc_worker_propagation_rate",
-		"Live propagations/second of the worker's current job over the last heartbeat interval.",
-		"worker", worker).Set(hb.PropagationRate)
 	m.reg.FloatGauge("parbmc_worker_hardness",
-		"Hardness score of the worker's hottest partition (conflict rate × (1 − progress slope)).",
-		"worker", worker).Set(hb.Hardness)
+		"Hardness of the worker's current job since dispatch (conflict rate × (1 − progress slope)), the split-victim signal.",
+		"worker", worker).Set(hardness)
 	m.reg.Gauge("parbmc_worker_mem_bytes",
 		"Live-heap estimate of the worker process in bytes, from its latest heartbeat.",
 		"worker", worker).Set(hb.MemBytes)
@@ -193,11 +184,11 @@ func (m *coordMetrics) heartbeat(worker string, hb *Message) {
 	}
 }
 
-// partRow pins one partition's search state as gauges — the imbalance
-// signal adaptive splitting keys on — from its heartbeats while it runs
-// and again from its final row, so even a partition solved between
-// heartbeats gets a gauge; the final row, the one with a verdict, also
-// lands in the fixed-bucket solve-time histogram.
+// partRow pins one partition's search state as gauges from its
+// heartbeats while it runs and again from its final row, so even a
+// partition solved between heartbeats gets a gauge; the final row, the
+// one with a verdict and a solve time, also sets its hardness and lands
+// in the fixed-bucket solve-time histogram.
 func (m *coordMetrics) partRow(row report.PartitionRow) {
 	part := strconv.Itoa(row.Partition)
 	m.reg.FloatGauge("parbmc_partition_progress",
@@ -205,12 +196,10 @@ func (m *coordMetrics) partRow(row report.PartitionRow) {
 		"partition", part).Set(row.Progress)
 	m.reg.Gauge("parbmc_partition_conflicts",
 		"Latest conflict count per partition.", "partition", part).Set(row.Conflicts)
-	m.reg.FloatGauge("parbmc_partition_hardness",
-		"Latest hardness score per partition (conflict rate × (1 − progress slope)); the work-stealing signal.",
-		"partition", part).Set(row.Hardness)
-	m.reg.FloatGauge("parbmc_partition_conflict_rate",
-		"Latest conflicts/second per partition.", "partition", part).Set(row.ConflictRate)
 	if row.Verdict != "" {
+		m.reg.FloatGauge("parbmc_partition_hardness",
+			"Hardness per finished partition over its solve time (conflict rate × (1 − progress slope)).",
+			"partition", part).Set(row.Hardness())
 		m.partSolveSeconds.Observe(float64(row.SolveMillis) / 1000)
 	}
 }
@@ -228,7 +217,7 @@ func (m *coordMetrics) workerFailed(worker string) {
 }
 
 // dropWorker unregisters a departed worker's live gauge series — the
-// nine instruments heartbeat() maintains — so an evicted or quarantined
+// six instruments heartbeat() maintains — so an evicted or quarantined
 // worker stops being scraped with its last readings forever. Its
 // counters (jobs, failures, certificate rejections) stay: they are
 // history, not liveness. A reconnecting worker re-creates the gauges on
@@ -238,9 +227,6 @@ func (m *coordMetrics) dropWorker(worker string) {
 		"parbmc_worker_live_conflicts",
 		"parbmc_worker_live_propagations",
 		"parbmc_worker_live_progress",
-		"parbmc_worker_conflict_rate",
-		"parbmc_worker_decision_rate",
-		"parbmc_worker_propagation_rate",
 		"parbmc_worker_hardness",
 		"parbmc_worker_mem_bytes",
 		"parbmc_worker_mem_limit_bytes",

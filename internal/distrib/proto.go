@@ -143,15 +143,6 @@ type Message struct {
 	Progress     float64               `json:"progress,omitempty"`
 	Parts        []report.PartitionRow `json:"parts,omitempty"`
 
-	// Introspection heartbeat fields: job-level solver rates (per
-	// second, over the last heartbeat interval) and the hottest
-	// partition's live hardness score — the worker-side sampler output
-	// that feeds the coordinator's parbmc_worker_*_rate gauges.
-	ConflictRate    float64 `json:"conflict_rate,omitempty"`
-	DecisionRate    float64 `json:"decision_rate,omitempty"`
-	PropagationRate float64 `json:"propagation_rate,omitempty"`
-	Hardness        float64 `json:"hardness,omitempty"`
-
 	// Memory heartbeat fields: the worker's live-heap estimate and its
 	// effective memory limit (GOMEMLIMIT or -mem-limit), in bytes. The
 	// coordinator's backpressure gate keys on the MemBytes/MemLimit

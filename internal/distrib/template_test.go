@@ -209,7 +209,7 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 				// What the coordinator stamps and what a clock measures apart,
 				// the two rows are one.
 				got.Worker, got.Certified = "", false
-				got.SolveMillis, got.Hardness, got.ConflictRate = want.SolveMillis, want.Hardness, want.ConflictRate
+				got.SolveMillis = want.SolveMillis
 				if got != want {
 					t.Errorf("partition %d: the coordinator filed %+v, in process %+v", got.Partition, got, want)
 				}

@@ -361,55 +361,44 @@ func (w *worker) inject(ctx context.Context, wc *conn, f *FaultEvent) (done bool
 	return false, nil
 }
 
-// jobProgress holds one sat.Sampler per partition, fed from the solver
-// progress hook: snapshots are cumulative per instance, so a sampler's
-// last sample is its partition's live state — counters, rates and
-// hardness — and heartbeats read those. The hook fires from solver
-// goroutines, so the map is mutex-guarded.
+// jobProgress keeps the latest sat.Stats of each partition, fed from
+// the solver progress hook: snapshots are cumulative per instance, so
+// the latest is the partition's live state, and heartbeats read those.
+// The hook fires from solver goroutines, so the map is mutex-guarded.
 type jobProgress struct {
-	mu       sync.Mutex
-	samplers map[int]*sat.Sampler
+	mu    sync.Mutex
+	parts map[int]sat.Stats
 }
 
-// update folds the latest snapshot of one partition into its sampler.
+// update keeps the latest snapshot of one partition.
 func (p *jobProgress) update(part int, st sat.Stats) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	sp := p.samplers[part]
-	if sp == nil {
-		sp = sat.NewSampler()
-		p.samplers[part] = sp
-	}
-	sp.Observe(st)
+	p.parts[part] = st
+	p.mu.Unlock()
 }
 
 // snapshot returns the live per-partition rows, sorted by partition
-// index, the job's totals — its Progress the minimum across the
+// index, and the job's totals — its Progress the minimum across the
 // partitions seen so far: a job is only as far along as its
-// furthest-behind partition — and its hottest partition's hardness.
-func (p *jobProgress) snapshot() (rows []report.PartitionRow, total sat.Stats, hardest float64) {
+// furthest-behind partition.
+func (p *jobProgress) snapshot() (rows []report.PartitionRow, total sat.Stats) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for part, sp := range p.samplers {
-		s, _ := sp.Last()
-		if len(rows) == 0 || s.Progress < total.Progress {
-			total.Progress = s.Progress
+	for part, st := range p.parts {
+		if len(rows) == 0 || st.Progress < total.Progress {
+			total.Progress = st.Progress
 		}
-		total.Conflicts += s.Conflicts
-		total.Decisions += s.Decisions
-		total.Propagations += s.Propagations
-		hardest = max(hardest, s.Hardness)
+		total.Conflicts += st.Conflicts
+		total.Propagations += st.Propagations
 		rows = append(rows, report.PartitionRow{
 			Partition:    part,
-			Conflicts:    s.Conflicts,
-			Propagations: s.Propagations,
-			Progress:     s.Progress,
-			Hardness:     s.Hardness,
-			ConflictRate: s.ConflictRate,
+			Conflicts:    st.Conflicts,
+			Propagations: st.Propagations,
+			Progress:     st.Progress,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Partition < rows[j].Partition })
-	return rows, total, hardest
+	return rows, total
 }
 
 // runJobWithHeartbeats runs the job while a side goroutine heartbeats at
@@ -435,33 +424,23 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 	var hbStop, hbDone chan struct{}
 	var progress *jobProgress
 	if m.HeartbeatMillis > 0 {
-		progress = &jobProgress{samplers: make(map[int]*sat.Sampler)}
+		progress = &jobProgress{parts: make(map[int]sat.Stats)}
 		hbStop, hbDone = make(chan struct{}), make(chan struct{})
 		interval := time.Duration(m.HeartbeatMillis) * time.Millisecond
 		go func() {
 			defer close(hbDone)
 			t := time.NewTicker(interval)
 			defer t.Stop()
-			// The job-level sampler observes the cross-partition totals at
-			// the heartbeat cadence, deriving the per-second rates each
-			// heartbeat carries to the coordinator's rate gauges.
-			jobSampler := sat.NewSampler()
 			for {
 				select {
 				case <-hbStop:
 					return
 				case <-t.C:
-					parts, total, hardest := progress.snapshot()
-					s := jobSampler.Observe(total)
+					parts, total := progress.snapshot()
 					hb := &Message{Type: "heartbeat", JobID: m.JobID,
 						Conflicts: total.Conflicts, Propagations: total.Propagations,
 						Progress: total.Progress, Parts: parts,
-						ConflictRate:    s.ConflictRate,
-						DecisionRate:    s.DecisionRate,
-						PropagationRate: s.PropagationRate,
-						Hardness:        hardest,
-						MemBytes:        watch.Used(),
-						MemLimit:        watch.Limit()}
+						MemBytes: watch.Used(), MemLimit: watch.Limit()}
 					if err := wc.send(hb); err != nil {
 						return
 					}

@@ -76,23 +76,9 @@ type InstanceResult struct {
 	// Stats.Progress search-progress estimate — the per-partition
 	// imbalance signal the run report and partition gauges surface.
 	Stats sat.Stats
-	// Hardness is the whole-run hardness score of this instance
-	// (sat.Hardness over the full solve: conflict rate scaled by the
-	// unrealised progress slope). Zero for resumed, cancelled-before-
-	// start, or conflict-free instances.
-	Hardness float64
 	// Cubes is the number of leaf cubes folded into this per-partition
 	// result (1: the partition was solved whole, never split).
 	Cubes int
-}
-
-// ConflictRate is the instance's whole-run conflicts/second, the
-// denominator of its hardness score.
-func (r InstanceResult) ConflictRate() float64 {
-	if secs := r.Time.Seconds(); secs > 0 {
-		return float64(r.Stats.Conflicts) / secs
-	}
-	return 0
 }
 
 // Result is the aggregate outcome.

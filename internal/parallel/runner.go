@@ -288,7 +288,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	if !r.own {
 		solver = solver.Clone()
 	}
-	r.instrument(a, solver, started)
+	r.instrument(a, solver)
 	r.register(rc, solver)
 
 	// Wall-clock budget: a timer interrupt distinguishable from
@@ -315,7 +315,6 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 		Stats:     solver.Stats(),
 	}
 	inst.Status, inst.Cause = sat.Classify(status, serr, timedOut.Load(), r.ctx.Err() != nil)
-	inst.Hardness = sat.Hardness(inst.Stats.Conflicts, inst.Stats.Progress, elapsed)
 	if inst.Status == sat.Unknown && !inst.Cause.Budgeted() {
 		// Cancelled: the leaf of a run that is ending — unless the cube was
 		// split under this worker, and its children carry it now.
@@ -361,16 +360,16 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 }
 
 // instrument arms one cube's solver with the progress hook, when there
-// is someone to hear it: the caller's Progress, and the live hardness
-// that steers splitting, fed only when splitting is on.
-func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver, started time.Time) {
+// is someone to hear it: the caller's Progress, and the scheduler's Note
+// of the counters that steer splitting, only when splitting is on.
+func (r *runner) instrument(a *partition.Assignment, solver *sat.Solver) {
 	o, splitting := &r.opts, r.opts.splitting()
 	if !splitting && (o.Progress == nil || o.ProgressEvery <= 0) {
 		return
 	}
 	solver.Progress = func(st sat.Stats) {
 		if splitting {
-			r.sched.Note(a, sat.Hardness(st.Conflicts, st.Progress, time.Since(started)))
+			r.sched.Note(a, st.Conflicts, st.Progress)
 		}
 		if o.Progress != nil {
 			o.Progress(a.Cube.From, st)
@@ -454,7 +453,7 @@ func (r *runner) interruptAll(memory bool) {
 // compose by the cube-tree argument (children partition the parent's
 // assumption space); budgets compose pessimistically — the partition is
 // only as decided as its least decided leaf, and an Unknown picks the
-// most severe leaf cause (sat.StopCause.Worse). Stats and times sum; hardness is the hardest leaf;
+// most severe leaf cause (sat.StopCause.Worse). Stats and times sum;
 // Resumed holds only when every leaf replayed from the journal; a
 // partition solved whole keeps its leaf's proof.
 func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
@@ -465,9 +464,6 @@ func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 	for _, l := range leaves {
 		out.Time += l.Time
 		out.Stats.Add(l.Stats)
-		if l.Hardness > out.Hardness {
-			out.Hardness = l.Hardness
-		}
 		if !l.Resumed {
 			out.Resumed = false
 		}

@@ -18,15 +18,15 @@ import (
 // differ only in how a cube is run and how a running one is cancelled.
 //
 // An idle executor is served in a fixed priority. (1) A queued cube.
-// (2) With Depth > 0, a split victim: the *hardest* in-flight cube
-// (the longer-running one on a tie) that was dispatched at least Grace
-// ago — every age here is measured from dispatch, the moment Acquire
-// handed the cube out, on both transports; Grace defaults to 15s — whose
-// latest Note is at or above Hardness, and that can still be refined: a
-// multi-partition range always halves, a single partition needs an
-// unfixed split bit under both Depth and SplitBits. The SPLIT record
-// is journaled, the idle executor steals the first child and the
-// second is left on the queue. (3) With Hedge, a duplicate of the
+// (2) With Depth > 0, a split victim: the *hardest* in-flight cube by
+// its latest Note (the longer-running one on a tie) that was dispatched
+// at least Grace ago — every age here is measured from dispatch, the
+// moment Acquire handed the cube out, on both transports; Grace
+// defaults to 15s — and that can still be refined: a multi-partition
+// range always halves, a single partition needs an unfixed split bit
+// under both Depth and SplitBits. The SPLIT record is journaled, the
+// idle executor steals the first child and the second is left on the
+// queue. (3) With Hedge, a duplicate of the
 // longest-running cube past Grace that has one running copy, on
 // another worker. Otherwise the executor sleeps on a condition
 // variable that every state change signals, with a timer only for the
@@ -69,10 +69,6 @@ type SplitPolicy struct {
 	// Grace is the minimum time since dispatch before a cube may be split
 	// or hedged (<= 0: 15s).
 	Grace time.Duration
-	// Hardness is the minimum noted hardness of a split victim. The
-	// default 0 makes grace alone the trigger, so a straggler that
-	// reports no progress at all is still split around.
-	Hardness float64
 }
 
 // SchedOptions is the scheduling policy of one run.
@@ -116,7 +112,8 @@ type Assignment struct {
 	Worker string
 	// Hedge marks a speculative duplicate of an already-running cube.
 	Hedge bool
-	// Hardness is the latest Note; it is final once the assignment ended.
+	// Hardness is the cube's hardness since dispatch as of the latest
+	// Note; it is final once the assignment ended.
 	Hardness float64
 	// SplitOf is the assignment whose cube was split to make this one's,
 	// set on the child the executor that forced the split walks away with.
@@ -230,10 +227,8 @@ func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *As
 			}
 			continue
 		}
-		if h := t.Hardness; splittable && h >= s.opts.Hardness {
-			if victim == nil || h > hardest || (h == hardest && t.started.Before(victim.started)) {
-				victim, hardest = t, h
-			}
+		if h := t.Hardness; splittable && (victim == nil || h > hardest || (h == hardest && t.started.Before(victim.started))) {
+			victim, hardest = t, h
 		}
 		if hedgeable && (hedge == nil || t.started.Before(hedge.started)) {
 			hedge = t
@@ -387,19 +382,36 @@ func (s *Scheduler) Abandon() {
 	s.mu.Unlock()
 }
 
-// Note records the latest live hardness of an assignment's cube, the
-// signal victim selection steers by.
-func (s *Scheduler) Note(a *Assignment, hardness float64) {
+// Note turns the live counters of an assignment's cube — its conflicts
+// and progress estimate so far — into its hardness since dispatch, on
+// the scheduler's clock, and keeps it as the signal victim selection
+// steers by. It returns the hardness. A new reading never makes a victim
+// of a cube that was none, so it wakes nobody.
+func (s *Scheduler) Note(a *Assignment, conflicts int64, progress float64) float64 {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	h := Hardness(conflicts, progress, s.opts.Now().Sub(a.started))
 	if a.running {
-		a.Hardness = hardness
-		if s.opts.Hardness > 0 {
-			// Only against a floor can a new reading make a victim of a
-			// cube that was none a moment ago.
-			s.wake.Broadcast()
-		}
+		a.Hardness = h
 	}
-	s.mu.Unlock()
+	return h
+}
+
+// Hardness is the score of a search that made conflicts and raised its
+// progress estimate by progress in elapsed:
+//
+//	hardness = conflicts/s × (1 − clamp(progress/s, 0, 1))
+//
+// A search burning conflicts while its progress estimate stalls scores
+// high; one cruising towards a verdict scores low. The score is
+// dimensionally a conflict rate: comparable across the cubes of one run,
+// not across machines. It never falls as conflicts rise.
+func Hardness(conflicts int64, progress float64, elapsed time.Duration) float64 {
+	if elapsed <= 0 || conflicts <= 0 {
+		return 0
+	}
+	secs := elapsed.Seconds()
+	return float64(conflicts) / secs * (1 - min(max(progress/secs, 0), 1))
 }
 
 // Live returns the number of leaves neither decided nor abandoned.

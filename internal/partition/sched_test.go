@@ -96,9 +96,9 @@ func (h *schedHarness) await(ch <-chan *Assignment) *Assignment {
 	}
 }
 
-// The split gate, one in-flight cube at a time: grace, hardness floor,
-// depth cap and split-bit supply each keep a cube from being split, and
-// only a cube still inside its grace arms the timer.
+// The split gate, one in-flight cube at a time: grace, depth cap and
+// split-bit supply each keep a cube from being split, and only a cube
+// still inside its grace arms the timer.
 func TestSchedulerSplitGate(t *testing.T) {
 	single := Cube{From: 3, To: 3}
 	cases := []struct {
@@ -106,26 +106,22 @@ func TestSchedulerSplitGate(t *testing.T) {
 		opts       SchedOptions
 		cube       Cube
 		age        time.Duration
-		hardness   float64
 		wantVictim bool
 		wantGrace  time.Duration
 	}{
-		{"inside grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace - 5*time.Second, 9, false, 5 * time.Second},
-		{"at grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace, 0, true, 0},
-		{"below hardness floor", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2, Hardness: 2}, SplitBits: 4}, single, 2 * testGrace, 1.5, false, 0},
-		{"at hardness floor", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2, Hardness: 2}, SplitBits: 4}, single, 2 * testGrace, 2, true, 0},
-		{"under depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "0"}, 2 * testGrace, 0, true, 0},
-		{"at depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "01"}, 2 * testGrace, 0, false, 0},
-		{"split bits run out", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}, SplitBits: 1}, Cube{From: 3, To: 3, Path: "1"}, 2 * testGrace, 0, false, 0},
-		{"no split bits at all", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}}, single, 2 * testGrace, 0, false, 0},
-		{"range halves without bits", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, Cube{From: 0, To: 3}, 2 * testGrace, 0, true, 0},
-		{"splitting off", SchedOptions{SplitBits: 4}, Cube{From: 0, To: 3}, 2 * testGrace, 9, false, 0},
+		{"inside grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace - 5*time.Second, false, 5 * time.Second},
+		{"at grace", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, single, testGrace, true, 0},
+		{"under depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "0"}, 2 * testGrace, true, 0},
+		{"at depth cap", SchedOptions{SplitPolicy: SplitPolicy{Depth: 2}, SplitBits: 4}, Cube{From: 3, To: 3, Path: "01"}, 2 * testGrace, false, 0},
+		{"split bits run out", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}, SplitBits: 1}, Cube{From: 3, To: 3, Path: "1"}, 2 * testGrace, false, 0},
+		{"no split bits at all", SchedOptions{SplitPolicy: SplitPolicy{Depth: 3}}, single, 2 * testGrace, false, 0},
+		{"range halves without bits", SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}}, Cube{From: 0, To: 3}, 2 * testGrace, true, 0},
+		{"splitting off", SchedOptions{SplitBits: 4}, Cube{From: 0, To: 3}, 2 * testGrace, false, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newSchedHarness(t, tc.opts)
 			a := h.dispatch(tc.cube, "w1")
-			h.s.Note(a, tc.hardness)
 			h.clock.advance(tc.age)
 			got, victim, graceIn := h.idle("w2")
 			if got != nil {
@@ -138,6 +134,50 @@ func TestSchedulerSplitGate(t *testing.T) {
 				t.Fatalf("next grace expiry in %v, want %v", graceIn, tc.wantGrace)
 			}
 		})
+	}
+}
+
+// Note turns a cube's counters into its hardness since dispatch on the
+// scheduler's clock: 100 conflicts and progress 0.5 two seconds after
+// dispatch are 50 conflicts/s discounted by a progress slope of 0.25/s.
+func TestSchedulerNoteHardnessSinceDispatch(t *testing.T) {
+	h := newSchedHarness(t, SchedOptions{SplitPolicy: SplitPolicy{Depth: 1}})
+	a := h.dispatch(Cube{From: 0, To: 1}, "w1")
+	h.clock.advance(2 * time.Second)
+	if got := h.s.Note(a, 100, 0.5); got != 37.5 {
+		t.Fatalf("Note returned %v, want 37.5", got)
+	}
+	if a.Hardness != 37.5 {
+		t.Fatalf("assignment keeps hardness %v, want 37.5", a.Hardness)
+	}
+}
+
+// TestHardnessMonotoneInConflictRate: for a fixed interval and progress
+// delta, a rising conflict count must never lower the hardness score.
+func TestHardnessMonotoneInConflictRate(t *testing.T) {
+	const dt = 500 * time.Millisecond
+	for _, slope := range []float64{0, 0.001, 0.01, 0.2} {
+		prev := 0.0
+		for conflicts := int64(0); conflicts <= 10000; conflicts += 250 {
+			h := Hardness(conflicts, slope, dt)
+			if h < prev {
+				t.Fatalf("hardness decreased under rising conflict rate: slope=%v conflicts=%d: %v < %v",
+					slope, conflicts, h, prev)
+			}
+			prev = h
+		}
+	}
+	// Stalled progress must score at least as hard as moving progress.
+	if Hardness(1000, 0.4, time.Second) > Hardness(1000, 0, time.Second) {
+		t.Fatal("progressing instance scored harder than a stalled one")
+	}
+	// Degenerate inputs score zero.
+	if Hardness(100, 0, 0) != 0 || Hardness(0, 0, time.Second) != 0 {
+		t.Fatal("degenerate hardness inputs must score 0")
+	}
+	// Slope clamps at 1/s: hardness never goes negative.
+	if h := Hardness(10, 5, time.Second); h < 0 {
+		t.Fatalf("hardness went negative under steep slope: %v", h)
 	}
 }
 
@@ -173,9 +213,12 @@ func TestSchedulerStateMachine(t *testing.T) {
 			old := h.dispatch(rng(0, 1), "w1")
 			mid := h.dispatch(rng(2, 3), "w2")
 			hard := h.dispatch(rng(4, 5), "w3")
-			h.s.Note(old, 1)
-			h.s.Note(mid, 1)
-			h.s.Note(hard, 5)
+			// One second later the three have run 3, 2 and 1 s: old and mid
+			// at the same rate, hard at five times it.
+			h.clock.advance(time.Second)
+			h.s.Note(old, 300, 0)
+			h.s.Note(mid, 200, 0)
+			h.s.Note(hard, 500, 0)
 			h.clock.advance(2 * testGrace)
 			for i, want := range []*Assignment{hard, old, mid} {
 				if _, victim, _ := h.idle("idle"); victim != want {

@@ -44,8 +44,9 @@ type Manifest struct {
 // worker sends for it, live on heartbeats and final on results, what the
 // coordinator's metrics read, and the row of the report file, whose JSON
 // keys these are. core.PartitionRow builds it from a finished instance
-// and the distributed worker's heartbeat from a live sample; Worker,
-// Certified and a job-wide Cause are the coordinator's to stamp.
+// and the distributed worker's heartbeat from a partition's latest
+// counters; Worker, Certified and a job-wide Cause are the coordinator's
+// to stamp.
 type PartitionRow struct {
 	Partition    int    `json:"partition"`
 	Verdict      string `json:"verdict,omitempty"`
@@ -65,14 +66,12 @@ type PartitionRow struct {
 	Progress    float64 `json:"progress,omitempty"`
 	SolveMillis int64   `json:"solve_millis,omitempty"`
 	Certified   bool    `json:"certified,omitempty"`
-	// Hardness is the partition's hardness score (sat.Hardness: conflict
-	// rate × (1 − progress slope)) — live over the last heartbeat
-	// interval while running, whole-run once finished. The hottest
-	// partitions are the split candidates for adaptive partitioning.
-	Hardness float64 `json:"hardness,omitempty"`
-	// ConflictRate is the partition's conflicts/second over the same
-	// interval.
-	ConflictRate float64 `json:"conflict_rate,omitempty"`
+}
+
+// Hardness is the partition's partition.Hardness over its solve time: 0
+// until the row has one.
+func (r PartitionRow) Hardness() float64 {
+	return partition.Hardness(r.Conflicts, r.Progress, time.Duration(r.SolveMillis)*time.Millisecond)
 }
 
 // TemplateRow is the run's template solver: the formula loaded once —
@@ -228,11 +227,7 @@ func (r *Recorder) AddProfiles(recs []ProfileRecord) {
 // final result — into the partition's row. Counters, the progress
 // estimate and the solve time only move forward, so a late heartbeat or
 // a solver that never hit the progress cadence (zeros) cannot regress a
-// row; verdict, cause and worker are the latest named. Hardness and
-// conflict rate are a level over one interval, not a counter: the latest
-// pair wins — it legitimately falls as a partition closes in on its
-// verdict — and an all-zero pair, a heartbeat before the second sample,
-// is no reading at all.
+// row; verdict, cause and worker are the latest named.
 func (r *Recorder) Merge(row PartitionRow) {
 	if r == nil {
 		return
@@ -263,9 +258,6 @@ func (r *Recorder) Merge(row PartitionRow) {
 	cur.SolveMillis = max(cur.SolveMillis, row.SolveMillis)
 	if row.Certified {
 		cur.Certified = true
-	}
-	if row.Hardness != 0 || row.ConflictRate != 0 {
-		cur.Hardness, cur.ConflictRate = row.Hardness, row.ConflictRate
 	}
 }
 
@@ -489,9 +481,10 @@ func renderPartitionTable(w io.Writer, rows []PartitionRow) {
 			}
 			flags += r.Cause
 		}
+		h := r.Hardness()
 		fmt.Fprintf(w, "  %9d  %-8s %-16s %10d %13d %9d %10d %9.3f %9d %9.1f %s\n",
 			r.Partition, orUnknown(r.Verdict), orDash(r.Worker),
-			r.Conflicts, r.Propagations, r.ElimVars, r.Simplified, r.Progress, r.SolveMillis, r.Hardness, flags)
+			r.Conflicts, r.Propagations, r.ElimVars, r.Simplified, r.Progress, r.SolveMillis, h, flags)
 		if minMs < 0 || r.SolveMillis < minMs {
 			minMs = r.SolveMillis
 		}
@@ -504,14 +497,14 @@ func renderPartitionTable(w io.Writer, rows []PartitionRow) {
 		if r.Progress > maxProg {
 			maxProg = r.Progress
 		}
-		if minHard < 0 || r.Hardness < minHard {
-			minHard = r.Hardness
+		if minHard < 0 || h < minHard {
+			minHard = h
 		}
-		if r.Hardness >= maxHard {
-			if r.Hardness > maxHard || hardest < 0 {
+		if h >= maxHard {
+			if h > maxHard || hardest < 0 {
 				hardest = r.Partition
 			}
-			maxHard = r.Hardness
+			maxHard = h
 		}
 	}
 	if len(rows) > 1 {
@@ -526,7 +519,7 @@ func renderPartitionTable(w io.Writer, rows []PartitionRow) {
 		if minHard < 0 {
 			minHard = 0
 		}
-		fmt.Fprintf(w, "  hardness: max = %.1f (partition %d), min = %.1f, spread = %.1f — hottest partition is the next split candidate\n",
+		fmt.Fprintf(w, "  hardness: max = %.1f (partition %d), min = %.1f, spread = %.1f\n",
 			maxHard, hardest, minHard, maxHard-minHard)
 	}
 }

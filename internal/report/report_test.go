@@ -31,22 +31,19 @@ func TestRecorderMonotonicRows(t *testing.T) {
 	}
 }
 
-// Hardness is a level, not a counter: unlike the monotone row counters
-// a later lower sample replaces an earlier higher one (a partition that
-// was hard and then eased off is currently easy), but an all-zero
-// update — a heartbeat before the first sample — is ignored.
-func TestRecorderHardnessLatestWins(t *testing.T) {
+// A row's hardness is derived from the row: the partition's conflicts
+// and progress over its solve time, and 0 while it has none — a live
+// heartbeat's row, or a row merged from heartbeats only.
+func TestPartitionRowHardnessDerived(t *testing.T) {
 	r := NewRecorder()
-	r.Merge(PartitionRow{Partition: 2, Hardness: 10, ConflictRate: 100})
-	r.Merge(PartitionRow{Partition: 2, Hardness: 4, ConflictRate: 40})
-	r.Merge(PartitionRow{Partition: 2})
-	rep := r.Build()
-	if len(rep.Partitions) != 1 {
-		t.Fatalf("rows: %d", len(rep.Partitions))
+	r.Merge(PartitionRow{Partition: 2, Conflicts: 100, Progress: 0.5})
+	if h := r.Build().Partitions[0].Hardness(); h != 0 {
+		t.Fatalf("hardness %v before the row has a solve time, want 0", h)
 	}
-	row := rep.Partitions[0]
-	if row.Hardness != 4 || row.ConflictRate != 40 {
-		t.Fatalf("hardness not latest-wins: %+v", row)
+	r.Merge(PartitionRow{Partition: 2, Verdict: "UNSAT", SolveMillis: 2000})
+	// 50 conflicts/s, discounted by a progress slope of 0.25/s.
+	if h := r.Build().Partitions[0].Hardness(); h != 37.5 {
+		t.Fatalf("hardness %v, want 37.5", h)
 	}
 }
 
@@ -58,7 +55,7 @@ func TestRecorderMergeIsOrderFree(t *testing.T) {
 	r := NewRecorder()
 	updates := []PartitionRow{
 		{Partition: 1, Worker: "w0", Conflicts: 10, Propagations: 100, Progress: 0.1},
-		{Partition: 1, Worker: "w0", Conflicts: 30, Propagations: 300, Progress: 0.3, Hardness: 7, ConflictRate: 70},
+		{Partition: 1, Worker: "w0", Conflicts: 30, Propagations: 300, Progress: 0.3},
 		{Partition: 1, Worker: "w0", Conflicts: 20, Propagations: 200, Progress: 0.2},
 		{Partition: 1, Worker: "w0", Verdict: "UNSAT", Conflicts: 40, Propagations: 400, Decisions: 9, Restarts: 1, Progress: 0.5, SolveMillis: 3, Certified: true},
 	}
@@ -72,7 +69,7 @@ func TestRecorderMergeIsOrderFree(t *testing.T) {
 	}
 	wg.Wait()
 	want := PartitionRow{Partition: 1, Worker: "w0", Verdict: "UNSAT", Conflicts: 40, Propagations: 400, Decisions: 9, Restarts: 1,
-		Progress: 0.5, SolveMillis: 3, Certified: true, Hardness: 7, ConflictRate: 70}
+		Progress: 0.5, SolveMillis: 3, Certified: true}
 	if rows := r.Build().Partitions; len(rows) != 1 || rows[0] != want {
 		t.Fatalf("merged %+v, want %+v", rows, want)
 	}
@@ -99,9 +96,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
 	r.SetTemplate(TemplateRow{Millis: 98, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
-	r.Merge(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 1, SolveMillis: 5, Hardness: 12.5, ConflictRate: 80})
+	r.Merge(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 0.25, SolveMillis: 500})
 	// Partition 1 searched long enough for the solver to simplify.
-	r.Merge(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 1, SolveMillis: 20, Hardness: 50.0, ConflictRate: 200})
+	r.Merge(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 0.25, SolveMillis: 2000})
 	r.AddProfiles([]ProfileRecord{
 		{Phase: "encode", Kind: "cpu", Path: "profiles/p_encode.cpu.pprof", Bytes: 100},
 		{Phase: "solve", Kind: "heap", Path: "profiles/p_solve.heap.pprof", Bytes: 2000},
@@ -163,7 +160,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		"       10             0         0          0",
 		"       40           900     18363      67514",
 		"imbalance: solve-ms max/min = 4.0, progress spread = 0.000",
-		"hardness: max = 50.0 (partition 1), min = 12.5, spread = 37.5",
+		"hardness: max = 17.5 (partition 1), min = 10.0, spread = 7.5",
 		"Captured profiles (2):",
 		"profiles/p_solve.heap.pprof",
 		"Span tree: 3 spans, 1 roots, 0 orphans",

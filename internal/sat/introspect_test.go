@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // TestStatsAddLaws locks in the aggregation laws documented on
 // Stats.Add: counters sum (including the introspection fields),
@@ -118,77 +115,6 @@ func TestLBDBucketBoundsExhaustive(t *testing.T) {
 		if got != want {
 			t.Errorf("LBDBucket(%d) = %d, want %d", lbd, got, want)
 		}
-	}
-}
-
-// TestHardnessMonotoneInConflictRate: for a fixed interval and progress
-// delta, a rising conflict count must never lower the hardness score.
-func TestHardnessMonotoneInConflictRate(t *testing.T) {
-	const dt = 500 * time.Millisecond
-	for _, slope := range []float64{0, 0.001, 0.01, 0.2} {
-		prev := 0.0
-		for conflicts := int64(0); conflicts <= 10000; conflicts += 250 {
-			h := Hardness(conflicts, slope, dt)
-			if h < prev {
-				t.Fatalf("hardness decreased under rising conflict rate: slope=%v conflicts=%d: %v < %v",
-					slope, conflicts, h, prev)
-			}
-			prev = h
-		}
-	}
-	// Stalled progress must score at least as hard as moving progress.
-	if Hardness(1000, 0.4, time.Second) > Hardness(1000, 0, time.Second) {
-		t.Fatal("progressing instance scored harder than a stalled one")
-	}
-	// Degenerate inputs score zero.
-	if Hardness(100, 0, 0) != 0 || Hardness(0, 0, time.Second) != 0 {
-		t.Fatal("degenerate hardness inputs must score 0")
-	}
-	// Slope clamps at 1/s: hardness never goes negative.
-	if h := Hardness(10, 5, time.Second); h < 0 {
-		t.Fatalf("hardness went negative under steep slope: %v", h)
-	}
-}
-
-// TestSamplerTimeSeries feeds a deterministic snapshot sequence through
-// the sampler and checks rates and hardness.
-func TestSamplerTimeSeries(t *testing.T) {
-	sp := NewSampler()
-	t0 := sp.origin
-
-	sp.observeAt(t0, Stats{Conflicts: 0, Decisions: 0, Propagations: 0, Progress: 0})
-	s1 := sp.observeAt(t0.Add(time.Second), Stats{Conflicts: 100, Decisions: 200, Propagations: 4000, Restarts: 1, Progress: 0.1})
-	s2 := sp.observeAt(t0.Add(2*time.Second), Stats{Conflicts: 400, Decisions: 500, Propagations: 9000, Restarts: 2, Progress: 0.1})
-	if s1.ConflictRate != 100 || s1.DecisionRate != 200 || s1.PropagationRate != 4000 {
-		t.Fatalf("sample 1 rates: %+v", s1)
-	}
-	// Interval 1: 100 conflicts/s, slope 0.1/s → hardness 100×0.9.
-	if want := 100 * 0.9; s1.Hardness != want {
-		t.Fatalf("sample 1 hardness: got %v, want %v", s1.Hardness, want)
-	}
-	// Interval 2: 300 conflicts/s, flat progress → hardness 300.
-	if s2.ConflictRate != 300 || s2.Hardness != 300 {
-		t.Fatalf("sample 2: rate=%v hardness=%v, want 300/300", s2.ConflictRate, s2.Hardness)
-	}
-	if s2.Restarts != 2 {
-		t.Fatalf("restart timeline: got %d, want 2", s2.Restarts)
-	}
-	if sp.HardnessScore() != 300 {
-		t.Fatalf("HardnessScore: got %v, want 300", sp.HardnessScore())
-	}
-
-	if last, ok := sp.Last(); !ok || last != s2 {
-		t.Fatalf("Last: %+v, %v; want %+v", last, ok, s2)
-	}
-
-	// Nil sampler is a no-op everywhere.
-	var nilSP *Sampler
-	nilSP.Observe(Stats{Conflicts: 1})
-	if nilSP.HardnessScore() != 0 {
-		t.Fatal("nil sampler must no-op")
-	}
-	if _, ok := nilSP.Last(); ok {
-		t.Fatal("nil sampler reported a sample")
 	}
 }
 
