@@ -523,9 +523,7 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
+	defer jnl.Close()
 
 	popts := pr.popts
 	popts.Workers, popts.Journal = opts.Cores, jnl
@@ -635,7 +633,6 @@ func openJournal(p *prog.Program, opts Options, totalParts int, root *obs.Span) 
 	if err != nil {
 		return nil, err
 	}
-	jnl.SetTracer(opts.Tracer)
 	jnl.SetParent(root)
 	return jnl, nil
 }

@@ -317,15 +317,15 @@ func jobFrame(opts *CoordinatorOptions, source string) Message {
 	return m
 }
 
-// openJournal opens the run's journal and the replicator its standbys
-// tail, or neither without a JournalPath. The journal pins everything
-// that gives a chunk's [From,To] range its meaning: a committed record
-// replays only into the exact same run configuration.
-func openJournal(opts *CoordinatorOptions, source string) (*journal.Journal, *replicator, error) {
+// openJournal opens the run's journal, or none without a JournalPath.
+// The journal pins everything that gives a chunk's [From,To] range its
+// meaning: a committed record replays only into the exact same run
+// configuration.
+func openJournal(opts *CoordinatorOptions, source string) (*journal.Journal, error) {
 	if opts.JournalPath == "" {
-		return nil, nil, nil
+		return nil, nil
 	}
-	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
+	return journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
 		ProgramSHA256: journal.HashProgram(source),
 		Unwind:        opts.Unwind,
 		Contexts:      opts.Contexts,
@@ -335,19 +335,6 @@ func openJournal(opts *CoordinatorOptions, source string) (*journal.Journal, *re
 		To:            opts.Partitions,
 		ChunkSize:     opts.ChunkSize,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	jnl.SetTracer(opts.Tracer)
-	// Connected standbys tail every committed record live, so their local
-	// journal copies stay promotion-ready. Seeded with the history a
-	// resumed run already holds.
-	repl, err := newReplicator(jnl.Manifest(), jnl.Committed())
-	if err != nil {
-		jnl.Close()
-		return nil, nil, err
-	}
-	return jnl, repl, nil
 }
 
 // Coordinate serves the analysis of program p over the workers that
@@ -378,13 +365,11 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			verifier = own
 		}
 	}
-	jnl, repl, err := openJournal(&opts, source)
+	jnl, err := openJournal(&opts, source)
 	if err != nil {
 		return nil, err
 	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
+	defer jnl.Close()
 	opts.Report.SetManifest(report.Manifest{
 		Program: opts.ProgramName, ProgramSHA: journal.HashProgram(source), Mode: "distributed",
 		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
@@ -404,7 +389,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		metrics:  newCoordMetrics(opts.Metrics),
-		repl:     repl,
+		repl:     newReplicator(jnl),
 		verifier: verifier,
 		root:     root,
 	}
@@ -494,7 +479,7 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 func (co *coordinator) committed(rec journal.ChunkRecord, commits int) {
 	replSpan := co.root.Child("replicate_fanout",
 		obs.KV("from", rec.From), obs.KV("to", rec.To))
-	co.repl.append(rec)
+	co.repl.append(rec, commits)
 	replSpan.End()
 	co.metrics.journalCommits.Inc()
 	if co.opts.Faults.killAt(commits) {

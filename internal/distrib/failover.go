@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,55 +48,43 @@ var errStandby = errors.New("distrib: coordinator is standby, not primary")
 var ErrStaleEpoch = errors.New("distrib: coordinator epoch is stale (deposed primary)")
 
 // replSubBuffer bounds the per-standby backlog of unsent replication
-// frames. A standby that falls further behind than this is dropped and
-// must reconnect, which re-sends the full history — correct (the
-// replica file is truncated on connect) if expensive, and strictly
-// better than blocking the primary's commit path on a slow follower.
+// messages. A standby that falls further behind than this is dropped
+// and must reconnect, which re-sends the full history — correct (the
+// standby replaces its replica on the manifest) if expensive, and
+// strictly better than blocking the primary's commit path on a slow
+// follower.
 const replSubBuffer = 1024
 
 // replicator fans committed journal records out to connected standbys.
-// Frames are the journal's own on-disk framing (journal.Marshal*), so
-// a standby can append them verbatim; frame 0 is always the manifest.
+// It holds no history of its own: a standby's history is the journal's
+// (subscribe), and only records committed after it subscribed pass
+// through here.
 type replicator struct {
-	mu     sync.Mutex
-	frames [][]byte
-	subs   map[chan []byte]struct{}
+	jnl  *journal.Journal
+	mu   sync.Mutex
+	subs map[chan *Message]struct{}
 }
 
-// newReplicator seeds the frame history with the manifest and the
-// records a resumed run already holds, so a standby that connects
-// late still receives the complete journal.
-func newReplicator(m journal.Manifest, history []journal.ChunkRecord) (*replicator, error) {
-	mf, err := journal.MarshalManifest(m)
-	if err != nil {
-		return nil, err
+// newReplicator returns the fan-out of jnl's commits; nil without a
+// journal, which leaves nothing to replicate.
+func newReplicator(jnl *journal.Journal) *replicator {
+	if jnl == nil {
+		return nil
 	}
-	frames := [][]byte{mf}
-	for _, rec := range history {
-		fr, err := journal.MarshalChunk(rec)
-		if err != nil {
-			return nil, err
-		}
-		frames = append(frames, fr)
-	}
-	return &replicator{frames: frames, subs: make(map[chan []byte]struct{})}, nil
+	return &replicator{jnl: jnl, subs: make(map[chan *Message]struct{})}
 }
 
-// append publishes one committed record to the history and every live
+// append publishes one committed record, the commits-th, to every live
 // subscriber. It is called from the journal's commit observer, under
-// the lock that orders commits, so frames reach every standby in exact
+// the lock that orders commits, so records reach every standby in exact
 // journal order. The send never blocks: a subscriber whose buffer is
 // full is closed and dropped instead.
-func (r *replicator) append(rec journal.ChunkRecord) {
-	frame, err := journal.MarshalChunk(rec)
-	if err != nil {
-		return // unreachable: ChunkRecord always marshals
-	}
+func (r *replicator) append(rec journal.ChunkRecord, commits int) {
+	m := &Message{Type: "replicate", Seq: commits, Record: &rec}
 	r.mu.Lock()
-	r.frames = append(r.frames, frame)
 	for ch := range r.subs {
 		select {
-		case ch <- frame:
+		case ch <- m:
 		default:
 			delete(r.subs, ch)
 			close(ch)
@@ -104,19 +93,20 @@ func (r *replicator) append(rec journal.ChunkRecord) {
 	r.mu.Unlock()
 }
 
-// subscribe atomically snapshots the history and registers a live
-// channel, so no frame committed between the two can be missed or
-// duplicated.
-func (r *replicator) subscribe() (history [][]byte, live chan []byte) {
+// subscribe registers a live channel and then snapshots the journal's
+// committed records. A record committed between the two is both in the
+// history and on the channel, where its Seq (its journal position) is
+// within the history: the sender skips it, so none is missed or sent
+// twice.
+func (r *replicator) subscribe() (history []journal.ChunkRecord, live chan *Message) {
+	live = make(chan *Message, replSubBuffer)
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	history = append([][]byte(nil), r.frames...)
-	live = make(chan []byte, replSubBuffer)
 	r.subs[live] = struct{}{}
-	return history, live
+	r.mu.Unlock()
+	return r.jnl.Committed(), live
 }
 
-func (r *replicator) unsubscribe(live chan []byte) {
+func (r *replicator) unsubscribe(live chan *Message) {
 	r.mu.Lock()
 	if _, ok := r.subs[live]; ok {
 		delete(r.subs, live)
@@ -125,11 +115,12 @@ func (r *replicator) unsubscribe(live chan []byte) {
 	r.mu.Unlock()
 }
 
-// serveReplica streams the journal to one connected standby: the full
-// history first, then live frames as they commit. The standby acks its
-// durably applied frame count, which drives the per-standby
-// replication-lag gauge. On a clean run end the remaining frames are
-// drained before the stop, so a finished run's replica is complete.
+// serveReplica streams the journal to one connected standby: the
+// manifest and the full history first, then live records as they
+// commit. The standby acks its durably applied message count, which
+// drives the per-standby replication-lag gauge. On a clean run end the
+// remaining records are drained before the stop, so a finished run's
+// replica is complete.
 func (co *coordinator) serveReplica(wc *conn, name string) {
 	if co.repl == nil {
 		// No journal, nothing to replicate: turn the standby away.
@@ -165,33 +156,41 @@ func (co *coordinator) serveReplica(wc *conn, name string) {
 	}()
 	defer func() { wc.close(); <-readerDone }()
 
-	seq := 0
-	send := func(frame []byte) bool {
-		if err := wc.send(&Message{Type: "replicate", Seq: seq, Data: frame}); err != nil {
+	// A message's Seq is its record's journal position (the manifest's
+	// is 0), so the count sent is the last Seq + 1.
+	send := func(m *Message) bool {
+		if wc.send(m) != nil {
 			return false
 		}
-		seq++
-		sent.Store(int64(seq))
+		sent.Store(int64(m.Seq) + 1)
 		return true
 	}
-	for _, fr := range history {
-		if !send(fr) {
+	manifest := co.repl.jnl.Manifest()
+	if !send(&Message{Type: "replicate", Manifest: &manifest}) {
+		return
+	}
+	for i := range history {
+		if !send(&Message{Type: "replicate", Seq: i + 1, Record: &history[i]}) {
 			return
 		}
 	}
+	// forward sends a live record unless the history already held it.
+	forward := func(m *Message, ok bool) bool {
+		return ok && (m.Seq <= len(history) || send(m))
+	}
 	for {
 		select {
-		case fr, ok := <-live:
-			if !ok || !send(fr) {
+		case m, ok := <-live:
+			if !forward(m, ok) {
 				return // dropped for lagging, or dead conn: standby resyncs
 			}
 		case <-co.done:
-			// Drain frames committed before the run ended (the Unsafe
+			// Drain records committed before the run ended (the Unsafe
 			// commit happens-before done closes), then say goodbye.
 			for {
 				select {
-				case fr, ok := <-live:
-					if !ok || !send(fr) {
+				case m, ok := <-live:
+					if !forward(m, ok) {
 						return
 					}
 				default:
@@ -497,13 +496,14 @@ func standbyAccept(ln net.Listener, stop <-chan struct{}, state *HAState) <-chan
 	return done
 }
 
-// tailPrimary connects to the primary as a standby and applies its
-// replication stream to a fresh replica at journalPath, acking each
-// durably applied frame. It returns when the connection dies, the
-// primary says stop, or the lease expires mid-stream; in every case
-// the replica file on disk is a valid journal prefix (at worst with a
-// torn tail a later Open repairs), so the caller can always promote
-// from whatever was applied.
+// tailPrimary connects to the primary as a standby and writes its
+// replication stream into a journal of its own at journalPath — opened
+// on the stream's manifest, one Commit per record — acking each durably
+// applied message. It returns when the connection dies, the primary
+// says stop, the stream breaks protocol, or the lease expires
+// mid-stream; in every case the replica on disk is a valid journal
+// prefix (at worst with a torn tail a later Open repairs), so the
+// caller can always promote from whatever was applied.
 func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm *haMetrics) {
 	if addr == "" {
 		return
@@ -524,14 +524,8 @@ func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm
 	if err != nil || welcome.Type != "welcome" || welcome.Role != RolePrimary {
 		return
 	}
-	// The primary streams its full history on every connect, so the
-	// replica starts from scratch: the primary's journal is the only
-	// authority, and a stale local file must not shadow it.
-	rep, err := journal.CreateReplica(journalPath)
-	if err != nil {
-		return
-	}
-	defer rep.Close()
+	var replica *journal.Journal // opened by the stream's manifest
+	defer func() { replica.Close() }()
 	applied := 0
 	for {
 		m, err := wc.recv(ha.StandbyPoll)
@@ -546,21 +540,30 @@ func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm
 			}
 			return
 		}
-		switch m.Type {
-		case "replicate":
-			if aerr := rep.Apply(m.Data); aerr != nil {
-				// Protocol violation or torn frame: abandon this stream;
-				// reconnecting triggers a full resync.
+		switch {
+		case m.Type == "replicate" && m.Manifest != nil && replica == nil:
+			// The primary streams its full history on every connect, so the
+			// replica starts from scratch: the primary's journal is the only
+			// authority, and a stale local file must not shadow it.
+			if rerr := os.Remove(journalPath); rerr != nil && !errors.Is(rerr, os.ErrNotExist) {
 				return
 			}
-			applied++
-			ha.State.setReplicated(rep.Records())
-			hm.replicated.Set(int64(applied))
-			_ = wc.send(&Message{Type: "replicate-ack", Seq: applied})
-		case "stop":
-			return // run finished on the primary
+			if replica, err = journal.Open(journalPath, *m.Manifest); err != nil {
+				return
+			}
+		case m.Type == "replicate" && m.Record != nil && replica != nil:
+			if replica.Commit(*m.Record) != nil {
+				return
+			}
 		default:
+			// "stop" (the run finished on the primary), or a protocol
+			// violation — a record before the manifest, a second manifest:
+			// abandon this stream; reconnecting triggers a full resync.
 			return
 		}
+		applied++
+		ha.State.setReplicated(replica.Commits())
+		hm.replicated.Set(int64(applied))
+		_ = wc.send(&Message{Type: "replicate-ack", Seq: applied})
 	}
 }

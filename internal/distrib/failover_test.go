@@ -2,11 +2,15 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -279,33 +283,86 @@ func TestHalfOpenEvictedByHeartbeatGrace(t *testing.T) {
 	_ = jobs
 }
 
-// A corrupt frame in the replication stream must abandon the stream
-// without poisoning the local replica: everything applied before the
-// corruption stays a valid journal the standby can cold-resume from.
+// A replication stream that breaks — a frame failing its wire CRC, a
+// record before the manifest, a second manifest — is abandoned without
+// poisoning the local replica: it holds the manifest and the records
+// applied before the bad message and nothing after it, a journal the
+// standby can cold-resume from. Each stream goes on past the bad
+// message, so a standby that kept applying would be caught.
 func TestStandbyAbandonsCorruptReplicationStream(t *testing.T) {
 	man := journal.Manifest{
 		ProgramSHA256: journal.HashProgram("prog"),
 		Unwind:        1, Contexts: 3, Partitions: 4,
 		From: 0, To: 4, ChunkSize: 1,
 	}
-	manFrame, err := journal.MarshalManifest(man)
-	if err != nil {
-		t.Fatal(err)
+	manifest := &Message{Type: "replicate", Manifest: &man}
+	rec := func(from int) *Message {
+		return &Message{Type: "replicate", Seq: from + 1, Record: &journal.ChunkRecord{
+			From: from, To: from, Verdict: core.Safe.String(), Winner: -1, Certified: true,
+		}}
 	}
-	recFrame, err := journal.MarshalChunk(journal.ChunkRecord{
-		From: 0, To: 0, Verdict: core.Safe.String(), Winner: -1, Certified: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	send := func(m *Message) func(*conn) error { return func(wc *conn) error { return wc.send(m) } }
+	// corrupt frames rec(1) as conn.send does, under a checksum it fails.
+	corrupt := func(wc *conn) error {
+		data, err := json.Marshal(rec(1))
+		if err != nil {
+			return err
+		}
+		return wc.sendRaw(fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(data, wireTable)^1, data))
 	}
-	corrupt := append([]byte(nil), recFrame...)
-	corrupt[len(corrupt)-1] ^= 0xff
+	cases := []struct {
+		name   string
+		stream []func(*conn) error
+		want   []int // the replica's records, by From; nil: no replica at all
+	}{
+		{"wire CRC mismatch", []func(*conn) error{send(manifest), send(rec(0)), corrupt, send(rec(2))}, []int{0}},
+		{"record before manifest", []func(*conn) error{send(rec(0)), send(manifest)}, nil},
+		{"second manifest", []func(*conn) error{send(manifest), send(rec(0)), send(manifest), send(rec(1))}, []int{0}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			jpath := filepath.Join(t.TempDir(), "journal")
+			tailScripted(t, jpath, c.stream)
+			if c.want == nil {
+				if _, err := os.Stat(jpath); !errors.Is(err, os.ErrNotExist) {
+					t.Fatalf("stat replica: %v, want no replica from a stream without a manifest", err)
+				}
+				return
+			}
+			gotMan, recs, err := journal.Read(jpath)
+			if err != nil {
+				t.Fatalf("replica is not a readable journal: %v", err)
+			}
+			if gotMan != man {
+				t.Fatalf("replica manifest %+v, want %+v", gotMan, man)
+			}
+			var froms []int
+			for _, r := range recs {
+				froms = append(froms, r.From)
+			}
+			if !slices.Equal(froms, c.want) {
+				t.Fatalf("replica records %+v, want those of chunks %v, applied before the bad message", recs, c.want)
+			}
+			// And it cold-resumes: Open accepts it and counts the commits.
+			j, err := journal.Open(jpath, man)
+			if err != nil {
+				t.Fatalf("cold resume from replica: %v", err)
+			}
+			defer j.Close()
+			if j.Commits() != len(c.want) {
+				t.Fatalf("resumed commits %d, want %d", j.Commits(), len(c.want))
+			}
+		})
+	}
+}
 
+// tailScripted runs tailPrimary against a fake primary that welcomes the
+// standby and plays stream to it, and waits for tailPrimary to return.
+func tailScripted(t *testing.T, jpath string, stream []func(*conn) error) {
+	t.Helper()
 	ln := listen(t)
 	defer ln.Close()
-	served := make(chan struct{})
 	go func() {
-		defer close(served)
 		c, err := ln.Accept()
 		if err != nil {
 			return
@@ -316,19 +373,18 @@ func TestStandbyAbandonsCorruptReplicationStream(t *testing.T) {
 			return
 		}
 		_ = wc.send(&Message{Type: "welcome", Role: RolePrimary, Epoch: 1})
-		_ = wc.send(&Message{Type: "replicate", Seq: 0, Data: manFrame})
-		_ = wc.send(&Message{Type: "replicate", Seq: 1, Data: recFrame})
-		_ = wc.send(&Message{Type: "replicate", Seq: 2, Data: corrupt})
+		for _, step := range stream {
+			_ = step(wc)
+		}
 		// Keep the conn open: tailPrimary must walk away on its own.
-		_, _ = wc.recv(5 * time.Second)
-		_, _ = wc.recv(5 * time.Second)
-		_, _ = wc.recv(5 * time.Second)
+		for {
+			if _, err := wc.recv(5 * time.Second); err != nil {
+				return
+			}
+		}
 	}()
-
-	dir := t.TempDir()
-	jpath := filepath.Join(dir, "journal")
 	ha := HAOptions{
-		LeasePath: filepath.Join(dir, "lease.json"),
+		LeasePath: filepath.Join(filepath.Dir(jpath), "lease.json"),
 		Holder:    "beta", StandbyPoll: 100 * time.Millisecond,
 	}
 	done := make(chan struct{})
@@ -339,28 +395,6 @@ func TestStandbyAbandonsCorruptReplicationStream(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("tailPrimary did not abandon the corrupt stream")
-	}
-
-	// The replica on disk is a clean journal prefix: the manifest and
-	// the one good record, nothing of the corrupt frame.
-	gotMan, recs, err := journal.Read(jpath)
-	if err != nil {
-		t.Fatalf("replica is not a readable journal: %v", err)
-	}
-	if gotMan != man {
-		t.Fatalf("replica manifest %+v, want %+v", gotMan, man)
-	}
-	if len(recs) != 1 || recs[0].Verdict != core.Safe.String() {
-		t.Fatalf("replica records %+v, want the one good record", recs)
-	}
-	// And it cold-resumes: Open accepts it and counts the commit.
-	j, err := journal.Open(jpath, man)
-	if err != nil {
-		t.Fatalf("cold resume from replica: %v", err)
-	}
-	defer j.Close()
-	if j.Commits() != 1 {
-		t.Fatalf("resumed commits %d, want 1", j.Commits())
+		t.Fatal("tailPrimary did not abandon the broken stream")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -36,9 +37,10 @@ func TestDistributedFlightRecorder(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	addr, resCh := startCoordinator(t, p, CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 1,
-		Metrics: reg,
-		Tracer:  tracer,
-		Report:  recorder,
+		Metrics:     reg,
+		Tracer:      tracer,
+		Report:      recorder,
+		JournalPath: filepath.Join(t.TempDir(), "journal"),
 	})
 
 	workerBufs := make([]*bytes.Buffer, 2)
@@ -87,9 +89,14 @@ func TestDistributedFlightRecorder(t *testing.T) {
 	if root.Name != "coordinate" || root.Proc != "coordinator" {
 		t.Fatalf("root span %s from %s", root.Name, root.Proc)
 	}
-	var jobSpans, workerJobs, solves int
+	var jobSpans, workerJobs, solves, commits int
 	tree.Walk(func(n *obs.SpanNode, depth int) {
 		switch n.Name {
+		case "journal_commit":
+			commits++
+			if n.Parent != root.ID || n.Proc != root.Proc {
+				t.Errorf("journal_commit span %s parented under %d, want the coordinate root %s", n.Ref(), n.Parent, root.Ref())
+			}
 		case "job":
 			jobSpans++
 			if depth != 1 {
@@ -110,8 +117,8 @@ func TestDistributedFlightRecorder(t *testing.T) {
 			}
 		}
 	})
-	if jobSpans != 4 || workerJobs != 4 || solves != 4 {
-		t.Fatalf("spans: job=%d worker_job=%d solve=%d, want 4 each", jobSpans, workerJobs, solves)
+	if jobSpans != 4 || workerJobs != 4 || solves != 4 || commits != 4 {
+		t.Fatalf("spans: job=%d worker_job=%d solve=%d journal_commit=%d, want 4 each", jobSpans, workerJobs, solves, commits)
 	}
 	trace := tracer.TraceID()
 	tree.Walk(func(n *obs.SpanNode, _ int) {

@@ -10,7 +10,7 @@ import (
 
 func TestLeaseAcquireHeldExpireReacquire(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lease.json")
-	a, err := AcquireLease(path, "a", "addr-a:1", 80*time.Millisecond)
+	a, err := AcquireLease(path, "a", "addr-a:1", time.Hour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,16 +22,24 @@ func TestLeaseAcquireHeldExpireReacquire(t *testing.T) {
 		t.Fatalf("lease state %+v exists=%v err=%v", st, exists, err)
 	}
 	// A competing holder is refused while the lease is live.
-	if _, err := AcquireLease(path, "b", "addr-b:1", 80*time.Millisecond); !errors.Is(err, ErrLeaseHeld) {
+	if _, err := AcquireLease(path, "b", "addr-b:1", time.Hour); !errors.Is(err, ErrLeaseHeld) {
 		t.Fatalf("err %v, want ErrLeaseHeld", err)
 	}
 	// Renewal pushes the expiry out.
 	if err := a.Renew(); err != nil {
 		t.Fatal(err)
 	}
-	// Once expired, the standby takes over with the next epoch.
-	time.Sleep(120 * time.Millisecond)
-	b, err := AcquireLease(path, "b", "addr-b:1", 80*time.Millisecond)
+	renewed, _, err := ReadLease(path)
+	if err != nil || renewed.ExpiresUnixMilli < st.ExpiresUnixMilli {
+		t.Fatalf("renewed lease %+v (err %v), want expiry at or after %d", renewed, err, st.ExpiresUnixMilli)
+	}
+	// Once expired, the standby takes over with the next epoch. The
+	// holder's clock runs out by writing its expiry into the past.
+	renewed.ExpiresUnixMilli = time.Now().Add(-time.Second).UnixMilli()
+	if err := writeLeaseFile(path, renewed); err != nil {
+		t.Fatal(err)
+	}
+	b, err := AcquireLease(path, "b", "addr-b:1", time.Hour)
 	if err != nil {
 		t.Fatalf("acquire after expiry: %v", err)
 	}

@@ -120,14 +120,18 @@ type Message struct {
 
 	// Cert-frame fields: Seq numbers the frames of one certificate from
 	// 0 upward and Data carries this frame's slice of the payload
-	// (base64 under encoding/json). Replication reuses both: a
-	// "replicate" message carries one framed journal record in Data with
-	// Seq counting records from 0 (manifest first), and a
-	// "replicate-ack" reports the standby's durably applied record count
-	// in Seq — the primary's replication-lag gauge is commits minus the
-	// last acked Seq.
+	// (base64 under encoding/json).
 	Seq  int    `json:"seq,omitempty"`
 	Data []byte `json:"data,omitempty"`
+
+	// Replication fields: the first "replicate" message of a stream
+	// carries the primary's journal Manifest (Seq 0), every later one a
+	// committed Record, with Seq its position in the journal (1 for the
+	// first record). A "replicate-ack" reports in Seq how many messages
+	// the standby has durably applied — the primary's replication-lag
+	// gauge is messages sent minus the last acked Seq.
+	Manifest *journal.Manifest    `json:"manifest,omitempty"`
+	Record   *journal.ChunkRecord `json:"record,omitempty"`
 
 	// Heartbeat live-progress fields: cumulative conflicts and
 	// propagations across the job's solver instances so far, snapshotted

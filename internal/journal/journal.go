@@ -235,10 +235,8 @@ type Journal struct {
 	// goodEnd is the offset just past the last durable record — the
 	// rollback point if a later append fails and seals the journal.
 	goodEnd int64
-	sealed  bool
-	sealErr error
+	sealErr error // the write failure that sealed the journal; nil while open for commits
 	closed  bool
-	tracer  *obs.Tracer
 	parent  *obs.Span
 	watch   func(rec ChunkRecord, commits int) // see Observe
 }
@@ -256,21 +254,10 @@ func (j *Journal) Observe(fn func(rec ChunkRecord, commits int)) {
 	j.mu.Unlock()
 }
 
-// SetTracer attaches a tracer so each Commit emits a "journal_commit"
-// span covering the append + fsync. Nil (the default) keeps the journal
-// untraced; call before commits start.
-func (j *Journal) SetTracer(t *obs.Tracer) {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	j.tracer = t
-	j.mu.Unlock()
-}
-
-// SetParent parents the journal's spans under p (typically the run's
-// root span), keeping a traced run's tree single-rooted. Without it,
-// commit spans are emitted as roots.
+// SetParent makes each Commit emit a "journal_commit" span covering the
+// append + fsync, as a child of p (typically the run's root span, so a
+// traced run's tree stays single-rooted). A nil p (the default) keeps
+// the journal untraced.
 func (j *Journal) SetParent(p *obs.Span) {
 	if j == nil {
 		return
@@ -505,24 +492,15 @@ func readRecord(r io.Reader) (typ byte, body []byte, size int, err error) {
 	return payload[1], payload[2:], 8 + int(length), nil
 }
 
-// frameRecord builds one complete on-disk record: 8-byte header
-// (length + CRC32C) followed by the versioned payload. The same bytes
-// are valid in the journal file and on the replication stream, so a
-// standby's copy is byte-identical to the primary's.
-func frameRecord(typ byte, body []byte) []byte {
-	payload := make([]byte, 0, 10+len(body))
-	payload = append(payload, 0, 0, 0, 0, 0, 0, 0, 0) // header placeholder
-	payload = append(payload, recVersion, typ)
-	payload = append(payload, body...)
-	binary.LittleEndian.PutUint32(payload[0:4], uint32(len(payload)-8))
-	binary.LittleEndian.PutUint32(payload[4:8], crc32.Checksum(payload[8:], castagnoli))
-	return payload
-}
-
-// appendRecord frames and writes one record, returning its on-disk
+// appendRecord writes one complete record — the 8-byte header (length +
+// CRC32C) followed by the versioned payload — and returns its on-disk
 // size; the caller syncs.
 func (j *Journal) appendRecord(typ byte, body []byte) (int, error) {
-	frame := frameRecord(typ, body)
+	frame := make([]byte, 8, 10+len(body)) // header placeholder
+	frame = append(frame, recVersion, typ)
+	frame = append(frame, body...)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(frame)-8))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(frame[8:], castagnoli))
 	if _, err := j.f.Write(frame); err != nil {
 		return 0, err
 	}
@@ -535,24 +513,15 @@ func (j *Journal) appendRecord(typ byte, body []byte) (int, error) {
 // fails (dead disk), Open's torn-tail repair heals the file on resume.
 // Called with j.mu held.
 func (j *Journal) seal(cause error) {
-	j.sealed = true
 	j.sealErr = cause
 	_ = j.f.Truncate(j.goodEnd)
 	_ = j.f.Sync()
 	_, _ = j.f.Seek(0, io.SeekEnd)
 }
 
-// Sealed reports whether a write failure has sealed the journal; once
-// sealed, every Commit returns ErrSealed and the committed set no
-// longer grows.
-func (j *Journal) Sealed() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.sealed
-}
-
 // SealCause returns the write error that sealed the journal (nil if it
-// is not sealed).
+// is not sealed). Once sealed, every Commit returns ErrSealed and the
+// committed set no longer grows.
 func (j *Journal) SealCause() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -575,19 +544,11 @@ func (j *Journal) Commit(rec ChunkRecord) error {
 	if j.closed {
 		return fmt.Errorf("journal: commit on closed journal")
 	}
-	if j.sealed {
+	if j.sealErr != nil {
 		return fmt.Errorf("%w: %v", ErrSealed, j.sealErr)
 	}
-	commitAttrs := []obs.Attr{
-		obs.KV("from", rec.From), obs.KV("to", rec.To),
-		obs.KV("verdict", rec.Verdict),
-	}
-	var sp *obs.Span
-	if j.parent != nil {
-		sp = j.parent.Child("journal_commit", commitAttrs...)
-	} else {
-		sp = j.tracer.Start("journal_commit", commitAttrs...)
-	}
+	sp := j.parent.Child("journal_commit",
+		obs.KV("from", rec.From), obs.KV("to", rec.To), obs.KV("verdict", rec.Verdict))
 	n, err := j.appendRecord(recChunk, body)
 	if err != nil {
 		j.seal(err)
@@ -638,15 +599,19 @@ func (j *Journal) TruncatedBytes() int64 { return j.truncated }
 
 // Close flushes and closes the file. Committed records are already
 // durable (Commit fsyncs), so Close after a signal is a formality — but
-// a cheap one, and it releases the descriptor.
+// a cheap one, and it releases the descriptor. Closing a nil journal
+// (a run without one) does nothing.
 func (j *Journal) Close() error {
+	if j == nil {
+		return nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}
 	j.closed = true
-	if j.sealed {
+	if j.sealErr != nil {
 		// A sealed journal's disk is already misbehaving; don't let a
 		// failing final Sync mask the close.
 		return j.f.Close()

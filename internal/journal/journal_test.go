@@ -1,10 +1,13 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -141,6 +144,259 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 	if j3.TruncatedBytes() != 0 {
 		t.Fatal("healed file still reports truncation")
+	}
+	// Truncation repairs tails; it must never blank the manifest check.
+	j3.Close()
+	other := testManifest()
+	other.Unwind = 9
+	if _, err := Open(path, other); !errors.Is(err, ErrManifestMismatch) {
+		t.Fatalf("err %v after heal, want ErrManifestMismatch", err)
+	}
+}
+
+// replicaManifest and replicaRecords set every field, so a field the JSON
+// round trip dropped or changed would show in the tests below.
+var replicaManifest = Manifest{
+	ProgramSHA256: HashProgram("void main() {}"), Unwind: 2, Contexts: 5, Rounds: 3,
+	Width: 8, Partitions: 16, From: 4, To: 12, ChunkSize: 2,
+}
+
+var replicaRecords = []ChunkRecord{
+	{From: 4, To: 4, Path: "01", Verdict: "UNKNOWN", Winner: 7, Cause: "memory", Millis: 12,
+		TimeoutMillis: 500, Conflicts: 64, MemBudgetMB: 128, Certified: true},
+	{From: 5, To: 6, Verdict: VerdictSplit, Winner: -1},
+	{From: 7, To: 7, Verdict: "SAFE", Winner: -1, Millis: 3, Certified: true},
+}
+
+// wireCopy passes the manifest and records through encoding/json and back,
+// as a replicate stream carries them to a standby.
+func wireCopy(t *testing.T, m Manifest, recs []ChunkRecord) (Manifest, []ChunkRecord) {
+	t.Helper()
+	type wire struct {
+		Manifest Manifest
+		Records  []ChunkRecord
+	}
+	data, err := json.Marshal(wire{m, recs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got wire
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	return got.Manifest, got.Records
+}
+
+// The manifest and both kinds of chunk record survive the JSON round trip
+// a replicate stream puts them through, field for field.
+func TestMarshalUnmarshalRoundTrip(t *testing.T) {
+	m, recs := wireCopy(t, replicaManifest, replicaRecords)
+	if m != replicaManifest {
+		t.Fatalf("manifest changed in transit: %+v, want %+v", m, replicaManifest)
+	}
+	if !slices.Equal(recs, replicaRecords) {
+		t.Fatalf("records changed in transit: %+v, want %+v", recs, replicaRecords)
+	}
+}
+
+// A standby's replica is written by Open and Commit from a manifest and
+// records that crossed the wire as JSON. The property that makes it the
+// primary's journal: the rewrite is the same file byte for byte, and it
+// resumes like the original — a promoted standby keeps committing to it.
+func TestReplicaProducesResumableJournal(t *testing.T) {
+	dir := t.TempDir()
+	primary := filepath.Join(dir, "primary.wal")
+	j := mustOpen(t, primary, replicaManifest)
+	for _, r := range replicaRecords {
+		if err := j.Commit(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+
+	m, recs := wireCopy(t, replicaManifest, replicaRecords)
+	replica := filepath.Join(dir, "replica.wal")
+	r := mustOpen(t, replica, m)
+	for _, rec := range recs {
+		if err := r.Commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Close()
+
+	want, err := os.ReadFile(primary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	have, err := os.ReadFile(replica)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(have) != string(want) {
+		t.Fatalf("rewritten journal differs from the original:\n%q\nwant\n%q", have, want)
+	}
+	resumed := mustOpen(t, replica, replicaManifest)
+	defer resumed.Close()
+	if c := resumed.Committed(); !slices.Equal(c, replicaRecords) {
+		t.Fatalf("resumed records %+v, want %+v", c, replicaRecords)
+	}
+	if err := resumed.Commit(ChunkRecord{From: 8, To: 8, Verdict: "SAFE", Winner: -1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A flipped byte, a cut-short frame or an implausible length prefix is
+// refused by the record reader, not misparsed; a clean frame reads back
+// as the record that was committed.
+func TestUnmarshalRejectsCorruptFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	j := mustOpen(t, path, testManifest())
+	st, err := j.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := ChunkRecord{From: 3, To: 3, Verdict: "UNSAT", Winner: -1, Certified: true}
+	if err := j.Commit(rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := data[st.Size():]
+
+	typ, body, n, err := readRecord(bytes.NewReader(frame))
+	if err != nil || typ != recChunk || n != len(frame) {
+		t.Fatalf("clean frame: type %d size %d err %v", typ, n, err)
+	}
+	var got ChunkRecord
+	if err := json.Unmarshal(body, &got); err != nil || got != rec {
+		t.Fatalf("clean frame read back as %+v (err %v), want %+v", got, err, rec)
+	}
+
+	flipped := slices.Clone(frame)
+	flipped[len(flipped)-1] ^= 0x40
+	oversized := slices.Clone(frame)
+	oversized[3] = 0xff
+	for name, bad := range map[string][]byte{
+		"flipped byte":     flipped,
+		"truncated":        frame[:len(frame)-3],
+		"short header":     frame[:5],
+		"oversized length": oversized,
+	} {
+		if _, _, _, err := readRecord(bytes.NewReader(bad)); err == nil {
+			t.Errorf("%s: corrupt frame accepted", name)
+		}
+	}
+}
+
+// The journal's two protocol rules — no chunk record before the manifest,
+// no second manifest — hold for any file, a replica included. A file that
+// breaks one is refused by Open and Read alike, and Open leaves it as it
+// was instead of "healing" it.
+func TestReplicaRejectsProtocolViolations(t *testing.T) {
+	dir := t.TempDir()
+	body, err := json.Marshal(ChunkRecord{From: 0, To: 0, Verdict: "UNSAT", Winner: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mbody, err := json.Marshal(testManifest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]struct {
+		forge func(j *Journal) error
+		want  string
+	}{
+		"record before manifest": {func(j *Journal) error {
+			// Cut the file back to its header and frame a record there.
+			if err := j.f.Truncate(int64(len(magic))); err != nil {
+				return err
+			}
+			if _, err := j.f.Seek(0, io.SeekEnd); err != nil {
+				return err
+			}
+			_, err := j.appendRecord(recChunk, body)
+			return err
+		}, "before manifest"},
+		"second manifest": {func(j *Journal) error {
+			if err := j.Commit(ChunkRecord{From: 1, To: 1, Verdict: "UNSAT", Winner: -1}); err != nil {
+				return err
+			}
+			_, err := j.appendRecord(recManifest, mbody)
+			return err
+		}, "duplicate manifest"},
+	} {
+		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_")+".wal")
+		j := mustOpen(t, path, testManifest())
+		if err := c.forge(j); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		before, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path, testManifest()); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Open err %v, want %q", name, err, c.want)
+		}
+		if _, _, err := Read(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Read err %v, want %q", name, err, c.want)
+		}
+		after, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, before) {
+			t.Errorf("%s: refused Open changed the file (%d bytes, was %d)", name, len(after), len(before))
+		}
+	}
+}
+
+// A standby killed mid-Commit leaves half a record at the tail of its
+// replica. Promotion must degrade to a cold resume from the last durable
+// record, and the promoted journal keeps committing after it.
+func TestReplicaTornTailDegradesToColdResume(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "replica.wal")
+	j := mustOpen(t, path, replicaManifest)
+	if err := j.Commit(replicaRecords[0]); err != nil {
+		t.Fatal(err)
+	}
+	durable, err := j.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Commit(replicaRecords[1]); err != nil {
+		t.Fatal(err)
+	}
+	full, err := j.f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	// The kill: half of the second record reached the disk.
+	torn := durable.Size() + (full.Size()-durable.Size())/2
+	if err := os.Truncate(path, torn); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(path, replicaManifest)
+	if err != nil {
+		t.Fatalf("torn replica refused: %v", err)
+	}
+	defer r.Close()
+	if c := r.Committed(); !slices.Equal(c, replicaRecords[:1]) {
+		t.Fatalf("replayed %+v, want only the durable record", c)
+	}
+	if r.TruncatedBytes() != torn-durable.Size() {
+		t.Fatalf("truncated %d bytes, want %d", r.TruncatedBytes(), torn-durable.Size())
+	}
+	if err := r.Commit(replicaRecords[2]); err != nil {
+		t.Fatal(err)
+	}
+	if _, recs, err := Read(path); err != nil || !slices.Equal(recs, []ChunkRecord{replicaRecords[0], replicaRecords[2]}) {
+		t.Fatalf("after heal and commit: %+v (err %v)", recs, err)
 	}
 }
 

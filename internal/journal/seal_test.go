@@ -89,7 +89,7 @@ func TestENOSPCSealsMidRecord(t *testing.T) {
 	if !errors.Is(j.SealCause(), syscall.ENOSPC) {
 		t.Fatalf("seal cause %v, want ENOSPC", j.SealCause())
 	}
-	if !j.Sealed() {
+	if j.SealCause() == nil {
 		t.Fatal("journal not sealed after write failure")
 	}
 	// The committed set must not have grown.
