@@ -127,18 +127,15 @@ func verify(ctx context.Context, proc *runflags.Process, f flags, opts core.Opti
 	if name == "" {
 		name = f.input
 	}
-	manifest := report.Manifest{
-		Program: name, Unwind: opts.Unwind, Contexts: opts.Contexts,
-		Rounds: opts.Rounds, Width: opts.Width, Partitions: opts.Partitions,
-		Mode: "local", TraceID: rec.Tracer.TraceID(),
-	}
+	// A run that fails before core derived its manifest reports no bounds.
+	manifest := report.Manifest{Program: name, Mode: "local", TraceID: rec.Tracer.TraceID()}
 	rec.Report.SetManifest(manifest)
 	start := time.Now()
 	res, err := core.Verify(ctx, p, opts)
 	if err != nil {
 		return 2, err
 	}
-	manifest.Partitions = res.Partitions
+	manifest.Manifest = res.Manifest
 	rec.Report.SetManifest(manifest)
 	rec.Report.SetVerdict(res.Verdict.String(), time.Since(start))
 	if res.JournalSealed {

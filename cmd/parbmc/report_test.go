@@ -39,8 +39,7 @@ func TestReportSubcommand(t *testing.T) {
 		t.Fatal(err)
 	}
 	recorder.SetManifest(report.Manifest{
-		Program: "fibonacci", Unwind: 2, Contexts: 4,
-		Partitions: res.Partitions, Mode: "local", TraceID: tracer.TraceID(),
+		Program: "fibonacci", Manifest: res.Manifest, Mode: "local", TraceID: tracer.TraceID(),
 	})
 	recorder.SetVerdict(res.Verdict.String(), time.Since(start))
 	recordRows(recorder, res)

@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"repro/internal/journal"
+	"repro/internal/report"
+	"repro/prog"
 )
 
 // TestExitCodes runs parbmc's entry point: 0 for SAFE, 1 for UNSAFE and
@@ -59,5 +61,28 @@ func TestReportWrittenOnFailedRun(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report misses %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// A local run reports the run it made, as its journal would pin it: the
+// total partitioning, the range it analysed and the program's hash.
+func TestReportManifestOfSubrange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.report.json")
+	code, err := run(context.Background(), []string{"parbmc", "-benchmark", "fibonacci",
+		"-unwind", "1", "-contexts", "4", "-partitions", "8", "-from", "0", "-to", "2", "-report", path}, io.Discard, io.Discard)
+	if code != 0 || err != nil {
+		t.Fatalf("exit %d, %v", code, err)
+	}
+	rep, err := report.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := loadProgram("", "fibonacci")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := rep.Manifest
+	if m.Partitions != 8 || m.From != 0 || m.To != 2 || m.ProgramSHA256 != journal.HashProgram(prog.Format(p)) {
+		t.Fatalf("report manifest %+v: want partitions 8, range [0,2) and the program's hash", m)
 	}
 }

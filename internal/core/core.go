@@ -311,6 +311,8 @@ type Result struct {
 	// the underlying failure.
 	JournalSealed bool
 	SealCause     string
+	// Manifest is the run that was analysed, as its journal pins it.
+	Manifest journal.Manifest
 }
 
 // PartitionRow is the report's row of one finished instance — the only
@@ -419,7 +421,6 @@ func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Resu
 // one: a distributed worker holds it from job to job, the coordinator
 // derives from its own what every worker's template logged.
 type Prepared struct {
-	p         *prog.Program
 	enc       *vc.Encoded
 	parts     []partition.Partition // the run's, all of them
 	splitLits []cnf.Lit             // partition.SplitLits, whether or not the run can be handed a path
@@ -427,6 +428,7 @@ type Prepared struct {
 	// (workers, hooks, journal) to them.
 	popts         parallel.Options
 	template      *parallel.Template
+	manifest      journal.Manifest
 	vars, clauses int // of the formula
 	timing        EncodeTiming
 	phases        []PhaseTiming // unfold, flatten, encode, partition
@@ -454,6 +456,11 @@ func (pr *Prepared) SplitLits() []cnf.Lit { return pr.splitLits }
 // Template is the solver template of the run.
 func (pr *Prepared) Template() *parallel.Template { return pr.template }
 
+// Manifest is the run over all of its partitions: the program hash, the
+// bounds with their defaults applied, and as many partitions as the
+// encoding allowed, which may be fewer than were asked for.
+func (pr *Prepared) Manifest() journal.Manifest { return pr.manifest }
+
 // LoadOnce, called before the first Run, lets the formula go once the
 // template's solver has loaded it (parallel.Template.LoadOnce, whose
 // conditions it inherits): Encoded().Formula() is nil from here on.
@@ -471,7 +478,7 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &Prepared{p: p, enc: enc, timing: timing, phases: []PhaseTiming{
+	pr := &Prepared{enc: enc, timing: timing, phases: []PhaseTiming{
 		{Name: "unfold", Duration: timing.Unfold},
 		{Name: "flatten", Duration: timing.Flatten},
 		{Name: "encode", Duration: timing.Encode},
@@ -488,6 +495,11 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	pr.splitLits = partition.SplitLits(enc, len(pr.parts))
 	pr.phases = append(pr.phases, PhaseTiming{Name: "partition", Duration: time.Since(partStart)})
 	partSpan.End(obs.KV("partitions", len(pr.parts)))
+	pr.manifest = journal.Manifest{
+		ProgramSHA256: journal.HashProgram(prog.Format(p)),
+		Unwind:        opts.Unwind, Contexts: opts.Contexts, Rounds: opts.Rounds, Width: opts.Width,
+		Partitions: len(pr.parts), To: len(pr.parts),
+	}
 
 	pr.popts = parallel.Options{
 		CertifyUnsat: opts.CertifyUnsat, KeepProofs: opts.KeepProofs,
@@ -519,11 +531,16 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jnl, err := openJournal(pr.p, opts, len(pr.parts), opts.span)
+	man := pr.manifest // of the whole run, or of the range selected
+	if opts.From != 0 || opts.To != 0 {
+		man.From, man.To = opts.From, opts.To
+	}
+	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, man)
 	if err != nil {
 		return nil, err
 	}
 	defer jnl.Close()
+	jnl.SetParent(opts.span)
 
 	popts := pr.popts
 	popts.Workers, popts.Journal = opts.Cores, jnl
@@ -575,6 +592,7 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 		Resumed:      pres.Resumed,
 		Splits:       pres.Splits,
 		MaxCubeDepth: pres.MaxCubeDepth,
+		Manifest:     man,
 	}
 	res.JournalSealed = pres.JournalSealed
 	res.SealCause = pres.JournalSealCause
@@ -600,41 +618,6 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.Phases = phases
 	return res, nil
-}
-
-// openJournal opens the run journal (nil without a JournalPath), after
-// partitioning, when the manifest's partition count is final. The
-// manifest pins everything that changes the meaning of a partition index
-// — the *total* partitioning plus the [From, To) subrange actually
-// analysed, not just how many partitions this run sees: 16 partitions
-// sliced [0,8) and a plain 8-partition run both solve 8 chunks, but index
-// i constrains different polarity bits in each, so they must never share
-// a journal. Budgets are deliberately not pinned: they live on the
-// individual budget-exhausted records, so a resume with raised budgets
-// can re-solve exactly the chunks they starved.
-func openJournal(p *prog.Program, opts Options, totalParts int, root *obs.Span) (*journal.Journal, error) {
-	if opts.JournalPath == "" {
-		return nil, nil
-	}
-	jFrom, jTo := opts.From, opts.To
-	if jFrom == 0 && jTo == 0 {
-		jTo = totalParts // normalise: default means the full range
-	}
-	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
-		ProgramSHA256: journal.HashProgram(prog.Format(p)),
-		Unwind:        opts.Unwind,
-		Contexts:      opts.Contexts,
-		Rounds:        opts.Rounds,
-		Width:         opts.Width,
-		Partitions:    totalParts,
-		From:          jFrom,
-		To:            jTo,
-	})
-	if err != nil {
-		return nil, err
-	}
-	jnl.SetParent(root)
-	return jnl, nil
 }
 
 // EncodeTiming splits the front half of the pipeline (unfold, flatten,

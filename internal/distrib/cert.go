@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cnf"
 	"repro/internal/core"
-	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sat"
@@ -264,31 +263,35 @@ func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *
 	return nil
 }
 
-// certVerifier holds the coordinator's own prepared run — the root of
-// trust every remote certificate is checked against, and what counts the
-// scheduler bits a run can split on. Workers receive only the program
-// source; whatever formula they actually solved, their evidence must
-// check out against this encoding, and a sub-cube's assumptions are
-// rebuilt from its split literals, not trusted from the wire. prefix is
-// the digest of what its template logged, once Coordinate derived it.
+// certVerifier holds the coordinator's own prepared run when the run
+// certifies — the root of trust every remote certificate is checked
+// against. Workers receive only the program source; whatever
+// formula they actually solved, their evidence must check out against
+// this encoding, and a sub-cube's assumptions are rebuilt from its split
+// literals, not trusted from the wire. prefix is the digest of what its
+// template logged, once Coordinate derived it.
 type certVerifier struct {
 	prep   *core.Prepared
 	prefix sat.ProofDigest
 }
 
-// newCertVerifier prepares the run exactly as workers are instructed to:
-// same bounds, same total partition count, same budget, proofs logged,
-// and its cubes handed out from outside. Its template certifies and
-// digests: what it logs goes into its checker, not into memory.
-func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
-	run := workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true)
-	run.CertifyUnsat = true
-	prep, err := core.Prepare(p, run)
+// prepareRun prepares the coordinator's own copy of the run, the one
+// every worker prepares from its manifest (workerRun). When the run
+// certifies, its template logs proofs into its checker, digesting them
+// instead of keeping them.
+func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*core.Prepared, error) {
+	certify := opts.Certify.Enabled()
+	prep, err := core.Prepare(p, core.Options{
+		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
+		To: opts.Partitions, Budget: opts.Budget, KeepProofs: certify, CertifyUnsat: certify,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
-	prep.Template().DigestPrefix()
-	return &certVerifier{prep: prep}, nil
+	if certify {
+		prep.Template().DigestPrefix()
+	}
+	return prep, nil
 }
 
 // derive builds the proof checker every SAFE certificate of the run is
@@ -301,17 +304,6 @@ func (v *certVerifier) derive(ctx context.Context) (time.Duration, error) {
 	v.prefix, err = tpl.PrefixDigest(ctx)
 	tpl.Drop()
 	return time.Since(start), err
-}
-
-// workerRun is the run a job describes, as core.Prepare wants it said:
-// what a worker prepares for the jobs of one run, and the coordinator to
-// derive what they all logged. The range marks the run as one whose
-// cubes arrive from outside; which range does not matter.
-func workerRun(unwind, contexts, width, partitions int, budget journal.Budget, proofs bool) core.Options {
-	return core.Options{
-		Unwind: unwind, Contexts: contexts, Width: width, Partitions: partitions,
-		To: max(partitions, 1), Budget: budget, KeepProofs: proofs,
-	}
 }
 
 // litHolds evaluates a literal under the solver-convention model

@@ -567,8 +567,8 @@ func TestWorkerPanicRecovery(t *testing.T) {
 
 // runJob's recover boundary, exercised directly.
 func TestRunJobRecoversPanic(t *testing.T) {
-	m := &Message{Type: "job", JobID: 7, Source: fibSrc, Unwind: 1, Contexts: 3,
-		Partitions: 4, From: 0, To: 1, Certify: CertifyFull}
+	m := &Message{Type: "job", JobID: 7, Source: fibSrc, RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4},
+		From: 0, To: 1, Certify: CertifyFull}
 	w := &worker{opts: WorkerOptions{Name: "w", Cores: 1}}
 	reply, cert := w.runJob(context.Background(), m, nil, &FaultEvent{Job: 0, Kind: FaultPanic}, nil)
 	if reply == nil || reply.JobID != 7 {
@@ -580,6 +580,13 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	if cert != nil {
 		t.Fatal("panicked job produced a certificate")
 	}
+}
+
+// newCertVerifier is the verifier Coordinate makes of its prepared run
+// when the run certifies, before it derives the run's checker.
+func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
+	prep, err := prepareRun(p, &opts)
+	return &certVerifier{prep: prep}, err
 }
 
 // derivedVerifier is the coordinator's verifier as Coordinate leaves it
@@ -605,8 +612,9 @@ func derivedVerifier(t *testing.T, p *prog.Program, opts CoordinatorOptions) *ce
 // prefix they continue.
 func workerCertificate(t *testing.T, p *prog.Program, opts CoordinatorOptions, cube partition.Cube) *Certificate {
 	t.Helper()
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), Unwind: opts.Unwind, Contexts: opts.Contexts,
-		Width: opts.Width, Partitions: opts.Partitions, From: cube.From, To: cube.To, CubePath: cube.Path, Certify: CertifyFull}
+	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p),
+		RunManifest: &RunManifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions},
+		From:        cube.From, To: cube.To, CubePath: cube.Path, Certify: CertifyFull}
 	m.setBudget(opts.Budget)
 	reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), m, nil, nil, nil)
 	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || cert.Prefix == nil {

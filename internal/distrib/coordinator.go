@@ -21,10 +21,11 @@ import (
 type CoordinatorOptions struct {
 	// Unwind, Contexts, Width are the analysis bounds.
 	Unwind, Contexts, Width int
-	// Partitions is the total partition count (power of two).
+	// Partitions is the total partition count asked for (power of two);
+	// the run has as many as the encoding allows, as in core.
 	Partitions int
-	// ChunkSize is the number of partitions per work unit (default:
-	// Partitions / 8, at least 1).
+	// ChunkSize is the number of partitions per work unit (default: the
+	// run's partition count / 8, at least 1).
 	ChunkSize int
 	// JobTimeout bounds one worker job; an expired job is a failed
 	// attempt (default 10 minutes).
@@ -275,9 +276,6 @@ func (o *CoordinatorOptions) setDefaults() error {
 	case o.MemPauseRatio < 0:
 		return fmt.Errorf("distrib: memory pause ratio %v is negative", o.MemPauseRatio)
 	}
-	if o.ChunkSize == 0 {
-		o.ChunkSize = max(1, o.Partitions/8)
-	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 10 * time.Minute
 	}
@@ -304,37 +302,15 @@ func (o *CoordinatorOptions) setDefaults() error {
 	return nil
 }
 
-// jobFrame is what every job of a run carries: the program, the bounds,
-// the partitioning, the budget, the heartbeat cadence and the lease
-// epoch.
-func jobFrame(opts *CoordinatorOptions, source string) Message {
+// jobFrame is what every job of a run carries: the program, the run's
+// manifest, the budget, the heartbeat cadence and the lease epoch.
+func jobFrame(opts *CoordinatorOptions, man journal.Manifest, source string) Message {
 	m := Message{
-		Type: "job", Epoch: opts.Epoch, Source: source,
-		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
+		Type: "job", Epoch: opts.Epoch, Source: source, RunManifest: &man,
 		HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
 	}
 	m.setBudget(opts.Budget)
 	return m
-}
-
-// openJournal opens the run's journal, or none without a JournalPath.
-// The journal pins everything that gives a chunk's [From,To] range its
-// meaning: a committed record replays only into the exact same run
-// configuration.
-func openJournal(opts *CoordinatorOptions, source string) (*journal.Journal, error) {
-	if opts.JournalPath == "" {
-		return nil, nil
-	}
-	return journal.OpenRun(opts.JournalPath, opts.Resume, journal.Manifest{
-		ProgramSHA256: journal.HashProgram(source),
-		Unwind:        opts.Unwind,
-		Contexts:      opts.Contexts,
-		Width:         opts.Width,
-		Partitions:    opts.Partitions,
-		From:          0,
-		To:            opts.Partitions,
-		ChunkSize:     opts.ChunkSize,
-	})
 }
 
 // Coordinate serves the analysis of program p over the workers that
@@ -346,42 +322,39 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
-	chunks := partition.Chunks(opts.Partitions, opts.ChunkSize)
-	source := prog.Format(p)
-
-	// The coordinator encodes the program itself, once per run, when it
-	// needs what only the encoding can tell: with certification on, the
-	// root of trust every remote certificate is checked against; with
-	// splitting on, how many scheduler bits there are to split on.
-	var verifier *certVerifier
-	splitBits := 0
-	if opts.Certify.Enabled() || opts.Split.Depth > 0 {
-		own, err := newCertVerifier(p, opts)
-		if err != nil {
-			return nil, err
-		}
-		splitBits = len(own.prep.SplitLits())
-		if opts.Certify.Enabled() {
-			verifier = own
-		}
+	// The run the coordinator prepares itself is the one it partitions,
+	// journals, reports and hands out: its manifest's. With certification
+	// on, it is also the root of trust; otherwise it goes once read.
+	prep, err := prepareRun(p, &opts)
+	if err != nil {
+		return nil, err
 	}
-	jnl, err := openJournal(&opts, source)
+	man := prep.Manifest()
+	man.ChunkSize = opts.ChunkSize
+	if man.ChunkSize == 0 {
+		man.ChunkSize = max(1, man.Partitions/8)
+	}
+	chunks := partition.Chunks(man.Partitions, man.ChunkSize)
+	splitBits := len(prep.SplitLits())
+	var verifier *certVerifier
+	if opts.Certify.Enabled() {
+		verifier = &certVerifier{prep: prep}
+	}
+	opts.Report.SetManifest(report.Manifest{
+		Program: opts.ProgramName, Manifest: man, Mode: "distributed", TraceID: opts.Tracer.TraceID(),
+	})
+	jnl, err := journal.OpenRun(opts.JournalPath, opts.Resume, man)
 	if err != nil {
 		return nil, err
 	}
 	defer jnl.Close()
-	opts.Report.SetManifest(report.Manifest{
-		Program: opts.ProgramName, ProgramSHA: journal.HashProgram(source), Mode: "distributed",
-		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
-		TraceID: opts.Tracer.TraceID(),
-	})
 	root := opts.Tracer.Start("coordinate",
-		obs.KV("partitions", opts.Partitions), obs.KV("chunks", len(chunks)),
+		obs.KV("partitions", man.Partitions), obs.KV("chunks", len(chunks)),
 		obs.KV("epoch", opts.Epoch))
 	start := time.Now()
 	co := &coordinator{
 		opts:     opts,
-		frame:    jobFrame(&opts, source),
+		frame:    jobFrame(&opts, man, prog.Format(p)),
 		ln:       ln,
 		res:      &CoordinatorResult{},
 		pressure: make(map[string]workerPressure),

@@ -2,11 +2,11 @@ package distrib
 
 import (
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/prog"
@@ -22,24 +22,50 @@ import (
 // shapes them, and — once the template is built and if it logs proofs —
 // the digest of what it logged, in place of the log.
 type preparedRun struct {
-	key    string
+	key    runKey
 	prep   *core.Prepared
 	prefix *sat.ProofDigest
 }
 
-// runKey names the run a job belongs to. The certify level varies from
-// job to job under sampling; whether the run certifies at all does not,
-// and a template that logs proofs serves the jobs that need none.
-func runKey(m *Message) (key string, proofs bool) {
-	proofs = m.Certify == CertifyFull || m.Certify == CertifyModel
-	return fmt.Sprintf("%x u%d c%d w%d p%d %+v proofs=%v", sha256.Sum256([]byte(m.Source)),
-		m.Unwind, m.Contexts, m.Width, m.Partitions, m.budget(), proofs), proofs
+// runKey names the run a job belongs to: its manifest, the budget, and
+// whether its template logs proofs. The certify level varies from job to
+// job under sampling; whether the run certifies at all does not, and a
+// template that logs proofs serves the jobs that need none.
+type runKey struct {
+	manifest journal.Manifest
+	budget   journal.Budget
+	proofs   bool
+}
+
+// jobRun reads the run a job belongs to off its frame, hashing the source
+// itself: a frame that names another program hash is refused.
+func jobRun(m *Message) (runKey, error) {
+	if m.RunManifest == nil {
+		return runKey{}, fmt.Errorf("distrib: job %d names no run", m.JobID)
+	}
+	k := runKey{manifest: *m.RunManifest, budget: m.budget(), proofs: m.Certify == CertifyFull || m.Certify == CertifyModel}
+	sha := journal.HashProgram(m.Source)
+	if k.manifest.ProgramSHA256 != "" && k.manifest.ProgramSHA256 != sha {
+		return runKey{}, fmt.Errorf("distrib: job %d names program %.12s, its source is %.12s", m.JobID, k.manifest.ProgramSHA256, sha)
+	}
+	k.manifest.ProgramSHA256 = sha
+	return k, nil
+}
+
+// workerRun is the run a manifest describes, as core.Prepare wants it
+// said. The range marks the run as one whose cubes arrive from outside;
+// which range does not matter.
+func workerRun(m journal.Manifest, budget journal.Budget, proofs bool) core.Options {
+	return core.Options{
+		Unwind: m.Unwind, Contexts: m.Contexts, Rounds: m.Rounds, Width: m.Width, Partitions: m.Partitions,
+		To: max(m.Partitions, 1), Budget: budget, KeepProofs: proofs,
+	}
 }
 
 // prepared returns the run a job belongs to, prepared: the one the
 // worker holds, or another in its place, whose template the job's Run
 // then builds.
-func (w *worker) prepared(m *Message, key string, opts core.Options) (*preparedRun, error) {
+func (w *worker) prepared(m *Message, key runKey, opts core.Options) (*preparedRun, error) {
 	if w.run != nil && w.run.key == key {
 		return w.run, nil
 	}
@@ -132,8 +158,12 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		other.MemBudgetMB = f.MemMB
 		m = &other
 	}
-	key, proofs := runKey(m)
-	opts := workerRun(m.Unwind, m.Contexts, m.Width, m.Partitions, m.budget(), proofs)
+	key, err := jobRun(m)
+	if err != nil {
+		reply.Error = err.Error()
+		return reply, nil
+	}
+	opts := workerRun(key.manifest, key.budget, key.proofs)
 	opts.Tracer, opts.Parent = jt, jobSpan
 	if progress != nil {
 		opts.Progress, opts.ProgressEvery = progress.update, liveProgressEvery
@@ -162,7 +192,7 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		// build short: it goes with the cubes' solvers, and the next job
 		// pays for another.
 		w.run = nil
-	case proofs && run.prefix == nil:
+	case key.proofs && run.prefix == nil:
 		// What the template logged is the coordinator's to derive, not
 		// this worker's to ship: its digest is all that was kept of it.
 		if d, err := tpl.PrefixDigest(ctx); err == nil {

@@ -29,6 +29,10 @@ const maxFrameBytes = 16 << 20 // 16 MiB
 // frame must be rejected before json.Unmarshal can misread it.
 var wireTable = crc32.MakeTable(crc32.Castagnoli)
 
+// RunManifest is journal.Manifest under the name Message embeds it by,
+// which leaves the field Manifest to the replication stream.
+type RunManifest = journal.Manifest
+
 // Message is the JSON wire format exchanged between coordinator and
 // workers, one message per line.
 type Message struct {
@@ -50,16 +54,15 @@ type Message struct {
 	// one: a deposed primary that revives cannot hand out stale work.
 	Epoch int64 `json:"epoch,omitempty"`
 
-	// Job fields: the program source plus the analysis parameters and
-	// the partition range (the paper's --from/--to interface).
-	// HeartbeatMillis tells the worker how often to send a heartbeat
-	// while the job runs (0: no heartbeats expected).
+	// Job fields: the program source, the run's manifest (its keys sit in
+	// the frame beside these; nil, and so absent, on any other message)
+	// and the cube. From/To are the cube's partition range, To inclusive
+	// (the paper's --from/--to interface): they shadow the manifest's
+	// own from/to, which never travel. HeartbeatMillis tells the worker
+	// how often to send a heartbeat while the job runs (0: none).
+	*RunManifest
 	JobID           int    `json:"job_id,omitempty"`
 	Source          string `json:"source,omitempty"`
-	Unwind          int    `json:"unwind,omitempty"`
-	Contexts        int    `json:"contexts,omitempty"`
-	Width           int    `json:"width,omitempty"`
-	Partitions      int    `json:"partitions,omitempty"`
 	From            int    `json:"from"`
 	To              int    `json:"to"`
 	HeartbeatMillis int64  `json:"hb_millis,omitempty"`

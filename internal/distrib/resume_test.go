@@ -267,7 +267,7 @@ func TestJournalResumeCountsOnlyItsOwnSplits(t *testing.T) {
 	}
 	j, err := journal.Open(path, journal.Manifest{
 		ProgramSHA256: journal.HashProgram(prog.Format(p)),
-		Unwind:        1, Contexts: 3, Partitions: 4, To: 4, ChunkSize: 1,
+		Unwind:        1, Contexts: 3, Width: 8, Partitions: 4, To: 4, ChunkSize: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -95,17 +95,16 @@ type SimResult struct {
 // machineCores workers, exactly like the paper's cluster simulation.
 func SimulateCluster(ctx context.Context, p *prog.Program, opts core.Options, nparts, machineCores int) (*SimResult, error) {
 	start := time.Now()
-	// The encoding supports at most 2^(contexts-1) partitions (one
-	// symbolic scheduler word per context after the pinned first one).
-	if opts.Contexts > 0 && opts.Contexts-1 < 30 && nparts > 1<<uint(opts.Contexts-1) {
-		nparts = 1 << uint(opts.Contexts-1)
+	opts.Partitions, opts.Cores = nparts, machineCores
+	// As many partitions as the encoding allows: the run's manifest says.
+	prep, err := core.Prepare(p, opts)
+	if err != nil {
+		return nil, err
 	}
-	chunks := partition.Chunks(nparts, machineCores)
+	chunks := partition.Chunks(prep.Manifest().Partitions, machineCores)
 	res := &SimResult{Verdict: core.Safe}
 	for _, ch := range chunks {
 		o := opts
-		o.Partitions = nparts
-		o.Cores = machineCores
 		o.From, o.To = ch.From, ch.To+1
 		r, err := core.Verify(ctx, p, o)
 		if err != nil {

@@ -170,7 +170,7 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	const n = 4
 	base := CoordinatorOptions{Unwind: 3, Contexts: 3, Partitions: n, ChunkSize: 1}
-	opts := workerRun(base.Unwind, base.Contexts, base.Width, n, journal.Budget{}, false)
+	opts := workerRun(journal.Manifest{Unwind: base.Unwind, Contexts: base.Contexts, Width: base.Width, Partitions: n}, journal.Budget{}, false)
 	prep, err := core.Prepare(p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
 				opts := cell.opts
 				opts.Budget = journal.Budget{MemMB: memMB}
 				// The run the coordinator prepares, with its log kept.
-				run := workerRun(opts.Unwind, opts.Contexts, opts.Width, opts.Partitions, opts.Budget, true)
+				run := workerRun(journal.Manifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions}, opts.Budget, true)
 				run.CertifyUnsat = true
 				prep, err := core.Prepare(cell.p, run)
 				if err != nil {
@@ -254,11 +254,14 @@ func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
 					t.Fatalf("the coordinator's prefix has %d lemmas under a %d MiB budget", len(own.Lemmas), memMB)
 				}
 				// A worker, prepared by a job for the last partition alone.
-				m := &Message{Source: prog.Format(cell.p), Unwind: opts.Unwind, Contexts: opts.Contexts,
-					Partitions: opts.Partitions, From: opts.Partitions - 1, To: opts.Partitions - 1, Certify: CertifyFull}
+				m := &Message{Source: prog.Format(cell.p), RunManifest: &RunManifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Partitions: opts.Partitions},
+					From: opts.Partitions - 1, To: opts.Partitions - 1, Certify: CertifyFull}
 				m.setBudget(opts.Budget)
-				_, proofs := runKey(m)
-				wopts := workerRun(m.Unwind, m.Contexts, m.Width, m.Partitions, m.budget(), proofs)
+				key, err := jobRun(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wopts := workerRun(key.manifest, key.budget, key.proofs)
 				wopts.From, wopts.To = m.From, m.To+1
 				parsed, err := prog.Parse(m.Source)
 				if err != nil {
@@ -480,7 +483,7 @@ func (c cancelAfterSpan) Emit(e obs.Event) {
 // reports is an acknowledged cancel.
 func TestCancelDuringWorkerTemplateBuild(t *testing.T) {
 	p := bench.Eliminationstack()
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), Unwind: 2, Contexts: 6, Partitions: 8, Certify: CertifyFull}
+	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 2, Contexts: 6, Partitions: 8}, Certify: CertifyFull}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	w := &worker{opts: WorkerOptions{Cores: 1,
@@ -508,7 +511,7 @@ func TestCancelDuringWorkerTemplateBuild(t *testing.T) {
 // solver, and the worker's next job builds it again.
 func TestWatchdogTripRebuildsTemplate(t *testing.T) {
 	p := bench.Eliminationstack()
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), Unwind: 2, Contexts: 4, Partitions: 8, From: 1, To: 1}
+	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 2, Contexts: 4, Partitions: 8}, From: 1, To: 1}
 	w := &worker{opts: WorkerOptions{Cores: 1}}
 	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Template == nil {
 		t.Fatalf("first job: %+v", reply)

@@ -83,7 +83,9 @@ type File interface {
 }
 
 // Manifest pins the parameters a journal's verdicts are valid under.
-// Two runs may share a journal only if every field is equal.
+// Two runs may share a journal only if every field is equal. It is the
+// run's one description: core derives it (core.Prepared.Manifest), and
+// the report, the job frame and a worker's run key read it too.
 type Manifest struct {
 	// ProgramSHA256 is the hex SHA-256 of the formatted program source
 	// (see HashProgram); any source change invalidates old verdicts.
@@ -270,8 +272,12 @@ func (j *Journal) SetParent(p *obs.Span) {
 // OpenRun opens the journal of a run that may or may not be a
 // continuation: without resume an existing file at path is refused, so
 // a fresh run can never silently inherit (or append to) the verdicts of
-// an earlier one; with resume, Open's manifest check applies.
+// an earlier one; with resume, Open's manifest check applies. An empty
+// path opens no journal: nil, which Close, SetParent and Observe take.
 func OpenRun(path string, resume bool, m Manifest) (*Journal, error) {
+	if path == "" {
+		return nil, nil
+	}
 	if !resume {
 		if _, err := os.Stat(path); err == nil {
 			return nil, fmt.Errorf("journal: %s already exists (pass Resume to continue it)", path)

@@ -20,19 +20,17 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/partition"
 )
 
-// Manifest pins what one run verified and how it was split.
+// Manifest pins what one run verified and how it was split: the run's
+// journal manifest, beside the program's name, the mode and the trace. A
+// run that failed before it had a journal manifest leaves that zero.
 type Manifest struct {
-	Program    string `json:"program,omitempty"`
-	ProgramSHA string `json:"program_sha,omitempty"`
-	Unwind     int    `json:"unwind,omitempty"`
-	Contexts   int    `json:"contexts,omitempty"`
-	Rounds     int    `json:"rounds,omitempty"`
-	Width      int    `json:"width,omitempty"`
-	Partitions int    `json:"partitions,omitempty"`
+	Program string `json:"program,omitempty"`
+	journal.Manifest
 	// Mode is "local" or "distributed".
 	Mode string `json:"mode,omitempty"`
 	// TraceID is the run's trace ID; span files sharing it merge into
@@ -372,11 +370,21 @@ func Load(path string) (*Report, error) {
 func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 	m := rep.Manifest
 	fmt.Fprintf(w, "Run report: %s (%s)\n", orUnknown(m.Program), orUnknown(m.Mode))
-	if m.ProgramSHA != "" {
-		fmt.Fprintf(w, "  program sha: %s\n", m.ProgramSHA)
+	if m.ProgramSHA256 != "" {
+		fmt.Fprintf(w, "  program sha: %s\n", m.ProgramSHA256)
 	}
-	fmt.Fprintf(w, "  bounds: unwind=%d contexts=%d width=%d partitions=%d\n",
-		m.Unwind, m.Contexts, m.Width, m.Partitions)
+	if m.Partitions > 0 { // else the run failed before it had a manifest
+		fmt.Fprintf(w, "  bounds: unwind=%d contexts=%d", m.Unwind, m.Contexts)
+		if m.Rounds > 0 {
+			fmt.Fprintf(w, " rounds=%d", m.Rounds)
+		}
+		fmt.Fprintf(w, " width=%d partitions=%d", m.Width, m.Partitions)
+		// A report older than the range has none: From = To = 0.
+		if m.From != 0 || (m.To != 0 && m.To != m.Partitions) {
+			fmt.Fprintf(w, " range=[%d,%d)", m.From, m.To)
+		}
+		fmt.Fprintln(w)
+	}
 	if m.TraceID != "" {
 		fmt.Fprintf(w, "  trace: %s\n", m.TraceID)
 	}

@@ -2,12 +2,14 @@ package report
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -91,8 +93,9 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	r := NewRecorder()
 	r.SetManifest(Manifest{
-		Program: "fibonacci", Unwind: 1, Contexts: 3,
-		Partitions: 2, Mode: "distributed", TraceID: "cafe",
+		Program:  "fibonacci",
+		Manifest: journal.Manifest{Unwind: 1, Contexts: 3, Width: 8, Partitions: 2, To: 2},
+		Mode:     "distributed", TraceID: "cafe",
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
 	r.SetTemplate(TemplateRow{Millis: 98, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
@@ -153,6 +156,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	text := out.String()
 	for _, want := range []string{
 		"Run report: fibonacci (distributed)",
+		"bounds: unwind=1 contexts=3 width=8 partitions=2\n",
 		"Verdict: SAFE in 250 ms",
 		"Template: 98 ms, clauses 75370 -> 31850, elim-vars 18290, simplified 67101, propagations 4, cloned for 8 cubes",
 		"Partition imbalance (2 partitions):",
@@ -172,5 +176,51 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
+	}
+}
+
+// The header says what a run was: the bounds line names rounds only in
+// round-robin mode and the range only when the run was not all of it; a
+// run that failed before it had a manifest shows neither hash nor
+// bounds; and a file from before the manifest was journal.Manifest (its
+// hash under "program_sha", no range) renders its bounds, not its hash.
+func TestRenderManifestHeader(t *testing.T) {
+	for _, c := range []struct {
+		name, json string
+		want, not  []string
+	}{
+		{"whole run", `{"manifest":{"program":"p","program_sha256":"abc","unwind":1,"contexts":3,"width":8,"partitions":4,"to":4}}`,
+			[]string{"program sha: abc\n", "bounds: unwind=1 contexts=3 width=8 partitions=4\n"}, nil},
+		{"subrange", `{"manifest":{"program":"p","unwind":1,"contexts":4,"width":8,"partitions":8,"from":0,"to":2}}`,
+			[]string{"bounds: unwind=1 contexts=4 width=8 partitions=8 range=[0,2)\n"}, nil},
+		{"rounds", `{"manifest":{"program":"p","unwind":2,"rounds":3,"width":8,"partitions":1,"to":1}}`,
+			[]string{"bounds: unwind=2 contexts=0 rounds=3 width=8 partitions=1\n"}, nil},
+		{"failed before the manifest", `{"manifest":{"program":"p","mode":"local","program_sha256":"","unwind":0,"contexts":0,"width":0,"partitions":0}}`,
+			[]string{"Run report: p (local)"}, []string{"program sha", "bounds:"}},
+		{"older file", `{"manifest":{"program":"p","program_sha":"abc","unwind":1,"contexts":3,"width":8,"partitions":4}}`,
+			[]string{"bounds: unwind=1 contexts=3 width=8 partitions=4\n"}, []string{"program sha", "range"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "r.json")
+			if err := os.WriteFile(path, []byte(c.json), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			Render(&out, rep)
+			for _, w := range c.want {
+				if !strings.Contains(out.String(), w) {
+					t.Errorf("render misses %q:\n%s", w, out.String())
+				}
+			}
+			for _, n := range c.not {
+				if strings.Contains(out.String(), n) {
+					t.Errorf("render shows %q:\n%s", n, out.String())
+				}
+			}
+		})
 	}
 }
