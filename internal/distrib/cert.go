@@ -296,8 +296,11 @@ func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*core.Prepared, erro
 
 // derive builds the proof checker every SAFE certificate of the run is
 // put to, once, before the first job goes out: the template, built as
-// every honest worker builds its, streams its log into it, and is then
-// dropped. It reports how long that took.
+// every honest worker builds its, streams its log into it beside the
+// pass, and is then dropped. It reports how long that took — the build,
+// derivation included, which is the set-up part of CertifyMillis; the
+// derivation's checker work reaches CertifyWork with the first tail
+// checked (parallel.Template.Check).
 func (v *certVerifier) derive(ctx context.Context) (time.Duration, error) {
 	start, tpl := time.Now(), v.prep.Template()
 	var err error

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cnf"
@@ -82,11 +83,14 @@ type Template struct {
 	mu     sync.Mutex
 	solver *sat.Solver // nil until built, and again after Drop
 	built  TemplateResult
+	// own: it was built for its only cube, which is solved on it and logs
+	// all of its proof: there is no prefix.
+	own    bool
 	digest sat.ProofDigest // of what solver logged, when digestOnly
-	// The run's one proof checker (Check); prefix, what the solver logged
-	// before the first clone, unless digested; derr, that log does not
-	// check; reported, the checker's counters as Check last handed out.
-	prefix   *sat.Proof
+	// The run's one proof checker (Check), derived by the build beside
+	// the pass; derr, what the solver logged before the first clone does
+	// not check; reported, the checker's counters as Check last handed
+	// out.
 	checker  *sat.ProofChecker
 	derr     error
 	reported sat.ProofCheckerStats
@@ -149,8 +153,6 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		return t.solver, false, false
 	}
 	start := time.Now()
-	s = loadTemplate(t.f, &t.opts)
-	t.built = TemplateResult{ClausesIn: s.NumClauses()}
 	cubes := queued
 	if t.held {
 		cubes = len(t.parts)
@@ -162,21 +164,22 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	// benchmark's traced pass) and what the in-search trigger was tuned
 	// on. The solver is used up by it and never kept.
 	own = t.single(cubes)
+	// A log that is checked or digested goes to a goroutine of its own
+	// (passSink), started before the load: the checker loads beside the
+	// solver and takes each step of the pass while the pass makes the
+	// next.
+	var sink *passSink
+	logs, check := t.opts.CertifyUnsat || t.opts.KeepProofs, t.opts.CertifyUnsat && t.checker == nil
+	if !own && logs && (check || t.digestOnly) {
+		sink = startPassSink(t.f, check, t.digestOnly)
+		defer sink.wait(true) // a panic too ends it
+	}
+	s = loadTemplate(t.f, &t.opts)
+	t.built = TemplateResult{ClausesIn: s.NumClauses()}
 	whole := true
-	var digester *sat.ProofDigester
-	var checker *sat.ProofChecker
 	if !own {
-		if t.digestOnly && s.ProofLog() != nil {
-			digester = sat.NewProofDigester()
-			if t.opts.CertifyUnsat && t.checker == nil {
-				checker, _ = t.derive(nil) // the log streams in below
-			}
-			s.StreamProof(func(deleted bool, clause []uint32) {
-				digester.Step(deleted, clause)
-				if checker != nil {
-					checker.ExtendStep(deleted, clause)
-				}
-			})
+		if sink != nil {
+			s.StreamProof(sink.step)
 		}
 		if t.loadOnce {
 			t.f = nil
@@ -200,26 +203,191 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 			whole = !s.Interrupted()
 		}
 	}
+	// A pass cut short leaves a solver good for the call that is ending,
+	// and for no other: the next call builds the template again, and
+	// derives again.
+	if sink != nil {
+		sink.wait(!whole)
+		s.KeepProof(sink.kept)
+		if whole {
+			if t.digestOnly {
+				t.digest = sink.digester.Sum()
+			}
+			if check {
+				t.checker, t.derr = sink.checker, sink.derr
+			}
+		}
+	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
 	t.built.Time = time.Since(start)
-	if whole && !t.digestOnly {
-		t.prefix = &sat.Proof{} // a cube solved on the template logs all of its proof
-		if !own {
-			t.prefix = s.ProofLog()
-		}
-	}
-	// A pass cut short leaves a solver good for the call that is ending,
-	// and for no other: the next call builds the template again.
+	t.own = own
 	if t.held && !own && whole {
 		t.solver = s
-		if digester != nil {
-			t.digest = digester.Sum()
-		}
-		if checker != nil {
-			t.checker, t.derr = checker, checker.ExtendDone()
-		}
 	}
 	return s, own, true
+}
+
+// passSink is where a template build whose log is checked or digested
+// sends it: the solver streams the steps of its pass (Solver.StreamProof),
+// copied into batches, down a pipeline of two goroutines. The first
+// loads the run's proof checker from the formula while the solver loads,
+// then extends it by each step (ExtendStep) while the pass makes the
+// next; the second keeps the steps in a log of its own or, for a
+// digest-only template, digests them, and hands each batch back to be
+// refilled. A template that derives no checker has only the second. The
+// channels are bounded, so the stream holds at most about a MiB however
+// long the log, and the pipeline is a batch or two — a millisecond or
+// two — behind the pass when it ends.
+type passSink struct {
+	full, free chan []uint32
+	// batch is the producer's, being filled: per step a head word, the
+	// clause's length << 1 | deleted, then its literals.
+	batch []uint32
+	// abort: the build was cut short; nobody will read the checker or the
+	// digest. done closes when the pipeline has taken every batch.
+	abort  atomic.Bool
+	done   chan struct{}
+	closed bool
+
+	// Read once done is closed. digester for a digest-only template, kept
+	// otherwise; checker, when the build derives one, and derr, its log
+	// does not check.
+	checker  *sat.ProofChecker
+	derr     error
+	digester *sat.ProofDigester
+	kept     *sat.Proof
+	slab     []cnf.Lit // what kept's clauses are carved from
+}
+
+// A batch is about a millisecond of the checker's work. Each channel
+// holds enough of them to ride out a stage's bursts (the checker's index,
+// built at the first deletion; a collection) without stalling the pass:
+// at 4 batches of 16 Ki words the pass on es.u2.c5.p16 waited a median
+// 11.5 ms, at 32 of 4 Ki 2.7 ms. The pipeline takes no lock, so the
+// build may block on it while it holds the template's.
+const (
+	sinkBatch = 4 << 10 // words per batch
+	sinkDepth = 32      // batches per channel
+)
+
+// startPassSink starts the pipeline for a build over f: check, it
+// derives a checker; digestOnly, it digests the log instead of keeping it.
+// The formula is handed over here, before LoadOnce lets it go.
+func startPassSink(f *cnf.Formula, check, digestOnly bool) *passSink {
+	p := &passSink{
+		full: make(chan []uint32, sinkDepth),
+		// Room for every batch there can be: those in the two channels and
+		// one in the hands of each of the three goroutines.
+		free:  make(chan []uint32, 2*sinkDepth+3),
+		batch: make([]uint32, 0, sinkBatch),
+		done:  make(chan struct{}),
+		kept:  &sat.Proof{},
+	}
+	if digestOnly {
+		p.digester = sat.NewProofDigester()
+	}
+	derived := p.full
+	if check {
+		derived = make(chan []uint32, sinkDepth)
+		go p.derive(f, derived)
+	}
+	go p.record(derived)
+	return p
+}
+
+// derive is the first stage: it loads the checker, extends it by the
+// steps of each batch, and passes the batch on.
+func (p *passSink) derive(f *cnf.Formula, out chan<- []uint32) {
+	defer close(out)
+	p.checker = sat.NewProofChecker(f)
+	for b := range p.full {
+		if !p.abort.Load() {
+			eachStep(b, p.checker.ExtendStep)
+		}
+		out <- b
+	}
+	if !p.abort.Load() {
+		p.derr = p.checker.ExtendDone()
+	}
+}
+
+// record is the second stage. A build cut short still keeps the steps,
+// as the solver would have, but does not digest them.
+func (p *passSink) record(in <-chan []uint32) {
+	defer close(p.done)
+	for b := range in {
+		switch {
+		case p.digester == nil:
+			eachStep(b, p.keep)
+		case !p.abort.Load():
+			eachStep(b, p.digester.Step)
+		}
+		select {
+		case p.free <- b[:0]:
+		default:
+		}
+	}
+}
+
+// eachStep visits the steps of a batch in order.
+func eachStep(b []uint32, visit func(deleted bool, clause []uint32)) {
+	for len(b) > 0 {
+		n := int(b[0] >> 1)
+		visit(b[0]&1 != 0, b[1:1+n])
+		b = b[1+n:]
+	}
+}
+
+// step is the solver's StreamProof callback: clause is valid only for
+// the call, so it is copied.
+func (p *passSink) step(deleted bool, clause []uint32) {
+	if len(p.batch) > 0 && len(p.batch)+1+len(clause) > cap(p.batch) {
+		p.full <- p.batch
+		select {
+		case p.batch = <-p.free:
+		default:
+			p.batch = make([]uint32, 0, sinkBatch)
+		}
+	}
+	head := uint32(len(clause)) << 1
+	if deleted {
+		head |= 1
+	}
+	p.batch = append(append(p.batch, head), clause...)
+}
+
+// keep appends a step to the kept log, the clause carved from a slab as
+// the solver carves its own.
+func (p *passSink) keep(deleted bool, clause []uint32) {
+	if cap(p.slab)-len(p.slab) < len(clause) {
+		p.slab = make([]cnf.Lit, 0, max(len(clause), 4096))
+	}
+	start := len(p.slab)
+	for _, l := range clause {
+		p.slab = append(p.slab, cnf.Lit(l))
+	}
+	c := cnf.Clause(p.slab[start:len(p.slab):len(p.slab)])
+	if deleted {
+		p.kept.Deletes = append(p.kept.Deletes, sat.Deletion{At: len(p.kept.Lemmas), Clause: c})
+	} else {
+		p.kept.Lemmas = append(p.kept.Lemmas, c)
+	}
+}
+
+// wait hands the last batch over and waits for the pipeline to have
+// taken them all; abort: the build was cut short, and what it streamed
+// is neither checked nor digested. Only the first call does anything.
+func (p *passSink) wait(abort bool) {
+	if p.closed {
+		return
+	}
+	p.closed = true
+	p.abort.Store(abort)
+	if len(p.batch) > 0 {
+		p.full <- p.batch
+	}
+	close(p.full)
+	<-p.done
 }
 
 // Prefix returns what the template's solver logged before any cube was
@@ -245,9 +413,9 @@ func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
 // DigestPrefix, called before the template is built, has it hash what
 // Prefix would return instead of keeping it — tens of thousands of
 // clauses that the holder of a distributed run's template never reads
-// twice — and, if it certifies, extend its checker (Check) by each step
-// as the solver logs it (sat.Solver.StreamProof). PrefixDigest is then
-// all there is to ask for.
+// twice. The build digests the log beside the pass, as it derives a
+// certifying template's checker (get). PrefixDigest is then all there is
+// to ask for.
 func (t *Template) DigestPrefix() { t.digestOnly = true }
 
 // PrefixDigest is the digest of Prefix, building the template first if
@@ -270,22 +438,20 @@ func (t *Template) PrefixDigest(ctx context.Context) (sat.ProofDigest, error) {
 
 // Check checks tail, the log of a clone of the template (of the template
 // itself, for a run's only cube), as a refutation of the formula under
-// assume on the run's one proof checker: the formula extended once by
-// what the template logged before the clone, at the first Check or, under
-// DigestPrefix, as it was logged. Checks take turns behind the template's
-// lock; each reports the checker's work since the last, derivation included.
+// assume on the run's one proof checker: the formula extended by what the
+// template logged before the clone, as the build logged it (get). Checks
+// take turns behind the template's lock; each reports the checker's work
+// since the last, derivation included.
 func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheckerStats, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.checker == nil {
-		prefix := t.prefix
-		if t.single(len(t.parts)) {
-			prefix = &sat.Proof{} // a template made for one cube has none, built or not
+		// Only a template that has no prefix — one made or built for one
+		// cube — has no checker from its build: it loads the formula alone.
+		if t.f == nil || !t.own && !t.single(len(t.parts)) {
+			return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or its formula let go (LoadOnce)")
 		}
-		if t.f == nil || prefix == nil {
-			return work, errors.New("parallel: template: no prefix to check against: not built, digested without CertifyUnsat, or its formula let go (LoadOnce)")
-		}
-		t.checker, t.derr = t.derive(prefix)
+		t.checker = sat.NewProofChecker(t.f)
 	}
 	if t.derr != nil {
 		return work, fmt.Errorf("parallel: template: its own prefix does not check: %w", t.derr)
@@ -293,12 +459,6 @@ func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheck
 	err = t.checker.Check(assume, tail)
 	work, t.reported = t.checker.Stats().Since(t.reported), t.checker.Stats()
 	return work, err
-}
-
-// derive loads the formula into a proof checker extended by prefix.
-func (t *Template) derive(prefix *sat.Proof) (*sat.ProofChecker, error) {
-	c := sat.NewProofChecker(t.f)
-	return c, c.Extend(prefix)
 }
 
 // build is get outside a run.
@@ -347,7 +507,7 @@ func (t *Template) Ready() bool {
 func (t *Template) Drop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.solver, t.prefix = nil, nil
+	t.solver = nil
 }
 
 // buildTemplate gets the run's solver once replay has queued what is

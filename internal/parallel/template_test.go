@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"sync"
@@ -256,6 +257,31 @@ func TestCancelDuringTemplate(t *testing.T) {
 			t.Fatalf("partition %d: %v (%v), want cancelled", inst.Partition, inst.Status, inst.Cause)
 		}
 	}
+
+	// Certifying, the build derives its checker on a goroutine of its own,
+	// beside the pass: a build cut short ends that goroutine, and the
+	// template keeps neither the solver nor the checker.
+	goroutines := runtime.NumGoroutine()
+	opts := Options{Workers: 2, CertifyUnsat: true}
+	held := Prepare(f, parts, opts)
+	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if res, err = held.Solve(ctx, parts, opts); err != nil || res.Status != sat.Unknown {
+		t.Fatalf("certifying, cancelled: %v, %v", res, err)
+	}
+	held.mu.Lock()
+	kept := held.solver != nil || held.checker != nil
+	held.mu.Unlock()
+	if kept {
+		t.Fatal("a template whose build was cut short kept its solver or its checker")
+	}
+	// What the run started ends as Solve returns, or just after (the
+	// cancel's AfterFunc): yielding, not sleeping, lets it.
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before the cancelled build, %d after it", goroutines, runtime.NumGoroutine())
+		}
+	}
 }
 
 // A memory budget with room for the cubes but not for the pass's tables
@@ -365,6 +391,112 @@ func TestTemplateProofsAndModels(t *testing.T) {
 				t.Fatalf("after rejecting a forged prefix the checker rejects the real one: %v", err)
 			}
 		})
+	}
+}
+
+// The run's checker is derived beside the pass, a step at a time as the
+// pass logs them (passSink), not extended by the kept log afterwards; it
+// must be the checker that is. On both cells every honest tail and every
+// tail with a lemma flipped gets the same answer from Template.Check as
+// from a checker extended by Prefix, with the same work, derivation
+// included; and a template that digests its log instead of keeping it,
+// and lets its formula go, derives the digest of the kept log and gives
+// the same answers too.
+func TestCheckerDerivedBesideThePass(t *testing.T) {
+	for _, cell := range []struct {
+		name        string
+		p           *prog.Program
+		u, c, parts int
+	}{
+		{"es.u2.c4.p8", bench.Eliminationstack(), 2, 4, 8},
+		{"fib2.u2.c6.p4", bench.Fibonacci(2), 2, 6, 4},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			ctx := context.Background()
+			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
+			held := Prepare(f, parts, Options{CertifyUnsat: true})
+			tpl, err := held.build(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix, err := held.Prefix(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(prefix.Lemmas) == 0 || len(prefix.Deletes) == 0 {
+				t.Fatalf("prefix of %d lemmas and %d deletions", len(prefix.Lemmas), len(prefix.Deletes))
+			}
+			after := sat.NewProofChecker(f)
+			if err := after.Extend(prefix); err != nil {
+				t.Fatal(err)
+			}
+			digested := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
+			digested.DigestPrefix()
+			digested.LoadOnce()
+			if got, err := digested.PrefixDigest(ctx); err != nil || got != prefix.Digest() {
+				t.Fatalf("derived digest %+v, %v; of the kept prefix %+v", got, err, prefix.Digest())
+			}
+
+			var work, digestedWork sat.ProofCheckerStats
+			checked := 0
+			for _, pt := range parts {
+				c := tpl.Clone()
+				if st, err := c.Solve(pt.Assumptions...); err != nil || st != sat.Unsat {
+					continue // a SAT cube has no tail to check
+				}
+				tail := c.ProofLog()
+				lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Hints: tail.Hints}
+				if at := len(lie.Lemmas) / 2; at < len(lie.Lemmas) {
+					lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
+					lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
+				}
+				for _, p := range []*sat.Proof{tail, lie} {
+					want := after.Check(pt.Assumptions, p)
+					got, err := held.Check(pt.Assumptions, p)
+					work.Add(got)
+					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
+						t.Errorf("partition %d: derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
+					}
+					got, err = digested.Check(pt.Assumptions, p)
+					digestedWork.Add(got)
+					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
+						t.Errorf("partition %d: digested, derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
+					}
+				}
+				checked++
+			}
+			if checked == 0 {
+				t.Fatal("no cube of the cell is UNSAT")
+			}
+			if all := after.Stats(); work != all || digestedWork != all {
+				t.Fatalf("the checks reported %+v, digested %+v; the checker extended afterwards did %+v", work, digestedWork, all)
+			}
+		})
+	}
+}
+
+// A template that lets its formula go (LoadOnce) has handed it to the
+// goroutine that derives its checker before it does: a certifying run on
+// it, with two workers checking as they go, certifies every cube, and
+// under -race nothing reads the formula after it went.
+func TestLoadOnceTemplateDerives(t *testing.T) {
+	f, parts := esCell(t)
+	opts := Options{Workers: 2, CertifyUnsat: true}
+	prefix, err := Prepare(f, parts, opts).Prefix(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := Prepare(f, parts, opts)
+	held.LoadOnce()
+	res, err := held.Solve(context.Background(), parts, opts)
+	if err != nil || res.Status != sat.Unsat || !res.Certified {
+		t.Fatalf("%v, %v", res, err)
+	}
+	if held.formula() != nil {
+		t.Fatal("the template kept its formula")
+	}
+	if res.CertifyWork.Lemmas <= int64(len(prefix.Lemmas)) {
+		t.Fatalf("the checker took %d lemmas, the prefix has %d: did it derive it?", res.CertifyWork.Lemmas, len(prefix.Lemmas))
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // interrupters against a live Solve must be race-clean (run under
 // -race) and the solve must come back Unknown/ErrInterrupted promptly.
 func TestInterruptRacedMidSearch(t *testing.T) {
-	s := NewFromFormula(pigeonhole(9), Options{})
+	s := NewFromFormula(pigeonhole(9), Options{ProgressEvery: 1})
+	searching := firstConflict(s)
 	done := make(chan struct{})
 	var st Status
 	var serr error
@@ -19,17 +20,17 @@ func TestInterruptRacedMidSearch(t *testing.T) {
 		close(done)
 	}()
 
-	// Fire Interrupt from several goroutines at staggered times while
-	// the search is in flight; Interrupted() is polled concurrently too.
+	// Fire Interrupt from several goroutines at once, all released by the
+	// first conflict, while Interrupted() is polled concurrently too.
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for range 8 {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			time.Sleep(time.Duration(i) * time.Millisecond)
+			<-searching
 			s.Interrupt()
 			_ = s.Interrupted()
-		}(i)
+		}()
 	}
 	wg.Wait()
 
@@ -38,8 +39,8 @@ func TestInterruptRacedMidSearch(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("solver did not react to raced interrupt")
 	}
-	// PHP(9) cannot finish in a few milliseconds, so the interrupt must
-	// have landed mid-search.
+	// PHP(9) takes far more than one conflict, so the interrupt landed
+	// mid-search.
 	if serr != ErrInterrupted || st != Unknown {
 		t.Fatalf("status %v err %v, want Unknown/ErrInterrupted", st, serr)
 	}

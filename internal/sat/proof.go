@@ -80,6 +80,13 @@ func (s *Solver) StreamProof(step func(deleted bool, clause []uint32)) {
 	s.proof, s.proofStep = &Proof{}, step
 }
 
+// KeepProof ends a StreamProof: from here on the solver logs to p, and
+// keeps it, as under EnableProof — for a holder that kept what it was
+// handed so far in p and wants ProofLog to be the whole log again.
+func (s *Solver) KeepProof(p *Proof) {
+	s.proof, s.proofStep = p, nil
+}
+
 // keepsProof reports whether the solver logs to a proof it keeps, the
 // kind whose lemmas carry hints.
 func (s *Solver) keepsProof() bool { return s.proof != nil && s.proofStep == nil }

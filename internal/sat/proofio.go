@@ -87,14 +87,22 @@ type ProofDigest struct {
 }
 
 // ProofDigester computes a ProofDigest from the steps of a proof as they
-// come (Solver.StreamProof), in the order a checker takes them.
+// come (Solver.StreamProof), in the order a checker takes them. It hands
+// the hash its bytes a block at a time, not a step at a time: the same
+// bytes, so the same digest.
 type ProofDigester struct {
 	h      hash.Hash
 	lemmas int
 	buf    []byte
 }
 
-func NewProofDigester() *ProofDigester { return &ProofDigester{h: sha256.New()} }
+// digestBlock is how many bytes a ProofDigester gathers before it hashes
+// them.
+const digestBlock = 4 << 10
+
+func NewProofDigester() *ProofDigester {
+	return &ProofDigester{h: sha256.New(), buf: make([]byte, 0, digestBlock)}
+}
 
 // Step takes one step: a lemma, or a deletion, in cnf.Lit's encoding.
 func (d *ProofDigester) Step(deleted bool, clause []uint32) {
@@ -105,15 +113,23 @@ func (d *ProofDigester) Step(deleted bool, clause []uint32) {
 	} else {
 		d.lemmas++
 	}
-	d.buf = binary.LittleEndian.AppendUint32(d.buf[:0], kind)
+	d.buf = binary.LittleEndian.AppendUint32(d.buf, kind)
 	for _, l := range clause {
 		d.buf = binary.LittleEndian.AppendUint32(d.buf, l)
 	}
+	if len(d.buf) >= digestBlock {
+		d.flush()
+	}
+}
+
+func (d *ProofDigester) flush() {
 	d.h.Write(d.buf)
+	d.buf = d.buf[:0]
 }
 
 // Sum is the digest of the steps so far.
 func (d *ProofDigester) Sum() ProofDigest {
+	d.flush()
 	return ProofDigest{Lemmas: d.lemmas, SHA256: hex.EncodeToString(d.h.Sum(nil))}
 }
 

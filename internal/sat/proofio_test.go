@@ -2,7 +2,9 @@ package sat
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -10,7 +12,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/cnf"
+	"repro/internal/partition"
+	"repro/prog"
 )
 
 // pigeonholeProof solves PHP(holes) with proof recording and returns the
@@ -238,5 +243,80 @@ func TestProofSizeNilSafe(t *testing.T) {
 	var p *Proof
 	if p.NumLemmas() != 0 || p.NumLits() != 0 {
 		t.Fatal("nil proof has non-zero size")
+	}
+}
+
+// digestStepwise is the digest by its definition, each step's bytes
+// written to the hash on their own. A digester that gathers the bytes
+// into blocks hashes the same bytes, so it must agree on every proof.
+func digestStepwise(p *Proof) ProofDigest {
+	h, lemmas := sha256.New(), 0
+	_ = p.steps(func(deleted bool, c cnf.Clause) error {
+		kind := uint32(1)
+		if !deleted {
+			kind = 0
+			lemmas++
+		}
+		buf := binary.LittleEndian.AppendUint32(nil, kind)
+		for _, l := range c {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
+		}
+		h.Write(buf)
+		return nil
+	})
+	return ProofDigest{Lemmas: lemmas, SHA256: hex.EncodeToString(h.Sum(nil))}
+}
+
+// The digest is hashed in blocks, on the bench corpus's logs as they are
+// kept and as they stream: a template's pass, digested as it streams,
+// has the digest of its twin's kept log, and that digest, like that of a
+// searched clone's tail (hints and reduceDB's deletions in it), is the
+// one a write per step gives.
+func TestDigestInBlocks(t *testing.T) {
+	for _, cell := range []struct {
+		name string
+		p    *prog.Program
+		u, c int
+	}{
+		{"es.u2.c4", bench.Eliminationstack(), 2, 4},
+		{"ss.u2.c4", bench.Safestack(), 2, 4},
+		{"fib2.u2.c6", bench.Fibonacci(2), 2, 6},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			enc := encodeBenchCell(t, cell.p, cell.u, cell.c)
+			f := enc.Formula()
+			parts, err := partition.Make(enc, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			template := func(arm func(*Solver)) *Solver {
+				s := NewFromFormula(f, Options{})
+				arm(s)
+				for _, pt := range parts {
+					s.Freeze(pt.Assumptions...)
+				}
+				s.Simplify()
+				return s
+			}
+			kept := template((*Solver).EnableProof)
+			digester := NewProofDigester()
+			template(func(s *Solver) { s.StreamProof(digester.Step) })
+			prefix := kept.ProofLog()
+			if len(prefix.Lemmas) == 0 {
+				t.Fatal("the pass logged nothing")
+			}
+			if got, want := digester.Sum(), prefix.Digest(); got != want {
+				t.Fatalf("streamed %+v, kept %+v", got, want)
+			}
+			clone := kept.Clone()
+			if _, err := clone.Solve(parts[0].Assumptions...); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range []*Proof{prefix, clone.ProofLog(), JoinProofs(prefix, clone.ProofLog())} {
+				if got, want := p.Digest(), digestStepwise(p); got != want {
+					t.Fatalf("%d lemmas, %d deletions: digest %+v, a write per step %+v", len(p.Lemmas), len(p.Deletes), got, want)
+				}
+			}
+		})
 	}
 }
