@@ -240,9 +240,13 @@ func printResult(w io.Writer, res *distrib.CoordinatorResult, certPolicy distrib
 		res.RemoteStats.Decisions, res.RemoteStats.Conflicts, res.RemoteStats.Propagations,
 		res.RemoteStats.Restarts, res.RemoteStats.ElimVars, res.RemoteStats.Simplified,
 		time.Duration(res.SolveMillis)*time.Millisecond)
-	for _, tpl := range res.Templates {
-		fmt.Fprintf(w, "template: worker %s built its solver template in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search)\n",
-			tpl.Worker, time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars)
+	if tpl := res.Template; res.TemplateBytes > 0 {
+		fmt.Fprintf(w, "template: built once in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search), %d bytes sent to each connection\n",
+			time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars, res.TemplateBytes)
+	}
+	for _, r := range res.Restores {
+		fmt.Fprintf(w, "template: worker %s restored it in %v from %d bytes\n",
+			r.Worker, time.Duration(r.Millis)*time.Millisecond, r.Bytes)
 	}
 	if certPolicy.Enabled() {
 		fmt.Fprintf(w, "certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked in %d propagations (%d within their hints, %d hint fallbacks), %d certificate bytes accepted\n",

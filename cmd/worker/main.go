@@ -76,8 +76,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		if tracerName == "" {
 			tracerName = "worker"
 		}
-		// The run's solver template is built once, inside the first job:
-		// its span is the worker's one line about it.
+		// The run's solver template is restored once, from the snapshot
+		// that comes with the first job: its span is the worker's one line
+		// about it.
 		tracer := obs.NewTracer(obs.MultiSink(proc.Rec.Tracer.Sink(), templateLine{stdout})).WithProc(tracerName)
 		jobs, err := distrib.Work(ctx, *connect, distrib.WorkerOptions{
 			Name:             *name,
@@ -162,13 +163,14 @@ func (f *faultFlags) plan() (*distrib.FaultPlan, error) {
 	return plan, nil
 }
 
-// templateLine prints a line for every "template" span that passes.
+// templateLine prints a line for every "template_restore" span that
+// passes.
 type templateLine struct{ w io.Writer }
 
 func (t templateLine) Emit(e obs.Event) {
-	if e.Name == "template" {
-		fmt.Fprintf(t.w, "worker: template built in %v: clauses %v -> %v, %v variables eliminated, serves every job of the run\n",
-			time.Duration(e.DurMicros)*time.Microsecond, e.Attrs["clauses_in"], e.Attrs["clauses_out"], e.Attrs["elim_vars"])
+	if e.Name == "template_restore" {
+		fmt.Fprintf(t.w, "worker: template restored in %v from %v bytes: %v clauses, serves every job of the run\n",
+			time.Duration(e.DurMicros)*time.Microsecond, e.Attrs["bytes"], e.Attrs["clauses"])
 	}
 }
 

@@ -418,8 +418,9 @@ func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Resu
 // function of the program and of the options that say what the run is —
 // the bounds, Partitions, Budget, the proof switches, Split — and of
 // nothing else, so every process told the same run prepares the same
-// one: a distributed worker holds it from job to job, the coordinator
-// derives from its own what every worker's template logged.
+// one. A distributed run's coordinator builds its template once and
+// ships it; a worker holds its own Prepared from job to job, the template
+// restored from the coordinator's (Restore).
 type Prepared struct {
 	enc       *vc.Encoded
 	parts     []partition.Partition // the run's, all of them
@@ -461,12 +462,15 @@ func (pr *Prepared) Template() *parallel.Template { return pr.template }
 // encoding allowed, which may be fewer than were asked for.
 func (pr *Prepared) Manifest() journal.Manifest { return pr.manifest }
 
-// LoadOnce, called before the first Run, lets the formula go once the
-// template's solver has loaded it (parallel.Template.LoadOnce, whose
-// conditions it inherits): Encoded().Formula() is nil from here on.
-func (pr *Prepared) LoadOnce() {
-	pr.template.LoadOnce()
+// Restore hands the run its solver template, restored from data — the
+// snapshot of the template the coordinator of a distributed run built
+// (parallel.Template.Snapshot) — in place of the one the first Run would
+// build, and lets the formula go: Encoded().Formula() is nil from here
+// on. A template a Run used up (a run's only cube is solved on it) is
+// restored again the same way.
+func (pr *Prepared) Restore(data []byte) error {
 	pr.enc.DropFormula()
+	return pr.template.Restore(data)
 }
 
 func prepare(p *prog.Program, opts Options) (*Prepared, error) {

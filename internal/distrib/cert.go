@@ -1,7 +1,6 @@
 package distrib
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -28,13 +27,14 @@ import (
 // otherwise invert the global answer) and quarantined as untrusted.
 //
 // A SAFE proof is a tail: what the partition's solver logged after it
-// was cloned from the run's template (core.Prepared). What the template
-// logged before — the prefix, the derivations and deletions of its
-// simplification pass — is never on the wire. The coordinator prepares
-// the same run from its own encoding, takes the prefix from its own
-// template, and checks every tail on one proof checker extended by it;
-// of a worker's prefix it reads a digest, to tell an operator that a
-// refused worker had built another template, not forged a proof.
+// was cloned from the run's template. What the template logged before —
+// the prefix, the derivations and deletions of its simplification pass —
+// is never on the wire, and needs no name there: the template is the
+// coordinator's own, built from its encoding and shipped to every worker
+// (Coordinate), so every honest tail continues the coordinator's prefix
+// by construction, and it checks every tail on one proof checker
+// extended by it. A worker that solved on anything else is refused at
+// the first lemma that does not check.
 
 const (
 	// maxCertBytes caps one certificate's wire size. A declared size
@@ -45,10 +45,6 @@ const (
 	// sixteen bytes of memory per byte sent and no more — the cap bounds
 	// what decoding allocates too.
 	maxCertBytes = 64 << 20 // 64 MiB
-	// certFrameData is the raw payload per "cert" wire frame. JSON
-	// base64-expands []byte by 4/3, so 8 MiB of data stays well under
-	// the 16 MiB frame cap.
-	certFrameData = 8 << 20
 )
 
 // errCertificate marks a certificate rejection — evidence that is
@@ -143,7 +139,7 @@ type PartitionProof struct {
 
 // Certificate is the independently checkable evidence behind a definite
 // remote verdict. It travels as JSON (wireCertificate), split across
-// "cert" wire frames after the result frame.
+// "cert" wire frames after the result frame (sendChunked).
 type Certificate struct {
 	// NumVars is the variable count of the worker's formula; it must
 	// match the coordinator's own encoding or the certificate is
@@ -155,12 +151,6 @@ type Certificate struct {
 	// Proofs carries one refutation per partition of the chunk (SAFE
 	// verdicts under full certification): the tail its solver logged.
 	Proofs []PartitionProof `json:"-"`
-	// Prefix identifies the log the tails continue, that of the worker's
-	// template; it is compared, never checked. Before tails there was no
-	// such field: a certificate without it is from the other side of that
-	// change and is refused like any other whose template is not the
-	// coordinator's.
-	Prefix *sat.ProofDigest `json:"prefix,omitempty"`
 }
 
 // packBits packs a bool slice LSB-first.
@@ -239,9 +229,9 @@ func decodeCertificate(data []byte) (*Certificate, error) {
 
 // buildCertificate assembles the evidence for one honestly computed job
 // result: the raw model for UNSAFE (any certify level above off), the
-// per-partition proof tails and the digest of the prefix they continue
-// for SAFE (full level only — the run kept them iff the job asked).
-func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *Certificate {
+// per-partition proof tails for SAFE (full level only — the run kept
+// them iff the job asked).
+func buildCertificate(res *core.Result, level string) *Certificate {
 	if level == CertifyOff || level == "" {
 		return nil
 	}
@@ -252,7 +242,7 @@ func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *
 		if level != CertifyFull {
 			return nil
 		}
-		c := &Certificate{NumVars: res.Vars, Prefix: prefix}
+		c := &Certificate{NumVars: res.Vars}
 		for _, inst := range res.Instances {
 			if inst.Proof != nil {
 				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Proof})
@@ -268,45 +258,26 @@ func buildCertificate(res *core.Result, level string, prefix *sat.ProofDigest) *
 // against. Workers receive only the program source; whatever
 // formula they actually solved, their evidence must check out against
 // this encoding, and a sub-cube's assumptions are rebuilt from its split
-// literals, not trusted from the wire. prefix is the digest of what its
-// template logged, once Coordinate derived it.
+// literals, not trusted from the wire. Its template is the run's, which
+// Coordinate built, derived the checker beside, and shipped.
 type certVerifier struct {
-	prep   *core.Prepared
-	prefix sat.ProofDigest
+	prep *core.Prepared
 }
 
 // prepareRun prepares the coordinator's own copy of the run, the one
-// every worker prepares from its manifest (workerRun). When the run
-// certifies, its template logs proofs into its checker, digesting them
-// instead of keeping them.
+// every worker prepares from its manifest (workerRun) and whose template
+// every worker restores. When the run certifies, the template's build
+// derives the run's proof checker from what it logs, which it does not
+// keep: the coordinator joins no proof to it.
 func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*core.Prepared, error) {
-	certify := opts.Certify.Enabled()
 	prep, err := core.Prepare(p, core.Options{
 		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
-		To: opts.Partitions, Budget: opts.Budget, KeepProofs: certify, CertifyUnsat: certify,
+		To: opts.Partitions, Budget: opts.Budget, CertifyUnsat: opts.Certify.Enabled(),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
-	if certify {
-		prep.Template().DigestPrefix()
-	}
 	return prep, nil
-}
-
-// derive builds the proof checker every SAFE certificate of the run is
-// put to, once, before the first job goes out: the template, built as
-// every honest worker builds its, streams its log into it beside the
-// pass, and is then dropped. It reports how long that took — the build,
-// derivation included, which is the set-up part of CertifyMillis; the
-// derivation's checker work reaches CertifyWork with the first tail
-// checked (parallel.Template.Check).
-func (v *certVerifier) derive(ctx context.Context) (time.Duration, error) {
-	start, tpl := time.Now(), v.prep.Template()
-	var err error
-	v.prefix, err = tpl.PrefixDigest(ctx)
-	tpl.Drop()
-	return time.Since(start), err
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -372,7 +343,7 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 
 // verifySafe checks a SAFE claim: the certificate must refute every
 // partition of the cube with a RUP proof tail that checks against the
-// coordinator's formula extended by the coordinator's prefix, under that
+// coordinator's formula extended by its template's prefix, under that
 // partition's assumptions extended with the cube path. Per-sub-cube
 // proofs compose to cover the parent: the two children of a split
 // partition the parent's assumption space exactly (same literal, both
@@ -393,13 +364,6 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		}
 		proofs[pp.Partition] = pp.Proof
 	}
-	// The tails of another template prove nothing here, and saying so
-	// beats "lemma 1 is not a RUP consequence": the worker runs another
-	// build or was told another budget, and is refused, not suspected.
-	if cert.Prefix == nil || *cert.Prefix != v.prefix {
-		return work, fmt.Errorf("template mismatch: the worker's proofs continue %s, the coordinator's template logged %s (another build, or another budget)",
-			describeDigest(cert.Prefix), describeDigest(&v.prefix))
-	}
 	for idx := cube.From; idx <= cube.To; idx++ {
 		proof := proofs[idx]
 		if proof == nil {
@@ -418,41 +382,22 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	return work, nil
 }
 
-func describeDigest(d *sat.ProofDigest) string {
-	if d == nil {
-		return "no prefix at all"
-	}
-	return fmt.Sprintf("a prefix of %d lemmas (sha256 %.12s)", d.Lemmas, d.SHA256)
-}
-
-// readCertificate reads the certificate frames a result declared via
-// CertSize and decodes them. Errors wrapped in errCertificate are the
-// worker's fault (oversized declaration, protocol violation, corrupt
-// payload) and condemn the worker; bare errors are transport failures
-// and only charge a retryable attempt.
+// readCertificate reads the certificate a result declared via CertSize
+// and decodes it. Errors wrapped in errCertificate are the worker's fault
+// (oversized declaration, protocol violation, corrupt payload) and
+// condemn the worker; bare errors are transport failures and only charge
+// a retryable attempt.
 func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Message) (*Certificate, error) {
 	if reply.CertSize == 0 {
 		return nil, nil
 	}
-	if reply.CertSize < 0 || reply.CertSize > maxCertBytes {
-		return nil, fmt.Errorf("%w: job %d on %s declares a %d-byte certificate (cap %d)",
-			errCertificate, id, key, reply.CertSize, int64(maxCertBytes))
-	}
-	data := make([]byte, 0, reply.CertSize)
-	for seq := 0; int64(len(data)) < reply.CertSize; seq++ {
-		m, err := wc.recv(co.opts.HeartbeatGrace)
-		if err != nil {
-			return nil, fmt.Errorf("job %d on %s: certificate frame %d: %v", id, key, seq, err)
-		}
-		if m.Type != "cert" || m.JobID != id || m.Seq != seq {
-			return nil, fmt.Errorf("%w: job %d on %s: expected cert frame %d, got %q job=%d seq=%d",
-				errCertificate, id, key, seq, m.Type, m.JobID, m.Seq)
-		}
-		if len(m.Data) == 0 || int64(len(data)+len(m.Data)) > reply.CertSize {
-			return nil, fmt.Errorf("%w: job %d on %s: certificate frames overflow the declared %d bytes",
-				errCertificate, id, key, reply.CertSize)
-		}
-		data = append(data, m.Data...)
+	data, err := readChunks(func() (*Message, error) { return wc.recv(co.opts.HeartbeatGrace) },
+		"cert", id, reply.CertSize, maxCertBytes)
+	switch {
+	case errors.Is(err, errStream):
+		return nil, fmt.Errorf("%w: job %d on %s: %v", errCertificate, id, key, err)
+	case err != nil:
+		return nil, fmt.Errorf("job %d on %s: %v", id, key, err)
 	}
 	cert, err := decodeCertificate(data)
 	if err != nil {

@@ -3,6 +3,7 @@ package distrib
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync"
@@ -369,8 +370,8 @@ func TestCertifiedAcrossSimplification(t *testing.T) {
 		})
 		t.Run("in the template", func(t *testing.T) {
 			res := honest(t, halves)
-			if len(res.Templates) != 1 || res.Templates[0].ElimVars == 0 || res.Templates[0].Worker != "honest" {
-				t.Fatalf("templates %+v, want the one worker's, simplified", res.Templates)
+			if res.Template.ElimVars == 0 || len(res.Restores) != 1 || res.Restores[0].Worker != "honest" {
+				t.Fatalf("template %+v restored %+v; want it simplified, and restored by the one worker", res.Template, res.Restores)
 			}
 			if res.RemoteStats.ElimVars != 0 || res.RemoteStats.Simplified != 0 {
 				t.Fatalf("the partitions claim the template's eliminations: %+v", res.RemoteStats)
@@ -378,7 +379,7 @@ func TestCertifiedAcrossSimplification(t *testing.T) {
 			// The checker took on the template's lemmas — some tens of
 			// thousands, as many as it removed clauses or more — once, and
 			// then the partitions' own.
-			if got, pass := res.CertifyWork.Lemmas, res.Templates[0].Simplified; got < pass+int64(res.RemoteStats.Learnt) {
+			if got, pass := res.CertifyWork.Lemmas, res.Template.Simplified; got < pass+int64(res.RemoteStats.Learnt) {
 				t.Fatalf("%d lemmas checked; the template's pass removed %d clauses and the partitions learnt %d", got, pass, res.RemoteStats.Learnt)
 			}
 		})
@@ -590,35 +591,48 @@ func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, e
 }
 
 // derivedVerifier is the coordinator's verifier as Coordinate leaves it
-// before its accept loop: the template built, the run's checker derived
-// from what it logged, the digest of that kept and the solver gone.
-func derivedVerifier(t *testing.T, p *prog.Program, opts CoordinatorOptions) *certVerifier {
+// before its accept loop — the run's template built, its checker derived
+// beside the pass and the solver gone — and the template's snapshot,
+// which every connection is sent.
+func derivedVerifier(t *testing.T, p *prog.Program, opts CoordinatorOptions) (*certVerifier, []byte) {
 	t.Helper()
 	v, err := newCertVerifier(p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tpl := v.prep.Template()
-	if v.prefix, err = tpl.PrefixDigest(context.Background()); err != nil {
+	data, err := tpl.Snapshot(context.Background())
+	if err != nil {
 		t.Fatal(err)
 	}
 	tpl.Drop()
-	return v
+	return v, data
 }
 
-// workerCertificate solves a cube the way a worker does — on clones of
-// a template prepared from the job's own description of the run — and
-// returns the certificate it would ship: tails, and the digest of the
-// prefix they continue.
-func workerCertificate(t *testing.T, p *prog.Program, opts CoordinatorOptions, cube partition.Cube) *Certificate {
-	t.Helper()
+// shippedWorker is a worker on a connection that was sent data, the
+// snapshot of the run's template.
+func shippedWorker(data []byte) *worker {
+	return &worker{opts: WorkerOptions{Cores: 1}, shipped: &shippedTemplate{data: data, sum: sha256.Sum256(data)}}
+}
+
+// jobFor is the job frame of a cube of the run opts describe.
+func jobFor(p *prog.Program, opts CoordinatorOptions, cube partition.Cube) *Message {
 	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p),
 		RunManifest: &RunManifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions},
 		From:        cube.From, To: cube.To, CubePath: cube.Path, Certify: CertifyFull}
 	m.setBudget(opts.Budget)
-	reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), m, nil, nil, nil)
-	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || cert.Prefix == nil {
-		t.Fatalf("cube %s: verdict %q, error %q, certificate %+v", cube.Key(), reply.Verdict, reply.Error, cert)
+	return m
+}
+
+// workerCertificate solves a cube the way a worker does — on clones of
+// the template restored from data, the run's snapshot, in a run prepared
+// from the job's own description of it — under the fault f (nil: none),
+// and returns the certificate it would ship.
+func workerCertificate(t *testing.T, p *prog.Program, opts CoordinatorOptions, data []byte, cube partition.Cube, f *FaultEvent) *Certificate {
+	t.Helper()
+	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(p, opts, cube), nil, f, nil)
+	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || reply.Restore == nil {
+		t.Fatalf("cube %s: verdict %q, error %q, restore %+v, certificate %+v", cube.Key(), reply.Verdict, reply.Error, reply.Restore, cert)
 	}
 	return cert
 }
@@ -635,10 +649,10 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	// hundred lemmas of its own to refute after the template's pass (the
 	// fib cells are refuted by the pass, or nearly).
 	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8}
-	v := derivedVerifier(t, p, opts)
+	v, data := derivedVerifier(t, p, opts)
 	// The honest proofs are a worker's.
 	cube := partition.Cube{From: 0, To: 1}
-	honest := workerCertificate(t, p, opts, cube)
+	honest := workerCertificate(t, p, opts, data, cube, nil)
 	var lemmas int64
 	for _, pp := range honest.Proofs {
 		if pp.Proof.NumLemmas() < 2 {
@@ -649,7 +663,7 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	// The second proof loses its first half: the lemmas left no longer
 	// follow by unit propagation.
 	second := honest.Proofs[1].Proof.Lemmas
-	fabricated := &Certificate{NumVars: honest.NumVars, Prefix: honest.Prefix, Proofs: []PartitionProof{
+	fabricated := &Certificate{NumVars: honest.NumVars, Proofs: []PartitionProof{
 		honest.Proofs[0],
 		{Partition: cube.To, Proof: &sat.Proof{Lemmas: second[(len(second)+1)/2:]}},
 	}}
@@ -677,17 +691,6 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// The proofs of another template — here the same worker's, had it
-	// been told another budget — are refused for what they are.
-	other := *honest
-	other.Prefix = &sat.ProofDigest{Lemmas: honest.Prefix.Lemmas + 1, SHA256: honest.Prefix.SHA256}
-	if _, err := v.verifySafe(cube, &other); err == nil || !strings.Contains(err.Error(), "template mismatch") {
-		t.Errorf("certificate over another prefix: %v, want a template mismatch", err)
-	}
-	other.Prefix = nil
-	if _, err := v.verifySafe(cube, &other); err == nil || !strings.Contains(err.Error(), "template mismatch") {
-		t.Errorf("certificate that names no prefix: %v, want a template mismatch", err)
-	}
 }
 
 // TestCertifyWorkReported: the proof checkers' lemmas and propagations

@@ -173,24 +173,33 @@ type CoordinatorResult struct {
 	// RemoteStats aggregates the search statistics of every remote job
 	// result (including retried attempts), so distributed runs report
 	// the same solver telemetry as local ones. A partition's statistics
-	// are its own — they start where its solver was cloned from the
-	// worker's template — so the sum is the in-process runner's for the
-	// same partitions, whichever worker ran which; what the templates
-	// themselves did is in Templates.
+	// are its own — they start where its solver was cloned from the run's
+	// template — so the sum is the in-process runner's for the same
+	// partitions, whichever worker ran which; what the template itself
+	// did is in Template.
 	RemoteStats sat.Stats
-	// Templates accounts for every solver template a worker built for
-	// this run, in the order their jobs' results arrived: one per worker,
-	// unless a memory abort or another run cost it its first.
-	Templates []WorkerTemplate
+	// Template accounts for the run's solver template, which the
+	// coordinator builds once, before the first job goes out: the formula
+	// loaded and, for a run of two or more cubes, simplified — the run's
+	// one simplification pass, counted here and in no partition's search.
+	// TemplateBytes is the size of its snapshot, which every connection
+	// is sent ahead of its first job.
+	Template      report.TemplateRow
+	TemplateBytes int64
+	// Restores accounts for every template a worker restored from that
+	// snapshot, in the order their jobs' results arrived: one per worker,
+	// unless a memory abort or a run's only cube, which uses its solver
+	// up, had it restore again.
+	Restores []WorkerRestore
 	// SolveMillis sums the remote per-job solver wall time — the total
 	// search effort spent across the cluster, as opposed to Wall. A
-	// worker's template is part of the job that built it.
+	// worker's restore is in its job's time, not here.
 	SolveMillis int64
 	// CertifyMillis sums the coordinator-side certificate verification
 	// time, the overhead certification adds on top of SolveMillis: each
-	// certificate's check, and once per run the derivation of the proof
-	// checker they are all put to (the coordinator's own template, and
-	// the checker loaded and extended by what it logged).
+	// certificate's check and, once per run, the template's build, during
+	// which the proof checker they are all put to is derived beside the
+	// pass.
 	CertifyMillis int64
 	// CertifyWork sums what the proof checker did in that time: lemmas
 	// put to the RUP test and literals propagated, over the prefix (with
@@ -229,11 +238,10 @@ type CoordinatorResult struct {
 	JournalSealCause string
 }
 
-// WorkerTemplate is one worker's account of the solver template it built
-// for the run: the same row an in-process run's report has.
-type WorkerTemplate struct {
+// WorkerRestore is one worker's account of restoring the run's template.
+type WorkerRestore struct {
 	Worker string
-	report.TemplateRow
+	TemplateRestore
 }
 
 // coordinator is the shared state of one Coordinate call.
@@ -242,7 +250,10 @@ type coordinator struct {
 	// frame is what every job of the run carries (jobFrame); a job adds
 	// its ID, cube, certify level and trace context.
 	frame Message
-	ln    net.Listener // closed when the run finishes
+	// template is the snapshot of the run's solver template, sent to every
+	// connection ahead of its first job.
+	template []byte
+	ln       net.Listener // closed when the run finishes
 
 	mu       sync.Mutex
 	active   int // connected workers past hello
@@ -387,14 +398,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	co.metrics.chunksResumed.Add(int64(sum.Resumed))
 	if sum.Sat || sum.Live == 0 {
 		co.finish() // the journal already decides the run: nothing to hand out
-	} else if verifier != nil {
-		setup, err := verifier.derive(ctx)
-		co.res.CertifyMillis += setup.Milliseconds()
-		co.metrics.certifySeconds.Observe(setup.Seconds())
-		if err != nil && ctx.Err() == nil {
-			co.finish()
-			return nil, fmt.Errorf("distrib: the coordinator's own template logged a prefix that does not check: %w", err)
-		}
+	} else if err := co.buildTemplate(ctx, prep); err != nil {
+		co.finish()
+		return nil, err
 	}
 	// Cancelling ends the run, and ending it closes the listener, which
 	// ends the accept loop.
@@ -406,6 +412,40 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	}
 	wg.Wait()
 	return co.result(start)
+}
+
+// buildTemplate makes the run's one simplification pass: it builds the
+// template every cube's solver is cloned from, once, here, keeps its
+// snapshot for the connections (runJob sends it ahead of each one's
+// first job) and drops the solver. Under certification the build derives
+// the run's proof checker beside the pass, and its time is the set-up
+// part of CertifyMillis. A cancel that cuts it short ends the run, with
+// no error of its own.
+func (co *coordinator) buildTemplate(ctx context.Context, prep *core.Prepared) error {
+	span := co.root.Child("template")
+	start, tpl := time.Now(), prep.Template()
+	snap, err := tpl.Snapshot(ctx)
+	tpl.Drop()
+	setup := time.Since(start)
+	if err != nil {
+		span.End(obs.KV("error", err.Error()))
+		if ctx.Err() != nil {
+			co.finish()
+			return nil
+		}
+		return fmt.Errorf("distrib: the run's template: %w", err)
+	}
+	row := core.TemplateRow(tpl.Result())
+	span.End(obs.KV("clauses_in", row.ClausesIn), obs.KV("clauses_out", row.ClausesOut),
+		obs.KV("elim_vars", row.ElimVars), obs.KV("bytes", len(snap)))
+	co.template = snap
+	co.res.Template, co.res.TemplateBytes = row, int64(len(snap))
+	co.opts.Report.SetTemplate(row)
+	if co.verifier != nil {
+		co.res.CertifyMillis += setup.Milliseconds()
+		co.metrics.certifySeconds.Observe(setup.Seconds())
+	}
+	return nil
 }
 
 // result assembles the run's outcome once every connection is served:
@@ -602,7 +642,7 @@ func (co *coordinator) serve(c net.Conn) {
 	cancel := func(a *partition.Assignment) {
 		_ = wc.send(&Message{Type: "cancel", JobID: a.JobID})
 	}
-	for {
+	for first := true; ; first = false {
 		// A queued cube, the stolen child of a straggler this worker just
 		// split, or a hedged duplicate; nil when the run is over.
 		a := co.sched.Acquire(key, cancel)
@@ -618,7 +658,7 @@ func (co *coordinator) serve(c net.Conn) {
 			co.noteSplit(a)
 		}
 		co.tracker.assigned(a.Cube)
-		reply, certified, err := co.runJob(wc, a, key)
+		reply, certified, err := co.runJob(wc, a, key, first)
 		if err != nil {
 			if errors.Is(err, errCertificate) {
 				// A rejected certificate condemns the worker, not the cube:
@@ -656,12 +696,13 @@ func (co *coordinator) serve(c net.Conn) {
 	}
 }
 
-// runJob sends one job and reads its outcome off the wire: the result,
+// runJob sends one job — the first of a connection with the run's
+// template behind it — and reads its outcome off the wire: the result,
 // the certificate frames that follow it, and — trust-but-verify — the
 // check of a definite verdict's evidence (certify). An error wrapping
 // errCertificate is the worker's fault and condemns it; any other error
 // is a failed attempt.
-func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string) (reply *Message, certified bool, err error) {
+func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, first bool) (reply *Message, certified bool, err error) {
 	// The job span is the cross-process graft point: its context rides on
 	// the wire, the worker parents its own job span under it, and the
 	// merged trace shows one tree per run.
@@ -678,7 +719,11 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string) (re
 	job, sc := co.frame, jobSpan.Context()
 	job.JobID, job.From, job.To, job.CubePath = a.JobID, a.Cube.From, a.Cube.To, a.Cube.Path
 	job.Certify, job.TraceID, job.ParentSpan = co.opts.Certify.jobLevel(a.JobID), sc.TraceID, sc.SpanID
-	if err := wc.send(&job); err != nil {
+	var template []byte
+	if first {
+		job.TemplateSize, template = int64(len(co.template)), co.template
+	}
+	if err := wc.sendChunked(&job, "template", template); err != nil {
 		return nil, false, fmt.Errorf("send job %d to %s: %v", a.JobID, key, err)
 	}
 	if reply, err = co.awaitResult(wc, a, key); err != nil {
@@ -893,8 +938,8 @@ func (co *coordinator) recordResult(reply *Message, key string) {
 	if reply.Stats != nil {
 		co.res.RemoteStats.Add(*reply.Stats)
 	}
-	if reply.Template != nil {
-		co.res.Templates = append(co.res.Templates, WorkerTemplate{Worker: key, TemplateRow: *reply.Template})
+	if reply.Restore != nil {
+		co.res.Restores = append(co.res.Restores, WorkerRestore{Worker: key, TemplateRestore: *reply.Restore})
 	}
 	co.res.SolveMillis += reply.SolveMillis
 }

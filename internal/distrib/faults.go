@@ -68,14 +68,14 @@ const (
 	// in the certificate's first proof and leaves everything else alone:
 	// a well-formed certificate of the right size that only an actual
 	// proof check can tell from the honest one. A first proof without
-	// lemmas has none to flip: the digest of the prefix it continues is
-	// falsified instead, so the fault never passes for an honest run.
+	// lemmas has none to flip: it is filed under a partition outside the
+	// cube instead, so the fault never passes for an honest run.
 	FaultFlipLemma
-	// FaultOtherTemplate has the worker prepare the run under a memory
-	// budget of its own (FaultEvent.MemMB) instead of the job's — what a
-	// worker from another build or with another configuration amounts to:
-	// honest proofs of honest verdicts, over a template that is not the
-	// coordinator's.
+	// FaultOtherTemplate has the worker solve the job on an altered copy
+	// of the template it was sent, one with a clause of its own added
+	// (otherTemplate) — what a worker from another build or with another
+	// configuration amounts to: honest proofs of honest verdicts, over a
+	// template that is not the coordinator's.
 	FaultOtherTemplate
 	// FaultHostileHints leaves the verdict and every proof as they are and
 	// replaces the hints (sat.Proof.Hints) of each lemma, in rotation, by
@@ -122,7 +122,6 @@ type FaultEvent struct {
 	Stall time.Duration // FaultStall only
 	Slow  time.Duration // FaultSlow only
 	Lemma int           // FaultFlipLemma only: index into the first proof, modulo its length
-	MemMB int64         // FaultOtherTemplate only: the memory budget the worker prepares the run under
 }
 
 // FaultPlan is a deterministic fault-injection schedule for a worker.
@@ -264,10 +263,8 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			// through its hint, then the full test, then out.
 			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Hints: honest.Hints}
 		} else {
-			forged.Prefix = &sat.ProofDigest{SHA256: "forged"}
-			if p := (*cert).Prefix; p != nil {
-				forged.Prefix.Lemmas = p.Lemmas
-			}
+			forged.Proofs = slices.Clone(forged.Proofs)
+			forged.Proofs[0].Partition = -1
 		}
 		*cert = &forged
 	case FaultHostileHints:

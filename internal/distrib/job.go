@@ -2,7 +2,9 @@ package distrib
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -13,18 +15,41 @@ import (
 )
 
 // What a worker does with one job: the run it belongs to is prepared
-// once and held (preparedRun), the job's cubes are solved on clones of
-// its template, and the result carries what the clones logged.
+// once and held (preparedRun), its solver template restored from the
+// snapshot the coordinator sent ahead of the connection's first job —
+// a worker never loads the formula into a solver, nor simplifies it —
+// the job's cubes are solved on clones of the template, and the result
+// carries what the clones logged.
+
+// maxTemplateBytes caps the declared size of a run's template stream. A
+// snapshot takes a few bytes a literal of the simplified clause set and
+// of the elimination stack: 1.1 MB for es.u2.c5.p16's 60 000 clauses.
+const maxTemplateBytes = 256 << 20
+
+// shippedTemplate is a run's template as a coordinator sent it: the
+// snapshot and its SHA-256, by which a worker that holds a template knows
+// whether it is the one it was sent.
+type shippedTemplate struct {
+	data []byte
+	sum  [sha256.Size]byte
+}
+
+// TemplateRestore accounts for a worker's restore of the run's template:
+// its time, part of the job's, and the bytes it was restored from.
+type TemplateRestore struct {
+	Millis int64 `json:"millis"`
+	Bytes  int64 `json:"bytes"`
+}
 
 // preparedRun is what a worker keeps of a run between its jobs: the
-// program encoded and the solver template its cubes' solvers are cloned
-// from (core.Prepared), under the key of everything in a job that
-// shapes them, and — once the template is built and if it logs proofs —
-// the digest of what it logged, in place of the log.
+// program encoded, with the solver template its cubes' solvers are cloned
+// from (core.Prepared), under the key of everything in a job that shapes
+// them, and the template as it was shipped, to restore it from again
+// after a watchdog trip or a run's only cube used it up.
 type preparedRun struct {
-	key    runKey
-	prep   *core.Prepared
-	prefix *sat.ProofDigest
+	key  runKey
+	prep *core.Prepared
+	tpl  *shippedTemplate
 }
 
 // runKey names the run a job belongs to: its manifest, the budget, and
@@ -62,30 +87,46 @@ func workerRun(m journal.Manifest, budget journal.Budget, proofs bool) core.Opti
 	}
 }
 
-// prepared returns the run a job belongs to, prepared: the one the
-// worker holds, or another in its place, whose template the job's Run
-// then builds.
-func (w *worker) prepared(m *Message, key runKey, opts core.Options) (*preparedRun, error) {
-	if w.run != nil && w.run.key == key {
-		return w.run, nil
+// prepared returns the run a job belongs to with its template restored:
+// the one the worker holds, if it is the job's run and its template the
+// one this connection was sent, or another in its place. A held run
+// whose template was used up or dropped restores it again from the bytes
+// it keeps, without asking the coordinator for them. restored accounts
+// for a restore this call made; f, a FaultOtherTemplate, has the run
+// restore an altered template instead.
+func (w *worker) prepared(m *Message, key runKey, opts core.Options, f *FaultEvent) (run *preparedRun, restored *TemplateRestore, err error) {
+	run = w.run
+	fresh := run == nil || run.key != key || run.tpl.sum != w.shipped.sum
+	if fresh {
+		w.run = nil // the old run's template goes before the new one's encoding comes
+		p, err := prog.Parse(m.Source)
+		if err != nil {
+			return nil, nil, err
+		}
+		prep, err := core.Prepare(p, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		run = &preparedRun{key: key, prep: prep, tpl: w.shipped}
 	}
-	w.run = nil // the old run's template goes before the new one's encoding comes
-	p, err := prog.Parse(m.Source)
-	if err != nil {
-		return nil, err
+	if fresh || !run.prep.Template().Ready() {
+		span := opts.Parent.Child("template_restore", obs.KV("bytes", len(run.tpl.data)))
+		start, data := time.Now(), run.tpl.data
+		if f != nil && f.Kind == FaultOtherTemplate {
+			data, err = otherTemplate(data, run.prep)
+		}
+		if err == nil {
+			err = run.prep.Restore(data)
+		}
+		if err != nil {
+			span.End(obs.KV("error", err.Error()))
+			return nil, nil, err
+		}
+		restored = &TemplateRestore{Millis: time.Since(start).Milliseconds(), Bytes: int64(len(data))}
+		span.End(obs.KV("clauses", run.prep.Template().Result().ClausesOut))
 	}
-	prep, err := core.Prepare(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	// Neither what the template logs nor the formula, once its solver has
-	// it, is kept: a worker ships tails and a digest.
-	if opts.KeepProofs {
-		prep.Template().DigestPrefix()
-	}
-	prep.LoadOnce()
-	w.run = &preparedRun{key: key, prep: prep}
-	return w.run, nil
+	w.run = run
+	return run, restored, nil
 }
 
 // jobTracer returns the tracer of one job: when the job carries a
@@ -109,11 +150,12 @@ func (w *worker) jobTracer(m *Message) (*obs.Tracer, *obs.CollectorSink) {
 }
 
 // runJob executes one job: the cubes it names, on clones of the template
-// of the run it belongs to, which the worker prepares when a job of
-// another run, or its first, arrives. The deferred recover is the
-// worker's panic boundary: a solver bug (or an injected FaultPanic)
-// becomes a structured Error result instead of killing the process, so
-// one poison chunk cannot take a whole worker down.
+// of the run it belongs to, which the worker prepares, and restores from
+// what the connection was sent, when a job of another run, or its first,
+// arrives. The deferred recover is the worker's panic boundary: a solver
+// bug (or an injected FaultPanic) becomes a structured Error result
+// instead of killing the process, so one poison chunk cannot take a
+// whole worker down.
 //
 // When the job carries a TraceID, the worker joins the coordinator's
 // trace: the job span is parented under the coordinator's wire-carried
@@ -153,14 +195,15 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		reply.Spans = coll.Events()
 	}()
 	start := time.Now()
-	if f != nil && f.Kind == FaultOtherTemplate {
-		other := *m
-		other.MemBudgetMB = f.MemMB
-		m = &other
-	}
 	key, err := jobRun(m)
 	if err != nil {
 		reply.Error = err.Error()
+		return reply, nil
+	}
+	if w.shipped == nil {
+		// What a coordinator of an earlier build sends: a worker has no
+		// template to solve on, and no way to make one from the formula.
+		reply.Error = fmt.Sprintf("distrib: job %d came with no solver template before it on this connection (is the coordinator of another build?)", m.JobID)
 		return reply, nil
 	}
 	opts := workerRun(key.manifest, key.budget, key.proofs)
@@ -168,11 +211,15 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	if progress != nil {
 		opts.Progress, opts.ProgressEvery = progress.update, liveProgressEvery
 	}
-	run, err := w.prepared(m, key, opts)
+	if f != nil && f.Kind == FaultOtherTemplate {
+		w.run = nil // a template of its own making, for this job alone
+	}
+	run, restored, err := w.prepared(m, key, opts, f)
 	if err != nil {
 		reply.Error = err.Error()
 		return reply, nil
 	}
+	reply.Restore = restored
 	opts.Cores, opts.MemAbort = w.opts.Cores, memAbort
 	opts.From, opts.To, opts.CubePath = m.From, m.To+1, m.CubePath
 	// The template logs proofs whenever the run certifies; a job keeps
@@ -186,31 +233,22 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		aborted = true
 	default:
 	}
-	switch tpl := run.prep.Template(); {
-	case aborted, !tpl.Ready():
-		// The watchdog wants memory back, or a cancel cut the template's
-		// build short: it goes with the cubes' solvers, and the next job
-		// pays for another.
+	switch {
+	case f != nil && f.Kind == FaultOtherTemplate:
 		w.run = nil
-	case key.proofs && run.prefix == nil:
-		// What the template logged is the coordinator's to derive, not
-		// this worker's to ship: its digest is all that was kept of it.
-		if d, err := tpl.PrefixDigest(ctx); err == nil {
-			run.prefix = &d
-		}
+	case aborted:
+		// The watchdog wants memory back: the template goes with the cubes'
+		// solvers, and the next job restores it from the bytes the run keeps.
+		run.prep.Template().Drop()
 	}
 	reply.Millis = time.Since(start).Milliseconds()
 	if err != nil {
 		reply.Error = err.Error()
 		return reply, nil
 	}
-	if tpl := res.Template; tpl.Time > 0 && w.run == run {
-		row := core.TemplateRow(tpl)
-		reply.Template = &row
-	}
 	reply.fold(res)
 	certSpan := jobSpan.Child("certify_build", obs.KV("level", m.Certify))
-	cert = buildCertificate(res, m.Certify, run.prefix)
+	cert = buildCertificate(res, m.Certify)
 	certSpan.End()
 	return reply, cert
 }
@@ -245,4 +283,23 @@ func (m *Message) fold(res *core.Result) {
 		// keeps its original indices across the subrange).
 		m.Winner = res.Winner
 	}
+}
+
+// otherTemplate is FaultOtherTemplate's template: the shipped one with
+// a clause of the worker's own added at the top level — the unit of the
+// run's first split literal, as if the worker had fixed for every cube
+// the bit a split fixes first (the first assumption of the run's first
+// partition, in a run without split literals). The proofs of a cube's
+// search on it are honest for that clause set, and refused by the
+// coordinator's checker at the first lemma that leans on the unit.
+func otherTemplate(data []byte, prep *core.Prepared) ([]byte, error) {
+	s, err := sat.Restore(data, sat.Options{})
+	if err != nil {
+		return nil, err
+	}
+	own := append(slices.Clip(prep.SplitLits()), prep.Partitions()[0].Assumptions...)
+	if len(own) > 0 {
+		s.AddClause(own[0])
+	}
+	return s.Snapshot(), nil
 }

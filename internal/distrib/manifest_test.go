@@ -91,9 +91,11 @@ type olderJob struct {
 
 // The job frame carries the run manifest without changing the wire:
 // either side of that change reads the other's job frames with the same
-// values, a worker runs an old frame to its verdict, no other message
-// grows a manifest key, and the replication stream's manifest keeps its
-// key.
+// values, no other message grows a manifest key, and the replication
+// stream's manifest keeps its key. What did change the wire is the
+// template: an old frame, which no template precedes, decodes and is
+// refused by the worker, by name — coordinator and workers run one
+// build.
 func TestJobFrameWireCompatible(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	source := prog.Format(p)
@@ -142,8 +144,11 @@ func TestJobFrameWireCompatible(t *testing.T) {
 		if m.RunManifest == nil || m.Unwind != 1 || m.Contexts != 3 || m.Partitions != 4 || m.From != 1 || m.To != 1 {
 			t.Fatalf("the old frame decodes to %+v (manifest %+v)", m, m.RunManifest)
 		}
+		// A coordinator of that build sends the job and no template before
+		// it: the worker, which builds none, refuses the job and
+		// says why.
 		reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), &m, nil, nil, nil)
-		if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || len(cert.Proofs) != 1 {
+		if !strings.Contains(reply.Error, "no solver template") || reply.Verdict != "" || cert != nil {
 			t.Fatalf("old frame: verdict %q, error %q, certificate %+v", reply.Verdict, reply.Error, cert)
 		}
 	})

@@ -39,6 +39,14 @@ func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
 		}
 		switch m.Type {
 		case "job":
+			// The run's template follows the connection's first job: read
+			// it, as a worker of this build does, before answering — left
+			// unread, it makes the close that ends this worker a reset
+			// that can beat the answer to the coordinator.
+			if _, err := readChunks(func() (*Message, error) { return wc.recv(10 * time.Second) },
+				"template", m.JobID, m.TemplateSize, maxTemplateBytes); err != nil {
+				t.Fatal(err)
+			}
 			if jobs == 0 {
 				budget = m.MemBudgetMB
 			}

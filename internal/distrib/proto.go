@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"net"
 	"strconv"
 	"sync"
@@ -36,8 +38,8 @@ type RunManifest = journal.Manifest
 // Message is the JSON wire format exchanged between coordinator and
 // workers, one message per line.
 type Message struct {
-	// Type is "hello", "welcome", "job", "heartbeat", "result", "cert",
-	// "cancel", "replicate", "replicate-ack", or "stop".
+	// Type is "hello", "welcome", "job", "template", "heartbeat",
+	// "result", "cert", "cancel", "replicate", "replicate-ack", or "stop".
 	Type string `json:"type"`
 
 	// Hello fields. Role distinguishes a work-seeking peer ("" — a
@@ -81,6 +83,13 @@ type Message struct {
 	ChunkTimeoutMillis int64 `json:"chunk_timeout_millis,omitempty"`
 	ChunkConflicts     int64 `json:"chunk_conflicts,omitempty"`
 	MemBudgetMB        int64 `json:"mem_budget_mb,omitempty"`
+	// TemplateSize, on the first job of a connection, declares the run's
+	// solver template: the coordinator's snapshot of it
+	// (parallel.Template.Snapshot) follows the job as TemplateSize bytes
+	// split across "template" frames, and the worker restores its
+	// template from them instead of building one. A job of a connection
+	// that was sent no template is refused.
+	TemplateSize int64 `json:"template_size,omitempty"`
 	// Certify is the evidence level the coordinator demands with this
 	// job's result: "full" (UNSAFE model + per-partition UNSAT proofs),
 	// "model" (UNSAFE model only), or "off"/"" (none).
@@ -103,11 +112,10 @@ type Message struct {
 	SolveMillis int64      `json:"solve_millis,omitempty"`
 	Stats       *sat.Stats `json:"stats,omitempty"`
 	Error       string     `json:"error,omitempty"`
-	// Template, on the result of the job in which a worker built the
-	// run's solver template, accounts for it: its time is part of that
-	// job's Millis and SolveMillis, its counters are the template's and
-	// no partition's, so they ride here and not in Stats.
-	Template *report.TemplateRow `json:"template,omitempty"`
+	// Restore, on the result of a job for which the worker restored the
+	// run's solver template, accounts for it: the time, part of the job's
+	// Millis, and the bytes it was restored from.
+	Restore *TemplateRestore `json:"restore,omitempty"`
 	// Cause names the exhausted budget behind an UNKNOWN verdict
 	// ("timeout", "conflict-budget", or "memory"); empty for a retryable
 	// Unknown such as worker-side cancellation. A budgeted Unknown is
@@ -121,11 +129,17 @@ type Message struct {
 	// frames. 0 means no certificate follows.
 	CertSize int64 `json:"cert_size,omitempty"`
 
-	// Cert-frame fields: Seq numbers the frames of one certificate from
-	// 0 upward and Data carries this frame's slice of the payload
-	// (base64 under encoding/json).
-	Seq  int    `json:"seq,omitempty"`
-	Data []byte `json:"data,omitempty"`
+	// Chunk-frame fields, of "template" and "cert" frames: Seq numbers
+	// the frames of one stream from 0 upward and Data carries this
+	// frame's slice of the payload. Data is not in the JSON: the line
+	// declares its length and CRC32C (DataLen, DataCRC) and the bytes
+	// follow the line raw, so that a megabyte of template or
+	// certificate is neither base64-expanded nor scanned as a JSON
+	// string, which cost more CPU than restoring the template does.
+	Seq     int    `json:"seq,omitempty"`
+	Data    []byte `json:"-"`
+	DataLen int    `json:"data_len,omitempty"`
+	DataCRC uint32 `json:"data_crc,omitempty"`
 
 	// Replication fields: the first "replicate" message of a stream
 	// carries the primary's journal Manifest (Seq 0), every later one a
@@ -201,7 +215,76 @@ func newConn(c net.Conn, timeout time.Duration) *conn {
 	return &conn{c: c, r: bufio.NewReader(c), w: bufio.NewWriter(c), to: timeout, maxFrame: maxFrameBytes}
 }
 
-func (c *conn) send(m *Message) error {
+func (c *conn) send(m *Message) error { return c.sendChunked(m, "", nil) }
+
+// Bulk bytes — a run's solver template after the first job frame of a
+// connection, a certificate after its result — travel as one stream
+// format: the frame before them declares their size (TemplateSize,
+// CertSize), and they follow as frames of type "template" or "cert" of
+// at most chunkData bytes each, numbered from 0, each frame's bytes raw
+// after its line (Message.Data).
+const chunkData = 8 << 20
+
+// sendChunked sends head and then data as a stream of typ frames, with
+// no other sender's message between them: a cancel from the scheduler
+// cannot land inside a template.
+func (c *conn) sendChunked(head *Message, typ string, data []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	if err := c.write(head); err != nil {
+		return err
+	}
+	for seq := 0; len(data) > 0; seq++ {
+		n := min(chunkData, len(data))
+		if err := c.write(&Message{Type: typ, JobID: head.JobID, Seq: seq, Data: data[:n]}); err != nil {
+			return err
+		}
+		data = data[n:]
+	}
+	return nil
+}
+
+// errStream marks a chunk stream that breaks its framing: declared over
+// its cap, cut short by another frame, or out of sequence. It is the
+// sender's fault, where a read error is the wire's.
+var errStream = errors.New("broken chunk stream")
+
+// readChunks reads the stream of typ frames of job jobID that a frame
+// declared size bytes of, limit at most, off next.
+func readChunks(next func() (*Message, error), typ string, jobID int, size, limit int64) ([]byte, error) {
+	if size < 0 || size > limit {
+		return nil, fmt.Errorf("%w: %d %s bytes declared (cap %d)", errStream, size, typ, limit)
+	}
+	var data []byte
+	for seq := 0; int64(len(data)) < size; seq++ {
+		m, err := next()
+		if err != nil {
+			return nil, fmt.Errorf("%s frame %d: %w", typ, seq, err)
+		}
+		if m.Type != typ || m.JobID != jobID || m.Seq != seq {
+			return nil, fmt.Errorf("%w: expected %s frame %d of job %d, got %q job=%d seq=%d",
+				errStream, typ, seq, jobID, m.Type, m.JobID, m.Seq)
+		}
+		if len(m.Data) == 0 || int64(len(data)+len(m.Data)) > size {
+			return nil, fmt.Errorf("%w: %s frames overflow the declared %d bytes", errStream, typ, size)
+		}
+		if data == nil {
+			data = m.Data // a stream of one frame, the common case, is not copied
+		} else {
+			data = append(data, m.Data...)
+		}
+	}
+	return data, nil
+}
+
+// write frames and writes one message, and its Data after it; callers
+// hold wmu.
+func (c *conn) write(m *Message) error {
+	if len(m.Data) > 0 {
+		head := *m
+		head.DataLen, head.DataCRC = len(m.Data), crc32.Checksum(m.Data, wireTable)
+		m = &head
+	}
 	data, err := json.Marshal(m)
 	if err != nil {
 		return err
@@ -210,23 +293,31 @@ func (c *conn) send(m *Message) error {
 	line = fmt.Appendf(line, "%08x ", crc32.Checksum(data, wireTable))
 	line = append(line, data...)
 	line = append(line, '\n')
-	return c.sendRaw(line)
+	return c.writeRaw(line, m.Data)
 }
 
 // sendRaw writes a pre-framed line verbatim. It exists so the fault
 // harness can put a deliberately corrupt frame on the wire.
 func (c *conn) sendRaw(line []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	return c.writeRaw(line, nil)
+}
+
+// writeRaw writes a framed line and the raw bytes after it.
+func (c *conn) writeRaw(line, raw []byte) error {
 	if c.muted.Load() {
 		return nil // half-open: the bytes vanish, the socket stays up
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
 	if c.to > 0 {
 		if err := c.c.SetWriteDeadline(time.Now().Add(c.to)); err != nil {
 			return err
 		}
 	}
 	if _, err := c.w.Write(line); err != nil {
+		return err
+	}
+	if _, err := c.w.Write(raw); err != nil {
 		return err
 	}
 	return c.w.Flush()
@@ -261,6 +352,18 @@ func (c *conn) recv(timeout time.Duration) (*Message, error) {
 	var m Message
 	if err := json.Unmarshal(payload, &m); err != nil {
 		return nil, fmt.Errorf("distrib: malformed message: %w", err)
+	}
+	if m.DataLen != 0 {
+		if m.DataLen < 0 || m.DataLen > c.maxFrame {
+			return nil, fmt.Errorf("distrib: frame declares %d data bytes (cap %d)", m.DataLen, c.maxFrame)
+		}
+		m.Data = make([]byte, m.DataLen)
+		if _, err := io.ReadFull(c.r, m.Data); err != nil {
+			return nil, err
+		}
+		if got := crc32.Checksum(m.Data, wireTable); got != m.DataCRC {
+			return nil, fmt.Errorf("distrib: frame data checksum mismatch (want %08x, got %08x)", m.DataCRC, got)
+		}
 	}
 	return &m, nil
 }

@@ -6,8 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"reflect"
-	"strings"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -54,7 +53,8 @@ type searchCounters struct{ conflicts, propagations, decisions, restarts int64 }
 // before, the chunking, whether proofs are logged, or a hedge twin that
 // lost — so every row the coordinator files equals the in-process
 // runner's for the same formula, and RemoteStats their sum: what the
-// templates themselves did is counted beside them, once per worker.
+// template itself did is counted beside them, once, the coordinator's,
+// and each worker restored it from the same bytes.
 func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 	p := bench.Eliminationstack()
 	base := esOpts()
@@ -147,12 +147,15 @@ func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 			if got := (searchCounters{rs.Conflicts, rs.Propagations, rs.Decisions, rs.Restarts}); got != sum {
 				t.Errorf("RemoteStats %+v, the in-process sum %+v", got, sum)
 			}
-			if len(res.Templates) == 0 || len(res.Templates) > vr.workers {
-				t.Fatalf("%d templates reported by %d workers: %+v", len(res.Templates), vr.workers, res.Templates)
+			if tpl := res.Template; tpl.ElimVars != pres.Template.Stats.ElimVars || tpl.ClausesOut != pres.Template.ClausesOut {
+				t.Errorf("the run's template %+v, in process %+v", tpl, pres.Template)
 			}
-			for _, tpl := range res.Templates {
-				if tpl.ElimVars != pres.Template.Stats.ElimVars || tpl.ClausesOut != pres.Template.ClausesOut {
-					t.Errorf("template of %s: %+v, in process %+v", tpl.Worker, tpl, pres.Template)
+			if len(res.Restores) == 0 || len(res.Restores) > vr.workers {
+				t.Fatalf("%d restores reported by %d workers: %+v", len(res.Restores), vr.workers, res.Restores)
+			}
+			for _, r := range res.Restores {
+				if r.Bytes != res.TemplateBytes {
+					t.Errorf("%s restored from %d bytes, the coordinator sent %d", r.Worker, r.Bytes, res.TemplateBytes)
 				}
 			}
 		})
@@ -218,14 +221,17 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 	}
 }
 
-// The prefix is never on the wire because both ends can derive it: what
-// a worker's template logs and what the coordinator's does are the same
-// proof, lemma for lemma and deletion for deletion — whichever job the
-// worker prepared the run for, and also under a memory budget with no
-// room for the pass, which both then skip — and the digest the
-// coordinator derives while it streams its own into the checker is the
-// digest of that proof.
-func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
+// The run's template is the coordinator's, shipped: a worker restores
+// it and builds none, and the restored one is the one the coordinator
+// built — its snapshot the same bytes, which is every field a clone
+// reads (sat's TestRestoreEqualsSnapshot) — and the one the worker would
+// have built itself from the job's description of the run; the bytes do
+// not depend on whether the run certifies; under a memory budget with
+// no room for the pass, the coordinator skips it as the worker would
+// have and ships the unsimplified solver. Every cube's tail, solved on
+// the restored template, checks on the coordinator's checker (and a SAT
+// cube's model on its encoding).
+func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 	for _, cell := range []struct {
 		name   string
 		p      *prog.Program
@@ -237,68 +243,188 @@ func TestCoordinatorDerivesWorkerPrefix(t *testing.T) {
 	} {
 		for _, memMB := range []int64{0, cell.noPass} {
 			t.Run(fmt.Sprintf("%s/mem=%d", cell.name, memMB), func(t *testing.T) {
+				ctx := context.Background()
 				opts := cell.opts
 				opts.Budget = journal.Budget{MemMB: memMB}
-				// The run the coordinator prepares, with its log kept.
-				run := workerRun(journal.Manifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions}, opts.Budget, true)
-				run.CertifyUnsat = true
-				prep, err := core.Prepare(cell.p, run)
-				if err != nil {
-					t.Fatal(err)
+				v, data := derivedVerifier(t, cell.p, opts)
+				if elim := v.prep.Template().Result().Stats.ElimVars; (elim == 0) != (memMB != 0) {
+					t.Fatalf("the coordinator's template eliminated %d variables under a %d MiB budget", elim, memMB)
 				}
-				own, err := prep.Template().Prefix(context.Background())
-				if err != nil {
-					t.Fatal(err)
+				uncertified := opts
+				uncertified.Certify = CertifyPolicy{Mode: CertifyOff}
+				if _, off := derivedVerifier(t, cell.p, uncertified); !bytes.Equal(off, data) {
+					t.Fatalf("the template is %d bytes certified, %d not", len(data), len(off))
 				}
-				if (len(own.Lemmas) == 0) != (memMB != 0) {
-					t.Fatalf("the coordinator's prefix has %d lemmas under a %d MiB budget", len(own.Lemmas), memMB)
-				}
-				// A worker, prepared by a job for the last partition alone.
-				m := &Message{Source: prog.Format(cell.p), RunManifest: &RunManifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Partitions: opts.Partitions},
-					From: opts.Partitions - 1, To: opts.Partitions - 1, Certify: CertifyFull}
-				m.setBudget(opts.Budget)
-				key, err := jobRun(m)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wopts := workerRun(key.manifest, key.budget, key.proofs)
-				wopts.From, wopts.To = m.From, m.To+1
-				parsed, err := prog.Parse(m.Source)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wprep, err := core.Prepare(parsed, wopts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				theirs, err := wprep.Template().Prefix(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(own.Lemmas, theirs.Lemmas) || !reflect.DeepEqual(own.Deletes, theirs.Deletes) {
-					t.Fatalf("the worker logged %d lemmas and %d deletions, the coordinator %d and %d, or not the same ones",
-						len(theirs.Lemmas), len(theirs.Deletes), len(own.Lemmas), len(own.Deletes))
-				}
-				// The coordinator proper never holds the log: it streams.
-				streaming := derivedVerifier(t, cell.p, opts)
-				if streaming.prefix != own.Digest() || streaming.prefix != theirs.Digest() {
-					t.Fatalf("derived digest %+v, of the kept log %+v", streaming.prefix, own.Digest())
-				}
-				if _, err := streaming.prep.Template().Prefix(context.Background()); err == nil {
-					t.Fatal("a streamed prefix was kept all the same")
+				for i := range opts.Partitions {
+					w := shippedWorker(data)
+					m := jobFor(cell.p, opts, partition.Cube{From: i, To: i})
+					key, err := jobRun(m)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wopts := workerRun(key.manifest, key.budget, key.proofs)
+					run, restored, err := w.prepared(m, key, wopts, nil)
+					if err != nil || restored == nil || restored.Bytes != int64(len(data)) {
+						t.Fatalf("restore: %+v, %v", restored, err)
+					}
+					if got, err := run.prep.Template().Snapshot(ctx); err != nil || !bytes.Equal(got, data) {
+						t.Fatalf("the restored template snapshots to %d bytes (%v), not the %d it was restored from", len(got), err, len(data))
+					}
+					if i == 0 {
+						// What the worker would have built, had it been sent the
+						// formula and not the template.
+						parsed, err := prog.Parse(m.Source)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wopts.From, wopts.To = m.From, m.To+1
+						own, err := core.Prepare(parsed, wopts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if built, err := own.Template().Snapshot(ctx); err != nil || !bytes.Equal(built, data) {
+							t.Fatalf("a worker's own build snapshots to %d bytes (%v), the coordinator's to %d", len(built), err, len(data))
+						}
+					}
+					reply, cert := w.runJob(ctx, m, nil, nil, nil)
+					if reply.Error != "" || reply.Restore != nil {
+						t.Fatalf("partition %d: %+v", i, reply)
+					}
+					cube := partition.Cube{From: i, To: i}
+					switch reply.Verdict {
+					case core.Safe.String():
+						_, err = v.verifySafe(cube, cert)
+					case core.Unsafe.String():
+						err = v.verifyUnsafe(cube, reply.Winner, cert)
+					default:
+						t.Fatalf("partition %d: verdict %s", i, reply.Verdict)
+					}
+					if err != nil {
+						t.Fatalf("partition %d: %s, and its certificate does not check on the coordinator's encoding: %v", i, reply.Verdict, err)
+					}
 				}
 			})
 		}
 	}
 }
 
+// One simplification pass per distributed run, certified or not: the
+// coordinator's "template" span is the only build in the process, and it
+// eliminated variables; each worker's trace holds a restore and no build,
+// and no cube made a pass of its own in its search.
+func TestOnePassPerDistributedRun(t *testing.T) {
+	p := bench.Eliminationstack()
+	for _, mode := range []string{CertifyFull, CertifyOff} {
+		t.Run(mode, func(t *testing.T) {
+			opts := esOpts()
+			opts.Certify = CertifyPolicy{Mode: mode}
+			coord := obs.NewCollectorSink()
+			opts.Tracer = obs.NewTracer(coord)
+			addr, resCh := startCoordinator(t, p, opts)
+			workers := [2]*obs.CollectorSink{obs.NewCollectorSink(), obs.NewCollectorSink()}
+			var wg sync.WaitGroup
+			for i, sink := range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if _, err := Work(context.Background(), addr, WorkerOptions{Name: fmt.Sprintf("w%d", i), Cores: 1, Tracer: obs.NewTracer(sink)}); err != nil {
+						t.Errorf("worker w%d: %v", i, err)
+					}
+				}()
+			}
+			res := waitResult(t, resCh)
+			wg.Wait()
+			if res.Verdict != core.Safe || res.TemplateBytes == 0 {
+				t.Fatalf("verdict %v, %d template bytes", res.Verdict, res.TemplateBytes)
+			}
+			passes := 0
+			for _, e := range coord.Events() {
+				if e.Name == "template" {
+					passes++
+					if fmt.Sprint(e.Attrs["elim_vars"]) == "0" {
+						t.Errorf("the coordinator's template eliminated nothing: %+v", e)
+					}
+				}
+			}
+			if passes != 1 || res.Template.ElimVars == 0 {
+				t.Fatalf("%d template builds by the coordinator (%+v); want the run's one pass", passes, res.Template)
+			}
+			restores := 0
+			for _, sink := range workers {
+				restores += templateSpans(t, sink.Events())
+			}
+			if restores == 0 || restores != len(res.Restores) {
+				t.Fatalf("%d restores in the workers' traces, %d reported", restores, len(res.Restores))
+			}
+			if rs := res.RemoteStats; rs.ElimVars != 0 || rs.Simplified != 0 {
+				t.Fatalf("the cubes made a pass of their own: %d variables eliminated, %d clauses removed", rs.ElimVars, rs.Simplified)
+			}
+		})
+	}
+}
+
+// A template stream that breaks its framing — declared over the cap,
+// cut short by another frame, or out of sequence — ends the connection:
+// the worker drops it with the stream's error, answers nothing, and
+// solves no job on part of a template.
+func TestTemplateStreamRefused(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	job := Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4}}
+	for _, tc := range []struct {
+		name   string
+		size   int64
+		frames []*Message
+	}{
+		{"oversized", maxTemplateBytes + 1, nil},
+		{"cut short", 100, []*Message{
+			{Type: "template", JobID: 1, Seq: 0, Data: make([]byte, 50)},
+			{Type: "cancel", JobID: 1},
+		}},
+		{"out of sequence", 100, []*Message{{Type: "template", JobID: 1, Seq: 1, Data: make([]byte, 100)}}},
+		{"overflowing", 100, []*Message{{Type: "template", JobID: 1, Seq: 0, Data: make([]byte, 101)}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln := listen(t)
+			defer ln.Close()
+			answered := make(chan *Message, 1)
+			go func() {
+				c, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				wc := newConn(c, 5*time.Second)
+				defer wc.close()
+				if _, err := wc.recv(5 * time.Second); err != nil {
+					return
+				}
+				m := job
+				m.TemplateSize = tc.size
+				_ = wc.send(&Message{Type: "welcome", Role: RolePrimary})
+				_ = wc.send(&m)
+				for _, f := range tc.frames {
+					_ = wc.send(f)
+				}
+				reply, _ := wc.recv(5 * time.Second)
+				answered <- reply
+			}()
+			jobs, err := Work(context.Background(), ln.Addr().String(), WorkerOptions{Name: "w", Cores: 1})
+			if jobs != 0 || !errors.Is(err, errStream) {
+				t.Fatalf("worker: %d jobs, %v; want the connection dropped on the template stream", jobs, err)
+			}
+			if reply := <-answered; reply != nil {
+				t.Fatalf("the worker answered %+v", reply)
+			}
+		})
+	}
+}
+
 // A worker whose template is not the coordinator's — here one that
-// prepared the run under a memory budget of its own, with no room for
-// the pass — proves its verdicts honestly and to no avail: its first
-// certificate is refused for what it is, a template mismatch, it is not
-// handed a second job, the cube goes back on the queue at no cost to its
-// attempt budget, and an honest worker finishes the run SAFE, every cube
-// certified.
+// solved on the shipped template with a clause of its own added — proves
+// its verdicts honestly for that clause set and to no avail: with no
+// digest to compare, the coordinator's proof check refuses its first
+// certificate, it is not handed a second job, the cube goes back on the
+// queue at no cost to its attempt budget, and an honest worker finishes
+// the run SAFE, every cube certified.
 func TestUntrustedTemplateMismatch(t *testing.T) {
 	p := bench.Eliminationstack()
 	opts := esOpts()
@@ -306,7 +432,7 @@ func TestUntrustedTemplateMismatch(t *testing.T) {
 	rec := report.NewRecorder()
 	opts.Report = rec
 	addr, resCh := startCoordinator(t, p, opts)
-	plan := &FaultPlan{Every: &FaultEvent{Kind: FaultOtherTemplate, MemMB: 4}}
+	plan := &FaultPlan{Every: &FaultEvent{Kind: FaultOtherTemplate}}
 	n, err := runWorker(t, addr, "other", plan, 0)
 	if err != nil || n != 1 {
 		t.Fatalf("the worker with the other template ran %d jobs (%v); want a clean stop after one", n, err)
@@ -325,31 +451,32 @@ func TestUntrustedTemplateMismatch(t *testing.T) {
 	if other == nil || !other.Untrusted || other.Jobs != 0 {
 		t.Fatalf("health of the worker with the other template: %+v", other)
 	}
-	if len(res.Templates) != 1 || res.Templates[0].Worker != "honest" {
-		t.Fatalf("templates %+v: a refused result's must not be counted", res.Templates)
+	if len(res.Restores) != 1 || res.Restores[0].Worker != "honest" {
+		t.Fatalf("restores %+v: a refused result's must not be counted", res.Restores)
 	}
 }
 
-// The reason an operator reads says which of the two it was.
+// The reason an operator reads names the first lemma of the other
+// template's tail that does not check on the coordinator's; the honest
+// tail checks, and the tail of another cube does not.
 func TestCertificateRejectionNamesTheTemplate(t *testing.T) {
 	p, opts := bench.Eliminationstack(), esOpts()
-	v := derivedVerifier(t, p, opts)
+	v, data := derivedVerifier(t, p, opts)
 	cube := partition.Cube{From: 2, To: 2}
-	other := opts
-	other.Budget.MemMB = 4
-	_, err := v.verifySafe(cube, workerCertificate(t, p, other, cube))
-	if err == nil || !strings.Contains(err.Error(), "template mismatch") {
-		t.Fatalf("certificate over another budget's template: %v", err)
+	other := workerCertificate(t, p, opts, data, cube, &FaultEvent{Kind: FaultOtherTemplate})
+	_, err := v.verifySafe(cube, other)
+	if err == nil || !regexp.MustCompile(`partition 2 .*lemma \d+ of \d+ is not a RUP consequence`).MatchString(err.Error()) {
+		t.Fatalf("certificate over another template: %v, want the first lemma that does not check", err)
 	}
-	honest := workerCertificate(t, p, opts, cube)
+	honest := workerCertificate(t, p, opts, data, cube, nil)
 	if _, err := v.verifySafe(cube, honest); err != nil {
 		t.Fatalf("honest certificate: %v", err)
 	}
 	// The tail of another cube, under the right template.
 	wrong := *honest
-	wrong.Proofs = []PartitionProof{{Partition: 2, Proof: workerCertificate(t, p, opts, partition.Cube{From: 5, To: 5}).Proofs[0].Proof}}
-	if _, err := v.verifySafe(cube, &wrong); err == nil || strings.Contains(err.Error(), "template mismatch") {
-		t.Fatalf("another cube's tail: %v, want a proof that does not check", err)
+	wrong.Proofs = []PartitionProof{{Partition: 2, Proof: workerCertificate(t, p, opts, data, partition.Cube{From: 5, To: 5}, nil).Proofs[0].Proof}}
+	if _, err := v.verifySafe(cube, &wrong); err == nil {
+		t.Fatal("another cube's tail checked")
 	}
 }
 
@@ -431,11 +558,15 @@ func TestByzantineHostileHintsAccepted(t *testing.T) {
 		honest.RemoteStats.Learnt, honest.CertifyWork, honest.CertBytes, hostile.CertifyWork, hostile.CertBytes)
 }
 
-// templateSpans counts the template builds in a worker's trace.
-func templateSpans(events []obs.Event) (n int) {
+// templateSpans counts the template restores in a worker's trace, and
+// the builds: a worker makes none.
+func templateSpans(t *testing.T, events []obs.Event) (n int) {
 	for _, e := range events {
-		if e.Name == "template" {
+		switch e.Name {
+		case "template_restore":
 			n++
+		case "template":
+			t.Errorf("a worker built a template: %+v", e)
 		}
 	}
 	return n
@@ -443,7 +574,7 @@ func templateSpans(events []obs.Event) (n int) {
 
 // Under sampling a worker's jobs alternate between the level that ships
 // proofs and the one that does not; the run certifies either way, so
-// one proof-logging template, prepared once, serves both.
+// one proof-logging template, restored once, serves both.
 func TestCertifySampleModePreparesOnce(t *testing.T) {
 	p := bench.Eliminationstack()
 	opts := esOpts()
@@ -457,63 +588,43 @@ func TestCertifySampleModePreparesOnce(t *testing.T) {
 	if res.Verdict != core.Safe || res.Certified != 4 || res.CertRejected != 0 || res.Jobs != 8 {
 		t.Fatalf("verdict %v, %d certified (want 4 of 8 sampled), %d rejected, %d jobs", res.Verdict, res.Certified, res.CertRejected, res.Jobs)
 	}
-	if n := templateSpans(sink.Events()); n != 1 || len(res.Templates) != 1 {
-		t.Fatalf("%d template spans in the worker's trace, %d templates reported: want one", n, len(res.Templates))
+	if n := templateSpans(t, sink.Events()); n != 1 || len(res.Restores) != 1 {
+		t.Fatalf("%d restores in the worker's trace, %d reported: want one", n, len(res.Restores))
 	}
 }
 
-// cancelAfterSpan cancels a context a moment after a span of the given
-// name ends.
-type cancelAfterSpan struct {
-	name   string
-	after  time.Duration
-	cancel context.CancelFunc
-}
-
-func (c cancelAfterSpan) Emit(e obs.Event) {
-	if e.Name == c.name {
-		time.AfterFunc(c.after, c.cancel)
-	}
-}
-
-// A cancel that lands while the template is being built — here a few
-// milliseconds after the run was prepared, into the load or the pass on
-// 75 000 clauses — discards it with what it would take to build it
-// again, and the worker's next job starts over; what the first job
-// reports is an acknowledged cancel.
-func TestCancelDuringWorkerTemplateBuild(t *testing.T) {
-	p := bench.Eliminationstack()
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 2, Contexts: 6, Partitions: 8}, Certify: CertifyFull}
+// A cancel that lands while the coordinator builds the run's template —
+// a few milliseconds into the load or the pass — ends the run there:
+// Coordinate returns at once, with no error and no verdict, no template
+// shipped and nothing left running (-race counts the pipeline that
+// derives the checker beside the pass).
+func TestCancelDuringCoordinatorTemplateBuild(t *testing.T) {
+	ln := listen(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := &worker{opts: WorkerOptions{Cores: 1,
-		Tracer: obs.NewTracer(cancelAfterSpan{name: "partition", after: 5 * time.Millisecond, cancel: cancel})}}
-	reply, cert := w.runJob(ctx, m, nil, nil, nil)
-	if reply.Error != "" || reply.Verdict != core.Unknown.String() || reply.Cause != sat.CauseCancelled.String() || cert != nil {
-		t.Fatalf("cancelled job: %+v, certificate %v", reply, cert)
+	time.AfterFunc(20*time.Millisecond, cancel)
+	start := time.Now()
+	res, err := Coordinate(ctx, ln, bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 6, Partitions: 8})
+	if err != nil || res.Verdict != core.Unknown || res.TemplateBytes != 0 || res.Jobs != 0 {
+		t.Fatalf("cancelled during the template's build: %+v, %v", res, err)
 	}
-	if w.run != nil || reply.Template != nil {
-		t.Fatalf("the worker kept the run (%v) of a template whose build was cut short, or reported it: %+v", w.run != nil, reply.Template)
-	}
-	m.JobID, m.From, m.To = 2, 3, 3
-	reply, cert = w.runJob(context.Background(), m, nil, nil, nil)
-	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || cert.Prefix == nil || reply.Template == nil {
-		t.Fatalf("the job after: %+v, certificate %+v", reply, cert)
-	}
-	if w.run == nil {
-		t.Fatal("the worker holds no run after a job that built its template")
+	if d := time.Since(start); d > 20*time.Second {
+		t.Fatalf("the cancelled run took %v", d)
 	}
 }
 
 // The watchdog trips during a cube: the job comes back as a memory
 // give-up — which a coordinator that set no memory budget re-queues
 // (TestWatchdogAbortIsRequeued) — the template goes with the cube's
-// solver, and the worker's next job builds it again.
+// solver, and the worker's next job restores it again from the bytes
+// its run kept, the run itself held all along.
 func TestWatchdogTripRebuildsTemplate(t *testing.T) {
-	p := bench.Eliminationstack()
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 2, Contexts: 4, Partitions: 8}, From: 1, To: 1}
-	w := &worker{opts: WorkerOptions{Cores: 1}}
-	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Template == nil {
+	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8, Certify: CertifyPolicy{Mode: CertifyOff}}
+	_, data := derivedVerifier(t, p, opts)
+	m := jobFor(p, opts, partition.Cube{From: 1, To: 1})
+	m.Certify = ""
+	w := shippedWorker(data)
+	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
 		t.Fatalf("first job: %+v", reply)
 	}
 	held := w.run
@@ -521,24 +632,25 @@ func TestWatchdogTripRebuildsTemplate(t *testing.T) {
 	close(tripped)
 	m.JobID, m.From, m.To = 2, 2, 2
 	reply, _ := w.runJob(context.Background(), m, nil, nil, tripped)
-	if reply.Verdict != core.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Template != nil {
+	if reply.Verdict != core.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Restore != nil {
 		t.Fatalf("job under a tripped watchdog: %+v", reply)
 	}
-	if held == nil || w.run != nil {
-		t.Fatal("the template outlived the watchdog's trip")
+	if held == nil || w.run != held || held.prep.Template().Ready() {
+		t.Fatal("the template outlived the watchdog's trip, or the run went with it")
 	}
 	m.JobID = 3
-	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Template == nil {
-		t.Fatalf("the job after: %+v, want the cube decided on a template built again", reply)
+	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil || w.run != held {
+		t.Fatalf("the job after: %+v, want the cube decided on the template restored again", reply)
 	}
-
 }
 
 // The template is the run's, not the connection's: a worker that loses
 // its primary mid-run and re-homes to the standby that continues the
-// same run goes on with the template it has — one build in its trace,
-// none reported to the second coordinator — and the standby, which
-// derives its own checker when it takes over, certifies what is left.
+// same run is sent the standby's template — the same bytes, the standby
+// builds what the primary built — and goes on with the one it has: one
+// restore in its trace, none reported to the second coordinator. The
+// standby, which derives its own checker when it takes over, certifies
+// what is left.
 func TestHATemplateSurvivesFailover(t *testing.T) {
 	p := bench.Eliminationstack()
 	dir := t.TempDir()
@@ -593,8 +705,8 @@ func TestHATemplateSurvivesFailover(t *testing.T) {
 	if b.res.Verdict != core.Safe || b.res.CertRejected != 0 || b.res.Jobs == 0 || b.res.Certified != b.res.Jobs {
 		t.Fatalf("standby: verdict %v, %d jobs of which %d certified, %d rejected", b.res.Verdict, b.res.Jobs, b.res.Certified, b.res.CertRejected)
 	}
-	if n := templateSpans(sink.Events()); n != 1 || len(b.res.Templates) != 0 {
-		t.Fatalf("%d template builds in the worker's trace, %d reported to the standby: want the one it made for the first primary",
-			n, len(b.res.Templates))
+	if n := templateSpans(t, sink.Events()); n != 1 || len(b.res.Restores) != 0 {
+		t.Fatalf("%d template restores in the worker's trace, %d reported to the standby: want the one it made for the first primary",
+			n, len(b.res.Restores))
 	}
 }

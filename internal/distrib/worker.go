@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,6 +79,9 @@ type worker struct {
 	// continues the same run. Only the job goroutine touches it, and jobs
 	// do not overlap.
 	run *preparedRun
+	// shipped is the run's template as this connection's coordinator sent
+	// it, ahead of the first job; nil until then.
+	shipped *shippedTemplate
 }
 
 // Work connects to the coordinator(s) at addr — a single address, or a
@@ -181,6 +185,7 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 	defer wc.close()
 	// Cancellation: closing the connection unblocks recv.
 	defer context.AfterFunc(ctx, wc.close)()
+	w.shipped = nil // a template is a connection's: this one sends its own
 
 	if err := wc.send(&Message{Type: "hello", WorkerName: w.opts.Name, Cores: w.opts.Cores}); err != nil {
 		return 0, false, err
@@ -248,6 +253,17 @@ type recvRes struct {
 func (w *worker) serveJob(ctx context.Context, wc *conn, msgs <-chan recvRes, jm *Message) error {
 	if err := w.checkEpoch(jm.Epoch); err != nil {
 		return err
+	}
+	if jm.TemplateSize != 0 {
+		// The run's template follows the connection's first job. One that
+		// is oversized, cut short or out of sequence ends the connection:
+		// no job is solved on part of a template.
+		data, err := readChunks(func() (*Message, error) { r := <-msgs; return r.m, r.err },
+			"template", jm.JobID, jm.TemplateSize, maxTemplateBytes)
+		if err != nil {
+			return fmt.Errorf("distrib: the run's template: %w", err)
+		}
+		w.shipped = &shippedTemplate{data: data, sum: sha256.Sum256(data)}
 	}
 	idx := w.jobs
 	w.jobs++
@@ -322,10 +338,7 @@ func (w *worker) serveJob(ctx context.Context, wc *conn, msgs <-chan recvRes, jm
 		}
 	}
 	reply.CertSize = declared
-	if err := wc.send(reply); err != nil {
-		return err
-	}
-	return sendCert(wc, jm.JobID, certData)
+	return wc.sendChunked(reply, "cert", certData)
 }
 
 // checkEpoch enforces the split-brain fence: a coordinator presenting
@@ -462,21 +475,4 @@ func (w *worker) procName() string {
 		return w.opts.Name
 	}
 	return "worker"
-}
-
-// sendCert streams one encoded certificate after its result, split into
-// frames small enough to survive the wire's frame cap after base64
-// expansion. A nil/empty certificate sends nothing.
-func sendCert(wc *conn, jobID int, data []byte) error {
-	for seq := 0; len(data) > 0; seq++ {
-		n := certFrameData
-		if n > len(data) {
-			n = len(data)
-		}
-		if err := wc.send(&Message{Type: "cert", JobID: jobID, Seq: seq, Data: data[:n]}); err != nil {
-			return err
-		}
-		data = data[n:]
-	}
-	return nil
 }

@@ -55,13 +55,13 @@ type TemplateResult struct {
 }
 
 // Template is the solver a run's cubes take theirs from, for a caller
-// that holds it across calls: a distributed worker, which is handed the
-// run's cubes a job at a time, and the coordinator, which wants what the
-// same solver logged. It is a function of the formula, the run's whole
-// partition list, the split literals and the budget — of nothing that
-// differs between two processes that were told the same run — so two of
-// them build the same clause set and the same proof log, lemma for lemma.
-// The solver is built by the first call that needs it.
+// that holds it across calls: the coordinator of a distributed run,
+// which builds it once for the run, ships its snapshot (Snapshot) and
+// checks what the cubes cloned from it logged, and a distributed worker,
+// which restores it from that snapshot (Restore) and is handed the run's
+// cubes a job at a time. It is a function of the formula, the run's whole
+// partition list, the split literals and the budget. The solver is built
+// by the first call that needs it, unless it was restored.
 //
 // Solve and Simulate (the functions) use one that lasts the call.
 type Template struct {
@@ -74,19 +74,16 @@ type Template struct {
 	// held: the template outlives the call and is sized for the run, one
 	// cube per partition; otherwise for the cubes the call found queued.
 	held bool
-
-	// digestOnly: what the solver logs is hashed, not kept; see
-	// DigestPrefix. loadOnce: see LoadOnce.
-	digestOnly bool
-	loadOnce   bool
+	// vars is the formula's variable count, kept when Restore lets the
+	// formula go: a snapshot of fewer is of another run.
+	vars int
 
 	mu     sync.Mutex
-	solver *sat.Solver // nil until built, and again after Drop
+	solver *sat.Solver // nil until built or restored, and again after Drop
 	built  TemplateResult
-	// own: it was built for its only cube, which is solved on it and logs
+	// own: it was made for its only cube, which is solved on it and logs
 	// all of its proof: there is no prefix.
-	own    bool
-	digest sat.ProofDigest // of what solver logged, when digestOnly
+	own bool
 	// The run's one proof checker (Check), derived by the build beside
 	// the pass; derr, what the solver logged before the first clone does
 	// not check; reported, the checker's counters as Check last handed
@@ -111,23 +108,25 @@ func newTemplate(f *cnf.Formula, parts []partition.Partition, opts Options, held
 // solvers from. The budget's conflict and memory bounds are the solver's
 // own, and every clone's; its wall-clock bound is runCube's timer.
 func loadTemplate(f *cnf.Formula, opts *Options) *sat.Solver {
-	s := sat.NewFromFormula(f, sat.Options{
-		MaxConflicts:  opts.Budget.Conflicts,
-		MemBudgetMB:   opts.Budget.MemMB,
-		ProgressEvery: opts.ProgressEvery,
-	})
+	s := sat.NewFromFormula(f, opts.solverOptions())
 	if opts.CertifyUnsat || opts.KeepProofs {
 		s.EnableProof()
 	}
 	return s
 }
 
+// solverOptions are the options of the template's solver, and so of
+// every clone.
+func (o *Options) solverOptions() sat.Options {
+	return sat.Options{MaxConflicts: o.Budget.Conflicts, MemBudgetMB: o.Budget.MemMB, ProgressEvery: o.ProgressEvery}
+}
+
 // freezeCubeVars freezes every variable a cube of the run can assume —
 // those of the partitions' assumptions and of the split literals, which
 // the children of a split fix — so that the simplification pass leaves
 // them to the cubes. All of them, not those of the cubes still to be
-// solved: the template of a resumed run is then the first run's, and a
-// worker's the coordinator's.
+// solved: the template of a resumed run is then the first run's, and
+// the one a distributed run ships serves every job.
 func freezeCubeVars(s *sat.Solver, parts []partition.Partition, splitLits []cnf.Lit) {
 	for _, pt := range parts {
 		s.Freeze(pt.Assumptions...)
@@ -143,14 +142,22 @@ func (t *Template) single(cubes int) bool { return cubes == 1 && !t.opts.splitti
 // it if the template holds none: queued is the number of cubes the call
 // has to solve, and watch makes a solver interruptible for as long as
 // the pass runs on it, until the func it returns is called. own: the
-// solver is the call's only cube's, to be solved on as it is. fresh: this
-// call built it. A template that has neither solver nor formula left
-// (LoadOnce, then a build cut short or a Drop) has none to give: nil.
+// solver is the call's only cube's, to be solved on as it is — and a
+// restored one it uses up. fresh: this call built it. A restored
+// template that has no solver left (used up, or Dropped) has no formula
+// to build one from: nil.
 func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sat.Solver, own, fresh bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.solver != nil || t.f == nil {
-		return t.solver, false, false
+	if t.solver != nil {
+		s, own = t.solver, t.own
+		if own {
+			t.solver = nil
+		}
+		return s, own, false
+	}
+	if t.f == nil {
+		return nil, false, false
 	}
 	start := time.Now()
 	cubes := queued
@@ -164,14 +171,12 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	// benchmark's traced pass) and what the in-search trigger was tuned
 	// on. The solver is used up by it and never kept.
 	own = t.single(cubes)
-	// A log that is checked or digested goes to a goroutine of its own
-	// (passSink), started before the load: the checker loads beside the
-	// solver and takes each step of the pass while the pass makes the
-	// next.
+	// A log that is checked goes to a goroutine of its own (passSink),
+	// started before the load: the checker loads beside the solver and
+	// takes each step of the pass while the pass makes the next.
 	var sink *passSink
-	logs, check := t.opts.CertifyUnsat || t.opts.KeepProofs, t.opts.CertifyUnsat && t.checker == nil
-	if !own && logs && (check || t.digestOnly) {
-		sink = startPassSink(t.f, check, t.digestOnly)
+	if !own && t.opts.CertifyUnsat && t.checker == nil {
+		sink = startPassSink(t.f, t.opts.KeepProofs)
 		defer sink.wait(true) // a panic too ends it
 	}
 	s = loadTemplate(t.f, &t.opts)
@@ -180,9 +185,6 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	if !own {
 		if sink != nil {
 			s.StreamProof(sink.step)
-		}
-		if t.loadOnce {
-			t.f = nil
 		}
 		freezeCubeVars(s, t.parts, t.opts.SplitLits)
 		// The one place the up-front pass is decided. It is an a-priori
@@ -210,12 +212,7 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		sink.wait(!whole)
 		s.KeepProof(sink.kept)
 		if whole {
-			if t.digestOnly {
-				t.digest = sink.digester.Sum()
-			}
-			if check {
-				t.checker, t.derr = sink.checker, sink.derr
-			}
+			t.checker, t.derr = sink.checker, sink.derr
 		}
 	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
@@ -227,36 +224,34 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	return s, own, true
 }
 
-// passSink is where a template build whose log is checked or digested
-// sends it: the solver streams the steps of its pass (Solver.StreamProof),
-// copied into batches, down a pipeline of two goroutines. The first
-// loads the run's proof checker from the formula while the solver loads,
-// then extends it by each step (ExtendStep) while the pass makes the
-// next; the second keeps the steps in a log of its own or, for a
-// digest-only template, digests them, and hands each batch back to be
-// refilled. A template that derives no checker has only the second. The
-// channels are bounded, so the stream holds at most about a MiB however
-// long the log, and the pipeline is a batch or two — a millisecond or
-// two — behind the pass when it ends.
+// passSink is where a template build whose log is checked sends it: the
+// solver streams the steps of its pass (Solver.StreamProof), copied into
+// batches, down a pipeline of two goroutines. The first loads the run's
+// proof checker from the formula while the solver loads, then extends it
+// by each step (ExtendStep) while the pass makes the next; the second
+// keeps the steps in a log of its own, when the run keeps proofs (only
+// a kept proof is ever joined to them: Prefix), and hands each batch back
+// to be refilled. The channels are bounded, so the stream holds at most
+// about a MiB however long the log, and the pipeline is a batch or two —
+// a millisecond or two — behind the pass when it ends.
 type passSink struct {
 	full, free chan []uint32
 	// batch is the producer's, being filled: per step a head word, the
 	// clause's length << 1 | deleted, then its literals.
 	batch []uint32
-	// abort: the build was cut short; nobody will read the checker or the
-	// digest. done closes when the pipeline has taken every batch.
+	// abort: the build was cut short; nobody will read the checker. done
+	// closes when the pipeline has taken every batch.
 	abort  atomic.Bool
 	done   chan struct{}
 	closed bool
 
-	// Read once done is closed. digester for a digest-only template, kept
-	// otherwise; checker, when the build derives one, and derr, its log
-	// does not check.
-	checker  *sat.ProofChecker
-	derr     error
-	digester *sat.ProofDigester
-	kept     *sat.Proof
-	slab     []cnf.Lit // what kept's clauses are carved from
+	// Read once done is closed: the checker, derr, its log does not
+	// check, and the log, empty unless keep.
+	checker *sat.ProofChecker
+	derr    error
+	keep    bool
+	kept    *sat.Proof
+	slab    []cnf.Lit // what kept's clauses are carved from
 }
 
 // A batch is about a millisecond of the checker's work. Each channel
@@ -270,10 +265,9 @@ const (
 	sinkDepth = 32      // batches per channel
 )
 
-// startPassSink starts the pipeline for a build over f: check, it
-// derives a checker; digestOnly, it digests the log instead of keeping it.
-// The formula is handed over here, before LoadOnce lets it go.
-func startPassSink(f *cnf.Formula, check, digestOnly bool) *passSink {
+// startPassSink starts the pipeline for a build over f; keep, it keeps
+// the log.
+func startPassSink(f *cnf.Formula, keep bool) *passSink {
 	p := &passSink{
 		full: make(chan []uint32, sinkDepth),
 		// Room for every batch there can be: those in the two channels and
@@ -281,16 +275,11 @@ func startPassSink(f *cnf.Formula, check, digestOnly bool) *passSink {
 		free:  make(chan []uint32, 2*sinkDepth+3),
 		batch: make([]uint32, 0, sinkBatch),
 		done:  make(chan struct{}),
+		keep:  keep,
 		kept:  &sat.Proof{},
 	}
-	if digestOnly {
-		p.digester = sat.NewProofDigester()
-	}
-	derived := p.full
-	if check {
-		derived = make(chan []uint32, sinkDepth)
-		go p.derive(f, derived)
-	}
+	derived := make(chan []uint32, sinkDepth)
+	go p.derive(f, derived)
 	go p.record(derived)
 	return p
 }
@@ -312,15 +301,12 @@ func (p *passSink) derive(f *cnf.Formula, out chan<- []uint32) {
 }
 
 // record is the second stage. A build cut short still keeps the steps,
-// as the solver would have, but does not digest them.
+// as the solver would have.
 func (p *passSink) record(in <-chan []uint32) {
 	defer close(p.done)
 	for b := range in {
-		switch {
-		case p.digester == nil:
-			eachStep(b, p.keep)
-		case !p.abort.Load():
-			eachStep(b, p.digester.Step)
+		if p.keep {
+			eachStep(b, p.keepStep)
 		}
 		select {
 		case p.free <- b[:0]:
@@ -356,9 +342,9 @@ func (p *passSink) step(deleted bool, clause []uint32) {
 	p.batch = append(append(p.batch, head), clause...)
 }
 
-// keep appends a step to the kept log, the clause carved from a slab as
-// the solver carves its own.
-func (p *passSink) keep(deleted bool, clause []uint32) {
+// keepStep appends a step to the kept log, the clause carved from a slab
+// as the solver carves its own.
+func (p *passSink) keepStep(deleted bool, clause []uint32) {
 	if cap(p.slab)-len(p.slab) < len(clause) {
 		p.slab = make([]cnf.Lit, 0, max(len(clause), 4096))
 	}
@@ -376,7 +362,7 @@ func (p *passSink) keep(deleted bool, clause []uint32) {
 
 // wait hands the last batch over and waits for the pipeline to have
 // taken them all; abort: the build was cut short, and what it streamed
-// is neither checked nor digested. Only the first call does anything.
+// is not checked. Only the first call does anything.
 func (p *passSink) wait(abort bool) {
 	if p.closed {
 		return
@@ -395,11 +381,9 @@ func (p *passSink) wait(abort bool) {
 // pass, which every cube's proof continues (sat.JoinProofs,
 // sat.ProofChecker.Extend) — building the template first if it has to;
 // ctx interrupts that. The log is empty for a run whose only cube is
-// solved on the template itself, whose proof is its own from the start.
+// solved on the template itself, whose proof is its own from the start,
+// and for a restored template, which logged nothing here.
 func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
-	if t.digestOnly {
-		return nil, fmt.Errorf("parallel: template: the prefix is digested, not kept")
-	}
 	if t.single(len(t.parts)) {
 		return &sat.Proof{}, nil
 	}
@@ -410,30 +394,68 @@ func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
 	return s.ProofLog(), nil
 }
 
-// DigestPrefix, called before the template is built, has it hash what
-// Prefix would return instead of keeping it — tens of thousands of
-// clauses that the holder of a distributed run's template never reads
-// twice. The build digests the log beside the pass, as it derives a
-// certifying template's checker (get). PrefixDigest is then all there is
-// to ask for.
-func (t *Template) DigestPrefix() { t.digestOnly = true }
-
-// PrefixDigest is the digest of Prefix, building the template first if
-// it has to; an error too if it certifies and its log does not check.
-func (t *Template) PrefixDigest(ctx context.Context) (sat.ProofDigest, error) {
-	if !t.digestOnly {
-		p, err := t.Prefix(ctx)
-		return p.Digest(), err
-	}
-	if t.single(len(t.parts)) {
-		return (*sat.Proof)(nil).Digest(), nil
-	}
-	if _, err := t.build(ctx); err != nil {
-		return sat.ProofDigest{}, err
+// Snapshot returns the snapshot of the template's solver
+// (sat.Solver.Snapshot), building the template first if it has to; ctx
+// interrupts that. It is what a distributed run ships to its workers in
+// place of the formula: for a run of two or more cubes, the solver
+// simplified once, with every cube variable frozen; for a run's only
+// cube, the solver as loaded, its pass left to that cube's search. The
+// bytes do not depend on whether the template logs. A template that
+// certifies and whose own log does not check has nothing to ship: an
+// error. Snapshotting a solver the template holds does not use it up.
+func (t *Template) Snapshot(ctx context.Context) ([]byte, error) {
+	t.mu.Lock()
+	s := t.solver
+	t.mu.Unlock()
+	if s == nil {
+		var err error
+		if s, err = t.build(ctx); err != nil {
+			return nil, err
+		}
 	}
 	t.mu.Lock()
+	derr := t.derr
+	t.mu.Unlock()
+	if derr != nil {
+		return nil, fmt.Errorf("parallel: template: its own prefix does not check: %w", derr)
+	}
+	return s.Snapshot(), nil
+}
+
+// Result accounts for the template as it was last built or restored.
+func (t *Template) Result() TemplateResult {
+	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.digest, t.derr
+	return t.built
+}
+
+// Restore hands the template its solver, restored from data, the
+// Snapshot of the template another process built for the same run, in
+// place of building it: the formula is never loaded into a solver, the
+// pass never made, and the template lets the formula go. Proof logging
+// is switched on here when the run logs, so the clones log their tails.
+// A restored template that a call used up (its only cube's) or that was
+// Dropped holds no solver until it is restored again.
+func (t *Template) Restore(data []byte) error {
+	start := time.Now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.f != nil {
+		t.vars, t.f = t.f.NumVars, nil // the formula goes before the solver comes
+	}
+	s, err := sat.Restore(data, t.opts.solverOptions())
+	if err != nil {
+		return fmt.Errorf("parallel: template: %w", err)
+	}
+	if s.NumVars() < t.vars {
+		return fmt.Errorf("parallel: template: the snapshot has %d variables, the run's formula %d", s.NumVars(), t.vars)
+	}
+	if t.opts.CertifyUnsat || t.opts.KeepProofs {
+		s.EnableProof()
+	}
+	t.solver, t.own = s, t.single(len(t.parts))
+	t.built = TemplateResult{Time: time.Since(start), Stats: s.Stats(), ClausesIn: s.NumClauses(), ClausesOut: s.NumClauses()}
+	return nil
 }
 
 // Check checks tail, the log of a clone of the template (of the template
@@ -449,7 +471,7 @@ func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheck
 		// Only a template that has no prefix — one made or built for one
 		// cube — has no checker from its build: it loads the formula alone.
 		if t.f == nil || !t.own && !t.single(len(t.parts)) {
-			return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or its formula let go (LoadOnce)")
+			return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or restored")
 		}
 		t.checker = sat.NewProofChecker(t.f)
 	}
@@ -476,18 +498,9 @@ func (t *Template) build(ctx context.Context) (*sat.Solver, error) {
 	return s, nil
 }
 
-var errSpent = errors.New("parallel: template: it let its formula go (LoadOnce) and holds no solver")
+var errSpent = errors.New("parallel: template: restored, and holds no solver: restore it again")
 
-// LoadOnce, called before the template is built, has it let go of the
-// formula as soon as its solver holds the clauses — a formula is as big
-// as the solver, and the holder of a distributed run's template has no
-// other use for it. The price: a template whose build was cut short
-// cannot be built again (Ready stays false; its holder prepares another),
-// nor can calls on it resume a journal or certify in process, which both
-// read the formula.
-func (t *Template) LoadOnce() { t.loadOnce = true }
-
-// formula is the run's formula, nil once LoadOnce has let it go: read
+// formula is the run's formula, nil once Restore has let it go: read
 // when it is needed, not held, so that it can go.
 func (t *Template) formula() *cnf.Formula {
 	t.mu.Lock()
@@ -496,14 +509,15 @@ func (t *Template) formula() *cnf.Formula {
 }
 
 // Ready reports that the template holds its solver or what it takes to
-// build one.
+// build one: false for a restored template used up or Dropped.
 func (t *Template) Ready() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.solver != nil || t.f != nil
 }
 
-// Drop lets go of the solver and its log; the next call builds it again.
+// Drop lets go of the solver and its log; the next call builds it again
+// (a restored template: holds none until it is restored again).
 func (t *Template) Drop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
@@ -330,7 +331,7 @@ func TestTemplateProofsAndModels(t *testing.T) {
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
 			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
-			held := Prepare(f, parts, Options{CertifyUnsat: true})
+			held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
 			tpl, err := held.build(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -399,9 +400,8 @@ func TestTemplateProofsAndModels(t *testing.T) {
 // must be the checker that is. On both cells every honest tail and every
 // tail with a lemma flipped gets the same answer from Template.Check as
 // from a checker extended by Prefix, with the same work, derivation
-// included; and a template that digests its log instead of keeping it,
-// and lets its formula go, derives the digest of the kept log and gives
-// the same answers too.
+// included — and so does a template that keeps no proofs, which keeps
+// no log either, as a distributed run's coordinator's does.
 func TestCheckerDerivedBesideThePass(t *testing.T) {
 	for _, cell := range []struct {
 		name        string
@@ -414,7 +414,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 		t.Run(cell.name, func(t *testing.T) {
 			ctx := context.Background()
 			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
-			held := Prepare(f, parts, Options{CertifyUnsat: true})
+			held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
 			tpl, err := held.build(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -430,14 +430,12 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 			if err := after.Extend(prefix); err != nil {
 				t.Fatal(err)
 			}
-			digested := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
-			digested.DigestPrefix()
-			digested.LoadOnce()
-			if got, err := digested.PrefixDigest(ctx); err != nil || got != prefix.Digest() {
-				t.Fatalf("derived digest %+v, %v; of the kept prefix %+v", got, err, prefix.Digest())
+			checking := Prepare(f, parts, Options{CertifyUnsat: true})
+			if kept, err := checking.Prefix(ctx); err != nil || len(kept.Lemmas)+len(kept.Deletes) != 0 {
+				t.Fatalf("a template that keeps no proofs kept %v, %v of its log", kept, err)
 			}
 
-			var work, digestedWork sat.ProofCheckerStats
+			var work, checkingWork sat.ProofCheckerStats
 			checked := 0
 			for _, pt := range parts {
 				c := tpl.Clone()
@@ -457,10 +455,10 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
 						t.Errorf("partition %d: derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
 					}
-					got, err = digested.Check(pt.Assumptions, p)
-					digestedWork.Add(got)
+					got, err = checking.Check(pt.Assumptions, p)
+					checkingWork.Add(got)
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
-						t.Errorf("partition %d: digested, derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
+						t.Errorf("partition %d: not keeping its log, derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
 					}
 				}
 				checked++
@@ -468,35 +466,90 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 			if checked == 0 {
 				t.Fatal("no cube of the cell is UNSAT")
 			}
-			if all := after.Stats(); work != all || digestedWork != all {
-				t.Fatalf("the checks reported %+v, digested %+v; the checker extended afterwards did %+v", work, digestedWork, all)
+			if all := after.Stats(); work != all || checkingWork != all {
+				t.Fatalf("the checks reported %+v, not keeping %+v; the checker extended afterwards did %+v", work, checkingWork, all)
 			}
 		})
 	}
 }
 
-// A template that lets its formula go (LoadOnce) has handed it to the
-// goroutine that derives its checker before it does: a certifying run on
-// it, with two workers checking as they go, certifies every cube, and
-// under -race nothing reads the formula after it went.
-func TestLoadOnceTemplateDerives(t *testing.T) {
+// A template restored from another's snapshot is that template: a run
+// on it — two workers, proofs kept — solves every cube with the counters
+// and the tail the built one gives it, never loads the formula into a
+// solver and lets the formula go; the tails check on the builder's
+// checker, and under a memory budget with no room for the pass (which
+// the builder then skips) the same holds of the unsimplified solver. A
+// run's only cube uses its restored solver up: the template is not
+// Ready until it is restored again, and then solves it alike.
+func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 	f, parts := esCell(t)
-	opts := Options{Workers: 2, CertifyUnsat: true}
-	prefix, err := Prepare(f, parts, opts).Prefix(context.Background())
+	for _, memMB := range []int64{0, 4} {
+		t.Run(fmt.Sprintf("mem=%d", memMB), func(t *testing.T) {
+			opts := Options{Workers: 2, KeepProofs: true, Budget: journal.Budget{MemMB: memMB}}
+			built := Prepare(f, parts, Options{Workers: 2, CertifyUnsat: true, Budget: opts.Budget})
+			data, err := built.Snapshot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elim := built.built.Stats.ElimVars; (elim == 0) != (memMB != 0) {
+				t.Fatalf("%d variables eliminated under a %d MiB budget", elim, memMB)
+			}
+			want, err := Solve(context.Background(), f, parts, Options{Workers: 2, Budget: opts.Budget})
+			if err != nil || want.Status != sat.Unsat {
+				t.Fatalf("built: %v, %v", want, err)
+			}
+			restored := Prepare(f, parts, opts)
+			if err := restored.Restore(data); err != nil {
+				t.Fatal(err)
+			}
+			if restored.formula() != nil {
+				t.Fatal("the restored template kept its formula")
+			}
+			res, err := restored.Solve(context.Background(), parts, opts)
+			if err != nil || res.Status != sat.Unsat || res.Template.Time != 0 {
+				t.Fatalf("restored: %v, %v", res, err)
+			}
+			for i, inst := range res.Instances {
+				if got, w := scheduleFreeOf(inst.Stats), scheduleFreeOf(want.Instances[i].Stats); got != w {
+					t.Errorf("partition %d: %+v, built %+v", inst.Partition, got, w)
+				}
+				if _, err := built.Check(parts[i].Assumptions, inst.Proof); err != nil {
+					t.Errorf("partition %d: its tail does not check on the builder's checker: %v", inst.Partition, err)
+				}
+			}
+		})
+	}
+
+	single := Prepare(f, parts[2:3], Options{KeepProofs: true})
+	data, err := single.Snapshot(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	held := Prepare(f, parts, opts)
-	held.LoadOnce()
-	res, err := held.Solve(context.Background(), parts, opts)
-	if err != nil || res.Status != sat.Unsat || !res.Certified {
-		t.Fatalf("%v, %v", res, err)
+	cold := sat.NewFromFormula(f, sat.Options{})
+	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
+		t.Fatal(err)
 	}
-	if held.formula() != nil {
-		t.Fatal("the template kept its formula")
+	restored := Prepare(f, parts[2:3], Options{KeepProofs: true})
+	for range 2 {
+		if err := restored.Restore(data); err != nil {
+			t.Fatal(err)
+		}
+		res, err := restored.Solve(context.Background(), parts[2:3], Options{KeepProofs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Instances[0].Stats; got != cold.Stats() {
+			t.Fatalf("a restored run of one partition:\n%+v\nsat.NewFromFormula + Solve:\n%+v", got, cold.Stats())
+		}
+		if err := sat.CheckRUP(f, parts[2].Assumptions, res.Instances[0].Proof); err != nil {
+			t.Fatalf("its proof is not whole: %v", err)
+		}
+		if restored.Ready() {
+			t.Fatal("the only cube left its restored solver in the template")
+		}
 	}
-	if res.CertifyWork.Lemmas <= int64(len(prefix.Lemmas)) {
-		t.Fatalf("the checker took %d lemmas, the prefix has %d: did it derive it?", res.CertifyWork.Lemmas, len(prefix.Lemmas))
+	if _, err := restored.Solve(context.Background(), parts[2:3], Options{}); !errors.Is(err, errSpent) {
+		t.Fatalf("a used-up restored template solved: %v", err)
 	}
 }
 
@@ -519,7 +572,7 @@ func lemmaIndex(err error) int {
 // did, its derivation included.
 func TestTemplateCheckConcurrent(t *testing.T) {
 	f, parts := esCell(t)
-	held := Prepare(f, parts, Options{CertifyUnsat: true})
+	held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
 	tpl, err := held.build(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -597,9 +650,9 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 // builds it, the others find it built; a partition's counters are those
 // of the whole run's (TestCubeCountersIndependentOfSchedule) handed
 // over alone, in pairs or all at once; a kept proof is the cube's own
-// log and checks on what the template logged before it; and a holder
-// that wants the digest of that log, not the log, nor the formula once
-// it is loaded, gets the same digest and the same searches.
+// log and checks on what the template logged before it; and a template
+// restored from the held one's snapshot, with neither log nor formula,
+// gets the same searches.
 func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	f, parts := esCell(t)
 	whole, err := Solve(context.Background(), f, parts, Options{Workers: 2})
@@ -608,12 +661,10 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	}
 	opts := Options{Workers: 1, KeepProofs: true}
 	held := Prepare(f, parts, opts)
-	digested := Prepare(f, parts, opts)
-	digested.DigestPrefix()
-	digested.LoadOnce()
-	if !held.Ready() || !digested.Ready() {
+	if !held.Ready() {
 		t.Fatal("a template that has yet to be built is not ready to be")
 	}
+	var restored *Template
 	var checker *sat.ProofChecker
 	builds := 0
 	for _, call := range [][]partition.Partition{parts[3:4], parts[0:2], parts[6:8], parts} {
@@ -621,7 +672,17 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 		if err != nil || res.Status != sat.Unsat {
 			t.Fatalf("partitions %d..%d: %v, %v", call[0].Index, call[len(call)-1].Index, res, err)
 		}
-		alike, err := digested.Solve(context.Background(), call, opts)
+		if restored == nil {
+			restored = Prepare(f, parts, opts)
+			data, err := held.Snapshot(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := restored.Restore(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		alike, err := restored.Solve(context.Background(), call, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -636,11 +697,8 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 			if err != nil || len(prefix.Lemmas) == 0 {
 				t.Fatalf("prefix %v, %v", prefix, err)
 			}
-			if got, err := digested.PrefixDigest(context.Background()); err != nil || got != prefix.Digest() {
-				t.Fatalf("digest %+v, %v; of the kept prefix %+v", got, err, prefix.Digest())
-			}
-			if _, err := digested.Prefix(context.Background()); err == nil {
-				t.Fatal("a digested prefix was kept all the same")
+			if rp, err := restored.Prefix(context.Background()); err != nil || len(rp.Lemmas) != 0 {
+				t.Fatalf("a restored template logged %v, %v before its clones", rp, err)
 			}
 			checker = sat.NewProofChecker(f)
 			if err := checker.Extend(prefix); err != nil {
@@ -652,7 +710,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 				t.Errorf("partition %d: %+v, in the whole run %+v", inst.Partition, got, want)
 			}
 			if scheduleFreeOf(alike.Instances[i].Stats) != scheduleFreeOf(inst.Stats) {
-				t.Errorf("partition %d: %+v on the template that keeps neither log nor formula", inst.Partition, alike.Instances[i].Stats)
+				t.Errorf("partition %d: %+v on the restored template", inst.Partition, alike.Instances[i].Stats)
 			}
 			if inst.Proof == nil || checker.Check(call[i].Assumptions, inst.Proof) != nil {
 				t.Errorf("partition %d: its own log does not check on the template's: %v", inst.Partition, inst.Proof.NumLemmas())

@@ -161,6 +161,27 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 		checkStore(t, c)
 	}
 
+	// A solver restored from the template's snapshot, in this process as
+	// in another, is the template: a clone of it searches as the clones
+	// of the template did, and it searches as the reference.
+	restored, err := Restore(tpl.Snapshot(), opts)
+	if err != nil {
+		t.Fatalf("%v: restore: %v", mode, err)
+	}
+	restored.EnableProof()
+	checkStore(t, restored)
+	for i, s := range []*Solver{restored.Clone(), restored} {
+		r, w := solveOutcomeOf(s, assumptions), got[0]
+		if i == 1 {
+			w = want
+			w.log = w.log[len(prefix):] // the prefix stayed with the template
+		}
+		if r.st != w.st || r.err != w.err || r.stats != w.stats || !slices.Equal(r.model, w.model) ||
+			!slices.EqualFunc(r.log, w.log, func(a, b cnf.Clause) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%v: restored (%d) searched differently: %v, %v\n%+v\nwant %v, %v\n%+v", mode, i, r.st, r.err, r.stats, w.st, w.err, w.stats)
+		}
+	}
+
 	// Solving the clones left the template as it was built: solved now,
 	// it is the reference to the last counter.
 	if after := solveOutcomeOf(tpl, assumptions); after.st != want.st || after.err != want.err || after.stats != want.stats ||
@@ -173,7 +194,8 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 }
 
 // FuzzCloneSolve puts FuzzSolve's inputs through the differential test
-// in each of the three states. (Its two long seeds, four solves in three
+// in each of the three states, a solver restored from the template's
+// snapshot and a clone of it included. (Its two long seeds, four solves in three
 // states each, are left to TestCloneReduceDB, which gets to the arena
 // compaction they are there for in a tenth of the conflicts.)
 func FuzzCloneSolve(f *testing.F) {
