@@ -241,8 +241,8 @@ func printResult(w io.Writer, res *distrib.CoordinatorResult, certPolicy distrib
 		res.RemoteStats.Restarts, res.RemoteStats.ElimVars, res.RemoteStats.Simplified,
 		time.Duration(res.SolveMillis)*time.Millisecond)
 	if tpl := res.Template; res.TemplateBytes > 0 {
-		fmt.Fprintf(w, "template: built once in %v: clauses %d -> %d, %d variables eliminated (counted here, in no partition's search), %d bytes sent to each connection\n",
-			time.Duration(tpl.Millis)*time.Millisecond, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars, res.TemplateBytes)
+		fmt.Fprintf(w, "template: built once in %v: variables %d -> %d, clauses %d -> %d, %d variables eliminated (counted here, in no partition's search), %d bytes sent to each connection\n",
+			time.Duration(tpl.Millis)*time.Millisecond, tpl.VarsIn, tpl.VarsOut, tpl.ClausesIn, tpl.ClausesOut, tpl.ElimVars, res.TemplateBytes)
 	}
 	for _, r := range res.Restores {
 		fmt.Fprintf(w, "template: worker %s restored it in %v from %d bytes\n",

@@ -189,8 +189,8 @@ func printResult(w io.Writer, res *core.Result, opts core.Options, stats, showTr
 			// time is in no partition's, and what its pass eliminated is
 			// eliminated for all of them.
 			st := tpl.Stats
-			fmt.Fprintf(w, "template: %d cubes in %v — clauses=%d->%d elimvars=%d simplified=%d propagations=%d peakmembytes=%d\n",
-				tpl.Cubes, tpl.Time, tpl.ClausesIn, tpl.ClausesOut, st.ElimVars, st.Simplified, st.Propagations, st.PeakMemBytes)
+			fmt.Fprintf(w, "template: %d cubes in %v — vars=%d->%d clauses=%d->%d elimvars=%d simplified=%d propagations=%d peakmembytes=%d\n",
+				tpl.Cubes, tpl.Time, tpl.VarsIn, tpl.VarsOut, tpl.ClausesIn, tpl.ClausesOut, st.ElimVars, st.Simplified, st.Propagations, st.PeakMemBytes)
 		}
 		var peakMem int64
 		for _, inst := range res.Instances {

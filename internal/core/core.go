@@ -340,6 +340,7 @@ func TemplateRow(tpl parallel.TemplateResult) report.TemplateRow {
 	return report.TemplateRow{
 		Millis:    tpl.Time.Milliseconds(),
 		ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
+		VarsIn: tpl.VarsIn, VarsOut: tpl.VarsOut,
 		ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
 		Propagations: tpl.Stats.Propagations,
 		Cubes:        tpl.Cubes,
@@ -448,6 +449,9 @@ func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
 
 // Encoded, Partitions and SplitLits are what a cube's index and path
 // mean in this run; the coordinator checks certificates against them.
+// Encoded().Formula() is nil for a run that neither checks nor keeps
+// proofs, whose template holds the formula only until its solver has
+// loaded it, and after Restore.
 func (pr *Prepared) Encoded() *vc.Encoded { return pr.enc }
 
 func (pr *Prepared) Partitions() []partition.Partition { return pr.parts }
@@ -514,6 +518,11 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	}
 	pr.vars, pr.clauses = enc.Formula().NumVars, enc.Formula().NumClauses()
 	pr.template = parallel.Prepare(enc.Formula(), pr.parts, pr.popts)
+	if !opts.CertifyUnsat && !opts.KeepProofs {
+		// Only the template reads the formula from here on, and it lets
+		// it go once its solver has loaded it.
+		enc.DropFormula()
+	}
 	return pr, nil
 }
 

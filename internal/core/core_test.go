@@ -279,3 +279,41 @@ func TestVerifyRejectsSplitDepthUnderSimulation(t *testing.T) {
 		t.Fatalf("err %v, want a Split.Depth/SimulateParallel refusal", err)
 	}
 }
+
+// A run that neither checks nor keeps proofs lets the encoded formula go
+// at Prepare: the template holds it until its solver has loaded it, and
+// nothing after reads it — a counterexample is decoded and replayed from
+// the model alone, and the run's template row still says how many
+// variables the pass left the cubes. A certifying run keeps it for its
+// checker.
+func TestPrepareLetsTheFormulaGo(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	for _, tc := range []struct {
+		opts    Options
+		verdict Verdict
+		kept    bool
+	}{
+		{Options{Unwind: 1, Contexts: 4, Cores: 2}, Unsafe, false},
+		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2}, Safe, false},
+		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2, CertifyUnsat: true}, Safe, true},
+	} {
+		pr, err := Prepare(p, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kept := pr.Encoded().Formula() != nil; kept != tc.kept {
+			t.Fatalf("%+v: formula kept %v, want %v", tc.opts, kept, tc.kept)
+		}
+		res, err := pr.Run(context.Background(), tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Verdict != tc.verdict || tc.verdict == Unsafe && res.Violation == nil {
+			t.Fatalf("%+v: %v, violation %v", tc.opts, res.Verdict, res.Violation)
+		}
+		row := TemplateRow(res.Template)
+		if row.VarsIn != res.Vars || row.VarsOut != row.VarsIn-int(row.ElimVars) {
+			t.Fatalf("%+v: template row %+v for %d variables", tc.opts, row, res.Vars)
+		}
+	}
+}

@@ -16,12 +16,14 @@ import (
 // when the budget is lifted.
 func TestJournalMemBudgetRaiseResolves(t *testing.T) {
 	// PHP(7) padded with a huge variable set: the irreducible base
-	// footprint (≈12000 vars × 128 B) alone exceeds the 1 MiB budget, so
-	// every instance must stop with CauseMemory at its first conflict —
-	// learnt-DB shrinking cannot recover base footprint. The padding
-	// clause is a free unit, so the lifted-budget verdict stays UNSAT.
+	// footprint (14000 vars × 85 B of per-variable state) alone exceeds
+	// the 1 MiB budget, so every instance must stop with CauseMemory at
+	// its first conflict — learnt-DB shrinking cannot recover base
+	// footprint, and the pass that would drop the padding does not fit
+	// the budget either. The padding clause is a free unit, so the
+	// lifted-budget verdict stays UNSAT.
 	f := pigeonhole(7)
-	f.AddClause(cnf.PosLit(12000))
+	f.AddClause(cnf.PosLit(14000))
 	parts := partitionsOn([]cnf.Var{1, 2}, 4)
 	path := filepath.Join(t.TempDir(), "run.wal")
 

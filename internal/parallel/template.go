@@ -46,9 +46,10 @@ type TemplateResult struct {
 	// solved on the template itself, and its Stats continue these.
 	Stats sat.Stats
 	// ClausesIn and ClausesOut are the clauses the template held when
-	// loaded and when the cubes were cloned from it; they differ by what
-	// the pass did.
+	// loaded and when the cubes were cloned from it, VarsIn and VarsOut
+	// its variables; they differ by what the pass did.
 	ClausesIn, ClausesOut int
+	VarsIn, VarsOut       int
 	// Cubes is the number of cubes this call solved on the template or a
 	// clone.
 	Cubes int
@@ -74,8 +75,9 @@ type Template struct {
 	// held: the template outlives the call and is sized for the run, one
 	// cube per partition; otherwise for the cubes the call found queued.
 	held bool
-	// vars is the formula's variable count, kept when Restore lets the
-	// formula go: a snapshot of fewer is of another run.
+	// vars is the formula's variable count, kept when the template lets
+	// the formula go (Restore, or a build that leaves nothing to read
+	// it): a snapshot of fewer is of another run.
 	vars int
 
 	mu     sync.Mutex
@@ -143,9 +145,10 @@ func (t *Template) single(cubes int) bool { return cubes == 1 && !t.opts.splitti
 // has to solve, and watch makes a solver interruptible for as long as
 // the pass runs on it, until the func it returns is called. own: the
 // solver is the call's only cube's, to be solved on as it is — and a
-// restored one it uses up. fresh: this call built it. A restored
-// template that has no solver left (used up, or Dropped) has no formula
-// to build one from: nil.
+// restored one it uses up. fresh: this call built it. A template that
+// has let its formula go — restored, or built for a run that neither
+// checks nor keeps proofs — and has no solver left (used up, or Dropped)
+// has nothing to build one from: nil.
 func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sat.Solver, own, fresh bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -180,7 +183,7 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		defer sink.wait(true) // a panic too ends it
 	}
 	s = loadTemplate(t.f, &t.opts)
-	t.built = TemplateResult{ClausesIn: s.NumClauses()}
+	t.built = TemplateResult{ClausesIn: s.NumClauses(), VarsIn: s.NumVars()}
 	whole := true
 	if !own {
 		if sink != nil {
@@ -216,10 +219,18 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		}
 	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
+	t.built.VarsOut = s.NumVars() - int(t.built.Stats.ElimVars)
 	t.built.Time = time.Since(start)
 	t.own = own
 	if t.held && !own && whole {
 		t.solver = s
+	}
+	if whole && !t.opts.CertifyUnsat && !t.opts.KeepProofs {
+		// Nothing reads the formula from here on: no checker is loaded from
+		// it, no prefix joined to a kept proof, no pass cut short to make
+		// again. A caller that still does (Simulate, resume's re-derivation
+		// of a journaled counterexample) read it before the build.
+		t.vars, t.f = t.f.NumVars, nil
 	}
 	return s, own, true
 }
@@ -454,7 +465,8 @@ func (t *Template) Restore(data []byte) error {
 		s.EnableProof()
 	}
 	t.solver, t.own = s, t.single(len(t.parts))
-	t.built = TemplateResult{Time: time.Since(start), Stats: s.Stats(), ClausesIn: s.NumClauses(), ClausesOut: s.NumClauses()}
+	t.built = TemplateResult{Time: time.Since(start), Stats: s.Stats(), ClausesIn: s.NumClauses(), ClausesOut: s.NumClauses(),
+		VarsIn: s.NumVars(), VarsOut: s.NumVars() - int(s.Stats().ElimVars)}
 	return nil
 }
 
@@ -498,7 +510,7 @@ func (t *Template) build(ctx context.Context) (*sat.Solver, error) {
 	return s, nil
 }
 
-var errSpent = errors.New("parallel: template: restored, and holds no solver: restore it again")
+var errSpent = errors.New("parallel: template: holds no solver and no formula to build one from (restored, or the formula let go): restore it again")
 
 // formula is the run's formula, nil once Restore has let it go: read
 // when it is needed, not held, so that it can go.
@@ -509,7 +521,8 @@ func (t *Template) formula() *cnf.Formula {
 }
 
 // Ready reports that the template holds its solver or what it takes to
-// build one: false for a restored template used up or Dropped.
+// build one: false for a template whose formula is gone (see get) used
+// up or Dropped.
 func (t *Template) Ready() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -517,7 +530,8 @@ func (t *Template) Ready() bool {
 }
 
 // Drop lets go of the solver and its log; the next call builds it again
-// (a restored template: holds none until it is restored again).
+// (a template whose formula is gone: holds none until it is restored
+// again).
 func (t *Template) Drop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -289,7 +289,7 @@ func TestCancelDuringTemplate(t *testing.T) {
 // beside them: the template skips the pass, as a cube's solver would its
 // own, and the run still decides every cube.
 func TestTemplatePassSkippedOverMemBudget(t *testing.T) {
-	// 20 000 variables are 1.8 MB of solver and would be 1.1 MB more of
+	// 20 000 variables are 1.7 MB of solver and would be 1.1 MB more of
 	// eliminator tables; the budget is 2 MiB.
 	f := pigeonhole(5)
 	f.AddClause(cnf.PosLit(20000))
@@ -745,5 +745,63 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	}
 	if prefix, err := single.Prefix(context.Background()); err != nil || len(prefix.Lemmas) != 0 {
 		t.Fatalf("prefix of a run of one partition: %v, %v", prefix, err)
+	}
+}
+
+// A template lets its formula go once its solver has loaded it, unless
+// something still reads it: a run that checks or keeps proofs, or a
+// build cut short, which the next call makes again. What it let go it
+// no longer needs: a held template clones its cubes from the solver it
+// keeps, and reports the variables the pass left them.
+func TestTemplateLetsTheFormulaGo(t *testing.T) {
+	f, parts := esCell(t)
+	plain := Prepare(f, parts, Options{Workers: 2})
+	for range 2 {
+		res, err := plain.Solve(context.Background(), parts, Options{Workers: 2})
+		if err != nil || res.Status != sat.Unsat {
+			t.Fatalf("%v, %v", res, err)
+		}
+		if plain.formula() != nil || !plain.Ready() {
+			t.Fatalf("after a whole build the template holds its formula (%v) or is not ready (%v)", plain.formula() != nil, plain.Ready())
+		}
+	}
+	tpl := plain.Result()
+	if tpl.VarsIn != f.NumVars || tpl.VarsOut != tpl.VarsIn-int(tpl.Stats.ElimVars) || tpl.VarsOut >= tpl.VarsIn/2 {
+		t.Fatalf("template of %d variables: %d -> %d, %d eliminated", f.NumVars, tpl.VarsIn, tpl.VarsOut, tpl.Stats.ElimVars)
+	}
+
+	for _, opts := range []Options{{Workers: 2, CertifyUnsat: true}, {Workers: 2, KeepProofs: true}} {
+		kept := Prepare(f, parts, opts)
+		if res, err := kept.Solve(context.Background(), parts, opts); err != nil || res.Status != sat.Unsat {
+			t.Fatalf("%+v: %v, %v", opts, res, err)
+		}
+		if kept.formula() == nil {
+			t.Fatalf("%+v: the template let the formula go", opts)
+		}
+	}
+
+	// A run's only cube uses its solver up: the formula gone, there is
+	// nothing to build another from.
+	single := Prepare(f, parts[2:3], Options{})
+	if res, err := single.Solve(context.Background(), parts[2:3], Options{}); err != nil || res.Status != sat.Unsat {
+		t.Fatalf("one cube: %v, %v", res, err)
+	}
+	if single.formula() != nil || single.Ready() {
+		t.Fatal("a template whose only cube used its solver up kept the formula")
+	}
+	if _, err := single.Solve(context.Background(), parts[2:3], Options{}); !errors.Is(err, errSpent) {
+		t.Fatalf("a second call on a spent template: %v", err)
+	}
+
+	// A pass cut short: the next call builds again, from the formula.
+	cut := Prepare(f, parts, Options{Workers: 2})
+	if s, _, _ := cut.get(len(parts), func(s *sat.Solver) func() { s.Interrupt(); return func() {} }); s == nil || s.Stats().ElimVars != 0 {
+		t.Fatalf("an interrupted pass eliminated %d variables", s.Stats().ElimVars)
+	}
+	if cut.formula() == nil {
+		t.Fatal("a template whose pass was cut short let the formula go")
+	}
+	if res, err := cut.Solve(context.Background(), parts, Options{Workers: 2}); err != nil || res.Status != sat.Unsat || res.Template.Time == 0 {
+		t.Fatalf("after a pass cut short: %v, %v", res, err)
 	}
 }

@@ -77,9 +77,13 @@ func (r PartitionRow) Hardness() float64 {
 // every partition's solver was cloned. Its time and its eliminations
 // belong to the run and appear in no partition's row.
 type TemplateRow struct {
-	Millis       int64 `json:"millis"`
-	ClausesIn    int   `json:"clauses_in"`
-	ClausesOut   int   `json:"clauses_out"`
+	Millis     int64 `json:"millis"`
+	ClausesIn  int   `json:"clauses_in"`
+	ClausesOut int   `json:"clauses_out"`
+	// VarsIn and VarsOut are the variables the template held when loaded
+	// and those left to the cubes' solvers after the pass.
+	VarsIn       int   `json:"vars_in,omitempty"`
+	VarsOut      int   `json:"vars_out,omitempty"`
 	ElimVars     int64 `json:"elim_vars,omitempty"`
 	Simplified   int64 `json:"simplified,omitempty"`
 	Propagations int64 `json:"propagations,omitempty"`
@@ -399,8 +403,8 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 	}
 
 	if t := rep.Template; t != nil {
-		fmt.Fprintf(w, "\nTemplate: %d ms, clauses %d -> %d, elim-vars %d, simplified %d, propagations %d, cloned for %d cubes\n",
-			t.Millis, t.ClausesIn, t.ClausesOut, t.ElimVars, t.Simplified, t.Propagations, t.Cubes)
+		fmt.Fprintf(w, "\nTemplate: %d ms, variables %d -> %d, clauses %d -> %d, elim-vars %d, simplified %d, propagations %d, cloned for %d cubes\n",
+			t.Millis, t.VarsIn, t.VarsOut, t.ClausesIn, t.ClausesOut, t.ElimVars, t.Simplified, t.Propagations, t.Cubes)
 	}
 
 	fmt.Fprintf(w, "\nPartition imbalance (%d partitions):\n", len(rep.Partitions))

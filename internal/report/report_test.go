@@ -98,7 +98,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		Mode:     "distributed", TraceID: "cafe",
 	})
 	r.SetVerdict("SAFE", 250*time.Millisecond)
-	r.SetTemplate(TemplateRow{Millis: 98, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
+	r.SetTemplate(TemplateRow{Millis: 98, VarsIn: 24837, VarsOut: 6031, ClausesIn: 75370, ClausesOut: 31850, ElimVars: 18290, Simplified: 67101, Propagations: 4, Cubes: 8})
 	r.Merge(PartitionRow{Partition: 0, Verdict: "UNSAT", Worker: "w0", Conflicts: 10, Progress: 0.25, SolveMillis: 500})
 	// Partition 1 searched long enough for the solver to simplify.
 	r.Merge(PartitionRow{Partition: 1, Verdict: "UNSAT", Worker: "w1", Conflicts: 40, Propagations: 900, ElimVars: 18363, Simplified: 67514, Progress: 0.25, SolveMillis: 2000})
@@ -133,7 +133,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	if rep.Verdict != "SAFE" || rep.WallMillis != 250 || len(rep.Partitions) != 2 {
 		t.Fatalf("round trip lost data: %+v", rep)
 	}
-	if tpl := rep.Template; tpl == nil || tpl.ClausesOut != 31850 || tpl.Cubes != 8 {
+	if tpl := rep.Template; tpl == nil || tpl.ClausesOut != 31850 || tpl.VarsOut != 6031 || tpl.Cubes != 8 {
 		t.Fatalf("round trip lost the template row: %+v", tpl)
 	}
 	if p := rep.Partitions[1]; p.ElimVars != 18363 || p.Simplified != 67514 {
@@ -158,7 +158,7 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		"Run report: fibonacci (distributed)",
 		"bounds: unwind=1 contexts=3 width=8 partitions=2\n",
 		"Verdict: SAFE in 250 ms",
-		"Template: 98 ms, clauses 75370 -> 31850, elim-vars 18290, simplified 67101, propagations 4, cloned for 8 cubes",
+		"Template: 98 ms, variables 24837 -> 6031, clauses 75370 -> 31850, elim-vars 18290, simplified 67101, propagations 4, cloned for 8 cubes",
 		"Partition imbalance (2 partitions):",
 		"conflicts  propagations elim-vars simplified",
 		"       10             0         0          0",

@@ -14,10 +14,10 @@ import "slices"
 // after one simplification pass instead of one per solver.
 //
 // What a search writes to is copied; what only the simplification pass
-// writes to, and it is over by now or never due (eliminated, the
-// elimination stack), is shared. So s and its clones may be solved
-// concurrently with each other — but not s cloned while it is being
-// solved.
+// writes to, and it is over by now or never due (the map to the
+// formula's numbering, the elimination stack), is shared. So s and its
+// clones may be solved concurrently with each other — but not s cloned
+// while it is being solved.
 //
 // With proof logging on, the clone logs to a proof of its own: the
 // lemmas s has logged so far are the prefix every clone's log continues,
@@ -45,9 +45,9 @@ func (s *Solver) Clone() *Solver {
 		simplified: s.simplified,
 		// Capped, so that a clone that grows its variable set appends to
 		// a copy.
-		eliminated: slices.Clip(s.eliminated),
-		numElim:    s.numElim,
-		elimStack:  s.elimStack,
+		ext:       slices.Clip(s.ext),
+		numElim:   s.numElim,
+		elimStack: s.elimStack,
 
 		trail:    slices.Clone(s.trail),
 		trailLim: slices.Clone(s.trailLim),

@@ -1,52 +1,53 @@
 package sat
 
-import "repro/internal/cnf"
-
 // varHeap is a max-heap of variables ordered by VSIDS activity, with an
 // index map for decrease/increase-key updates (MiniSat's order heap).
+// Variables are their indices into the solver's per-variable tables, in
+// 32 bits: heap holds them, and pos[i] is variable i's slot in heap, or
+// -1.
 type varHeap struct {
-	heap []cnf.Var
-	pos  []int // pos[v-1] = index in heap, or -1
+	heap []int32
+	pos  []int32
 }
 
-func (h *varHeap) inHeap(v cnf.Var) bool {
-	return int(v) <= len(h.pos) && h.pos[v-1] >= 0
+func (h *varHeap) inHeap(i int32) bool {
+	return int(i) < len(h.pos) && h.pos[i] >= 0
 }
 
 // push registers a brand-new variable and inserts it.
-func (h *varHeap) push(v cnf.Var, act *[]float64) {
-	for len(h.pos) < int(v) {
+func (h *varHeap) push(i int32, act []float64) {
+	for len(h.pos) <= int(i) {
 		h.pos = append(h.pos, -1)
 	}
-	h.insert(v, act)
+	h.insert(i, act)
 }
 
-// insert adds v to the heap if absent.
-func (h *varHeap) insert(v cnf.Var, act *[]float64) {
-	if h.inHeap(v) {
+// insert adds variable i to the heap if absent.
+func (h *varHeap) insert(i int32, act []float64) {
+	if h.inHeap(i) {
 		return
 	}
-	h.heap = append(h.heap, v)
-	h.pos[v-1] = len(h.heap) - 1
+	h.heap = append(h.heap, i)
+	h.pos[i] = int32(len(h.heap) - 1)
 	h.siftUp(len(h.heap)-1, act)
 }
 
-// update restores heap order after v's activity increased.
-func (h *varHeap) update(v cnf.Var, act *[]float64) {
-	if h.inHeap(v) {
-		h.siftUp(h.pos[v-1], act)
+// update restores heap order after variable i's activity increased.
+func (h *varHeap) update(i int32, act []float64) {
+	if h.inHeap(i) {
+		h.siftUp(int(h.pos[i]), act)
 	}
 }
 
 // filter removes the variables keep rejects and restores heap order.
-func (h *varHeap) filter(keep func(cnf.Var) bool, act *[]float64) {
+func (h *varHeap) filter(keep func(int32) bool, act []float64) {
 	kept := h.heap[:0]
-	for _, v := range h.heap {
-		if keep(v) {
-			h.pos[v-1] = len(kept)
-			kept = append(kept, v)
+	for _, i := range h.heap {
+		if keep(i) {
+			h.pos[i] = int32(len(kept))
+			kept = append(kept, i)
 		} else {
-			h.pos[v-1] = -1
+			h.pos[i] = -1
 		}
 	}
 	h.heap = kept
@@ -56,27 +57,27 @@ func (h *varHeap) filter(keep func(cnf.Var) bool, act *[]float64) {
 }
 
 // popMax removes and returns the variable with maximal activity.
-func (h *varHeap) popMax(act *[]float64) (cnf.Var, bool) {
+func (h *varHeap) popMax(act []float64) (int32, bool) {
 	if len(h.heap) == 0 {
 		return 0, false
 	}
 	top := h.heap[0]
 	last := h.heap[len(h.heap)-1]
 	h.heap = h.heap[:len(h.heap)-1]
-	h.pos[top-1] = -1
+	h.pos[top] = -1
 	if len(h.heap) > 0 {
 		h.heap[0] = last
-		h.pos[last-1] = 0
+		h.pos[last] = 0
 		h.siftDown(0, act)
 	}
 	return top, true
 }
 
-func (h *varHeap) less(i, j int, act *[]float64) bool {
-	return (*act)[h.heap[i]-1] > (*act)[h.heap[j]-1]
+func (h *varHeap) less(i, j int, act []float64) bool {
+	return act[h.heap[i]] > act[h.heap[j]]
 }
 
-func (h *varHeap) siftUp(i int, act *[]float64) {
+func (h *varHeap) siftUp(i int, act []float64) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !h.less(i, parent, act) {
@@ -87,7 +88,7 @@ func (h *varHeap) siftUp(i int, act *[]float64) {
 	}
 }
 
-func (h *varHeap) siftDown(i int, act *[]float64) {
+func (h *varHeap) siftDown(i int, act []float64) {
 	n := len(h.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -108,6 +109,6 @@ func (h *varHeap) siftDown(i int, act *[]float64) {
 
 func (h *varHeap) swap(i, j int) {
 	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]-1] = i
-	h.pos[h.heap[j]-1] = j
+	h.pos[h.heap[i]] = int32(i)
+	h.pos[h.heap[j]] = int32(j)
 }

@@ -7,22 +7,20 @@ import (
 
 // liveBytesByHand recomputes the footprint from the solver's
 // structures: every arena word, every watcher actually on a watch
-// list, the per-variable constant and, once the simplification pass
-// has run, each word of its elimination stack and a flag per variable.
+// list, the per-variable constant for each entry of the tables and,
+// once the simplification pass has run, each word of its elimination
+// stack and each entry of its map to the formula's numbering.
 func liveBytesByHand(s *Solver) int64 {
 	watchers := 0
 	for _, ws := range s.watches {
 		watchers += len(ws)
 	}
-	eliminated, stack := 0, 0
-	if s.eliminated != nil {
-		eliminated = s.numVars
-	}
+	stack := 0
 	for _, chunk := range s.elimStack.chunks {
 		stack += len(chunk)
 	}
-	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers) +
-		4*int64(stack) + int64(eliminated)
+	return int64(len(s.level))*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers) +
+		4*int64(stack) + 4*int64(len(s.ext))
 }
 
 // arenaWordsByHand is what the arena must hold if it has no garbage:
@@ -132,7 +130,7 @@ func TestMemBudgetHardStop(t *testing.T) {
 	s := NewFromFormula(pigeonhole(7), Options{MemBudgetMB: 1})
 	// Pad the variable set so the irreducible base footprint alone is
 	// over the 1 MiB budget: shrinking cannot recover it.
-	s.growTo(12000)
+	s.growTo(1<<20/varBytes + 1000)
 	st, err := s.Solve()
 	if err != ErrMemBudget {
 		t.Fatalf("err %v, want ErrMemBudget", err)

@@ -94,18 +94,20 @@ func (s *Solver) keepsProof() bool { return s.proof != nil && s.proofStep == nil
 // logLemma and logDelete record a clause the solver derived — through
 // the variables via, which logLemma sorts, if conflict analysis derived
 // it — and one it no longer holds and the checker does; only called with
-// proof logging on.
+// proof logging on. Both log in the formula's numbering, whatever the
+// pass renumbered: the checker holds the formula.
 func (s *Solver) logLemma(lits []lit, via []uint32) {
 	if s.proofStep != nil {
-		s.proofStep(false, lits)
+		s.proofStep(false, s.extLits(lits))
 		return
 	}
 	s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
 	s.proof.Hints = append(s.proof.Hints, s.hint(via))
 }
 
-// hint encodes a set of variables as a Hint, carved like a lemma from a
-// slab that is replaced when full.
+// hint encodes a set of the solver's variables as a Hint over the
+// formula's, carved like a lemma from a slab that is replaced when full.
+// The map is monotone, so they are in ascending order in either.
 func (s *Solver) hint(vars []uint32) Hint {
 	if len(vars) == 0 {
 		return nil
@@ -116,6 +118,9 @@ func (s *Solver) hint(vars []uint32) Hint {
 	}
 	start, prev := len(s.hintSlab), uint32(0)
 	for _, v := range vars {
+		if s.numElim > 0 {
+			v = s.ext[v-1]
+		}
 		s.hintSlab = binary.AppendUvarint(s.hintSlab, uint64(v-prev))
 		prev = v
 	}
@@ -124,7 +129,7 @@ func (s *Solver) hint(vars []uint32) Hint {
 
 func (s *Solver) logDelete(lits []lit) {
 	if s.proofStep != nil {
-		s.proofStep(true, lits)
+		s.proofStep(true, s.extLits(lits))
 		return
 	}
 	s.proof.Deletes = append(s.proof.Deletes, Deletion{At: len(s.proof.Lemmas), Clause: s.lemma(lits)})

@@ -66,6 +66,7 @@ type eliminator struct {
 	occ    [][]cref // per variable
 	dirty  []bool   // per variable: occ holds removed clauses
 	nocc   []int32  // per literal
+	elim   []bool   // per variable: eliminated
 
 	// The subsumption queue: clauses to try as subsumers. The clauses
 	// load stored come first, read off the arena from seed to seedEnd.
@@ -142,14 +143,12 @@ func (s *Solver) eliminatorBytes() int64 {
 // they stand under the level-0 assignment: the arena, and every
 // occurrence list carved from one allocation.
 func newEliminator(s *Solver) *eliminator {
-	if s.eliminated == nil {
-		s.eliminated = make([]bool, s.numVars)
-	}
 	e := &eliminator{
 		s:       s,
 		occ:     make([][]cref, s.numVars),
 		dirty:   make([]bool, s.numVars),
 		nocc:    make([]int32, len(s.vals)),
+		elim:    make([]bool, s.numVars),
 		stamp:   make([]uint32, s.numVars),
 		touched: make([]bool, s.numVars),
 		heap:    make([]int32, 0, s.numVars),
@@ -247,7 +246,7 @@ next:
 // caller, and not eliminated already.
 func (e *eliminator) candidate(v int) bool {
 	s := e.s
-	return s.vals[2*v+2] == lUndef && !s.frozen[v] && !s.eliminated[v]
+	return s.vals[2*v+2] == lUndef && !s.frozen[v] && !e.elim[v]
 }
 
 // cheaper orders the heap: by occ(x)·occ(¬x), then by variable.
@@ -710,8 +709,7 @@ func (e *eliminator) eliminate(v int) bool {
 		s.elimStack.push(first, e.lits(c))
 	}
 	s.elimStack.push(first^1, []lit{first ^ 1})
-	s.eliminated[v] = true
-	s.numElim++
+	e.elim[v] = true
 	s.stats.ElimVars++
 
 	// The resolvents are derived (and logged) while their parents are
@@ -851,11 +849,14 @@ func (s *Solver) Simplify() bool {
 
 // Freeze keeps the variables of the given literals out of the
 // simplification pass's reach, as assuming over them does, so that a
-// Solve after the pass may still assume over them.
+// Solve after the pass may still assume over them. A variable the pass
+// has already eliminated is out of anyone's reach, and stays so.
 func (s *Solver) Freeze(lits ...cnf.Lit) {
 	for _, l := range lits {
 		s.growTo(int(l.Var()))
-		s.frozen[l.Var()-1] = true
+		if v := s.varIndex(l.Var()); v >= 0 {
+			s.frozen[v] = true
+		}
 	}
 }
 
@@ -864,8 +865,9 @@ func (s *Solver) Freeze(lits ...cnf.Lit) {
 // live clauses slide down in place into the solver's layout and the
 // learnt clauses follow them, but for those that are satisfied or
 // mention an eliminated variable (they follow from the formula, but
-// nothing decides an eliminated variable any more). Every clause is
-// attached afresh and the eliminated variables leave the decision heap.
+// nothing decides an eliminated variable any more). The eliminated
+// variables leave the solver (compactVars) and every clause is attached
+// afresh.
 func (e *eliminator) install(ok bool) bool {
 	s := e.s
 	// Level-0 assignments need no reason, and the old ones are gone.
@@ -875,6 +877,7 @@ func (e *eliminator) install(ok bool) bool {
 	if !ok || !e.applyUnits() {
 		s.ok = false
 		s.arena, s.learnts = nil, nil
+		s.compactVars(e.elim)
 		s.watches = make([][]watcher, len(s.vals))
 		return false
 	}
@@ -894,7 +897,7 @@ func (e *eliminator) install(ok bool) bool {
 next:
 	for _, c := range s.learnts {
 		for _, l := range s.lits(c) {
-			if s.vals[l] == lTrue || s.eliminated[vidx(l)] {
+			if s.vals[l] == lTrue || e.elim[vidx(l)] {
 				if s.proof != nil {
 					s.logDelete(s.lits(c))
 				}
@@ -906,8 +909,8 @@ next:
 		arena = append(arena, s.arena[start:c+cref(s.size(c))]...)
 	}
 	s.arena, s.learnts = arena, learnts
+	s.compactVars(e.elim)
 	s.rebuildWatches()
-	s.order.filter(func(v cnf.Var) bool { return !s.eliminated[v-1] }, &s.activity)
 
 	// The units the pass asserted have yet to reach the learnt clauses.
 	s.qhead = e.trailBefore
@@ -916,6 +919,78 @@ next:
 		return false
 	}
 	return true
+}
+
+// compactVars takes the variables the pass eliminated out of the
+// solver: those it kept are numbered densely, in their order, and ext
+// maps them back to the formula's numbers (before the pass the solver
+// numbers as the formula does). Every per-variable table shrinks to
+// them, the literals of the listed clauses and of the trail are
+// renamed, and the eliminated variables leave the decision heap; the
+// watch lists are left to be rebuilt. A monotone map keeps every order
+// the search and the proof depend on — the literals within a clause,
+// the watch lists rebuilt in clause order, the heap's slots and so its
+// ties, ascending hint variables — so the search after the pass is the
+// one it was before the map, variable for variable.
+func (s *Solver) compactVars(elim []bool) {
+	kept := make([]int32, s.numVars) // new index, or -1
+	var ext []uint32
+	for v, gone := range elim {
+		kept[v] = -1
+		if !gone {
+			kept[v] = int32(len(ext))
+			ext = append(ext, uint32(v+1))
+		}
+	}
+	n := len(ext)
+	if n == s.numVars {
+		return
+	}
+	rename := func(l lit) lit { return lit(2*kept[vidx(l)]+2) | l&1 }
+	for _, list := range [2][]cref{s.clauses, s.learnts} {
+		for _, c := range list {
+			lits := s.lits(c)
+			for k, l := range lits {
+				lits[k] = rename(l)
+			}
+		}
+	}
+	for k, l := range s.trail {
+		s.trail[k] = rename(l)
+	}
+	s.order.filter(func(v int32) bool { return !elim[v] }, s.activity)
+	for k, v := range s.order.heap {
+		s.order.heap[k] = kept[v]
+	}
+	vals := make([]int8, 2*n+2)
+	pos := make([]int32, n)
+	for v, to := range kept {
+		if to >= 0 {
+			vals[2*to+2], vals[2*to+3] = s.vals[2*v+2], s.vals[2*v+3]
+			pos[to] = s.order.pos[v]
+		}
+	}
+	s.vals, s.order.pos = vals, pos
+	s.level = gather(s.level, elim, n)
+	s.reason = gather(s.reason, elim, n)
+	s.polarity = gather(s.polarity, elim, n)
+	s.frozen = gather(s.frozen, elim, n)
+	s.activity = gather(s.activity, elim, n)
+	s.seen = make([]byte, n)                    // clear between conflicts
+	s.lbdStamp = slices.Clone(s.lbdStamp[:n+1]) // per decision level, of which there are at most n
+	s.numVars, s.numElim, s.ext = n, s.numVars-n, ext
+}
+
+// gather returns the entries of a per-variable table whose variables
+// elim does not mark, n of them, in order.
+func gather[T any](table []T, elim []bool, n int) []T {
+	out := make([]T, 0, n)
+	for v, x := range table {
+		if !elim[v] {
+			out = append(out, x)
+		}
+	}
+	return out
 }
 
 // rebuildWatches attaches every listed clause to fresh watch lists,
@@ -974,7 +1049,7 @@ func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 	s := NewFromFormula(f, Options{})
 	s.Freeze(sp.frozen...)
 	out := cnf.New()
-	out.NumVars = s.numVars
+	out.NumVars = s.NumVars()
 	if !s.ok || !s.simplify() {
 		out.AddClause()
 		return out, Unsat
@@ -984,7 +1059,7 @@ func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 	emit := func(lits []lit) {
 		buf = buf[:0]
 		for _, l := range lits {
-			buf = append(buf, cnf.Lit(l))
+			buf = append(buf, s.extLit(l))
 		}
 		out.AddClause(buf...)
 	}

@@ -297,7 +297,7 @@ func TestSimplifiedCountsRemovedOriginals(t *testing.T) {
 		t.Errorf("Simplified = %d, want %d (%d in − %d out + %d resolvents kept)", got, want, in, out, resolventsKept)
 	}
 	eliminated := 0
-	for _, gone := range s.eliminated {
+	for _, gone := range e.elim {
 		if gone {
 			eliminated++
 		}
@@ -378,7 +378,7 @@ func TestSimplifiedRefutationsCheckAgainstOriginal(t *testing.T) {
 		}
 		simplified++
 		for _, a := range pt.Assumptions {
-			if s.eliminated[a.Var()-1] {
+			if s.isEliminated(a.Var()) {
 				t.Fatalf("partition %d: assumption variable %d eliminated", pt.Index, a.Var())
 			}
 		}
@@ -398,7 +398,7 @@ func TestProgressEstimateAcrossSimplification(t *testing.T) {
 		t.Fatal("the pass refuted a satisfiable formula")
 	}
 	after := s.ProgressEstimate()
-	share := float64(s.stats.ElimVars) / float64(s.numVars)
+	share := float64(s.stats.ElimVars) / float64(s.NumVars())
 	if share < 0.25 {
 		t.Fatalf("only %.0f%% of the variables eliminated", 100*share)
 	}
@@ -435,8 +435,8 @@ func TestEliminatedVariablesNeverLeak(t *testing.T) {
 	if err != nil || st != Sat {
 		t.Fatalf("solve: %v, %v", st, err)
 	}
-	if !s.eliminated[200] || imports == 0 {
-		t.Fatalf("variable 201 eliminated: %v, Import polled %d times; the test needs both", s.eliminated[200], imports)
+	if !s.isEliminated(201) || imports == 0 {
+		t.Fatalf("variable 201 eliminated: %v, Import polled %d times; the test needs both", s.isEliminated(201), imports)
 	}
 	assign := make([]bool, f.NumVars+1)
 	copy(assign[1:], s.Model())
@@ -543,7 +543,7 @@ func TestSimplifyUnderMemBudget(t *testing.T) {
 	if st, err := s.Solve(); err != nil || st != Sat {
 		t.Fatalf("solve: %v, %v", st, err)
 	}
-	if !s.simplified || s.eliminated != nil || s.Stats().ElimVars != 0 {
+	if !s.simplified || s.numElim != 0 || s.Stats().ElimVars != 0 {
 		t.Fatalf("the pass ran (%d variables eliminated) under a budget it does not fit", s.Stats().ElimVars)
 	}
 

@@ -6,16 +6,15 @@ import (
 	"fmt"
 	"math"
 	"slices"
-
-	"repro/internal/cnf"
 )
 
 // A snapshot is a solver's state in bytes, for another process to
 // restore: what Clone copies or shares — the clause arena in order, the
 // clause lists and watch lists, the level-0 trail and every per-variable
-// table, the frozen and eliminated sets and the elimination stack — and
-// the search counters, so that a solver restored from it is the solver
-// that was snapshotted, down to where its next Solve starts counting.
+// table, the frozen set, the map to the formula's numbering and the
+// elimination stack — and the search counters, so that a solver
+// restored from it is the solver that was snapshotted, down to where
+// its next Solve starts counting.
 // It leaves out what Clone leaves out (callbacks, the decision graph, a
 // model, a pending interrupt, scratch space) and the options and the
 // proof log, which are the restoring side's: Restore takes the options,
@@ -25,7 +24,7 @@ import (
 // The format is the magic below, then unsigned varints, field by field
 // in the order Snapshot writes them; it is an exchange between two
 // processes of one build, not a file format to keep.
-const snapshotMagic = "PBMCSAT1"
+const snapshotMagic = "PBMCSAT2"
 
 // snapWriter appends a snapshot's fields.
 type snapWriter struct{ b []byte }
@@ -69,6 +68,7 @@ func (s *Solver) Snapshot() []byte {
 	w := &snapWriter{b: make([]byte, 0, 4*(len(s.arena)+s.elimStack.words)+32*s.numVars)}
 	w.b = append(w.b, snapshotMagic...)
 	w.uint(uint64(s.numVars))
+	w.uint(uint64(s.numElim))
 	w.bool(s.ok)
 	w.bool(s.simplified)
 	w.int(s.simplifyAt)
@@ -102,8 +102,7 @@ func (s *Solver) Snapshot() []byte {
 	}
 	w.bits(s.polarity)
 	w.bits(s.frozen)
-	w.bool(s.eliminated != nil)
-	w.bits(s.eliminated)
+	w.words(s.ext)
 	w.uint(uint64(len(s.elimStack.chunks)))
 	for _, chunk := range s.elimStack.chunks {
 		w.words(chunk)
@@ -225,8 +224,10 @@ func (r *snapReader) bits(n int) []bool {
 // and variable in range, every clause reference at a clause of the
 // arena, which the listed clauses tile, every watcher on a clause that
 // watches its literal, the trail and the assignment agreeing, the
-// decision heap a permutation — and refuses bytes that are not a
-// snapshot with an error wrapping errSnapshot, never a panic.
+// decision heap a permutation, the map strictly increasing and naming
+// exactly the variables the elimination stack does not — and refuses
+// bytes that are not a snapshot with an error wrapping errSnapshot,
+// never a panic.
 func Restore(data []byte, opts Options) (*Solver, error) {
 	if len(data) < len(snapshotMagic) || string(data[:len(snapshotMagic)]) != snapshotMagic {
 		return nil, fmt.Errorf("%w: no snapshot header", errSnapshot)
@@ -237,13 +238,15 @@ func Restore(data []byte, opts Options) (*Solver, error) {
 	// Each variable takes at least two bytes below (its two values), so
 	// the input bounds the tables before anything is allocated for them.
 	s.numVars = int(r.below(min(uint64(len(r.b))/2+1, 1<<30), "variable count"))
+	// And each eliminated one two words of the elimination stack.
+	s.numElim = int(r.below(min(uint64(len(r.b))/2+1, 1<<30), "eliminated variable count"))
 	s.ok = r.bool("ok flag")
 	s.simplified = r.bool("simplified flag")
 	s.simplifyAt = r.int()
 	qhead := r.uint()
 	s.varInc, s.claInc = r.float(), r.float()
 	s.rngState = r.uint()
-	rs := &restorer{snapReader: r, s: s, lits: uint64(2*s.numVars + 2)}
+	rs := &restorer{snapReader: r, s: s, lits: uint64(2*s.numVars + 2), extLits: uint64(2*s.NumVars() + 2)}
 	for _, section := range []func(){rs.clauses, rs.watches, rs.vars, rs.elimStack, rs.order} {
 		if r.err != nil {
 			return nil, r.err
@@ -290,9 +293,10 @@ func statsFields(s *Solver) []*int64 {
 // against what came before it.
 type restorer struct {
 	*snapReader
-	s     *Solver
-	lits  uint64  // literals run from 2 to lits-1
-	sizes []int32 // of the listed clauses, by reference; 0 where none starts
+	s       *Solver
+	lits    uint64  // literals run from 2 to lits-1
+	extLits uint64  // and in the formula's numbering, to extLits-1
+	sizes   []int32 // of the listed clauses, by reference; 0 where none starts
 }
 
 func (rs *restorer) validLit(l uint64) bool { return l >= 2 && l < rs.lits }
@@ -377,31 +381,54 @@ func (rs *restorer) vars() {
 		s.activity[v] = rs.float()
 	}
 	s.polarity, s.frozen = rs.bits(n), rs.bits(n)
-	if rs.bool("eliminated flag") {
-		s.eliminated = rs.bits(n)
-		for _, e := range s.eliminated {
-			if e {
-				s.numElim++
-			}
+	s.ext = rs.words(rs.extLits/2, "map entry")
+	if s.numElim == 0 && len(s.ext) != 0 || s.numElim > 0 && len(s.ext) != n {
+		rs.fail("a map of %d variables for %d kept and %d eliminated", len(s.ext), n, s.numElim)
+	}
+	for i, v := range s.ext {
+		if v == 0 || i > 0 && v <= s.ext[i-1] {
+			rs.fail("map entry %d: variable %d out of range or out of order", i, v)
+			return
 		}
+	}
+	if len(s.ext) == 0 {
+		s.ext = nil
 	}
 }
 
 // elimStack reads the elimination stack, chunk by chunk: clauses of at
-// least one literal, each followed by its length.
+// least one literal of the formula's numbering, each followed by its
+// length and headed by the literal of the variable it was eliminated
+// with. Those variables are the ones the map leaves out, all of them.
 func (rs *restorer) elimStack() {
 	st := &rs.s.elimStack
+	heads := make([]bool, rs.extLits/2)
+	numHeads := 0
 	for range rs.count("elimination chunk") {
-		chunk := rs.words(rs.lits, "elimination stack word")
+		chunk := rs.words(rs.extLits, "elimination stack word")
 		for i := len(chunk); i > 0 && rs.err == nil; {
 			size := int(chunk[i-1])
-			if size < 1 || size > i-1 || slices.ContainsFunc(chunk[i-1-size:i-1], func(l lit) bool { return !rs.validLit(uint64(l)) }) {
+			if size < 1 || size > i-1 || slices.ContainsFunc(chunk[i-1-size:i-1], func(l lit) bool { return l < 2 }) {
 				rs.fail("elimination stack clause of %d literals", size)
+				break
+			}
+			if v := chunk[i-1-size] >> 1; !heads[v] {
+				heads[v] = true
+				numHeads++
 			}
 			i -= size + 1
 		}
 		st.chunks = append(st.chunks, chunk)
 		st.words += len(chunk)
+	}
+	for _, v := range rs.s.ext {
+		if heads[v] {
+			rs.fail("the map names variable %d, which the pass eliminated", v)
+			return
+		}
+	}
+	if numHeads != rs.s.numElim {
+		rs.fail("%d variables eliminated on the stack, %d counted", numHeads, rs.s.numElim)
 	}
 }
 
@@ -416,18 +443,18 @@ func (rs *restorer) order() {
 			rs.fail("decision levels out of order")
 		}
 	}
-	s.order.heap = make([]cnf.Var, rs.count("heap"))
-	s.order.pos = make([]int, n)
+	s.order.heap = make([]int32, rs.count("heap"))
+	s.order.pos = make([]int32, n)
 	for v := range s.order.pos {
 		s.order.pos[v] = -1
 	}
 	for i := range s.order.heap {
-		v := rs.below(uint64(n)+1, "heap variable")
-		if v == 0 || s.order.pos[v-1] >= 0 {
+		v := rs.below(uint64(n), "heap variable")
+		if rs.err != nil || s.order.pos[v] >= 0 {
 			rs.fail("heap variable %d missing or repeated", v)
 			return
 		}
-		s.order.heap[i], s.order.pos[v-1] = cnf.Var(v), i
+		s.order.heap[i], s.order.pos[v] = int32(v), int32(i)
 	}
 }
 

@@ -42,6 +42,17 @@ func snapshotStates(t *testing.T) map[string]struct {
 		s.Freeze(mk(3, false), mk(60, true))
 		s.Simplify()
 	})
+	// A compacted template that searched since, learnt clauses in its
+	// own numbering, and took a variable the formula never mentions into
+	// its map: the map section, the elimination stack's numbering and a
+	// map grown past the pass.
+	add("compacted and grown", chainedGates(80), Options{}, func(s *Solver) {
+		s.Freeze(mk(5, false), mk(40, true))
+		s.Simplify()
+		if _, err := s.Solve(mk(5, true), mk(90, false)); err != nil || s.numElim == 0 {
+			t.Fatalf("solve: %v, %d variables eliminated", err, s.numElim)
+		}
+	})
 	add("solved", random3SAT(3, 60, 3.5), Options{Seed: 7, RandomizeFreq: 0.1}, func(s *Solver) {
 		if _, err := s.Solve(); err != nil {
 			t.Fatal(err)
@@ -143,21 +154,26 @@ func checkRestored(t *testing.T, s *Solver) {
 		for i := len(chunk); i > 0; {
 			n := int(chunk[i-1])
 			for _, l := range chunk[i-1-n : i-1] {
-				if !valid(l) {
-					t.Fatalf("elimination stack literal %d of %d variables", l, s.numVars)
+				if l < 2 || int(l) >= 2*s.NumVars()+2 || !s.isEliminated(cnf.Var(chunk[i-1-n]>>1)) {
+					t.Fatalf("elimination stack literal %d of %d variables, or headed by a variable the map has", l, s.NumVars())
 				}
 			}
 			i -= n + 1
 		}
 	}
+	for i, v := range s.ext {
+		if v < 1 || int(v) > s.NumVars() || i > 0 && v <= s.ext[i-1] {
+			t.Fatalf("map entry %d: variable %d of %d, after %v", i, v, s.NumVars(), s.ext[:i])
+		}
+	}
 	for _, v := range s.order.heap {
-		if v < 1 || int(v) > s.numVars {
+		if v < 0 || int(v) >= s.numVars {
 			t.Fatalf("heap variable %d of %d", v, s.numVars)
 		}
 	}
 	if len(s.vals) != 2*s.numVars+2 || len(s.level) != s.numVars || len(s.reason) != s.numVars ||
 		len(s.polarity) != s.numVars || len(s.frozen) != s.numVars || len(s.activity) != s.numVars ||
-		len(s.order.pos) != s.numVars || s.eliminated != nil && len(s.eliminated) != s.numVars {
+		len(s.order.pos) != s.numVars || s.numElim > 0 && len(s.ext) != s.numVars {
 		t.Fatalf("per-variable tables do not fit %d variables", s.numVars)
 	}
 }

@@ -348,8 +348,8 @@ const binTag = 1 << 31
 // varBytes is the per-variable state counted by LiveBytes: two
 // watch-list headers (48), two value bytes, level and reason (8),
 // polarity, frozen and seen (3), activity (8), heap slot and position
-// (16), trail slot (4) and level stamp (4).
-const varBytes = 48 + 2 + 8 + 3 + 8 + 16 + 4 + 4
+// (8), trail slot (4) and level stamp (4).
+const varBytes = 48 + 2 + 8 + 3 + 8 + 8 + 4 + 4
 
 const (
 	lUndef int8 = 0
@@ -362,7 +362,19 @@ const (
 type Solver struct {
 	opts Options
 
+	// numVars is the number of the solver's variables, which index the
+	// per-variable tables. Until the simplification pass they are the
+	// formula's, numbered as it numbers them. The pass drops those it
+	// eliminated and numbers the others densely, in their order
+	// (compactVars): ext[i] is then the formula's number of the solver's
+	// variable i+1, strictly increasing, and numVars+numElim the number
+	// of the formula's. While numElim is 0 — before the pass, and after
+	// one that eliminated nothing — the numberings are one and ext is
+	// unused. The solver speaks the formula's numbering at its boundary
+	// only: assumptions, Freeze, AddClause and Import in; models, the
+	// proof log, the decision graph and ShareLearnt out.
 	numVars int
+	ext     []uint32
 	ok      bool // false once the clause set is known inconsistent
 
 	arena   []uint32 // every clause, see cref
@@ -380,13 +392,12 @@ type Solver struct {
 	// The simplification pass (simplify.go) runs once, when Propagations
 	// reaches simplifyAt per original clause or a caller asks for it
 	// (Simplify); tests set simplifyAt to 0 to have it run before the
-	// first search. eliminated (nil until the pass) marks the variables
-	// it eliminated, numElim counts them and elimStack holds the clauses
-	// it takes to give them values. Nothing writes to the three once the
+	// first search. numElim counts the variables it eliminated and
+	// elimStack, in the formula's numbering, holds the clauses it takes
+	// to give them values. Nothing writes to either, or to ext, once the
 	// pass is over, which is why Clone shares them.
 	simplifyAt int64
 	simplified bool
-	eliminated []bool
 	numElim    int
 	elimStack  elimStack
 
@@ -407,6 +418,7 @@ type Solver struct {
 	lbdStamp  []uint32 // per decision level: lbdEpoch of the last computeLBD that met it
 	lbdEpoch  uint32
 	addBuf    []lit     // the clause addClause is normalising
+	extBuf    []lit     // a clause extLits translated
 	lemmaSlab []cnf.Lit // backing store the proof's lemmas are carved from
 	hintVars  []uint32  // with a kept proof: the variables analyze's derivation went through
 	hintSlab  []byte    // backing store the proof's hints are carved from
@@ -512,39 +524,91 @@ func (s *Solver) reserve(f *cnf.Formula) {
 	}
 }
 
+// growTo makes the formula's variables up to n known to the solver.
+// After the pass they join the map: they come after every variable it
+// has, so it stays monotone.
 func (s *Solver) growTo(n int) {
-	if n <= s.numVars {
+	known := s.NumVars()
+	if n <= known {
 		return
 	}
 	if uint64(n) >= 1<<31 {
 		panic("sat: variable does not fit a 32-bit literal")
 	}
-	add := n - s.numVars
+	add := n - known
+	if s.numElim > 0 {
+		for v := known + 1; v <= n; v++ {
+			s.ext = append(s.ext, uint32(v))
+		}
+	}
 	s.watches = append(s.watches, make([][]watcher, 2*add)...)
 	s.vals = append(s.vals, make([]int8, 2*add)...)
 	s.level = append(s.level, make([]int32, add)...)
 	s.reason = append(s.reason, make([]cref, add)...)
 	s.polarity = append(s.polarity, make([]bool, add)...)
 	if s.opts.InitialPolarity {
-		for i := s.numVars; i < n; i++ {
+		for i := s.numVars; i < s.numVars+add; i++ {
 			s.polarity[i] = true
 		}
 	}
 	s.frozen = append(s.frozen, make([]bool, add)...)
-	if s.eliminated != nil {
-		s.eliminated = append(s.eliminated, make([]bool, add)...)
-	}
 	s.activity = append(s.activity, make([]float64, add)...)
 	s.seen = append(s.seen, make([]byte, add)...)
 	s.lbdStamp = append(s.lbdStamp, make([]uint32, add)...)
-	for v := s.numVars + 1; v <= n; v++ {
-		s.order.push(cnf.Var(v), &s.activity)
+	for i := s.numVars; i < s.numVars+add; i++ {
+		s.order.push(int32(i), s.activity)
 	}
-	s.numVars = n
+	s.numVars += add
 }
 
-// NumVars returns the number of variables known to the solver.
-func (s *Solver) NumVars() int { return s.numVars }
+// NumVars returns the number of variables known to the solver, in the
+// formula's numbering: those it loaded or was told of since, eliminated
+// ones included.
+func (s *Solver) NumVars() int { return s.numVars + s.numElim }
+
+// varIndex returns the index in the per-variable tables of the formula's
+// variable v, which must be known, or -1 if the pass eliminated it.
+func (s *Solver) varIndex(v cnf.Var) int {
+	if s.numElim == 0 {
+		return int(v) - 1
+	}
+	i, found := slices.BinarySearch(s.ext, uint32(v))
+	if !found {
+		return -1
+	}
+	return i
+}
+
+// internLit returns the solver's literal for l, whose variable must be
+// known and not eliminated.
+func (s *Solver) internLit(l cnf.Lit) lit {
+	if s.numElim == 0 {
+		return lit(l)
+	}
+	return lit(2*s.varIndex(l.Var())+2) | lit(l)&1
+}
+
+// extLit returns the formula's literal for the solver's l.
+func (s *Solver) extLit(l lit) cnf.Lit {
+	if s.numElim == 0 {
+		return cnf.Lit(l)
+	}
+	return cnf.Lit(s.ext[vidx(l)]<<1 | l&1)
+}
+
+// extLits translates a clause into the formula's numbering: lits itself
+// before the pass, else scratch that the next call reuses.
+func (s *Solver) extLits(lits []lit) []lit {
+	if s.numElim == 0 {
+		return lits
+	}
+	buf := s.extBuf[:0]
+	for _, l := range lits {
+		buf = append(buf, lit(s.extLit(l)))
+	}
+	s.extBuf = buf
+	return buf
+}
 
 // NumClauses returns the number of original (not learnt) clauses the
 // solver holds: those of two or more literals that loading left, less
@@ -575,11 +639,12 @@ func (s *Solver) snapshotLevels() {
 // they are to a verdict, which is the signal partition splitting keys
 // on. Must be called from the solving goroutine (it reads the trail).
 func (s *Solver) ProgressEstimate() float64 {
-	if s.numVars == 0 {
+	vars := s.NumVars()
+	if vars == 0 {
 		return 1
 	}
 	progress := float64(s.numElim)
-	f := 1.0 / float64(s.numVars)
+	f := 1.0 / float64(vars)
 	weight := 1.0
 	for i := 0; i <= s.decisionLevel(); i++ {
 		beg := 0
@@ -593,7 +658,7 @@ func (s *Solver) ProgressEstimate() float64 {
 		progress += weight * float64(end-beg)
 		weight *= f
 	}
-	return progress / float64(s.numVars)
+	return progress / float64(vars)
 }
 
 // Interrupt asynchronously cancels an in-flight Solve, which will return
@@ -625,13 +690,14 @@ func (s *Solver) ClearInterrupt() {
 
 // LiveBytes returns the solver's current footprint: the clause arena,
 // the two watchers every attached clause has, the per-variable state
-// (varBytes) and, after the simplification pass, its elimination stack
-// and flags. reduceDB compacts the arena, so no deleted clause is
-// counted. Only valid on the solving goroutine.
+// (varBytes) of the variables it has, and, after the simplification
+// pass, its elimination stack and its map to the formula's numbering.
+// reduceDB compacts the arena, so no deleted clause is counted. Only
+// valid on the solving goroutine.
 func (s *Solver) LiveBytes() int64 {
 	watchers := 2 * (len(s.clauses) + len(s.learnts))
 	return int64(s.numVars)*varBytes + 4*int64(len(s.arena)) + 8*int64(watchers) +
-		4*int64(s.elimStack.words) + int64(len(s.eliminated))
+		4*int64(s.elimStack.words) + 4*int64(len(s.ext))
 }
 
 // PeakBytes returns the high-water mark of LiveBytes over the solver's
@@ -639,8 +705,6 @@ func (s *Solver) LiveBytes() int64 {
 func (s *Solver) PeakBytes() int64 {
 	return max(s.peakBytes, s.LiveBytes())
 }
-
-func (s *Solver) valueVar(v cnf.Var) int8 { return s.vals[2*v] }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
@@ -714,10 +778,10 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 	}
 	sorted := s.addBuf[:0]
 	for _, l := range lits {
-		if int(l.Var()) > s.numVars {
+		if int(l.Var()) > s.NumVars() {
 			s.growTo(int(l.Var()))
 		}
-		sorted = append(sorted, lit(l))
+		sorted = append(sorted, s.internLit(l))
 	}
 	s.addBuf = sorted
 	sortLits(sorted)
@@ -756,9 +820,10 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 	return true
 }
 
-// isEliminated reports whether the simplification pass eliminated v.
+// isEliminated reports whether the simplification pass eliminated the
+// formula's variable v.
 func (s *Solver) isEliminated(v cnf.Var) bool {
-	return int(v) <= len(s.eliminated) && s.eliminated[v-1]
+	return s.numElim > 0 && int(v) <= s.NumVars() && s.varIndex(v) < 0
 }
 
 // mentionsEliminated reports whether one of the literals is over an
@@ -883,22 +948,23 @@ func (s *Solver) cancelUntil(lvl int) {
 		}
 		s.vals[l], s.vals[l^1] = lUndef, lUndef
 		s.reason[v] = crefUndef
-		s.order.insert(cnf.Var(l>>1), &s.activity)
+		s.order.insert(int32(v), s.activity)
 	}
 	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:lvl]
 	s.qhead = len(s.trail)
 }
 
-func (s *Solver) bumpVar(v cnf.Var) {
-	s.activity[v-1] += s.varInc
-	if s.activity[v-1] > 1e100 {
+// bumpVar raises the activity of the variable with index v.
+func (s *Solver) bumpVar(v int) {
+	s.activity[v] += s.varInc
+	if s.activity[v] > 1e100 {
 		for i := range s.activity {
 			s.activity[i] *= 1e-100
 		}
 		s.varInc *= 1e-100
 	}
-	s.order.update(v, &s.activity)
+	s.order.update(int32(v), s.activity)
 }
 
 func (s *Solver) decayVar() { s.varInc /= s.opts.VarDecay }
@@ -937,21 +1003,31 @@ func (s *Solver) randFloat() float64 {
 
 func (s *Solver) pickBranchLit() lit {
 	if s.opts.RandomizeFreq > 0 && s.randFloat() < s.opts.RandomizeFreq {
-		// Random decision among unassigned variables (diversification).
+		// Random decision among unassigned variables (diversification),
+		// drawn in the formula's numbering so that the draw does not
+		// depend on what the pass eliminated.
 		for tries := 0; tries < 10; tries++ {
-			v := cnf.Var(1 + s.rand()%uint64(s.numVars))
-			if s.valueVar(v) == lUndef && !s.isEliminated(v) {
-				return lit(cnf.MkLit(v, s.rand()&1 == 0))
+			v := cnf.Var(1 + s.rand()%uint64(s.NumVars()))
+			if i := s.varIndex(v); i >= 0 && s.vals[2*i+2] == lUndef {
+				l := lit(2*i + 2)
+				if s.rand()&1 == 0 {
+					l |= 1
+				}
+				return l
 			}
 		}
 	}
 	for {
-		v, ok := s.order.popMax(&s.activity)
+		v, ok := s.order.popMax(s.activity)
 		if !ok {
 			return litUndef
 		}
-		if s.valueVar(v) == lUndef {
-			return lit(cnf.MkLit(v, !s.polarity[v-1]))
+		if s.vals[2*v+2] == lUndef {
+			l := lit(2*v + 2)
+			if !s.polarity[v] {
+				l |= 1
+			}
+			return l
 		}
 	}
 }
@@ -980,7 +1056,7 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 			v := vidx(q)
 			if s.seen[v] == 0 && s.level[v] > 0 {
 				s.seen[v] = 1
-				s.bumpVar(cnf.Var(q >> 1))
+				s.bumpVar(v)
 				if s.level[v] >= current {
 					counter++
 				} else {
@@ -1114,7 +1190,7 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	if s.ShareLearnt != nil && lbd <= s.ShareMaxLBD && len(lits) > 1 {
 		cp := make([]cnf.Lit, len(lits))
 		for i, l := range lits {
-			cp[i] = cnf.Lit(l)
+			cp[i] = s.extLit(l)
 		}
 		s.ShareLearnt(cp, lbd)
 	}
@@ -1128,17 +1204,17 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	return c
 }
 
-// lemma converts a learnt clause for the proof log. Lemmas are carved
-// from a slab that is replaced, not grown, when full, so recording
-// allocates once per few thousand literals and never moves a lemma
-// already handed out.
+// lemma converts a clause for the proof log, into the formula's
+// numbering. Lemmas are carved from a slab that is replaced, not grown,
+// when full, so recording allocates once per few thousand literals and
+// never moves a lemma already handed out.
 func (s *Solver) lemma(lits []lit) cnf.Clause {
 	if cap(s.lemmaSlab)-len(s.lemmaSlab) < len(lits) {
 		s.lemmaSlab = make([]cnf.Lit, 0, max(len(lits), 4096))
 	}
 	start := len(s.lemmaSlab)
 	for _, l := range lits {
-		s.lemmaSlab = append(s.lemmaSlab, cnf.Lit(l))
+		s.lemmaSlab = append(s.lemmaSlab, s.extLit(l))
 	}
 	return s.lemmaSlab[start:len(s.lemmaSlab):len(s.lemmaSlab)]
 }
@@ -1326,9 +1402,12 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 		if next == litUndef {
 			// All variables assigned but the eliminated ones, which
 			// get the values that satisfy the clauses removed with them.
-			s.model = s.model[:0]
-			for v := 1; v <= s.numVars; v++ {
-				s.model = append(s.model, s.vals[2*v])
+			// The model is in the formula's numbering, as the stack is.
+			n := s.NumVars()
+			s.model = slices.Grow(s.model[:0], n)[:n]
+			clear(s.model)
+			for v := range s.numVars {
+				s.model[s.extLit(lit(2*v+2)).Var()-1] = s.vals[2*v+2]
 			}
 			s.elimStack.extend(s.model)
 			return Sat, nil
@@ -1339,7 +1418,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 			s.stats.MaxDepth = dl
 		}
 		if s.graph != nil {
-			s.graph.recordDecision(s.decisionLevel(), cnf.Lit(next))
+			s.graph.recordDecision(s.decisionLevel(), s.extLit(next))
 		}
 		s.uncheckedEnqueue(next, crefUndef)
 	}
@@ -1385,17 +1464,18 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	defer s.snapshotLevels()
 	s.cancelUntil(0)
 	for _, a := range assumptions {
-		if int(a.Var()) > s.numVars {
+		if int(a.Var()) > s.NumVars() {
 			s.growTo(int(a.Var()))
 		}
-		switch s.vals[a] {
+		l := s.internLit(a)
+		switch s.vals[l] {
 		case lTrue:
 			continue
 		case lFalse:
 			return Unsat, nil
 		}
-		s.frozen[a.Var()-1] = true
-		s.uncheckedEnqueue(lit(a), crefUndef)
+		s.frozen[vidx(l)] = true
+		s.uncheckedEnqueue(l, crefUndef)
 	}
 	// Forced propagation of the assumption units (paper Sect. 3.3): the
 	// search then starts on an equisatisfiable but pruned formula.
@@ -1438,7 +1518,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 // clauses as they were added: variables the simplification pass
 // eliminated carry values that satisfy the clauses removed with them.
 func (s *Solver) Model() []bool {
-	out := make([]bool, s.numVars)
+	out := make([]bool, s.NumVars())
 	for i, v := range s.model {
 		out[i] = v == lTrue
 	}
@@ -1456,8 +1536,9 @@ func (s *Solver) ModelValue(l cnf.Lit) bool {
 
 // Frozen reports whether a variable was frozen by an assumption.
 func (s *Solver) Frozen(v cnf.Var) bool {
-	if int(v) > s.numVars {
+	if int(v) > s.NumVars() {
 		return false
 	}
-	return s.frozen[v-1]
+	i := s.varIndex(v)
+	return i >= 0 && s.frozen[i]
 }
