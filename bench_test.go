@@ -13,7 +13,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cnf"
 	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/experiments"
 	"repro/internal/flatten"
 	"repro/internal/parallel"
@@ -212,14 +211,15 @@ func BenchmarkFig6Fibonacci(b *testing.B) {
 }
 
 // BenchmarkFig7Distributed measures the simulated-cluster analysis of
-// Safestack (paper Fig. 7), one sub-benchmark per cluster size.
+// Safestack (paper Fig. 7), one sub-benchmark per cluster size: a core,
+// and a partition, per core of the cluster.
 func BenchmarkFig7Distributed(b *testing.B) {
 	p := bench.Safestack()
 	for _, cores := range []int{8, 16} {
 		b.Run(fmt.Sprintf("c=5/cores=%d", cores), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := distrib.SimulateCluster(context.Background(), p,
-					core.Options{Unwind: 2, Contexts: 5, SimulateParallel: simulated}, cores, 4)
+				res, err := core.Verify(context.Background(), p,
+					core.Options{Unwind: 2, Contexts: 5, Cores: cores, Partitions: cores, SimulateParallel: simulated})
 				if err != nil {
 					b.Fatal(err)
 				}

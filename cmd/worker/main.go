@@ -1,8 +1,10 @@
 // Command worker joins a distributed analysis: it connects to a
-// coordinator (cmd/coordinator), receives partition-range jobs, runs the
-// parallel verifier on its local cores, heartbeats while solving, and
-// reports verdicts until the coordinator sends stop. With -reconnect it
-// survives connection loss, redialing with exponential backoff + jitter.
+// coordinator (cmd/coordinator), restores the run's solver template from
+// the snapshot the coordinator sends, receives partition-range jobs with
+// each partition's assumption literals, solves them on its local cores,
+// heartbeats while solving, and reports verdicts until the coordinator
+// sends stop. It never reads the program. With -reconnect it survives
+// connection loss, redialing with exponential backoff + jitter.
 //
 // -connect accepts a comma-separated list of coordinator addresses for
 // HA pairs (primary,standby): on connection loss the worker rotates

@@ -97,9 +97,7 @@ type Options struct {
 	CertifyUnsat bool
 	// KeepProofs records the refutation proof of every UNSAT partition
 	// and retains it on the corresponding Result.Instances entry instead
-	// of checking it locally. Distributed workers use this to attach
-	// certificates that the coordinator re-checks against its own
-	// encoding.
+	// of checking it locally, for a caller that checks it elsewhere.
 	KeepProofs bool
 	// Budget bounds each partition's wall clock, solver conflicts and
 	// solver memory. A partition that exhausts part of it degrades to
@@ -131,11 +129,6 @@ type Options struct {
 	// template as its child — and validate) under a root "verify" span.
 	// Nil is the zero-overhead fast path.
 	Tracer *obs.Tracer
-	// Parent, when non-nil, nests the "verify" root span under it
-	// instead of starting a fresh root — distributed workers pass their
-	// per-job span here so the whole pipeline hangs off the
-	// coordinator's job span in the merged trace.
-	Parent *obs.Span
 	// Progress, when non-nil and ProgressEvery > 0, receives live
 	// per-partition search statistics every ProgressEvery conflicts
 	// while solving (from the solver goroutines).
@@ -347,42 +340,9 @@ func TemplateRow(tpl parallel.TemplateResult) report.TemplateRow {
 	}
 }
 
-// Verify runs the full pipeline on a checked program: Prepare, then Run
-// on what it prepared, under one "verify" span.
-func Verify(ctx context.Context, p *prog.Program, opts Options) (*Result, error) {
-	return underVerifySpan(opts, func(opts Options) (*Result, error) {
-		pr, err := prepare(p, opts)
-		if err != nil {
-			return nil, err
-		}
-		res, err := pr.run(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		res.EncodeTime = pr.timing.Total()
-		res.Phases = append(slices.Clip(pr.phases), res.Phases...)
-		// Every kept proof leaves whole: the template's log, then the
-		// partition's own.
-		var prefix *sat.Proof
-		for i := range res.Instances {
-			tail := res.Instances[i].Proof
-			if tail == nil {
-				continue
-			}
-			if prefix == nil {
-				if prefix, err = pr.template.Prefix(ctx); err != nil {
-					return nil, err
-				}
-			}
-			res.Instances[i].Proof = sat.JoinProofs(prefix, tail)
-		}
-		return res, nil
-	})
-}
-
-// underVerifySpan runs one analysis under its root span: the option
-// checks first, then fn with the span as the parent of every phase.
-func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Result, err error) {
+// Verify runs the full pipeline on a checked program: prepare, then run
+// what it prepared, under one "verify" span, every phase its child.
+func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, err error) {
 	opts.setDefaults()
 	// Every option-combination check comes before the first side effect:
 	// a refused call must leave nothing behind (no journal file) that
@@ -390,17 +350,10 @@ func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Resu
 	if opts.SimulateParallel && opts.Split.Depth > 0 {
 		return nil, fmt.Errorf("core: Split.Depth is incompatible with SimulateParallel: the simulation solves the partitions one after another, so no worker is ever idle to split a straggler (measure adaptive splitting with real concurrent runs)")
 	}
-	verifyAttrs := []obs.Attr{
+	root := opts.Tracer.Start("verify",
 		obs.KV("unwind", opts.Unwind), obs.KV("contexts", opts.Contexts),
 		obs.KV("rounds", opts.Rounds), obs.KV("width", opts.Width),
-		obs.KV("cores", opts.Cores),
-	}
-	var root *obs.Span
-	if opts.Parent != nil {
-		root = opts.Parent.Child("verify", verifyAttrs...)
-	} else {
-		root = opts.Tracer.Start("verify", verifyAttrs...)
-	}
+		obs.KV("cores", opts.Cores))
 	opts.span = root
 	defer func() {
 		if err != nil {
@@ -409,19 +362,43 @@ func underVerifySpan(opts Options, fn func(Options) (*Result, error)) (res *Resu
 			root.End(obs.KV("verdict", res.Verdict.String()))
 		}
 	}()
-	return fn(opts)
+	pr, err := prepare(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	if res, err = pr.run(ctx, opts); err != nil {
+		return nil, err
+	}
+	res.EncodeTime = pr.timing.Total()
+	res.Phases = append(slices.Clip(pr.phases), res.Phases...)
+	// Every kept proof leaves whole: the template's log, then the
+	// partition's own.
+	var prefix *sat.Proof
+	for i := range res.Instances {
+		tail := res.Instances[i].Proof
+		if tail == nil {
+			continue
+		}
+		if prefix == nil {
+			if prefix, err = pr.template.Prefix(ctx); err != nil {
+				return nil, err
+			}
+		}
+		res.Instances[i].Proof = sat.JoinProofs(prefix, tail)
+	}
+	return res, nil
 }
 
 // Prepared is the half of an analysis that is the same for every cube of
 // a run: the program encoded, all of its partitions and the canonical
 // split literals made, and the solver template every cube's solver is
-// cloned from (parallel.Template), which the first Run builds. It is a
+// cloned from (parallel.Template), which the first run builds. It is a
 // function of the program and of the options that say what the run is —
 // the bounds, Partitions, Budget, the proof switches, Split — and of
-// nothing else, so every process told the same run prepares the same
-// one. A distributed run's coordinator builds its template once and
-// ships it; a worker holds its own Prepared from job to job, the template
-// restored from the coordinator's (Restore).
+// nothing else. A distributed run's coordinator prepares it once: it
+// builds the template and ships it, hands out each cube's assumptions,
+// and checks every certificate against the encoding; a worker holds the
+// template alone (parallel.Restored).
 type Prepared struct {
 	enc       *vc.Encoded
 	parts     []partition.Partition // the run's, all of them
@@ -443,7 +420,6 @@ type Prepared struct {
 // Split.
 func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	opts.setDefaults()
-	opts.span = opts.Parent // the phases' spans hang off the caller's, if it has one
 	return prepare(p, opts)
 }
 
@@ -451,8 +427,10 @@ func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
 // mean in this run; the coordinator checks certificates against them.
 // Encoded().Formula() is nil for a run that neither checks nor keeps
 // proofs, whose template holds the formula only until its solver has
-// loaded it, and after Restore.
+// loaded it; Vars is its variable count all the same.
 func (pr *Prepared) Encoded() *vc.Encoded { return pr.enc }
+
+func (pr *Prepared) Vars() int { return pr.vars }
 
 func (pr *Prepared) Partitions() []partition.Partition { return pr.parts }
 
@@ -465,17 +443,6 @@ func (pr *Prepared) Template() *parallel.Template { return pr.template }
 // bounds with their defaults applied, and as many partitions as the
 // encoding allowed, which may be fewer than were asked for.
 func (pr *Prepared) Manifest() journal.Manifest { return pr.manifest }
-
-// Restore hands the run its solver template, restored from data — the
-// snapshot of the template the coordinator of a distributed run built
-// (parallel.Template.Snapshot) — in place of the one the first Run would
-// build, and lets the formula go: Encoded().Formula() is nil from here
-// on. A template a Run used up (a run's only cube is solved on it) is
-// restored again the same way.
-func (pr *Prepared) Restore(data []byte) error {
-	pr.enc.DropFormula()
-	return pr.template.Restore(data)
-}
 
 func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	// The profile brackets mirror the phase spans: one capture around
@@ -526,18 +493,11 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	return pr, nil
 }
 
-// Run solves the cubes opts selects — the partitions [From, To), refined
+// run solves the cubes opts selects — the partitions [From, To), refined
 // by CubePath — on clones of the prepared template, and decodes and
-// replays a counterexample. Of opts it reads what a call may vary: the
-// selection, Cores, the hooks (MemAbort, Progress, Tracer, Parent,
-// Profiler), the journal and SimulateParallel, and the proof switches,
-// which keep or check what the template logs only if it was prepared to
-// log. A kept proof (KeepProofs) is the partition's own log, which
-// continues the template's (Template().Prefix); Verify returns it whole.
-func (pr *Prepared) Run(ctx context.Context, opts Options) (*Result, error) {
-	return underVerifySpan(opts, func(opts Options) (*Result, error) { return pr.run(ctx, opts) })
-}
-
+// replays a counterexample. A kept proof (KeepProofs) is the partition's
+// own log, which continues the template's (Template().Prefix); Verify
+// returns it whole.
 func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	enc := pr.enc
 	parts, err := selectPartitions(pr.parts, pr.splitLits, opts)

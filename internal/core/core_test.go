@@ -304,9 +304,12 @@ func TestPrepareLetsTheFormulaGo(t *testing.T) {
 		if kept := pr.Encoded().Formula() != nil; kept != tc.kept {
 			t.Fatalf("%+v: formula kept %v, want %v", tc.opts, kept, tc.kept)
 		}
-		res, err := pr.Run(context.Background(), tc.opts)
+		res, err := pr.run(context.Background(), tc.opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if pr.Vars() != res.Vars {
+			t.Fatalf("%+v: the prepared run has %d variables, its result %d", tc.opts, pr.Vars(), res.Vars)
 		}
 		if res.Verdict != tc.verdict || tc.verdict == Unsafe && res.Violation == nil {
 			t.Fatalf("%+v: %v, violation %v", tc.opts, res.Verdict, res.Violation)

@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 	"repro/internal/sat"
 	"repro/internal/trace"
@@ -25,6 +28,12 @@ import (
 // about a verdict, ships a bogus model, or fabricates a proof is caught
 // at the aggregation point (the only place a single faulty process could
 // otherwise invert the global answer) and quarantined as untrusted.
+//
+// The model travels in every certify mode, for a worker never sees the
+// program and cannot replay its own counterexample: the coordinator
+// decodes every UNSAFE model on its encoding and replays it on the
+// concrete interpreter before it believes the verdict. Uncertified, that
+// replay is the only check, a model that fails it a failed attempt.
 //
 // A SAFE proof is a tail: what the partition's solver logged after it
 // was cloned from the run's template. What the template logged before —
@@ -89,9 +98,10 @@ func ParseCertifyPolicy(s string) (CertifyPolicy, error) {
 		return CertifyPolicy{Mode: CertifyFull}, nil
 	case s == CertifyOff:
 		return CertifyPolicy{Mode: CertifyOff}, nil
-	case len(s) > 7 && s[:7] == "sample=":
-		var n int
-		if _, err := fmt.Sscanf(s[7:], "%d", &n); err != nil || n < 1 {
+	case strings.HasPrefix(s, "sample="):
+		digits := s[len("sample="):]
+		n, err := strconv.Atoi(digits)
+		if err != nil || n < 1 || strings.TrimLeft(digits, "0123456789") != "" {
 			return CertifyPolicy{}, fmt.Errorf("distrib: bad certify sample rate %q", s)
 		}
 		return CertifyPolicy{Mode: CertifyFull, SampleEvery: n}, nil
@@ -141,9 +151,9 @@ type PartitionProof struct {
 // remote verdict. It travels as JSON (wireCertificate), split across
 // "cert" wire frames after the result frame (sendChunked).
 type Certificate struct {
-	// NumVars is the variable count of the worker's formula; it must
-	// match the coordinator's own encoding or the certificate is
-	// rejected without further inspection.
+	// NumVars is the variable count of the template the worker solved
+	// on; a model must cover the coordinator's own encoding's or the
+	// certificate is rejected without further inspection.
 	NumVars int `json:"num_vars,omitempty"`
 	// Model is the winning partition's satisfying assignment, bit-packed
 	// LSB-first (UNSAFE verdicts).
@@ -228,21 +238,19 @@ func decodeCertificate(data []byte) (*Certificate, error) {
 }
 
 // buildCertificate assembles the evidence for one honestly computed job
-// result: the raw model for UNSAFE (any certify level above off), the
-// per-partition proof tails for SAFE (full level only — the run kept
-// them iff the job asked).
-func buildCertificate(res *core.Result, level string) *Certificate {
-	if level == CertifyOff || level == "" {
-		return nil
-	}
-	switch res.Verdict {
-	case core.Unsafe:
+// result: the raw model for UNSAFE, at every level — the coordinator
+// replays it whether or not the run certifies — and the per-partition
+// proof tails for SAFE (full level only: the job kept them iff it asked).
+// vars is the variable count of the template the job was solved on.
+func buildCertificate(res *parallel.Result, level string, vars int) *Certificate {
+	switch res.Status {
+	case sat.Sat:
 		return &Certificate{NumVars: len(res.Model), Model: packBits(res.Model)}
-	case core.Safe:
+	case sat.Unsat:
 		if level != CertifyFull {
 			return nil
 		}
-		c := &Certificate{NumVars: res.Vars}
+		c := &Certificate{NumVars: vars}
 		for _, inst := range res.Instances {
 			if inst.Proof != nil {
 				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Proof})
@@ -253,23 +261,25 @@ func buildCertificate(res *core.Result, level string) *Certificate {
 	return nil
 }
 
-// certVerifier holds the coordinator's own prepared run when the run
-// certifies — the root of trust every remote certificate is checked
-// against. Workers receive only the program source; whatever
-// formula they actually solved, their evidence must check out against
-// this encoding, and a sub-cube's assumptions are rebuilt from its split
-// literals, not trusted from the wire. Its template is the run's, which
-// Coordinate built, derived the checker beside, and shipped.
+// certVerifier holds the coordinator's own prepared run — the root of
+// trust every remote verdict is checked against. Workers receive the
+// run's template and each cube's assumption literals, which it makes
+// (assumptions) from this encoding and its split literals; whatever they
+// actually solved, their evidence must check out against this encoding,
+// under the cube's assumptions rebuilt the same way, not trusted from the
+// wire. Its template is the run's, which Coordinate built — deriving the
+// checker beside it when the run certifies — and shipped.
 type certVerifier struct {
 	prep *core.Prepared
 }
 
-// prepareRun prepares the coordinator's own copy of the run, the one
-// every worker prepares from its manifest (workerRun) and whose template
-// every worker restores. When the run certifies, the template's build
-// derives the run's proof checker from what it logs, which it does not
-// keep: the coordinator joins no proof to it.
-func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*core.Prepared, error) {
+// prepareRun prepares the coordinator's own copy of the run: the one it
+// partitions, journals and reports, whose template every worker
+// restores, whose cubes' assumptions every job carries and on whose
+// encoding every counterexample is replayed. When the run certifies, the
+// template's build derives the run's proof checker from what it logs,
+// which it does not keep: the coordinator joins no proof to it.
+func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*certVerifier, error) {
 	prep, err := core.Prepare(p, core.Options{
 		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
 		To: opts.Partitions, Budget: opts.Budget, CertifyUnsat: opts.Certify.Enabled(),
@@ -277,7 +287,27 @@ func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*core.Prepared, erro
 	if err != nil {
 		return nil, fmt.Errorf("distrib: coordinator encoding failed: %w", err)
 	}
-	return prep, nil
+	return &certVerifier{prep: prep}, nil
+}
+
+// assumptions are the assumption literals of every partition of a cube,
+// in order: the partition's own, extended by the split literals its path
+// fixes — what a job of the cube carries, and what its evidence is
+// checked under.
+func (v *certVerifier) assumptions(cube partition.Cube) ([][]cnf.Lit, error) {
+	parts := v.prep.Partitions()
+	if cube.From < 0 || cube.To < cube.From || cube.To >= len(parts) {
+		return nil, fmt.Errorf("cube %s outside the coordinator's %d partitions", cube.Key(), len(parts))
+	}
+	out := make([][]cnf.Lit, 0, cube.To-cube.From+1)
+	for _, pt := range parts[cube.From : cube.To+1] {
+		lits, err := pt.CubeAssumptions(cube.Path, v.prep.SplitLits())
+		if err != nil {
+			return nil, fmt.Errorf("cube %s: %v", cube.Key(), err)
+		}
+		out = append(out, lits)
+	}
+	return out, nil
 }
 
 // litHolds evaluates a literal under the solver-convention model
@@ -286,30 +316,49 @@ func litHolds(l cnf.Lit, model []bool) bool {
 	return model[l.Var()-1] != l.Neg()
 }
 
-// verifyUnsafe checks an UNSAFE claim end to end: the claimed winner
-// lies in the cube, the shipped model satisfies every clause of the
-// coordinator's formula plus the winner partition's assumptions
-// (extended with the cube path's scheduler bits), and the decoded
-// counterexample replays to a real assertion violation on the concrete
-// interpreter. A model found under a sub-cube's extra assumptions still
-// satisfies the parent formula, so sub-cube verification composes: the
-// sub-cube's UNSAFE is the parent's UNSAFE.
-func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certificate) error {
+// replay checks an UNSAFE claim's model the way every run does, certified
+// or not: it covers the coordinator's encoding, and the counterexample
+// decoded from it replays to a real assertion violation on the concrete
+// interpreter. It reads no formula — an uncertified run has let it go —
+// and returns the model.
+func (v *certVerifier) replay(cert *Certificate) ([]bool, error) {
 	if cert == nil || len(cert.Model) == 0 {
-		return fmt.Errorf("UNSAFE claim without a model certificate")
+		return nil, fmt.Errorf("UNSAFE claim without a model certificate")
 	}
-	enc, parts := v.prep.Encoded(), v.prep.Partitions()
-	if winner < cube.From || winner > cube.To || winner >= len(parts) {
-		return fmt.Errorf("claimed winner %d outside cube %s", winner, cube.Key())
-	}
-	if f := enc.Formula(); cert.NumVars != f.NumVars {
-		return fmt.Errorf("model covers %d vars, coordinator encoding has %d", cert.NumVars, f.NumVars)
+	if cert.NumVars != v.prep.Vars() {
+		return nil, fmt.Errorf("model covers %d vars, coordinator encoding has %d", cert.NumVars, v.prep.Vars())
 	}
 	model, err := unpackBits(cert.Model, cert.NumVars)
 	if err != nil {
+		return nil, err
+	}
+	enc := v.prep.Encoded()
+	viol, err := trace.Validate(enc, trace.Decode(enc, model))
+	if err != nil {
+		return nil, fmt.Errorf("counterexample replay failed: %v", err)
+	}
+	if viol == nil {
+		return nil, fmt.Errorf("counterexample replay reached no assertion violation")
+	}
+	return model, nil
+}
+
+// verifyUnsafe checks an UNSAFE claim end to end: the claimed winner
+// lies in the cube, the shipped model replays (replay), and it satisfies
+// every clause of the coordinator's formula plus the winner partition's
+// assumptions (extended with the cube path's scheduler bits). A model
+// found under a sub-cube's extra assumptions still satisfies the parent
+// formula, so sub-cube verification composes: the sub-cube's UNSAFE is
+// the parent's UNSAFE.
+func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certificate) error {
+	if winner < cube.From || winner > cube.To {
+		return fmt.Errorf("claimed winner %d outside cube %s", winner, cube.Key())
+	}
+	model, err := v.replay(cert)
+	if err != nil {
 		return err
 	}
-	for i, c := range enc.Formula().Clauses {
+	for i, c := range v.prep.Encoded().Formula().Clauses {
 		satisfied := false
 		for _, l := range c {
 			if litHolds(l, model) {
@@ -321,22 +370,14 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 			return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", i)
 		}
 	}
-	assumps, err := parts[winner].CubeAssumptions(cube.Path, v.prep.SplitLits())
+	assumps, err := v.assumptions(partition.Cube{From: winner, To: winner, Path: cube.Path})
 	if err != nil {
-		return fmt.Errorf("cube %s: %v", cube.Key(), err)
+		return err
 	}
-	for _, l := range assumps {
+	for _, l := range assumps[0] {
 		if !litHolds(l, model) {
 			return fmt.Errorf("claimed model violates cube %s assumption %v", cube.Key(), l)
 		}
-	}
-	tr := trace.Decode(enc, model)
-	viol, err := trace.Validate(enc, tr)
-	if err != nil {
-		return fmt.Errorf("counterexample replay failed: %v", err)
-	}
-	if viol == nil {
-		return fmt.Errorf("counterexample replay reached no assertion violation")
 	}
 	return nil
 }
@@ -353,9 +394,9 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	if cert == nil {
 		return work, fmt.Errorf("SAFE claim without a proof certificate")
 	}
-	parts := v.prep.Partitions()
-	if cube.From < 0 || cube.To >= len(parts) {
-		return work, fmt.Errorf("cube %s outside the coordinator's %d partitions", cube.Key(), len(parts))
+	assumps, err := v.assumptions(cube)
+	if err != nil {
+		return work, err
 	}
 	proofs := make(map[int]*sat.Proof, len(cert.Proofs))
 	for _, pp := range cert.Proofs {
@@ -364,16 +405,13 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 		}
 		proofs[pp.Partition] = pp.Proof
 	}
-	for idx := cube.From; idx <= cube.To; idx++ {
+	for i, assume := range assumps {
+		idx := cube.From + i
 		proof := proofs[idx]
 		if proof == nil {
 			return work, fmt.Errorf("no refutation proof for partition %d", idx)
 		}
-		assumps, err := parts[idx].CubeAssumptions(cube.Path, v.prep.SplitLits())
-		if err != nil {
-			return work, fmt.Errorf("cube %s: %v", cube.Key(), err)
-		}
-		done, err := v.prep.Template().Check(assumps, proof)
+		done, err := v.prep.Template().Check(assume, proof)
 		work.Add(done)
 		if err != nil {
 			return work, fmt.Errorf("partition %d (cube %s): %v", idx, cube.Key(), err)

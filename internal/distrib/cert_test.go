@@ -32,6 +32,10 @@ func TestParseCertifyPolicy(t *testing.T) {
 		{"sample=1", "full", false},
 		{"sample=0", "", true},
 		{"sample=x", "", true},
+		{"sample=4x", "", true},
+		{"sample=4 junk", "", true},
+		{"sample=+4", "", true},
+		{"sample=", "", true},
 		{"bogus", "", true},
 	}
 	for _, c := range cases {
@@ -449,23 +453,50 @@ func TestCertifySampleMode(t *testing.T) {
 	}
 }
 
-// With certification off there is no verifier and no certificate
-// traffic; the run behaves exactly as before the feature existed.
+// With certification off no verdict is certified and no proof travels,
+// but every UNSAFE model is replayed on the coordinator's encoding all
+// the same, as the worker once replayed its own: a liar's model that
+// does not replay — a SAFE cube claimed UNSAFE on a fabricated or a
+// garbage model — is a failed attempt, not a rejected certificate, and
+// the honest worker's re-solve keeps the run SAFE.
 func TestCertifyOff(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	addr, resCh := startCoordinator(t, p, CoordinatorOptions{
-		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2,
-		Certify: CertifyPolicy{Mode: CertifyOff},
-	})
-	if _, err := runWorker(t, addr, "honest", nil, 0); err != nil {
-		t.Fatalf("worker: %v", err)
-	}
-	res := waitResult(t, resCh)
-	if res.Verdict != core.Safe {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if res.Certified != 0 || res.CertifyMillis != 0 {
-		t.Fatalf("certified %d, certify millis %d with certification off", res.Certified, res.CertifyMillis)
+	for _, tc := range []struct {
+		name string
+		plan *FaultPlan
+	}{
+		{"honest", nil},
+		{"flipped verdict", &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipVerdict}}}},
+		{"bogus model", &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultBogusModel}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := prog.MustParse(fibSrc)
+			addr, resCh := startCoordinator(t, p, fastFailureOpts(CoordinatorOptions{
+				Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 2,
+				Certify: CertifyPolicy{Mode: CertifyOff},
+			}))
+			if tc.plan != nil {
+				if _, err := runWorker(t, addr, "liar", tc.plan, 0); err == nil {
+					t.Fatal("the liar's connection outlived its lie")
+				}
+			}
+			if _, err := runWorker(t, addr, "honest", nil, 0); err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+			res := waitResult(t, resCh)
+			if res.Verdict != core.Safe {
+				t.Fatalf("verdict %v", res.Verdict)
+			}
+			if res.Certified != 0 || res.CertifyMillis != 0 || res.CertRejected != 0 {
+				t.Fatalf("certified %d, certify millis %d, %d rejected with certification off", res.Certified, res.CertifyMillis, res.CertRejected)
+			}
+			if tc.plan == nil {
+				return
+			}
+			liar := findWorker(res, "liar")
+			if liar == nil || liar.Untrusted || liar.Failures != 1 || res.Reassigned != 1 {
+				t.Fatalf("liar %+v, %d reassigned; want one failed attempt, re-queued", liar, res.Reassigned)
+			}
+		})
 	}
 }
 
@@ -568,7 +599,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 
 // runJob's recover boundary, exercised directly.
 func TestRunJobRecoversPanic(t *testing.T) {
-	m := &Message{Type: "job", JobID: 7, Source: fibSrc, RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4},
+	m := &Message{Type: "job", JobID: 7, RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4},
 		From: 0, To: 1, Certify: CertifyFull}
 	w := &worker{opts: WorkerOptions{Name: "w", Cores: 1}}
 	reply, cert := w.runJob(context.Background(), m, nil, &FaultEvent{Job: 0, Kind: FaultPanic}, nil)
@@ -583,17 +614,16 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	}
 }
 
-// newCertVerifier is the verifier Coordinate makes of its prepared run
-// when the run certifies, before it derives the run's checker.
+// newCertVerifier is the verifier Coordinate makes of its prepared run,
+// before it builds the run's template.
 func newCertVerifier(p *prog.Program, opts CoordinatorOptions) (*certVerifier, error) {
-	prep, err := prepareRun(p, &opts)
-	return &certVerifier{prep: prep}, err
+	return prepareRun(p, &opts)
 }
 
 // derivedVerifier is the coordinator's verifier as Coordinate leaves it
 // before its accept loop — the run's template built, its checker derived
-// beside the pass and the solver gone — and the template's snapshot,
-// which every connection is sent.
+// beside the pass when the run certifies, and the solver gone — and the
+// template's snapshot, which every connection is sent.
 func derivedVerifier(t *testing.T, p *prog.Program, opts CoordinatorOptions) (*certVerifier, []byte) {
 	t.Helper()
 	v, err := newCertVerifier(p, opts)
@@ -615,22 +645,25 @@ func shippedWorker(data []byte) *worker {
 	return &worker{opts: WorkerOptions{Cores: 1}, shipped: &shippedTemplate{data: data, sum: sha256.Sum256(data)}}
 }
 
-// jobFor is the job frame of a cube of the run opts describe.
-func jobFor(p *prog.Program, opts CoordinatorOptions, cube partition.Cube) *Message {
-	m := &Message{Type: "job", JobID: 1, Source: prog.Format(p),
-		RunManifest: &RunManifest{Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions},
-		From:        cube.From, To: cube.To, CubePath: cube.Path, Certify: CertifyFull}
-	m.setBudget(opts.Budget)
-	return m
+// jobFor is the job frame the coordinator of v's run sends for a cube.
+func jobFor(t *testing.T, v *certVerifier, opts CoordinatorOptions, cube partition.Cube) *Message {
+	t.Helper()
+	m := jobFrame(&opts, v.prep.Manifest())
+	m.JobID, m.From, m.To, m.Certify = 1, cube.From, cube.To, CertifyFull
+	var err error
+	if m.Assume, err = v.assumptions(cube); err != nil {
+		t.Fatal(err)
+	}
+	return &m
 }
 
 // workerCertificate solves a cube the way a worker does — on clones of
-// the template restored from data, the run's snapshot, in a run prepared
-// from the job's own description of it — under the fault f (nil: none),
-// and returns the certificate it would ship.
-func workerCertificate(t *testing.T, p *prog.Program, opts CoordinatorOptions, data []byte, cube partition.Cube, f *FaultEvent) *Certificate {
+// the template restored from data, the run's snapshot, under the
+// assumptions of v's job frame — under the fault f (nil: none), and
+// returns the certificate it would ship.
+func workerCertificate(t *testing.T, v *certVerifier, opts CoordinatorOptions, data []byte, cube partition.Cube, f *FaultEvent) *Certificate {
 	t.Helper()
-	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(p, opts, cube), nil, f, nil)
+	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(t, v, opts, cube), nil, f, nil)
 	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || reply.Restore == nil {
 		t.Fatalf("cube %s: verdict %q, error %q, restore %+v, certificate %+v", cube.Key(), reply.Verdict, reply.Error, reply.Restore, cert)
 	}
@@ -652,7 +685,7 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	v, data := derivedVerifier(t, p, opts)
 	// The honest proofs are a worker's.
 	cube := partition.Cube{From: 0, To: 1}
-	honest := workerCertificate(t, p, opts, data, cube, nil)
+	honest := workerCertificate(t, v, opts, data, cube, nil)
 	var lemmas int64
 	for _, pp := range honest.Proofs {
 		if pp.Proof.NumLemmas() < 2 {

@@ -272,7 +272,7 @@ type coordinator struct {
 	tracker  *chunkTracker
 	metrics  *coordMetrics
 	repl     *replicator   // live journal replication fan-out; nil without a journal
-	verifier *certVerifier // nil iff certification is off
+	verifier *certVerifier // the run's: every job's assumptions, every replay and check
 	root     *obs.Span     // the run's "coordinate" span (nil when untraced)
 }
 
@@ -313,11 +313,11 @@ func (o *CoordinatorOptions) setDefaults() error {
 	return nil
 }
 
-// jobFrame is what every job of a run carries: the program, the run's
-// manifest, the budget, the heartbeat cadence and the lease epoch.
-func jobFrame(opts *CoordinatorOptions, man journal.Manifest, source string) Message {
+// jobFrame is what every job of a run carries: the run's manifest, the
+// budget, the heartbeat cadence and the lease epoch.
+func jobFrame(opts *CoordinatorOptions, man journal.Manifest) Message {
 	m := Message{
-		Type: "job", Epoch: opts.Epoch, Source: source, RunManifest: &man,
+		Type: "job", Epoch: opts.Epoch, RunManifest: &man,
 		HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
 	}
 	m.setBudget(opts.Budget)
@@ -334,12 +334,12 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		return nil, err
 	}
 	// The run the coordinator prepares itself is the one it partitions,
-	// journals, reports and hands out: its manifest's. With certification
-	// on, it is also the root of trust; otherwise it goes once read.
-	prep, err := prepareRun(p, &opts)
+	// journals, reports and hands out, cube by cube: its manifest's.
+	verifier, err := prepareRun(p, &opts)
 	if err != nil {
 		return nil, err
 	}
+	prep := verifier.prep
 	man := prep.Manifest()
 	man.ChunkSize = opts.ChunkSize
 	if man.ChunkSize == 0 {
@@ -347,10 +347,6 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	}
 	chunks := partition.Chunks(man.Partitions, man.ChunkSize)
 	splitBits := len(prep.SplitLits())
-	var verifier *certVerifier
-	if opts.Certify.Enabled() {
-		verifier = &certVerifier{prep: prep}
-	}
 	opts.Report.SetManifest(report.Manifest{
 		Program: opts.ProgramName, Manifest: man, Mode: "distributed", TraceID: opts.Tracer.TraceID(),
 	})
@@ -365,7 +361,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	start := time.Now()
 	co := &coordinator{
 		opts:     opts,
-		frame:    jobFrame(&opts, man, prog.Format(p)),
+		frame:    jobFrame(&opts, man),
 		ln:       ln,
 		res:      &CoordinatorResult{},
 		pressure: make(map[string]workerPressure),
@@ -380,8 +376,8 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	co.sched = partition.NewScheduler(partition.SchedOptions{
 		SplitPolicy: opts.Split, SplitBits: splitBits, Hedge: opts.Hedge,
 		Journal: jnl, Budget: opts.Budget,
-		Paths:         true, // a worker derives the split literals from its job
-		CertifiedOnly: verifier != nil,
+		Paths:         true, // a job carries the split literals its path fixes
+		CertifiedOnly: opts.Certify.Enabled(),
 		// Backpressure: while the fleet is over the memory-pressure
 		// threshold nothing is dispatched, split, or hedged.
 		Gate: co.dispatchGate,
@@ -441,7 +437,7 @@ func (co *coordinator) buildTemplate(ctx context.Context, prep *core.Prepared) e
 	co.template = snap
 	co.res.Template, co.res.TemplateBytes = row, int64(len(snap))
 	co.opts.Report.SetTemplate(row)
-	if co.verifier != nil {
+	if co.opts.Certify.Enabled() {
 		co.res.CertifyMillis += setup.Milliseconds()
 		co.metrics.certifySeconds.Observe(setup.Seconds())
 	}
@@ -696,12 +692,14 @@ func (co *coordinator) serve(c net.Conn) {
 	}
 }
 
-// runJob sends one job — the first of a connection with the run's
-// template behind it — and reads its outcome off the wire: the result,
-// the certificate frames that follow it, and — trust-but-verify — the
-// check of a definite verdict's evidence (certify). An error wrapping
-// errCertificate is the worker's fault and condemns it; any other error
-// is a failed attempt.
+// runJob sends one job — the cube's assumption literals, and for the
+// first of a connection the run's template behind it — and reads its
+// outcome off the wire: the result, the certificate frames that follow
+// it, and — trust-but-verify — the check of a definite verdict's
+// evidence (certify). Uncertified, an UNSAFE verdict's model is still
+// replayed, and one that does not replay is a failed attempt. An error
+// wrapping errCertificate is the worker's fault and condemns it; any
+// other error is a failed attempt.
 func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, first bool) (reply *Message, certified bool, err error) {
 	// The job span is the cross-process graft point: its context rides on
 	// the wire, the worker parents its own job span under it, and the
@@ -717,7 +715,10 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, fir
 		}
 	}()
 	job, sc := co.frame, jobSpan.Context()
-	job.JobID, job.From, job.To, job.CubePath = a.JobID, a.Cube.From, a.Cube.To, a.Cube.Path
+	job.JobID, job.From, job.To = a.JobID, a.Cube.From, a.Cube.To
+	if job.Assume, err = co.verifier.assumptions(a.Cube); err != nil {
+		return nil, false, fmt.Errorf("job %d: %v", a.JobID, err)
+	}
 	job.Certify, job.TraceID, job.ParentSpan = co.opts.Certify.jobLevel(a.JobID), sc.TraceID, sc.SpanID
 	var template []byte
 	if first {
@@ -729,16 +730,20 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, fir
 	if reply, err = co.awaitResult(wc, a, key); err != nil {
 		return nil, false, err
 	}
-	// The certificate frames follow the result and must be drained even
-	// when certification is off, to keep the stream in sync.
+	// The certificate frames follow the result, an UNSAFE one's in every
+	// mode.
 	cert, err := co.readCertificate(wc, a.JobID, key, reply)
 	if err != nil {
 		return nil, false, err
 	}
-	if co.verifier == nil || !definite(reply.Verdict) {
-		return reply, false, nil
+	switch {
+	case co.opts.Certify.Enabled() && definite(reply.Verdict):
+		certified, err = co.certify(a, key, job.Certify, reply, cert, jobSpan)
+	case reply.Verdict == core.Unsafe.String():
+		if _, err := co.verifier.replay(cert); err != nil {
+			return nil, false, fmt.Errorf("job %d on %s: %v", a.JobID, key, err)
+		}
 	}
-	certified, err = co.certify(a, key, job.Certify, reply, cert, jobSpan)
 	return reply, certified, err
 }
 

@@ -39,41 +39,6 @@ void main() {
 }
 `
 
-func TestSimulateClusterUnsafe(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	res, err := SimulateCluster(context.Background(), p,
-		core.Options{Unwind: 1, Contexts: 4}, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != core.Unsafe {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if res.MaxChunkTime == 0 {
-		t.Fatal("no chunk time recorded")
-	}
-}
-
-func TestSimulateClusterSafe(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	res, err := SimulateCluster(context.Background(), p,
-		core.Options{Unwind: 1, Contexts: 3}, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != core.Safe {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	if len(res.Chunks) != 2 {
-		t.Fatalf("chunks: %d", len(res.Chunks))
-	}
-	for _, ch := range res.Chunks {
-		if ch.Verdict != core.Safe {
-			t.Fatalf("chunk %v: %v", ch.Chunk, ch.Verdict)
-		}
-	}
-}
-
 func startCoordinator(t *testing.T, p *prog.Program, opts CoordinatorOptions) (string, <-chan *CoordinatorResult) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

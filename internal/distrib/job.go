@@ -4,22 +4,24 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"slices"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/parallel"
+	"repro/internal/partition"
 	"repro/internal/sat"
-	"repro/prog"
 )
 
-// What a worker does with one job: the run it belongs to is prepared
-// once and held (preparedRun), its solver template restored from the
-// snapshot the coordinator sent ahead of the connection's first job —
-// a worker never loads the formula into a solver, nor simplifies it —
-// the job's cubes are solved on clones of the template, and the result
-// carries what the clones logged.
+// What a worker does with one job: it solves the job's cubes, under the
+// assumption literals the coordinator put in the job, on clones of the
+// run's solver template, which it restored from the snapshot the
+// coordinator sent ahead of the connection's first job, and ships back
+// the verdict, the statistics and the evidence. It never sees the
+// program: it loads no formula, runs no front end, and replays no
+// counterexample — the coordinator replays every one on its own encoding.
 
 // maxTemplateBytes caps the declared size of a run's template stream. A
 // snapshot takes a few bytes a literal of the simplified clause set and
@@ -41,92 +43,81 @@ type TemplateRestore struct {
 	Bytes  int64 `json:"bytes"`
 }
 
-// preparedRun is what a worker keeps of a run between its jobs: the
-// program encoded, with the solver template its cubes' solvers are cloned
-// from (core.Prepared), under the key of everything in a job that shapes
-// them, and the template as it was shipped, to restore it from again
-// after a watchdog trip or a run's only cube used it up.
-type preparedRun struct {
-	key  runKey
-	prep *core.Prepared
-	tpl  *shippedTemplate
+// heldRun is what a worker keeps of a run between its jobs: the template
+// restored from the bytes the connection was sent, under the key of what
+// shapes it. The bytes themselves stay the connection's (worker.shipped):
+// the key names them, and they restore the template again after a
+// watchdog trip dropped it or a run's only cube used it up.
+type heldRun struct {
+	key runKey
+	tpl *parallel.Template
 }
 
-// runKey names the run a job belongs to: its manifest, the budget, and
-// whether its template logs proofs. The certify level varies from job to
-// job under sampling; whether the run certifies at all does not, and a
-// template that logs proofs serves the jobs that need none.
+// runKey names the run a job belongs to: the template's bytes, the
+// budget, and whether the template logs proofs. The certify level varies
+// from job to job under sampling; whether the run certifies at all does
+// not, and a template that logs proofs serves the jobs that need none.
 type runKey struct {
-	manifest journal.Manifest
+	template [sha256.Size]byte
 	budget   journal.Budget
 	proofs   bool
 }
 
-// jobRun reads the run a job belongs to off its frame, hashing the source
-// itself: a frame that names another program hash is refused.
-func jobRun(m *Message) (runKey, error) {
-	if m.RunManifest == nil {
-		return runKey{}, fmt.Errorf("distrib: job %d names no run", m.JobID)
+// held returns the template of the job's run, restored: the one the
+// worker holds, if it is the run's and still holds its solver, or one
+// restored from the bytes the connection was sent — told the run's
+// partition count by the job's manifest. restored accounts for a restore
+// this call made; f, a FaultOtherTemplate, has it restore an altered
+// template instead.
+func (w *worker) held(m *Message, key runKey, parent *obs.Span, f *FaultEvent) (run *heldRun, restored *TemplateRestore, err error) {
+	if run = w.run; run != nil && run.key == key && run.tpl.Ready() {
+		return run, nil, nil
 	}
-	k := runKey{manifest: *m.RunManifest, budget: m.budget(), proofs: m.Certify == CertifyFull || m.Certify == CertifyModel}
-	sha := journal.HashProgram(m.Source)
-	if k.manifest.ProgramSHA256 != "" && k.manifest.ProgramSHA256 != sha {
-		return runKey{}, fmt.Errorf("distrib: job %d names program %.12s, its source is %.12s", m.JobID, k.manifest.ProgramSHA256, sha)
+	w.run = nil // the old template goes before the new one comes
+	span := parent.Child("template_restore", obs.KV("bytes", len(w.shipped.data)))
+	start, data := time.Now(), w.shipped.data
+	if f != nil && f.Kind == FaultOtherTemplate {
+		data, err = otherTemplate(data, m.Assume)
 	}
-	k.manifest.ProgramSHA256 = sha
-	return k, nil
+	var tpl *parallel.Template
+	if err == nil {
+		tpl, err = parallel.Restored(data, m.Partitions, parallel.Options{
+			KeepProofs: key.proofs, Budget: key.budget, ProgressEvery: liveProgressEvery,
+		})
+	}
+	if err != nil {
+		span.End(obs.KV("error", err.Error()))
+		return nil, nil, err
+	}
+	restored = &TemplateRestore{Millis: time.Since(start).Milliseconds(), Bytes: int64(len(data))}
+	span.End(obs.KV("clauses", tpl.Result().ClausesOut))
+	w.run = &heldRun{key: key, tpl: tpl}
+	return w.run, restored, nil
 }
 
-// workerRun is the run a manifest describes, as core.Prepare wants it
-// said. The range marks the run as one whose cubes arrive from outside;
-// which range does not matter.
-func workerRun(m journal.Manifest, budget journal.Budget, proofs bool) core.Options {
-	return core.Options{
-		Unwind: m.Unwind, Contexts: m.Contexts, Rounds: m.Rounds, Width: m.Width, Partitions: m.Partitions,
-		To: max(m.Partitions, 1), Budget: budget, KeepProofs: proofs,
+// jobCubes reads a job's cubes off its frame: the partitions From..To of
+// the run, each under the assumption literals the coordinator sent for
+// it. The frame is outside input, so it is checked before anything is
+// solved: a range outside the run's partitions, a count of assumption
+// lists that does not match the range, and a literal that is not one
+// over the template's vars variables are refused.
+func jobCubes(m *Message, vars int) ([]partition.Partition, error) {
+	if m.From < 0 || m.To < m.From || m.To >= m.Partitions {
+		return nil, fmt.Errorf("distrib: job %d: partitions %d..%d of a run of %d", m.JobID, m.From, m.To, m.Partitions)
 	}
-}
-
-// prepared returns the run a job belongs to with its template restored:
-// the one the worker holds, if it is the job's run and its template the
-// one this connection was sent, or another in its place. A held run
-// whose template was used up or dropped restores it again from the bytes
-// it keeps, without asking the coordinator for them. restored accounts
-// for a restore this call made; f, a FaultOtherTemplate, has the run
-// restore an altered template instead.
-func (w *worker) prepared(m *Message, key runKey, opts core.Options, f *FaultEvent) (run *preparedRun, restored *TemplateRestore, err error) {
-	run = w.run
-	fresh := run == nil || run.key != key || run.tpl.sum != w.shipped.sum
-	if fresh {
-		w.run = nil // the old run's template goes before the new one's encoding comes
-		p, err := prog.Parse(m.Source)
-		if err != nil {
-			return nil, nil, err
-		}
-		prep, err := core.Prepare(p, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		run = &preparedRun{key: key, prep: prep, tpl: w.shipped}
+	if len(m.Assume) != m.To-m.From+1 {
+		return nil, fmt.Errorf("distrib: job %d: %d assumption lists for partitions %d..%d", m.JobID, len(m.Assume), m.From, m.To)
 	}
-	if fresh || !run.prep.Template().Ready() {
-		span := opts.Parent.Child("template_restore", obs.KV("bytes", len(run.tpl.data)))
-		start, data := time.Now(), run.tpl.data
-		if f != nil && f.Kind == FaultOtherTemplate {
-			data, err = otherTemplate(data, run.prep)
+	parts := make([]partition.Partition, len(m.Assume))
+	for i, lits := range m.Assume {
+		for _, l := range lits {
+			if l < 2 || int(l.Var()) > vars {
+				return nil, fmt.Errorf("distrib: job %d: assumption %d of partition %d is no literal of the template's %d variables", m.JobID, int(l), m.From+i, vars)
+			}
 		}
-		if err == nil {
-			err = run.prep.Restore(data)
-		}
-		if err != nil {
-			span.End(obs.KV("error", err.Error()))
-			return nil, nil, err
-		}
-		restored = &TemplateRestore{Millis: time.Since(start).Milliseconds(), Bytes: int64(len(data))}
-		span.End(obs.KV("clauses", run.prep.Template().Result().ClausesOut))
+		parts[i] = partition.Partition{Index: m.From + i, Assumptions: lits}
 	}
-	w.run = run
-	return run, restored, nil
+	return parts, nil
 }
 
 // jobTracer returns the tracer of one job: when the job carries a
@@ -149,17 +140,16 @@ func (w *worker) jobTracer(m *Message) (*obs.Tracer, *obs.CollectorSink) {
 	return nil, nil
 }
 
-// runJob executes one job: the cubes it names, on clones of the template
-// of the run it belongs to, which the worker prepares, and restores from
-// what the connection was sent, when a job of another run, or its first,
-// arrives. The deferred recover is the worker's panic boundary: a solver
-// bug (or an injected FaultPanic) becomes a structured Error result
-// instead of killing the process, so one poison chunk cannot take a
-// whole worker down.
+// runJob executes one job: the cubes it names, on clones of the run's
+// template, which the worker restores from what the connection was sent
+// when a job of another run, or its first, arrives. The deferred recover
+// is the worker's panic boundary: a solver bug (or an injected
+// FaultPanic) becomes a structured Error result instead of killing the
+// process, so one poison chunk cannot take a whole worker down.
 //
 // When the job carries a TraceID, the worker joins the coordinator's
 // trace: the job span is parented under the coordinator's wire-carried
-// job span and the pipeline hangs off it.
+// job span, with the restore and the solve under it.
 func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, f *FaultEvent, memAbort <-chan struct{}) (reply *Message, cert *Certificate) {
 	reply = &Message{Type: "result", JobID: m.JobID, Winner: -1}
 	defer func() {
@@ -195,38 +185,43 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		reply.Spans = coll.Events()
 	}()
 	start := time.Now()
-	key, err := jobRun(m)
-	if err != nil {
-		reply.Error = err.Error()
+	switch {
+	case m.RunManifest == nil:
+		reply.Error = fmt.Sprintf("distrib: job %d names no run", m.JobID)
 		return reply, nil
-	}
-	if w.shipped == nil {
+	case w.shipped == nil:
 		// What a coordinator of an earlier build sends: a worker has no
-		// template to solve on, and no way to make one from the formula.
+		// template to solve on, and nothing to make one from.
 		reply.Error = fmt.Sprintf("distrib: job %d came with no solver template before it on this connection (is the coordinator of another build?)", m.JobID)
 		return reply, nil
 	}
-	opts := workerRun(key.manifest, key.budget, key.proofs)
-	opts.Tracer, opts.Parent = jt, jobSpan
-	if progress != nil {
-		opts.Progress, opts.ProgressEvery = progress.update, liveProgressEvery
-	}
+	key := runKey{template: w.shipped.sum, budget: m.budget(), proofs: m.Certify == CertifyFull || m.Certify == CertifyModel}
 	if f != nil && f.Kind == FaultOtherTemplate {
 		w.run = nil // a template of its own making, for this job alone
 	}
-	run, restored, err := w.prepared(m, key, opts, f)
+	run, restored, err := w.held(m, key, jobSpan, f)
 	if err != nil {
 		reply.Error = err.Error()
 		return reply, nil
 	}
 	reply.Restore = restored
-	opts.Cores, opts.MemAbort = w.opts.Cores, memAbort
-	opts.From, opts.To, opts.CubePath = m.From, m.To+1, m.CubePath
+	vars := run.tpl.Result().VarsIn
+	parts, err := jobCubes(m, vars)
+	if err != nil {
+		reply.Error = err.Error()
+		return reply, nil
+	}
 	// The template logs proofs whenever the run certifies; a job keeps
 	// its cubes' only when the coordinator wants them with this result.
-	// The UNSAFE model is kept in any case.
-	opts.KeepProofs = m.Certify == CertifyFull
-	res, err := run.prep.Run(ctx, opts)
+	popts := parallel.Options{
+		Workers: w.opts.Cores, KeepProofs: m.Certify == CertifyFull, Budget: key.budget,
+		ProgressEvery: liveProgressEvery, MemAbort: memAbort,
+	}
+	if progress != nil {
+		popts.Progress = progress.update
+	}
+	solveSpan := jobSpan.Child("solve", obs.KV("partitions", len(parts)), obs.KV("workers", w.opts.Cores))
+	res, err := run.tpl.Solve(ctx, parts, popts)
 	aborted := false
 	select {
 	case <-memAbort:
@@ -238,30 +233,42 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		w.run = nil
 	case aborted:
 		// The watchdog wants memory back: the template goes with the cubes'
-		// solvers, and the next job restores it from the bytes the run keeps.
-		run.prep.Template().Drop()
+		// solvers, and the next job restores it from the bytes the
+		// connection keeps.
+		run.tpl.Drop()
 	}
 	reply.Millis = time.Since(start).Milliseconds()
 	if err != nil {
+		solveSpan.End(obs.KV("error", err.Error()))
 		reply.Error = err.Error()
 		return reply, nil
 	}
+	solveSpan.End(obs.KV("status", res.Status.String()), obs.KV("winner", res.Winner))
 	reply.fold(res)
 	certSpan := jobSpan.Child("certify_build", obs.KV("level", m.Certify))
-	cert = buildCertificate(res, m.Certify)
+	cert = buildCertificate(res, m.Certify, vars)
 	certSpan.End()
 	return reply, cert
 }
 
-// fold writes a finished run into its result frame: the verdict and its
+// fold writes a finished job into its result frame: the verdict and its
 // winner, the solver's time, and the per-partition search statistics, so
 // the coordinator sees the remote search effort (load skew, conflict
 // rates) instead of the stats dying with the worker process. Each
 // partition's are its own, from the clone on, whichever worker ran it
 // and whatever ran there before; its final row rides alongside.
-func (m *Message) fold(res *core.Result) {
-	m.Verdict = res.Verdict.String()
-	m.SolveMillis = res.SolveTime.Milliseconds()
+func (m *Message) fold(res *parallel.Result) {
+	verdict := core.Unknown
+	switch res.Status {
+	case sat.Sat:
+		verdict = core.Unsafe
+		// res.Winner is the absolute partition index.
+		m.Winner = res.Winner
+	case sat.Unsat:
+		verdict = core.Safe
+	}
+	m.Verdict = verdict.String()
+	m.SolveMillis = res.Wall.Milliseconds()
 	var agg sat.Stats
 	var cause sat.StopCause
 	for _, inst := range res.Instances {
@@ -269,7 +276,7 @@ func (m *Message) fold(res *core.Result) {
 		cause = cause.Worse(inst.Cause)
 		m.Parts = append(m.Parts, core.PartitionRow(inst))
 	}
-	if res.Verdict == core.Unknown {
+	if verdict == core.Unknown {
 		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
 		// coordinator can tell a terminal budgeted Unknown (re-running
 		// gives up again) from a retryable one: a mid-solve cancel (hedge
@@ -278,28 +285,31 @@ func (m *Message) fold(res *core.Result) {
 		m.Cause = cause.String()
 	}
 	m.Stats = &agg
-	if res.Verdict == core.Unsafe {
-		// res.Winner is the absolute partition index (the partition list
-		// keeps its original indices across the subrange).
-		m.Winner = res.Winner
-	}
 }
 
 // otherTemplate is FaultOtherTemplate's template: the shipped one with
 // a clause of the worker's own added at the top level — the unit of the
-// run's first split literal, as if the worker had fixed for every cube
-// the bit a split fixes first (the first assumption of the run's first
-// partition, in a run without split literals). The proofs of a cube's
-// search on it are honest for that clause set, and refused by the
-// coordinator's checker at the first lemma that leans on the unit.
-func otherTemplate(data []byte, prep *core.Prepared) ([]byte, error) {
+// first variable the template froze for the run's cubes that the job's
+// assumptions leave open, as if the worker had fixed for every cube a
+// bit a split fixes. The proofs of a cube's search on it are honest for
+// that clause set, and refused by the coordinator's checker at the
+// first lemma that leans on the unit.
+func otherTemplate(data []byte, assume [][]cnf.Lit) ([]byte, error) {
 	s, err := sat.Restore(data, sat.Options{})
 	if err != nil {
 		return nil, err
 	}
-	own := append(slices.Clip(prep.SplitLits()), prep.Partitions()[0].Assumptions...)
-	if len(own) > 0 {
-		s.AddClause(own[0])
+	assumed := map[cnf.Var]bool{}
+	for _, lits := range assume {
+		for _, l := range lits {
+			assumed[l.Var()] = true
+		}
+	}
+	for v := cnf.Var(1); int(v) <= s.NumVars(); v++ {
+		if s.Frozen(v) && !assumed[v] {
+			s.AddClause(cnf.PosLit(v))
+			break
+		}
 	}
 	return s.Snapshot(), nil
 }

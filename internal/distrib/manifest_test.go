@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/partition"
 	"repro/prog"
 )
 
@@ -70,12 +72,14 @@ func TestCappedPartitionCountAgreesAcrossExecutors(t *testing.T) {
 	}
 }
 
-// olderJob is a job frame as a build from before the run manifest
-// declared it, keys and all.
+// olderJob is a job frame as a build from before the worker ran no front
+// end declared it: the program's source beside the run manifest's keys,
+// and a cube path in place of the cube's literals.
 type olderJob struct {
 	Type               string `json:"type"`
 	JobID              int    `json:"job_id,omitempty"`
 	Source             string `json:"source,omitempty"`
+	ProgramSHA256      string `json:"program_sha256,omitempty"`
 	Unwind             int    `json:"unwind,omitempty"`
 	Contexts           int    `json:"contexts,omitempty"`
 	Width              int    `json:"width,omitempty"`
@@ -89,56 +93,70 @@ type olderJob struct {
 	Certify            string `json:"certify,omitempty"`
 }
 
-// The job frame carries the run manifest without changing the wire:
-// either side of that change reads the other's job frames with the same
-// values, no other message grows a manifest key, and the replication
-// stream's manifest keeps its key. What did change the wire is the
-// template: an old frame, which no template precedes, decodes and is
-// refused by the worker, by name — coordinator and workers run one
-// build.
+// A job frame carries the run manifest, the budget and the cube — its
+// range and one list of assumption literals per partition, the path's
+// split literals included — and not the program: a worker never sees
+// it. The frame's keys are pinned; an old frame, which no template
+// precedes, decodes and is refused by the worker, by name — coordinator
+// and workers run one build; and a frame's literals are outside input,
+// refused when they are no literals of the template's variables.
 func TestJobFrameWireCompatible(t *testing.T) {
 	p := prog.MustParse(fibSrc)
-	source := prog.Format(p)
 	opts := CoordinatorOptions{Unwind: 1, Contexts: 3, Partitions: 16, Certify: CertifyPolicy{Mode: CertifyOff}}
 	if err := opts.setDefaults(); err != nil {
 		t.Fatal(err)
 	}
 	opts.Budget.Timeout, opts.Budget.Conflicts, opts.Budget.MemMB = time.Minute, 1000, 64
-	prep, err := prepareRun(p, &opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man := prep.Manifest()
+	v, data := derivedVerifier(t, p, opts)
+	man := v.prep.Manifest()
+	cube := partition.Cube{From: 2, To: 2, Path: "01"}
 
 	t.Run("new frame, old reader", func(t *testing.T) {
-		job := jobFrame(&opts, man, source)
-		job.JobID, job.From, job.To, job.CubePath, job.Certify = 3, 2, 2, "01", CertifyFull
-		data, err := json.Marshal(&job)
+		job := jobFor(t, v, opts, cube)
+		job.JobID = 3
+		wire, err := json.Marshal(job)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got olderJob
-		if err := json.Unmarshal(data, &got); err != nil {
+		if err := json.Unmarshal(wire, &got); err != nil {
 			t.Fatal(err)
 		}
 		want := olderJob{
-			Type: "job", JobID: 3, Source: source, Unwind: 1, Contexts: 3, Width: 8, Partitions: 4,
-			From: 2, To: 2, CubePath: "01", ChunkTimeoutMillis: 60000, ChunkConflicts: 1000, MemBudgetMB: 64,
-			Certify: CertifyFull,
+			Type: "job", JobID: 3, ProgramSHA256: man.ProgramSHA256, Unwind: 1, Contexts: 3, Width: 8, Partitions: 4,
+			From: 2, To: 2, ChunkTimeoutMillis: 60000, ChunkConflicts: 1000, MemBudgetMB: 64, Certify: CertifyFull,
 		}
 		if got != want {
 			t.Fatalf("an old worker reads %+v, want %+v", got, want)
 		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(wire, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []string{"source", "cube_path"} {
+			if _, ok := keys[k]; ok {
+				t.Errorf("the job frame carries %q: %s", k, wire)
+			}
+		}
+		// The partition's own literal and the two split literals its path
+		// fixes, as the coordinator's checks rebuild them.
+		lits, err := v.prep.Partitions()[2].CubeAssumptions("01", v.prep.SplitLits())
+		if err != nil || len(lits) != 4 {
+			t.Fatalf("cube %s: %v, %v", cube.Key(), lits, err)
+		}
+		if want, _ := json.Marshal([][]cnf.Lit{lits}); string(keys["assume"]) != string(want) {
+			t.Fatalf("the job frame assumes %s, want %s", keys["assume"], want)
+		}
 	})
 
-	old := olderJob{Type: "job", JobID: 1, Source: source, Unwind: 1, Contexts: 3, Partitions: 4, From: 1, To: 1, Certify: CertifyFull}
-	data, err := json.Marshal(old)
+	old := olderJob{Type: "job", JobID: 1, Source: prog.Format(p), Unwind: 1, Contexts: 3, Partitions: 4, From: 1, To: 1, Certify: CertifyFull}
+	oldWire, err := json.Marshal(old)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Run("old frame, new worker", func(t *testing.T) {
 		var m Message
-		if err := json.Unmarshal(data, &m); err != nil {
+		if err := json.Unmarshal(oldWire, &m); err != nil {
 			t.Fatal(err)
 		}
 		if m.RunManifest == nil || m.Unwind != 1 || m.Contexts != 3 || m.Partitions != 4 || m.From != 1 || m.To != 1 {
@@ -153,15 +171,24 @@ func TestJobFrameWireCompatible(t *testing.T) {
 		}
 	})
 
-	t.Run("a hash that is not the source's", func(t *testing.T) {
-		var m Message
-		if err := json.Unmarshal(data, &m); err != nil {
-			t.Fatal(err)
-		}
-		m.ProgramSHA256 = journal.HashProgram("another program")
-		reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), &m, nil, nil, nil)
-		if !strings.Contains(reply.Error, "names program") || cert != nil {
-			t.Fatalf("a frame naming another program ran: %+v", reply)
+	t.Run("literals the template does not have", func(t *testing.T) {
+		vars := v.prep.Vars()
+		for name, edit := range map[string]func(m *Message){
+			"literal 0":                func(m *Message) { m.Assume[0][0] = 0 },
+			"literal 1":                func(m *Message) { m.Assume[0][0] = 1 },
+			"negative literal":         func(m *Message) { m.Assume[0][0] = -4 },
+			"a variable past the last": func(m *Message) { m.Assume[0][0] = cnf.PosLit(cnf.Var(vars + 1)) },
+			"one list for two":         func(m *Message) { m.To = 3 },
+			"two lists for one":        func(m *Message) { m.Assume = append(m.Assume, m.Assume[0]) },
+			"a range past the run's":   func(m *Message) { m.From, m.To = 4, 4 },
+			"a frame with no manifest": func(m *Message) { m.RunManifest = nil },
+		} {
+			m := jobFor(t, v, opts, cube)
+			edit(m)
+			reply, cert := shippedWorker(data).runJob(context.Background(), m, nil, nil, nil)
+			if reply.Error == "" || reply.Verdict != "" || cert != nil {
+				t.Errorf("%s: verdict %q, error %q, certificate %+v", name, reply.Verdict, reply.Error, cert)
+			}
 		}
 	})
 

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cnf"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -56,26 +57,25 @@ type Message struct {
 	// one: a deposed primary that revives cannot hand out stale work.
 	Epoch int64 `json:"epoch,omitempty"`
 
-	// Job fields: the program source, the run's manifest (its keys sit in
-	// the frame beside these; nil, and so absent, on any other message)
-	// and the cube. From/To are the cube's partition range, To inclusive
-	// (the paper's --from/--to interface): they shadow the manifest's
-	// own from/to, which never travel. HeartbeatMillis tells the worker
-	// how often to send a heartbeat while the job runs (0: none).
+	// Job fields: the run's manifest (its keys sit in the frame beside
+	// these; nil, and so absent, on any other message) and the cube.
+	// From/To are the cube's partition range, To inclusive (the paper's
+	// --from/--to interface): they shadow the manifest's own from/to,
+	// which never travel. Assume holds one list of assumption literals per
+	// partition of the range, in order — the partition's own and, for a
+	// sub-cube of adaptive splitting, the split literals its path fixes —
+	// which the coordinator makes from its encoding: the worker solves
+	// under them and knows no program. HeartbeatMillis tells the worker
+	// how often to send a heartbeat while the job runs (0: none). A
+	// "cancel" message carries JobID only: the coordinator has superseded
+	// that in-flight job (split or hedge race lost) and the worker should
+	// interrupt its solvers and answer with a cancelled result.
 	*RunManifest
-	JobID           int    `json:"job_id,omitempty"`
-	Source          string `json:"source,omitempty"`
-	From            int    `json:"from"`
-	To              int    `json:"to"`
-	HeartbeatMillis int64  `json:"hb_millis,omitempty"`
-	// CubePath refines a single-partition job (From == To) with extra
-	// unit assumptions over the canonical partition.SplitLits sequence —
-	// the adaptive cube-splitting work unit. Empty for range jobs.
-	// A "cancel" message carries JobID only: the coordinator has
-	// superseded that in-flight job (split or hedge race lost) and the
-	// worker should interrupt its solvers and answer with a cancelled
-	// result.
-	CubePath string `json:"cube_path,omitempty"`
+	JobID           int         `json:"job_id,omitempty"`
+	From            int         `json:"from"`
+	To              int         `json:"to"`
+	Assume          [][]cnf.Lit `json:"assume,omitempty"`
+	HeartbeatMillis int64       `json:"hb_millis,omitempty"`
 	// ChunkTimeoutMillis / ChunkConflicts / MemBudgetMB carry the
 	// coordinator's journal.Budget to the worker's solver instances (see
 	// setBudget, budget), so a poison chunk degrades to a budgeted

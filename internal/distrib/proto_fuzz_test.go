@@ -2,14 +2,18 @@ package distrib
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"repro/internal/cnf"
+	"repro/internal/partition"
 	"repro/internal/sat"
+	"repro/prog"
 )
 
 // fuzzFrame formats a payload exactly as conn.send does (minus the
@@ -105,7 +109,8 @@ func FuzzDecodeCertificate(f *testing.F) {
 			if got := proofBytes(p); got > 16*len(data) {
 				t.Fatalf("%d bytes of flat proof decoded into %d", len(data), got)
 			}
-			if back, err := sat.ParseFlat(sat.AppendFlat(nil, p)); err != nil || back.Digest() != p.Digest() {
+			flat := sat.AppendFlat(nil, p)
+			if back, err := sat.ParseFlat(flat); err != nil || !bytes.Equal(sat.AppendFlat(nil, back), flat) {
 				t.Fatalf("an accepted proof does not survive its own encoding: %v", err)
 			}
 		}
@@ -121,6 +126,65 @@ func FuzzDecodeCertificate(f *testing.F) {
 			if pp.Proof != nil && proofBytes(pp.Proof) > 16*len(data) {
 				t.Fatalf("%d bytes of certificate decoded into a proof of %d", len(data), proofBytes(pp.Proof))
 			}
+		}
+	})
+}
+
+// FuzzJobAssumptions feeds arbitrary cube literals through the worker's
+// job path — the partition range and the assumption lists of a job frame,
+// on a worker that holds the run's template: a frame whose literals are
+// not literals of the template's variables, or whose lists do not match
+// its range, gets an error result and no verdict, never a panic (the job
+// path's recover boundary would report one as "panic: ...") nor a solve;
+// any other gets a verdict or an error.
+func FuzzJobAssumptions(f *testing.F) {
+	p, opts := prog.MustParse(fibSrc), CoordinatorOptions{Unwind: 1, Contexts: 3, Partitions: 4, Certify: CertifyPolicy{Mode: CertifyOff}}
+	v, err := newCertVerifier(p, opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := v.prep.Template().Snapshot(context.Background())
+	if err != nil {
+		f.Fatal(err)
+	}
+	vars := v.prep.Vars()
+	frame := jobFrame(&opts, v.prep.Manifest())
+	for _, cube := range []partition.Cube{{From: 0, To: 3}, {From: 2, To: 2, Path: "1"}} {
+		assume, err := v.assumptions(cube)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, _ := json.Marshal(assume)
+		f.Add(cube.From, cube.To, payload)
+	}
+	for _, payload := range []string{`[[0]]`, `[[1,4]]`, `[[-6]]`, `[[2],[3]]`, `[]`, `[[]]`, `[[4294967296]]`,
+		fmt.Sprintf(`[[%d]]`, 2*vars+2), fmt.Sprintf(`[[%d]]`, 2*vars+1)} {
+		f.Add(1, 1, []byte(payload))
+	}
+	f.Add(-1, 0, []byte(`[[2]]`))
+	f.Add(3, 2, []byte(`[]`))
+	f.Add(0, 1<<40, []byte(`[[2]]`))
+	w := shippedWorker(data)
+	f.Fuzz(func(t *testing.T, from, to int, payload []byte) {
+		m := frame
+		if json.Unmarshal(payload, &m.Assume) != nil {
+			return // not a frame the wire would hand the job path
+		}
+		m.JobID, m.From, m.To = 1, from, to
+		valid := from >= 0 && from <= to && to < m.Partitions && len(m.Assume) == to-from+1
+		for _, lits := range m.Assume {
+			for _, l := range lits {
+				valid = valid && l >= 2 && int(l.Var()) <= vars
+			}
+		}
+		reply, cert := w.runJob(context.Background(), &m, nil, nil, nil)
+		switch {
+		case strings.HasPrefix(reply.Error, "panic:"):
+			t.Fatalf("from %d to %d, assume %s: %s", from, to, payload, reply.Error)
+		case !valid && (reply.Error == "" || reply.Verdict != "" || cert != nil):
+			t.Fatalf("from %d to %d, assume %s: verdict %q (error %q) on a frame that names no cube of the template", from, to, payload, reply.Verdict, reply.Error)
+		case valid && reply.Error == "" && reply.Verdict == "":
+			t.Fatalf("from %d to %d, assume %s: neither a verdict nor an error", from, to, payload)
 		}
 	})
 }

@@ -162,10 +162,11 @@ func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 	}
 }
 
-// One row, two executors: what a worker's prepared run makes of its
-// instances in process (core.PartitionRow) is, counter for counter, the
-// row the coordinator files after the same instance crossed the wire as
-// a job's result — a field dropped at the worker, on the wire or at the
+// One row, two executors: what the in-process runner makes of the
+// instances of a run whose cubes arrive from outside, as a distributed
+// run's do (core.PartitionRow), is, counter for counter, the row the
+// coordinator files after the same instance crossed the wire as a job's
+// result — a field dropped at the worker, on the wire or at the
 // coordinator's stamp shows here — and the stamp adds what only the
 // coordinator knows: the worker, and under full certification that the
 // partition's proof checked.
@@ -173,13 +174,9 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	const n = 4
 	base := CoordinatorOptions{Unwind: 3, Contexts: 3, Partitions: n, ChunkSize: 1}
-	opts := workerRun(journal.Manifest{Unwind: base.Unwind, Contexts: base.Contexts, Width: base.Width, Partitions: n}, journal.Budget{}, false)
-	prep, err := core.Prepare(p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.From, opts.To = 0, n
-	local, err := prep.Run(context.Background(), opts)
+	// The range marks the run as one whose cubes arrive from outside: its
+	// template leaves every split literal to them, as the coordinator's.
+	local, err := core.Verify(context.Background(), p, core.Options{Unwind: base.Unwind, Contexts: base.Contexts, Partitions: n, From: 0, To: n})
 	if err != nil || local.Verdict != core.Safe || len(local.Instances) != n {
 		t.Fatalf("in process: %+v, %v", local, err)
 	}
@@ -224,13 +221,12 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 // The run's template is the coordinator's, shipped: a worker restores
 // it and builds none, and the restored one is the one the coordinator
 // built — its snapshot the same bytes, which is every field a clone
-// reads (sat's TestRestoreEqualsSnapshot) — and the one the worker would
-// have built itself from the job's description of the run; the bytes do
-// not depend on whether the run certifies; under a memory budget with
-// no room for the pass, the coordinator skips it as the worker would
-// have and ships the unsimplified solver. Every cube's tail, solved on
-// the restored template, checks on the coordinator's checker (and a SAT
-// cube's model on its encoding).
+// reads (sat's TestRestoreEqualsSnapshot); the bytes do not depend on
+// whether the run certifies; under a memory budget with no room for the
+// pass, the coordinator skips it and ships the unsimplified solver.
+// Every cube's tail, solved on the restored template under the
+// assumptions the job carries, checks on the coordinator's checker (and
+// a SAT cube's model on its encoding).
 func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 	for _, cell := range []struct {
 		name   string
@@ -255,42 +251,22 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 				if _, off := derivedVerifier(t, cell.p, uncertified); !bytes.Equal(off, data) {
 					t.Fatalf("the template is %d bytes certified, %d not", len(data), len(off))
 				}
-				for i := range opts.Partitions {
+				for i := range v.prep.Manifest().Partitions {
 					w := shippedWorker(data)
-					m := jobFor(cell.p, opts, partition.Cube{From: i, To: i})
-					key, err := jobRun(m)
-					if err != nil {
-						t.Fatal(err)
-					}
-					wopts := workerRun(key.manifest, key.budget, key.proofs)
-					run, restored, err := w.prepared(m, key, wopts, nil)
+					cube := partition.Cube{From: i, To: i}
+					m := jobFor(t, v, opts, cube)
+					key := runKey{template: w.shipped.sum, budget: m.budget(), proofs: true}
+					run, restored, err := w.held(m, key, nil, nil)
 					if err != nil || restored == nil || restored.Bytes != int64(len(data)) {
 						t.Fatalf("restore: %+v, %v", restored, err)
 					}
-					if got, err := run.prep.Template().Snapshot(ctx); err != nil || !bytes.Equal(got, data) {
+					if got, err := run.tpl.Snapshot(ctx); err != nil || !bytes.Equal(got, data) {
 						t.Fatalf("the restored template snapshots to %d bytes (%v), not the %d it was restored from", len(got), err, len(data))
-					}
-					if i == 0 {
-						// What the worker would have built, had it been sent the
-						// formula and not the template.
-						parsed, err := prog.Parse(m.Source)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wopts.From, wopts.To = m.From, m.To+1
-						own, err := core.Prepare(parsed, wopts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if built, err := own.Template().Snapshot(ctx); err != nil || !bytes.Equal(built, data) {
-							t.Fatalf("a worker's own build snapshots to %d bytes (%v), the coordinator's to %d", len(built), err, len(data))
-						}
 					}
 					reply, cert := w.runJob(ctx, m, nil, nil, nil)
 					if reply.Error != "" || reply.Restore != nil {
 						t.Fatalf("partition %d: %+v", i, reply)
 					}
-					cube := partition.Cube{From: i, To: i}
 					switch reply.Verdict {
 					case core.Safe.String():
 						_, err = v.verifySafe(cube, cert)
@@ -308,10 +284,12 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 	}
 }
 
-// One simplification pass per distributed run, certified or not: the
-// coordinator's "template" span is the only build in the process, and it
-// eliminated variables; each worker's trace holds a restore and no build,
-// and no cube made a pass of its own in its search.
+// One simplification pass per distributed run, and one front end,
+// certified or not: the coordinator's "template" span is the only build
+// in the process, and it eliminated variables; each worker's trace holds
+// a restore and a solve per job and no build — no unfold, flatten,
+// encode or partition either — and no cube made a pass of its own in
+// its search.
 func TestOnePassPerDistributedRun(t *testing.T) {
 	p := bench.Eliminationstack()
 	for _, mode := range []string{CertifyFull, CertifyOff} {
@@ -350,8 +328,21 @@ func TestOnePassPerDistributedRun(t *testing.T) {
 				t.Fatalf("%d template builds by the coordinator (%+v); want the run's one pass", passes, res.Template)
 			}
 			restores := 0
-			for _, sink := range workers {
-				restores += templateSpans(t, sink.Events())
+			for i, sink := range workers {
+				n := templateSpans(t, sink.Events())
+				jobs, solves := 0, 0
+				for _, e := range sink.Events() {
+					switch e.Name {
+					case "worker_job":
+						jobs++
+					case "solve":
+						solves++
+					}
+				}
+				if jobs > 0 && (n == 0 || solves != jobs) {
+					t.Errorf("worker w%d: %d jobs, %d restores, %d solves in its trace", i, jobs, n, solves)
+				}
+				restores += n
 			}
 			if restores == 0 || restores != len(res.Restores) {
 				t.Fatalf("%d restores in the workers' traces, %d reported", restores, len(res.Restores))
@@ -368,8 +359,7 @@ func TestOnePassPerDistributedRun(t *testing.T) {
 // the worker drops it with the stream's error, answers nothing, and
 // solves no job on part of a template.
 func TestTemplateStreamRefused(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	job := Message{Type: "job", JobID: 1, Source: prog.Format(p), RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4}}
+	job := Message{Type: "job", JobID: 1, RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4}}
 	for _, tc := range []struct {
 		name   string
 		size   int64
@@ -463,18 +453,18 @@ func TestCertificateRejectionNamesTheTemplate(t *testing.T) {
 	p, opts := bench.Eliminationstack(), esOpts()
 	v, data := derivedVerifier(t, p, opts)
 	cube := partition.Cube{From: 2, To: 2}
-	other := workerCertificate(t, p, opts, data, cube, &FaultEvent{Kind: FaultOtherTemplate})
+	other := workerCertificate(t, v, opts, data, cube, &FaultEvent{Kind: FaultOtherTemplate})
 	_, err := v.verifySafe(cube, other)
 	if err == nil || !regexp.MustCompile(`partition 2 .*lemma \d+ of \d+ is not a RUP consequence`).MatchString(err.Error()) {
 		t.Fatalf("certificate over another template: %v, want the first lemma that does not check", err)
 	}
-	honest := workerCertificate(t, p, opts, data, cube, nil)
+	honest := workerCertificate(t, v, opts, data, cube, nil)
 	if _, err := v.verifySafe(cube, honest); err != nil {
 		t.Fatalf("honest certificate: %v", err)
 	}
 	// The tail of another cube, under the right template.
 	wrong := *honest
-	wrong.Proofs = []PartitionProof{{Partition: 2, Proof: workerCertificate(t, p, opts, data, partition.Cube{From: 5, To: 5}, nil).Proofs[0].Proof}}
+	wrong.Proofs = []PartitionProof{{Partition: 2, Proof: workerCertificate(t, v, opts, data, partition.Cube{From: 5, To: 5}, nil).Proofs[0].Proof}}
 	if _, err := v.verifySafe(cube, &wrong); err == nil {
 		t.Fatal("another cube's tail checked")
 	}
@@ -559,14 +549,14 @@ func TestByzantineHostileHintsAccepted(t *testing.T) {
 }
 
 // templateSpans counts the template restores in a worker's trace, and
-// the builds: a worker makes none.
+// the builds and front-end phases: a worker runs none.
 func templateSpans(t *testing.T, events []obs.Event) (n int) {
 	for _, e := range events {
 		switch e.Name {
 		case "template_restore":
 			n++
-		case "template":
-			t.Errorf("a worker built a template: %+v", e)
+		case "template", "verify", "unfold", "flatten", "encode", "partition", "validate":
+			t.Errorf("a worker ran %q: %+v", e.Name, e)
 		}
 	}
 	return n
@@ -617,29 +607,29 @@ func TestCancelDuringCoordinatorTemplateBuild(t *testing.T) {
 // give-up — which a coordinator that set no memory budget re-queues
 // (TestWatchdogAbortIsRequeued) — the template goes with the cube's
 // solver, and the worker's next job restores it again from the bytes
-// its run kept, the run itself held all along.
+// its connection kept.
 func TestWatchdogTripRebuildsTemplate(t *testing.T) {
 	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8, Certify: CertifyPolicy{Mode: CertifyOff}}
-	_, data := derivedVerifier(t, p, opts)
-	m := jobFor(p, opts, partition.Cube{From: 1, To: 1})
-	m.Certify = ""
+	v, data := derivedVerifier(t, p, opts)
 	w := shippedWorker(data)
-	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
+	job := func(id, part int) *Message {
+		m := jobFor(t, v, opts, partition.Cube{From: part, To: part})
+		m.JobID, m.Certify = id, ""
+		return m
+	}
+	if reply, _ := w.runJob(context.Background(), job(1, 1), nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
 		t.Fatalf("first job: %+v", reply)
 	}
-	held := w.run
 	tripped := make(chan struct{})
 	close(tripped)
-	m.JobID, m.From, m.To = 2, 2, 2
-	reply, _ := w.runJob(context.Background(), m, nil, nil, tripped)
+	reply, _ := w.runJob(context.Background(), job(2, 2), nil, nil, tripped)
 	if reply.Verdict != core.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Restore != nil {
 		t.Fatalf("job under a tripped watchdog: %+v", reply)
 	}
-	if held == nil || w.run != held || held.prep.Template().Ready() {
-		t.Fatal("the template outlived the watchdog's trip, or the run went with it")
+	if w.run == nil || w.run.tpl.Ready() {
+		t.Fatal("the template outlived the watchdog's trip, or the worker forgot the run")
 	}
-	m.JobID = 3
-	if reply, _ := w.runJob(context.Background(), m, nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil || w.run != held {
+	if reply, _ := w.runJob(context.Background(), job(3, 2), nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
 		t.Fatalf("the job after: %+v, want the cube decided on the template restored again", reply)
 	}
 }

@@ -57,9 +57,9 @@ type WorkerOptions struct {
 	// Faults, when non-nil, injects deterministic failures for tests —
 	// see FaultPlan.
 	Faults *FaultPlan
-	// Tracer, when non-nil, emits the worker's spans (job, verify
-	// pipeline, certify) to its sink — typically a JSONL file that later
-	// merges with the coordinator's via `parbmc report`. Independent of
+	// Tracer, when non-nil, emits the worker's spans (job, template
+	// restore, solve, certify) to its sink — typically a JSONL file that
+	// later merges with the coordinator's via `parbmc report`. Independent of
 	// it, a job carrying a TraceID always collects its spans in memory
 	// and ships them back on the result, so the coordinator's run report
 	// is complete even when workers write no local trace file.
@@ -74,11 +74,11 @@ type worker struct {
 	// coordinator presenting a lower one is a deposed primary and is
 	// refused (the split-brain fence).
 	maxEpoch int64
-	// run is the one run this worker is prepared for, the last it had a
-	// job of: across jobs, reconnects and a failover to a standby that
-	// continues the same run. Only the job goroutine touches it, and jobs
-	// do not overlap.
-	run *preparedRun
+	// run is the template of the one run this worker holds, the last it
+	// had a job of: across jobs, reconnects and a failover to a standby
+	// that sends the same bytes. Only the job goroutine touches it, and
+	// jobs do not overlap.
+	run *heldRun
 	// shipped is the run's template as this connection's coordinator sent
 	// it, ahead of the first job; nil until then.
 	shipped *shippedTemplate

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/portfolio"
 )
@@ -88,6 +89,37 @@ func TestFig6Reduction(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "Figure 6") {
 		t.Fatal("missing header")
+	}
+}
+
+// Fig. 7 is one simulated run per cell, a core per partition: every
+// cell answers, in a time of its own, what a one-core run of the same
+// bounds answers, however many partitions the cores split it into.
+func TestFig7Verdicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("long")
+	}
+	ctx := context.Background()
+	var buf bytes.Buffer
+	points, err := Fig7(ctx, &buf, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 12 || !strings.Contains(buf.String(), "Figure 7") {
+		t.Fatalf("%d points:\n%s", len(points), buf.String())
+	}
+	want := map[int]core.Verdict{}
+	for _, pt := range points {
+		if _, ok := want[pt.Contexts]; !ok {
+			res, err := core.Verify(ctx, bench.Safestack(), core.Options{Unwind: 2, Contexts: pt.Contexts})
+			if err != nil || res.Verdict == core.Unknown {
+				t.Fatalf("c=%d on one core: %+v, %v", pt.Contexts, res, err)
+			}
+			want[pt.Contexts] = res.Verdict
+		}
+		if pt.Verdict != want[pt.Contexts] || pt.Time <= 0 {
+			t.Errorf("c=%d on %d cores: %v in %v, one core %v", pt.Contexts, pt.Cores, pt.Verdict, pt.Time, want[pt.Contexts])
+		}
 	}
 }
 

@@ -59,7 +59,7 @@ type TemplateResult struct {
 // that holds it across calls: the coordinator of a distributed run,
 // which builds it once for the run, ships its snapshot (Snapshot) and
 // checks what the cubes cloned from it logged, and a distributed worker,
-// which restores it from that snapshot (Restore) and is handed the run's
+// which restores it from that snapshot (Restored) and is handed the run's
 // cubes a job at a time. It is a function of the formula, the run's whole
 // partition list, the split literals and the budget. The solver is built
 // by the first call that needs it, unless it was restored.
@@ -68,6 +68,9 @@ type TemplateResult struct {
 type Template struct {
 	f     *cnf.Formula
 	parts []partition.Partition
+	// n is the run's partition count, len(parts) unless the template was
+	// restored by a caller that holds no partitions (Restored).
+	n int
 	// opts are the options of Prepare, of which Budget, the proof
 	// switches, SplitLits, Split and ProgressEvery shape the solver; a
 	// call's own must agree on those.
@@ -103,7 +106,19 @@ func Prepare(f *cnf.Formula, parts []partition.Partition, opts Options) *Templat
 }
 
 func newTemplate(f *cnf.Formula, parts []partition.Partition, opts Options, held bool) *Template {
-	return &Template{f: f, parts: parts, opts: opts.withDefaults(len(parts)), held: held}
+	return &Template{f: f, parts: parts, n: len(parts), opts: opts.withDefaults(len(parts)), held: held}
+}
+
+// Restored returns the template of a run of the given number of
+// partitions, restored from data (Restore), for a caller that holds
+// neither the formula nor the partitions: a distributed worker, which is
+// handed the run's cubes, assumptions and all, a job at a time.
+func Restored(data []byte, partitions int, opts Options) (*Template, error) {
+	if partitions < 1 {
+		return nil, fmt.Errorf("parallel: template: a run of %d partitions", partitions)
+	}
+	t := &Template{n: partitions, opts: opts.withDefaults(partitions), held: true}
+	return t, t.Restore(data)
 }
 
 // loadTemplate loads f into the solver a run under opts takes its cubes'
@@ -165,7 +180,7 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	start := time.Now()
 	cubes := queued
 	if t.held {
-		cubes = len(t.parts)
+		cubes = t.n
 	}
 	// A run of one cube that cannot be split solves it on the template
 	// itself, un-simplified and with nothing frozen beyond what Solve
@@ -395,7 +410,7 @@ func (p *passSink) wait(abort bool) {
 // solved on the template itself, whose proof is its own from the start,
 // and for a restored template, which logged nothing here.
 func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
-	if t.single(len(t.parts)) {
+	if t.single(t.n) {
 		return &sat.Proof{}, nil
 	}
 	s, err := t.build(ctx)
@@ -464,7 +479,7 @@ func (t *Template) Restore(data []byte) error {
 	if t.opts.CertifyUnsat || t.opts.KeepProofs {
 		s.EnableProof()
 	}
-	t.solver, t.own = s, t.single(len(t.parts))
+	t.solver, t.own = s, t.single(t.n)
 	t.built = TemplateResult{Time: time.Since(start), Stats: s.Stats(), ClausesIn: s.NumClauses(), ClausesOut: s.NumClauses(),
 		VarsIn: s.NumVars(), VarsOut: s.NumVars() - int(s.Stats().ElimVars)}
 	return nil
@@ -482,7 +497,7 @@ func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheck
 	if t.checker == nil {
 		// Only a template that has no prefix — one made or built for one
 		// cube — has no checker from its build: it loads the formula alone.
-		if t.f == nil || !t.own && !t.single(len(t.parts)) {
+		if t.f == nil || !t.own && !t.single(t.n) {
 			return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or restored")
 		}
 		t.checker = sat.NewProofChecker(t.f)
@@ -497,7 +512,7 @@ func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheck
 
 // build is get outside a run.
 func (t *Template) build(ctx context.Context) (*sat.Solver, error) {
-	s, _, _ := t.get(len(t.parts), func(s *sat.Solver) func() {
+	s, _, _ := t.get(t.n, func(s *sat.Solver) func() {
 		stop := context.AfterFunc(ctx, s.Interrupt)
 		return func() { stop() }
 	})

@@ -35,7 +35,7 @@ type Proof struct {
 	// away, which with the lemma's own are the ones a RUP test of it has to
 	// assign. A checker tries those first (ProofChecker) and is faster for
 	// it, never more lenient: a hint is advice on where to propagate, not
-	// part of the proof — not of its Digest, not of its DRAT text — and a
+	// part of the proof — not of its DRAT text — and a
 	// missing, short or lying one costs time and nothing else.
 	Hints []Hint `json:",omitempty"`
 }

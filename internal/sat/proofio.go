@@ -2,11 +2,8 @@ package sat
 
 import (
 	"bufio"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"math"
 	"strconv"
@@ -28,10 +25,6 @@ import (
 // The Proof struct also marshals as JSON as it stands (cnf.Lit is an
 // integer, a Hint a base64 string); nothing ships it that way (see
 // distrib's wireCertificate for why).
-//
-// Digest is the third: a proof's identity, for two parties that each
-// hold one and want to know whether it is the same one without sending
-// it.
 //
 // Size accounting (NumLemmas / NumLits) lets senders and receivers
 // budget serialisation up front and report what a check took on.
@@ -77,81 +70,6 @@ func (p *Proof) steps(visit func(deleted bool, c cnf.Clause) error) error {
 		}
 	}
 	return nil
-}
-
-// ProofDigest identifies a proof: how many lemmas it has and the
-// SHA-256 of its steps.
-type ProofDigest struct {
-	Lemmas int    `json:"lemmas"`
-	SHA256 string `json:"sha256"`
-}
-
-// ProofDigester computes a ProofDigest from the steps of a proof as they
-// come (Solver.StreamProof), in the order a checker takes them. It hands
-// the hash its bytes a block at a time, not a step at a time: the same
-// bytes, so the same digest.
-type ProofDigester struct {
-	h      hash.Hash
-	lemmas int
-	buf    []byte
-}
-
-// digestBlock is how many bytes a ProofDigester gathers before it hashes
-// them.
-const digestBlock = 4 << 10
-
-func NewProofDigester() *ProofDigester {
-	return &ProofDigester{h: sha256.New(), buf: make([]byte, 0, digestBlock)}
-}
-
-// Step takes one step: a lemma, or a deletion, in cnf.Lit's encoding.
-func (d *ProofDigester) Step(deleted bool, clause []uint32) {
-	// No literal is 0 or 1, so the step kind doubles as a separator.
-	kind := uint32(0)
-	if deleted {
-		kind = 1
-	} else {
-		d.lemmas++
-	}
-	d.buf = binary.LittleEndian.AppendUint32(d.buf, kind)
-	for _, l := range clause {
-		d.buf = binary.LittleEndian.AppendUint32(d.buf, l)
-	}
-	if len(d.buf) >= digestBlock {
-		d.flush()
-	}
-}
-
-func (d *ProofDigester) flush() {
-	d.h.Write(d.buf)
-	d.buf = d.buf[:0]
-}
-
-// Sum is the digest of the steps so far.
-func (d *ProofDigester) Sum() ProofDigest {
-	d.flush()
-	return ProofDigest{Lemmas: d.lemmas, SHA256: hex.EncodeToString(d.h.Sum(nil))}
-}
-
-// Digest hashes the proof's steps, deletions included, in the order a
-// checker takes them: equal digests mean the same lemmas and the same
-// deletions at the same places, literal for literal. Nil hashes as the
-// empty proof.
-func (p *Proof) Digest() ProofDigest {
-	d := NewProofDigester()
-	if p == nil {
-		return d.Sum()
-	}
-	var buf []uint32
-	_ = p.steps(func(deleted bool, c cnf.Clause) error {
-		buf = buf[:0]
-		for _, l := range c {
-			buf = append(buf, uint32(l))
-		}
-		d.Step(deleted, buf)
-		return nil
-	})
-	return d.Sum()
 }
 
 // AppendFlat appends the flat form of p (nil: the empty proof) to dst.

@@ -2,9 +2,7 @@ package sat
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"reflect"
 	"runtime"
@@ -12,10 +10,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/cnf"
-	"repro/internal/partition"
-	"repro/prog"
 )
 
 // pigeonholeProof solves PHP(holes) with proof recording and returns the
@@ -55,8 +50,9 @@ func TestDRATRoundTrip(t *testing.T) {
 
 // Deletions keep their places through the text format, JSON, the flat
 // form the certificates travel in and a cut-and-join — and the hints
-// theirs, through all but the text — and the digest tells any two of
-// them apart that differ, other than by their hints.
+// theirs, through all but the text — and the flat form of their steps
+// (stepsOf) tells any two of them apart that differ, other than by their
+// hints.
 func TestProofDeletionsRoundTrip(t *testing.T) {
 	for _, tc := range deletingProofs(t) {
 		f, p := tc.f, tc.p
@@ -88,7 +84,7 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: no lemma of the proof has a hint", tc.name)
 		}
 		for name, back := range map[string]*Proof{"DRAT": fromText, "JSON": fromJSON, "flat": fromFlat, "cut and joined": JoinProofs(prefix, tail)} {
-			if back.Digest() != p.Digest() {
+			if !bytes.Equal(stepsOf(back), stepsOf(p)) {
 				t.Fatalf("%s: %s changed the proof: %d lemmas and %d deletions became %d and %d",
 					tc.name, name, len(p.Lemmas), len(p.Deletes), len(back.Lemmas), len(back.Deletes))
 			}
@@ -103,22 +99,22 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 		moved.Deletes[0].At++
 		flipped := &Proof{Lemmas: slices.Clone(p.Lemmas), Deletes: p.Deletes}
 		flipped.Lemmas[0] = append(cnf.Clause{flipped.Lemmas[0][0].Not()}, flipped.Lemmas[0][1:]...)
-		if (&Proof{Lemmas: p.Lemmas, Deletes: p.Deletes}).Digest() != p.Digest() {
-			t.Fatalf("%s: the hints are part of the digest", tc.name)
-		}
 		for name, other := range map[string]*Proof{
 			"a deletion one lemma later": moved, "a literal flipped": flipped,
 			"no deletions": {Lemmas: p.Lemmas}, "one lemma fewer": {Lemmas: p.Lemmas[:len(p.Lemmas)-1], Deletes: p.Deletes},
 		} {
-			if other.Digest() == p.Digest() {
-				t.Fatalf("%s: same digest with %s", tc.name, name)
+			if bytes.Equal(stepsOf(other), stepsOf(p)) {
+				t.Fatalf("%s: the same steps with %s", tc.name, name)
 			}
 		}
 	}
-	var none *Proof
-	if none.Digest() != (&Proof{}).Digest() || none.Digest().Lemmas != 0 {
-		t.Fatal("a nil proof does not hash as the empty one")
-	}
+}
+
+// stepsOf is the flat form of a proof's steps, its hints left out: two
+// proofs whose lemmas and deletions are the same, literal for literal and
+// place for place, have the same.
+func stepsOf(p *Proof) []byte {
+	return AppendFlat(nil, &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes})
 }
 
 // The flat form keeps what the structure cannot say out — a deletion
@@ -140,7 +136,7 @@ func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := &Proof{Lemmas: odd.Lemmas, Deletes: []Deletion{{At: 0, Clause: odd.Deletes[0].Clause}, {At: 2}}, Hints: odd.Hints[:2]}
-	if back.Digest() != want.Digest() || back.Deletes[0].At != 0 || back.Deletes[1].At != 2 ||
+	if !bytes.Equal(stepsOf(back), stepsOf(want)) || back.Deletes[0].At != 0 || back.Deletes[1].At != 2 ||
 		len(back.Hints) != 2 || !bytes.Equal(back.Hints[0], odd.Hints[0]) || back.Hints[1] != nil {
 		t.Fatalf("%+v came back as %+v", odd, back)
 	}
@@ -243,80 +239,5 @@ func TestProofSizeNilSafe(t *testing.T) {
 	var p *Proof
 	if p.NumLemmas() != 0 || p.NumLits() != 0 {
 		t.Fatal("nil proof has non-zero size")
-	}
-}
-
-// digestStepwise is the digest by its definition, each step's bytes
-// written to the hash on their own. A digester that gathers the bytes
-// into blocks hashes the same bytes, so it must agree on every proof.
-func digestStepwise(p *Proof) ProofDigest {
-	h, lemmas := sha256.New(), 0
-	_ = p.steps(func(deleted bool, c cnf.Clause) error {
-		kind := uint32(1)
-		if !deleted {
-			kind = 0
-			lemmas++
-		}
-		buf := binary.LittleEndian.AppendUint32(nil, kind)
-		for _, l := range c {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(l))
-		}
-		h.Write(buf)
-		return nil
-	})
-	return ProofDigest{Lemmas: lemmas, SHA256: hex.EncodeToString(h.Sum(nil))}
-}
-
-// The digest is hashed in blocks, on the bench corpus's logs as they are
-// kept and as they stream: a template's pass, digested as it streams,
-// has the digest of its twin's kept log, and that digest, like that of a
-// searched clone's tail (hints and reduceDB's deletions in it), is the
-// one a write per step gives.
-func TestDigestInBlocks(t *testing.T) {
-	for _, cell := range []struct {
-		name string
-		p    *prog.Program
-		u, c int
-	}{
-		{"es.u2.c4", bench.Eliminationstack(), 2, 4},
-		{"ss.u2.c4", bench.Safestack(), 2, 4},
-		{"fib2.u2.c6", bench.Fibonacci(2), 2, 6},
-	} {
-		t.Run(cell.name, func(t *testing.T) {
-			enc := encodeBenchCell(t, cell.p, cell.u, cell.c)
-			f := enc.Formula()
-			parts, err := partition.Make(enc, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			template := func(arm func(*Solver)) *Solver {
-				s := NewFromFormula(f, Options{})
-				arm(s)
-				for _, pt := range parts {
-					s.Freeze(pt.Assumptions...)
-				}
-				s.Simplify()
-				return s
-			}
-			kept := template((*Solver).EnableProof)
-			digester := NewProofDigester()
-			template(func(s *Solver) { s.StreamProof(digester.Step) })
-			prefix := kept.ProofLog()
-			if len(prefix.Lemmas) == 0 {
-				t.Fatal("the pass logged nothing")
-			}
-			if got, want := digester.Sum(), prefix.Digest(); got != want {
-				t.Fatalf("streamed %+v, kept %+v", got, want)
-			}
-			clone := kept.Clone()
-			if _, err := clone.Solve(parts[0].Assumptions...); err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range []*Proof{prefix, clone.ProofLog(), JoinProofs(prefix, clone.ProofLog())} {
-				if got, want := p.Digest(), digestStepwise(p); got != want {
-					t.Fatalf("%d lemmas, %d deletions: digest %+v, a write per step %+v", len(p.Lemmas), len(p.Deletes), got, want)
-				}
-			}
-		})
 	}
 }
