@@ -110,17 +110,3 @@ void main() {
 `, n, max)
 	return mustParse(fmt.Sprintf("fibonacci-%d", n), src)
 }
-
-// FibonacciBench wraps Fibonacci(1) with metadata (used by the Fig. 6
-// experiment).
-func FibonacciBench(n int) Benchmark {
-	p := Fibonacci(n)
-	return Benchmark{
-		Name:        p.Name,
-		Program:     p,
-		Threads:     3,
-		Lines:       countLines(prog.Format(p)),
-		BugUnwind:   n,
-		BugContexts: 2*n + 2,
-	}
-}

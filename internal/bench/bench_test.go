@@ -5,7 +5,21 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/prog"
 )
+
+// fibonacciBench wraps Fibonacci(n) with its bug bounds.
+func fibonacciBench(n int) Benchmark {
+	p := Fibonacci(n)
+	return Benchmark{
+		Name:        p.Name,
+		Program:     p,
+		Threads:     3,
+		Lines:       countLines(prog.Format(p)),
+		BugUnwind:   n,
+		BugContexts: 2*n + 2,
+	}
+}
 
 func verdict(t *testing.T, b Benchmark, u, c, cores int) core.Verdict {
 	t.Helper()
@@ -45,7 +59,7 @@ func TestAllMetadata(t *testing.T) {
 }
 
 func TestFibonacciBounds(t *testing.T) {
-	b := FibonacciBench(1)
+	b := fibonacciBench(1)
 	if got := verdict(t, b, 1, 3, 1); got != core.Safe {
 		t.Fatalf("fib(1) c=3: %v", got)
 	}
@@ -58,7 +72,7 @@ func TestFibonacci2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	b := FibonacciBench(2)
+	b := fibonacciBench(2)
 	if got := verdict(t, b, 2, 5, 2); got != core.Safe {
 		t.Fatalf("fib(2) c=5: %v", got)
 	}
@@ -138,7 +152,7 @@ func TestBugBounds(t *testing.T) {
 	}{
 		{BoundedbufferBench(), true, false},
 		{WorkstealingqueueBench(), true, false},
-		{FibonacciBench(2), true, false},
+		{fibonacciBench(2), true, false},
 		{SafestackBench(), false, true},
 		{EliminationstackBench(), false, false},
 	} {

@@ -287,17 +287,6 @@ func (c *Ctx) Select(array []Vec, index Vec, def Vec) Vec {
 	return out
 }
 
-// Store returns a new array equal to array except position index holds
-// value (symbolic array write).
-func (c *Ctx) Store(array []Vec, index Vec, value Vec) []Vec {
-	out := make([]Vec, len(array))
-	for i, elem := range array {
-		hit := c.Eq(index, c.Const(int64(i), len(index)))
-		out[i] = c.Ite(hit, value, elem)
-	}
-	return out
-}
-
 // EvalVec decodes the unsigned value of a vector under a model
 // (model[v-1] = value of variable v); constants are resolved through
 // the builder.

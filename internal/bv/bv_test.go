@@ -202,7 +202,7 @@ func TestSelectStore(t *testing.T) {
 		}
 		// Store then select round-trips.
 		newVal := rng.Uint64() & mask(w)
-		arr2 := c.Store(arr, idxVec, c.Const(int64(newVal), w))
+		arr2 := store(c, arr, idxVec, c.Const(int64(newVal), w))
 		if got := c.EvalVec(c.Select(arr2, idxVec, def), nil); got != newVal {
 			t.Fatalf("store/select: got %d want %d", got, newVal)
 		}

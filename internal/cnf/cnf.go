@@ -10,7 +10,6 @@ package cnf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -52,9 +51,6 @@ func (l Lit) Neg() bool { return l&1 == 1 }
 // Not returns the complement literal.
 func (l Lit) Not() Lit { return l ^ 1 }
 
-// Index returns a dense non-negative index suitable for slice lookup.
-func (l Lit) Index() int { return int(l) }
-
 // Dimacs returns the signed DIMACS integer for the literal.
 func (l Lit) Dimacs() int {
 	if l.Neg() {
@@ -93,34 +89,6 @@ func (c Clause) String() string {
 		parts[i] = l.String()
 	}
 	return "(" + strings.Join(parts, " ∨ ") + ")"
-}
-
-// Clone returns a copy of the clause.
-func (c Clause) Clone() Clause {
-	out := make(Clause, len(c))
-	copy(out, c)
-	return out
-}
-
-// Normalize sorts the clause, removes duplicate literals, and reports
-// whether the clause is a tautology (contains l and ¬l).
-func (c Clause) Normalize() (Clause, bool) {
-	if len(c) == 0 {
-		return c, false
-	}
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	out := c[:1]
-	for _, l := range c[1:] {
-		last := out[len(out)-1]
-		if l == last {
-			continue
-		}
-		if l == last.Not() {
-			return nil, true
-		}
-		out = append(out, l)
-	}
-	return out, false
 }
 
 // Formula is a propositional formula in CNF. Its literals live in a

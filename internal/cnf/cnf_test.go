@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestLitEncoding(t *testing.T) {
@@ -43,30 +42,11 @@ func TestLitIndexDense(t *testing.T) {
 	seen := map[int]bool{}
 	for v := Var(1); v <= 50; v++ {
 		for _, l := range []Lit{PosLit(v), NegLit(v)} {
-			if seen[l.Index()] {
-				t.Fatalf("duplicate index %d", l.Index())
+			if seen[int(l)] || int(l) >= 2*int(v)+2 {
+				t.Fatalf("literal %v as index %d: taken, or past 2v+1", l, int(l))
 			}
-			seen[l.Index()] = true
+			seen[int(l)] = true
 		}
-	}
-}
-
-func TestClauseNormalize(t *testing.T) {
-	c := Clause{PosLit(3), PosLit(1), PosLit(3), NegLit(2)}
-	n, taut := c.Normalize()
-	if taut {
-		t.Fatal("unexpected tautology")
-	}
-	if len(n) != 3 {
-		t.Fatalf("expected 3 literals after dedup, got %v", n)
-	}
-	c2 := Clause{PosLit(1), NegLit(1)}
-	if _, taut := c2.Normalize(); !taut {
-		t.Fatal("expected tautology")
-	}
-	var empty Clause
-	if n, taut := empty.Normalize(); taut || len(n) != 0 {
-		t.Fatal("empty clause normalisation wrong")
 	}
 }
 
@@ -300,42 +280,6 @@ func TestBuilderStructuralHashing(t *testing.T) {
 	b.Xor(x, y)
 	if b.Fresh().Var() != before.Var()+1 {
 		t.Fatal("cache miss on repeated gate")
-	}
-}
-
-// Property: AndAll over a random set of literals is true iff all are true.
-func TestAndAllOrAllProperty(t *testing.T) {
-	prop := func(vals []bool) bool {
-		b := NewBuilder()
-		lits := make([]Lit, len(vals))
-		for i := range vals {
-			lits[i] = b.Fresh()
-		}
-		and := b.AndAll(lits...)
-		or := b.OrAll(lits...)
-		for i, v := range vals {
-			b.Assert(litWithValue(lits[i], v))
-		}
-		wantAnd, wantOr := true, false
-		for _, v := range vals {
-			wantAnd = wantAnd && v
-			wantOr = wantOr || v
-		}
-		b.Assert(litWithValue(and, wantAnd))
-		b.Assert(litWithValue(or, wantOr))
-		return bruteForceSat(b.Finish())
-	}
-	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(11)),
-		Values: func(vs []reflect.Value, r *rand.Rand) {
-			n := r.Intn(6)
-			vals := make([]bool, n)
-			for i := range vals {
-				vals[i] = r.Intn(2) == 0
-			}
-			vs[0] = reflect.ValueOf(vals)
-		}}
-	if err := quick.Check(prop, cfg); err != nil {
-		t.Fatal(err)
 	}
 }
 

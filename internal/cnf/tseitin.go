@@ -122,9 +122,6 @@ func (b *Builder) IsConst(l Lit) (value, ok bool) {
 	return false, false
 }
 
-// Not returns the complement of l.
-func (b *Builder) Not(l Lit) Lit { return l.Not() }
-
 // And returns a literal equivalent to x ∧ y.
 func (b *Builder) And(x, y Lit) Lit {
 	// Constant folding and trivial cases.
@@ -230,24 +227,6 @@ func (b *Builder) Ite(cond, t, e Lit) Lit {
 
 // Implies returns a literal equivalent to x → y.
 func (b *Builder) Implies(x, y Lit) Lit { return b.Or(x.Not(), y) }
-
-// AndAll folds And over the literals; an empty list yields true.
-func (b *Builder) AndAll(lits ...Lit) Lit {
-	out := b.True()
-	for _, l := range lits {
-		out = b.And(out, l)
-	}
-	return out
-}
-
-// OrAll folds Or over the literals; an empty list yields false.
-func (b *Builder) OrAll(lits ...Lit) Lit {
-	out := b.False()
-	for _, l := range lits {
-		out = b.Or(out, l)
-	}
-	return out
-}
 
 // Assert constrains l to be true in the formula.
 func (b *Builder) Assert(l Lit) {

@@ -76,11 +76,6 @@ type Options struct {
 	// From/To restrict the analysis to the half-open partition index
 	// range [From, To) (distributed mode); From = To = 0 means all.
 	From, To int
-	// CubePath further refines the selected partitions with extra unit
-	// assumptions over the canonical partition.SplitLits sequence, one
-	// '0'/'1' polarity per character (adaptive cube splitting). Only
-	// meaningful for single-partition ranges; empty means no refinement.
-	CubePath string
 	// SimulateParallel computes the parallel wall time by deterministic
 	// makespan simulation over sequentially measured per-partition solve
 	// times instead of actually running Cores goroutines. Exact for this
@@ -414,10 +409,10 @@ type Prepared struct {
 }
 
 // Prepare runs the front half of the pipeline for the run opts describe.
-// From, To and CubePath there say only that the run is one whose cubes
-// arrive from outside, a range or a path at a time (distributed mode):
-// the template then leaves every split literal to them, as it does under
-// Split.
+// From and To there say only that the run is one whose cubes arrive
+// from outside, as assumption literals a range at a time (distributed
+// mode): the template then leaves every split literal to them, as it
+// does under Split.
 func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	opts.setDefaults()
 	return prepare(p, opts)
@@ -462,7 +457,7 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	partSpan := opts.phase("partition")
 	partStart := time.Now()
 	whole := opts
-	whole.From, whole.To, whole.CubePath = 0, 0, ""
+	whole.From, whole.To = 0, 0
 	if pr.parts, _, err = MakePartitions(enc, whole); err != nil {
 		partSpan.End(obs.KV("error", err.Error()))
 		return nil, err
@@ -493,14 +488,14 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	return pr, nil
 }
 
-// run solves the cubes opts selects — the partitions [From, To), refined
-// by CubePath — on clones of the prepared template, and decodes and
-// replays a counterexample. A kept proof (KeepProofs) is the partition's
+// run solves the cubes opts selects — the partitions [From, To) — on
+// clones of the prepared template, and decodes and replays a
+// counterexample. A kept proof (KeepProofs) is the partition's
 // own log, which continues the template's (Template().Prefix); Verify
 // returns it whole.
 func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	enc := pr.enc
-	parts, err := selectPartitions(pr.parts, pr.splitLits, opts)
+	parts, err := selectPartitions(pr.parts, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -673,34 +668,18 @@ func MakePartitions(enc *vc.Encoded, opts Options) (parts []partition.Partition,
 	if err != nil {
 		return nil, 0, err
 	}
-	var splitLits []cnf.Lit
-	if opts.CubePath != "" {
-		splitLits = partition.SplitLits(enc, len(all))
-	}
-	parts, err = selectPartitions(all, splitLits, opts)
+	parts, err = selectPartitions(all, opts)
 	return parts, len(all), err
 }
 
 // selectPartitions cuts the subrange [From, To) out of a run's
-// partitions (From = To = 0: all of them) and refines each by CubePath.
-func selectPartitions(all []partition.Partition, splitLits []cnf.Lit, opts Options) ([]partition.Partition, error) {
-	parts := all
-	if opts.From != 0 || opts.To != 0 {
-		if opts.From < 0 || opts.From >= opts.To || opts.To > len(all) {
-			return nil, fmt.Errorf("core: invalid partition range [%d,%d) of %d", opts.From, opts.To, len(all))
-		}
-		parts = all[opts.From:opts.To]
+// partitions (From = To = 0: all of them).
+func selectPartitions(all []partition.Partition, opts Options) ([]partition.Partition, error) {
+	if opts.From == 0 && opts.To == 0 {
+		return all, nil
 	}
-	if opts.CubePath != "" {
-		refined := make([]partition.Partition, len(parts))
-		for i, pt := range parts {
-			assume, perr := pt.CubeAssumptions(opts.CubePath, splitLits)
-			if perr != nil {
-				return nil, fmt.Errorf("core: %w", perr)
-			}
-			refined[i] = partition.Partition{Index: pt.Index, Assumptions: assume}
-		}
-		parts = refined
+	if opts.From < 0 || opts.From >= opts.To || opts.To > len(all) {
+		return nil, fmt.Errorf("core: invalid partition range [%d,%d) of %d", opts.From, opts.To, len(all))
 	}
-	return parts, nil
+	return all[opts.From:opts.To], nil
 }

@@ -41,17 +41,6 @@ func (p *Program) MaxThreadSize() int {
 	return max
 }
 
-// NumSteps returns the total number of steps over all threads.
-func (p *Program) NumSteps() int {
-	n := 0
-	for _, t := range p.Threads {
-		for _, b := range t.Blocks {
-			n += len(b)
-		}
-	}
-	return n
-}
-
 // Thread is one flattened thread.
 type Thread struct {
 	// ID is the static thread index (0 = main).

@@ -274,8 +274,14 @@ void main() {
 	if fp.MaxThreadSize() < 2 {
 		t.Fatalf("MaxThreadSize: %d", fp.MaxThreadSize())
 	}
-	if fp.NumSteps() != 3 {
-		t.Fatalf("NumSteps: %d", fp.NumSteps())
+	steps := 0
+	for _, th := range fp.Threads {
+		for _, b := range th.Blocks {
+			steps += len(b)
+		}
+	}
+	if steps != 3 {
+		t.Fatalf("steps: %d", steps)
 	}
 }
 

@@ -129,9 +129,6 @@ func (s *State) SetArrayElem(name string, idx int, v int64) {
 	}
 }
 
-// Var reads a scalar variable.
-func (s *State) Var(name string) int64 { return s.vals[name] }
-
 // PC returns the program counter (executed block count) of a thread.
 func (s *State) PC(t int) int { return s.pc[t] }
 

@@ -72,8 +72,8 @@ void main() {
 	if err != nil {
 		t.Fatalf("unexpected: %v", err)
 	}
-	if st.Var("g") != 42 {
-		t.Fatalf("g = %d", st.Var("g"))
+	if st.vals["g"] != 42 {
+		t.Fatalf("g = %d", st.vals["g"])
 	}
 	if !st.Terminated(0) || !st.AllTerminated() {
 		t.Fatal("main not terminated")
@@ -121,8 +121,8 @@ void main() {
 	if err := st.ExecContext(0, fp.Threads[0].Size(), ZeroNondet); err != nil {
 		t.Fatalf("8-bit wrap: %v", err)
 	}
-	if st.Var("g") != -128 {
-		t.Fatalf("g = %d, want -128", st.Var("g"))
+	if st.vals["g"] != -128 {
+		t.Fatalf("g = %d, want -128", st.vals["g"])
 	}
 	// With 16 bits the assert must fail.
 	st16 := NewState(fp, Options{Width: 16})
@@ -188,8 +188,8 @@ void main() {
 	if err := st.ExecContext(1, 3, ZeroNondet); err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	if st.Var("g") != 11 {
-		t.Fatalf("g = %d", st.Var("g"))
+	if st.vals["g"] != 11 {
+		t.Fatalf("g = %d", st.vals["g"])
 	}
 }
 
@@ -221,8 +221,8 @@ void main() {
 	if err := st.ExecContext(0, 3, ZeroNondet); err != nil {
 		t.Fatalf("join+store: %v", err)
 	}
-	if st.Var("g") != 2 {
-		t.Fatalf("g = %d", st.Var("g"))
+	if st.vals["g"] != 2 {
+		t.Fatalf("g = %d", st.vals["g"])
 	}
 }
 
@@ -267,8 +267,8 @@ void main() {
 	if err := st.ExecContext(0, fp.Threads[0].Size(), ZeroNondet); err != nil {
 		t.Fatalf("final: %v", err)
 	}
-	if st.Var("g") != 41 {
-		t.Fatalf("g = %d", st.Var("g"))
+	if st.vals["g"] != 41 {
+		t.Fatalf("g = %d", st.vals["g"])
 	}
 }
 
@@ -287,8 +287,8 @@ void main() {
 	if err := st.ExecContext(0, fp.Threads[0].Size(), inject); err != nil {
 		t.Fatal(err)
 	}
-	if st.Var("g") != 99 {
-		t.Fatalf("g = %d", st.Var("g"))
+	if st.vals["g"] != 99 {
+		t.Fatalf("g = %d", st.vals["g"])
 	}
 }
 
@@ -421,7 +421,7 @@ void main() { g = 1; a[0] = 2; }
 	if err := st.ExecContext(0, fp.Threads[0].Size(), ZeroNondet); err != nil {
 		t.Fatal(err)
 	}
-	if c.Var("g") != 0 {
+	if c.vals["g"] != 0 {
 		t.Fatal("clone shares scalar state")
 	}
 	if c.arrays["a"][0] != 0 {

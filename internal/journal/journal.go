@@ -595,9 +595,6 @@ func (j *Journal) Commits() int {
 // Manifest returns the manifest the journal was opened with.
 func (j *Journal) Manifest() Manifest { return j.manifest }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // TruncatedBytes reports how many torn-tail bytes Open dropped (0 for a
 // clean file) — surfaced so resumed runs can log that a crash was
 // detected and healed.

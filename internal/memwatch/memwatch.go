@@ -133,9 +133,6 @@ func (w *Watchdog) Used() int64 { return w.used.Load() }
 // Limit returns the effective limit in bytes (0: inert watchdog).
 func (w *Watchdog) Limit() int64 { return w.opts.LimitBytes }
 
-// Tripped reports whether OnTrip has fired.
-func (w *Watchdog) Tripped() bool { return w.tripped.Load() }
-
 // Stop ends sampling and waits for the goroutine to exit. Idempotent.
 func (w *Watchdog) Stop() {
 	w.once.Do(func() { close(w.stop) })

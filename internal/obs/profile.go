@@ -107,13 +107,6 @@ func (p *Profiler) EndPhase(phase string) {
 	p.record(phase, "heap", hf.Name())
 }
 
-// Phase brackets a phase in one call: it starts the capture and returns
-// the closure that ends it — `defer prof.Phase("solve")()`.
-func (p *Profiler) Phase(phase string) func() {
-	p.StartPhase(phase)
-	return func() { p.EndPhase(phase) }
-}
-
 func (p *Profiler) record(phase, kind, path string) {
 	var size int64
 	if fi, err := os.Stat(path); err == nil {

@@ -405,11 +405,3 @@ func (s *Span) Record(name string, dur time.Duration, attrs ...Attr) {
 	}
 	s.tr.sink.Emit(e)
 }
-
-// Timed runs fn inside a span named name under parent (parent may be
-// nil, in which case the span is nil too and only fn's cost remains).
-func Timed(parent *Span, name string, fn func()) {
-	sp := parent.Child(name)
-	fn()
-	sp.End()
-}

@@ -48,9 +48,6 @@ type Options struct {
 	Cores int
 	// Style selects the architecture.
 	Style Style
-	// MaxSharedLBD bounds the literal-block distance of exchanged
-	// clauses in StyleSharing (default 4).
-	MaxSharedLBD int
 	// Budget bounds each instance: an instance over it ends Unknown with
 	// the exhausted budget in Result.Causes. Because all instances race
 	// on the same formula, the portfolio verdict is Unknown only if every
@@ -140,6 +137,10 @@ func diversify(base sat.Options, i int, style Style) sat.Options {
 	return o
 }
 
+// maxSharedLBD bounds the literal-block distance of the clauses
+// StyleSharing exchanges.
+const maxSharedLBD = 4
+
 // Solve runs the portfolio on the whole formula. The first instance to
 // reach a definite verdict wins (the formula is the same for all, so any
 // verdict is authoritative) and the remaining instances are interrupted.
@@ -148,10 +149,7 @@ func Solve(ctx context.Context, f *cnf.Formula, opts Options) (*Result, error) {
 	if cores < 1 {
 		cores = 1
 	}
-	maxLBD := opts.MaxSharedLBD
-	if maxLBD == 0 {
-		maxLBD = 4
-	}
+	maxLBD := maxSharedLBD
 	if opts.Style == StyleDiverse {
 		maxLBD = 1 // unit-ish clauses only (LBD 1 = single decision level)
 	}

@@ -102,7 +102,7 @@ func TestAgreementWithSequential(t *testing.T) {
 
 func TestSharingHappens(t *testing.T) {
 	f := pigeonhole(7)
-	res, err := Solve(context.Background(), f, Options{Cores: 4, Style: StyleSharing, MaxSharedLBD: 8})
+	res, err := Solve(context.Background(), f, Options{Cores: 4, Style: StyleSharing})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 				t.Fatalf("%v: clone %d: model does not satisfy the formula as loaded", mode, i)
 			}
 			for _, a := range assumptions {
-				if !c.ModelValue(a) {
+				if !modelValue(c, a) {
 					t.Fatalf("%v: clone %d: model violates assumption %v", mode, i, a)
 				}
 			}
@@ -287,8 +287,8 @@ func TestCloneAfterSolve(t *testing.T) {
 		t.Fatalf("got %v, %v; want SAT", st, err)
 	}
 	c := s.Clone()
-	stC, errC := c.Solve(mk(1, !s.ModelValue(mk(1, false))))
-	stS, errS := s.Solve(mk(1, !s.ModelValue(mk(1, false))))
+	stC, errC := c.Solve(mk(1, !modelValue(s, mk(1, false))))
+	stS, errS := s.Solve(mk(1, !modelValue(s, mk(1, false))))
 	if stC != stS || errC != errS {
 		t.Fatalf("clone says %v, %v; the solver it copies %v, %v", stC, errC, stS, errS)
 	}

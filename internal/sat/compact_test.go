@@ -143,8 +143,8 @@ func TestAssumptionOverUnmentionedVariableAfterPass(t *testing.T) {
 	if st, err := s.Solve(a); st != Sat || err != nil {
 		t.Fatalf("assuming %v after the pass: %v, %v", a, st, err)
 	}
-	if !s.ModelValue(a) || !s.Frozen(fresh) || s.NumVars() != int(fresh) || s.isEliminated(fresh) {
-		t.Fatalf("assuming %v: model value %v, frozen %v, %d variables known", a, s.ModelValue(a), s.Frozen(fresh), s.NumVars())
+	if !modelValue(s, a) || !s.Frozen(fresh) || s.NumVars() != int(fresh) || s.isEliminated(fresh) {
+		t.Fatalf("assuming %v: model value %v, frozen %v, %d variables known", a, modelValue(s, a), s.Frozen(fresh), s.NumVars())
 	}
 	formulaModel(t, f, s)
 	// Freeze speaks the formula's numbering too: a kept variable is
@@ -174,7 +174,7 @@ func TestAssumptionOverUnmentionedVariableAfterPass(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			a := cnf.MkLit(fresh+cnf.Var(i), i == 1)
-			if st, err := c.Solve(a); st != Sat || err != nil || !c.ModelValue(a) {
+			if st, err := c.Solve(a); st != Sat || err != nil || !modelValue(c, a) {
 				t.Errorf("clone %d assuming %v: %v, %v", i, a, st, err)
 				return
 			}
@@ -187,7 +187,7 @@ func TestAssumptionOverUnmentionedVariableAfterPass(t *testing.T) {
 	if !slices.Equal(tpl.ext, shared) || tpl.NumVars() != f.NumVars {
 		t.Fatalf("the clones' assumptions changed the template's map: %d entries, %d known", len(tpl.ext), tpl.NumVars())
 	}
-	if st, err := tpl.Solve(cnf.MkLit(fresh, true)); st != Sat || err != nil || tpl.ModelValue(cnf.MkLit(fresh, false)) {
+	if st, err := tpl.Solve(cnf.MkLit(fresh, true)); st != Sat || err != nil || modelValue(tpl, cnf.MkLit(fresh, false)) {
 		t.Fatalf("the template assuming ¬%d: %v, %v", fresh, st, err)
 	}
 }

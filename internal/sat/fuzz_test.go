@@ -132,7 +132,7 @@ func solveFuzzInput(t *testing.T, data []byte) (Status, Stats) {
 			t.Fatalf("model does not satisfy the formula %v", f)
 		}
 		for _, a := range assumptions {
-			if !s.ModelValue(a) {
+			if !modelValue(s, a) {
 				t.Fatalf("model violates assumption %v", a)
 			}
 		}
@@ -207,7 +207,7 @@ func solveSimplified(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 			t.Fatalf("extended model does not satisfy the original formula (%d variables eliminated)", s.Stats().ElimVars)
 		}
 		for _, a := range assumptions {
-			if !s.ModelValue(a) {
+			if !modelValue(s, a) {
 				t.Fatalf("model violates assumption %v", a)
 			}
 		}

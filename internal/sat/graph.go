@@ -67,17 +67,6 @@ func (g *DecisionGraph) recordBackjump(toLevel int) {
 	}
 }
 
-// MaxDepth returns the deepest decision level recorded.
-func (g *DecisionGraph) MaxDepth() int {
-	max := 0
-	for _, n := range g.Nodes {
-		if n.Level > max {
-			max = n.Level
-		}
-	}
-	return max
-}
-
 // WriteDOT renders the decision graph in Graphviz DOT format, one node
 // per decision ranked by level (the vertical axis of the paper's
 // figures).
@@ -120,6 +109,3 @@ func (s *Solver) EnableGraph(maxNodes int) *DecisionGraph {
 	s.graph = newDecisionGraph(maxNodes)
 	return s.graph
 }
-
-// Graph returns the recorded decision graph, or nil.
-func (s *Solver) Graph() *DecisionGraph { return s.graph }

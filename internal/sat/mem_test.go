@@ -166,7 +166,7 @@ func TestMemBudgetShrinkRecovers(t *testing.T) {
 }
 
 // InterruptMemory mid-search must surface as ErrMemBudget — terminal
-// budget exhaustion — not ErrInterrupted, and ClearInterrupt must
+// budget exhaustion — not ErrInterrupted, and clearInterrupt must
 // disarm the memory flag so a later plain Interrupt reports plain
 // cancellation again.
 func TestInterruptMemoryMidSearch(t *testing.T) {
@@ -190,7 +190,7 @@ func TestInterruptMemoryMidSearch(t *testing.T) {
 		t.Fatalf("status %v err %v, want Unknown/ErrMemBudget", st, serr)
 	}
 
-	s.ClearInterrupt()
+	clearInterrupt(s)
 	s.Interrupt()
 	if _, err := s.Solve(); err != ErrInterrupted {
 		t.Fatalf("plain interrupt after clear: err %v, want ErrInterrupted", err)

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cnf"
 )
@@ -16,6 +17,27 @@ import (
 // Deletions (Proof.Deletes) it has learnt since, with the checker's
 // semantics spelt out the slow way: the first live clause with exactly
 // the entry's literals goes, the root keeps what it propagated.
+
+// normalize sorts the clause, removes duplicate literals, and reports
+// whether the clause is a tautology (contains l and ¬l).
+func normalize(c cnf.Clause) (cnf.Clause, bool) {
+	if len(c) == 0 {
+		return c, false
+	}
+	slices.Sort(c)
+	out := c[:1]
+	for _, l := range c[1:] {
+		last := out[len(out)-1]
+		if l == last {
+			continue
+		}
+		if l == last.Not() {
+			return nil, true
+		}
+		out = append(out, l)
+	}
+	return out, false
+}
 
 // referenceCheckRUP is CheckRUP as it was on the reference engine.
 func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
@@ -57,7 +79,7 @@ type rupEngine struct {
 	// drop when they next see it.
 	byLits  map[string][]int
 	dead    []bool
-	watches [][]int // by Lit.Index(): the clauses watching the literal
+	watches [][]int // by literal: the clauses watching it
 	assigns []int8
 	trail   []cnf.Lit
 	qhead   int
@@ -132,7 +154,7 @@ func (e *rupEngine) enqueue(l cnf.Lit) bool {
 // least as strong as the solver's, which normalises on AddClause);
 // tautologies are skipped and unit clauses are enqueued persistently.
 func (e *rupEngine) addClause(c cnf.Clause) {
-	nc, taut := append(cnf.Clause{}, c...).Normalize()
+	nc, taut := normalize(append(cnf.Clause{}, c...))
 	if taut {
 		return
 	}
@@ -157,7 +179,7 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 	e.byLits[fmt.Sprint(c)] = append(e.byLits[fmt.Sprint(c)], idx)
 	e.dead = append(e.dead, false)
 	for _, l := range lits[:2] {
-		e.watches[l.Index()] = append(e.watches[l.Index()], idx)
+		e.watches[l] = append(e.watches[l], idx)
 	}
 }
 
@@ -165,7 +187,7 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 // literals, if there is one. Units were never stored: what they
 // propagated stays.
 func (e *rupEngine) deleteClause(c cnf.Clause) {
-	nc, taut := append(cnf.Clause{}, c...).Normalize()
+	nc, taut := normalize(append(cnf.Clause{}, c...))
 	if taut {
 		return
 	}
@@ -181,7 +203,7 @@ func (e *rupEngine) propagate() bool {
 		p := e.trail[e.qhead]
 		e.qhead++
 		np := p.Not()
-		ws := e.watches[np.Index()]
+		ws := e.watches[np]
 		kept := ws[:0]
 		for wi := 0; wi < len(ws); wi++ {
 			ci := ws[wi]
@@ -201,7 +223,7 @@ func (e *rupEngine) propagate() bool {
 			for k := 2; k < len(lits); k++ {
 				if e.value(lits[k]) != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
-					e.watches[lits[1].Index()] = append(e.watches[lits[1].Index()], ci)
+					e.watches[lits[1]] = append(e.watches[lits[1]], ci)
 					moved = true
 					break
 				}
@@ -213,12 +235,12 @@ func (e *rupEngine) propagate() bool {
 			if !e.enqueue(lits[0]) {
 				// Conflict: keep remaining watchers and fail.
 				kept = append(kept, ws[wi+1:]...)
-				e.watches[np.Index()] = kept
+				e.watches[np] = kept
 				e.qhead = len(e.trail)
 				return false
 			}
 		}
-		e.watches[np.Index()] = kept
+		e.watches[np] = kept
 	}
 	return true
 }

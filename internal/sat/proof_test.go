@@ -265,7 +265,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		tamper := func(kind string, edit func([]cnf.Clause) []cnf.Clause) input {
 			copied := make([]cnf.Clause, len(lemmas))
 			for i, l := range lemmas {
-				copied[i] = l.Clone()
+				copied[i] = slices.Clone(l)
 			}
 			return input{fmt.Sprintf("p%d/%s", pt.Index, kind), pt.Assumptions, &Proof{Lemmas: edit(copied)}}
 		}
@@ -660,7 +660,7 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 	tampered := func(in input, kind string, edit func(q *Proof)) input {
 		q := &Proof{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Hints: slices.Clone(in.proof.Hints)}
 		for i, l := range in.proof.Lemmas {
-			q.Lemmas[i] = l.Clone()
+			q.Lemmas[i] = slices.Clone(l)
 		}
 		edit(q)
 		return input{in.name + "/" + kind, in.f, in.assumptions, q, false}

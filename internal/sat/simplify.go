@@ -1020,12 +1020,9 @@ func (s *Solver) rebuildWatches() {
 // front and hands back the simplified formula: the same engine Solve
 // runs lazily (see simplify), for callers that want the clause set
 // itself. Frozen variables are never eliminated, so their model values
-// can be read off a model of the output directly; for the others use
-// ReconstructModel.
+// can be read off a model of the output directly.
 type Simplifier struct {
 	frozen []cnf.Lit
-	stats  Stats
-	stack  elimStack // the pass's, for ReconstructModel
 }
 
 // NewSimplifier returns a Simplifier with nothing frozen.
@@ -1036,15 +1033,11 @@ func (sp *Simplifier) FreezeLits(lits ...cnf.Lit) {
 	sp.frozen = append(sp.frozen, lits...)
 }
 
-// Stats reports the pass's Simplified and ElimVars counts.
-func (sp *Simplifier) Stats() Stats { return sp.stats }
-
 // Simplify returns an equisatisfiable formula over the same variable
 // numbering: the unit clauses of every variable fixed at level 0, then
 // the simplified clauses. The status is Unsat if the pass refuted the
 // formula (the output is then the empty clause), Sat if only units are
-// left, and Unknown otherwise: solve the output and pass a model
-// through ReconstructModel.
+// left, and Unknown otherwise.
 func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 	s := NewFromFormula(f, Options{})
 	s.Freeze(sp.frozen...)
@@ -1054,7 +1047,6 @@ func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 		out.AddClause()
 		return out, Unsat
 	}
-	sp.stats, sp.stack = s.stats, s.elimStack
 	var buf []cnf.Lit
 	emit := func(lits []lit) {
 		buf = buf[:0]
@@ -1073,22 +1065,4 @@ func (sp *Simplifier) Simplify(f *cnf.Formula) (*cnf.Formula, Status) {
 		return out, Sat
 	}
 	return out, Unknown
-}
-
-// ReconstructModel extends a model of Simplify's output (index v-1
-// holds variable v) to a model of its input.
-func (sp *Simplifier) ReconstructModel(model []bool) []bool {
-	vals := make([]int8, len(model))
-	for i, b := range model {
-		vals[i] = lFalse
-		if b {
-			vals[i] = lTrue
-		}
-	}
-	sp.stack.extend(vals)
-	out := make([]bool, len(vals))
-	for i, v := range vals {
-		out[i] = v == lTrue
-	}
-	return out
 }

@@ -15,8 +15,10 @@ import (
 )
 
 // simplifyAndSolve is the up-front pipeline a Simplifier user runs:
-// simplify with the assumption variables frozen, solve the output under
-// the assumptions, and reconstruct the model on SAT.
+// simplify with the assumption variables frozen and solve the output
+// under the assumptions. On SAT the model comes from a solver that ran
+// the same pass on f itself, which extends it to the variables the
+// pass eliminated.
 func simplifyAndSolve(t *testing.T, f *cnf.Formula, assumptions ...cnf.Lit) (Status, []bool) {
 	t.Helper()
 	sp := NewSimplifier()
@@ -36,7 +38,15 @@ func simplifyAndSolve(t *testing.T, f *cnf.Formula, assumptions ...cnf.Lit) (Sta
 	if status != Sat {
 		return status, nil
 	}
-	return Sat, sp.ReconstructModel(solver.Model())
+	s := NewFromFormula(f, Options{})
+	s.Freeze(assumptions...)
+	if !s.Simplify() {
+		t.Fatal("the pass refuted a formula whose simplified output is satisfiable")
+	}
+	if st, err := s.Solve(assumptions...); st != Sat || err != nil {
+		t.Fatalf("solved after its own pass: %v, %v; the simplified output is satisfiable", st, err)
+	}
+	return Sat, s.Model()
 }
 
 func TestSimplifyAgainstBruteForce(t *testing.T) {
@@ -145,12 +155,11 @@ func TestSimplifyEliminatesVariables(t *testing.T) {
 	f := cnf.New()
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(3))
 	f.AddClause(cnf.NegLit(3), cnf.PosLit(2), cnf.PosLit(4))
-	sp := NewSimplifier()
-	_, st := sp.Simplify(f)
-	if st == Unsat {
+	s := NewFromFormula(f, Options{})
+	if !s.Simplify() {
 		t.Fatal("unexpected UNSAT")
 	}
-	if sp.Stats().ElimVars == 0 {
+	if s.Stats().ElimVars == 0 {
 		t.Fatal("no variables eliminated")
 	}
 }
@@ -159,25 +168,23 @@ func TestFrozenVariablesSurvive(t *testing.T) {
 	f := cnf.New()
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	f.AddClause(cnf.NegLit(2), cnf.PosLit(3))
-	sp := NewSimplifier()
-	sp.FreezeLits(mk(2, false))
-	simplified, st := sp.Simplify(f)
-	if st == Unsat {
+	s := NewFromFormula(f, Options{})
+	s.Freeze(mk(2, false))
+	if !s.Simplify() {
 		t.Fatal("unexpected UNSAT")
 	}
-	// Variable 2 may appear in the output or be absent (if its clauses
+	// Variable 2 may be left in the solver or be absent (if its clauses
 	// vanished), but it must not be on the elimination stack.
-	if sp.Stats().ElimVars == 0 {
+	if s.Stats().ElimVars == 0 {
 		t.Fatal("nothing eliminated: the stack check below is vacuous")
 	}
-	for _, chunk := range sp.stack.chunks {
+	for _, chunk := range s.elimStack.chunks {
 		for i := len(chunk); i > 0; i -= int(chunk[i-1]) + 1 {
 			if first := chunk[i-1-int(chunk[i-1])]; first>>1 == 2 {
 				t.Fatal("frozen variable eliminated")
 			}
 		}
 	}
-	_ = simplified
 }
 
 func TestSubsumptionRemovesWeakerClause(t *testing.T) {
@@ -270,8 +277,7 @@ func gateChain(n int) *cnf.Formula {
 // the variables it eliminated, each once: against a recount from the
 // eliminator's own clause flags, Simplified = clauses in − clauses out
 // + resolvents kept. (The map-based simplifier counted a subsumed
-// clause twice.) The in-solver pass fills both, and the façade reports
-// the same engine's numbers.
+// clause twice.) The in-solver pass fills both.
 func TestSimplifiedCountsRemovedOriginals(t *testing.T) {
 	f := encodeBench(t, bench.Fibonacci(2), 2, 6)
 	s := NewFromFormula(f, Options{})
@@ -316,12 +322,6 @@ func TestSimplifiedCountsRemovedOriginals(t *testing.T) {
 	}
 	if got := solved.Stats(); got.Simplified != s.stats.Simplified || got.ElimVars != s.stats.ElimVars {
 		t.Errorf("in-solver pass reports %d removed, %d eliminated; the pass alone %d, %d",
-			got.Simplified, got.ElimVars, s.stats.Simplified, s.stats.ElimVars)
-	}
-	sp := NewSimplifier()
-	sp.Simplify(f)
-	if got := sp.Stats(); got.Simplified != s.stats.Simplified || got.ElimVars != s.stats.ElimVars {
-		t.Errorf("façade reports %d removed, %d eliminated; the pass alone %d, %d",
 			got.Simplified, got.ElimVars, s.stats.Simplified, s.stats.ElimVars)
 	}
 }
@@ -476,7 +476,7 @@ func TestSimplifyStopsWhenInterrupted(t *testing.T) {
 	finish := func(t *testing.T, s *Solver) {
 		t.Helper()
 		checkStore(t, s)
-		s.ClearInterrupt()
+		clearInterrupt(s)
 		if st, err := s.Solve(); err != nil || st != Unsat {
 			t.Fatalf("solve after the interrupted pass: %v, %v", st, err)
 		}

@@ -264,8 +264,6 @@ func (s *Stats) Add(o Stats) {
 type Options struct {
 	// VarDecay is the VSIDS activity decay factor (default 0.95).
 	VarDecay float64
-	// ClauseDecay is the learnt-clause activity decay factor (default 0.999).
-	ClauseDecay float64
 	// RestartBase is the Luby restart unit in conflicts (default 100).
 	RestartBase int
 	// PhaseSaving enables progress saving of variable polarities (default true,
@@ -295,9 +293,6 @@ type Options struct {
 func (o *Options) setDefaults() {
 	if o.VarDecay == 0 {
 		o.VarDecay = 0.95
-	}
-	if o.ClauseDecay == 0 {
-		o.ClauseDecay = 0.999
 	}
 	if o.RestartBase == 0 {
 		o.RestartBase = 100
@@ -679,15 +674,6 @@ func (s *Solver) InterruptMemory() {
 // Interrupted reports whether the solver has been cancelled.
 func (s *Solver) Interrupted() bool { return s.interrupt.Load() }
 
-// ClearInterrupt re-arms the solver after an interrupt so it can be
-// solved again (MiniSat's clearInterrupt). It must not be called
-// concurrently with a Solve the caller still wants interrupted; the
-// usual sequence is Solve → ErrInterrupted → ClearInterrupt → Solve.
-func (s *Solver) ClearInterrupt() {
-	s.interrupt.Store(false)
-	s.memInterrupt.Store(false)
-}
-
 // LiveBytes returns the solver's current footprint: the clause arena,
 // the two watchers every attached clause has, the per-variable state
 // (varBytes) of the variables it has, and, after the simplification
@@ -985,7 +971,10 @@ func (s *Solver) bumpClause(c cref) {
 	}
 }
 
-func (s *Solver) decayClause() { s.claInc /= s.opts.ClauseDecay }
+// clauseDecay is the learnt-clause activity decay factor.
+const clauseDecay = 0.999
+
+func (s *Solver) decayClause() { s.claInc /= clauseDecay }
 
 func (s *Solver) rand() uint64 {
 	// xorshift64*
@@ -1442,7 +1431,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 // made simplifyPropsPerClause propagations per original clause, Solve
 // runs the simplification pass (simplify.go) on the clause set as it
 // stands under the level-0 assignment, assumptions included. Nothing
-// changes for the caller: Model and ModelValue give the eliminated
+// changes for the caller: Model gives the eliminated
 // variables values that satisfy the formula as it was loaded, and
 // the proof log carries every clause the pass derived, so it checks
 // against that formula too. The one restriction is on what comes
@@ -1523,15 +1512,6 @@ func (s *Solver) Model() []bool {
 		out[i] = v == lTrue
 	}
 	return out
-}
-
-// ModelValue returns the model value of a literal.
-func (s *Solver) ModelValue(l cnf.Lit) bool {
-	v := s.model[l.Var()-1] == lTrue
-	if l.Neg() {
-		return !v
-	}
-	return v
 }
 
 // Frozen reports whether a variable was frozen by an assumption.

@@ -104,7 +104,7 @@ func TestConfigurationsAgree(t *testing.T) {
 		{NoPhaseSaving: true},
 		{InitialPolarity: true},
 		{RandomizeFreq: 0.2, Seed: 7},
-		{VarDecay: 0.8, ClauseDecay: 0.99, RestartBase: 20},
+		{VarDecay: 0.8, RestartBase: 20},
 	}
 	for iter := 0; iter < 100; iter++ {
 		nv := 1 + rng.Intn(9)
@@ -155,7 +155,7 @@ func TestSolveUnderAssumptions(t *testing.T) {
 		}
 		if st == Sat {
 			for _, a := range assumps {
-				if !s.ModelValue(a) {
+				if !modelValue(s, a) {
 					t.Fatalf("iter %d: assumption %v violated in model", iter, a)
 				}
 			}
@@ -176,7 +176,7 @@ func TestAssumptionsAreFrozen(t *testing.T) {
 	if s.Frozen(2) {
 		t.Fatal("non-assumption variable frozen")
 	}
-	if s.ModelValue(mk(1, true)) != true {
+	if modelValue(s, mk(1, true)) != true {
 		t.Fatal("assumption not honoured")
 	}
 }
@@ -468,11 +468,14 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 	}
 }
 
+// modelValue is the value of l in the model of s's last Sat answer.
+func modelValue(s *Solver, l cnf.Lit) bool { return s.Model()[l.Var()-1] != l.Neg() }
+
 func ExampleSolver() {
 	s := New(2, Options{})
 	s.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	s.AddClause(cnf.NegLit(1))
 	st, _ := s.Solve()
-	fmt.Println(st, s.ModelValue(cnf.PosLit(2)))
+	fmt.Println(st, s.Model()[1])
 	// Output: SAT true
 }

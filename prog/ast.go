@@ -69,12 +69,6 @@ var (
 	Mutex = Type{Kind: KindMutex}
 )
 
-// IntArray returns the type of an int array of length n.
-func IntArray(n int) Type { return Type{Kind: KindInt, ArrayLen: n} }
-
-// BoolArray returns the type of a bool array of length n.
-func BoolArray(n int) Type { return Type{Kind: KindBool, ArrayLen: n} }
-
 // Decl declares a variable.
 type Decl struct {
 	Name string

@@ -18,8 +18,9 @@ var update = flag.Bool("update", false, "rewrite testdata/parse.golden")
 // comments, so the end of each match is a token boundary.
 var token = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*|[0-9]+|<<|>>|<=|>=|==|!=|&&|\|\||\S`)
 
-// goldenInputs are the formatted benchmark programs plus the inputs of
-// TestParseErrors and TestCheckErrors.
+// goldenInputs are the formatted benchmark programs, the inputs of
+// TestParseErrors and TestCheckErrors, and two programs that use every
+// statement and expression form.
 func goldenInputs() []string {
 	progs := []*prog.Program{bench.Fibonacci(1), bench.BoundedbufferFixed(),
 		bench.WorkstealingqueueFixed(), bench.EliminationstackUnsafe()}
@@ -76,6 +77,14 @@ func goldenInputs() []string {
 		"void main() { int x; x = -true; }",
 		"void x; void main() { }",
 		"void f(int a) { } void main() { }",
+		// every statement form, then every expression form
+		"int g; int a[3]; bool flag; mutex m; int twice(int x) { return x + x; } "+
+			"void w(int n) { lock(m); a[n] = n; unlock(m); atomic { g = g + 1; flag = true; } } "+
+			"void main() { int t; int x; bool ok; x = *; assume(x >= 0); assume(x < 3); x = twice(x); "+
+			"t = create(w, x); join(t); while (x > 0) { x = x - 1; } ok = (flag || true) && !(g == -1); "+
+			"if (ok) { assert(g != 99); } else { assert(false); } }",
+		"int a[2]; void main() { int x; bool b; x = *; x = (1 + 2) - x * 3 + a[0] - -x; "+
+			"b = x <= 4 && x > 4 || x < 1 || x >= 2 || x == 3 || x != 5 || !false; assert(b); }",
 	)
 }
 

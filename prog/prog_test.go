@@ -284,10 +284,11 @@ func TestTypeStrings(t *testing.T) {
 	if Int.String() != "int" || Bool.String() != "bool" || Void.String() != "void" || Mutex.String() != "mutex" {
 		t.Fatal("scalar type strings")
 	}
-	if IntArray(4).String() != "int[4]" || BoolArray(2).String() != "bool[2]" {
+	ints, bools := Type{Kind: KindInt, ArrayLen: 4}, Type{Kind: KindBool, ArrayLen: 2}
+	if ints.String() != "int[4]" || bools.String() != "bool[2]" {
 		t.Fatal("array type strings")
 	}
-	if !IntArray(4).IsArray() || Int.IsArray() {
+	if !ints.IsArray() || Int.IsArray() {
 		t.Fatal("IsArray")
 	}
 }

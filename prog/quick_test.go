@@ -3,123 +3,123 @@ package prog
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
-// randProgram generates a random well-formed program directly as an AST
-// (not via the parser), used to property-test the printer/parser pair.
-type astGen struct {
+// srcGen generates a random well-formed program as source text, every
+// operation parenthesised, used to property-test the printer/parser pair.
+type srcGen struct {
 	rng    *rand.Rand
-	fresh  int
 	locals []string
 }
 
-func (g *astGen) name(prefix string) string {
-	g.fresh++
-	return fmt.Sprintf("%s%d", prefix, g.fresh)
-}
-
-func (g *astGen) intExpr(depth int) Expr {
+func (g *srcGen) intExpr(depth int) string {
 	if depth <= 0 || g.rng.Intn(3) == 0 {
 		switch g.rng.Intn(3) {
 		case 0:
-			return I(int64(g.rng.Intn(100) - 50))
+			return fmt.Sprint(g.rng.Intn(100) - 50)
 		case 1:
-			return V("g")
+			return "g"
 		default:
-			return V(g.locals[g.rng.Intn(len(g.locals))])
+			return g.locals[g.rng.Intn(len(g.locals))]
 		}
 	}
-	ops := []BinOp{OpAdd, OpSub, OpMul, OpAnd, OpOr, OpXor}
+	ops := []string{"+", "-", "*", "&", "|", "^"}
 	switch g.rng.Intn(4) {
 	case 0:
-		return Neg(g.intExpr(depth - 1))
+		return "-(" + g.intExpr(depth-1) + ")"
 	default:
-		return &BinaryExpr{Op: ops[g.rng.Intn(len(ops))], X: g.intExpr(depth - 1), Y: g.intExpr(depth - 1)}
+		return fmt.Sprintf("(%s %s %s)", g.intExpr(depth-1), ops[g.rng.Intn(len(ops))], g.intExpr(depth-1))
 	}
 }
 
-func (g *astGen) boolExpr(depth int) Expr {
+func (g *srcGen) boolExpr(depth int) string {
 	if depth <= 0 || g.rng.Intn(3) == 0 {
-		ops := []BinOp{OpLt, OpLe, OpGt, OpGe, OpEq, OpNe}
-		return &BinaryExpr{Op: ops[g.rng.Intn(len(ops))], X: g.intExpr(1), Y: g.intExpr(1)}
+		ops := []string{"<", "<=", ">", ">=", "==", "!="}
+		return fmt.Sprintf("(%s %s %s)", g.intExpr(1), ops[g.rng.Intn(len(ops))], g.intExpr(1))
 	}
 	switch g.rng.Intn(3) {
 	case 0:
-		return Not(g.boolExpr(depth - 1))
+		return "!" + g.boolExpr(depth-1)
 	case 1:
-		return LAnd(g.boolExpr(depth-1), g.boolExpr(depth-1))
+		return fmt.Sprintf("(%s && %s)", g.boolExpr(depth-1), g.boolExpr(depth-1))
 	default:
-		return LOr(g.boolExpr(depth-1), g.boolExpr(depth-1))
+		return fmt.Sprintf("(%s || %s)", g.boolExpr(depth-1), g.boolExpr(depth-1))
 	}
 }
 
-func (g *astGen) stmts(p *ProcBuilder, n, depth int) {
+func (g *srcGen) local() string { return g.locals[g.rng.Intn(len(g.locals))] }
+
+func (g *srcGen) stmts(b *strings.Builder, n, depth int) {
 	for i := 0; i < n; i++ {
 		switch g.rng.Intn(8) {
 		case 0:
-			p.Assign("g", g.intExpr(2))
+			fmt.Fprintf(b, "g = %s;\n", g.intExpr(2))
 		case 1, 2:
-			p.Assign(g.locals[g.rng.Intn(len(g.locals))], g.intExpr(2))
+			fmt.Fprintf(b, "%s = %s;\n", g.local(), g.intExpr(2))
 		case 3:
-			p.Assert(g.boolExpr(2))
+			fmt.Fprintf(b, "assert(%s);\n", g.boolExpr(2))
 		case 4:
-			p.Assume(g.boolExpr(1))
+			fmt.Fprintf(b, "assume(%s);\n", g.boolExpr(1))
 		case 5:
 			if depth > 0 {
-				p.If(g.boolExpr(1), func(b *ProcBuilder) {
-					g.stmts(b, 1+g.rng.Intn(2), depth-1)
-				}, func(b *ProcBuilder) {
-					g.stmts(b, 1, depth-1)
-				})
+				fmt.Fprintf(b, "if (%s) {\n", g.boolExpr(1))
+				g.stmts(b, 1+g.rng.Intn(2), depth-1)
+				b.WriteString("} else {\n")
+				g.stmts(b, 1, depth-1)
+				b.WriteString("}\n")
 			} else {
-				p.Assign("g", g.intExpr(1))
+				fmt.Fprintf(b, "g = %s;\n", g.intExpr(1))
 			}
 		case 6:
 			if depth > 0 {
-				p.While(g.boolExpr(1), func(b *ProcBuilder) {
-					g.stmts(b, 1+g.rng.Intn(2), depth-1)
-				})
+				fmt.Fprintf(b, "while (%s) {\n", g.boolExpr(1))
+				g.stmts(b, 1+g.rng.Intn(2), depth-1)
+				b.WriteString("}\n")
 			} else {
-				p.Havoc(g.locals[g.rng.Intn(len(g.locals))])
+				fmt.Fprintf(b, "%s = *;\n", g.local())
 			}
 		default:
 			if depth > 0 {
-				p.Atomic(func(b *ProcBuilder) {
-					g.stmts(b, 1, depth-1)
-				})
+				b.WriteString("atomic {\n")
+				g.stmts(b, 1, depth-1)
+				b.WriteString("}\n")
 			} else {
-				p.Assign("g", g.intExpr(1))
+				fmt.Fprintf(b, "g = %s;\n", g.intExpr(1))
 			}
 		}
 	}
 }
 
-func randProgram(rng *rand.Rand) *Program {
-	g := &astGen{rng: rng}
-	b := NewBuilder("random")
-	b.Global("g", Int)
-	m := b.Proc("main", Void)
+func randProgram(rng *rand.Rand) string {
+	g := &srcGen{rng: rng}
+	var b strings.Builder
+	b.WriteString("int g;\nvoid main() {\n")
 	nLocals := 1 + rng.Intn(3)
 	for i := 0; i < nLocals; i++ {
-		n := g.name("x")
+		n := fmt.Sprintf("x%d", i+1)
 		g.locals = append(g.locals, n)
-		m.Local(n, Int)
-		m.Assign(n, I(0))
+		fmt.Fprintf(&b, "int %s = 0;\n", n)
 	}
-	g.stmts(m, 2+rng.Intn(5), 2)
-	return b.MustBuild()
+	g.stmts(&b, 2+rng.Intn(5), 2)
+	b.WriteString("}\n")
+	return b.String()
 }
 
-// TestPrinterParserFixpointRandom: for random ASTs, the formatted output
-// parses back, and parse∘format reaches a fixpoint after one
+// TestPrinterParserFixpointRandom: for random programs, the formatted
+// output parses back, and parse∘format reaches a fixpoint after one
 // normalisation round (the parser canonicalises negated integer
 // literals, so the first round-trip may rewrite -(6) to -6; after that
 // the representation is stable).
 func TestPrinterParserFixpointRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31415))
 	for iter := 0; iter < 200; iter++ {
-		p1 := randProgram(rng)
+		src := randProgram(rng)
+		p1, err := Parse(src)
+		if err != nil {
+			t.Fatalf("iter %d: generated program does not parse: %v\n%s", iter, err, src)
+		}
 		s1 := Format(p1)
 		p2, err := Parse(s1)
 		if err != nil {
@@ -138,14 +138,14 @@ func TestPrinterParserFixpointRandom(t *testing.T) {
 }
 
 // TestRandomProgramsSurviveChecker: the generator must only produce
-// checkable programs (guards the generator itself, which other tests
-// build on).
+// programs that parse and check (guards the generator itself, which
+// other tests build on).
 func TestRandomProgramsSurviveChecker(t *testing.T) {
 	rng := rand.New(rand.NewSource(2718))
 	for iter := 0; iter < 100; iter++ {
-		p := randProgram(rng)
-		if err := Check(p); err != nil {
-			t.Fatalf("iter %d: %v", iter, err)
+		src := randProgram(rng)
+		if _, err := Parse(src); err != nil {
+			t.Fatalf("iter %d: %v\n%s", iter, err, src)
 		}
 	}
 }
