@@ -77,15 +77,72 @@ func goldenInputs() []string {
 		"void main() { int x; x = -true; }",
 		"void x; void main() { }",
 		"void f(int a) { } void main() { }",
-		// every statement form, then every expression form
-		"int g; int a[3]; bool flag; mutex m; int twice(int x) { return x + x; } "+
-			"void w(int n) { lock(m); a[n] = n; unlock(m); atomic { g = g + 1; flag = true; } } "+
-			"void main() { int t; int x; bool ok; x = *; assume(x >= 0); assume(x < 3); x = twice(x); "+
-			"t = create(w, x); join(t); while (x > 0) { x = x - 1; } ok = (flag || true) && !(g == -1); "+
-			"if (ok) { assert(g != 99); } else { assert(false); } }",
-		"int a[2]; void main() { int x; bool b; x = *; x = (1 + 2) - x * 3 + a[0] - -x; "+
-			"b = x <= 4 && x > 4 || x < 1 || x >= 2 || x == 3 || x != 5 || !false; assert(b); }",
+		allStatementsSrc,
+		allExprsSrc,
 	)
+}
+
+// allStatementsSrc uses every statement form.
+const allStatementsSrc = "int g; int a[3]; bool flag; mutex m; int twice(int x) { return x + x; } " +
+	"void w(int n) { lock(m); a[n] = n; unlock(m); atomic { g = g + 1; flag = true; } } " +
+	"void main() { int t; int x; bool ok; x = *; assume(x >= 0); assume(x < 3); x = twice(x); " +
+	"t = create(w, x); join(t); while (x > 0) { x = x - 1; } ok = (flag || true) && !(g == -1); " +
+	"if (ok) { assert(g != 99); } else { assert(false); } }"
+
+// allExprsSrc uses every expression form.
+const allExprsSrc = "int a[2]; void main() { int x; bool b; x = *; x = (1 + 2) - x * 3 + a[0] - -x; " +
+	"b = x <= 4 && x > 4 || x < 1 || x >= 2 || x == 3 || x != 5 || !false; assert(b); }"
+
+// TestBuilderAllStatements builds a program that uses every statement
+// form from source text and checks that Format prints each form and
+// that the printed source parses back to the same text.
+func TestBuilderAllStatements(t *testing.T) {
+	p, err := prog.Parse(allStatementsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := prog.Format(p)
+	for _, want := range []string{"lock(m)", "unlock(m)", "atomic", "create(w", "join(t)",
+		"assume", "twice(x)", "return", "while", "else", "a[n] = n", "x = *"} {
+		if !strings.Contains(src, want) {
+			t.Fatalf("formatted output missing %q:\n%s", want, src)
+		}
+	}
+	q, err := prog.Parse(src)
+	if err != nil {
+		t.Fatalf("round-trip: %v\n%s", err, src)
+	}
+	if got := prog.Format(q); got != src {
+		t.Fatalf("round-trip changed the text:\n%s\nwant\n%s", got, src)
+	}
+}
+
+// TestExprHelpers checks the printed form of each expression node.
+func TestExprHelpers(t *testing.T) {
+	v := func(name string) prog.Expr { return &prog.VarRef{Name: name} }
+	i := func(n int64) prog.Expr { return &prog.IntLit{Value: n} }
+	bin := func(op prog.BinOp, x, y prog.Expr) prog.Expr { return &prog.BinaryExpr{Op: op, X: x, Y: y} }
+	cases := []struct {
+		e    prog.Expr
+		want string
+	}{
+		{bin(prog.OpAdd, i(1), i(2)), "(1 + 2)"},
+		{bin(prog.OpSub, v("x"), i(1)), "(x - 1)"},
+		{bin(prog.OpMul, i(2), i(3)), "(2 * 3)"},
+		{bin(prog.OpLe, v("x"), i(4)), "(x <= 4)"},
+		{bin(prog.OpGt, v("x"), i(4)), "(x > 4)"},
+		{&prog.IndexRef{Name: "a", Index: i(0)}, "a[0]"},
+		{&prog.Nondet{}, "*"},
+		{&prog.BoolLit{Value: false}, "false"},
+		{&prog.UnaryExpr{Op: prog.OpNeg, X: i(1)}, "-(1)"},
+		{&prog.UnaryExpr{Op: prog.OpNot, X: bin(prog.OpEq, v("g"), i(1))}, "!((g == 1))"},
+		{bin(prog.OpLAnd, bin(prog.OpLOr, v("f"), &prog.BoolLit{Value: true}), v("ok")), "((f || true) && ok)"},
+	}
+	for _, c := range cases {
+		if got := c.e.String(); got != c.want {
+			t.Errorf("%q != %q", got, c.want)
+		}
+	}
 }
 
 // TestParseGolden pins the parser's and checker's answer on every
