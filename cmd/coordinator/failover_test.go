@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/sat"
 )
 
 // waitForFile polls until path exists and pred over its content holds.
@@ -161,8 +161,8 @@ func TestHAFailoverAcrossProcesses(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, rec := range recs {
-		if rec.Verdict != core.Safe.String() || !rec.Certified {
-			t.Fatalf("record %+v, want certified SAFE", rec)
+		if rec.Verdict != sat.Unsat.String() || !rec.Certified {
+			t.Fatalf("record %+v, want certified UNSAT", rec)
 		}
 		seen[rec.From] = true
 	}

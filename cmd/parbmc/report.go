@@ -48,10 +48,10 @@ func reportMain(args []string, stdout, stderr io.Writer) int {
 // local run certifies all of its UNSAT partitions or none.
 func recordRows(rec *report.Recorder, res *core.Result) {
 	if res.Template.Time > 0 {
-		rec.SetTemplate(core.TemplateRow(res.Template))
+		rec.SetTemplate(report.TemplateRowOf(res.Template))
 	}
 	for _, inst := range res.Instances {
-		row := core.PartitionRow(inst)
+		row := report.PartitionRowOf(inst)
 		row.Certified = res.Certified
 		rec.Merge(row)
 	}

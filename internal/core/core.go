@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
-	"repro/internal/report"
 	"repro/internal/sat"
 	"repro/internal/trace"
 	"repro/internal/unfold"
@@ -51,6 +50,18 @@ func (v Verdict) String() string {
 	default:
 		return "UNKNOWN"
 	}
+}
+
+// VerdictOf is the one map from the cubes' folded answer
+// (partition.Summary.Status) to the run's verdict.
+func VerdictOf(s sat.Status) Verdict {
+	switch s {
+	case sat.Sat:
+		return Unsafe
+	case sat.Unsat:
+		return Safe
+	}
+	return Unknown
 }
 
 // Options configures the analysis.
@@ -99,11 +110,6 @@ type Options struct {
 	// Unknown, listed under that budget in the coverage report, instead
 	// of stalling the whole run.
 	Budget journal.Budget
-	// MemAbort, when non-nil, is an external kill switch (typically an
-	// RSS watchdog): once it is closed, every live and future solver
-	// instance is interrupted with CauseMemory, so the process sheds its
-	// biggest allocations before the kernel OOM-killer picks it.
-	MemAbort <-chan struct{}
 	// Split enables in-process adaptive cube splitting (Split.Depth > 0):
 	// an idle solver slot splits the cube of the hardest partition that
 	// was started at least Split.Grace ago on the next canonical split
@@ -124,12 +130,6 @@ type Options struct {
 	// template as its child — and validate) under a root "verify" span.
 	// Nil is the zero-overhead fast path.
 	Tracer *obs.Tracer
-	// Progress, when non-nil and ProgressEvery > 0, receives live
-	// per-partition search statistics every ProgressEvery conflicts
-	// while solving (from the solver goroutines).
-	Progress func(partition int, st sat.Stats)
-	// ProgressEvery is the conflict cadence of Progress callbacks.
-	ProgressEvery int64
 	// Profiler, when non-nil, captures pprof CPU/heap profiles
 	// bracketing the encode (unfold+flatten+encode) and solve phases —
 	// the -profile-dir machinery. Nil is the zero-overhead fast path.
@@ -303,38 +303,6 @@ type Result struct {
 	Manifest journal.Manifest
 }
 
-// PartitionRow is the report's row of one finished instance — the only
-// place an instance's fields become a row's: a local run files it as it
-// is, a distributed worker sends it and the coordinator stamps Worker,
-// Certified and the job's cause onto it.
-func PartitionRow(inst parallel.InstanceResult) report.PartitionRow {
-	return report.PartitionRow{
-		Partition:    inst.Partition,
-		Verdict:      inst.Status.String(),
-		Cause:        inst.Cause.String(),
-		Conflicts:    inst.Stats.Conflicts,
-		Propagations: inst.Stats.Propagations,
-		Decisions:    inst.Stats.Decisions,
-		Restarts:     inst.Stats.Restarts,
-		ElimVars:     inst.Stats.ElimVars,
-		Simplified:   inst.Stats.Simplified,
-		Progress:     inst.Stats.Progress,
-		SolveMillis:  inst.Time.Milliseconds(),
-	}
-}
-
-// TemplateRow is the report's row of the solver template a run built.
-func TemplateRow(tpl parallel.TemplateResult) report.TemplateRow {
-	return report.TemplateRow{
-		Millis:    tpl.Time.Milliseconds(),
-		ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
-		VarsIn: tpl.VarsIn, VarsOut: tpl.VarsOut,
-		ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
-		Propagations: tpl.Stats.Propagations,
-		Cubes:        tpl.Cubes,
-	}
-}
-
 // Verify runs the full pipeline on a checked program: prepare, then run
 // what it prepared, under one "verify" span, every phase its child.
 func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, err error) {
@@ -473,7 +441,7 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 
 	pr.popts = parallel.Options{
 		CertifyUnsat: opts.CertifyUnsat, KeepProofs: opts.KeepProofs,
-		ProgressEvery: opts.ProgressEvery, Budget: opts.Budget, Split: opts.Split,
+		Budget: opts.Budget, Split: opts.Split,
 	}
 	if opts.Split.Depth > 0 || opts.From != 0 || opts.To != 0 {
 		pr.popts.SplitLits = pr.splitLits
@@ -513,7 +481,6 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	popts := pr.popts
 	popts.Workers, popts.Journal = opts.Cores, jnl
 	popts.CertifyUnsat, popts.KeepProofs = opts.CertifyUnsat, opts.KeepProofs
-	popts.Progress, popts.MemAbort = opts.Progress, opts.MemAbort
 	solveSpan := opts.phase("solve",
 		obs.KV("partitions", len(parts)), obs.KV("workers", opts.Cores),
 		obs.KV("vars", pr.vars), obs.KV("clauses", pr.clauses))
@@ -564,9 +531,8 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 	}
 	res.JournalSealed = pres.JournalSealed
 	res.SealCause = pres.JournalSealCause
-	switch pres.Status {
-	case sat.Sat:
-		res.Verdict = Unsafe
+	res.Verdict = VerdictOf(pres.Status)
+	if pres.Status == sat.Sat {
 		res.Model = pres.Model
 		res.Trace = trace.Decode(enc, pres.Model)
 		valSpan := opts.phase("validate")
@@ -579,10 +545,6 @@ func (pr *Prepared) run(ctx context.Context, opts Options) (*Result, error) {
 		phases = append(phases, PhaseTiming{Name: "validate", Duration: time.Since(valStart)})
 		valSpan.End()
 		res.Violation = viol
-	case sat.Unsat:
-		res.Verdict = Safe
-	default:
-		res.Verdict = Unknown
 	}
 	res.Phases = phases
 	return res, nil

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/partition"
+	"repro/internal/report"
 	"repro/prog"
 )
 
@@ -314,7 +315,7 @@ func TestPrepareLetsTheFormulaGo(t *testing.T) {
 		if res.Verdict != tc.verdict || tc.verdict == Unsafe && res.Violation == nil {
 			t.Fatalf("%+v: %v, violation %v", tc.opts, res.Verdict, res.Violation)
 		}
-		row := TemplateRow(res.Template)
+		row := report.TemplateRowOf(res.Template)
 		if row.VarsIn != res.Vars || row.VarsOut != row.VarsIn-int(row.ElimVars) {
 			t.Fatalf("%+v: template row %+v for %d variables", tc.opts, row, res.Vars)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -117,38 +116,5 @@ func TestVerifyPhasesWithoutTracer(t *testing.T) {
 	}
 	if len(res.Phases) < 5 {
 		t.Fatalf("phases: %v", res.Phases)
-	}
-}
-
-// TestVerifyProgressCallback wires a live-progress hook through the
-// parallel layer down to the CDCL loop.
-func TestVerifyProgressCallback(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	var mu sync.Mutex
-	snaps := 0
-	var last sat.Stats
-	res, err := Verify(context.Background(), p, Options{
-		Unwind: 1, Contexts: 4, Cores: 1,
-		ProgressEvery: 1,
-		Progress: func(partition int, st sat.Stats) {
-			mu.Lock()
-			snaps++
-			last = st
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Verdict != Unsafe {
-		t.Fatalf("verdict %v", res.Verdict)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if snaps == 0 {
-		t.Fatal("progress hook never fired")
-	}
-	if last.Conflicts == 0 {
-		t.Fatalf("last snapshot has no conflicts: %+v", last)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -147,8 +148,8 @@ func TestAdaptiveSplitRoutesAroundStraggler(t *testing.T) {
 			continue
 		}
 		terminal[cube]++
-		if rec.Verdict != core.Safe.String() || !rec.Certified {
-			t.Fatalf("terminal record %+v, want certified Safe", rec)
+		if rec.Verdict != sat.Unsat.String() || !rec.Certified {
+			t.Fatalf("terminal record %+v, want certified UNSAT", rec)
 		}
 	}
 	if len(split) == 0 {
@@ -240,8 +241,8 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 			t.Fatalf("cube %v journaled twice", cube)
 		}
 		seen[cube] = true
-		if rec.Verdict != core.Safe.String() || !rec.Certified {
-			t.Fatalf("record %+v, want certified Safe", rec)
+		if rec.Verdict != sat.Unsat.String() || !rec.Certified {
+			t.Fatalf("record %+v, want certified UNSAT", rec)
 		}
 	}
 }
@@ -377,8 +378,8 @@ func TestHAFailoverMidSplitReplaysCubeTree(t *testing.T) {
 			t.Fatalf("cube %v journaled twice", cube)
 		}
 		seen[cube] = true
-		if rec.Verdict != core.Safe.String() || !rec.Certified {
-			t.Fatalf("terminal record %+v, want certified Safe", rec)
+		if rec.Verdict != sat.Unsat.String() || !rec.Certified {
+			t.Fatalf("terminal record %+v, want certified UNSAT", rec)
 		}
 		terminals++
 	}

@@ -468,10 +468,11 @@ func (co *coordinator) certify(a *partition.Assignment, key, level string, reply
 	start := time.Now()
 	var work sat.ProofCheckerStats
 	var verr error
+	status := sat.ParseStatus(reply.Verdict)
 	switch {
-	case reply.Verdict == core.Unsafe.String():
+	case status == sat.Sat:
 		verr = co.verifier.verifyUnsafe(a.Cube, reply.Winner, cert)
-	case reply.Verdict == core.Safe.String() && level == CertifyFull:
+	case status == sat.Unsat && level == CertifyFull:
 		work, verr = co.verifier.verifySafe(a.Cube, cert)
 	}
 	dur := time.Since(start)
@@ -479,7 +480,7 @@ func (co *coordinator) certify(a *partition.Assignment, key, level string, reply
 	co.metrics.certifySeconds.Observe(dur.Seconds())
 	co.metrics.certifyPropagations.Add(work.Propagations)
 	co.metrics.certifyHintFallbacks.Add(work.Fallbacks)
-	certified = verr == nil && (reply.Verdict == core.Unsafe.String() || level == CertifyFull)
+	certified = verr == nil && (status == sat.Sat || level == CertifyFull)
 	co.mu.Lock()
 	co.res.CertifyMillis += dur.Milliseconds()
 	co.res.CertifyWork.Add(work)

@@ -664,7 +664,7 @@ func jobFor(t *testing.T, v *certVerifier, opts CoordinatorOptions, cube partiti
 func workerCertificate(t *testing.T, v *certVerifier, opts CoordinatorOptions, data []byte, cube partition.Cube, f *FaultEvent) *Certificate {
 	t.Helper()
 	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(t, v, opts, cube), nil, f, nil)
-	if reply.Error != "" || reply.Verdict != core.Safe.String() || cert == nil || reply.Restore == nil {
+	if reply.Error != "" || reply.Verdict != sat.Unsat.String() || cert == nil || reply.Restore == nil {
 		t.Fatalf("cube %s: verdict %q, error %q, restore %+v, certificate %+v", cube.Key(), reply.Verdict, reply.Error, reply.Restore, cert)
 	}
 	return cert

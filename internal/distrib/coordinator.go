@@ -168,7 +168,7 @@ type CoordinatorResult struct {
 	Exhausted []partition.Leaf
 	// ChunksTotal / ChunksDecided are the coverage counts: the leaves of
 	// the cube tree (the journal's at the start plus this run's splits)
-	// and those with a definite SAFE/UNSAFE verdict, replays included.
+	// and those with a definite answer (SAT or UNSAT), replays included.
 	ChunksTotal, ChunksDecided int
 	// RemoteStats aggregates the search statistics of every remote job
 	// result (including retried attempts), so distributed runs report
@@ -431,7 +431,7 @@ func (co *coordinator) buildTemplate(ctx context.Context, prep *core.Prepared) e
 		}
 		return fmt.Errorf("distrib: the run's template: %w", err)
 	}
-	row := core.TemplateRow(tpl.Result())
+	row := report.TemplateRowOf(tpl.Result())
 	span.End(obs.KV("clauses_in", row.ClausesIn), obs.KV("clauses_out", row.ClausesOut),
 		obs.KV("elim_vars", row.ElimVars), obs.KV("bytes", len(snap)))
 	co.template = snap
@@ -455,7 +455,7 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	}
 	res, killed := co.res, co.killed
 	co.mu.Unlock()
-	res.Verdict, res.Winner = partition.Verdict(sum, core.Unsafe, core.Safe, core.Unknown), sum.Winner
+	res.Verdict, res.Winner = core.VerdictOf(sum.Status()), sum.Winner
 	res.ChunksTotal, res.ChunksDecided, res.Resumed = sum.Total, sum.Decided, sum.Resumed
 	res.Exhausted = sum.Exhausted
 	res.Splits, res.Hedges, res.Steals = sum.Splits, sum.Hedges, sum.Steals
@@ -668,11 +668,11 @@ func (co *coordinator) serve(c net.Conn) {
 		}
 		co.recordResult(reply, key)
 
-		cause := sat.ParseStopCause(reply.Cause)
-		if !definite(reply.Verdict) && cause == sat.CauseMemory {
+		status, cause := sat.ParseStatus(reply.Verdict), sat.ParseStopCause(reply.Cause)
+		if status == sat.Unknown && cause == sat.CauseMemory {
 			co.noteMemoryAbort()
 		}
-		if definite(reply.Verdict) || cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0) {
+		if status != sat.Unknown || cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0) {
 			// A budgeted Unknown is as terminal as a verdict: the same cube
 			// under the same budgets gives up again, so it is journaled and
 			// not charged to the retry budget.
@@ -696,7 +696,7 @@ func (co *coordinator) serve(c net.Conn) {
 // first of a connection the run's template behind it — and reads its
 // outcome off the wire: the result, the certificate frames that follow
 // it, and — trust-but-verify — the check of a definite verdict's
-// evidence (certify). Uncertified, an UNSAFE verdict's model is still
+// evidence (certify). Uncertified, a SAT answer's model is still
 // replayed, and one that does not replay is a failed attempt. An error
 // wrapping errCertificate is the worker's fault and condemns it; any
 // other error is a failed attempt.
@@ -730,16 +730,16 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, fir
 	if reply, err = co.awaitResult(wc, a, key); err != nil {
 		return nil, false, err
 	}
-	// The certificate frames follow the result, an UNSAFE one's in every
+	// The certificate frames follow the result, a SAT one's in every
 	// mode.
 	cert, err := co.readCertificate(wc, a.JobID, key, reply)
 	if err != nil {
 		return nil, false, err
 	}
-	switch {
-	case co.opts.Certify.Enabled() && definite(reply.Verdict):
+	switch status := sat.ParseStatus(reply.Verdict); {
+	case co.opts.Certify.Enabled() && status != sat.Unknown:
 		certified, err = co.certify(a, key, job.Certify, reply, cert, jobSpan)
-	case reply.Verdict == core.Unsafe.String():
+	case status == sat.Sat:
 		if _, err := co.verifier.replay(cert); err != nil {
 			return nil, false, fmt.Errorf("job %d on %s: %v", a.JobID, key, err)
 		}
@@ -747,7 +747,7 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, fir
 	return reply, certified, err
 }
 
-// settle files a terminal result — UNSAFE, SAFE or a budgeted UNKNOWN —
+// settle files a terminal result — SAT, UNSAT or a budgeted UNKNOWN —
 // with the scheduler: a result for a cube that was split, or whose hedge
 // twin already won, loses the claim and is discarded here, never
 // journaled, never charged; a winner is committed before the run
@@ -759,14 +759,12 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 		return true
 	}
 	co.acceptParts(a, reply, key, certified)
-	verdict := reply.Verdict
-	if !definite(verdict) {
-		// Whatever else the wire said, it is a give-up on reply.Cause.
-		verdict = core.Unknown.String()
+	status := sat.ParseStatus(reply.Verdict)
+	if status == sat.Unknown {
 		co.metrics.budgetExhausted.Inc()
 	}
 	err := co.sched.Commit(a, partition.Outcome{
-		Verdict: verdict, Winner: reply.Winner, Cause: reply.Cause,
+		Status: status, Winner: reply.Winner, Cause: reply.Cause,
 		Millis: reply.Millis, Certified: certified,
 	})
 	sum := co.sched.Summary()
@@ -786,11 +784,6 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 		_ = wc.send(&Message{Type: "stop"})
 	}
 	return !fin
-}
-
-// definite reports a remote verdict that decides its cube.
-func definite(verdict string) bool {
-	return verdict == core.Unsafe.String() || verdict == core.Safe.String()
 }
 
 // leafGoneLocked publishes the live-leaf count after a cube was decided

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -313,7 +314,7 @@ func TestDistributedStaleResultRejected(t *testing.T) {
 	if err != nil || job.Type != "job" {
 		t.Fatalf("expected job, got %v (%v)", job, err)
 	}
-	if err := wc.send(&Message{Type: "result", JobID: job.JobID + 1000, Verdict: core.Safe.String(), Winner: -1}); err != nil {
+	if err := wc.send(&Message{Type: "result", JobID: job.JobID + 1000, Verdict: sat.Unsat.String(), Winner: -1}); err != nil {
 		t.Fatal(err)
 	}
 	go func() {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -157,8 +158,8 @@ func TestHAFailoverOnKilledPrimary(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for _, rec := range recs {
-		if rec.Verdict != core.Safe.String() || !rec.Certified {
-			t.Fatalf("journal record %+v, want certified Safe", rec)
+		if rec.Verdict != sat.Unsat.String() || !rec.Certified {
+			t.Fatalf("journal record %+v, want certified UNSAT", rec)
 		}
 		seen[rec.From] = true
 	}
@@ -298,7 +299,7 @@ func TestStandbyAbandonsCorruptReplicationStream(t *testing.T) {
 	manifest := &Message{Type: "replicate", Manifest: &man}
 	rec := func(from int) *Message {
 		return &Message{Type: "replicate", Seq: from + 1, Record: &journal.ChunkRecord{
-			From: from, To: from, Verdict: core.Safe.String(), Winner: -1, Certified: true,
+			From: from, To: from, Verdict: sat.Unsat.String(), Winner: -1, Certified: true,
 		}}
 	}
 	send := func(m *Message) func(*conn) error { return func(wc *conn) error { return wc.send(m) } }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/sat"
 )
 
@@ -49,12 +48,12 @@ const (
 	// lies about the outcome. They exercise the coordinator's certificate
 	// checking — an uncertified coordinator accepts every one of them.
 
-	// FaultFlipVerdict inverts a definite verdict: SAFE becomes UNSAFE
-	// with a fabricated all-zero model, UNSAFE becomes SAFE with no
+	// FaultFlipVerdict inverts a definite answer: UNSAT becomes SAT
+	// with a fabricated all-zero model, SAT becomes UNSAT with no
 	// proofs.
 	FaultFlipVerdict
-	// FaultBogusModel claims UNSAFE with a garbage model regardless of
-	// the honest verdict.
+	// FaultBogusModel claims SAT with a garbage model regardless of
+	// the honest answer.
 	FaultBogusModel
 	// FaultTruncatedProof sends only a prefix of the real certificate
 	// (declaring the truncated size, so the cut manifests as a corrupt
@@ -229,18 +228,18 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 	}
 	switch f.Kind {
 	case FaultFlipVerdict:
-		switch reply.Verdict {
-		case core.Safe.String():
-			reply.Verdict = core.Unsafe.String()
+		switch sat.ParseStatus(reply.Verdict) {
+		case sat.Unsat:
+			reply.Verdict = sat.Sat.String()
 			reply.Winner = m.From
 			*cert = &Certificate{NumVars: numVars, Model: packBits(make([]bool, numVars))}
-		case core.Unsafe.String():
-			reply.Verdict = core.Safe.String()
+		case sat.Sat:
+			reply.Verdict = sat.Unsat.String()
 			reply.Winner = -1
 			*cert = &Certificate{NumVars: numVars} // no proofs: nothing to show
 		}
 	case FaultBogusModel:
-		reply.Verdict = core.Unsafe.String()
+		reply.Verdict = sat.Sat.String()
 		reply.Winner = m.From
 		bogus := make([]bool, numVars)
 		for i := range bogus {

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -201,5 +203,42 @@ func TestHeartbeatCarriesProgress(t *testing.T) {
 	}
 	if !sawVerdict {
 		t.Fatalf("no partition verdict in rows: %+v", rep.Partitions)
+	}
+}
+
+// A distributed run's report names each cube's answer in one word: the
+// rendered partition table and cube tree agree, partition by partition.
+func TestReportNamesCubeAnswersInOneWord(t *testing.T) {
+	recorder := report.NewRecorder()
+	addr, resCh := startCoordinator(t, prog.MustParse(fibSrc), CoordinatorOptions{
+		Unwind: 1, Contexts: 3, Partitions: 4, ChunkSize: 1, Report: recorder,
+	})
+	runWorkers(t, addr, 1)
+	if res := waitResult(t, resCh); res.Verdict != core.Safe {
+		t.Fatalf("verdict %v", res.Verdict)
+	}
+	var out bytes.Buffer
+	report.Render(&out, recorder.Build())
+	// Each section's rows start with the partition (table) or the cube's
+	// key (tree), then the word; with one partition a cube the two agree.
+	table, tree := map[string]string{}, map[string]string{}
+	var section map[string]string
+	for _, line := range strings.Split(out.String(), "\n") {
+		switch {
+		case strings.HasPrefix(line, "Partition imbalance"):
+			section = table
+		case strings.HasPrefix(line, "Cube tree"):
+			section = tree
+		case !strings.HasPrefix(line, "  "):
+			section = nil
+		default:
+			f := strings.Fields(line)
+			if _, err := strconv.Atoi(f[0]); err == nil && section != nil && len(f) > 1 {
+				section[f[0]] = f[1]
+			}
+		}
+	}
+	if len(table) != 4 || !reflect.DeepEqual(table, tree) {
+		t.Fatalf("partition table %v, cube tree %v: want one word per answer in both\n%s", table, tree, out.String())
 	}
 }

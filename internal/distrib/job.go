@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"repro/internal/cnf"
-	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/report"
 	"repro/internal/sat"
 )
 
@@ -169,7 +169,7 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	// promptly on cancel so a split/hedge supersession still frees the
 	// worker.
 	if f != nil && f.Kind == FaultSlow && f.Slow > 0 && !sleepCtx(ctx, f.Slow) {
-		reply.Verdict, reply.Cause = core.Unknown.String(), sat.CauseCancelled.String()
+		reply.Verdict, reply.Cause = sat.Unknown.String(), sat.CauseCancelled.String()
 		return reply, nil
 	}
 	jt, coll := w.jobTracer(m)
@@ -251,32 +251,28 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	return reply, cert
 }
 
-// fold writes a finished job into its result frame: the verdict and its
-// winner, the solver's time, and the per-partition search statistics, so
-// the coordinator sees the remote search effort (load skew, conflict
-// rates) instead of the stats dying with the worker process. Each
-// partition's are its own, from the clone on, whichever worker ran it
-// and whatever ran there before; its final row rides alongside.
+// fold writes a finished job into its result frame: its status and a
+// Sat one's winner, the solver's time, and the per-partition search
+// statistics, so the coordinator sees the remote search effort (load
+// skew, conflict rates) instead of the stats dying with the worker
+// process. Each partition's are its own, from the clone on, whichever
+// worker ran it and whatever ran there before; its final row rides
+// alongside.
 func (m *Message) fold(res *parallel.Result) {
-	verdict := core.Unknown
-	switch res.Status {
-	case sat.Sat:
-		verdict = core.Unsafe
+	m.Verdict = res.Status.String()
+	if res.Status == sat.Sat {
 		// res.Winner is the absolute partition index.
 		m.Winner = res.Winner
-	case sat.Unsat:
-		verdict = core.Safe
 	}
-	m.Verdict = verdict.String()
 	m.SolveMillis = res.Wall.Milliseconds()
 	var agg sat.Stats
 	var cause sat.StopCause
 	for _, inst := range res.Instances {
 		agg.Add(inst.Stats)
 		cause = cause.Worse(inst.Cause)
-		m.Parts = append(m.Parts, core.PartitionRow(inst))
+		m.Parts = append(m.Parts, report.PartitionRowOf(inst))
 	}
-	if verdict == core.Unknown {
+	if res.Status == sat.Unknown {
 		// Name the dominant exhausted budget (sat.StopCause.Worse) so the
 		// coordinator can tell a terminal budgeted Unknown (re-running
 		// gives up again) from a retryable one: a mid-solve cancel (hedge

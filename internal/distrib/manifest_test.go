@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/partition"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -195,7 +196,7 @@ func TestJobFrameWireCompatible(t *testing.T) {
 	t.Run("other messages", func(t *testing.T) {
 		for _, m := range []*Message{
 			{Type: "heartbeat", JobID: 1, Conflicts: 5},
-			{Type: "result", JobID: 1, Verdict: core.Safe.String(), Winner: -1},
+			{Type: "result", JobID: 1, Verdict: sat.Unsat.String(), Winner: -1},
 			{Type: "replicate", Manifest: &man},
 		} {
 			data, err := json.Marshal(m)

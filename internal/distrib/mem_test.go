@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -53,7 +54,7 @@ func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
 			jobs++
 			if err := wc.send(&Message{
 				Type: "result", JobID: m.JobID,
-				Verdict: core.Unknown.String(), Winner: -1,
+				Verdict: sat.Unknown.String(), Winner: -1,
 				Cause: "memory", Millis: 1,
 			}); err != nil {
 				t.Fatal(err)
@@ -214,7 +215,7 @@ func TestDispatchPausesUnderMemoryPressure(t *testing.T) {
 	// No wait: this connection's one serve loop notes the heartbeat before it reads the result.
 	if err := wc.send(&Message{
 		Type: "result", JobID: job.JobID,
-		Verdict: core.Safe.String(), Winner: -1, Millis: 1,
+		Verdict: sat.Unsat.String(), Winner: -1, Millis: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,6 @@ type Message struct {
 	// worker) from a standby coordinator ("standby") that wants the
 	// journal replication stream instead of jobs.
 	WorkerName string `json:"worker_name,omitempty"`
-	Cores      int    `json:"cores,omitempty"`
 	Role       string `json:"role,omitempty"`
 
 	// Welcome fields: the coordinator answers every hello with its
@@ -91,8 +90,8 @@ type Message struct {
 	// that was sent no template is refused.
 	TemplateSize int64 `json:"template_size,omitempty"`
 	// Certify is the evidence level the coordinator demands with this
-	// job's result: "full" (UNSAFE model + per-partition UNSAT proofs),
-	// "model" (UNSAFE model only), or "off"/"" (none).
+	// job's result: "full" (SAT model + per-partition UNSAT proofs),
+	// "model" (SAT model only), or "off"/"" (none).
 	Certify string `json:"certify,omitempty"`
 	// TraceID / ParentSpan propagate the coordinator's trace across the
 	// process boundary: the worker joins TraceID and parents its job
@@ -102,10 +101,10 @@ type Message struct {
 	TraceID    string `json:"trace_id,omitempty"`
 	ParentSpan string `json:"parent_span,omitempty"`
 
-	// Result fields. SolveMillis is the solver's share of Millis, and
-	// Stats aggregates the job's per-partition search statistics, so
-	// remote search effort reaches the coordinator instead of being
-	// dropped at the worker.
+	// Result fields. Verdict is the job's sat.Status, as its word; Winner
+	// is a SAT answer's partition. SolveMillis is the solver's share of Millis, and Stats aggregates
+	// the job's per-partition search statistics, so remote search effort
+	// reaches the coordinator instead of being dropped at the worker.
 	Verdict     string     `json:"verdict,omitempty"`
 	Winner      int        `json:"winner,omitempty"`
 	Millis      int64      `json:"millis,omitempty"`

@@ -18,13 +18,13 @@ func pipePair(t *testing.T) (*conn, *conn) {
 func TestFrameChecksumRoundTrip(t *testing.T) {
 	ca, cb := pipePair(t)
 	go func() {
-		_ = ca.send(&Message{Type: "hello", WorkerName: "w", Cores: 3})
+		_ = ca.send(&Message{Type: "hello", WorkerName: "w", Epoch: 3})
 	}()
 	m, err := cb.recv(5 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Type != "hello" || m.WorkerName != "w" || m.Cores != 3 {
+	if m.Type != "hello" || m.WorkerName != "w" || m.Epoch != 3 {
 		t.Fatalf("message %+v", m)
 	}
 }
@@ -37,7 +37,7 @@ func TestFrameChecksumRejectsCorruptPayload(t *testing.T) {
 	go func() {
 		// A valid checksum for a different payload: simulates in-flight
 		// bit corruption of the verdict field.
-		_ = ca.sendRaw([]byte(`00000000 {"type":"result","job_id":1,"verdict":"SAFE"}` + "\n"))
+		_ = ca.sendRaw([]byte(`00000000 {"type":"result","job_id":1,"verdict":"UNSAT"}` + "\n"))
 	}()
 	_, err := cb.recv(5 * time.Second)
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {

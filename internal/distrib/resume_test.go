@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/partition"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -51,8 +53,8 @@ func TestDistributedJournalResume(t *testing.T) {
 		t.Fatalf("journal holds %d records after the crash, want 2", len(recs))
 	}
 	for _, rec := range recs {
-		if rec.Verdict != core.Safe.String() {
-			t.Fatalf("record %+v, want SAFE", rec)
+		if rec.Verdict != sat.Unsat.String() {
+			t.Fatalf("record %+v, want UNSAT", rec)
 		}
 	}
 
@@ -129,6 +131,41 @@ func TestDistributedJournalResumeUnsafe(t *testing.T) {
 	}
 	if res2.Jobs != 0 {
 		t.Fatalf("resumed run re-solved %d jobs", res2.Jobs)
+	}
+}
+
+// A journal a loopback coordinator of an earlier build wrote, which
+// journaled a cube's answer in the run's words: fibSrc at unwind 1,
+// contexts 4 and 8 partitions, certified, one partition a job, "SAFE" for
+// partition 0 and "UNSAFE" for partition 1. It resumes to that run's
+// verdict and winner with both records replayed and no job handed out.
+func TestParentCoordinatorJournalResumes(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "parent_coordinator.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.wal")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A record misread leaves its cube to solve, and no worker comes.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, err := Coordinate(ctx, ln, prog.MustParse(fibSrc), CoordinatorOptions{
+		Unwind: 1, Contexts: 4, Partitions: 8, ChunkSize: 1,
+		Certify:     CertifyPolicy{Mode: CertifyFull},
+		JournalPath: path, Resume: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != core.Unsafe || res.Winner != 1 || res.Resumed != 2 || res.Jobs != 0 {
+		t.Fatalf("resumed run: verdict %v winner %d, %d replayed, %d jobs; want UNSAFE at 1 from 2 replayed records and no job",
+			res.Verdict, res.Winner, res.Resumed, res.Jobs)
 	}
 }
 
@@ -273,7 +310,7 @@ func TestJournalResumeCountsOnlyItsOwnSplits(t *testing.T) {
 		t.Fatal(err)
 	}
 	safe := func(part int, path string) journal.ChunkRecord {
-		return journal.ChunkRecord{From: part, To: part, Path: path, Verdict: core.Safe.String(), Winner: -1, Certified: true}
+		return journal.ChunkRecord{From: part, To: part, Path: path, Verdict: sat.Unsat.String(), Winner: -1, Certified: true}
 	}
 	for _, rec := range []journal.ChunkRecord{
 		safe(0, ""),

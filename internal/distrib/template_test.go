@@ -202,7 +202,7 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 				t.Fatalf("%d rows, want %d", len(rows), n)
 			}
 			for i, got := range rows {
-				want := core.PartitionRow(local.Instances[i])
+				want := report.PartitionRowOf(local.Instances[i])
 				if got.Worker != "w0" || got.Certified != (mode == CertifyFull) {
 					t.Errorf("partition %d: stamped worker %q certified %v under %s", got.Partition, got.Worker, got.Certified, mode)
 				}
@@ -268,9 +268,9 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 						t.Fatalf("partition %d: %+v", i, reply)
 					}
 					switch reply.Verdict {
-					case core.Safe.String():
+					case sat.Unsat.String():
 						_, err = v.verifySafe(cube, cert)
-					case core.Unsafe.String():
+					case sat.Sat.String():
 						err = v.verifyUnsafe(cube, reply.Winner, cert)
 					default:
 						t.Fatalf("partition %d: verdict %s", i, reply.Verdict)
@@ -617,19 +617,19 @@ func TestWatchdogTripRebuildsTemplate(t *testing.T) {
 		m.JobID, m.Certify = id, ""
 		return m
 	}
-	if reply, _ := w.runJob(context.Background(), job(1, 1), nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
+	if reply, _ := w.runJob(context.Background(), job(1, 1), nil, nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
 		t.Fatalf("first job: %+v", reply)
 	}
 	tripped := make(chan struct{})
 	close(tripped)
 	reply, _ := w.runJob(context.Background(), job(2, 2), nil, nil, tripped)
-	if reply.Verdict != core.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Restore != nil {
+	if reply.Verdict != sat.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Restore != nil {
 		t.Fatalf("job under a tripped watchdog: %+v", reply)
 	}
 	if w.run == nil || w.run.tpl.Ready() {
 		t.Fatal("the template outlived the watchdog's trip, or the worker forgot the run")
 	}
-	if reply, _ := w.runJob(context.Background(), job(3, 2), nil, nil, nil); reply.Verdict != core.Safe.String() || reply.Restore == nil {
+	if reply, _ := w.runJob(context.Background(), job(3, 2), nil, nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
 		t.Fatalf("the job after: %+v, want the cube decided on the template restored again", reply)
 	}
 }

@@ -187,7 +187,7 @@ func (w *worker) session(ctx context.Context, addr string) (jobs int, stopped bo
 	defer context.AfterFunc(ctx, wc.close)()
 	w.shipped = nil // a template is a connection's: this one sends its own
 
-	if err := wc.send(&Message{Type: "hello", WorkerName: w.opts.Name, Cores: w.opts.Cores}); err != nil {
+	if err := wc.send(&Message{Type: "hello", WorkerName: w.opts.Name}); err != nil {
 		return 0, false, err
 	}
 	// A dedicated reader pump owns the socket's read side for the whole
@@ -423,7 +423,7 @@ func (p *jobProgress) snapshot() (rows []report.PartitionRow, total sat.Stats) {
 func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message, f *FaultEvent) (*Message, *Certificate) {
 	// Per-job OOM watchdog: a fresh one each job so the trip re-arms
 	// after an aborted chunk frees its memory. On trip the job's solvers
-	// are interrupted with a memory cause (via core.Options.MemAbort),
+	// are interrupted with a memory cause (via parallel.Options.MemAbort),
 	// so the worker sheds the chunk and answers with a structured
 	// verdict before the kernel's OOM-killer would pick the process.
 	memAbort := make(chan struct{})

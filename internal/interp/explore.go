@@ -8,8 +8,6 @@ import (
 type ExploreOptions struct {
 	// Contexts is the context bound (number of execution contexts).
 	Contexts int
-	// Width is the integer width.
-	Width int
 	// NondetDomain is the number of values enumerated for each
 	// non-deterministic integer assignment (0..NondetDomain-1); Booleans
 	// always enumerate {0,1}. Default 2. Ground truth is exact only for

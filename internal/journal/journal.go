@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/sat"
 )
 
 // magic identifies a journal file; the trailing byte is the format
@@ -124,8 +125,11 @@ type ChunkRecord struct {
 	// Path pins the cube's extra split-bit polarities (adaptive cube
 	// splitting, partition.Cube.Path); empty for static range chunks.
 	// Together with From/To it identifies a node of the cube tree.
-	Path    string `json:"path,omitempty"`
-	Verdict string `json:"verdict"` // in its writer's spelling: read it through Sat, Unsat, Split
+	Path string `json:"path,omitempty"`
+	// Verdict is the cube's answer, the sat.Status word of its solver
+	// ("SAT", "UNSAT", or "UNKNOWN" for a budgeted give-up, see Cause),
+	// or VerdictSplit; read it through Sat, Unsat and Split.
+	Verdict string `json:"verdict"`
 	// Winner is the partition holding the satisfying assignment
 	// (Sat records; -1 otherwise).
 	Winner int `json:"winner,omitempty"`
@@ -166,13 +170,14 @@ const VerdictSplit = "SPLIT"
 func (r ChunkRecord) Split() bool { return r.Verdict == VerdictSplit }
 
 // Sat reports a record whose cube holds a counterexample, Unsat one whose
-// cube was refuted. Verdict has two spellings on disk, one per writer:
-// the in-process runner journals the solver's status ("SAT" / "UNSAT"),
-// the coordinator the verdict its workers report ("UNSAFE" / "SAFE");
-// both write "UNKNOWN" for a budgeted give-up (see Cause). Only these
-// predicates compare the string.
-func (r ChunkRecord) Sat() bool   { return r.Verdict == "SAT" || r.Verdict == "UNSAFE" }
-func (r ChunkRecord) Unsat() bool { return r.Verdict == "UNSAT" || r.Verdict == "SAFE" }
+// cube was refuted.
+func (r ChunkRecord) Sat() bool   { return r.Verdict == sat.Sat.String() }
+func (r ChunkRecord) Unsat() bool { return r.Verdict == sat.Unsat.String() }
+
+// legacyVerdict maps the run's verdict words, which a coordinator of an
+// earlier build journaled for a cube's answer, to the status words every
+// writer uses now. scan applies it, so nothing past decoding meets them.
+var legacyVerdict = map[string]string{"SAFE": sat.Unsat.String(), "UNSAFE": sat.Sat.String()}
 
 // Budget is the resource budget every cube of a run is solved under
 // (0 = unbounded, field by field). It is declared here because the
@@ -454,6 +459,9 @@ func scan(r io.Reader) (m Manifest, recs []ChunkRecord, goodEnd int64, err error
 			var rec ChunkRecord
 			if jerr := json.Unmarshal(body, &rec); jerr != nil {
 				return m, nil, 0, fmt.Errorf("journal: chunk record: %w", jerr)
+			}
+			if v, ok := legacyVerdict[rec.Verdict]; ok {
+				rec.Verdict = v
 			}
 			recs = append(recs, rec)
 		default:

@@ -165,7 +165,7 @@ var replicaRecords = []ChunkRecord{
 	{From: 4, To: 4, Path: "01", Verdict: "UNKNOWN", Winner: 7, Cause: "memory", Millis: 12,
 		TimeoutMillis: 500, Conflicts: 64, MemBudgetMB: 128, Certified: true},
 	{From: 5, To: 6, Verdict: VerdictSplit, Winner: -1},
-	{From: 7, To: 7, Verdict: "SAFE", Winner: -1, Millis: 3, Certified: true},
+	{From: 7, To: 7, Verdict: "UNSAT", Winner: -1, Millis: 3, Certified: true},
 }
 
 // wireCopy passes the manifest and records through encoding/json and back,
@@ -242,6 +242,35 @@ func TestReplicaProducesResumableJournal(t *testing.T) {
 	}
 	if err := resumed.Commit(ChunkRecord{From: 8, To: 8, Verdict: "SAFE", Winner: -1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A coordinator of an earlier build journaled a cube's answer in the
+// run's words. They decode to the status words every writer uses now, so
+// the predicates, a resume and a replica meet only those.
+func TestLegacyVerdictWordsDecodeToStatusWords(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.wal")
+	j := mustOpen(t, path, testManifest())
+	for _, rec := range []ChunkRecord{
+		{From: 0, To: 0, Verdict: "SAFE", Winner: -1, Certified: true},
+		{From: 1, To: 1, Verdict: "UNSAFE", Winner: 1, Certified: true},
+		{From: 2, To: 2, Verdict: "UNKNOWN", Winner: -1, Cause: "timeout"},
+	} {
+		if err := j.Commit(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	_, recs, err := Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, r := range recs {
+		got = append(got, r.Verdict)
+	}
+	if !slices.Equal(got, []string{"UNSAT", "SAT", "UNKNOWN"}) || !recs[0].Unsat() || !recs[1].Sat() {
+		t.Fatalf("decoded verdicts %q", got)
 	}
 }
 

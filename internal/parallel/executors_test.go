@@ -4,7 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/partition"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -33,7 +37,7 @@ void main() {
 // foldJournal resumes a scheduler from a finished run's journal over the
 // whole-partition roots — the intake and the fold either executor runs —
 // and requires a fully decided cube tree.
-func foldJournal(t *testing.T, path string, nparts int) (verdict string, leaves, splits int) {
+func foldJournal(t *testing.T, path string, nparts int) (status sat.Status, leaves, splits int) {
 	t.Helper()
 	m, _, err := journal.Read(path)
 	if err != nil {
@@ -54,7 +58,24 @@ func foldJournal(t *testing.T, path string, nparts int) (verdict string, leaves,
 	if sum.Live != 0 || len(sum.Exhausted) != 0 || sum.Resumed != sum.Total {
 		t.Fatalf("%s: the replayed cube tree is not fully decided: %+v", path, sum)
 	}
-	return partition.Verdict(sum, "unsafe", "safe", "unknown"), sum.Total, sum.Total - nparts
+	return sum.Status(), sum.Total, sum.Total - nparts
+}
+
+// answerWords is the set of words a journal file holds for its cubes'
+// answers, as written: split markers aside, one per distinct verdict.
+func answerWords(t *testing.T, path string) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := map[string]bool{}
+	for _, m := range regexp.MustCompile(`"verdict":"([A-Z]+)"`).FindAllSubmatch(data, -1) {
+		if w := string(m[1]); w != journal.VerdictSplit {
+			words[w] = true
+		}
+	}
+	return words
 }
 
 // The two executors of the one cube scheduler must tell the same story:
@@ -132,8 +153,11 @@ func TestSplitJournalsAgreeAcrossExecutors(t *testing.T) {
 	rv, rLeaves, rSplits := foldJournal(t, remote, nparts)
 	t.Logf("goroutine executor: %s, %d leaves, %d splits; TCP executor: %s, %d leaves, %d splits",
 		lv, lLeaves, lSplits, rv, rLeaves, rSplits)
-	if lv != rv || lv != "safe" {
-		t.Fatalf("folded verdicts: goroutine executor %s, TCP executor %s, want both safe", lv, rv)
+	if lv != rv || lv != sat.Unsat {
+		t.Fatalf("folded verdicts: goroutine executor %s, TCP executor %s, want both UNSAT", lv, rv)
+	}
+	if lw, rw := answerWords(t, local), answerWords(t, remote); !reflect.DeepEqual(lw, rw) {
+		t.Fatalf("the executors journal their cubes' answers in different words: goroutine executor %v, TCP executor %v", lw, rw)
 	}
 	if res.Status.String() != "UNSAT" || cres.Verdict != core.Safe {
 		t.Fatalf("run results %v / %v disagree with their journals", res.Status, cres.Verdict)
@@ -206,7 +230,7 @@ func TestJournalResumeAtEveryRecordBoundaryDistributed(t *testing.T) {
 			t.Fatalf("k=%d: %v with %d replayed and %d jobs, want %v with %d and %d",
 				k, res.Verdict, res.Resumed, res.Jobs, first.Verdict, k, nparts-k)
 		}
-		if v, leaves, _ := foldJournal(t, path, nparts); v != "safe" || leaves != nparts {
+		if v, leaves, _ := foldJournal(t, path, nparts); v != sat.Unsat || leaves != nparts {
 			t.Fatalf("k=%d: final journal folds to %s over %d leaves", k, v, leaves)
 		}
 		if _, final, _ := journal.Read(path); len(final) != nparts {

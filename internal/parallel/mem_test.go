@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cnf"
@@ -101,6 +102,37 @@ func TestMemAbortKillSwitch(t *testing.T) {
 	for _, inst := range res.Instances {
 		if inst.Cause != sat.CauseMemory {
 			t.Fatalf("partition %d: cause %v, want memory", inst.Partition, inst.Cause)
+		}
+	}
+}
+
+// TestSolveProgressCallback wires a live-progress hook through the
+// runner down to the CDCL loop of every partition.
+func TestSolveProgressCallback(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[int]sat.Stats{}
+	res, err := Solve(context.Background(), pigeonhole(7), partitionsOn([]cnf.Var{1, 2}, 4), Options{
+		Workers: 2, ProgressEvery: 1,
+		Progress: func(partition int, st sat.Stats) {
+			mu.Lock()
+			seen[partition] = st
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != sat.Unsat {
+		t.Fatalf("status %v", res.Status)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(seen) != 4 {
+		t.Fatalf("progress heard from %d of 4 partitions", len(seen))
+	}
+	for i, st := range seen {
+		if st.Conflicts == 0 {
+			t.Fatalf("partition %d: last snapshot has no conflicts: %+v", i, st)
 		}
 	}
 }

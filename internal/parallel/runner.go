@@ -173,7 +173,7 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		r.res.Instances = append(r.res.Instances, inst)
 	}
 	sum := r.sched.Summary()
-	r.res.Status = partition.Verdict(sum, sat.Sat, sat.Unsat, sat.Unknown)
+	r.res.Status = sum.Status()
 	if r.res.Status != sat.Sat && ctx.Err() != nil {
 		r.res.Status = sat.Unknown
 	}
@@ -346,7 +346,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	}
 	// Durable before it is acknowledged in the shared result.
 	if err := r.sched.Commit(a, partition.Outcome{
-		Verdict: inst.Status.String(), Winner: pt.Index, Cause: inst.Cause.String(), Millis: elapsed.Milliseconds(),
+		Status: inst.Status, Winner: pt.Index, Cause: inst.Cause.String(), Millis: elapsed.Milliseconds(),
 		Certified: certified,
 	}); err != nil {
 		r.fail(err)

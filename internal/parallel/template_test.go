@@ -197,7 +197,7 @@ func TestResumeWithOneCubeLeft(t *testing.T) {
 		if a == nil || !sched.Claim(a) {
 			t.Fatalf("partition %d: no assignment to settle", inst.Partition)
 		}
-		if err := sched.Commit(a, partition.Outcome{Verdict: inst.Status.String(), Winner: inst.Partition, Cause: inst.Cause.String()}); err != nil {
+		if err := sched.Commit(a, partition.Outcome{Status: inst.Status, Winner: inst.Partition, Cause: inst.Cause.String()}); err != nil {
 			t.Fatalf("partition %d of the first run has nothing to journal: %+v: %v", inst.Partition, inst, err)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/journal"
+	"repro/internal/sat"
 )
 
 // The ledger is what a decided cube means for the run: intake, the
@@ -18,12 +19,11 @@ type Leaf struct {
 	Rec  *journal.ChunkRecord
 }
 
-// Outcome is a terminal result as its executor reports it: Verdict in
-// the executor's own spelling, journaled as given (journal.ChunkRecord
-// reads both), Winner the partition holding a Sat verdict's model, Cause
-// the budget a give-up exhausted.
+// Outcome is a terminal result as its executor reports it: Status the
+// cube's solver's answer, journaled as its word, Winner the partition
+// holding a Sat answer's model, Cause the budget a give-up exhausted.
 type Outcome struct {
-	Verdict   string
+	Status    sat.Status
 	Winner    int
 	Cause     string
 	Millis    int64
@@ -53,18 +53,18 @@ type Summary struct {
 	Splits, Hedges, Steals, Superseded, MaxDepth int
 }
 
-// Verdict is the verdict rule, in the caller's vocabulary: a
+// Status is the verdict rule, the run's answer folded from its cubes': a
 // counterexample anywhere decides the run; otherwise any leaf that is
 // still live, was abandoned or gave up on a budget leaves it open;
 // otherwise every leaf was refuted.
-func Verdict[T any](s Summary, sat, unsat, unknown T) T {
+func (s Summary) Status() sat.Status {
 	switch {
 	case s.Sat:
-		return sat
+		return sat.Sat
 	case s.Live > 0 || s.Abandoned > 0 || len(s.Exhausted) > 0:
-		return unknown
+		return sat.Unknown
 	}
-	return unsat
+	return sat.Unsat
 }
 
 // SealWarning is the one sentence a run that lost its journal says.
@@ -110,15 +110,15 @@ func (s *Scheduler) Commit(a *Assignment, o Outcome) error {
 	c := a.Cube
 	rec := journal.ChunkRecord{
 		From: c.From, To: c.To, Path: c.Path,
-		Verdict: o.Verdict, Winner: -1, Millis: o.Millis, Certified: o.Certified,
+		Verdict: o.Status.String(), Winner: -1, Millis: o.Millis, Certified: o.Certified,
 	}
-	switch {
-	case rec.Sat():
+	switch o.Status {
+	case sat.Sat:
 		rec.Winner = o.Winner
-	case rec.Unsat():
+	case sat.Unsat:
 	default:
 		if rec.Cause = o.Cause; !s.opts.Budget.Pin(&rec) {
-			return fmt.Errorf("partition: cube %s: a %q result with cause %q is in flight, not terminal, and is never committed", c.Key(), o.Verdict, o.Cause)
+			return fmt.Errorf("partition: cube %s: a %v result with cause %q is in flight, not terminal, and is never committed", c.Key(), o.Status, o.Cause)
 		}
 	}
 	s.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/journal"
+	"repro/internal/sat"
 )
 
 // The ledger on a scripted executor: the scheduler harness's fake clock,
@@ -89,8 +90,8 @@ func reopen(t *testing.T, path string, opts SchedOptions, roots []Cube) (*Schedu
 }
 
 var (
-	refuted = Outcome{Verdict: "UNSAT", Winner: -1, Millis: 3}
-	safe    = Outcome{Verdict: "SAFE", Winner: -1, Millis: 3, Certified: true}
+	refuted   = Outcome{Status: sat.Unsat, Winner: -1, Millis: 3}
+	certified = Outcome{Status: sat.Unsat, Winner: -1, Millis: 3, Certified: true}
 )
 
 // settle claims and commits a result that must win.
@@ -106,7 +107,7 @@ func (h *schedHarness) settle(a *Assignment, o Outcome) {
 
 func single(i int) Cube { return Cube{From: i, To: i} }
 
-func verdict(s Summary) string { return Verdict(s, "SAT", "UNSAT", "UNKNOWN") }
+func verdict(s Summary) string { return s.Status().String() }
 
 // gaveUp lists a summary's exhausted cubes, "key cause" each.
 func gaveUp(s Summary) (out []string) {
@@ -130,14 +131,14 @@ func TestLedgerJournalLostClaimLeavesNoRecord(t *testing.T) {
 	if twin == nil || !twin.Hedge {
 		t.Fatalf("no hedge duplicate: %+v", twin)
 	}
-	h.settle(twin, safe)
+	h.settle(twin, certified)
 	if h.s.Claim(orig) {
 		t.Fatal("the hedge loser's late result won a claim")
 	}
-	if err := h.s.Commit(orig, safe); err == nil {
+	if err := h.s.Commit(orig, certified); err == nil {
 		t.Fatal("a result that lost its claim was committed")
 	}
-	if err := h.s.Commit(twin, safe); err == nil {
+	if err := h.s.Commit(twin, certified); err == nil {
 		t.Fatal("one claim bought two commits")
 	}
 
@@ -146,8 +147,8 @@ func TestLedgerJournalLostClaimLeavesNoRecord(t *testing.T) {
 		t.Fatal("claim rejected")
 	}
 	for _, o := range []Outcome{
-		{Verdict: "UNKNOWN", Cause: "cancelled"},
-		{Verdict: "UNKNOWN"},
+		{Status: sat.Unknown, Cause: "cancelled"},
+		{Status: sat.Unknown},
 	} {
 		if err := h.s.Commit(inflight, o); err == nil {
 			t.Fatalf("an in-flight result %+v was committed", o)
@@ -267,7 +268,7 @@ func TestLedgerBudgetGiveUpPinnedAndRetried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	j := openLedgerJournal(t, path, &ledgerFile{})
 	h.s.opts.Journal = j
-	h.settle(h.dispatch(single(0), "w1"), Outcome{Verdict: "UNKNOWN", Cause: "conflict-budget", Millis: 7})
+	h.settle(h.dispatch(single(0), "w1"), Outcome{Status: sat.Unknown, Cause: "conflict-budget", Millis: 7})
 	h.settle(h.dispatch(single(1), "w1"), refuted)
 	j.Close()
 
@@ -314,9 +315,10 @@ func TestLedgerBudgetGiveUpPinnedAndRetried(t *testing.T) {
 	}
 }
 
-// Intake, rule by rule, over one hand-written journal in both writers'
-// spellings: what a run trusts it folds as resumed, what it does not it
-// queues.
+// Intake, rule by rule, over one hand-written journal in the one spelling
+// and in the legacy one a coordinator of an earlier build wrote ("SAFE"
+// for a refuted cube), which reads as the same answer: what a run trusts
+// it folds as resumed, what it does not it queues.
 func TestLedgerResumeIntake(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.wal")
 	j := openLedgerJournal(t, path, &ledgerFile{})

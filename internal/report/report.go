@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/partition"
 )
 
@@ -41,7 +42,7 @@ type Manifest struct {
 // PartitionRow is the one description of a partition's outcome: what a
 // worker sends for it, live on heartbeats and final on results, what the
 // coordinator's metrics read, and the row of the report file, whose JSON
-// keys these are. core.PartitionRow builds it from a finished instance
+// keys these are. PartitionRowOf builds it from a finished instance
 // and the distributed worker's heartbeat from a partition's latest
 // counters; Worker, Certified and a job-wide Cause are the coordinator's
 // to stamp.
@@ -72,6 +73,26 @@ func (r PartitionRow) Hardness() float64 {
 	return partition.Hardness(r.Conflicts, r.Progress, time.Duration(r.SolveMillis)*time.Millisecond)
 }
 
+// PartitionRowOf is the row of one finished instance — the only place an
+// instance's fields become a row's: a local run files it as it is, a
+// distributed worker sends it and the coordinator stamps Worker,
+// Certified and the job's cause onto it.
+func PartitionRowOf(inst parallel.InstanceResult) PartitionRow {
+	return PartitionRow{
+		Partition:    inst.Partition,
+		Verdict:      inst.Status.String(),
+		Cause:        inst.Cause.String(),
+		Conflicts:    inst.Stats.Conflicts,
+		Propagations: inst.Stats.Propagations,
+		Decisions:    inst.Stats.Decisions,
+		Restarts:     inst.Stats.Restarts,
+		ElimVars:     inst.Stats.ElimVars,
+		Simplified:   inst.Stats.Simplified,
+		Progress:     inst.Stats.Progress,
+		SolveMillis:  inst.Time.Milliseconds(),
+	}
+}
+
 // TemplateRow is the run's template solver: the formula loaded once —
 // and, with several partitions to solve, simplified once — from which
 // every partition's solver was cloned. Its time and its eliminations
@@ -91,10 +112,23 @@ type TemplateRow struct {
 	Cubes int `json:"cubes"`
 }
 
+// TemplateRowOf is the row of the solver template a run built.
+func TemplateRowOf(tpl parallel.TemplateResult) TemplateRow {
+	return TemplateRow{
+		Millis:    tpl.Time.Milliseconds(),
+		ClausesIn: tpl.ClausesIn, ClausesOut: tpl.ClausesOut,
+		VarsIn: tpl.VarsIn, VarsOut: tpl.VarsOut,
+		ElimVars: tpl.Stats.ElimVars, Simplified: tpl.Stats.Simplified,
+		Propagations: tpl.Stats.Propagations,
+		Cubes:        tpl.Cubes,
+	}
+}
+
 // CubeRow is one cube-tree node's final entry: a work unit the
 // scheduler dispatched (a chunk, or a sub-cube born from a split) and
-// what became of it. A Verdict of "SPLIT" marks an interior node whose
-// two children carry its partition range onward.
+// what became of it: its Verdict is the cube's answer in the words of
+// the partition rows (sat.Status), or journal.VerdictSplit for an
+// interior node whose two children carry its partition range onward.
 type CubeRow struct {
 	// Key is the cube's canonical name: "i" for one partition, "i-j"
 	// for a range, "i/path" for a refined single partition.
@@ -545,7 +579,7 @@ func renderCubeTree(w io.Writer, rows []CubeRow) {
 	for _, r := range rows {
 		d := depth[r.Key]
 		var flags []string
-		if r.Verdict == "SPLIT" {
+		if r.Verdict == journal.VerdictSplit {
 			flags = append(flags, fmt.Sprintf("hardness=%.1f", r.Hardness))
 		}
 		if r.Stolen {
@@ -563,7 +597,7 @@ func renderCubeTree(w io.Writer, rows []CubeRow) {
 		fmt.Fprintf(w, "  %s%-16s %-8s %-16s %8d ms  %s\n",
 			strings.Repeat("  ", d), r.Key, orUnknown(r.Verdict), orDash(r.Worker),
 			r.SolveMillis, strings.Join(flags, ","))
-		if r.Verdict == "SPLIT" {
+		if r.Verdict == journal.VerdictSplit {
 			c := partition.Cube{From: r.From, To: r.To, Path: r.Path}
 			left, right := c.Split()
 			depth[left.Key()] = d + 1

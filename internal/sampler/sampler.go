@@ -27,8 +27,6 @@ import (
 type Options struct {
 	// Contexts is the context bound per execution.
 	Contexts int
-	// Width is the integer bit width (default 8).
-	Width int
 	// MaxExecutions is the total execution budget (default 10000),
 	// divided evenly among the workers (the remainder goes to the lowest
 	// indices).
@@ -134,7 +132,7 @@ func Sample(ctx context.Context, fp *flatten.Program, opts Options) (*Result, er
 // violation if the schedule reaches one, and whether the schedule was
 // pruned as infeasible.
 func runRandomSchedule(fp *flatten.Program, opts Options, rng *rand.Rand) (*interp.Violation, []interp.ContextChoice, bool) {
-	st := interp.NewState(fp, interp.Options{Width: opts.Width})
+	st := interp.NewState(fp, interp.Options{})
 	nondet := func(thread, block, step int) int64 {
 		return rng.Int63n(opts.NondetDomain)
 	}

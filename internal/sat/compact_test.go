@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cnf"
-	"repro/internal/partition"
 )
 
 // The proof a solver logs is pinned, lemma, deletion and hint: the
@@ -28,10 +27,7 @@ import (
 func TestProofDigestsPinned(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
-	parts, err := partition.Make(enc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := encodedCubes(t, enc, 8)
 	type pinned struct {
 		name   string
 		lemmas int

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/bench"
-	"repro/internal/partition"
 )
 
 // BenchmarkLoadFormula times NewFromFormula alone on the largest
@@ -89,10 +88,7 @@ func BenchmarkSolveEncoded(b *testing.B) {
 func BenchmarkCheckRUP(b *testing.B) {
 	enc := encodeBenchCell(b, bench.Eliminationstack(), 2, 5)
 	f := enc.Formula()
-	parts, err := partition.Make(enc, 16)
-	if err != nil {
-		b.Fatal(err)
-	}
+	parts := encodedCubes(b, enc, 16)
 	assumptions := parts[0].Assumptions
 	s := NewFromFormula(f, Options{})
 	s.EnableProof()

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -35,6 +36,40 @@ func encodeBenchCell(tb testing.TB, p *prog.Program, unwind, contexts int) *vc.E
 		tb.Fatal(err)
 	}
 	return enc
+}
+
+// cube is one partition of an encoding as partition.Make cuts it; the
+// solver's tests cut their own, since partition imports sat.
+type cube struct {
+	Index       int
+	Assumptions []cnf.Lit
+}
+
+// encodedCubes is partition.Make(enc, n): partition i assumes the first
+// log2(n) symbolic thread-id bits to be the bits of i.
+func encodedCubes(tb testing.TB, enc *vc.Encoded, n int) []cube {
+	tb.Helper()
+	var lsbs []cnf.Lit
+	for _, l := range enc.TidLSBs {
+		if l != cnf.LitUndef {
+			lsbs = append(lsbs, l)
+		}
+	}
+	p := bits.TrailingZeros(uint(n))
+	if n&(n-1) != 0 || p > len(lsbs) {
+		tb.Fatalf("%d partitions of an encoding with %d symbolic contexts", n, len(lsbs))
+	}
+	out := make([]cube, n)
+	for i := range out {
+		out[i].Index = i
+		for j, lit := range lsbs[:p] {
+			if i&(1<<j) == 0 {
+				lit = lit.Not()
+			}
+			out[i].Assumptions = append(out[i].Assumptions, lit)
+		}
+	}
+	return out
 }
 
 func random3SAT(seed int64, nv int, ratio float64) *cnf.Formula {

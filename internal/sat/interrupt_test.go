@@ -134,6 +134,11 @@ func TestStopCauseStringsRoundTrip(t *testing.T) {
 			t.Fatalf("round trip %v -> %q -> %v", c, c.String(), got)
 		}
 	}
+	for _, s := range []Status{Unknown, Sat, Unsat} {
+		if got := ParseStatus(s.String()); got != s {
+			t.Fatalf("round trip %v -> %q -> %v", s, s.String(), got)
+		}
+	}
 	if CauseCancelled.Budgeted() || CauseNone.Budgeted() {
 		t.Fatal("cancelled/none must not count as budget exhaustion")
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cnf"
-	"repro/internal/partition"
 )
 
 func TestProofPigeonhole(t *testing.T) {
@@ -241,10 +240,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 	// one a fresh checker gives.
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
-	parts, err := partition.Make(enc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := encodedCubes(t, enc, 8)
 	type input struct {
 		name        string
 		assumptions []cnf.Lit
@@ -509,10 +505,7 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
-	parts, err := partition.Make(enc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := encodedCubes(t, enc, 8)
 	template := func(arm func(*Solver)) *Solver {
 		s := NewFromFormula(f, Options{})
 		arm(s)
@@ -564,7 +557,7 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 		t.Fatalf("the checker fed by steps holds %d clauses, the one extended by the log %d, or not the same ones", len(got), len(want))
 	}
 	// The clones' tails check on either, and are kept.
-	for _, pt := range []partition.Partition{parts[0], parts[5]} {
+	for _, pt := range []cube{parts[0], parts[5]} {
 		c := streaming.Clone()
 		if st, err := c.Solve(pt.Assumptions...); err != nil || st != Unsat || c.ProofLog().NumLemmas() == 0 {
 			t.Fatalf("partition %d on a clone: %v, %v, %d lemmas kept", pt.Index, st, err, c.ProofLog().NumLemmas())
@@ -667,10 +660,7 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 	}
 	flip := func(q *Proof) { q.Lemmas[len(q.Lemmas)/2][0] = q.Lemmas[len(q.Lemmas)/2][0].Not() }
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
-	parts, err := partition.Make(enc, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := encodedCubes(t, enc, 8)
 	for _, pt := range parts {
 		s := NewFromFormula(enc.Formula(), Options{})
 		s.EnableProof()

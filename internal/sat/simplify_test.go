@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cnf"
-	"repro/internal/partition"
 	"repro/internal/trace"
 	"repro/prog"
 )
@@ -363,10 +362,7 @@ func TestSimplifiedModelsDecodeToValidTraces(t *testing.T) {
 // with the plain search counter for counter on a repeat.
 func TestSimplifiedRefutationsCheckAgainstOriginal(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Fibonacci(1), 2, 3)
-	parts, err := partition.Make(enc, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	parts := encodedCubes(t, enc, 4)
 	simplified := 0
 	for _, pt := range parts {
 		s, st := checkSimplifiedAgainstPlain(t, enc.Formula(), pt.Assumptions, Options{})

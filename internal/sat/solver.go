@@ -47,6 +47,16 @@ func (s Status) String() string {
 	}
 }
 
+// ParseStatus inverts String; unrecognised input maps to Unknown.
+func ParseStatus(s string) Status {
+	for _, st := range []Status{Sat, Unsat} {
+		if s == st.String() {
+			return st
+		}
+	}
+	return Unknown
+}
+
 // ErrInterrupted is returned by Solve when the solver was cancelled.
 var ErrInterrupted = errors.New("sat: solver interrupted")
 

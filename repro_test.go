@@ -234,38 +234,7 @@ var usedOnlyByTests = map[string]string{
 // type-checks the non-test files against the export data of
 // `go list -export`.
 func TestExportsHaveCallers(t *testing.T) {
-	exports := map[string]string{} // import path → export data file
-	for _, dir := range []string{".", "benchmark"} {
-		cmd := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...")
-		cmd.Dir = dir
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			path, file, _ := strings.Cut(line, "=")
-			exports[path] = file
-		}
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	files := map[string][]*ast.File{} // directory → its non-test files
-	walkNonTest(t, fset, true, func(path string, f *ast.File) {
-		files[filepath.Dir(path)] = append(files[filepath.Dir(path)], f)
-	})
-
-	info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-	var pkgs []*types.Package
-	for dir, fs := range files {
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(filepath.ToSlash(filepath.Join("repro", dir)), fset, fs, info)
-		if err != nil {
-			t.Fatalf("type-checking %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	files, info, pkgs := typeCheckTree(t)
 	uses := map[string][]token.Pos{} // (*types.Func).FullName → where used
 	for id, obj := range info.Uses {
 		if fn, ok := obj.(*types.Func); ok {
@@ -310,6 +279,190 @@ func TestExportsHaveCallers(t *testing.T) {
 	}
 }
 
+// ownDefaultOptions names the exported fields of *Options structs that no
+// non-test code outside the declaring package sets and that stay all the
+// same, each with the reason: a test sets it, or the package sets its own
+// default through it.
+var ownDefaultOptions = map[string]string{
+	"internal/vc.Options.ZeroLocals":                     "the differential tests against the interpreter start locals at zero",
+	"internal/interp.ExploreOptions.Contexts":            "Explore is the oracle of vc's differential test, its options the test's",
+	"internal/interp.ExploreOptions.MaxExecutions":       "Explore is the oracle of vc's differential test, its options the test's",
+	"internal/interp.ExploreOptions.NondetDomain":        "Explore is the oracle of vc's differential test, its options the test's",
+	"internal/distrib.CoordinatorOptions.Faults":         "the failover tests kill a primary with it",
+	"internal/distrib.CoordinatorOptions.HeartbeatGrace": "defaults from HeartbeatInterval; tests shorten it",
+	"internal/distrib.CoordinatorOptions.Epoch":          "RunHA stamps the lease's epoch on the options it runs a primary with",
+	"internal/distrib.HAOptions.StandbyPoll":             "defaults from LeaseTTL; tests shorten it",
+	"internal/memwatch.Options.Interval":                 "defaults to 250ms; tests shorten it",
+	"internal/unfold.Options.MaxThreads":                 "defaults to 64 thread instances; tests lower it",
+	"internal/partition.SchedOptions.Now":                "the scheduler's clock, which tests fake",
+	"internal/sampler.Options.NondetDomain":              "defaults to 8; tests narrow it",
+}
+
+// TestOptionFieldsHaveSetters fails on an exported field of an exported
+// *Options struct outside benchmark/ that no non-test code outside the
+// declaring package sets: an option no user can have asked for. Setting
+// is a composite-literal key, an assignment (to the field or through
+// it), or taking its address, as a flag binding does. The harness under
+// benchmark/ counts as a user; the facade package, cmd/ and examples/
+// are exempt, as in TestExportsHaveCallers.
+func TestOptionFieldsHaveSetters(t *testing.T) {
+	files, info, pkgs := typeCheckTree(t)
+	set := fieldsSetOutside(files, info, pkgs)
+	checked := 0
+	seen := map[string]bool{}
+	for dir, fs := range files {
+		if dir == "." || dir == "benchmark" || strings.HasPrefix(dir, "cmd") || strings.HasPrefix(dir, "examples") {
+			continue
+		}
+		for _, f := range fs {
+			for _, decl := range f.Decls {
+				gd, ok := decl.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					st, ok := ts.Type.(*ast.StructType)
+					if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Options") {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						for _, id := range field.Names {
+							if !id.IsExported() {
+								continue
+							}
+							checked++
+							name := filepath.ToSlash(dir) + "." + ts.Name.Name + "." + id.Name
+							if set[name] {
+								continue
+							}
+							seen[name] = true
+							if _, ok := ownDefaultOptions[name]; !ok {
+								t.Errorf("%s is set by no code outside its package but tests: delete it, or allow it with a reason", name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no option field found to check")
+	}
+	for name := range ownDefaultOptions {
+		if !seen[name] {
+			t.Errorf("%s is allowed as unset, but it has a setter or is gone: take it off the list", name)
+		}
+	}
+}
+
+// fieldsSetOutside names, as "dir.Type.Field", each struct field that
+// code outside the field's package sets.
+func fieldsSetOutside(files map[string][]*ast.File, info *types.Info, pkgs map[string]*types.Package) map[string]bool {
+	set := map[string]bool{}
+	for dir, fs := range files {
+		path := pkgs[dir].Path()
+		mark := func(owner types.Type, field string) {
+			if ptr, ok := owner.(*types.Pointer); ok {
+				owner = ptr.Elem()
+			}
+			if named, ok := owner.(*types.Named); ok && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() != path {
+				set[strings.TrimPrefix(named.Obj().Pkg().Path(), "repro/")+"."+named.Obj().Name()+"."+field] = true
+			}
+		}
+		// written marks the fields a write to e sets: each one its
+		// selectors name, a write to a.B.C setting C and B both.
+		written := func(e ast.Expr) {
+			for {
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					if sel := info.Selections[x]; sel != nil && sel.Kind() == types.FieldVal && len(sel.Index()) == 1 {
+						mark(sel.Recv(), x.Sel.Name)
+					}
+					e = x.X
+				case *ast.IndexExpr:
+					e = x.X
+				case *ast.StarExpr:
+					e = x.X
+				case *ast.ParenExpr:
+					e = x.X
+				default:
+					return
+				}
+			}
+		}
+		for _, f := range fs {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					for _, elt := range n.Elts {
+						if kv, ok := elt.(*ast.KeyValueExpr); ok {
+							if key, ok := kv.Key.(*ast.Ident); ok {
+								mark(info.TypeOf(n), key.Name)
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						written(lhs)
+					}
+				case *ast.IncDecStmt:
+					written(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						written(n.X)
+					}
+				}
+				return true
+			})
+		}
+	}
+	return set
+}
+
+// typeCheckTree type-checks the non-test files of both modules, each
+// directory as one package, against the export data of `go list
+// -export`: it returns each directory's files and package, and what
+// every identifier of them defines and uses.
+func typeCheckTree(t *testing.T) (files map[string][]*ast.File, info *types.Info, pkgs map[string]*types.Package) {
+	t.Helper()
+	exports := map[string]string{} // import path → export data file
+	for _, dir := range []string{".", "benchmark"} {
+		cmd := exec.Command("go", "list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}", "./...")
+		cmd.Dir = dir
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", dir, err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+			path, file, _ := strings.Cut(line, "=")
+			exports[path] = file
+		}
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	files = map[string][]*ast.File{}
+	walkNonTest(t, fset, true, func(path string, f *ast.File) {
+		files[filepath.Dir(path)] = append(files[filepath.Dir(path)], f)
+	})
+	info = &types.Info{
+		Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	pkgs = map[string]*types.Package{}
+	for dir, fs := range files {
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(filepath.ToSlash(filepath.Join("repro", dir)), fset, fs, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", dir, err)
+		}
+		pkgs[dir] = pkg
+	}
+	return files, info, pkgs
+}
+
 // calledOutside reports whether a use lies outside fn's own body, so
 // that recursion is not a caller.
 func calledOutside(uses []token.Pos, fn *ast.FuncDecl) bool {
@@ -323,7 +476,7 @@ func calledOutside(uses []token.Pos, fn *ast.FuncDecl) bool {
 
 // interfacesByMethod indexes by method name every named interface the
 // type-checked packages declare or reach through their imports.
-func interfacesByMethod(pkgs []*types.Package) map[string][]*types.Interface {
+func interfacesByMethod(pkgs map[string]*types.Package) map[string][]*types.Interface {
 	byName := map[string][]*types.Interface{}
 	visited := map[*types.Package]bool{}
 	var visit func(p *types.Package)
