@@ -21,7 +21,7 @@ func TestReplicationHealth(t *testing.T) {
 	}
 
 	reg.Gauge("parbmc_standbys_connected",
-		"Standby coordinators currently attached to the replication stream.").Add(1)
+		"Standby coordinators currently attached to the replication stream.").Set(1)
 	reg.Gauge("parbmc_replication_lag_records", "lag", "standby", "standby-b").Set(3)
 	got = replicationHealth(reg)
 	if got["standbys_connected"] != 1 {

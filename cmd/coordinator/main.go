@@ -32,7 +32,6 @@ import (
 	"io"
 	"net"
 	"os"
-	"strings"
 	"time"
 
 	"repro/cmd/internal/runflags"
@@ -291,9 +290,7 @@ func replicationHealth(metrics *obs.Registry) map[string]any {
 	}
 	lag := map[string]int64{}
 	for _, s := range metrics.Samples("parbmc_replication_lag_records") {
-		// Labels render as `standby="name"`; strip down to the name.
-		name := strings.TrimSuffix(strings.TrimPrefix(s.Labels, `standby="`), `"`)
-		lag[name] = int64(s.Value)
+		lag[obs.LabelValue(s.Labels)] = int64(s.Value)
 	}
 	return map[string]any{
 		"standbys_connected": standbys,

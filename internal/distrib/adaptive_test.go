@@ -122,13 +122,13 @@ func TestAdaptiveSplitRoutesAroundStraggler(t *testing.T) {
 	}
 
 	// The counters surface on the metrics registry too.
-	if got := reg.Counter("parbmc_cubes_split_total", "").Value(); got < 1 {
+	if got := seriesValue(reg, "parbmc_cubes_split_total"); got < 1 {
 		t.Fatalf("parbmc_cubes_split_total = %d, want >= 1", got)
 	}
-	if got := reg.Counter("parbmc_steals_total", "").Value(); got < 1 {
+	if got := seriesValue(reg, "parbmc_steals_total"); got < 1 {
 		t.Fatalf("parbmc_steals_total = %d, want >= 1", got)
 	}
-	if got := reg.Counter("parbmc_results_superseded_total", "").Value(); got < 1 {
+	if got := seriesValue(reg, "parbmc_results_superseded_total"); got < 1 {
 		t.Fatalf("parbmc_results_superseded_total = %d, want >= 1", got)
 	}
 
@@ -208,7 +208,7 @@ func TestHedgedLoserNotJournaledNotCharged(t *testing.T) {
 	// loser's acknowledged cancel included; Jobs only the ones that won
 	// their claim and were committed, one per cube. (Without hedging,
 	// splitting or failures they are equal: TestDistributedMetricsScrape.)
-	if arrived := reg.Counter("parbmc_coordinator_jobs_total", "").Value(); res.Jobs != 2 || arrived < int64(res.Jobs) {
+	if arrived := seriesValue(reg, "parbmc_coordinator_jobs_total"); res.Jobs != 2 || arrived < int64(res.Jobs) {
 		t.Fatalf("%d results arrived, %d counted: want 2 counted and no fewer arrived", arrived, res.Jobs)
 	}
 	if res.Wall >= slowFor {
@@ -481,4 +481,13 @@ poll:
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// seriesValue reads the one series of the unlabelled family name.
+func seriesValue(reg *obs.Registry, name string) int64 {
+	samples := reg.Samples(name)
+	if len(samples) != 1 {
+		return -1
+	}
+	return int64(samples[0].Value)
 }

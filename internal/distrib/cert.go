@@ -450,11 +450,7 @@ func (co *coordinator) readCertificate(wc *conn, id int, key string, reply *Mess
 // liar must not be able to quarantine cubes by burning their budgets.
 func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason string) {
 	co.opts.Health.certRejected(key)
-	co.metrics.certRejected.Inc()
-	co.metrics.workerCertRejected(key)
-	co.mu.Lock()
-	co.res.CertRejected++
-	co.mu.Unlock()
+	co.tally.add(func(r *CoordinatorResult) { r.CertRejected++ })
 	co.retry(a, reason, false)
 }
 
@@ -478,22 +474,17 @@ func (co *coordinator) certify(a *partition.Assignment, key, level string, reply
 	dur := time.Since(start)
 	certSpan.End(obs.KV("ok", verr == nil))
 	co.metrics.certifySeconds.Observe(dur.Seconds())
-	co.metrics.certifyPropagations.Add(work.Propagations)
-	co.metrics.certifyHintFallbacks.Add(work.Fallbacks)
 	certified = verr == nil && (status == sat.Sat || level == CertifyFull)
-	co.mu.Lock()
-	co.res.CertifyMillis += dur.Milliseconds()
-	co.res.CertifyWork.Add(work)
-	if certified {
-		co.res.Certified++
-		co.res.CertBytes += reply.CertSize
-	}
-	co.mu.Unlock()
+	co.tally.add(func(r *CoordinatorResult) {
+		r.CertifyMillis += dur.Milliseconds()
+		r.CertifyWork.Add(work)
+		if certified {
+			r.Certified++
+			r.CertBytes += reply.CertSize
+		}
+	})
 	if verr != nil {
 		return false, fmt.Errorf("%w: job %d on %s: %v", errCertificate, a.JobID, key, verr)
-	}
-	if certified {
-		co.metrics.certVerified.Inc()
 	}
 	return certified, nil
 }

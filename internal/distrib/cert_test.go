@@ -648,7 +648,7 @@ func shippedWorker(data []byte) *worker {
 // jobFor is the job frame the coordinator of v's run sends for a cube.
 func jobFor(t *testing.T, v *certVerifier, opts CoordinatorOptions, cube partition.Cube) *Message {
 	t.Helper()
-	m := jobFrame(&opts, v.prep.Manifest())
+	m := jobFrame(&opts, v.prep.Manifest(), 0)
 	m.JobID, m.From, m.To, m.Certify = 1, cube.From, cube.To, CertifyFull
 	var err error
 	if m.Assume, err = v.assumptions(cube); err != nil {

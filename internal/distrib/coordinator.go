@@ -116,12 +116,6 @@ type CoordinatorOptions struct {
 	// ProgramName labels the report manifest (the input path or
 	// benchmark name); the manifest always carries the program hash.
 	ProgramName string
-	// Epoch is the leadership fencing token stamped into the welcome
-	// handshake and every job (see Lease). Workers that have seen a
-	// higher epoch refuse this coordinator, so a deposed primary that
-	// revives after a failover cannot hand out stale work. 0 for
-	// standalone (non-HA) runs.
-	Epoch int64
 	// Faults, when non-nil, injects deterministic coordinator-side
 	// failures for failover tests — see CoordinatorFaultPlan.
 	Faults *CoordinatorFaultPlan
@@ -254,15 +248,19 @@ type coordinator struct {
 	// connection ahead of its first job.
 	template []byte
 	ln       net.Listener // closed when the run finishes
+	// epoch is the lease's fencing token, stamped on the welcome and
+	// every job: a worker that has served a higher one refuses this
+	// coordinator, a deposed primary (see Lease). 0 for a standalone run.
+	epoch int64
 
 	mu       sync.Mutex
-	active   int // connected workers past hello
 	finished bool
 	killed   bool // fault plan halted the primary mid-run
 	drain    *time.Timer
-	res      *CoordinatorResult
 	conns    map[*conn]struct{}
-	pressure map[string]workerPressure // per-worker heartbeat memory readings
+
+	tally    *tally         // the run's counts; the metrics' views read it
+	pressure *fleetPressure // the dispatch gate
 
 	// sched owns the cube queue, the live-leaf count, the
 	// split/hedge/fence policy and the run's ledger (journal, intake,
@@ -315,9 +313,9 @@ func (o *CoordinatorOptions) setDefaults() error {
 
 // jobFrame is what every job of a run carries: the run's manifest, the
 // budget, the heartbeat cadence and the lease epoch.
-func jobFrame(opts *CoordinatorOptions, man journal.Manifest) Message {
+func jobFrame(opts *CoordinatorOptions, man journal.Manifest, epoch int64) Message {
 	m := Message{
-		Type: "job", Epoch: opts.Epoch, RunManifest: &man,
+		Type: "job", Epoch: epoch, RunManifest: &man,
 		HeartbeatMillis: opts.HeartbeatInterval.Milliseconds(),
 	}
 	m.setBudget(opts.Budget)
@@ -330,6 +328,12 @@ func jobFrame(opts *CoordinatorOptions, man journal.Manifest) Message {
 // every unresolved chunk is quarantined or no workers remain (Unknown,
 // with the failure log populated), or the context is cancelled.
 func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts CoordinatorOptions) (*CoordinatorResult, error) {
+	return coordinate(ctx, ln, p, opts, 0)
+}
+
+// coordinate is Coordinate under the lease epoch RunHA's primary holds
+// (0 for a standalone run).
+func coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts CoordinatorOptions, epoch int64) (*CoordinatorResult, error) {
 	if err := opts.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -357,18 +361,22 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 	defer jnl.Close()
 	root := opts.Tracer.Start("coordinate",
 		obs.KV("partitions", man.Partitions), obs.KV("chunks", len(chunks)),
-		obs.KV("epoch", opts.Epoch))
+		obs.KV("epoch", epoch))
 	start := time.Now()
+	metrics := newCoordMetrics(opts.Metrics)
+	done := make(chan struct{})
 	co := &coordinator{
-		opts:     opts,
-		frame:    jobFrame(&opts, man),
-		ln:       ln,
-		res:      &CoordinatorResult{},
-		pressure: make(map[string]workerPressure),
-		conns:    make(map[*conn]struct{}),
-		done:     make(chan struct{}),
+		opts:  opts,
+		frame: jobFrame(&opts, man, epoch),
+		ln:    ln,
+		epoch: epoch,
+		conns: make(map[*conn]struct{}),
+		tally: metrics.run,
+		pressure: &fleetPressure{grace: opts.HeartbeatGrace, ratio: opts.MemPauseRatio, done: done,
+			run: metrics.run, readings: make(map[string]workerPressure)},
+		done:     done,
 		tracker:  newChunkTracker(opts.MaxAttempts),
-		metrics:  newCoordMetrics(opts.Metrics),
+		metrics:  metrics,
 		repl:     newReplicator(jnl),
 		verifier: verifier,
 		root:     root,
@@ -380,8 +388,9 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		CertifiedOnly: opts.Certify.Enabled(),
 		// Backpressure: while the fleet is over the memory-pressure
 		// threshold nothing is dispatched, split, or hedged.
-		Gate: co.dispatchGate,
+		Gate: co.pressure.gate,
 	})
+	metrics.watch(co.sched, co.tracker, jnl, opts.Health)
 	// Journal commit spans hang off the coordinate root so the merged
 	// trace tree stays single-rooted.
 	jnl.SetParent(root)
@@ -389,10 +398,7 @@ func Coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 
 	// Intake: what the journal already decided is folded, the rest queued.
 	co.sched.Resume(chunks)
-	sum := co.sched.Summary()
-	co.publish(sum)
-	co.metrics.chunksResumed.Add(int64(sum.Resumed))
-	if sum.Sat || sum.Live == 0 {
+	if sum := co.sched.Summary(); sum.Sat || sum.Live == 0 {
 		co.finish() // the journal already decides the run: nothing to hand out
 	} else if err := co.buildTemplate(ctx, prep); err != nil {
 		co.finish()
@@ -435,10 +441,15 @@ func (co *coordinator) buildTemplate(ctx context.Context, prep *core.Prepared) e
 	span.End(obs.KV("clauses_in", row.ClausesIn), obs.KV("clauses_out", row.ClausesOut),
 		obs.KV("elim_vars", row.ElimVars), obs.KV("bytes", len(snap)))
 	co.template = snap
-	co.res.Template, co.res.TemplateBytes = row, int64(len(snap))
+	certify := co.opts.Certify.Enabled()
+	co.tally.add(func(r *CoordinatorResult) {
+		r.Template, r.TemplateBytes = row, int64(len(snap))
+		if certify {
+			r.CertifyMillis += setup.Milliseconds()
+		}
+	})
 	co.opts.Report.SetTemplate(row)
-	if co.opts.Certify.Enabled() {
-		co.res.CertifyMillis += setup.Milliseconds()
+	if certify {
 		co.metrics.certifySeconds.Observe(setup.Seconds())
 	}
 	return nil
@@ -448,13 +459,18 @@ func (co *coordinator) buildTemplate(ctx context.Context, prep *core.Prepared) e
 // verdict and coverage are the scheduler's fold, the rest the transport's.
 func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	sum := co.sched.Summary()
-	co.surfaceSeal(sum)
+	if sum.SealCause != "" {
+		// The run went on without its disk: the report says so (the
+		// parbmc_journal_sealed gauge did as it happened).
+		co.opts.Report.Warn(partition.SealWarning(sum.SealCause))
+	}
 	co.mu.Lock()
 	if co.drain != nil {
 		co.drain.Stop()
 	}
-	res, killed := co.res, co.killed
+	killed := co.killed
 	co.mu.Unlock()
+	res := co.tally.snapshot()
 	res.Verdict, res.Winner = core.VerdictOf(sum.Status()), sum.Winner
 	res.ChunksTotal, res.ChunksDecided, res.Resumed = sum.Total, sum.Decided, sum.Resumed
 	res.Exhausted = sum.Exhausted
@@ -478,7 +494,7 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	if killed {
 		return nil, ErrPrimaryKilled
 	}
-	return res, nil
+	return &res, nil
 }
 
 // committed is the journal's observer: what rides on a commit, run under
@@ -490,27 +506,9 @@ func (co *coordinator) committed(rec journal.ChunkRecord, commits int) {
 		obs.KV("from", rec.From), obs.KV("to", rec.To))
 	co.repl.append(rec, commits)
 	replSpan.End()
-	co.metrics.journalCommits.Inc()
 	if co.opts.Faults.killAt(commits) {
 		co.kill()
 	}
-}
-
-// surfaceSeal makes a sealed journal loud while the run goes on: losing
-// the disk must not throw away a fleet's work. Both calls are idempotent.
-func (co *coordinator) surfaceSeal(sum partition.Summary) {
-	if sum.SealCause != "" {
-		co.metrics.journalSealed.Set(1)
-		co.opts.Report.Warn(partition.SealWarning(sum.SealCause))
-	}
-}
-
-// publish sets the cube-tree gauges from the scheduler's fold: the
-// leaves, those still live and the deepest path.
-func (co *coordinator) publish(sum partition.Summary) {
-	co.metrics.chunksTotal.Set(int64(sum.Total))
-	co.metrics.chunksRemaining.Set(int64(sum.Live))
-	co.metrics.cubeDepth.Set(int64(sum.MaxDepth))
 }
 
 // kill is the simulated SIGKILL of CoordinatorFaultPlan.KillAfterJobs:
@@ -567,8 +565,7 @@ func (co *coordinator) finishLocked() {
 func (co *coordinator) workerJoined() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.active++
-	co.metrics.workersActive.Set(int64(co.active))
+	co.tally.workers(1)
 	if co.drain != nil {
 		co.drain.Stop()
 		co.drain = nil
@@ -578,9 +575,7 @@ func (co *coordinator) workerJoined() {
 func (co *coordinator) workerLeft() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.active--
-	co.metrics.workersActive.Set(int64(co.active))
-	if co.active == 0 && co.sched.Live() > 0 && !co.finished {
+	if co.tally.workers(-1) == 0 && co.sched.Live() > 0 && !co.finished {
 		if co.drain != nil {
 			co.drain.Stop()
 		}
@@ -591,8 +586,8 @@ func (co *coordinator) workerLeft() {
 func (co *coordinator) drainExpired() {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	if co.active == 0 && co.sched.Live() > 0 && !co.finished {
-		co.res.Drained = true
+	if co.tally.workers(0) == 0 && co.sched.Live() > 0 && !co.finished {
+		co.tally.add(func(r *CoordinatorResult) { r.Drained = true })
 		co.finishLocked()
 	}
 }
@@ -624,7 +619,7 @@ func (co *coordinator) serve(c net.Conn) {
 	// The welcome pins this coordinator's role and lease epoch before
 	// any job: a worker that has already served a higher epoch refuses
 	// the whole session here, which is the split-brain fence.
-	if err := wc.send(&Message{Type: "welcome", Role: RolePrimary, Epoch: co.opts.Epoch}); err != nil {
+	if err := wc.send(&Message{Type: "welcome", Role: RolePrimary, Epoch: co.epoch}); err != nil {
 		return
 	}
 	co.workerJoined()
@@ -643,12 +638,13 @@ func (co *coordinator) serve(c net.Conn) {
 		// split, or a hedged duplicate; nil when the run is over.
 		a := co.sched.Acquire(key, cancel)
 		if a == nil {
-			co.finish() // if not already: the journal may have failed under a split
+			// No live leaf is left: the connection that commits or gives up
+			// the last one finishes the run, unless the journal failed.
+			if co.sched.Summary().Err != nil {
+				co.finish()
+			}
 			_ = wc.send(&Message{Type: "stop"})
 			return
-		}
-		if a.Hedge {
-			co.metrics.chunksHedged.Inc()
 		}
 		if a.SplitOf != nil {
 			co.noteSplit(a)
@@ -662,7 +658,10 @@ func (co *coordinator) serve(c net.Conn) {
 				co.rejectCertificate(a, key, err.Error())
 				_ = wc.send(&Message{Type: "stop"})
 			} else {
-				co.failAssignment(a, key, err.Error())
+				// A failed attempt: the worker's, and the cube's unless it
+				// was superseded in flight.
+				co.opts.Health.failed(key)
+				co.retry(a, err.Error(), true)
 			}
 			return
 		}
@@ -670,7 +669,7 @@ func (co *coordinator) serve(c net.Conn) {
 
 		status, cause := sat.ParseStatus(reply.Verdict), sat.ParseStopCause(reply.Cause)
 		if status == sat.Unknown && cause == sat.CauseMemory {
-			co.noteMemoryAbort()
+			co.tally.add(func(r *CoordinatorResult) { r.MemoryAborted++ })
 		}
 		if status != sat.Unknown || cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0) {
 			// A budgeted Unknown is as terminal as a verdict: the same cube
@@ -755,7 +754,6 @@ func (co *coordinator) runJob(wc *conn, a *partition.Assignment, key string, fir
 // once the run is finished (the worker is told to stop).
 func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message, key string, certified bool) bool {
 	if !co.sched.Claim(a) {
-		co.metrics.supersededResults.Inc()
 		return true
 	}
 	co.acceptParts(a, reply, key, certified)
@@ -768,17 +766,16 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 		Millis: reply.Millis, Certified: certified,
 	})
 	sum := co.sched.Summary()
-	co.surfaceSeal(sum)
 	if err != nil {
 		co.finish()
 		return false
 	}
+	co.tally.add(func(r *CoordinatorResult) { r.Jobs++ })
 	co.mu.Lock()
-	co.res.Jobs++
 	if sum.Sat {
 		co.finishLocked()
 	}
-	fin := co.leafGoneLocked()
+	fin := co.leafGoneLocked(sum)
 	co.mu.Unlock()
 	if fin {
 		_ = wc.send(&Message{Type: "stop"})
@@ -786,13 +783,13 @@ func (co *coordinator) settle(wc *conn, a *partition.Assignment, reply *Message,
 	return !fin
 }
 
-// leafGoneLocked publishes the live-leaf count after a cube was decided
-// or quarantined, ends the run with the last one, and reports whether
-// the run is finished; callers hold co.mu.
-func (co *coordinator) leafGoneLocked() bool {
-	live := co.sched.Live()
-	co.metrics.chunksRemaining.Set(int64(live))
-	if live == 0 {
+// leafGoneLocked ends the run once every leaf is committed or abandoned
+// — one claimed but not committed yet keeps it going, so that standbys
+// are sent that commit before the stop — and reports whether the run is
+// finished. Callers hold co.mu and took sum after their own commit or
+// abandon, so the last of them sees all.
+func (co *coordinator) leafGoneLocked(sum partition.Summary) bool {
+	if sum.Decided+len(sum.Exhausted)+sum.Abandoned == sum.Total {
 		co.finishLocked()
 	}
 	return co.finished
@@ -807,30 +804,18 @@ func (co *coordinator) leafGoneLocked() bool {
 // the run.
 func (co *coordinator) retry(a *partition.Assignment, reason string, charge bool) {
 	if !co.sched.Release(a) {
-		co.metrics.supersededResults.Inc()
 		return
 	}
 	if charge && co.tracker.failed(a.Cube, reason) {
-		co.metrics.quarantined.Inc()
 		co.sched.Abandon()
+		sum := co.sched.Summary()
 		co.mu.Lock()
-		co.leafGoneLocked()
+		co.leafGoneLocked(sum)
 		co.mu.Unlock()
 		return
 	}
-	co.metrics.reassigned.Inc()
-	co.mu.Lock()
-	co.res.Reassigned++
-	co.mu.Unlock()
+	co.tally.add(func(r *CoordinatorResult) { r.Reassigned++ })
 	co.sched.Requeue(a.Cube)
-}
-
-// noteMemoryAbort counts one result that came back with cause "memory".
-func (co *coordinator) noteMemoryAbort() {
-	co.metrics.memoryAborted.Inc()
-	co.mu.Lock()
-	co.res.MemoryAborted++
-	co.mu.Unlock()
 }
 
 // noteSplit accounts for the split that made a's cube, which a's worker
@@ -838,11 +823,6 @@ func (co *coordinator) noteMemoryAbort() {
 func (co *coordinator) noteSplit(a *partition.Assignment) {
 	victim := a.SplitOf
 	stolen := victim.Worker != a.Worker
-	co.metrics.cubesSplit.Inc()
-	if stolen {
-		co.metrics.cubeSteals.Inc()
-	}
-	co.publish(co.sched.Summary()) // one live cube became two, perhaps a deeper one
 	cube := victim.Cube
 	co.opts.Report.CubeFinish(report.CubeRow{
 		Key: cube.Key(), From: cube.From, To: cube.To, Path: cube.Path,
@@ -900,7 +880,7 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 				// The live counters are the straggler signal the split-victim
 				// selection steers by, once the scheduler made a hardness of them.
 				co.metrics.heartbeat(key, reply, co.sched.Note(a, reply.Conflicts, reply.Progress))
-				co.notePressure(key, reply.MemBytes, reply.MemLimit)
+				co.pressure.note(key, reply.MemBytes, reply.MemLimit)
 				for _, row := range reply.Parts {
 					// A live row is the worker's word for its counters only.
 					row.Worker, row.Verdict, row.Cause, row.Certified = key, "", "", false
@@ -923,29 +903,14 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 	}
 }
 
-// recordResult charges one job result that arrived to its worker, and
-// folds its search statistics into the run aggregate and its spans into
-// the report (all results count, retried attempts included: the
-// aggregate measures search effort spent, not effort kept).
+// recordResult charges one job result that arrived to its worker and the
+// run's tally (jobResult), and folds its spans into the report.
 func (co *coordinator) recordResult(reply *Message, key string) {
-	co.opts.Health.jobDone(key)
 	co.metrics.jobResult(key, reply.Stats, reply.SolveMillis)
 	co.opts.Report.AddSpans(reply.Spans)
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	if reply.Stats != nil {
-		co.res.RemoteStats.Add(*reply.Stats)
+	if rs := reply.Restore; rs != nil {
+		co.tally.add(func(r *CoordinatorResult) {
+			r.Restores = append(r.Restores, WorkerRestore{Worker: key, TemplateRestore: *rs})
+		})
 	}
-	if reply.Restore != nil {
-		co.res.Restores = append(co.res.Restores, WorkerRestore{Worker: key, TemplateRestore: *reply.Restore})
-	}
-	co.res.SolveMillis += reply.SolveMillis
-}
-
-// failAssignment charges a failed attempt to the worker, and — unless
-// the cube was superseded in flight — to the cube as well.
-func (co *coordinator) failAssignment(a *partition.Assignment, key, reason string) {
-	co.opts.Health.failed(key)
-	co.metrics.workerFailed(key)
-	co.retry(a, reason, true)
 }

@@ -106,6 +106,13 @@ func (r *replicator) subscribe() (history []journal.ChunkRecord, live chan *Mess
 	return r.jnl.Committed(), live
 }
 
+// subscribers counts the standbys attached.
+func (r *replicator) subscribers() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return int64(len(r.subs))
+}
+
 func (r *replicator) unsubscribe(live chan *Message) {
 	r.mu.Lock()
 	if _, ok := r.subs[live]; ok {
@@ -127,16 +134,17 @@ func (co *coordinator) serveReplica(wc *conn, name string) {
 		_ = wc.send(&Message{Type: "stop"})
 		return
 	}
-	if err := wc.send(&Message{Type: "welcome", Role: RolePrimary, Epoch: co.opts.Epoch}); err != nil {
+	if err := wc.send(&Message{Type: "welcome", Role: RolePrimary, Epoch: co.epoch}); err != nil {
 		return
 	}
+	// The subscriber set owns the count of standbys attached.
+	co.opts.Metrics.GaugeFunc("parbmc_standbys_connected",
+		"Standby coordinators currently attached to the replication stream.", co.repl.subscribers)
 	history, live := co.repl.subscribe()
 	defer co.repl.unsubscribe(live)
-	lag := co.metrics.replicationLag(name)
-	standbys := co.metrics.reg.Gauge("parbmc_standbys_connected",
-		"Standby coordinators currently attached to the replication stream.")
-	standbys.Add(1)
-	defer standbys.Add(-1)
+	lag := co.opts.Metrics.Gauge("parbmc_replication_lag_records",
+		"Journal records sent to the standby but not yet acknowledged as durably applied.",
+		"standby", name)
 
 	var sent atomic.Int64
 	readerDone := make(chan struct{})
@@ -185,7 +193,7 @@ func (co *coordinator) serveReplica(wc *conn, name string) {
 				return // dropped for lagging, or dead conn: standby resyncs
 			}
 		case <-co.done:
-			// Drain records committed before the run ended (the Unsafe
+			// Drain the records committed before the run ended (every
 			// commit happens-before done closes), then say goodbye.
 			for {
 				select {
@@ -202,16 +210,10 @@ func (co *coordinator) serveReplica(wc *conn, name string) {
 	}
 }
 
-// replicationLag is the per-standby gauge of commits not yet
-// acknowledged as durably applied.
-func (m *coordMetrics) replicationLag(standby string) *obs.Gauge {
-	return m.reg.Gauge("parbmc_replication_lag_records",
-		"Journal records sent to the standby but not yet acknowledged as durably applied.",
-		"standby", standby)
-}
-
 // HAState is the observable role of one RunHA call, shared with the
-// /healthz endpoint. All methods are nil-safe.
+// /healthz endpoint; it owns the count of records replicated, which the
+// parbmc_standby_replicated_records gauge reads. RunHA makes one when
+// HAOptions.State is nil.
 type HAState struct {
 	mu         sync.Mutex
 	role       string
@@ -220,18 +222,12 @@ type HAState struct {
 }
 
 func (s *HAState) set(role string, epoch int64) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.role, s.epoch = role, epoch
 	s.mu.Unlock()
 }
 
 func (s *HAState) setReplicated(n int) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.replicated = n
 	s.mu.Unlock()
@@ -241,9 +237,6 @@ func (s *HAState) setReplicated(n int) {
 // RunHA starts), the lease epoch in force, and — while standby — the
 // number of journal records replicated so far.
 func (s *HAState) Role() (role string, epoch int64, replicated int) {
-	if s == nil {
-		return "", 0, 0
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.role, s.epoch, s.replicated
@@ -270,6 +263,9 @@ type HAOptions struct {
 }
 
 func (ha HAOptions) withDefaults() HAOptions {
+	if ha.State == nil {
+		ha.State = &HAState{}
+	}
 	if ha.Holder == "" {
 		ha.Holder = "coordinator"
 	}
@@ -280,21 +276,6 @@ func (ha HAOptions) withDefaults() HAOptions {
 		ha.StandbyPoll = ha.LeaseTTL / 4
 	}
 	return ha
-}
-
-// haMetrics instruments the leadership loop.
-type haMetrics struct {
-	failovers  *obs.Counter
-	replicated *obs.Gauge
-}
-
-func newHAMetrics(reg *obs.Registry) *haMetrics {
-	return &haMetrics{
-		failovers: reg.Counter("parbmc_coordinator_failovers_total",
-			"Times this coordinator promoted from standby to primary after a lease takeover."),
-		replicated: reg.Gauge("parbmc_standby_replicated_records",
-			"Journal records this coordinator has durably replicated while standby."),
-	}
 }
 
 // RunHA runs one coordinator of a primary/standby pair. It acquires
@@ -314,7 +295,12 @@ func RunHA(ctx context.Context, ln net.Listener, p *prog.Program, opts Coordinat
 		return nil, err // before a standby creates its replica
 	}
 	ha = ha.withDefaults()
-	hm := newHAMetrics(opts.Metrics)
+	failovers := opts.Metrics.Counter("parbmc_coordinator_failovers_total",
+		"Times this coordinator promoted from standby to primary after a lease takeover.")
+	state := ha.State
+	opts.Metrics.GaugeFunc("parbmc_standby_replicated_records",
+		"Journal records this coordinator has durably replicated while standby.",
+		func() int64 { _, _, n := state.Role(); return int64(n) })
 	wasStandby := false
 	for {
 		if err := ctx.Err(); err != nil {
@@ -323,7 +309,7 @@ func RunHA(ctx context.Context, ln net.Listener, p *prog.Program, opts Coordinat
 		lease, err := AcquireLease(ha.LeasePath, ha.Holder, ha.Addr, ha.LeaseTTL)
 		if errors.Is(err, ErrLeaseHeld) {
 			wasStandby = true
-			if serr := runStandby(ctx, ln, opts, ha, hm); serr != nil {
+			if serr := runStandby(ctx, ln, opts, ha); serr != nil {
 				return nil, serr
 			}
 			continue // lease looks free: contend for it
@@ -332,7 +318,7 @@ func RunHA(ctx context.Context, ln net.Listener, p *prog.Program, opts Coordinat
 			return nil, err
 		}
 		if wasStandby {
-			hm.failovers.Inc()
+			failovers.Inc()
 		}
 		return runPrimary(ctx, ln, p, opts, ha, lease)
 	}
@@ -343,7 +329,6 @@ func RunHA(ctx context.Context, ln net.Listener, p *prog.Program, opts Coordinat
 // e.g. this process was paused past the TTL) cancels the run: the new
 // epoch has fenced this one, and workers will refuse it anyway.
 func runPrimary(ctx context.Context, ln net.Listener, p *prog.Program, opts CoordinatorOptions, ha HAOptions, lease *Lease) (*CoordinatorResult, error) {
-	opts.Epoch = lease.Epoch()
 	opts.Resume = true // promotion and restart both resume the journal
 	ha.State.set(RolePrimary, lease.Epoch())
 	cctx, cancel := context.WithCancel(ctx)
@@ -381,7 +366,7 @@ func runPrimary(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 			}
 		}
 	}()
-	res, err := Coordinate(cctx, ln, p, opts)
+	res, err := coordinate(cctx, ln, p, opts, lease.Epoch())
 	cancel()
 	<-renewDone
 	if errors.Is(err, ErrPrimaryKilled) {
@@ -403,7 +388,7 @@ func runPrimary(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 // and return nil once the lease has expired (the caller then contends
 // for it). A fatal error (context cancelled, lease file unreadable)
 // is returned as-is.
-func runStandby(ctx context.Context, ln net.Listener, opts CoordinatorOptions, ha HAOptions, hm *haMetrics) error {
+func runStandby(ctx context.Context, ln net.Listener, opts CoordinatorOptions, ha HAOptions) error {
 	st, _, err := ReadLease(ha.LeasePath)
 	if err != nil {
 		return err
@@ -432,7 +417,7 @@ func runStandby(ctx context.Context, ln net.Listener, opts CoordinatorOptions, h
 		// Tail the primary until the connection dies or the lease
 		// expires. Errors are not fatal: the replica file is the
 		// fallback, and the lease clock decides what happens next.
-		tailPrimary(ctx, st.Addr, opts.JournalPath, ha, hm)
+		tailPrimary(ctx, st.Addr, opts.JournalPath, ha)
 		if !sleepCtx(ctx, ha.StandbyPoll) {
 			return ctx.Err()
 		}
@@ -504,7 +489,7 @@ func standbyAccept(ln net.Listener, stop <-chan struct{}, state *HAState) <-chan
 // mid-stream; in every case the replica on disk is a valid journal
 // prefix (at worst with a torn tail a later Open repairs), so the
 // caller can always promote from whatever was applied.
-func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm *haMetrics) {
+func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions) {
 	if addr == "" {
 		return
 	}
@@ -563,7 +548,6 @@ func tailPrimary(ctx context.Context, addr, journalPath string, ha HAOptions, hm
 		}
 		applied++
 		ha.State.setReplicated(replica.Commits())
-		hm.replicated.Set(int64(applied))
 		_ = wc.send(&Message{Type: "replicate-ack", Seq: applied})
 	}
 }

@@ -386,12 +386,12 @@ func tailScripted(t *testing.T, jpath string, stream []func(*conn) error) {
 	}()
 	ha := HAOptions{
 		LeasePath: filepath.Join(filepath.Dir(jpath), "lease.json"),
-		Holder:    "beta", StandbyPoll: 100 * time.Millisecond,
+		Holder:    "beta", StandbyPoll: 100 * time.Millisecond, State: &HAState{},
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		tailPrimary(context.Background(), ln.Addr().String(), jpath, ha, newHAMetrics(nil))
+		tailPrimary(context.Background(), ln.Addr().String(), jpath, ha)
 	}()
 	select {
 	case <-done:

@@ -49,6 +49,13 @@ func (r *HealthRegistry) connected(name, addr string) string {
 	if key == "" {
 		key = addr
 	}
+	r.seen(key, func(w *WorkerHealth) { w.Connections++ })
+	return key
+}
+
+// seen applies one event to a worker, its first making its entry, and
+// stamps it seen now.
+func (r *HealthRegistry) seen(key string, apply func(w *WorkerHealth)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	w := r.workers[key]
@@ -56,19 +63,8 @@ func (r *HealthRegistry) connected(name, addr string) string {
 		w = &WorkerHealth{Name: key}
 		r.workers[key] = w
 	}
-	w.Connections++
+	apply(w)
 	w.LastSeen = time.Now()
-	return key
-}
-
-// seen applies one event to a known worker and stamps it seen now.
-func (r *HealthRegistry) seen(key string, apply func(w *WorkerHealth)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w := r.workers[key]; w != nil {
-		apply(w)
-		w.LastSeen = time.Now()
-	}
 }
 
 func (r *HealthRegistry) touch(key string)   { r.seen(key, func(*WorkerHealth) {}) } // a heartbeat

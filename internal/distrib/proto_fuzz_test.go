@@ -148,7 +148,7 @@ func FuzzJobAssumptions(f *testing.F) {
 		f.Fatal(err)
 	}
 	vars := v.prep.Vars()
-	frame := jobFrame(&opts, v.prep.Manifest())
+	frame := jobFrame(&opts, v.prep.Manifest(), 0)
 	for _, cube := range []partition.Cube{{From: 0, To: 3}, {From: 2, To: 2, Path: "1"}} {
 		assume, err := v.assumptions(cube)
 		if err != nil {

@@ -593,8 +593,12 @@ func (j *Journal) Committed() []ChunkRecord {
 	return out
 }
 
-// Commits returns the number of committed chunk records.
+// Commits returns the number of committed chunk records; 0 for a nil
+// journal (a run without one).
 func (j *Journal) Commits() int {
+	if j == nil {
+		return 0
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.committed)
@@ -610,8 +614,9 @@ func (j *Journal) TruncatedBytes() int64 { return j.truncated }
 
 // Close flushes and closes the file. Committed records are already
 // durable (Commit fsyncs), so Close after a signal is a formality — but
-// a cheap one, and it releases the descriptor. Closing a nil journal
-// (a run without one) does nothing.
+// a cheap one, and it releases the descriptor and the observer, which
+// no commit can call any more. Closing a nil journal (a run without
+// one) does nothing.
 func (j *Journal) Close() error {
 	if j == nil {
 		return nil
@@ -621,7 +626,7 @@ func (j *Journal) Close() error {
 	if j.closed {
 		return nil
 	}
-	j.closed = true
+	j.closed, j.watch = true, nil
 	if j.sealErr != nil {
 		// A sealed journal's disk is already misbehaving; don't let a
 		// failing final Sync mask the close.

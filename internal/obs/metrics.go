@@ -16,6 +16,12 @@ import (
 // instrument) and updated lock-free with atomics; only creation and
 // rendering take the registry lock.
 //
+// A view (CounterFunc, GaugeFunc, CounterFuncBy) reads a count another
+// structure keeps, from a func, whenever the registry renders. Registering
+// a view again replaces its func; the func is called outside the
+// registry's locks, so it may take its owner's; Samples and
+// WritePrometheus render a view like any other family.
+//
 // A nil *Registry returns nil instruments, whose update methods are
 // no-ops — instrumented code never checks whether metrics are enabled.
 type Registry struct {
@@ -31,6 +37,7 @@ type family struct {
 	mu     sync.Mutex
 	series map[string]metric // keyed by rendered label string
 	order  []string          // insertion order of label keys for rendering
+	read   func() []Sample   // a view's values; nil for a family of instruments
 }
 
 type metric interface {
@@ -42,18 +49,65 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-func (r *Registry) family(name, help, typ string) *family {
+// family returns (creating if needed) the family name: one of
+// instruments when read is nil, else a view, whose func read replaces
+// the one it had. A nil registry has none.
+func (r *Registry) family(name, help, typ string, read func() []Sample) *family {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f := r.families[name]
-	if f == nil {
-		f = &family{name: name, help: help, typ: typ, series: make(map[string]metric)}
+	switch {
+	case f == nil:
+		f = &family{name: name, help: help, typ: typ, series: make(map[string]metric), read: read}
 		r.families[name] = f
-	} else if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %q re-registered as %s (was %s)", name, typ, f.typ))
+	case f.typ != typ || (f.read == nil) != (read == nil):
+		panic(fmt.Sprintf("obs: metric %q re-registered as another type, or a view as an instrument (was %s)", name, f.typ))
+	case read != nil:
+		f.mu.Lock()
+		f.read = read
+		f.mu.Unlock()
 	}
 	return f
 }
+
+// CounterFunc registers name as a counter whose value is f(), read when
+// the registry is rendered.
+func (r *Registry) CounterFunc(name, help string, f func() int64) {
+	r.family(name, help, "counter", func() []Sample { return []Sample{{Value: float64(f())}} })
+}
+
+// GaugeFunc registers name as a gauge whose value is f(), read when the
+// registry is rendered.
+func (r *Registry) GaugeFunc(name, help string, f func() int64) {
+	r.family(name, help, "gauge", func() []Sample { return []Sample{{Value: float64(f())}} })
+}
+
+// CounterFuncBy registers name as a counter family with the one label
+// label: f returns each series' label value and count, read when the
+// registry is rendered, in the order of the label values. A family f
+// returns no series of renders nothing, as one whose first series was
+// not created yet.
+func (r *Registry) CounterFuncBy(name, help, label string, f func() map[string]int64) {
+	r.family(name, help, "counter", func() []Sample {
+		var out []Sample
+		for v, n := range f() {
+			out = append(out, Sample{Labels: labelString([]string{label, v}), Value: float64(n)})
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i].Labels < out[j].Labels })
+		return out
+	})
+}
+
+// The text format knows exactly three escapes in a label value:
+// backslash, double quote and line feed. Any other byte, a tab or a
+// non-ASCII letter, stands for itself.
+var (
+	labelEscaper   = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	labelUnescaper = strings.NewReplacer(`\\`, `\`, `\"`, `"`, `\n`, "\n")
+)
 
 // labelString renders "k1=\"v1\",k2=\"v2\"" with keys in the given order
 // (pairs is alternating key, value).
@@ -69,9 +123,16 @@ func labelString(pairs []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", pairs[i], pairs[i+1])
+		fmt.Fprintf(&b, `%s="%s"`, pairs[i], labelEscaper.Replace(pairs[i+1]))
 	}
 	return b.String()
+}
+
+// LabelValue is the value of a series of one label, read back from its
+// Sample.Labels (`key="value"`).
+func LabelValue(labels string) string {
+	_, v, _ := strings.Cut(labels, `="`)
+	return labelUnescaper.Replace(strings.TrimSuffix(v, `"`))
 }
 
 func (f *family) get(labels string, mk func() metric) metric {
@@ -95,7 +156,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	f := r.family(name, help, "counter")
+	f := r.family(name, help, "counter", nil)
 	return f.get(labelString(labels), func() metric { return &Counter{} }).(*Counter)
 }
 
@@ -131,7 +192,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	f := r.family(name, help, "gauge")
+	f := r.family(name, help, "gauge", nil)
 	return f.get(labelString(labels), func() metric { return &Gauge{} }).(*Gauge)
 }
 
@@ -141,14 +202,6 @@ func (g *Gauge) Set(n int64) {
 		return
 	}
 	g.v.Store(n)
-}
-
-// Add adds n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
 }
 
 // Value reads the gauge.
@@ -200,7 +253,7 @@ func (r *Registry) FloatGauge(name, help string, labels ...string) *FloatGauge {
 	if r == nil {
 		return nil
 	}
-	f := r.family(name, help, "gauge")
+	f := r.family(name, help, "gauge", nil)
 	return f.get(labelString(labels), func() metric { return &FloatGauge{} }).(*FloatGauge)
 }
 
@@ -233,9 +286,10 @@ type Sample struct {
 }
 
 // Samples reads the current values of every series in the scalar family
-// name (counter or gauge; histograms return nil), in insertion order.
-// It lets binaries fold registry state into non-Prometheus surfaces
-// such as the /healthz JSON. A nil registry or unknown name yields nil.
+// name (counter or gauge; histograms return nil), in insertion order, or
+// a view's in its own. It lets binaries fold registry state into
+// non-Prometheus surfaces such as the /healthz JSON. A nil registry or
+// unknown name yields nil.
 func (r *Registry) Samples(name string) []Sample {
 	if r == nil {
 		return nil
@@ -247,6 +301,10 @@ func (r *Registry) Samples(name string) []Sample {
 		return nil
 	}
 	f.mu.Lock()
+	if read := f.read; read != nil {
+		f.mu.Unlock()
+		return read()
+	}
 	defer f.mu.Unlock()
 	var out []Sample
 	for _, labels := range f.order {
@@ -308,7 +366,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	if bounds == nil {
 		bounds = DefaultDurationBuckets
 	}
-	f := r.family(name, help, "histogram")
+	f := r.family(name, help, "histogram", nil)
 	return f.get(labelString(labels), func() metric {
 		h := &Histogram{bounds: append([]float64(nil), bounds...)}
 		h.counts = make([]atomic.Int64, len(h.bounds))
@@ -384,11 +442,8 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Unlock()
 
 	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
 		f.mu.Lock()
+		read := f.read
 		series := make([]string, len(f.order))
 		copy(series, f.order)
 		metrics := make([]metric, len(series))
@@ -396,6 +451,19 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			metrics[i] = f.series[labels]
 		}
 		f.mu.Unlock()
+		var samples []Sample
+		if read != nil {
+			if samples = read(); len(samples) == 0 {
+				continue
+			}
+		}
+		if f.help != "" {
+			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
+		}
+		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
+		for _, s := range samples {
+			writeSample(w, f.name, s.Labels, s.Value)
+		}
 		for i, labels := range series {
 			metrics[i].write(w, f.name, labels)
 		}

@@ -3,8 +3,18 @@ package obs
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// Add adds n (may be negative). Nothing but these tests moves a gauge
+// both ways: a live count is a view of its owner (GaugeFunc).
+func (g *Gauge) Add(n int64) {
+	if g == nil {
+		return
+	}
+	g.v.Add(n)
+}
 
 func TestNilRegistryIsSafe(t *testing.T) {
 	var r *Registry
@@ -134,5 +144,104 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if total != workers*iters {
 		t.Fatalf("jobs_total sum: got %d, want %d", total, workers*iters)
+	}
+}
+
+// TestViews: a view renders like the instrument it stands for, in both
+// WritePrometheus and Samples; registering it again replaces its func; a
+// labelled view with no series renders nothing; and its func is called
+// outside the registry's locks, so it may use the registry itself.
+func TestViews(t *testing.T) {
+	r := NewRegistry()
+	n := int64(3)
+	r.CounterFunc("parbmc_jobs_total", "Completed jobs.", func() int64 { return n })
+	r.GaugeFunc("parbmc_workers", "Workers.", func() int64 { return 2 })
+	r.CounterFuncBy("parbmc_failures_total", "Failures per worker.", "worker",
+		func() map[string]int64 { return map[string]int64{"w2": 1, "w1": 4} })
+	r.CounterFuncBy("parbmc_empty_total", "No series yet.", "worker",
+		func() map[string]int64 { return nil })
+	n = 5 // read at render, not at registration
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	want := `# HELP parbmc_failures_total Failures per worker.
+# TYPE parbmc_failures_total counter
+parbmc_failures_total{worker="w1"} 4
+parbmc_failures_total{worker="w2"} 1
+# HELP parbmc_jobs_total Completed jobs.
+# TYPE parbmc_jobs_total counter
+parbmc_jobs_total 5
+# HELP parbmc_workers Workers.
+# TYPE parbmc_workers gauge
+parbmc_workers 2
+`
+	if got := sb.String(); got != want {
+		t.Fatalf("exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if s := r.Samples("parbmc_failures_total"); len(s) != 2 || s[0] != (Sample{`worker="w1"`, 4}) || s[1] != (Sample{`worker="w2"`, 1}) {
+		t.Fatalf("samples %+v", s)
+	}
+
+	r.CounterFunc("parbmc_jobs_total", "Completed jobs.", func() int64 { return 9 })
+	if s := r.Samples("parbmc_jobs_total"); len(s) != 1 || s[0].Value != 9 {
+		t.Fatalf("re-registered view reads %+v, want 9", s)
+	}
+
+	// Inside its func a view creates an instrument (the registry's lock)
+	// and reads itself (its family's lock) through Samples.
+	var nested atomic.Bool
+	r.GaugeFunc("parbmc_workers", "Workers.", func() int64 {
+		if nested.CompareAndSwap(false, true) {
+			r.Counter("parbmc_scrapes_total", "Scrapes.").Inc()
+			defer nested.Store(false)
+			return int64(r.Samples("parbmc_workers")[0].Value) + 1
+		}
+		return 6
+	})
+	if s := r.Samples("parbmc_workers"); len(s) != 1 || s[0].Value != 7 {
+		t.Fatalf("view that reads the registry: %+v, want 7", s)
+	}
+}
+
+func TestViewInstrumentMismatchPanics(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"view over instrument": func(r *Registry) {
+			r.Counter("dual_total", "help")
+			r.CounterFunc("dual_total", "help", func() int64 { return 0 })
+		},
+		"instrument over view": func(r *Registry) {
+			r.CounterFunc("dual_total", "help", func() int64 { return 0 })
+			r.Counter("dual_total", "help")
+		},
+		"gauge view over counter view": func(r *Registry) {
+			r.CounterFunc("dual_total", "help", func() int64 { return 0 })
+			r.GaugeFunc("dual_total", "help", func() int64 { return 0 })
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("no panic")
+				}
+			}()
+			register(NewRegistry())
+		})
+	}
+}
+
+// TestLabelValuesEscaped: the text format knows three escapes in a label
+// value — backslash, double quote and line feed — and no other; a tab
+// or a non-ASCII letter stands for itself. LabelValue reads the value
+// back.
+func TestLabelValuesEscaped(t *testing.T) {
+	const name = "a\tb\"c\\d\ne \\n ä"
+	r := NewRegistry()
+	r.Counter("x_total", "help", "worker", name).Inc()
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	if line := "x_total{worker=\"a\tb\\\"c\\\\d\\ne \\\\n ä\"} 1\n"; !strings.HasSuffix(sb.String(), line) {
+		t.Fatalf("rendered\n%s\nwant the line\n%s", sb.String(), line)
+	}
+	if got := LabelValue(r.Samples("x_total")[0].Labels); got != name {
+		t.Fatalf("LabelValue reads %q, want %q", got, name)
 	}
 }

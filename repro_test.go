@@ -290,7 +290,6 @@ var ownDefaultOptions = map[string]string{
 	"internal/interp.ExploreOptions.NondetDomain":        "Explore is the oracle of vc's differential test, its options the test's",
 	"internal/distrib.CoordinatorOptions.Faults":         "the failover tests kill a primary with it",
 	"internal/distrib.CoordinatorOptions.HeartbeatGrace": "defaults from HeartbeatInterval; tests shorten it",
-	"internal/distrib.CoordinatorOptions.Epoch":          "RunHA stamps the lease's epoch on the options it runs a primary with",
 	"internal/distrib.HAOptions.StandbyPoll":             "defaults from LeaseTTL; tests shorten it",
 	"internal/memwatch.Options.Interval":                 "defaults to 250ms; tests shorten it",
 	"internal/unfold.Options.MaxThreads":                 "defaults to 64 thread instances; tests lower it",
