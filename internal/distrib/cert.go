@@ -188,7 +188,7 @@ func unpackBits(data []byte, n int) ([]bool, error) {
 
 // wireCertificate is the JSON envelope: the certificate's own fields,
 // and in place of Proofs each proof as one byte string, its flat form
-// (sat.AppendFlat). encoding/json takes longer over a hinted proof spelt
+// (sat.AppendFlat). encoding/json takes longer over a chained proof spelt
 // out as arrays of numbers than the checker takes to check it.
 type wireCertificate struct {
 	*Certificate

@@ -198,9 +198,10 @@ type CoordinatorResult struct {
 	// CertifyWork sums what the proof checker did in that time: lemmas
 	// put to the RUP test and literals propagated, over the prefix (with
 	// the first tail) and accepted and rejected proofs alike — the
-	// counterpart of RemoteStats — and how many of the lemmas hints refuted
-	// (Hinted) or failed to (Fallbacks: a fleet that mixes builds shows
-	// up here, not as a slow coordinator nobody can explain).
+	// counterpart of RemoteStats — and how many of the lemmas their
+	// antecedent chains refuted (Hinted) or failed to (Fallbacks: a fleet
+	// that mixes builds shows up here, not as a slow coordinator nobody
+	// can explain).
 	CertifyWork sat.ProofCheckerStats
 	// Certified counts definite verdicts accepted with a verified
 	// certificate; CertRejected counts results whose certificate was

@@ -1,8 +1,7 @@
 package distrib
 
 import (
-	"bytes"
-	"encoding/binary"
+	"math"
 	"slices"
 	"time"
 
@@ -77,12 +76,13 @@ const (
 	// template that is not the coordinator's.
 	FaultOtherTemplate
 	// FaultHostileHints leaves the verdict and every proof as they are and
-	// replaces the hints (sat.Proof.Hints) of each lemma, in rotation, by
-	// none, every variable, variable 0, a variable past the last, and the
-	// next lemma's: what a worker of another build, or one out to waste
-	// the coordinator's time, could send. It is the one Byzantine kind the
-	// coordinator must not refuse — a hint is advice, the proof is honest —
-	// and it shows as CertifyWork.Fallbacks.
+	// replaces the antecedent chain (sat.Proof.Chains) of each lemma, in
+	// rotation, by none, its own reversed, its own cut to the first half,
+	// the IDs of the clauses the proof deletes and one no clause has, and
+	// the next lemma's: what a worker of another build, or one out to
+	// waste the coordinator's time, could send. It is the one Byzantine
+	// kind the coordinator must not refuse — a chain is advice, the proof
+	// is honest — and it shows as CertifyWork.Fallbacks.
 	FaultHostileHints
 )
 
@@ -258,9 +258,9 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			lemmas[at] = slices.Clone(lemmas[at])
 			lemmas[at][0] ^= 1
 			forged.Proofs = slices.Clone(forged.Proofs)
-			// The hints stay: the forged lemma goes the way a liar's would,
-			// through its hint, then the full test, then out.
-			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Hints: honest.Hints}
+			// The chains stay: the forged lemma goes the way a liar's would,
+			// along its chain, then the full test, then out.
+			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Chains: honest.Chains}
 		} else {
 			forged.Proofs = slices.Clone(forged.Proofs)
 			forged.Proofs[0].Partition = -1
@@ -274,30 +274,39 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 		hostile.Proofs = slices.Clone(hostile.Proofs)
 		for i, pp := range hostile.Proofs {
 			if pp.Proof != nil {
-				hostile.Proofs[i].Proof = hostileHints(pp.Proof, numVars)
+				hostile.Proofs[i].Proof = hostileHints(pp.Proof)
 			}
 		}
 		*cert = &hostile
 	}
 }
 
-// hostileHints returns p with FaultHostileHints' hints in place of its
+// hostileHints returns p with FaultHostileHints' chains in place of its
 // own.
-func hostileHints(p *sat.Proof, numVars int) *sat.Proof {
-	hints := make([]sat.Hint, len(p.Lemmas))
-	for i := range hints {
+func hostileHints(p *sat.Proof) *sat.Proof {
+	deleted := []uint32{math.MaxUint32}
+	for _, d := range p.Deletes {
+		deleted = append(deleted, d.ID)
+	}
+	chains := make([][]uint32, len(p.Lemmas))
+	for i := range chains {
+		var own []uint32
+		if i < len(p.Chains) {
+			own = p.Chains[i]
+		}
 		switch i % 5 {
 		case 1:
-			hints[i] = bytes.Repeat([]byte{1}, numVars)
+			chains[i] = slices.Clone(own)
+			slices.Reverse(chains[i])
 		case 2:
-			hints[i] = sat.Hint{0}
+			chains[i] = own[:len(own)/2]
 		case 3:
-			hints[i] = binary.AppendUvarint(nil, uint64(numVars)+1)
+			chains[i] = deleted
 		case 4:
-			if next := (i + 1) % len(hints); next < len(p.Hints) {
-				hints[i] = p.Hints[next]
+			if next := (i + 1) % len(chains); next < len(p.Chains) {
+				chains[i] = p.Chains[next]
 			}
 		}
 	}
-	return &sat.Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: hints}
+	return &sat.Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: chains}
 }

@@ -100,9 +100,9 @@ func (m *coordMetrics) watch(sched *partition.Scheduler, tracker *chunkTracker, 
 		// beside remote_propagations over job_solve_seconds' sum.
 		{reg.CounterFunc, "parbmc_coordinator_certify_propagations_total", "Literals propagated by the coordinator's proof checkers while verifying SAFE certificates.",
 			func() int64 { return t.snapshot().CertifyWork.Propagations }},
-		// Over the lemmas checked this is the share of the workers' hints
-		// that did not spare the checker the full test.
-		{reg.CounterFunc, "parbmc_certify_hint_fallbacks_total", "Hinted lemmas the coordinator's proof checker could not refute within the worker's hint and put to the full RUP test.",
+		// Over the lemmas checked this is the share of the antecedent
+		// chains that did not spare the checker the full test.
+		{reg.CounterFunc, "parbmc_certify_hint_fallbacks_total", "Lemmas the coordinator's proof checker could not refute along their antecedent chain and put to the full RUP test.",
 			func() int64 { return t.snapshot().CertifyWork.Fallbacks }},
 		{reg.CounterFunc, "parbmc_remote_decisions_total", "Solver decisions aggregated from remote job results.",
 			func() int64 { return t.snapshot().RemoteStats.Decisions }},

@@ -53,12 +53,15 @@ func FuzzVerifyFrame(f *testing.F) {
 }
 
 // proofBytes is what a decoded proof holds in memory, on a 64-bit
-// machine: a slice header per lemma and per hint, a word per literal, a
-// Deletion per deletion. The hints' own bytes are the input's.
+// machine: a slice header per lemma and per chain, a word per literal,
+// a Deletion per deletion and four bytes per chain ID.
 func proofBytes(p *sat.Proof) int {
-	n := 24*len(p.Lemmas) + 8*p.NumLits() + 32*len(p.Deletes) + 24*len(p.Hints)
+	n := 24*len(p.Lemmas) + 8*p.NumLits() + 40*len(p.Deletes) + 24*len(p.Chains)
 	for _, d := range p.Deletes {
 		n += 8 * len(d.Clause)
+	}
+	for _, c := range p.Chains {
+		n += 4 * len(c)
 	}
 	return n
 }
@@ -71,8 +74,8 @@ func proofBytes(p *sat.Proof) int {
 func FuzzDecodeCertificate(f *testing.F) {
 	proof := &sat.Proof{
 		Lemmas:  []cnf.Clause{{cnf.PosLit(1), cnf.NegLit(300)}, {cnf.PosLit(2)}, {}},
-		Deletes: []sat.Deletion{{At: 1, Clause: cnf.Clause{cnf.PosLit(1), cnf.PosLit(2)}}},
-		Hints:   []sat.Hint{{3, 0x80, 0x01}, {7}},
+		Deletes: []sat.Deletion{{At: 1, ID: 3, Clause: cnf.Clause{cnf.PosLit(1), cnf.PosLit(2)}}},
+		Chains:  [][]uint32{{3, 0, 1}, {7}},
 	}
 	valid, err := encodeCertificate(&Certificate{
 		NumVars: 8,
@@ -87,9 +90,9 @@ func FuzzDecodeCertificate(f *testing.F) {
 	f.Add([]byte("not json"))
 	f.Add([]byte{})
 	// The flat form and what it never is: a varint cut in half, a lemma
-	// count larger than the input, a hint delta that overflows 2^31 (well
-	// formed on the wire: the checker is who refuses it), a deletion whose
-	// At runs past the last lemma, trailing bytes.
+	// count larger than the input, a chain ID past 2^31 (well formed on
+	// the wire: the checker is who passes it over), a deletion whose At
+	// runs past the last lemma, trailing bytes.
 	flat := sat.AppendFlat(nil, proof)
 	uvarints := func(ns ...uint64) (out []byte) {
 		for _, n := range ns {
@@ -99,9 +102,9 @@ func FuzzDecodeCertificate(f *testing.F) {
 	}
 	f.Add(flat)
 	f.Add(flat[:bytes.IndexByte(flat, 0xd9)+1])
-	f.Add(uvarints(1000, 0, 0, 0, 0))
-	f.Add(append(uvarints(1, 1, 0, 1, 1, 2, 5), uvarints(1<<31+5)...)) // 1<<31+5 is five bytes
-	f.Add(uvarints(1, 1, 1, 0, 1, 2, 2, 0))
+	f.Add(uvarints(1000, 0, 0, 0, 0, 0))
+	f.Add(binary.AppendVarint(uvarints(1, 1, 0, 1, 1, 1, 2, 1), 1<<31+5)) // five bytes
+	f.Add(uvarints(1, 1, 1, 0, 0, 1, 2, 2, 0, 0))
 	f.Add(append(bytes.Clone(flat), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

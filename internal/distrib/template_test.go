@@ -221,9 +221,11 @@ func TestPartitionRowsAgreeAcrossExecutors(t *testing.T) {
 // The run's template is the coordinator's, shipped: a worker restores
 // it and builds none, and the restored one is the one the coordinator
 // built — its snapshot the same bytes, which is every field a clone
-// reads (sat's TestRestoreEqualsSnapshot); the bytes do not depend on
-// whether the run certifies; under a memory budget with no room for the
-// pass, the coordinator skips it and ships the unsimplified solver.
+// reads (sat's TestRestoreEqualsSnapshot); a certifying run's template
+// is the other's with the clause IDs of its log beside the clauses, and
+// restored, the two search every cube alike; under a memory budget with
+// no room for the pass, the coordinator skips it and ships the
+// unsimplified solver.
 // Every cube's tail, solved on the restored template under the
 // assumptions the job carries, checks on the coordinator's checker (and
 // a SAT cube's model on its encoding).
@@ -248,8 +250,14 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 				}
 				uncertified := opts
 				uncertified.Certify = CertifyPolicy{Mode: CertifyOff}
-				if _, off := derivedVerifier(t, cell.p, uncertified); !bytes.Equal(off, data) {
-					t.Fatalf("the template is %d bytes certified, %d not", len(data), len(off))
+				_, off := derivedVerifier(t, cell.p, uncertified)
+				plain, err := sat.Restore(off, sat.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				named, err := sat.Restore(data, sat.Options{})
+				if err != nil || len(data) <= len(off) {
+					t.Fatalf("the template is %d bytes certified, %d not (%v): no clause IDs", len(data), len(off), err)
 				}
 				for i := range v.prep.Manifest().Partitions {
 					w := shippedWorker(data)
@@ -262,6 +270,13 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 					}
 					if got, err := run.tpl.Snapshot(ctx); err != nil || !bytes.Equal(got, data) {
 						t.Fatalf("the restored template snapshots to %d bytes (%v), not the %d it was restored from", len(got), err, len(data))
+					}
+					a, b := plain.Clone(), named.Clone()
+					b.EnableProof()
+					sa, _ := a.Solve(m.Assume[0]...)
+					sb, _ := b.Solve(m.Assume[0]...)
+					if x, y := a.Stats(), b.Stats(); sa != sb || x.Conflicts != y.Conflicts || x.Propagations != y.Propagations || x.Decisions != y.Decisions {
+						t.Fatalf("partition %d: %v on the uncertified template, %v on the certified one:\n%+v\n%+v", i, sa, sb, x, y)
 					}
 					reply, cert := w.runJob(ctx, m, nil, nil, nil)
 					if reply.Error != "" || reply.Restore != nil {
@@ -477,8 +492,8 @@ func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 	t.Run("beyond the tail", func(t *testing.T) {
 		res := byzantineScenarioOn(t, bench.Eliminationstack(), esOpts(),
 			&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: 1<<30 + 1}}}, core.Safe)
-		// The forged lemma kept the honest one's hint, so it went the way a
-		// liar's goes: not refuted within the hint, not refuted at all.
+		// The forged lemma kept the honest one's chain, so it went the way
+		// a liar's goes: not refuted along the chain, not refuted at all.
 		if res.CertifyWork.Fallbacks == 0 {
 			t.Fatalf("certify work %+v: the forged lemma never reached the full test", res.CertifyWork)
 		}
@@ -494,7 +509,7 @@ func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 }
 
 // hintRun runs esOpts' cell to the end on one worker under plan and
-// returns the result with what /metrics says of the hints that failed.
+// returns the result with what /metrics says of the chains that failed.
 func hintRun(t *testing.T, plan *FaultPlan) (*CoordinatorResult, float64) {
 	t.Helper()
 	opts, reg := esOpts(), obs.NewRegistry()
@@ -513,12 +528,12 @@ func hintRun(t *testing.T, plan *FaultPlan) (*CoordinatorResult, float64) {
 	return res, fallbacks
 }
 
-// Hostile hints are the one lie a worker is not refused for: the proofs
+// Hostile chains are the one lie a worker is not refused for: the proofs
 // are honest, so every chunk is certified, the worker stays trusted, and
 // the verdict and every solver counter are those of the honest run. What
 // the lie costs shows where it should — fallbacks, and the propagations
-// they take — and an honest fleet shows none: every learnt lemma is
-// refuted within its hint.
+// they take — and an honest fleet shows none: every lemma, the template
+// pass's and the tails', is refuted along its chain.
 func TestByzantineHostileHintsAccepted(t *testing.T) {
 	honest, honestMetric := hintRun(t, nil)
 	hostile, hostileMetric := hintRun(t, &FaultPlan{Every: &FaultEvent{Kind: FaultHostileHints}})
@@ -527,24 +542,24 @@ func TestByzantineHostileHintsAccepted(t *testing.T) {
 	}
 	for name, res := range map[string]*CoordinatorResult{"honest": honest, "hostile": hostile} {
 		if res.Verdict != core.Safe || res.Certified != res.ChunksTotal || res.CertRejected != 0 || res.CertBytes == 0 {
-			t.Fatalf("%s hints: verdict %v, %d of %d chunks certified, %d certificates rejected, %d bytes accepted",
+			t.Fatalf("%s chains: verdict %v, %d of %d chunks certified, %d certificates rejected, %d bytes accepted",
 				name, res.Verdict, res.Certified, res.ChunksTotal, res.CertRejected, res.CertBytes)
 		}
 		if w := findWorker(res, "w0"); w == nil || w.Untrusted || w.CertRejections != 0 {
-			t.Fatalf("%s hints: worker health %+v", name, w)
+			t.Fatalf("%s chains: worker health %+v", name, w)
 		}
 	}
 	if got, want := hostile.RemoteStats, honest.RemoteStats; got.Conflicts != want.Conflicts || got.Propagations != want.Propagations ||
 		got.Decisions != want.Decisions || got.Restarts != want.Restarts || got.Learnt != want.Learnt {
-		t.Fatalf("the search moved with the hints:\n%+v\n%+v", got, want)
+		t.Fatalf("the search moved with the chains:\n%+v\n%+v", got, want)
 	}
-	if w := honest.CertifyWork; w.Fallbacks != 0 || w.Hinted != honest.RemoteStats.Learnt {
-		t.Fatalf("honest hints: %+v for %d learnt lemmas; want every one refuted within its hint", w, honest.RemoteStats.Learnt)
+	if w := honest.CertifyWork; w.Fallbacks != 0 || w.Hinted != w.Lemmas || w.Lemmas < honest.RemoteStats.Learnt {
+		t.Fatalf("honest chains: %+v for %d learnt lemmas; want every lemma, the pass's too, refuted along its chain", w, honest.RemoteStats.Learnt)
 	}
 	if h, w := hostile.CertifyWork, honest.CertifyWork; h.Lemmas != w.Lemmas || h.Fallbacks == 0 || h.Propagations <= w.Propagations {
-		t.Fatalf("hostile hints: %+v, honest %+v; want the same lemmas, fallbacks, and more propagations", h, w)
+		t.Fatalf("hostile chains: %+v, honest %+v; want the same lemmas, fallbacks, and more propagations", h, w)
 	}
-	t.Logf("%d lemmas learnt; honest hints %+v, %d bytes; hostile %+v, %d bytes",
+	t.Logf("%d lemmas learnt; honest chains %+v, %d bytes; hostile %+v, %d bytes",
 		honest.RemoteStats.Learnt, honest.CertifyWork, honest.CertBytes, hostile.CertifyWork, hostile.CertBytes)
 }
 

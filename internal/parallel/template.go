@@ -263,7 +263,9 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 type passSink struct {
 	full, free chan []uint32
 	// batch is the producer's, being filled: per step a head word, the
-	// clause's length << 1 | deleted, then its literals.
+	// clause's length << 1 | deleted, then the number of IDs, then the
+	// clause's literals and the IDs (a lemma's chain, a deleted clause's
+	// ID).
 	batch []uint32
 	// abort: the build was cut short; nobody will read the checker. done
 	// closes when the pipeline has taken every batch.
@@ -278,6 +280,7 @@ type passSink struct {
 	keep    bool
 	kept    *sat.Proof
 	slab    []cnf.Lit // what kept's clauses are carved from
+	idSlab  []uint32  // and its chains
 }
 
 // A batch is about a millisecond of the checker's work. Each channel
@@ -342,18 +345,18 @@ func (p *passSink) record(in <-chan []uint32) {
 }
 
 // eachStep visits the steps of a batch in order.
-func eachStep(b []uint32, visit func(deleted bool, clause []uint32)) {
+func eachStep(b []uint32, visit func(deleted bool, clause, ids []uint32)) {
 	for len(b) > 0 {
-		n := int(b[0] >> 1)
-		visit(b[0]&1 != 0, b[1:1+n])
-		b = b[1+n:]
+		n, k := int(b[0]>>1), int(b[1])
+		visit(b[0]&1 != 0, b[2:2+n], b[2+n:2+n+k])
+		b = b[2+n+k:]
 	}
 }
 
-// step is the solver's StreamProof callback: clause is valid only for
-// the call, so it is copied.
-func (p *passSink) step(deleted bool, clause []uint32) {
-	if len(p.batch) > 0 && len(p.batch)+1+len(clause) > cap(p.batch) {
+// step is the solver's StreamProof callback: clause and ids are valid
+// only for the call, so they are copied.
+func (p *passSink) step(deleted bool, clause, ids []uint32) {
+	if len(p.batch) > 0 && len(p.batch)+2+len(clause)+len(ids) > cap(p.batch) {
 		p.full <- p.batch
 		select {
 		case p.batch = <-p.free:
@@ -365,12 +368,12 @@ func (p *passSink) step(deleted bool, clause []uint32) {
 	if deleted {
 		head |= 1
 	}
-	p.batch = append(append(p.batch, head), clause...)
+	p.batch = append(append(append(p.batch, head, uint32(len(ids))), clause...), ids...)
 }
 
-// keepStep appends a step to the kept log, the clause carved from a slab
-// as the solver carves its own.
-func (p *passSink) keepStep(deleted bool, clause []uint32) {
+// keepStep appends a step to the kept log, the clause and the chain
+// carved from slabs as the solver carves its own.
+func (p *passSink) keepStep(deleted bool, clause, ids []uint32) {
 	if cap(p.slab)-len(p.slab) < len(clause) {
 		p.slab = make([]cnf.Lit, 0, max(len(clause), 4096))
 	}
@@ -380,10 +383,16 @@ func (p *passSink) keepStep(deleted bool, clause []uint32) {
 	}
 	c := cnf.Clause(p.slab[start:len(p.slab):len(p.slab)])
 	if deleted {
-		p.kept.Deletes = append(p.kept.Deletes, sat.Deletion{At: len(p.kept.Lemmas), Clause: c})
-	} else {
-		p.kept.Lemmas = append(p.kept.Lemmas, c)
+		p.kept.Deletes = append(p.kept.Deletes, sat.Deletion{At: len(p.kept.Lemmas), ID: ids[0], Clause: c})
+		return
 	}
+	if cap(p.idSlab)-len(p.idSlab) < len(ids) {
+		p.idSlab = make([]uint32, 0, max(len(ids), 4096))
+	}
+	start = len(p.idSlab)
+	p.idSlab = append(p.idSlab, ids...)
+	p.kept.Lemmas = append(p.kept.Lemmas, c)
+	p.kept.Chains = append(p.kept.Chains, p.idSlab[start:len(p.idSlab):len(p.idSlab)])
 }
 
 // wait hands the last batch over and waits for the pipeline to have

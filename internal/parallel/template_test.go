@@ -443,7 +443,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 					continue // a SAT cube has no tail to check
 				}
 				tail := c.ProofLog()
-				lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Hints: tail.Hints}
+				lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Chains: tail.Chains}
 				if at := len(lie.Lemmas) / 2; at < len(lie.Lemmas) {
 					lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
 					lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
@@ -494,7 +494,9 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 			if elim := built.built.Stats.ElimVars; (elim == 0) != (memMB != 0) {
 				t.Fatalf("%d variables eliminated under a %d MiB budget", elim, memMB)
 			}
-			want, err := Solve(context.Background(), f, parts, Options{Workers: 2, Budget: opts.Budget})
+			// Logging too: a logging solver's clauses carry IDs, and its
+			// footprint with them.
+			want, err := Solve(context.Background(), f, parts, Options{Workers: 2, KeepProofs: true, Budget: opts.Budget})
 			if err != nil || want.Status != sat.Unsat {
 				t.Fatalf("built: %v, %v", want, err)
 			}
@@ -526,6 +528,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := sat.NewFromFormula(f, sat.Options{})
+	cold.EnableProof()
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +598,7 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 		if i%4 != 0 {
 			continue // the one-shot check re-reads the prefix: two forgeries stand for the rest
 		}
-		lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Hints: tail.Hints}
+		lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Chains: tail.Chains}
 		at := len(lie.Lemmas) / 2
 		lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
 		lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
@@ -655,7 +658,7 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 // gets the same searches.
 func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	f, parts := esCell(t)
-	whole, err := Solve(context.Background(), f, parts, Options{Workers: 2})
+	whole, err := Solve(context.Background(), f, parts, Options{Workers: 2, KeepProofs: true})
 	if err != nil || whole.Status != sat.Unsat {
 		t.Fatalf("%v, %v", whole, err)
 	}
@@ -728,6 +731,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	// solver loaded for it, every time, and the prefix is empty.
 	single := Prepare(f, parts[2:3], opts)
 	cold := sat.NewFromFormula(f, sat.Options{})
+	cold.EnableProof()
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
 		t.Fatal(err)
 	}
@@ -803,5 +807,41 @@ func TestTemplateLetsTheFormulaGo(t *testing.T) {
 	}
 	if res, err := cut.Solve(context.Background(), parts, Options{Workers: 2}); err != nil || res.Status != sat.Unsat || res.Template.Time == 0 {
 		t.Fatalf("after a pass cut short: %v, %v", res, err)
+	}
+}
+
+// Honest chains never fall back: every lemma of a certified run of
+// es.u2.c5.p16 — the template's pass, streamed to the run's checker
+// beside it (passSink), and every cube's tail — is refuted along the
+// chain its solver logged: Hinted is the lemma count, and no lemma takes
+// the full RUP test. (TestLongTailsNeverFallBack holds the same of a
+// cell whose tails are twice as long, outside the repeated race step.)
+func TestChainsNeverFallBack(t *testing.T) {
+	checkNoFallback(t, 5, 16)
+}
+
+// The 8 tails of es.u2.c6.p8, with their prefix, as
+// TestChainsNeverFallBack.
+func TestLongTailsNeverFallBack(t *testing.T) {
+	checkNoFallback(t, 6, 8)
+}
+
+// checkNoFallback runs eliminationstack u=2 at the given contexts in n
+// partitions, certified, and requires every lemma the run's checker
+// took to be refuted along its chain.
+func checkNoFallback(t *testing.T, contexts, n int) {
+	t.Helper()
+	f, parts := encodeCell(t, bench.Eliminationstack(), 2, contexts, n)
+	res, err := Solve(context.Background(), f, parts, Options{Workers: 2, CertifyUnsat: true})
+	if err != nil || res.Status != sat.Unsat {
+		t.Fatalf("es.u2.c%d.p%d: %v, %v", contexts, n, res, err)
+	}
+	var tails int64
+	for _, inst := range res.Instances {
+		tails += inst.Stats.Learnt
+	}
+	if w := res.CertifyWork; tails == 0 || w.Lemmas <= tails || w.Fallbacks != 0 || w.Hinted != w.Lemmas {
+		t.Errorf("es.u2.c%d.p%d: the checker did %+v over %d lemmas of tails and a prefix; want every lemma refuted along its chain",
+			contexts, n, w, tails)
 	}
 }

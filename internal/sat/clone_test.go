@@ -191,11 +191,42 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 			mode, after.st, after.err, after.stats, want.st, want.err, want.stats)
 	}
 	checkStore(t, tpl)
+	if want.st == Unsat {
+		checkAfterUnsat(t, f, tpl, assumptions, mode)
+	}
+}
+
+// checkAfterUnsat solves a solver that has answered Unsat under the
+// assumptions again, and a clone of it: under them once more they say
+// Unsat, and with none they may say Sat only with a model of the
+// formula. (An Unsat from a conflict at level 0 used to leave the solver
+// answering Sat with a model that falsifies the formula.)
+func checkAfterUnsat(t *testing.T, f *cnf.Formula, s *Solver, assumptions []cnf.Lit, mode cloneMode) {
+	t.Helper()
+	for i, again := range []*Solver{s.Clone(), s} {
+		for _, assume := range [][]cnf.Lit{assumptions, nil} {
+			st, err := again.Solve(assume...)
+			switch {
+			case err != nil:
+				return // a memory budget: nothing more to learn from it
+			case st == Unsat:
+				continue
+			case len(assume) > 0:
+				t.Fatalf("%v: solved again (%d) under the assumptions it was refuted under: %v", mode, i, st)
+			}
+			assign := make([]bool, max(f.NumVars, again.NumVars())+1)
+			copy(assign[1:], again.Model())
+			if !f.Eval(assign) {
+				t.Fatalf("%v: solved again (%d) after UNSAT: a model that does not satisfy the formula", mode, i)
+			}
+		}
+	}
 }
 
 // FuzzCloneSolve puts FuzzSolve's inputs through the differential test
 // in each of the three states, a solver restored from the template's
-// snapshot and a clone of it included. (Its two long seeds, four solves in three
+// snapshot and a clone of it included, and a solver that answered UNSAT
+// solved again and cloned (checkAfterUnsat). (Its two long seeds, four solves in three
 // states each, are left to TestCloneReduceDB, which gets to the arena
 // compaction they are there for in a tenth of the conflicts.)
 func FuzzCloneSolve(f *testing.F) {

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -12,18 +13,21 @@ import (
 	"repro/internal/cnf"
 )
 
-// The proof a solver logs is pinned, lemma, deletion and hint: the
+// The proof a solver logs is pinned, lemma, deletion and chain: the
 // template of es.u2.c4.p8 (loaded, cube variables frozen, simplified up
 // front, never searched) logs its pass as the prefix, two of its cubes'
 // clones log their searches as tails, and one cube solved alone from the
 // loaded formula logs a search that its own pass interrupts at the first
-// restart boundary. Each log is pinned by its lemma count and the
-// SHA-256 of its flat form: its lemmas and deletions, in the order a
-// checker takes them, and its hints. The values were recorded
-// before the pass renumbered the variables it keeps: the solver speaks
-// the formula's numbering in its log whatever numbering it searches in,
-// and a monotone map leaves every search as it was, so a change that
-// moves any of these has changed a search or the log.
+// restart boundary. Each log is pinned by its lemma count, the SHA-256
+// of its DRAT text — its lemmas and deletions, in the order a checker
+// takes them, without IDs or chains — and that of its flat form, which
+// has them. The lemma counts and the DRAT digests were recorded before
+// the pass renumbered the variables it keeps, and before the solver kept
+// clause IDs: the solver speaks the formula's numbering in its log
+// whatever numbering it searches in, a monotone map leaves every search
+// as it was, and IDs in the arena of a logging solver change no search,
+// so a change that moves any of these has changed a search or the log.
+// The flat digests were re-pinned once, when chains replaced hints.
 func TestProofDigestsPinned(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
@@ -31,17 +35,26 @@ func TestProofDigestsPinned(t *testing.T) {
 	type pinned struct {
 		name   string
 		lemmas int
+		drat   string // SHA-256 of WriteDRAT
 		flat   string // SHA-256 of AppendFlat
 	}
 	want := []pinned{
-		{"prefix", 42949, "a8694c3511349f66517eb75f3116b543321e7dd4c80f180deb7e28f9950914c4"},
-		{"cube 2", 286, "c8d4e67408431ab42105fd2464d0276100941d1153ec26e1785bae15dbba6d78"},
-		{"cube 5", 251, "2c8c96d6fc214f56cd1a5b17468e709192d4a1e98b4108176c578a88f43cdd29"},
-		{"cube 1 alone", 26042, "d38a733dd6680cfce55edf3a328190631082fda1d894a2923eb100ee359dd466"},
+		{"prefix", 42949, "23f39c44d2074f786efe2e32d9d0a5e9bce133f06ebdac6cd8f78abbda08a8a7",
+			"e339a4f735af411abc81c37cec508b642451de6986b23014ad5a85294ff8c6c1"},
+		{"cube 2", 286, "fb077de0f9a76dc964276f4e0ab45e9f880bb1df09355cc509ac8fbd0d59bf79",
+			"a72be2db62d178390b71414d82c91e06407a394871b491a70b505bdf03deb22f"},
+		{"cube 5", 251, "ec867d2c36c55716c2251ad37d3d2d54f69b1e810c2014b2ea46766af4ebfbae",
+			"642fb045b2d40e1e9e5143fa592e4172dcd86f207582eaad6b6ef9d0806ebb02"},
+		{"cube 1 alone", 26042, "afee3dcaca3374ccff919712ac4d162557db64d97921f4522b85ef115e84e5f1",
+			"7d13539f03a244f050826a05d15f5e63ecb7a002f83f7433a6f705dfcc899c1d"},
 	}
 	pin := func(name string, p *Proof) pinned {
-		flat := sha256.Sum256(AppendFlat(nil, p))
-		return pinned{name, p.NumLemmas(), hex.EncodeToString(flat[:])}
+		var text bytes.Buffer
+		if err := WriteDRAT(&text, p); err != nil {
+			t.Fatal(err)
+		}
+		drat, flat := sha256.Sum256(text.Bytes()), sha256.Sum256(AppendFlat(nil, p))
+		return pinned{name, p.NumLemmas(), hex.EncodeToString(drat[:]), hex.EncodeToString(flat[:])}
 	}
 
 	tpl := NewFromFormula(f, Options{})

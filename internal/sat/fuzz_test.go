@@ -3,6 +3,7 @@ package sat
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -330,36 +331,72 @@ func withFuzzProof(input []byte, p *Proof) []byte {
 	return out
 }
 
-// scrambledHints gives every lemma of p a hint cut from noise, which
-// comes round as often as it takes: bytes that may or may not be
-// uvarints, over variables the formula may or may not have.
-func scrambledHints(p *Proof, noise []byte) *Proof {
-	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: make([]Hint, len(p.Lemmas))}
-	for i := range q.Hints {
+// scrambledChains gives every lemma of p a chain cut from noise, which
+// comes round as often as it takes: each byte an ID, of a clause the
+// checker may or may not hold, in any order.
+func scrambledChains(p *Proof, noise []byte) *Proof {
+	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+	for i := range q.Chains {
 		if len(noise) == 0 {
 			break
 		}
 		from := 7 * i % len(noise)
-		q.Hints[i] = noise[from:min(from+1+i%9, len(noise))]
+		for _, b := range noise[from:min(from+1+i%9, len(noise))] {
+			q.Chains[i] = append(q.Chains[i], uint32(b))
+		}
+	}
+	return q
+}
+
+// hostileChains gives every lemma of p, in rotation, its own chain
+// shuffled, its own chain truncated to its first half, the IDs of the
+// clauses p deletes, and IDs the checker has no clause for: the lemma's
+// own and later ones, past the last, and noID. clauses is the formula's
+// clause count.
+func hostileChains(p *Proof, clauses int) *Proof {
+	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+	var deleted []uint32
+	for _, d := range p.Deletes {
+		deleted = append(deleted, d.ID)
+	}
+	for i := range q.Chains {
+		own := p.chain(i)
+		switch i % 4 {
+		case 0:
+			q.Chains[i] = slices.Clone(own)
+			rand.New(rand.NewSource(int64(i))).Shuffle(len(own), func(a, b int) {
+				q.Chains[i][a], q.Chains[i][b] = q.Chains[i][b], q.Chains[i][a]
+			})
+		case 1:
+			q.Chains[i] = own[:len(own)/2]
+		case 2:
+			q.Chains[i] = deleted
+		case 3:
+			self := uint32(clauses + i)
+			q.Chains[i] = []uint32{self, self + 1, uint32(clauses + len(p.Lemmas)), noID}
+		}
 	}
 	return q
 }
 
 // checkFuzzProof puts one proof to a checker that has checked others, a
-// fresh checker and the reference engine — with the hints it came with,
-// with none, and with hints cut from noise. The two checkers must agree
-// to the letter on all three, down to the lemma they reject: hints are
-// advice. What the hint-blind reference accepts the checker must accept,
-// and nothing may be accepted against a formula the solver satisfied —
-// whatever the proof deletes.
+// fresh checker and the reference engine — with the chains it came with,
+// with none, with chains cut from noise, and with hostile ones. The two
+// checkers must agree to the letter on all four, down to the lemma they
+// reject: chains are advice. What the chain-blind reference accepts the
+// checker must accept, and nothing may be accepted against a formula the
+// solver satisfied — whatever the proof deletes.
 func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status, noise []byte) error {
 	t.Helper()
 	fresh := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes})
-	for name, hinted := range map[string]*Proof{"as it came": p, "under scrambled hints": scrambledHints(p, noise)} {
-		if got := CheckRUP(f, assumptions, hinted); errText(got) != errText(fresh) {
-			t.Fatalf("fresh checker, the proof %s: %s\nwithout hints: %s", name, errText(got), errText(fresh))
+	for name, chained := range map[string]*Proof{
+		"as it came": p, "under scrambled chains": scrambledChains(p, noise),
+		"under hostile chains": hostileChains(p, len(f.Clauses)),
+	} {
+		if got := CheckRUP(f, assumptions, chained); errText(got) != errText(fresh) {
+			t.Fatalf("fresh checker, the proof %s: %s\nwithout chains: %s", name, errText(got), errText(fresh))
 		}
-		if got := reused.Check(assumptions, hinted); errText(got) != errText(fresh) {
+		if got := reused.Check(assumptions, chained); errText(got) != errText(fresh) {
 			t.Fatalf("reused checker, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
 		}
 	}
@@ -381,18 +418,19 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 
 // cutProof splits p before lemma number cut: the deletions that take
 // effect before it go with the prefix, the rest count from the tail's
-// first lemma; each lemma's hint goes where the lemma goes.
+// first lemma; each lemma's chain goes where the lemma goes.
 func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
 	prefix, tail = &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
-	if hints := min(cut, len(p.Hints)); len(p.Hints) > 0 {
-		prefix.Hints, tail.Hints = p.Hints[:hints], p.Hints[hints:]
+	if chains := min(cut, len(p.Chains)); len(p.Chains) > 0 {
+		prefix.Chains, tail.Chains = p.Chains[:chains], p.Chains[chains:]
 	}
 	dels := p.Deletes
 	for ; len(dels) > 0 && dels[0].At <= cut; dels = dels[1:] {
 		prefix.Deletes = append(prefix.Deletes, dels[0])
 	}
 	for _, d := range dels {
-		tail.Deletes = append(tail.Deletes, Deletion{At: d.At - cut, Clause: d.Clause})
+		d.At -= cut
+		tail.Deletes = append(tail.Deletes, d)
 	}
 	return prefix, tail
 }
@@ -445,14 +483,14 @@ func FuzzCheckRUP(f *testing.F) {
 		// deletion twice, clauses of the formula deleted before the first
 		// lemma, the deletions without the lemmas. The solver's own proofs
 		// of every input — of the search as it went, and of one that began
-		// with the pass — come with its hints; a claimed proof has the
-		// scrambled ones. (Hints and deletions logged after a reduceDB
+		// with the pass — come with its chains; a claimed proof has none.
+		// (Chains and deletions logged after a reduceDB
 		// take ten thousand conflicts to come by, and this body solves its
 		// input three times and checks each proof six ways: fuzzSeeds'
 		// compacting input as a seed here was measured at 49 s. The fuzzer
-		// finds them behind fuzzLongRun; TestHintsChangeNoAnswer and
+		// finds them behind fuzzLongRun; TestChainsChangeNoAnswer and
 		// TestProofDeletesWhatTheSolverDropped hold one such proof, and a
-		// forgery of it, to the reference engine under every hint variant.)
+		// forgery of it, to the reference engine under every chain variant.)
 		formula, assumptions, opts := decodeFuzzInput(seed)
 		s := NewFromFormula(formula, opts)
 		s.EnableProof()

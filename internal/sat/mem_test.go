@@ -24,15 +24,15 @@ func liveBytesByHand(s *Solver) int64 {
 }
 
 // arenaWordsByHand is what the arena must hold if it has no garbage:
-// one header word and the literals of every listed clause, and three
-// more words for a learnt one.
+// one header word and the literals of every listed clause, three more
+// words for a learnt one, and one for its ID if the arena has IDs.
 func arenaWordsByHand(s *Solver) int {
-	words := 0
+	words, idw := 0, int(s.idWords())
 	for _, c := range s.clauses {
-		words += 1 + s.size(c)
+		words += idw + 1 + s.size(c)
 	}
 	for _, c := range s.learnts {
-		words += 1 + learntWords + s.size(c)
+		words += idw + 1 + learntWords + s.size(c)
 	}
 	return words
 }

@@ -1,7 +1,6 @@
 package sat
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -17,6 +16,12 @@ import (
 // verdict independently of the CDCL search that produced it — the
 // counterpart of replay-validating SAT counterexamples on the
 // interpreter.
+//
+// The clauses of a proof and of its formula share one space of clause
+// IDs: clause i of the formula has ID i, and lemma j of the log — of the
+// joined log, for a clone's tail (JoinProofs) — has ID |F|+j, where |F|
+// is the formula's clause count. IDs are how Chains and Deletes name a
+// clause; the literals stay the proof, the IDs only say where to look.
 type Proof struct {
 	// Lemmas are the derived clauses, in order. An empty clause may
 	// appear implicitly: the proof is complete when propagation of the
@@ -30,53 +35,59 @@ type Proof struct {
 	// a checker holds follows from the formula, so letting one go cannot
 	// make a non-consequence derivable, whoever wrote the entry.
 	Deletes []Deletion `json:",omitempty"`
-	// Hints[i], where there is one, is where the solver says lemma i came
-	// from: the variables its conflict analysis resolved on or minimised
-	// away, which with the lemma's own are the ones a RUP test of it has to
-	// assign. A checker tries those first (ProofChecker) and is faster for
-	// it, never more lenient: a hint is advice on where to propagate, not
-	// part of the proof — not of its DRAT text — and a
-	// missing, short or lying one costs time and nothing else.
-	Hints []Hint `json:",omitempty"`
+	// Chains[i], where there is one, is lemma i's antecedent chain: the
+	// IDs of the clauses the solver derived it from, in the order unit
+	// propagation meets them once the lemma's literals are false — each
+	// unit in turn, the last one false. A checker walks it first
+	// (ProofChecker) and is faster for it, never more lenient: a chain is
+	// advice on where to look, not part of the proof — not of its DRAT
+	// text — and a missing, short or lying one costs time and nothing
+	// else.
+	Chains [][]uint32 `json:",omitempty"`
 }
 
-// Hint is a set of variables in ascending order, each as the uvarint of
-// its distance from the one before it, the first from 0.
-type Hint []byte
-
-// hint returns lemma i's hint, nil if the proof has none for it.
-func (p *Proof) hint(i int) Hint {
-	if i < len(p.Hints) {
-		return p.Hints[i]
+// chain returns lemma i's chain, nil if the proof has none for it.
+func (p *Proof) chain(i int) []uint32 {
+	if i < len(p.Chains) {
+		return p.Chains[i]
 	}
 	return nil
 }
 
-// Deletion names, by its literals as drat-trim's "d" lines do, one
-// clause to drop once the first At lemmas have been added: a clause of
-// the formula or an earlier lemma with exactly these literals, in any
-// order. An entry that matches nothing the checker holds — no such
-// clause, one already deleted, a unit, literals out of range — is
-// ignored; entries take effect in slice order, so one whose At runs
-// ahead holds back those after it, and none waits past the last lemma.
+// Deletion names one clause to drop once the first At lemmas have been
+// added: by its literals, as drat-trim's "d" lines do — a clause of the
+// formula or an earlier lemma with exactly these literals, in any order —
+// and by its ID, which says which one to try first. An entry that matches
+// nothing the checker holds — no such clause, one already deleted, a
+// unit, literals out of range — is ignored; entries take effect in slice
+// order, so one whose At runs ahead holds back those after it, and none
+// waits past the last lemma.
 type Deletion struct {
 	At     int
+	ID     uint32
 	Clause cnf.Clause
 }
 
+// noID is the ID of a clause that has none: one a solver held before it
+// logged, which it can no longer tell apart (see Solver.nameClauses).
+const noID = ^uint32(0)
+
 // EnableProof turns on proof recording; must be called before Solve.
 func (s *Solver) EnableProof() {
+	s.nameClauses()
 	s.proof, s.proofStep = &Proof{}, nil
 }
 
 // StreamProof turns on proof recording like EnableProof, but hands each
-// step to step as the solver logs it — a lemma, or with deleted set a
-// clause it dropped, in cnf.Lit's encoding and valid for the length of
-// the call — instead of keeping it: ProofLog stays empty. For a solver
-// whose log is tens of thousands of steps that its holder wants hashed
-// or checked and not stored (a template's). Its clones keep their own
-// logs as any clone does.
-func (s *Solver) StreamProof(step func(deleted bool, clause []uint32)) {
+// step to step as the solver logs it — a lemma with its chain, or with
+// deleted set a clause it dropped with its ID alone, the literals in
+// cnf.Lit's encoding and both slices valid for the length of the call —
+// instead of keeping it: ProofLog stays empty. For a solver whose log is
+// tens of thousands of steps that its holder wants checked and not
+// stored (a template's). Its clones keep their own logs as any clone
+// does.
+func (s *Solver) StreamProof(step func(deleted bool, clause, ids []uint32)) {
+	s.nameClauses()
 	s.proof, s.proofStep = &Proof{}, step
 }
 
@@ -87,52 +98,43 @@ func (s *Solver) KeepProof(p *Proof) {
 	s.proof, s.proofStep = p, nil
 }
 
-// keepsProof reports whether the solver logs to a proof it keeps, the
-// kind whose lemmas carry hints.
-func (s *Solver) keepsProof() bool { return s.proof != nil && s.proofStep == nil }
-
-// logLemma and logDelete record a clause the solver derived — through
-// the variables via, which logLemma sorts, if conflict analysis derived
-// it — and one it no longer holds and the checker does; only called with
-// proof logging on. Both log in the formula's numbering, whatever the
-// pass renumbered: the checker holds the formula.
-func (s *Solver) logLemma(lits []lit, via []uint32) {
+// logLemma and logDelete record a clause the solver derived, through the
+// clauses chain names, and one it no longer holds and the checker does;
+// only called with proof logging on. logLemma returns the lemma's ID.
+// Both log in the formula's numbering, whatever the pass renumbered: the
+// checker holds the formula.
+func (s *Solver) logLemma(lits []lit, chain []uint32) uint32 {
+	id := s.takeID()
 	if s.proofStep != nil {
-		s.proofStep(false, s.extLits(lits))
-		return
+		s.proofStep(false, s.extLits(lits), chain)
+		return id
 	}
 	s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
-	s.proof.Hints = append(s.proof.Hints, s.hint(via))
+	s.proof.Chains = append(s.proof.Chains, s.keepChain(chain))
+	return id
 }
 
-// hint encodes a set of the solver's variables as a Hint over the
-// formula's, carved like a lemma from a slab that is replaced when full.
-// The map is monotone, so they are in ascending order in either.
-func (s *Solver) hint(vars []uint32) Hint {
-	if len(vars) == 0 {
+// keepChain copies a chain for the proof log, carved like a lemma from
+// a slab that is replaced when full.
+func (s *Solver) keepChain(chain []uint32) []uint32 {
+	if len(chain) == 0 {
 		return nil
 	}
-	slices.Sort(vars)
-	if room := binary.MaxVarintLen32 * len(vars); cap(s.hintSlab)-len(s.hintSlab) < room {
-		s.hintSlab = make([]byte, 0, max(room, 1<<14))
+	if cap(s.chainSlab)-len(s.chainSlab) < len(chain) {
+		s.chainSlab = make([]uint32, 0, max(len(chain), 1<<14))
 	}
-	start, prev := len(s.hintSlab), uint32(0)
-	for _, v := range vars {
-		if s.numElim > 0 {
-			v = s.ext[v-1]
-		}
-		s.hintSlab = binary.AppendUvarint(s.hintSlab, uint64(v-prev))
-		prev = v
-	}
-	return s.hintSlab[start:len(s.hintSlab):len(s.hintSlab)]
+	start := len(s.chainSlab)
+	s.chainSlab = append(s.chainSlab, chain...)
+	return s.chainSlab[start:len(s.chainSlab):len(s.chainSlab)]
 }
 
-func (s *Solver) logDelete(lits []lit) {
+func (s *Solver) logDelete(lits []lit, id uint32) {
 	if s.proofStep != nil {
-		s.proofStep(true, s.extLits(lits))
+		s.delID[0] = id
+		s.proofStep(true, s.extLits(lits), s.delID[:])
 		return
 	}
-	s.proof.Deletes = append(s.proof.Deletes, Deletion{At: len(s.proof.Lemmas), Clause: s.lemma(lits)})
+	s.proof.Deletes = append(s.proof.Deletes, Deletion{At: len(s.proof.Lemmas), ID: id, Clause: s.lemma(lits)})
 }
 
 // JoinProofs returns the proof that logs prefix and then tail: what a
@@ -150,17 +152,19 @@ func JoinProofs(prefix, tail *Proof) *Proof {
 		Lemmas:  append(slices.Clip(prefix.Lemmas), tail.Lemmas...),
 		Deletes: make([]Deletion, 0, len(prefix.Deletes)+len(tail.Deletes)),
 	}
-	if len(prefix.Hints)+len(tail.Hints) > 0 {
-		p.Hints = make([]Hint, len(prefix.Lemmas), len(p.Lemmas))
-		copy(p.Hints, prefix.Hints)
-		p.Hints = append(p.Hints, tail.Hints[:min(len(tail.Hints), len(tail.Lemmas))]...)
+	if len(prefix.Chains)+len(tail.Chains) > 0 {
+		p.Chains = make([][]uint32, len(prefix.Lemmas), len(p.Lemmas))
+		copy(p.Chains, prefix.Chains)
+		p.Chains = append(p.Chains, tail.Chains[:min(len(tail.Chains), len(tail.Lemmas))]...)
 	}
 	// No entry of the prefix waits past its last lemma, nor here.
 	for _, d := range prefix.Deletes {
-		p.Deletes = append(p.Deletes, Deletion{At: min(d.At, len(prefix.Lemmas)), Clause: d.Clause})
+		d.At = min(d.At, len(prefix.Lemmas))
+		p.Deletes = append(p.Deletes, d)
 	}
 	for _, d := range tail.Deletes {
-		p.Deletes = append(p.Deletes, Deletion{At: len(prefix.Lemmas) + max(d.At, 0), Clause: d.Clause})
+		d.At = len(prefix.Lemmas) + max(d.At, 0)
+		p.Deletes = append(p.Deletes, d)
 	}
 	if len(p.Deletes) == 0 {
 		p.Deletes = nil
@@ -187,19 +191,20 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 // and returns to that state after every Check. It audits the solver, so
 // it shares the solver's clause layout (see cref and watcher) but none
 // of its code: add, propagate and reset below are the checker's own. A
-// clause is [size] lit0 lit1 ... in the arena, addressed by the index
-// of lit0, and is watched through lit0 and lit1; a deleted one keeps its
-// place, unwatched, with delTag in its size word.
+// clause is [size] lit0 lit1 ... in the arena, addressed by the index of
+// lit0, and is watched through lit0 and lit1; a deleted one keeps its
+// place, unwatched, with delTag in its size word. byID finds a clause by
+// its ID (see Proof).
 //
-// A lemma that comes with a hint (Proof.Hints) is first put to a RUP test
-// confined to the variables of the hint and its own: propagation assigns
-// no other variable, so it visits the watch lists of those alone. Every
-// assignment made that way is one the unconfined test makes too, so a
-// conflict is a conflict whoever wrote the hint; without one — or with a
-// hint that does not parse or names a variable the checker does not
-// have — the test goes on from the root over every variable, which is
-// the test of a lemma without a hint. Accepted and rejected are the same
-// proofs either way.
+// A lemma that comes with a chain (Proof.Chains) is first put to a RUP
+// test along it: each clause the chain names that is unit under the
+// assignment so far assigns its open literal, and the first that is
+// false refutes the lemma. Every assignment made that way is one unit
+// propagation makes too, so a conflict is a conflict whoever wrote the
+// chain; without one — a chain that ends first, or names clauses the
+// checker does not hold — the test goes on from the root by propagation
+// over every watch list, which is the test of a lemma without a chain.
+// Accepted and rejected are the same proofs either way.
 //
 // A checker is not safe for concurrent use.
 type ProofChecker struct {
@@ -213,10 +218,14 @@ type ProofChecker struct {
 	// place: what the formula, the assumptions and the lemmas so far
 	// propagate to.
 	root int
+	// byID is, per clause ID, the clause in the arena (deleted or not),
+	// crefUndef for one add stored nothing for: a unit, a tautology, a
+	// clause satisfied at the root, one compacted away.
+	byID []cref
 
 	// The propagation fixpoint of the formula, and of the lemmas Extend
 	// has added to it, where reset returns to.
-	baseVars, baseArena, baseTrail int
+	baseVars, baseArena, baseTrail, baseIDs int
 	// refuted: the formula, with Extend's lemmas, propagates to a
 	// conflict under no assumption, so every proof of it checks.
 	refuted bool
@@ -224,12 +233,11 @@ type ProofChecker struct {
 	// deleted: reset puts them back, Extend lets them go for good.
 	detached []cref
 
-	// index finds a clause by its literals for a Deletion: an open-
-	// addressed table of refs (0 free, crefDead a deleted entry's),
-	// built over the live clauses by the first Deletion a proof brings
-	// and kept up to date until reset. mark stamps with markEpoch, per
-	// literal, the clause being looked up, and at a variable's positive
-	// literal the variables the propagation under way is confined to.
+	// index finds a clause by its literals for a Deletion whose ID does
+	// not name it: an open-addressed table of refs (0 free, crefDead a
+	// deleted entry's), built over the live clauses by the first such
+	// Deletion a proof brings and kept up to date until reset. mark
+	// stamps with markEpoch, per literal, the clause being looked up.
 	index     []cref
 	indexUsed int // slots not free
 	indexed   bool
@@ -255,9 +263,9 @@ const (
 // ProofCheckerStats counts a checker's work since it was built.
 type ProofCheckerStats struct {
 	Lemmas       int64 // lemmas put to the RUP test
-	Propagations int64 // literals propagated, loading the formula included
-	Hinted       int64 // lemmas refuted by propagation confined to their hint
-	Fallbacks    int64 // hinted lemmas that took the unconfined test all the same
+	Propagations int64 // literals propagated through their watch lists, loading the formula included
+	Hinted       int64 // lemmas refuted along their chain
+	Fallbacks    int64 // lemmas with a chain that took the full test all the same
 }
 
 // Add accumulates o into s.
@@ -283,16 +291,19 @@ func NewProofChecker(f *cnf.Formula) *ProofChecker {
 	c.growTo(f.NumVars)
 	c.arena = make([]uint32, 1, 1+f.NumClauses()+f.NumLits()) // word 0 is never a clause: no ref is 0
 	c.trail = make([]lit, 0, f.NumVars)
+	c.byID = make([]cref, 0, f.NumClauses())
 	for _, cl := range f.Clauses {
 		for _, l := range cl {
 			if l < 2 || int(l.Var()) > f.NumVars {
 				panic(fmt.Sprintf("sat: invalid literal %d in the formula", int(l)))
 			}
 		}
-		if _, ok := c.add(cl); !ok {
+		ref, ok := c.add(cl)
+		if !ok {
 			c.refuted = true
 			return c
 		}
+		c.byID = append(c.byID, ref)
 	}
 	// Every list gets room for the clauses that start out watching its
 	// literal, carved from one allocation.
@@ -312,8 +323,13 @@ func NewProofChecker(f *cnf.Formula) *ProofChecker {
 		c.attach(uint32(ref))
 	}
 	c.refuted = !c.extendRoot()
-	c.baseVars, c.baseArena, c.baseTrail = c.numVars, len(c.arena), c.root
+	c.rebaseMarks()
 	return c
+}
+
+// rebaseMarks records the state reached as the one reset returns to.
+func (c *ProofChecker) rebaseMarks() {
+	c.baseVars, c.baseArena, c.baseTrail, c.baseIDs = c.numVars, len(c.arena), c.root, len(c.byID)
 }
 
 // Stats returns the checker's counters.
@@ -365,8 +381,9 @@ func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
 // base only ever grows by clauses proved from it under no assumption,
 // so they hold under any, and shrinks by what no later lemma may then
 // lean on; and it accepts no less because a lemma that is RUP without
-// the assumptions is RUP with them. A rejected lemma leaves the checker
-// where it was and still usable.
+// the assumptions is RUP with them. The IDs of rest's lemmas continue
+// from p's, as they do in the joined log. A rejected lemma leaves the
+// checker where it was and still usable.
 func (c *ProofChecker) Extend(p *Proof) error {
 	if c.refuted || p == nil {
 		return nil
@@ -388,17 +405,18 @@ func (c *ProofChecker) rebase(refuted bool) {
 		c.compact()
 	}
 	// The table goes: a checker is kept for as long as its formula's
-	// proofs come, and few of them delete.
+	// proofs come, and few of them delete a clause their IDs do not name.
 	c.index, c.indexed = nil, false
-	c.baseVars, c.baseArena, c.baseTrail = c.numVars, len(c.arena), c.root
+	c.rebaseMarks()
 }
 
 // ExtendStep and ExtendDone are Extend for a proof that arrives a step
 // at a time, as Solver.StreamProof hands it out, and is not kept: every
 // step of it through ExtendStep, in order, then ExtendDone, which says
 // whether all of it stood — and leaves the checker as Extend does either
-// way. No Check may come in between.
-func (c *ProofChecker) ExtendStep(deleted bool, clause []uint32) {
+// way. No Check may come in between. ids is a lemma's chain, or the
+// deleted clause's ID alone.
+func (c *ProofChecker) ExtendStep(deleted bool, clause, ids []uint32) {
 	if c.refuted || c.stepErr != nil || c.stepRefuted {
 		return
 	}
@@ -408,11 +426,15 @@ func (c *ProofChecker) ExtendStep(deleted bool, clause []uint32) {
 	}
 	c.stepBuf = buf
 	if deleted {
-		c.remove(buf)
+		id := noID
+		if len(ids) == 1 {
+			id = ids[0]
+		}
+		c.remove(buf, id)
 		return
 	}
 	c.stepLemmas++
-	refuted, ok := c.deriveLemma(buf, nil)
+	refuted, ok := c.deriveLemma(buf, ids)
 	if !ok {
 		c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, slices.Clone(buf))
 	}
@@ -440,9 +462,9 @@ func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
 	dels := p.Deletes
 	for i, lemma := range p.Lemmas {
 		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
-			c.remove(dels[0].Clause)
+			c.remove(dels[0].Clause, dels[0].ID)
 		}
-		refuted, ok := c.deriveLemma(lemma, p.hint(i))
+		refuted, ok := c.deriveLemma(lemma, p.chain(i))
 		if !ok {
 			return false, fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v",
 				i+1, len(p.Lemmas), lemma)
@@ -452,21 +474,23 @@ func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
 		}
 	}
 	for _, d := range dels {
-		c.remove(d.Clause)
+		c.remove(d.Clause, d.ID)
 	}
 	return false, nil
 }
 
 // deriveLemma is derive's step for one lemma: the RUP test (ok), then
-// the lemma joins the clause set and the root what it propagates.
-func (c *ProofChecker) deriveLemma(lemma cnf.Clause, hint Hint) (refuted, ok bool) {
-	if !c.implied(lemma, hint) {
+// the lemma joins the clause set, under the next ID, and the root what
+// it propagates.
+func (c *ProofChecker) deriveLemma(lemma cnf.Clause, chain []uint32) (refuted, ok bool) {
+	if !c.implied(lemma, chain) {
 		return false, false
 	}
 	ref, nonEmpty := c.add(lemma)
 	if !nonEmpty {
 		return true, true
 	}
+	c.byID = append(c.byID, ref)
 	if ref != crefUndef {
 		c.attach(ref)
 		if c.indexed {
@@ -503,7 +527,7 @@ func (c *ProofChecker) undo(n int) {
 // extendRoot propagates what the root gained and keeps the result; it
 // returns false on a conflict, which at the root is the empty clause.
 func (c *ProofChecker) extendRoot() bool {
-	ok := c.propagate(false)
+	ok := c.propagate()
 	c.root = len(c.trail)
 	return ok
 }
@@ -562,10 +586,11 @@ func (c *ProofChecker) attach(ref cref) {
 	c.watches[l1^1] = append(c.watches[l1^1], watcher{ref, l0})
 }
 
-// implied is the RUP test: with every literal of the lemma false,
-// propagation must reach a conflict — within the hint, if there is one,
-// or else from the root again without it. The root is left as it was.
-func (c *ProofChecker) implied(lemma cnf.Clause, hint Hint) bool {
+// implied is the RUP test: with every literal of the lemma false, unit
+// propagation must reach a conflict — along the chain, if there is one,
+// or else from the root again over every watch list. The root is left as
+// it was.
+func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
 	c.stats.Lemmas++
 	defer c.undo(c.root)
 	for _, l := range lemma {
@@ -583,38 +608,51 @@ func (c *ProofChecker) implied(lemma cnf.Clause, hint Hint) bool {
 			c.assign(lit(l) ^ 1)
 		}
 	}
-	if len(hint) > 0 {
-		if c.confine(lemma, hint) && !c.propagate(true) {
+	if len(chain) > 0 {
+		if c.walk(chain) {
 			c.stats.Hinted++
 			return true
 		}
+		// What the walk assigned holds; the queue head is still at the
+		// root, so propagation visits the lists of all of it.
 		c.stats.Fallbacks++
-		c.qhead = c.root // what the confined run assigned holds; what it skipped is met again
 	}
-	return !c.propagate(false)
+	return !c.propagate()
 }
 
-// confine marks the variables of a lemma, all known, and of its hint for
-// a confined propagation; false if the hint is not one over the
-// checker's variables.
-func (c *ProofChecker) confine(lemma cnf.Clause, hint Hint) bool {
-	epoch := c.nextMark()
-	for _, l := range lemma {
-		c.mark[l&^1] = epoch
-	}
-	v := uint64(0)
-	for len(hint) > 0 {
-		d, n := binary.Uvarint(hint)
-		if n <= 0 || d > uint64(c.numVars) {
-			return false
+// walk assigns through each clause of chain that is unit under the
+// trail, in order, and reports whether it met one that is false. An ID
+// that names no clause the checker holds, or one it deleted, is passed
+// over, and so is a clause that is satisfied or has two literals open.
+func (c *ProofChecker) walk(chain []uint32) bool {
+	arena, vals := c.arena, c.vals
+next:
+	for _, id := range chain {
+		if uint64(id) >= uint64(len(c.byID)) {
+			continue
 		}
-		if v += d; v == 0 || v > uint64(c.numVars) {
-			return false
+		ref := c.byID[id]
+		if ref == crefUndef || arena[ref-1]&delTag != 0 {
+			continue
 		}
-		c.mark[2*v] = epoch
-		hint = hint[n:]
+		open := litUndef
+		for _, l := range arena[ref : ref+arena[ref-1]] {
+			switch vals[l] {
+			case lTrue:
+				continue next
+			case lUndef:
+				if open != litUndef {
+					continue next
+				}
+				open = l
+			}
+		}
+		if open == litUndef {
+			return true
+		}
+		c.assign(open)
 	}
-	return true
+	return false
 }
 
 // nextMark starts a new stamp for mark.
@@ -627,12 +665,10 @@ func (c *ProofChecker) nextMark() uint32 {
 	return c.markEpoch
 }
 
-// propagate runs unit propagation from qhead, confined — assigning only
-// variables confine has marked — or not; it returns false on a conflict,
-// leaving the rest of the queue unvisited.
-func (c *ProofChecker) propagate(confined bool) bool {
+// propagate runs unit propagation from qhead; it returns false on a
+// conflict, leaving the rest of the queue unvisited.
+func (c *ProofChecker) propagate() bool {
 	arena, vals := c.arena, c.vals // neither grows during propagation
-	mark, epoch := c.mark, c.markEpoch
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
@@ -671,9 +707,7 @@ func (c *ProofChecker) propagate(confined bool) bool {
 					c.qhead = len(c.trail)
 					return false
 				case lUndef:
-					if !confined || mark[unit&^1] == epoch {
-						c.assign(unit)
-					}
+					c.assign(unit)
 				}
 			}
 			ws[n] = w
@@ -686,17 +720,18 @@ func (c *ProofChecker) propagate(confined bool) bool {
 
 // reset takes the checker back to its base, the formula's fixpoint (and
 // that of Extend's lemmas, which are part of the formula from then on):
-// the trail is cut there, the later lemmas leave the arena and their
-// watchers the lists, and the clauses of the base the proof deleted go
-// back on them. The base's other clauses need no repair. A watch only
-// ever moved to a literal that was not false at the time, under an
-// assignment extending the fixpoint, so it is not false at the fixpoint
-// either; and a watch that never moved is as the fixpoint's own
+// the trail is cut there, the later lemmas leave the arena, their IDs
+// and their watchers the lists, and the clauses of the base the proof
+// deleted go back on them. The base's other clauses need no repair. A
+// watch only ever moved to a literal that was not false at the time,
+// under an assignment extending the fixpoint, so it is not false at the
+// fixpoint either; and a watch that never moved is as the fixpoint's own
 // propagation left it.
 func (c *ProofChecker) reset() {
 	c.undo(c.baseTrail)
 	c.root = c.baseTrail
 	c.indexed = false
+	c.byID = c.byID[:c.baseIDs]
 	if c.numVars > c.baseVars {
 		c.numVars = c.baseVars
 		c.vals = c.vals[:2*(c.baseVars+1)]
@@ -734,9 +769,10 @@ func (c *ProofChecker) reset() {
 }
 
 // remove drops the clause a Deletion names, if the checker holds one
-// with exactly its literals: unwatched, it stays in the arena until
-// reset brings it back or Extend compacts it away.
-func (c *ProofChecker) remove(cl cnf.Clause) {
+// with exactly its literals: the one its ID names if that one has them,
+// else one the content index finds. Unwatched, it stays in the arena
+// until reset brings it back or Extend compacts it away.
+func (c *ProofChecker) remove(cl cnf.Clause, id uint32) {
 	buf := c.addBuf[:0]
 	for _, l := range cl {
 		if l < 2 || int(l.Var()) > c.numVars {
@@ -750,15 +786,17 @@ func (c *ProofChecker) remove(cl cnf.Clause) {
 	if len(buf) < 2 {
 		return // a unit is on the trail, not in the arena
 	}
-	if !c.indexed {
-		c.buildIndex()
-	}
-	ref := c.indexTake(buf)
+	ref := c.named(id, buf)
 	if ref == crefUndef {
-		return
+		if !c.indexed {
+			c.buildIndex()
+		}
+		if ref = c.indexTake(buf); ref == crefUndef {
+			return
+		}
 	}
 	tagged := ref
-	if len(buf) == 2 {
+	if c.arena[ref-1] == 2 {
 		tagged |= binTag
 	}
 	for _, l := range [2]lit{c.arena[ref], c.arena[ref+1]} {
@@ -774,6 +812,29 @@ func (c *ProofChecker) remove(cl cnf.Clause) {
 	if int(ref) < c.baseArena {
 		c.detached = append(c.detached, ref)
 	}
+}
+
+// named returns the live clause id names if its literals are those of
+// lits, which are distinct, and crefUndef otherwise. A clause the index
+// holds stays there: indexTake passes over a deleted one.
+func (c *ProofChecker) named(id uint32, lits []lit) cref {
+	if uint64(id) >= uint64(len(c.byID)) {
+		return crefUndef
+	}
+	ref := c.byID[id]
+	if ref == crefUndef || int(c.arena[ref-1]) != len(lits) {
+		return crefUndef // deleted too: the tag is in the size word
+	}
+	epoch := c.nextMark()
+	for _, l := range lits {
+		c.mark[l] = epoch
+	}
+	for _, l := range c.arena[ref : ref+c.arena[ref-1]] {
+		if c.mark[l] != epoch {
+			return crefUndef
+		}
+	}
+	return ref
 }
 
 // clauseHash does not depend on the order of the literals.
@@ -864,7 +925,8 @@ next:
 // compact closes the gaps deleted clauses have left in the arena and
 // moves the watchers, all of which are of live clauses, to lists carved
 // from one allocation of their number: a base that lost half its clauses
-// is held in half the memory.
+// is held in half the memory. The IDs of deleted clauses name nothing
+// from here on.
 func (c *ProofChecker) compact() {
 	old, words := c.arena, 1
 	for ref := 2; ref < len(old); ref += int(old[ref-1]&^delTag) + 1 {
@@ -875,14 +937,24 @@ func (c *ProofChecker) compact() {
 	if words == len(old) {
 		return
 	}
+	for id, ref := range c.byID {
+		if ref != crefUndef && old[ref-1]&delTag != 0 {
+			c.byID[id] = crefUndef
+		}
+	}
 	c.arena = make([]uint32, 1, words)
 	for ref := 2; ref < len(old); {
 		size := int(old[ref-1] &^ delTag)
 		if old[ref-1]&delTag == 0 {
 			c.arena = append(c.arena, old[ref-1:ref+size]...)
-			old[ref] = uint32(len(c.arena) - size) // the clause's new address, for its watchers
+			old[ref] = uint32(len(c.arena) - size) // the clause's new address, for its watchers and its ID
 		}
 		ref += size + 1
+	}
+	for id, ref := range c.byID {
+		if ref != crefUndef {
+			c.byID[id] = old[ref]
+		}
 	}
 	watchers := 0
 	for _, ws := range c.watches {

@@ -2,7 +2,6 @@ package sat
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -525,23 +524,24 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 
 	streamed, streamedTo := &Proof{}, NewProofChecker(f)
 	streaming := template(func(s *Solver) {
-		s.StreamProof(func(deleted bool, clause []uint32) {
+		s.StreamProof(func(deleted bool, clause, ids []uint32) {
 			c := make(cnf.Clause, len(clause))
 			for i, l := range clause {
 				c[i] = cnf.Lit(l)
 			}
 			if deleted {
-				streamed.Deletes = append(streamed.Deletes, Deletion{At: len(streamed.Lemmas), Clause: c})
+				streamed.Deletes = append(streamed.Deletes, Deletion{At: len(streamed.Lemmas), ID: ids[0], Clause: c})
 			} else {
 				streamed.Lemmas = append(streamed.Lemmas, c)
+				streamed.Chains = append(streamed.Chains, slices.Clone(ids))
 			}
-			streamedTo.ExtendStep(deleted, clause)
+			streamedTo.ExtendStep(deleted, clause, ids)
 		})
 	})
 	if err := streamedTo.ExtendDone(); err != nil {
 		t.Fatalf("the streamed prefix rejected: %v", err)
 	}
-	if !bytes.Equal(stepsOf(streamed), stepsOf(log)) {
+	if !bytes.Equal(AppendFlat(nil, streamed), AppendFlat(nil, log)) {
 		t.Fatalf("%d lemmas and %d deletions streamed, %d and %d kept, or not the same ones",
 			len(streamed.Lemmas), len(streamed.Deletes), len(log.Lemmas), len(log.Deletes))
 	}
@@ -572,21 +572,18 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	// One literal of one lemma flipped on its way.
 	fresh := NewProofChecker(f)
 	base, _ := baseOf(t, fresh)
-	at, lemmas := len(log.Lemmas)/2, 0
-	_ = log.steps(func(deleted bool, c cnf.Clause) error {
-		clause := make([]uint32, len(c))
-		for i, l := range c {
-			clause[i] = uint32(l)
+	at := len(log.Lemmas) / 2
+	dels := log.Deletes
+	for i, lemma := range log.Lemmas {
+		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
+			fresh.ExtendStep(true, wordsOf(dels[0].Clause), []uint32{dels[0].ID})
 		}
-		if !deleted {
-			if lemmas == at {
-				clause[0] ^= 1
-			}
-			lemmas++
+		clause := wordsOf(lemma)
+		if i == at {
+			clause[0] ^= 1
 		}
-		fresh.ExtendStep(deleted, clause)
-		return nil
-	})
+		fresh.ExtendStep(false, clause, log.chain(i))
+	}
 	if err := fresh.ExtendDone(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lemma %d ", at+1)) {
 		t.Fatalf("stream with lemma %d forged: %v", at+1, err)
 	}
@@ -598,49 +595,45 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	}
 }
 
-// hintVariants returns p as it is, without its hints, and under four
-// kinds of hint no solver writes: each lemma's replaced, in rotation, by
-// none, every variable, variable 0, one past the last variable and the
-// next lemma's; every lemma given the one before's; and bytes that are
-// no uvarint.
-func hintVariants(p *Proof, numVars int) map[string]*Proof {
-	with := func(hint func(i int) Hint) *Proof {
-		q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Hints: make([]Hint, len(p.Lemmas))}
-		for i := range q.Hints {
-			q.Hints[i] = hint(i)
+// wordsOf is a clause as StreamProof hands it out.
+func wordsOf(c cnf.Clause) []uint32 {
+	w := make([]uint32, len(c))
+	for i, l := range c {
+		w[i] = uint32(l)
+	}
+	return w
+}
+
+// chainVariants returns p as it is, without its chains, under
+// hostileChains' rotation — each chain shuffled, truncated, made of the
+// IDs of deleted clauses or of IDs no clause has — and with every lemma
+// given the chain of the one before, or of the one after.
+func chainVariants(p *Proof, clauses int) map[string]*Proof {
+	with := func(chain func(i int) []uint32) *Proof {
+		q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+		for i := range q.Chains {
+			q.Chains[i] = chain(i)
 		}
 		return q
 	}
 	return map[string]*Proof{
-		"honest": p,
-		"none":   {Lemmas: p.Lemmas, Deletes: p.Deletes},
-		"hostile": with(func(i int) Hint {
-			switch i % 5 {
-			case 1:
-				return bytes.Repeat([]byte{1}, numVars)
-			case 2:
-				return Hint{0}
-			case 3:
-				return binary.AppendUvarint(nil, uint64(numVars)+1)
-			case 4:
-				return p.hint((i + 1) % len(p.Lemmas))
-			}
-			return nil
-		}),
-		"shifted": with(func(i int) Hint { return p.hint((i + len(p.Lemmas) - 1) % len(p.Lemmas)) }),
-		"garbage": with(func(int) Hint { return Hint{0x80, 0x80, 0x80} }),
+		"honest":  p,
+		"none":    {Lemmas: p.Lemmas, Deletes: p.Deletes},
+		"hostile": hostileChains(p, clauses),
+		"shifted": with(func(i int) []uint32 { return p.chain((i + len(p.Lemmas) - 1) % len(p.Lemmas)) }),
+		"ahead":   with(func(i int) []uint32 { return p.chain((i + 1) % len(p.Lemmas)) }),
 	}
 }
 
-// A hint changes no answer. Every proof of this file's corpus — the
+// A chain changes no answer. Every proof of this file's corpus — the
 // per-partition refutations of an encoded cell and the tampered copies
-// TestProofCheckerReuseMatchesFresh makes of them, now with the hints
+// TestProofCheckerReuseMatchesFresh makes of them, now with the chains
 // kept beside the lemmas they were logged for, and the two deleting
-// proofs with a lemma of each flipped — gets, under every hint variant,
-// the answer of the hint-blind reference engine: accepted, or rejected
-// at the same lemma in the same words. What hints do change is counted:
-// an honest proof honestly hinted never falls back, one without hints is
-// never hinted, and the hostile ones fall back.
+// proofs with a lemma of each flipped — gets, under every chain variant,
+// the answer of the chain-blind reference engine: accepted, or rejected
+// at the same lemma in the same words. What chains do change is counted:
+// an honest proof with the solver's chains never falls back, one without
+// chains is never refuted along one, and the hostile ones fall back.
 func TestHintsChangeNoAnswer(t *testing.T) {
 	type input struct {
 		name        string
@@ -651,7 +644,7 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 	}
 	var corpus []input
 	tampered := func(in input, kind string, edit func(q *Proof)) input {
-		q := &Proof{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Hints: slices.Clone(in.proof.Hints)}
+		q := &Proof{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Chains: slices.Clone(in.proof.Chains)}
 		for i, l := range in.proof.Lemmas {
 			q.Lemmas[i] = slices.Clone(l)
 		}
@@ -674,7 +667,7 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 		corpus = append(corpus, h, tampered(h, "flipped-literal", flip),
 			tampered(h, "dropped-lemma", func(q *Proof) {
 				mid := len(q.Lemmas) / 2
-				q.Lemmas, q.Hints = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Hints, mid, mid+1)
+				q.Lemmas, q.Chains = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Chains, mid, mid+1)
 			}))
 	}
 	for _, tc := range deletingProofs(t) {
@@ -693,25 +686,25 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 			rejected++
 		}
 		reused := NewProofChecker(in.f)
-		for name, variant := range hintVariants(in.proof, in.f.NumVars) {
+		for name, variant := range chainVariants(in.proof, len(in.f.Clauses)) {
 			before := reused.Stats()
 			got := reused.Check(in.assumptions, variant)
 			if errText(got) != errText(want) {
-				t.Fatalf("%s under %s hints: %s\nthe reference engine: %s", in.name, name, errText(got), errText(want))
+				t.Fatalf("%s under %s chains: %s\nthe reference engine: %s", in.name, name, errText(got), errText(want))
 			}
 			work := reused.Stats().Since(before)
 			switch {
 			case name == "none" && (work.Hinted != 0 || work.Fallbacks != 0):
-				t.Fatalf("%s without hints: %+v", in.name, work)
+				t.Fatalf("%s without chains: %+v", in.name, work)
 			case name == "honest" && in.honest && (work.Fallbacks != 0 || work.Hinted == 0):
-				t.Fatalf("%s as the solver hinted it: %+v", in.name, work)
-			case (name == "hostile" || name == "garbage") && work.Fallbacks == 0:
-				t.Fatalf("%s under %s hints: %+v; want fallbacks", in.name, name, work)
+				t.Fatalf("%s with the solver's chains: %+v", in.name, work)
+			case name == "hostile" && work.Fallbacks == 0:
+				t.Fatalf("%s under hostile chains: %+v; want fallbacks", in.name, work)
 			}
 		}
 	}
 	if rejected == 0 || rejected == len(corpus) {
 		t.Fatalf("%d of %d proofs rejected: the corpus lost a side", rejected, len(corpus))
 	}
-	t.Logf("%d proofs under 5 hint variants each, %d of them rejected", len(corpus), rejected)
+	t.Logf("%d proofs under 5 chain variants each, %d of them rejected", len(corpus), rejected)
 }

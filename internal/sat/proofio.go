@@ -17,14 +17,15 @@ import (
 //   - DRAT-style text (WriteDRAT / ParseDRAT): one lemma per line as
 //     signed DIMACS literals terminated by 0, and a deletion as the same
 //     behind "d", where the solver logged it: the format external proof
-//     checkers and humans read. It has no place for hints.
+//     checkers and humans read. It has no place for clause IDs, so
+//     neither for chains nor for the IDs of deletions.
 //   - The flat form (AppendFlat / ParseFlat) the distributed certificate
-//     layer ships: the whole proof, hints included, as one string of
-//     uvarints.
+//     layer ships: the whole proof, IDs and chains included, as one
+//     string of uvarints.
 //
-// The Proof struct also marshals as JSON as it stands (cnf.Lit is an
-// integer, a Hint a base64 string); nothing ships it that way (see
-// distrib's wireCertificate for why).
+// The Proof struct also marshals as JSON as it stands (cnf.Lit and a
+// clause ID are integers); nothing ships it that way (see distrib's
+// wireCertificate for why).
 //
 // Size accounting (NumLemmas / NumLits) lets senders and receivers
 // budget serialisation up front and report what a check took on.
@@ -75,12 +76,13 @@ func (p *Proof) steps(visit func(deleted bool, c cnf.Clause) error) error {
 // AppendFlat appends the flat form of p (nil: the empty proof) to dst.
 // Every number is a uvarint, every literal in cnf.Lit's encoding:
 //
-//	L T D H      lemmas; literals in lemmas and deletions together;
-//	             deletions; hints (at most L)
+//	L T D C I    lemmas; literals in lemmas and deletions together;
+//	             deletions; chains (at most L); IDs in the chains
 //	L times      n, then the lemma's n literals
-//	D times      At (0 for a negative one, L for one beyond), n, then the
-//	             deleted clause's n literals
-//	H times      b, then the b bytes of the hint, as Hint keeps them
+//	D times      At (0 for a negative one, L for one beyond), ID, n, then
+//	             the deleted clause's n literals
+//	C times      k, then the chain's k IDs, each as the zigzag of its
+//	             difference from the one before it, the first's from 0
 //
 // Fixing a Deletion's At to the range changes nothing about when it takes
 // effect.
@@ -88,12 +90,15 @@ func AppendFlat(dst []byte, p *Proof) []byte {
 	if p == nil {
 		p = &Proof{}
 	}
-	lits := p.NumLits()
+	lits, ids := p.NumLits(), 0
 	for _, d := range p.Deletes {
 		lits += len(d.Clause)
 	}
-	hints := p.Hints[:min(len(p.Hints), len(p.Lemmas))]
-	for _, n := range [4]int{len(p.Lemmas), lits, len(p.Deletes), len(hints)} {
+	chains := p.Chains[:min(len(p.Chains), len(p.Lemmas))]
+	for _, c := range chains {
+		ids += len(c)
+	}
+	for _, n := range [5]int{len(p.Lemmas), lits, len(p.Deletes), len(chains), ids} {
 		dst = binary.AppendUvarint(dst, uint64(n))
 	}
 	clause := func(c cnf.Clause) {
@@ -107,31 +112,37 @@ func AppendFlat(dst []byte, p *Proof) []byte {
 	}
 	for _, d := range p.Deletes {
 		dst = binary.AppendUvarint(dst, uint64(min(max(d.At, 0), len(p.Lemmas))))
+		dst = binary.AppendUvarint(dst, uint64(d.ID))
 		clause(d.Clause)
 	}
-	for _, h := range hints {
-		dst = binary.AppendUvarint(dst, uint64(len(h)))
-		dst = append(dst, h...)
+	for _, c := range chains {
+		dst = binary.AppendUvarint(dst, uint64(len(c)))
+		prev := int64(0)
+		for _, id := range c {
+			dst = binary.AppendVarint(dst, int64(id)-prev)
+			prev = int64(id)
+		}
 	}
 	return dst
 }
 
 // ParseFlat reads a proof from its flat form, which may be anyone's: a
-// count the bytes behind it cannot honour, a literal beyond 32 bits, a
-// deletion placed after the last lemma or a byte left over is an error,
-// and so is a header that asks for more than sixteen bytes of memory per
-// byte of data — a slice header for each of a proof's worth of empty
-// clauses is the one way to. What the header asks for is allocated once,
-// clauses carved from one slab; the hints alias data.
+// count the bytes behind it cannot honour, a literal or an ID beyond 32
+// bits, a deletion placed after the last lemma or a byte left over is an
+// error, and so is a header that asks for more than sixteen bytes of
+// memory per byte of data — a slice header for each of a proof's worth
+// of empty clauses is the one way to. What the header asks for is
+// allocated once: clauses carved from one slab, chains from another.
 func ParseFlat(data []byte) (*Proof, error) {
 	r := flatReader{data: data}
-	nl, nt, nd, nh := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
-	// A lemma, a literal and a hint each take a byte or more of what
-	// follows, a deletion two. In 8-byte words, a clause header is 3, a
-	// literal 1, a Deletion 4, a Hint 3.
+	nl, nt, nd, nc, ni := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
+	// A lemma, a literal, a chain and an ID each take a byte or more of
+	// what follows, a deletion three. In 8-byte words, a clause header is
+	// 3, a literal 1, a Deletion 5, a chain 3 and an ID a half.
 	rest, budget := uint64(len(r.data)), 2*uint64(len(data))
-	if r.err == nil && (max(nl, nt, nd, nh) > rest || nl+nt+2*nd+nh > rest || nh > nl || 3*nl+nt+4*nd+3*nh > budget) {
-		r.err = fmt.Errorf("counts %d %d %d %d ahead of %d bytes", nl, nt, nd, nh, rest)
+	if r.err == nil && (max(nl, nt, nd, nc, ni) > rest || nl+nt+3*nd+nc+ni > rest || nc > nl ||
+		3*nl+nt+5*nd+3*nc+ni/2 > budget) {
+		r.err = fmt.Errorf("counts %d %d %d %d %d ahead of %d bytes", nl, nt, nd, nc, ni, rest)
 	}
 	if r.err != nil {
 		return nil, fmt.Errorf("sat: flat proof: %w", r.err)
@@ -169,22 +180,46 @@ func ParseFlat(data []byte) (*Proof, error) {
 		p.Deletes = make([]Deletion, nd)
 	}
 	for i := range p.Deletes {
-		at := r.uvarint()
+		at, id := r.uvarint(), r.uvarint()
 		if at > nl && r.err == nil {
 			r.err = fmt.Errorf("deletion %d placed at %d, after the last of %d lemmas", i, at, nl)
 		}
-		p.Deletes[i] = Deletion{At: int(at), Clause: clause()}
+		if id > math.MaxUint32 && r.err == nil {
+			r.err = fmt.Errorf("deletion %d: ID %d beyond 32 bits", i, id)
+		}
+		p.Deletes[i] = Deletion{At: int(at), ID: uint32(id), Clause: clause()}
 	}
-	if nh > 0 {
-		p.Hints = make([]Hint, nh)
+	if nc > 0 {
+		p.Chains = make([][]uint32, nc)
 	}
-	for i := range p.Hints {
-		p.Hints[i] = r.bytes(r.uvarint())
+	ids := make([]uint32, 0, ni)
+	for i := range p.Chains {
+		k := r.uvarint()
+		if r.err == nil && k > uint64(cap(ids)-len(ids)) {
+			r.err = fmt.Errorf("more chain IDs than the %d declared", ni)
+		}
+		start, prev := len(ids), int64(0)
+		for range k {
+			if r.err != nil {
+				break
+			}
+			id := prev + r.varint()
+			if (id < 0 || id > math.MaxUint32) && r.err == nil {
+				r.err = fmt.Errorf("chain %d: ID %d out of range", i, id)
+			}
+			ids = append(ids, uint32(id))
+			prev = id
+		}
+		if k > 0 {
+			p.Chains[i] = ids[start:len(ids):len(ids)]
+		}
 	}
 	switch {
 	case r.err != nil:
 	case len(slab) != cap(slab):
 		r.err = fmt.Errorf("%d literals, %d declared", len(slab), nt)
+	case len(ids) != cap(ids):
+		r.err = fmt.Errorf("%d chain IDs, %d declared", len(ids), ni)
 	case len(r.data) > 0:
 		r.err = fmt.Errorf("%d bytes left over", len(r.data))
 	}
@@ -194,9 +229,9 @@ func ParseFlat(data []byte) (*Proof, error) {
 	return p, nil
 }
 
-// flatReader takes uvarints and byte strings off the front of data until
-// the first that is not there; from then on it returns zeros and err
-// says which.
+// flatReader takes uvarints and varints off the front of data until the
+// first that is not there; from then on it returns zeros and err says
+// which.
 type flatReader struct {
 	data []byte
 	err  error
@@ -215,16 +250,17 @@ func (r *flatReader) uvarint() uint64 {
 	return v
 }
 
-func (r *flatReader) bytes(n uint64) []byte {
-	if r.err == nil && n > uint64(len(r.data)) {
-		r.err = fmt.Errorf("%d bytes wanted of the last %d", n, len(r.data))
+func (r *flatReader) varint() int64 {
+	if r.err != nil {
+		return 0
 	}
-	if r.err != nil || n == 0 {
-		return nil
+	v, n := binary.Varint(r.data)
+	if n <= 0 {
+		r.err = fmt.Errorf("no number in the last %d bytes", len(r.data))
+		return 0
 	}
-	b := r.data[:n:n]
 	r.data = r.data[n:]
-	return b
+	return v
 }
 
 // WriteDRAT writes the proof as DRAT-style text: one lemma per line of
@@ -256,8 +292,8 @@ func WriteDRAT(w io.Writer, p *Proof) error {
 
 // ParseDRAT reads a DRAT-style text proof: comment lines ("c ...") are
 // skipped, every other line must be signed DIMACS literals terminated
-// by 0, behind "d" for a deletion. The empty clause ("0" alone) parses
-// as a zero-length lemma.
+// by 0, behind "d" for a deletion, which names no ID (noID). The empty
+// clause ("0" alone) parses as a zero-length lemma.
 func ParseDRAT(r io.Reader) (*Proof, error) {
 	p := &Proof{}
 	sc := bufio.NewScanner(r)
@@ -290,7 +326,7 @@ func ParseDRAT(r io.Reader) (*Proof, error) {
 			return nil, fmt.Errorf("sat: drat line %d: missing terminating 0", lineNo)
 		}
 		if deleted {
-			p.Deletes = append(p.Deletes, Deletion{At: len(p.Lemmas), Clause: lemma})
+			p.Deletes = append(p.Deletes, Deletion{At: len(p.Lemmas), ID: noID, Clause: lemma})
 		} else {
 			p.Lemmas = append(p.Lemmas, lemma)
 		}

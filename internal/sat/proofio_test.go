@@ -49,10 +49,10 @@ func TestDRATRoundTrip(t *testing.T) {
 }
 
 // Deletions keep their places through the text format, JSON, the flat
-// form the certificates travel in and a cut-and-join — and the hints
-// theirs, through all but the text — and the flat form of their steps
-// (stepsOf) tells any two of them apart that differ, other than by their
-// hints.
+// form the certificates travel in and a cut-and-join — and the chains
+// and the deletions' IDs theirs, through all but the text — and the flat
+// form of their steps (stepsOf) tells any two of them apart that differ,
+// other than by their IDs and chains.
 func TestProofDeletionsRoundTrip(t *testing.T) {
 	for _, tc := range deletingProofs(t) {
 		f, p := tc.f, tc.p
@@ -80,16 +80,16 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		prefix, tail := cutProof(p, len(p.Lemmas)/3)
-		if hinted := slices.IndexFunc(p.Hints, func(h Hint) bool { return len(h) > 0 }); hinted < 0 {
-			t.Fatalf("%s: no lemma of the proof has a hint", tc.name)
+		if chained := slices.IndexFunc(p.Chains, func(c []uint32) bool { return len(c) > 0 }); chained < 0 {
+			t.Fatalf("%s: no lemma of the proof has a chain", tc.name)
 		}
 		for name, back := range map[string]*Proof{"DRAT": fromText, "JSON": fromJSON, "flat": fromFlat, "cut and joined": JoinProofs(prefix, tail)} {
 			if !bytes.Equal(stepsOf(back), stepsOf(p)) {
 				t.Fatalf("%s: %s changed the proof: %d lemmas and %d deletions became %d and %d",
 					tc.name, name, len(p.Lemmas), len(p.Deletes), len(back.Lemmas), len(back.Deletes))
 			}
-			if name != "DRAT" && !slices.EqualFunc(back.Hints, p.Hints, func(a, b Hint) bool { return bytes.Equal(a, b) }) {
-				t.Fatalf("%s: %s changed the hints", tc.name, name)
+			if name != "DRAT" && !bytes.Equal(AppendFlat(nil, back), AppendFlat(nil, p)) {
+				t.Fatalf("%s: %s changed the chains or the deletions' IDs", tc.name, name)
 			}
 			if err := CheckRUP(f, nil, back); err != nil {
 				t.Fatalf("%s: rejected after %s: %v", tc.name, name, err)
@@ -110,11 +110,15 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 	}
 }
 
-// stepsOf is the flat form of a proof's steps, its hints left out: two
-// proofs whose lemmas and deletions are the same, literal for literal and
-// place for place, have the same.
+// stepsOf is the flat form of a proof's steps, its chains and the IDs
+// of its deletions left out: two proofs whose lemmas and deletions are
+// the same, literal for literal and place for place, have the same.
 func stepsOf(p *Proof) []byte {
-	return AppendFlat(nil, &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes})
+	q := &Proof{Lemmas: p.Lemmas}
+	for _, d := range p.Deletes {
+		q.Deletes = append(q.Deletes, Deletion{At: d.At, Clause: d.Clause})
+	}
+	return AppendFlat(nil, q)
 }
 
 // The flat form keeps what the structure cannot say out — a deletion
@@ -122,25 +126,26 @@ func stepsOf(p *Proof) []byte {
 // either end — and ParseFlat refuses what AppendFlat never writes: a
 // number cut short, counts the bytes behind them cannot honour, a header
 // that buys more memory than sixteen times its input, literals beyond 32
-// bits, a deletion after the last lemma, bytes left over. Refusing costs
+// bits, IDs out of range, a deletion after the last lemma, bytes left
+// over. Refusing costs
 // nothing: a refused input of a megabyte allocates no more than an
 // accepted one may.
 func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 	odd := &Proof{
 		Lemmas:  []cnf.Clause{{mk(1, false), mk(300, true)}, {}},
-		Deletes: []Deletion{{At: -7, Clause: cnf.Clause{mk(2, false)}}, {At: 1 << 40}},
-		Hints:   []Hint{{3, 0x80, 0x01}, nil, {9}}, // one more than lemmas: not sent
+		Deletes: []Deletion{{At: -7, ID: noID, Clause: cnf.Clause{mk(2, false)}}, {At: 1 << 40, ID: 5}},
+		Chains:  [][]uint32{{3, 0, 1 << 31, noID}, nil, {9}}, // one more than lemmas: not sent
 	}
 	back, err := ParseFlat(AppendFlat(nil, odd))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := &Proof{Lemmas: odd.Lemmas, Deletes: []Deletion{{At: 0, Clause: odd.Deletes[0].Clause}, {At: 2}}, Hints: odd.Hints[:2]}
-	if !bytes.Equal(stepsOf(back), stepsOf(want)) || back.Deletes[0].At != 0 || back.Deletes[1].At != 2 ||
-		len(back.Hints) != 2 || !bytes.Equal(back.Hints[0], odd.Hints[0]) || back.Hints[1] != nil {
+	want := &Proof{Lemmas: odd.Lemmas, Deletes: []Deletion{{At: 0, ID: noID, Clause: odd.Deletes[0].Clause}, {At: 2, ID: 5}}, Chains: odd.Chains[:2]}
+	if !bytes.Equal(stepsOf(back), stepsOf(want)) || back.Deletes[0].ID != noID || back.Deletes[1].ID != 5 ||
+		len(back.Chains) != 2 || !slices.Equal(back.Chains[0], odd.Chains[0]) || back.Chains[1] != nil {
 		t.Fatalf("%+v came back as %+v", odd, back)
 	}
-	if empty, err := ParseFlat(AppendFlat(nil, nil)); err != nil || empty.NumLemmas() != 0 || empty.Deletes != nil || empty.Hints != nil {
+	if empty, err := ParseFlat(AppendFlat(nil, nil)); err != nil || empty.NumLemmas() != 0 || empty.Deletes != nil || empty.Chains != nil {
 		t.Fatalf("the nil proof came back as %+v, %v", empty, err)
 	}
 	for _, tc := range flatProofForgeries() {
@@ -151,7 +156,8 @@ func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 	// A megabyte that declares as many empty lemmas as it has bytes, as
 	// many literals, then both within the budget but never delivered.
 	var ms runtime.MemStats
-	for _, header := range [][4]uint64{{1 << 20, 0, 0, 0}, {0, 1 << 20, 0, 0}, {1 << 18, 1 << 19, 1 << 16, 1 << 17}} {
+	for _, header := range [][5]uint64{{1 << 20, 0, 0, 0, 0}, {0, 1 << 20, 0, 0, 0}, {0, 0, 0, 0, 1 << 20},
+		{1 << 17, 1 << 18, 1 << 15, 1 << 16, 1 << 18}} {
 		data := make([]byte, 0, 1<<20+16)
 		for _, n := range header {
 			data = binary.AppendUvarint(data, n)
@@ -177,8 +183,8 @@ func flatProofForgeries() []struct {
 } {
 	honest := AppendFlat(nil, &Proof{
 		Lemmas:  []cnf.Clause{{mk(1, false), mk(300, true)}, {mk(2, true)}},
-		Deletes: []Deletion{{At: 1, Clause: cnf.Clause{mk(1, false), mk(2, false)}}},
-		Hints:   []Hint{{3, 0x80, 0x01}, {7}},
+		Deletes: []Deletion{{At: 1, ID: 3, Clause: cnf.Clause{mk(1, false), mk(2, false)}}},
+		Chains:  [][]uint32{{3, 0, 1}, {7}},
 	})
 	flat := func(ns ...uint64) (out []byte) {
 		for _, n := range ns {
@@ -192,17 +198,21 @@ func flatProofForgeries() []struct {
 	}{
 		{"nothing at all", nil},
 		{"a varint cut in half", honest[:bytes.IndexByte(honest, 0xd9)+1]}, // 300 positive is 601: d9 04
-		{"cut after the lemmas", honest[:9]},
+		{"cut after the lemmas", honest[:11]},
 		{"a byte left over", append(slices.Clone(honest), 0)},
-		{"more lemmas than bytes", flat(1000, 0, 0, 0, 0)},
-		{"more literals than bytes", flat(1, 1000, 0, 0, 1, 2)},
-		{"more hints than lemmas", flat(1, 1, 0, 2, 1, 2, 0, 0)},
-		{"a lemma longer than the literals declared", flat(1, 1, 0, 0, 2, 2, 4)},
-		{"fewer literals than declared", flat(1, 2, 0, 0, 1, 2, 0)},
-		{"a literal beyond 32 bits", flat(1, 1, 0, 0, 1, 1<<32)},
-		{"a deletion after the last lemma", flat(1, 1, 1, 0, 1, 2, 2, 0)},
-		{"a hint longer than what is left", flat(1, 1, 0, 1, 1, 2, 5, 1)},
-		{"empty lemmas past the memory budget", append(flat(100, 0, 0, 0), make([]byte, 100)...)},
+		{"more lemmas than bytes", flat(1000, 0, 0, 0, 0, 0)},
+		{"more literals than bytes", flat(1, 1000, 0, 0, 0, 1, 2)},
+		{"more chains than lemmas", flat(1, 1, 0, 2, 0, 1, 2, 0, 0)},
+		{"a lemma longer than the literals declared", flat(1, 1, 0, 0, 0, 2, 2, 4)},
+		{"fewer literals than declared", flat(1, 2, 0, 0, 0, 1, 2, 0)},
+		{"a literal beyond 32 bits", flat(1, 1, 0, 0, 0, 1, 1<<32)},
+		{"a deletion after the last lemma", flat(1, 1, 1, 0, 0, 1, 2, 2, 0, 0)},
+		{"a deletion's ID beyond 32 bits", flat(1, 1, 1, 0, 0, 1, 2, 1, 1<<32, 0)},
+		{"a chain longer than the IDs declared", flat(1, 1, 0, 1, 1, 1, 2, 2, 0, 0)},
+		{"fewer chain IDs than declared", flat(1, 1, 0, 1, 2, 1, 2, 1, 0, 0)},
+		{"a chain ID below 0", flat(1, 1, 0, 1, 1, 1, 2, 1, 1)}, // the zigzag of -1
+		{"a chain ID beyond 32 bits", flat(1, 1, 0, 1, 1, 1, 2, 1, 1<<33)},
+		{"empty lemmas past the memory budget", append(flat(100, 0, 0, 0, 0), make([]byte, 100)...)},
 	}
 }
 

@@ -44,10 +44,12 @@ const (
 
 // eliminator is the working state of one pass. A clause is
 //
-//	[signature] [size<<elimFlagBits | flags] lit0 lit1 ... litN-1
+//	[signature] [id] [size<<elimFlagBits | flags] lit0 lit1 ... litN-1
 //
 // in its own arena, addressed like a solver clause by the index of
-// lit0. A removed clause keeps its place and size, and a strengthened
+// lit0, the ID (see Proof) there only if the solver's clauses have IDs:
+// hw, the words ahead of lit0, is 3 then and 2 otherwise. A removed
+// clause keeps its place and size, and a strengthened
 // one leaves a zero word behind for each literal it lost, so the arena
 // can be walked from one end to the other (no signature is zero): that
 // is how the first round of subsumption, compact and install find the
@@ -62,6 +64,7 @@ type eliminator struct {
 	s *Solver
 
 	arena  []uint32
+	hw     cref     // words ahead of a clause's first literal
 	wasted int      // arena words of removed clauses and lost literals
 	occ    [][]cref // per variable
 	dirty  []bool   // per variable: occ holds removed clauses
@@ -102,18 +105,24 @@ func (e *eliminator) lits(c cref) []lit {
 	return e.arena[c : c+e.arena[c-1]>>elimFlagBits]
 }
 
+// sig is where c's signature is.
+func (e *eliminator) sig(c cref) cref { return c - e.hw }
+
+// id is c's ID, with hw 3.
+func (e *eliminator) id(c cref) uint32 { return e.arena[c-2] }
+
 // first, next and end walk the arena: every clause stored, removed or
 // not, in order.
-func (e *eliminator) first() cref { return 2 }
+func (e *eliminator) first() cref { return e.hw }
 
-func (e *eliminator) end() cref { return cref(len(e.arena)) + 2 }
+func (e *eliminator) end() cref { return cref(len(e.arena)) + e.hw }
 
 func (e *eliminator) next(c cref) cref {
 	c += cref(e.size(c))
 	for int(c) < len(e.arena) && e.arena[c] == 0 {
 		c++
 	}
-	return c + 2
+	return c + e.hw
 }
 
 func signature(lits []lit) uint32 {
@@ -156,6 +165,7 @@ func newEliminator(s *Solver) *eliminator {
 
 		trailBefore: len(s.trail),
 		units:       len(s.trail),
+		hw:          2 + s.idWords(),
 	}
 	// The heap's position table stands in as the degree count.
 	words, occs := 0, 0
@@ -167,7 +177,7 @@ next:
 				continue next
 			}
 		}
-		words += 2
+		words += int(e.hw)
 		for _, l := range lits {
 			if s.vals[l] == lUndef {
 				e.where[vidx(l)]++
@@ -214,7 +224,11 @@ next:
 			}
 			continue
 		}
-		e.store(buf, 0)
+		id := noID
+		if s.ids {
+			id = s.id(c)
+		}
+		e.store(buf, 0, id)
 	}
 	e.seed, e.seedEnd = e.first(), e.end()
 	for v := range e.where {
@@ -227,13 +241,13 @@ next:
 	// weight from here to install, which rebuilds both: only the learnt
 	// clauses are kept, in a small arena of their own.
 	s.peakBytes = max(s.peakBytes, s.LiveBytes()+s.eliminatorBytes())
-	words := 0
+	words, idw := 0, s.idWords()
 	for _, c := range s.learnts {
-		words += learntWords + 1 + s.size(c)
+		words += int(idw) + learntWords + 1 + s.size(c)
 	}
 	learnt := make([]uint32, 0, words)
 	for i, c := range s.learnts {
-		start := c - 1 - learntWords
+		start := c - 1 - learntWords - idw
 		s.learnts[i] = cref(len(learnt)) + c - start
 		learnt = append(learnt, s.arena[start:c+cref(s.size(c))]...)
 	}
@@ -296,9 +310,14 @@ func (e *eliminator) pop() int {
 	return int(v)
 }
 
-// store appends a clause of two or more literals.
-func (e *eliminator) store(lits []lit, flags uint32) cref {
-	e.arena = append(e.arena, signature(lits), uint32(len(lits))<<elimFlagBits|flags)
+// store appends a clause of two or more literals; id is its ID, which
+// only an arena with room for IDs keeps.
+func (e *eliminator) store(lits []lit, flags uint32, id uint32) cref {
+	e.arena = append(e.arena, signature(lits))
+	if e.hw == 3 {
+		e.arena = append(e.arena, id)
+	}
+	e.arena = append(e.arena, uint32(len(lits))<<elimFlagBits|flags)
 	c := cref(len(e.arena))
 	e.arena = append(e.arena, lits...)
 	for _, l := range lits {
@@ -325,15 +344,15 @@ func (e *eliminator) compact() {
 	to := e.first()
 	for c := e.first(); c != e.end(); c = e.next(c) {
 		if !e.removed(c) {
-			e.arena[c-2] = to
-			to += cref(e.size(c)) + 2
+			e.arena[e.sig(c)] = to
+			to += cref(e.size(c)) + e.hw
 		}
 	}
 	redirect := func(list []cref) []cref {
 		kept := list[:0]
 		for _, c := range list {
 			if !e.removed(c) {
-				kept = append(kept, e.arena[c-2])
+				kept = append(kept, e.arena[e.sig(c)])
 			}
 		}
 		return kept
@@ -348,12 +367,12 @@ func (e *eliminator) compact() {
 		from, n := c, cref(e.size(c))
 		c = e.next(c)
 		if !e.removed(from) {
-			dst := e.arena[from-2]
-			copy(e.arena[dst-1:], e.arena[from-1:from+n])
-			e.arena[dst-2] = signature(e.arena[dst : dst+n])
+			dst := e.arena[e.sig(from)]
+			copy(e.arena[e.sig(dst)+1:], e.arena[e.sig(from)+1:from+n])
+			e.arena[e.sig(dst)] = signature(e.arena[dst : dst+n])
 		}
 	}
-	e.arena = e.arena[:to-2]
+	e.arena = e.arena[:to-e.hw]
 	e.wasted = 0
 }
 
@@ -371,31 +390,38 @@ func (e *eliminator) assertUnit(u lit) bool {
 	return true
 }
 
-// logLemma appends a clause the pass derived to the proof. Each one is
-// a RUP consequence of clauses the checker still holds (the parents of
-// a resolvent, the subsumer and the clause it strengthens): the pass
-// logs what it removes (remove, strengthen) only after what it derived
-// from it, so the checker ends up with the simplified clause set, where
-// the lemmas learnt afterwards are RUP because the solver learnt them
-// there.
-func (e *eliminator) logLemma(lits []lit) {
-	if e.s.proof != nil {
-		e.s.logLemma(lits, nil)
+// logLemma appends a clause the pass derived to the proof and returns
+// its ID, noID with logging off. Each one is a RUP consequence of the
+// clauses the checker still holds that chain names, its two parents
+// (those of a resolvent, the subsumer and the clause it strengthens; the
+// clause alone, for a literal false at level 0): the pass logs what it
+// removes (remove, strengthen) only after what it derived from it, so
+// the checker ends up with the simplified clause set, where the lemmas
+// learnt afterwards are RUP because the solver learnt them there.
+func (e *eliminator) logLemma(lits []lit, parents ...cref) uint32 {
+	if e.s.proof == nil {
+		return noID
 	}
+	chain := e.s.chain[:0]
+	for _, c := range parents {
+		chain = append(chain, e.id(c))
+	}
+	e.s.chain = chain
+	return e.s.logLemma(lits, chain)
 }
 
-// derive adds a clause the pass derived: logged, then stored and
-// queued, asserted if it is a unit, or reported as the empty clause
-// (false).
-func (e *eliminator) derive(lits []lit) bool {
+// derive adds the resolvent of two clauses the pass derived: logged,
+// then stored and queued, asserted if it is a unit, or reported as the
+// empty clause (false).
+func (e *eliminator) derive(lits []lit, pc, nc cref) bool {
 	if len(lits) == 0 {
 		return false
 	}
-	e.logLemma(lits)
+	id := e.logLemma(lits, pc, nc)
 	if len(lits) == 1 {
 		return e.assertUnit(lits[0])
 	}
-	e.queueClause(e.store(lits, elimDerived))
+	e.queueClause(e.store(lits, elimDerived, id))
 	for _, l := range lits {
 		v := int32(vidx(l))
 		if !e.touched[v] {
@@ -422,7 +448,7 @@ func (e *eliminator) reprice(v int, insert bool) {
 // to a unit went to the trail, and strengthen logged what it was.
 func (e *eliminator) remove(c cref) {
 	if e.s.proof != nil && e.size(c) > 1 {
-		e.s.logDelete(e.lits(c))
+		e.s.logDelete(e.lits(c), e.id(c))
 	}
 	for _, l := range e.lits(c) {
 		e.nocc[l]--
@@ -433,7 +459,7 @@ func (e *eliminator) remove(c cref) {
 		e.s.stats.Simplified++
 	}
 	e.arena[c-1] |= elimRemoved
-	e.wasted += 2 + e.size(c)
+	e.wasted += int(e.hw) + e.size(c)
 }
 
 // clean drops the removed clauses from a variable's occurrence list
@@ -453,13 +479,16 @@ func (e *eliminator) clean(v int) []cref {
 }
 
 // strengthen removes literal p from clause c — by self-subsuming
-// resolution, or because p is false at level 0 — and logs what is
-// left. A clause cut down to a unit moves to the trail. False means
-// the unit contradicts the level-0 assignment.
-func (e *eliminator) strengthen(c cref, p lit) bool {
+// resolution with the clause by, or because p is false at level 0 (by
+// is crefUndef) — and logs what is left. A clause cut down to a unit
+// moves to the trail. False means the unit contradicts the level-0
+// assignment.
+func (e *eliminator) strengthen(c cref, p lit, by cref) bool {
 	lits := e.lits(c)
+	var wasID uint32
 	if e.s.proof != nil {
 		e.was = append(e.was[:0], lits...) // the clause as the checker holds it
+		wasID = e.id(c)
 	}
 	for k, l := range lits {
 		if l == p {
@@ -481,16 +510,24 @@ func (e *eliminator) strengthen(c cref, p lit) bool {
 		}
 	}
 	e.reprice(vidx(p), true)
-	e.logLemma(lits)
+	var id uint32
+	if by == crefUndef {
+		id = e.logLemma(lits, c)
+	} else {
+		id = e.logLemma(lits, by, c)
+	}
 	if e.s.proof != nil {
-		e.s.logDelete(e.was)
+		e.s.logDelete(e.was, wasID)
+	}
+	if e.hw == 3 {
+		e.arena[c-2] = id
 	}
 	if len(lits) == 1 {
 		u := lits[0]
 		e.remove(c)
 		return e.assertUnit(u)
 	}
-	e.arena[c-2] = signature(lits)
+	e.arena[e.sig(c)] = signature(lits)
 	e.queueClause(c)
 	return true
 }
@@ -509,7 +546,7 @@ func (e *eliminator) applyUnits() bool {
 			case e.removed(c):
 			case slices.Contains(e.lits(c), u):
 				e.remove(c)
-			case !e.strengthen(c, u^1):
+			case !e.strengthen(c, u^1, crefUndef):
 				return false
 			}
 		}
@@ -580,10 +617,10 @@ func (e *eliminator) backwardSubsume() bool {
 				best = l
 			}
 		}
-		sig, v := e.arena[c-2], vidx(best)
+		sig, v := e.arena[e.sig(c)], vidx(best)
 		for j := 0; j < len(e.occ[v]); j++ {
 			d := e.occ[v][j]
-			if d == c || e.removed(d) || e.size(d) < len(lits) || sig&^e.arena[d-2] != 0 {
+			if d == c || e.removed(d) || e.size(d) < len(lits) || sig&^e.arena[e.sig(d)] != 0 {
 				continue
 			}
 			switch l := subsumes(lits, e.lits(d)); l {
@@ -591,7 +628,7 @@ func (e *eliminator) backwardSubsume() bool {
 			case litUndef:
 				e.remove(d)
 			default:
-				if !e.strengthen(d, l^1) {
+				if !e.strengthen(d, l^1, c) {
 					return false
 				}
 				if vidx(l) == v {
@@ -687,7 +724,7 @@ func (e *eliminator) eliminate(v int) bool {
 				continue
 			}
 			resolvents++
-			words += 2 + len(e.buf)
+			words += int(e.hw) + len(e.buf)
 			if resolvents > len(pos)+len(neg) || len(e.buf) > maxResolventLen {
 				return true
 			}
@@ -717,7 +754,7 @@ func (e *eliminator) eliminate(v int) bool {
 	for _, pc := range pos {
 		e.mark(pc)
 		for _, nc := range neg {
-			if e.resolve(pc, nc, nx) && !e.derive(e.buf) {
+			if e.resolve(pc, nc, nx) && !e.derive(e.buf, pc, nc) {
 				return false
 			}
 		}
@@ -812,6 +849,7 @@ func (st *elimStack) extend(model []int8) {
 // left to propagate. It returns false, and clears s.ok, if the clause
 // set turned out inconsistent.
 func (s *Solver) simplify() bool {
+	s.unstored, s.reordered = nil, true // the clauses leave the order of their adds
 	e := newEliminator(s)
 	return e.install(e.load() && e.run())
 }
@@ -882,12 +920,21 @@ func (e *eliminator) install(ok bool) bool {
 		return false
 	}
 
+	// A clause slides down by at least the signature's word: no write
+	// overtakes what is still to be read.
 	arena := e.arena[:0]
 	s.clauses = s.clauses[:0]
 	for c, end := e.first(), e.end(); c != end; {
 		lits, gone := e.lits(c), e.removed(c)
+		var id uint32
+		if s.ids {
+			id = e.id(c)
+		}
 		c = e.next(c)
 		if !gone {
+			if s.ids {
+				arena = append(arena, id)
+			}
 			arena = append(arena, uint32(len(lits))<<1)
 			s.clauses = append(s.clauses, cref(len(arena)))
 			arena = append(arena, lits...)
@@ -899,12 +946,12 @@ next:
 		for _, l := range s.lits(c) {
 			if s.vals[l] == lTrue || e.elim[vidx(l)] {
 				if s.proof != nil {
-					s.logDelete(s.lits(c))
+					s.logDelete(s.lits(c), s.id(c))
 				}
 				continue next
 			}
 		}
-		start := c - 1 - learntWords
+		start := c - 1 - learntWords - s.idWords()
 		learnts = append(learnts, cref(len(arena))+c-start)
 		arena = append(arena, s.arena[start:c+cref(s.size(c))]...)
 	}
@@ -930,8 +977,8 @@ next:
 // watch lists are left to be rebuilt. A monotone map keeps every order
 // the search and the proof depend on — the literals within a clause,
 // the watch lists rebuilt in clause order, the heap's slots and so its
-// ties, ascending hint variables — so the search after the pass is the
-// one it was before the map, variable for variable.
+// ties — so the search after the pass is the one it was before the map,
+// variable for variable.
 func (s *Solver) compactVars(elim []bool) {
 	kept := make([]int32, s.numVars) // new index, or -1
 	var ext []uint32

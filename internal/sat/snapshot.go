@@ -18,13 +18,16 @@ import (
 // It leaves out what Clone leaves out (callbacks, the decision graph, a
 // model, a pending interrupt, scratch space) and the options and the
 // proof log, which are the restoring side's: Restore takes the options,
-// and proof logging is switched on there (EnableProof). So a
-// snapshot does not depend on whether the snapshotted solver logged.
+// and proof logging is switched on there (EnableProof). The clause IDs
+// travel with the clauses — the arena has them if the snapshotted
+// solver logged — and so do the next ID and the IDs of the adds that
+// stored nothing, so that the restored solver's lemmas continue the
+// snapshotted one's log, as a clone's would.
 //
 // The format is the magic below, then unsigned varints, field by field
 // in the order Snapshot writes them; it is an exchange between two
 // processes of one build, not a file format to keep.
-const snapshotMagic = "PBMCSAT2"
+const snapshotMagic = "PBMCSAT3"
 
 // snapWriter appends a snapshot's fields.
 type snapWriter struct{ b []byte }
@@ -70,6 +73,10 @@ func (s *Solver) Snapshot() []byte {
 	w.uint(uint64(s.numVars))
 	w.uint(uint64(s.numElim))
 	w.bool(s.ok)
+	w.bool(s.ids)
+	w.uint(uint64(s.nextID))
+	w.words(s.unstored)
+	w.bool(s.reordered)
 	w.bool(s.simplified)
 	w.int(s.simplifyAt)
 	w.uint(uint64(s.qhead))
@@ -241,6 +248,13 @@ func Restore(data []byte, opts Options) (*Solver, error) {
 	// And each eliminated one two words of the elimination stack.
 	s.numElim = int(r.below(min(uint64(len(r.b))/2+1, 1<<30), "eliminated variable count"))
 	s.ok = r.bool("ok flag")
+	s.ids = r.bool("ID flag")
+	s.nextID = uint32(r.below(1<<32, "next ID"))
+	s.unstored = r.words(uint64(s.nextID), "unstored ID")
+	if len(s.unstored) == 0 {
+		s.unstored = nil
+	}
+	s.reordered = r.bool("reordered flag")
 	s.simplified = r.bool("simplified flag")
 	s.simplifyAt = r.int()
 	qhead := r.uint()
@@ -474,7 +488,7 @@ func restoreClauses(r *snapReader, s *Solver, validLit func(uint64) bool) []int3
 			}
 			head := s.arena[c-1]
 			size := int(head >> 1)
-			start := int(c) - 1
+			start := int(c) - 1 - int(s.idWords())
 			if learnt {
 				start -= learntWords
 			}

@@ -324,14 +324,17 @@ func vidx(l lit) int { return int(l>>1) - 1 }
 // size<<1 | learnt, and a learnt clause carries three more words
 // before the header:
 //
-//	learnt:    [act lo] [act hi] [lbd] [size<<1|1] lit0 lit1 ... litN-1
-//	original:                          [size<<1|0] lit0 lit1 ... litN-1
-//	                                               ^cref
+//	learnt:    [id] [act lo] [act hi] [lbd] [size<<1|1] lit0 lit1 ... litN-1
+//	original:                          [id] [size<<1|0] lit0 lit1 ... litN-1
+//	                                                    ^cref
 //
 // so a propagation reaches size and literals without knowing which
 // kind it has, and 0 is never a valid reference. The activity is a
 // float64 kept as its two halves: reduceDB orders by it, and a
-// narrower type would order some pairs differently.
+// narrower type would order some pairs differently. The clause's ID
+// (see Proof) heads the record in the arena of a solver that logs a
+// proof (Solver.ids), and nowhere else: a solver that logs none has the
+// layout and the footprint it had before IDs.
 type cref = uint32
 
 const (
@@ -382,6 +385,20 @@ type Solver struct {
 	ext     []uint32
 	ok      bool // false once the clause set is known inconsistent
 
+	// ids: every clause record in the arena is headed by the clause's ID
+	// (see cref) — set by nameClauses when proof logging starts, and for
+	// good. nextID is the ID of the next clause added or lemma logged:
+	// every addClause takes one, stored or not, so clause i of a loaded
+	// formula has ID i, and so does every lemma logged. Until the arena
+	// has IDs, and while the clauses are listed in the order they were
+	// added (until the pass reorders them), unstored holds the IDs of the
+	// adds that stored nothing, from which nameClauses tells the stored
+	// ones'.
+	ids       bool
+	nextID    uint32
+	unstored  []uint32
+	reordered bool
+
 	arena   []uint32 // every clause, see cref
 	clauses []cref
 	learnts []cref
@@ -425,8 +442,11 @@ type Solver struct {
 	addBuf    []lit     // the clause addClause is normalising
 	extBuf    []lit     // a clause extLits translated
 	lemmaSlab []cnf.Lit // backing store the proof's lemmas are carved from
-	hintVars  []uint32  // with a kept proof: the variables analyze's derivation went through
-	hintSlab  []byte    // backing store the proof's hints are carved from
+	chain     []uint32  // with proof logging on: the antecedent chain of the clause analyze built
+	resolved  []uint32  // analyze's reasons at the conflict level, the conflict clause first
+	dfs       []dfsFrame
+	chainSlab []uint32  // backing store the proof's chains are carved from
+	delID     [1]uint32 // the ID a streamed deletion is handed with
 
 	model []int8 // last satisfying assignment (per variable)
 
@@ -435,7 +455,7 @@ type Solver struct {
 	// proof is not nil with proof logging on: the log, unless proofStep
 	// takes the steps instead (StreamProof) and it stays empty.
 	proof     *Proof
-	proofStep func(deleted bool, clause []uint32)
+	proofStep func(deleted bool, clause, ids []uint32)
 
 	// peakBytes is the high-water mark of LiveBytes as of the last
 	// reduceDB, the only place the footprint falls; see PeakBytes.
@@ -723,8 +743,12 @@ func (s *Solver) setAct(c cref, a float64) {
 	s.arena[c-4], s.arena[c-3] = uint32(bits), uint32(bits>>32)
 }
 
-// alloc appends a clause of at least two literals to the arena.
-func (s *Solver) alloc(lits []lit, learnt bool, lbd int) cref {
+// alloc appends a clause of at least two literals to the arena, headed
+// by its ID if the arena has them.
+func (s *Solver) alloc(lits []lit, learnt bool, lbd int, id uint32) cref {
+	if s.ids {
+		s.arena = append(s.arena, id)
+	}
 	header := uint32(len(lits)) << 1
 	if learnt {
 		s.arena = append(s.arena, 0, 0, uint32(lbd))
@@ -763,6 +787,11 @@ func (s *Solver) AddClause(lits ...cnf.Lit) bool {
 }
 
 func (s *Solver) addClause(lits []cnf.Lit) bool {
+	id := s.takeID()
+	if !s.ids && !s.reordered {
+		// Undone below if the clause is stored.
+		s.unstored = append(s.unstored, id)
+	}
 	if !s.ok {
 		return false
 	}
@@ -810,10 +839,58 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 		}
 		return true
 	}
-	cl := s.alloc(c, false, 0)
+	if !s.ids && !s.reordered {
+		s.unstored = s.unstored[:len(s.unstored)-1]
+	}
+	cl := s.alloc(c, false, 0, id)
 	s.clauses = append(s.clauses, cl)
 	s.attach(cl)
 	return true
+}
+
+// takeID hands out the next clause ID.
+func (s *Solver) takeID() uint32 {
+	id := s.nextID
+	if id == noID {
+		panic("sat: more than 2^32-1 clauses and lemmas")
+	}
+	s.nextID++
+	return id
+}
+
+// idWords is the number of words an ID takes before a clause record.
+func (s *Solver) idWords() cref {
+	if s.ids {
+		return 1
+	}
+	return 0
+}
+
+// id returns the ID of a clause of an arena that has them.
+func (s *Solver) id(c cref) uint32 { return s.arena[c-2-learntWords*(s.arena[c-1]&1)] }
+
+// nameClauses gives the arena its IDs, unless it has them: each clause
+// listed in clauses gets the ID of the add that stored it, which the
+// adds that stored nothing (unstored) tell while the list is in the
+// order of the adds — until the pass reorders it. After that, and for
+// the learnt clauses (no log holds them), the ID is noID: a chain cannot
+// name them, and a checker finds them by their literals.
+func (s *Solver) nameClauses() {
+	if s.ids {
+		return
+	}
+	next, skip := uint32(0), s.unstored
+	s.compact(len(s.arena)+len(s.clauses)+len(s.learnts), func(learnt bool) uint32 {
+		if learnt || s.reordered {
+			return noID
+		}
+		for len(skip) > 0 && skip[0] == next {
+			skip, next = skip[1:], next+1
+		}
+		next++
+		return next - 1
+	})
+	s.ids, s.unstored = true, nil
 }
 
 // isEliminated reports whether the simplification pass eliminated the
@@ -1034,12 +1111,18 @@ func (s *Solver) pickBranchLit() lit {
 // analyze performs first-UIP conflict analysis and returns the learnt
 // clause (asserting literal first), the backtrack level and the LBD.
 // The clause lives in solver-owned scratch until the next analyze, and
-// so does, for a solver that keeps its proof, the clause's hint
-// (hintVars): the variables resolved on at the conflict level, and those
-// minimisation removed or walked through to remove them.
+// so does, for a solver that logs its proof, the clause's antecedent
+// chain (s.chain): the reasons of the literals minimisation removed or
+// walked through to remove them, each after those its own reason needs;
+// then the reasons of the literals resolved on at the conflict level, in
+// trail order; then the conflict clause. That is the order in which unit
+// propagation, from the clause's literals all false, finds each of them
+// unit and the last one false — with no sort: both walks give it.
 func (s *Solver) analyze(confl cref) ([]lit, int, int) {
-	hinting := s.keepsProof()
-	s.hintVars = s.hintVars[:0]
+	chaining := s.proof != nil
+	if chaining {
+		s.resolved = append(s.resolved[:0], s.id(confl))
+	}
 	learnt := append(s.learntBuf[:0], litUndef)
 	counter := 0
 	p := litUndef
@@ -1074,8 +1157,8 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 		if counter == 0 {
 			break
 		}
-		if hinting {
-			s.hintVars = append(s.hintVars, p>>1)
+		if chaining {
+			s.resolved = append(s.resolved, s.id(confl))
 		}
 	}
 	learnt[0] = p ^ 1
@@ -1095,15 +1178,15 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 	// Clear the seen flags: of the clause's literals after the first
 	// (copied into analyzeTs above) and of those minimisation marked —
 	// the latter, and the former where minimisation did not keep them,
-	// being the rest of the hint.
-	if hinting {
+	// being where the chain starts.
+	if chaining {
 		for _, l := range learnt[1:] {
 			s.seen[vidx(l)] = 0
 		}
-		for _, l := range s.analyzeTs {
-			if s.seen[vidx(l)] != 0 {
-				s.hintVars = append(s.hintVars, l>>1)
-			}
+		s.chain = s.chain[:0]
+		s.chainMinimised()
+		for i := len(s.resolved) - 1; i >= 0; i-- {
+			s.chain = append(s.chain, s.resolved[i])
 		}
 	}
 	for _, l := range s.analyzeTs {
@@ -1145,6 +1228,48 @@ func (s *Solver) computeLBD(lits []lit) int {
 	return lbd
 }
 
+// dfsFrame is a step of chainMinimised's walk: the variable whose
+// reason is being walked, and the next literal of it to visit.
+type dfsFrame struct {
+	v int
+	k int
+}
+
+// chainMinimised appends to s.chain the reasons of the variables still
+// marked seen (1) once the learnt clause's own marks are cleared — those
+// minimisation removed, and those it walked through to remove them —
+// each after the reasons of the marked variables its own reason holds:
+// a post-order of the implication graph, the order propagation assigns
+// them in. It marks each variable it has visited 2.
+func (s *Solver) chainMinimised() {
+	stack := s.dfs[:0]
+	for _, root := range s.analyzeTs {
+		if s.seen[vidx(root)] != 1 {
+			continue
+		}
+		s.seen[vidx(root)] = 2
+		stack = append(stack, dfsFrame{v: vidx(root)})
+		for len(stack) > 0 {
+			top := &stack[len(stack)-1]
+			r := s.reason[top.v]
+			lits := s.lits(r)
+			for top.k < len(lits) && s.seen[vidx(lits[top.k])] != 1 {
+				top.k++
+			}
+			if top.k == len(lits) {
+				s.chain = append(s.chain, s.id(r))
+				stack = stack[:len(stack)-1]
+				continue
+			}
+			v := vidx(lits[top.k])
+			top.k++
+			s.seen[v] = 2
+			stack = append(stack, dfsFrame{v: v})
+		}
+	}
+	s.dfs = stack
+}
+
 // litRedundant checks whether l is implied by the other literals marked in
 // seen, walking the implication graph (MiniSat's ccmin).
 func (s *Solver) litRedundant(l lit) bool {
@@ -1183,8 +1308,9 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	s.stats.Learnt++
 	s.stats.LearntLits += int64(len(lits))
 	s.stats.LBDHist.Observe(lbd)
+	id := noID
 	if s.proof != nil {
-		s.logLemma(lits, s.hintVars)
+		id = s.logLemma(lits, s.chain)
 	}
 	if s.ShareLearnt != nil && lbd <= s.ShareMaxLBD && len(lits) > 1 {
 		cp := make([]cnf.Lit, len(lits))
@@ -1196,7 +1322,7 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	if len(lits) == 1 {
 		return crefUndef
 	}
-	c := s.alloc(lits, true, lbd)
+	c := s.alloc(lits, true, lbd, id)
 	s.learnts = append(s.learnts, c)
 	s.attach(c)
 	s.bumpClause(c)
@@ -1237,10 +1363,10 @@ func (s *Solver) reduceDB() {
 	for i, c := range s.learnts {
 		if i < limit && s.size(c) > 2 && !s.isReason(c) {
 			if s.proof != nil {
-				s.logDelete(s.lits(c))
+				s.logDelete(s.lits(c), s.id(c))
 			}
 			s.detach(c)
-			freed += learntWords + 1 + s.size(c)
+			freed += int(s.idWords()) + learntWords + 1 + s.size(c)
 		} else {
 			kept = append(kept, c)
 		}
@@ -1248,7 +1374,7 @@ func (s *Solver) reduceDB() {
 	s.stats.LearntDeleted += int64(len(s.learnts) - len(kept))
 	s.learnts = kept
 	if freed > 0 {
-		s.compact(len(s.arena) - freed)
+		s.compact(len(s.arena)-freed, nil)
 	}
 }
 
@@ -1256,13 +1382,20 @@ func (s *Solver) reduceDB() {
 // that order, into a fresh arena of the given size and redirects every
 // reference to them: the lists themselves, both watchers of each
 // clause, and the reasons of the assigned variables (a reason is never
-// deleted, see isReason). The old arena holds each clause's new
-// address in its first literal's slot while that happens.
-func (s *Solver) compact(words int) {
-	old := s.arena
+// deleted, see isReason). Given name, it heads each clause with the ID
+// name gives it, in an arena that had none. The old arena holds each
+// clause's new address in its first literal's slot while that happens.
+func (s *Solver) compact(words int, name func(learnt bool) uint32) {
+	old, idw := s.arena, s.idWords()
 	s.arena = make([]uint32, 0, words)
 	move := func(c cref) cref {
+		learnt := old[c-1]&1 != 0
 		start := c - 1 - learntWords*(old[c-1]&1)
+		if name != nil {
+			s.arena = append(s.arena, name(learnt))
+		} else {
+			start -= idw
+		}
 		moved := cref(len(s.arena)) + c - start
 		s.arena = append(s.arena, old[start:c+old[c-1]>>1]...)
 		old[c] = moved
@@ -1364,6 +1497,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 				s.Progress(s.stats)
 			}
 			if s.decisionLevel() == 0 {
+				s.ok = false // see Solve: final
 				return Unsat, nil
 			}
 			learnt, btLevel, lbd := s.analyze(confl)
@@ -1435,7 +1569,11 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 // repeated Solve calls on the same instance, and a later call whose
 // assumption contradicts a frozen one returns Unsat. To explore
 // different partitions, use a Solver per assumption set — fresh, or a
-// Clone of one that holds the formula, as package parallel does.
+// Clone of one that holds the formula, as package parallel does. Since
+// assumptions are permanent, an Unsat that a conflict at level 0 gave —
+// the formula with every assumption so far refuted — is final for the
+// instance and for its clones: every later Solve of either answers Unsat
+// at once, whatever it assumes.
 //
 // Once per solver, at the first restart boundary where the search has
 // made simplifyPropsPerClause propagations per original clause, Solve
@@ -1479,6 +1617,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 	// Forced propagation of the assumption units (paper Sect. 3.3): the
 	// search then starts on an equisatisfiable but pruned formula.
 	if s.propagate() != crefUndef {
+		s.ok = false
 		return Unsat, nil
 	}
 

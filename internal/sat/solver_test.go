@@ -2,11 +2,13 @@ package sat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cnf"
 )
 
@@ -306,7 +308,9 @@ func TestLuby(t *testing.T) {
 func TestIncrementalSolveCalls(t *testing.T) {
 	// Repeated Solve calls accumulate frozen assumptions (the paper's
 	// unit-clause freezing is permanent; fresh solvers are used per
-	// partition).
+	// partition). x1 and x2 together conflict at level 0, and they stay
+	// frozen: every later call is Unsat, as Solve documents — a Sat there
+	// would be a model with x1 and x2 both true.
 	s := New(3, Options{})
 	s.AddClause(mk(1, false), mk(2, false), mk(3, false))
 	s.AddClause(mk(1, true), mk(2, true))
@@ -316,8 +320,8 @@ func TestIncrementalSolveCalls(t *testing.T) {
 	}{
 		{nil, Sat},
 		{[]cnf.Lit{mk(1, false), mk(2, false)}, Unsat},
-		{[]cnf.Lit{mk(1, false)}, Sat},
-		{nil, Sat},
+		{[]cnf.Lit{mk(1, false)}, Unsat},
+		{nil, Unsat},
 	}
 	for i, c := range cases {
 		st, err := s.Solve(c.assumps...)
@@ -478,4 +482,64 @@ func ExampleSolver() {
 	st, _ := s.Solve()
 	fmt.Println(st, s.Model()[1])
 	// Output: SAT true
+}
+
+// An Unsat that a conflict at level 0 gave is final: the assumptions
+// that led there stay frozen, so a later Solve of the instance, and any
+// Solve of a clone of it, answers Unsat whatever it assumes. Each case
+// once answered Sat with a model that falsifies a clause of the formula:
+// the conflict left the clause set marked consistent and the level-0
+// assignment half propagated.
+func TestUnsatAtLevelZeroIsFinal(t *testing.T) {
+	final := func(t *testing.T, name string, s *Solver, assumptions []cnf.Lit) {
+		t.Helper()
+		if st, err := s.Solve(assumptions...); st != Unsat || err != nil {
+			t.Fatalf("%s: %v, %v; want UNSAT", name, st, err)
+		}
+	}
+	t.Run("assumption propagation", func(t *testing.T) {
+		f := cnf.New()
+		f.AddClause(mk(1, false), mk(2, false))
+		f.AddClause(mk(1, true), mk(3, false))
+		f.AddClause(mk(1, true), mk(3, true))
+		s := NewFromFormula(f, Options{})
+		if st, err := s.Solve(mk(1, false)); st != Unsat || err != nil {
+			t.Fatalf("assuming a: %v, %v", st, err)
+		}
+		final(t, "clone", s.Clone(), nil)
+		final(t, "again", s, nil)
+	})
+	t.Run("search", func(t *testing.T) {
+		for _, tc := range []struct {
+			seed  int64
+			clone bool
+		}{{162, false}, {10, true}, {187, true}} {
+			f := random3SAT(tc.seed, 50, 5.5)
+			s := NewFromFormula(f, Options{})
+			s.simplifyAt = math.MaxInt64 / 4 // no pass: the search's own conflict at level 0
+			if st, err := s.Solve(); st != Unsat || err != nil {
+				t.Fatalf("seed %d: %v, %v", tc.seed, st, err)
+			}
+			if tc.clone {
+				final(t, fmt.Sprintf("seed %d, clone", tc.seed), s.Clone(), nil)
+			}
+			final(t, fmt.Sprintf("seed %d, again", tc.seed), s, nil)
+		}
+	})
+	t.Run("refuted template", func(t *testing.T) {
+		enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 5)
+		f := enc.Formula()
+		parts := encodedCubes(t, enc, 16)
+		tpl := NewFromFormula(f, Options{})
+		for _, pt := range parts {
+			tpl.Freeze(pt.Assumptions...)
+		}
+		if !tpl.Simplify() {
+			t.Fatal("the pass refuted the formula")
+		}
+		if st, err := tpl.Solve(); st != Unsat || err != nil {
+			t.Fatalf("the template without assumptions: %v, %v", st, err)
+		}
+		final(t, "cube 4 on a clone", tpl.Clone(), parts[4].Assumptions)
+	})
 }
