@@ -77,7 +77,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	fs.IntVar(&opts.Partitions, "partitions", 0, "trace-space partitions (power of two; default: cores)")
 	fs.IntVar(&opts.From, "from", 0, "first partition index (distributed mode)")
 	fs.IntVar(&opts.To, "to", 0, "one past the last partition index (distributed mode)")
-	fs.BoolVar(&opts.CertifyUnsat, "certify", false, "check refutation proofs for UNSAT partitions (certified SAFE verdicts)")
+	fs.BoolVar(&opts.CertifyUnsat, "certify", true, "check refutation proofs for UNSAT partitions (certified SAFE verdicts)")
 	runflags.Journal(fs, &opts.JournalPath, &opts.Resume,
 		"crash-safe run journal path (commit every partition verdict)",
 		"resume from an existing -journal, skipping committed partitions")

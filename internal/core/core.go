@@ -11,6 +11,8 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"time"
@@ -338,8 +340,8 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	// partition's own.
 	var prefix *sat.Proof
 	for i := range res.Instances {
-		tail := res.Instances[i].Proof
-		if tail == nil {
+		inst := &res.Instances[i]
+		if inst.Tail == nil {
 			continue
 		}
 		if prefix == nil {
@@ -347,7 +349,11 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 				return nil, err
 			}
 		}
-		res.Instances[i].Proof = sat.JoinProofs(prefix, tail)
+		tail, err := sat.ParseFlat(inst.Tail)
+		if err != nil {
+			return nil, err
+		}
+		inst.Proof, inst.Tail = sat.JoinProofs(prefix, tail), nil
 	}
 	return res, nil
 }
@@ -363,7 +369,10 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 // and checks every certificate against the encoding; a worker holds the
 // template alone (parallel.Restored).
 type Prepared struct {
-	enc       *vc.Encoded
+	enc *vc.Encoded
+	// digest is the SHA-256 of the formula's clauses as encoded, which
+	// every re-derivation of it must match (reencode).
+	digest    [sha256.Size]byte
 	parts     []partition.Partition // the run's, all of them
 	splitLits []cnf.Lit             // partition.SplitLits, whether or not the run can be handed a path
 	// popts are the options that shape the template; a Run adds its own
@@ -388,9 +397,10 @@ func Prepare(p *prog.Program, opts Options) (*Prepared, error) {
 
 // Encoded, Partitions and SplitLits are what a cube's index and path
 // mean in this run; the coordinator checks certificates against them.
-// Encoded().Formula() is nil for a run that neither checks nor keeps
-// proofs, whose template holds the formula only until its solver has
-// loaded it; Vars is its variable count all the same.
+// Encoded().Formula() is nil in every run: the template holds the
+// formula until its solver and the run's proof checker have loaded it,
+// and Template().Formula() gives it back after that, made again on the
+// program the run holds (reencode); Vars is its variable count.
 func (pr *Prepared) Encoded() *vc.Encoded { return pr.enc }
 
 func (pr *Prepared) Vars() int { return pr.vars }
@@ -446,14 +456,52 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	if opts.Split.Depth > 0 || opts.From != 0 || opts.To != 0 {
 		pr.popts.SplitLits = pr.splitLits
 	}
-	pr.vars, pr.clauses = enc.Formula().NumVars, enc.Formula().NumClauses()
-	pr.template = parallel.Prepare(enc.Formula(), pr.parts, pr.popts)
-	if !opts.CertifyUnsat && !opts.KeepProofs {
-		// Only the template reads the formula from here on, and it lets
-		// it go once its solver has loaded it.
-		enc.DropFormula()
-	}
+	f := enc.Formula()
+	pr.vars, pr.clauses, pr.digest = f.NumVars, f.NumClauses(), formulaDigest(f)
+	// Only the template holds the formula from here on, and only until
+	// its solver and the run's checker have loaded it.
+	pr.template = parallel.Prepare(f, pr.reencode, pr.parts, pr.popts)
+	enc.DropFormula()
 	return pr, nil
+}
+
+// reencode runs the encoder again on the flattened program the run
+// holds, with the options it ran with, for the few that read the formula
+// after the template's build (the coordinator's check of a model against
+// every clause): the encoder is deterministic, so the formula it makes
+// is the run's, every clause as the template loaded it, and the digest
+// taken at Prepare says so — a mismatch is an error, never another
+// formula.
+func (pr *Prepared) reencode() (*cnf.Formula, error) {
+	again, err := vc.Encode(pr.enc.Program, pr.enc.Opts)
+	if err != nil {
+		return nil, fmt.Errorf("core: encoding the run again: %w", err)
+	}
+	f := again.Formula()
+	if formulaDigest(f) != pr.digest {
+		return nil, fmt.Errorf("core: the encoding made again (%d variables, %d clauses) is not the run's (%d, %d)",
+			f.NumVars, f.NumClauses(), pr.vars, pr.clauses)
+	}
+	return f, nil
+}
+
+// formulaDigest is the SHA-256 of a formula's variable count and its
+// clauses, in order, as uvarints.
+func formulaDigest(f *cnf.Formula) [sha256.Size]byte {
+	h := sha256.New()
+	buf := binary.AppendUvarint(make([]byte, 0, 64<<10), uint64(f.NumVars))
+	for _, c := range f.Clauses {
+		buf = binary.AppendUvarint(buf, uint64(len(c)))
+		for _, l := range c {
+			buf = binary.AppendUvarint(buf, uint64(l))
+		}
+		if len(buf) > 60<<10 {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+	}
+	h.Write(buf)
+	return [sha256.Size]byte(h.Sum(nil))
 }
 
 // run solves the cubes opts selects — the partitions [From, To) — on

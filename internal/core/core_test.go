@@ -281,29 +281,28 @@ func TestVerifyRejectsSplitDepthUnderSimulation(t *testing.T) {
 	}
 }
 
-// A run that neither checks nor keeps proofs lets the encoded formula go
-// at Prepare: the template holds it until its solver has loaded it, and
-// nothing after reads it — a counterexample is decoded and replayed from
-// the model alone, and the run's template row still says how many
-// variables the pass left the cubes. A certifying run keeps it for its
-// checker.
+// Every run lets the encoded formula go at Prepare: the template holds it
+// until its solver, and the run's checker, have loaded it — a
+// counterexample is decoded and replayed from the model alone, and the
+// run's template row still says how many variables the pass left the
+// cubes — and Formula gives it back after, every clause.
 func TestPrepareLetsTheFormulaGo(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	for _, tc := range []struct {
 		opts    Options
 		verdict Verdict
-		kept    bool
 	}{
-		{Options{Unwind: 1, Contexts: 4, Cores: 2}, Unsafe, false},
-		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2}, Safe, false},
-		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2, CertifyUnsat: true}, Safe, true},
+		{Options{Unwind: 1, Contexts: 4, Cores: 2}, Unsafe},
+		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2}, Safe},
+		{Options{Unwind: 1, Contexts: 3, Partitions: 4, Cores: 2, CertifyUnsat: true}, Safe},
+		{Options{Unwind: 1, Contexts: 3, Partitions: 1, CertifyUnsat: true}, Safe},
 	} {
 		pr, err := Prepare(p, tc.opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kept := pr.Encoded().Formula() != nil; kept != tc.kept {
-			t.Fatalf("%+v: formula kept %v, want %v", tc.opts, kept, tc.kept)
+		if pr.Encoded().Formula() != nil {
+			t.Fatalf("%+v: the encoding kept its formula", tc.opts)
 		}
 		res, err := pr.run(context.Background(), tc.opts)
 		if err != nil {
@@ -318,6 +317,12 @@ func TestPrepareLetsTheFormulaGo(t *testing.T) {
 		row := report.TemplateRowOf(res.Template)
 		if row.VarsIn != res.Vars || row.VarsOut != row.VarsIn-int(row.ElimVars) {
 			t.Fatalf("%+v: template row %+v for %d variables", tc.opts, row, res.Vars)
+		}
+		if tc.opts.CertifyUnsat && !res.Certified {
+			t.Fatalf("%+v: not certified", tc.opts)
+		}
+		if f, err := pr.template.Formula(); err != nil || f.NumVars != res.Vars || f.NumClauses() != res.Clauses {
+			t.Fatalf("%+v: the formula again: %v", tc.opts, err)
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package distrib
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -49,10 +51,16 @@ const (
 	// maxCertBytes caps one certificate's wire size. A declared size
 	// above the cap is rejected before a single frame is read, so a
 	// Byzantine worker cannot make the coordinator buffer an arbitrary
-	// payload; and since nothing on the way in expands — the envelope is
-	// not compressed, and a proof's flat form (sat.ParseFlat) may ask for
-	// sixteen bytes of memory per byte sent and no more — the cap bounds
-	// what decoding allocates too.
+	// payload; and since nothing on the way in expands, the cap bounds
+	// what checking it costs in memory too. The envelope is not
+	// compressed, and decoding copies nothing (decodeCertificate); the
+	// proofs are checked straight off the bytes
+	// (sat.ProofChecker.CheckFlat), which allocates nothing per step but
+	// what a lemma adds to the checker while the proof is checked: a
+	// lemma of n literals, which takes n+2 bytes or more, grows the
+	// checker's arena by n+1 words, its ID table by one and its watch
+	// lists by two watchers — fewer than sixteen bytes of memory per byte
+	// sent, all given back at the next proof.
 	maxCertBytes = 64 << 20 // 64 MiB
 )
 
@@ -62,6 +70,12 @@ const (
 // a rejected certificate quarantines the worker as untrusted, while a
 // transport failure only charges a retryable attempt.
 var errCertificate = errors.New("certificate rejected")
+
+// errRederive marks a check the coordinator could not make because it
+// could not make its formula again (parallel.Template.Formula): its own
+// fault, not the worker's, so a failed attempt of the cube and never a
+// pass.
+var errRederive = errors.New("the coordinator's formula")
 
 // Certify levels requested per job / configured per run.
 const (
@@ -144,23 +158,26 @@ func (p CertifyPolicy) String() string {
 // PartitionProof pairs one partition index with its RUP refutation.
 type PartitionProof struct {
 	Partition int
-	Proof     *sat.Proof
+	// Proof is the tail the partition's solver logged, in its flat form
+	// (sat.AppendFlat, parallel.InstanceResult.Tail) from the solver to
+	// the coordinator's checker (sat.ProofChecker.CheckFlat); empty, none.
+	Proof []byte
 }
 
 // Certificate is the independently checkable evidence behind a definite
-// remote verdict. It travels as JSON (wireCertificate), split across
-// "cert" wire frames after the result frame (sendChunked).
+// remote verdict. It travels in its wire form (encodeCertificate), split
+// across "cert" wire frames after the result frame (sendChunked).
 type Certificate struct {
 	// NumVars is the variable count of the template the worker solved
 	// on; a model must cover the coordinator's own encoding's or the
 	// certificate is rejected without further inspection.
-	NumVars int `json:"num_vars,omitempty"`
+	NumVars int
 	// Model is the winning partition's satisfying assignment, bit-packed
 	// LSB-first (UNSAFE verdicts).
-	Model []byte `json:"model,omitempty"`
+	Model []byte
 	// Proofs carries one refutation per partition of the chunk (SAFE
 	// verdicts under full certification): the tail its solver logged.
-	Proofs []PartitionProof `json:"-"`
+	Proofs []PartitionProof
 }
 
 // packBits packs a bool slice LSB-first.
@@ -186,55 +203,101 @@ func unpackBits(data []byte, n int) ([]bool, error) {
 	return out, nil
 }
 
-// wireCertificate is the JSON envelope: the certificate's own fields,
-// and in place of Proofs each proof as one byte string, its flat form
-// (sat.AppendFlat). encoding/json takes longer over a chained proof spelt
-// out as arrays of numbers than the checker takes to check it.
-type wireCertificate struct {
-	*Certificate
-	Proofs []wireProof `json:"proofs,omitempty"`
-}
-
-type wireProof struct {
-	Partition int    `json:"partition"`
-	Proof     []byte `json:"proof"`
-}
+// certMagic opens a certificate's wire form, which is raw bytes behind a
+// small header — the proofs are flat already, and an envelope that spelt
+// them out (JSON, base64) cost more CPU than checking them:
+//
+//	"PBMCRT1"        magic and version
+//	NumVars          uvarint
+//	m, m bytes       the model
+//	P                uvarint: proofs
+//	P times          partition (zigzag varint), n (uvarint), then n
+//	                 bytes: the proof's flat form, none if n is 0
+const certMagic = "PBMCRT1"
 
 // encodeCertificate serialises a certificate for the wire. A nil
 // certificate encodes to nil (no cert frames follow the result).
-func encodeCertificate(c *Certificate) ([]byte, error) {
+func encodeCertificate(c *Certificate) []byte {
 	if c == nil {
-		return nil, nil
+		return nil
 	}
-	w := wireCertificate{Certificate: c}
+	size := len(certMagic) + 3*binary.MaxVarintLen64 + len(c.Model)
 	for _, pp := range c.Proofs {
-		wp := wireProof{Partition: pp.Partition}
-		if pp.Proof != nil {
-			wp.Proof = sat.AppendFlat(nil, pp.Proof)
-		}
-		w.Proofs = append(w.Proofs, wp)
+		size += 2*binary.MaxVarintLen64 + len(pp.Proof)
 	}
-	return json.Marshal(w)
+	out := append(make([]byte, 0, size), certMagic...)
+	out = binary.AppendUvarint(out, uint64(c.NumVars))
+	out = binary.AppendUvarint(out, uint64(len(c.Model)))
+	out = append(out, c.Model...)
+	out = binary.AppendUvarint(out, uint64(len(c.Proofs)))
+	for _, pp := range c.Proofs {
+		out = binary.AppendVarint(out, int64(pp.Partition))
+		out = binary.AppendUvarint(out, uint64(len(pp.Proof)))
+		out = append(out, pp.Proof...)
+	}
+	return out
 }
 
-// decodeCertificate reverses encodeCertificate.
+// decodeCertificate reverses encodeCertificate, on bytes that may be
+// anyone's: a count or a length the bytes behind it cannot honour, or a
+// byte left over, is an error. The model and the proofs are slices of
+// data, not copies, and a proof's form is left to its check
+// (sat.ProofChecker.CheckFlat): what decoding allocates is one
+// PartitionProof per two bytes at most.
 func decodeCertificate(data []byte) (*Certificate, error) {
-	w := wireCertificate{Certificate: &Certificate{}}
-	if err := json.Unmarshal(data, &w); err != nil {
-		return nil, fmt.Errorf("certificate json: %w", err)
+	rest, ok := bytes.CutPrefix(data, []byte(certMagic))
+	if !ok {
+		return nil, fmt.Errorf("certificate: no %q header", certMagic)
 	}
-	for _, wp := range w.Proofs {
-		pp := PartitionProof{Partition: wp.Partition}
-		if wp.Proof != nil {
-			proof, err := sat.ParseFlat(wp.Proof)
-			if err != nil {
-				return nil, fmt.Errorf("certificate: partition %d: %w", wp.Partition, err)
-			}
-			pp.Proof = proof
+	var err error
+	next := func() uint64 {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 && err == nil {
+			err = fmt.Errorf("certificate: no number in the last %d bytes", len(rest))
 		}
-		w.Certificate.Proofs = append(w.Certificate.Proofs, pp)
+		rest = rest[max(n, 0):]
+		return v
 	}
-	return w.Certificate, nil
+	take := func(n uint64) []byte {
+		if n > uint64(len(rest)) && err == nil {
+			err = fmt.Errorf("certificate: %d bytes declared, %d left", n, len(rest))
+		}
+		if err != nil {
+			return nil
+		}
+		b := rest[:n:n]
+		rest = rest[n:]
+		return b
+	}
+	c := &Certificate{}
+	vars := next()
+	if vars > math.MaxInt32 && err == nil {
+		err = fmt.Errorf("certificate: %d variables", vars)
+	}
+	c.NumVars = int(vars)
+	if c.Model = take(next()); len(c.Model) == 0 {
+		c.Model = nil
+	}
+	proofs := next()
+	if err == nil && proofs > uint64(len(rest))/2 {
+		err = fmt.Errorf("certificate: %d proofs ahead of %d bytes", proofs, len(rest))
+	}
+	for i := uint64(0); i < proofs && err == nil; i++ {
+		part, n := binary.Varint(rest)
+		if n <= 0 || part < math.MinInt32 || part > math.MaxInt32 {
+			err = fmt.Errorf("certificate: proof %d: no partition index", i)
+			break
+		}
+		rest = rest[n:]
+		c.Proofs = append(c.Proofs, PartitionProof{Partition: int(part), Proof: take(next())})
+	}
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("certificate: %d bytes left over", len(rest))
+	}
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // buildCertificate assembles the evidence for one honestly computed job
@@ -252,8 +315,8 @@ func buildCertificate(res *parallel.Result, level string, vars int) *Certificate
 		}
 		c := &Certificate{NumVars: vars}
 		for _, inst := range res.Instances {
-			if inst.Proof != nil {
-				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Proof})
+			if inst.Tail != nil {
+				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Tail})
 			}
 		}
 		return c
@@ -278,7 +341,9 @@ type certVerifier struct {
 // restores, whose cubes' assumptions every job carries and on whose
 // encoding every counterexample is replayed. When the run certifies, the
 // template's build derives the run's proof checker from what it logs,
-// which it does not keep: the coordinator joins no proof to it.
+// which it does not keep: the coordinator joins no proof to it. The
+// formula goes once the template and the checker have loaded it, in every
+// mode (parallel.Template.Formula).
 func prepareRun(p *prog.Program, opts *CoordinatorOptions) (*certVerifier, error) {
 	prep, err := core.Prepare(p, core.Options{
 		Unwind: opts.Unwind, Contexts: opts.Contexts, Width: opts.Width, Partitions: opts.Partitions,
@@ -349,7 +414,9 @@ func (v *certVerifier) replay(cert *Certificate) ([]bool, error) {
 // assumptions (extended with the cube path's scheduler bits). A model
 // found under a sub-cube's extra assumptions still satisfies the parent
 // formula, so sub-cube verification composes: the sub-cube's UNSAFE is
-// the parent's UNSAFE.
+// the parent's UNSAFE. The formula went when the template had loaded it:
+// the run's encoder makes it again here, checked against its digest
+// (parallel.Template.Formula), and it goes again with the check.
 func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certificate) error {
 	if winner < cube.From || winner > cube.To {
 		return fmt.Errorf("claimed winner %d outside cube %s", winner, cube.Key())
@@ -358,7 +425,11 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 	if err != nil {
 		return err
 	}
-	for i, c := range v.prep.Encoded().Formula().Clauses {
+	f, err := v.prep.Template().Formula()
+	if err != nil {
+		return fmt.Errorf("%w: %v", errRederive, err)
+	}
+	for i, c := range f.Clauses {
 		satisfied := false
 		for _, l := range c {
 			if litHolds(l, model) {
@@ -398,7 +469,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	if err != nil {
 		return work, err
 	}
-	proofs := make(map[int]*sat.Proof, len(cert.Proofs))
+	proofs := make(map[int][]byte, len(cert.Proofs))
 	for _, pp := range cert.Proofs {
 		if _, dup := proofs[pp.Partition]; dup {
 			return work, fmt.Errorf("duplicate proof for partition %d", pp.Partition)
@@ -408,7 +479,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	for i, assume := range assumps {
 		idx := cube.From + i
 		proof := proofs[idx]
-		if proof == nil {
+		if len(proof) == 0 {
 			return work, fmt.Errorf("no refutation proof for partition %d", idx)
 		}
 		done, err := v.prep.Template().Check(assume, proof)
@@ -458,7 +529,7 @@ func (co *coordinator) rejectCertificate(a *partition.Assignment, key, reason st
 // encoding, under the cube's full assumption set, path bits included —
 // a SAFE one only at the level that ships proofs — and accounts for the
 // check: its time and the proof checker's work. The error wraps
-// errCertificate.
+// errCertificate, or errRederive when the check could not be made.
 func (co *coordinator) certify(a *partition.Assignment, key, level string, reply *Message, cert *Certificate, jobSpan *obs.Span) (certified bool, err error) {
 	certSpan := jobSpan.Child("certify_verify", obs.KV("level", level))
 	start := time.Now()
@@ -483,7 +554,10 @@ func (co *coordinator) certify(a *partition.Assignment, key, level string, reply
 			r.CertBytes += reply.CertSize
 		}
 	})
-	if verr != nil {
+	switch {
+	case errors.Is(verr, errRederive):
+		return false, fmt.Errorf("job %d on %s: %w", a.JobID, key, verr)
+	case verr != nil:
 		return false, fmt.Errorf("%w: job %d on %s: %v", errCertificate, a.JobID, key, verr)
 	}
 	return certified, nil

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -94,19 +95,15 @@ func TestPackBitsRoundTrip(t *testing.T) {
 }
 
 func TestCertificateEncodeDecode(t *testing.T) {
+	flat := sat.AppendFlat(nil, &sat.Proof{Lemmas: []cnf.Clause{
+		{cnf.PosLit(1), cnf.NegLit(2)}, {},
+	}})
 	cert := &Certificate{
 		NumVars: 12,
 		Model:   packBits(make([]bool, 12)),
-		Proofs: []PartitionProof{
-			{Partition: 3, Proof: &sat.Proof{Lemmas: []cnf.Clause{
-				{cnf.PosLit(1), cnf.NegLit(2)}, {},
-			}}},
-		},
+		Proofs:  []PartitionProof{{Partition: 3, Proof: flat}, {Partition: -1}},
 	}
-	data, err := encodeCertificate(cert)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := encodeCertificate(cert)
 	got, err := decodeCertificate(data)
 	if err != nil {
 		t.Fatal(err)
@@ -114,18 +111,28 @@ func TestCertificateEncodeDecode(t *testing.T) {
 	if got.NumVars != cert.NumVars || !bytes.Equal(got.Model, cert.Model) {
 		t.Fatalf("round trip: %+v", got)
 	}
-	if len(got.Proofs) != 1 || got.Proofs[0].Partition != 3 || got.Proofs[0].Proof.NumLemmas() != 2 {
+	if len(got.Proofs) != 2 || got.Proofs[0].Partition != 3 || !bytes.Equal(got.Proofs[0].Proof, flat) ||
+		got.Proofs[1].Partition != -1 || len(got.Proofs[1].Proof) != 0 {
 		t.Fatalf("proofs: %+v", got.Proofs)
 	}
+	// The wire form is the header and the bytes as they are: no envelope
+	// around a proof.
+	if !bytes.Contains(data, flat) || len(data) > len(certMagic)+len(cert.Model)+len(flat)+8 {
+		t.Fatalf("%d bytes on the wire for a %d-byte model and a %d-byte proof", len(data), len(cert.Model), len(flat))
+	}
 
-	if nilData, err := encodeCertificate(nil); err != nil || nilData != nil {
-		t.Fatalf("nil certificate: %v, %v", nilData, err)
+	if nilData := encodeCertificate(nil); nilData != nil {
+		t.Fatalf("nil certificate: %v", nilData)
 	}
-	if _, err := decodeCertificate([]byte("not gzip at all")); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := decodeCertificate(data[:len(data)/2]); err == nil {
-		t.Fatal("truncated certificate accepted")
+	for name, bad := range map[string][]byte{
+		"garbage":   []byte("not a certificate at all"),
+		"truncated": data[:len(data)/2],
+		"trailing":  append(slices.Clone(data), 0),
+		"json":      []byte(`{"num_vars":12,"proofs":[{"partition":3,"proof":"AA=="}]}`),
+	} {
+		if _, err := decodeCertificate(bad); err == nil {
+			t.Errorf("%s certificate accepted", name)
+		}
 	}
 }
 
@@ -307,7 +314,7 @@ func TestByzantineOversizedProofRejected(t *testing.T) {
 // lemmas learnt before it.
 func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int) {
 	t.Helper()
-	s := sat.NewFromFormula(v.prep.Encoded().Formula(), sat.Options{ProgressEvery: 1})
+	s := sat.NewFromFormula(formulaOf(t, v), sat.Options{ProgressEvery: 1})
 	s.EnableProof()
 	from = -1
 	s.Progress = func(st sat.Stats) {
@@ -688,17 +695,17 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	honest := workerCertificate(t, v, opts, data, cube, nil)
 	var lemmas int64
 	for _, pp := range honest.Proofs {
-		if pp.Proof.NumLemmas() < 2 {
-			t.Fatalf("partition %d: %d lemmas; want a proof to fabricate from", pp.Partition, pp.Proof.NumLemmas())
+		if n := parsedProof(t, pp.Proof).NumLemmas(); n < 2 {
+			t.Fatalf("partition %d: %d lemmas; want a proof to fabricate from", pp.Partition, n)
 		}
-		lemmas += int64(pp.Proof.NumLemmas())
+		lemmas += int64(parsedProof(t, pp.Proof).NumLemmas())
 	}
 	// The second proof loses its first half: the lemmas left no longer
 	// follow by unit propagation.
-	second := honest.Proofs[1].Proof.Lemmas
+	second := parsedProof(t, honest.Proofs[1].Proof).Lemmas
 	fabricated := &Certificate{NumVars: honest.NumVars, Proofs: []PartitionProof{
 		honest.Proofs[0],
-		{Partition: cube.To, Proof: &sat.Proof{Lemmas: second[(len(second)+1)/2:]}},
+		{Partition: cube.To, Proof: sat.AppendFlat(nil, &sat.Proof{Lemmas: second[(len(second)+1)/2:]})},
 	}}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -726,9 +733,32 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCertifyWorkReported: the proof checkers' lemmas and propagations
-// reach the result and the propagation counter, so the checker's rate
-// can be read beside the solvers'.
+// formulaOf is the formula of v's run, as the coordinator reads it.
+func formulaOf(t *testing.T, v *certVerifier) *cnf.Formula {
+	t.Helper()
+	f, err := v.prep.Template().Formula()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// parsedProof takes a shipped proof apart.
+func parsedProof(t *testing.T, flat []byte) *sat.Proof {
+	t.Helper()
+	p, err := sat.ParseFlat(flat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestCertifyWorkReported: the proof checkers' lemmas, the chain clauses
+// they walked and their propagations reach the result and the counters,
+// so the checker's rate can be read beside the solvers'. A lemma refuted
+// along its chain propagates nothing: the chain clauses, one at least
+// per such lemma, are the checker's measure of work, not its
+// propagations.
 func TestCertifyWorkReported(t *testing.T) {
 	reg := obs.NewRegistry()
 	addr, resCh := startCoordinator(t, prog.MustParse(fibSrc), CoordinatorOptions{
@@ -741,12 +771,19 @@ func TestCertifyWorkReported(t *testing.T) {
 	if res.Verdict != core.Safe || res.Certified != 2 {
 		t.Fatalf("verdict %v, %d certified", res.Verdict, res.Certified)
 	}
-	if res.CertifyWork.Lemmas == 0 || res.CertifyWork.Propagations == 0 {
-		t.Fatalf("certify work %+v", res.CertifyWork)
+	w := res.CertifyWork
+	if w.Lemmas == 0 || w.Propagations == 0 || w.Hinted == 0 || w.ChainClauses < w.Hinted {
+		t.Fatalf("certify work %+v", w)
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	if v, ok := metricValue(buf.String(), "parbmc_coordinator_certify_propagations_total"); !ok || int64(v) != res.CertifyWork.Propagations {
-		t.Fatalf("parbmc_coordinator_certify_propagations_total = %v, %v; result says %d", v, ok, res.CertifyWork.Propagations)
+	for series, want := range map[string]int64{
+		"parbmc_coordinator_certify_propagations_total":  w.Propagations,
+		"parbmc_coordinator_certify_lemmas_total":        w.Lemmas,
+		"parbmc_coordinator_certify_chain_clauses_total": w.ChainClauses,
+	} {
+		if v, ok := metricValue(buf.String(), series); !ok || int64(v) != want {
+			t.Errorf("%s = %v, %v; result says %d", series, v, ok, want)
+		}
 	}
 }

@@ -251,8 +251,8 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			return // not a SAFE certificate: no proof to forge
 		}
 		forged := **cert
-		honest := forged.Proofs[0].Proof
-		if n := honest.NumLemmas(); n > 0 && len(honest.Lemmas[f.Lemma%n]) > 0 {
+		honest, err := sat.ParseFlat(forged.Proofs[0].Proof)
+		if n := honest.NumLemmas(); err == nil && n > 0 && len(honest.Lemmas[f.Lemma%n]) > 0 {
 			at := f.Lemma % n
 			lemmas := slices.Clone(honest.Lemmas)
 			lemmas[at] = slices.Clone(lemmas[at])
@@ -260,7 +260,7 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			forged.Proofs = slices.Clone(forged.Proofs)
 			// The chains stay: the forged lemma goes the way a liar's would,
 			// along its chain, then the full test, then out.
-			forged.Proofs[0].Proof = &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Chains: honest.Chains}
+			forged.Proofs[0].Proof = sat.AppendFlat(nil, &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Chains: honest.Chains})
 		} else {
 			forged.Proofs = slices.Clone(forged.Proofs)
 			forged.Proofs[0].Partition = -1
@@ -273,8 +273,8 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 		hostile := **cert
 		hostile.Proofs = slices.Clone(hostile.Proofs)
 		for i, pp := range hostile.Proofs {
-			if pp.Proof != nil {
-				hostile.Proofs[i].Proof = hostileHints(pp.Proof)
+			if p, err := sat.ParseFlat(pp.Proof); err == nil && len(pp.Proof) > 0 {
+				hostile.Proofs[i].Proof = sat.AppendFlat(nil, hostileHints(p))
 			}
 		}
 		*cert = &hostile

@@ -173,14 +173,16 @@ func TestMetricsAreViewsOfTheRun(t *testing.T) {
 	defer srv.Close()
 	got := parseExposition(t, scrape(t, srv.URL))
 	want := map[string]int64{
-		"parbmc_coordinator_certify_propagations_total": res.CertifyWork.Propagations,
-		"parbmc_certify_hint_fallbacks_total":           res.CertifyWork.Fallbacks,
-		"parbmc_remote_decisions_total":                 res.RemoteStats.Decisions,
-		"parbmc_remote_conflicts_total":                 res.RemoteStats.Conflicts,
-		"parbmc_remote_propagations_total":              res.RemoteStats.Propagations,
-		"parbmc_remote_restarts_total":                  res.RemoteStats.Restarts,
-		"parbmc_remote_learnt_total":                    res.RemoteStats.Learnt,
-		"parbmc_remote_learnt_deleted_total":            res.RemoteStats.LearntDeleted,
+		"parbmc_coordinator_certify_propagations_total":  res.CertifyWork.Propagations,
+		"parbmc_coordinator_certify_lemmas_total":        res.CertifyWork.Lemmas,
+		"parbmc_coordinator_certify_chain_clauses_total": res.CertifyWork.ChainClauses,
+		"parbmc_certify_hint_fallbacks_total":            res.CertifyWork.Fallbacks,
+		"parbmc_remote_decisions_total":                  res.RemoteStats.Decisions,
+		"parbmc_remote_conflicts_total":                  res.RemoteStats.Conflicts,
+		"parbmc_remote_propagations_total":               res.RemoteStats.Propagations,
+		"parbmc_remote_restarts_total":                   res.RemoteStats.Restarts,
+		"parbmc_remote_learnt_total":                     res.RemoteStats.Learnt,
+		"parbmc_remote_learnt_deleted_total":             res.RemoteStats.LearntDeleted,
 	}
 	for series, n := range map[string]int{
 		"parbmc_coordinator_chunks_total":                res.ChunksTotal,

@@ -124,8 +124,9 @@ type Message struct {
 
 	// CertSize, on a definite result solved under certification,
 	// declares the certificate's total byte size; the certificate
-	// follows the result as CertSize bytes of JSON split across "cert"
-	// frames. 0 means no certificate follows.
+	// follows the result as CertSize bytes of its wire form
+	// (encodeCertificate) split across "cert" frames. 0 means no
+	// certificate follows.
 	CertSize int64 `json:"cert_size,omitempty"`
 
 	// Chunk-frame fields, of "template" and "cert" frames: Seq numbers

@@ -7,6 +7,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"math/rand/v2"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -66,69 +69,133 @@ func proofBytes(p *sat.Proof) int {
 	return n
 }
 
-// FuzzDecodeCertificate feeds arbitrary bytes to the certificate
-// decoder, as a whole certificate and as the flat form of one proof: it
-// must reject or accept without panicking, and a proof it accepts holds
-// no more than sixteen times the bytes it came in — nothing on the way
-// in expands, so the wire cap is the memory cap.
-func FuzzDecodeCertificate(f *testing.F) {
-	proof := &sat.Proof{
-		Lemmas:  []cnf.Clause{{cnf.PosLit(1), cnf.NegLit(300)}, {cnf.PosLit(2)}, {}},
-		Deletes: []sat.Deletion{{At: 1, ID: 3, Clause: cnf.Clause{cnf.PosLit(1), cnf.PosLit(2)}}},
-		Chains:  [][]uint32{{3, 0, 1}, {7}},
+// fuzzRefutation is an unsatisfiable random 3-CNF over 12 variables
+// and a refutation of it as its solver logged it, flat.
+func fuzzRefutation(f *testing.F) (*cnf.Formula, []byte) {
+	rng := rand.New(rand.NewPCG(41, 7))
+	formula := cnf.New()
+	for range 12 {
+		formula.NewVar()
 	}
-	valid, err := encodeCertificate(&Certificate{
+	for {
+		var c cnf.Clause
+		for range 3 {
+			c = append(c, cnf.MkLit(cnf.Var(1+rng.IntN(12)), rng.IntN(2) == 0))
+		}
+		formula.AddClause(c...)
+		if formula.NumClauses() < 40 {
+			continue
+		}
+		s := sat.NewFromFormula(formula, sat.Options{})
+		s.EnableProof()
+		if st, err := s.Solve(); err != nil {
+			f.Fatal(err)
+		} else if st == sat.Unsat {
+			return formula, s.FlatProof()
+		}
+	}
+}
+
+// checkTail puts a tail to the step reader (sat.ProofChecker.CheckFlat)
+// of a checker that has checked the inputs before it, and the same bytes
+// to sat.ParseFlat and sat.CheckRUP: the step reader refuses what
+// ParseFlat refuses and accepts exactly what CheckRUP accepts, and what
+// it allocates is bounded by the bytes it was handed — the lemmas they
+// hold grow the checker's arena by a few words each, and nothing else
+// is kept.
+func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := c.CheckFlat(nil, flat)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(flat))+64<<10 {
+		t.Fatalf("checking %d bytes of tail allocated %d", len(flat), grew)
+	}
+	p, err := sat.ParseFlat(flat)
+	if err != nil {
+		if got == nil {
+			t.Fatalf("the step reader accepted a tail ParseFlat refuses: %v", err)
+		}
+		return
+	}
+	if got := proofBytes(p); got > 16*len(flat) {
+		t.Fatalf("%d bytes of flat proof decoded into %d", len(flat), got)
+	}
+	if want := sat.CheckRUP(f, nil, p); (got == nil) != (want == nil) {
+		t.Fatalf("step reader: %v; CheckRUP of the parsed proof: %v", got, want)
+	}
+	if back := sat.AppendFlat(nil, p); !bytes.Equal(back, flat) {
+		if again, err := sat.ParseFlat(back); err != nil || !bytes.Equal(sat.AppendFlat(nil, again), back) {
+			t.Fatalf("an accepted proof does not survive its own encoding: %v", err)
+		}
+	}
+}
+
+// FuzzDecodeCertificate feeds arbitrary bytes to the certificate
+// decoder and to the step reader the coordinator checks a tail with, as
+// a whole certificate and as the flat form of one proof: neither may
+// panic; a certificate it accepts holds slices of the bytes it came in
+// and at most one PartitionProof per two of them, and encodes back to
+// itself; and every proof in it, and the bytes themselves, check exactly
+// as the proof sat.ParseFlat makes of them does — nothing CheckRUP
+// rejects is accepted — allocating no more than a bound of their size.
+func FuzzDecodeCertificate(f *testing.F) {
+	formula, honest := fuzzRefutation(f)
+	checker := sat.NewProofChecker(formula)
+	valid := encodeCertificate(&Certificate{
 		NumVars: 8,
 		Model:   packBits([]bool{true, false, true, true, false, true, false, false}),
-		Proofs:  []PartitionProof{{Partition: 0, Proof: proof}},
+		Proofs:  []PartitionProof{{Partition: 0, Proof: honest}, {Partition: -1}},
 	})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("not json"))
+	f.Add([]byte(`{"num_vars":8,"proofs":[{"partition":0,"proof":"AA=="}]}`))
 	f.Add([]byte{})
-	// The flat form and what it never is: a varint cut in half, a lemma
-	// count larger than the input, a chain ID past 2^31 (well formed on
-	// the wire: the checker is who passes it over), a deletion whose At
-	// runs past the last lemma, trailing bytes.
-	flat := sat.AppendFlat(nil, proof)
+	// The flat form and what it never is: the honest tail, a lemma
+	// flipped in it, a varint cut in half, a lemma count larger than the
+	// input, a chain ID past 2^31 (well formed on the wire: the checker
+	// is who passes it over), a deletion whose At runs past the last
+	// lemma, trailing bytes.
+	flipped, err := sat.ParseFlat(honest)
+	if err != nil || flipped.NumLemmas() == 0 {
+		f.Fatalf("the honest tail: %v", err)
+	}
+	flipped.Lemmas[0] = append(cnf.Clause{flipped.Lemmas[0][0].Not()}, flipped.Lemmas[0][1:]...)
 	uvarints := func(ns ...uint64) (out []byte) {
 		for _, n := range ns {
 			out = binary.AppendUvarint(out, n)
 		}
 		return out
 	}
-	f.Add(flat)
-	f.Add(flat[:bytes.IndexByte(flat, 0xd9)+1])
+	f.Add(honest)
+	f.Add(sat.AppendFlat(nil, flipped))
+	f.Add(honest[:len(honest)-1])
 	f.Add(uvarints(1000, 0, 0, 0, 0, 0))
 	f.Add(binary.AppendVarint(uvarints(1, 1, 0, 1, 1, 1, 2, 1), 1<<31+5)) // five bytes
 	f.Add(uvarints(1, 1, 1, 0, 0, 1, 2, 2, 0, 0))
-	f.Add(append(bytes.Clone(flat), 0))
+	f.Add(append(bytes.Clone(honest), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if p, err := sat.ParseFlat(data); err == nil {
-			if got := proofBytes(p); got > 16*len(data) {
-				t.Fatalf("%d bytes of flat proof decoded into %d", len(data), got)
-			}
-			flat := sat.AppendFlat(nil, p)
-			if back, err := sat.ParseFlat(flat); err != nil || !bytes.Equal(sat.AppendFlat(nil, back), flat) {
-				t.Fatalf("an accepted proof does not survive its own encoding: %v", err)
-			}
-		}
+		checkTail(t, checker, formula, data)
 		cert, err := decodeCertificate(data)
 		if err != nil {
 			return
 		}
-		if len(data) > 0 && cert == nil {
-			t.Fatal("nil certificate with nil error for non-empty input")
+		if 2*len(cert.Proofs) > len(data) {
+			t.Fatalf("%d bytes of certificate decoded into %d proofs", len(data), len(cert.Proofs))
 		}
 		for _, pp := range cert.Proofs {
-			// base64 inside the envelope only shrinks what a proof came in.
-			if pp.Proof != nil && proofBytes(pp.Proof) > 16*len(data) {
-				t.Fatalf("%d bytes of certificate decoded into a proof of %d", len(data), proofBytes(pp.Proof))
+			if len(pp.Proof) > 0 && !bytes.Contains(data, pp.Proof) {
+				t.Fatal("a proof that is not the bytes it came in")
 			}
+			checkTail(t, checker, formula, pp.Proof)
+		}
+		back, err := decodeCertificate(encodeCertificate(cert))
+		if err != nil || back.NumVars != cert.NumVars || !bytes.Equal(back.Model, cert.Model) ||
+			!slices.EqualFunc(back.Proofs, cert.Proofs, func(a, b PartitionProof) bool {
+				return a.Partition == b.Partition && bytes.Equal(a.Proof, b.Proof)
+			}) {
+			t.Fatalf("an accepted certificate does not survive its own encoding: %v", err)
 		}
 	})
 }

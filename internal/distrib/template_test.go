@@ -64,7 +64,7 @@ func TestDistributedCubeCountersMatchInProcess(t *testing.T) {
 	}
 	// The in-process run of the same formula with the same freeze set: a
 	// distributed run leaves every split literal to its cubes.
-	pres, err := parallel.Solve(context.Background(), v.prep.Encoded().Formula(), v.prep.Partitions(),
+	pres, err := parallel.Solve(context.Background(), formulaOf(t, v), v.prep.Partitions(),
 		parallel.Options{Workers: 2, SplitLits: v.prep.SplitLits()})
 	if err != nil || pres.Status != sat.Unsat {
 		t.Fatalf("in process: %v, %v", pres, err)

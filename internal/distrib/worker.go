@@ -319,11 +319,7 @@ func (w *worker) serveJob(ctx context.Context, wc *conn, msgs <-chan recvRes, jm
 		}
 	}
 	mutateResult(f, jm, reply, &cert)
-	certData, cerr := encodeCertificate(cert)
-	if cerr != nil {
-		reply.Error = fmt.Sprintf("certificate encoding: %v", cerr)
-		certData = nil
-	}
+	certData := encodeCertificate(cert)
 	declared := int64(len(certData))
 	if f != nil {
 		switch f.Kind {

@@ -59,13 +59,15 @@ type InstanceResult struct {
 	// Resumed marks a verdict replayed from the journal rather than
 	// solved in this run.
 	Resumed bool
-	// Proof is the instance's recorded refutation (Status == Unsat with
-	// Options.KeepProofs; nil otherwise, and nil when the verdict was
-	// resumed from the journal): whole from Solve, and from a Template the
-	// caller holds the cube's own log, which continues Template.Prefix —
-	// what a distributed worker ships to the coordinator as the UNSAT half
-	// of a verdict certificate.
+	// Proof is the instance's recorded refutation, whole, from Solve and
+	// Simulate (the functions), and Tail from a Template the caller holds:
+	// the cube's own log in its flat form (sat.AppendFlat), which
+	// continues Template.Prefix — what a distributed worker ships to the
+	// coordinator as the UNSAT half of a verdict certificate. Both are set
+	// for Status == Unsat with Options.KeepProofs, and nil otherwise, and
+	// when the verdict was resumed from the journal.
 	Proof *sat.Proof
+	Tail  []byte
 	// Time is the instance's wall-clock solving time: cloning its solver
 	// from the run's template and searching. The template's own time is
 	// Result.Template.Time.
@@ -183,12 +185,13 @@ type Options struct {
 // splitting of stragglers. Result.Instances holds one entry per partition, in parts
 // order.
 func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
-	return newTemplate(f, parts, opts, false).Solve(ctx, parts, opts)
+	return newTemplate(f, nil, parts, opts, false).Solve(ctx, parts, opts)
 }
 
 // Solve is Solve on a template the caller holds: parts are those of its
 // partitions this call is to solve. A kept proof (Options.KeepProofs) is
-// the cube's own log, which continues the template's (Prefix).
+// the cube's own log, flat (InstanceResult.Tail), which continues the
+// template's (Prefix).
 func (t *Template) Solve(ctx context.Context, parts []partition.Partition, opts Options) (*Result, error) {
 	return t.run(ctx, parts, opts, true)
 }

@@ -165,10 +165,17 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		if opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
 			return nil, fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
 		}
-		if inst.Proof != nil && !t.held && !r.own {
+		if inst.Tail != nil && !t.held {
 			// The template ends with the call: a kept proof leaves whole, the
 			// template's log and then the cube's.
-			inst.Proof = sat.JoinProofs(r.template.ProofLog(), inst.Proof)
+			var err error
+			if inst.Proof, err = sat.ParseFlat(inst.Tail); err != nil {
+				return nil, err
+			}
+			if !r.own {
+				inst.Proof = sat.JoinProofs(r.template.ProofLog(), inst.Proof)
+			}
+			inst.Tail = nil
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 	}
@@ -210,7 +217,11 @@ func (r *runner) replay(parts []partition.Partition) error {
 			inst.Status = sat.Sat
 			if r.res.Winner < 0 {
 				var err error
-				if model, err = rederive(r.tpl.formula(), pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
+				f, err := r.tpl.Formula()
+				if err != nil {
+					return err
+				}
+				if model, err = rederive(f, pt, leaf.Cube.Path, r.opts.SplitLits); err != nil {
 					return err
 				}
 			}
@@ -331,8 +342,12 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	// Under CertifyUnsat a refutation is journaled as certified once the
 	// run's checker has passed it.
 	certified := inst.Status == sat.Unsat && r.opts.CertifyUnsat
+	var tail []byte
+	if inst.Status == sat.Unsat && (certified || r.opts.KeepProofs) {
+		tail = solver.FlatProof()
+	}
 	if certified {
-		work, cerr := r.tpl.Check(assume, solver.ProofLog())
+		work, cerr := r.tpl.Check(assume, tail)
 		r.mu.Lock()
 		r.res.CertifyWork.Add(work)
 		r.mu.Unlock()
@@ -342,7 +357,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 		}
 	}
 	if inst.Status == sat.Unsat && r.opts.KeepProofs {
-		inst.Proof = solver.ProofLog()
+		inst.Tail = tail
 	}
 	// Durable before it is acknowledged in the shared result.
 	if err := r.sched.Commit(a, partition.Outcome{
@@ -459,7 +474,7 @@ func (r *runner) interruptAll(memory bool) {
 func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 	out := InstanceResult{Partition: idx, Status: sat.Unsat, Cubes: len(leaves), Resumed: true}
 	if len(leaves) == 1 {
-		out.Proof = leaves[0].Proof
+		out.Tail = leaves[0].Tail
 	}
 	for _, l := range leaves {
 		out.Time += l.Time

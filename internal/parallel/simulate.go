@@ -34,12 +34,11 @@ import (
 // Solve (one worker, no first-SAT cancellation); only the schedule is
 // simulated here.
 func Simulate(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opts Options) (*Result, error) {
-	return newTemplate(f, parts, opts, false).Simulate(ctx, parts, opts)
+	return newTemplate(f, nil, parts, opts, false).Simulate(ctx, parts, opts)
 }
 
 // Simulate is Simulate on a template the caller holds.
 func (t *Template) Simulate(ctx context.Context, parts []partition.Partition, opts Options) (*Result, error) {
-	f := t.formula()
 	seq := opts
 	seq.Workers = 1
 	res, err := t.run(ctx, parts, seq, false)
@@ -80,6 +79,10 @@ func (t *Template) Simulate(ctx context.Context, parts []partition.Partition, op
 	if winner := parts[best]; winner.Index != res.Winner {
 		// The runner kept the model of the first SAT partition it met
 		// sequentially; the simulated winner is another one.
+		f, err := t.Formula()
+		if err != nil {
+			return nil, err
+		}
 		if res.Model, err = rederive(f, winner, "", nil); err != nil {
 			return nil, err
 		}

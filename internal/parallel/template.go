@@ -66,7 +66,12 @@ type TemplateResult struct {
 //
 // Solve and Simulate (the functions) use one that lasts the call.
 type Template struct {
+	// f is the run's formula until the template's solver and the run's
+	// proof checker have loaded it (get), or Restore; from then on again,
+	// if there is one, derives it again for the few that read it later
+	// (Formula): one rule for every run, certified or plain.
 	f     *cnf.Formula
+	again func() (*cnf.Formula, error)
 	parts []partition.Partition
 	// n is the run's partition count, len(parts) unless the template was
 	// restored by a caller that holds no partitions (Restored).
@@ -78,9 +83,8 @@ type Template struct {
 	// held: the template outlives the call and is sized for the run, one
 	// cube per partition; otherwise for the cubes the call found queued.
 	held bool
-	// vars is the formula's variable count, kept when the template lets
-	// the formula go (Restore, or a build that leaves nothing to read
-	// it): a snapshot of fewer is of another run.
+	// vars is the formula's variable count: a snapshot of fewer is of
+	// another run.
 	vars int
 
 	mu     sync.Mutex
@@ -100,13 +104,20 @@ type Template struct {
 
 // Prepare returns the template of the run that solves f under parts —
 // all of the run's partitions, whichever of them a call is then handed —
-// without building it yet.
-func Prepare(f *cnf.Formula, parts []partition.Partition, opts Options) *Template {
-	return newTemplate(f, parts, opts, true)
+// without building it yet. The template lets f go once it has loaded it,
+// and again gives it back, the same clauses, to whatever reads it after
+// that (Formula).
+func Prepare(f *cnf.Formula, again func() (*cnf.Formula, error), parts []partition.Partition, opts Options) *Template {
+	return newTemplate(f, again, parts, opts, true)
 }
 
-func newTemplate(f *cnf.Formula, parts []partition.Partition, opts Options, held bool) *Template {
-	return &Template{f: f, parts: parts, n: len(parts), opts: opts.withDefaults(len(parts)), held: held}
+// newTemplate is Prepare for the functions Solve and Simulate too, whose
+// template lasts the call and whose caller holds f for as long.
+func newTemplate(f *cnf.Formula, again func() (*cnf.Formula, error), parts []partition.Partition, opts Options, held bool) *Template {
+	if again == nil {
+		again = func() (*cnf.Formula, error) { return f, nil }
+	}
+	return &Template{f: f, again: again, vars: f.NumVars, parts: parts, n: len(parts), opts: opts.withDefaults(len(parts)), held: held}
 }
 
 // Restored returns the template of a run of the given number of
@@ -160,11 +171,10 @@ func (t *Template) single(cubes int) bool { return cubes == 1 && !t.opts.splitti
 // has to solve, and watch makes a solver interruptible for as long as
 // the pass runs on it, until the func it returns is called. own: the
 // solver is the call's only cube's, to be solved on as it is — and a
-// restored one it uses up. fresh: this call built it. A template that
-// has let its formula go — restored, or built for a run that neither
-// checks nor keeps proofs — and has no solver left (used up, or Dropped)
-// has nothing to build one from: nil.
-func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sat.Solver, own, fresh bool) {
+// restored one it uses up. fresh: this call built it. A restored
+// template with no solver left (used up, or Dropped) has nothing to
+// build one from: errSpent.
+func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sat.Solver, own, fresh bool, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.solver != nil {
@@ -172,10 +182,11 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		if own {
 			t.solver = nil
 		}
-		return s, own, false
+		return s, own, false, nil
 	}
-	if t.f == nil {
-		return nil, false, false
+	f, err := t.formulaLocked()
+	if err != nil {
+		return nil, false, false, err
 	}
 	start := time.Now()
 	cubes := queued
@@ -192,12 +203,18 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	// A log that is checked goes to a goroutine of its own (passSink),
 	// started before the load: the checker loads beside the solver and
 	// takes each step of the pass while the pass makes the next.
+	// A one-cube run's checker has no prefix to take: it loads the
+	// formula here, before the formula goes.
 	var sink *passSink
-	if !own && t.opts.CertifyUnsat && t.checker == nil {
-		sink = startPassSink(t.f, t.opts.KeepProofs)
+	switch {
+	case t.checker != nil || !t.opts.CertifyUnsat:
+	case own:
+		t.checker = sat.NewProofChecker(f)
+	default:
+		sink = startPassSink(f, t.opts.KeepProofs)
 		defer sink.wait(true) // a panic too ends it
 	}
-	s = loadTemplate(t.f, &t.opts)
+	s = loadTemplate(f, &t.opts)
 	t.built = TemplateResult{ClausesIn: s.NumClauses(), VarsIn: s.NumVars()}
 	whole := true
 	if !own {
@@ -240,14 +257,13 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	if t.held && !own && whole {
 		t.solver = s
 	}
-	if whole && !t.opts.CertifyUnsat && !t.opts.KeepProofs {
-		// Nothing reads the formula from here on: no checker is loaded from
-		// it, no prefix joined to a kept proof, no pass cut short to make
-		// again. A caller that still does (Simulate, resume's re-derivation
-		// of a journaled counterexample) read it before the build.
-		t.vars, t.f = t.f.NumVars, nil
-	}
-	return s, own, true
+	// The solver and the checker have loaded the formula: it goes. Those
+	// that read it later — a build after a pass cut short or a Drop,
+	// Simulate's winner, resume's re-derivation of a journaled
+	// counterexample, the coordinator's check of a model against every
+	// clause — have it derived again (Formula).
+	t.f = nil
+	return s, own, true, nil
 }
 
 // passSink is where a template build whose log is checked sends it: the
@@ -278,9 +294,7 @@ type passSink struct {
 	checker *sat.ProofChecker
 	derr    error
 	keep    bool
-	kept    *sat.Proof
-	slab    []cnf.Lit // what kept's clauses are carved from
-	idSlab  []uint32  // and its chains
+	kept    *sat.FlatLog
 }
 
 // A batch is about a millisecond of the checker's work. Each channel
@@ -305,7 +319,7 @@ func startPassSink(f *cnf.Formula, keep bool) *passSink {
 		batch: make([]uint32, 0, sinkBatch),
 		done:  make(chan struct{}),
 		keep:  keep,
-		kept:  &sat.Proof{},
+		kept:  &sat.FlatLog{},
 	}
 	derived := make(chan []uint32, sinkDepth)
 	go p.derive(f, derived)
@@ -335,7 +349,7 @@ func (p *passSink) record(in <-chan []uint32) {
 	defer close(p.done)
 	for b := range in {
 		if p.keep {
-			eachStep(b, p.keepStep)
+			eachStep(b, p.kept.Step)
 		}
 		select {
 		case p.free <- b[:0]:
@@ -369,30 +383,6 @@ func (p *passSink) step(deleted bool, clause, ids []uint32) {
 		head |= 1
 	}
 	p.batch = append(append(append(p.batch, head, uint32(len(ids))), clause...), ids...)
-}
-
-// keepStep appends a step to the kept log, the clause and the chain
-// carved from slabs as the solver carves its own.
-func (p *passSink) keepStep(deleted bool, clause, ids []uint32) {
-	if cap(p.slab)-len(p.slab) < len(clause) {
-		p.slab = make([]cnf.Lit, 0, max(len(clause), 4096))
-	}
-	start := len(p.slab)
-	for _, l := range clause {
-		p.slab = append(p.slab, cnf.Lit(l))
-	}
-	c := cnf.Clause(p.slab[start:len(p.slab):len(p.slab)])
-	if deleted {
-		p.kept.Deletes = append(p.kept.Deletes, sat.Deletion{At: len(p.kept.Lemmas), ID: ids[0], Clause: c})
-		return
-	}
-	if cap(p.idSlab)-len(p.idSlab) < len(ids) {
-		p.idSlab = make([]uint32, 0, max(len(ids), 4096))
-	}
-	start = len(p.idSlab)
-	p.idSlab = append(p.idSlab, ids...)
-	p.kept.Lemmas = append(p.kept.Lemmas, c)
-	p.kept.Chains = append(p.kept.Chains, p.idSlab[start:len(p.idSlab):len(p.idSlab)])
 }
 
 // wait hands the last batch over and waits for the pipeline to have
@@ -475,9 +465,7 @@ func (t *Template) Restore(data []byte) error {
 	start := time.Now()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.f != nil {
-		t.vars, t.f = t.f.NumVars, nil // the formula goes before the solver comes
-	}
+	t.f, t.again = nil, nil // the formula goes before the solver comes
 	s, err := sat.Restore(data, t.opts.solverOptions())
 	if err != nil {
 		return fmt.Errorf("parallel: template: %w", err)
@@ -494,63 +482,75 @@ func (t *Template) Restore(data []byte) error {
 	return nil
 }
 
-// Check checks tail, the log of a clone of the template (of the template
-// itself, for a run's only cube), as a refutation of the formula under
-// assume on the run's one proof checker: the formula extended by what the
-// template logged before the clone, as the build logged it (get). Checks
-// take turns behind the template's lock; each reports the checker's work
-// since the last, derivation included.
-func (t *Template) Check(assume []cnf.Lit, tail *sat.Proof) (work sat.ProofCheckerStats, err error) {
+// Check checks tail, the flat log (sat.Solver.FlatProof) of a clone of
+// the template (of the template itself, for a run's only cube), as a
+// refutation of the formula under assume on the run's one proof checker:
+// the formula extended by what the template logged before the clone, as
+// the build logged it (get), or for a run's only cube the formula alone.
+// Checks take turns behind the template's lock; each reports the
+// checker's work since the last, derivation included.
+func (t *Template) Check(assume []cnf.Lit, tail []byte) (work sat.ProofCheckerStats, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.checker == nil {
-		// Only a template that has no prefix — one made or built for one
-		// cube — has no checker from its build: it loads the formula alone.
-		if t.f == nil || !t.own && !t.single(t.n) {
-			return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or restored")
-		}
-		t.checker = sat.NewProofChecker(t.f)
+		return work, errors.New("parallel: template: no proof checker: not built, built without CertifyUnsat or cut short, or restored")
 	}
 	if t.derr != nil {
 		return work, fmt.Errorf("parallel: template: its own prefix does not check: %w", t.derr)
 	}
-	err = t.checker.Check(assume, tail)
+	err = t.checker.CheckFlat(assume, tail)
 	work, t.reported = t.checker.Stats().Since(t.reported), t.checker.Stats()
 	return work, err
 }
 
 // build is get outside a run.
 func (t *Template) build(ctx context.Context) (*sat.Solver, error) {
-	s, _, _ := t.get(t.n, func(s *sat.Solver) func() {
+	s, _, _, err := t.get(t.n, func(s *sat.Solver) func() {
 		stop := context.AfterFunc(ctx, s.Interrupt)
 		return func() { stop() }
 	})
 	switch {
-	case s == nil:
-		return nil, errSpent
+	case err != nil:
+		return nil, err
 	case s.Interrupted():
 		return nil, fmt.Errorf("parallel: template: %w", context.Cause(ctx))
 	}
 	return s, nil
 }
 
-var errSpent = errors.New("parallel: template: holds no solver and no formula to build one from (restored, or the formula let go): restore it again")
+var errSpent = errors.New("parallel: template: holds no solver and no formula to build one from (restored): restore it again")
 
-// formula is the run's formula, nil once Restore has let it go: read
-// when it is needed, not held, so that it can go.
-func (t *Template) formula() *cnf.Formula {
+// Formula returns the run's formula: the one the template was prepared
+// with, until its solver and the run's checker have loaded it, and from
+// then on the one Prepare's again derives, for a reader that needs every
+// clause after the build. It is read when it is needed, not held, so
+// that it can go. A restored template has none: errSpent.
+func (t *Template) Formula() (*cnf.Formula, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.f
+	return t.formulaLocked()
+}
+
+func (t *Template) formulaLocked() (*cnf.Formula, error) {
+	switch {
+	case t.f != nil:
+		return t.f, nil
+	case t.again == nil:
+		return nil, errSpent
+	}
+	f, err := t.again()
+	if err != nil {
+		return nil, fmt.Errorf("parallel: template: the run's formula: %w", err)
+	}
+	return f, nil
 }
 
 // Ready reports that the template holds its solver or what it takes to
-// build one: false for a template whose formula is gone (see get) used
-// up or Dropped.
+// build one: false for a restored template used up or Dropped.
 func (t *Template) Ready() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.solver != nil || t.f != nil
+	return t.solver != nil || t.f != nil || t.again != nil
 }
 
 // Drop lets go of the solver and its log; the next call builds it again
@@ -570,7 +570,8 @@ func (r *runner) buildTemplate() {
 		return // no cube will run
 	}
 	var fresh bool
-	r.template, r.own, fresh = r.tpl.get(queued, func(s *sat.Solver) func() {
+	var err error
+	r.template, r.own, fresh, err = r.tpl.get(queued, func(s *sat.Solver) func() {
 		rc := &cubeRun{}
 		r.register(rc, s)
 		return func() {
@@ -579,8 +580,8 @@ func (r *runner) buildTemplate() {
 			r.mu.Unlock()
 		}
 	})
-	if r.template == nil {
-		r.fail(errSpent)
+	if err != nil {
+		r.fail(err)
 		return
 	}
 	r.tpl.mu.Lock()

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -264,7 +265,7 @@ func TestCancelDuringTemplate(t *testing.T) {
 	// template keeps neither the solver nor the checker.
 	goroutines := runtime.NumGoroutine()
 	opts := Options{Workers: 2, CertifyUnsat: true}
-	held := Prepare(f, parts, opts)
+	held := Prepare(f, nil, parts, opts)
 	ctx, cancel = context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if res, err = held.Solve(ctx, parts, opts); err != nil || res.Status != sat.Unknown {
@@ -331,7 +332,7 @@ func TestTemplateProofsAndModels(t *testing.T) {
 	for _, cell := range cells {
 		t.Run(cell.name, func(t *testing.T) {
 			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
-			held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
+			held := Prepare(f, nil, parts, Options{CertifyUnsat: true, KeepProofs: true})
 			tpl, err := held.build(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -359,7 +360,7 @@ func TestTemplateProofsAndModels(t *testing.T) {
 							t.Fatalf("partition %d: prefix ++ tail rejected against the encoding: %v", pt.Index, err)
 						}
 					}
-					if _, err := held.Check(pt.Assumptions, tail); err != nil {
+					if _, err := held.Check(pt.Assumptions, c.FlatProof()); err != nil {
 						t.Fatalf("partition %d: tail rejected on the template's checker: %v", pt.Index, err)
 					}
 				case sat.Sat:
@@ -414,7 +415,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 		t.Run(cell.name, func(t *testing.T) {
 			ctx := context.Background()
 			f, parts := encodeCell(t, cell.p, cell.u, cell.c, cell.parts)
-			held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
+			held := Prepare(f, nil, parts, Options{CertifyUnsat: true, KeepProofs: true})
 			tpl, err := held.build(ctx)
 			if err != nil {
 				t.Fatal(err)
@@ -430,7 +431,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 			if err := after.Extend(prefix); err != nil {
 				t.Fatal(err)
 			}
-			checking := Prepare(f, parts, Options{CertifyUnsat: true})
+			checking := Prepare(f, nil, parts, Options{CertifyUnsat: true})
 			if kept, err := checking.Prefix(ctx); err != nil || len(kept.Lemmas)+len(kept.Deletes) != 0 {
 				t.Fatalf("a template that keeps no proofs kept %v, %v of its log", kept, err)
 			}
@@ -450,12 +451,12 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 				}
 				for _, p := range []*sat.Proof{tail, lie} {
 					want := after.Check(pt.Assumptions, p)
-					got, err := held.Check(pt.Assumptions, p)
+					got, err := held.Check(pt.Assumptions, sat.AppendFlat(nil, p))
 					work.Add(got)
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
 						t.Errorf("partition %d: derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
 					}
-					got, err = checking.Check(pt.Assumptions, p)
+					got, err = checking.Check(pt.Assumptions, sat.AppendFlat(nil, p))
 					checkingWork.Add(got)
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
 						t.Errorf("partition %d: not keeping its log, derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
@@ -486,7 +487,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 	for _, memMB := range []int64{0, 4} {
 		t.Run(fmt.Sprintf("mem=%d", memMB), func(t *testing.T) {
 			opts := Options{Workers: 2, KeepProofs: true, Budget: journal.Budget{MemMB: memMB}}
-			built := Prepare(f, parts, Options{Workers: 2, CertifyUnsat: true, Budget: opts.Budget})
+			built := Prepare(f, nil, parts, Options{Workers: 2, CertifyUnsat: true, Budget: opts.Budget})
 			data, err := built.Snapshot(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -500,12 +501,12 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 			if err != nil || want.Status != sat.Unsat {
 				t.Fatalf("built: %v, %v", want, err)
 			}
-			restored := Prepare(f, parts, opts)
+			restored := Prepare(f, nil, parts, opts)
 			if err := restored.Restore(data); err != nil {
 				t.Fatal(err)
 			}
-			if restored.formula() != nil {
-				t.Fatal("the restored template kept its formula")
+			if _, err := restored.Formula(); !errors.Is(err, errSpent) {
+				t.Fatalf("the restored template has a formula: %v", err)
 			}
 			res, err := restored.Solve(context.Background(), parts, opts)
 			if err != nil || res.Status != sat.Unsat || res.Template.Time != 0 {
@@ -515,14 +516,14 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 				if got, w := scheduleFreeOf(inst.Stats), scheduleFreeOf(want.Instances[i].Stats); got != w {
 					t.Errorf("partition %d: %+v, built %+v", inst.Partition, got, w)
 				}
-				if _, err := built.Check(parts[i].Assumptions, inst.Proof); err != nil {
+				if _, err := built.Check(parts[i].Assumptions, inst.Tail); err != nil {
 					t.Errorf("partition %d: its tail does not check on the builder's checker: %v", inst.Partition, err)
 				}
 			}
 		})
 	}
 
-	single := Prepare(f, parts[2:3], Options{KeepProofs: true})
+	single := Prepare(f, nil, parts[2:3], Options{KeepProofs: true})
 	data, err := single.Snapshot(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +533,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
 		t.Fatal(err)
 	}
-	restored := Prepare(f, parts[2:3], Options{KeepProofs: true})
+	restored := Prepare(f, nil, parts[2:3], Options{KeepProofs: true})
 	for range 2 {
 		if err := restored.Restore(data); err != nil {
 			t.Fatal(err)
@@ -544,7 +545,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 		if got := res.Instances[0].Stats; got != cold.Stats() {
 			t.Fatalf("a restored run of one partition:\n%+v\nsat.NewFromFormula + Solve:\n%+v", got, cold.Stats())
 		}
-		if err := sat.CheckRUP(f, parts[2].Assumptions, res.Instances[0].Proof); err != nil {
+		if err := sat.CheckRUP(f, parts[2].Assumptions, tailOf(t, res.Instances[0])); err != nil {
 			t.Fatalf("its proof is not whole: %v", err)
 		}
 		if restored.Ready() {
@@ -575,7 +576,7 @@ func lemmaIndex(err error) int {
 // did, its derivation included.
 func TestTemplateCheckConcurrent(t *testing.T) {
 	f, parts := esCell(t)
-	held := Prepare(f, parts, Options{CertifyUnsat: true, KeepProofs: true})
+	held := Prepare(f, nil, parts, Options{CertifyUnsat: true, KeepProofs: true})
 	tpl, err := held.build(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -612,7 +613,7 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	var reported sat.ProofCheckerStats
 	check := func(c cube) error {
-		work, err := held.Check(c.assume, c.tail)
+		work, err := held.Check(c.assume, sat.AppendFlat(nil, c.tail))
 		mu.Lock()
 		reported.Add(work)
 		mu.Unlock()
@@ -663,7 +664,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 		t.Fatalf("%v, %v", whole, err)
 	}
 	opts := Options{Workers: 1, KeepProofs: true}
-	held := Prepare(f, parts, opts)
+	held := Prepare(f, nil, parts, opts)
 	if !held.Ready() {
 		t.Fatal("a template that has yet to be built is not ready to be")
 	}
@@ -676,7 +677,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 			t.Fatalf("partitions %d..%d: %v, %v", call[0].Index, call[len(call)-1].Index, res, err)
 		}
 		if restored == nil {
-			restored = Prepare(f, parts, opts)
+			restored = Prepare(f, nil, parts, opts)
 			data, err := held.Snapshot(context.Background())
 			if err != nil {
 				t.Fatal(err)
@@ -715,11 +716,12 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 			if scheduleFreeOf(alike.Instances[i].Stats) != scheduleFreeOf(inst.Stats) {
 				t.Errorf("partition %d: %+v on the restored template", inst.Partition, alike.Instances[i].Stats)
 			}
-			if inst.Proof == nil || checker.Check(call[i].Assumptions, inst.Proof) != nil {
-				t.Errorf("partition %d: its own log does not check on the template's: %v", inst.Partition, inst.Proof.NumLemmas())
+			tail := tailOf(t, inst)
+			if checker.Check(call[i].Assumptions, tail) != nil {
+				t.Errorf("partition %d: its own log does not check on the template's: %v", inst.Partition, tail.NumLemmas())
 			}
-			if sat.CheckRUP(f, call[i].Assumptions, inst.Proof) == nil && inst.Proof.NumLemmas() > 0 && inst.Stats.Conflicts > 50 {
-				t.Errorf("partition %d: a tail of %d lemmas checks without the prefix: is it one?", inst.Partition, inst.Proof.NumLemmas())
+			if sat.CheckRUP(f, call[i].Assumptions, tail) == nil && tail.NumLemmas() > 0 && inst.Stats.Conflicts > 50 {
+				t.Errorf("partition %d: a tail of %d lemmas checks without the prefix: is it one?", inst.Partition, tail.NumLemmas())
 			}
 		}
 	}
@@ -729,7 +731,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 
 	// One partition, nothing to split: the run's only cube is solved on a
 	// solver loaded for it, every time, and the prefix is empty.
-	single := Prepare(f, parts[2:3], opts)
+	single := Prepare(f, nil, parts[2:3], opts)
 	cold := sat.NewFromFormula(f, sat.Options{})
 	cold.EnableProof()
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
@@ -743,7 +745,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 		if got := res.Instances[0].Stats; got != cold.Stats() {
 			t.Fatalf("a run of one partition:\n%+v\nsat.NewFromFormula + Solve:\n%+v", got, cold.Stats())
 		}
-		if err := sat.CheckRUP(f, parts[2].Assumptions, res.Instances[0].Proof); err != nil {
+		if err := sat.CheckRUP(f, parts[2].Assumptions, tailOf(t, res.Instances[0])); err != nil {
 			t.Fatalf("its proof is not whole: %v", err)
 		}
 	}
@@ -752,62 +754,112 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	}
 }
 
-// A template lets its formula go once its solver has loaded it, unless
-// something still reads it: a run that checks or keeps proofs, or a
-// build cut short, which the next call makes again. What it let go it
-// no longer needs: a held template clones its cubes from the solver it
+// A template lets its formula go once its solver — and the run's
+// checker, when the run certifies — has loaded it, in every run: plain,
+// certified or keeping proofs, of many cubes or of one. Whoever reads it
+// after that gets it from Prepare's again, as does a build after a pass
+// cut short or a Drop; a restored template, which has no again, has
+// nothing to build from once its solver is used up. What it let go it no
+// longer needs: a held template clones its cubes from the solver it
 // keeps, and reports the variables the pass left them.
 func TestTemplateLetsTheFormulaGo(t *testing.T) {
 	f, parts := esCell(t)
-	plain := Prepare(f, parts, Options{Workers: 2})
-	for range 2 {
-		res, err := plain.Solve(context.Background(), parts, Options{Workers: 2})
-		if err != nil || res.Status != sat.Unsat {
-			t.Fatalf("%v, %v", res, err)
+	var derived atomic.Int32
+	again := func() (*cnf.Formula, error) {
+		derived.Add(1)
+		return f.Clone(), nil
+	}
+	holds := func(tpl *Template) bool {
+		tpl.mu.Lock()
+		defer tpl.mu.Unlock()
+		return tpl.f != nil
+	}
+	for _, opts := range []Options{{Workers: 2}, {Workers: 2, CertifyUnsat: true}, {Workers: 2, KeepProofs: true}} {
+		for _, cubes := range [][]partition.Partition{parts, parts[2:3]} {
+			tpl := Prepare(f, again, cubes, opts)
+			derived.Store(0)
+			for range 2 {
+				res, err := tpl.Solve(context.Background(), cubes, opts)
+				if err != nil || res.Status != sat.Unsat || (opts.CertifyUnsat && !res.Certified) {
+					t.Fatalf("%+v, %d cubes: %v, %v", opts, len(cubes), res, err)
+				}
+				if holds(tpl) || !tpl.Ready() {
+					t.Fatalf("%+v, %d cubes: after the build the template holds its formula (%v) or is not ready (%v)",
+						opts, len(cubes), holds(tpl), tpl.Ready())
+				}
+			}
+			// A run's only cube uses its solver up, and the second call
+			// builds another from the formula derived again.
+			want := int32(len(cubes) % 2)
+			if derived.Load() != want {
+				t.Fatalf("%+v, %d cubes: the formula was derived again %d times, want %d", opts, len(cubes), derived.Load(), want)
+			}
+			if got, err := tpl.Formula(); err != nil || got.NumClauses() != f.NumClauses() || derived.Load() != want+1 {
+				t.Fatalf("%+v, %d cubes: Formula after the build: %v, %d derivations", opts, len(cubes), err, derived.Load())
+			}
 		}
-		if plain.formula() != nil || !plain.Ready() {
-			t.Fatalf("after a whole build the template holds its formula (%v) or is not ready (%v)", plain.formula() != nil, plain.Ready())
-		}
+	}
+	plain := Prepare(f, again, parts, Options{Workers: 2})
+	if _, err := plain.Solve(context.Background(), parts, Options{Workers: 2}); err != nil {
+		t.Fatal(err)
 	}
 	tpl := plain.Result()
 	if tpl.VarsIn != f.NumVars || tpl.VarsOut != tpl.VarsIn-int(tpl.Stats.ElimVars) || tpl.VarsOut >= tpl.VarsIn/2 {
 		t.Fatalf("template of %d variables: %d -> %d, %d eliminated", f.NumVars, tpl.VarsIn, tpl.VarsOut, tpl.Stats.ElimVars)
 	}
 
-	for _, opts := range []Options{{Workers: 2, CertifyUnsat: true}, {Workers: 2, KeepProofs: true}} {
-		kept := Prepare(f, parts, opts)
-		if res, err := kept.Solve(context.Background(), parts, opts); err != nil || res.Status != sat.Unsat {
-			t.Fatalf("%+v: %v, %v", opts, res, err)
-		}
-		if kept.formula() == nil {
-			t.Fatalf("%+v: the template let the formula go", opts)
+	// A pass cut short: the next call builds again, from the formula
+	// derived again.
+	cut := Prepare(f, again, parts, Options{Workers: 2})
+	derived.Store(0)
+	if s, _, _, err := cut.get(len(parts), func(s *sat.Solver) func() { s.Interrupt(); return func() {} }); err != nil || s.Stats().ElimVars != 0 {
+		t.Fatalf("an interrupted pass: %v", err)
+	}
+	if holds(cut) {
+		t.Fatal("a template whose pass was cut short kept the formula")
+	}
+	if res, err := cut.Solve(context.Background(), parts, Options{Workers: 2}); err != nil || res.Status != sat.Unsat || res.Template.Time == 0 || derived.Load() != 1 {
+		t.Fatalf("after a pass cut short: %v, %v, %d derivations", res, err, derived.Load())
+	}
+
+	// A formula that cannot be derived again fails the build that needs
+	// it, and never builds from anything else.
+	refused := Prepare(f, func() (*cnf.Formula, error) { return nil, errors.New("digest mismatch") }, parts[2:3], Options{})
+	for i := range 2 {
+		if _, err := refused.Solve(context.Background(), parts[2:3], Options{}); (i == 1) != (err != nil) {
+			t.Fatalf("call %d on a template whose formula cannot be derived again: %v", i, err)
 		}
 	}
 
-	// A run's only cube uses its solver up: the formula gone, there is
-	// nothing to build another from.
-	single := Prepare(f, parts[2:3], Options{})
+	// A restored template has no formula, and nothing to build from once
+	// its only cube has used its solver up.
+	data, err := Prepare(f, nil, parts[2:3], Options{}).Snapshot(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := Restored(data, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res, err := single.Solve(context.Background(), parts[2:3], Options{}); err != nil || res.Status != sat.Unsat {
 		t.Fatalf("one cube: %v, %v", res, err)
 	}
-	if single.formula() != nil || single.Ready() {
-		t.Fatal("a template whose only cube used its solver up kept the formula")
+	if single.Ready() {
+		t.Fatal("a restored template whose only cube used its solver up is ready")
 	}
 	if _, err := single.Solve(context.Background(), parts[2:3], Options{}); !errors.Is(err, errSpent) {
 		t.Fatalf("a second call on a spent template: %v", err)
 	}
+}
 
-	// A pass cut short: the next call builds again, from the formula.
-	cut := Prepare(f, parts, Options{Workers: 2})
-	if s, _, _ := cut.get(len(parts), func(s *sat.Solver) func() { s.Interrupt(); return func() {} }); s == nil || s.Stats().ElimVars != 0 {
-		t.Fatalf("an interrupted pass eliminated %d variables", s.Stats().ElimVars)
+// tailOf is the kept proof of a held template's cube, taken apart.
+func tailOf(t *testing.T, inst InstanceResult) *sat.Proof {
+	t.Helper()
+	p, err := sat.ParseFlat(inst.Tail)
+	if err != nil || inst.Tail == nil {
+		t.Fatalf("partition %d: kept tail %d bytes: %v", inst.Partition, len(inst.Tail), err)
 	}
-	if cut.formula() == nil {
-		t.Fatal("a template whose pass was cut short let the formula go")
-	}
-	if res, err := cut.Solve(context.Background(), parts, Options{Workers: 2}); err != nil || res.Status != sat.Unsat || res.Template.Time == 0 {
-		t.Fatalf("after a pass cut short: %v, %v", res, err)
-	}
+	return p
 }
 
 // Honest chains never fall back: every lemma of a certified run of

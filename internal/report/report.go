@@ -470,7 +470,7 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 		last := rep.Snapshots[len(rep.Snapshots)-1]
 		fmt.Fprintf(w, "\nMetrics snapshots: %d (last at %d ms, %d series lines)\n",
 			len(rep.Snapshots), last.AtMillis, strings.Count(last.Metrics, "\n"))
-		renderPropagationRates(w, last.Metrics)
+		renderCheckRates(w, last.Metrics)
 	}
 
 	if len(rep.Profiles) > 0 {
@@ -481,20 +481,23 @@ func Render(w io.Writer, rep *Report, extraSpans ...[]obs.Event) {
 	}
 }
 
-// renderPropagationRates sets the coordinator's proof checkers beside
-// the workers' solvers, in propagations per second of their own busy
-// time, from the counters of a distributed run's last snapshot: whether
-// certifying a verdict runs at the speed of finding it.
-func renderPropagationRates(w io.Writer, metrics string) {
-	rate := func(what, props, seconds string) {
-		n, _ := sampleValue(metrics, props)
+// renderCheckRates sets the coordinator's proof checkers beside the
+// workers' solvers, each in its own work per second of its own busy time,
+// from the counters of a distributed run's last snapshot: whether
+// certifying a verdict keeps up with finding it. A solver's work is
+// propagations; a checker's is lemmas and the chain clauses it walks to
+// refute them, for a lemma refuted along its chain propagates nothing.
+func renderCheckRates(w io.Writer, metrics string) {
+	rate := func(what, unit, count, seconds string) {
+		n, _ := sampleValue(metrics, count)
 		secs, _ := sampleValue(metrics, seconds)
 		if n > 0 && secs > 0 {
-			fmt.Fprintf(w, "  %s: %.1f M propagations/s (%.0f in %.2f s)\n", what, n/secs/1e6, n, secs)
+			fmt.Fprintf(w, "  %s: %.1f M %s/s (%.0f in %.2f s)\n", what, n/secs/1e6, unit, n, secs)
 		}
 	}
-	rate("workers' solvers", "parbmc_remote_propagations_total", "parbmc_coordinator_job_solve_seconds_sum")
-	rate("coordinator's proof checkers", "parbmc_coordinator_certify_propagations_total", "parbmc_coordinator_certify_seconds_sum")
+	rate("workers' solvers", "propagations", "parbmc_remote_propagations_total", "parbmc_coordinator_job_solve_seconds_sum")
+	rate("coordinator's proof checkers", "lemmas", "parbmc_coordinator_certify_lemmas_total", "parbmc_coordinator_certify_seconds_sum")
+	rate("coordinator's proof checkers", "chain clauses", "parbmc_coordinator_certify_chain_clauses_total", "parbmc_coordinator_certify_seconds_sum")
 }
 
 // sampleValue finds the unlabelled series name in a Prometheus text

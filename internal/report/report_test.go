@@ -113,11 +113,15 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 
 	reg := obs.NewRegistry()
 	reg.Gauge("parbmc_test_gauge", "help").Set(7)
-	// What a certifying coordinator exports: the workers' search and its
-	// own proof checking, each as a propagation count and a busy time.
+	// What a certifying coordinator exports: the workers' search as a
+	// propagation count, its own proof checking as lemmas and chain
+	// clauses walked — its propagations are the root's and the
+	// fallbacks', no rate — each with a busy time.
 	reg.Counter("parbmc_remote_propagations_total", "help").Add(30e6)
 	reg.Histogram("parbmc_coordinator_job_solve_seconds", "help", nil).Observe(1.5)
-	reg.Counter("parbmc_coordinator_certify_propagations_total", "help").Add(24e6)
+	reg.Counter("parbmc_coordinator_certify_propagations_total", "help").Add(24e3)
+	reg.Counter("parbmc_coordinator_certify_lemmas_total", "help").Add(1.5e6)
+	reg.Counter("parbmc_coordinator_certify_chain_clauses_total", "help").Add(6e6)
 	reg.Histogram("parbmc_coordinator_certify_seconds", "help", nil).Observe(0.75)
 	reg.Histogram("parbmc_coordinator_certify_seconds", "help", nil).Observe(0.25)
 	r.Snapshot(reg)
@@ -171,11 +175,15 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 		"Slowest spans:",
 		"Metrics snapshots: 1",
 		"workers' solvers: 20.0 M propagations/s (30000000 in 1.50 s)",
-		"coordinator's proof checkers: 24.0 M propagations/s (24000000 in 1.00 s)",
+		"coordinator's proof checkers: 1.5 M lemmas/s (1500000 in 1.00 s)",
+		"coordinator's proof checkers: 6.0 M chain clauses/s (6000000 in 1.00 s)",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("render missing %q:\n%s", want, text)
 		}
+	}
+	if strings.Contains(text, "coordinator's proof checkers: 0.0 M propagations/s") || strings.Count(text, "propagations/s") != 1 {
+		t.Fatalf("render sets the checkers' propagations beside the solvers':\n%s", text)
 	}
 }
 

@@ -83,7 +83,7 @@ func (s *Solver) Clone() *Solver {
 		backing = backing[n:]
 	}
 	if s.proof != nil {
-		c.proof = &Proof{}
+		c.KeepProof(&FlatLog{})
 	}
 	return c
 }

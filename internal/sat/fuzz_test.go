@@ -399,6 +399,18 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 		if got := reused.Check(assumptions, chained); errText(got) != errText(fresh) {
 			t.Fatalf("reused checker, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
 		}
+		// Off its flat form, a step at a time: the same answer, unless
+		// the form is one ParseFlat refuses too (more memory as a Proof
+		// than sixteen bytes a byte), which the step reader refuses.
+		flat := AppendFlat(nil, chained)
+		got := reused.CheckFlat(assumptions, flat)
+		if _, err := ParseFlat(flat); err != nil {
+			if got == nil {
+				t.Fatalf("step reader, the proof %s: accepted a form ParseFlat refuses: %v", name, err)
+			}
+		} else if errText(got) != errText(fresh) {
+			t.Fatalf("step reader, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
+		}
 	}
 	if fresh != nil && referenceCheckRUP(f, assumptions, p) == nil {
 		t.Fatalf("the reference engine accepts what the checker rejects: %v", fresh)
@@ -562,6 +574,13 @@ func FuzzCheckRUP(f *testing.F) {
 		// one simplified before it began, whose log deletes what the pass
 		// removed.
 		simplified, simplifiedSt := solveSimplified(t, formula, assumptions, opts)
+		// A solver keeps its log flat, byte for byte the flat form of the
+		// proof it logged.
+		for _, logged := range []*Solver{s, simplified} {
+			if flat := logged.FlatProof(); !bytes.Equal(flat, AppendFlat(nil, logged.ProofLog())) {
+				t.Fatalf("the flat log of %d bytes is not the flat form of the proof logged", len(flat))
+			}
+		}
 		if solved == Unsat {
 			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved, data); err != nil {
 				t.Fatalf("the solver's refutation rejected: %v", err)

@@ -73,29 +73,31 @@ type Deletion struct {
 const noID = ^uint32(0)
 
 // EnableProof turns on proof recording; must be called before Solve.
+// The solver keeps its log flat (FlatProof).
 func (s *Solver) EnableProof() {
 	s.nameClauses()
-	s.proof, s.proofStep = &Proof{}, nil
+	s.KeepProof(&FlatLog{})
 }
 
 // StreamProof turns on proof recording like EnableProof, but hands each
 // step to step as the solver logs it — a lemma with its chain, or with
 // deleted set a clause it dropped with its ID alone, the literals in
 // cnf.Lit's encoding and both slices valid for the length of the call —
-// instead of keeping it: ProofLog stays empty. For a solver whose log is
+// instead of keeping it: the log stays empty. For a solver whose log is
 // tens of thousands of steps that its holder wants checked and not
 // stored (a template's). Its clones keep their own logs as any clone
 // does.
 func (s *Solver) StreamProof(step func(deleted bool, clause, ids []uint32)) {
 	s.nameClauses()
-	s.proof, s.proofStep = &Proof{}, step
+	s.proof, s.proofStep = &FlatLog{}, step
 }
 
-// KeepProof ends a StreamProof: from here on the solver logs to p, and
+// KeepProof ends a StreamProof: from here on the solver logs to log, and
 // keeps it, as under EnableProof — for a holder that kept what it was
-// handed so far in p and wants ProofLog to be the whole log again.
-func (s *Solver) KeepProof(p *Proof) {
-	s.proof, s.proofStep = p, nil
+// handed so far in log and wants the solver's log to be the whole log
+// again.
+func (s *Solver) KeepProof(log *FlatLog) {
+	s.proof, s.proofStep = log, log.Step
 }
 
 // logLemma and logDelete record a clause the solver derived, through the
@@ -105,36 +107,13 @@ func (s *Solver) KeepProof(p *Proof) {
 // checker holds the formula.
 func (s *Solver) logLemma(lits []lit, chain []uint32) uint32 {
 	id := s.takeID()
-	if s.proofStep != nil {
-		s.proofStep(false, s.extLits(lits), chain)
-		return id
-	}
-	s.proof.Lemmas = append(s.proof.Lemmas, s.lemma(lits))
-	s.proof.Chains = append(s.proof.Chains, s.keepChain(chain))
+	s.proofStep(false, s.extLits(lits), chain)
 	return id
 }
 
-// keepChain copies a chain for the proof log, carved like a lemma from
-// a slab that is replaced when full.
-func (s *Solver) keepChain(chain []uint32) []uint32 {
-	if len(chain) == 0 {
-		return nil
-	}
-	if cap(s.chainSlab)-len(s.chainSlab) < len(chain) {
-		s.chainSlab = make([]uint32, 0, max(len(chain), 1<<14))
-	}
-	start := len(s.chainSlab)
-	s.chainSlab = append(s.chainSlab, chain...)
-	return s.chainSlab[start:len(s.chainSlab):len(s.chainSlab)]
-}
-
 func (s *Solver) logDelete(lits []lit, id uint32) {
-	if s.proofStep != nil {
-		s.delID[0] = id
-		s.proofStep(true, s.extLits(lits), s.delID[:])
-		return
-	}
-	s.proof.Deletes = append(s.proof.Deletes, Deletion{At: len(s.proof.Lemmas), ID: id, Clause: s.lemma(lits)})
+	s.delID[0] = id
+	s.proofStep(true, s.extLits(lits), s.delID[:])
 }
 
 // JoinProofs returns the proof that logs prefix and then tail: what a
@@ -172,9 +151,28 @@ func JoinProofs(prefix, tail *Proof) *Proof {
 	return p
 }
 
+// FlatProof returns the recorded proof in its flat form (AppendFlat), nil
+// unless proof logging is on: what a tail is checked (CheckFlat) and
+// shipped as.
+func (s *Solver) FlatProof() []byte {
+	if s.proof == nil {
+		return nil
+	}
+	return s.proof.AppendTo(nil)
+}
+
 // ProofLog returns the recorded proof (nil unless EnableProof was
-// called).
-func (s *Solver) ProofLog() *Proof { return s.proof }
+// called), taken apart from the flat log the solver keeps.
+func (s *Solver) ProofLog() *Proof {
+	if s.proof == nil {
+		return nil
+	}
+	p, err := ParseFlat(s.FlatProof())
+	if err != nil {
+		panic("sat: the solver's own proof log does not parse: " + err.Error())
+	}
+	return p
+}
 
 // CheckRUP verifies the proof against the original formula and the
 // assumption literals under which UNSAT was reported. It checks that
@@ -250,6 +248,7 @@ type ProofChecker struct {
 	stepErr     error
 	stepRefuted bool
 	stepBuf     cnf.Clause
+	chainBuf    []uint32 // a chain CheckFlat read
 
 	addBuf []lit // the clause add or remove is normalising
 	stats  ProofCheckerStats
@@ -262,10 +261,14 @@ const (
 
 // ProofCheckerStats counts a checker's work since it was built.
 type ProofCheckerStats struct {
-	Lemmas       int64 // lemmas put to the RUP test
-	Propagations int64 // literals propagated through their watch lists, loading the formula included
+	Lemmas int64 // lemmas put to the RUP test
+	// Propagations are the literals propagated through their watch lists:
+	// loading the formula, the root, and the lemmas that fell back. A
+	// lemma refuted along its chain propagates none.
+	Propagations int64
 	Hinted       int64 // lemmas refuted along their chain
 	Fallbacks    int64 // lemmas with a chain that took the full test all the same
+	ChainClauses int64 // chain IDs walked
 }
 
 // Add accumulates o into s.
@@ -274,12 +277,14 @@ func (s *ProofCheckerStats) Add(o ProofCheckerStats) {
 	s.Propagations += o.Propagations
 	s.Hinted += o.Hinted
 	s.Fallbacks += o.Fallbacks
+	s.ChainClauses += o.ChainClauses
 }
 
 // Since returns what a checker whose counters are s has done since they
 // were o.
 func (s ProofCheckerStats) Since(o ProofCheckerStats) ProofCheckerStats {
-	return ProofCheckerStats{s.Lemmas - o.Lemmas, s.Propagations - o.Propagations, s.Hinted - o.Hinted, s.Fallbacks - o.Fallbacks}
+	return ProofCheckerStats{s.Lemmas - o.Lemmas, s.Propagations - o.Propagations, s.Hinted - o.Hinted,
+		s.Fallbacks - o.Fallbacks, s.ChainClauses - o.ChainClauses}
 }
 
 // NewProofChecker loads f and propagates its units to a fixpoint. A
@@ -339,6 +344,29 @@ func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 // under the assumptions and leaves the checker as NewProofChecker built
 // it, or the last Extend left it, whatever the answer.
 func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
+	if p == nil {
+		p = &Proof{}
+	}
+	return c.check(assumptions, len(p.Lemmas), func() (bool, error) { return c.derive(p) })
+}
+
+// CheckFlat is Check for a proof in its flat form (AppendFlat), which may
+// be anyone's: it checks the form first, as ParseFlat does, and refuses
+// what ParseFlat would, and then checks the proof straight off the bytes,
+// a step at a time, as Check would the proof ParseFlat returns — holding
+// no Proof, and allocating nothing but what the lemmas add to the
+// checker's arena.
+func (c *ProofChecker) CheckFlat(assumptions []cnf.Lit, flat []byte) error {
+	v, err := scanFlat(flat)
+	if err != nil {
+		return err
+	}
+	return c.check(assumptions, v.nl, func() (bool, error) { return c.deriveFlat(v) })
+}
+
+// check is Check's frame around derive, the proof's lemmas: the
+// assumptions, and the empty clause at the end.
+func (c *ProofChecker) check(assumptions []cnf.Lit, lemmas int, derive func() (bool, error)) error {
 	if c.refuted {
 		return nil
 	}
@@ -360,13 +388,10 @@ func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
 	if !c.extendRoot() {
 		return nil
 	}
-	if p == nil {
-		p = &Proof{}
-	}
-	if refuted, err := c.derive(p); err != nil || refuted {
+	if refuted, err := derive(); err != nil || refuted {
 		return err
 	}
-	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", len(p.Lemmas))
+	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", lemmas)
 }
 
 // Extend checks p (nil: no lemmas) under no assumptions and, if every
@@ -475,6 +500,48 @@ func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
 	}
 	for _, d := range dels {
 		c.remove(d.Clause, d.ID)
+	}
+	return false, nil
+}
+
+// deriveFlat is derive for a flat proof scanFlat has checked: the same
+// steps in the same order (Proof.steps), read off the bytes into buffers
+// the checker reuses.
+func (c *ProofChecker) deriveFlat(v flatView) (refuted bool, err error) {
+	lemmas, dels, chains := flatReader{data: v.lemmas}, flatReader{data: v.dels}, flatReader{data: v.chains}
+	left, at := v.nd, 0 // deletions to take, and the At of the next
+	if left > 0 {
+		at = int(dels.uvarint())
+	}
+	remove := func() {
+		id := uint32(dels.uvarint())
+		c.stepBuf = dels.clause(c.stepBuf[:0])
+		c.remove(c.stepBuf, id)
+		if left--; left > 0 {
+			at = int(dels.uvarint())
+		}
+	}
+	for i := range v.nl {
+		for left > 0 && at <= i {
+			remove()
+		}
+		lemma := lemmas.clause(c.stepBuf[:0])
+		c.stepBuf = lemma
+		var chain []uint32
+		if i < v.nc {
+			c.chainBuf = chains.chain(c.chainBuf[:0])
+			chain = c.chainBuf
+		}
+		refuted, ok := c.deriveLemma(lemma, chain)
+		if !ok {
+			return false, fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", i+1, v.nl, lemma)
+		}
+		if refuted {
+			return true, nil
+		}
+	}
+	for left > 0 {
+		remove()
 	}
 	return false, nil
 }
@@ -627,7 +694,7 @@ func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
 func (c *ProofChecker) walk(chain []uint32) bool {
 	arena, vals := c.arena, c.vals
 next:
-	for _, id := range chain {
+	for i, id := range chain {
 		if uint64(id) >= uint64(len(c.byID)) {
 			continue
 		}
@@ -648,10 +715,12 @@ next:
 			}
 		}
 		if open == litUndef {
+			c.stats.ChainClauses += int64(i + 1)
 			return true
 		}
 		c.assign(open)
 	}
+	c.stats.ChainClauses += int64(len(chain))
 	return false
 }
 

@@ -439,22 +439,21 @@ type Solver struct {
 	minStack  []lit    // litRedundant's work list
 	lbdStamp  []uint32 // per decision level: lbdEpoch of the last computeLBD that met it
 	lbdEpoch  uint32
-	addBuf    []lit     // the clause addClause is normalising
-	extBuf    []lit     // a clause extLits translated
-	lemmaSlab []cnf.Lit // backing store the proof's lemmas are carved from
-	chain     []uint32  // with proof logging on: the antecedent chain of the clause analyze built
-	resolved  []uint32  // analyze's reasons at the conflict level, the conflict clause first
+	addBuf    []lit    // the clause addClause is normalising
+	extBuf    []lit    // a clause extLits translated
+	chain     []uint32 // with proof logging on: the antecedent chain of the clause analyze built
+	resolved  []uint32 // analyze's reasons at the conflict level, the conflict clause first
 	dfs       []dfsFrame
-	chainSlab []uint32  // backing store the proof's chains are carved from
-	delID     [1]uint32 // the ID a streamed deletion is handed with
+	delID     [1]uint32 // the ID a deletion is logged with
 
 	model []int8 // last satisfying assignment (per variable)
 
 	stats Stats
 	graph *DecisionGraph
-	// proof is not nil with proof logging on: the log, unless proofStep
-	// takes the steps instead (StreamProof) and it stays empty.
-	proof     *Proof
+	// proof is not nil with proof logging on: the log, which proofStep
+	// writes to unless it takes the steps instead (StreamProof) and the
+	// log stays empty.
+	proof     *FlatLog
 	proofStep func(deleted bool, clause, ids []uint32)
 
 	// peakBytes is the high-water mark of LiveBytes as of the last
@@ -1327,21 +1326,6 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 	s.attach(c)
 	s.bumpClause(c)
 	return c
-}
-
-// lemma converts a clause for the proof log, into the formula's
-// numbering. Lemmas are carved from a slab that is replaced, not grown,
-// when full, so recording allocates once per few thousand literals and
-// never moves a lemma already handed out.
-func (s *Solver) lemma(lits []lit) cnf.Clause {
-	if cap(s.lemmaSlab)-len(s.lemmaSlab) < len(lits) {
-		s.lemmaSlab = make([]cnf.Lit, 0, max(len(lits), 4096))
-	}
-	start := len(s.lemmaSlab)
-	for _, l := range lits {
-		s.lemmaSlab = append(s.lemmaSlab, s.extLit(l))
-	}
-	return s.lemmaSlab[start:len(s.lemmaSlab):len(s.lemmaSlab)]
 }
 
 func (s *Solver) reduceDB() {
