@@ -55,7 +55,7 @@ func TestCertifiedRunReleasesFormula(t *testing.T) {
 		if err != nil || again.NumClauses() != res.Clauses || again.NumVars != res.Vars {
 			t.Fatalf("%+v: the formula made again: %v", opts, err)
 		}
-		pr.digest[0] ^= 1
+		pr.digest ^= 1
 		if f, err := pr.template.Formula(); err == nil || f != nil {
 			t.Fatalf("%+v: a digest that does not match: %v", opts, err)
 		}
