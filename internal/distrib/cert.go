@@ -469,10 +469,15 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	if err != nil {
 		return work, err
 	}
+	// Every proof is one of the cube's, and is checked: a proof the
+	// decoder left unread is not let through unread.
 	proofs := make(map[int][]byte, len(cert.Proofs))
 	for _, pp := range cert.Proofs {
 		if _, dup := proofs[pp.Partition]; dup {
 			return work, fmt.Errorf("duplicate proof for partition %d", pp.Partition)
+		}
+		if pp.Partition < cube.From || pp.Partition > cube.To {
+			return work, fmt.Errorf("proof for partition %d outside cube %s", pp.Partition, cube.Key())
 		}
 		proofs[pp.Partition] = pp.Proof
 	}

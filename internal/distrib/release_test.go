@@ -60,6 +60,13 @@ func TestCertifiedRunReleasesFormula(t *testing.T) {
 			if _, err := v.verifySafe(cube, cert); err != nil {
 				t.Fatalf("partition %d: SAFE, and its tail does not check: %v", i, err)
 			}
+			// Bytes the checker would never read ride along with the honest
+			// proof: a proof outside the cube is refused, not passed over.
+			junk := *cert
+			junk.Proofs = append(slices.Clip(cert.Proofs), PartitionProof{Partition: i + 1, Proof: []byte("junk")})
+			if _, err := v.verifySafe(cube, &junk); err == nil {
+				t.Fatalf("partition %d: a certificate with a proof outside its cube was accepted", i)
+			}
 		case sat.Sat.String():
 			if err := v.verifyUnsafe(cube, reply.Winner, cert); err != nil {
 				t.Fatalf("partition %d: UNSAFE, and its model does not check: %v", i, err)
