@@ -550,7 +550,7 @@ func (t *Template) formulaLocked() (*cnf.Formula, error) {
 func (t *Template) Ready() bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.solver != nil || t.f != nil || t.again != nil
+	return t.solver != nil || t.again != nil
 }
 
 // Drop lets go of the solver and its log; the next call builds it again
