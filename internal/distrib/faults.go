@@ -75,14 +75,15 @@ const (
 	// configuration amounts to: honest proofs of honest verdicts, over a
 	// template that is not the coordinator's.
 	FaultOtherTemplate
-	// FaultHostileHints leaves the verdict and every proof as they are and
+	// FaultHostileHints leaves the verdict and every lemma as they are and
 	// replaces the antecedent chain (sat.Proof.Chains) of each lemma, in
-	// rotation, by none, its own reversed, its own cut to the first half,
-	// the IDs of the clauses the proof deletes and one no clause has, and
-	// the next lemma's: what a worker of another build, or one out to
-	// waste the coordinator's time, could send. It is the one Byzantine
-	// kind the coordinator must not refuse — a chain is advice, the proof
-	// is honest — and it shows as CertifyWork.Fallbacks.
+	// rotation, by its own reversed, its own cut to the first half, the
+	// IDs of the clauses the proof deletes and one no clause has, the next
+	// lemma's, and none: what a worker of another build, or one out to
+	// waste the coordinator's time, could send. The chain is the proof, so
+	// the coordinator refuses the certificate at the first lemma whose
+	// chain does not end in a false clause, having walked no more of the
+	// chains than the worker shipped.
 	FaultHostileHints
 )
 
@@ -295,14 +296,14 @@ func hostileHints(p *sat.Proof) *sat.Proof {
 			own = p.Chains[i]
 		}
 		switch i % 5 {
-		case 1:
+		case 0:
 			chains[i] = slices.Clone(own)
 			slices.Reverse(chains[i])
-		case 2:
+		case 1:
 			chains[i] = own[:len(own)/2]
-		case 3:
+		case 2:
 			chains[i] = deleted
-		case 4:
+		case 3:
 			if next := (i + 1) % len(chains); next < len(p.Chains) {
 				chains[i] = p.Chains[next]
 			}

@@ -96,19 +96,12 @@ func (m *coordMetrics) watch(sched *partition.Scheduler, tracker *chunkTracker, 
 			func() int64 { return int64(t.snapshot().Certified) }},
 		{reg.CounterFunc, "parbmc_coordinator_certificates_rejected_total", "Remote verdict certificates rejected (missing, malformed, oversized, or failed verification).",
 			func() int64 { return int64(t.snapshot().CertRejected) }},
-		// A lemma refuted along its chain propagates nothing: over
-		// certify_seconds' sum, lemmas and chain clauses are the checker's
-		// rates, and propagations only its root and fallback work.
-		{reg.CounterFunc, "parbmc_coordinator_certify_propagations_total", "Literals propagated by the coordinator's proof checkers while verifying SAFE certificates: the root's propagation and that of lemmas that fell back, none for a lemma refuted along its chain.",
-			func() int64 { return t.snapshot().CertifyWork.Propagations }},
+		// Over certify_seconds' sum, lemmas and chain clauses are the
+		// checker's rates: a lemma costs its chain and nothing else.
 		{reg.CounterFunc, "parbmc_coordinator_certify_lemmas_total", "Lemmas the coordinator's proof checkers put to the RUP test while verifying SAFE certificates.",
 			func() int64 { return t.snapshot().CertifyWork.Lemmas }},
 		{reg.CounterFunc, "parbmc_coordinator_certify_chain_clauses_total", "Antecedent-chain clause IDs the coordinator's proof checkers walked while verifying SAFE certificates.",
 			func() int64 { return t.snapshot().CertifyWork.ChainClauses }},
-		// Over the lemmas checked this is the share of the antecedent
-		// chains that did not spare the checker the full test.
-		{reg.CounterFunc, "parbmc_certify_hint_fallbacks_total", "Lemmas the coordinator's proof checker could not refute along their antecedent chain and put to the full RUP test.",
-			func() int64 { return t.snapshot().CertifyWork.Fallbacks }},
 		{reg.CounterFunc, "parbmc_remote_decisions_total", "Solver decisions aggregated from remote job results.",
 			func() int64 { return t.snapshot().RemoteStats.Decisions }},
 		{reg.CounterFunc, "parbmc_remote_conflicts_total", "Solver conflicts aggregated from remote job results.",

@@ -173,10 +173,8 @@ func TestMetricsAreViewsOfTheRun(t *testing.T) {
 	defer srv.Close()
 	got := parseExposition(t, scrape(t, srv.URL))
 	want := map[string]int64{
-		"parbmc_coordinator_certify_propagations_total":  res.CertifyWork.Propagations,
 		"parbmc_coordinator_certify_lemmas_total":        res.CertifyWork.Lemmas,
 		"parbmc_coordinator_certify_chain_clauses_total": res.CertifyWork.ChainClauses,
-		"parbmc_certify_hint_fallbacks_total":            res.CertifyWork.Fallbacks,
 		"parbmc_remote_decisions_total":                  res.RemoteStats.Decisions,
 		"parbmc_remote_conflicts_total":                  res.RemoteStats.Conflicts,
 		"parbmc_remote_propagations_total":               res.RemoteStats.Propagations,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -490,13 +491,10 @@ func TestCertificateRejectionNamesTheTemplate(t *testing.T) {
 // on every SAFE certificate, which byzantineScenarioOn insists on.
 func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 	t.Run("beyond the tail", func(t *testing.T) {
-		res := byzantineScenarioOn(t, bench.Eliminationstack(), esOpts(),
+		// The forged lemma kept the honest one's chain, which does not
+		// end false under it: the certificate is rejected there.
+		byzantineScenarioOn(t, bench.Eliminationstack(), esOpts(),
 			&FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultFlipLemma, Lemma: 1<<30 + 1}}}, core.Safe)
-		// The forged lemma kept the honest one's chain, so it went the way
-		// a liar's goes: not refuted along the chain, not refuted at all.
-		if res.CertifyWork.Fallbacks == 0 {
-			t.Fatalf("certify work %+v: the forged lemma never reached the full test", res.CertifyWork)
-		}
 	})
 	t.Run("empty tail", func(t *testing.T) {
 		// fib u=1 c=3 is refuted by the template's pass: no tail has a lemma.
@@ -508,59 +506,40 @@ func TestByzantineFlippedLemmaAlwaysFires(t *testing.T) {
 	})
 }
 
-// hintRun runs esOpts' cell to the end on one worker under plan and
-// returns the result with what /metrics says of the chains that failed.
-func hintRun(t *testing.T, plan *FaultPlan) (*CoordinatorResult, float64) {
-	t.Helper()
-	opts, reg := esOpts(), obs.NewRegistry()
-	opts.Metrics = reg
-	addr, resCh := startCoordinator(t, bench.Eliminationstack(), opts)
-	if _, err := runWorker(t, addr, "w0", plan, 0); err != nil {
-		t.Fatalf("worker: %v", err)
+// Hostile chains are a lie the coordinator refuses: the chain is the
+// proof, so a certificate whose lemmas are honest and whose chains are
+// not is rejected — along those chains, at the cost of no more chain IDs
+// than it shipped — its worker is marked untrusted, and an honest worker
+// finishes the cube with the verdict unchanged.
+func TestByzantineHostileHintsRejected(t *testing.T) {
+	p, opts := bench.Eliminationstack(), esOpts()
+	v, data := derivedVerifier(t, p, opts)
+	cube := partition.Cube{From: 2, To: 2}
+	honest := workerCertificate(t, v, opts, data, cube, nil)
+	if _, err := v.verifySafe(cube, honest); err != nil {
+		t.Fatalf("honest certificate: %v", err)
 	}
-	res := waitResult(t, resCh)
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	fallbacks, ok := metricValue(buf.String(), "parbmc_certify_hint_fallbacks_total")
-	if !ok {
-		t.Fatal("no parbmc_certify_hint_fallbacks_total on /metrics")
+	hostile := honest
+	mutateResult(&FaultEvent{Kind: FaultHostileHints}, nil, &Message{}, &hostile)
+	var shipped int64
+	for _, pp := range hostile.Proofs {
+		for _, c := range parsedProof(t, pp.Proof).Chains {
+			shipped += int64(len(c))
+		}
 	}
-	return res, fallbacks
-}
+	work, err := v.verifySafe(cube, hostile)
+	if err == nil || !strings.Contains(err.Error(), "not a RUP consequence") {
+		t.Fatalf("certificate with hostile chains: %v, want a lemma that does not check", err)
+	}
+	if work.Lemmas == 0 || work.ChainClauses > shipped {
+		t.Fatalf("hostile chains cost the checker %+v for %d chain IDs shipped", work, shipped)
+	}
 
-// Hostile chains are the one lie a worker is not refused for: the proofs
-// are honest, so every chunk is certified, the worker stays trusted, and
-// the verdict and every solver counter are those of the honest run. What
-// the lie costs shows where it should — fallbacks, and the propagations
-// they take — and an honest fleet shows none: every lemma, the template
-// pass's and the tails', is refuted along its chain.
-func TestByzantineHostileHintsAccepted(t *testing.T) {
-	honest, honestMetric := hintRun(t, nil)
-	hostile, hostileMetric := hintRun(t, &FaultPlan{Every: &FaultEvent{Kind: FaultHostileHints}})
-	if honestMetric != 0 || int64(hostileMetric) != hostile.CertifyWork.Fallbacks {
-		t.Fatalf("parbmc_certify_hint_fallbacks_total: %v honest, %v hostile; the result says %d", honestMetric, hostileMetric, hostile.CertifyWork.Fallbacks)
+	res := byzantineScenarioOn(t, p, opts, &FaultPlan{Every: &FaultEvent{Kind: FaultHostileHints}}, core.Safe)
+	if res.Certified != res.ChunksTotal {
+		t.Fatalf("%d of %d chunks certified", res.Certified, res.ChunksTotal)
 	}
-	for name, res := range map[string]*CoordinatorResult{"honest": honest, "hostile": hostile} {
-		if res.Verdict != core.Safe || res.Certified != res.ChunksTotal || res.CertRejected != 0 || res.CertBytes == 0 {
-			t.Fatalf("%s chains: verdict %v, %d of %d chunks certified, %d certificates rejected, %d bytes accepted",
-				name, res.Verdict, res.Certified, res.ChunksTotal, res.CertRejected, res.CertBytes)
-		}
-		if w := findWorker(res, "w0"); w == nil || w.Untrusted || w.CertRejections != 0 {
-			t.Fatalf("%s chains: worker health %+v", name, w)
-		}
-	}
-	if got, want := hostile.RemoteStats, honest.RemoteStats; got.Conflicts != want.Conflicts || got.Propagations != want.Propagations ||
-		got.Decisions != want.Decisions || got.Restarts != want.Restarts || got.Learnt != want.Learnt {
-		t.Fatalf("the search moved with the chains:\n%+v\n%+v", got, want)
-	}
-	if w := honest.CertifyWork; w.Fallbacks != 0 || w.Hinted != w.Lemmas || w.Lemmas < honest.RemoteStats.Learnt {
-		t.Fatalf("honest chains: %+v for %d learnt lemmas; want every lemma, the pass's too, refuted along its chain", w, honest.RemoteStats.Learnt)
-	}
-	if h, w := hostile.CertifyWork, honest.CertifyWork; h.Lemmas != w.Lemmas || h.Fallbacks == 0 || h.Propagations <= w.Propagations {
-		t.Fatalf("hostile chains: %+v, honest %+v; want the same lemmas, fallbacks, and more propagations", h, w)
-	}
-	t.Logf("%d lemmas learnt; honest chains %+v, %d bytes; hostile %+v, %d bytes",
-		honest.RemoteStats.Learnt, honest.CertifyWork, honest.CertBytes, hostile.CertifyWork, hostile.CertBytes)
+	t.Logf("one hostile certificate: %+v for %d chain IDs shipped; the run: %d certificates rejected", work, shipped, res.CertRejected)
 }
 
 // templateSpans counts the template restores in a worker's trace, and

@@ -355,8 +355,7 @@ func TestTemplateProofsAndModels(t *testing.T) {
 					// The one-shot check re-reads the prefix per proof: the
 					// first and the last partition stand for the rest.
 					if pt.Index == parts[0].Index || pt.Index == parts[len(parts)-1].Index {
-						whole := &sat.Proof{Lemmas: append(slices.Clone(prefix.Lemmas), tail.Lemmas...)}
-						if err := sat.CheckRUP(f, pt.Assumptions, whole); err != nil {
+						if err := sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, tail)); err != nil {
 							t.Fatalf("partition %d: prefix ++ tail rejected against the encoding: %v", pt.Index, err)
 						}
 					}
@@ -380,13 +379,13 @@ func TestTemplateProofsAndModels(t *testing.T) {
 			// One literal of one template lemma flipped: no longer a
 			// consequence, and Extend must say so rather than let every
 			// cube stand on it.
-			forged := &sat.Proof{Lemmas: slices.Clone(prefix.Lemmas)}
+			forged := &sat.Proof{Lemmas: slices.Clone(prefix.Lemmas), Deletes: prefix.Deletes, Chains: prefix.Chains}
 			at := len(forged.Lemmas) / 2
 			forged.Lemmas[at] = slices.Clone(forged.Lemmas[at])
 			forged.Lemmas[at][0] = forged.Lemmas[at][0].Not()
 			fresh := sat.NewProofChecker(f)
-			if err := fresh.Extend(forged); err == nil {
-				t.Fatalf("Extend accepted the prefix with lemma %d forged", at+1)
+			if err := fresh.Extend(forged); lemmaIndex(err) != at+1 {
+				t.Fatalf("Extend of the prefix with lemma %d forged: %v", at+1, err)
 			}
 			// And the checker it was offered to is still good for the truth.
 			if err := fresh.Extend(prefix); err != nil {
@@ -862,12 +861,12 @@ func tailOf(t *testing.T, inst InstanceResult) *sat.Proof {
 	return p
 }
 
-// Honest chains never fall back: every lemma of a certified run of
+// Honest chains are the proof: every lemma of a certified run of
 // es.u2.c5.p16 — the template's pass, streamed to the run's checker
-// beside it (passSink), and every cube's tail — is refuted along the
-// chain its solver logged: Hinted is the lemma count, and no lemma takes
-// the full RUP test. (TestLongTailsNeverFallBack holds the same of a
-// cell whose tails are twice as long, outside the repeated race step.)
+// beside it (passSink), and every cube's tail — is accepted along the
+// chain its solver logged, which the checker walks and never goes
+// beyond. (TestLongTailsNeverFallBack holds the same of a cell whose
+// tails are twice as long, outside the repeated race step.)
 func TestChainsNeverFallBack(t *testing.T) {
 	checkNoFallback(t, 5, 16)
 }
@@ -880,7 +879,7 @@ func TestLongTailsNeverFallBack(t *testing.T) {
 
 // checkNoFallback runs eliminationstack u=2 at the given contexts in n
 // partitions, certified, and requires every lemma the run's checker
-// took to be refuted along its chain.
+// took, the prefix's and every tail's, to be accepted.
 func checkNoFallback(t *testing.T, contexts, n int) {
 	t.Helper()
 	f, parts := encodeCell(t, bench.Eliminationstack(), 2, contexts, n)
@@ -892,8 +891,8 @@ func checkNoFallback(t *testing.T, contexts, n int) {
 	for _, inst := range res.Instances {
 		tails += inst.Stats.Learnt
 	}
-	if w := res.CertifyWork; tails == 0 || w.Lemmas <= tails || w.Fallbacks != 0 || w.Hinted != w.Lemmas {
-		t.Errorf("es.u2.c%d.p%d: the checker did %+v over %d lemmas of tails and a prefix; want every lemma refuted along its chain",
-			contexts, n, w, tails)
+	if w := res.CertifyWork; !res.Certified || tails == 0 || w.Lemmas <= tails || w.ChainClauses < w.Lemmas {
+		t.Errorf("es.u2.c%d.p%d: certified %v, the checker did %+v over %d lemmas of tails and a prefix; want every lemma accepted along its chain",
+			contexts, n, res.Certified, w, tails)
 	}
 }

@@ -115,11 +115,9 @@ func TestWriteLoadRenderRoundTrip(t *testing.T) {
 	reg.Gauge("parbmc_test_gauge", "help").Set(7)
 	// What a certifying coordinator exports: the workers' search as a
 	// propagation count, its own proof checking as lemmas and chain
-	// clauses walked — its propagations are the root's and the
-	// fallbacks', no rate — each with a busy time.
+	// clauses walked, each with a busy time.
 	reg.Counter("parbmc_remote_propagations_total", "help").Add(30e6)
 	reg.Histogram("parbmc_coordinator_job_solve_seconds", "help", nil).Observe(1.5)
-	reg.Counter("parbmc_coordinator_certify_propagations_total", "help").Add(24e3)
 	reg.Counter("parbmc_coordinator_certify_lemmas_total", "help").Add(1.5e6)
 	reg.Counter("parbmc_coordinator_certify_chain_clauses_total", "help").Add(6e6)
 	reg.Histogram("parbmc_coordinator_certify_seconds", "help", nil).Observe(0.75)

@@ -63,11 +63,13 @@ type solveOutcome struct {
 	stats Stats
 	model []bool
 	log   []cnf.Clause
+	proof *Proof
 }
 
 func solveOutcomeOf(s *Solver, assumptions []cnf.Lit) solveOutcome {
 	st, err := s.Solve(assumptions...)
-	out := solveOutcome{st: st, err: err, stats: s.Stats(), log: s.ProofLog().Lemmas}
+	proof := s.ProofLog()
+	out := solveOutcome{st: st, err: err, stats: s.Stats(), log: proof.Lemmas, proof: proof}
 	if st == Sat {
 		out.model = s.Model()
 	}
@@ -81,7 +83,7 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 	tpl := buildForClone(f, assumptions, opts, mode)
 	ref := buildForClone(f, assumptions, opts, mode)
 	built, refuted := ref.Stats(), !ref.ok
-	prefix := slices.Clone(tpl.ProofLog().Lemmas)
+	prefix := tpl.ProofLog()
 
 	// Two clones solved at once: what they share with each other and
 	// with the template they may only read (the race detector's part).
@@ -129,9 +131,9 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 		}
 		// The template's log and the clone's are the original's, cut at
 		// the clone.
-		whole := &Proof{Lemmas: append(slices.Clone(prefix), g.log...)}
+		whole := JoinProofs(prefix, g.proof)
 		if !slices.EqualFunc(whole.Lemmas, want.log, func(a, b cnf.Clause) bool { return slices.Equal(a, b) }) {
-			t.Fatalf("%v: clone %d logged %d+%d lemmas, not the %d of the solver it copies", mode, i, len(prefix), len(g.log), len(want.log))
+			t.Fatalf("%v: clone %d logged %d+%d lemmas, not the %d of the solver it copies", mode, i, len(prefix.Lemmas), len(g.log), len(want.log))
 		}
 		switch g.st {
 		case Sat:
@@ -151,10 +153,10 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 				t.Fatalf("%v: clone %d: prefix ++ tail rejected: %v", mode, i, err)
 			}
 			checker := NewProofChecker(f)
-			if err := checker.Extend(&Proof{Lemmas: prefix}); err != nil {
+			if err := checker.Extend(prefix); err != nil {
 				t.Fatalf("%v: the template's lemmas rejected: %v", mode, err)
 			}
-			if err := checker.Check(assumptions, &Proof{Lemmas: g.log}); err != nil {
+			if err := checker.Check(assumptions, g.proof); err != nil {
 				t.Fatalf("%v: clone %d: tail rejected after Extend(prefix): %v", mode, i, err)
 			}
 		}
@@ -174,7 +176,7 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 		r, w := solveOutcomeOf(s, assumptions), got[0]
 		if i == 1 {
 			w = want
-			w.log = w.log[len(prefix):] // the prefix stayed with the template
+			w.log = w.log[len(prefix.Lemmas):] // the prefix stayed with the template
 		}
 		if r.st != w.st || r.err != w.err || r.stats != w.stats || !slices.Equal(r.model, w.model) ||
 			!slices.EqualFunc(r.log, w.log, func(a, b cnf.Clause) bool { return slices.Equal(a, b) }) {
@@ -299,7 +301,7 @@ func TestCloneReduceDB(t *testing.T) {
 		if got[i].st != want.st || got[i].stats != want.stats {
 			t.Fatalf("clone %d: %v\n%+v\nthe solver it copies: %v\n%+v", i, got[i].st, got[i].stats, want.st, want.stats)
 		}
-		if err := CheckRUP(f, nil, &Proof{Lemmas: got[i].log}); err != nil {
+		if err := CheckRUP(f, nil, got[i].proof); err != nil {
 			t.Fatalf("clone %d: refutation rejected: %v", i, err)
 		}
 		checkStore(t, c)

@@ -106,12 +106,11 @@ func BenchmarkCheckRUP(b *testing.B) {
 			if err := c.Check(assumptions, proof); err != nil {
 				b.Fatal(err)
 			}
-			work.Lemmas += c.Stats().Lemmas - before.Lemmas
-			work.Propagations += c.Stats().Propagations - before.Propagations
+			work.Add(c.Stats().Since(before))
 		}
 		secs := b.Elapsed().Seconds()
 		b.ReportMetric(float64(work.Lemmas)/secs, "lemmas/s")
-		b.ReportMetric(float64(work.Propagations)/secs, "props/s")
+		b.ReportMetric(float64(work.ChainClauses)/secs, "chain-clauses/s")
 	}
 	b.Run("fresh", func(b *testing.B) {
 		run(b, func() *ProofChecker { return NewProofChecker(f) })

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -283,21 +284,44 @@ func FuzzSimplifySolve(f *testing.F) {
 }
 
 // A FuzzCheckRUP input is a FuzzSolve input, then a byte 1, then the
-// steps of a claimed proof in the same clause encoding: a clause ended
-// by a byte 0 is a lemma, one ended by a byte 1 a deletion logged where
-// it stands. Without the separator the proof is empty.
+// steps of a claimed proof in the same clause encoding. A clause ended
+// by a byte 0 is a lemma, and its chain follows: each ID plus one as a
+// uvarint, which has no byte 0, then a byte 0. A clause ended by a byte
+// 1 is a deletion logged where it stands, and its ID plus one follows as
+// a uvarint. Without the separator the proof is empty; a step the data
+// ends inside of is taken as far as it goes.
 func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options, claimed *Proof) {
 	claimed = &Proof{}
 	if len(data) > 1 {
 		if cut := bytes.IndexByte(data[1:], 1); cut >= 0 {
+			steps := data[cut+2:]
+			// id reads one uvarint ID off steps, false at a byte 0 or at
+			// the end.
+			id := func() (uint32, bool) {
+				x, n := binary.Uvarint(steps)
+				if n <= 0 || x == 0 {
+					steps = steps[min(max(n, 1), len(steps)):]
+					return 0, false
+				}
+				steps = steps[n:]
+				return uint32(x - 1), true
+			}
 			var clause cnf.Clause
-			for _, b := range data[cut+2:] {
+			for len(steps) > 0 {
+				b := steps[0]
+				steps = steps[1:]
 				switch b {
 				case 0:
+					var chain []uint32
+					for x, ok := id(); ok; x, ok = id() {
+						chain = append(chain, x)
+					}
 					claimed.Lemmas = append(claimed.Lemmas, clause)
+					claimed.Chains = append(claimed.Chains, chain)
 					clause = nil
 				case 1:
-					claimed.Deletes = append(claimed.Deletes, Deletion{At: len(claimed.Lemmas), Clause: clause})
+					x, _ := id()
+					claimed.Deletes = append(claimed.Deletes, Deletion{At: len(claimed.Lemmas), ID: x, Clause: clause})
 					clause = nil
 				default:
 					clause = append(clause, cnf.Lit(b))
@@ -317,17 +341,31 @@ func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, o
 // A deletion whose At is out of order is encoded where its turn comes.
 func withFuzzProof(input []byte, p *Proof) []byte {
 	out := append(input[:len(input):len(input)], 1)
-	_ = p.steps(func(deleted bool, c cnf.Clause) error {
+	clause := func(c cnf.Clause, end byte) {
 		for _, l := range c {
 			out = append(out, byte(l))
 		}
-		if deleted {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+		out = append(out, end)
+	}
+	dels := p.Deletes
+	deletion := func() {
+		clause(dels[0].Clause, 1)
+		out = binary.AppendUvarint(out, uint64(dels[0].ID)+1)
+		dels = dels[1:]
+	}
+	for i, lemma := range p.Lemmas {
+		for len(dels) > 0 && dels[0].At <= i {
+			deletion()
 		}
-		return nil
-	})
+		clause(lemma, 0)
+		for _, id := range p.chain(i) {
+			out = binary.AppendUvarint(out, uint64(id)+1)
+		}
+		out = append(out, 0)
+	}
+	for len(dels) > 0 {
+		deletion()
+	}
 	return out
 }
 
@@ -380,21 +418,30 @@ func hostileChains(p *Proof, clauses int) *Proof {
 }
 
 // checkFuzzProof puts one proof to a checker that has checked others, a
-// fresh checker and the reference engine — with the chains it came with,
-// with none, with chains cut from noise, and with hostile ones. The two
-// checkers must agree to the letter on all four, down to the lemma they
-// reject: chains are advice. What the chain-blind reference accepts the
-// checker must accept, and nothing may be accepted against a formula the
-// solver satisfied — whatever the proof deletes.
+// fresh checker and the step reader — with the chains it came with, with
+// chains cut from noise, with hostile ones and with none — and returns
+// the fresh checker's answer to it as it came. The checkers must agree
+// to the letter on each, down to the lemma they reject. What any of them
+// accepts, the chain-blind reference engine accepts given the lemmas
+// alone (it deletes by literals, the checker by ID): so a forged chain
+// is rejected unless the reference accepts the proof. Nothing may be
+// accepted against a formula the solver satisfied, whatever the proof
+// deletes, and what checks with its deletions checks without them.
 func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status, noise []byte) error {
 	t.Helper()
-	fresh := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes})
-	for name, chained := range map[string]*Proof{
-		"as it came": p, "under scrambled chains": scrambledChains(p, noise),
-		"under hostile chains": hostileChains(p, len(f.Clauses)),
+	ref := referenceCheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas})
+	var asItCame error
+	for _, v := range []struct {
+		name    string
+		chained *Proof
+	}{
+		{"as it came", p}, {"under scrambled chains", scrambledChains(p, noise)},
+		{"under hostile chains", hostileChains(p, len(f.Clauses))}, {"without chains", &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes}},
 	} {
-		if got := CheckRUP(f, assumptions, chained); errText(got) != errText(fresh) {
-			t.Fatalf("fresh checker, the proof %s: %s\nwithout chains: %s", name, errText(got), errText(fresh))
+		name, chained := v.name, v.chained
+		fresh := CheckRUP(f, assumptions, chained)
+		if name == "as it came" {
+			asItCame = fresh
 		}
 		if got := reused.Check(assumptions, chained); errText(got) != errText(fresh) {
 			t.Fatalf("reused checker, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
@@ -411,21 +458,22 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 		} else if errText(got) != errText(fresh) {
 			t.Fatalf("step reader, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
 		}
-	}
-	if fresh != nil && referenceCheckRUP(f, assumptions, p) == nil {
-		t.Fatalf("the reference engine accepts what the checker rejects: %v", fresh)
-	}
-	if fresh == nil && solved == Sat {
-		t.Fatalf("accepted a refutation of a satisfiable formula: %v under %v, lemmas %v, deletions %v", f, assumptions, p.Lemmas, p.Deletes)
-	}
-	// A deletion can only take clauses away: what checks with them
-	// checks without.
-	if fresh == nil && len(p.Deletes) > 0 {
-		if err := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas}); err != nil {
-			t.Fatalf("accepted with its %d deletions, rejected without: %v", len(p.Deletes), err)
+		if fresh == nil && ref != nil {
+			t.Fatalf("the proof %s: accepted; the reference engine: %v", name, ref)
+		}
+		if fresh == nil && solved == Sat {
+			t.Fatalf("accepted a refutation of a satisfiable formula: %v under %v, lemmas %v, chains %v, deletions %v",
+				f, assumptions, chained.Lemmas, chained.Chains, chained.Deletes)
+		}
+		// A deletion can only take clauses away: what checks with them
+		// checks without.
+		if fresh == nil && len(p.Deletes) > 0 {
+			if err := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas, Chains: chained.Chains}); err != nil {
+				t.Fatalf("the proof %s: accepted with its %d deletions, rejected without: %v", name, len(p.Deletes), err)
+			}
 		}
 	}
-	return fresh
+	return asItCame
 }
 
 // cutProof splits p before lemma number cut: the deletions that take
@@ -493,14 +541,14 @@ func FuzzCheckRUP(f *testing.F) {
 		// with the proof of a search simplified before it began, which
 		// deletes what the pass removed, and that one corrupted: every
 		// deletion twice, clauses of the formula deleted before the first
-		// lemma, the deletions without the lemmas. The solver's own proofs
-		// of every input — of the search as it went, and of one that began
-		// with the pass — come with its chains; a claimed proof has none.
-		// (Chains and deletions logged after a reduceDB
+		// lemma, the deletions without the lemmas. Every claimed lemma
+		// carries the chain the solver logged for it, reversed with it,
+		// so that the fuzzer starts from proofs that check. (Chains and
+		// deletions logged after a reduceDB
 		// take ten thousand conflicts to come by, and this body solves its
 		// input three times and checks each proof six ways: fuzzSeeds'
 		// compacting input as a seed here was measured at 49 s. The fuzzer
-		// finds them behind fuzzLongRun; TestChainsChangeNoAnswer and
+		// finds them behind fuzzLongRun; TestChainsAreTheProof and
 		// TestProofDeletesWhatTheSolverDropped hold one such proof, and a
 		// forgery of it, to the reference engine under every chain variant.)
 		formula, assumptions, opts := decodeFuzzInput(seed)
@@ -509,13 +557,15 @@ func FuzzCheckRUP(f *testing.F) {
 		if st, _ := s.Solve(assumptions...); st != Unsat || s.ProofLog().NumLemmas() == 0 {
 			continue
 		}
-		lemmas := s.ProofLog().Lemmas
-		f.Add(withFuzzProof(seed, s.ProofLog()))
-		f.Add(withFuzzProof(seed, &Proof{Lemmas: lemmas[:len(lemmas)/2]}))
-		reversed := slices.Clone(lemmas)
-		slices.Reverse(reversed)
-		f.Add(withFuzzProof(seed, &Proof{Lemmas: reversed}))
-		f.Add(withFuzzProof(seed, &Proof{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}}))
+		log := s.ProofLog()
+		lemmas, half := log.Lemmas, len(log.Lemmas)/2
+		f.Add(withFuzzProof(seed, log))
+		f.Add(withFuzzProof(seed, &Proof{Lemmas: lemmas[:half], Chains: log.Chains[:half]}))
+		reversed := &Proof{Lemmas: slices.Clone(lemmas), Chains: slices.Clone(log.Chains)}
+		slices.Reverse(reversed.Lemmas)
+		slices.Reverse(reversed.Chains)
+		f.Add(withFuzzProof(seed, reversed))
+		f.Add(withFuzzProof(seed, &Proof{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}, Chains: log.Chains[:1]}))
 
 		simplified := NewFromFormula(formula, opts)
 		simplified.simplifyAt = 0
@@ -525,21 +575,22 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		p := simplified.ProofLog()
 		f.Add(withFuzzProof(seed, p))
-		twice := &Proof{Lemmas: p.Lemmas}
+		twice := &Proof{Lemmas: p.Lemmas, Chains: p.Chains}
 		for _, d := range p.Deletes {
 			twice.Deletes = append(twice.Deletes, d, d)
 		}
 		f.Add(withFuzzProof(seed, twice))
-		robbed := &Proof{Lemmas: p.Lemmas, Deletes: slices.Clone(p.Deletes)}
-		for _, c := range formula.Clauses[:min(4, len(formula.Clauses))] {
-			robbed.Deletes = slices.Insert(robbed.Deletes, 0, Deletion{Clause: c})
+		robbed := &Proof{Lemmas: p.Lemmas, Chains: p.Chains, Deletes: slices.Clone(p.Deletes)}
+		for id, c := range formula.Clauses[:min(4, len(formula.Clauses))] {
+			robbed.Deletes = slices.Insert(robbed.Deletes, 0, Deletion{ID: uint32(id), Clause: c})
 		}
 		f.Add(withFuzzProof(seed, robbed))
 		f.Add(withFuzzProof(seed, &Proof{Deletes: p.Deletes}))
 	}
 	// TestCheckRUPLemmaUnitUnderRoot's formula and proof, the lemmas
 	// with a duplicate literal and a tautology among them, and the
-	// deletion of a tautology, a unit and a clause nobody has.
+	// deletion of a tautology, a unit, a clause nobody has and one the
+	// last lemma does not need.
 	unitUnderRoot := cnf.New()
 	for _, c := range [][]int{{-1}, {2, 3, 4}, {2, 3, -4}, {-3, 5}, {-3, -5}, {-2, 6}, {-2, -6}} {
 		var clause cnf.Clause
@@ -553,11 +604,12 @@ func FuzzCheckRUP(f *testing.F) {
 			{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
 			{mk(5, false), mk(5, true)},
 			{mk(2, false)}},
+		Chains: [][]uint32{{1, 2}, nil, {7, 3, 4}},
 		Deletes: []Deletion{
-			{At: 0, Clause: cnf.Clause{mk(5, false), mk(5, true)}},
-			{At: 1, Clause: cnf.Clause{mk(1, true)}},
-			{At: 1, Clause: cnf.Clause{mk(90, false), mk(2, false)}},
-			{At: 2, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}}},
+			{At: 0, ID: 3, Clause: cnf.Clause{mk(5, false), mk(5, true)}},
+			{At: 1, ID: 0, Clause: cnf.Clause{mk(1, true)}},
+			{At: 1, ID: 5, Clause: cnf.Clause{mk(90, false), mk(2, false)}},
+			{At: 2, ID: 1, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}}},
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -21,7 +21,7 @@ import (
 // IDs: clause i of the formula has ID i, and lemma j of the log — of the
 // joined log, for a clone's tail (JoinProofs) — has ID |F|+j, where |F|
 // is the formula's clause count. IDs are how Chains and Deletes name a
-// clause; the literals stay the proof, the IDs only say where to look.
+// clause.
 type Proof struct {
 	// Lemmas are the derived clauses, in order. An empty clause may
 	// appear implicitly: the proof is complete when propagation of the
@@ -35,14 +35,13 @@ type Proof struct {
 	// a checker holds follows from the formula, so letting one go cannot
 	// make a non-consequence derivable, whoever wrote the entry.
 	Deletes []Deletion `json:",omitempty"`
-	// Chains[i], where there is one, is lemma i's antecedent chain: the
-	// IDs of the clauses the solver derived it from, in the order unit
-	// propagation meets them once the lemma's literals are false — each
-	// unit in turn, the last one false. A checker walks it first
-	// (ProofChecker) and is faster for it, never more lenient: a chain is
-	// advice on where to look, not part of the proof — not of its DRAT
-	// text — and a missing, short or lying one costs time and nothing
-	// else.
+	// Chains[i] is lemma i's antecedent chain: the IDs of the clauses the
+	// solver derived it from, in the order unit propagation meets them
+	// once the lemma's literals are false — each unit in turn, the last
+	// one false. The chain is the lemma's proof: a checker (ProofChecker)
+	// walks it and looks nowhere else, so a lemma without one, or with
+	// one that does not end in a false clause, is rejected. DRAT text has
+	// no place for it.
 	Chains [][]uint32 `json:",omitempty"`
 }
 
@@ -55,13 +54,13 @@ func (p *Proof) chain(i int) []uint32 {
 }
 
 // Deletion names one clause to drop once the first At lemmas have been
-// added: by its literals, as drat-trim's "d" lines do — a clause of the
-// formula or an earlier lemma with exactly these literals, in any order —
-// and by its ID, which says which one to try first. An entry that matches
-// nothing the checker holds — no such clause, one already deleted, a
-// unit, literals out of range — is ignored; entries take effect in slice
-// order, so one whose At runs ahead holds back those after it, and none
-// waits past the last lemma.
+// added: the clause of the formula or the earlier lemma with this ID,
+// which must have exactly these literals, in any order. An entry whose ID
+// names no clause the checker holds with exactly its literals — one
+// already deleted, a unit, one the solver shortened, literals out of
+// range — is ignored: a clause kept is still a consequence of the
+// formula. Entries take effect in slice order, so one whose At runs ahead
+// holds back those after it, and none waits past the last lemma.
 type Deletion struct {
 	At     int
 	ID     uint32
@@ -194,15 +193,17 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 // place, unwatched, with delTag in its size word. byID finds a clause by
 // its ID (see Proof).
 //
-// A lemma that comes with a chain (Proof.Chains) is first put to a RUP
-// test along it: each clause the chain names that is unit under the
+// A lemma is put to the RUP test along its chain (Proof.Chains) and
+// nowhere else: each clause the chain names that is unit under the
 // assignment so far assigns its open literal, and the first that is
 // false refutes the lemma. Every assignment made that way is one unit
 // propagation makes too, so a conflict is a conflict whoever wrote the
-// chain; without one — a chain that ends first, or names clauses the
-// checker does not hold — the test goes on from the root by propagation
-// over every watch list, which is the test of a lemma without a chain.
-// Accepted and rejected are the same proofs either way.
+// chain; a chain that ends first, or names clauses the checker does not
+// hold, rejects the lemma, and so does no chain, unless the lemma is
+// satisfied at the root. A lemma costs its chain's length, whoever wrote
+// it. The watch lists serve the root alone: the fixpoint of the units
+// the formula, the assumptions and the lemmas propagate, which chains
+// leave out.
 //
 // A checker is not safe for concurrent use.
 type ProofChecker struct {
@@ -231,14 +232,8 @@ type ProofChecker struct {
 	// deleted: reset puts them back, Extend lets them go for good.
 	detached []cref
 
-	// index finds a clause by its literals for a Deletion whose ID does
-	// not name it: an open-addressed table of refs (0 free, crefDead a
-	// deleted entry's), built over the live clauses by the first such
-	// Deletion a proof brings and kept up to date until reset. mark
-	// stamps with markEpoch, per literal, the clause being looked up.
-	index     []cref
-	indexUsed int // slots not free
-	indexed   bool
+	// mark stamps with markEpoch, per literal, the clause a Deletion
+	// names.
 	mark      []uint32
 	markEpoch uint32
 
@@ -254,37 +249,24 @@ type ProofChecker struct {
 	stats  ProofCheckerStats
 }
 
-const (
-	delTag        = 1 << 31 // in a clause's size word: deleted
-	crefDead cref = 1       // never a clause: word 0 is unused and refs start at 2
-)
+const delTag = 1 << 31 // in a clause's size word: deleted
 
 // ProofCheckerStats counts a checker's work since it was built.
 type ProofCheckerStats struct {
-	Lemmas int64 // lemmas put to the RUP test
-	// Propagations are the literals propagated through their watch lists:
-	// loading the formula, the root, and the lemmas that fell back. A
-	// lemma refuted along its chain propagates none.
-	Propagations int64
-	Hinted       int64 // lemmas refuted along their chain
-	Fallbacks    int64 // lemmas with a chain that took the full test all the same
+	Lemmas       int64 // lemmas put to the RUP test
 	ChainClauses int64 // chain IDs walked
 }
 
 // Add accumulates o into s.
 func (s *ProofCheckerStats) Add(o ProofCheckerStats) {
 	s.Lemmas += o.Lemmas
-	s.Propagations += o.Propagations
-	s.Hinted += o.Hinted
-	s.Fallbacks += o.Fallbacks
 	s.ChainClauses += o.ChainClauses
 }
 
 // Since returns what a checker whose counters are s has done since they
 // were o.
 func (s ProofCheckerStats) Since(o ProofCheckerStats) ProofCheckerStats {
-	return ProofCheckerStats{s.Lemmas - o.Lemmas, s.Propagations - o.Propagations, s.Hinted - o.Hinted,
-		s.Fallbacks - o.Fallbacks, s.ChainClauses - o.ChainClauses}
+	return ProofCheckerStats{s.Lemmas - o.Lemmas, s.ChainClauses - o.ChainClauses}
 }
 
 // NewProofChecker loads f and propagates its units to a fixpoint. A
@@ -429,9 +411,6 @@ func (c *ProofChecker) rebase(refuted bool) {
 	if !refuted {
 		c.compact()
 	}
-	// The table goes: a checker is kept for as long as its formula's
-	// proofs come, and few of them delete a clause their IDs do not name.
-	c.index, c.indexed = nil, false
 	c.rebaseMarks()
 }
 
@@ -560,9 +539,6 @@ func (c *ProofChecker) deriveLemma(lemma cnf.Clause, chain []uint32) (refuted, o
 	c.byID = append(c.byID, ref)
 	if ref != crefUndef {
 		c.attach(ref)
-		if c.indexed {
-			c.indexInsert(ref)
-		}
 	}
 	return !c.extendRoot(), true
 }
@@ -653,10 +629,9 @@ func (c *ProofChecker) attach(ref cref) {
 	c.watches[l1^1] = append(c.watches[l1^1], watcher{ref, l0})
 }
 
-// implied is the RUP test: with every literal of the lemma false, unit
-// propagation must reach a conflict — along the chain, if there is one,
-// or else from the root again over every watch list. The root is left as
-// it was.
+// implied is the RUP test along the chain: with every literal of the
+// lemma false, the chain must end in a false clause (walk). A lemma
+// satisfied at the root needs none. The root is left as it was.
 func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
 	c.stats.Lemmas++
 	defer c.undo(c.root)
@@ -675,16 +650,7 @@ func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
 			c.assign(lit(l) ^ 1)
 		}
 	}
-	if len(chain) > 0 {
-		if c.walk(chain) {
-			c.stats.Hinted++
-			return true
-		}
-		// What the walk assigned holds; the queue head is still at the
-		// root, so propagation visits the lists of all of it.
-		c.stats.Fallbacks++
-	}
-	return !c.propagate()
+	return c.walk(chain)
 }
 
 // walk assigns through each clause of chain that is unit under the
@@ -741,7 +707,6 @@ func (c *ProofChecker) propagate() bool {
 	for c.qhead < len(c.trail) {
 		p := c.trail[c.qhead]
 		c.qhead++
-		c.stats.Propagations++
 		np := p ^ 1
 		ws := c.watches[p]
 		n := 0
@@ -799,7 +764,6 @@ func (c *ProofChecker) propagate() bool {
 func (c *ProofChecker) reset() {
 	c.undo(c.baseTrail)
 	c.root = c.baseTrail
-	c.indexed = false
 	c.byID = c.byID[:c.baseIDs]
 	if c.numVars > c.baseVars {
 		c.numVars = c.baseVars
@@ -837,10 +801,9 @@ func (c *ProofChecker) reset() {
 	c.detached = c.detached[:0]
 }
 
-// remove drops the clause a Deletion names, if the checker holds one
-// with exactly its literals: the one its ID names if that one has them,
-// else one the content index finds. Unwatched, it stays in the arena
-// until reset brings it back or Extend compacts it away.
+// remove drops the clause a Deletion names, if its ID names a live one
+// with exactly its literals. Unwatched, it stays in the arena until reset
+// brings it back or Extend compacts it away.
 func (c *ProofChecker) remove(cl cnf.Clause, id uint32) {
 	buf := c.addBuf[:0]
 	for _, l := range cl {
@@ -857,12 +820,7 @@ func (c *ProofChecker) remove(cl cnf.Clause, id uint32) {
 	}
 	ref := c.named(id, buf)
 	if ref == crefUndef {
-		if !c.indexed {
-			c.buildIndex()
-		}
-		if ref = c.indexTake(buf); ref == crefUndef {
-			return
-		}
+		return
 	}
 	tagged := ref
 	if c.arena[ref-1] == 2 {
@@ -884,8 +842,7 @@ func (c *ProofChecker) remove(cl cnf.Clause, id uint32) {
 }
 
 // named returns the live clause id names if its literals are those of
-// lits, which are distinct, and crefUndef otherwise. A clause the index
-// holds stays there: indexTake passes over a deleted one.
+// lits, which are distinct, and crefUndef otherwise.
 func (c *ProofChecker) named(id uint32, lits []lit) cref {
 	if uint64(id) >= uint64(len(c.byID)) {
 		return crefUndef
@@ -904,91 +861,6 @@ func (c *ProofChecker) named(id uint32, lits []lit) cref {
 		}
 	}
 	return ref
-}
-
-// clauseHash does not depend on the order of the literals.
-func clauseHash(lits []lit) uint64 {
-	var h uint64
-	for _, l := range lits {
-		x := uint64(l) * 0x9E3779B97F4A7C15
-		h += (x ^ x>>29) * 0xBF58476D1CE4E5B9
-	}
-	return h ^ h>>32
-}
-
-// buildIndex files every live clause in a table with room for as many
-// again before it is rebuilt.
-func (c *ProofChecker) buildIndex() {
-	live := 0
-	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
-		if c.arena[ref-1]&delTag == 0 {
-			live++
-		}
-	}
-	size := 1 << 10
-	for size < 4*live {
-		size <<= 1
-	}
-	if size <= cap(c.index) {
-		c.index = c.index[:size]
-		clear(c.index)
-	} else {
-		c.index = make([]cref, size)
-	}
-	c.indexUsed, c.indexed = 0, true
-	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
-		if c.arena[ref-1]&delTag == 0 {
-			c.indexPut(cref(ref))
-		}
-	}
-}
-
-// indexInsert files a clause add has just stored.
-func (c *ProofChecker) indexInsert(ref cref) {
-	if 2*(c.indexUsed+1) > len(c.index) {
-		c.buildIndex() // which finds it in the arena with the rest
-		return
-	}
-	c.indexPut(ref)
-}
-
-func (c *ProofChecker) indexPut(ref cref) {
-	mask := uint64(len(c.index) - 1)
-	slot := clauseHash(c.arena[ref:ref+c.arena[ref-1]]) & mask
-	for c.index[slot] > crefDead {
-		slot = (slot + 1) & mask
-	}
-	if c.index[slot] == crefUndef {
-		c.indexUsed++
-	}
-	c.index[slot] = ref
-}
-
-// indexTake finds a live clause whose literals are those of lits, which
-// are distinct, takes it out of the table and returns it; crefUndef if
-// there is none.
-func (c *ProofChecker) indexTake(lits []lit) cref {
-	epoch := c.nextMark()
-	for _, l := range lits {
-		c.mark[l] = epoch
-	}
-	mask := uint64(len(c.index) - 1)
-next:
-	for slot := clauseHash(lits) & mask; c.index[slot] != crefUndef; slot = (slot + 1) & mask {
-		ref := c.index[slot]
-		if ref == crefDead || int(c.arena[ref-1]) != len(lits) {
-			continue
-		}
-		// As many literals, all distinct: the same set if each is marked.
-		for _, l := range c.arena[ref : ref+c.arena[ref-1]] {
-			if c.mark[l] != epoch {
-				continue next
-			}
-		}
-		c.index[slot] = crefDead
-		return ref
-	}
-	return crefUndef
 }
 
 // compact closes the gaps deleted clauses have left in the arena and

@@ -7,16 +7,16 @@ import (
 	"repro/internal/cnf"
 )
 
-// This file keeps the checker ProofChecker replaced, as the reference
-// FuzzCheckRUP and the reuse tests compare it with: a [][]cnf.Lit clause
-// store reloaded for every proof. It is incomplete in one known way —
-// addClause watches a clause's first two literals whatever their root
-// values, so a lemma attached through a root-false literal can become
-// unit unnoticed (TestCheckRUPLemmaUnitUnderRoot) — which is why the
-// comparison is one-sided: what the reference accepts, the checker must.
-// Deletions (Proof.Deletes) it has learnt since, with the checker's
-// semantics spelt out the slow way: the first live clause with exactly
-// the entry's literals goes, the root keeps what it propagated.
+// This file keeps the reference FuzzCheckRUP and the oracle tests hold
+// ProofChecker to: a chain-blind RUP checker over a [][]cnf.Lit clause
+// store reloaded for every proof, which puts each lemma to full unit
+// propagation. It never reads a chain, so the comparison is one-sided:
+// what the checker accepts along its chains, the reference accepts.
+// Deletions (Proof.Deletes) go by their literals alone, the slow way:
+// the first live clause with exactly the entry's literals goes, the root
+// keeps what it propagated. The checker goes by ID and ignores more, so
+// the tests give the reference a proof without its deletions, which only
+// makes it accept more.
 
 // normalize sorts the clause, removes duplicate literals, and reports
 // whether the clause is a tautology (contains l and ¬l).
@@ -152,17 +152,26 @@ func (e *rupEngine) enqueue(l cnf.Lit) bool {
 // addClause registers a clause, normalising it first (duplicate
 // literals collapse — essential so the checker's propagation is at
 // least as strong as the solver's, which normalises on AddClause);
-// tautologies are skipped and unit clauses are enqueued persistently.
+// tautologies are skipped. The literals not false at the root go first
+// and the clause is watched through them, so that one added under a
+// root that already falsified a literal still wakes when it becomes
+// unit (TestCheckRUPLemmaUnitUnderRoot); a clause with only one such
+// literal is a unit, enqueued persistently.
 func (e *rupEngine) addClause(c cnf.Clause) {
 	nc, taut := normalize(append(cnf.Clause{}, c...))
 	if taut {
 		return
 	}
-	c = nc
-	for _, l := range c {
+	c, key := nc, fmt.Sprint(nc)
+	open := 0
+	for i, l := range c {
 		e.grow(l)
+		if e.value(l) != lFalse {
+			c[open], c[i] = c[i], c[open]
+			open++
+		}
 	}
-	switch len(c) {
+	switch open {
 	case 0:
 		e.conflictAtRoot = true
 		return
@@ -176,7 +185,7 @@ func (e *rupEngine) addClause(c cnf.Clause) {
 	idx := len(e.clauses)
 	lits := append([]cnf.Lit{}, c...)
 	e.clauses = append(e.clauses, lits)
-	e.byLits[fmt.Sprint(c)] = append(e.byLits[fmt.Sprint(c)], idx)
+	e.byLits[key] = append(e.byLits[key], idx)
 	e.dead = append(e.dead, false)
 	for _, l := range lits[:2] {
 		e.watches[l] = append(e.watches[l], idx)

@@ -140,7 +140,7 @@ func TestProofRejectsIncomplete(t *testing.T) {
 	f.AddClause(cnf.PosLit(1), cnf.NegLit(2))
 	proof := &Proof{Lemmas: []cnf.Clause{
 		{cnf.PosLit(1)}, // genuine RUP consequence, but f is SAT
-	}}
+	}, Chains: [][]uint32{{0, 1}}}
 	if err := CheckRUP(f, nil, proof); err == nil {
 		t.Fatal("incomplete proof accepted")
 	}
@@ -192,10 +192,12 @@ func TestProofAgreesWithPartitioning(t *testing.T) {
 func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 	// With 1 false at the root the lemma (1∨2∨3) is the clause (2∨3)
 	// from the moment it is added, and the check of the lemma (2) needs
-	// it to propagate 3. A checker that attaches the lemma through its
-	// root-false literal never sees it become unit and rejects a valid
-	// proof. The root literal comes from the formula, then from an
-	// assumption.
+	// it to propagate 3 — along its chain here, and the reference
+	// engine's propagation too. A checker that attaches the lemma through
+	// its root-false literal never sees it become unit and rejects a
+	// valid proof; so does a walk that takes the root-false literal for
+	// an open one. The root literal comes from the formula, then from an
+	// assumption, which leaves the formula's clause IDs one lower.
 	clauses := []cnf.Clause{
 		{mk(2, false), mk(3, false), mk(4, false)},
 		{mk(2, false), mk(3, false), mk(4, true)},
@@ -204,10 +206,12 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		{mk(2, true), mk(6, false)},
 		{mk(2, true), mk(6, true)},
 	}
-	proof := &Proof{Lemmas: []cnf.Clause{
-		{mk(1, false), mk(2, false), mk(3, false)},
-		{mk(2, false)},
-	}}
+	proof := func(shift uint32) *Proof {
+		return &Proof{Lemmas: []cnf.Clause{
+			{mk(1, false), mk(2, false), mk(3, false)},
+			{mk(2, false)},
+		}, Chains: [][]uint32{{shift, shift + 1}, {shift + 6, shift + 2, shift + 3}}}
+	}
 	unit := cnf.New()
 	unit.AddClause(mk(1, true))
 	assumed := cnf.New()
@@ -215,11 +219,13 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		unit.AddClause(c...)
 		assumed.AddClause(c...)
 	}
-	if err := CheckRUP(unit, nil, proof); err != nil {
-		t.Errorf("root literal from a unit clause: valid proof rejected: %v", err)
-	}
-	if err := CheckRUP(assumed, []cnf.Lit{mk(1, true)}, proof); err != nil {
-		t.Errorf("root literal from an assumption: valid proof rejected: %v", err)
+	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, *Proof) error{"checker": CheckRUP, "reference engine": referenceCheckRUP} {
+		if err := check(unit, nil, proof(1)); err != nil {
+			t.Errorf("%s, root literal from a unit clause: valid proof rejected: %v", name, err)
+		}
+		if err := check(assumed, []cnf.Lit{mk(1, true)}, proof(0)); err != nil {
+			t.Errorf("%s, root literal from an assumption: valid proof rejected: %v", name, err)
+		}
 	}
 }
 
@@ -257,30 +263,31 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		if len(lemmas) < 2 {
 			continue
 		}
-		tamper := func(kind string, edit func([]cnf.Clause) []cnf.Clause) input {
-			copied := make([]cnf.Clause, len(lemmas))
+		// Each tampered copy keeps the chains of the lemmas it keeps.
+		chains := s.ProofLog().Chains
+		tamper := func(kind string, edit func(*Proof)) input {
+			q := &Proof{Lemmas: make([]cnf.Clause, len(lemmas)), Chains: slices.Clone(chains)}
 			for i, l := range lemmas {
-				copied[i] = slices.Clone(l)
+				q.Lemmas[i] = slices.Clone(l)
 			}
-			return input{fmt.Sprintf("p%d/%s", pt.Index, kind), pt.Assumptions, &Proof{Lemmas: edit(copied)}}
+			edit(q)
+			return input{fmt.Sprintf("p%d/%s", pt.Index, kind), pt.Assumptions, q}
 		}
 		mid := len(lemmas) / 2
 		h := input{fmt.Sprintf("p%d/honest", pt.Index), pt.Assumptions, s.ProofLog()}
 		honest = append(honest, h)
 		inputs = append(inputs, h,
-			tamper("dropped-lemma", func(ls []cnf.Clause) []cnf.Clause {
-				return append(ls[:mid], ls[mid+1:]...)
+			tamper("dropped-lemma", func(q *Proof) {
+				q.Lemmas, q.Chains = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Chains, mid, mid+1)
 			}),
-			tamper("flipped-literal", func(ls []cnf.Clause) []cnf.Clause {
-				ls[mid][0] = ls[mid][0].Not()
-				return ls
+			tamper("flipped-literal", func(q *Proof) {
+				q.Lemmas[mid][0] = q.Lemmas[mid][0].Not()
 			}),
 			// Weakened by a variable nothing mentions: a RUP consequence
 			// only to a checker that kept the variable from the check of
 			// an assumption over it.
-			tamper("lemma-beyond-numvars", func(ls []cnf.Clause) []cnf.Clause {
-				ls[0] = append(ls[0], beyond)
-				return ls
+			tamper("lemma-beyond-numvars", func(q *Proof) {
+				q.Lemmas[0] = append(q.Lemmas[0], beyond)
 			}),
 			input{fmt.Sprintf("p%d/assumption-beyond-numvars", pt.Index),
 				append(append([]cnf.Lit{}, pt.Assumptions...), beyond), s.ProofLog()},
@@ -300,12 +307,12 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		}
 		if got == nil {
 			accepted++
+			if ref := referenceCheckRUP(f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas}); ref != nil {
+				t.Fatalf("%s: accepted, rejected by the reference engine: %v", in.name, ref)
+			}
 			continue
 		}
 		rejected++
-		if ref := referenceCheckRUP(f, in.assumptions, in.proof); ref == nil {
-			t.Fatalf("%s: rejected (%v), accepted by the reference engine", in.name, got)
-		}
 		h := honest[rng.Intn(len(honest))]
 		if err := reused.Check(h.assumptions, h.proof); err != nil {
 			t.Fatalf("%s right after the rejection of %s: %v", h.name, in.name, err)
@@ -314,7 +321,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 	if accepted < len(honest) || rejected < len(honest) {
 		t.Fatalf("%d accepted, %d rejected of %d inputs: the tampering lost its bite", accepted, rejected, len(inputs))
 	}
-	if got := reused.Stats(); got.Lemmas == 0 || got.Propagations == 0 {
+	if got := reused.Stats(); got.Lemmas == 0 || got.ChainClauses == 0 {
 		t.Fatalf("stats after %d checks: %+v", len(inputs), got)
 	}
 	t.Logf("%d inputs: %d accepted, %d rejected; %+v", len(inputs), accepted, rejected, reused.Stats())
@@ -409,7 +416,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			if err := referenceCheckRUP(f, nil, p); err != nil {
 				t.Fatalf("rejected by the reference engine: %v", err)
 			}
-			if err := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas}); err != nil {
+			if err := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas, Chains: p.Chains}); err != nil {
 				t.Fatalf("rejected without its deletions: %v", err)
 			}
 
@@ -430,9 +437,9 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			}
 			// A proof that deletes the formula away before it starts, then
 			// the honest one again: every answer from the same base.
-			robbed := &Proof{Lemmas: p.Lemmas}
-			for _, cl := range f.Clauses {
-				robbed.Deletes = append(robbed.Deletes, Deletion{Clause: cl})
+			robbed := &Proof{Lemmas: p.Lemmas, Chains: p.Chains}
+			for id, cl := range f.Clauses {
+				robbed.Deletes = append(robbed.Deletes, Deletion{ID: uint32(id), Clause: cl})
 			}
 			if err := c.Check(nil, robbed); err == nil {
 				t.Fatal("accepted with the formula deleted ahead of the first lemma")
@@ -449,8 +456,12 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 	}
 }
 
-// A deletion that names nothing the checker holds is ignored, wherever
-// it says it stands, and changes no answer.
+// A deletion whose ID does not name a clause the checker holds with
+// exactly its literals is ignored, wherever it says it stands, and
+// changes no answer: one over literals nothing has, a unit, a
+// tautology, an ID past every clause or noID — and one whose literals
+// are a clause of the formula under another clause's ID, which the
+// checker does not look up by its literals.
 func TestProofDeletionsThatNameNothing(t *testing.T) {
 	f := pigeonhole(5)
 	s := NewFromFormula(f, Options{})
@@ -458,35 +469,45 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 	if st, err := s.Solve(); err != nil || st != Unsat {
 		t.Fatalf("%v, %v", st, err)
 	}
-	lemmas := s.ProofLog().Lemmas
-	binary := f.Clauses[len(f.Clauses)-1]
-	noise := []Deletion{
+	log := s.ProofLog()
+	last := uint32(len(f.Clauses) - 1)
+	binary := f.Clauses[last]
+	// Every clause of the formula first, each under the next one's ID.
+	var noise []Deletion
+	for id := range f.Clauses {
+		noise = append(noise, Deletion{ID: uint32(id+1) % uint32(len(f.Clauses)), Clause: f.Clauses[id]})
+	}
+	noise = append(noise, []Deletion{
 		{At: -7, Clause: nil},
 		{At: 0, Clause: cnf.Clause{0}},
-		{At: 0, Clause: cnf.Clause{cnf.Lit(1 << 40), binary[0]}},
-		{At: 1, Clause: cnf.Clause{cnf.PosLit(cnf.Var(f.NumVars + 1)), binary[0]}},
-		{At: 1, Clause: cnf.Clause{binary[0]}},
-		{At: 1 << 40, Clause: cnf.Clause{binary[0], binary[0].Not()}},
-		{At: 2, Clause: cnf.Clause{binary[0], binary[1], binary[1].Not()}},
-	}
+		{At: 0, ID: last, Clause: cnf.Clause{cnf.Lit(1 << 40), binary[0]}},
+		{At: 1, ID: last, Clause: cnf.Clause{cnf.PosLit(cnf.Var(f.NumVars + 1)), binary[0]}},
+		{At: 1, ID: last, Clause: cnf.Clause{binary[0]}},
+		{At: 1 << 40, ID: last, Clause: cnf.Clause{binary[0], binary[0].Not()}},
+		{At: 2, ID: last, Clause: cnf.Clause{binary[0], binary[1], binary[1].Not()}},
+		{At: 2, ID: 1 << 30, Clause: binary},
+		{At: 3, ID: noID, Clause: binary},
+	}...)
+	half := len(log.Lemmas) / 2
 	for _, p := range []*Proof{
-		{Lemmas: lemmas, Deletes: noise},
-		{Lemmas: lemmas[:len(lemmas)/2], Deletes: noise},
+		{Lemmas: log.Lemmas, Chains: log.Chains, Deletes: noise},
+		{Lemmas: log.Lemmas[:half], Chains: log.Chains[:half], Deletes: noise},
 		{Deletes: noise},
 	} {
-		want := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas})
+		want := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas, Chains: p.Chains})
 		if got := CheckRUP(f, nil, p); errText(got) != errText(want) {
 			t.Fatalf("%d lemmas: %s with the deletions, %s without", len(p.Lemmas), errText(got), errText(want))
 		}
-		if (referenceCheckRUP(f, nil, p) == nil) != (want == nil) {
-			t.Fatalf("%d lemmas: the reference engine disagrees", len(p.Lemmas))
+		if (len(p.Lemmas) == len(log.Lemmas)) != (want == nil) {
+			t.Fatalf("%d lemmas of %d: %s", len(p.Lemmas), len(log.Lemmas), errText(want))
 		}
 	}
 	// One that names a clause twice over takes it once: the second entry
 	// finds nothing, and the first is enough to break the proof.
-	twice := &Proof{Lemmas: lemmas}
-	for _, c := range f.Clauses {
-		twice.Deletes = append(twice.Deletes, Deletion{Clause: c}, Deletion{Clause: c})
+	twice := &Proof{Lemmas: log.Lemmas, Chains: log.Chains}
+	for id, c := range f.Clauses {
+		d := Deletion{ID: uint32(id), Clause: c}
+		twice.Deletes = append(twice.Deletes, d, d)
 	}
 	if err := CheckRUP(f, nil, twice); err == nil {
 		t.Fatal("accepted with the whole formula deleted")
@@ -625,16 +646,17 @@ func chainVariants(p *Proof, clauses int) map[string]*Proof {
 	}
 }
 
-// A chain changes no answer. Every proof of this file's corpus — the
-// per-partition refutations of an encoded cell and the tampered copies
-// TestProofCheckerReuseMatchesFresh makes of them, now with the chains
-// kept beside the lemmas they were logged for, and the two deleting
-// proofs with a lemma of each flipped — gets, under every chain variant,
-// the answer of the chain-blind reference engine: accepted, or rejected
-// at the same lemma in the same words. What chains do change is counted:
-// an honest proof with the solver's chains never falls back, one without
-// chains is never refuted along one, and the hostile ones fall back.
-func TestHintsChangeNoAnswer(t *testing.T) {
+// A chain is the proof. Every proof of this file's corpus — the
+// per-partition refutations of an encoded cell and tampered copies of
+// them, each with the chains kept beside the lemmas it keeps, and the
+// two deleting proofs with a lemma of each flipped — is put to the
+// checker under every chain variant. What the solver logged is accepted
+// with its own chains and costs the checker a chain walk per lemma; what
+// the checker accepts under any chains, the chain-blind reference engine
+// accepts given the lemmas alone; a forged chain — none, hostile, the
+// neighbour's — is rejected unless the reference accepts the proof, and
+// it costs the checker no more chain IDs than it ships.
+func TestChainsAreTheProof(t *testing.T) {
 	type input struct {
 		name        string
 		f           *cnf.Formula
@@ -674,37 +696,42 @@ func TestHintsChangeNoAnswer(t *testing.T) {
 		h := input{tc.name, tc.f, nil, tc.p, true}
 		corpus = append(corpus, h, tampered(h, "flipped-literal", flip))
 	}
-	rejected := 0
+	accepted, rejected := 0, 0
 	for _, in := range corpus {
-		want := referenceCheckRUP(in.f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas, Deletes: in.proof.Deletes})
-		// A tampered copy may still check: a flipped literal can leave a
-		// lemma RUP, a dropped lemma may not have been needed.
-		if in.honest && want != nil {
-			t.Fatalf("%s: the reference engine says %s", in.name, errText(want))
-		}
-		if want != nil {
-			rejected++
+		// Without the deletions: the checker ignores those whose IDs do
+		// not name their clause, the reference engine goes by literals.
+		ref := referenceCheckRUP(in.f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas})
+		if in.honest && ref != nil {
+			t.Fatalf("%s: the reference engine says %s", in.name, errText(ref))
 		}
 		reused := NewProofChecker(in.f)
 		for name, variant := range chainVariants(in.proof, len(in.f.Clauses)) {
 			before := reused.Stats()
 			got := reused.Check(in.assumptions, variant)
-			if errText(got) != errText(want) {
-				t.Fatalf("%s under %s chains: %s\nthe reference engine: %s", in.name, name, errText(got), errText(want))
-			}
 			work := reused.Stats().Since(before)
+			shipped := 0
+			for _, c := range variant.Chains {
+				shipped += len(c)
+			}
 			switch {
-			case name == "none" && (work.Hinted != 0 || work.Fallbacks != 0):
-				t.Fatalf("%s without chains: %+v", in.name, work)
-			case name == "honest" && in.honest && (work.Fallbacks != 0 || work.Hinted == 0):
-				t.Fatalf("%s with the solver's chains: %+v", in.name, work)
-			case name == "hostile" && work.Fallbacks == 0:
-				t.Fatalf("%s under hostile chains: %+v; want fallbacks", in.name, work)
+			case got == nil && ref != nil:
+				t.Fatalf("%s under %s chains: accepted; the reference engine: %s", in.name, name, errText(ref))
+			case name == "honest" && in.honest && (got != nil || work.Lemmas != int64(len(in.proof.Lemmas))):
+				t.Fatalf("%s with the solver's chains: %s after %+v", in.name, errText(got), work)
+			case in.honest && (name == "none" || name == "hostile") && got == nil:
+				t.Fatalf("%s under %s chains: accepted", in.name, name)
+			case work.ChainClauses > int64(shipped):
+				t.Fatalf("%s under %s chains: %d chain IDs walked of %d shipped", in.name, name, work.ChainClauses, shipped)
+			}
+			if got == nil {
+				accepted++
+			} else {
+				rejected++
 			}
 		}
 	}
-	if rejected == 0 || rejected == len(corpus) {
-		t.Fatalf("%d of %d proofs rejected: the corpus lost a side", rejected, len(corpus))
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("%d checks accepted, %d rejected: the corpus lost a side", accepted, rejected)
 	}
-	t.Logf("%d proofs under 5 chain variants each, %d of them rejected", len(corpus), rejected)
+	t.Logf("%d proofs under 5 chain variants each: %d checks accepted, %d rejected", len(corpus), accepted, rejected)
 }

@@ -6,19 +6,17 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
-	"strings"
 
 	"repro/internal/cnf"
 )
 
 // This file serialises refutation proofs. Two formats are supported:
 //
-//   - DRAT-style text (WriteDRAT / ParseDRAT): one lemma per line as
-//     signed DIMACS literals terminated by 0, and a deletion as the same
-//     behind "d", where the solver logged it: the format external proof
-//     checkers and humans read. It has no place for clause IDs, so
-//     neither for chains nor for the IDs of deletions.
+//   - DRAT-style text (WriteDRAT): one lemma per line as signed DIMACS
+//     literals terminated by 0, and a deletion as the same behind "d",
+//     where the solver logged it: the format external proof checkers and
+//     humans read. It has no place for clause IDs, so neither for chains
+//     nor for the IDs of deletions, and ProofChecker cannot check it.
 //   - The flat form (AppendFlat / ParseFlat) a logging solver keeps
 //     (FlatLog) and the distributed certificate layer ships: the whole
 //     proof, IDs and chains included, as one string of uvarints, which a
@@ -381,51 +379,4 @@ func WriteDRAT(w io.Writer, p *Proof) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseDRAT reads a DRAT-style text proof: comment lines ("c ...") are
-// skipped, every other line must be signed DIMACS literals terminated
-// by 0, behind "d" for a deletion, which names no ID (noID). The empty
-// clause ("0" alone) parses as a zero-length lemma.
-func ParseDRAT(r io.Reader) (*Proof, error) {
-	p := &Proof{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
-		}
-		line, deleted := strings.CutPrefix(line, "d")
-		var lemma cnf.Clause
-		terminated := false
-		for _, tok := range strings.Fields(line) {
-			if terminated {
-				return nil, fmt.Errorf("sat: drat line %d: literals after terminating 0", lineNo)
-			}
-			n, err := strconv.Atoi(tok)
-			if err != nil {
-				return nil, fmt.Errorf("sat: drat line %d: bad literal %q", lineNo, tok)
-			}
-			if n == 0 {
-				terminated = true
-				continue
-			}
-			lemma = append(lemma, cnf.FromDimacs(n))
-		}
-		if !terminated {
-			return nil, fmt.Errorf("sat: drat line %d: missing terminating 0", lineNo)
-		}
-		if deleted {
-			p.Deletes = append(p.Deletes, Deletion{At: len(p.Lemmas), ID: noID, Clause: lemma})
-		} else {
-			p.Lemmas = append(p.Lemmas, lemma)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("sat: drat: %w", err)
-	}
-	return p, nil
 }

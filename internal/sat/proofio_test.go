@@ -1,12 +1,16 @@
 package sat
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -36,15 +40,21 @@ func TestDRATRoundTrip(t *testing.T) {
 	if err := WriteDRAT(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseDRAT(&buf)
+	back, err := parseDRAT(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(p.Lemmas, back.Lemmas) {
 		t.Fatalf("round trip changed the proof:\n%v\n%v", p.Lemmas, back.Lemmas)
 	}
+	// The text has no chains, and without them the lemmas do not check;
+	// given the solver's chains back they do.
+	if err := CheckRUP(f, nil, back); err == nil {
+		t.Fatal("the proof checked without its chains")
+	}
+	back.Chains = p.Chains
 	if err := CheckRUP(f, nil, back); err != nil {
-		t.Fatalf("re-parsed proof rejected: %v", err)
+		t.Fatalf("re-parsed proof rejected with its chains: %v", err)
 	}
 }
 
@@ -63,7 +73,7 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 		if !strings.Contains(buf.String(), "\nd ") {
 			t.Fatalf("%s: no deletion line in the DRAT text", tc.name)
 		}
-		fromText, err := ParseDRAT(&buf)
+		fromText, err := parseDRAT(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +98,10 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 				t.Fatalf("%s: %s changed the proof: %d lemmas and %d deletions became %d and %d",
 					tc.name, name, len(p.Lemmas), len(p.Deletes), len(back.Lemmas), len(back.Deletes))
 			}
-			if name != "DRAT" && !bytes.Equal(AppendFlat(nil, back), AppendFlat(nil, p)) {
+			if name == "DRAT" {
+				continue // no chains, nor IDs: nothing a ProofChecker checks
+			}
+			if !bytes.Equal(AppendFlat(nil, back), AppendFlat(nil, p)) {
 				t.Fatalf("%s: %s changed the chains or the deletions' IDs", tc.name, name)
 			}
 			if err := CheckRUP(f, nil, back); err != nil {
@@ -223,14 +236,14 @@ func TestDRATParseRejectsGarbage(t *testing.T) {
 		"1 0 2 0\n", // literals after the terminator
 		"0 trail\n", // ditto, non-numeric
 	} {
-		if _, err := ParseDRAT(strings.NewReader(in)); err == nil {
-			t.Fatalf("ParseDRAT(%q) accepted", in)
+		if _, err := parseDRAT(strings.NewReader(in)); err == nil {
+			t.Fatalf("parseDRAT(%q) accepted", in)
 		}
 	}
 }
 
 func TestDRATParseSkipsCommentsAndDeletions(t *testing.T) {
-	p, err := ParseDRAT(strings.NewReader("c header\nd 1 2 0\n-1 2 0\n\n0\n"))
+	p, err := parseDRAT(strings.NewReader("c header\nd 1 2 0\n-1 2 0\n\n0\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,4 +263,51 @@ func TestProofSizeNilSafe(t *testing.T) {
 	if p.NumLemmas() != 0 || p.NumLits() != 0 {
 		t.Fatal("nil proof has non-zero size")
 	}
+}
+
+// parseDRAT reads a DRAT-style text proof, as WriteDRAT writes it: comment lines ("c ...") are
+// skipped, every other line must be signed DIMACS literals terminated
+// by 0, behind "d" for a deletion, which names no ID (noID). The empty
+// clause ("0" alone) parses as a zero-length lemma.
+func parseDRAT(r io.Reader) (*Proof, error) {
+	p := &Proof{}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimSpace(sc.Text())
+		if line == "" || strings.HasPrefix(line, "c") {
+			continue
+		}
+		line, deleted := strings.CutPrefix(line, "d")
+		var lemma cnf.Clause
+		terminated := false
+		for _, tok := range strings.Fields(line) {
+			if terminated {
+				return nil, fmt.Errorf("sat: drat line %d: literals after terminating 0", lineNo)
+			}
+			n, err := strconv.Atoi(tok)
+			if err != nil {
+				return nil, fmt.Errorf("sat: drat line %d: bad literal %q", lineNo, tok)
+			}
+			if n == 0 {
+				terminated = true
+				continue
+			}
+			lemma = append(lemma, cnf.FromDimacs(n))
+		}
+		if !terminated {
+			return nil, fmt.Errorf("sat: drat line %d: missing terminating 0", lineNo)
+		}
+		if deleted {
+			p.Deletes = append(p.Deletes, Deletion{At: len(p.Lemmas), ID: noID, Clause: lemma})
+		} else {
+			p.Lemmas = append(p.Lemmas, lemma)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("sat: drat: %w", err)
+	}
+	return p, nil
 }
