@@ -154,7 +154,7 @@ func readDimacs(path string) (*cnf.Formula, error) {
 // check, an UNSAT answer's refutation is emitted and checked.
 func solveOne(ctx context.Context, stdout io.Writer, formula *cnf.Formula, assumptions []cnf.Lit, budget journal.Budget,
 	progress int64, live func(int, sat.Stats), proofPath string, check bool) (*portfolio.Result, error) {
-	s := sat.NewFromFormula(formula, sat.Options{
+	s := sat.New(formula.NumVars, sat.Options{
 		MaxConflicts: budget.Conflicts, MemBudgetMB: budget.MemMB, ProgressEvery: progress,
 	})
 	s.Progress = func(st sat.Stats) { live(0, st) }
@@ -162,6 +162,7 @@ func solveOne(ctx context.Context, stdout io.Writer, formula *cnf.Formula, assum
 	if wantProof {
 		s.EnableProof()
 	}
+	s.AddFormula(formula)
 	defer context.AfterFunc(ctx, s.Interrupt)()
 	status, err := s.Solve(assumptions...)
 	switch err {

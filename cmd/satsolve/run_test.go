@@ -53,27 +53,38 @@ func pigeonhole(t *testing.T, n int) string {
 
 // TestExitCodes runs satsolve's entry point: 10 SATISFIABLE, 20
 // UNSATISFIABLE, 2 for a request it refuses. Under -proof -check an
-// UNSAT answer's DRAT text is written and the proof the solver logged,
-// antecedent chains included, is checked.
+// UNSAT answer's DRAT text is written, ending in the empty clause's line
+// "0", and the proof the solver logged, antecedent chains included, is
+// checked.
 func TestExitCodes(t *testing.T) {
 	sat := writeCNF(t, 2, [][]int{{1, 2}, {-1}})
 	unsat := writeCNF(t, 1, [][]int{{1}, {-1}})
+	drat := filepath.Join(t.TempDir(), "p.drat")
 	for _, c := range []struct {
-		args    []string
-		code    int
-		wantErr string
-		wantOut string
+		args     []string
+		code     int
+		wantErr  string
+		wantOut  string
+		lastLine string // of the DRAT text, if one is written
 	}{
-		{[]string{sat}, 10, "", "s SATISFIABLE"},
-		{[]string{unsat}, 20, "", "s UNSATISFIABLE"},
-		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-check", pigeonhole(t, 4)}, 20, "", "c proof verified ("},
-		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-cores", "2", unsat}, 2, "single-instance mode", ""},
+		{[]string{sat}, 10, "", "s SATISFIABLE", ""},
+		{[]string{unsat}, 20, "", "s UNSATISFIABLE", ""},
+		{[]string{"-proof", drat, "-check", pigeonhole(t, 4)}, 20, "", "c proof verified (", "0"},
+		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-cores", "2", unsat}, 2, "single-instance mode", "", ""},
 	} {
 		var out bytes.Buffer
 		code, err := run(context.Background(), append([]string{"satsolve"}, c.args...), &out, io.Discard)
 		if code != c.code || (err == nil) != (c.wantErr == "") || (err != nil && !strings.Contains(err.Error(), c.wantErr)) ||
 			!strings.Contains(out.String(), c.wantOut) {
 			t.Errorf("satsolve %v: exit %d, %v; want %d, %q\n%s", c.args, code, err, c.code, c.wantErr, out.String())
+		}
+		if c.lastLine == "" {
+			continue
+		}
+		text, err := os.ReadFile(drat)
+		lines := strings.Split(strings.TrimSuffix(string(text), "\n"), "\n")
+		if err != nil || lines[len(lines)-1] != c.lastLine {
+			t.Errorf("satsolve %v: the DRAT text ends in %q (%v), not %q", c.args, lines[len(lines)-1], err, c.lastLine)
 		}
 	}
 }

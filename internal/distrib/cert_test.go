@@ -314,8 +314,10 @@ func TestByzantineOversizedProofRejected(t *testing.T) {
 // lemmas learnt before it.
 func simplificationLemmas(t *testing.T, v *certVerifier, part int) (from, to int) {
 	t.Helper()
-	s := sat.NewFromFormula(formulaOf(t, v), sat.Options{ProgressEvery: 1})
+	f := formulaOf(t, v)
+	s := sat.New(f.NumVars, sat.Options{ProgressEvery: 1})
 	s.EnableProof()
+	s.AddFormula(f)
 	from = -1
 	s.Progress = func(st sat.Stats) {
 		if from < 0 && st.ElimVars > 0 {

@@ -86,8 +86,9 @@ func fuzzRefutation(f *testing.F) (*cnf.Formula, []byte) {
 		if formula.NumClauses() < 40 {
 			continue
 		}
-		s := sat.NewFromFormula(formula, sat.Options{})
+		s := sat.New(formula.NumVars, sat.Options{})
 		s.EnableProof()
+		s.AddFormula(formula)
 		if st, err := s.Solve(); err != nil {
 			f.Fatal(err)
 		} else if st == sat.Unsat {

@@ -172,9 +172,7 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 			if inst.Proof, err = sat.ParseFlat(inst.Tail); err != nil {
 				return nil, err
 			}
-			if !r.own {
-				inst.Proof = sat.JoinProofs(r.template.ProofLog(), inst.Proof)
-			}
+			inst.Proof = sat.JoinProofs(r.tpl.prefix(r.template, r.own), inst.Proof)
 			inst.Tail = nil
 		}
 		r.res.Instances = append(r.res.Instances, inst)

@@ -90,9 +90,13 @@ type Template struct {
 	mu     sync.Mutex
 	solver *sat.Solver // nil until built or restored, and again after Drop
 	built  TemplateResult
-	// own: it was made for its only cube, which is solved on it and logs
-	// all of its proof: there is no prefix.
-	own bool
+	// own: it was made for its only cube, which is solved on it. Its
+	// proof's prefix is what the load logged (loaded, kept under
+	// KeepProofs), which a certifying run's checker holds as it holds a
+	// pass's: the cube's log starts after it, on the template or on a
+	// solver restored from its snapshot.
+	own    bool
+	loaded *sat.FlatLog
 	// The run's one proof checker (Check), derived by the build beside
 	// the pass; derr, what the solver logged before the first clone does
 	// not check; reported, the checker's counters as Check last handed
@@ -133,13 +137,19 @@ func Restored(data []byte, partitions int, opts Options) (*Template, error) {
 }
 
 // loadTemplate loads f into the solver a run under opts takes its cubes'
-// solvers from. The budget's conflict and memory bounds are the solver's
-// own, and every clone's; its wall-clock bound is runCube's timer.
-func loadTemplate(f *cnf.Formula, opts *Options) *sat.Solver {
-	s := sat.NewFromFormula(f, opts.solverOptions())
-	if opts.CertifyUnsat || opts.KeepProofs {
+// solvers from, logging from the first clause when the run logs: to step,
+// if it is not nil. The budget's conflict and memory bounds are the
+// solver's own, and every clone's; its wall-clock bound is runCube's
+// timer.
+func loadTemplate(f *cnf.Formula, opts *Options, step func(deleted bool, clause, ids []uint32)) *sat.Solver {
+	s := sat.New(f.NumVars, opts.solverOptions())
+	switch {
+	case step != nil:
+		s.StreamProof(step)
+	case opts.CertifyUnsat || opts.KeepProofs:
 		s.EnableProof()
 	}
+	s.AddFormula(f)
 	return s
 }
 
@@ -202,25 +212,21 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	own = t.single(cubes)
 	// A log that is checked goes to a goroutine of its own (passSink),
 	// started before the load: the checker loads beside the solver and
-	// takes each step of the pass while the pass makes the next.
-	// A one-cube run's checker has no prefix to take: it loads the
-	// formula here, before the formula goes.
+	// takes each step of the load and the pass while the solver makes the
+	// next.
 	var sink *passSink
-	switch {
-	case t.checker != nil || !t.opts.CertifyUnsat:
-	case own:
-		t.checker = sat.NewProofChecker(f)
-	default:
+	if t.checker == nil && t.opts.CertifyUnsat {
 		sink = startPassSink(f, t.opts.KeepProofs)
 		defer sink.wait(true) // a panic too ends it
 	}
-	s = loadTemplate(f, &t.opts)
+	var step func(deleted bool, clause, ids []uint32)
+	if sink != nil {
+		step = sink.step
+	}
+	s = loadTemplate(f, &t.opts, step)
 	t.built = TemplateResult{ClausesIn: s.NumClauses(), VarsIn: s.NumVars()}
 	whole := true
 	if !own {
-		if sink != nil {
-			s.StreamProof(sink.step)
-		}
 		freezeCubeVars(s, t.parts, t.opts.SplitLits)
 		// The one place the up-front pass is decided. It is an a-priori
 		// bet: the pass costs about 2 µs per clause whether or not the
@@ -249,6 +255,12 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 		if whole {
 			t.checker, t.derr = sink.checker, sink.derr
 		}
+		if own {
+			t.loaded = sink.kept
+		}
+	}
+	if own && t.opts.CertifyUnsat {
+		s.KeepProof(&sat.FlatLog{}) // the checker holds the load
 	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
 	t.built.VarsOut = s.NumVars() - int(t.built.Stats.ElimVars)
@@ -267,10 +279,11 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 }
 
 // passSink is where a template build whose log is checked sends it: the
-// solver streams the steps of its pass (Solver.StreamProof), copied into
-// batches, down a pipeline of two goroutines. The first loads the run's
-// proof checker from the formula while the solver loads, then extends it
-// by each step (ExtendStep) while the pass makes the next; the second
+// solver streams the steps of its load and its pass (Solver.StreamProof),
+// copied into batches, down a pipeline of two goroutines. The first
+// loads the run's proof checker from the formula while the solver loads,
+// then extends it by each step (ExtendStep) while the solver makes the
+// next; the second
 // keeps the steps in a log of its own, when the run keeps proofs (only
 // a kept proof is ever joined to them: Prefix), and hands each batch back
 // to be refilled. The channels are bounded, so the stream holds at most
@@ -402,21 +415,40 @@ func (p *passSink) wait(abort bool) {
 }
 
 // Prefix returns what the template's solver logged before any cube was
-// cloned from it — the derivations and deletions of its simplification
-// pass, which every cube's proof continues (sat.JoinProofs,
-// sat.ProofChecker.Extend) — building the template first if it has to;
-// ctx interrupts that. The log is empty for a run whose only cube is
-// solved on the template itself, whose proof is its own from the start,
-// and for a restored template, which logged nothing here.
+// cloned from it — the units and shortened clauses of its load, the
+// derivations and deletions of its simplification pass, which every
+// cube's proof continues (sat.JoinProofs, sat.ProofChecker.ExtendStep) —
+// building the template first if it has to; ctx interrupts that. For a
+// run whose only cube is solved on the template itself it is what a
+// certifying template's load logged, and it is empty for a restored
+// template, which logged nothing here.
 func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
 	if t.single(t.n) {
-		return &sat.Proof{}, nil
+		return t.prefix(nil, true), nil
 	}
 	s, err := t.build(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return s.ProofLog(), nil
+	return t.prefix(s, false), nil
+}
+
+// prefix is the log the proofs of the cubes of s, the template's solver,
+// continue: its own, or the load's if the cube was solved on it (own).
+func (t *Template) prefix(s *sat.Solver, own bool) *sat.Proof {
+	if !own {
+		return s.ProofLog()
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.loaded == nil || !t.opts.CertifyUnsat {
+		return &sat.Proof{}
+	}
+	p, err := sat.ParseFlat(t.loaded.AppendTo(nil))
+	if err != nil {
+		panic("parallel: template: the load's own log does not parse: " + err.Error())
+	}
+	return p
 }
 
 // Snapshot returns the snapshot of the template's solver
@@ -474,6 +506,9 @@ func (t *Template) Restore(data []byte) error {
 		return fmt.Errorf("parallel: template: the snapshot has %d variables, the run's formula %d", s.NumVars(), t.vars)
 	}
 	if t.opts.CertifyUnsat || t.opts.KeepProofs {
+		if !s.CanLog() {
+			return errors.New("parallel: template: the snapshot has no clause IDs to log a proof with: its template logged none")
+		}
 		s.EnableProof()
 	}
 	t.solver, t.own = s, t.single(t.n)

@@ -57,10 +57,33 @@ func esCell(tb testing.TB) (*cnf.Formula, []partition.Partition) {
 
 // simplifiedTemplate builds by hand what a run of several cubes builds.
 func simplifiedTemplate(f *cnf.Formula, parts []partition.Partition, opts Options) *sat.Solver {
-	tpl := loadTemplate(f, &opts)
+	tpl := loadTemplate(f, &opts, nil)
 	freezeCubeVars(tpl, parts, opts.SplitLits)
 	tpl.Simplify()
 	return tpl
+}
+
+// extend extends c by p a step at a time, as the run's checker is
+// extended by what the template's solver streams (passSink).
+func extend(c *sat.ProofChecker, p *sat.Proof) error {
+	words := func(cl cnf.Clause) []uint32 {
+		w := make([]uint32, len(cl))
+		for i, l := range cl {
+			w[i] = uint32(l)
+		}
+		return w
+	}
+	dels := p.Deletes
+	for i, lemma := range p.Lemmas {
+		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
+			c.ExtendStep(true, words(dels[0].Clause), []uint32{dels[0].ID})
+		}
+		c.ExtendStep(false, words(lemma), p.Chains[i])
+	}
+	for _, d := range dels {
+		c.ExtendStep(true, words(d.Clause), []uint32{d.ID})
+	}
+	return c.ExtendDone()
 }
 
 // scheduleFree is the part of a cube's statistics the benchmark holds
@@ -384,11 +407,11 @@ func TestTemplateProofsAndModels(t *testing.T) {
 			forged.Lemmas[at] = slices.Clone(forged.Lemmas[at])
 			forged.Lemmas[at][0] = forged.Lemmas[at][0].Not()
 			fresh := sat.NewProofChecker(f)
-			if err := fresh.Extend(forged); lemmaIndex(err) != at+1 {
+			if err := extend(fresh, forged); lemmaIndex(err) != at+1 {
 				t.Fatalf("Extend of the prefix with lemma %d forged: %v", at+1, err)
 			}
 			// And the checker it was offered to is still good for the truth.
-			if err := fresh.Extend(prefix); err != nil {
+			if err := extend(fresh, prefix); err != nil {
 				t.Fatalf("after rejecting a forged prefix the checker rejects the real one: %v", err)
 			}
 		})
@@ -427,7 +450,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 				t.Fatalf("prefix of %d lemmas and %d deletions", len(prefix.Lemmas), len(prefix.Deletes))
 			}
 			after := sat.NewProofChecker(f)
-			if err := after.Extend(prefix); err != nil {
+			if err := extend(after, prefix); err != nil {
 				t.Fatal(err)
 			}
 			checking := Prepare(f, nil, parts, Options{CertifyUnsat: true})
@@ -527,8 +550,9 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := sat.NewFromFormula(f, sat.Options{})
+	cold := sat.New(f.NumVars, sat.Options{})
 	cold.EnableProof()
+	cold.AddFormula(f)
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +583,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 // lemmaIndex is the lemma a checker's rejection names ("lemma N of M"),
 // 0 if it names none.
 func lemmaIndex(err error) int {
-	m := regexp.MustCompile(`lemma (\d+) of`).FindStringSubmatch(fmt.Sprint(err))
+	m := regexp.MustCompile(`lemma (\d+) `).FindStringSubmatch(fmt.Sprint(err))
 	if m == nil {
 		return 0
 	}
@@ -704,7 +728,7 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 				t.Fatalf("a restored template logged %v, %v before its clones", rp, err)
 			}
 			checker = sat.NewProofChecker(f)
-			if err := checker.Extend(prefix); err != nil {
+			if err := extend(checker, prefix); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -731,8 +755,9 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 	// One partition, nothing to split: the run's only cube is solved on a
 	// solver loaded for it, every time, and the prefix is empty.
 	single := Prepare(f, nil, parts[2:3], opts)
-	cold := sat.NewFromFormula(f, sat.Options{})
+	cold := sat.New(f.NumVars, sat.Options{})
 	cold.EnableProof()
+	cold.AddFormula(f)
 	if _, err := cold.Solve(parts[2].Assumptions...); err != nil {
 		t.Fatal(err)
 	}
@@ -894,5 +919,51 @@ func checkNoFallback(t *testing.T, contexts, n int) {
 	if w := res.CertifyWork; !res.Certified || tails == 0 || w.Lemmas <= tails || w.ChainClauses < w.Lemmas {
 		t.Errorf("es.u2.c%d.p%d: certified %v, the checker did %+v over %d lemmas of tails and a prefix; want every lemma accepted along its chain",
 			contexts, n, res.Certified, w, tails)
+	}
+}
+
+// A run's only cube is solved on a template whose load logs lemmas when
+// the formula gives it any — a unit that propagates, a clause a unit
+// shortens (the encoder's formulas give none). The run's checker holds
+// the load as it holds a pass, and the cube's log starts after it: in
+// process, where the kept proof is the load's log and then the cube's,
+// and on a worker that restored the template from its snapshot.
+func TestOneCubeProofContinuesTheLoad(t *testing.T) {
+	ctx := context.Background()
+	f := cnf.New()
+	f.AddClause(cnf.NegLit(1))
+	f.AddClause(cnf.PosLit(1), cnf.PosLit(40))
+	for _, c := range pigeonhole(5).Clauses {
+		f.AddClause(c...)
+	}
+	load := sat.New(f.NumVars, sat.Options{})
+	load.EnableProof()
+	load.AddFormula(f)
+	if n := load.ProofLog().NumLemmas(); n < 2 {
+		t.Fatalf("the load logged %d lemmas", n)
+	}
+	parts := []partition.Partition{{Index: 0}}
+	res, err := Solve(ctx, f, parts, Options{CertifyUnsat: true, KeepProofs: true})
+	if err != nil || res.Status != sat.Unsat || !res.Certified {
+		t.Fatalf("in process: %+v, %v", res, err)
+	}
+	if err := sat.CheckRUP(f, nil, res.Instances[0].Proof); err != nil {
+		t.Fatalf("the kept proof does not check: %v", err)
+	}
+	built := Prepare(f, nil, parts, Options{CertifyUnsat: true})
+	data, err := built.Snapshot(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restored(data, 1, Options{KeepProofs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := restored.Solve(ctx, parts, Options{KeepProofs: true})
+	if err != nil || got.Status != sat.Unsat {
+		t.Fatalf("restored: %+v, %v", got, err)
+	}
+	if _, err := built.Check(nil, got.Instances[0].Tail); err != nil {
+		t.Fatalf("the restored template's tail does not check on the builder's checker: %v", err)
 	}
 }

@@ -23,19 +23,20 @@ import "slices"
 // lemmas s has logged so far are the prefix every clone's log continues,
 // and since they were derived before the clone assumed anything,
 // prefix ++ log checks wherever the log of a solver that had done all of
-// it alone would (see ProofChecker.Extend for checking the prefix once).
-// Its clause IDs are s's, and its lemmas' continue from s's: they are
-// those of the joined log.
+// it alone would (see ProofChecker.ExtendStep for checking the prefix
+// once). Its clause IDs are s's, and so are the IDs of the units fixed
+// at level 0; its lemmas' continue from s's: they are those of the joined
+// log.
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
 		opts:    s.opts,
 		numVars: s.numVars,
 		ok:      s.ok,
 
-		ids:       s.ids,
-		nextID:    s.nextID,
-		unstored:  slices.Clip(s.unstored),
-		reordered: s.reordered,
+		ids:    s.ids,
+		nextID: s.nextID,
+		units:  slices.Clone(s.units),
+		logged: s.logged,
 
 		arena:   slices.Clone(s.arena),
 		clauses: slices.Clone(s.clauses),

@@ -27,8 +27,7 @@ func (m cloneMode) String() string {
 }
 
 func buildForClone(f *cnf.Formula, assumptions []cnf.Lit, opts Options, mode cloneMode) *Solver {
-	s := NewFromFormula(f, opts)
-	s.EnableProof()
+	s := newLogging(f, opts)
 	switch mode {
 	case cloneSimplified:
 		s.Freeze(assumptions...)
@@ -153,11 +152,11 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 				t.Fatalf("%v: clone %d: prefix ++ tail rejected: %v", mode, i, err)
 			}
 			checker := NewProofChecker(f)
-			if err := checker.Extend(prefix); err != nil {
+			if err := extend(checker, prefix); err != nil {
 				t.Fatalf("%v: the template's lemmas rejected: %v", mode, err)
 			}
 			if err := checker.Check(assumptions, g.proof); err != nil {
-				t.Fatalf("%v: clone %d: tail rejected after Extend(prefix): %v", mode, i, err)
+				t.Fatalf("%v: clone %d: tail rejected after extending by the prefix: %v", mode, i, err)
 			}
 		}
 		checkStore(t, c)
@@ -265,8 +264,7 @@ func FuzzCloneSolve(f *testing.F) {
 func TestCloneReduceDB(t *testing.T) {
 	f := pigeonhole(7)
 	build := func() *Solver {
-		s := NewFromFormula(f, Options{MaxConflicts: 2000})
-		s.EnableProof()
+		s := newLogging(f, Options{MaxConflicts: 2000})
 		return s
 	}
 	run := func(s *Solver) solveOutcome {

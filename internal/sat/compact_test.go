@@ -27,7 +27,12 @@ import (
 // whatever numbering it searches in, a monotone map leaves every search
 // as it was, and IDs in the arena of a logging solver change no search,
 // so a change that moves any of these has changed a search or the log.
-// The flat digests were re-pinned once, when chains replaced hints.
+// The flat digests were re-pinned once, when chains replaced hints, and
+// every pin once more when the log became chain-complete: each literal
+// the solver fixes at level 0 logged as a unit lemma (the cubes' tails
+// gained those their assumptions propagate), each clause the loader or
+// the pass shortens by one logged as a lemma, and the empty clause
+// logged at the end.
 func TestProofDigestsPinned(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
@@ -39,14 +44,14 @@ func TestProofDigestsPinned(t *testing.T) {
 		flat   string // SHA-256 of AppendFlat
 	}
 	want := []pinned{
-		{"prefix", 42949, "23f39c44d2074f786efe2e32d9d0a5e9bce133f06ebdac6cd8f78abbda08a8a7",
-			"e339a4f735af411abc81c37cec508b642451de6986b23014ad5a85294ff8c6c1"},
-		{"cube 2", 286, "fb077de0f9a76dc964276f4e0ab45e9f880bb1df09355cc509ac8fbd0d59bf79",
-			"a72be2db62d178390b71414d82c91e06407a394871b491a70b505bdf03deb22f"},
-		{"cube 5", 251, "ec867d2c36c55716c2251ad37d3d2d54f69b1e810c2014b2ea46766af4ebfbae",
-			"642fb045b2d40e1e9e5143fa592e4172dcd86f207582eaad6b6ef9d0806ebb02"},
-		{"cube 1 alone", 26042, "afee3dcaca3374ccff919712ac4d162557db64d97921f4522b85ef115e84e5f1",
-			"7d13539f03a244f050826a05d15f5e63ecb7a002f83f7433a6f705dfcc899c1d"},
+		{"prefix", 42950, "86e44ad1cf03d3e5542fe9b68e6f0ad04a211c70f2ef99b9329a30b5774a70be",
+			"7c5a5fbaa8706e8934ff1bc53e121945f9f8e3c8d1292a2269833429f716f61b"},
+		{"cube 2", 1037, "7bf178ee5c95d67ef51cda4f193a26c03c897376d32b7e9054cd390c0bb8e78c",
+			"c8d551f7f3c283afe43da7d9a41eab29d2165d4af1286db785dec28b6246891a"},
+		{"cube 5", 2118, "c5cb18ef1eb269e957018971d093e9075e80da4afa6847f51cf31dacc775f9ba",
+			"f8a51842c916d367861dbf59feeb8a28f70b0508e21959270a77727eb37f7403"},
+		{"cube 1 alone", 31569, "04c1a69932d774a7c443bd16c0dc8c269e59f1e3212b91ce594a13cd08166df3",
+			"425855fc6e84a4298ded1eafef5a551982f1ea5e7eb273f8d5c068c8940eecff"},
 	}
 	pin := func(name string, p *Proof) pinned {
 		var text bytes.Buffer
@@ -57,8 +62,7 @@ func TestProofDigestsPinned(t *testing.T) {
 		return pinned{name, p.NumLemmas(), hex.EncodeToString(drat[:]), hex.EncodeToString(flat[:])}
 	}
 
-	tpl := NewFromFormula(f, Options{})
-	tpl.EnableProof()
+	tpl := newLogging(f, Options{})
 	for _, pt := range parts {
 		tpl.Freeze(pt.Assumptions...)
 	}
@@ -73,8 +77,7 @@ func TestProofDigestsPinned(t *testing.T) {
 		}
 		got = append(got, pin(want[len(got)].name, c.ProofLog()))
 	}
-	alone := NewFromFormula(f, Options{})
-	alone.EnableProof()
+	alone := newLogging(f, Options{})
 	alone.simplifyAt = 0
 	if st, err := alone.Solve(parts[1].Assumptions...); st != Unsat || err != nil || alone.numElim == 0 {
 		t.Fatalf("cube 1 alone: %v, %v, %d variables eliminated", st, err, alone.numElim)

@@ -90,8 +90,7 @@ func BenchmarkCheckRUP(b *testing.B) {
 	f := enc.Formula()
 	parts := encodedCubes(b, enc, 16)
 	assumptions := parts[0].Assumptions
-	s := NewFromFormula(f, Options{})
-	s.EnableProof()
+	s := newLogging(f, Options{})
 	if st, err := s.Solve(assumptions...); err != nil || st != Unsat {
 		b.Fatalf("got %v, %v; want UNSAT", st, err)
 	}

@@ -120,8 +120,7 @@ func checkStore(t *testing.T, s *Solver) {
 func solveFuzzInput(t *testing.T, data []byte) (Status, Stats) {
 	t.Helper()
 	f, assumptions, opts := decodeFuzzInput(data)
-	s := NewFromFormula(f, opts)
-	s.EnableProof()
+	s := newLogging(f, opts)
 	st, err := s.Solve(assumptions...)
 	if err != nil && !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("solve: %v", err)
@@ -139,9 +138,7 @@ func solveFuzzInput(t *testing.T, data []byte) (Status, Stats) {
 			}
 		}
 	case Unsat:
-		if err := CheckRUP(f, assumptions, s.ProofLog()); err != nil {
-			t.Fatalf("refutation rejected: %v", err)
-		}
+		checkRefutation(t, f, assumptions, s.ProofLog())
 	}
 	checkStore(t, s)
 	return st, s.Stats()
@@ -194,9 +191,8 @@ func FuzzSolve(f *testing.F) {
 // assumptions; a refutation must pass a ProofChecker built from f.
 func solveSimplified(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts Options) (*Solver, Status) {
 	t.Helper()
-	s := NewFromFormula(f, opts)
+	s := newLogging(f, opts)
 	s.simplifyAt = 0
-	s.EnableProof()
 	st, err := s.Solve(assumptions...)
 	if err != nil && !errors.Is(err, ErrMemBudget) {
 		t.Fatalf("solve: %v", err)
@@ -214,9 +210,7 @@ func solveSimplified(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 			}
 		}
 	case Unsat:
-		if err := NewProofChecker(f).Check(assumptions, s.ProofLog()); err != nil {
-			t.Fatalf("refutation rejected against the original formula (%d variables eliminated): %v", s.Stats().ElimVars, err)
-		}
+		checkRefutation(t, f, assumptions, s.ProofLog())
 	}
 	checkStore(t, s)
 	return s, st
@@ -496,14 +490,15 @@ func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
 }
 
 // checkExtendLaw cuts a proof into a prefix and a tail at both ends and
-// in the middle, and holds Extend to its contract on a fresh checker and
-// on one that has been through the whole proof before. Where the prefix
-// stands under no assumption, Extend(prefix) then Check(tail) — twice,
-// the second from the base Extend moved — accepts exactly when Check of
-// the whole does, deletions included: those of the prefix leave the base
-// for good, those of the tail come back with every reset. Where a lemma
-// of the prefix does not stand, Extend says so and the checker answers
-// for the whole proof as if nothing had been tried.
+// in the middle, and holds extending (ExtendStep, ExtendDone) to its
+// contract on a fresh checker and on one that has been through the whole
+// proof before. Where the prefix stands under no assumption, extending
+// by the prefix then Check(tail) — twice, the second from the base the
+// prefix moved — accepts exactly when Check of the whole does, deletions
+// included: those of the prefix leave the base for good, those of the
+// tail come back with every reset. Where a lemma of the prefix does not
+// stand, ExtendDone says so and the checker answers for the whole proof
+// as if nothing had been tried.
 func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
 	t.Helper()
 	whole := CheckRUP(f, assumptions, p)
@@ -515,16 +510,16 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proo
 		reused := NewProofChecker(f)
 		_ = reused.Check(assumptions, p)
 		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
-			if err := c.Extend(prefix); err != nil {
+			if err := extend(c, prefix); err != nil {
 				if got := c.Check(assumptions, p); errText(got) != errText(whole) {
-					t.Fatalf("after a rejected Extend (%v) the checker says %s of the whole proof, a fresh one %s",
+					t.Fatalf("after a rejected extension (%v) the checker says %s of the whole proof, a fresh one %s",
 						err, errText(got), errText(whole))
 				}
 				continue
 			}
 			for range 2 {
 				if got := c.Check(assumptions, tail); (got == nil) != (whole == nil) {
-					t.Fatalf("cut at %d of %d: Extend then Check says %s, Check of the whole %s",
+					t.Fatalf("cut at %d of %d: extend then Check says %s, Check of the whole %s",
 						cut, len(p.Lemmas), errText(got), errText(whole))
 				}
 			}
@@ -552,8 +547,7 @@ func FuzzCheckRUP(f *testing.F) {
 		// TestProofDeletesWhatTheSolverDropped hold one such proof, and a
 		// forgery of it, to the reference engine under every chain variant.)
 		formula, assumptions, opts := decodeFuzzInput(seed)
-		s := NewFromFormula(formula, opts)
-		s.EnableProof()
+		s := newLogging(formula, opts)
 		if st, _ := s.Solve(assumptions...); st != Unsat || s.ProofLog().NumLemmas() == 0 {
 			continue
 		}
@@ -567,9 +561,8 @@ func FuzzCheckRUP(f *testing.F) {
 		f.Add(withFuzzProof(seed, reversed))
 		f.Add(withFuzzProof(seed, &Proof{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}, Chains: log.Chains[:1]}))
 
-		simplified := NewFromFormula(formula, opts)
+		simplified := newLogging(formula, opts)
 		simplified.simplifyAt = 0
-		simplified.EnableProof()
 		if st, _ := simplified.Solve(assumptions...); st != Unsat || len(simplified.ProofLog().Deletes) == 0 {
 			continue
 		}
@@ -588,9 +581,10 @@ func FuzzCheckRUP(f *testing.F) {
 		f.Add(withFuzzProof(seed, &Proof{Deletes: p.Deletes}))
 	}
 	// TestCheckRUPLemmaUnitUnderRoot's formula and proof, the lemmas
-	// with a duplicate literal and a tautology among them, and the
-	// deletion of a tautology, a unit, a clause nobody has and one the
-	// last lemma does not need.
+	// with a duplicate literal and a tautology among them, the unit cited
+	// where the lemma (2) needs it, and the deletion of a tautology, a
+	// clause nobody has, and a clause and the unit that the lemmas after
+	// them do not need.
 	unitUnderRoot := cnf.New()
 	for _, c := range [][]int{{-1}, {2, 3, 4}, {2, 3, -4}, {-3, 5}, {-3, -5}, {-2, 6}, {-2, -6}} {
 		var clause cnf.Clause
@@ -603,19 +597,19 @@ func FuzzCheckRUP(f *testing.F) {
 		Lemmas: []cnf.Clause{
 			{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
 			{mk(5, false), mk(5, true)},
-			{mk(2, false)}},
-		Chains: [][]uint32{{1, 2}, nil, {7, 3, 4}},
+			{mk(2, false)},
+			{}},
+		Chains: [][]uint32{{1, 2}, nil, {0, 7, 3, 4}, {9, 5, 6}},
 		Deletes: []Deletion{
 			{At: 0, ID: 3, Clause: cnf.Clause{mk(5, false), mk(5, true)}},
-			{At: 1, ID: 0, Clause: cnf.Clause{mk(1, true)}},
 			{At: 1, ID: 5, Clause: cnf.Clause{mk(90, false), mk(2, false)}},
-			{At: 2, ID: 1, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}}},
+			{At: 2, ID: 1, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}},
+			{At: 3, ID: 0, Clause: cnf.Clause{mk(1, true)}}},
 	}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		formula, assumptions, opts, claimed := decodeFuzzProofInput(data)
-		s := NewFromFormula(formula, opts)
-		s.EnableProof()
+		s := newLogging(formula, opts)
 		solved, err := s.Solve(assumptions...)
 		if err != nil && !errors.Is(err, ErrMemBudget) {
 			t.Fatalf("solve: %v", err)
@@ -634,6 +628,7 @@ func FuzzCheckRUP(f *testing.F) {
 			}
 		}
 		if solved == Unsat {
+			checkRefutation(t, formula, assumptions, s.ProofLog())
 			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved, data); err != nil {
 				t.Fatalf("the solver's refutation rejected: %v", err)
 			}

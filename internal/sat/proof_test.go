@@ -3,6 +3,7 @@ package sat
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -10,20 +11,18 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cnf"
+	"repro/prog"
 )
 
 func TestProofPigeonhole(t *testing.T) {
 	for holes := 3; holes <= 6; holes++ {
 		f := pigeonhole(holes)
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		st, err := s.Solve()
 		if err != nil || st != Unsat {
 			t.Fatalf("PHP(%d): %v %v", holes, st, err)
 		}
-		if err := CheckRUP(f, nil, s.ProofLog()); err != nil {
-			t.Fatalf("PHP(%d): proof rejected: %v", holes, err)
-		}
+		checkRefutation(t, f, nil, s.ProofLog())
 	}
 }
 
@@ -33,8 +32,7 @@ func TestProofRandomUnsat(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		nv := 1 + rng.Intn(10)
 		f := randomFormula(rng, nv, 10+rng.Intn(40), 1+rng.Intn(3))
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		st, err := s.Solve()
 		if err != nil {
 			t.Fatal(err)
@@ -42,9 +40,7 @@ func TestProofRandomUnsat(t *testing.T) {
 		if st != Unsat {
 			continue
 		}
-		if err := CheckRUP(f, nil, s.ProofLog()); err != nil {
-			t.Fatalf("iter %d: valid proof rejected: %v", iter, err)
-		}
+		checkRefutation(t, f, nil, s.ProofLog())
 		certified++
 	}
 	if certified < 30 {
@@ -68,8 +64,7 @@ func TestProofUnderAssumptions(t *testing.T) {
 			seen[v] = true
 			assumps = append(assumps, cnf.MkLit(cnf.Var(v), rng.Intn(2) == 0))
 		}
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		st, err := s.Solve(assumps...)
 		if err != nil {
 			t.Fatal(err)
@@ -77,13 +72,30 @@ func TestProofUnderAssumptions(t *testing.T) {
 		if st != Unsat {
 			continue
 		}
-		if err := CheckRUP(f, assumps, s.ProofLog()); err != nil {
-			t.Fatalf("iter %d: proof under assumptions rejected: %v", iter, err)
-		}
+		checkRefutation(t, f, assumps, s.ProofLog())
 		certified++
 	}
 	if certified < 20 {
 		t.Fatalf("too few assumption-UNSAT instances certified: %d", certified)
+	}
+}
+
+// checkRefutation holds a refutation the solver logged to what every one
+// must be: it ends in the empty lemma and is accepted, and without that
+// lemma it is rejected — unless the assumptions contradict each other or
+// the formula holds the empty clause, which need no lemma.
+func checkRefutation(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
+	t.Helper()
+	n := len(p.Lemmas)
+	if n == 0 || len(p.Lemmas[n-1]) != 0 {
+		t.Fatalf("a log of %d lemmas that does not end in the empty one", n)
+	}
+	if err := CheckRUP(f, assumptions, p); err != nil {
+		t.Fatalf("refutation rejected: %v", err)
+	}
+	cut := &Proof{Lemmas: p.Lemmas[:n-1], Deletes: p.Deletes, Chains: p.Chains[:min(n-1, len(p.Chains))]}
+	if CheckRUP(f, assumptions, &Proof{}) != nil && CheckRUP(f, assumptions, cut) == nil {
+		t.Fatal("accepted without its empty lemma")
 	}
 }
 
@@ -108,8 +120,7 @@ func TestProofOutOfRangeVariables(t *testing.T) {
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	f.AddClause(cnf.NegLit(1))
 	assumptions := []cnf.Lit{cnf.NegLit(2), cnf.PosLit(9)}
-	s := NewFromFormula(f, Options{})
-	s.EnableProof()
+	s := newLogging(f, Options{})
 	if st, err := s.Solve(assumptions...); err != nil || st != Unsat {
 		t.Fatalf("got %v, %v; want UNSAT", st, err)
 	}
@@ -147,14 +158,18 @@ func TestProofRejectsIncomplete(t *testing.T) {
 }
 
 func TestProofTrivialConflicts(t *testing.T) {
-	// Root-level contradictions need no lemmas at all.
+	// Two units that contradict each other need the empty lemma, derived
+	// from both: the checker does not propagate.
 	f := cnf.New()
 	f.AddUnit(cnf.PosLit(1))
 	f.AddUnit(cnf.NegLit(1))
-	if err := CheckRUP(f, nil, &Proof{}); err != nil {
+	if err := CheckRUP(f, nil, &Proof{}); err == nil {
+		t.Fatal("accepted without the empty lemma")
+	}
+	if err := CheckRUP(f, nil, &Proof{Lemmas: []cnf.Clause{{}}, Chains: [][]uint32{{0, 1}}}); err != nil {
 		t.Fatalf("root conflict rejected: %v", err)
 	}
-	// Contradictory assumptions likewise.
+	// Contradictory assumptions need no lemmas at all.
 	f2 := cnf.New()
 	f2.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	if err := CheckRUP(f2, []cnf.Lit{cnf.PosLit(1), cnf.NegLit(1)}, &Proof{}); err != nil {
@@ -177,15 +192,12 @@ func TestProofAgreesWithPartitioning(t *testing.T) {
 			cnf.MkLit(1, mask&1 == 0),
 			cnf.MkLit(2, mask&2 == 0),
 		}
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		st, err := s.Solve(assumps...)
 		if err != nil || st != Unsat {
 			t.Fatalf("mask %d: %v %v", mask, st, err)
 		}
-		if err := CheckRUP(f, assumps, s.ProofLog()); err != nil {
-			t.Fatalf("mask %d: %v", mask, err)
-		}
+		checkRefutation(t, f, assumps, s.ProofLog())
 	}
 }
 
@@ -193,11 +205,12 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 	// With 1 false at the root the lemma (1∨2∨3) is the clause (2∨3)
 	// from the moment it is added, and the check of the lemma (2) needs
 	// it to propagate 3 — along its chain here, and the reference
-	// engine's propagation too. A checker that attaches the lemma through
-	// its root-false literal never sees it become unit and rejects a
-	// valid proof; so does a walk that takes the root-false literal for
-	// an open one. The root literal comes from the formula, then from an
-	// assumption, which leaves the formula's clause IDs one lower.
+	// engine's propagation too. A walk that takes the root-false literal
+	// for an open one rejects a valid proof. The root literal comes from
+	// the formula, then from an assumption, which leaves the formula's
+	// clause IDs one lower: a unit of the formula is cited by its ID, as
+	// the solver cites what it fixed at level 0, an assumption by none.
+	// The empty lemma follows from (2) and the clauses over 2 and 6.
 	clauses := []cnf.Clause{
 		{mk(2, false), mk(3, false), mk(4, false)},
 		{mk(2, false), mk(3, false), mk(4, true)},
@@ -206,11 +219,12 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		{mk(2, true), mk(6, false)},
 		{mk(2, true), mk(6, true)},
 	}
-	proof := func(shift uint32) *Proof {
+	proof := func(shift uint32, units ...uint32) *Proof {
 		return &Proof{Lemmas: []cnf.Clause{
 			{mk(1, false), mk(2, false), mk(3, false)},
 			{mk(2, false)},
-		}, Chains: [][]uint32{{shift, shift + 1}, {shift + 6, shift + 2, shift + 3}}}
+			{},
+		}, Chains: [][]uint32{{shift, shift + 1}, append(units, shift+6, shift+2, shift+3), {shift + 7, shift + 4, shift + 5}}}
 	}
 	unit := cnf.New()
 	unit.AddClause(mk(1, true))
@@ -220,7 +234,7 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		assumed.AddClause(c...)
 	}
 	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, *Proof) error{"checker": CheckRUP, "reference engine": referenceCheckRUP} {
-		if err := check(unit, nil, proof(1)); err != nil {
+		if err := check(unit, nil, proof(1, 0)); err != nil {
 			t.Errorf("%s, root literal from a unit clause: valid proof rejected: %v", name, err)
 		}
 		if err := check(assumed, []cnf.Lit{mk(1, true)}, proof(0)); err != nil {
@@ -254,8 +268,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 	beyond := cnf.PosLit(cnf.Var(f.NumVars + 3))
 	var honest, inputs []input
 	for _, pt := range parts {
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		if st, err := s.Solve(pt.Assumptions...); err != nil || st != Unsat {
 			t.Fatalf("partition %d: %v, %v; want UNSAT", pt.Index, st, err)
 		}
@@ -339,17 +352,15 @@ func deletingProofs(t *testing.T) []struct {
 } {
 	t.Helper()
 	simplified := pigeonhole(6)
-	pass := NewFromFormula(simplified, Options{})
+	pass := newLogging(simplified, Options{})
 	pass.simplifyAt = 0
-	pass.EnableProof()
 	if st, err := pass.Solve(); err != nil || st != Unsat || pass.Stats().Simplified == 0 {
 		t.Fatalf("simplified search: %v, %v, %d clauses removed", st, err, pass.Stats().Simplified)
 	}
 	padded := pigeonhole(7)
 	padded.AddClause(cnf.PosLit(20000))
-	reducing := NewFromFormula(padded, Options{MemBudgetMB: 2})
+	reducing := newLogging(padded, Options{MemBudgetMB: 2})
 	reducing.simplified = true // the budget has no room for the pass
-	reducing.EnableProof()
 	if st, err := reducing.Solve(); err != nil || st != Unsat || reducing.Stats().LearntDeleted == 0 {
 		t.Fatalf("search under a memory budget: %v, %v, %d learnt clauses deleted", st, err, reducing.Stats().LearntDeleted)
 	}
@@ -361,41 +372,25 @@ func deletingProofs(t *testing.T) []struct {
 }
 
 // baseOf lists what a checker at rest holds: its live clauses, each as
-// its sorted literals, in sorted order, and how often each literal is
-// watched through.
-func baseOf(t *testing.T, c *ProofChecker) (clauses []string, watchers int) {
-	t.Helper()
+// its sorted literals, in sorted order.
+func baseOf(c *ProofChecker) (clauses []string) {
 	for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
-		if c.arena[ref-1]&delTag != 0 {
-			continue
+		if c.arena[ref-1]&delTag == 0 {
+			lits := slices.Clone(c.arena[ref : ref+int(c.arena[ref-1])])
+			slices.Sort(lits)
+			clauses = append(clauses, fmt.Sprint(lits))
 		}
-		lits := slices.Clone(c.arena[ref : ref+int(c.arena[ref-1])])
-		for _, l := range lits[:2] {
-			if !slices.ContainsFunc(c.watches[l^1], func(w watcher) bool { return w.ref&^binTag == uint32(ref) }) {
-				t.Fatalf("clause %v is not watched through %d", lits, l)
-			}
-		}
-		slices.Sort(lits)
-		clauses = append(clauses, fmt.Sprint(lits))
 	}
 	slices.Sort(clauses)
-	for _, ws := range c.watches {
-		watchers += len(ws)
-	}
-	if watchers != 2*len(clauses) {
-		t.Fatalf("%d watchers for %d clauses", watchers, len(clauses))
-	}
-	return clauses, watchers
+	return clauses
 }
 
-// What the solver logs as dropped the checker drops — nearly all of it:
-// a deletion names its clause by the literals the solver held, and the
-// few clauses the solver had already shortened by a level-0 literal the
-// checker keeps under their own — and the proof checks, on the checker
-// and the reference engine; it checks again on the same checker, whose
-// base comes back from every check clause for clause and watched as it
-// must be, whatever the proof deleted from it; and cut in two it obeys
-// Extend's law.
+// What the solver logs as dropped the checker drops — all of it: a
+// deletion names its clause by its ID, under which the checker holds the
+// literals the solver held — and the proof checks, on the checker and
+// the reference engine; it checks again on the same checker, whose base
+// comes back from every check clause for clause, whatever the proof
+// deleted from it; and cut in two it obeys the law of extending.
 func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 	for _, tc := range deletingProofs(t) {
 		t.Run(tc.name, func(t *testing.T) {
@@ -409,7 +404,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 				}
 			}
 			c := NewProofChecker(f)
-			base, _ := baseOf(t, c)
+			base := baseOf(c)
 			if err := c.Check(nil, p); err != nil {
 				t.Fatalf("rejected: %v", err)
 			}
@@ -432,7 +427,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 				}
 			}
 			c.reset()
-			if dropped == 0 || 10*dropped < 9*len(p.Deletes) {
+			if dropped != len(p.Deletes) {
 				t.Errorf("the checker dropped %d clauses for %d deletions", dropped, len(p.Deletes))
 			}
 			// A proof that deletes the formula away before it starts, then
@@ -444,7 +439,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			if err := c.Check(nil, robbed); err == nil {
 				t.Fatal("accepted with the formula deleted ahead of the first lemma")
 			}
-			if after, _ := baseOf(t, c); !slices.Equal(after, base) {
+			if after := baseOf(c); !slices.Equal(after, base) {
 				t.Fatalf("the base holds %d clauses after the checks, %d before, or not the same ones", len(after), len(base))
 			}
 			if err := c.Check(nil, p); err != nil {
@@ -464,8 +459,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 // checker does not look up by its literals.
 func TestProofDeletionsThatNameNothing(t *testing.T) {
 	f := pigeonhole(5)
-	s := NewFromFormula(f, Options{})
-	s.EnableProof()
+	s := newLogging(f, Options{})
 	if st, err := s.Solve(); err != nil || st != Unsat {
 		t.Fatalf("%v, %v", st, err)
 	}
@@ -517,8 +511,8 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 // A proof handed out step by step is the proof kept: a template-style
 // solver — loaded, simplified, not searched — that streams its log
 // (StreamProof) hands out the steps of the log its twin kept, and a
-// checker (ExtendStep, ExtendDone) the base Extend builds from
-// that log, clause for clause; it keeps nothing itself, and its clones
+// checker (ExtendStep, ExtendDone) fed by it is the one extended by that
+// log, clause for clause; it keeps nothing itself, and its clones
 // log their own searches as any clone does. A step that does not stand
 // is reported when the stream is done, and the checker is then where it
 // was.
@@ -527,8 +521,9 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	f := enc.Formula()
 	parts := encodedCubes(t, enc, 8)
 	template := func(arm func(*Solver)) *Solver {
-		s := NewFromFormula(f, Options{})
+		s := New(f.NumVars, Options{})
 		arm(s)
+		s.AddFormula(f)
 		for _, pt := range parts {
 			s.Freeze(pt.Assumptions...)
 		}
@@ -570,11 +565,11 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 		t.Fatalf("the streaming solver kept %+v", p)
 	}
 	extended := NewProofChecker(f)
-	if err := extended.Extend(log); err != nil {
+	if err := extend(extended, log); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := baseOf(t, extended)
-	if got, _ := baseOf(t, streamedTo); !slices.Equal(got, want) {
+	want := baseOf(extended)
+	if got := baseOf(streamedTo); !slices.Equal(got, want) {
 		t.Fatalf("the checker fed by steps holds %d clauses, the one extended by the log %d, or not the same ones", len(got), len(want))
 	}
 	// The clones' tails check on either, and are kept.
@@ -592,7 +587,7 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 
 	// One literal of one lemma flipped on its way.
 	fresh := NewProofChecker(f)
-	base, _ := baseOf(t, fresh)
+	base := baseOf(fresh)
 	at := len(log.Lemmas) / 2
 	dels := log.Deletes
 	for i, lemma := range log.Lemmas {
@@ -608,12 +603,31 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	if err := fresh.ExtendDone(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lemma %d ", at+1)) {
 		t.Fatalf("stream with lemma %d forged: %v", at+1, err)
 	}
-	if after, _ := baseOf(t, fresh); !slices.Equal(after, base) {
+	if after := baseOf(fresh); !slices.Equal(after, base) {
 		t.Fatal("a rejected stream left the checker's base changed")
 	}
-	if err := fresh.Extend(log); err != nil {
+	if err := extend(fresh, log); err != nil {
 		t.Fatalf("after rejecting a forged stream the checker rejects the real prefix: %v", err)
 	}
+}
+
+// newLogging is NewFromFormula for a solver that logs its proof from the
+// first clause.
+func newLogging(f *cnf.Formula, opts Options) *Solver {
+	s := New(f.NumVars, opts)
+	s.EnableProof()
+	s.AddFormula(f)
+	return s
+}
+
+// extend extends c by p a step at a time, as a template's checker is
+// extended by what its solver streams (ExtendStep, ExtendDone).
+func extend(c *ProofChecker, p *Proof) error {
+	p.steps(func(deleted bool, clause cnf.Clause, ids []uint32) error {
+		c.ExtendStep(deleted, wordsOf(clause), ids)
+		return nil
+	})
+	return c.ExtendDone()
 }
 
 // wordsOf is a clause as StreamProof hands it out.
@@ -677,8 +691,7 @@ func TestChainsAreTheProof(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	parts := encodedCubes(t, enc, 8)
 	for _, pt := range parts {
-		s := NewFromFormula(enc.Formula(), Options{})
-		s.EnableProof()
+		s := newLogging(enc.Formula(), Options{})
 		if st, err := s.Solve(pt.Assumptions...); err != nil || st != Unsat {
 			t.Fatalf("partition %d: %v, %v; want UNSAT", pt.Index, st, err)
 		}
@@ -734,4 +747,92 @@ func TestChainsAreTheProof(t *testing.T) {
 		t.Fatalf("%d checks accepted, %d rejected: the corpus lost a side", accepted, rejected)
 	}
 	t.Logf("%d proofs under 5 chain variants each: %d checks accepted, %d rejected", len(corpus), accepted, rejected)
+}
+
+// Every deletion the solver logs names, by its ID, a clause the log has
+// not let go of, with exactly the deletion's literals — a clause the
+// loader shortened by a literal false at level 0 is held under the ID of
+// the lemma it is now, not under the add's. The test replays each log's
+// IDs itself, clause i of the formula and then lemma j as ID |F|+j (of
+// the joined log, for a clone's tail), on the solvers of proof_1core's
+// two cells, which simplify mid-search, and on the template and the
+// sixteen clones of distrib_loopback's run.
+func TestSolverDeletionsNameTheirClause(t *testing.T) {
+	key := func(c cnf.Clause) string {
+		c = slices.Clone(c)
+		slices.Sort(c)
+		return fmt.Sprint(slices.Compact(c))
+	}
+	// replay takes p's steps on live, the clauses held by ID, whose next
+	// lemma has ID next, and returns the deletions that missed and the
+	// next ID after p's lemmas.
+	replay := func(live map[uint32]string, next uint32, p *Proof) (misses, deletions int, after uint32) {
+		p.steps(func(deleted bool, c cnf.Clause, ids []uint32) error {
+			if !deleted {
+				live[next] = key(c)
+				next++
+				return nil
+			}
+			deletions++
+			if held, ok := live[ids[0]]; !ok || held != key(c) {
+				misses++
+				return nil
+			}
+			delete(live, ids[0])
+			return nil
+		})
+		return misses, deletions, next
+	}
+	formula := func(f *cnf.Formula) map[uint32]string {
+		live := make(map[uint32]string, len(f.Clauses))
+		for id, c := range f.Clauses {
+			live[uint32(id)] = key(c)
+		}
+		return live
+	}
+	for _, cell := range []struct {
+		name string
+		p    *prog.Program
+	}{{"es.u2.c6", bench.Eliminationstack()}, {"wsfix.u2.c6", bench.WorkstealingqueueFixed()}} {
+		t.Run(cell.name, func(t *testing.T) {
+			t.Parallel()
+			f := encodeBench(t, cell.p, 2, 6)
+			s := newLogging(f, Options{})
+			if st, err := s.Solve(); st != Unsat || err != nil || s.Stats().ElimVars == 0 {
+				t.Fatalf("%v, %v, %d variables eliminated", st, err, s.Stats().ElimVars)
+			}
+			misses, deletions, _ := replay(formula(f), uint32(len(f.Clauses)), s.ProofLog())
+			if misses != 0 {
+				t.Fatalf("%d of %d deletions name no clause held with their literals", misses, deletions)
+			}
+			t.Logf("%d deletions", deletions)
+		})
+	}
+	t.Run("es.u2.c5.p16", func(t *testing.T) {
+		t.Parallel()
+		enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 5)
+		f := enc.Formula()
+		parts := encodedCubes(t, enc, 16)
+		tpl := newLogging(f, Options{})
+		for _, pt := range parts {
+			tpl.Freeze(pt.Assumptions...)
+		}
+		if !tpl.Simplify() || tpl.numElim == 0 {
+			t.Fatalf("the pass eliminated %d variables", tpl.numElim)
+		}
+		base := formula(f)
+		misses, deletions, next := replay(base, uint32(len(f.Clauses)), tpl.ProofLog())
+		for _, pt := range parts {
+			c := tpl.Clone()
+			if st, err := c.Solve(pt.Assumptions...); st != Unsat || err != nil {
+				t.Fatalf("cube %d: %v, %v", pt.Index, st, err)
+			}
+			m, d, _ := replay(maps.Clone(base), next, c.ProofLog())
+			misses, deletions = misses+m, deletions+d
+		}
+		if misses != 0 {
+			t.Fatalf("%d of %d deletions name no clause held with their literals", misses, deletions)
+		}
+		t.Logf("%d deletions", deletions)
+	})
 }

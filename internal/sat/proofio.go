@@ -47,21 +47,28 @@ func (p *Proof) NumLits() int {
 }
 
 // steps walks the proof in the order a checker takes it: each deletion
-// before the first lemma it precedes, the rest after the last.
-func (p *Proof) steps(visit func(deleted bool, c cnf.Clause) error) error {
+// before the first lemma it precedes, the rest after the last. ids is a
+// lemma's chain, a deletion's ID alone.
+func (p *Proof) steps(visit func(deleted bool, c cnf.Clause, ids []uint32) error) error {
+	var id [1]uint32
 	dels := p.Deletes
+	deletion := func() error {
+		d := dels[0]
+		dels, id[0] = dels[1:], d.ID
+		return visit(true, d.Clause, id[:])
+	}
 	for i, lemma := range p.Lemmas {
-		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
-			if err := visit(true, dels[0].Clause); err != nil {
+		for len(dels) > 0 && dels[0].At <= i {
+			if err := deletion(); err != nil {
 				return err
 			}
 		}
-		if err := visit(false, lemma); err != nil {
+		if err := visit(false, lemma, p.chain(i)); err != nil {
 			return err
 		}
 	}
-	for _, d := range dels {
-		if err := visit(true, d.Clause); err != nil {
+	for len(dels) > 0 {
+		if err := deletion(); err != nil {
 			return err
 		}
 	}
@@ -270,7 +277,9 @@ func ParseFlat(data []byte) (*Proof, error) {
 	slab := make([]cnf.Lit, 0, v.nt)
 	clause := func(r *flatReader) cnf.Clause {
 		start := len(slab)
-		slab = r.clause(slab)
+		if slab = r.clause(slab); len(slab) == start {
+			return nil // the empty clause
+		}
 		return slab[start:len(slab):len(slab)]
 	}
 	lemmas, dels, chains := flatReader{data: v.lemmas}, flatReader{data: v.dels}, flatReader{data: v.chains}
@@ -364,7 +373,7 @@ func WriteDRAT(w io.Writer, p *Proof) error {
 		return err
 	}
 	if p != nil {
-		err := p.steps(func(deleted bool, c cnf.Clause) error {
+		err := p.steps(func(deleted bool, c cnf.Clause, _ []uint32) error {
 			if deleted {
 				bw.WriteString("d ")
 			}

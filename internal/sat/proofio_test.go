@@ -22,8 +22,7 @@ import (
 func pigeonholeProof(t *testing.T, holes int) (*cnf.Formula, *Proof) {
 	t.Helper()
 	f := pigeonhole(holes)
-	s := NewFromFormula(f, Options{})
-	s.EnableProof()
+	s := newLogging(f, Options{})
 	st, err := s.Solve()
 	if err != nil || st != Unsat {
 		t.Fatalf("PHP(%d): %v, %v", holes, st, err)

@@ -197,10 +197,11 @@ next:
 }
 
 // load files the solver's clauses as they stand under the level-0
-// assignment — satisfied ones are left out, false literals dropped —
-// and every eligible variable on the heap; then it takes the solver's
-// own copy of the clauses away. False means a clause is empty under
-// the assignment.
+// assignment — satisfied ones are left out, false literals dropped, and
+// a clause that lost one logged as the lemma it is now, the clause it was
+// as deleted — and every eligible variable on the heap; then it takes
+// the solver's own copy of the clauses away. False means a clause is
+// empty under the assignment.
 func (e *eliminator) load() bool {
 	s := e.s
 next:
@@ -216,17 +217,23 @@ next:
 			}
 		}
 		e.buf = buf
-		if len(buf) < 2 {
-			// Not at a propagation fixpoint; the unit joins the trail.
-			s.stats.Simplified++
-			if len(buf) == 0 || !e.assertUnit(buf[0]) {
-				return false
-			}
-			continue
-		}
 		id := noID
 		if s.ids {
 			id = s.id(c)
+		}
+		if s.proof != nil && len(buf) < s.size(c) {
+			id = s.logFrom(buf, s.lits(c), id)
+			if len(buf) > 0 {
+				s.logDelete(s.lits(c), s.id(c))
+			}
+		}
+		if len(buf) < 2 {
+			// Not at a propagation fixpoint; the unit joins the trail.
+			s.stats.Simplified++
+			if len(buf) == 0 || !e.assertUnit(buf[0], id) {
+				return false
+			}
+			continue
 		}
 		e.store(buf, 0, id)
 	}
@@ -376,25 +383,29 @@ func (e *eliminator) compact() {
 	e.wasted = 0
 }
 
-// assertUnit asserts a unit the pass derived; false means it contradicts
-// the level-0 assignment.
-func (e *eliminator) assertUnit(u lit) bool {
+// assertUnit asserts a unit the pass derived, the clause with the given
+// ID; false means it contradicts the level-0 assignment, which is logged
+// as the empty clause.
+func (e *eliminator) assertUnit(u lit, id uint32) bool {
 	s := e.s
 	switch s.vals[u] {
 	case lTrue:
 		return true
 	case lFalse:
+		if s.proof != nil {
+			s.logFrom(nil, []lit{u}, id)
+		}
 		return false
 	}
-	s.uncheckedEnqueue(u, crefUndef)
+	s.fix(u, id)
 	return true
 }
 
 // logLemma appends a clause the pass derived to the proof and returns
 // its ID, noID with logging off. Each one is a RUP consequence of the
 // clauses the checker still holds that chain names, its two parents
-// (those of a resolvent, the subsumer and the clause it strengthens; the
-// clause alone, for a literal false at level 0): the pass logs what it
+// (those of a resolvent, the subsumer and the clause it strengthens; for
+// a literal false at level 0, see logFrom): the pass logs what it
 // removes (remove, strengthen) only after what it derived from it, so
 // the checker ends up with the simplified clause set, where the lemmas
 // learnt afterwards are RUP because the solver learnt them there.
@@ -414,12 +425,12 @@ func (e *eliminator) logLemma(lits []lit, parents ...cref) uint32 {
 // then stored and queued, asserted if it is a unit, or reported as the
 // empty clause (false).
 func (e *eliminator) derive(lits []lit, pc, nc cref) bool {
-	if len(lits) == 0 {
-		return false
-	}
 	id := e.logLemma(lits, pc, nc)
-	if len(lits) == 1 {
-		return e.assertUnit(lits[0])
+	switch len(lits) {
+	case 0:
+		return false
+	case 1:
+		return e.assertUnit(lits[0], id)
 	}
 	e.queueClause(e.store(lits, elimDerived, id))
 	for _, l := range lits {
@@ -510,13 +521,13 @@ func (e *eliminator) strengthen(c cref, p lit, by cref) bool {
 		}
 	}
 	e.reprice(vidx(p), true)
-	var id uint32
-	if by == crefUndef {
-		id = e.logLemma(lits, c)
-	} else {
-		id = e.logLemma(lits, by, c)
-	}
+	id := noID
 	if e.s.proof != nil {
+		if by == crefUndef {
+			id = e.s.logFrom(lits, e.was, wasID)
+		} else {
+			id = e.logLemma(lits, by, c)
+		}
 		e.s.logDelete(e.was, wasID)
 	}
 	if e.hw == 3 {
@@ -525,7 +536,7 @@ func (e *eliminator) strengthen(c cref, p lit, by cref) bool {
 	if len(lits) == 1 {
 		u := lits[0]
 		e.remove(c)
-		return e.assertUnit(u)
+		return e.assertUnit(u, id)
 	}
 	e.arena[e.sig(c)] = signature(lits)
 	e.queueClause(c)
@@ -849,7 +860,6 @@ func (st *elimStack) extend(model []int8) {
 // left to propagate. It returns false, and clears s.ok, if the clause
 // set turned out inconsistent.
 func (s *Solver) simplify() bool {
-	s.unstored, s.reordered = nil, true // the clauses leave the order of their adds
 	e := newEliminator(s)
 	return e.install(e.load() && e.run())
 }
@@ -961,11 +971,7 @@ next:
 
 	// The units the pass asserted have yet to reach the learnt clauses.
 	s.qhead = e.trailBefore
-	if s.propagate() != crefUndef {
-		s.ok = false
-		return false
-	}
-	return true
+	return s.settle()
 }
 
 // compactVars takes the variables the pass eliminated out of the
@@ -1023,6 +1029,9 @@ func (s *Solver) compactVars(elim []bool) {
 	s.polarity = gather(s.polarity, elim, n)
 	s.frozen = gather(s.frozen, elim, n)
 	s.activity = gather(s.activity, elim, n)
+	if s.ids {
+		s.units = gather(s.units, elim, n)
+	}
 	s.seen = make([]byte, n)                    // clear between conflicts
 	s.lbdStamp = slices.Clone(s.lbdStamp[:n+1]) // per decision level, of which there are at most n
 	s.numVars, s.numElim, s.ext = n, s.numVars-n, ext

@@ -481,9 +481,8 @@ func TestSimplifyStopsWhenInterrupted(t *testing.T) {
 		}
 	}
 	t.Run("before", func(t *testing.T) {
-		s := NewFromFormula(f, Options{})
+		s := newLogging(f, Options{})
 		s.simplifyAt = 0
-		s.EnableProof()
 		s.Interrupt()
 		if st, err := s.Solve(); st != Unknown || err != ErrInterrupted {
 			t.Fatalf("pre-armed interrupt: %v, %v", st, err)
@@ -497,8 +496,7 @@ func TestSimplifyStopsWhenInterrupted(t *testing.T) {
 		}
 	})
 	t.Run("midway", func(t *testing.T) {
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		e := newEliminator(s)
 		ok := e.load() && e.backwardSubsume()
 		for n := 0; ok && n < 40; {
@@ -569,8 +567,7 @@ func TestEliminatorCompactionIsTransparent(t *testing.T) {
 	// pass returns the solver after the pass and how long the arena was
 	// when it ended: everything ever stored, unless it was compacted.
 	pass := func(tight bool) (*Solver, int) {
-		s := NewFromFormula(f, Options{})
-		s.EnableProof()
+		s := newLogging(f, Options{})
 		e := newEliminator(s)
 		if !e.load() {
 			t.Fatal("load refuted a satisfiable formula")

@@ -20,14 +20,14 @@ import (
 // proof log, which are the restoring side's: Restore takes the options,
 // and proof logging is switched on there (EnableProof). The clause IDs
 // travel with the clauses — the arena has them if the snapshotted
-// solver logged — and so do the next ID and the IDs of the adds that
-// stored nothing, so that the restored solver's lemmas continue the
-// snapshotted one's log, as a clone's would.
+// solver logged — and so do the next ID and the unit IDs of the level-0
+// trail, so that the restored solver's lemmas continue the snapshotted
+// one's log, as a clone's would.
 //
 // The format is the magic below, then unsigned varints, field by field
 // in the order Snapshot writes them; it is an exchange between two
 // processes of one build, not a file format to keep.
-const snapshotMagic = "PBMCSAT3"
+const snapshotMagic = "PBMCSAT4"
 
 // snapWriter appends a snapshot's fields.
 type snapWriter struct{ b []byte }
@@ -75,8 +75,6 @@ func (s *Solver) Snapshot() []byte {
 	w.bool(s.ok)
 	w.bool(s.ids)
 	w.uint(uint64(s.nextID))
-	w.words(s.unstored)
-	w.bool(s.reordered)
 	w.bool(s.simplified)
 	w.int(s.simplifyAt)
 	w.uint(uint64(s.qhead))
@@ -123,6 +121,12 @@ func (s *Solver) Snapshot() []byte {
 	w.uint(uint64(len(s.order.heap)))
 	for _, v := range s.order.heap {
 		w.uint(uint64(v))
+	}
+	if s.ids {
+		for _, l := range s.trail[:s.level0()] {
+			w.uint(uint64(s.units[vidx(l)] + 1)) // noID is 0
+		}
+		w.uint(uint64(s.logged))
 	}
 
 	for _, x := range statsFields(s) {
@@ -232,7 +236,8 @@ func (r *snapReader) bits(n int) []bool {
 // arena, which the listed clauses tile, every watcher on a clause that
 // watches its literal, the trail and the assignment agreeing, the
 // decision heap a permutation, the map strictly increasing and naming
-// exactly the variables the elimination stack does not — and refuses
+// exactly the variables the elimination stack does not, every unit ID
+// below the next ID and on a literal of the level-0 trail — and refuses
 // bytes that are not a snapshot with an error wrapping errSnapshot,
 // never a panic.
 func Restore(data []byte, opts Options) (*Solver, error) {
@@ -250,18 +255,13 @@ func Restore(data []byte, opts Options) (*Solver, error) {
 	s.ok = r.bool("ok flag")
 	s.ids = r.bool("ID flag")
 	s.nextID = uint32(r.below(1<<32, "next ID"))
-	s.unstored = r.words(uint64(s.nextID), "unstored ID")
-	if len(s.unstored) == 0 {
-		s.unstored = nil
-	}
-	s.reordered = r.bool("reordered flag")
 	s.simplified = r.bool("simplified flag")
 	s.simplifyAt = r.int()
 	qhead := r.uint()
 	s.varInc, s.claInc = r.float(), r.float()
 	s.rngState = r.uint()
 	rs := &restorer{snapReader: r, s: s, lits: uint64(2*s.numVars + 2), extLits: uint64(2*s.NumVars() + 2)}
-	for _, section := range []func(){rs.clauses, rs.watches, rs.vars, rs.elimStack, rs.order} {
+	for _, section := range []func(){rs.clauses, rs.watches, rs.vars, rs.elimStack, rs.order, rs.units} {
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -470,6 +470,28 @@ func (rs *restorer) order() {
 		}
 		s.order.heap[i], s.order.pos[v] = int32(v), int32(i)
 	}
+}
+
+// units reads, for a solver whose arena has IDs, the unit ID of each
+// literal of the level-0 trail, each below the next ID, and how many of
+// them logUnits has been through.
+func (rs *restorer) units() {
+	s := rs.s
+	if !s.ids {
+		return
+	}
+	s.units = make([]uint32, s.numVars)
+	for v := range s.units {
+		s.units[v] = noID
+	}
+	for _, l := range s.trail[:s.level0()] {
+		if l < 2 {
+			rs.fail("trail literal %d", l)
+			return
+		}
+		s.units[vidx(l)] = uint32(rs.below(uint64(s.nextID)+1, "unit ID")) - 1
+	}
+	s.logged = int(rs.below(uint64(s.level0())+1, "logged units"))
 }
 
 // restoreClauses checks that the listed clauses tile the arena, each

@@ -2,7 +2,9 @@ package sat
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -23,8 +25,7 @@ func snapshotStates(t *testing.T) map[string]struct {
 		opts Options
 	}{}
 	add := func(name string, f *cnf.Formula, opts Options, prep func(*Solver)) {
-		s := NewFromFormula(f, opts)
-		s.EnableProof()
+		s := newLogging(f, opts)
 		if prep != nil {
 			prep(s)
 		}
@@ -210,4 +211,35 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal("restored twice, the solver changed")
 		}
 	})
+}
+
+// A snapshot's unit IDs are read off the wire like the rest, one for each
+// literal of the level-0 trail: one that no clause or lemma has yet, or
+// a count of logged units beyond the trail, is refused with errSnapshot,
+// never a panic.
+func TestRestoreRefusesBadUnits(t *testing.T) {
+	f := pigeonhole(3)
+	f.AddClause(mk(20, false))
+	f.AddClause(mk(20, true), mk(21, false))
+	s := newLogging(f, Options{})
+	if len(s.trail) != 2 || s.units[vidx(s.trail[1])] == noID {
+		t.Fatalf("trail %v, units %v", s.trail, s.units)
+	}
+	if _, err := Restore(s.Snapshot(), Options{}); err != nil {
+		t.Fatalf("the solver's own snapshot: %v", err)
+	}
+	v := vidx(s.trail[1])
+	for name, bad := range map[string]func(){
+		"an ID not yet taken":              func() { s.units[v] = s.nextID },
+		"more logged than the trail holds": func() { s.logged = len(s.trail) + 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			units, logged := slices.Clone(s.units), s.logged
+			defer func() { s.units, s.logged = units, logged }()
+			bad()
+			if r, err := Restore(s.Snapshot(), Options{}); r != nil || !errors.Is(err, errSnapshot) {
+				t.Fatalf("restored a snapshot with %s: %v", name, err)
+			}
+		})
+	}
 }

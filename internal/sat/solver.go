@@ -386,18 +386,19 @@ type Solver struct {
 	ok      bool // false once the clause set is known inconsistent
 
 	// ids: every clause record in the arena is headed by the clause's ID
-	// (see cref) — set by nameClauses when proof logging starts, and for
-	// good. nextID is the ID of the next clause added or lemma logged:
-	// every addClause takes one, stored or not, so clause i of a loaded
-	// formula has ID i, and so does every lemma logged. Until the arena
-	// has IDs, and while the clauses are listed in the order they were
-	// added (until the pass reorders them), unstored holds the IDs of the
-	// adds that stored nothing, from which nameClauses tells the stored
-	// ones'.
-	ids       bool
-	nextID    uint32
-	unstored  []uint32
-	reordered bool
+	// (see cref), and units holds, per variable fixed at level 0, the ID
+	// of the unit clause that fixes it — noID for an assumption, which
+	// the checker holds as its root — set when proof logging starts, on a
+	// solver that holds no clause yet, and for good. nextID is the ID of
+	// the next clause added or lemma logged: every add takes one, stored
+	// or not, and AddFormula gives clause i of its formula the ID i and
+	// what it logs while loading the IDs after them (see Proof). logged
+	// is the length of the trail prefix whose literals have their unit
+	// IDs (logUnits).
+	ids    bool
+	nextID uint32
+	units  []uint32
+	logged int
 
 	arena   []uint32 // every clause, see cref
 	clauses []cref
@@ -443,6 +444,8 @@ type Solver struct {
 	extBuf    []lit    // a clause extLits translated
 	chain     []uint32 // with proof logging on: the antecedent chain of the clause analyze built
 	resolved  []uint32 // analyze's reasons at the conflict level, the conflict clause first
+	minimised []uint32 // chainMinimised's reasons
+	cited     []lit    // level-0 literals analyze met, whose units head the chain
 	dfs       []dfsFrame
 	delID     [1]uint32 // the ID a deletion is logged with
 
@@ -509,11 +512,22 @@ func New(numVars int, opts Options) *Solver {
 // list for them.
 func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 	s := New(f.NumVars, opts)
-	s.reserve(f)
-	for _, c := range f.Clauses {
-		s.addClause(c)
-	}
+	s.AddFormula(f)
 	return s
+}
+
+// AddFormula loads every clause of f into a solver that holds none yet,
+// as AddClause would in order, after sizing the arena and every watch
+// list for them: NewFromFormula for a solver that logs its proof from
+// the first clause (New, EnableProof, AddFormula).
+func (s *Solver) AddFormula(f *cnf.Formula) {
+	s.reserve(f)
+	// Clause i of f has ID i (see Proof): what the load logs comes after.
+	first := s.nextID
+	s.nextID += uint32(f.NumClauses())
+	for i, c := range f.Clauses {
+		s.addClause(c, first+uint32(i))
+	}
 }
 
 // reserve gives the arena room for the clauses of f, by the formula's
@@ -523,6 +537,7 @@ func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 // clauses, and clauses that level-0 simplification later drops or
 // shortens, make this an over-estimate, nothing more.
 func (s *Solver) reserve(f *cnf.Formula) {
+	s.growTo(f.NumVars)
 	degree := make([]int32, len(s.watches))
 	for _, c := range f.Clauses {
 		a, b := ^lit(0), ^lit(0)
@@ -539,7 +554,7 @@ func (s *Solver) reserve(f *cnf.Formula) {
 		degree[a^1]++
 		degree[b^1]++
 	}
-	s.arena = slices.Grow(s.arena, f.NumClauses()+f.NumLits())
+	s.arena = slices.Grow(s.arena, int(1+s.idWords())*f.NumClauses()+f.NumLits())
 	s.clauses = slices.Grow(s.clauses, f.NumClauses())
 	backing := make([]watcher, 2*f.NumClauses())
 	for l, d := range degree {
@@ -581,6 +596,9 @@ func (s *Solver) growTo(n int) {
 	s.lbdStamp = append(s.lbdStamp, make([]uint32, add)...)
 	for i := s.numVars; i < s.numVars+add; i++ {
 		s.order.push(int32(i), s.activity)
+		if s.ids {
+			s.units = append(s.units, noID)
+		}
 	}
 	s.numVars += add
 }
@@ -723,6 +741,14 @@ func (s *Solver) PeakBytes() int64 {
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
+// level0 is the length of the trail's level-0 prefix.
+func (s *Solver) level0() int {
+	if len(s.trailLim) > 0 {
+		return s.trailLim[0]
+	}
+	return len(s.trail)
+}
+
 // Clause accessors; see cref for the layout.
 
 func (s *Solver) size(c cref) int { return int(s.arena[c-1] >> 1) }
@@ -782,15 +808,11 @@ func sortLits(ls []lit) {
 // became trivially inconsistent. A clause over a variable an earlier
 // Solve eliminated (see Solve) panics.
 func (s *Solver) AddClause(lits ...cnf.Lit) bool {
-	return s.addClause(lits)
+	return s.addClause(lits, s.takeID())
 }
 
-func (s *Solver) addClause(lits []cnf.Lit) bool {
-	id := s.takeID()
-	if !s.ids && !s.reordered {
-		// Undone below if the clause is stored.
-		s.unstored = append(s.unstored, id)
-	}
+// addClause adds the clause with the given ID.
+func (s *Solver) addClause(lits []cnf.Lit, id uint32) bool {
 	if !s.ok {
 		return false
 	}
@@ -809,12 +831,11 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 	}
 	s.addBuf = sorted
 	sortLits(sorted)
-	// Drop duplicates and literals already false at level 0; a clause
-	// with l and ¬l (adjacent once sorted) or a true literal is
-	// satisfied.
-	c := sorted[:0]
-	prev := litUndef
-	for _, l := range sorted {
+	// Drop duplicates and move literals already false at level 0 behind
+	// the others, which keep their order; a clause with l and ¬l
+	// (adjacent once sorted) or a true literal is satisfied.
+	n, prev, dropped := 0, litUndef, false
+	for i, l := range sorted {
 		if l == prev {
 			continue
 		}
@@ -823,23 +844,25 @@ func (s *Solver) addClause(lits []cnf.Lit) bool {
 		}
 		prev = l
 		if s.vals[l] == lUndef {
-			c = append(c, l)
+			sorted[n], sorted[i] = l, sorted[n]
+			n++
+		} else {
+			dropped = true
 		}
 	}
-	switch len(c) {
+	c := sorted[:n]
+	if (dropped || n == 0) && s.proof != nil {
+		// Shortened, or empty: the clause the solver holds is a lemma,
+		// derived from the add through the units of what it lost.
+		id = s.logFrom(c, sorted, id)
+	}
+	switch n {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(c[0], crefUndef)
-		if s.propagate() != crefUndef {
-			s.ok = false
-			return false
-		}
-		return true
-	}
-	if !s.ids && !s.reordered {
-		s.unstored = s.unstored[:len(s.unstored)-1]
+		s.fix(c[0], id)
+		return s.settle()
 	}
 	cl := s.alloc(c, false, 0, id)
 	s.clauses = append(s.clauses, cl)
@@ -868,28 +891,32 @@ func (s *Solver) idWords() cref {
 // id returns the ID of a clause of an arena that has them.
 func (s *Solver) id(c cref) uint32 { return s.arena[c-2-learntWords*(s.arena[c-1]&1)] }
 
-// nameClauses gives the arena its IDs, unless it has them: each clause
-// listed in clauses gets the ID of the add that stored it, which the
-// adds that stored nothing (unstored) tell while the list is in the
-// order of the adds — until the pass reorders it. After that, and for
-// the learnt clauses (no log holds them), the ID is noID: a chain cannot
-// name them, and a checker finds them by their literals.
-func (s *Solver) nameClauses() {
+// fix asserts l at level 0 with no reason: a unit, whose clause has the
+// given ID (noID for an assumption).
+func (s *Solver) fix(l lit, id uint32) {
+	s.uncheckedEnqueue(l, crefUndef)
 	if s.ids {
-		return
+		s.units[vidx(l)] = id
 	}
-	next, skip := uint32(0), s.unstored
-	s.compact(len(s.arena)+len(s.clauses)+len(s.learnts), func(learnt bool) uint32 {
-		if learnt || s.reordered {
-			return noID
-		}
-		for len(skip) > 0 && skip[0] == next {
-			skip, next = skip[1:], next+1
-		}
-		next++
-		return next - 1
-	})
-	s.ids, s.unstored = true, nil
+}
+
+// settle propagates at level 0 and reports whether that ended without a
+// conflict, which refutes the clause set.
+func (s *Solver) settle() bool {
+	if confl := s.propagate(); confl != crefUndef {
+		s.refute(confl)
+		return false
+	}
+	return true
+}
+
+// refute marks the clause set inconsistent on a conflict at level 0 and
+// logs the empty clause, derived from the conflict clause.
+func (s *Solver) refute(confl cref) {
+	s.ok = false
+	if s.proof != nil {
+		s.logFrom(nil, s.lits(confl), s.id(confl))
+	}
 }
 
 // isEliminated reports whether the simplification pass eliminated the
@@ -924,8 +951,17 @@ func (s *Solver) uncheckedEnqueue(l lit, from cref) {
 }
 
 // propagate performs unit propagation; it returns the conflicting clause
-// or crefUndef.
+// or crefUndef. With proof logging on, what it fixed at level 0 is
+// logged (logUnits).
 func (s *Solver) propagate() cref {
+	confl := s.unitPropagate()
+	if s.proof != nil && len(s.trailLim) == 0 {
+		s.logUnits()
+	}
+	return confl
+}
+
+func (s *Solver) unitPropagate() cref {
 	arena, vals := s.arena, s.vals // neither grows during propagation
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
@@ -1111,12 +1147,14 @@ func (s *Solver) pickBranchLit() lit {
 // clause (asserting literal first), the backtrack level and the LBD.
 // The clause lives in solver-owned scratch until the next analyze, and
 // so does, for a solver that logs its proof, the clause's antecedent
-// chain (s.chain): the reasons of the literals minimisation removed or
-// walked through to remove them, each after those its own reason needs;
-// then the reasons of the literals resolved on at the conflict level, in
-// trail order; then the conflict clause. That is the order in which unit
-// propagation, from the clause's literals all false, finds each of them
-// unit and the last one false — with no sort: both walks give it.
+// chain (s.chain): the units of the literals fixed at level 0 that the
+// clauses below hold and the clause leaves out; then the reasons of the
+// literals minimisation removed or walked through to remove them, each
+// after those its own reason needs; then the reasons of the literals
+// resolved on at the conflict level, in trail order; then the conflict
+// clause. That is the order in which unit propagation, from the clause's
+// literals all false, finds each of them unit and the last one false —
+// with no sort: the walks give it.
 func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 	chaining := s.proof != nil
 	if chaining {
@@ -1143,6 +1181,8 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 				} else {
 					learnt = append(learnt, q)
 				}
+			} else if chaining && s.level[v] == 0 {
+				s.cite(q)
 			}
 		}
 		for s.seen[vidx(s.trail[idx])] == 0 {
@@ -1182,11 +1222,7 @@ func (s *Solver) analyze(confl cref) ([]lit, int, int) {
 		for _, l := range learnt[1:] {
 			s.seen[vidx(l)] = 0
 		}
-		s.chain = s.chain[:0]
-		s.chainMinimised()
-		for i := len(s.resolved) - 1; i >= 0; i-- {
-			s.chain = append(s.chain, s.resolved[i])
-		}
+		s.chainLearnt()
 	}
 	for _, l := range s.analyzeTs {
 		s.seen[vidx(l)] = 0
@@ -1234,13 +1270,45 @@ type dfsFrame struct {
 	k int
 }
 
-// chainMinimised appends to s.chain the reasons of the variables still
+// chainLearnt sets s.chain to the chain of the clause analyze built:
+// the units cited, the reasons chainMinimised finds, then those resolved
+// at the conflict level, latest first. It clears the citations' marks.
+func (s *Solver) chainLearnt() {
+	s.chainMinimised()
+	chain := s.chain[:0]
+	for _, l := range s.cited {
+		if id := s.units[vidx(l)]; id != noID {
+			chain = append(chain, id)
+		}
+		s.seen[vidx(l)] = 0
+	}
+	s.cited = s.cited[:0]
+	chain = append(chain, s.minimised...)
+	for i := len(s.resolved) - 1; i >= 0; i-- {
+		chain = append(chain, s.resolved[i])
+	}
+	s.chain = chain
+}
+
+// cite marks q's variable, fixed at level 0, as one whose unit the chain
+// of the clause analyze is building cites; it leaves the mark (3) to be
+// cleared there.
+func (s *Solver) cite(q lit) {
+	if s.seen[vidx(q)] == 0 {
+		s.seen[vidx(q)] = 3
+		s.cited = append(s.cited, q)
+	}
+}
+
+// chainMinimised sets s.minimised to the reasons of the variables still
 // marked seen (1) once the learnt clause's own marks are cleared — those
 // minimisation removed, and those it walked through to remove them —
 // each after the reasons of the marked variables its own reason holds:
 // a post-order of the implication graph, the order propagation assigns
-// them in. It marks each variable it has visited 2.
+// them in; and it cites their literals fixed at level 0. It marks each
+// variable it has visited 2.
 func (s *Solver) chainMinimised() {
+	s.minimised = s.minimised[:0]
 	stack := s.dfs[:0]
 	for _, root := range s.analyzeTs {
 		if s.seen[vidx(root)] != 1 {
@@ -1256,7 +1324,12 @@ func (s *Solver) chainMinimised() {
 				top.k++
 			}
 			if top.k == len(lits) {
-				s.chain = append(s.chain, s.id(r))
+				s.minimised = append(s.minimised, s.id(r))
+				for _, q := range lits {
+					if s.level[vidx(q)] == 0 {
+						s.cite(q)
+					}
+				}
 				stack = stack[:len(stack)-1]
 				continue
 			}
@@ -1319,6 +1392,9 @@ func (s *Solver) recordLearnt(lits []lit, lbd int) cref {
 		s.ShareLearnt(cp, lbd)
 	}
 	if len(lits) == 1 {
+		if s.ids {
+			s.units[vidx(lits[0])] = id // search fixes it next
+		}
 		return crefUndef
 	}
 	c := s.alloc(lits, true, lbd, id)
@@ -1358,7 +1434,7 @@ func (s *Solver) reduceDB() {
 	s.stats.LearntDeleted += int64(len(s.learnts) - len(kept))
 	s.learnts = kept
 	if freed > 0 {
-		s.compact(len(s.arena)-freed, nil)
+		s.compact(len(s.arena) - freed)
 	}
 }
 
@@ -1366,20 +1442,13 @@ func (s *Solver) reduceDB() {
 // that order, into a fresh arena of the given size and redirects every
 // reference to them: the lists themselves, both watchers of each
 // clause, and the reasons of the assigned variables (a reason is never
-// deleted, see isReason). Given name, it heads each clause with the ID
-// name gives it, in an arena that had none. The old arena holds each
-// clause's new address in its first literal's slot while that happens.
-func (s *Solver) compact(words int, name func(learnt bool) uint32) {
+// deleted, see isReason). The old arena holds each clause's new address
+// in its first literal's slot while that happens.
+func (s *Solver) compact(words int) {
 	old, idw := s.arena, s.idWords()
 	s.arena = make([]uint32, 0, words)
 	move := func(c cref) cref {
-		learnt := old[c-1]&1 != 0
-		start := c - 1 - learntWords*(old[c-1]&1)
-		if name != nil {
-			s.arena = append(s.arena, name(learnt))
-		} else {
-			start -= idw
-		}
+		start := c - 1 - learntWords*(old[c-1]&1) - idw
 		moved := cref(len(s.arena)) + c - start
 		s.arena = append(s.arena, old[start:c+old[c-1]>>1]...)
 		old[c] = moved
@@ -1481,7 +1550,7 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 				s.Progress(s.stats)
 			}
 			if s.decisionLevel() == 0 {
-				s.ok = false // see Solve: final
+				s.refute(confl) // see Solve: final
 				return Unsat, nil
 			}
 			learnt, btLevel, lbd := s.analyze(confl)
@@ -1593,15 +1662,17 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 		case lTrue:
 			continue
 		case lFalse:
+			if s.proof != nil {
+				s.logFrom(nil, []lit{l}, noID)
+			}
 			return Unsat, nil
 		}
 		s.frozen[vidx(l)] = true
-		s.uncheckedEnqueue(l, crefUndef)
+		s.fix(l, noID)
 	}
 	// Forced propagation of the assumption units (paper Sect. 3.3): the
 	// search then starts on an equisatisfiable but pruned formula.
-	if s.propagate() != crefUndef {
-		s.ok = false
+	if !s.settle() {
 		return Unsat, nil
 	}
 
@@ -1627,7 +1698,7 @@ func (s *Solver) Solve(assumptions ...cnf.Lit) (Status, error) {
 				if s.mentionsEliminated(lits) {
 					continue
 				}
-				if !s.addClause(lits) {
+				if !s.addClause(lits, s.takeID()) {
 					return Unsat, nil
 				}
 			}

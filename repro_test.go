@@ -217,7 +217,6 @@ func funcName(dir string, fn *ast.FuncDecl) string {
 var usedOnlyByTests = map[string]string{
 	"internal/cnf.(*Formula).Eval":          "the oracle sat's, parallel's and portfolio's tests check models against",
 	"internal/cnf.(*Builder).Gate":          "vc's cone test reads the gate table with it; the hook of ROADMAP items 6 and 15",
-	"internal/sat.(*ProofChecker).Extend":   "parallel's template tests check a template's proof prefix with it",
 	"internal/interp.Explore":               "the oracle vc's differential test compares verdicts against",
 	"internal/interp.ZeroNondet":            "sampler's tests replay schedules with it",
 	"internal/interp.(*State).Replay":       "sampler's tests replay the schedules the sampler finds",
