@@ -189,7 +189,7 @@ func solveOne(ctx context.Context, stdout io.Writer, formula *cnf.Formula, assum
 // checkers, and with check puts the proof the solver logged — its
 // antecedent chains, which the text has no place for, included — to the
 // RUP checker.
-func emitAndCheckProof(stdout io.Writer, formula *cnf.Formula, assumptions []cnf.Lit, proof *sat.Proof, path string, check bool) error {
+func emitAndCheckProof(stdout io.Writer, formula *cnf.Formula, assumptions []cnf.Lit, proof sat.Proof, path string, check bool) error {
 	if path != "" {
 		var buf strings.Builder
 		if err := sat.WriteDRAT(&buf, proof); err != nil {

@@ -336,10 +336,10 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 	res.Phases = append(slices.Clip(pr.phases), res.Phases...)
 	// Every kept proof leaves whole: the template's log, then the
 	// partition's own.
-	var prefix *sat.Proof
+	var prefix sat.Proof
 	for i := range res.Instances {
 		inst := &res.Instances[i]
-		if inst.Tail == nil {
+		if inst.Proof == nil {
 			continue
 		}
 		if prefix == nil {
@@ -347,11 +347,9 @@ func Verify(ctx context.Context, p *prog.Program, opts Options) (res *Result, er
 				return nil, err
 			}
 		}
-		tail, err := sat.ParseFlat(inst.Tail)
-		if err != nil {
+		if inst.Proof, err = sat.JoinProofs(prefix, inst.Proof); err != nil {
 			return nil, err
 		}
-		inst.Proof, inst.Tail = sat.JoinProofs(prefix, tail), nil
 	}
 	return res, nil
 }

@@ -55,12 +55,12 @@ const (
 	// what checking it costs in memory too. The envelope is not
 	// compressed, and decoding copies nothing (decodeCertificate); the
 	// proofs are checked straight off the bytes
-	// (sat.ProofChecker.CheckFlat), which allocates nothing per step but
+	// (sat.ProofChecker.Check), which allocates nothing per step but
 	// what a lemma adds to the checker while the proof is checked: a
 	// lemma of n literals, which takes n+2 bytes or more, grows the
-	// checker's arena by n+1 words, its ID table by one and its watch
-	// lists by two watchers — fewer than sixteen bytes of memory per byte
-	// sent, all given back at the next proof.
+	// checker's arena by n+1 words and its ID table by one — fewer than
+	// sixteen bytes of memory per byte sent, all given back at the next
+	// proof.
 	maxCertBytes = 64 << 20 // 64 MiB
 )
 
@@ -158,10 +158,10 @@ func (p CertifyPolicy) String() string {
 // PartitionProof pairs one partition index with its RUP refutation.
 type PartitionProof struct {
 	Partition int
-	// Proof is the tail the partition's solver logged, in its flat form
-	// (sat.AppendFlat, parallel.InstanceResult.Tail) from the solver to
-	// the coordinator's checker (sat.ProofChecker.CheckFlat); empty, none.
-	Proof []byte
+	// Proof is the tail the partition's solver logged
+	// (parallel.InstanceResult.Proof), as it goes from the solver to the
+	// coordinator's checker (sat.ProofChecker.Check); empty, none.
+	Proof sat.Proof
 }
 
 // Certificate is the independently checkable evidence behind a definite
@@ -242,7 +242,7 @@ func encodeCertificate(c *Certificate) []byte {
 // anyone's: a count or a length the bytes behind it cannot honour, or a
 // byte left over, is an error. The model and the proofs are slices of
 // data, not copies, and a proof's form is left to its check
-// (sat.ProofChecker.CheckFlat): what decoding allocates is one
+// (sat.ProofChecker.Check): what decoding allocates is one
 // PartitionProof per two bytes at most.
 func decodeCertificate(data []byte) (*Certificate, error) {
 	rest, ok := bytes.CutPrefix(data, []byte(certMagic))
@@ -315,8 +315,8 @@ func buildCertificate(res *parallel.Result, level string, vars int) *Certificate
 		}
 		c := &Certificate{NumVars: vars}
 		for _, inst := range res.Instances {
-			if inst.Tail != nil {
-				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Tail})
+			if inst.Proof != nil {
+				c.Proofs = append(c.Proofs, PartitionProof{Partition: inst.Partition, Proof: inst.Proof})
 			}
 		}
 		return c
@@ -471,7 +471,7 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	}
 	// Every proof is one of the cube's, and is checked: a proof the
 	// decoder left unread is not let through unread.
-	proofs := make(map[int][]byte, len(cert.Proofs))
+	proofs := make(map[int]sat.Proof, len(cert.Proofs))
 	for _, pp := range cert.Proofs {
 		if _, dup := proofs[pp.Partition]; dup {
 			return work, fmt.Errorf("duplicate proof for partition %d", pp.Partition)

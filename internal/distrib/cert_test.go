@@ -95,9 +95,7 @@ func TestPackBitsRoundTrip(t *testing.T) {
 }
 
 func TestCertificateEncodeDecode(t *testing.T) {
-	flat := sat.AppendFlat(nil, &sat.Proof{Lemmas: []cnf.Clause{
-		{cnf.PosLit(1), cnf.NegLit(2)}, {},
-	}})
+	flat := lemmasOnly([][]uint32{{uint32(cnf.PosLit(1)), uint32(cnf.NegLit(2))}, {}})
 	cert := &Certificate{
 		NumVars: 12,
 		Model:   packBits(make([]bool, 12)),
@@ -707,7 +705,7 @@ func TestByzantineFabricatedProofThenHonest(t *testing.T) {
 	second := parsedProof(t, honest.Proofs[1].Proof).Lemmas
 	fabricated := &Certificate{NumVars: honest.NumVars, Proofs: []PartitionProof{
 		honest.Proofs[0],
-		{Partition: cube.To, Proof: sat.AppendFlat(nil, &sat.Proof{Lemmas: second[(len(second)+1)/2:]})},
+		{Partition: cube.To, Proof: lemmasOnly(second[(len(second)+1)/2:])},
 	}}
 	var wg sync.WaitGroup
 	for w := 0; w < 2; w++ {
@@ -745,14 +743,38 @@ func formulaOf(t *testing.T, v *certVerifier) *cnf.Formula {
 	return f
 }
 
-// parsedProof takes a shipped proof apart.
-func parsedProof(t *testing.T, flat []byte) *sat.Proof {
+// takenApart is a shipped proof's lemmas and chains, for a test to count
+// or to make another proof of.
+type takenApart struct {
+	Lemmas, Chains [][]uint32
+}
+
+func (p *takenApart) NumLemmas() int { return len(p.Lemmas) }
+
+// parsedProof takes a shipped proof apart (sat.Proof.Steps).
+func parsedProof(t *testing.T, p sat.Proof) *takenApart {
 	t.Helper()
-	p, err := sat.ParseFlat(flat)
-	if err != nil {
+	out := &takenApart{}
+	if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+		if !deleted {
+			out.Lemmas = append(out.Lemmas, slices.Clone(clause))
+			out.Chains = append(out.Chains, slices.Clone(ids))
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	return p
+	return out
+}
+
+// lemmasOnly is the proof that logs lemmas (sat.FlatLog.Step), with no
+// chain and no deletion.
+func lemmasOnly(lemmas [][]uint32) sat.Proof {
+	var log sat.FlatLog
+	for _, l := range lemmas {
+		log.Step(false, l, nil)
+	}
+	return log.AppendTo(nil)
 }
 
 // TestCertifyWorkReported: the proof checkers' lemmas and the chain

@@ -76,7 +76,7 @@ const (
 	// template that is not the coordinator's.
 	FaultOtherTemplate
 	// FaultHostileHints leaves the verdict and every lemma as they are and
-	// replaces the antecedent chain (sat.Proof.Chains) of each lemma, in
+	// replaces the antecedent chain (see sat.Proof) of each lemma, in
 	// rotation, by its own reversed, its own cut to the first half, the
 	// IDs of the clauses the proof deletes and one no clause has, the next
 	// lemma's, and none: what a worker of another build, or one out to
@@ -252,19 +252,20 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 			return // not a SAFE certificate: no proof to forge
 		}
 		forged := **cert
-		honest, err := sat.ParseFlat(forged.Proofs[0].Proof)
-		if n := honest.NumLemmas(); err == nil && n > 0 && len(honest.Lemmas[f.Lemma%n]) > 0 {
-			at := f.Lemma % n
-			lemmas := slices.Clone(honest.Lemmas)
-			lemmas[at] = slices.Clone(lemmas[at])
-			lemmas[at][0] ^= 1
-			forged.Proofs = slices.Clone(forged.Proofs)
-			// The chains stay: the forged lemma goes the way a liar's would,
-			// along its chain, then the full test, then out.
-			forged.Proofs[0].Proof = sat.AppendFlat(nil, &sat.Proof{Lemmas: lemmas, Deletes: honest.Deletes, Chains: honest.Chains})
-		} else {
-			forged.Proofs = slices.Clone(forged.Proofs)
-			forged.Proofs[0].Partition = -1
+		forged.Proofs = slices.Clone(forged.Proofs)
+		// The chains stay: the forged lemma goes the way a liar's would,
+		// along its chain, then out.
+		honest, flipped := forged.Proofs[0].Proof, false
+		at := f.Lemma % max(honest.NumLemmas(), 1)
+		forged.Proofs[0].Proof = relogged(honest, func(i int, lemma, chain []uint32) []uint32 {
+			if i == at && len(lemma) > 0 {
+				lemma[0] ^= 1
+				flipped = true
+			}
+			return chain
+		})
+		if !flipped {
+			forged.Proofs[0] = PartitionProof{Partition: -1, Proof: honest}
 		}
 		*cert = &forged
 	case FaultHostileHints:
@@ -274,40 +275,57 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 		hostile := **cert
 		hostile.Proofs = slices.Clone(hostile.Proofs)
 		for i, pp := range hostile.Proofs {
-			if p, err := sat.ParseFlat(pp.Proof); err == nil && len(pp.Proof) > 0 {
-				hostile.Proofs[i].Proof = sat.AppendFlat(nil, hostileHints(p))
+			if p := hostileHints(pp.Proof); p != nil {
+				hostile.Proofs[i].Proof = p
 			}
 		}
 		*cert = &hostile
 	}
 }
 
-// hostileHints returns p with FaultHostileHints' chains in place of its
-// own.
-func hostileHints(p *sat.Proof) *sat.Proof {
-	deleted := []uint32{math.MaxUint32}
-	for _, d := range p.Deletes {
-		deleted = append(deleted, d.ID)
-	}
-	chains := make([][]uint32, len(p.Lemmas))
-	for i := range chains {
-		var own []uint32
-		if i < len(p.Chains) {
-			own = p.Chains[i]
+// relogged is p logged again step by step (sat.FlatLog.Step), lemma
+// number i with the chain edit returns, once it has had its way with the
+// lemma; nil for a proof Steps refuses.
+func relogged(p sat.Proof, edit func(i int, lemma, chain []uint32) []uint32) sat.Proof {
+	var log sat.FlatLog
+	i := 0
+	if p.Steps(func(deleted bool, clause, ids []uint32) error {
+		if !deleted {
+			ids, i = edit(i, clause, ids), i+1
 		}
+		log.Step(deleted, clause, ids)
+		return nil
+	}) != nil {
+		return nil
+	}
+	return log.AppendTo(nil)
+}
+
+// hostileHints returns p with FaultHostileHints' chains in place of its
+// own, nil for a proof Steps refuses.
+func hostileHints(p sat.Proof) sat.Proof {
+	deleted := []uint32{math.MaxUint32}
+	var chains [][]uint32
+	p.Steps(func(del bool, _, ids []uint32) error {
+		if del {
+			deleted = append(deleted, ids[0])
+		} else {
+			chains = append(chains, slices.Clone(ids))
+		}
+		return nil
+	})
+	return relogged(p, func(i int, _, own []uint32) []uint32 {
 		switch i % 5 {
 		case 0:
-			chains[i] = slices.Clone(own)
-			slices.Reverse(chains[i])
+			slices.Reverse(own)
+			return own
 		case 1:
-			chains[i] = own[:len(own)/2]
+			return own[:len(own)/2]
 		case 2:
-			chains[i] = deleted
+			return deleted
 		case 3:
-			if next := (i + 1) % len(chains); next < len(p.Chains) {
-				chains[i] = p.Chains[next]
-			}
+			return chains[(i+1)%len(chains)]
 		}
-	}
-	return &sat.Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: chains}
+		return nil
+	})
 }

@@ -55,23 +55,9 @@ func FuzzVerifyFrame(f *testing.F) {
 	})
 }
 
-// proofBytes is what a decoded proof holds in memory, on a 64-bit
-// machine: a slice header per lemma and per chain, a word per literal,
-// a Deletion per deletion and four bytes per chain ID.
-func proofBytes(p *sat.Proof) int {
-	n := 24*len(p.Lemmas) + 8*p.NumLits() + 40*len(p.Deletes) + 24*len(p.Chains)
-	for _, d := range p.Deletes {
-		n += 8 * len(d.Clause)
-	}
-	for _, c := range p.Chains {
-		n += 4 * len(c)
-	}
-	return n
-}
-
 // fuzzRefutation is an unsatisfiable random 3-CNF over 12 variables
-// and a refutation of it as its solver logged it, flat.
-func fuzzRefutation(f *testing.F) (*cnf.Formula, []byte) {
+// and a refutation of it as its solver logged it.
+func fuzzRefutation(f *testing.F) (*cnf.Formula, sat.Proof) {
 	rng := rand.New(rand.NewPCG(41, 7))
 	formula := cnf.New()
 	for range 12 {
@@ -92,54 +78,50 @@ func fuzzRefutation(f *testing.F) (*cnf.Formula, []byte) {
 		if st, err := s.Solve(); err != nil {
 			f.Fatal(err)
 		} else if st == sat.Unsat {
-			return formula, s.FlatProof()
+			return formula, s.ProofLog()
 		}
 	}
 }
 
-// checkTail puts a tail to the step reader (sat.ProofChecker.CheckFlat)
-// of a checker that has checked the inputs before it, and the same bytes
-// to sat.ParseFlat and sat.CheckRUP: the step reader refuses what
-// ParseFlat refuses and accepts exactly what CheckRUP accepts, and what
-// it allocates is bounded by the bytes it was handed — the lemmas they
-// hold grow the checker's arena by a few words each, and nothing else
-// is kept.
+// checkTail puts a tail to the checker the coordinator checks it with
+// (sat.ProofChecker.Check), one that has checked the inputs before it:
+// it answers to the letter as a fresh checker does; what it allocates is
+// bounded by the bytes it was handed — the lemmas they hold grow the
+// checker's arena by a few words each, and nothing else is kept — and a
+// tail whose form it accepts (sat.Proof.Steps), logged again step by
+// step (sat.FlatLog.Step), is the bytes it was handed: a proof has one
+// form.
 func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	got := c.CheckFlat(nil, flat)
+	got := c.Check(nil, flat)
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64*uint64(len(flat))+64<<10 {
 		t.Fatalf("checking %d bytes of tail allocated %d", len(flat), grew)
 	}
-	p, err := sat.ParseFlat(flat)
-	if err != nil {
-		if got == nil {
-			t.Fatalf("the step reader accepted a tail ParseFlat refuses: %v", err)
-		}
-		return
+	if want := sat.CheckRUP(f, nil, flat); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("a checker that has checked others: %v; a fresh one: %v", got, want)
 	}
-	if got := proofBytes(p); got > 16*len(flat) {
-		t.Fatalf("%d bytes of flat proof decoded into %d", len(flat), got)
-	}
-	if want := sat.CheckRUP(f, nil, p); (got == nil) != (want == nil) {
-		t.Fatalf("step reader: %v; CheckRUP of the parsed proof: %v", got, want)
-	}
-	if back := sat.AppendFlat(nil, p); !bytes.Equal(back, flat) {
-		if again, err := sat.ParseFlat(back); err != nil || !bytes.Equal(sat.AppendFlat(nil, again), back) {
-			t.Fatalf("an accepted proof does not survive its own encoding: %v", err)
+	var log sat.FlatLog
+	if sat.Proof(flat).Steps(func(deleted bool, clause, ids []uint32) error {
+		log.Step(deleted, clause, ids)
+		return nil
+	}) == nil {
+		if back := log.AppendTo(nil); !bytes.Equal(back, flat) {
+			t.Fatalf("a proof of %d bytes, logged again step by step, is %d bytes, or others", len(flat), len(back))
 		}
 	}
 }
 
 // FuzzDecodeCertificate feeds arbitrary bytes to the certificate
-// decoder and to the step reader the coordinator checks a tail with, as
-// a whole certificate and as the flat form of one proof: neither may
+// decoder and to the checker the coordinator checks a tail with, as a
+// whole certificate and as the flat form of one proof: neither may
 // panic; a certificate it accepts holds slices of the bytes it came in
 // and at most one PartitionProof per two of them, and encodes back to
-// itself; and every proof in it, and the bytes themselves, check exactly
-// as the proof sat.ParseFlat makes of them does — nothing CheckRUP
-// rejects is accepted — allocating no more than a bound of their size.
+// itself; and every proof in it, and the bytes themselves, check as they
+// do on a fresh checker, allocating no more than a bound of their size,
+// and a proof whose form is accepted is the bytes a solver logging its
+// steps would write (checkTail).
 func FuzzDecodeCertificate(f *testing.F) {
 	formula, honest := fuzzRefutation(f)
 	checker := sat.NewProofChecker(formula)
@@ -156,24 +138,36 @@ func FuzzDecodeCertificate(f *testing.F) {
 	// flipped in it, a varint cut in half, a lemma count larger than the
 	// input, a chain ID past 2^31 (well formed on the wire: the checker
 	// is who passes it over), a deletion whose At runs past the last
-	// lemma, trailing bytes.
-	flipped, err := sat.ParseFlat(honest)
-	if err != nil || flipped.NumLemmas() == 0 {
-		f.Fatalf("the honest tail: %v", err)
+	// lemma, one placed before the one ahead of it, a count written in
+	// two bytes where one does, trailing bytes.
+	var flipped sat.FlatLog
+	lemmas := 0
+	if err := honest.Steps(func(deleted bool, clause, ids []uint32) error {
+		if !deleted {
+			if lemmas == 0 {
+				clause[0] ^= 1
+			}
+			lemmas++
+		}
+		flipped.Step(deleted, clause, ids)
+		return nil
+	}); err != nil || lemmas == 0 {
+		f.Fatalf("the honest tail: %d lemmas, %v", lemmas, err)
 	}
-	flipped.Lemmas[0] = append(cnf.Clause{flipped.Lemmas[0][0].Not()}, flipped.Lemmas[0][1:]...)
 	uvarints := func(ns ...uint64) (out []byte) {
 		for _, n := range ns {
 			out = binary.AppendUvarint(out, n)
 		}
 		return out
 	}
-	f.Add(honest)
-	f.Add(sat.AppendFlat(nil, flipped))
-	f.Add(honest[:len(honest)-1])
+	f.Add([]byte(honest))
+	f.Add(flipped.AppendTo(nil))
+	f.Add([]byte(honest[:len(honest)-1]))
 	f.Add(uvarints(1000, 0, 0, 0, 0, 0))
 	f.Add(binary.AppendVarint(uvarints(1, 1, 0, 1, 1, 1, 2, 1), 1<<31+5)) // five bytes
-	f.Add(uvarints(1, 1, 1, 0, 0, 1, 2, 2, 0, 0))
+	f.Add(uvarints(1, 1, 1, 1, 0, 1, 2, 2, 0, 0, 0))
+	f.Add(uvarints(1, 3, 2, 1, 0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 4, 0))
+	f.Add([]byte{0x80, 0, 0, 0, 0, 0})
 	f.Add(append(bytes.Clone(honest), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -59,15 +59,14 @@ type InstanceResult struct {
 	// Resumed marks a verdict replayed from the journal rather than
 	// solved in this run.
 	Resumed bool
-	// Proof is the instance's recorded refutation, whole, from Solve and
-	// Simulate (the functions), and Tail from a Template the caller holds:
-	// the cube's own log in its flat form (sat.AppendFlat), which
-	// continues Template.Prefix — what a distributed worker ships to the
-	// coordinator as the UNSAT half of a verdict certificate. Both are set
-	// for Status == Unsat with Options.KeepProofs, and nil otherwise, and
-	// when the verdict was resumed from the journal.
-	Proof *sat.Proof
-	Tail  []byte
+	// Proof is the instance's recorded refutation: whole from Solve and
+	// Simulate (the functions), and from a Template the caller holds the
+	// cube's own log, which continues Template.Prefix — what a
+	// distributed worker ships to the coordinator as the UNSAT half of a
+	// verdict certificate. It is set for Status == Unsat with
+	// Options.KeepProofs, and nil otherwise, and when the verdict was
+	// resumed from the journal.
+	Proof sat.Proof
 	// Time is the instance's wall-clock solving time: cloning its solver
 	// from the run's template and searching. The template's own time is
 	// Result.Template.Time.
@@ -190,7 +189,7 @@ func Solve(ctx context.Context, f *cnf.Formula, parts []partition.Partition, opt
 
 // Solve is Solve on a template the caller holds: parts are those of its
 // partitions this call is to solve. A kept proof (Options.KeepProofs) is
-// the cube's own log, flat (InstanceResult.Tail), which continues the
+// the cube's own log (InstanceResult.Proof), which continues the
 // template's (Prefix).
 func (t *Template) Solve(ctx context.Context, parts []partition.Partition, opts Options) (*Result, error) {
 	return t.run(ctx, parts, opts, true)

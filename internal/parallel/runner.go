@@ -165,15 +165,13 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		if opts.KeepProofs && inst.Status == sat.Unsat && len(leaves) > 1 {
 			return nil, fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
 		}
-		if inst.Tail != nil && !t.held {
+		if inst.Proof != nil && !t.held {
 			// The template ends with the call: a kept proof leaves whole, the
 			// template's log and then the cube's.
 			var err error
-			if inst.Proof, err = sat.ParseFlat(inst.Tail); err != nil {
+			if inst.Proof, err = sat.JoinProofs(r.tpl.prefix(r.template, r.own), inst.Proof); err != nil {
 				return nil, err
 			}
-			inst.Proof = sat.JoinProofs(r.tpl.prefix(r.template, r.own), inst.Proof)
-			inst.Tail = nil
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 	}
@@ -340,9 +338,9 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 	// Under CertifyUnsat a refutation is journaled as certified once the
 	// run's checker has passed it.
 	certified := inst.Status == sat.Unsat && r.opts.CertifyUnsat
-	var tail []byte
+	var tail sat.Proof
 	if inst.Status == sat.Unsat && (certified || r.opts.KeepProofs) {
-		tail = solver.FlatProof()
+		tail = solver.ProofLog()
 	}
 	if certified {
 		work, cerr := r.tpl.Check(assume, tail)
@@ -355,7 +353,7 @@ func (r *runner) runCube(a *partition.Assignment, rc *cubeRun) {
 		}
 	}
 	if inst.Status == sat.Unsat && r.opts.KeepProofs {
-		inst.Tail = tail
+		inst.Proof = tail
 	}
 	// Durable before it is acknowledged in the shared result.
 	if err := r.sched.Commit(a, partition.Outcome{
@@ -472,7 +470,7 @@ func (r *runner) interruptAll(memory bool) {
 func foldLeaves(idx int, leaves []InstanceResult) InstanceResult {
 	out := InstanceResult{Partition: idx, Status: sat.Unsat, Cubes: len(leaves), Resumed: true}
 	if len(leaves) == 1 {
-		out.Tail = leaves[0].Tail
+		out.Proof = leaves[0].Proof
 	}
 	for _, l := range leaves {
 		out.Time += l.Time

@@ -311,11 +311,12 @@ type passSink struct {
 }
 
 // A batch is about a millisecond of the checker's work. Each channel
-// holds enough of them to ride out a stage's bursts (the checker's index,
-// built at the first deletion; a collection) without stalling the pass:
-// at 4 batches of 16 Ki words the pass on es.u2.c5.p16 waited a median
-// 11.5 ms, at 32 of 4 Ki 2.7 ms. The pipeline takes no lock, so the
-// build may block on it while it holds the template's.
+// holds enough of them to ride out a stage's bursts (a collection)
+// without stalling the pass: at 4 batches of 16 Ki words the pass on
+// es.u2.c5.p16 waited a median 11.5 ms, at 32 of 4 Ki 2.7 ms, measured
+// when the checker still built a content index at the first deletion.
+// The pipeline takes no lock, so the build may block on it while it
+// holds the template's.
 const (
 	sinkBatch = 4 << 10 // words per batch
 	sinkDepth = 32      // batches per channel
@@ -422,7 +423,7 @@ func (p *passSink) wait(abort bool) {
 // run whose only cube is solved on the template itself it is what a
 // certifying template's load logged, and it is empty for a restored
 // template, which logged nothing here.
-func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
+func (t *Template) Prefix(ctx context.Context) (sat.Proof, error) {
 	if t.single(t.n) {
 		return t.prefix(nil, true), nil
 	}
@@ -435,20 +436,16 @@ func (t *Template) Prefix(ctx context.Context) (*sat.Proof, error) {
 
 // prefix is the log the proofs of the cubes of s, the template's solver,
 // continue: its own, or the load's if the cube was solved on it (own).
-func (t *Template) prefix(s *sat.Solver, own bool) *sat.Proof {
+func (t *Template) prefix(s *sat.Solver, own bool) sat.Proof {
 	if !own {
 		return s.ProofLog()
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.loaded == nil || !t.opts.CertifyUnsat {
-		return &sat.Proof{}
+		return (&sat.FlatLog{}).AppendTo(nil)
 	}
-	p, err := sat.ParseFlat(t.loaded.AppendTo(nil))
-	if err != nil {
-		panic("parallel: template: the load's own log does not parse: " + err.Error())
-	}
-	return p
+	return t.loaded.AppendTo(nil)
 }
 
 // Snapshot returns the snapshot of the template's solver
@@ -517,14 +514,14 @@ func (t *Template) Restore(data []byte) error {
 	return nil
 }
 
-// Check checks tail, the flat log (sat.Solver.FlatProof) of a clone of
+// Check checks tail, the proof log (sat.Solver.ProofLog) of a clone of
 // the template (of the template itself, for a run's only cube), as a
 // refutation of the formula under assume on the run's one proof checker:
 // the formula extended by what the template logged before the clone, as
 // the build logged it (get), or for a run's only cube the formula alone.
 // Checks take turns behind the template's lock; each reports the
 // checker's work since the last, derivation included.
-func (t *Template) Check(assume []cnf.Lit, tail []byte) (work sat.ProofCheckerStats, err error) {
+func (t *Template) Check(assume []cnf.Lit, tail sat.Proof) (work sat.ProofCheckerStats, err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.checker == nil {
@@ -533,7 +530,7 @@ func (t *Template) Check(assume []cnf.Lit, tail []byte) (work sat.ProofCheckerSt
 	if t.derr != nil {
 		return work, fmt.Errorf("parallel: template: its own prefix does not check: %w", t.derr)
 	}
-	err = t.checker.CheckFlat(assume, tail)
+	err = t.checker.Check(assume, tail)
 	work, t.reported = t.checker.Stats().Since(t.reported), t.checker.Stats()
 	return work, err
 }

@@ -1,13 +1,13 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -65,25 +65,34 @@ func simplifiedTemplate(f *cnf.Formula, parts []partition.Partition, opts Option
 
 // extend extends c by p a step at a time, as the run's checker is
 // extended by what the template's solver streams (passSink).
-func extend(c *sat.ProofChecker, p *sat.Proof) error {
-	words := func(cl cnf.Clause) []uint32 {
-		w := make([]uint32, len(cl))
-		for i, l := range cl {
-			w[i] = uint32(l)
-		}
-		return w
-	}
-	dels := p.Deletes
-	for i, lemma := range p.Lemmas {
-		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
-			c.ExtendStep(true, words(dels[0].Clause), []uint32{dels[0].ID})
-		}
-		c.ExtendStep(false, words(lemma), p.Chains[i])
-	}
-	for _, d := range dels {
-		c.ExtendStep(true, words(d.Clause), []uint32{d.ID})
+func extend(c *sat.ProofChecker, p sat.Proof) error {
+	if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+		c.ExtendStep(deleted, clause, ids)
+		return nil
+	}); err != nil {
+		return err
 	}
 	return c.ExtendDone()
+}
+
+// flipped returns p with the first literal of lemma number at, from 0,
+// negated (none for -1), logged again step by step (sat.FlatLog.Step),
+// and p's lemma and deletion counts.
+func flipped(p sat.Proof, at int) (forged sat.Proof, lemmas, deletions int) {
+	var log sat.FlatLog
+	p.Steps(func(deleted bool, clause, ids []uint32) error {
+		if deleted {
+			deletions++
+		} else {
+			if lemmas == at && len(clause) > 0 {
+				clause[0] ^= 1
+			}
+			lemmas++
+		}
+		log.Step(deleted, clause, ids)
+		return nil
+	})
+	return log.AppendTo(nil), lemmas, deletions
 }
 
 // scheduleFree is the part of a cube's statistics the benchmark holds
@@ -339,7 +348,7 @@ func TestTemplatePassSkippedOverMemBudget(t *testing.T) {
 // under no assumption, so they are a prefix every cube's proof may
 // stand on: prefix ++ tail must check against the formula as encoded —
 // not as simplified — through the plain CheckRUP, and through
-// Template.Check (Extend + Check), which is what a CertifyUnsat run
+// Template.Check (ExtendStep + Check), which is what a CertifyUnsat run
 // does, with the same answer; and a clone's model is a model of the
 // formula as encoded, eliminated variables included, under its cube's
 // assumptions.
@@ -361,8 +370,8 @@ func TestTemplateProofsAndModels(t *testing.T) {
 				t.Fatal(err)
 			}
 			prefix := tpl.ProofLog()
-			if tpl.Stats().ElimVars == 0 || len(prefix.Lemmas) == 0 {
-				t.Fatalf("the template eliminated %d variables and logged %d lemmas", tpl.Stats().ElimVars, len(prefix.Lemmas))
+			if tpl.Stats().ElimVars == 0 || prefix.NumLemmas() == 0 {
+				t.Fatalf("the template eliminated %d variables and logged %d lemmas", tpl.Stats().ElimVars, prefix.NumLemmas())
 			}
 			verdicts := map[sat.Status]int{}
 			for _, pt := range parts {
@@ -378,11 +387,11 @@ func TestTemplateProofsAndModels(t *testing.T) {
 					// The one-shot check re-reads the prefix per proof: the
 					// first and the last partition stand for the rest.
 					if pt.Index == parts[0].Index || pt.Index == parts[len(parts)-1].Index {
-						if err := sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, tail)); err != nil {
+						if err := sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, tail)); err != nil {
 							t.Fatalf("partition %d: prefix ++ tail rejected against the encoding: %v", pt.Index, err)
 						}
 					}
-					if _, err := held.Check(pt.Assumptions, c.FlatProof()); err != nil {
+					if _, err := held.Check(pt.Assumptions, tail); err != nil {
 						t.Fatalf("partition %d: tail rejected on the template's checker: %v", pt.Index, err)
 					}
 				case sat.Sat:
@@ -397,18 +406,16 @@ func TestTemplateProofsAndModels(t *testing.T) {
 					}
 				}
 			}
-			t.Logf("%d lemmas in the prefix, verdicts %v", len(prefix.Lemmas), verdicts)
+			t.Logf("%d lemmas in the prefix, verdicts %v", prefix.NumLemmas(), verdicts)
 
 			// One literal of one template lemma flipped: no longer a
-			// consequence, and Extend must say so rather than let every
-			// cube stand on it.
-			forged := &sat.Proof{Lemmas: slices.Clone(prefix.Lemmas), Deletes: prefix.Deletes, Chains: prefix.Chains}
-			at := len(forged.Lemmas) / 2
-			forged.Lemmas[at] = slices.Clone(forged.Lemmas[at])
-			forged.Lemmas[at][0] = forged.Lemmas[at][0].Not()
+			// consequence, and extending by it must say so rather than let
+			// every cube stand on it.
+			at := prefix.NumLemmas() / 2
+			forged, _, _ := flipped(prefix, at)
 			fresh := sat.NewProofChecker(f)
 			if err := extend(fresh, forged); lemmaIndex(err) != at+1 {
-				t.Fatalf("Extend of the prefix with lemma %d forged: %v", at+1, err)
+				t.Fatalf("extending by the prefix with lemma %d forged: %v", at+1, err)
 			}
 			// And the checker it was offered to is still good for the truth.
 			if err := extend(fresh, prefix); err != nil {
@@ -446,16 +453,16 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(prefix.Lemmas) == 0 || len(prefix.Deletes) == 0 {
-				t.Fatalf("prefix of %d lemmas and %d deletions", len(prefix.Lemmas), len(prefix.Deletes))
+			if _, lemmas, deletions := flipped(prefix, -1); lemmas == 0 || deletions == 0 {
+				t.Fatalf("prefix of %d lemmas and %d deletions", lemmas, deletions)
 			}
 			after := sat.NewProofChecker(f)
 			if err := extend(after, prefix); err != nil {
 				t.Fatal(err)
 			}
 			checking := Prepare(f, nil, parts, Options{CertifyUnsat: true})
-			if kept, err := checking.Prefix(ctx); err != nil || len(kept.Lemmas)+len(kept.Deletes) != 0 {
-				t.Fatalf("a template that keeps no proofs kept %v, %v of its log", kept, err)
+			if kept, err := checking.Prefix(ctx); err != nil || !bytes.Equal(kept, (&sat.FlatLog{}).AppendTo(nil)) {
+				t.Fatalf("a template that keeps no proofs kept %d bytes of its log: %v", len(kept), err)
 			}
 
 			var work, checkingWork sat.ProofCheckerStats
@@ -466,19 +473,15 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 					continue // a SAT cube has no tail to check
 				}
 				tail := c.ProofLog()
-				lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Chains: tail.Chains}
-				if at := len(lie.Lemmas) / 2; at < len(lie.Lemmas) {
-					lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
-					lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
-				}
-				for _, p := range []*sat.Proof{tail, lie} {
+				lie, _, _ := flipped(tail, tail.NumLemmas()/2)
+				for _, p := range []sat.Proof{tail, lie} {
 					want := after.Check(pt.Assumptions, p)
-					got, err := held.Check(pt.Assumptions, sat.AppendFlat(nil, p))
+					got, err := held.Check(pt.Assumptions, p)
 					work.Add(got)
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
 						t.Errorf("partition %d: derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
 					}
-					got, err = checking.Check(pt.Assumptions, sat.AppendFlat(nil, p))
+					got, err = checking.Check(pt.Assumptions, p)
 					checkingWork.Add(got)
 					if (err == nil) != (want == nil) || lemmaIndex(err) != lemmaIndex(want) {
 						t.Errorf("partition %d: not keeping its log, derived beside the pass: %v; extended afterwards: %v", pt.Index, err, want)
@@ -538,7 +541,7 @@ func TestRestoredTemplateSolvesAsBuilt(t *testing.T) {
 				if got, w := scheduleFreeOf(inst.Stats), scheduleFreeOf(want.Instances[i].Stats); got != w {
 					t.Errorf("partition %d: %+v, built %+v", inst.Partition, got, w)
 				}
-				if _, err := built.Check(parts[i].Assumptions, inst.Tail); err != nil {
+				if _, err := built.Check(parts[i].Assumptions, inst.Proof); err != nil {
 					t.Errorf("partition %d: its tail does not check on the builder's checker: %v", inst.Partition, err)
 				}
 			}
@@ -607,7 +610,7 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 	prefix := tpl.ProofLog()
 	type cube struct {
 		assume []cnf.Lit
-		tail   *sat.Proof
+		tail   sat.Proof
 		want   error
 		at     int // the tail's lemma CheckRUP rejects, counted from 1
 	}
@@ -618,25 +621,23 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 			t.Fatalf("partition %d: %v, %v", pt.Index, st, err)
 		}
 		tail := c.ProofLog()
-		honest = append(honest, cube{pt.Assumptions, tail, sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, tail)), 0})
+		honest = append(honest, cube{pt.Assumptions, tail, sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, tail)), 0})
 		if i%4 != 0 {
 			continue // the one-shot check re-reads the prefix: two forgeries stand for the rest
 		}
-		lie := &sat.Proof{Lemmas: slices.Clone(tail.Lemmas), Deletes: tail.Deletes, Chains: tail.Chains}
-		at := len(lie.Lemmas) / 2
-		lie.Lemmas[at] = slices.Clone(lie.Lemmas[at])
-		lie.Lemmas[at][0] = lie.Lemmas[at][0].Not()
-		want := sat.CheckRUP(f, pt.Assumptions, sat.JoinProofs(prefix, lie))
-		if lemmaIndex(want) <= len(prefix.Lemmas) {
+		at := tail.NumLemmas() / 2
+		lie, _, _ := flipped(tail, at)
+		want := sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, lie))
+		if lemmaIndex(want) <= prefix.NumLemmas() {
 			t.Fatalf("partition %d, lemma %d of the tail flipped: CheckRUP says %v", pt.Index, at+1, want)
 		}
-		forged = append(forged, cube{pt.Assumptions, lie, want, lemmaIndex(want) - len(prefix.Lemmas)})
+		forged = append(forged, cube{pt.Assumptions, lie, want, lemmaIndex(want) - prefix.NumLemmas()})
 	}
 
 	var mu sync.Mutex
 	var reported sat.ProofCheckerStats
 	check := func(c cube) error {
-		work, err := held.Check(c.assume, sat.AppendFlat(nil, c.tail))
+		work, err := held.Check(c.assume, c.tail)
 		mu.Lock()
 		reported.Add(work)
 		mu.Unlock()
@@ -667,8 +668,8 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 			t.Fatalf("an honest tail after the forgeries: %v", err)
 		}
 	}
-	if all := held.checker.Stats(); reported != all || all.Lemmas <= int64(len(prefix.Lemmas)) {
-		t.Fatalf("the checks reported %+v, the checker did %+v over a prefix of %d lemmas", reported, all, len(prefix.Lemmas))
+	if all := held.checker.Stats(); reported != all || all.Lemmas <= int64(prefix.NumLemmas()) {
+		t.Fatalf("the checks reported %+v, the checker did %+v over a prefix of %d lemmas", reported, all, prefix.NumLemmas())
 	}
 }
 
@@ -721,11 +722,11 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 		}
 		if checker == nil {
 			prefix, err := held.Prefix(context.Background())
-			if err != nil || len(prefix.Lemmas) == 0 {
-				t.Fatalf("prefix %v, %v", prefix, err)
+			if err != nil || prefix.NumLemmas() == 0 {
+				t.Fatalf("prefix of %d bytes, %v", len(prefix), err)
 			}
-			if rp, err := restored.Prefix(context.Background()); err != nil || len(rp.Lemmas) != 0 {
-				t.Fatalf("a restored template logged %v, %v before its clones", rp, err)
+			if rp, err := restored.Prefix(context.Background()); err != nil || rp.NumLemmas() != 0 {
+				t.Fatalf("a restored template logged %d lemmas, %v before its clones", rp.NumLemmas(), err)
 			}
 			checker = sat.NewProofChecker(f)
 			if err := extend(checker, prefix); err != nil {
@@ -773,8 +774,8 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 			t.Fatalf("its proof is not whole: %v", err)
 		}
 	}
-	if prefix, err := single.Prefix(context.Background()); err != nil || len(prefix.Lemmas) != 0 {
-		t.Fatalf("prefix of a run of one partition: %v, %v", prefix, err)
+	if prefix, err := single.Prefix(context.Background()); err != nil || prefix.NumLemmas() != 0 {
+		t.Fatalf("prefix of a run of one partition: %d lemmas, %v", prefix.NumLemmas(), err)
 	}
 }
 
@@ -876,12 +877,21 @@ func TestTemplateLetsTheFormulaGo(t *testing.T) {
 	}
 }
 
-// tailOf is the kept proof of a held template's cube, taken apart.
-func tailOf(t *testing.T, inst InstanceResult) *sat.Proof {
+// tailOf is the kept proof of a held template's cube.
+func tailOf(t *testing.T, inst InstanceResult) sat.Proof {
 	t.Helper()
-	p, err := sat.ParseFlat(inst.Tail)
-	if err != nil || inst.Tail == nil {
-		t.Fatalf("partition %d: kept tail %d bytes: %v", inst.Partition, len(inst.Tail), err)
+	if inst.Proof.NumLemmas() == 0 {
+		t.Fatalf("partition %d: kept tail of %d bytes and no lemma", inst.Partition, len(inst.Proof))
+	}
+	return inst.Proof
+}
+
+// joined is prefix and then tail (sat.JoinProofs).
+func joined(t *testing.T, prefix, tail sat.Proof) sat.Proof {
+	t.Helper()
+	p, err := sat.JoinProofs(prefix, tail)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return p
 }
@@ -963,7 +973,7 @@ func TestOneCubeProofContinuesTheLoad(t *testing.T) {
 	if err != nil || got.Status != sat.Unsat {
 		t.Fatalf("restored: %+v, %v", got, err)
 	}
-	if _, err := built.Check(nil, got.Instances[0].Tail); err != nil {
+	if _, err := built.Check(nil, got.Instances[0].Proof); err != nil {
 		t.Fatalf("the restored template's tail does not check on the builder's checker: %v", err)
 	}
 }

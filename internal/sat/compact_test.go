@@ -41,7 +41,7 @@ func TestProofDigestsPinned(t *testing.T) {
 		name   string
 		lemmas int
 		drat   string // SHA-256 of WriteDRAT
-		flat   string // SHA-256 of AppendFlat
+		flat   string // SHA-256 of the proof's bytes
 	}
 	want := []pinned{
 		{"prefix", 42950, "86e44ad1cf03d3e5542fe9b68e6f0ad04a211c70f2ef99b9329a30b5774a70be",
@@ -53,12 +53,12 @@ func TestProofDigestsPinned(t *testing.T) {
 		{"cube 1 alone", 31569, "04c1a69932d774a7c443bd16c0dc8c269e59f1e3212b91ce594a13cd08166df3",
 			"425855fc6e84a4298ded1eafef5a551982f1ea5e7eb273f8d5c068c8940eecff"},
 	}
-	pin := func(name string, p *Proof) pinned {
+	pin := func(name string, p Proof) pinned {
 		var text bytes.Buffer
 		if err := WriteDRAT(&text, p); err != nil {
 			t.Fatal(err)
 		}
-		drat, flat := sha256.Sum256(text.Bytes()), sha256.Sum256(AppendFlat(nil, p))
+		drat, flat := sha256.Sum256(text.Bytes()), sha256.Sum256(p)
 		return pinned{name, p.NumLemmas(), hex.EncodeToString(drat[:]), hex.EncodeToString(flat[:])}
 	}
 

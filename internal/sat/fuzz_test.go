@@ -284,8 +284,8 @@ func FuzzSimplifySolve(f *testing.F) {
 // 1 is a deletion logged where it stands, and its ID plus one follows as
 // a uvarint. Without the separator the proof is empty; a step the data
 // ends inside of is taken as far as it goes.
-func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options, claimed *Proof) {
-	claimed = &Proof{}
+func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, opts Options, claimed *draft) {
+	claimed = &draft{}
 	if len(data) > 1 {
 		if cut := bytes.IndexByte(data[1:], 1); cut >= 0 {
 			steps := data[cut+2:]
@@ -315,7 +315,7 @@ func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, o
 					clause = nil
 				case 1:
 					x, _ := id()
-					claimed.Deletes = append(claimed.Deletes, Deletion{At: len(claimed.Lemmas), ID: x, Clause: clause})
+					claimed.Deletes = append(claimed.Deletes, deletion{At: len(claimed.Lemmas), ID: x, Clause: clause})
 					clause = nil
 				default:
 					clause = append(clause, cnf.Lit(b))
@@ -333,7 +333,7 @@ func decodeFuzzProofInput(data []byte) (f *cnf.Formula, assumptions []cnf.Lit, o
 
 // withFuzzProof appends p to a FuzzSolve input whose clauses end in 0.
 // A deletion whose At is out of order is encoded where its turn comes.
-func withFuzzProof(input []byte, p *Proof) []byte {
+func withFuzzProof(input []byte, p *draft) []byte {
 	out := append(input[:len(input):len(input)], 1)
 	clause := func(c cnf.Clause, end byte) {
 		for _, l := range c {
@@ -366,8 +366,8 @@ func withFuzzProof(input []byte, p *Proof) []byte {
 // scrambledChains gives every lemma of p a chain cut from noise, which
 // comes round as often as it takes: each byte an ID, of a clause the
 // checker may or may not hold, in any order.
-func scrambledChains(p *Proof, noise []byte) *Proof {
-	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+func scrambledChains(p *draft, noise []byte) *draft {
+	q := &draft{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
 	for i := range q.Chains {
 		if len(noise) == 0 {
 			break
@@ -385,8 +385,8 @@ func scrambledChains(p *Proof, noise []byte) *Proof {
 // clauses p deletes, and IDs the checker has no clause for: the lemma's
 // own and later ones, past the last, and noID. clauses is the formula's
 // clause count.
-func hostileChains(p *Proof, clauses int) *Proof {
-	q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+func hostileChains(p *draft, clauses int) *draft {
+	q := &draft{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
 	var deleted []uint32
 	for _, d := range p.Deletes {
 		deleted = append(deleted, d.ID)
@@ -411,46 +411,35 @@ func hostileChains(p *Proof, clauses int) *Proof {
 	return q
 }
 
-// checkFuzzProof puts one proof to a checker that has checked others, a
-// fresh checker and the step reader — with the chains it came with, with
-// chains cut from noise, with hostile ones and with none — and returns
-// the fresh checker's answer to it as it came. The checkers must agree
-// to the letter on each, down to the lemma they reject. What any of them
-// accepts, the chain-blind reference engine accepts given the lemmas
-// alone (it deletes by literals, the checker by ID): so a forged chain
-// is rejected unless the reference accepts the proof. Nothing may be
-// accepted against a formula the solver satisfied, whatever the proof
-// deletes, and what checks with its deletions checks without them.
-func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *Proof, solved Status, noise []byte) error {
+// checkFuzzProof puts one proof to a checker that has checked others
+// and to a fresh checker — with the chains it came with, with chains cut
+// from noise, with hostile ones and with none — and returns the fresh
+// checker's answer to it as it came. The two must agree to the letter on
+// each, down to the lemma they reject. What either accepts, the
+// chain-blind reference engine accepts given the lemmas alone (it
+// deletes by literals, the checker by ID): so a forged chain is rejected
+// unless the reference accepts the proof. Nothing may be accepted
+// against a formula the solver satisfied, whatever the proof deletes,
+// and what checks with its deletions checks without them.
+func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *draft, solved Status, noise []byte) error {
 	t.Helper()
-	ref := referenceCheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas})
+	ref := referenceCheckRUP(f, assumptions, &draft{Lemmas: p.Lemmas})
 	var asItCame error
 	for _, v := range []struct {
 		name    string
-		chained *Proof
+		chained *draft
 	}{
 		{"as it came", p}, {"under scrambled chains", scrambledChains(p, noise)},
-		{"under hostile chains", hostileChains(p, len(f.Clauses))}, {"without chains", &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes}},
+		{"under hostile chains", hostileChains(p, len(f.Clauses))}, {"without chains", &draft{Lemmas: p.Lemmas, Deletes: p.Deletes}},
 	} {
 		name, chained := v.name, v.chained
-		fresh := CheckRUP(f, assumptions, chained)
+		flat := chained.flat()
+		fresh := CheckRUP(f, assumptions, flat)
 		if name == "as it came" {
 			asItCame = fresh
 		}
-		if got := reused.Check(assumptions, chained); errText(got) != errText(fresh) {
+		if got := reused.Check(assumptions, flat); errText(got) != errText(fresh) {
 			t.Fatalf("reused checker, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
-		}
-		// Off its flat form, a step at a time: the same answer, unless
-		// the form is one ParseFlat refuses too (more memory as a Proof
-		// than sixteen bytes a byte), which the step reader refuses.
-		flat := AppendFlat(nil, chained)
-		got := reused.CheckFlat(assumptions, flat)
-		if _, err := ParseFlat(flat); err != nil {
-			if got == nil {
-				t.Fatalf("step reader, the proof %s: accepted a form ParseFlat refuses: %v", name, err)
-			}
-		} else if errText(got) != errText(fresh) {
-			t.Fatalf("step reader, the proof %s: %s\nfresh checker: %s", name, errText(got), errText(fresh))
 		}
 		if fresh == nil && ref != nil {
 			t.Fatalf("the proof %s: accepted; the reference engine: %v", name, ref)
@@ -460,9 +449,11 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 				f, assumptions, chained.Lemmas, chained.Chains, chained.Deletes)
 		}
 		// A deletion can only take clauses away: what checks with them
-		// checks without.
-		if fresh == nil && len(p.Deletes) > 0 {
-			if err := CheckRUP(f, assumptions, &Proof{Lemmas: p.Lemmas, Chains: chained.Chains}); err != nil {
+		// checks without — where the proof without them has a form Steps
+		// accepts (a deletion takes three bytes and buys the header five
+		// words of its sixteen-bytes-a-byte budget).
+		if kept := (&draft{Lemmas: p.Lemmas, Chains: chained.Chains}).flat(); fresh == nil && len(p.Deletes) > 0 && relog(kept) != nil {
+			if err := CheckRUP(f, assumptions, kept); err != nil {
 				t.Fatalf("the proof %s: accepted with its %d deletions, rejected without: %v", name, len(p.Deletes), err)
 			}
 		}
@@ -473,8 +464,8 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 // cutProof splits p before lemma number cut: the deletions that take
 // effect before it go with the prefix, the rest count from the tail's
 // first lemma; each lemma's chain goes where the lemma goes.
-func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
-	prefix, tail = &Proof{Lemmas: p.Lemmas[:cut]}, &Proof{Lemmas: p.Lemmas[cut:]}
+func cutProof(p *draft, cut int) (prefix, tail *draft) {
+	prefix, tail = &draft{Lemmas: p.Lemmas[:cut]}, &draft{Lemmas: p.Lemmas[cut:]}
 	if chains := min(cut, len(p.Chains)); len(p.Chains) > 0 {
 		prefix.Chains, tail.Chains = p.Chains[:chains], p.Chains[chains:]
 	}
@@ -498,19 +489,28 @@ func cutProof(p *Proof, cut int) (prefix, tail *Proof) {
 // included: those of the prefix leave the base for good, those of the
 // tail come back with every reset. Where a lemma of the prefix does not
 // stand, ExtendDone says so and the checker answers for the whole proof
-// as if nothing had been tried.
-func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
+// as if nothing had been tried. Cut and joined again (JoinProofs), a
+// proof is its own bytes. A proof whose form Steps refuses joins
+// nothing, extends nothing and checks nothing — runs of chain-less empty
+// lemmas past the header's memory budget, which a cut can take from what
+// paid for them, or join — so the law is put only where the whole, the
+// prefix and the tail all have a form Steps accepts.
+func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draft) {
 	t.Helper()
+	p := d.flat()
 	whole := CheckRUP(f, assumptions, p)
-	for _, cut := range []int{0, len(p.Lemmas) / 2, len(p.Lemmas)} {
-		prefix, tail := cutProof(p, cut)
-		if got := CheckRUP(f, assumptions, JoinProofs(prefix, tail)); errText(got) != errText(whole) {
-			t.Fatalf("cut at %d of %d and joined again: %s, the proof itself %s", cut, len(p.Lemmas), errText(got), errText(whole))
+	for _, cut := range []int{0, len(d.Lemmas) / 2, len(d.Lemmas)} {
+		prefix, tail := cutProof(d, cut)
+		parts := relog(prefix.flat()) != nil && relog(tail.flat()) != nil
+		formed := parts && relog(p) != nil
+		joined, err := JoinProofs(prefix.flat(), tail.flat())
+		if (err == nil) != parts || parts && !bytes.Equal(joined, p) {
+			t.Fatalf("cut at %d of %d and joined again: %d bytes, %v; the proof itself %d bytes", cut, len(d.Lemmas), len(joined), err, len(p))
 		}
 		reused := NewProofChecker(f)
 		_ = reused.Check(assumptions, p)
 		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
-			if err := extend(c, prefix); err != nil {
+			if err := extend(c, prefix.flat()); err != nil {
 				if got := c.Check(assumptions, p); errText(got) != errText(whole) {
 					t.Fatalf("after a rejected extension (%v) the checker says %s of the whole proof, a fresh one %s",
 						err, errText(got), errText(whole))
@@ -518,9 +518,9 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proo
 				continue
 			}
 			for range 2 {
-				if got := c.Check(assumptions, tail); (got == nil) != (whole == nil) {
+				if got := c.Check(assumptions, tail.flat()); formed && (got == nil) != (whole == nil) {
 					t.Fatalf("cut at %d of %d: extend then Check says %s, Check of the whole %s",
-						cut, len(p.Lemmas), errText(got), errText(whole))
+						cut, len(d.Lemmas), errText(got), errText(whole))
 				}
 			}
 		}
@@ -551,34 +551,34 @@ func FuzzCheckRUP(f *testing.F) {
 		if st, _ := s.Solve(assumptions...); st != Unsat || s.ProofLog().NumLemmas() == 0 {
 			continue
 		}
-		log := s.ProofLog()
+		log := draftOf(s.ProofLog())
 		lemmas, half := log.Lemmas, len(log.Lemmas)/2
 		f.Add(withFuzzProof(seed, log))
-		f.Add(withFuzzProof(seed, &Proof{Lemmas: lemmas[:half], Chains: log.Chains[:half]}))
-		reversed := &Proof{Lemmas: slices.Clone(lemmas), Chains: slices.Clone(log.Chains)}
+		f.Add(withFuzzProof(seed, &draft{Lemmas: lemmas[:half], Chains: log.Chains[:half]}))
+		reversed := &draft{Lemmas: slices.Clone(lemmas), Chains: slices.Clone(log.Chains)}
 		slices.Reverse(reversed.Lemmas)
 		slices.Reverse(reversed.Chains)
 		f.Add(withFuzzProof(seed, reversed))
-		f.Add(withFuzzProof(seed, &Proof{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}, Chains: log.Chains[:1]}))
+		f.Add(withFuzzProof(seed, &draft{Lemmas: []cnf.Clause{append(cnf.Clause{mk(120, false)}, lemmas[0]...)}, Chains: log.Chains[:1]}))
 
 		simplified := newLogging(formula, opts)
 		simplified.simplifyAt = 0
-		if st, _ := simplified.Solve(assumptions...); st != Unsat || len(simplified.ProofLog().Deletes) == 0 {
+		if st, _ := simplified.Solve(assumptions...); st != Unsat || len(draftOf(simplified.ProofLog()).Deletes) == 0 {
 			continue
 		}
-		p := simplified.ProofLog()
+		p := draftOf(simplified.ProofLog())
 		f.Add(withFuzzProof(seed, p))
-		twice := &Proof{Lemmas: p.Lemmas, Chains: p.Chains}
+		twice := &draft{Lemmas: p.Lemmas, Chains: p.Chains}
 		for _, d := range p.Deletes {
 			twice.Deletes = append(twice.Deletes, d, d)
 		}
 		f.Add(withFuzzProof(seed, twice))
-		robbed := &Proof{Lemmas: p.Lemmas, Chains: p.Chains, Deletes: slices.Clone(p.Deletes)}
+		robbed := &draft{Lemmas: p.Lemmas, Chains: p.Chains, Deletes: slices.Clone(p.Deletes)}
 		for id, c := range formula.Clauses[:min(4, len(formula.Clauses))] {
-			robbed.Deletes = slices.Insert(robbed.Deletes, 0, Deletion{ID: uint32(id), Clause: c})
+			robbed.Deletes = slices.Insert(robbed.Deletes, 0, deletion{ID: uint32(id), Clause: c})
 		}
 		f.Add(withFuzzProof(seed, robbed))
-		f.Add(withFuzzProof(seed, &Proof{Deletes: p.Deletes}))
+		f.Add(withFuzzProof(seed, &draft{Deletes: p.Deletes}))
 	}
 	// TestCheckRUPLemmaUnitUnderRoot's formula and proof, the lemmas
 	// with a duplicate literal and a tautology among them, the unit cited
@@ -593,14 +593,14 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		unitUnderRoot.AddClause(clause...)
 	}
-	f.Add(withFuzzProof(encodeFuzzInput(0, nil, unitUnderRoot), &Proof{
+	f.Add(withFuzzProof(encodeFuzzInput(0, nil, unitUnderRoot), &draft{
 		Lemmas: []cnf.Clause{
 			{mk(1, false), mk(2, false), mk(3, false), mk(2, false)},
 			{mk(5, false), mk(5, true)},
 			{mk(2, false)},
 			{}},
 		Chains: [][]uint32{{1, 2}, nil, {0, 7, 3, 4}, {9, 5, 6}},
-		Deletes: []Deletion{
+		Deletes: []deletion{
 			{At: 0, ID: 3, Clause: cnf.Clause{mk(5, false), mk(5, true)}},
 			{At: 1, ID: 5, Clause: cnf.Clause{mk(90, false), mk(2, false)}},
 			{At: 2, ID: 1, Clause: cnf.Clause{mk(4, false), mk(2, false), mk(3, false)}},
@@ -620,21 +620,14 @@ func FuzzCheckRUP(f *testing.F) {
 		// one simplified before it began, whose log deletes what the pass
 		// removed.
 		simplified, simplifiedSt := solveSimplified(t, formula, assumptions, opts)
-		// A solver keeps its log flat, byte for byte the flat form of the
-		// proof it logged.
-		for _, logged := range []*Solver{s, simplified} {
-			if flat := logged.FlatProof(); !bytes.Equal(flat, AppendFlat(nil, logged.ProofLog())) {
-				t.Fatalf("the flat log of %d bytes is not the flat form of the proof logged", len(flat))
-			}
-		}
 		if solved == Unsat {
 			checkRefutation(t, formula, assumptions, s.ProofLog())
-			if err := checkFuzzProof(t, reused, formula, assumptions, s.ProofLog(), solved, data); err != nil {
+			if err := checkFuzzProof(t, reused, formula, assumptions, draftOf(s.ProofLog()), solved, data); err != nil {
 				t.Fatalf("the solver's refutation rejected: %v", err)
 			}
 		}
 		if simplifiedSt == Unsat {
-			if err := checkFuzzProof(t, reused, formula, assumptions, simplified.ProofLog(), simplifiedSt, data); err != nil {
+			if err := checkFuzzProof(t, reused, formula, assumptions, draftOf(simplified.ProofLog()), simplifiedSt, data); err != nil {
 				t.Fatalf("the simplified solver's refutation rejected: %v", err)
 			}
 		}
@@ -645,10 +638,10 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		checkExtendLaw(t, formula, assumptions, claimed)
 		if solved == Unsat {
-			checkExtendLaw(t, formula, assumptions, s.ProofLog())
+			checkExtendLaw(t, formula, assumptions, draftOf(s.ProofLog()))
 		}
 		if simplifiedSt == Unsat {
-			checkExtendLaw(t, formula, assumptions, simplified.ProofLog())
+			checkExtendLaw(t, formula, assumptions, draftOf(simplified.ProofLog()))
 		}
 	})
 }

@@ -8,70 +8,48 @@ import (
 	"repro/internal/cnf"
 )
 
-// Proof is a clausal (DRUP) refutation: the sequence of learnt clauses
-// in derivation order, and the clauses the solver let go of on the way.
-// Each lemma is a reverse-unit-propagation (RUP) consequence of the
-// original formula plus the preceding lemmas, less the clauses deleted
-// before it, and the last one the solver logs is the empty clause.
-// Every literal the solver fixed at level 0 is a unit clause of the log
-// — of the formula, or a lemma — but for the assumptions, which the
-// checker holds as its root. Checking a proof certifies an UNSAT
-// verdict independently of the CDCL search that produced it — the
-// counterpart of replay-validating SAT counterexamples on the
-// interpreter.
+// Proof is a clausal (DRUP) refutation, in the flat form a logging
+// solver writes as it goes (FlatLog) and a distributed worker ships:
+// the learnt clauses in derivation order, each with its antecedent
+// chain, and the clauses the solver let go of on the way. Each lemma is
+// a reverse-unit-propagation (RUP) consequence of the original formula
+// plus the preceding lemmas, less the clauses deleted before it, and the
+// last one the solver logs is the empty clause. Every literal the solver
+// fixed at level 0 is a unit clause of the log — of the formula, or a
+// lemma — but for the assumptions, which the checker holds as its root.
+// Checking a proof certifies an UNSAT verdict independently of the CDCL
+// search that produced it — the counterpart of replay-validating SAT
+// counterexamples on the interpreter.
 //
 // The clauses of a proof and of its formula share one space of clause
 // IDs: clause i of the formula has ID i, and lemma j of the log — of the
 // joined log, for a clone's tail (JoinProofs) — has ID |F|+j, where |F|
 // is the formula's clause count, even for a lemma the solver logged
-// while it loaded the formula. IDs are how Chains and Deletes name a
+// while it loaded the formula. IDs are how chains and deletions name a
 // clause.
-type Proof struct {
-	// Lemmas are the derived clauses, in order; the proof is complete
-	// at the first empty one.
-	Lemmas []cnf.Clause
-	// Deletes are the clauses the solver dropped — what its
-	// simplification pass removed or replaced, and the learnt clauses
-	// reduceDB threw away, and the clauses it shortened by a literal
-	// false at level 0 — in the order it dropped them, so that the
-	// checker holds the clauses the solver held and no others. They only
-	// ever make a proof harder to accept: every clause
-	// a checker holds follows from the formula, so letting one go cannot
-	// make a non-consequence derivable, whoever wrote the entry.
-	Deletes []Deletion `json:",omitempty"`
-	// Chains[i] is lemma i's antecedent chain: the IDs of the clauses the
-	// solver derived it from, in the order unit propagation meets them
-	// once the lemma's literals are false — each unit in turn, the last
-	// one false: first the unit clauses of the literals fixed at level 0
-	// that the derivation left out, then its clauses. The chain is the
-	// lemma's proof: a checker (ProofChecker)
-	// walks it and looks nowhere else, so a lemma without one, or with
-	// one that does not end in a false clause, is rejected. DRAT text has
-	// no place for it.
-	Chains [][]uint32 `json:",omitempty"`
-}
-
-// chain returns lemma i's chain, nil if the proof has none for it.
-func (p *Proof) chain(i int) []uint32 {
-	if i < len(p.Chains) {
-		return p.Chains[i]
-	}
-	return nil
-}
-
-// Deletion names one clause to drop once the first At lemmas have been
-// added: the clause of the formula or the earlier lemma with this ID,
-// which must have exactly these literals, in any order. An entry whose ID
-// names no clause the checker holds with exactly its literals — one
-// already deleted, literals out of range — is ignored: a clause kept is
-// still a consequence of the formula. Entries take effect in slice order,
-// so one whose At runs ahead holds back those after it, and none waits
-// past the last lemma.
-type Deletion struct {
-	At     int
-	ID     uint32
-	Clause cnf.Clause
-}
+//
+// A lemma's chain is the IDs of the clauses the solver derived it from,
+// in the order unit propagation meets them once the lemma's literals are
+// false — each unit in turn, the last one false: first the unit clauses
+// of the literals fixed at level 0 that the derivation left out, then its
+// clauses. The chain is the lemma's proof: a checker (ProofChecker) walks
+// it and looks nowhere else, so a lemma with an empty chain, or with one
+// that does not end in a false clause, is rejected, unless the
+// assumptions satisfy it. DRAT text has no place for it.
+//
+// A deletion names a clause the solver dropped — what its simplification
+// pass removed or replaced, a learnt clause reduceDB threw away, a clause
+// it shortened by a literal false at level 0 — by its ID and its
+// literals, where it dropped it, so that the checker holds the clauses
+// the solver held and no others. One whose ID names no clause the checker
+// holds with exactly its literals, in any order, is ignored. Deletions
+// only ever make a proof harder to accept: every clause a checker holds
+// follows from the formula, so letting one go cannot make a
+// non-consequence derivable, whoever wrote the entry.
+//
+// The bytes may be anyone's, and one place reads them (Steps), which
+// checks their form first.
+type Proof []byte
 
 // noID stands for no clause: the unit ID of an assumption (see
 // Solver.units), the ID of a step that names none.
@@ -80,7 +58,7 @@ const noID = ^uint32(0)
 // EnableProof turns on proof recording; it must be called before the
 // solver holds its first clause (New, EnableProof, AddFormula), or on a
 // solver restored from the snapshot of one that logged (Restore). The
-// solver keeps its log flat (FlatProof).
+// solver keeps its log flat (ProofLog).
 func (s *Solver) EnableProof() {
 	s.KeepProof(&FlatLog{})
 }
@@ -168,60 +146,28 @@ func (s *Solver) logUnits() {
 
 // JoinProofs returns the proof that logs prefix and then tail: what a
 // solver that had done the work of both would have logged, for a tail
-// logged by a clone (Solver.Clone) of the solver that logged prefix.
-// Either may be nil.
-func JoinProofs(prefix, tail *Proof) *Proof {
-	if prefix == nil {
-		prefix = &Proof{}
+// logged by a clone (Solver.Clone) of the solver that logged prefix. A
+// proof Steps refuses is an error.
+func JoinProofs(prefix, tail Proof) (Proof, error) {
+	var log FlatLog
+	for _, p := range [2]Proof{prefix, tail} {
+		if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+			log.Step(deleted, clause, ids)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
 	}
-	if tail == nil {
-		tail = &Proof{}
-	}
-	p := &Proof{
-		Lemmas:  append(slices.Clip(prefix.Lemmas), tail.Lemmas...),
-		Deletes: make([]Deletion, 0, len(prefix.Deletes)+len(tail.Deletes)),
-	}
-	if len(prefix.Chains)+len(tail.Chains) > 0 {
-		p.Chains = make([][]uint32, len(prefix.Lemmas), len(p.Lemmas))
-		copy(p.Chains, prefix.Chains)
-		p.Chains = append(p.Chains, tail.Chains[:min(len(tail.Chains), len(tail.Lemmas))]...)
-	}
-	// No entry of the prefix waits past its last lemma, nor here.
-	for _, d := range prefix.Deletes {
-		d.At = min(d.At, len(prefix.Lemmas))
-		p.Deletes = append(p.Deletes, d)
-	}
-	for _, d := range tail.Deletes {
-		d.At = len(prefix.Lemmas) + max(d.At, 0)
-		p.Deletes = append(p.Deletes, d)
-	}
-	if len(p.Deletes) == 0 {
-		p.Deletes = nil
-	}
-	return p
+	return log.AppendTo(nil), nil
 }
 
-// FlatProof returns the recorded proof in its flat form (AppendFlat), nil
-// unless proof logging is on: what a tail is checked (CheckFlat) and
-// shipped as.
-func (s *Solver) FlatProof() []byte {
+// ProofLog returns the proof the solver has logged, nil unless proof
+// logging is on.
+func (s *Solver) ProofLog() Proof {
 	if s.proof == nil {
 		return nil
 	}
 	return s.proof.AppendTo(nil)
-}
-
-// ProofLog returns the recorded proof (nil unless EnableProof was
-// called), taken apart from the flat log the solver keeps.
-func (s *Solver) ProofLog() *Proof {
-	if s.proof == nil {
-		return nil
-	}
-	p, err := ParseFlat(s.FlatProof())
-	if err != nil {
-		panic("sat: the solver's own proof log does not parse: " + err.Error())
-	}
-	return p
 }
 
 // CheckRUP verifies the proof against the original formula and the
@@ -230,7 +176,7 @@ func (s *Solver) ProofLog() *Proof {
 // one of them is the empty clause. It loads the formula for this one
 // proof; a caller with several proofs of one formula keeps a
 // ProofChecker instead.
-func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
+func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p Proof) error {
 	return NewProofChecker(f).Check(assumptions, p)
 }
 
@@ -243,18 +189,18 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
 // clause by its ID (see Proof).
 //
 // There is no propagation: the assumptions are the whole root, and a
-// lemma is put to the RUP test along its chain (Proof.Chains) and nowhere
-// else. With the lemma's literals false, each clause the chain names that
-// is unit under the assignment so far assigns its open literal, and the
-// first that is false refutes the lemma. Every assignment made that way
-// is one unit propagation makes too, so a conflict is a conflict whoever
-// wrote the chain; a chain that ends first, or names clauses the checker
-// does not hold, rejects the lemma, and so does no chain, unless the
-// lemma is satisfied by the assumptions. A lemma costs its chain's
-// length, whoever wrote it. What the solver fixed at level 0 reaches a
-// chain as the unit clauses it logged for it (Solver.units), and its
-// refutation as an empty lemma: a proof is accepted when a lemma is the
-// empty clause, when the formula (with what Extend added) holds the
+// lemma is put to the RUP test along its chain and nowhere else. With the
+// lemma's literals false, each clause the chain names that is unit under
+// the assignment so far assigns its open literal, and the first that is
+// false refutes the lemma. Every assignment made that way is one unit
+// propagation makes too, so a conflict is a conflict whoever wrote the
+// chain; a chain that ends first, or names clauses the checker does not
+// hold, rejects the lemma, and so does an empty chain, unless the lemma
+// is satisfied by the assumptions. A lemma costs its chain's length,
+// whoever wrote it. What the solver fixed at level 0 reaches a chain as
+// the unit clauses it logged for it (Solver.units), and its refutation as
+// an empty lemma: a proof is accepted when a lemma is the empty clause,
+// when the base (the formula, with the prefix ExtendStep added) holds the
 // empty clause, or when the assumptions contradict each other.
 //
 // A checker is not safe for concurrent use.
@@ -268,29 +214,26 @@ type ProofChecker struct {
 	// crefUndef for one compacted away.
 	byID []cref
 
-	// The formula, with the lemmas Extend has added to it, where reset
-	// returns to.
+	// The base — the formula, with the prefix ExtendStep added to it —
+	// where reset returns to.
 	baseVars, baseArena, baseIDs int
-	// refuted: the formula, with Extend's lemmas, holds the empty clause,
-	// so every proof of it checks.
+	// refuted: the base holds the empty clause, so every proof of it
+	// checks.
 	refuted bool
 	// detached are the clauses of the base the proof being checked has
-	// deleted: reset puts them back, Extend lets them go for good.
+	// deleted: reset puts them back, ExtendDone lets them go for good.
 	detached []cref
 
-	// mark stamps with markEpoch, per literal, the clause a Deletion
+	// mark stamps with markEpoch, per literal, the clause a deletion
 	// names.
 	mark      []uint32
 	markEpoch uint32
 
-	// An Extend in steps (ExtendStep): the lemmas so far, the first that
+	// A prefix in steps (ExtendStep): the lemmas so far, the first that
 	// did not stand, and whether they have derived the empty clause.
 	stepLemmas  int
 	stepErr     error
 	stepRefuted bool
-	stepBuf     cnf.Clause
-	chainBuf    []uint32 // a chain CheckFlat read
-	delID       [1]uint32
 
 	addBuf []lit // the clause add or remove is normalising
 	stats  ProofCheckerStats
@@ -330,7 +273,7 @@ func NewProofChecker(f *cnf.Formula) *ProofChecker {
 				panic(fmt.Sprintf("sat: invalid literal %d in the formula", int(l)))
 			}
 		}
-		ref := c.add(cl)
+		ref := c.add(sortedLits(c.addBuf, cl))
 		if ref == crefUndef {
 			c.refuted = true
 			return c
@@ -349,91 +292,105 @@ func (c *ProofChecker) rebaseMarks() {
 // Stats returns the checker's counters.
 func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 
-// Check verifies p (nil: no lemmas) as a refutation of the formula
-// under the assumptions and leaves the checker as NewProofChecker built
-// it, or the last Extend left it, whatever the answer.
-func (c *ProofChecker) Check(assumptions []cnf.Lit, p *Proof) error {
-	if p == nil {
-		p = &Proof{}
+// Check verifies p, which may be anyone's, as a refutation of the
+// formula under the assumptions, a step at a time as Steps hands them
+// out, and leaves the checker at its base — the formula, and the prefix
+// ExtendStep added — whatever the answer. Per step it allocates nothing
+// but what a lemma adds to the checker's arena.
+func (c *ProofChecker) Check(assumptions []cnf.Lit, p Proof) error {
+	refuted := c.refuted
+	if !refuted {
+		defer c.reset()
+		var err error
+		if refuted, err = c.assume(assumptions); err != nil {
+			return err
+		}
 	}
-	return c.check(assumptions, len(p.Lemmas), func() (bool, error) { return c.derive(p) })
-}
-
-// CheckFlat is Check for a proof in its flat form (AppendFlat), which may
-// be anyone's: it checks the form first, as ParseFlat does, and refuses
-// what ParseFlat would, and then checks the proof straight off the bytes,
-// a step at a time, as Check would the proof ParseFlat returns — holding
-// no Proof, and allocating nothing but what the lemmas add to the
-// checker's arena.
-func (c *ProofChecker) CheckFlat(assumptions []cnf.Lit, flat []byte) error {
-	v, err := scanFlat(flat)
-	if err != nil {
+	lemmas := 0
+	err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+		if refuted {
+			return errRefuted
+		}
+		if !deleted {
+			lemmas++
+		}
+		r, ok := c.step(deleted, clause, ids)
+		if !ok {
+			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", lemmas, p.NumLemmas(), clauseOf(clause))
+		}
+		refuted = r
+		return nil
+	})
+	switch {
+	case err == errRefuted, err == nil && refuted:
+		return nil
+	case err != nil:
 		return err
 	}
-	return c.check(assumptions, v.nl, func() (bool, error) { return c.deriveFlat(v) })
+	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", lemmas)
 }
 
-// check is Check's frame around derive, the proof's steps: the
-// assumptions, and the empty clause at the end.
-func (c *ProofChecker) check(assumptions []cnf.Lit, lemmas int, derive func() (bool, error)) error {
-	if c.refuted {
-		return nil
-	}
-	defer c.reset()
+// errRefuted stops Check's walk at the empty clause.
+var errRefuted = errors.New("sat: refuted")
+
+// assume puts the assumptions at the root; contradicted reports two of
+// them contradicting each other.
+func (c *ProofChecker) assume(assumptions []cnf.Lit) (contradicted bool, err error) {
 	for _, a := range assumptions {
 		if a < 2 || uint64(a) >= 1<<32 {
-			return fmt.Errorf("sat: invalid assumption literal %d", int(a))
+			return false, fmt.Errorf("sat: invalid assumption literal %d", int(a))
 		}
 		// Assumptions may, like the solver's, be over variables the
 		// formula never mentions.
 		c.growTo(int(a.Var()))
 		switch c.vals[a] {
 		case lFalse:
-			return nil // the assumptions contradict each other
+			return true, nil
 		case lUndef:
 			c.assign(lit(a))
 		}
 	}
 	c.root = len(c.trail)
-	if refuted, err := derive(); err != nil || refuted {
-		return err
+	return false, nil
+}
+
+// clauseOf is a clause as Steps hands it out, as the formula's.
+func clauseOf(words []uint32) cnf.Clause {
+	c := make(cnf.Clause, len(words))
+	for i, l := range words {
+		c[i] = cnf.Lit(l)
 	}
-	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", lemmas)
+	return c
 }
 
 // ExtendStep and ExtendDone check a proof under no assumptions that
-// arrives a step at a time, as Solver.StreamProof hands it out: every
-// step of it through ExtendStep, in order, then ExtendDone, which says
-// whether all of it stood. If it did, the formula together with it — its
-// lemmas added, its deletions gone — is the state that Check starts from
-// and returns to: for proofs that share it as a prefix — those of the
-// clones of a solver that had logged it when it was cloned (Solver.Clone)
-// — extending by the prefix once, then Check(assumptions, rest) for each,
-// accepts exactly what Check(assumptions, JoinProofs(prefix, rest))
-// would, and checks the prefix once instead of once per proof. That is
-// sound because the base only ever grows by clauses proved from it under
-// no assumption, so they hold under any, and shrinks by what no later
-// lemma may then lean on; and it accepts no less because a chain that
-// ends false without the assumptions ends false with them. The IDs of
-// rest's lemmas continue from the prefix's, as they do in the joined
-// log. A step that did not stand leaves the checker where it was and
-// still usable. No Check may come in between. ids is a lemma's chain, or
-// the deleted clause's ID alone.
+// arrives a step at a time, as Solver.StreamProof or Proof.Steps hands it
+// out: every step of it through ExtendStep, in order, then ExtendDone,
+// which says whether all of it stood. If it did, the formula together
+// with it — its lemmas added, its deletions gone — is the base that Check
+// starts from and returns to: for proofs that share it as a prefix —
+// those of the clones of a solver that had logged it when it was cloned
+// (Solver.Clone) — extending by the prefix once, then Check(assumptions,
+// rest) for each, accepts exactly what Check(assumptions,
+// JoinProofs(prefix, rest)) would, and checks the prefix once instead of
+// once per proof. That is sound because the base only ever grows by
+// clauses proved from it under no assumption, so they hold under any, and
+// shrinks by what no later lemma may then lean on; and it accepts no less
+// because a chain that ends false without the assumptions ends false with
+// them. The IDs of rest's lemmas continue from the prefix's, as they do
+// in the joined log. A step that did not stand leaves the checker where
+// it was and still usable. No Check may come in between. ids is a
+// lemma's chain, or the deleted clause's ID alone.
 func (c *ProofChecker) ExtendStep(deleted bool, clause, ids []uint32) {
 	if c.refuted || c.stepErr != nil || c.stepRefuted {
 		return
 	}
-	buf := c.stepBuf[:0]
-	for _, l := range clause {
-		buf = append(buf, cnf.Lit(l))
-	}
-	c.stepBuf = buf
 	if !deleted {
 		c.stepLemmas++
 	}
-	refuted, ok := c.step(deleted, buf, ids)
+	refuted, ok := c.step(deleted, clause, ids)
 	if !ok {
-		c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, slices.Clone(buf))
+		c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, clauseOf(clause))
 	}
 	c.stepRefuted = refuted
 }
@@ -461,7 +418,7 @@ func (c *ProofChecker) ExtendDone() error {
 // lemma is put to the RUP test along its chain (ids) and joins the clause
 // set under the next ID. refuted reports the empty clause derived; ok is
 // false for a lemma that is not RUP.
-func (c *ProofChecker) step(deleted bool, clause cnf.Clause, ids []uint32) (refuted, ok bool) {
+func (c *ProofChecker) step(deleted bool, clause []lit, ids []uint32) (refuted, ok bool) {
 	if deleted {
 		if len(ids) == 1 {
 			c.remove(clause, ids[0])
@@ -471,79 +428,9 @@ func (c *ProofChecker) step(deleted bool, clause cnf.Clause, ids []uint32) (refu
 	if !c.implied(clause, ids) {
 		return false, false
 	}
-	ref := c.add(clause)
+	ref := c.add(sortedLits(c.addBuf, clause))
 	c.byID = append(c.byID, ref)
 	return ref == crefUndef, true
-}
-
-// derive takes p's steps in order (Proof.steps) until a lemma does not
-// stand or one is the empty clause, which refuted reports; the checker's
-// state is then good for nothing but reset.
-func (c *ProofChecker) derive(p *Proof) (refuted bool, err error) {
-	lemma := 0
-	err = p.steps(func(deleted bool, clause cnf.Clause, ids []uint32) error {
-		if !deleted {
-			lemma++
-		}
-		r, ok := c.step(deleted, clause, ids)
-		switch {
-		case !ok:
-			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", lemma, len(p.Lemmas), clause)
-		case r:
-			refuted = true
-			return errRefuted
-		}
-		return nil
-	})
-	if err == errRefuted {
-		err = nil
-	}
-	return refuted, err
-}
-
-// errRefuted stops derive's walk at the empty clause.
-var errRefuted = errors.New("sat: refuted")
-
-// deriveFlat is derive for a flat proof scanFlat has checked: the same
-// steps in the same order, read off the bytes into buffers the checker
-// reuses.
-func (c *ProofChecker) deriveFlat(v flatView) (refuted bool, err error) {
-	lemmas, dels, chains := flatReader{data: v.lemmas}, flatReader{data: v.dels}, flatReader{data: v.chains}
-	left, at := v.nd, 0 // deletions to take, and the At of the next
-	if left > 0 {
-		at = int(dels.uvarint())
-	}
-	remove := func() {
-		c.delID[0] = uint32(dels.uvarint())
-		c.stepBuf = dels.clause(c.stepBuf[:0])
-		c.step(true, c.stepBuf, c.delID[:])
-		if left--; left > 0 {
-			at = int(dels.uvarint())
-		}
-	}
-	for i := range v.nl {
-		for left > 0 && at <= i {
-			remove()
-		}
-		lemma := lemmas.clause(c.stepBuf[:0])
-		c.stepBuf = lemma
-		var chain []uint32
-		if i < v.nc {
-			c.chainBuf = chains.chain(c.chainBuf[:0])
-			chain = c.chainBuf
-		}
-		refuted, ok := c.step(false, lemma, chain)
-		if !ok {
-			return false, fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", i+1, v.nl, lemma)
-		}
-		if refuted {
-			return true, nil
-		}
-	}
-	for left > 0 {
-		remove()
-	}
-	return false, nil
 }
 
 // growTo makes room for variables up to n.
@@ -568,20 +455,24 @@ func (c *ProofChecker) undo(n int) {
 	c.trail = c.trail[:n]
 }
 
-// add stores a clause over known variables, its duplicate literals
-// collapsed, and returns its ref: crefUndef for the empty clause, which
-// is stored as nothing.
-func (c *ProofChecker) add(cl cnf.Clause) cref {
-	if len(cl) == 0 {
-		return crefUndef
-	}
-	buf := c.addBuf[:0]
+// sortedLits returns the literals of cl in buf, sorted, each once.
+func sortedLits[L cnf.Lit | lit](buf []lit, cl []L) []lit {
+	buf = buf[:0]
 	for _, l := range cl {
 		buf = append(buf, lit(l))
 	}
 	slices.Sort(buf)
-	buf = slices.Compact(buf)
+	return slices.Compact(buf)
+}
+
+// add stores buf, a clause over known variables that sortedLits made in
+// addBuf, and returns its ref: crefUndef for the empty clause, which is
+// stored as nothing.
+func (c *ProofChecker) add(buf []lit) cref {
 	c.addBuf = buf
+	if len(buf) == 0 {
+		return crefUndef
+	}
 	c.arena = append(c.arena, uint32(len(buf)))
 	ref := cref(len(c.arena))
 	c.arena = append(c.arena, buf...)
@@ -594,11 +485,11 @@ func (c *ProofChecker) add(cl cnf.Clause) cref {
 // implied is the RUP test along the chain: with every literal of the
 // lemma false, the chain must end in a false clause (walk). A lemma
 // satisfied by the assumptions needs none. The root is left as it was.
-func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
+func (c *ProofChecker) implied(lemma []lit, chain []uint32) bool {
 	c.stats.Lemmas++
 	defer c.undo(c.root)
 	for _, l := range lemma {
-		if l < 2 || int(l.Var()) > c.numVars {
+		if l < 2 || int(l>>1) > c.numVars {
 			// No clause or assumption mentions the variable, so the
 			// solver cannot have learnt about it: a malformed proof.
 			return false
@@ -609,7 +500,7 @@ func (c *ProofChecker) implied(lemma cnf.Clause, chain []uint32) bool {
 			// earlier literal of a tautology: trivially a consequence.
 			return true
 		case lUndef:
-			c.assign(lit(l) ^ 1)
+			c.assign(l ^ 1)
 		}
 	}
 	return c.walk(chain)
@@ -652,8 +543,8 @@ next:
 	return false
 }
 
-// reset takes the checker back to its base, the formula and Extend's
-// lemmas: the trail is undone, the later lemmas leave the arena and
+// reset takes the checker back to its base, the formula and the prefix
+// ExtendStep added: the trail is undone, the later lemmas leave the arena and
 // their IDs with them, and the clauses of the base the proof deleted
 // come back.
 func (c *ProofChecker) reset() {
@@ -672,19 +563,16 @@ func (c *ProofChecker) reset() {
 	c.detached = c.detached[:0]
 }
 
-// remove drops the clause a Deletion names, if its ID names a live one
+// remove drops the clause a deletion names, if its ID names a live one
 // with exactly its literals. It stays in the arena until reset brings it
-// back or Extend compacts it away.
-func (c *ProofChecker) remove(cl cnf.Clause, id uint32) {
-	buf := c.addBuf[:0]
+// back or ExtendDone compacts it away.
+func (c *ProofChecker) remove(cl []lit, id uint32) {
 	for _, l := range cl {
-		if l < 2 || int(l.Var()) > c.numVars {
+		if l < 2 || int(l>>1) > c.numVars {
 			return // over a variable no clause mentions
 		}
-		buf = append(buf, lit(l))
 	}
-	slices.Sort(buf)
-	buf = slices.Compact(buf)
+	buf := sortedLits(c.addBuf, cl)
 	c.addBuf = buf
 	ref := c.named(id, buf)
 	if ref == crefUndef {

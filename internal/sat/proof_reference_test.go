@@ -12,7 +12,7 @@ import (
 // store reloaded for every proof, which puts each lemma to full unit
 // propagation. It never reads a chain, so the comparison is one-sided:
 // what the checker accepts along its chains, the reference accepts.
-// Deletions (Proof.Deletes) go by their literals alone, the slow way:
+// Deletions go by their literals alone, the slow way:
 // the first live clause with exactly the entry's literals goes, the root
 // keeps what it propagated. The checker goes by ID and ignores more, so
 // the tests give the reference a proof without its deletions, which only
@@ -39,8 +39,10 @@ func normalize(c cnf.Clause) (cnf.Clause, bool) {
 	return out, false
 }
 
-// referenceCheckRUP is CheckRUP as it was on the reference engine.
-func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *Proof) error {
+// referenceCheckRUP is CheckRUP as it was on the reference engine, for a
+// proof taken apart (draft), whose chains it passes over: it reads no
+// bytes, so no form the checker's reader refuses stands in its way.
+func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *draft) error {
 	e := newRUPEngine(f, assumptions)
 	if e.conflictAtRoot {
 		return nil // the formula plus assumptions is already conflicting

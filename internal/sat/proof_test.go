@@ -84,17 +84,18 @@ func TestProofUnderAssumptions(t *testing.T) {
 // must be: it ends in the empty lemma and is accepted, and without that
 // lemma it is rejected — unless the assumptions contradict each other or
 // the formula holds the empty clause, which need no lemma.
-func checkRefutation(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p *Proof) {
+func checkRefutation(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p Proof) {
 	t.Helper()
-	n := len(p.Lemmas)
-	if n == 0 || len(p.Lemmas[n-1]) != 0 {
+	d := draftOf(p)
+	n := len(d.Lemmas)
+	if n == 0 || len(d.Lemmas[n-1]) != 0 {
 		t.Fatalf("a log of %d lemmas that does not end in the empty one", n)
 	}
 	if err := CheckRUP(f, assumptions, p); err != nil {
 		t.Fatalf("refutation rejected: %v", err)
 	}
-	cut := &Proof{Lemmas: p.Lemmas[:n-1], Deletes: p.Deletes, Chains: p.Chains[:min(n-1, len(p.Chains))]}
-	if CheckRUP(f, assumptions, &Proof{}) != nil && CheckRUP(f, assumptions, cut) == nil {
+	cut := &draft{Lemmas: d.Lemmas[:n-1], Deletes: d.Deletes, Chains: d.Chains[:n-1]}
+	if CheckRUP(f, assumptions, (&draft{}).flat()) != nil && CheckRUP(f, assumptions, cut.flat()) == nil {
 		t.Fatal("accepted without its empty lemma")
 	}
 }
@@ -105,10 +106,10 @@ func TestProofRejectsBogusLemma(t *testing.T) {
 	f := cnf.New()
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	f.AddClause(cnf.NegLit(1), cnf.PosLit(2))
-	bogus := &Proof{Lemmas: []cnf.Clause{
+	bogus := &draft{Lemmas: []cnf.Clause{
 		{cnf.NegLit(2)}, // not a consequence: x2 can be true
 	}}
-	if err := CheckRUP(f, nil, bogus); err == nil {
+	if err := CheckRUP(f, nil, bogus.flat()); err == nil {
 		t.Fatal("bogus lemma accepted")
 	}
 }
@@ -132,13 +133,13 @@ func TestProofOutOfRangeVariables(t *testing.T) {
 	f = cnf.New()
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	for _, lemma := range []cnf.Clause{{cnf.PosLit(1), cnf.PosLit(40)}, {cnf.LitUndef}, {cnf.Lit(-6)}} {
-		if err := CheckRUP(f, nil, &Proof{Lemmas: []cnf.Clause{lemma}}); err == nil {
+		if err := CheckRUP(f, nil, (&draft{Lemmas: []cnf.Clause{lemma}}).flat()); err == nil {
 			t.Fatalf("malformed lemma %v accepted", []cnf.Lit(lemma))
 		}
 	}
 	// So is an assumption that is no literal at all.
 	for _, a := range []cnf.Lit{cnf.LitUndef, cnf.Lit(1), cnf.Lit(-6)} {
-		if err := CheckRUP(f, []cnf.Lit{a}, &Proof{}); err == nil {
+		if err := CheckRUP(f, []cnf.Lit{a}, (&draft{}).flat()); err == nil {
 			t.Fatalf("malformed assumption %d accepted", int(a))
 		}
 	}
@@ -149,10 +150,10 @@ func TestProofRejectsIncomplete(t *testing.T) {
 	f := cnf.New()
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(2))
 	f.AddClause(cnf.PosLit(1), cnf.NegLit(2))
-	proof := &Proof{Lemmas: []cnf.Clause{
+	proof := &draft{Lemmas: []cnf.Clause{
 		{cnf.PosLit(1)}, // genuine RUP consequence, but f is SAT
 	}, Chains: [][]uint32{{0, 1}}}
-	if err := CheckRUP(f, nil, proof); err == nil {
+	if err := CheckRUP(f, nil, proof.flat()); err == nil {
 		t.Fatal("incomplete proof accepted")
 	}
 }
@@ -163,22 +164,22 @@ func TestProofTrivialConflicts(t *testing.T) {
 	f := cnf.New()
 	f.AddUnit(cnf.PosLit(1))
 	f.AddUnit(cnf.NegLit(1))
-	if err := CheckRUP(f, nil, &Proof{}); err == nil {
+	if err := CheckRUP(f, nil, (&draft{}).flat()); err == nil {
 		t.Fatal("accepted without the empty lemma")
 	}
-	if err := CheckRUP(f, nil, &Proof{Lemmas: []cnf.Clause{{}}, Chains: [][]uint32{{0, 1}}}); err != nil {
+	if err := CheckRUP(f, nil, (&draft{Lemmas: []cnf.Clause{{}}, Chains: [][]uint32{{0, 1}}}).flat()); err != nil {
 		t.Fatalf("root conflict rejected: %v", err)
 	}
 	// Contradictory assumptions need no lemmas at all.
 	f2 := cnf.New()
 	f2.AddClause(cnf.PosLit(1), cnf.PosLit(2))
-	if err := CheckRUP(f2, []cnf.Lit{cnf.PosLit(1), cnf.NegLit(1)}, &Proof{}); err != nil {
+	if err := CheckRUP(f2, []cnf.Lit{cnf.PosLit(1), cnf.NegLit(1)}, (&draft{}).flat()); err != nil {
 		t.Fatalf("assumption conflict rejected: %v", err)
 	}
 	// Empty clause in the input.
 	f3 := cnf.New()
 	f3.AddClause()
-	if err := CheckRUP(f3, nil, &Proof{}); err != nil {
+	if err := CheckRUP(f3, nil, (&draft{}).flat()); err != nil {
 		t.Fatalf("empty input clause rejected: %v", err)
 	}
 }
@@ -219,13 +220,14 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		{mk(2, true), mk(6, false)},
 		{mk(2, true), mk(6, true)},
 	}
-	proof := func(shift uint32, units ...uint32) *Proof {
-		return &Proof{Lemmas: []cnf.Clause{
+	proof := func(shift uint32, units ...uint32) *draft {
+		return &draft{Lemmas: []cnf.Clause{
 			{mk(1, false), mk(2, false), mk(3, false)},
 			{mk(2, false)},
 			{},
 		}, Chains: [][]uint32{{shift, shift + 1}, append(units, shift+6, shift+2, shift+3), {shift + 7, shift + 4, shift + 5}}}
 	}
+	checker := func(f *cnf.Formula, assumptions []cnf.Lit, d *draft) error { return CheckRUP(f, assumptions, d.flat()) }
 	unit := cnf.New()
 	unit.AddClause(mk(1, true))
 	assumed := cnf.New()
@@ -233,7 +235,7 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		unit.AddClause(c...)
 		assumed.AddClause(c...)
 	}
-	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, *Proof) error{"checker": CheckRUP, "reference engine": referenceCheckRUP} {
+	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, *draft) error{"checker": checker, "reference engine": referenceCheckRUP} {
 		if err := check(unit, nil, proof(1, 0)); err != nil {
 			t.Errorf("%s, root literal from a unit clause: valid proof rejected: %v", name, err)
 		}
@@ -263,7 +265,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 	type input struct {
 		name        string
 		assumptions []cnf.Lit
-		proof       *Proof
+		proof       *draft
 	}
 	beyond := cnf.PosLit(cnf.Var(f.NumVars + 3))
 	var honest, inputs []input
@@ -272,14 +274,15 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		if st, err := s.Solve(pt.Assumptions...); err != nil || st != Unsat {
 			t.Fatalf("partition %d: %v, %v; want UNSAT", pt.Index, st, err)
 		}
-		lemmas := s.ProofLog().Lemmas
+		log := draftOf(s.ProofLog())
+		lemmas := log.Lemmas
 		if len(lemmas) < 2 {
 			continue
 		}
 		// Each tampered copy keeps the chains of the lemmas it keeps.
-		chains := s.ProofLog().Chains
-		tamper := func(kind string, edit func(*Proof)) input {
-			q := &Proof{Lemmas: make([]cnf.Clause, len(lemmas)), Chains: slices.Clone(chains)}
+		chains := log.Chains
+		tamper := func(kind string, edit func(*draft)) input {
+			q := &draft{Lemmas: make([]cnf.Clause, len(lemmas)), Chains: slices.Clone(chains)}
 			for i, l := range lemmas {
 				q.Lemmas[i] = slices.Clone(l)
 			}
@@ -287,23 +290,23 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 			return input{fmt.Sprintf("p%d/%s", pt.Index, kind), pt.Assumptions, q}
 		}
 		mid := len(lemmas) / 2
-		h := input{fmt.Sprintf("p%d/honest", pt.Index), pt.Assumptions, s.ProofLog()}
+		h := input{fmt.Sprintf("p%d/honest", pt.Index), pt.Assumptions, log}
 		honest = append(honest, h)
 		inputs = append(inputs, h,
-			tamper("dropped-lemma", func(q *Proof) {
+			tamper("dropped-lemma", func(q *draft) {
 				q.Lemmas, q.Chains = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Chains, mid, mid+1)
 			}),
-			tamper("flipped-literal", func(q *Proof) {
+			tamper("flipped-literal", func(q *draft) {
 				q.Lemmas[mid][0] = q.Lemmas[mid][0].Not()
 			}),
 			// Weakened by a variable nothing mentions: a RUP consequence
 			// only to a checker that kept the variable from the check of
 			// an assumption over it.
-			tamper("lemma-beyond-numvars", func(q *Proof) {
+			tamper("lemma-beyond-numvars", func(q *draft) {
 				q.Lemmas[0] = append(q.Lemmas[0], beyond)
 			}),
 			input{fmt.Sprintf("p%d/assumption-beyond-numvars", pt.Index),
-				append(append([]cnf.Lit{}, pt.Assumptions...), beyond), s.ProofLog()},
+				append(append([]cnf.Lit{}, pt.Assumptions...), beyond), log},
 		)
 	}
 	if len(honest) < 4 {
@@ -314,20 +317,20 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 	reused := NewProofChecker(f)
 	accepted, rejected := 0, 0
 	for _, in := range inputs {
-		got := reused.Check(in.assumptions, in.proof)
-		if want := CheckRUP(f, in.assumptions, in.proof); errText(got) != errText(want) {
+		got := reused.Check(in.assumptions, in.proof.flat())
+		if want := CheckRUP(f, in.assumptions, in.proof.flat()); errText(got) != errText(want) {
 			t.Fatalf("%s: reused checker: %s\nfresh checker: %s", in.name, errText(got), errText(want))
 		}
 		if got == nil {
 			accepted++
-			if ref := referenceCheckRUP(f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas}); ref != nil {
+			if ref := referenceCheckRUP(f, in.assumptions, &draft{Lemmas: in.proof.Lemmas}); ref != nil {
 				t.Fatalf("%s: accepted, rejected by the reference engine: %v", in.name, ref)
 			}
 			continue
 		}
 		rejected++
 		h := honest[rng.Intn(len(honest))]
-		if err := reused.Check(h.assumptions, h.proof); err != nil {
+		if err := reused.Check(h.assumptions, h.proof.flat()); err != nil {
 			t.Fatalf("%s right after the rejection of %s: %v", h.name, in.name, err)
 		}
 	}
@@ -348,7 +351,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 func deletingProofs(t *testing.T) []struct {
 	name string
 	f    *cnf.Formula
-	p    *Proof
+	p    Proof
 } {
 	t.Helper()
 	simplified := pigeonhole(6)
@@ -367,7 +370,7 @@ func deletingProofs(t *testing.T) []struct {
 	return []struct {
 		name string
 		f    *cnf.Formula
-		p    *Proof
+		p    Proof
 	}{{"pass", simplified, pass.ProofLog()}, {"reduceDB", padded, reducing.ProofLog()}}
 }
 
@@ -394,31 +397,32 @@ func baseOf(c *ProofChecker) (clauses []string) {
 func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 	for _, tc := range deletingProofs(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			f, p := tc.f, tc.p
-			if len(p.Deletes) == 0 {
+			f, p, d := tc.f, tc.p, draftOf(tc.p)
+			if len(d.Deletes) == 0 {
 				t.Fatal("the proof deletes nothing")
-			}
-			for i, d := range p.Deletes {
-				if d.At < 0 || d.At > len(p.Lemmas) || i > 0 && d.At < p.Deletes[i-1].At {
-					t.Fatalf("deletion %d at %d after one at %d, of %d lemmas", i, d.At, p.Deletes[max(i-1, 0)].At, len(p.Lemmas))
-				}
 			}
 			c := NewProofChecker(f)
 			base := baseOf(c)
 			if err := c.Check(nil, p); err != nil {
 				t.Fatalf("rejected: %v", err)
 			}
-			if err := referenceCheckRUP(f, nil, p); err != nil {
+			if err := referenceCheckRUP(f, nil, d); err != nil {
 				t.Fatalf("rejected by the reference engine: %v", err)
 			}
-			if err := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas, Chains: p.Chains}); err != nil {
+			if err := CheckRUP(f, nil, (&draft{Lemmas: d.Lemmas, Chains: d.Chains}).flat()); err != nil {
 				t.Fatalf("rejected without its deletions: %v", err)
 			}
 
 			// The clauses gone when the last lemma is in, before reset
 			// brings the base back.
-			if refuted, err := c.derive(p); err != nil || !refuted {
-				t.Fatalf("derive: refuted %v, %v", refuted, err)
+			refuted := false
+			p.Steps(func(deleted bool, clause, ids []uint32) error {
+				r, _ := c.step(deleted, clause, ids)
+				refuted = refuted || r
+				return nil
+			})
+			if !refuted {
+				t.Fatal("the steps taken one by one derive no empty clause")
 			}
 			dropped := 0
 			for ref := 2; ref < len(c.arena); ref += int(c.arena[ref-1]&^delTag) + 1 {
@@ -427,16 +431,16 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 				}
 			}
 			c.reset()
-			if dropped != len(p.Deletes) {
-				t.Errorf("the checker dropped %d clauses for %d deletions", dropped, len(p.Deletes))
+			if dropped != len(d.Deletes) {
+				t.Errorf("the checker dropped %d clauses for %d deletions", dropped, len(d.Deletes))
 			}
 			// A proof that deletes the formula away before it starts, then
 			// the honest one again: every answer from the same base.
-			robbed := &Proof{Lemmas: p.Lemmas, Chains: p.Chains}
+			robbed := &draft{Lemmas: d.Lemmas, Chains: d.Chains}
 			for id, cl := range f.Clauses {
-				robbed.Deletes = append(robbed.Deletes, Deletion{ID: uint32(id), Clause: cl})
+				robbed.Deletes = append(robbed.Deletes, deletion{ID: uint32(id), Clause: cl})
 			}
-			if err := c.Check(nil, robbed); err == nil {
+			if err := c.Check(nil, robbed.flat()); err == nil {
 				t.Fatal("accepted with the formula deleted ahead of the first lemma")
 			}
 			if after := baseOf(c); !slices.Equal(after, base) {
@@ -445,8 +449,8 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			if err := c.Check(nil, p); err != nil {
 				t.Fatalf("rejected by the checker that had accepted it: %v", err)
 			}
-			checkExtendLaw(t, f, nil, p)
-			t.Logf("%d lemmas, %d deletions, %d clauses dropped", len(p.Lemmas), len(p.Deletes), dropped)
+			checkExtendLaw(t, f, nil, d)
+			t.Logf("%d lemmas, %d deletions, %d clauses dropped", len(d.Lemmas), len(d.Deletes), dropped)
 		})
 	}
 }
@@ -463,18 +467,18 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 	if st, err := s.Solve(); err != nil || st != Unsat {
 		t.Fatalf("%v, %v", st, err)
 	}
-	log := s.ProofLog()
+	log := draftOf(s.ProofLog())
 	last := uint32(len(f.Clauses) - 1)
 	binary := f.Clauses[last]
 	// Every clause of the formula first, each under the next one's ID.
-	var noise []Deletion
+	var noise []deletion
 	for id := range f.Clauses {
-		noise = append(noise, Deletion{ID: uint32(id+1) % uint32(len(f.Clauses)), Clause: f.Clauses[id]})
+		noise = append(noise, deletion{ID: uint32(id+1) % uint32(len(f.Clauses)), Clause: f.Clauses[id]})
 	}
-	noise = append(noise, []Deletion{
+	noise = append(noise, []deletion{
 		{At: -7, Clause: nil},
 		{At: 0, Clause: cnf.Clause{0}},
-		{At: 0, ID: last, Clause: cnf.Clause{cnf.Lit(1 << 40), binary[0]}},
+		{At: 0, ID: last, Clause: cnf.Clause{cnf.Lit(1<<32 - 1), binary[0]}},
 		{At: 1, ID: last, Clause: cnf.Clause{cnf.PosLit(cnf.Var(f.NumVars + 1)), binary[0]}},
 		{At: 1, ID: last, Clause: cnf.Clause{binary[0]}},
 		{At: 1 << 40, ID: last, Clause: cnf.Clause{binary[0], binary[0].Not()}},
@@ -483,13 +487,13 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 		{At: 3, ID: noID, Clause: binary},
 	}...)
 	half := len(log.Lemmas) / 2
-	for _, p := range []*Proof{
+	for _, p := range []*draft{
 		{Lemmas: log.Lemmas, Chains: log.Chains, Deletes: noise},
 		{Lemmas: log.Lemmas[:half], Chains: log.Chains[:half], Deletes: noise},
 		{Deletes: noise},
 	} {
-		want := CheckRUP(f, nil, &Proof{Lemmas: p.Lemmas, Chains: p.Chains})
-		if got := CheckRUP(f, nil, p); errText(got) != errText(want) {
+		want := CheckRUP(f, nil, (&draft{Lemmas: p.Lemmas, Chains: p.Chains}).flat())
+		if got := CheckRUP(f, nil, p.flat()); errText(got) != errText(want) {
 			t.Fatalf("%d lemmas: %s with the deletions, %s without", len(p.Lemmas), errText(got), errText(want))
 		}
 		if (len(p.Lemmas) == len(log.Lemmas)) != (want == nil) {
@@ -498,12 +502,12 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 	}
 	// One that names a clause twice over takes it once: the second entry
 	// finds nothing, and the first is enough to break the proof.
-	twice := &Proof{Lemmas: log.Lemmas, Chains: log.Chains}
+	twice := &draft{Lemmas: log.Lemmas, Chains: log.Chains}
 	for id, c := range f.Clauses {
-		d := Deletion{ID: uint32(id), Clause: c}
+		d := deletion{ID: uint32(id), Clause: c}
 		twice.Deletes = append(twice.Deletes, d, d)
 	}
-	if err := CheckRUP(f, nil, twice); err == nil {
+	if err := CheckRUP(f, nil, twice.flat()); err == nil {
 		t.Fatal("accepted with the whole formula deleted")
 	}
 }
@@ -534,35 +538,26 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	}
 	kept := template((*Solver).EnableProof)
 	log := kept.ProofLog()
-	if len(log.Lemmas) == 0 || len(log.Deletes) == 0 {
-		t.Fatalf("%d lemmas, %d deletions kept", len(log.Lemmas), len(log.Deletes))
+	if d := draftOf(log); len(d.Lemmas) == 0 || len(d.Deletes) == 0 {
+		t.Fatalf("%d lemmas, %d deletions kept", len(d.Lemmas), len(d.Deletes))
 	}
 
-	streamed, streamedTo := &Proof{}, NewProofChecker(f)
+	var streamed FlatLog
+	streamedTo := NewProofChecker(f)
 	streaming := template(func(s *Solver) {
 		s.StreamProof(func(deleted bool, clause, ids []uint32) {
-			c := make(cnf.Clause, len(clause))
-			for i, l := range clause {
-				c[i] = cnf.Lit(l)
-			}
-			if deleted {
-				streamed.Deletes = append(streamed.Deletes, Deletion{At: len(streamed.Lemmas), ID: ids[0], Clause: c})
-			} else {
-				streamed.Lemmas = append(streamed.Lemmas, c)
-				streamed.Chains = append(streamed.Chains, slices.Clone(ids))
-			}
+			streamed.Step(deleted, clause, ids)
 			streamedTo.ExtendStep(deleted, clause, ids)
 		})
 	})
 	if err := streamedTo.ExtendDone(); err != nil {
 		t.Fatalf("the streamed prefix rejected: %v", err)
 	}
-	if !bytes.Equal(AppendFlat(nil, streamed), AppendFlat(nil, log)) {
-		t.Fatalf("%d lemmas and %d deletions streamed, %d and %d kept, or not the same ones",
-			len(streamed.Lemmas), len(streamed.Deletes), len(log.Lemmas), len(log.Deletes))
+	if got := streamed.AppendTo(nil); !bytes.Equal(got, log) {
+		t.Fatalf("%d bytes streamed, %d kept, or not the same ones", len(got), len(log))
 	}
-	if p := streaming.ProofLog(); p == nil || len(p.Lemmas) != 0 || len(p.Deletes) != 0 {
-		t.Fatalf("the streaming solver kept %+v", p)
+	if p := streaming.ProofLog(); !bytes.Equal(p, (&draft{}).flat()) {
+		t.Fatalf("the streaming solver kept %d bytes", len(p))
 	}
 	extended := NewProofChecker(f)
 	if err := extend(extended, log); err != nil {
@@ -588,18 +583,17 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	// One literal of one lemma flipped on its way.
 	fresh := NewProofChecker(f)
 	base := baseOf(fresh)
-	at := len(log.Lemmas) / 2
-	dels := log.Deletes
-	for i, lemma := range log.Lemmas {
-		for ; len(dels) > 0 && dels[0].At <= i; dels = dels[1:] {
-			fresh.ExtendStep(true, wordsOf(dels[0].Clause), []uint32{dels[0].ID})
+	at, lemma := log.NumLemmas()/2, 0
+	log.Steps(func(deleted bool, clause, ids []uint32) error {
+		if !deleted {
+			if lemma == at {
+				clause[0] ^= 1
+			}
+			lemma++
 		}
-		clause := wordsOf(lemma)
-		if i == at {
-			clause[0] ^= 1
-		}
-		fresh.ExtendStep(false, clause, log.chain(i))
-	}
+		fresh.ExtendStep(deleted, clause, ids)
+		return nil
+	})
 	if err := fresh.ExtendDone(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lemma %d ", at+1)) {
 		t.Fatalf("stream with lemma %d forged: %v", at+1, err)
 	}
@@ -622,12 +616,75 @@ func newLogging(f *cnf.Formula, opts Options) *Solver {
 
 // extend extends c by p a step at a time, as a template's checker is
 // extended by what its solver streams (ExtendStep, ExtendDone).
-func extend(c *ProofChecker, p *Proof) error {
-	p.steps(func(deleted bool, clause cnf.Clause, ids []uint32) error {
-		c.ExtendStep(deleted, wordsOf(clause), ids)
+func extend(c *ProofChecker, p Proof) error {
+	if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+		c.ExtendStep(deleted, clause, ids)
 		return nil
-	})
+	}); err != nil {
+		return err
+	}
 	return c.ExtendDone()
+}
+
+// A draft is a proof taken apart for a test to build or edit: its
+// lemmas, each with its chain (none past the last chain), and its
+// deletions, each logged once the first At lemmas are — one whose At
+// runs ahead holds back those behind it, and none waits past the last
+// lemma.
+type draft struct {
+	Lemmas  []cnf.Clause
+	Chains  [][]uint32
+	Deletes []deletion
+}
+
+type deletion struct {
+	At     int
+	ID     uint32
+	Clause cnf.Clause
+}
+
+// chain returns lemma i's chain, nil if the draft has none for it.
+func (d *draft) chain(i int) []uint32 {
+	if i < len(d.Chains) {
+		return d.Chains[i]
+	}
+	return nil
+}
+
+// flat logs d step by step, as a solver would (FlatLog.Step).
+func (d *draft) flat() Proof {
+	var log FlatLog
+	dels := d.Deletes
+	for i := 0; ; i++ {
+		for ; len(dels) > 0 && (dels[0].At <= i || i == len(d.Lemmas)); dels = dels[1:] {
+			log.Step(true, wordsOf(dels[0].Clause), []uint32{dels[0].ID})
+		}
+		if i == len(d.Lemmas) {
+			return log.AppendTo(nil)
+		}
+		log.Step(false, wordsOf(d.Lemmas[i]), d.chain(i))
+	}
+}
+
+// draftOf takes p apart (Proof.Steps), the empty clause as nil; it
+// panics on a proof Steps refuses.
+func draftOf(p Proof) *draft {
+	d := &draft{}
+	if err := p.Steps(func(deleted bool, words, ids []uint32) error {
+		var c cnf.Clause
+		for _, l := range words {
+			c = append(c, cnf.Lit(l))
+		}
+		if deleted {
+			d.Deletes = append(d.Deletes, deletion{len(d.Lemmas), ids[0], c})
+		} else {
+			d.Lemmas, d.Chains = append(d.Lemmas, c), append(d.Chains, slices.Clone(ids))
+		}
+		return nil
+	}); err != nil {
+		panic(err)
+	}
+	return d
 }
 
 // wordsOf is a clause as StreamProof hands it out.
@@ -643,15 +700,15 @@ func wordsOf(c cnf.Clause) []uint32 {
 // hostileChains' rotation — each chain shuffled, truncated, made of the
 // IDs of deleted clauses or of IDs no clause has — and with every lemma
 // given the chain of the one before, or of the one after.
-func chainVariants(p *Proof, clauses int) map[string]*Proof {
-	with := func(chain func(i int) []uint32) *Proof {
-		q := &Proof{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
+func chainVariants(p *draft, clauses int) map[string]*draft {
+	with := func(chain func(i int) []uint32) *draft {
+		q := &draft{Lemmas: p.Lemmas, Deletes: p.Deletes, Chains: make([][]uint32, len(p.Lemmas))}
 		for i := range q.Chains {
 			q.Chains[i] = chain(i)
 		}
 		return q
 	}
-	return map[string]*Proof{
+	return map[string]*draft{
 		"honest":  p,
 		"none":    {Lemmas: p.Lemmas, Deletes: p.Deletes},
 		"hostile": hostileChains(p, clauses),
@@ -675,19 +732,19 @@ func TestChainsAreTheProof(t *testing.T) {
 		name        string
 		f           *cnf.Formula
 		assumptions []cnf.Lit
-		proof       *Proof
+		proof       *draft
 		honest      bool
 	}
 	var corpus []input
-	tampered := func(in input, kind string, edit func(q *Proof)) input {
-		q := &Proof{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Chains: slices.Clone(in.proof.Chains)}
+	tampered := func(in input, kind string, edit func(q *draft)) input {
+		q := &draft{Lemmas: make([]cnf.Clause, len(in.proof.Lemmas)), Deletes: in.proof.Deletes, Chains: slices.Clone(in.proof.Chains)}
 		for i, l := range in.proof.Lemmas {
 			q.Lemmas[i] = slices.Clone(l)
 		}
 		edit(q)
 		return input{in.name + "/" + kind, in.f, in.assumptions, q, false}
 	}
-	flip := func(q *Proof) { q.Lemmas[len(q.Lemmas)/2][0] = q.Lemmas[len(q.Lemmas)/2][0].Not() }
+	flip := func(q *draft) { q.Lemmas[len(q.Lemmas)/2][0] = q.Lemmas[len(q.Lemmas)/2][0].Not() }
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	parts := encodedCubes(t, enc, 8)
 	for _, pt := range parts {
@@ -698,29 +755,29 @@ func TestChainsAreTheProof(t *testing.T) {
 		if s.ProofLog().NumLemmas() < 2 {
 			continue
 		}
-		h := input{fmt.Sprintf("p%d", pt.Index), enc.Formula(), pt.Assumptions, s.ProofLog(), true}
+		h := input{fmt.Sprintf("p%d", pt.Index), enc.Formula(), pt.Assumptions, draftOf(s.ProofLog()), true}
 		corpus = append(corpus, h, tampered(h, "flipped-literal", flip),
-			tampered(h, "dropped-lemma", func(q *Proof) {
+			tampered(h, "dropped-lemma", func(q *draft) {
 				mid := len(q.Lemmas) / 2
 				q.Lemmas, q.Chains = slices.Delete(q.Lemmas, mid, mid+1), slices.Delete(q.Chains, mid, mid+1)
 			}))
 	}
 	for _, tc := range deletingProofs(t) {
-		h := input{tc.name, tc.f, nil, tc.p, true}
+		h := input{tc.name, tc.f, nil, draftOf(tc.p), true}
 		corpus = append(corpus, h, tampered(h, "flipped-literal", flip))
 	}
 	accepted, rejected := 0, 0
 	for _, in := range corpus {
 		// Without the deletions: the checker ignores those whose IDs do
 		// not name their clause, the reference engine goes by literals.
-		ref := referenceCheckRUP(in.f, in.assumptions, &Proof{Lemmas: in.proof.Lemmas})
+		ref := referenceCheckRUP(in.f, in.assumptions, &draft{Lemmas: in.proof.Lemmas})
 		if in.honest && ref != nil {
 			t.Fatalf("%s: the reference engine says %s", in.name, errText(ref))
 		}
 		reused := NewProofChecker(in.f)
 		for name, variant := range chainVariants(in.proof, len(in.f.Clauses)) {
 			before := reused.Stats()
-			got := reused.Check(in.assumptions, variant)
+			got := reused.Check(in.assumptions, variant.flat())
 			work := reused.Stats().Since(before)
 			shipped := 0
 			for _, c := range variant.Chains {
@@ -766,15 +823,15 @@ func TestSolverDeletionsNameTheirClause(t *testing.T) {
 	// replay takes p's steps on live, the clauses held by ID, whose next
 	// lemma has ID next, and returns the deletions that missed and the
 	// next ID after p's lemmas.
-	replay := func(live map[uint32]string, next uint32, p *Proof) (misses, deletions int, after uint32) {
-		p.steps(func(deleted bool, c cnf.Clause, ids []uint32) error {
+	replay := func(live map[uint32]string, next uint32, p Proof) (misses, deletions int, after uint32) {
+		p.Steps(func(deleted bool, c, ids []uint32) error {
 			if !deleted {
-				live[next] = key(c)
+				live[next] = key(clauseOf(c))
 				next++
 				return nil
 			}
 			deletions++
-			if held, ok := live[ids[0]]; !ok || held != key(c) {
+			if held, ok := live[ids[0]]; !ok || held != key(clauseOf(c)) {
 				misses++
 				return nil
 			}

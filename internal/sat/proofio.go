@@ -10,114 +10,78 @@ import (
 	"repro/internal/cnf"
 )
 
-// This file serialises refutation proofs. Two formats are supported:
-//
-//   - DRAT-style text (WriteDRAT): one lemma per line as signed DIMACS
-//     literals terminated by 0, and a deletion as the same behind "d",
-//     where the solver logged it: the format external proof checkers and
-//     humans read. It has no place for clause IDs, so neither for chains
-//     nor for the IDs of deletions, and ProofChecker cannot check it.
-//   - The flat form (AppendFlat / ParseFlat) a logging solver keeps
-//     (FlatLog) and the distributed certificate layer ships: the whole
-//     proof, IDs and chains included, as one string of uvarints, which a
-//     checker reads a step at a time (ProofChecker.CheckFlat).
-//
-// Size accounting (NumLemmas / NumLits) lets senders and receivers
-// budget serialisation up front and report what a check took on.
+// This file reads and writes a proof's flat form (Proof, FlatLog, Steps)
+// and writes it as DRAT-style text (WriteDRAT): one lemma per line as
+// signed DIMACS literals terminated by 0, and a deletion as the same
+// behind "d", where the solver logged it — the format external proof
+// checkers and humans read. The text has no place for clause IDs, so
+// neither for chains nor for the IDs of deletions, and ProofChecker
+// cannot check it.
 
-// NumLemmas returns the number of derived clauses in the proof,
-// nil-safe.
-func (p *Proof) NumLemmas() int {
-	if p == nil {
-		return 0
+// Steps checks the form of p (see scanFlat for what it refuses) and then
+// hands visit its steps in order: each deletion before the first lemma
+// it precedes, as the solver logged it, and each lemma with its chain.
+// ids is a lemma's chain, a deletion's ID alone; clause and ids are valid
+// for the length of the call. An error from visit ends the walk and is
+// returned.
+func (p Proof) Steps(visit func(deleted bool, clause, ids []uint32) error) error {
+	v, err := scanFlat(p)
+	if err != nil {
+		return err
 	}
-	return len(p.Lemmas)
+	lemmas, dels, chains := flatReader{data: v.lemmas}, flatReader{data: v.dels}, flatReader{data: v.chains}
+	var clause, ids []uint32
+	left, at := v.nd, uint64(0) // deletions to hand out, and the At of the next
+	if left > 0 {
+		at = dels.uvarint()
+	}
+	for i := uint64(0); ; i++ {
+		for ; left > 0 && at <= i; left-- {
+			ids = append(ids[:0], uint32(dels.uvarint()))
+			clause = dels.clause(clause[:0])
+			if err := visit(true, clause, ids); err != nil {
+				return err
+			}
+			if left > 1 {
+				at = dels.uvarint()
+			}
+		}
+		if i == uint64(v.nl) {
+			return nil
+		}
+		clause, ids = lemmas.clause(clause[:0]), chains.chain(ids[:0])
+		if err := visit(false, clause, ids); err != nil {
+			return err
+		}
+	}
 }
 
-// NumLits returns the total literal count across all lemmas. Nil-safe.
-func (p *Proof) NumLits() int {
-	if p == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range p.Lemmas {
-		n += len(c)
-	}
+// NumLemmas returns the number of lemmas in the proof, 0 for one Steps
+// refuses.
+func (p Proof) NumLemmas() int {
+	n, _ := p.size()
 	return n
 }
 
-// steps walks the proof in the order a checker takes it: each deletion
-// before the first lemma it precedes, the rest after the last. ids is a
-// lemma's chain, a deletion's ID alone.
-func (p *Proof) steps(visit func(deleted bool, c cnf.Clause, ids []uint32) error) error {
-	var id [1]uint32
-	dels := p.Deletes
-	deletion := func() error {
-		d := dels[0]
-		dels, id[0] = dels[1:], d.ID
-		return visit(true, d.Clause, id[:])
-	}
-	for i, lemma := range p.Lemmas {
-		for len(dels) > 0 && dels[0].At <= i {
-			if err := deletion(); err != nil {
-				return err
-			}
-		}
-		if err := visit(false, lemma, p.chain(i)); err != nil {
-			return err
-		}
-	}
-	for len(dels) > 0 {
-		if err := deletion(); err != nil {
-			return err
-		}
-	}
-	return nil
+// NumLits returns the number of literals across the proof's lemmas, 0
+// for one Steps refuses.
+func (p Proof) NumLits() int {
+	_, n := p.size()
+	return n
 }
 
-// AppendFlat appends the flat form of p (nil: the empty proof) to dst.
-// Every number is a uvarint, every literal in cnf.Lit's encoding:
-//
-//	L T D C I    lemmas; literals in lemmas and deletions together;
-//	             deletions; chains (at most L); IDs in the chains
-//	L times      n, then the lemma's n literals
-//	D times      At (0 for a negative one, L for one beyond), ID, n, then
-//	             the deleted clause's n literals
-//	C times      k, then the chain's k IDs, each as the zigzag of its
-//	             difference from the one before it, the first's from 0
-//
-// Fixing a Deletion's At to the range changes nothing about when it takes
-// effect. A logging solver writes the same bytes as it goes (FlatLog).
-func AppendFlat(dst []byte, p *Proof) []byte {
-	if p == nil {
-		p = &Proof{}
-	}
-	lits, ids := p.NumLits(), 0
-	for _, d := range p.Deletes {
-		lits += len(d.Clause)
-	}
-	chains := p.Chains[:min(len(p.Chains), len(p.Lemmas))]
-	for _, c := range chains {
-		ids += len(c)
-	}
-	for _, n := range [5]int{len(p.Lemmas), lits, len(p.Deletes), len(chains), ids} {
-		dst = binary.AppendUvarint(dst, uint64(n))
-	}
-	for _, c := range p.Lemmas {
-		dst = appendFlatClause(dst, c)
-	}
-	for _, d := range p.Deletes {
-		dst = binary.AppendUvarint(dst, uint64(min(max(d.At, 0), len(p.Lemmas))))
-		dst = binary.AppendUvarint(dst, uint64(d.ID))
-		dst = appendFlatClause(dst, d.Clause)
-	}
-	for _, c := range chains {
-		dst = appendFlatChain(dst, c)
-	}
-	return dst
+func (p Proof) size() (lemmas, lits int) {
+	p.Steps(func(deleted bool, clause, _ []uint32) error {
+		if !deleted {
+			lemmas++
+			lits += len(clause)
+		}
+		return nil
+	})
+	return lemmas, lits
 }
 
-func appendFlatClause[L cnf.Lit | lit](dst []byte, c []L) []byte {
+func appendFlatClause(dst []byte, c []uint32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(c)))
 	for _, l := range c {
 		dst = binary.AppendUvarint(dst, uint64(l))
@@ -135,14 +99,23 @@ func appendFlatChain(dst []byte, chain []uint32) []byte {
 	return dst
 }
 
-// FlatLog is a proof log kept in its flat form as it is written: a
-// logging solver's (Solver.FlatProof), whose log is checked and shipped
-// as bytes and never held as a Proof — each literal and ID a byte or two
-// instead of the four or eight of a Proof, and no slice per lemma. The
-// flat form puts every lemma before the first deletion and the chains
+// FlatLog is a proof log kept in its flat form as it is written, a
+// logging solver's (Solver.ProofLog): each literal and ID a byte or two,
+// and no slice per lemma. Every number is a uvarint, every literal in
+// cnf.Lit's encoding:
+//
+//	L T D L I    lemmas; literals in lemmas and deletions together;
+//	             deletions; chains, one per lemma; IDs in the chains
+//	L times      n, then the lemma's n literals
+//	D times      At, the number of lemmas logged before it, ID, n, then
+//	             the deleted clause's n literals
+//	L times      k, then the chain's k IDs, each as the zigzag of its
+//	             difference from the one before it, the first's from 0
+//
+// The form puts every lemma before the first deletion and the chains
 // behind both, so the log writes the three apart and AppendTo joins them
-// behind the header: AppendTo(dst) is AppendFlat(dst, p) for the Proof p
-// of the same steps, every lemma with its chain.
+// behind the header. A proof has this one form: what Steps accepts,
+// logged again step by step, is the same bytes.
 type FlatLog struct {
 	lemmas, deletes, chains []byte
 	nl, nt, nd, ni          int
@@ -176,32 +149,38 @@ func (f *FlatLog) AppendTo(dst []byte) []byte {
 }
 
 // flatView is a flat proof whose form scanFlat has checked: its counts
-// and its three sections, which the readers below take apart with no
-// check of their own.
+// and its three sections, which Steps takes apart with no check of its
+// own.
 type flatView struct {
-	nl, nt, nd, nc, ni   int
+	nl, nd               int
 	lemmas, dels, chains []byte
 }
 
 // scanFlat checks the flat form of a proof, which may be anyone's,
-// without taking it apart: a count the bytes behind it cannot honour, a
-// literal or an ID beyond 32 bits, a deletion placed after the last lemma
-// or a byte left over is an error, and so is a header that asks for more
-// than sixteen bytes of memory per byte of data as a Proof (ParseFlat) —
-// a slice header for each of a proof's worth of empty clauses is the one
-// way to.
+// without taking it apart. It refuses what FlatLog never writes: a number
+// cut short or written in more bytes than it takes, a count the bytes
+// behind it cannot honour, chains that are not one per lemma, a literal
+// or an ID beyond 32 bits, a deletion placed after the last lemma or
+// before the one ahead of it, a byte left over. It also refuses a header
+// whose counts, taken at face value, would have a reader that sizes its
+// memory by them — a slice header per clause and chain, a word per
+// literal, five per deletion, half a word per ID — hold more than sixteen
+// bytes per byte of data: no solver's log comes near it, and a header is
+// the one part of the bytes whose size is not what it takes to send.
 func scanFlat(data []byte) (flatView, error) {
 	r := flatReader{data: data}
 	nl, nt, nd, nc, ni := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
 	// A lemma, a literal, a chain and an ID each take a byte or more of
-	// what follows, a deletion three. In 8-byte words, a clause header is
-	// 3, a literal 1, a Deletion 5, a chain 3 and an ID a half.
+	// what follows, a deletion three.
 	rest, budget := uint64(len(r.data)), 2*uint64(len(data))
-	if r.err == nil && (max(nl, nt, nd, nc, ni) > rest || nl+nt+3*nd+nc+ni > rest || nc > nl ||
-		3*nl+nt+5*nd+3*nc+ni/2 > budget) {
+	switch {
+	case r.err != nil:
+	case max(nl, nt, nd, nc, ni) > rest || nl+nt+3*nd+nc+ni > rest || 3*nl+nt+5*nd+3*nc+ni/2 > budget:
 		r.err = fmt.Errorf("counts %d %d %d %d %d ahead of %d bytes", nl, nt, nd, nc, ni, rest)
+	case nc != nl:
+		r.err = fmt.Errorf("%d chains for %d lemmas", nc, nl)
 	}
-	v := flatView{nl: int(nl), nt: int(nt), nd: int(nd), nc: int(nc), ni: int(ni)}
+	v := flatView{nl: int(nl), nd: int(nd)}
 	lits, section := uint64(0), r.data
 	clause := func() {
 		n := r.uvarint()
@@ -222,14 +201,19 @@ func scanFlat(data []byte) (flatView, error) {
 		clause()
 	}
 	v.lemmas, section = section[:len(section)-len(r.data)], r.data
+	last := uint64(0)
 	for i := uint64(0); i < nd && r.err == nil; i++ {
 		at, id := r.uvarint(), r.uvarint()
-		if at > nl && r.err == nil {
+		switch {
+		case r.err != nil:
+		case at > nl:
 			r.err = fmt.Errorf("deletion %d placed at %d, after the last of %d lemmas", i, at, nl)
-		}
-		if id > math.MaxUint32 && r.err == nil {
+		case at < last:
+			r.err = fmt.Errorf("deletion %d placed at %d, before the one ahead of it at %d", i, at, last)
+		case id > math.MaxUint32:
 			r.err = fmt.Errorf("deletion %d: ID %d beyond 32 bits", i, id)
 		}
+		last = at
 		clause()
 	}
 	v.dels, section = section[:len(section)-len(r.data)], r.data
@@ -265,56 +249,11 @@ func scanFlat(data []byte) (flatView, error) {
 	return v, nil
 }
 
-// ParseFlat reads a proof from its flat form, which may be anyone's (see
-// scanFlat for what it refuses). What the header asks for is allocated
-// once: clauses carved from one slab, chains from another.
-func ParseFlat(data []byte) (*Proof, error) {
-	v, err := scanFlat(data)
-	if err != nil {
-		return nil, err
-	}
-	p := &Proof{}
-	slab := make([]cnf.Lit, 0, v.nt)
-	clause := func(r *flatReader) cnf.Clause {
-		start := len(slab)
-		if slab = r.clause(slab); len(slab) == start {
-			return nil // the empty clause
-		}
-		return slab[start:len(slab):len(slab)]
-	}
-	lemmas, dels, chains := flatReader{data: v.lemmas}, flatReader{data: v.dels}, flatReader{data: v.chains}
-	if v.nl > 0 {
-		p.Lemmas = make([]cnf.Clause, v.nl)
-	}
-	for i := range p.Lemmas {
-		p.Lemmas[i] = clause(&lemmas)
-	}
-	if v.nd > 0 {
-		p.Deletes = make([]Deletion, v.nd)
-	}
-	for i := range p.Deletes {
-		at, id := dels.uvarint(), dels.uvarint()
-		p.Deletes[i] = Deletion{At: int(at), ID: uint32(id), Clause: clause(&dels)}
-	}
-	if v.nc > 0 {
-		p.Chains = make([][]uint32, v.nc)
-	}
-	ids := make([]uint32, 0, v.ni)
-	for i := range p.Chains {
-		start := len(ids)
-		ids = chains.chain(ids)
-		if len(ids) > start {
-			p.Chains[i] = ids[start:len(ids):len(ids)]
-		}
-	}
-	return p, nil
-}
-
 // clause appends the next clause of a checked lemma or deletion section
 // to lits.
-func (r *flatReader) clause(lits cnf.Clause) cnf.Clause {
+func (r *flatReader) clause(lits []uint32) []uint32 {
 	for range r.uvarint() {
-		lits = append(lits, cnf.Lit(r.uvarint()))
+		lits = append(lits, uint32(r.uvarint()))
 	}
 	return lits
 }
@@ -330,8 +269,8 @@ func (r *flatReader) chain(ids []uint32) []uint32 {
 }
 
 // flatReader takes uvarints and varints off the front of data until the
-// first that is not there; from then on it returns zeros and err says
-// which.
+// first that is not there, or is written in more bytes than it takes;
+// from then on it returns zeros and err says which.
 type flatReader struct {
 	data []byte
 	err  error
@@ -342,8 +281,12 @@ func (r *flatReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.data)
-	if n <= 0 {
+	switch {
+	case n <= 0:
 		r.err = fmt.Errorf("no number in the last %d bytes", len(r.data))
+		return 0
+	case n > 1 && r.data[n-1] == 0:
+		r.err = fmt.Errorf("a number written long, in %d bytes", n)
 		return 0
 	}
 	r.data = r.data[n:]
@@ -351,41 +294,31 @@ func (r *flatReader) uvarint() uint64 {
 }
 
 func (r *flatReader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.data)
-	if n <= 0 {
-		r.err = fmt.Errorf("no number in the last %d bytes", len(r.data))
-		return 0
-	}
-	r.data = r.data[n:]
-	return v
+	u := r.uvarint()
+	return int64(u>>1) ^ -int64(u&1) // the zigzag binary.AppendVarint writes
 }
 
 // WriteDRAT writes the proof as DRAT-style text: one lemma per line of
 // space-separated signed DIMACS literals, each terminated by " 0", and
 // "d " before those of a deleted clause. A header comment records the
-// lemma count so a truncated file is detectable by eye.
-func WriteDRAT(w io.Writer, p *Proof) error {
+// lemma count so a truncated file is detectable by eye. A proof Steps
+// refuses is an error, and nothing is written.
+func WriteDRAT(w io.Writer, p Proof) error {
+	lemmas, lits := p.size()
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "c RUP proof, %d lemmas, %d literals\n", p.NumLemmas(), p.NumLits()); err != nil {
-		return err
-	}
-	if p != nil {
-		err := p.steps(func(deleted bool, c cnf.Clause, _ []uint32) error {
-			if deleted {
-				bw.WriteString("d ")
-			}
-			for _, l := range c {
-				fmt.Fprintf(bw, "%d ", l.Dimacs())
-			}
-			_, err := bw.WriteString("0\n")
-			return err
-		})
-		if err != nil {
-			return err
+	fmt.Fprintf(bw, "c RUP proof, %d lemmas, %d literals\n", lemmas, lits)
+	err := p.Steps(func(deleted bool, clause, _ []uint32) error {
+		if deleted {
+			bw.WriteString("d ")
 		}
+		for _, l := range clause {
+			fmt.Fprintf(bw, "%d ", cnf.Lit(l).Dimacs())
+		}
+		_, err := bw.WriteString("0\n")
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"reflect"
@@ -19,7 +18,7 @@ import (
 
 // pigeonholeProof solves PHP(holes) with proof recording and returns the
 // formula and its checked refutation.
-func pigeonholeProof(t *testing.T, holes int) (*cnf.Formula, *Proof) {
+func pigeonholeProof(t *testing.T, holes int) (*cnf.Formula, Proof) {
 	t.Helper()
 	f := pigeonhole(holes)
 	s := newLogging(f, Options{})
@@ -43,28 +42,29 @@ func TestDRATRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Lemmas, back.Lemmas) {
-		t.Fatalf("round trip changed the proof:\n%v\n%v", p.Lemmas, back.Lemmas)
+	d := draftOf(p)
+	if !reflect.DeepEqual(d.Lemmas, back.Lemmas) {
+		t.Fatalf("round trip changed the proof:\n%v\n%v", d.Lemmas, back.Lemmas)
 	}
 	// The text has no chains, and without them the lemmas do not check;
 	// given the solver's chains back they do.
-	if err := CheckRUP(f, nil, back); err == nil {
+	if err := CheckRUP(f, nil, back.flat()); err == nil {
 		t.Fatal("the proof checked without its chains")
 	}
-	back.Chains = p.Chains
-	if err := CheckRUP(f, nil, back); err != nil {
+	back.Chains = d.Chains
+	if err := CheckRUP(f, nil, back.flat()); err != nil {
 		t.Fatalf("re-parsed proof rejected with its chains: %v", err)
 	}
 }
 
-// Deletions keep their places through the text format, JSON, the flat
-// form the certificates travel in and a cut-and-join — and the chains
-// and the deletions' IDs theirs, through all but the text — and the flat
-// form of their steps (stepsOf) tells any two of them apart that differ,
-// other than by their IDs and chains.
+// Deletions keep their places through the text format and a cut and a
+// join — and the chains and the deletions' IDs theirs through the join,
+// which gives back the bytes that were cut — and the flat form of their
+// steps (stepsOf) tells any two of them apart that differ, other than by
+// their IDs and chains.
 func TestProofDeletionsRoundTrip(t *testing.T) {
 	for _, tc := range deletingProofs(t) {
-		f, p := tc.f, tc.p
+		f, p, d := tc.f, tc.p, draftOf(tc.p)
 		var buf bytes.Buffer
 		if err := WriteDRAT(&buf, p); err != nil {
 			t.Fatal(err)
@@ -76,46 +76,30 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(stepsOf(fromText), stepsOf(d)) {
+			t.Fatalf("%s: the DRAT text changed the proof: %d lemmas and %d deletions became %d and %d",
+				tc.name, len(d.Lemmas), len(d.Deletes), len(fromText.Lemmas), len(fromText.Deletes))
 		}
-		fromJSON := &Proof{}
-		if err := json.Unmarshal(body, fromJSON); err != nil {
-			t.Fatal(err)
-		}
-		fromFlat, err := ParseFlat(AppendFlat(nil, p))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prefix, tail := cutProof(p, len(p.Lemmas)/3)
-		if chained := slices.IndexFunc(p.Chains, func(c []uint32) bool { return len(c) > 0 }); chained < 0 {
+		if chained := slices.IndexFunc(d.Chains, func(c []uint32) bool { return len(c) > 0 }); chained < 0 {
 			t.Fatalf("%s: no lemma of the proof has a chain", tc.name)
 		}
-		for name, back := range map[string]*Proof{"DRAT": fromText, "JSON": fromJSON, "flat": fromFlat, "cut and joined": JoinProofs(prefix, tail)} {
-			if !bytes.Equal(stepsOf(back), stepsOf(p)) {
-				t.Fatalf("%s: %s changed the proof: %d lemmas and %d deletions became %d and %d",
-					tc.name, name, len(p.Lemmas), len(p.Deletes), len(back.Lemmas), len(back.Deletes))
-			}
-			if name == "DRAT" {
-				continue // no chains, nor IDs: nothing a ProofChecker checks
-			}
-			if !bytes.Equal(AppendFlat(nil, back), AppendFlat(nil, p)) {
-				t.Fatalf("%s: %s changed the chains or the deletions' IDs", tc.name, name)
-			}
-			if err := CheckRUP(f, nil, back); err != nil {
-				t.Fatalf("%s: rejected after %s: %v", tc.name, name, err)
-			}
+		prefix, tail := cutProof(d, len(d.Lemmas)/3)
+		joined, err := JoinProofs(prefix.flat(), tail.flat())
+		if err != nil || !bytes.Equal(joined, p) {
+			t.Fatalf("%s: cut and joined, %d bytes became %d: %v", tc.name, len(p), len(joined), err)
 		}
-		moved := &Proof{Lemmas: p.Lemmas, Deletes: slices.Clone(p.Deletes)}
+		if err := CheckRUP(f, nil, joined); err != nil {
+			t.Fatalf("%s: rejected after a cut and a join: %v", tc.name, err)
+		}
+		moved := &draft{Lemmas: d.Lemmas, Deletes: slices.Clone(d.Deletes)}
 		moved.Deletes[0].At++
-		flipped := &Proof{Lemmas: slices.Clone(p.Lemmas), Deletes: p.Deletes}
+		flipped := &draft{Lemmas: slices.Clone(d.Lemmas), Deletes: d.Deletes}
 		flipped.Lemmas[0] = append(cnf.Clause{flipped.Lemmas[0][0].Not()}, flipped.Lemmas[0][1:]...)
-		for name, other := range map[string]*Proof{
+		for name, other := range map[string]*draft{
 			"a deletion one lemma later": moved, "a literal flipped": flipped,
-			"no deletions": {Lemmas: p.Lemmas}, "one lemma fewer": {Lemmas: p.Lemmas[:len(p.Lemmas)-1], Deletes: p.Deletes},
+			"no deletions": {Lemmas: d.Lemmas}, "one lemma fewer": {Lemmas: d.Lemmas[:len(d.Lemmas)-1], Deletes: d.Deletes},
 		} {
-			if bytes.Equal(stepsOf(other), stepsOf(p)) {
+			if bytes.Equal(stepsOf(other), stepsOf(d)) {
 				t.Fatalf("%s: the same steps with %s", tc.name, name)
 			}
 		}
@@ -125,44 +109,63 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 // stepsOf is the flat form of a proof's steps, its chains and the IDs
 // of its deletions left out: two proofs whose lemmas and deletions are
 // the same, literal for literal and place for place, have the same.
-func stepsOf(p *Proof) []byte {
-	q := &Proof{Lemmas: p.Lemmas}
+func stepsOf(p *draft) []byte {
+	q := &draft{Lemmas: p.Lemmas}
 	for _, d := range p.Deletes {
-		q.Deletes = append(q.Deletes, Deletion{At: d.At, Clause: d.Clause})
+		q.Deletes = append(q.Deletes, deletion{At: d.At, Clause: d.Clause})
 	}
-	return AppendFlat(nil, q)
+	return q.flat()
 }
 
-// The flat form keeps what the structure cannot say out — a deletion
-// placed before the first lemma or after the last means what it does at
-// either end — and ParseFlat refuses what AppendFlat never writes: a
-// number cut short, counts the bytes behind them cannot honour, a header
-// that buys more memory than sixteen times its input, literals beyond 32
-// bits, IDs out of range, a deletion after the last lemma, bytes left
-// over. Refusing costs
-// nothing: a refused input of a megabyte allocates no more than an
-// accepted one may.
+// relog logs p again, step by step (FlatLog.Step), nil for a proof Steps
+// refuses.
+func relog(p Proof) Proof {
+	var log FlatLog
+	if p.Steps(func(deleted bool, clause, ids []uint32) error {
+		log.Step(deleted, clause, ids)
+		return nil
+	}) != nil {
+		return nil
+	}
+	return log.AppendTo(nil)
+}
+
+// A proof has one flat form: what Steps accepts, logged again step by
+// step, is the bytes it was handed — an empty lemma, an empty chain,
+// chain IDs no clause has, deletions ahead of the first lemma and behind
+// the last, the solver's own logs, the empty proof. Steps refuses what a
+// log never holds: a number cut short or written long, counts the bytes
+// behind them cannot honour, a header that buys more memory than sixteen
+// times its input, chains that are not one per lemma, literals beyond 32
+// bits, IDs out of range, a deletion after the last lemma or before the
+// one ahead of it, bytes left over. Refusing costs nothing: a refused
+// input of a megabyte allocates no more than an accepted one may.
 func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
-	odd := &Proof{
+	odd := &draft{
 		Lemmas:  []cnf.Clause{{mk(1, false), mk(300, true)}, {}},
-		Deletes: []Deletion{{At: -7, ID: noID, Clause: cnf.Clause{mk(2, false)}}, {At: 1 << 40, ID: 5}},
-		Chains:  [][]uint32{{3, 0, 1 << 31, noID}, nil, {9}}, // one more than lemmas: not sent
+		Deletes: []deletion{{At: 0, ID: noID, Clause: cnf.Clause{mk(2, false)}}, {At: 2, ID: 5}},
+		Chains:  [][]uint32{{3, 0, 1 << 31, noID}, nil},
 	}
-	back, err := ParseFlat(AppendFlat(nil, odd))
-	if err != nil {
-		t.Fatal(err)
+	proofs := map[string]Proof{"odd": odd.flat(), "empty": (&draft{}).flat()}
+	for _, tc := range deletingProofs(t) {
+		proofs[tc.name] = tc.p
 	}
-	want := &Proof{Lemmas: odd.Lemmas, Deletes: []Deletion{{At: 0, ID: noID, Clause: odd.Deletes[0].Clause}, {At: 2, ID: 5}}, Chains: odd.Chains[:2]}
-	if !bytes.Equal(stepsOf(back), stepsOf(want)) || back.Deletes[0].ID != noID || back.Deletes[1].ID != 5 ||
-		len(back.Chains) != 2 || !slices.Equal(back.Chains[0], odd.Chains[0]) || back.Chains[1] != nil {
+	for name, p := range proofs {
+		if back := relog(p); !bytes.Equal(back, p) {
+			t.Errorf("%s: %d bytes logged again as %d", name, len(p), len(back))
+		}
+	}
+	back := draftOf(proofs["odd"])
+	if !bytes.Equal(stepsOf(back), stepsOf(odd)) || back.Deletes[0].ID != noID || back.Deletes[1].ID != 5 ||
+		len(back.Chains) != 2 || !slices.Equal(back.Chains[0], odd.Chains[0]) || len(back.Chains[1]) != 0 {
 		t.Fatalf("%+v came back as %+v", odd, back)
 	}
-	if empty, err := ParseFlat(AppendFlat(nil, nil)); err != nil || empty.NumLemmas() != 0 || empty.Deletes != nil || empty.Chains != nil {
-		t.Fatalf("the nil proof came back as %+v, %v", empty, err)
+	steps := func(data []byte) error {
+		return Proof(data).Steps(func(bool, []uint32, []uint32) error { return nil })
 	}
 	for _, tc := range flatProofForgeries() {
-		if p, err := ParseFlat(tc.data); err == nil {
-			t.Errorf("%s: accepted as %+v", tc.name, p)
+		if err := steps(tc.data); err == nil || Proof(tc.data).NumLemmas() != 0 {
+			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// A megabyte that declares as many empty lemmas as it has bytes, as
@@ -177,7 +180,7 @@ func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 		data = data[:1<<20]
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		_, err := ParseFlat(data)
+		err := steps(data)
 		runtime.ReadMemStats(&ms)
 		if err == nil {
 			t.Errorf("header %v over zeros: accepted", header)
@@ -193,11 +196,11 @@ func flatProofForgeries() []struct {
 	name string
 	data []byte
 } {
-	honest := AppendFlat(nil, &Proof{
+	honest := (&draft{
 		Lemmas:  []cnf.Clause{{mk(1, false), mk(300, true)}, {mk(2, true)}},
-		Deletes: []Deletion{{At: 1, ID: 3, Clause: cnf.Clause{mk(1, false), mk(2, false)}}},
+		Deletes: []deletion{{At: 1, ID: 3, Clause: cnf.Clause{mk(1, false), mk(2, false)}}},
 		Chains:  [][]uint32{{3, 0, 1}, {7}},
-	})
+	}).flat()
 	flat := func(ns ...uint64) (out []byte) {
 		for _, n := range ns {
 			out = binary.AppendUvarint(out, n)
@@ -210,21 +213,24 @@ func flatProofForgeries() []struct {
 	}{
 		{"nothing at all", nil},
 		{"a varint cut in half", honest[:bytes.IndexByte(honest, 0xd9)+1]}, // 300 positive is 601: d9 04
+		{"a number written long", append([]byte{0x82, 0}, honest[1:]...)},  // the lemma count, 2
 		{"cut after the lemmas", honest[:11]},
 		{"a byte left over", append(slices.Clone(honest), 0)},
 		{"more lemmas than bytes", flat(1000, 0, 0, 0, 0, 0)},
 		{"more literals than bytes", flat(1, 1000, 0, 0, 0, 1, 2)},
 		{"more chains than lemmas", flat(1, 1, 0, 2, 0, 1, 2, 0, 0)},
-		{"a lemma longer than the literals declared", flat(1, 1, 0, 0, 0, 2, 2, 4)},
-		{"fewer literals than declared", flat(1, 2, 0, 0, 0, 1, 2, 0)},
-		{"a literal beyond 32 bits", flat(1, 1, 0, 0, 0, 1, 1<<32)},
-		{"a deletion after the last lemma", flat(1, 1, 1, 0, 0, 1, 2, 2, 0, 0)},
-		{"a deletion's ID beyond 32 bits", flat(1, 1, 1, 0, 0, 1, 2, 1, 1<<32, 0)},
+		{"fewer chains than lemmas", flat(1, 1, 0, 0, 0, 1, 2)},
+		{"a lemma longer than the literals declared", flat(1, 1, 0, 1, 0, 2, 2, 4, 0)},
+		{"fewer literals than declared", flat(1, 2, 0, 1, 0, 1, 2, 0, 0)},
+		{"a literal beyond 32 bits", flat(1, 1, 0, 1, 0, 1, 1<<32, 0)},
+		{"a deletion after the last lemma", flat(1, 1, 1, 1, 0, 1, 2, 2, 0, 0, 0)},
+		{"a deletion before the one ahead of it", flat(1, 3, 2, 1, 0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 4, 0)},
+		{"a deletion's ID beyond 32 bits", flat(1, 1, 1, 1, 0, 1, 2, 1, 1<<32, 0, 0)},
 		{"a chain longer than the IDs declared", flat(1, 1, 0, 1, 1, 1, 2, 2, 0, 0)},
 		{"fewer chain IDs than declared", flat(1, 1, 0, 1, 2, 1, 2, 1, 0, 0)},
 		{"a chain ID below 0", flat(1, 1, 0, 1, 1, 1, 2, 1, 1)}, // the zigzag of -1
 		{"a chain ID beyond 32 bits", flat(1, 1, 0, 1, 1, 1, 2, 1, 1<<33)},
-		{"empty lemmas past the memory budget", append(flat(100, 0, 0, 0, 0), make([]byte, 100)...)},
+		{"empty lemmas past the memory budget", append(flat(100, 0, 0, 100, 0), make([]byte, 200)...)},
 	}
 }
 
@@ -258,7 +264,7 @@ func TestDRATParseSkipsCommentsAndDeletions(t *testing.T) {
 }
 
 func TestProofSizeNilSafe(t *testing.T) {
-	var p *Proof
+	var p Proof
 	if p.NumLemmas() != 0 || p.NumLits() != 0 {
 		t.Fatal("nil proof has non-zero size")
 	}
@@ -268,8 +274,8 @@ func TestProofSizeNilSafe(t *testing.T) {
 // skipped, every other line must be signed DIMACS literals terminated
 // by 0, behind "d" for a deletion, which names no ID (noID). The empty
 // clause ("0" alone) parses as a zero-length lemma.
-func parseDRAT(r io.Reader) (*Proof, error) {
-	p := &Proof{}
+func parseDRAT(r io.Reader) (*draft, error) {
+	p := &draft{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), 16*1024*1024)
 	lineNo := 0
@@ -300,7 +306,7 @@ func parseDRAT(r io.Reader) (*Proof, error) {
 			return nil, fmt.Errorf("sat: drat line %d: missing terminating 0", lineNo)
 		}
 		if deleted {
-			p.Deletes = append(p.Deletes, Deletion{At: len(p.Lemmas), ID: noID, Clause: lemma})
+			p.Deletes = append(p.Deletes, deletion{At: len(p.Lemmas), ID: noID, Clause: lemma})
 		} else {
 			p.Lemmas = append(p.Lemmas, lemma)
 		}
