@@ -55,7 +55,8 @@ const (
 	// what checking it costs in memory too. The envelope is not
 	// compressed, and decoding copies nothing (decodeCertificate); the
 	// proofs are checked straight off the bytes
-	// (sat.ProofChecker.Check), which allocates nothing per step but
+	// (sat.ProofChecker.Check), which allocates per proof two buffers
+	// as long as its longest clause and chain, and per step nothing but
 	// what a lemma adds to the checker while the proof is checked: a
 	// lemma of n literals, which takes n+2 bytes or more, grows the
 	// checker's arena by n+1 words and its ID table by one — fewer than

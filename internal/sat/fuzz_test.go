@@ -423,7 +423,7 @@ func hostileChains(p *draft, clauses int) *draft {
 // and what checks with its deletions checks without them.
 func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumptions []cnf.Lit, p *draft, solved Status, noise []byte) error {
 	t.Helper()
-	ref := referenceCheckRUP(f, assumptions, &draft{Lemmas: p.Lemmas})
+	ref := referenceCheckRUP(f, assumptions, (&draft{Lemmas: p.Lemmas}).flat())
 	var asItCame error
 	for _, v := range []struct {
 		name    string
@@ -449,11 +449,9 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 				f, assumptions, chained.Lemmas, chained.Chains, chained.Deletes)
 		}
 		// A deletion can only take clauses away: what checks with them
-		// checks without — where the proof without them has a form Steps
-		// accepts (a deletion takes three bytes and buys the header five
-		// words of its sixteen-bytes-a-byte budget).
-		if kept := (&draft{Lemmas: p.Lemmas, Chains: chained.Chains}).flat(); fresh == nil && len(p.Deletes) > 0 && relog(kept) != nil {
-			if err := CheckRUP(f, assumptions, kept); err != nil {
+		// checks without.
+		if fresh == nil && len(p.Deletes) > 0 {
+			if err := CheckRUP(f, assumptions, (&draft{Lemmas: p.Lemmas, Chains: chained.Chains}).flat()); err != nil {
 				t.Fatalf("the proof %s: accepted with its %d deletions, rejected without: %v", name, len(p.Deletes), err)
 			}
 		}
@@ -490,21 +488,15 @@ func cutProof(p *draft, cut int) (prefix, tail *draft) {
 // tail come back with every reset. Where a lemma of the prefix does not
 // stand, ExtendDone says so and the checker answers for the whole proof
 // as if nothing had been tried. Cut and joined again (JoinProofs), a
-// proof is its own bytes. A proof whose form Steps refuses joins
-// nothing, extends nothing and checks nothing — runs of chain-less empty
-// lemmas past the header's memory budget, which a cut can take from what
-// paid for them, or join — so the law is put only where the whole, the
-// prefix and the tail all have a form Steps accepts.
+// proof is its own bytes.
 func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draft) {
 	t.Helper()
 	p := d.flat()
 	whole := CheckRUP(f, assumptions, p)
 	for _, cut := range []int{0, len(d.Lemmas) / 2, len(d.Lemmas)} {
 		prefix, tail := cutProof(d, cut)
-		parts := relog(prefix.flat()) != nil && relog(tail.flat()) != nil
-		formed := parts && relog(p) != nil
 		joined, err := JoinProofs(prefix.flat(), tail.flat())
-		if (err == nil) != parts || parts && !bytes.Equal(joined, p) {
+		if err != nil || !bytes.Equal(joined, p) {
 			t.Fatalf("cut at %d of %d and joined again: %d bytes, %v; the proof itself %d bytes", cut, len(d.Lemmas), len(joined), err, len(p))
 		}
 		reused := NewProofChecker(f)
@@ -518,7 +510,7 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draf
 				continue
 			}
 			for range 2 {
-				if got := c.Check(assumptions, tail.flat()); formed && (got == nil) != (whole == nil) {
+				if got := c.Check(assumptions, tail.flat()); (got == nil) != (whole == nil) {
 					t.Fatalf("cut at %d of %d: extend then Check says %s, Check of the whole %s",
 						cut, len(d.Lemmas), errText(got), errText(whole))
 				}

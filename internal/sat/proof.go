@@ -48,7 +48,9 @@ import (
 // non-consequence derivable, whoever wrote the entry.
 //
 // The bytes may be anyone's, and one place reads them (Steps), which
-// checks their form first.
+// checks their form first. A nil Proof is no proof, what ProofLog returns
+// for a solver that logs none, and every reader refuses it; the empty
+// proof is FlatLog's header of five zeros, (&FlatLog{}).AppendTo(nil).
 type Proof []byte
 
 // noID stands for no clause: the unit ID of an assumption (see
@@ -147,7 +149,8 @@ func (s *Solver) logUnits() {
 // JoinProofs returns the proof that logs prefix and then tail: what a
 // solver that had done the work of both would have logged, for a tail
 // logged by a clone (Solver.Clone) of the solver that logged prefix. A
-// proof Steps refuses is an error.
+// proof Steps refuses, nil among them, is an error; two it accepts
+// always join.
 func JoinProofs(prefix, tail Proof) (Proof, error) {
 	var log FlatLog
 	for _, p := range [2]Proof{prefix, tail} {
@@ -161,8 +164,8 @@ func JoinProofs(prefix, tail Proof) (Proof, error) {
 	return log.AppendTo(nil), nil
 }
 
-// ProofLog returns the proof the solver has logged, nil unless proof
-// logging is on.
+// ProofLog returns the proof the solver has logged, nil (no proof, which
+// every reader refuses) unless proof logging is on.
 func (s *Solver) ProofLog() Proof {
 	if s.proof == nil {
 		return nil
@@ -295,7 +298,8 @@ func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 // Check verifies p, which may be anyone's, as a refutation of the
 // formula under the assumptions, a step at a time as Steps hands them
 // out, and leaves the checker at its base — the formula, and the prefix
-// ExtendStep added — whatever the answer. Per step it allocates nothing
+// ExtendStep added — whatever the answer. Beyond the two buffers Steps
+// grows to the longest clause and chain, it allocates per step nothing
 // but what a lemma adds to the checker's arena.
 func (c *ProofChecker) Check(assumptions []cnf.Lit, p Proof) error {
 	refuted := c.refuted

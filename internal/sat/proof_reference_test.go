@@ -39,10 +39,10 @@ func normalize(c cnf.Clause) (cnf.Clause, bool) {
 	return out, false
 }
 
-// referenceCheckRUP is CheckRUP as it was on the reference engine, for a
-// proof taken apart (draft), whose chains it passes over: it reads no
-// bytes, so no form the checker's reader refuses stands in its way.
-func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p *draft) error {
+// referenceCheckRUP is CheckRUP as it was on the reference engine, fed
+// the checker's bytes and passing over their chains.
+func referenceCheckRUP(f *cnf.Formula, assumptions []cnf.Lit, proof Proof) error {
+	p := draftOf(proof)
 	e := newRUPEngine(f, assumptions)
 	if e.conflictAtRoot {
 		return nil // the formula plus assumptions is already conflicting

@@ -227,7 +227,6 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 			{},
 		}, Chains: [][]uint32{{shift, shift + 1}, append(units, shift+6, shift+2, shift+3), {shift + 7, shift + 4, shift + 5}}}
 	}
-	checker := func(f *cnf.Formula, assumptions []cnf.Lit, d *draft) error { return CheckRUP(f, assumptions, d.flat()) }
 	unit := cnf.New()
 	unit.AddClause(mk(1, true))
 	assumed := cnf.New()
@@ -235,11 +234,11 @@ func TestCheckRUPLemmaUnitUnderRoot(t *testing.T) {
 		unit.AddClause(c...)
 		assumed.AddClause(c...)
 	}
-	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, *draft) error{"checker": checker, "reference engine": referenceCheckRUP} {
-		if err := check(unit, nil, proof(1, 0)); err != nil {
+	for name, check := range map[string]func(*cnf.Formula, []cnf.Lit, Proof) error{"checker": CheckRUP, "reference engine": referenceCheckRUP} {
+		if err := check(unit, nil, proof(1, 0).flat()); err != nil {
 			t.Errorf("%s, root literal from a unit clause: valid proof rejected: %v", name, err)
 		}
-		if err := check(assumed, []cnf.Lit{mk(1, true)}, proof(0)); err != nil {
+		if err := check(assumed, []cnf.Lit{mk(1, true)}, proof(0).flat()); err != nil {
 			t.Errorf("%s, root literal from an assumption: valid proof rejected: %v", name, err)
 		}
 	}
@@ -323,7 +322,7 @@ func TestProofCheckerReuseMatchesFresh(t *testing.T) {
 		}
 		if got == nil {
 			accepted++
-			if ref := referenceCheckRUP(f, in.assumptions, &draft{Lemmas: in.proof.Lemmas}); ref != nil {
+			if ref := referenceCheckRUP(f, in.assumptions, (&draft{Lemmas: in.proof.Lemmas}).flat()); ref != nil {
 				t.Fatalf("%s: accepted, rejected by the reference engine: %v", in.name, ref)
 			}
 			continue
@@ -406,7 +405,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			if err := c.Check(nil, p); err != nil {
 				t.Fatalf("rejected: %v", err)
 			}
-			if err := referenceCheckRUP(f, nil, d); err != nil {
+			if err := referenceCheckRUP(f, nil, p); err != nil {
 				t.Fatalf("rejected by the reference engine: %v", err)
 			}
 			if err := CheckRUP(f, nil, (&draft{Lemmas: d.Lemmas, Chains: d.Chains}).flat()); err != nil {
@@ -770,7 +769,7 @@ func TestChainsAreTheProof(t *testing.T) {
 	for _, in := range corpus {
 		// Without the deletions: the checker ignores those whose IDs do
 		// not name their clause, the reference engine goes by literals.
-		ref := referenceCheckRUP(in.f, in.assumptions, &draft{Lemmas: in.proof.Lemmas})
+		ref := referenceCheckRUP(in.f, in.assumptions, (&draft{Lemmas: in.proof.Lemmas}).flat())
 		if in.honest && ref != nil {
 			t.Fatalf("%s: the reference engine says %s", in.name, errText(ref))
 		}

@@ -57,10 +57,10 @@ func (p Proof) Steps(visit func(deleted bool, clause, ids []uint32) error) error
 }
 
 // NumLemmas returns the number of lemmas in the proof, 0 for one Steps
-// refuses.
+// refuses. It checks the form and reads the count off the header.
 func (p Proof) NumLemmas() int {
-	n, _ := p.size()
-	return n
+	v, _ := scanFlat(p)
+	return v.nl
 }
 
 // NumLits returns the number of literals across the proof's lemmas, 0
@@ -161,21 +161,20 @@ type flatView struct {
 // cut short or written in more bytes than it takes, a count the bytes
 // behind it cannot honour, chains that are not one per lemma, a literal
 // or an ID beyond 32 bits, a deletion placed after the last lemma or
-// before the one ahead of it, a byte left over. It also refuses a header
-// whose counts, taken at face value, would have a reader that sizes its
-// memory by them — a slice header per clause and chain, a word per
-// literal, five per deletion, half a word per ID — hold more than sixteen
-// bytes per byte of data: no solver's log comes near it, and a header is
-// the one part of the bytes whose size is not what it takes to send.
+// before the one ahead of it, a byte left over. Every count is held to
+// the bytes behind the header up front, so a header that promises more
+// than they can hold is refused before a byte of it is read. No reader
+// sizes its memory by the counts: what Steps and the checker hold grows
+// with what they have read.
 func scanFlat(data []byte) (flatView, error) {
 	r := flatReader{data: data}
 	nl, nt, nd, nc, ni := r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint(), r.uvarint()
 	// A lemma, a literal, a chain and an ID each take a byte or more of
-	// what follows, a deletion three.
-	rest, budget := uint64(len(r.data)), 2*uint64(len(data))
+	// what follows, a deletion three: FlatLog writes nothing this refuses.
+	rest := uint64(len(r.data))
 	switch {
 	case r.err != nil:
-	case max(nl, nt, nd, nc, ni) > rest || nl+nt+3*nd+nc+ni > rest || 3*nl+nt+5*nd+3*nc+ni/2 > budget:
+	case max(nl, nt, nd, nc, ni) > rest || nl+nt+3*nd+nc+ni > rest:
 		r.err = fmt.Errorf("counts %d %d %d %d %d ahead of %d bytes", nl, nt, nd, nc, ni, rest)
 	case nc != nl:
 		r.err = fmt.Errorf("%d chains for %d lemmas", nc, nl)
