@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/partition"
 	"repro/internal/report"
+	"repro/internal/sat"
 	"repro/prog"
 )
 
@@ -210,6 +212,43 @@ func TestVerifySimplifiedSearchCertifies(t *testing.T) {
 	}
 	if int(st.ElimVars) >= res.Vars || int(st.Simplified) > res.Clauses {
 		t.Fatalf("%d of %d variables eliminated, %d of %d clauses removed", st.ElimVars, res.Vars, st.Simplified, res.Clauses)
+	}
+}
+
+// A cube the template's prefix already refutes logs no step of its own,
+// and its kept proof, joined by Verify, is the prefix alone: a proof,
+// never nil, that checks. On fib u1 c3 with four partitions every cube
+// is such a cube.
+func TestVerifyKeepsProofOfNoStep(t *testing.T) {
+	ctx := context.Background()
+	p := prog.MustParse(fibSrc)
+	opts := Options{Unwind: 1, Contexts: 3, Cores: 2, Partitions: 4, KeepProofs: true}
+	pr, err := Prepare(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix, err := pr.Template().Prefix(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Verify(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Verdict != Safe || len(res.Instances) != 4 {
+		t.Fatalf("verdict %v, %d partitions", res.Verdict, len(res.Instances))
+	}
+	f, err := pr.Template().Formula()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, inst := range res.Instances {
+		if inst.Proof == nil || !bytes.Equal(inst.Proof, prefix) {
+			t.Fatalf("partition %d: kept %d bytes (nil: %v) after a prefix of %d", i, len(inst.Proof), inst.Proof == nil, len(prefix))
+		}
+		if err := sat.CheckRUP(f, pr.Partitions()[i].Assumptions, inst.Proof); err != nil {
+			t.Fatalf("partition %d: %v", i, err)
+		}
 	}
 }
 

@@ -54,7 +54,7 @@ const (
 	// payload; and since nothing on the way in expands, the cap bounds
 	// what checking it costs in memory too. The envelope is not
 	// compressed, and decoding copies nothing (decodeCertificate); the
-	// proofs are checked straight off the bytes
+	// proofs are checked straight off the bytes, a step as it is read
 	// (sat.ProofChecker.Check), which allocates per proof two buffers
 	// as long as its longest clause and chain, and per step nothing but
 	// what a lemma adds to the checker while the proof is checked: a
@@ -161,7 +161,7 @@ type PartitionProof struct {
 	Partition int
 	// Proof is the tail the partition's solver logged
 	// (parallel.InstanceResult.Proof), as it goes from the solver to the
-	// coordinator's checker (sat.ProofChecker.Check); empty, none.
+	// coordinator's checker (sat.ProofChecker.Check); empty, of no step.
 	Proof sat.Proof
 }
 
@@ -208,13 +208,13 @@ func unpackBits(data []byte, n int) ([]bool, error) {
 // small header — the proofs are flat already, and an envelope that spelt
 // them out (JSON, base64) cost more CPU than checking them:
 //
-//	"PBMCRT1"        magic and version
+//	"PBMCRT2"        magic and version
 //	NumVars          uvarint
 //	m, m bytes       the model
 //	P                uvarint: proofs
 //	P times          partition (zigzag varint), n (uvarint), then n
-//	                 bytes: the proof's flat form, none if n is 0
-const certMagic = "PBMCRT1"
+//	                 bytes: the proof's steps (sat.FlatLog), none if n is 0
+const certMagic = "PBMCRT2"
 
 // encodeCertificate serialises a certificate for the wire. A nil
 // certificate encodes to nil (no cert frames follow the result).
@@ -484,8 +484,8 @@ func (v *certVerifier) verifySafe(cube partition.Cube, cert *Certificate) (work 
 	}
 	for i, assume := range assumps {
 		idx := cube.From + i
-		proof := proofs[idx]
-		if len(proof) == 0 {
+		proof, ok := proofs[idx] // an empty one is a proof of no step
+		if !ok {
 			return work, fmt.Errorf("no refutation proof for partition %d", idx)
 		}
 		done, err := v.prep.Template().Check(assume, proof)

@@ -774,7 +774,7 @@ func lemmasOnly(lemmas [][]uint32) sat.Proof {
 	for _, l := range lemmas {
 		log.Step(false, l, nil)
 	}
-	return log.AppendTo(nil)
+	return sat.Proof(log)
 }
 
 // TestCertifyWorkReported: the proof checkers' lemmas and the chain

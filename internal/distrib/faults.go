@@ -285,9 +285,9 @@ func mutateResult(f *FaultEvent, m *Message, reply *Message, cert **Certificate)
 
 // relogged is p logged again step by step (sat.FlatLog.Step), lemma
 // number i with the chain edit returns, once it has had its way with the
-// lemma; nil for a proof Steps refuses.
+// lemma; nil only for a proof Steps refuses.
 func relogged(p sat.Proof, edit func(i int, lemma, chain []uint32) []uint32) sat.Proof {
-	var log sat.FlatLog
+	log := sat.FlatLog{}
 	i := 0
 	if p.Steps(func(deleted bool, clause, ids []uint32) error {
 		if !deleted {
@@ -298,7 +298,7 @@ func relogged(p sat.Proof, edit func(i int, lemma, chain []uint32) []uint32) sat
 	}) != nil {
 		return nil
 	}
-	return log.AppendTo(nil)
+	return sat.Proof(log)
 }
 
 // hostileHints returns p with FaultHostileHints' chains in place of its

@@ -87,10 +87,15 @@ func fuzzRefutation(f *testing.F) (*cnf.Formula, sat.Proof) {
 // (sat.ProofChecker.Check), one that has checked the inputs before it:
 // it answers to the letter as a fresh checker does; what it allocates is
 // bounded by the bytes it was handed — the lemmas they hold grow the
-// checker's arena by a few words each, and nothing else is kept — and a
-// tail whose form it accepts (sat.Proof.Steps), logged again step by
-// step (sat.FlatLog.Step), is the bytes it was handed: a proof has one
-// form.
+// checker's arena by a few words each, and nothing else is kept. A tail
+// whose form it accepts (sat.Proof.Steps), logged again step by step
+// (sat.FlatLog.Step), is the bytes it was handed: a proof has one form.
+// And cut at a step boundary — at every one, or at 64 spread over a
+// longer tail — it is two proofs Steps accepts, of the whole's steps
+// between them, and a fresh checker extended by the first
+// (sat.ProofChecker.ExtendStep) answers for the second as Check answers
+// for the whole; one whose extension does not stand answers for the
+// whole as a fresh one does.
 func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -103,25 +108,66 @@ func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
 		t.Fatalf("a checker that has checked others: %v; a fresh one: %v", got, want)
 	}
 	var log sat.FlatLog
+	cuts := []int{0}
 	if sat.Proof(flat).Steps(func(deleted bool, clause, ids []uint32) error {
 		log.Step(deleted, clause, ids)
+		cuts = append(cuts, len(log))
 		return nil
-	}) == nil {
-		if back := log.AppendTo(nil); !bytes.Equal(back, flat) {
-			t.Fatalf("a proof of %d bytes, logged again step by step, is %d bytes, or others", len(flat), len(back))
+	}) != nil {
+		return
+	}
+	if back := sat.Proof(log); !bytes.Equal(back, flat) {
+		t.Fatalf("a proof of %d bytes, logged again step by step, is %d bytes, or others", len(flat), len(back))
+	}
+	steps := len(cuts) - 1
+	if len(cuts) > 64 {
+		spread := make([]int, 64)
+		for i := range spread {
+			spread[i] = cuts[i*(len(cuts)-1)/63]
+		}
+		cuts = spread
+	}
+	for _, cut := range cuts {
+		prefix, tail := sat.Proof(flat[:cut:cut]), sat.Proof(flat[cut:])
+		n, m := countSteps(prefix), countSteps(tail)
+		if n < 0 || m < 0 || n+m != steps {
+			t.Fatalf("cut at byte %d of %d: %d and %d steps of %d (-1: refused)", cut, len(flat), n, m, steps)
+		}
+		extended := sat.NewProofChecker(f)
+		prefix.Steps(func(deleted bool, clause, ids []uint32) error {
+			extended.ExtendStep(deleted, clause, ids)
+			return nil
+		})
+		if extended.ExtendDone() != nil {
+			if again := extended.Check(nil, flat); fmt.Sprint(again) != fmt.Sprint(got) {
+				t.Fatalf("cut at byte %d: after a rejected extension %v; a fresh checker %v", cut, again, got)
+			}
+			continue
+		}
+		if rest := extended.Check(nil, tail); (rest == nil) != (got == nil) {
+			t.Fatalf("cut at byte %d of %d: extend then Check says %v, Check of the whole %v", cut, len(flat), rest, got)
 		}
 	}
 }
 
+// countSteps is the number of steps of p, -1 if Steps refuses it.
+func countSteps(p sat.Proof) int {
+	n := 0
+	if p.Steps(func(bool, []uint32, []uint32) error { n++; return nil }) != nil {
+		return -1
+	}
+	return n
+}
+
 // FuzzDecodeCertificate feeds arbitrary bytes to the certificate
 // decoder and to the checker the coordinator checks a tail with, as a
-// whole certificate and as the flat form of one proof: neither may
-// panic; a certificate it accepts holds slices of the bytes it came in
-// and at most one PartitionProof per two of them, and encodes back to
-// itself; and every proof in it, and the bytes themselves, check as they
-// do on a fresh checker, allocating no more than a bound of their size,
-// and a proof whose form is accepted is the bytes a solver logging its
-// steps would write (checkTail).
+// whole certificate and as one proof: neither may panic; a certificate
+// it accepts holds slices of the bytes it came in and at most one
+// PartitionProof per two of them, and encodes back to itself; and every
+// proof in it, and the bytes themselves, check as they do on a fresh
+// checker, allocating no more than a bound of their size, and a proof
+// whose form is accepted is the bytes a solver logging its steps would
+// write, and holds the join law at its step boundaries (checkTail).
 func FuzzDecodeCertificate(f *testing.F) {
 	formula, honest := fuzzRefutation(f)
 	checker := sat.NewProofChecker(formula)
@@ -134,12 +180,12 @@ func FuzzDecodeCertificate(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(`{"num_vars":8,"proofs":[{"partition":0,"proof":"AA=="}]}`))
 	f.Add([]byte{})
-	// The flat form and what it never is: the honest tail, a lemma
-	// flipped in it, a varint cut in half, a lemma count larger than the
-	// input, a chain ID past 2^31 (well formed on the wire: the checker
-	// is who passes it over), a deletion whose At runs past the last
-	// lemma, one placed before the one ahead of it, a count written in
-	// two bytes where one does, trailing bytes.
+	// A proof and what it never is: the honest tail, a lemma flipped in
+	// it, a step cut mid-way, a literal count larger than the input, a
+	// chain ID past 2^31 (well formed on the wire: the checker is who
+	// passes it over), a chain that comes back below 0, a deletion
+	// without its ID, a head written in two bytes where one does, a
+	// step cut after its head; and the empty proof.
 	var flipped sat.FlatLog
 	lemmas := 0
 	if err := honest.Steps(func(deleted bool, clause, ids []uint32) error {
@@ -161,13 +207,13 @@ func FuzzDecodeCertificate(f *testing.F) {
 		return out
 	}
 	f.Add([]byte(honest))
-	f.Add(flipped.AppendTo(nil))
+	f.Add([]byte(flipped))
 	f.Add([]byte(honest[:len(honest)-1]))
-	f.Add(uvarints(1000, 0, 0, 0, 0, 0))
-	f.Add(binary.AppendVarint(uvarints(1, 1, 0, 1, 1, 1, 2, 1), 1<<31+5)) // five bytes
-	f.Add(uvarints(1, 1, 1, 1, 0, 1, 2, 2, 0, 0, 0))
-	f.Add(uvarints(1, 3, 2, 1, 0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 4, 0))
-	f.Add([]byte{0x80, 0, 0, 0, 0, 0})
+	f.Add(uvarints(2000, 4, 0))
+	f.Add(binary.AppendVarint(uvarints(2, 4, 1), 1<<31+5)) // five bytes
+	f.Add(uvarints(0, 2, 10, 21))
+	f.Add(uvarints(3, 4))
+	f.Add([]byte{0x80, 0, 0})
 	f.Add(append(bytes.Clone(honest), 0))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -167,11 +167,8 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 		}
 		if inst.Proof != nil && !t.held {
 			// The template ends with the call: a kept proof leaves whole, the
-			// template's log and then the cube's.
-			var err error
-			if inst.Proof, err = sat.JoinProofs(r.tpl.prefix(r.template, r.own), inst.Proof); err != nil {
-				return nil, err
-			}
+			// template's log and then the cube's (capped: a copy, never nil).
+			inst.Proof = append(r.tpl.prefix(r.template, r.own), inst.Proof...)
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 	}

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"path/filepath"
@@ -220,6 +221,48 @@ func TestKeepProofsOnUnsplitPartitions(t *testing.T) {
 		}
 		if err := sat.CheckRUP(f, parts[i].Assumptions, inst.Proof); err != nil {
 			t.Fatalf("partition %d: kept proof does not check: %v", inst.Partition, err)
+		}
+	}
+}
+
+// A kept proof of no step is a proof, not none. Every cube of a formula
+// that loading refutes logs nothing of its own: its kept tail
+// (Template.Solve) is empty and not nil, its kept proof (Solve, whose
+// runner joins the two) is the template's prefix alone, and each
+// checks — certified or not.
+func TestKeepProofsOfNoStep(t *testing.T) {
+	ctx := context.Background()
+	f := cnf.New()
+	f.NewVar()
+	f.NewVar()
+	f.AddClause(cnf.PosLit(1))
+	f.AddClause(cnf.NegLit(1), cnf.PosLit(2))
+	f.AddClause(cnf.NegLit(2))
+	parts := partitionsOn([]cnf.Var{1}, 2)
+	for _, certify := range []bool{false, true} {
+		opts := Options{Workers: 2, KeepProofs: true, CertifyUnsat: certify}
+		tpl := Prepare(f, nil, parts, opts)
+		prefix, err := tpl.Prefix(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held, err := tpl.Solve(ctx, parts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := Solve(ctx, f, parts, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, pt := range parts {
+			tail, joined := held.Instances[i].Proof, whole.Instances[i].Proof
+			if tail == nil || len(tail) != 0 || joined == nil || !bytes.Equal(joined, prefix) {
+				t.Fatalf("certify %v, partition %d: a tail of %d bytes (nil: %v), kept whole as %d (nil: %v), after a prefix of %d",
+					certify, i, len(tail), tail == nil, len(joined), joined == nil, len(prefix))
+			}
+			if err := sat.CheckRUP(f, pt.Assumptions, joined); err != nil {
+				t.Fatalf("certify %v, partition %d: %v", certify, i, err)
+			}
 		}
 	}
 }

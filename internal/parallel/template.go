@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -418,7 +419,7 @@ func (p *passSink) wait(abort bool) {
 // Prefix returns what the template's solver logged before any cube was
 // cloned from it — the units and shortened clauses of its load, the
 // derivations and deletions of its simplification pass, which every
-// cube's proof continues (sat.JoinProofs, sat.ProofChecker.ExtendStep) —
+// cube's proof continues (appended, or sat.ProofChecker.ExtendStep) —
 // building the template first if it has to; ctx interrupts that. For a
 // run whose only cube is solved on the template itself it is what a
 // certifying template's load logged, and it is empty for a restored
@@ -443,9 +444,9 @@ func (t *Template) prefix(s *sat.Solver, own bool) sat.Proof {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.loaded == nil || !t.opts.CertifyUnsat {
-		return (&sat.FlatLog{}).AppendTo(nil)
+		return sat.Proof{}
 	}
-	return t.loaded.AppendTo(nil)
+	return sat.Proof(slices.Clip(*t.loaded))
 }
 
 // Snapshot returns the snapshot of the template's solver
@@ -538,6 +539,9 @@ func (t *Template) Check(assume []cnf.Lit, tail sat.Proof) (work sat.ProofChecke
 // build is get outside a run.
 func (t *Template) build(ctx context.Context) (*sat.Solver, error) {
 	s, _, _, err := t.get(t.n, func(s *sat.Solver) func() {
+		if ctx.Err() != nil {
+			s.Interrupt() // now: AfterFunc's goroutine can lose to a short pass
+		}
 		stop := context.AfterFunc(ctx, s.Interrupt)
 		return func() { stop() }
 	})

@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -92,7 +91,7 @@ func flipped(p sat.Proof, at int) (forged sat.Proof, lemmas, deletions int) {
 		log.Step(deleted, clause, ids)
 		return nil
 	})
-	return log.AppendTo(nil), lemmas, deletions
+	return sat.Proof(log), lemmas, deletions
 }
 
 // scheduleFree is the part of a cube's statistics the benchmark holds
@@ -387,7 +386,7 @@ func TestTemplateProofsAndModels(t *testing.T) {
 					// The one-shot check re-reads the prefix per proof: the
 					// first and the last partition stand for the rest.
 					if pt.Index == parts[0].Index || pt.Index == parts[len(parts)-1].Index {
-						if err := sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, tail)); err != nil {
+						if err := sat.CheckRUP(f, pt.Assumptions, append(prefix, tail...)); err != nil {
 							t.Fatalf("partition %d: prefix ++ tail rejected against the encoding: %v", pt.Index, err)
 						}
 					}
@@ -461,7 +460,7 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 				t.Fatal(err)
 			}
 			checking := Prepare(f, nil, parts, Options{CertifyUnsat: true})
-			if kept, err := checking.Prefix(ctx); err != nil || !bytes.Equal(kept, (&sat.FlatLog{}).AppendTo(nil)) {
+			if kept, err := checking.Prefix(ctx); err != nil || kept == nil || len(kept) != 0 {
 				t.Fatalf("a template that keeps no proofs kept %d bytes of its log: %v", len(kept), err)
 			}
 
@@ -621,13 +620,13 @@ func TestTemplateCheckConcurrent(t *testing.T) {
 			t.Fatalf("partition %d: %v, %v", pt.Index, st, err)
 		}
 		tail := c.ProofLog()
-		honest = append(honest, cube{pt.Assumptions, tail, sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, tail)), 0})
+		honest = append(honest, cube{pt.Assumptions, tail, sat.CheckRUP(f, pt.Assumptions, append(prefix, tail...)), 0})
 		if i%4 != 0 {
 			continue // the one-shot check re-reads the prefix: two forgeries stand for the rest
 		}
 		at := tail.NumLemmas() / 2
 		lie, _, _ := flipped(tail, at)
-		want := sat.CheckRUP(f, pt.Assumptions, joined(t, prefix, lie))
+		want := sat.CheckRUP(f, pt.Assumptions, append(prefix, lie...))
 		if lemmaIndex(want) <= prefix.NumLemmas() {
 			t.Fatalf("partition %d, lemma %d of the tail flipped: CheckRUP says %v", pt.Index, at+1, want)
 		}
@@ -884,16 +883,6 @@ func tailOf(t *testing.T, inst InstanceResult) sat.Proof {
 		t.Fatalf("partition %d: kept tail of %d bytes and no lemma", inst.Partition, len(inst.Proof))
 	}
 	return inst.Proof
-}
-
-// joined is prefix and then tail (sat.JoinProofs).
-func joined(t *testing.T, prefix, tail sat.Proof) sat.Proof {
-	t.Helper()
-	p, err := sat.JoinProofs(prefix, tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // Honest chains are the proof: every lemma of a certified run of

@@ -21,12 +21,12 @@ import "slices"
 //
 // With proof logging on, the clone logs to a proof of its own: the
 // lemmas s has logged so far are the prefix every clone's log continues,
-// and since they were derived before the clone assumed anything,
-// prefix ++ log checks wherever the log of a solver that had done all of
-// it alone would (see ProofChecker.ExtendStep for checking the prefix
-// once). Its clause IDs are s's, and so are the IDs of the units fixed
-// at level 0; its lemmas' continue from s's: they are those of the joined
-// log.
+// and since they were derived before the clone assumed anything, the
+// prefix's bytes and then the clone's checks wherever the log of a solver
+// that had done all of it alone would (see ProofChecker.ExtendStep for
+// checking the prefix once). Its clause IDs are s's, and so are the IDs
+// of the units fixed at level 0; its lemmas' continue from s's, so the
+// two appended are the joined log with nothing renumbered.
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
 		opts:    s.opts,

@@ -130,9 +130,9 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 		}
 		// The template's log and the clone's are the original's, cut at
 		// the clone.
-		whole, err := JoinProofs(prefix, g.proof)
-		if err != nil || !slices.EqualFunc(draftOf(whole).Lemmas, want.log, func(a, b cnf.Clause) bool { return slices.Equal(a, b) }) {
-			t.Fatalf("%v: clone %d logged %d+%d lemmas, not the %d of the solver it copies (%v)", mode, i, prefix.NumLemmas(), len(g.log), len(want.log), err)
+		whole := append(prefix, g.proof...)
+		if !slices.EqualFunc(draftOf(whole).Lemmas, want.log, func(a, b cnf.Clause) bool { return slices.Equal(a, b) }) {
+			t.Fatalf("%v: clone %d logged %d+%d lemmas, not the %d of the solver it copies", mode, i, prefix.NumLemmas(), len(g.log), len(want.log))
 		}
 		switch g.st {
 		case Sat:

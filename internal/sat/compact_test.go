@@ -32,7 +32,8 @@ import (
 // the solver fixes at level 0 logged as a unit lemma (the cubes' tails
 // gained those their assumptions propagate), each clause the loader or
 // the pass shortens by one logged as a lemma, and the empty clause
-// logged at the end.
+// logged at the end; and the flat column once more when a proof became
+// one stream of steps, with no header and no sections.
 func TestProofDigestsPinned(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
@@ -45,13 +46,13 @@ func TestProofDigestsPinned(t *testing.T) {
 	}
 	want := []pinned{
 		{"prefix", 42950, "86e44ad1cf03d3e5542fe9b68e6f0ad04a211c70f2ef99b9329a30b5774a70be",
-			"7c5a5fbaa8706e8934ff1bc53e121945f9f8e3c8d1292a2269833429f716f61b"},
+			"6802b18bef6ea3e8909be4bc46682ebd179ef269ee9597687d7675caf87723eb"},
 		{"cube 2", 1037, "7bf178ee5c95d67ef51cda4f193a26c03c897376d32b7e9054cd390c0bb8e78c",
-			"c8d551f7f3c283afe43da7d9a41eab29d2165d4af1286db785dec28b6246891a"},
+			"d7775e453fa33db168c6bab34f0a8b4feeaec002cb79efd1e9da2b94dbafe750"},
 		{"cube 5", 2118, "c5cb18ef1eb269e957018971d093e9075e80da4afa6847f51cf31dacc775f9ba",
-			"f8a51842c916d367861dbf59feeb8a28f70b0508e21959270a77727eb37f7403"},
+			"ee59656902be167e555d19543a6e49b8e0414c48050564e150aa636d6809cbf8"},
 		{"cube 1 alone", 31569, "04c1a69932d774a7c443bd16c0dc8c269e59f1e3212b91ce594a13cd08166df3",
-			"425855fc6e84a4298ded1eafef5a551982f1ea5e7eb273f8d5c068c8940eecff"},
+			"bd529c381678fab6e7a60c791d869df73c17d90a68bcdd011c6612a5afd63ca1"},
 	}
 	pin := func(name string, p Proof) pinned {
 		var text bytes.Buffer

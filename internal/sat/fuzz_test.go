@@ -478,31 +478,48 @@ func cutProof(p *draft, cut int) (prefix, tail *draft) {
 	return prefix, tail
 }
 
-// checkExtendLaw cuts a proof into a prefix and a tail at both ends and
-// in the middle, and holds extending (ExtendStep, ExtendDone) to its
-// contract on a fresh checker and on one that has been through the whole
-// proof before. Where the prefix stands under no assumption, extending
-// by the prefix then Check(tail) — twice, the second from the base the
-// prefix moved — accepts exactly when Check of the whole does, deletions
-// included: those of the prefix leave the base for good, those of the
-// tail come back with every reset. Where a lemma of the prefix does not
-// stand, ExtendDone says so and the checker answers for the whole proof
-// as if nothing had been tried. Cut and joined again (JoinProofs), a
-// proof is its own bytes.
+// checkExtendLaw cuts a proof at every step boundary — at lawCuts of
+// them, spread over it, the two ends among them, for a longer proof —
+// into a prefix and a tail and holds both laws of a cut to it. Joined:
+// each half is a proof Steps accepts, and the two appended are the
+// whole, to the byte. Extended (ExtendStep, ExtendDone), on one checker
+// extended from cut to cut a stretch at a time, while the stretches
+// stand under no assumption: Check(tail) accepts exactly when Check of
+// the whole does, deletions included — those of the prefix leave the
+// base for good, those of the tail come back with every reset. And at
+// both ends and in the middle, on a fresh checker and on one that has
+// been through the whole proof before, extended by the prefix at once:
+// Check(tail), twice, the second from the base the prefix moved, answers
+// as the whole's check does; where a lemma of the prefix does not stand,
+// ExtendDone says so and the checker answers for the whole proof as if
+// nothing had been tried.
 func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draft) {
 	t.Helper()
 	p := d.flat()
 	whole := CheckRUP(f, assumptions, p)
-	for _, cut := range []int{0, len(d.Lemmas) / 2, len(d.Lemmas)} {
-		prefix, tail := cutProof(d, cut)
-		joined, err := JoinProofs(prefix.flat(), tail.flat())
-		if err != nil || !bytes.Equal(joined, p) {
-			t.Fatalf("cut at %d of %d and joined again: %d bytes, %v; the proof itself %d bytes", cut, len(d.Lemmas), len(joined), err, len(p))
+	cuts := stepCuts(p, lawCuts)
+	grown := NewProofChecker(f)
+	for i, cut := range cuts {
+		prefix, tail := relog(p[:cut]), relog(p[cut:])
+		if prefix == nil || tail == nil || !bytes.Equal(append(slices.Clip(prefix), tail...), p) {
+			t.Fatalf("cut at byte %d of %d, between steps: halves of %d and %d bytes, or refused", cut, len(p), len(prefix), len(tail))
 		}
+		if grown != nil && i > 0 && extend(grown, p[cuts[i-1]:cut]) != nil {
+			grown = nil // the cuts at both ends and in the middle hold what follows
+		}
+		if grown == nil {
+			continue
+		}
+		if got := grown.Check(assumptions, tail); (got == nil) != (whole == nil) {
+			t.Fatalf("cut at byte %d of %d: extended a stretch at a time, Check says %s, Check of the whole %s",
+				cut, len(p), errText(got), errText(whole))
+		}
+	}
+	for _, cut := range []int{0, cuts[len(cuts)/2], len(p)} {
 		reused := NewProofChecker(f)
 		_ = reused.Check(assumptions, p)
 		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
-			if err := extend(c, prefix.flat()); err != nil {
+			if err := extend(c, p[:cut]); err != nil {
 				if got := c.Check(assumptions, p); errText(got) != errText(whole) {
 					t.Fatalf("after a rejected extension (%v) the checker says %s of the whole proof, a fresh one %s",
 						err, errText(got), errText(whole))
@@ -510,13 +527,38 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draf
 				continue
 			}
 			for range 2 {
-				if got := c.Check(assumptions, tail.flat()); (got == nil) != (whole == nil) {
-					t.Fatalf("cut at %d of %d: extend then Check says %s, Check of the whole %s",
-						cut, len(d.Lemmas), errText(got), errText(whole))
+				if got := c.Check(assumptions, p[cut:]); (got == nil) != (whole == nil) {
+					t.Fatalf("cut at byte %d of %d: extend then Check says %s, Check of the whole %s",
+						cut, len(p), errText(got), errText(whole))
 				}
 			}
 		}
 	}
+}
+
+// lawCuts bounds the cuts checkExtendLaw makes: each costs a few checks
+// of the whole proof.
+const lawCuts = 64
+
+// stepCuts returns the byte offsets of the step boundaries of p, a proof
+// Steps accepts, both ends included: all of them, or most of them spread
+// evenly over it.
+func stepCuts(p Proof, most int) []int {
+	cuts := []int{0}
+	var log FlatLog
+	p.Steps(func(deleted bool, clause, ids []uint32) error {
+		log.Step(deleted, clause, ids)
+		cuts = append(cuts, len(log))
+		return nil
+	})
+	if len(cuts) <= most {
+		return cuts
+	}
+	spread := make([]int, most)
+	for i := range spread {
+		spread[i] = cuts[i*(len(cuts)-1)/(most-1)]
+	}
+	return spread
 }
 
 func FuzzCheckRUP(f *testing.F) {

@@ -1,20 +1,20 @@
 package sat
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"repro/internal/cnf"
 )
 
-// Proof is a clausal (DRUP) refutation, in the flat form a logging
-// solver writes as it goes (FlatLog) and a distributed worker ships:
-// the learnt clauses in derivation order, each with its antecedent
-// chain, and the clauses the solver let go of on the way. Each lemma is
-// a reverse-unit-propagation (RUP) consequence of the original formula
-// plus the preceding lemmas, less the clauses deleted before it, and the
-// last one the solver logs is the empty clause. Every literal the solver
+// Proof is a clausal (DRUP) refutation, as the one stream of steps a
+// logging solver writes as it goes (FlatLog) and a distributed worker
+// ships: the learnt clauses in derivation order, each with its
+// antecedent chain, and the clauses the solver let go of on the way,
+// each where it let go of it. Each lemma is a reverse-unit-propagation
+// (RUP) consequence of the original formula plus the preceding lemmas,
+// less the clauses deleted before it, and the last one the solver logs
+// is the empty clause. Every literal the solver
 // fixed at level 0 is a unit clause of the log — of the formula, or a
 // lemma — but for the assumptions, which the checker holds as its root.
 // Checking a proof certifies an UNSAT verdict independently of the CDCL
@@ -23,9 +23,9 @@ import (
 //
 // The clauses of a proof and of its formula share one space of clause
 // IDs: clause i of the formula has ID i, and lemma j of the log — of the
-// joined log, for a clone's tail (JoinProofs) — has ID |F|+j, where |F|
-// is the formula's clause count, even for a lemma the solver logged
-// while it loaded the formula. IDs are how chains and deletions name a
+// template's prefix and then the tail, for a clone's — has ID |F|+j,
+// where |F| is the formula's clause count, even for a lemma the solver
+// logged while it loaded the formula. IDs are how chains and deletions name a
 // clause.
 //
 // A lemma's chain is the IDs of the clauses the solver derived it from,
@@ -47,10 +47,10 @@ import (
 // follows from the formula, so letting one go cannot make a
 // non-consequence derivable, whoever wrote the entry.
 //
-// The bytes may be anyone's, and one place reads them (Steps), which
-// checks their form first. A nil Proof is no proof, what ProofLog returns
-// for a solver that logs none, and every reader refuses it; the empty
-// proof is FlatLog's header of five zeros, (&FlatLog{}).AppendTo(nil).
+// The bytes may be anyone's, and one place reads them (Steps), a step at
+// a time. nil and zero bytes are both the empty proof, of no step;
+// whether there is a proof at all is said by structure (a nil field, a
+// missing entry), never by length.
 type Proof []byte
 
 // noID stands for no clause: the unit ID of an assumption (see
@@ -146,31 +146,19 @@ func (s *Solver) logUnits() {
 	}
 }
 
-// JoinProofs returns the proof that logs prefix and then tail: what a
-// solver that had done the work of both would have logged, for a tail
-// logged by a clone (Solver.Clone) of the solver that logged prefix. A
-// proof Steps refuses, nil among them, is an error; two it accepts
-// always join.
-func JoinProofs(prefix, tail Proof) (Proof, error) {
-	var log FlatLog
-	for _, p := range [2]Proof{prefix, tail} {
-		if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
-			log.Step(deleted, clause, ids)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return log.AppendTo(nil), nil
-}
-
-// ProofLog returns the proof the solver has logged, nil (no proof, which
-// every reader refuses) unless proof logging is on.
+// ProofLog returns the proof the solver has logged, without a copy and
+// capped, so that neither its later steps nor an append to it reach the
+// other: nil unless proof logging is on, never nil when it is. A clone's
+// template's prefix and then its tail, appended, is its whole proof.
 func (s *Solver) ProofLog() Proof {
 	if s.proof == nil {
 		return nil
 	}
-	return s.proof.AppendTo(nil)
+	log := *s.proof
+	if log == nil {
+		return Proof{}
+	}
+	return Proof(log[:len(log):len(log)])
 }
 
 // CheckRUP verifies the proof against the original formula and the
@@ -298,9 +286,13 @@ func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 // Check verifies p, which may be anyone's, as a refutation of the
 // formula under the assumptions, a step at a time as Steps hands them
 // out, and leaves the checker at its base — the formula, and the prefix
-// ExtendStep added — whatever the answer. Beyond the two buffers Steps
-// grows to the longest clause and chain, it allocates per step nothing
-// but what a lemma adds to the checker's arena.
+// ExtendStep added — whatever the answer. Every byte is read once, the
+// steps past the empty clause or a lemma that is not RUP unchecked, so a
+// form Steps refuses is refused wherever the fault. The empty proof
+// checks only if the base holds the empty clause or the assumptions
+// contradict each other. Beyond the two buffers Steps grows to the
+// longest clause and chain, it allocates per step nothing but what a
+// lemma adds to the checker's arena.
 func (c *ProofChecker) Check(assumptions []cnf.Lit, p Proof) error {
 	refuted := c.refuted
 	if !refuted {
@@ -310,32 +302,32 @@ func (c *ProofChecker) Check(assumptions []cnf.Lit, p Proof) error {
 			return err
 		}
 	}
-	lemmas := 0
+	lemmas, failed := 0, 0
+	var bad cnf.Clause
 	err := p.Steps(func(deleted bool, clause, ids []uint32) error {
-		if refuted {
-			return errRefuted
-		}
 		if !deleted {
 			lemmas++
 		}
+		if refuted || failed > 0 {
+			return nil
+		}
 		r, ok := c.step(deleted, clause, ids)
 		if !ok {
-			return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", lemmas, p.NumLemmas(), clauseOf(clause))
+			failed, bad = lemmas, clauseOf(clause)
 		}
 		refuted = r
 		return nil
 	})
 	switch {
-	case err == errRefuted, err == nil && refuted:
-		return nil
 	case err != nil:
 		return err
+	case failed > 0:
+		return fmt.Errorf("sat: lemma %d of %d is not a RUP consequence: %v", failed, lemmas, bad)
+	case refuted:
+		return nil
 	}
 	return fmt.Errorf("sat: proof does not derive the empty clause (%d lemmas)", lemmas)
 }
-
-// errRefuted stops Check's walk at the empty clause.
-var errRefuted = errors.New("sat: refuted")
 
 // assume puts the assumptions at the root; contradicted reports two of
 // them contradicting each other.
@@ -375,11 +367,11 @@ func clauseOf(words []uint32) cnf.Clause {
 // starts from and returns to: for proofs that share it as a prefix —
 // those of the clones of a solver that had logged it when it was cloned
 // (Solver.Clone) — extending by the prefix once, then Check(assumptions,
-// rest) for each, accepts exactly what Check(assumptions,
-// JoinProofs(prefix, rest)) would, and checks the prefix once instead of
-// once per proof. That is sound because the base only ever grows by
-// clauses proved from it under no assumption, so they hold under any, and
-// shrinks by what no later lemma may then lean on; and it accepts no less
+// rest) for each, accepts exactly what Check(assumptions, prefix and rest
+// appended) would, and checks the prefix once instead of once per proof.
+// That is sound because the base only ever grows by clauses proved from
+// it under no assumption, so they hold under any, and shrinks by what no
+// later lemma may then lean on; and it accepts no less
 // because a chain that ends false without the assumptions ends false with
 // them. The IDs of rest's lemmas continue from the prefix's, as they do
 // in the joined log. A step that did not stand leaves the checker where

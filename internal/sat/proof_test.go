@@ -100,6 +100,41 @@ func checkRefutation(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, p Proo
 	}
 }
 
+// The empty proof, nil or zero bytes, refutes only what needs no lemma:
+// a formula that holds the empty clause, or assumptions that contradict
+// each other — not a formula unit propagation alone refutes.
+func TestCheckRUPEmptyProof(t *testing.T) {
+	formula := func(clauses ...cnf.Clause) *cnf.Formula {
+		f := cnf.New()
+		f.NewVar()
+		f.NewVar()
+		for _, c := range clauses {
+			f.AddClause(c...)
+		}
+		return f
+	}
+	x, y := cnf.PosLit(1), cnf.PosLit(2)
+	open := formula(cnf.Clause{x, y})
+	for _, tc := range []struct {
+		name        string
+		f           *cnf.Formula
+		assumptions []cnf.Lit
+		ok          bool
+	}{
+		{"a satisfiable formula", open, nil, false},
+		{"consistent assumptions", open, []cnf.Lit{x.Not(), y.Not()}, false},
+		{"assumptions that contradict each other", open, []cnf.Lit{y, x, y.Not()}, true},
+		{"the empty clause", formula(cnf.Clause{x, y}, cnf.Clause{}), nil, true},
+		{"contradicting units", formula(cnf.Clause{x}, cnf.Clause{x.Not()}), nil, false},
+	} {
+		for _, p := range []Proof{nil, {}} {
+			if err := CheckRUP(tc.f, tc.assumptions, p); (err == nil) != tc.ok {
+				t.Errorf("%s, the empty proof as %#v: %v", tc.name, p, err)
+			}
+		}
+	}
+}
+
 func TestProofRejectsBogusLemma(t *testing.T) {
 	// A satisfiable formula cannot have a valid refutation; a fabricated
 	// proof must be rejected.
@@ -552,10 +587,10 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	if err := streamedTo.ExtendDone(); err != nil {
 		t.Fatalf("the streamed prefix rejected: %v", err)
 	}
-	if got := streamed.AppendTo(nil); !bytes.Equal(got, log) {
+	if got := Proof(streamed); !bytes.Equal(got, log) {
 		t.Fatalf("%d bytes streamed, %d kept, or not the same ones", len(got), len(log))
 	}
-	if p := streaming.ProofLog(); !bytes.Equal(p, (&draft{}).flat()) {
+	if p := streaming.ProofLog(); p == nil || len(p) != 0 {
 		t.Fatalf("the streaming solver kept %d bytes", len(p))
 	}
 	extended := NewProofChecker(f)
@@ -659,7 +694,7 @@ func (d *draft) flat() Proof {
 			log.Step(true, wordsOf(dels[0].Clause), []uint32{dels[0].ID})
 		}
 		if i == len(d.Lemmas) {
-			return log.AppendTo(nil)
+			return Proof(log)
 		}
 		log.Step(false, wordsOf(d.Lemmas[i]), d.chain(i))
 	}

@@ -59,7 +59,7 @@ func TestDRATRoundTrip(t *testing.T) {
 
 // Deletions keep their places through the text format and a cut and a
 // join — and the chains and the deletions' IDs theirs through the join,
-// which gives back the bytes that were cut — and the flat form of their
+// whose bytes are the two halves appended — and the flat form of their
 // steps (stepsOf) tells any two of them apart that differ, other than by
 // their IDs and chains.
 func TestProofDeletionsRoundTrip(t *testing.T) {
@@ -84,9 +84,9 @@ func TestProofDeletionsRoundTrip(t *testing.T) {
 			t.Fatalf("%s: no lemma of the proof has a chain", tc.name)
 		}
 		prefix, tail := cutProof(d, len(d.Lemmas)/3)
-		joined, err := JoinProofs(prefix.flat(), tail.flat())
-		if err != nil || !bytes.Equal(joined, p) {
-			t.Fatalf("%s: cut and joined, %d bytes became %d: %v", tc.name, len(p), len(joined), err)
+		joined := append(prefix.flat(), tail.flat()...)
+		if !bytes.Equal(joined, p) {
+			t.Fatalf("%s: cut and joined, %d bytes became %d", tc.name, len(p), len(joined))
 		}
 		if err := CheckRUP(f, nil, joined); err != nil {
 			t.Fatalf("%s: rejected after a cut and a join: %v", tc.name, err)
@@ -118,30 +118,29 @@ func stepsOf(p *draft) []byte {
 }
 
 // relog logs p again, step by step (FlatLog.Step), nil for a proof Steps
-// refuses.
+// refuses and the empty proof, not nil, for one of no step.
 func relog(p Proof) Proof {
-	var log FlatLog
+	log := FlatLog{}
 	if p.Steps(func(deleted bool, clause, ids []uint32) error {
 		log.Step(deleted, clause, ids)
 		return nil
 	}) != nil {
 		return nil
 	}
-	return log.AppendTo(nil)
+	return Proof(log)
 }
 
-// A proof has one flat form: what Steps accepts, logged again step by
-// step, is the bytes it was handed — an empty lemma, an empty chain,
-// chain IDs no clause has, deletions ahead of the first lemma and behind
-// the last, the solver's own logs, the empty proof. Steps refuses what a
-// log never holds: a number cut short or written long, counts the bytes
-// behind them cannot honour, chains that are not one per lemma, literals
-// beyond 32 bits, IDs out of range, a deletion after the last lemma or
-// before the one ahead of it, bytes left over. Refusing costs nothing: a
-// refused input of a megabyte allocates no more than an accepted one
-// may. A run of empty lemmas without chains, two bytes a lemma, is a
-// form like any other: accepted, and joined to itself it is the run
-// twice as long.
+// A proof has one form: what Steps accepts, logged again step by step,
+// is the bytes it was handed — an empty lemma, an empty chain, chain IDs
+// no clause has, deletions ahead of the first lemma and behind the last,
+// a run of empty lemmas without chains, the solver's own logs, the empty
+// proof as nil and as zero bytes — and two such proofs appended are a
+// proof of the steps of both. Steps refuses what a log never holds (see
+// flatProofForgeries). Refusing costs nothing: a count of a megabyte
+// ahead of a few bytes, or one more than the megabyte behind it, is
+// refused before a byte of it is read, and one the megabyte behind it
+// honours but that is cut short allocates no more than the bytes it
+// read.
 func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 	odd := &draft{
 		Lemmas:  []cnf.Clause{{mk(1, false), mk(300, true)}, {}},
@@ -149,17 +148,17 @@ func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 		Chains:  [][]uint32{{3, 0, 1 << 31, noID}, nil},
 	}
 	empties := (&draft{Lemmas: make([]cnf.Clause, 100)}).flat()
-	proofs := map[string]Proof{"odd": odd.flat(), "empty": (&draft{}).flat(), "empty lemmas": empties}
+	proofs := map[string]Proof{"odd": odd.flat(), "nil": nil, "zero bytes": Proof{}, "empty lemmas": empties}
 	for _, tc := range deletingProofs(t) {
 		proofs[tc.name] = tc.p
 	}
 	for name, p := range proofs {
-		if back := relog(p); !bytes.Equal(back, p) {
+		if back := relog(p); back == nil || !bytes.Equal(back, p) {
 			t.Errorf("%s: %d bytes logged again as %d", name, len(p), len(back))
 		}
 	}
-	if twice, err := JoinProofs(empties, empties); err != nil || !bytes.Equal(twice, (&draft{Lemmas: make([]cnf.Clause, 200)}).flat()) {
-		t.Errorf("empty lemmas joined to themselves: %d bytes, %v", len(twice), err)
+	if twice := relog(append(slices.Clip(empties), empties...)); !bytes.Equal(twice, (&draft{Lemmas: make([]cnf.Clause, 200)}).flat()) {
+		t.Errorf("empty lemmas joined to themselves: %d bytes", len(twice))
 	}
 	back := draftOf(proofs["odd"])
 	if !bytes.Equal(stepsOf(back), stepsOf(odd)) || back.Deletes[0].ID != noID || back.Deletes[1].ID != 5 ||
@@ -170,35 +169,42 @@ func TestFlatProofRejectsWhatItNeverWrites(t *testing.T) {
 		return Proof(data).Steps(func(bool, []uint32, []uint32) error { return nil })
 	}
 	for _, tc := range flatProofForgeries() {
-		if err := steps(tc.data); err == nil || Proof(tc.data).NumLemmas() != 0 {
+		if err := steps(tc.data); err == nil || Proof(tc.data).NumLemmas() != 0 || Proof(tc.data).NumLits() != 0 {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// A megabyte that declares as many empty lemmas as it has bytes, as
-	// many literals, as many IDs, then counts its bytes could hold, a
-	// chain per lemma, never delivered: zeros read to the end.
+	// A megabyte-sized count of a lemma's literals, of a deletion's and
+	// of a chain's IDs, ahead of a few bytes, ahead of one byte fewer
+	// than it counts, and honoured by the bytes behind it but for the
+	// last number, cut in half.
 	var ms runtime.MemStats
-	for _, header := range [][5]uint64{{1 << 20, 0, 0, 0, 0}, {0, 1 << 20, 0, 0, 0}, {0, 0, 0, 0, 1 << 20},
-		{1 << 17, 1 << 18, 1 << 15, 1 << 17, 1 << 18}} {
-		data := make([]byte, 0, 1<<20+16)
-		for _, n := range header {
-			data = binary.AppendUvarint(data, n)
-		}
-		data = data[:1<<20]
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
-		err := steps(data)
-		runtime.ReadMemStats(&ms)
-		if err == nil {
-			t.Errorf("header %v over zeros: accepted", header)
-		}
-		if got := ms.TotalAlloc - before; got > 16*uint64(len(data))+4096 {
-			t.Errorf("header %v: refusing %d bytes allocated %d", header, len(data), got)
+	const mb = 1 << 20
+	for _, head := range [][]byte{flatNumbers(mb << 1), flatNumbers(mb<<1 | 1), flatNumbers(0, mb)} {
+		for _, behind := range [][]byte{make([]byte, 16), make([]byte, mb-1), append(make([]byte, mb-1), 0x80)} {
+			data := append(slices.Clip(head), behind...)
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			err := steps(data)
+			runtime.ReadMemStats(&ms)
+			if err == nil {
+				t.Errorf("%x ahead of %d bytes: accepted", head, len(behind))
+			}
+			if got := ms.TotalAlloc - before; got > 16*uint64(len(data))+4096 {
+				t.Errorf("%x ahead of %d bytes: refusing %d bytes allocated %d", head, len(behind), len(data), got)
+			}
 		}
 	}
 }
 
-// flatProofForgeries are flat forms no proof has, by name.
+// flatNumbers is ns, each as a uvarint.
+func flatNumbers(ns ...uint64) (out []byte) {
+	for _, n := range ns {
+		out = binary.AppendUvarint(out, n)
+	}
+	return out
+}
+
+// flatProofForgeries are byte strings no proof is, by name.
 func flatProofForgeries() []struct {
 	name string
 	data []byte
@@ -208,35 +214,24 @@ func flatProofForgeries() []struct {
 		Deletes: []deletion{{At: 1, ID: 3, Clause: cnf.Clause{mk(1, false), mk(2, false)}}},
 		Chains:  [][]uint32{{3, 0, 1}, {7}},
 	}).flat()
-	flat := func(ns ...uint64) (out []byte) {
-		for _, n := range ns {
-			out = binary.AppendUvarint(out, n)
-		}
-		return out
-	}
+	flat := flatNumbers
 	return []struct {
 		name string
 		data []byte
 	}{
-		{"nothing at all", nil},
 		{"a varint cut in half", honest[:bytes.IndexByte(honest, 0xd9)+1]}, // 300 positive is 601: d9 04
-		{"a number written long", append([]byte{0x82, 0}, honest[1:]...)},  // the lemma count, 2
-		{"cut after the lemmas", honest[:11]},
-		{"a byte left over", append(slices.Clone(honest), 0)},
-		{"more lemmas than bytes", flat(1000, 0, 0, 0, 0, 0)},
-		{"more literals than bytes", flat(1, 1000, 0, 0, 0, 1, 2)},
-		{"more chains than lemmas", flat(1, 1, 0, 2, 0, 1, 2, 0, 0)},
-		{"fewer chains than lemmas", flat(1, 1, 0, 0, 0, 1, 2)},
-		{"a lemma longer than the literals declared", flat(1, 1, 0, 1, 0, 2, 2, 4, 0)},
-		{"fewer literals than declared", flat(1, 2, 0, 1, 0, 1, 2, 0, 0)},
-		{"a literal beyond 32 bits", flat(1, 1, 0, 1, 0, 1, 1<<32, 0)},
-		{"a deletion after the last lemma", flat(1, 1, 1, 1, 0, 1, 2, 2, 0, 0, 0)},
-		{"a deletion before the one ahead of it", flat(1, 3, 2, 1, 0, 1, 2, 1, 0, 1, 2, 0, 0, 1, 4, 0)},
-		{"a deletion's ID beyond 32 bits", flat(1, 1, 1, 1, 0, 1, 2, 1, 1<<32, 0, 0)},
-		{"a chain longer than the IDs declared", flat(1, 1, 0, 1, 1, 1, 2, 2, 0, 0)},
-		{"fewer chain IDs than declared", flat(1, 1, 0, 1, 2, 1, 2, 1, 0, 0)},
-		{"a chain ID below 0", flat(1, 1, 0, 1, 1, 1, 2, 1, 1)}, // the zigzag of -1
-		{"a chain ID beyond 32 bits", flat(1, 1, 0, 1, 1, 1, 2, 1, 1<<33)},
+		{"a step cut after its literals", honest[:bytes.IndexByte(honest, 0xd9)+2]},
+		{"a step cut after its head", append(slices.Clone(honest), 0)},
+		{"a deletion without its ID", flat(3, 4)},
+		{"a number written long", append([]byte{0x84, 0}, honest[1:]...)}, // the first head, 4
+		{"a literal beyond 32 bits", flat(2, 1<<32, 0)},
+		{"a deletion's ID beyond 32 bits", flat(3, 4, 1<<32)},
+		{"more literals than bytes", flat(2000, 4, 0)},
+		{"a deletion of more literals than bytes", flat(2001, 4, 0)},
+		{"a chain longer than its bytes", flat(2, 4, 1000, 2)},
+		{"a chain ID below 0", flat(2, 4, 1, 1)},                // the zigzag of -1
+		{"a chain that comes back below 0", flat(0, 2, 10, 21)}, // 5, then 5 - 11
+		{"a chain ID beyond 32 bits", flat(2, 4, 1, 1<<33)},
 	}
 }
 
