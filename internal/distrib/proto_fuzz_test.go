@@ -93,7 +93,7 @@ func fuzzRefutation(f *testing.F) (*cnf.Formula, sat.Proof) {
 // And cut at a step boundary — at every one, or at 64 spread over a
 // longer tail — it is two proofs Steps accepts, of the whole's steps
 // between them, and a fresh checker extended by the first
-// (sat.ProofChecker.ExtendStep) answers for the second as Check answers
+// (sat.ProofChecker.Extend) answers for the second as Check answers
 // for the whole; one whose extension does not stand answers for the
 // whole as a fresh one does.
 func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
@@ -134,10 +134,7 @@ func checkTail(t *testing.T, c *sat.ProofChecker, f *cnf.Formula, flat []byte) {
 			t.Fatalf("cut at byte %d of %d: %d and %d steps of %d (-1: refused)", cut, len(flat), n, m, steps)
 		}
 		extended := sat.NewProofChecker(f)
-		prefix.Steps(func(deleted bool, clause, ids []uint32) error {
-			extended.ExtendStep(deleted, clause, ids)
-			return nil
-		})
+		extended.Extend(prefix)
 		if extended.ExtendDone() != nil {
 			if again := extended.Check(nil, flat); fmt.Sprint(again) != fmt.Sprint(got) {
 				t.Fatalf("cut at byte %d: after a rejected extension %v; a fresh checker %v", cut, again, got)

@@ -166,9 +166,10 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 			return nil, fmt.Errorf("parallel: KeepProofs: partition %d was split into %d cubes and has no single refutation proof (run KeepProofs without Split.Depth)", pt.Index, len(leaves))
 		}
 		if inst.Proof != nil && !t.held {
-			// The template ends with the call: a kept proof leaves whole, the
-			// template's log and then the cube's (capped: a copy, never nil).
-			inst.Proof = append(r.tpl.prefix(r.template, r.own), inst.Proof...)
+			// The template ends with the call, which alone wrote its prefix: a
+			// kept proof leaves whole, the template's log and then the cube's
+			// (capped: a copy, never nil).
+			inst.Proof = append(r.tpl.prefix, inst.Proof...)
 		}
 		r.res.Instances = append(r.res.Instances, inst)
 	}

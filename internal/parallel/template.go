@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,13 +90,15 @@ type Template struct {
 	mu     sync.Mutex
 	solver *sat.Solver // nil until built or restored, and again after Drop
 	built  TemplateResult
-	// own: it was made for its only cube, which is solved on it. Its
-	// proof's prefix is what the load logged (loaded, kept under
-	// KeepProofs), which a certifying run's checker holds as it holds a
-	// pass's: the cube's log starts after it, on the template or on a
-	// solver restored from its snapshot.
-	own    bool
-	loaded *sat.FlatLog
+	// own: it was made for its only cube, which is solved on it.
+	own bool
+	// prefix is the log the cubes' proofs continue (Prefix), as the last
+	// build left it: the solver's; for a cube solved on the template, the
+	// load's when a certifying run's checker holds it as it holds a
+	// pass's — the cube's log starts after it, on the template or on a
+	// solver restored from its snapshot — and none when the cube's log
+	// goes on from the load's.
+	prefix sat.Proof
 	// The run's one proof checker (Check), derived by the build beside
 	// the pass; derr, what the solver logged before the first clone does
 	// not check; reported, the checker's counters as Check last handed
@@ -122,7 +123,7 @@ func newTemplate(f *cnf.Formula, again func() (*cnf.Formula, error), parts []par
 	if again == nil {
 		again = func() (*cnf.Formula, error) { return f, nil }
 	}
-	return &Template{f: f, again: again, vars: f.NumVars, parts: parts, n: len(parts), opts: opts.withDefaults(len(parts)), held: held}
+	return &Template{f: f, again: again, vars: f.NumVars, parts: parts, n: len(parts), opts: opts.withDefaults(len(parts)), held: held, prefix: sat.Proof{}}
 }
 
 // Restored returns the template of a run of the given number of
@@ -138,15 +139,15 @@ func Restored(data []byte, partitions int, opts Options) (*Template, error) {
 }
 
 // loadTemplate loads f into the solver a run under opts takes its cubes'
-// solvers from, logging from the first clause when the run logs: to step,
-// if it is not nil. The budget's conflict and memory bounds are the
-// solver's own, and every clone's; its wall-clock bound is runCube's
-// timer.
-func loadTemplate(f *cnf.Formula, opts *Options, step func(deleted bool, clause, ids []uint32)) *sat.Solver {
+// solvers from, logging from the first clause when the run logs: handing
+// the log out to hand as it grows, if hand is not nil. The budget's
+// conflict and memory bounds are the solver's own, and every clone's; its
+// wall-clock bound is runCube's timer.
+func loadTemplate(f *cnf.Formula, opts *Options, hand func(sat.Proof)) *sat.Solver {
 	s := sat.New(f.NumVars, opts.solverOptions())
 	switch {
-	case step != nil:
-		s.StreamProof(step)
+	case hand != nil:
+		s.StreamProof(hand)
 	case opts.CertifyUnsat || opts.KeepProofs:
 		s.EnableProof()
 	}
@@ -213,18 +214,16 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	own = t.single(cubes)
 	// A log that is checked goes to a goroutine of its own (passSink),
 	// started before the load: the checker loads beside the solver and
-	// takes each step of the load and the pass while the solver makes the
-	// next.
+	// takes each stretch of the load and the pass while the solver logs
+	// the next.
 	var sink *passSink
+	var hand func(sat.Proof)
 	if t.checker == nil && t.opts.CertifyUnsat {
 		sink = startPassSink(f, t.opts.KeepProofs)
-		defer sink.wait(true) // a panic too ends it
+		defer sink.wait(true, nil) // a panic too ends it
+		hand = sink.take
 	}
-	var step func(deleted bool, clause, ids []uint32)
-	if sink != nil {
-		step = sink.step
-	}
-	s = loadTemplate(f, &t.opts, step)
+	s = loadTemplate(f, &t.opts, hand)
 	t.built = TemplateResult{ClausesIn: s.NumClauses(), VarsIn: s.NumVars()}
 	whole := true
 	if !own {
@@ -251,17 +250,18 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	// and for no other: the next call builds the template again, and
 	// derives again.
 	if sink != nil {
-		sink.wait(!whole)
+		sink.wait(!whole, s.ProofLog())
 		s.KeepProof(sink.kept)
 		if whole {
 			t.checker, t.derr = sink.checker, sink.derr
 		}
-		if own {
-			t.loaded = sink.kept
-		}
 	}
-	if own && t.opts.CertifyUnsat {
+	t.prefix = s.ProofLog()
+	switch {
+	case own && t.opts.CertifyUnsat:
 		s.KeepProof(&sat.FlatLog{}) // the checker holds the load
+	case own:
+		t.prefix = sat.Proof{} // the cube's log goes on from the load's
 	}
 	t.built.Stats, t.built.ClausesOut = s.Stats(), s.NumClauses()
 	t.built.VarsOut = s.NumVars() - int(t.built.Stats.ElimVars)
@@ -280,25 +280,18 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 }
 
 // passSink is where a template build whose log is checked sends it: the
-// solver streams the steps of its load and its pass (Solver.StreamProof),
-// copied into batches, down a pipeline of two goroutines. The first
-// loads the run's proof checker from the formula while the solver loads,
-// then extends it by each step (ExtendStep) while the solver makes the
-// next; the second
-// keeps the steps in a log of its own, when the run keeps proofs (only
-// a kept proof is ever joined to them: Prefix), and hands each batch back
-// to be refilled. The channels are bounded, so the stream holds at most
-// about a MiB however long the log, and the pipeline is a batch or two —
-// a millisecond or two — behind the pass when it ends.
+// solver hands out the log of its load and its pass in stretches
+// (Solver.StreamProof) to one goroutine, which loads the run's proof
+// checker from the formula while the solver loads, then extends it by
+// each stretch (Extend) while the solver logs the next, and keeps the
+// stretches, appended, when the run keeps proofs (only a kept proof is
+// ever joined to them: Prefix). The channel is bounded, so the stream
+// holds at most about a MiB however long the log, and the checker is a
+// stretch or two — a millisecond or two — behind the pass when it ends.
 type passSink struct {
-	full, free chan []uint32
-	// batch is the producer's, being filled: per step a head word, the
-	// clause's length << 1 | deleted, then the number of IDs, then the
-	// clause's literals and the IDs (a lemma's chain, a deleted clause's
-	// ID).
-	batch []uint32
+	stretches chan sat.Proof
 	// abort: the build was cut short; nobody will read the checker. done
-	// closes when the pipeline has taken every batch.
+	// closes when the goroutine has taken every stretch.
 	abort  atomic.Bool
 	done   chan struct{}
 	closed bool
@@ -311,142 +304,72 @@ type passSink struct {
 	kept    *sat.FlatLog
 }
 
-// A batch is about a millisecond of the checker's work. Each channel
-// holds enough of them to ride out a stage's bursts (a collection)
-// without stalling the pass: at 4 batches of 16 Ki words the pass on
-// es.u2.c5.p16 waited a median 11.5 ms, at 32 of 4 Ki 2.7 ms, measured
-// when the checker still built a content index at the first deletion.
-// The pipeline takes no lock, so the build may block on it while it
-// holds the template's.
-const (
-	sinkBatch = 4 << 10 // words per batch
-	sinkDepth = 32      // batches per channel
-)
+// sinkDepth is the stretches the channel holds: enough to ride out the
+// checker's bursts without stalling the pass. The goroutine takes no
+// lock, so the build may block on it while it holds the template's.
+const sinkDepth = 16
 
-// startPassSink starts the pipeline for a build over f; keep, it keeps
+// startPassSink starts the goroutine for a build over f; keep, it keeps
 // the log.
 func startPassSink(f *cnf.Formula, keep bool) *passSink {
-	p := &passSink{
-		full: make(chan []uint32, sinkDepth),
-		// Room for every batch there can be: those in the two channels and
-		// one in the hands of each of the three goroutines.
-		free:  make(chan []uint32, 2*sinkDepth+3),
-		batch: make([]uint32, 0, sinkBatch),
-		done:  make(chan struct{}),
-		keep:  keep,
-		kept:  &sat.FlatLog{},
-	}
-	derived := make(chan []uint32, sinkDepth)
-	go p.derive(f, derived)
-	go p.record(derived)
+	p := &passSink{stretches: make(chan sat.Proof, sinkDepth), done: make(chan struct{}), keep: keep, kept: &sat.FlatLog{}}
+	go p.check(f)
 	return p
 }
 
-// derive is the first stage: it loads the checker, extends it by the
-// steps of each batch, and passes the batch on.
-func (p *passSink) derive(f *cnf.Formula, out chan<- []uint32) {
-	defer close(out)
+// check loads the checker, extends it by each stretch and, under keep,
+// appends the stretch to the kept log. A build cut short still keeps the
+// log, as the solver would have.
+func (p *passSink) check(f *cnf.Formula) {
+	defer close(p.done)
 	p.checker = sat.NewProofChecker(f)
-	for b := range p.full {
+	for b := range p.stretches {
 		if !p.abort.Load() {
-			eachStep(b, p.checker.ExtendStep)
+			p.checker.Extend(b)
 		}
-		out <- b
+		if p.keep {
+			*p.kept = append(*p.kept, b...)
+		}
 	}
 	if !p.abort.Load() {
 		p.derr = p.checker.ExtendDone()
 	}
 }
 
-// record is the second stage. A build cut short still keeps the steps,
-// as the solver would have.
-func (p *passSink) record(in <-chan []uint32) {
-	defer close(p.done)
-	for b := range in {
-		if p.keep {
-			eachStep(b, p.kept.Step)
-		}
-		select {
-		case p.free <- b[:0]:
-		default:
-		}
-	}
-}
+// take is the solver's StreamProof callback.
+func (p *passSink) take(b sat.Proof) { p.stretches <- b }
 
-// eachStep visits the steps of a batch in order.
-func eachStep(b []uint32, visit func(deleted bool, clause, ids []uint32)) {
-	for len(b) > 0 {
-		n, k := int(b[0]>>1), int(b[1])
-		visit(b[0]&1 != 0, b[2:2+n], b[2+n:2+n+k])
-		b = b[2+n+k:]
-	}
-}
-
-// step is the solver's StreamProof callback: clause and ids are valid
-// only for the call, so they are copied.
-func (p *passSink) step(deleted bool, clause, ids []uint32) {
-	if len(p.batch) > 0 && len(p.batch)+2+len(clause)+len(ids) > cap(p.batch) {
-		p.full <- p.batch
-		select {
-		case p.batch = <-p.free:
-		default:
-			p.batch = make([]uint32, 0, sinkBatch)
-		}
-	}
-	head := uint32(len(clause)) << 1
-	if deleted {
-		head |= 1
-	}
-	p.batch = append(append(append(p.batch, head, uint32(len(ids))), clause...), ids...)
-}
-
-// wait hands the last batch over and waits for the pipeline to have
-// taken them all; abort: the build was cut short, and what it streamed
-// is not checked. Only the first call does anything.
-func (p *passSink) wait(abort bool) {
+// wait hands rest, the log the solver has not handed out, over and waits
+// for the goroutine to have taken it all; abort: the build was cut short,
+// and what it logged is not checked. Only the first call does anything.
+func (p *passSink) wait(abort bool, rest sat.Proof) {
 	if p.closed {
 		return
 	}
 	p.closed = true
 	p.abort.Store(abort)
-	if len(p.batch) > 0 {
-		p.full <- p.batch
-	}
-	close(p.full)
+	p.stretches <- rest
+	close(p.stretches)
 	<-p.done
 }
 
 // Prefix returns what the template's solver logged before any cube was
 // cloned from it — the units and shortened clauses of its load, the
 // derivations and deletions of its simplification pass, which every
-// cube's proof continues (appended, or sat.ProofChecker.ExtendStep) —
+// cube's proof continues (appended, or sat.ProofChecker.Extend) —
 // building the template first if it has to; ctx interrupts that. For a
 // run whose only cube is solved on the template itself it is what a
 // certifying template's load logged, and it is empty for a restored
 // template, which logged nothing here.
 func (t *Template) Prefix(ctx context.Context) (sat.Proof, error) {
-	if t.single(t.n) {
-		return t.prefix(nil, true), nil
-	}
-	s, err := t.build(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return t.prefix(s, false), nil
-}
-
-// prefix is the log the proofs of the cubes of s, the template's solver,
-// continue: its own, or the load's if the cube was solved on it (own).
-func (t *Template) prefix(s *sat.Solver, own bool) sat.Proof {
-	if !own {
-		return s.ProofLog()
+	if !t.single(t.n) {
+		if _, err := t.build(ctx); err != nil {
+			return nil, err
+		}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.loaded == nil || !t.opts.CertifyUnsat {
-		return sat.Proof{}
-	}
-	return sat.Proof(slices.Clip(*t.loaded))
+	return t.prefix, nil
 }
 
 // Snapshot returns the snapshot of the template's solver
@@ -509,7 +432,7 @@ func (t *Template) Restore(data []byte) error {
 		}
 		s.EnableProof()
 	}
-	t.solver, t.own = s, t.single(t.n)
+	t.solver, t.own, t.prefix = s, t.single(t.n), sat.Proof{}
 	t.built = TemplateResult{Time: time.Since(start), Stats: s.Stats(), ClausesIn: s.NumClauses(), ClausesOut: s.NumClauses(),
 		VarsIn: s.NumVars(), VarsOut: s.NumVars() - int(s.Stats().ElimVars)}
 	return nil
@@ -589,9 +512,9 @@ func (t *Template) Ready() bool {
 	return t.solver != nil || t.again != nil
 }
 
-// Drop lets go of the solver and its log; the next call builds it again
-// (a template whose formula is gone: holds none until it is restored
-// again).
+// Drop lets go of the solver, but not of the prefix its build logged
+// (Prefix); the next call builds it again (a template whose formula is
+// gone: holds none until it is restored again).
 func (t *Template) Drop() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -62,18 +62,6 @@ func simplifiedTemplate(f *cnf.Formula, parts []partition.Partition, opts Option
 	return tpl
 }
 
-// extend extends c by p a step at a time, as the run's checker is
-// extended by what the template's solver streams (passSink).
-func extend(c *sat.ProofChecker, p sat.Proof) error {
-	if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
-		c.ExtendStep(deleted, clause, ids)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return c.ExtendDone()
-}
-
 // flipped returns p with the first literal of lemma number at, from 0,
 // negated (none for -1), logged again step by step (sat.FlatLog.Step),
 // and p's lemma and deletion counts.
@@ -347,7 +335,7 @@ func TestTemplatePassSkippedOverMemBudget(t *testing.T) {
 // under no assumption, so they are a prefix every cube's proof may
 // stand on: prefix ++ tail must check against the formula as encoded —
 // not as simplified — through the plain CheckRUP, and through
-// Template.Check (ExtendStep + Check), which is what a CertifyUnsat run
+// Template.Check (Extend + Check), which is what a CertifyUnsat run
 // does, with the same answer; and a clone's model is a model of the
 // formula as encoded, eliminated variables included, under its cube's
 // assumptions.
@@ -413,19 +401,21 @@ func TestTemplateProofsAndModels(t *testing.T) {
 			at := prefix.NumLemmas() / 2
 			forged, _, _ := flipped(prefix, at)
 			fresh := sat.NewProofChecker(f)
-			if err := extend(fresh, forged); lemmaIndex(err) != at+1 {
+			fresh.Extend(forged)
+			if err := fresh.ExtendDone(); lemmaIndex(err) != at+1 {
 				t.Fatalf("extending by the prefix with lemma %d forged: %v", at+1, err)
 			}
 			// And the checker it was offered to is still good for the truth.
-			if err := extend(fresh, prefix); err != nil {
+			fresh.Extend(prefix)
+			if err := fresh.ExtendDone(); err != nil {
 				t.Fatalf("after rejecting a forged prefix the checker rejects the real one: %v", err)
 			}
 		})
 	}
 }
 
-// The run's checker is derived beside the pass, a step at a time as the
-// pass logs them (passSink), not extended by the kept log afterwards; it
+// The run's checker is derived beside the pass, a stretch at a time as
+// the pass logs them (passSink), not extended by the kept log afterwards; it
 // must be the checker that is. On both cells every honest tail and every
 // tail with a lemma flipped gets the same answer from Template.Check as
 // from a checker extended by Prefix, with the same work, derivation
@@ -456,7 +446,8 @@ func TestCheckerDerivedBesideThePass(t *testing.T) {
 				t.Fatalf("prefix of %d lemmas and %d deletions", lemmas, deletions)
 			}
 			after := sat.NewProofChecker(f)
-			if err := extend(after, prefix); err != nil {
+			after.Extend(prefix)
+			if err := after.ExtendDone(); err != nil {
 				t.Fatal(err)
 			}
 			checking := Prepare(f, nil, parts, Options{CertifyUnsat: true})
@@ -728,7 +719,8 @@ func TestHeldTemplateServesCallsAlike(t *testing.T) {
 				t.Fatalf("a restored template logged %d lemmas, %v before its clones", rp.NumLemmas(), err)
 			}
 			checker = sat.NewProofChecker(f)
-			if err := extend(checker, prefix); err != nil {
+			checker.Extend(prefix)
+			if err := checker.ExtendDone(); err != nil {
 				t.Fatal(err)
 			}
 		}

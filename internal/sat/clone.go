@@ -23,7 +23,7 @@ import "slices"
 // lemmas s has logged so far are the prefix every clone's log continues,
 // and since they were derived before the clone assumed anything, the
 // prefix's bytes and then the clone's checks wherever the log of a solver
-// that had done all of it alone would (see ProofChecker.ExtendStep for
+// that had done all of it alone would (see ProofChecker.Extend for
 // checking the prefix once). Its clause IDs are s's, and so are the IDs
 // of the units fixed at level 0; its lemmas' continue from s's, so the
 // two appended are the joined log with nothing renumbered.

@@ -152,7 +152,8 @@ func checkCloneSolve(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, opts O
 				t.Fatalf("%v: clone %d: prefix ++ tail rejected: %v", mode, i, err)
 			}
 			checker := NewProofChecker(f)
-			if err := extend(checker, prefix); err != nil {
+			checker.Extend(prefix)
+			if err := checker.ExtendDone(); err != nil {
 				t.Fatalf("%v: the template's lemmas rejected: %v", mode, err)
 			}
 			if err := checker.Check(assumptions, g.proof); err != nil {

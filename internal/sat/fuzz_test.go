@@ -482,7 +482,7 @@ func cutProof(p *draft, cut int) (prefix, tail *draft) {
 // them, spread over it, the two ends among them, for a longer proof —
 // into a prefix and a tail and holds both laws of a cut to it. Joined:
 // each half is a proof Steps accepts, and the two appended are the
-// whole, to the byte. Extended (ExtendStep, ExtendDone), on one checker
+// whole, to the byte. Extended (Extend, ExtendDone), on one checker
 // extended from cut to cut a stretch at a time, while the stretches
 // stand under no assumption: Check(tail) accepts exactly when Check of
 // the whole does, deletions included — those of the prefix leave the
@@ -504,8 +504,11 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draf
 		if prefix == nil || tail == nil || !bytes.Equal(append(slices.Clip(prefix), tail...), p) {
 			t.Fatalf("cut at byte %d of %d, between steps: halves of %d and %d bytes, or refused", cut, len(p), len(prefix), len(tail))
 		}
-		if grown != nil && i > 0 && extend(grown, p[cuts[i-1]:cut]) != nil {
-			grown = nil // the cuts at both ends and in the middle hold what follows
+		if grown != nil && i > 0 {
+			grown.Extend(p[cuts[i-1]:cut])
+			if grown.ExtendDone() != nil {
+				grown = nil // the cuts at both ends and in the middle hold what follows
+			}
 		}
 		if grown == nil {
 			continue
@@ -519,7 +522,8 @@ func checkExtendLaw(t *testing.T, f *cnf.Formula, assumptions []cnf.Lit, d *draf
 		reused := NewProofChecker(f)
 		_ = reused.Check(assumptions, p)
 		for _, c := range []*ProofChecker{NewProofChecker(f), reused} {
-			if err := extend(c, p[:cut]); err != nil {
+			c.Extend(p[:cut])
+			if err := c.ExtendDone(); err != nil {
 				if got := c.Check(assumptions, p); errText(got) != errText(whole) {
 					t.Fatalf("after a rejected extension (%v) the checker says %s of the whole proof, a fresh one %s",
 						err, errText(got), errText(whole))

@@ -65,18 +65,22 @@ func (s *Solver) EnableProof() {
 	s.KeepProof(&FlatLog{})
 }
 
-// StreamProof turns on proof recording like EnableProof, but hands each
-// step to step as the solver logs it — a lemma with its chain, or with
-// deleted set a clause it dropped with its ID alone, the literals in
-// cnf.Lit's encoding and both slices valid for the length of the call —
-// instead of keeping it: the log stays empty. For a solver whose log is
-// tens of thousands of steps that its holder wants checked and not
-// stored (a template's). Its clones keep their own logs as any clone
-// does.
-func (s *Solver) StreamProof(step func(deleted bool, clause, ids []uint32)) {
+// StreamProof turns on proof recording like EnableProof, but hands the
+// log out as it grows: whenever a step ends with proofStretch bytes or
+// more logged, hand takes them — whole steps, a Proof that Steps reads on
+// its own — and the solver logs on into a new buffer, never to write to
+// those bytes again. The stretches handed out, appended, and then
+// ProofLog are the log EnableProof would have kept, to the byte. For a
+// solver whose log is megabytes that its holder wants checked beside it
+// (a template's). Its clones keep their own logs as any clone does.
+func (s *Solver) StreamProof(hand func(Proof)) {
 	s.KeepProof(&FlatLog{})
-	s.proofStep = step
+	s.hand = hand
 }
+
+// proofStretch is the least a streaming solver hands out at a time
+// (StreamProof): about a millisecond of a checker's work.
+const proofStretch = 64 << 10
 
 // KeepProof ends a StreamProof: from here on the solver logs to log, and
 // keeps it, as under EnableProof — for a holder that kept what it was
@@ -92,7 +96,7 @@ func (s *Solver) KeepProof(log *FlatLog) {
 			s.units[v] = noID
 		}
 	}
-	s.proof, s.proofStep = log, log.Step
+	s.proof, s.hand = log, nil
 }
 
 // CanLog reports whether proof logging may be switched on: the solver
@@ -107,13 +111,23 @@ func (s *Solver) CanLog() bool { return s.ids || s.nextID == 0 }
 // checker holds the formula.
 func (s *Solver) logLemma(lits []lit, chain []uint32) uint32 {
 	id := s.takeID()
-	s.proofStep(false, s.extLits(lits), chain)
+	s.proof.Step(false, s.extLits(lits), chain)
+	s.handOver()
 	return id
 }
 
 func (s *Solver) logDelete(lits []lit, id uint32) {
 	s.delID[0] = id
-	s.proofStep(true, s.extLits(lits), s.delID[:])
+	s.proof.Step(true, s.extLits(lits), s.delID[:])
+	s.handOver()
+}
+
+// handOver hands the log out once it holds a stretch (StreamProof).
+func (s *Solver) handOver() {
+	if s.hand != nil && len(*s.proof) >= proofStretch {
+		s.hand(Proof(slices.Clip(*s.proof)))
+		*s.proof = make(FlatLog, 0, proofStretch+proofStretch/4)
+	}
 }
 
 // logFrom logs lits, the clause id (noID: none) less the literals of
@@ -191,7 +205,7 @@ func CheckRUP(f *cnf.Formula, assumptions []cnf.Lit, p Proof) error {
 // whoever wrote it. What the solver fixed at level 0 reaches a chain as
 // the unit clauses it logged for it (Solver.units), and its refutation as
 // an empty lemma: a proof is accepted when a lemma is the empty clause,
-// when the base (the formula, with the prefix ExtendStep added) holds the
+// when the base (the formula, with the prefix Extend added) holds the
 // empty clause, or when the assumptions contradict each other.
 //
 // A checker is not safe for concurrent use.
@@ -205,7 +219,7 @@ type ProofChecker struct {
 	// crefUndef for one compacted away.
 	byID []cref
 
-	// The base — the formula, with the prefix ExtendStep added to it —
+	// The base — the formula, with the prefix Extend added to it —
 	// where reset returns to.
 	baseVars, baseArena, baseIDs int
 	// refuted: the base holds the empty clause, so every proof of it
@@ -220,8 +234,8 @@ type ProofChecker struct {
 	mark      []uint32
 	markEpoch uint32
 
-	// A prefix in steps (ExtendStep): the lemmas so far, the first that
-	// did not stand, and whether they have derived the empty clause.
+	// A prefix in stretches (Extend): the lemmas so far, its first fault,
+	// and whether they have derived the empty clause.
 	stepLemmas  int
 	stepErr     error
 	stepRefuted bool
@@ -286,7 +300,7 @@ func (c *ProofChecker) Stats() ProofCheckerStats { return c.stats }
 // Check verifies p, which may be anyone's, as a refutation of the
 // formula under the assumptions, a step at a time as Steps hands them
 // out, and leaves the checker at its base — the formula, and the prefix
-// ExtendStep added — whatever the answer. Every byte is read once, the
+// Extend added — whatever the answer. Every byte is read once, the
 // steps past the empty clause or a lemma that is not RUP unchecked, so a
 // form Steps refuses is refused wherever the fault. The empty proof
 // checks only if the base holds the empty clause or the assumptions
@@ -359,36 +373,44 @@ func clauseOf(words []uint32) cnf.Clause {
 	return c
 }
 
-// ExtendStep and ExtendDone check a proof under no assumptions that
-// arrives a step at a time, as Solver.StreamProof or Proof.Steps hands it
-// out: every step of it through ExtendStep, in order, then ExtendDone,
-// which says whether all of it stood. If it did, the formula together
-// with it — its lemmas added, its deletions gone — is the base that Check
-// starts from and returns to: for proofs that share it as a prefix —
-// those of the clones of a solver that had logged it when it was cloned
-// (Solver.Clone) — extending by the prefix once, then Check(assumptions,
-// rest) for each, accepts exactly what Check(assumptions, prefix and rest
-// appended) would, and checks the prefix once instead of once per proof.
-// That is sound because the base only ever grows by clauses proved from
-// it under no assumption, so they hold under any, and shrinks by what no
-// later lemma may then lean on; and it accepts no less
-// because a chain that ends false without the assumptions ends false with
-// them. The IDs of rest's lemmas continue from the prefix's, as they do
-// in the joined log. A step that did not stand leaves the checker where
-// it was and still usable. No Check may come in between. ids is a
-// lemma's chain, or the deleted clause's ID alone.
-func (c *ProofChecker) ExtendStep(deleted bool, clause, ids []uint32) {
-	if c.refuted || c.stepErr != nil || c.stepRefuted {
-		return
+// Extend and ExtendDone check a proof under no assumptions that arrives
+// in stretches of whole steps, as Solver.StreamProof hands them out or as
+// a proof cut between two steps falls apart: every stretch of it through
+// Extend, in order, then ExtendDone, which says whether all of it stood.
+// If it did, the formula together with it — its lemmas added, its
+// deletions gone — is the base that Check starts from and returns to:
+// for proofs that share it as a prefix — those of the clones of a solver
+// that had logged it when it was cloned (Solver.Clone) — extending by the
+// prefix once, then Check(assumptions, rest) for each, accepts exactly
+// what Check(assumptions, prefix and rest appended) would, and checks the
+// prefix once instead of once per proof. That is sound because the base
+// only ever grows by clauses proved from it under no assumption, so they
+// hold under any, and shrinks by what no later lemma may then lean on;
+// and it accepts no less because a chain that ends false without the
+// assumptions ends false with them. The IDs of rest's lemmas continue
+// from the prefix's, as they do in the joined log. Extend reads every
+// byte, as Check does, and holds the first fault, a form Steps refuses
+// or a lemma that is not RUP, for ExtendDone; a proof that did not stand
+// leaves the checker where it was and still usable. No Check may come in
+// between.
+func (c *ProofChecker) Extend(p Proof) {
+	err := p.Steps(func(deleted bool, clause, ids []uint32) error {
+		if !deleted {
+			c.stepLemmas++
+		}
+		if c.refuted || c.stepErr != nil || c.stepRefuted {
+			return nil
+		}
+		refuted, ok := c.step(deleted, clause, ids)
+		if !ok {
+			c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, clauseOf(clause))
+		}
+		c.stepRefuted = refuted
+		return nil
+	})
+	if c.stepErr == nil {
+		c.stepErr = err
 	}
-	if !deleted {
-		c.stepLemmas++
-	}
-	refuted, ok := c.step(deleted, clause, ids)
-	if !ok {
-		c.stepErr = fmt.Errorf("sat: lemma %d is not a RUP consequence: %v", c.stepLemmas, clauseOf(clause))
-	}
-	c.stepRefuted = refuted
 }
 
 func (c *ProofChecker) ExtendDone() error {
@@ -540,7 +562,7 @@ next:
 }
 
 // reset takes the checker back to its base, the formula and the prefix
-// ExtendStep added: the trail is undone, the later lemmas leave the arena and
+// Extend added: the trail is undone, the later lemmas leave the arena and
 // their IDs with them, and the clauses of the base the proof deleted
 // come back.
 func (c *ProofChecker) reset() {

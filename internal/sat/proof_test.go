@@ -546,14 +546,16 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 	}
 }
 
-// A proof handed out step by step is the proof kept: a template-style
+// A log handed out in stretches is the log kept: a template-style
 // solver — loaded, simplified, not searched — that streams its log
-// (StreamProof) hands out the steps of the log its twin kept, and a
-// checker (ExtendStep, ExtendDone) fed by it is the one extended by that
-// log, clause for clause; it keeps nothing itself, and its clones
-// log their own searches as any clone does. A step that does not stand
-// is reported when the stream is done, and the checker is then where it
-// was.
+// (StreamProof) hands out stretches of whole steps, each a proof Steps
+// accepts on its own, that appended are the bytes its twin kept
+// (EnableProof), and never writes to them again; it keeps only what it
+// has not handed out, and a checker extended by the stretches one at a
+// time (Extend, ExtendDone) holds the base of one extended by the whole
+// log. Its clones log their own searches as any clone does. A lemma
+// forged in one stretch is reported when the stream is done, however
+// many stretches follow it, and the checker is then where it was.
 func TestStreamedProofIsTheKeptOne(t *testing.T) {
 	enc := encodeBenchCell(t, bench.Eliminationstack(), 2, 4)
 	f := enc.Formula()
@@ -576,30 +578,52 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 		t.Fatalf("%d lemmas, %d deletions kept", len(d.Lemmas), len(d.Deletes))
 	}
 
-	var streamed FlatLog
+	// The stretches cross to a goroutine of their own, as a template's do.
+	var stretches, copies []Proof
+	var handed []byte
 	streamedTo := NewProofChecker(f)
+	stream, done := make(chan Proof, 4), make(chan struct{})
+	go func() {
+		defer close(done)
+		for p := range stream {
+			stretches, copies = append(stretches, p), append(copies, bytes.Clone(p))
+			handed = append(handed, p...)
+			streamedTo.Extend(p)
+		}
+	}()
 	streaming := template(func(s *Solver) {
-		s.StreamProof(func(deleted bool, clause, ids []uint32) {
-			streamed.Step(deleted, clause, ids)
-			streamedTo.ExtendStep(deleted, clause, ids)
-		})
+		s.StreamProof(func(p Proof) { stream <- p })
 	})
+	close(stream)
+	<-done
+	if len(stretches) < 2 {
+		t.Fatalf("a log of %d bytes handed out in %d stretches", len(log), len(stretches))
+	}
+	for i, p := range stretches {
+		steps := 0
+		if err := p.Steps(func(bool, []uint32, []uint32) error { steps++; return nil }); err != nil || steps == 0 {
+			t.Fatalf("stretch %d of %d bytes, %d steps, on its own: %v", i, len(p), steps, err)
+		}
+	}
+	rest := streaming.ProofLog()
+	if len(rest) >= proofStretch || len(handed)+len(rest) != len(log) {
+		t.Fatalf("the streaming solver keeps %d bytes after handing out %d, of a log of %d", len(rest), len(handed), len(log))
+	}
+	streamedTo.Extend(rest)
 	if err := streamedTo.ExtendDone(); err != nil {
 		t.Fatalf("the streamed prefix rejected: %v", err)
 	}
-	if got := Proof(streamed); !bytes.Equal(got, log) {
+	if got := append(handed, rest...); !bytes.Equal(got, log) {
 		t.Fatalf("%d bytes streamed, %d kept, or not the same ones", len(got), len(log))
 	}
-	if p := streaming.ProofLog(); p == nil || len(p) != 0 {
-		t.Fatalf("the streaming solver kept %d bytes", len(p))
-	}
 	extended := NewProofChecker(f)
-	if err := extend(extended, log); err != nil {
+	extended.Extend(log)
+	if err := extended.ExtendDone(); err != nil {
 		t.Fatal(err)
 	}
 	want := baseOf(extended)
 	if got := baseOf(streamedTo); !slices.Equal(got, want) {
-		t.Fatalf("the checker fed by steps holds %d clauses, the one extended by the log %d, or not the same ones", len(got), len(want))
+		t.Fatalf("the checker fed by stretches holds %d clauses, the one extended by the log %d, or not the same ones", len(got), len(want))
 	}
 	// The clones' tails check on either, and are kept.
 	for _, pt := range []cube{parts[0], parts[5]} {
@@ -613,11 +637,19 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 			}
 		}
 	}
+	for i := range stretches {
+		if !bytes.Equal(stretches[i], copies[i]) {
+			t.Fatalf("stretch %d was written to after it was handed out", i)
+		}
+	}
 
-	// One literal of one lemma flipped on its way.
+	// One literal of one lemma in the first stretch flipped, which keeps
+	// the length of every number, so the stretches are cut where they were.
 	fresh := NewProofChecker(f)
 	base := baseOf(fresh)
-	at, lemma := log.NumLemmas()/2, 0
+	at := stretches[0].NumLemmas() / 2
+	var forged FlatLog
+	lemma := 0
 	log.Steps(func(deleted bool, clause, ids []uint32) error {
 		if !deleted {
 			if lemma == at {
@@ -625,16 +657,22 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 			}
 			lemma++
 		}
-		fresh.ExtendStep(deleted, clause, ids)
+		forged.Step(deleted, clause, ids)
 		return nil
 	})
+	for _, p := range stretches {
+		fresh.Extend(Proof(forged[:len(p)]))
+		forged = forged[len(p):]
+	}
+	fresh.Extend(Proof(forged))
 	if err := fresh.ExtendDone(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("lemma %d ", at+1)) {
 		t.Fatalf("stream with lemma %d forged: %v", at+1, err)
 	}
 	if after := baseOf(fresh); !slices.Equal(after, base) {
 		t.Fatal("a rejected stream left the checker's base changed")
 	}
-	if err := extend(fresh, log); err != nil {
+	fresh.Extend(log)
+	if err := fresh.ExtendDone(); err != nil {
 		t.Fatalf("after rejecting a forged stream the checker rejects the real prefix: %v", err)
 	}
 }
@@ -646,18 +684,6 @@ func newLogging(f *cnf.Formula, opts Options) *Solver {
 	s.EnableProof()
 	s.AddFormula(f)
 	return s
-}
-
-// extend extends c by p a step at a time, as a template's checker is
-// extended by what its solver streams (ExtendStep, ExtendDone).
-func extend(c *ProofChecker, p Proof) error {
-	if err := p.Steps(func(deleted bool, clause, ids []uint32) error {
-		c.ExtendStep(deleted, clause, ids)
-		return nil
-	}); err != nil {
-		return err
-	}
-	return c.ExtendDone()
 }
 
 // A draft is a proof taken apart for a test to build or edit: its
@@ -721,7 +747,7 @@ func draftOf(p Proof) *draft {
 	return d
 }
 
-// wordsOf is a clause as StreamProof hands it out.
+// wordsOf is a clause as Steps hands it out.
 func wordsOf(c cnf.Clause) []uint32 {
 	w := make([]uint32, len(c))
 	for i, l := range c {

@@ -97,8 +97,8 @@ func (p Proof) size() (lemmas, lits int, err error) {
 // accepts, logged again step by step, is the same bytes.
 type FlatLog []byte
 
-// Step logs a step as Solver.StreamProof hands it out: a lemma and its
-// chain, or with deleted set a clause dropped and its ID alone.
+// Step logs a step as Steps hands it out: a lemma and its chain, or
+// with deleted set a clause dropped and its ID alone.
 func (f *FlatLog) Step(deleted bool, clause, ids []uint32) {
 	head := uint64(len(clause)) << 1
 	if deleted {

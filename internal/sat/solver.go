@@ -453,11 +453,10 @@ type Solver struct {
 
 	stats Stats
 	graph *DecisionGraph
-	// proof is not nil with proof logging on: the log, which proofStep
-	// writes to unless it takes the steps instead (StreamProof) and the
-	// log stays empty.
-	proof     *FlatLog
-	proofStep func(deleted bool, clause, ids []uint32)
+	// proof is not nil with proof logging on: the log, or what of it the
+	// solver has not handed to hand yet (StreamProof).
+	proof *FlatLog
+	hand  func(Proof)
 
 	// peakBytes is the high-water mark of LiveBytes as of the last
 	// reduceDB, the only place the footprint falls; see PeakBytes.
