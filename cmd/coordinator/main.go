@@ -82,7 +82,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 	fs.IntVar(&opts.MaxAttempts, "max-attempts", 0, "per-chunk failure budget before quarantine (default 3)")
 	fs.DurationVar(&opts.HeartbeatInterval, "heartbeat", 0, "worker heartbeat interval (default 5s; a negative interval is refused)")
 	fs.DurationVar(&opts.DrainTimeout, "drain-timeout", 0, "give up when no workers remain for this long (default 30s)")
-	fs.Float64Var(&opts.MemPauseRatio, "mem-pause-ratio", 0, "pause job dispatch while any worker's heartbeat memory fill ratio is at or above this (default 0.95; a negative ratio is refused)")
 	fs.BoolVar(&opts.Hedge, "hedge", false, "speculatively re-dispatch the longest-running chunk to idle workers, racing duplicates")
 	runflags.Journal(fs, &opts.JournalPath, &opts.Resume,
 		"crash-safe run journal path (commit every chunk verdict)",
@@ -256,8 +255,7 @@ func printResult(w io.Writer, res *distrib.CoordinatorResult, certPolicy distrib
 		fmt.Fprintln(w, "WARNING:", partition.SealWarning(res.JournalSealCause))
 	}
 	if res.MemoryAborted > 0 {
-		fmt.Fprintf(w, "memory aborts: %d chunk result(s) gave up on memory (%d dispatch pauses under fleet pressure)\n",
-			res.MemoryAborted, res.DispatchPaused)
+		fmt.Fprintf(w, "memory aborts: %d chunk result(s) gave up on the memory budget\n", res.MemoryAborted)
 	}
 	if res.Drained {
 		fmt.Fprintln(w, "run drained: chunks were pending but no workers remained connected")

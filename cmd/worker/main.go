@@ -80,8 +80,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		}
 		// The run's solver template is restored once, from the snapshot
 		// that comes with the first job: its span is the worker's one line
-		// about it.
-		tracer := obs.NewTracer(obs.MultiSink(proc.Rec.Tracer.Sink(), templateLine{stdout})).WithProc(tracerName)
+		// about it. A job its memory watchdog cancelled gets a line too.
+		tracer := obs.NewTracer(obs.MultiSink(proc.Rec.Tracer.Sink(), spanLines{stdout})).WithProc(tracerName)
 		jobs, err := distrib.Work(ctx, *connect, distrib.WorkerOptions{
 			Name:             *name,
 			Cores:            *cores,
@@ -165,14 +165,17 @@ func (f *faultFlags) plan() (*distrib.FaultPlan, error) {
 	return plan, nil
 }
 
-// templateLine prints a line for every "template_restore" span that
-// passes.
-type templateLine struct{ w io.Writer }
+// spanLines prints a line for every "template_restore" span that
+// passes, and for every "worker_job" span that records a watchdog trip.
+type spanLines struct{ w io.Writer }
 
-func (t templateLine) Emit(e obs.Event) {
-	if e.Name == "template_restore" {
+func (t spanLines) Emit(e obs.Event) {
+	switch {
+	case e.Name == "template_restore":
 		fmt.Fprintf(t.w, "worker: template restored in %v from %v bytes: %v clauses, serves every job of the run\n",
 			time.Duration(e.DurMicros)*time.Microsecond, e.Attrs["bytes"], e.Attrs["clauses"])
+	case e.Name == "worker_job" && e.Attrs["mem_trip"] != nil:
+		fmt.Fprintf(t.w, "worker: %v: job %v cancelled, its cube goes back to the coordinator\n", e.Attrs["mem_trip"], e.Attrs["job"])
 	}
 }
 

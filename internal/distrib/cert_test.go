@@ -609,7 +609,7 @@ func TestRunJobRecoversPanic(t *testing.T) {
 	m := &Message{Type: "job", JobID: 7, RunManifest: &RunManifest{Unwind: 1, Contexts: 3, Partitions: 4},
 		From: 0, To: 1, Certify: CertifyFull}
 	w := &worker{opts: WorkerOptions{Name: "w", Cores: 1}}
-	reply, cert := w.runJob(context.Background(), m, nil, &FaultEvent{Job: 0, Kind: FaultPanic}, nil)
+	reply, cert := w.runJob(context.Background(), m, nil, &FaultEvent{Job: 0, Kind: FaultPanic})
 	if reply == nil || reply.JobID != 7 {
 		t.Fatalf("reply %+v", reply)
 	}
@@ -670,7 +670,7 @@ func jobFor(t *testing.T, v *certVerifier, opts CoordinatorOptions, cube partiti
 // returns the certificate it would ship.
 func workerCertificate(t *testing.T, v *certVerifier, opts CoordinatorOptions, data []byte, cube partition.Cube, f *FaultEvent) *Certificate {
 	t.Helper()
-	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(t, v, opts, cube), nil, f, nil)
+	reply, cert := shippedWorker(data).runJob(context.Background(), jobFor(t, v, opts, cube), nil, f)
 	if reply.Error != "" || reply.Verdict != sat.Unsat.String() || cert == nil || reply.Restore == nil {
 		t.Fatalf("cube %s: verdict %q, error %q, restore %+v, certificate %+v", cube.Key(), reply.Verdict, reply.Error, reply.Restore, cert)
 	}

@@ -52,21 +52,11 @@ type CoordinatorOptions struct {
 	// Budget bounds each cube's wall clock, solver conflicts and solver
 	// memory on the worker; a cube that exhausts part of it comes back as
 	// a terminal budgeted Unknown — journaled with the budget it gave up
-	// under — instead of burning JobTimeout and an attempt. Independent
-	// of Budget.MemMB, a worker whose own OOM watchdog trips reports
-	// cause "memory" too; with no memory budget configured such an abort
-	// is treated as worker-local (that machine ran out, not the chunk
-	// being inherently too big) and the chunk is re-queued to the fleet
-	// instead of journaled terminal.
+	// under — instead of burning JobTimeout and an attempt. Only a budget
+	// set here ends a cube (journal.Budget.Sets): a give-up naming one the
+	// run never set, like a job a worker's OOM watchdog cancelled, is a
+	// failed attempt, re-queued and charged.
 	Budget journal.Budget
-	// MemPauseRatio is the fleet memory-pressure backpressure threshold:
-	// while any worker's heartbeat-reported live-heap/limit ratio is at
-	// or above it, new job dispatch pauses until the pressure subsides
-	// or the reading goes stale (HeartbeatGrace), so an overloaded fleet
-	// drains instead of being handed more work. 0 defaults to 0.95; a
-	// negative ratio is refused. A worker without a memory limit reports
-	// ratio 0 and never shuts the gate.
-	MemPauseRatio float64
 	// Split enables adaptive cube splitting (Split.Depth > 0): an idle
 	// worker that finds the queue empty may split the hardest in-flight
 	// cube dispatched at least Split.Grace ago — halving a
@@ -207,12 +197,9 @@ type CoordinatorResult struct {
 	Certified, CertRejected int
 	// CertBytes sums the wire size of the accepted certificates.
 	CertBytes int64
-	// MemoryAborted counts chunk results that came back with cause
-	// "memory" (solver over its budget, or worker OOM-watchdog trip).
+	// MemoryAborted counts chunk results that gave up on the memory
+	// budget (Budget.MemMB); a worker's OOM-watchdog trip is not one.
 	MemoryAborted int
-	// DispatchPaused counts backpressure episodes: times job dispatch
-	// paused because fleet memory pressure crossed MemPauseRatio.
-	DispatchPaused int
 	// Splits counts this run's cube splits (each one SPLIT journal record
 	// and two new sub-cubes; those a resume replays are not re-counted);
 	// Steals counts splits where the idle worker that
@@ -258,8 +245,7 @@ type coordinator struct {
 	drain    *time.Timer
 	conns    map[*conn]struct{}
 
-	tally    *tally         // the run's counts; the metrics' views read it
-	pressure *fleetPressure // the dispatch gate
+	tally *tally // the run's counts; the metrics' views read it
 
 	// sched owns the cube queue, the live-leaf count, the
 	// split/hedge/fence policy and the run's ledger (journal, intake,
@@ -281,8 +267,6 @@ func (o *CoordinatorOptions) setDefaults() error {
 		return fmt.Errorf("distrib: partition count must be >= 1")
 	case o.HeartbeatInterval < 0:
 		return fmt.Errorf("distrib: heartbeat interval %v is negative", o.HeartbeatInterval)
-	case o.MemPauseRatio < 0:
-		return fmt.Errorf("distrib: memory pause ratio %v is negative", o.MemPauseRatio)
 	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 10 * time.Minute
@@ -299,9 +283,6 @@ func (o *CoordinatorOptions) setDefaults() error {
 	o.HeartbeatGrace = min(o.HeartbeatGrace, o.JobTimeout)
 	if o.DrainTimeout == 0 {
 		o.DrainTimeout = 30 * time.Second
-	}
-	if o.MemPauseRatio == 0 {
-		o.MemPauseRatio = 0.95
 	}
 	if o.Health == nil {
 		o.Health = NewHealthRegistry()
@@ -363,17 +344,14 @@ func coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		obs.KV("epoch", epoch))
 	start := time.Now()
 	metrics := newCoordMetrics(opts.Metrics)
-	done := make(chan struct{})
 	co := &coordinator{
-		opts:  opts,
-		frame: jobFrame(&opts, man, epoch),
-		ln:    ln,
-		epoch: epoch,
-		conns: make(map[*conn]struct{}),
-		tally: metrics.run,
-		pressure: &fleetPressure{grace: opts.HeartbeatGrace, ratio: opts.MemPauseRatio, done: done,
-			run: metrics.run, readings: make(map[string]workerPressure)},
-		done:     done,
+		opts:     opts,
+		frame:    jobFrame(&opts, man, epoch),
+		ln:       ln,
+		epoch:    epoch,
+		conns:    make(map[*conn]struct{}),
+		tally:    metrics.run,
+		done:     make(chan struct{}),
 		tracker:  newChunkTracker(opts.MaxAttempts),
 		metrics:  metrics,
 		repl:     newReplicator(jnl),
@@ -385,9 +363,6 @@ func coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		Journal: jnl, Budget: opts.Budget,
 		Paths:         true, // a job carries the split literals its path fixes
 		CertifiedOnly: opts.Certify.Enabled(),
-		// Backpressure: while the fleet is over the memory-pressure
-		// threshold nothing is dispatched, split, or hedged.
-		Gate: co.pressure.gate,
 	})
 	metrics.watch(co.sched, co.tracker, jnl, opts.Health)
 	// Journal commit spans hang off the coordinate root so the merged
@@ -401,9 +376,10 @@ func coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		co.finish() // the journal already decides the run: nothing to hand out
 	} else if err := co.buildTemplate(ctx, prep); err != nil {
 		co.finish()
+		ln.Close()
 		return nil, err
 	}
-	// Cancelling ends the run, and ending it closes the listener, which
+	// Cancelling ends the run, and ending it cuts Accept short, which
 	// ends the accept loop.
 	defer context.AfterFunc(ctx, co.finish)()
 	var wg sync.WaitGroup
@@ -412,8 +388,22 @@ func coordinate(ctx context.Context, ln net.Listener, p *prog.Program, opts Coor
 		go func() { defer wg.Done(); co.serve(c) }()
 	}
 	wg.Wait()
-	return co.result(start)
+	res, err := co.result(start)
+	if sum := co.sched.Summary(); err != nil || ctx.Err() != nil || !sum.Sat && sum.Live > 0 {
+		ln.Close() // not the run's end, which no worker may be told
+		return res, err
+	}
+	// For the drain window, a worker that was between connections when
+	// the run ended is told so, rather than dial a closed port until its
+	// reconnect budget runs out.
+	answerHellos(ln, nil, func() *Message { return &Message{Type: "stop"} })
+	time.AfterFunc(co.opts.DrainTimeout, func() { ln.Close() })
+	return res, err
 }
+
+// deadliner is a listener whose Accept can be cut short without closing
+// it (a TCP listener).
+type deadliner interface{ SetDeadline(time.Time) error }
 
 // buildTemplate makes the run's one simplification pass: it builds the
 // template every cube's solver is cloned from, once, here, keeps its
@@ -483,7 +473,7 @@ func (co *coordinator) result(start time.Time) (*CoordinatorResult, error) {
 	co.root.End(obs.KV("verdict", res.Verdict.String()))
 	co.opts.Report.SetVerdict(res.Verdict.String(), res.Wall)
 	if res.MemoryAborted > 0 {
-		co.opts.Report.Warn(fmt.Sprintf("%d chunk result(s) aborted on memory (solver budget or worker OOM watchdog)", res.MemoryAborted))
+		co.opts.Report.Warn(fmt.Sprintf("%d chunk result(s) gave up on the memory budget", res.MemoryAborted))
 	}
 	if sum.Err != nil {
 		// A verdict the journal could not make durable must not be
@@ -511,13 +501,14 @@ func (co *coordinator) committed(rec journal.ChunkRecord, commits int) {
 }
 
 // kill is the simulated SIGKILL of CoordinatorFaultPlan.KillAfterJobs:
-// tear everything down with no farewell. Finishing closes the listener;
+// tear everything down with no farewell. The listener closes at once;
 // closing every live connection makes each serve goroutine
 // fail mid-protocol exactly as a dead process would.
 func (co *coordinator) kill() {
 	co.mu.Lock()
 	co.killed = true
 	co.finishLocked()
+	co.ln.Close()
 	conns := make([]*conn, 0, len(co.conns))
 	for c := range co.conns {
 		conns = append(conns, c)
@@ -547,13 +538,16 @@ func (co *coordinator) finish() {
 	co.mu.Unlock()
 }
 
-// finishLocked ends the run, stops accepting and releases every serve
-// loop waiting for work; callers hold co.mu.
+// finishLocked ends the run, stops accepting (the listener stays open
+// for coordinate where it can) and releases every serve loop waiting for
+// work; callers hold co.mu.
 func (co *coordinator) finishLocked() {
 	if !co.finished {
 		co.finished = true
 		close(co.done)
-		co.ln.Close()
+		if dl, ok := co.ln.(deadliner); !ok || dl.SetDeadline(time.Now()) != nil {
+			co.ln.Close()
+		}
 		co.sched.Close()
 	}
 }
@@ -666,26 +660,23 @@ func (co *coordinator) serve(c net.Conn) {
 		}
 		co.recordResult(reply, key)
 
-		status, cause := sat.ParseStatus(reply.Verdict), sat.ParseStopCause(reply.Cause)
-		if status == sat.Unknown && cause == sat.CauseMemory {
-			co.tally.add(func(r *CoordinatorResult) { r.MemoryAborted++ })
-		}
-		if status != sat.Unknown || cause.Budgeted() && (cause != sat.CauseMemory || co.opts.Budget.MemMB > 0) {
-			// A budgeted Unknown is as terminal as a verdict: the same cube
-			// under the same budgets gives up again, so it is journaled and
-			// not charged to the retry budget.
+		if status := sat.ParseStatus(reply.Verdict); status != sat.Unknown || co.opts.Budget.Sets(reply.Cause) {
+			// An Unknown under a budget the run set is as terminal as a
+			// verdict: the same cube under the same budgets gives up again,
+			// so it is journaled and not charged to the retry budget.
+			if status == sat.Unknown && sat.ParseStopCause(reply.Cause) == sat.CauseMemory {
+				co.tally.add(func(r *CoordinatorResult) { r.MemoryAborted++ })
+			}
 			if !co.settle(wc, a, reply, key, certified) {
 				return
 			}
 			continue
 		}
 		// Any other Unknown is a failed attempt on a connection that stays
-		// usable. A cancelled one is the expected fate of a superseded
-		// assignment (retry then only counts it as discarded), or else a
-		// worker-local interrupt. A "memory" one with no memory budget
-		// configured is the worker's own OOM watchdog: that machine ran
-		// out, not the cube being too big, and another worker (or the same
-		// one, once its heap drains) may have the headroom.
+		// usable: a superseded assignment's (retry then only counts it as
+		// discarded), a worker-local interrupt's — its OOM watchdog's among
+		// them: another worker, or this one once its heap drains, may have
+		// the headroom — or a give-up under a budget the run never set.
 		co.retry(a, fmt.Sprintf("job %d on %s: verdict %s, cause %q", a.JobID, key, reply.Verdict, reply.Cause), true)
 	}
 }
@@ -879,7 +870,6 @@ func (co *coordinator) awaitResult(wc *conn, a *partition.Assignment, key string
 				// The live counters are the straggler signal the split-victim
 				// selection steers by, once the scheduler made a hardness of them.
 				co.metrics.heartbeat(key, reply, co.sched.Note(a, reply.Conflicts, reply.Progress))
-				co.pressure.note(key, reply.MemBytes, reply.MemLimit)
 				for _, row := range reply.Parts {
 					// A live row is the worker's word for its counters only.
 					row.Worker, row.Verdict, row.Cause, row.Certified = key, "", "", false

@@ -6,6 +6,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -415,6 +416,67 @@ func TestDistributedDrainedWorkersReturnUnknown(t *testing.T) {
 	}
 }
 
+// Reconnect jitter is a worker's own unless a fault plan fixes it:
+// workers dropped together by one coordinator restart must not redial in
+// lockstep, and a plan's Seed makes a churn scenario replay.
+func TestReconnectJitterSeededPerWorker(t *testing.T) {
+	delays := func(p *FaultPlan) []time.Duration {
+		rng := p.jitter()
+		var d []time.Duration
+		for attempt := 1; attempt <= 8; attempt++ {
+			d = append(d, backoffDelay(time.Second, attempt, rng))
+		}
+		return d
+	}
+	if a, b := delays(nil), delays(nil); slices.Equal(a, b) {
+		t.Fatalf("two workers without a plan draw the same jitter: %v", a)
+	}
+	if a, b := delays(&FaultPlan{}), delays(&FaultPlan{}); slices.Equal(a, b) {
+		t.Fatalf("two plans without a seed draw the same jitter: %v", a)
+	}
+	if a, b := delays(&FaultPlan{Seed: 7}), delays(&FaultPlan{Seed: 7}); !slices.Equal(a, b) {
+		t.Fatalf("one seed, two jitter sequences: %v and %v", a, b)
+	}
+}
+
+// A worker that dials only after the run ended is told so: for the drain
+// window the coordinator answers a late hello with stop, and Work
+// returns nil, not its reconnect error; after the window the port is
+// closed. A run that did not end (its context was cancelled) tells no
+// one it did: its port closes at once.
+func TestLateWorkerLearnsTheRunEnded(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	opts := fastFailureOpts(CoordinatorOptions{Unwind: 1, Contexts: 3, Partitions: 2, ChunkSize: 1})
+	opts.DrainTimeout = 500 * time.Millisecond
+	addr, resCh := startCoordinator(t, p, opts)
+	if _, err := Work(context.Background(), addr, WorkerOptions{Name: "w"}); err != nil {
+		t.Fatal(err)
+	}
+	if res := waitResult(t, resCh); res.Verdict != core.Safe {
+		t.Fatalf("verdict %v", res.Verdict)
+	}
+	if jobs, err := Work(context.Background(), addr, WorkerOptions{Name: "late"}); jobs != 0 || err != nil {
+		t.Fatalf("late worker: %d jobs, %v; want it told the run is over", jobs, err)
+	}
+	time.Sleep(opts.DrainTimeout + 200*time.Millisecond)
+	if _, err := Work(context.Background(), addr, WorkerOptions{Name: "later"}); err == nil {
+		t.Fatal("a worker past the drain window was answered")
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if res, err := Coordinate(ctx, ln, p, opts); err != nil || res.Verdict != core.Unknown {
+		t.Fatalf("cancelled run: %+v, %v", res, err)
+	}
+	if _, err := Work(context.Background(), ln.Addr().String(), WorkerOptions{Name: "late"}); err == nil {
+		t.Fatal("a cancelled run told a late worker it had ended")
+	}
+}
+
 // A worker that can never reach the coordinator must give up after its
 // reconnect budget instead of retrying forever.
 func TestWorkerReconnectGivesUp(t *testing.T) {
@@ -478,12 +540,11 @@ func TestWorkerDialError(t *testing.T) {
 	}
 }
 
-// A negative heartbeat interval or memory pause ratio is refused input,
-// not a way to switch heartbeats or the memory gate off: the run is
-// refused before the coordinator accepts a connection, creates its
-// journal or, in an HA pair, takes the lease. The dial is queued on the
-// listener first, so the test's own Accept finds it only if the
-// coordinator never took it.
+// A negative heartbeat interval is refused input, not a way to switch
+// heartbeats off: the run is refused before the coordinator accepts a
+// connection, creates its journal or, in an HA pair, takes the lease.
+// The dial is queued on the listener first, so the test's own Accept
+// finds it only if the coordinator never took it.
 func TestCoordinatorRefusesNegativeKnobs(t *testing.T) {
 	p := prog.MustParse(fibSrc)
 	for _, tc := range []struct {
@@ -492,7 +553,6 @@ func TestCoordinatorRefusesNegativeKnobs(t *testing.T) {
 		want string
 	}{
 		{"heartbeat", CoordinatorOptions{HeartbeatInterval: -time.Second}, "heartbeat interval"},
-		{"mem-pause-ratio", CoordinatorOptions{MemPauseRatio: -0.5}, "memory pause ratio"},
 	} {
 		for _, ha := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/ha=%v", tc.name, ha), func(t *testing.T) {

@@ -32,6 +32,13 @@
 //     worker reports at that interval while the solver runs, and the
 //     coordinator declares a connection stalled after HeartbeatGrace of
 //     silence — well before the 10-minute JobTimeout.
+//   - Budgets and the memory watchdog: a cube that exhausts a budget the
+//     run set (CoordinatorOptions.Budget) comes back a terminal Unknown,
+//     journaled with that budget and charged nothing; a give-up naming a
+//     budget the run never set is a failed attempt. A worker's OOM
+//     watchdog (WorkerOptions.MemLimitBytes) cancels its job near the
+//     limit, and the cube is re-queued like any cancelled attempt: the
+//     trip is the machine's, not the cube's.
 //   - Result validation: a result whose JobID does not match the
 //     outstanding job is rejected as a stale-result misattribution and
 //     treated as a worker failure; frames are capped at 16 MiB.
@@ -39,10 +46,11 @@
 //     connected for DrainTimeout, the coordinator returns Unknown with
 //     the failure log instead of blocking on Accept forever.
 //   - Reconnecting workers: a worker with MaxReconnects > 0 redials
-//     after a lost connection with exponential backoff plus seeded
-//     jitter, and its health (jobs, failures, connections, last seen) is
-//     tracked across connections by name in the coordinator's registry
-//     (CoordinatorResult.Workers).
+//     after a lost connection with exponential backoff plus a jitter of
+//     its own (a FaultPlan's Seed makes it replay), and its health (jobs,
+//     failures, connections, last seen) is tracked across connections by
+//     name in the coordinator's registry (CoordinatorResult.Workers). For
+//     DrainTimeout after a run ended, a worker that dials in is told so.
 //   - Fault injection: WorkerOptions.Faults takes a deterministic
 //     FaultPlan that can drop the connection mid-job, stall silently, go
 //     half-open (TCP up, every send swallowed), or corrupt a frame at

@@ -396,7 +396,12 @@ func runStandby(ctx context.Context, ln net.Listener, opts CoordinatorOptions, h
 	ha.State.set(RoleStandby, st.Epoch)
 
 	stopAccept := make(chan struct{})
-	acceptDone := standbyAccept(ln, stopAccept, ha.State)
+	// Workers that dial a standby are met with a standby welcome, so they
+	// rotate on without burning reconnect budget.
+	acceptDone := answerHellos(ln, stopAccept, func() *Message {
+		_, epoch, _ := ha.State.Role()
+		return &Message{Type: "welcome", Role: RoleStandby, Epoch: epoch}
+	})
 	defer func() {
 		close(stopAccept)
 		<-acceptDone
@@ -437,14 +442,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// standbyAccept answers dials while this coordinator is not the
-// leader: hello is met with a standby welcome so workers rotate on
-// without burning reconnect budget. The listener itself stays open —
-// promotion hands the very same listener to Coordinate — so accepting
-// runs under short deadlines that let the loop notice stop.
-func standbyAccept(ln net.Listener, stop <-chan struct{}, state *HAState) <-chan struct{} {
+// answerHellos answers every hello on ln with reply() until stop closes
+// or ln does, while this coordinator runs no run on ln: as a standby, or
+// after its run ended. The listener itself stays open — promotion hands the very
+// same listener to Coordinate — so accepting runs under short deadlines
+// that let the loop notice stop.
+func answerHellos(ln net.Listener, stop <-chan struct{}, reply func() *Message) <-chan struct{} {
 	done := make(chan struct{})
-	dl, ok := ln.(interface{ SetDeadline(time.Time) error })
+	dl, ok := ln.(deadliner)
 	if !ok {
 		close(done)
 		return done // not a TCP listener (tests): workers just block
@@ -469,12 +474,9 @@ func standbyAccept(ln net.Listener, stop <-chan struct{}, state *HAState) <-chan
 			go func() {
 				wc := newConn(c, 5*time.Second)
 				defer wc.close()
-				hello, err := wc.recv(5 * time.Second)
-				if err != nil || hello.Type != "hello" {
-					return
+				if hello, err := wc.recv(5 * time.Second); err == nil && hello.Type == "hello" {
+					_ = wc.send(reply())
 				}
-				_, epoch, _ := state.Role()
-				_ = wc.send(&Message{Type: "welcome", Role: RoleStandby, Epoch: epoch})
 			}()
 		}
 	}()

@@ -2,6 +2,7 @@ package distrib
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"time"
 
@@ -130,7 +131,8 @@ type FaultEvent struct {
 // whole churn scenarios replay byte-for-byte. It replaces the old
 // single FailAfterJobs knob.
 type FaultPlan struct {
-	// Seed drives the jittered reconnect backoff (0 is treated as 1).
+	// Seed drives the jittered reconnect backoff; 0 leaves it to the
+	// process's own random source, as for a worker without a plan.
 	Seed int64
 	// Events fire by job index; at most one event fires per job (the
 	// first match wins).
@@ -188,12 +190,16 @@ func (p *FaultPlan) eventAt(job int) *FaultEvent {
 	return f
 }
 
-// seed returns the jitter seed, nil-safe and never zero.
-func (p *FaultPlan) seed() int64 {
-	if p == nil || p.Seed == 0 {
-		return 1
+// jitter returns the worker's source of reconnect jitter, nil-safe: the
+// plan's Seed when it sets one, so a churn scenario replays; otherwise a
+// seed of the process's own, so workers dropped together (by a
+// coordinator restart, say) do not redial in lockstep.
+func (p *FaultPlan) jitter() *rand.Rand {
+	seed := rand.Int63()
+	if p != nil && p.Seed != 0 {
+		seed = p.Seed
 	}
-	return p.Seed
+	return rand.New(rand.NewSource(seed))
 }
 
 // CoordinatorFaultPlan injects primary-side failures, the counterpart

@@ -3,6 +3,7 @@ package distrib
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"time"
 
@@ -150,7 +151,7 @@ func (w *worker) jobTracer(m *Message) (*obs.Tracer, *obs.CollectorSink) {
 // When the job carries a TraceID, the worker joins the coordinator's
 // trace: the job span is parented under the coordinator's wire-carried
 // job span, with the restore and the solve under it.
-func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, f *FaultEvent, memAbort <-chan struct{}) (reply *Message, cert *Certificate) {
+func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, f *FaultEvent) (reply *Message, cert *Certificate) {
 	reply = &Message{Type: "result", JobID: m.JobID, Winner: -1}
 	defer func() {
 		if r := recover(); r != nil {
@@ -163,20 +164,14 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	if f != nil && f.Kind == FaultPanic {
 		panic(fmt.Sprintf("injected panic at job %d", f.Job))
 	}
-	// A straggler, not a corpse: heartbeats keep flowing (with zero
-	// progress) while the job sits on its hands, so only the adaptive
-	// scheduler — not the liveness monitor — can notice. The sleep aborts
-	// promptly on cancel so a split/hedge supersession still frees the
-	// worker.
-	if f != nil && f.Kind == FaultSlow && f.Slow > 0 && !sleepCtx(ctx, f.Slow) {
-		reply.Verdict, reply.Cause = sat.Unknown.String(), sat.CauseCancelled.String()
-		return reply, nil
-	}
 	jt, coll := w.jobTracer(m)
 	jobSpan := jt.StartRemote("worker_job",
 		obs.SpanContext{TraceID: m.TraceID, SpanID: m.ParentSpan},
 		obs.KV("job", m.JobID), obs.KV("from", m.From), obs.KV("to", m.To))
 	defer func() {
+		if trip := new(memTrip); errors.As(context.Cause(ctx), trip) {
+			jobSpan.SetAttr("mem_trip", trip.Error())
+		}
 		if reply.Error != "" {
 			jobSpan.End(obs.KV("error", reply.Error))
 		} else {
@@ -184,6 +179,15 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 		}
 		reply.Spans = coll.Events()
 	}()
+	// A straggler, not a corpse: heartbeats keep flowing (with zero
+	// progress) while the job sits on its hands, so only the adaptive
+	// scheduler — not the liveness monitor — can notice. The sleep aborts
+	// promptly on cancel so a split/hedge supersession or a watchdog
+	// trip still frees the worker.
+	if f != nil && f.Kind == FaultSlow && f.Slow > 0 && !sleepCtx(ctx, f.Slow) {
+		reply.Verdict, reply.Cause = sat.Unknown.String(), sat.CauseCancelled.String()
+		return reply, nil
+	}
 	start := time.Now()
 	switch {
 	case m.RunManifest == nil:
@@ -215,23 +219,17 @@ func (w *worker) runJob(ctx context.Context, m *Message, progress *jobProgress, 
 	// its cubes' only when the coordinator wants them with this result.
 	popts := parallel.Options{
 		Workers: w.opts.Cores, KeepProofs: m.Certify == CertifyFull, Budget: key.budget,
-		ProgressEvery: liveProgressEvery, MemAbort: memAbort,
+		ProgressEvery: liveProgressEvery,
 	}
 	if progress != nil {
 		popts.Progress = progress.update
 	}
 	solveSpan := jobSpan.Child("solve", obs.KV("partitions", len(parts)), obs.KV("workers", w.opts.Cores))
 	res, err := run.tpl.Solve(ctx, parts, popts)
-	aborted := false
-	select {
-	case <-memAbort:
-		aborted = true
-	default:
-	}
 	switch {
 	case f != nil && f.Kind == FaultOtherTemplate:
 		w.run = nil
-	case aborted:
+	case errors.As(context.Cause(ctx), new(memTrip)):
 		// The watchdog wants memory back: the template goes with the cubes'
 		// solvers, and the next job restores it from the bytes the
 		// connection keeps.

@@ -166,7 +166,7 @@ func TestJobFrameWireCompatible(t *testing.T) {
 		// A coordinator of that build sends the job and no template before
 		// it: the worker, which builds none, refuses the job and
 		// says why.
-		reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), &m, nil, nil, nil)
+		reply, cert := (&worker{opts: WorkerOptions{Cores: 1}}).runJob(context.Background(), &m, nil, nil)
 		if !strings.Contains(reply.Error, "no solver template") || reply.Verdict != "" || cert != nil {
 			t.Fatalf("old frame: verdict %q, error %q, certificate %+v", reply.Verdict, reply.Error, cert)
 		}
@@ -186,7 +186,7 @@ func TestJobFrameWireCompatible(t *testing.T) {
 		} {
 			m := jobFor(t, v, opts, cube)
 			edit(m)
-			reply, cert := shippedWorker(data).runJob(context.Background(), m, nil, nil, nil)
+			reply, cert := shippedWorker(data).runJob(context.Background(), m, nil, nil)
 			if reply.Error == "" || reply.Verdict != "" || cert != nil {
 				t.Errorf("%s: verdict %q, error %q, certificate %+v", name, reply.Verdict, reply.Error, cert)
 			}

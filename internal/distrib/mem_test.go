@@ -9,16 +9,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/obs"
 	"repro/internal/sat"
 	"repro/prog"
 )
 
-// memoryWorker is a hand-rolled protocol worker that answers every job
-// with UNKNOWN/cause=memory — the wire shape of a worker whose OOM
-// watchdog tripped (no coordinator budget) or whose solver exhausted
-// its memory budget (budget propagated on the job). It returns the
-// MemBudgetMB carried by the first job it saw.
-func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
+// giveUpWorker is a hand-rolled protocol worker that answers every job
+// with UNKNOWN and the given cause — the wire shape of a solver that
+// exhausted that budget, or of a worker that claims it did. It returns
+// the budget carried by the first job it saw.
+func giveUpWorker(t *testing.T, addr, name, cause string, maxJobs int) journal.Budget {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -32,7 +32,7 @@ func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
 	if welcome, err := wc.recv(10 * time.Second); err != nil || welcome.Type != "welcome" {
 		t.Fatalf("expected welcome, got %v (%v)", welcome, err)
 	}
-	var budget int64
+	var budget journal.Budget
 	for jobs := 0; jobs < maxJobs; {
 		m, err := wc.recv(10 * time.Second)
 		if err != nil {
@@ -49,13 +49,13 @@ func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
 				t.Fatal(err)
 			}
 			if jobs == 0 {
-				budget = m.MemBudgetMB
+				budget = m.budget()
 			}
 			jobs++
 			if err := wc.send(&Message{
 				Type: "result", JobID: m.JobID,
 				Verdict: sat.Unknown.String(), Winner: -1,
-				Cause: "memory", Millis: 1,
+				Cause: cause, Millis: 1,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -66,35 +66,145 @@ func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
 	return budget
 }
 
-// A "memory" result with no coordinator budget configured is a
-// worker-local OOM abort: the chunk is not poison, so it must be
-// re-queued (counted, charged to the attempt budget) and decided by a
-// worker with headroom — the run still ends definite.
-func TestMemoryWatchdogAbortRequeued(t *testing.T) {
+// memoryWorker is a giveUpWorker that gives up on memory; it returns the
+// memory budget its first job carried.
+func memoryWorker(t *testing.T, addr, name string, maxJobs int) int64 {
+	return giveUpWorker(t, addr, name, "memory", maxJobs).MemMB
+}
+
+// A budgeted give-up is terminal only in a run that set the budget its
+// cause names. Under a run that set the other two budgets and not that
+// one, the give-up says nothing about the cube — a worker's own machine
+// ran out, or the worker lies — so it is a failed attempt: re-queued and
+// decided elsewhere, charged to the cube's attempt budget (with one
+// attempt, the cube is quarantined), and never among Exhausted. Under
+// the budget it names, the same word is journaled as terminal.
+func TestGiveUpTerminalOnlyUnderItsBudget(t *testing.T) {
 	p := prog.MustParse(fibSrc)
+	for _, tc := range []struct {
+		cause       string
+		own, others journal.Budget
+	}{
+		{"timeout", journal.Budget{Timeout: time.Hour}, journal.Budget{Conflicts: 1 << 40, MemMB: 4096}},
+		{"conflict-budget", journal.Budget{Conflicts: 1 << 40}, journal.Budget{Timeout: time.Hour, MemMB: 4096}},
+		{"memory", journal.Budget{MemMB: 4096}, journal.Budget{Timeout: time.Hour, Conflicts: 1 << 40}},
+	} {
+		// run gives a run under budget up to giveUps give-ups, then the
+		// cubes left to a real worker, if there is one.
+		run := func(t *testing.T, budget journal.Budget, attempts, giveUps int, healthy bool) *CoordinatorResult {
+			t.Helper()
+			addr, resCh := startCoordinator(t, p, fastFailureOpts(CoordinatorOptions{
+				Unwind: 1, Contexts: 3, Partitions: 2, ChunkSize: 1,
+				Budget: budget, MaxAttempts: attempts,
+			}))
+			if got := giveUpWorker(t, addr, "quitter", tc.cause, giveUps); got != budget {
+				t.Fatalf("job carried budget %+v, want the run's %+v", got, budget)
+			}
+			if healthy {
+				go func() {
+					_, _ = Work(context.Background(), addr, WorkerOptions{Name: "healthy"})
+				}()
+			}
+			return waitResult(t, resCh)
+		}
+		t.Run(tc.cause+"/unset", func(t *testing.T) {
+			res := run(t, tc.others, 0, 1, true)
+			if res.Verdict != core.Safe || res.ChunksDecided != 2 {
+				t.Fatalf("verdict %v, %d chunks decided; want SAFE, 2", res.Verdict, res.ChunksDecided)
+			}
+			if len(res.Exhausted) != 0 || res.Reassigned < 1 || res.MemoryAborted != 0 {
+				t.Fatalf("exhausted %+v, %d reassigned, %d memory aborts; want the give-up re-queued, nothing exhausted",
+					res.Exhausted, res.Reassigned, res.MemoryAborted)
+			}
+		})
+		t.Run(tc.cause+"/unset-charged", func(t *testing.T) {
+			res := run(t, tc.others, 1, 2, false)
+			if res.Verdict != core.Unknown || len(res.Quarantined) != 2 || len(res.Exhausted) != 0 || res.MemoryAborted != 0 {
+				t.Fatalf("verdict %v, quarantined %+v, exhausted %+v, %d memory aborts; want UNKNOWN with both cubes quarantined, none exhausted",
+					res.Verdict, res.Quarantined, res.Exhausted, res.MemoryAborted)
+			}
+		})
+		t.Run(tc.cause+"/set", func(t *testing.T) {
+			res := run(t, tc.own, 1, 2, false)
+			if res.Verdict != core.Unknown || len(res.Exhausted) != 2 || len(res.Quarantined) != 0 {
+				t.Fatalf("verdict %v, exhausted %+v, quarantined %+v; want UNKNOWN with both cubes exhausted, none charged",
+					res.Verdict, res.Exhausted, res.Quarantined)
+			}
+			for _, ex := range res.Exhausted {
+				if ex.Rec.Cause != tc.cause {
+					t.Fatalf("chunk %v exhausted %q, want %q", ex.Cube, ex.Rec.Cause, tc.cause)
+				}
+			}
+			if want := map[bool]int{true: 2}[tc.cause == "memory"]; res.MemoryAborted != want {
+				t.Fatalf("MemoryAborted %d, want %d", res.MemoryAborted, want)
+			}
+		})
+	}
+}
+
+// A real worker's OOM watchdog trips mid-job in a run that set a memory
+// budget: the trip cancels the job, and the cube is re-queued and
+// decided by the roomy worker, never journaled as a memory give-up. The
+// squeezed worker's limit is below any heap, so its watchdog trips at
+// its first sample; its first job is held past that sample, and it
+// leaves on its second.
+func TestWatchdogTripRequeuedUnderMemBudget(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	path := filepath.Join(t.TempDir(), "run.wal")
 	addr, resCh := startCoordinator(t, p, fastFailureOpts(CoordinatorOptions{
 		Unwind: 1, Contexts: 3, Partitions: 2, ChunkSize: 1,
+		Budget: journal.Budget{MemMB: 512}, JournalPath: path,
 	}))
-	// One job aborted on memory, then the faker leaves; the healthy
-	// worker decides everything, including the re-queued chunk.
-	if budget := memoryWorker(t, addr, "oomish", 1); budget != 0 {
-		t.Fatalf("job carried memory budget %d, want 0 (none configured)", budget)
-	}
+	const held = time.Minute
+	squeezed := &FaultPlan{Events: []FaultEvent{{Job: 0, Kind: FaultSlow, Slow: held}, {Job: 1, Kind: FaultDrop}}}
+	holds := awaitFire(t, squeezed)
+	sink := obs.NewCollectorSink()
+	gone := make(chan struct{})
 	go func() {
-		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "healthy"})
+		defer close(gone)
+		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "squeezed", MemLimitBytes: 1 << 10, Faults: squeezed, Tracer: obs.NewTracer(sink)})
+	}()
+	holds()
+	roomy := make(chan error, 1)
+	go func() {
+		_, err := Work(context.Background(), addr, WorkerOptions{Name: "roomy"})
+		roomy <- err
 	}()
 	res := waitResult(t, resCh)
-	if res.Verdict != core.Safe {
-		t.Fatalf("verdict %v, want SAFE", res.Verdict)
+	if err := <-roomy; err != nil {
+		t.Errorf("roomy worker: %v", err)
 	}
-	if res.MemoryAborted != 1 {
-		t.Fatalf("MemoryAborted %d, want 1", res.MemoryAborted)
+	if res.Verdict != core.Safe || res.ChunksDecided != 2 {
+		t.Fatalf("verdict %v, %d chunks decided; want SAFE, 2", res.Verdict, res.ChunksDecided)
 	}
-	if len(res.Exhausted) != 0 {
-		t.Fatalf("watchdog abort treated as terminal exhaustion: %+v", res.Exhausted)
+	if len(res.Exhausted) != 0 || res.MemoryAborted != 0 || res.Reassigned < 1 {
+		t.Fatalf("exhausted %+v, %d memory aborts, %d reassigned; want the tripped cube re-queued",
+			res.Exhausted, res.MemoryAborted, res.Reassigned)
 	}
-	if res.ChunksDecided != 2 {
-		t.Fatalf("decided %d chunks, want 2", res.ChunksDecided)
+	if res.Wall >= held {
+		t.Fatalf("the run took %v: the trip did not cut the held job short", res.Wall)
+	}
+	<-gone
+	trips := 0
+	for _, e := range sink.Events() {
+		if e.Name == "worker_job" && e.Attrs["mem_trip"] != nil {
+			trips++
+		}
+	}
+	if trips == 0 {
+		t.Fatal("no job span of the squeezed worker records a watchdog trip")
+	}
+	_, recs, err := journal.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if !rec.Unsat() {
+			t.Fatalf("journal record %+v, want every cube refuted and no memory give-up", rec)
+		}
+	}
+	if len(recs) != 2 {
+		t.Fatalf("journal holds %d records, want 2", len(recs))
 	}
 }
 
@@ -172,62 +282,5 @@ func TestMemoryBudgetTerminalAndResume(t *testing.T) {
 	}
 	if res3.Resumed != 0 || res3.Jobs != 2 {
 		t.Fatalf("raised-budget resume: resumed %d jobs %d, want 0/2", res3.Resumed, res3.Jobs)
-	}
-}
-
-// Heartbeat memory readings at or over the pause ratio must gate
-// dispatch, and the gate must reopen once the pressure reading expires
-// (a stale reading from an idle worker can never wedge the run).
-func TestDispatchPausesUnderMemoryPressure(t *testing.T) {
-	p := prog.MustParse(fibSrc)
-	opts := fastFailureOpts(CoordinatorOptions{
-		Unwind: 1, Contexts: 3, Partitions: 2, ChunkSize: 1,
-		MemPauseRatio: 0.9,
-	})
-	addr, resCh := startCoordinator(t, p, opts)
-
-	// A hand-rolled worker reports a near-OOM heartbeat during its first
-	// job, then answers it and goes quiet: the pressure reading expires
-	// at HeartbeatGrace and the paused dispatcher releases the second
-	// chunk to the healthy worker.
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wc := newConn(c, 5*time.Second)
-	defer wc.close()
-	if err := wc.send(&Message{Type: "hello", WorkerName: "pressured"}); err != nil {
-		t.Fatal(err)
-	}
-	if welcome, err := wc.recv(10 * time.Second); err != nil || welcome.Type != "welcome" {
-		t.Fatalf("expected welcome, got %v (%v)", welcome, err)
-	}
-	job, err := wc.recv(10 * time.Second)
-	if err != nil || job.Type != "job" {
-		t.Fatalf("expected job, got %v (%v)", job, err)
-	}
-	if err := wc.send(&Message{
-		Type: "heartbeat", JobID: job.JobID,
-		MemBytes: 990, MemLimit: 1000, // ratio 0.99 >= 0.9: over pressure
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// No wait: this connection's one serve loop notes the heartbeat before it reads the result.
-	if err := wc.send(&Message{
-		Type: "result", JobID: job.JobID,
-		Verdict: sat.Unsat.String(), Winner: -1, Millis: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	go func() {
-		_, _ = Work(context.Background(), addr, WorkerOptions{Name: "healthy"})
-	}()
-	res := waitResult(t, resCh)
-	if res.Verdict != core.Safe {
-		t.Fatalf("verdict %v, want SAFE", res.Verdict)
-	}
-	if res.DispatchPaused < 1 {
-		t.Fatalf("DispatchPaused %d, want >= 1 (pressure never gated dispatch)", res.DispatchPaused)
 	}
 }

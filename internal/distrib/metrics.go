@@ -88,10 +88,8 @@ func (m *coordMetrics) watch(sched *partition.Scheduler, tracker *chunkTracker, 
 			func() int64 { return int64(t.workers(0)) }},
 		{reg.CounterFunc, "parbmc_coordinator_reassigned_total", "Chunks handed to another worker after a failure.",
 			func() int64 { return int64(t.snapshot().Reassigned) }},
-		{reg.CounterFunc, "parbmc_chunks_memory_aborted_total", "Chunk results with cause \"memory\": solver over its memory budget, or worker OOM-watchdog abort.",
+		{reg.CounterFunc, "parbmc_chunks_memory_aborted_total", "Chunks that gave up on the run's memory budget: a solver over it after shedding learnt clauses (a worker's OOM-watchdog trip is a re-queued attempt, not counted here).",
 			func() int64 { return int64(t.snapshot().MemoryAborted) }},
-		{reg.CounterFunc, "parbmc_dispatch_paused_total", "Backpressure episodes: job dispatch paused because fleet memory pressure crossed the threshold.",
-			func() int64 { return int64(t.snapshot().DispatchPaused) }},
 		{reg.CounterFunc, "parbmc_coordinator_certificates_verified_total", "Remote verdict certificates that checked out against the coordinator's own encoding.",
 			func() int64 { return int64(t.snapshot().Certified) }},
 		{reg.CounterFunc, "parbmc_coordinator_certificates_rejected_total", "Remote verdict certificates rejected (missing, malformed, oversized, or failed verification).",

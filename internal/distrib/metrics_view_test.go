@@ -193,7 +193,6 @@ func TestMetricsAreViewsOfTheRun(t *testing.T) {
 		"parbmc_results_superseded_total":                res.Superseded,
 		"parbmc_coordinator_reassigned_total":            res.Reassigned,
 		"parbmc_chunks_memory_aborted_total":             res.MemoryAborted,
-		"parbmc_dispatch_paused_total":                   res.DispatchPaused,
 		"parbmc_coordinator_certificates_verified_total": res.Certified,
 		"parbmc_coordinator_certificates_rejected_total": res.CertRejected,
 		"parbmc_coordinator_quarantined_total":           len(res.Quarantined),

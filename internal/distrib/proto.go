@@ -165,9 +165,10 @@ type Message struct {
 	Parts        []report.PartitionRow `json:"parts,omitempty"`
 
 	// Memory heartbeat fields: the worker's live-heap estimate and its
-	// effective memory limit (GOMEMLIMIT or -mem-limit), in bytes. The
-	// coordinator's backpressure gate keys on the MemBytes/MemLimit
-	// ratio; MemLimit 0 means the worker runs unbounded.
+	// effective memory limit (GOMEMLIMIT or -mem-limit), in bytes, which
+	// the coordinator shows as per-worker gauges; MemLimit 0 means the
+	// worker runs unbounded. They steer nothing: a worker near its limit
+	// sheds its own job when its watchdog trips.
 	MemBytes int64 `json:"mem_bytes,omitempty"`
 	MemLimit int64 `json:"mem_limit,omitempty"`
 

@@ -285,7 +285,7 @@ func FuzzJobAssumptions(f *testing.F) {
 				valid = valid && l >= 2 && int(l.Var()) <= vars
 			}
 		}
-		reply, cert := w.runJob(context.Background(), &m, nil, nil, nil)
+		reply, cert := w.runJob(context.Background(), &m, nil, nil)
 		switch {
 		case strings.HasPrefix(reply.Error, "panic:"):
 			t.Fatalf("from %d to %d, assume %s: %s", from, to, payload, reply.Error)

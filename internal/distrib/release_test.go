@@ -54,7 +54,7 @@ func TestCertifiedRunReleasesFormula(t *testing.T) {
 	var winner int
 	for i := range v.prep.Manifest().Partitions {
 		cube := partition.Cube{From: i, To: i}
-		reply, cert := shippedWorker(data).runJob(ctx, jobFor(t, v, opts, cube), nil, nil, nil)
+		reply, cert := shippedWorker(data).runJob(ctx, jobFor(t, v, opts, cube), nil, nil)
 		switch reply.Verdict {
 		case sat.Unsat.String():
 			if _, err := v.verifySafe(cube, cert); err != nil {

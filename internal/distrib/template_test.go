@@ -279,7 +279,7 @@ func TestWorkerRestoresCoordinatorTemplate(t *testing.T) {
 					if x, y := a.Stats(), b.Stats(); sa != sb || x.Conflicts != y.Conflicts || x.Propagations != y.Propagations || x.Decisions != y.Decisions {
 						t.Fatalf("partition %d: %v on the uncertified template, %v on the certified one:\n%+v\n%+v", i, sa, sb, x, y)
 					}
-					reply, cert := w.runJob(ctx, m, nil, nil, nil)
+					reply, cert := w.runJob(ctx, m, nil, nil)
 					if reply.Error != "" || reply.Restore != nil {
 						t.Fatalf("partition %d: %+v", i, reply)
 					}
@@ -597,33 +597,44 @@ func TestCancelDuringCoordinatorTemplateBuild(t *testing.T) {
 	}
 }
 
-// The watchdog trips during a cube: the job comes back as a memory
-// give-up — which a coordinator that set no memory budget re-queues
-// (TestWatchdogAbortIsRequeued) — the template goes with the cube's
-// solver, and the worker's next job restores it again from the bytes
-// its connection kept.
+// The watchdog trips during a cube: it cancels the job, which comes back
+// a cancelled Unknown — a coordinator re-queues it
+// (TestWatchdogTripRequeuedUnderMemBudget) — with the trip on its span;
+// the template goes with the cube's solver, and the worker's next job
+// restores it again from the bytes its connection kept.
 func TestWatchdogTripRebuildsTemplate(t *testing.T) {
 	p, opts := bench.Eliminationstack(), CoordinatorOptions{Unwind: 2, Contexts: 4, Partitions: 8, Certify: CertifyPolicy{Mode: CertifyOff}}
 	v, data := derivedVerifier(t, p, opts)
 	w := shippedWorker(data)
+	sink := obs.NewCollectorSink()
+	w.opts.Tracer = obs.NewTracer(sink)
 	job := func(id, part int) *Message {
 		m := jobFor(t, v, opts, partition.Cube{From: part, To: part})
 		m.JobID, m.Certify = id, ""
 		return m
 	}
-	if reply, _ := w.runJob(context.Background(), job(1, 1), nil, nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
+	if reply, _ := w.runJob(context.Background(), job(1, 1), nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
 		t.Fatalf("first job: %+v", reply)
 	}
-	tripped := make(chan struct{})
-	close(tripped)
-	reply, _ := w.runJob(context.Background(), job(2, 2), nil, nil, tripped)
-	if reply.Verdict != sat.Unknown.String() || reply.Cause != sat.CauseMemory.String() || reply.Restore != nil {
+	tripped, trip := context.WithCancelCause(context.Background())
+	trip(memTrip{used: 950, limit: 1000})
+	reply, _ := w.runJob(tripped, job(2, 2), nil, nil)
+	if reply.Verdict != sat.Unknown.String() || reply.Cause != sat.CauseCancelled.String() || reply.Restore != nil {
 		t.Fatalf("job under a tripped watchdog: %+v", reply)
 	}
 	if w.run == nil || w.run.tpl.Ready() {
 		t.Fatal("the template outlived the watchdog's trip, or the worker forgot the run")
 	}
-	if reply, _ := w.runJob(context.Background(), job(3, 2), nil, nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
+	var trips []string
+	for _, e := range sink.Events() {
+		if e.Name == "worker_job" && e.Attrs["mem_trip"] != nil {
+			trips = append(trips, fmt.Sprintf("job %v: %v", e.Attrs["job"], e.Attrs["mem_trip"]))
+		}
+	}
+	if fmt.Sprint(trips) != "[job 2: memory watchdog tripped at 950 of 1000 bytes]" {
+		t.Fatalf("trips on the job spans: %v, want job 2's alone", trips)
+	}
+	if reply, _ := w.runJob(context.Background(), job(3, 2), nil, nil); reply.Verdict != sat.Unsat.String() || reply.Restore == nil {
 		t.Fatalf("the job after: %+v, want the cube decided on the template restored again", reply)
 	}
 }

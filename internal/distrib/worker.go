@@ -45,11 +45,11 @@ type WorkerOptions struct {
 	// The window resets every time a job completes. 0 means no budget.
 	ReconnectTimeout time.Duration
 	// MemLimitBytes arms the worker's OOM watchdog: while a job runs,
-	// the live heap is sampled and, at MemTripFraction of this limit,
-	// every solver instance is interrupted with a memory cause — the job
-	// returns a structured "memory" verdict instead of the process being
-	// OOM-killed mid-chunk. 0 inherits the runtime's soft memory limit
-	// (GOMEMLIMIT); if neither is set the watchdog is inert.
+	// the live heap is sampled and, at MemTripFraction of this limit, the
+	// job is cancelled (its span records the trip as mem_trip) and its
+	// template dropped, instead of the process being OOM-killed; the
+	// coordinator re-queues the cube. 0 inherits the runtime's soft memory
+	// limit (GOMEMLIMIT); if neither is set the watchdog is inert.
 	MemLimitBytes int64
 	// MemTripFraction is the fill fraction at which the watchdog trips
 	// (default 0.9 — the abort path needs allocation headroom to run).
@@ -111,7 +111,7 @@ func Work(ctx context.Context, addr string, opts WorkerOptions) (int, error) {
 		return 0, fmt.Errorf("distrib: worker needs at least one coordinator address")
 	}
 	w := &worker{opts: opts}
-	rng := rand.New(rand.NewSource(opts.Faults.seed()))
+	rng := opts.Faults.jitter()
 	total := 0
 	failures := 0
 	target := 0
@@ -418,15 +418,16 @@ func (p *jobProgress) snapshot() (rows []report.PartitionRow, total sat.Stats) {
 // by its own heartbeat.
 func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message, f *FaultEvent) (*Message, *Certificate) {
 	// Per-job OOM watchdog: a fresh one each job so the trip re-arms
-	// after an aborted chunk frees its memory. On trip the job's solvers
-	// are interrupted with a memory cause (via parallel.Options.MemAbort),
-	// so the worker sheds the chunk and answers with a structured
-	// verdict before the kernel's OOM-killer would pick the process.
-	memAbort := make(chan struct{})
+	// after an aborted chunk frees its memory. A trip cancels the job, so
+	// the worker sheds the chunk and answers before the kernel's
+	// OOM-killer would pick the process; the trip is this machine's, not
+	// the cube's, and the cube goes back to the fleet.
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	watch := memwatch.Start(memwatch.Options{
 		LimitBytes:   w.opts.MemLimitBytes,
 		TripFraction: w.opts.MemTripFraction,
-		OnTrip:       func(used, limit int64) { close(memAbort) },
+		OnTrip:       func(used, limit int64) { cancel(memTrip{used, limit}) },
 	})
 	defer watch.Stop()
 
@@ -457,12 +458,21 @@ func (w *worker) runJobWithHeartbeats(ctx context.Context, wc *conn, m *Message,
 			}
 		}()
 	}
-	reply, cert := w.runJob(ctx, m, progress, f, memAbort)
+	reply, cert := w.runJob(ctx, m, progress, f)
 	if hbStop != nil {
 		close(hbStop)
 		<-hbDone
 	}
 	return reply, cert
+}
+
+// memTrip is why a job's context was cancelled when the worker's OOM
+// watchdog tripped: the heap reading that crossed the trip point, and the
+// limit.
+type memTrip struct{ used, limit int64 }
+
+func (t memTrip) Error() string {
+	return fmt.Sprintf("memory watchdog tripped at %d of %d bytes", t.used, t.limit)
 }
 
 // procName is the worker's span process name ("worker" when anonymous).

@@ -198,36 +198,51 @@ type Budget struct {
 	MemMB int64
 }
 
+// limit is what b sets for the budget cause names, in a record's units
+// (milliseconds, conflicts, MiB; 0 = unbounded), and whether cause
+// names a budget at all (sat.StopCause.Budgeted).
+func (b Budget) limit(cause string) (n int64, budgeted bool) {
+	switch cause {
+	case "timeout": // sat.CauseTimeout.String()
+		return b.Timeout.Milliseconds(), true
+	case "conflict-budget": // sat.CauseConflictBudget.String()
+		return b.Conflicts, true
+	case "memory": // sat.CauseMemory.String()
+		return b.MemMB, true
+	}
+	return 0, false
+}
+
+// Sets reports whether b sets the budget cause names: when a give-up
+// for that cause is terminal in a run under b. One naming a budget the
+// run never set says nothing about the cube and is solved again.
+func (b Budget) Sets(cause string) bool {
+	n, _ := b.limit(cause)
+	return n > 0
+}
+
 // Pin stamps b onto a budget-exhausted record: the give-up is terminal
 // only relative to the budget it was computed under. It reports whether
 // the record names an exhausted budget at all — the only undecided
 // outcome that is ever journaled: a cube that was cancelled or is still
 // in flight exhausted nothing, and is left for a resume to solve.
 func (b Budget) Pin(rec *ChunkRecord) bool {
-	switch rec.Cause {
-	case "timeout", "conflict-budget", "memory": // sat.StopCause.Budgeted
-		rec.TimeoutMillis, rec.Conflicts, rec.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
-		return true
+	if _, budgeted := b.limit(rec.Cause); !budgeted {
+		return false
 	}
-	return false
+	rec.TimeoutMillis, rec.Conflicts, rec.MemBudgetMB = b.Timeout.Milliseconds(), b.Conflicts, b.MemMB
+	return true
 }
 
 // RetryUnder reports whether a budget-exhausted record should be
-// re-solved rather than replayed by a run with budget b: true when the
-// budget the chunk exhausted has been lifted or strictly raised.
-// Definite verdicts and records without a recorded budget are never
-// retried — the latter cannot prove the new budget is larger.
+// re-solved rather than replayed by a run with budget b: true when b no
+// longer sets the budget the chunk exhausted (Sets), or has strictly
+// raised it. Definite verdicts and records without a recorded budget are
+// never retried — the latter cannot prove the new budget is larger.
 func (r ChunkRecord) RetryUnder(b Budget) bool {
-	switch r.Cause {
-	case "timeout": // sat.CauseTimeout.String()
-		ms := b.Timeout.Milliseconds()
-		return ms == 0 || (r.TimeoutMillis > 0 && ms > r.TimeoutMillis)
-	case "conflict-budget": // sat.CauseConflictBudget.String()
-		return b.Conflicts == 0 || (r.Conflicts > 0 && b.Conflicts > r.Conflicts)
-	case "memory": // sat.CauseMemory.String()
-		return b.MemMB == 0 || (r.MemBudgetMB > 0 && b.MemMB > r.MemBudgetMB)
-	}
-	return false
+	now, budgeted := b.limit(r.Cause)
+	then, _ := Budget{Timeout: time.Duration(r.TimeoutMillis) * time.Millisecond, Conflicts: r.Conflicts, MemMB: r.MemBudgetMB}.limit(r.Cause)
+	return budgeted && (!b.Sets(r.Cause) || then > 0 && now > then)
 }
 
 // Journal is an open run journal. All methods are safe for concurrent

@@ -548,6 +548,40 @@ func TestRetryUnder(t *testing.T) {
 	}
 }
 
+// Sets: a give-up is terminal only under the budget its cause names,
+// and a record the run could not have pinned a budget for — a cause that
+// names none — is never terminal; RetryUnder reads the same rule.
+func TestBudgetSets(t *testing.T) {
+	all := Budget{Timeout: time.Second, Conflicts: 64, MemMB: 512}
+	for _, cause := range []string{"timeout", "conflict-budget", "memory"} {
+		own := Budget{}
+		switch cause {
+		case "timeout":
+			own.Timeout = all.Timeout
+		case "conflict-budget":
+			own.Conflicts = all.Conflicts
+		case "memory":
+			own.MemMB = all.MemMB
+		}
+		others := Budget{Timeout: all.Timeout - own.Timeout, Conflicts: all.Conflicts - own.Conflicts, MemMB: all.MemMB - own.MemMB}
+		if !own.Sets(cause) || !all.Sets(cause) || others.Sets(cause) || (Budget{}).Sets(cause) {
+			t.Errorf("%s: Sets under its own budget %v, all %v, the others %v, none %v; want true, true, false, false",
+				cause, own.Sets(cause), all.Sets(cause), others.Sets(cause), (Budget{}).Sets(cause))
+		}
+		rec := ChunkRecord{Verdict: "UNKNOWN", Cause: cause}
+		if !all.Pin(&rec) || rec.RetryUnder(all) || !rec.RetryUnder(others) {
+			t.Errorf("%s: pinned %+v retries under its own budget (%v) or not under the others (%v)",
+				cause, rec, rec.RetryUnder(all), rec.RetryUnder(others))
+		}
+	}
+	for _, cause := range []string{"", "cancelled", "bogus"} {
+		rec := ChunkRecord{Verdict: "UNKNOWN", Cause: cause}
+		if all.Sets(cause) || all.Pin(&rec) || rec.RetryUnder(Budget{}) {
+			t.Errorf("cause %q names a budget", cause)
+		}
+	}
+}
+
 // The on-disk keys of a budget-pinned record are a compatibility
 // contract: journals written before Budget existed must keep resuming.
 // The golden bytes are what the commit before Budget marshalled for a

@@ -1,8 +1,8 @@
 // Package memwatch is the process-level memory watchdog: it samples the
 // Go heap at a fixed cadence and trips a callback once before the
 // process would be OOM-killed, giving the solver layer a chance to shed
-// its biggest allocations (abort the active chunk with a structured
-// memory verdict) instead of dying without a trace.
+// its biggest allocations (cancel the active job and drop its solvers)
+// instead of dying without a trace.
 //
 // The watchdog deliberately watches *live heap after the last GC* plus
 // the currently allocated spans, not the OS RSS: Go's allocator rarely

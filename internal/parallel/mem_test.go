@@ -81,31 +81,6 @@ func TestJournalMemBudgetRaiseResolves(t *testing.T) {
 	j3.Close()
 }
 
-// The external MemAbort kill-switch (an RSS watchdog trip) must stop
-// every live instance with CauseMemory — distinguishable from both
-// cancellation and the other budget causes — and win the race against
-// instances that register after the switch fires.
-func TestMemAbortKillSwitch(t *testing.T) {
-	f := pigeonhole(9) // far beyond the first conflict
-	parts := partitionsOn([]cnf.Var{1}, 2)
-	memAbort := make(chan struct{})
-	res, err := Solve(context.Background(), f, parts, Options{
-		Workers: 2, MemAbort: memAbort,
-		Progress: onFirstProgress(func() { close(memAbort) }), ProgressEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != sat.Unknown {
-		t.Fatalf("status %v, want Unknown", res.Status)
-	}
-	for _, inst := range res.Instances {
-		if inst.Cause != sat.CauseMemory {
-			t.Fatalf("partition %d: cause %v, want memory", inst.Partition, inst.Cause)
-		}
-	}
-}
-
 // TestSolveProgressCallback wires a live-progress hook through the
 // runner down to the CDCL loop of every partition.
 func TestSolveProgressCallback(t *testing.T) {

@@ -53,8 +53,7 @@ type InstanceResult struct {
 	Status sat.Status
 	// Cause classifies an Unknown status: cancelled (context done or a
 	// sibling won), timeout, conflict-budget or memory (that part of
-	// Options.Budget exhausted; memory also when the external MemAbort
-	// watchdog fired). CauseNone for definite verdicts.
+	// Options.Budget exhausted). CauseNone for definite verdicts.
 	Cause sat.StopCause
 	// Resumed marks a verdict replayed from the journal rather than
 	// solved in this run.
@@ -146,12 +145,6 @@ type Options struct {
 	// instance that exhausts part of it reports Unknown with the matching
 	// Cause.
 	Budget journal.Budget
-	// MemAbort, when non-nil, is an external memory kill-switch (an RSS
-	// watchdog): once it becomes receivable (typically by closing it),
-	// every live and future solver of this run is aborted with
-	// cause=memory — the budgeted, journalable analogue of
-	// cancellation, fired before the OOM-killer can.
-	MemAbort <-chan struct{}
 	// Journal, when non-nil, makes the run crash-safe: every definite or
 	// budget-exhausted verdict is committed before the run acknowledges
 	// it, cancelled instances are left for a restart to re-solve, and a

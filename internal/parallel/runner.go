@@ -58,12 +58,11 @@ type runner struct {
 	template *sat.Solver
 	own      bool
 
-	mu         sync.Mutex
-	running    map[*cubeRun]bool
-	leaves     map[int][]InstanceResult // decided leaf cubes by partition index
-	memAborted bool
-	err        error // first failure: solver panic, journal failure, bad proof
-	res        *Result
+	mu      sync.Mutex
+	running map[*cubeRun]bool
+	leaves  map[int][]InstanceResult // decided leaf cubes by partition index
+	err     error                    // first failure: solver panic, journal failure, bad proof
+	res     *Result
 }
 
 // splitting reports that the run may split a straggler's cube in process.
@@ -124,20 +123,7 @@ func (t *Template) run(ctx context.Context, parts []partition.Partition, opts Op
 	if err := r.replay(parts); err != nil {
 		return nil, err
 	}
-	stop := context.AfterFunc(r.ctx, func() { r.interruptAll(false) })
-	defer stop()
-	if opts.MemAbort != nil {
-		// External memory kill-switch: once fired, every live solver is
-		// aborted with cause=memory, and solvers registered later are
-		// aborted on registration (closing the fire/register race).
-		go func() {
-			select {
-			case <-opts.MemAbort:
-				r.interruptAll(true)
-			case <-r.ctx.Done():
-			}
-		}()
-	}
+	defer context.AfterFunc(r.ctx, r.interruptAll)()
 
 	r.buildTemplate()
 	var wg sync.WaitGroup
@@ -413,17 +399,14 @@ func (r *runner) fail(err error) {
 
 // register makes a solver that is about to run interruptible: as the
 // cube's (cancelCube) and as one of the run's (interruptAll). A cancel
-// or an abort that arrived while the solver was being built found
-// nothing to interrupt: it is delivered here.
+// that arrived while the solver was being built found nothing to
+// interrupt: it is delivered here.
 func (r *runner) register(rc *cubeRun, solver *sat.Solver) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rc.solver = solver
 	r.running[rc] = true
-	switch {
-	case r.memAborted:
-		solver.InterruptMemory()
-	case rc.cancelled || r.ctx.Err() != nil:
+	if rc.cancelled || r.ctx.Err() != nil {
 		solver.Interrupt()
 	}
 }
@@ -438,24 +421,15 @@ func (r *runner) cancelCube(rc *cubeRun) {
 	r.mu.Unlock()
 }
 
-// interruptAll stops every live solver: as cancelled, releasing the idle
-// workers too, when the run ends; with cause=memory when the MemAbort
-// watchdog fired — the queue is then still drained, each cube aborting
-// on registration into a journalled memory give-up.
-func (r *runner) interruptAll(memory bool) {
+// interruptAll stops every live solver when the run ends, and releases
+// the idle workers.
+func (r *runner) interruptAll() {
 	r.mu.Lock()
-	r.memAborted = r.memAborted || memory
 	for rc := range r.running {
-		if memory {
-			rc.solver.InterruptMemory()
-		} else {
-			rc.solver.Interrupt()
-		}
+		rc.solver.Interrupt()
 	}
 	r.mu.Unlock()
-	if !memory {
-		r.sched.Close()
-	}
+	r.sched.Close()
 }
 
 // foldLeaves merges the leaf-cube results of one partition. Statuses

@@ -98,9 +98,6 @@ type SchedOptions struct {
 	// certification off, or a refutation whose proof was sampled out — is
 	// re-solved at intake rather than trusted into a certified history.
 	CertifiedOnly bool
-	// Gate, when non-nil, is consulted before every scheduling decision —
-	// dispatch, split or hedge. It may block; false ends the Acquire.
-	Gate func() bool
 	// Now replaces time.Now in tests.
 	Now func() time.Time
 }
@@ -148,15 +145,12 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 // Acquire blocks until there is a cube for the idle executor worker and
 // returns its assignment, or nil when the run is over: no live leaf is
 // left, the scheduler was closed — by the executor, or by a journal
-// failure (Summary.Err) — or Gate said stop. cancel is how the scheduler
-// stops the assignment once it is superseded; it is called without the
-// scheduler's lock and may arrive at any time after Acquire picked the
-// cube, even before Acquire returns.
+// failure (Summary.Err). cancel is how the scheduler stops the
+// assignment once it is superseded; it is called without the scheduler's
+// lock and may arrive at any time after Acquire picked the cube, even
+// before Acquire returns.
 func (s *Scheduler) Acquire(worker string, cancel func(*Assignment)) *Assignment {
 	for {
-		if s.opts.Gate != nil && !s.opts.Gate() {
-			return nil
-		}
 		s.mu.Lock()
 		if s.closed || s.live == 0 {
 			s.mu.Unlock()

@@ -54,7 +54,6 @@ func TestInterruptRacedMidSearch(t *testing.T) {
 // interrupted.
 func clearInterrupt(s *Solver) {
 	s.interrupt.Store(false)
-	s.memInterrupt.Store(false)
 }
 
 // After an interrupt the same solver instance must be reusable:

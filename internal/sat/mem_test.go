@@ -1,9 +1,6 @@
 package sat
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // liveBytesByHand recomputes the footprint from the solver's
 // structures: every arena word, every watcher actually on a watch
@@ -162,37 +159,5 @@ func TestMemBudgetShrinkRecovers(t *testing.T) {
 	}
 	if s.stats.MemShrinks == 0 {
 		t.Fatal("no MemShrinks recorded")
-	}
-}
-
-// InterruptMemory mid-search must surface as ErrMemBudget — terminal
-// budget exhaustion — not ErrInterrupted, and clearInterrupt must
-// disarm the memory flag so a later plain Interrupt reports plain
-// cancellation again.
-func TestInterruptMemoryMidSearch(t *testing.T) {
-	s := NewFromFormula(pigeonhole(9), Options{ProgressEvery: 1})
-	searching := firstConflict(s)
-	done := make(chan struct{})
-	var st Status
-	var serr error
-	go func() {
-		st, serr = s.Solve()
-		close(done)
-	}()
-	<-searching
-	s.InterruptMemory()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("solver did not react to InterruptMemory")
-	}
-	if serr != ErrMemBudget || st != Unknown {
-		t.Fatalf("status %v err %v, want Unknown/ErrMemBudget", st, serr)
-	}
-
-	clearInterrupt(s)
-	s.Interrupt()
-	if _, err := s.Solve(); err != ErrInterrupted {
-		t.Fatalf("plain interrupt after clear: err %v, want ErrInterrupted", err)
 	}
 }

@@ -62,10 +62,10 @@ var ErrInterrupted = errors.New("sat: solver interrupted")
 
 // ErrMemBudget is returned by Solve when the solver exceeded its memory
 // budget (Options.MemBudgetMB) and emergency learnt-DB shrinking could
-// not bring it back under, or when an external memory watchdog aborted
-// the solve via InterruptMemory. Like conflict-budget exhaustion it is
+// not bring it back under. Like conflict-budget exhaustion it is
 // terminal under the same budget: rerunning with the same limit gives
-// up again.
+// up again. A process-wide memory watchdog is no budget: it interrupts
+// (ErrInterrupted), and what it stopped is cancelled, not given up.
 var ErrMemBudget = errors.New("sat: memory budget exhausted")
 
 // ErrEliminated is returned by Solve for an assumption over a variable
@@ -94,10 +94,10 @@ const (
 	CauseConflictBudget
 	// CauseTimeout: the chunk's wall-clock budget expired.
 	CauseTimeout
-	// CauseMemory: the chunk's memory budget was exhausted — either the
+	// CauseMemory: the chunk's memory budget was exhausted — the
 	// solver's own live-byte accounting crossed Options.MemBudgetMB after
-	// emergency learnt-DB shrinking, or an external RSS watchdog aborted
-	// the solve before the OOM-killer could.
+	// emergency learnt-DB shrinking — and nothing else: a watchdog that
+	// stops a solve to save its process cancels it.
 	CauseMemory
 )
 
@@ -133,9 +133,9 @@ func ParseStopCause(s string) StopCause {
 }
 
 // Worse returns the more severe of two causes — the cause of a result
-// folded from several solves: memory dominates (the coordinator's memory
-// retry policy must see it), then timeout (a run that hit the wall clock
-// anywhere is wall-clock bound), then conflict budget, then cancellation.
+// folded from several solves: the memory budget dominates, then timeout
+// (a run that hit the wall clock anywhere is wall-clock bound), then
+// conflict budget, then cancellation.
 func (c StopCause) Worse(d StopCause) StopCause { return max(c, d) }
 
 // Budgeted reports whether the cause is a deterministic budget
@@ -152,9 +152,8 @@ func (c StopCause) Budgeted() bool {
 func Classify(status Status, err error, timedOut, cancelled bool) (Status, StopCause) {
 	switch {
 	case err == ErrMemBudget:
-		// Memory exhaustion — the solver's own budget or an external
-		// watchdog — is terminal budget exhaustion, like a conflict-budget
-		// give-up.
+		// The solver's own memory budget is terminal budget exhaustion,
+		// like a conflict-budget give-up.
 		return Unknown, CauseMemory
 	case err == ErrInterrupted:
 		// The timer may fire while the solver is being interrupted for
@@ -463,12 +462,7 @@ type Solver struct {
 	peakBytes int64
 
 	interrupt atomic.Bool
-	// memInterrupt marks an interrupt raised by an external memory
-	// watchdog (InterruptMemory): the solve stops with ErrMemBudget
-	// instead of ErrInterrupted, so the layers above classify it as
-	// terminal budget exhaustion, not retryable cancellation.
-	memInterrupt atomic.Bool
-	rngState     uint64
+	rngState  uint64
 
 	// ShareLearnt, if non-nil, is invoked for every learnt clause whose LBD
 	// is at most ShareMaxLBD; used by the portfolio baselines for clause
@@ -705,17 +699,6 @@ func (s *Solver) ProgressEstimate() float64 {
 // Interrupt asynchronously cancels an in-flight Solve, which will return
 // (Unknown, ErrInterrupted). Safe to call from other goroutines.
 func (s *Solver) Interrupt() { s.interrupt.Store(true) }
-
-// InterruptMemory asynchronously aborts an in-flight Solve with memory
-// exhaustion: Solve returns (Unknown, ErrMemBudget) instead of
-// ErrInterrupted, so callers journal the chunk as a terminal
-// memory-budget Unknown. Used by external RSS watchdogs that see the
-// whole process approaching its limit. Safe to call from other
-// goroutines.
-func (s *Solver) InterruptMemory() {
-	s.memInterrupt.Store(true)
-	s.interrupt.Store(true)
-}
 
 // Interrupted reports whether the solver has been cancelled.
 func (s *Solver) Interrupted() bool { return s.interrupt.Load() }
@@ -1534,9 +1517,6 @@ func (s *Solver) search(conflictBudget int64) (Status, error) {
 	var conflicts int64
 	for {
 		if s.interrupt.Load() {
-			if s.memInterrupt.Load() {
-				return Unknown, ErrMemBudget
-			}
 			return Unknown, ErrInterrupted
 		}
 		confl := s.propagate()
