@@ -276,7 +276,7 @@ func dumpArtefacts(w io.Writer, p *prog.Program, dump, dimacs string, opts core.
 				fmt.Fprintf(f, "c partition-var context=%d dimacs=%d\n", i, l.Dimacs())
 			}
 		}
-		return cnf.WriteDimacs(f, enc.Formula())
+		return cnf.WriteDimacs(f, enc.TakeFormula())
 	}
 	return nil
 }

@@ -61,7 +61,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (int, err
 		var assumptions []cnf.Lit
 		for _, tok := range strings.Fields(*assume) {
 			n, err := strconv.Atoi(tok)
-			if err != nil || n == 0 {
+			if err != nil || n == 0 || n < -cnf.MaxVar || n > cnf.MaxVar {
 				return 2, fmt.Errorf("bad assumption %q", tok)
 			}
 			assumptions = append(assumptions, cnf.FromDimacs(n))

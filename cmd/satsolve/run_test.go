@@ -71,6 +71,7 @@ func TestExitCodes(t *testing.T) {
 		{[]string{unsat}, 20, "", "s UNSATISFIABLE", ""},
 		{[]string{"-proof", drat, "-check", pigeonhole(t, 4)}, 20, "", "c proof verified (", "0"},
 		{[]string{"-proof", filepath.Join(t.TempDir(), "p.drat"), "-cores", "2", unsat}, 2, "single-instance mode", "", ""},
+		{[]string{"-assume", "1 -1073741824", sat}, 2, "bad assumption", "", ""},
 	} {
 		var out bytes.Buffer
 		code, err := run(context.Background(), append([]string{"satsolve"}, c.args...), &out, io.Discard)

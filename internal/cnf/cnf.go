@@ -10,15 +10,20 @@ package cnf
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
 // Var identifies a propositional variable. Valid variables are >= 1.
 type Var int
 
-// Lit is a literal: a variable together with a polarity.
+// Lit is a literal: a variable together with a polarity, in 32 bits.
 // The zero Lit is invalid and can be used as a sentinel.
-type Lit int
+type Lit int32
+
+// MaxVar is the largest variable a Lit can hold: 2*MaxVar+1 must fit
+// it. MkLit, NewVar and ReadDimacs refuse any variable past it.
+const MaxVar = 1<<30 - 1
 
 // LitUndef is the invalid literal sentinel.
 const LitUndef Lit = 0
@@ -26,7 +31,7 @@ const LitUndef Lit = 0
 // MkLit builds a literal from a variable and a sign.
 // neg=false yields the positive literal v, neg=true yields ¬v.
 func MkLit(v Var, neg bool) Lit {
-	if v <= 0 {
+	if v <= 0 || v > MaxVar {
 		panic(fmt.Sprintf("cnf: invalid variable %d", v))
 	}
 	l := Lit(v << 1)
@@ -93,26 +98,28 @@ func (c Clause) String() string {
 
 // Formula is a propositional formula in CNF. Its literals live in a
 // chunked, pointer-free store — every clause as its length followed by
-// its literals, in chunks that are never copied — and Clauses is a view
-// into that store.
+// its literals, in chunks that are never copied — which every reader
+// walks in place (Each). Clauses is a view into the store that
+// BuildClauses makes on request, for a reader that indexes clauses.
 type Formula struct {
 	// NumVars is the highest variable index in use.
 	NumVars int
-	// Clauses is the conjunction of clauses, read-only outside this
-	// package: AddClause is the one way a clause gets in. A Clause taken
-	// from it stays valid and unchanged for as long as it is referenced.
+	// Clauses is nil until BuildClauses, and read-only: AddClause is the
+	// one way a clause gets in, and it does not extend the view. A Clause
+	// taken from it stays valid and unchanged for as long as it is
+	// referenced.
 	Clauses []Clause
 
 	chunks        [][]Lit
-	clauses, lits int // stored; Clauses may trail them inside this package
+	clauses, lits int
 }
 
 // The store's chunks double from minChunk to maxChunk words, so that a
-// ten-clause formula costs 2 KB and a million-clause one some sixty
-// allocations.
+// ten-clause formula costs 1 KiB, a million-clause one some two hundred
+// allocations, and the last chunk's unused tail is at most 64 KiB.
 const (
 	minChunk = 1 << 8
-	maxChunk = 1 << 16
+	maxChunk = 1 << 14
 )
 
 // New returns an empty formula.
@@ -120,6 +127,9 @@ func New() *Formula { return &Formula{} }
 
 // NewVar allocates a fresh variable.
 func (f *Formula) NewVar() Var {
+	if f.NumVars >= MaxVar {
+		panic(fmt.Sprintf("cnf: variable %d does not fit a literal", f.NumVars+1))
+	}
 	f.NumVars++
 	return Var(f.NumVars)
 }
@@ -127,14 +137,6 @@ func (f *Formula) NewVar() Var {
 // AddClause appends a copy of the clause, growing NumVars if it mentions
 // a larger variable.
 func (f *Formula) AddClause(lits ...Lit) {
-	f.push(lits...)
-	c := f.chunks[len(f.chunks)-1]
-	f.Clauses = append(f.Clauses, Clause(c[len(c)-len(lits):len(c):len(c)]))
-}
-
-// push stores a clause without extending Clauses: whoever pushes owes a
-// view before the formula leaves the package.
-func (f *Formula) push(lits ...Lit) {
 	n := len(f.chunks) - 1
 	if n < 0 || cap(f.chunks[n])-len(f.chunks[n]) <= len(lits) {
 		size := minChunk
@@ -152,19 +154,6 @@ func (f *Formula) push(lits ...Lit) {
 	f.lits += len(lits)
 }
 
-// view builds Clauses over the whole store, in one allocation of the
-// exact size.
-func (f *Formula) view() {
-	f.Clauses = make([]Clause, 0, f.clauses)
-	for _, c := range f.chunks {
-		for i := 0; i < len(c); {
-			end := i + 1 + int(c[i])
-			f.Clauses = append(f.Clauses, Clause(c[i+1:end:end]))
-			i = end
-		}
-	}
-}
-
 // AddUnit appends a unit clause.
 func (f *Formula) AddUnit(l Lit) { f.AddClause(l) }
 
@@ -174,7 +163,33 @@ func (f *Formula) NumClauses() int { return f.clauses }
 // NumLits returns the number of literals over all clauses.
 func (f *Formula) NumLits() int { return f.lits }
 
-// Clone returns a deep copy of the formula.
+// Each calls visit with every clause, in order, read in place: a
+// Clause it is given is a slice of the store, capped at its end, so an
+// append to it copies. A reader that is done early ignores the rest.
+// Each is a callback, not a cursor, so that it stays small enough to
+// inline with visit: the walk then keeps its place in registers, where
+// a cursor struct's fields stay in memory (four times slower).
+func (f *Formula) Each(visit func(Clause)) {
+	for _, chunk := range f.chunks {
+		for i := 0; i < len(chunk); {
+			end := i + 1 + int(chunk[i])
+			visit(Clause(chunk[i+1 : end : end]))
+			i = end
+		}
+	}
+}
+
+// BuildClauses makes Clauses a view of every clause stored, in one
+// allocation of the exact size, unless it already is one.
+func (f *Formula) BuildClauses() {
+	if f.Clauses != nil && len(f.Clauses) == f.clauses {
+		return
+	}
+	f.Clauses = make([]Clause, 0, f.clauses)
+	f.Each(func(c Clause) { f.Clauses = append(f.Clauses, c) })
+}
+
+// Clone returns a deep copy of the formula, its view not built.
 func (f *Formula) Clone() *Formula {
 	out := &Formula{NumVars: f.NumVars, clauses: f.clauses, lits: f.lits}
 	all := make([]Lit, 0, f.clauses+f.lits)
@@ -182,36 +197,28 @@ func (f *Formula) Clone() *Formula {
 		all = append(all, c...)
 	}
 	out.chunks = [][]Lit{all}
-	out.view()
 	return out
 }
 
 // Eval evaluates the formula under a complete assignment.
 // assignment[v] gives the value of variable v; index 0 is unused.
 func (f *Formula) Eval(assignment []bool) bool {
-	for _, c := range f.Clauses {
-		sat := false
-		for _, l := range c {
-			v := assignment[l.Var()]
-			if v != l.Neg() {
-				sat = true
-				break
-			}
+	holds := true
+	f.Each(func(c Clause) {
+		if holds {
+			holds = slices.ContainsFunc(c, func(l Lit) bool { return assignment[l.Var()] != l.Neg() })
 		}
-		if !sat {
-			return false
-		}
-	}
-	return true
+	})
+	return holds
 }
 
 func (f *Formula) String() string {
 	var b strings.Builder
-	for i, c := range f.Clauses {
-		if i > 0 {
+	f.Each(func(c Clause) {
+		if b.Len() > 0 {
 			b.WriteString(" ∧ ")
 		}
 		b.WriteString(c.String())
-	}
+	})
 	return b.String()
 }

@@ -30,12 +30,35 @@ func TestLitEncoding(t *testing.T) {
 }
 
 func TestMkLitPanicsOnInvalidVar(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for variable 0")
+	for _, v := range []Var{0, -1, MaxVar + 1, 1 << 31, 1 << 40} {
+		if !panics(func() { MkLit(v, true) }) {
+			t.Fatalf("no panic for variable %d", v)
 		}
-	}()
-	MkLit(0, false)
+	}
+}
+
+func panics(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// The largest variable is one whose negative literal is the largest
+// Lit: a variable past it would wrap to another literal.
+func TestLitBounds(t *testing.T) {
+	if n := NegLit(MaxVar); n != 1<<31-1 || n.Var() != MaxVar || !n.Neg() || n.Not() != PosLit(MaxVar) {
+		t.Fatalf("¬x%d is %d", MaxVar, n)
+	}
+	if l := FromDimacs(-MaxVar); l.Dimacs() != -MaxVar {
+		t.Fatalf("-%d read back as %d", MaxVar, l.Dimacs())
+	}
+	f := &Formula{NumVars: MaxVar - 1}
+	if v := f.NewVar(); v != MaxVar {
+		t.Fatalf("NewVar gave %d, want %d", v, MaxVar)
+	}
+	if !panics(func() { f.NewVar() }) || f.NumVars != MaxVar {
+		t.Fatalf("NewVar past variable %d did not panic, or moved NumVars to %d", MaxVar, f.NumVars)
+	}
 }
 
 func TestLitIndexDense(t *testing.T) {
@@ -77,6 +100,8 @@ func TestDimacsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.BuildClauses()
+	g.BuildClauses()
 	if g.NumVars != f.NumVars || len(g.Clauses) != len(f.Clauses) {
 		t.Fatalf("round-trip mismatch: %d/%d vars, %d/%d clauses",
 			g.NumVars, f.NumVars, len(g.Clauses), len(f.Clauses))
@@ -114,7 +139,7 @@ func TestDimacsRoundTripRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(g.Clauses) != len(f.Clauses) {
+		if g.NumClauses() != f.NumClauses() {
 			t.Fatalf("iter %d: clause count mismatch", iter)
 		}
 	}
@@ -126,8 +151,8 @@ func TestDimacsComments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.NumVars != 3 || len(f.Clauses) != 2 {
-		t.Fatalf("got %d vars %d clauses", f.NumVars, len(f.Clauses))
+	if f.NumVars != 3 || f.NumClauses() != 2 {
+		t.Fatalf("got %d vars %d clauses", f.NumVars, f.NumClauses())
 	}
 }
 
@@ -138,6 +163,10 @@ func TestDimacsErrors(t *testing.T) {
 		"p cnf 3 1\n1 z 0\n",
 		"p cnf 3 5\n1 0\n", // wrong clause count
 		"p cnf 1 1\n5 0\n", // var beyond declared
+		"p cnf 1073741824 1\n1 0\n",
+		"1073741824 0\n",
+		"1 -1073741824 0\n",
+		"4294967298 0\n", // 2^32+2: wraps to variable 1 in 32 bits
 	}
 	for i, in := range cases {
 		if _, err := ReadDimacs(strings.NewReader(in)); err == nil {
@@ -152,6 +181,7 @@ func TestDimacsMissingFinalZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.BuildClauses()
 	if len(f.Clauses) != 1 || len(f.Clauses[0]) != 2 {
 		t.Fatal("final clause without terminator not parsed")
 	}
@@ -310,20 +340,25 @@ func bruteForceSat(f *Formula) bool {
 }
 
 // sameClauses requires f to hold exactly the clauses of want, in order,
-// with counts to match.
+// with counts to match, both as Each walks the store and in the view
+// BuildClauses makes.
 func sameClauses(t *testing.T, f *Formula, want [][]Lit) {
 	t.Helper()
 	lits := 0
 	for _, c := range want {
 		lits += len(c)
 	}
-	if len(f.Clauses) != len(want) || f.NumClauses() != len(want) || f.NumLits() != lits {
-		t.Fatalf("%d clauses in view, NumClauses %d, NumLits %d; want %d clauses of %d literals",
-			len(f.Clauses), f.NumClauses(), f.NumLits(), len(want), lits)
+	var walked []Clause
+	f.Each(func(c Clause) { walked = append(walked, c) })
+	f.BuildClauses()
+	if len(walked) != len(want) || len(f.Clauses) != len(want) || f.NumClauses() != len(want) || f.NumLits() != lits {
+		t.Fatalf("%d clauses walked, %d in view, NumClauses %d, NumLits %d; want %d clauses of %d literals",
+			len(walked), len(f.Clauses), f.NumClauses(), f.NumLits(), len(want), lits)
 	}
 	for i, c := range want {
-		if !reflect.DeepEqual([]Lit(f.Clauses[i]), append([]Lit{}, c...)) {
-			t.Fatalf("clause %d is %v, want %v", i, f.Clauses[i], c)
+		c = append([]Lit{}, c...)
+		if !reflect.DeepEqual([]Lit(walked[i]), c) || !reflect.DeepEqual([]Lit(f.Clauses[i]), c) {
+			t.Fatalf("clause %d walked %v, in view %v, want %v", i, walked[i], f.Clauses[i], c)
 		}
 	}
 }
@@ -372,6 +407,7 @@ func TestStoreMatchesReference(t *testing.T) {
 		f.AddClause(c...)
 		want = append(want, c)
 		if i%997 == 0 {
+			f.BuildClauses()
 			early = append(early, f.Clauses[i])
 		}
 	}
@@ -394,6 +430,7 @@ func TestStoreMatchesReference(t *testing.T) {
 	clone := f.Clone()
 	sameClauses(t, clone, want)
 	clone.AddClause(PosLit(60))
+	clone.BuildClauses()
 	clone.Clauses[0] = append(clone.Clauses[0], PosLit(61)) // must not reach a neighbour
 	if len(want[1]) > 0 {
 		clone.Clauses[1][0] = NegLit(62)
@@ -401,6 +438,34 @@ func TestStoreMatchesReference(t *testing.T) {
 	sameClauses(t, f, want)
 	if f.NumVars != 50 || clone.NumVars != 60 {
 		t.Fatalf("NumVars %d and %d, want 50 and 60", f.NumVars, clone.NumVars)
+	}
+}
+
+// The view is built on request, once: a formula built clause by clause
+// has none, BuildClauses makes it and a second call keeps it, and a
+// clause added after it leaves it to be built again.
+func TestClausesViewOnRequest(t *testing.T) {
+	f := New()
+	f.AddClause(PosLit(1), NegLit(2))
+	f.AddClause()
+	if f.Clauses != nil || f.Clone().Clauses != nil {
+		t.Fatal("a view was built unasked")
+	}
+	f.BuildClauses()
+	view := f.Clauses
+	f.BuildClauses()
+	if len(view) != 2 || &f.Clauses[0] != &view[0] {
+		t.Fatalf("a second BuildClauses made another view (%d clauses)", len(view))
+	}
+	f.AddClause(NegLit(3))
+	if len(f.Clauses) != 2 {
+		t.Fatal("AddClause extended the view")
+	}
+	sameClauses(t, f, [][]Lit{{PosLit(1), NegLit(2)}, {}, {NegLit(3)}})
+	e := New()
+	e.BuildClauses()
+	if e.Clauses == nil || len(e.Clauses) != 0 {
+		t.Fatal("the empty formula's view is not an empty view")
 	}
 }
 

@@ -11,20 +11,17 @@ import (
 // WriteDimacs serialises the formula in DIMACS CNF format.
 func WriteDimacs(w io.Writer, f *Formula) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, len(f.Clauses)); err != nil {
+	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", f.NumVars, f.NumClauses()); err != nil {
 		return err
 	}
 	var line []byte
-	for _, c := range f.Clauses {
+	f.Each(func(c Clause) {
 		line = line[:0]
 		for _, l := range c {
 			line = append(strconv.AppendInt(line, int64(l.Dimacs()), 10), ' ')
 		}
-		line = append(line, '0', '\n')
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-	}
+		_, _ = bw.Write(append(line, '0', '\n')) // an error sticks: Flush returns it
+	})
 	return bw.Flush()
 }
 
@@ -51,6 +48,9 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 			if err != nil {
 				return nil, fmt.Errorf("cnf: bad variable count: %v", err)
 			}
+			if declaredVars > MaxVar {
+				return nil, fmt.Errorf("cnf: header declares %d variables: they end at %d", declaredVars, MaxVar)
+			}
 			declaredClauses, err = strconv.Atoi(fields[3])
 			if err != nil {
 				return nil, fmt.Errorf("cnf: bad clause count: %v", err)
@@ -63,9 +63,12 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 				return nil, fmt.Errorf("cnf: bad literal %q: %v", tok, err)
 			}
 			if n == 0 {
-				f.push(cur...)
+				f.AddClause(cur...)
 				cur = cur[:0]
 				continue
+			}
+			if n < -MaxVar || n > MaxVar {
+				return nil, fmt.Errorf("cnf: literal %d: variables end at %d", n, MaxVar)
 			}
 			cur = append(cur, FromDimacs(n))
 		}
@@ -75,11 +78,10 @@ func ReadDimacs(r io.Reader) (*Formula, error) {
 	}
 	if len(cur) > 0 {
 		// Final clause without the trailing 0 terminator.
-		f.push(cur...)
+		f.AddClause(cur...)
 	}
-	f.view()
-	if declaredClauses >= 0 && len(f.Clauses) != declaredClauses {
-		return nil, fmt.Errorf("cnf: header declares %d clauses, found %d", declaredClauses, len(f.Clauses))
+	if declaredClauses >= 0 && f.NumClauses() != declaredClauses {
+		return nil, fmt.Errorf("cnf: header declares %d clauses, found %d", declaredClauses, f.NumClauses())
 	}
 	if declaredVars >= 0 && f.NumVars > declaredVars {
 		return nil, fmt.Errorf("cnf: header declares %d variables, found variable %d", declaredVars, f.NumVars)

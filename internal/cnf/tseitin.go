@@ -36,16 +36,15 @@ type gate struct {
 func NewBuilder() *Builder {
 	b := &Builder{f: New(), gates: make([]gate, 1, 64), index: make([]uint32, 64)}
 	b.trueLit = b.Fresh()
-	b.f.push(b.trueLit)
+	b.f.AddClause(b.trueLit)
 	return b
 }
 
-// Finish returns the formula, its Clauses built, and ends the building:
-// the formula is the caller's alone from here on, and the structural
-// hash is let go with it. What remains are the constants and Gate.
+// Finish returns the formula and ends the building: the formula is the
+// caller's alone from here on, and the structural hash is let go with
+// it. What remains are the constants and Gate.
 func (b *Builder) Finish() *Formula {
 	f := b.f
-	f.view()
 	b.f, b.index = nil, nil
 	return f
 }
@@ -137,9 +136,9 @@ func (b *Builder) And(x, y Lit) Lit {
 	g, fresh := b.gate(GateAnd, min(x, y), max(x, y))
 	if fresh {
 		// g ↔ x ∧ y
-		b.f.push(g.Not(), x)
-		b.f.push(g.Not(), y)
-		b.f.push(g, x.Not(), y.Not())
+		b.f.AddClause(g.Not(), x)
+		b.f.AddClause(g.Not(), y)
+		b.f.AddClause(g, x.Not(), y.Not())
 	}
 	return g
 }
@@ -182,10 +181,10 @@ func (b *Builder) Xor(x, y Lit) Lit {
 	g, fresh := b.gate(GateXor, min(x, y), max(x, y))
 	if fresh {
 		// g ↔ x ⊕ y
-		b.f.push(g.Not(), x, y)
-		b.f.push(g.Not(), x.Not(), y.Not())
-		b.f.push(g, x, y.Not())
-		b.f.push(g, x.Not(), y)
+		b.f.AddClause(g.Not(), x, y)
+		b.f.AddClause(g.Not(), x.Not(), y.Not())
+		b.f.AddClause(g, x, y.Not())
+		b.f.AddClause(g, x.Not(), y)
 	}
 	if flip {
 		return g.Not()
@@ -233,5 +232,5 @@ func (b *Builder) Assert(l Lit) {
 	if l == b.True() {
 		return
 	}
-	b.f.push(l)
+	b.f.AddClause(l)
 }

@@ -450,12 +450,11 @@ func prepare(p *prog.Program, opts Options) (*Prepared, error) {
 	if opts.Split.Depth > 0 || opts.From != 0 || opts.To != 0 {
 		pr.popts.SplitLits = pr.splitLits
 	}
-	f := enc.Formula()
-	pr.vars, pr.clauses, pr.digest = f.NumVars, f.NumClauses(), formulaDigest(f)
 	// Only the template holds the formula from here on, and only until
 	// its solver and the run's checker have loaded it.
+	f := enc.TakeFormula()
+	pr.vars, pr.clauses, pr.digest = f.NumVars, f.NumClauses(), formulaDigest(f)
 	pr.template = parallel.Prepare(f, pr.reencode, pr.parts, pr.popts)
-	enc.DropFormula()
 	return pr, nil
 }
 
@@ -471,7 +470,7 @@ func (pr *Prepared) reencode() (*cnf.Formula, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: encoding the run again: %w", err)
 	}
-	f := again.Formula()
+	f := again.TakeFormula()
 	if formulaDigest(f) != pr.digest {
 		return nil, fmt.Errorf("core: the encoding made again (%d variables, %d clauses) is not the run's (%d, %d)",
 			f.NumVars, f.NumClauses(), pr.vars, pr.clauses)
@@ -490,12 +489,12 @@ func (pr *Prepared) reencode() (*cnf.Formula, error) {
 func formulaDigest(f *cnf.Formula) uint64 {
 	const prime = 0x100000001b3
 	h := (0xcbf29ce484222325 ^ uint64(f.NumVars)) * prime
-	for _, c := range f.Clauses {
+	f.Each(func(c cnf.Clause) {
 		h = (h ^ uint64(len(c))) * prime
 		for _, l := range c {
 			h = (h ^ uint64(l)) * prime
 		}
-	}
+	})
 	return h
 }
 
@@ -648,7 +647,8 @@ func EncodeProgram(p *prog.Program, opts Options) (*vc.Encoded, *flatten.Program
 		encSpan.End(obs.KV("error", err.Error()))
 		return nil, nil, timing, err
 	}
-	encSpan.End(obs.KV("vars", enc.Formula().NumVars), obs.KV("clauses", enc.Formula().NumClauses()))
+	vars, clauses := enc.Size()
+	encSpan.End(obs.KV("vars", vars), obs.KV("clauses", clauses))
 	return enc, fp, timing, nil
 }
 

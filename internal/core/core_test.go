@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -359,5 +360,60 @@ func TestPrepareLetsTheFormulaGo(t *testing.T) {
 		if f, err := pr.template.Formula(); err != nil || f.NumVars != res.Vars || f.NumClauses() != res.Clauses {
 			t.Fatalf("%+v: the formula again: %v", tc.opts, err)
 		}
+	}
+}
+
+// A one-partition Verify of ss.u8.c3, the shape of the benchmark's
+// quick jobs, never builds the formula's Clauses view: every reader in
+// the pipeline walks the store. Seen in an allocation profile that
+// samples every allocation: Verify makes none in cnf's BuildClauses,
+// where asking the same encoding for its view (the control) does.
+func TestVerifyBuildsNoClauseView(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	viewBytes := func() int64 {
+		for range 3 { // the profile is up to two cycles old
+			runtime.GC()
+		}
+		n, _ := runtime.MemProfile(nil, true)
+		recs := make([]runtime.MemProfileRecord, n+64)
+		n, ok := runtime.MemProfile(recs, true)
+		if !ok {
+			t.Fatal("the allocation profile outgrew its buffer")
+		}
+		var sum int64
+		for _, r := range recs[:n] {
+			frames := runtime.CallersFrames(r.Stack())
+			for more := true; more; {
+				var fr runtime.Frame
+				fr, more = frames.Next()
+				if strings.HasSuffix(fr.Function, "cnf.(*Formula).BuildClauses") {
+					sum += r.AllocBytes
+					break
+				}
+			}
+		}
+		return sum
+	}
+	opts := Options{Unwind: 8, Contexts: 3, Cores: 1, Partitions: 1}
+	before := viewBytes()
+	res, err := Verify(context.Background(), bench.Safestack(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Clauses != 79331 || len(res.Instances) != 1 {
+		t.Fatalf("%d clauses in %d partitions, want ss.u8.c3's 79331 in one", res.Clauses, len(res.Instances))
+	}
+	if got := viewBytes() - before; got != 0 {
+		t.Fatalf("Verify built a Clauses view: %d bytes", got)
+	}
+	enc, _, _, err := EncodeProgram(bench.Safestack(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before = viewBytes()
+	f := enc.Formula()
+	if got := viewBytes() - before; got < 24*int64(f.NumClauses()) {
+		t.Fatalf("the profile saw %d bytes of view for %d clauses", got, f.NumClauses())
 	}
 }

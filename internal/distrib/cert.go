@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -430,17 +431,15 @@ func (v *certVerifier) verifyUnsafe(cube partition.Cube, winner int, cert *Certi
 	if err != nil {
 		return fmt.Errorf("%w: %v", errRederive, err)
 	}
-	for i, c := range f.Clauses {
-		satisfied := false
-		for _, l := range c {
-			if litHolds(l, model) {
-				satisfied = true
-				break
-			}
+	falsified, i := -1, 0
+	f.Each(func(c cnf.Clause) {
+		if falsified < 0 && !slices.ContainsFunc(c, func(l cnf.Lit) bool { return litHolds(l, model) }) {
+			falsified = i
 		}
-		if !satisfied {
-			return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", i)
-		}
+		i++
+	})
+	if falsified >= 0 {
+		return fmt.Errorf("claimed model falsifies clause %d of the coordinator's encoding", falsified)
 	}
 	assumps, err := v.assumptions(partition.Cube{From: winner, To: winner, Path: cube.Path})
 	if err != nil {

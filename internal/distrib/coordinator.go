@@ -805,7 +805,7 @@ func (co *coordinator) retry(a *partition.Assignment, reason string, charge bool
 		return
 	}
 	co.tally.add(func(r *CoordinatorResult) { r.Reassigned++ })
-	co.sched.Requeue(a.Cube)
+	co.sched.Requeue(a)
 }
 
 // noteSplit accounts for the split that made a's cube, which a's worker

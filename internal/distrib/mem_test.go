@@ -208,6 +208,54 @@ func TestWatchdogTripRequeuedUnderMemBudget(t *testing.T) {
 	}
 }
 
+// A worker whose watchdog trips on every job does not take back the cube
+// it just handed back while another worker waits for work: the waiting
+// one decides it. The tripping worker holds the run's one cube first, so
+// the roomy one is parked in Acquire by the trip, or by the next one if
+// it was still connecting; the squeezed worker is charged at most those
+// two attempts of the twenty.
+func TestTrippedCubeGoesToTheWaitingWorker(t *testing.T) {
+	p := prog.MustParse(fibSrc)
+	addr, resCh := startCoordinator(t, p, fastFailureOpts(CoordinatorOptions{
+		Unwind: 1, Contexts: 3, Partitions: 1, ChunkSize: 1, MaxAttempts: 20,
+	}))
+	squeezed := SlowAt(time.Minute) // every job, past the watchdog's first sample
+	holds := awaitFire(t, squeezed)
+	sink := obs.NewCollectorSink()
+	gone := make(chan error, 1)
+	go func() {
+		_, err := Work(context.Background(), addr, WorkerOptions{Name: "squeezed", MemLimitBytes: 1 << 10, Faults: squeezed, Tracer: obs.NewTracer(sink)})
+		gone <- err
+	}()
+	holds()
+	roomy := make(chan error, 1)
+	go func() {
+		_, err := Work(context.Background(), addr, WorkerOptions{Name: "roomy"})
+		roomy <- err
+	}()
+	res := waitResult(t, resCh)
+	for name, done := range map[string]chan error{"roomy": roomy, "squeezed": gone} {
+		if err := <-done; err != nil {
+			t.Errorf("%s worker: %v", name, err)
+		}
+	}
+	if res.Verdict != core.Safe || res.ChunksDecided != 1 || len(res.Quarantined) != 0 {
+		t.Fatalf("verdict %v, %d chunks decided, quarantined %+v; want SAFE, 1, none", res.Verdict, res.ChunksDecided, res.Quarantined)
+	}
+	if w := findWorker(res, "roomy"); w == nil || w.Jobs != 1 {
+		t.Fatalf("roomy worker %+v, want it to have decided the cube", w)
+	}
+	trips := 0
+	for _, e := range sink.Events() {
+		if e.Name == "worker_job" && e.Attrs["mem_trip"] != nil {
+			trips++
+		}
+	}
+	if trips < 1 || trips > 2 || res.Reassigned != trips {
+		t.Fatalf("%d watchdog trips, %d reassignments: want one or two, one each", trips, res.Reassigned)
+	}
+}
+
 // With a configured memory budget the same wire result is a
 // deterministic give-up: terminal, journaled with MemBudgetMB pinned,
 // replayed on a same-budget resume, and re-queued (then decided) when a

@@ -191,9 +191,10 @@ func Table34(ctx context.Context, w io.Writer, cfg Config, style portfolio.Style
 		if err != nil {
 			return nil, err
 		}
+		f := enc.TakeFormula()
 		row := Table34Row{Cell: cell, Times: map[int]time.Duration{}, Ratio: map[int]float64{}}
 		for _, cores := range cfg.Cores {
-			res, err := portfolio.Simulate(ctx, enc.Formula(), portfolio.Options{Cores: cores, Style: style})
+			res, err := portfolio.Simulate(ctx, f, portfolio.Options{Cores: cores, Style: style})
 			if err != nil {
 				return nil, err
 			}
@@ -242,9 +243,10 @@ func Fig6(ctx context.Context, w io.Writer, dotDir string) (*Fig6Stats, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Fig6Stats{Partitions: 16, Vars: enc.Formula().NumVars, Clauses: enc.Formula().NumClauses()}
+	f := enc.TakeFormula()
+	out := &Fig6Stats{Partitions: 16, Vars: f.NumVars, Clauses: f.NumClauses()}
 
-	whole := sat.NewFromFormula(enc.Formula(), sat.Options{})
+	whole := sat.NewFromFormula(f, sat.Options{})
 	wholeGraph := whole.EnableGraph(0)
 	st, err := whole.Solve()
 	if err != nil {
@@ -264,7 +266,7 @@ func Fig6(ctx context.Context, w io.Writer, dotDir string) (*Fig6Stats, error) {
 	var bestGraph *sat.DecisionGraph
 	bestTime := time.Duration(-1)
 	for _, pt := range parts {
-		s := sat.NewFromFormula(enc.Formula(), sat.Options{})
+		s := sat.NewFromFormula(f, sat.Options{})
 		g := s.EnableGraph(0)
 		t0 := time.Now()
 		st, err := s.Solve(pt.Assumptions...)
@@ -420,13 +422,14 @@ func AblationPartitions(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	f := enc.TakeFormula()
 	fmt.Fprintln(w, "Ablation: static vs dynamic partition assignment (eliminationstack, u=2, c=5, 4 cores)")
 	for _, nparts := range []int{4, 8, 16} {
 		parts, err := partition.Make(enc, nparts)
 		if err != nil {
 			return err
 		}
-		res, err := parallel.Simulate(ctx, enc.Formula(), parts, parallel.Options{Workers: 4})
+		res, err := parallel.Simulate(ctx, f, parts, parallel.Options{Workers: 4})
 		if err != nil {
 			return err
 		}
@@ -455,11 +458,12 @@ func AblationFreeze(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	whole := enc.TakeFormula()
 	fmt.Fprintln(w, "Ablation: assumption handling (safestack, u=2, c=6, 8 partitions, sequential)")
 	// Frozen-assumption interface.
 	start := time.Now()
 	for _, pt := range parts {
-		s := sat.NewFromFormula(enc.Formula(), sat.Options{})
+		s := sat.NewFromFormula(whole, sat.Options{})
 		if _, err := s.Solve(pt.Assumptions...); err != nil {
 			return err
 		}
@@ -468,7 +472,7 @@ func AblationFreeze(ctx context.Context, w io.Writer) error {
 	// Conjoined-clause variant.
 	start = time.Now()
 	for _, pt := range parts {
-		f := enc.Formula().Clone()
+		f := whole.Clone()
 		for _, a := range pt.Assumptions {
 			f.AddUnit(a)
 		}
@@ -495,7 +499,7 @@ func AblationPreprocess(ctx context.Context, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	f := enc.Formula()
+	f := enc.TakeFormula()
 	fmt.Fprintln(w, "Ablation: simplifier up front vs inside the solver (eliminationstack, u=2, c=5, sequential)")
 
 	start := time.Now()

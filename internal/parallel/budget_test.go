@@ -355,9 +355,7 @@ func TestRederiveUnbudgeted(t *testing.T) {
 	php := pigeonhole(7)
 	guard := cnf.PosLit(cnf.Var(php.NumVars + 1))
 	f := cnf.New()
-	for _, c := range php.Clauses {
-		f.AddClause(append(append([]cnf.Lit{}, c...), guard)...)
-	}
+	php.Each(func(c cnf.Clause) { f.AddClause(append(c, guard)...) })
 	parts := []partition.Partition{{Index: 0}}
 	tight := Options{Workers: 1, Budget: journal.Budget{Conflicts: 1}}
 	if res, err := Solve(context.Background(), f, parts, tight); err != nil || res.Status != sat.Unknown {

@@ -143,7 +143,7 @@ func Restored(data []byte, partitions int, opts Options) (*Template, error) {
 // the log out to hand as it grows, if hand is not nil. The budget's
 // conflict and memory bounds are the solver's own, and every clone's; its
 // wall-clock bound is runCube's timer.
-func loadTemplate(f *cnf.Formula, opts *Options, hand func(sat.Proof)) *sat.Solver {
+func loadTemplate(f *cnf.Formula, opts *Options, hand func(sat.Proof) sat.FlatLog) *sat.Solver {
 	s := sat.New(f.NumVars, opts.solverOptions())
 	switch {
 	case hand != nil:
@@ -217,7 +217,7 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 	// takes each stretch of the load and the pass while the solver logs
 	// the next.
 	var sink *passSink
-	var hand func(sat.Proof)
+	var hand func(sat.Proof) sat.FlatLog
 	if t.checker == nil && t.opts.CertifyUnsat {
 		sink = startPassSink(f, t.opts.KeepProofs)
 		defer sink.wait(true, nil) // a panic too ends it
@@ -285,11 +285,16 @@ func (t *Template) get(queued int, watch func(*sat.Solver) (done func())) (s *sa
 // checker from the formula while the solver loads, then extends it by
 // each stretch (Extend) while the solver logs the next, and keeps the
 // stretches, appended, when the run keeps proofs (only a kept proof is
-// ever joined to them: Prefix). The channel is bounded, so the stream
-// holds at most about a MiB however long the log, and the checker is a
-// stretch or two — a millisecond or two — behind the pass when it ends.
+// ever joined to them: Prefix). Both copy, so a stretch's buffer goes
+// back to the solver (free) once it is extended and kept. The channel is
+// bounded, so a build holds at most sinkDepth+2 stretch buffers, about
+// 1.4 MiB, however long the log — a new one is made only when none is
+// free, every other one then queued or being checked — and the checker
+// is a stretch or two — a millisecond or two — behind the pass when it
+// ends.
 type passSink struct {
 	stretches chan sat.Proof
+	free      chan sat.FlatLog
 	// abort: the build was cut short; nobody will read the checker. done
 	// closes when the goroutine has taken every stretch.
 	abort  atomic.Bool
@@ -312,14 +317,17 @@ const sinkDepth = 16
 // startPassSink starts the goroutine for a build over f; keep, it keeps
 // the log.
 func startPassSink(f *cnf.Formula, keep bool) *passSink {
-	p := &passSink{stretches: make(chan sat.Proof, sinkDepth), done: make(chan struct{}), keep: keep, kept: &sat.FlatLog{}}
+	p := &passSink{
+		stretches: make(chan sat.Proof, sinkDepth), free: make(chan sat.FlatLog, sinkDepth+2),
+		done: make(chan struct{}), keep: keep, kept: &sat.FlatLog{},
+	}
 	go p.check(f)
 	return p
 }
 
 // check loads the checker, extends it by each stretch and, under keep,
-// appends the stretch to the kept log. A build cut short still keeps the
-// log, as the solver would have.
+// appends the stretch to the kept log, then hands its buffer back. A
+// build cut short still keeps the log, as the solver would have.
 func (p *passSink) check(f *cnf.Formula) {
 	defer close(p.done)
 	p.checker = sat.NewProofChecker(f)
@@ -330,14 +338,27 @@ func (p *passSink) check(f *cnf.Formula) {
 		if p.keep {
 			*p.kept = append(*p.kept, b...)
 		}
+		select {
+		case p.free <- sat.FlatLog(b):
+		default:
+		}
 	}
 	if !p.abort.Load() {
 		p.derr = p.checker.ExtendDone()
 	}
 }
 
-// take is the solver's StreamProof callback.
-func (p *passSink) take(b sat.Proof) { p.stretches <- b }
+// take is the solver's StreamProof callback: it queues b and gives back
+// a buffer the goroutine is done with, if there is one.
+func (p *passSink) take(b sat.Proof) sat.FlatLog {
+	p.stretches <- b
+	select {
+	case free := <-p.free:
+		return free
+	default:
+		return nil
+	}
+}
 
 // wait hands rest, the log the solver has not handed out, over and waits
 // for the goroutine to have taken it all; abort: the build was cut short,

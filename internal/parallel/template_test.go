@@ -924,9 +924,7 @@ func TestOneCubeProofContinuesTheLoad(t *testing.T) {
 	f := cnf.New()
 	f.AddClause(cnf.NegLit(1))
 	f.AddClause(cnf.PosLit(1), cnf.PosLit(40))
-	for _, c := range pigeonhole(5).Clauses {
-		f.AddClause(c...)
-	}
+	pigeonhole(5).Each(func(c cnf.Clause) { f.AddClause(c...) })
 	load := sat.New(f.NumVars, sat.Options{})
 	load.EnableProof()
 	load.AddFormula(f)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -17,7 +18,9 @@ import (
 // Acquire, run the cube, and Claim + Commit or Release", and executors
 // differ only in how a cube is run and how a running one is cancelled.
 //
-// An idle executor is served in a fixed priority. (1) A queued cube.
+// An idle executor is served in a fixed priority. (1) A queued cube —
+// but not one it handed back itself (Requeue) while an executor under
+// another name is waiting for work: that one takes it.
 // (2) With Depth > 0, a split victim: the *hardest* in-flight cube by
 // its latest Note (the longer-running one on a tie) that was dispatched
 // at least Grace ago — every age here is measured from dispatch, the
@@ -57,6 +60,10 @@ type Scheduler struct {
 	lastJob  int
 	sum      Summary // the fold; Live and the seal are filled in by Summary()
 	err      error   // first journal failure other than a seal: fails the run
+
+	returned  map[Cube]string // queued cubes Requeue put back, by who gave them up
+	waiting   int             // executors parked in Acquire
+	waitingAs map[string]int  // of those, by name
 }
 
 // SplitPolicy is the "split a cube whose solver outlives its grace"
@@ -133,9 +140,11 @@ func NewScheduler(opts SchedOptions) *Scheduler {
 		opts.Now = time.Now
 	}
 	s := &Scheduler{
-		opts:     opts,
-		inflight: make(map[int]*Assignment),
-		fenced:   make(map[Cube]bool),
+		opts:      opts,
+		returned:  make(map[Cube]string),
+		waitingAs: make(map[string]int),
+		inflight:  make(map[int]*Assignment),
+		fenced:    make(map[Cube]bool),
 	}
 	s.sum.Winner = -1
 	s.wake = sync.NewCond(&s.mu)
@@ -168,7 +177,13 @@ func (s *Scheduler) Acquire(worker string, cancel func(*Assignment)) *Assignment
 					s.mu.Unlock()
 				})
 			}
+			s.waiting++
+			s.waitingAs[worker]++
 			s.wake.Wait()
+			s.waiting--
+			if s.waitingAs[worker]--; s.waitingAs[worker] == 0 {
+				delete(s.waitingAs, worker)
+			}
 			if timer != nil {
 				timer.Stop()
 			}
@@ -189,9 +204,21 @@ func (s *Scheduler) Acquire(worker string, cancel func(*Assignment)) *Assignment
 // next in-flight cube outgrows its grace (0: none is waiting on the
 // clock).
 func (s *Scheduler) next(worker string, cancel func(*Assignment)) (a, victim *Assignment, graceIn time.Duration) {
-	if len(s.queue) > 0 {
-		c := s.queue[0]
-		s.queue = s.queue[1:]
+	for i, c := range s.queue {
+		// Two connections may share a name (a worker that redialled while
+		// its old connection still waits): only a waiter under another
+		// name takes precedence, or the two would pass the cube between
+		// them and park.
+		if by, ok := s.returned[c]; ok && by == worker && s.waiting > s.waitingAs[worker] {
+			continue
+		}
+		s.queue = slices.Delete(s.queue, i, i+1)
+		delete(s.returned, c)
+		if len(s.returned) > 0 {
+			// A parked executor may have passed a cube over for the one
+			// that took this: with one waiter fewer, it looks again.
+			s.wake.Broadcast()
+		}
 		return s.register(c, worker, cancel, false), nil, 0
 	}
 	now := s.opts.Now()
@@ -358,10 +385,14 @@ func (s *Scheduler) Release(a *Assignment) bool {
 	return true
 }
 
-// Requeue puts a released cube back on the queue.
-func (s *Scheduler) Requeue(c Cube) {
+// Requeue puts a released assignment's cube back on the queue, for
+// another executor first: while one under another name is waiting in
+// Acquire, a's own executor does not take it back (a machine that could not finish it —
+// its watchdog tripped — would likely fail it again).
+func (s *Scheduler) Requeue(a *Assignment) {
 	s.mu.Lock()
-	s.queue = append(s.queue, c)
+	s.queue = append(s.queue, a.Cube)
+	s.returned[a.Cube] = a.Worker
 	s.wake.Broadcast()
 	s.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -83,6 +84,41 @@ func (h *schedHarness) acquireAsync(worker string) <-chan *Assignment {
 	out := make(chan *Assignment, 1)
 	go func() { out <- h.s.Acquire(worker, h.cancel) }()
 	return out
+}
+
+// parked waits until n executors are parked in Acquire.
+func (h *schedHarness) parked(n int) {
+	h.t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		h.s.mu.Lock()
+		waiting := h.s.waiting
+		h.s.mu.Unlock()
+		if waiting == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			h.t.Fatalf("%d executors parked in Acquire, want %d", waiting, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// requeueUnheard puts a's cube back as Requeue does but wakes nobody:
+// what an executor finds when it looks for work before a parked one has
+// woken to Requeue's broadcast.
+func (h *schedHarness) requeueUnheard(a *Assignment) {
+	h.s.mu.Lock()
+	h.s.queue = append(h.s.queue, a.Cube)
+	h.s.returned[a.Cube] = a.Worker
+	h.s.mu.Unlock()
+}
+
+// wakeAll delivers the broadcast requeueUnheard held back.
+func (h *schedHarness) wakeAll() {
+	h.s.mu.Lock()
+	h.s.wake.Broadcast()
+	h.s.mu.Unlock()
 }
 
 func (h *schedHarness) await(ch <-chan *Assignment) *Assignment {
@@ -332,9 +368,78 @@ func TestSchedulerStateMachine(t *testing.T) {
 			if !h.s.Release(twin) {
 				t.Fatal("the last copy failed but the cube was not handed back")
 			}
-			h.s.Requeue(twin.Cube)
+			h.s.Requeue(twin)
 			if a, _, _ := h.idle("w3"); a == nil || a.Cube != orig.Cube || a.Hedge {
 				t.Fatalf("requeued cube not dispatched: %+v", a)
+			}
+		}},
+		{"a requeued cube goes to a waiting executor first", SchedOptions{}, func(t *testing.T, h *schedHarness) {
+			a := h.dispatch(rng(0, 0), "w1")
+			waiting := h.acquireAsync("w2")
+			h.parked(1)
+			if !h.s.Release(a) {
+				t.Fatal("a failed sole copy must be handed back")
+			}
+			h.s.Requeue(a)
+			if got, _, _ := h.idle("w1"); got != nil {
+				t.Fatalf("w1 took back the cube it gave up while w2 waits: %+v", got)
+			}
+			b := h.await(waiting)
+			if b == nil || b.Cube != a.Cube || b.Worker != "w2" {
+				t.Fatalf("the waiting executor got %+v", b)
+			}
+			// With nobody waiting, whoever gave a cube up takes it back.
+			if !h.s.Release(b) {
+				t.Fatal("a failed sole copy must be handed back")
+			}
+			h.s.Requeue(b)
+			if c, _, _ := h.idle("w2"); c == nil || c.Cube != a.Cube {
+				t.Fatalf("requeued cube not dispatched to its only executor: %+v", c)
+			}
+		}},
+		{"a requeued cube is not passed between two executors of one name", SchedOptions{}, func(t *testing.T, h *schedHarness) {
+			// A worker that redialled under its name while its old
+			// connection still waits in Acquire.
+			a := h.dispatch(rng(0, 0), "w1")
+			old := h.acquireAsync("w1")
+			h.parked(1)
+			if !h.s.Release(a) {
+				t.Fatal("a failed sole copy must be handed back")
+			}
+			h.requeueUnheard(a)
+			got, _, _ := h.idle("w1")
+			if got == nil || got.Cube != a.Cube {
+				t.Fatalf("the only waiter has the same name, but the cube was passed over: %+v", got)
+			}
+			if !h.s.Claim(got) {
+				t.Fatal("claim rejected")
+			}
+			if b := h.await(old); b != nil {
+				t.Fatalf("Acquire returned %+v after the last leaf was decided", b)
+			}
+		}},
+		{"a cube passed over is taken once the other waiter is served", SchedOptions{}, func(t *testing.T, h *schedHarness) {
+			a := h.dispatch(rng(0, 0), "w1")
+			b := h.dispatch(rng(1, 1), "w1")
+			w2 := h.acquireAsync("w2")
+			h.parked(1)
+			for _, x := range []*Assignment{a, b} {
+				if !h.s.Release(x) {
+					t.Fatal("a failed sole copy must be handed back")
+				}
+				h.requeueUnheard(x)
+			}
+			if got, _, _ := h.idle("w1"); got != nil {
+				t.Fatalf("w1 took back a cube it gave up while w2 waits: %+v", got)
+			}
+			w1 := h.acquireAsync("w1")
+			h.parked(2)
+			h.wakeAll()
+			// w2 takes one cube; w1, parked again if it woke first, must
+			// then take the other.
+			got2, got1 := h.await(w2), h.await(w1)
+			if got2 == nil || got1 == nil || got2.Worker != "w2" || got1.Worker != "w1" || got1.Cube == got2.Cube {
+				t.Fatalf("w2 got %+v, w1 got %+v", got2, got1)
 			}
 		}},
 		{"acquire returns when the last leaf is decided or abandoned", SchedOptions{}, func(t *testing.T, h *schedHarness) {

@@ -17,7 +17,7 @@ func BenchmarkLoadFormula(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s = NewFromFormula(f, Options{})
 	}
-	b.ReportMetric(float64(len(f.Clauses))*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
+	b.ReportMetric(float64(f.NumClauses())*float64(b.N)/b.Elapsed().Seconds(), "clauses/s")
 	if s.NumVars() != f.NumVars {
 		b.Fatalf("loaded %d variables, want %d", s.NumVars(), f.NumVars)
 	}

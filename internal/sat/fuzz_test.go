@@ -62,12 +62,12 @@ func encodeFuzzInput(flags byte, assumptions []cnf.Lit, f *cnf.Formula) []byte {
 	for _, a := range assumptions {
 		data = append(data, byte(a))
 	}
-	for _, c := range f.Clauses {
+	f.Each(func(c cnf.Clause) {
 		for _, l := range c {
 			data = append(data, byte(l))
 		}
 		data = append(data, 0)
-	}
+	})
 	return data
 }
 
@@ -430,7 +430,7 @@ func checkFuzzProof(t *testing.T, reused *ProofChecker, f *cnf.Formula, assumpti
 		chained *draft
 	}{
 		{"as it came", p}, {"under scrambled chains", scrambledChains(p, noise)},
-		{"under hostile chains", hostileChains(p, len(f.Clauses))}, {"without chains", &draft{Lemmas: p.Lemmas, Deletes: p.Deletes}},
+		{"under hostile chains", hostileChains(p, f.NumClauses())}, {"without chains", &draft{Lemmas: p.Lemmas, Deletes: p.Deletes}},
 	} {
 		name, chained := v.name, v.chained
 		flat := chained.flat()
@@ -612,6 +612,7 @@ func FuzzCheckRUP(f *testing.F) {
 		}
 		f.Add(withFuzzProof(seed, twice))
 		robbed := &draft{Lemmas: p.Lemmas, Chains: p.Chains, Deletes: slices.Clone(p.Deletes)}
+		formula.BuildClauses()
 		for id, c := range formula.Clauses[:min(4, len(formula.Clauses))] {
 			robbed.Deletes = slices.Insert(robbed.Deletes, 0, deletion{ID: uint32(id), Clause: c})
 		}

@@ -166,7 +166,7 @@ func TestGoldenCounters(t *testing.T) {
 				}
 				if got != tc.want {
 					t.Errorf("%s (%d vars, %d clauses, clone: %v): counters %+v, want %+v",
-						st, f.NumVars, len(f.Clauses), s != loaded, got, tc.want)
+						st, f.NumVars, f.NumClauses(), s != loaded, got, tc.want)
 				}
 			}
 		})

@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // varHeap is a max-heap of variables ordered by VSIDS activity, with an
 // index map for decrease/increase-key updates (MiniSat's order heap).
 // Variables are their indices into the solver's per-variable tables, in
@@ -14,12 +16,16 @@ func (h *varHeap) inHeap(i int32) bool {
 	return int(i) < len(h.pos) && h.pos[i] >= 0
 }
 
-// push registers a brand-new variable and inserts it.
-func (h *varHeap) push(i int32, act []float64) {
-	for len(h.pos) <= int(i) {
-		h.pos = append(h.pos, -1)
+// grow registers the brand-new variables up to n and inserts them,
+// sizing both arrays once.
+func (h *varHeap) grow(n int, act []float64) {
+	from := len(h.pos)
+	h.pos = append(h.pos, make([]int32, n-from)...)
+	h.heap = slices.Grow(h.heap, n-from)
+	for i := from; i < n; i++ {
+		h.pos[i] = -1
+		h.insert(int32(i), act)
 	}
-	h.insert(i, act)
 }
 
 // insert adds variable i to the heap if absent.

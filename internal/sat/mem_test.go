@@ -1,6 +1,10 @@
 package sat
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cnf"
+)
 
 // liveBytesByHand recomputes the footprint from the solver's
 // structures: every arena word, every watcher actually on a watch
@@ -47,7 +51,7 @@ func TestMemAccountingIsExact(t *testing.T) {
 	if len(s.arena) != wantWords {
 		t.Fatalf("arena holds %d words after load, want %d", len(s.arena), wantWords)
 	}
-	if want := int64(f.NumVars)*varBytes + 4*int64(wantWords) + 16*int64(len(f.Clauses)); base != want {
+	if want := int64(f.NumVars)*varBytes + 4*int64(wantWords) + 16*int64(f.NumClauses()); base != want {
 		t.Fatalf("base footprint %d, want %d", base, want)
 	}
 	st, err := s.Solve()
@@ -134,6 +138,44 @@ func TestMemBudgetHardStop(t *testing.T) {
 	}
 	if st != Unknown {
 		t.Fatalf("status %v, want Unknown", st)
+	}
+}
+
+// A variable past cnf.MaxVar has no 32-bit literal: growTo refuses it
+// before it sizes anything for it.
+func TestGrowToStopsAtTheLiteralBound(t *testing.T) {
+	s := New(3, Options{})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("growTo(%d) did not panic", cnf.MaxVar+1)
+			}
+		}()
+		s.growTo(cnf.MaxVar + 1)
+	}()
+	if s.NumVars() != 3 || len(s.activity) != 3 || len(s.order.pos) != 3 {
+		t.Fatalf("%d variables, %d activities, %d heap slots after the refusal", s.NumVars(), len(s.activity), len(s.order.pos))
+	}
+}
+
+// A solver's variables are sized once, the decision heap's included:
+// New makes as many allocations for a hundred thousand variables as for
+// a thousand, and every variable is in the heap.
+func TestNewSizesVariablesOnce(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(3, func() { New(n, Options{}) })
+	}
+	if small, large := allocs(1000), allocs(100000); small != large {
+		t.Fatalf("%.0f allocations for 1000 variables, %.0f for 100000", small, large)
+	}
+	s := New(5000, Options{})
+	if len(s.order.heap) != 5000 || len(s.order.pos) != 5000 {
+		t.Fatalf("%d variables in the heap, %d slots, want 5000", len(s.order.heap), len(s.order.pos))
+	}
+	for i, v := range s.order.heap {
+		if s.order.pos[v] != int32(i) {
+			t.Fatalf("variable %d at heap slot %d, its pos says %d", v, i, s.order.pos[v])
+		}
 	}
 }
 

@@ -68,12 +68,15 @@ func (s *Solver) EnableProof() {
 // StreamProof turns on proof recording like EnableProof, but hands the
 // log out as it grows: whenever a step ends with proofStretch bytes or
 // more logged, hand takes them — whole steps, a Proof that Steps reads on
-// its own — and the solver logs on into a new buffer, never to write to
-// those bytes again. The stretches handed out, appended, and then
-// ProofLog are the log EnableProof would have kept, to the byte. For a
-// solver whose log is megabytes that its holder wants checked beside it
-// (a template's). Its clones keep their own logs as any clone does.
-func (s *Solver) StreamProof(hand func(Proof)) {
+// its own — and the buffer they are in, its spare capacity too. hand
+// returns a buffer it was handed before and is done with, or nil, and
+// the solver logs on into that one, or into a new one if nil: it never
+// writes to a buffer it handed out until hand gives it back. The
+// stretches handed out, appended, and then ProofLog are the log
+// EnableProof would have kept, to the byte. For a solver whose log is
+// megabytes that its holder wants checked beside it (a template's). Its
+// clones keep their own logs as any clone does.
+func (s *Solver) StreamProof(hand func(Proof) FlatLog) {
 	s.KeepProof(&FlatLog{})
 	s.hand = hand
 }
@@ -125,8 +128,11 @@ func (s *Solver) logDelete(lits []lit, id uint32) {
 // handOver hands the log out once it holds a stretch (StreamProof).
 func (s *Solver) handOver() {
 	if s.hand != nil && len(*s.proof) >= proofStretch {
-		s.hand(Proof(slices.Clip(*s.proof)))
-		*s.proof = make(FlatLog, 0, proofStretch+proofStretch/4)
+		free := s.hand(Proof(*s.proof))
+		if free == nil {
+			free = make(FlatLog, 0, proofStretch+proofStretch/4)
+		}
+		*s.proof = free[:0]
 	}
 }
 
@@ -272,7 +278,10 @@ func NewProofChecker(f *cnf.Formula) *ProofChecker {
 	c.growTo(f.NumVars)
 	c.arena = make([]uint32, 1, 1+f.NumClauses()+f.NumLits()) // word 0 is never a clause: no ref is 0
 	c.byID = make([]cref, 0, f.NumClauses())
-	for _, cl := range f.Clauses {
+	f.Each(func(cl cnf.Clause) {
+		if c.refuted {
+			return // the empty clause came first: nothing after it counts
+		}
 		for _, l := range cl {
 			if l < 2 || int(l.Var()) > f.NumVars {
 				panic(fmt.Sprintf("sat: invalid literal %d in the formula", int(l)))
@@ -281,11 +290,13 @@ func NewProofChecker(f *cnf.Formula) *ProofChecker {
 		ref := c.add(sortedLits(c.addBuf, cl))
 		if ref == crefUndef {
 			c.refuted = true
-			return c
+			return
 		}
 		c.byID = append(c.byID, ref)
+	})
+	if !c.refuted {
+		c.rebaseMarks()
 	}
-	c.rebaseMarks()
 	return c
 }
 

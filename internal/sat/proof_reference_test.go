@@ -98,11 +98,13 @@ func newRUPEngine(f *cnf.Formula, assumptions []cnf.Lit) *rupEngine {
 		byLits:  map[string][]int{},
 		assigns: make([]int8, f.NumVars+1),
 	}
-	for _, c := range f.Clauses {
-		e.addClause(c)
-		if e.conflictAtRoot {
-			return e
+	f.Each(func(c cnf.Clause) {
+		if !e.conflictAtRoot {
+			e.addClause(c)
 		}
+	})
+	if e.conflictAtRoot {
+		return e
 	}
 	for _, a := range assumptions {
 		e.grow(a)

@@ -471,6 +471,7 @@ func TestProofDeletesWhatTheSolverDropped(t *testing.T) {
 			// A proof that deletes the formula away before it starts, then
 			// the honest one again: every answer from the same base.
 			robbed := &draft{Lemmas: d.Lemmas, Chains: d.Chains}
+			f.BuildClauses()
 			for id, cl := range f.Clauses {
 				robbed.Deletes = append(robbed.Deletes, deletion{ID: uint32(id), Clause: cl})
 			}
@@ -502,6 +503,7 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 		t.Fatalf("%v, %v", st, err)
 	}
 	log := draftOf(s.ProofLog())
+	f.BuildClauses()
 	last := uint32(len(f.Clauses) - 1)
 	binary := f.Clauses[last]
 	// Every clause of the formula first, each under the next one's ID.
@@ -512,7 +514,7 @@ func TestProofDeletionsThatNameNothing(t *testing.T) {
 	noise = append(noise, []deletion{
 		{At: -7, Clause: nil},
 		{At: 0, Clause: cnf.Clause{0}},
-		{At: 0, ID: last, Clause: cnf.Clause{cnf.Lit(1<<32 - 1), binary[0]}},
+		{At: 0, ID: last, Clause: cnf.Clause{cnf.Lit(1<<31 - 1), binary[0]}},
 		{At: 1, ID: last, Clause: cnf.Clause{cnf.PosLit(cnf.Var(f.NumVars + 1)), binary[0]}},
 		{At: 1, ID: last, Clause: cnf.Clause{binary[0]}},
 		{At: 1 << 40, ID: last, Clause: cnf.Clause{binary[0], binary[0].Not()}},
@@ -578,24 +580,50 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 		t.Fatalf("%d lemmas, %d deletions kept", len(d.Lemmas), len(d.Deletes))
 	}
 
-	// The stretches cross to a goroutine of their own, as a template's do.
-	var stretches, copies []Proof
+	// The stretches cross to a goroutine of their own, as a template's
+	// do, which gives each buffer back once it has read it: the solver
+	// must not write to one before, which -race and the copy taken on
+	// receipt would both see, and it makes a new one only when none is
+	// free, so there are at most the queue's depth and two.
+	var stretches []Proof // as handed out, copied on receipt
 	var handed []byte
+	var written []int
+	buffers := map[*byte]bool{}
 	streamedTo := NewProofChecker(f)
-	stream, done := make(chan Proof, 4), make(chan struct{})
+	stream, free, done := make(chan Proof, 1), make(chan FlatLog, 3), make(chan struct{})
 	go func() {
 		defer close(done)
 		for p := range stream {
-			stretches, copies = append(stretches, p), append(copies, bytes.Clone(p))
+			stretches = append(stretches, bytes.Clone(p))
 			handed = append(handed, p...)
 			streamedTo.Extend(p)
+			if !bytes.Equal(p, stretches[len(stretches)-1]) {
+				written = append(written, len(stretches)-1)
+			}
+			select {
+			case free <- FlatLog(p):
+			default:
+			}
 		}
 	}()
 	streaming := template(func(s *Solver) {
-		s.StreamProof(func(p Proof) { stream <- p })
+		s.StreamProof(func(p Proof) FlatLog {
+			buffers[&p[0]] = true
+			stream <- p
+			select {
+			case b := <-free:
+				return b
+			default:
+				return nil
+			}
+		})
 	})
 	close(stream)
 	<-done
+	if len(written) > 0 || len(buffers) > cap(stream)+2 {
+		t.Fatalf("stretches %v written to before they were given back; %d buffers for %d stretches", written, len(buffers), len(stretches))
+	}
+	t.Logf("%d stretches in %d buffers", len(stretches), len(buffers))
 	if len(stretches) < 2 {
 		t.Fatalf("a log of %d bytes handed out in %d stretches", len(log), len(stretches))
 	}
@@ -635,11 +663,6 @@ func TestStreamedProofIsTheKeptOne(t *testing.T) {
 			if err := checker.Check(pt.Assumptions, c.ProofLog()); err != nil {
 				t.Fatalf("partition %d: tail rejected by the %s checker: %v", pt.Index, name, err)
 			}
-		}
-	}
-	for i := range stretches {
-		if !bytes.Equal(stretches[i], copies[i]) {
-			t.Fatalf("stretch %d was written to after it was handed out", i)
 		}
 	}
 
@@ -835,7 +858,7 @@ func TestChainsAreTheProof(t *testing.T) {
 			t.Fatalf("%s: the reference engine says %s", in.name, errText(ref))
 		}
 		reused := NewProofChecker(in.f)
-		for name, variant := range chainVariants(in.proof, len(in.f.Clauses)) {
+		for name, variant := range chainVariants(in.proof, in.f.NumClauses()) {
 			before := reused.Stats()
 			got := reused.Check(in.assumptions, variant.flat())
 			work := reused.Stats().Since(before)
@@ -901,7 +924,8 @@ func TestSolverDeletionsNameTheirClause(t *testing.T) {
 		return misses, deletions, next
 	}
 	formula := func(f *cnf.Formula) map[uint32]string {
-		live := make(map[uint32]string, len(f.Clauses))
+		live := make(map[uint32]string, f.NumClauses())
+		f.BuildClauses()
 		for id, c := range f.Clauses {
 			live[uint32(id)] = key(c)
 		}
@@ -918,7 +942,7 @@ func TestSolverDeletionsNameTheirClause(t *testing.T) {
 			if st, err := s.Solve(); st != Unsat || err != nil || s.Stats().ElimVars == 0 {
 				t.Fatalf("%v, %v, %d variables eliminated", st, err, s.Stats().ElimVars)
 			}
-			misses, deletions, _ := replay(formula(f), uint32(len(f.Clauses)), s.ProofLog())
+			misses, deletions, _ := replay(formula(f), uint32(f.NumClauses()), s.ProofLog())
 			if misses != 0 {
 				t.Fatalf("%d of %d deletions name no clause held with their literals", misses, deletions)
 			}
@@ -938,7 +962,7 @@ func TestSolverDeletionsNameTheirClause(t *testing.T) {
 			t.Fatalf("the pass eliminated %d variables", tpl.numElim)
 		}
 		base := formula(f)
-		misses, deletions, next := replay(base, uint32(len(f.Clauses)), tpl.ProofLog())
+		misses, deletions, next := replay(base, uint32(f.NumClauses()), tpl.ProofLog())
 		for _, pt := range parts {
 			c := tpl.Clone()
 			if st, err := c.Solve(pt.Assumptions...); st != Unsat || err != nil {

@@ -16,6 +16,7 @@ package sat
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -455,7 +456,7 @@ type Solver struct {
 	// proof is not nil with proof logging on: the log, or what of it the
 	// solver has not handed to hand yet (StreamProof).
 	proof *FlatLog
-	hand  func(Proof)
+	hand  func(Proof) FlatLog
 
 	// peakBytes is the high-water mark of LiveBytes as of the last
 	// reduceDB, the only place the footprint falls; see PeakBytes.
@@ -516,11 +517,12 @@ func NewFromFormula(f *cnf.Formula, opts Options) *Solver {
 func (s *Solver) AddFormula(f *cnf.Formula) {
 	s.reserve(f)
 	// Clause i of f has ID i (see Proof): what the load logs comes after.
-	first := s.nextID
+	id := s.nextID
 	s.nextID += uint32(f.NumClauses())
-	for i, c := range f.Clauses {
-		s.addClause(c, first+uint32(i))
-	}
+	f.Each(func(c cnf.Clause) {
+		s.addClause(c, id)
+		id++
+	})
 }
 
 // reserve gives the arena room for the clauses of f, by the formula's
@@ -532,7 +534,7 @@ func (s *Solver) AddFormula(f *cnf.Formula) {
 func (s *Solver) reserve(f *cnf.Formula) {
 	s.growTo(f.NumVars)
 	degree := make([]int32, len(s.watches))
-	for _, c := range f.Clauses {
+	f.Each(func(c cnf.Clause) {
 		a, b := ^lit(0), ^lit(0)
 		for _, x := range c {
 			if l := lit(x); l < a {
@@ -542,11 +544,11 @@ func (s *Solver) reserve(f *cnf.Formula) {
 			}
 		}
 		if int(b|1) >= len(degree) {
-			continue // unit or empty, or over variables growTo has yet to see
+			return // unit or empty, or over variables growTo has yet to see
 		}
 		degree[a^1]++
 		degree[b^1]++
-	}
+	})
 	s.arena = slices.Grow(s.arena, int(1+s.idWords())*f.NumClauses()+f.NumLits())
 	s.clauses = slices.Grow(s.clauses, f.NumClauses())
 	backing := make([]watcher, 2*f.NumClauses())
@@ -564,8 +566,8 @@ func (s *Solver) growTo(n int) {
 	if n <= known {
 		return
 	}
-	if uint64(n) >= 1<<31 {
-		panic("sat: variable does not fit a 32-bit literal")
+	if n > cnf.MaxVar {
+		panic(fmt.Sprintf("sat: variable %d does not fit a 32-bit literal (cnf.MaxVar)", n))
 	}
 	add := n - known
 	if s.numElim > 0 {
@@ -587,9 +589,10 @@ func (s *Solver) growTo(n int) {
 	s.activity = append(s.activity, make([]float64, add)...)
 	s.seen = append(s.seen, make([]byte, add)...)
 	s.lbdStamp = append(s.lbdStamp, make([]uint32, add)...)
-	for i := s.numVars; i < s.numVars+add; i++ {
-		s.order.push(int32(i), s.activity)
-		if s.ids {
+	s.order.grow(s.numVars+add, s.activity)
+	if s.ids {
+		s.units = slices.Grow(s.units, add)
+		for range add {
 			s.units = append(s.units, noID)
 		}
 	}

@@ -22,6 +22,7 @@ package vc
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/bv"
 	"repro/internal/cnf"
@@ -117,14 +118,40 @@ type Encoded struct {
 	InitArrays map[string][]bv.Vec
 
 	formula *cnf.Formula
+	view    sync.Once // builds formula's Clauses view, for Formula
 }
 
-// Formula returns the CNF formula, nil after DropFormula.
-func (e *Encoded) Formula() *cnf.Formula { return e.formula }
+// Formula returns the CNF formula with its Clauses view built, for a
+// reader that indexes clauses; nil after TakeFormula. The first call
+// builds the view, once, so goroutines may share one encoding's
+// formula; a clause added to it afterwards is in the view only after
+// its own BuildClauses.
+func (e *Encoded) Formula() *cnf.Formula {
+	e.view.Do(func() {
+		if e.formula != nil {
+			e.formula.BuildClauses()
+		}
+	})
+	return e.formula
+}
 
-// DropFormula lets the formula go, for a caller whose solver has loaded
-// it and who keeps e only to decode models.
-func (e *Encoded) DropFormula() { e.formula = nil }
+// TakeFormula hands the formula over as the encoder left it, its view
+// not built, and lets it go: e is kept only to decode models from here
+// on, and Formula is nil.
+func (e *Encoded) TakeFormula() *cnf.Formula {
+	f := e.formula
+	e.formula = nil
+	return f
+}
+
+// Size is the formula's variable and clause count, read without
+// building its view; zero after TakeFormula.
+func (e *Encoded) Size() (vars, clauses int) {
+	if e.formula == nil {
+		return 0, 0
+	}
+	return e.formula.NumVars, e.formula.NumClauses()
+}
 
 // env is the symbolic state during encoding.
 type env struct {

@@ -13,9 +13,17 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/cnf"
+	"repro/internal/flatten"
+	"repro/internal/unfold"
+	"repro/internal/vc"
+	"repro/internal/weakmem"
 	"repro/prog"
 )
 
@@ -141,6 +149,67 @@ func TestFacadeDistributedRange(t *testing.T) {
 }
 
 const maxFunctionLines = 100
+
+// The benchmark harness's traced pass indexes a formula's clauses, the
+// one reader that does: vc.Encode(…).Formula().Clauses has NumClauses()
+// entries, each the clause the store walks at that position, and
+// asking again gives the same view, not a second one — also when two
+// goroutines ask at once (run under -race). The cells are two of the
+// quick jobs, one under TSO.
+func TestFormulaViewIsTheStore(t *testing.T) {
+	for _, cell := range []struct {
+		p                     *prog.Program
+		tso, unwind, contexts int
+	}{{bench.Eliminationstack(), 1, 3, 3}, {bench.Safestack(), 0, 4, 4}} {
+		p := cell.p
+		if cell.tso > 0 {
+			var err error
+			if p, err = weakmem.TransformTSO(p, cell.tso); err != nil {
+				t.Fatal(err)
+			}
+		}
+		up, err := unfold.Unfold(p, unfold.Options{Unwind: cell.unwind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := flatten.Flatten(up)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := vc.Encode(fp, vc.Options{Width: 8, Contexts: cell.contexts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views := make([]*cnf.Formula, 2)
+		var wg sync.WaitGroup
+		for g := range views {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				views[g] = enc.Formula()
+				_ = len(views[g].Clauses)
+			}()
+		}
+		wg.Wait()
+		f := views[0]
+		if f.NumClauses() == 0 || len(f.Clauses) != f.NumClauses() {
+			t.Fatalf("%d clauses in the view of %d", len(f.Clauses), f.NumClauses())
+		}
+		if views[1] != f || &views[1].Clauses[0] != &f.Clauses[0] {
+			t.Fatal("two goroutines got another formula or another view")
+		}
+		i := 0
+		f.Each(func(c cnf.Clause) {
+			if i < len(f.Clauses) && !slices.Equal(f.Clauses[i], c) {
+				t.Fatalf("clause %d is %v in the view, %v in the store", i, f.Clauses[i], c)
+			}
+			i++
+		})
+		if again := enc.Formula(); again != f || &again.Clauses[0] != &f.Clauses[0] || i != len(f.Clauses) {
+			t.Fatalf("asked twice, another formula or another view (%d clauses walked)", i)
+		}
+	}
+}
 
 // TestFunctionLengths measures every function of the non-test Go outside
 // benchmark/ (from the func keyword to the closing brace) and fails on
